@@ -111,9 +111,9 @@ fn bench_config(c: &mut Criterion, name: &str, config: Config) {
             b.iter(|| std::hint::black_box(run_load(config, t)))
         });
     }
-    // Observability overhead at the most contended point (tracked in
-    // BENCH_PR8.json): 4 writers racing the commit pipeline with event
-    // emission and histograms on must stay within 5% of the plain path.
+    // Observability overhead at the most contended point: 4 writers
+    // racing the commit pipeline with event emission and histograms on
+    // must stay within 5% of the plain path.
     g.bench_with_input(BenchmarkId::new("writers_obs", 4usize), &4usize, |b, &t| {
         b.iter(|| std::hint::black_box(run_load_with(config, t, true)))
     });

@@ -75,9 +75,10 @@ fn bench_write_path(c: &mut Criterion) {
             |b, &bs| b.iter(|| std::hint::black_box(headline_ns(|| load_batched(&keys, bs)))),
         );
     }
-    // The observability overhead bar (tracked in BENCH_PR8.json): the
-    // same batched load with event emission and latency histograms on
-    // must stay within 5% of the plain path.
+    // The observability overhead bar (`obs.overhead_share` in
+    // BENCHMARK.json measures the same cost): the same batched load with
+    // event emission and latency histograms on must stay within 5% of the
+    // plain path.
     g.bench_function("batched_obs/1024", |b| {
         b.iter(|| std::hint::black_box(headline_ns(|| load_batched_with(&keys, 1024, true))))
     });

@@ -49,16 +49,17 @@ pub const TABLE_HANDLE_OVERHEAD: usize = 256;
 /// One byte ceiling shared by every charging component (and, through
 /// [`EngineCache`], by every shard of a `ShardedDb`).
 ///
-/// Two charge classes:
+/// Two charge classes, one atomic each — total usage is *derived* as their
+/// sum, so `used = blocks + tables` holds by construction:
 /// * *block* bytes are *reserved* — `CacheBudget::try_reserve_block`
-///   refuses to overshoot, and the block cache evicts until a reservation
-///   succeeds, so `used <= capacity` holds at every instant;
+///   refuses to grow them past `capacity - table bytes`, and the block
+///   cache evicts until a reservation succeeds, so block bytes never
+///   overshoot the ceiling at any instant;
 /// * *pinned* bytes (table handles, filters, index models) are charged
 ///   unconditionally — a table the engine needs open cannot be refused —
 ///   and block evictions compensate on the next reservation.
 pub struct CacheBudget {
     capacity: usize,
-    used: AtomicUsize,
     block_bytes: AtomicUsize,
     table_bytes: AtomicUsize,
 }
@@ -67,7 +68,6 @@ impl CacheBudget {
     fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            used: AtomicUsize::new(0),
             block_bytes: AtomicUsize::new(0),
             table_bytes: AtomicUsize::new(0),
         }
@@ -76,40 +76,37 @@ impl CacheBudget {
     /// Reserve `bytes` for a block if the budget can hold them; the caller
     /// evicts and retries on failure.
     fn try_reserve_block(&self, bytes: usize) -> bool {
-        let mut used = self.used.load(Ordering::Relaxed);
+        let mut blocks = self.block_bytes.load(Ordering::Relaxed);
         loop {
-            if used + bytes > self.capacity {
+            // Pinned charges are never refused, so on their own they may
+            // exceed the ceiling: no room is left, not a negative amount.
+            let room = self.capacity.saturating_sub(self.table_bytes());
+            if blocks + bytes > room {
                 return false;
             }
-            match self.used.compare_exchange_weak(
-                used,
-                used + bytes,
+            match self.block_bytes.compare_exchange_weak(
+                blocks,
+                blocks + bytes,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    self.block_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    return true;
-                }
-                Err(cur) => used = cur,
+                Ok(_) => return true,
+                Err(cur) => blocks = cur,
             }
         }
     }
 
     fn release_block(&self, bytes: usize) {
-        self.used.fetch_sub(bytes, Ordering::Relaxed);
         self.block_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Pinned charge (open table handle): never refused — the block side
     /// yields the space instead.
     fn charge_table(&self, bytes: usize) {
-        self.used.fetch_add(bytes, Ordering::Relaxed);
         self.table_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     fn release_table(&self, bytes: usize) {
-        self.used.fetch_sub(bytes, Ordering::Relaxed);
         self.table_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
@@ -120,7 +117,7 @@ impl CacheBudget {
 
     /// Bytes charged right now, all components.
     pub fn used_bytes(&self) -> usize {
-        self.used.load(Ordering::Relaxed)
+        self.block_bytes() + self.table_bytes()
     }
 
     /// Bytes held by cached blocks.
@@ -250,9 +247,9 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Segment count when the caller does not choose: one stripe per core,
-/// rounded to a power of two, clamped to `[4, 64]`.
-pub fn auto_segments() -> usize {
+/// Lock stripes of a block cache: one per core, rounded to a power of two,
+/// clamped to `[4, 64]`.
+fn auto_segments() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(8)
@@ -442,6 +439,9 @@ struct TableMap {
     tick: u64,
 }
 
+/// Maximum open table handles a [`TableCache`] keeps resident.
+const TABLE_CACHE_HANDLES: usize = 1024;
+
 /// Bounded LRU of open [`TableReader`]s.
 ///
 /// The handles themselves charge the shared budget as pinned bytes for as
@@ -453,19 +453,17 @@ struct TableMap {
 /// last one.
 pub struct TableCache {
     inner: Mutex<TableMap>,
-    capacity_handles: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl TableCache {
-    fn new(capacity_handles: usize) -> Self {
+    fn new() -> Self {
         Self {
             inner: Mutex::new(TableMap {
                 map: HashMap::new(),
                 tick: 0,
             }),
-            capacity_handles: capacity_handles.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -498,7 +496,7 @@ impl TableCache {
         inner
             .map
             .insert((scope, name.to_string()), TableSlot { reader, tick });
-        while inner.map.len() > self.capacity_handles {
+        while inner.map.len() > TABLE_CACHE_HANDLES {
             // O(n) victim scan: the handle map is small (≤ a few thousand)
             // and eviction is rare next to block traffic.
             let victim = inner
@@ -591,19 +589,12 @@ impl std::fmt::Debug for EngineCache {
 }
 
 impl EngineCache {
-    /// New cache with `capacity_bytes` shared across all components,
-    /// `segments` block-cache stripes (0 = auto) and up to
-    /// `table_handles` resident table handles.
-    pub fn new(capacity_bytes: usize, segments: usize, table_handles: usize) -> Self {
+    /// New cache with `capacity_bytes` shared across all components.
+    pub fn new(capacity_bytes: usize) -> Self {
         let budget = Arc::new(CacheBudget::new(capacity_bytes));
-        let segments = if segments == 0 {
-            auto_segments()
-        } else {
-            segments
-        };
         Self {
-            blocks: BlockCache::with_budget(Arc::clone(&budget), segments),
-            tables: TableCache::new(table_handles),
+            blocks: BlockCache::with_budget(Arc::clone(&budget), auto_segments()),
+            tables: TableCache::new(),
             budget,
             next_scope: AtomicU64::new(1),
         }
@@ -611,13 +602,7 @@ impl EngineCache {
 
     /// Build from engine options; `None` when caching is disabled.
     pub fn from_options(opts: &crate::Options) -> Option<Arc<EngineCache>> {
-        (opts.block_cache_bytes > 0).then(|| {
-            Arc::new(EngineCache::new(
-                opts.block_cache_bytes,
-                opts.cache_segments,
-                opts.table_cache_handles,
-            ))
-        })
+        (opts.block_cache_bytes > 0).then(|| Arc::new(EngineCache::new(opts.block_cache_bytes)))
     }
 
     /// Allocate a scope (one per `Db` sharing this cache).
@@ -664,6 +649,8 @@ impl EngineCache {
     pub fn stats(&self) -> CacheStats {
         let (block_hits, block_misses) = self.blocks.hit_miss();
         let (table_hits, table_misses) = self.tables.hit_miss();
+        let block_used_bytes = self.budget.block_bytes() as u64;
+        let table_used_bytes = self.budget.table_bytes() as u64;
         CacheStats {
             block_hits,
             block_misses,
@@ -671,9 +658,10 @@ impl EngineCache {
             block_evictions: self.blocks.evictions.load(Ordering::Relaxed),
             table_hits,
             table_misses,
-            block_used_bytes: self.budget.block_bytes() as u64,
-            table_used_bytes: self.budget.table_bytes() as u64,
-            used_bytes: self.budget.used_bytes() as u64,
+            block_used_bytes,
+            table_used_bytes,
+            // Derived from the same two reads, so the parts always add up.
+            used_bytes: block_used_bytes + table_used_bytes,
             capacity_bytes: self.budget.capacity_bytes() as u64,
         }
     }
@@ -813,7 +801,7 @@ mod tests {
 
     #[test]
     fn pinned_charges_squeeze_block_space() {
-        let cache = EngineCache::new(4 * 4096, 1, 16);
+        let cache = EngineCache::new(4 * 4096);
         cache.charge_table(3 * 4096);
         // Only one block's worth of head-room remains.
         cache.blocks().insert(key(1, 0), block(1, 4096));
@@ -827,7 +815,7 @@ mod tests {
 
     #[test]
     fn engine_cache_stats_roundtrip() {
-        let cache = EngineCache::new(1 << 20, 2, 4);
+        let cache = EngineCache::new(1 << 20);
         cache.blocks().insert(key(1, 0), block(1, 512));
         cache.blocks().get(key(1, 0));
         cache.blocks().get(key(1, 9));

@@ -946,7 +946,7 @@ mod tests {
         opts.max_subcompactions = 2;
         let stats = DbStats::new();
         let fno = AtomicU64::new(0);
-        let cache = Arc::new(EngineCache::new(1 << 20, 0, 64));
+        let cache = Arc::new(EngineCache::new(1 << 20));
         let scope = cache.next_scope();
         let result = run_compaction(
             &storage,

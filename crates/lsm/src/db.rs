@@ -88,65 +88,24 @@ use crate::stats::DbStats;
 use crate::types::{Entry, EntryKind, SeqNo};
 use crate::version::{TableHandle, Version};
 use crate::wal::{self, WalWriter};
-use crate::{Error, Result};
+use crate::{sealed, Error, Result};
 use lsm_io::{CostModel, MemStorage, SimStorage, Storage};
 use lsm_obs::{EngineObs, EventKind, MetricsSnapshot, GLOBAL_SHARD};
 
 /// Legacy manifest file name (pre-epoch layouts; still readable).
 const LEGACY_MANIFEST: &str = "MANIFEST";
 
-/// Epoch-numbered manifest prefix. Every rewrite goes to a **new** file
-/// (`MANIFEST-<epoch>`, CRC-sealed) and only then retires its predecessor,
-/// so a crash at any storage-operation boundary leaves at least one intact
-/// manifest — recovery picks the newest one that validates. In-place
-/// truncate-and-rewrite (the legacy scheme) has a window where the only
-/// manifest is empty, which the crash-point matrix found immediately.
+/// Epoch-numbered manifest prefix: every rewrite seals a fresh
+/// `MANIFEST-<epoch>` and only then retires its predecessor (see
+/// [`crate::sealed`]).
 const MANIFEST_PREFIX: &str = "MANIFEST-";
-
-fn manifest_name(epoch: u64) -> String {
-    format!("{MANIFEST_PREFIX}{epoch:06}")
-}
-
-/// Read `name` and validate its CRC footer line; `Ok(None)` means the file
-/// is torn or unsealed (crash mid-write) and the caller should fall back
-/// to an older epoch.
-fn read_sealed_manifest(storage: &dyn Storage, name: &str) -> Result<Option<String>> {
-    let raw = lsm_io::read_all(storage, name)?;
-    let Ok(text) = String::from_utf8(raw) else {
-        return Ok(None);
-    };
-    // The footer is the final line: `crc <8 hex digits>` over every byte
-    // before it.
-    let Some(idx) = text
-        .rfind("crc ")
-        .filter(|&i| i == 0 || text.as_bytes()[i - 1] == b'\n')
-    else {
-        return Ok(None);
-    };
-    let footer = text[idx + 4..].trim_end();
-    let Ok(want) = u32::from_str_radix(footer, 16) else {
-        return Ok(None);
-    };
-    if wal::crc32(&text.as_bytes()[..idx]) != want {
-        return Ok(None);
-    }
-    Ok(Some(text))
-}
 
 /// The newest manifest that validates, as `(epoch, text)` — epoch 0 is the
 /// legacy unsealed `MANIFEST` file, accepted only when no epoch file
 /// validates. `None` means a fresh database.
 fn find_current_manifest(storage: &dyn Storage) -> Result<Option<(u64, String)>> {
-    let mut epochs: Vec<u64> = storage
-        .list()?
-        .into_iter()
-        .filter_map(|n| n.strip_prefix(MANIFEST_PREFIX)?.parse().ok())
-        .collect();
-    epochs.sort_unstable_by(|a, b| b.cmp(a));
-    for epoch in epochs {
-        if let Some(text) = read_sealed_manifest(storage, &manifest_name(epoch))? {
-            return Ok(Some((epoch, text)));
-        }
+    if let Some(found) = sealed::newest_valid(storage, MANIFEST_PREFIX)? {
+        return Ok(Some(found));
     }
     if storage.exists(LEGACY_MANIFEST) {
         let raw = lsm_io::read_all(storage, LEGACY_MANIFEST)?;
@@ -618,7 +577,7 @@ impl Db {
         // single source of truth for which `.sst` files are live.
         // Best-effort — a crash mid-sweep just leaves the next open to
         // finish it.
-        let current = manifest_name(core.manifest_epoch.load(Ordering::Relaxed));
+        let current = sealed::name(MANIFEST_PREFIX, core.manifest_epoch.load(Ordering::Relaxed));
         let live: HashSet<String> = {
             let inner = core.inner.read();
             inner
@@ -1015,12 +974,6 @@ impl Db {
     /// Number of live snapshot handles.
     pub fn live_snapshots(&self) -> usize {
         self.core.snapshots.len()
-    }
-
-    /// Sequence ceiling of the oldest live snapshot (`MAX_SEQ` when no
-    /// snapshots are held) — the garbage-collection watermark.
-    pub fn oldest_snapshot_seq(&self) -> SeqNo {
-        self.core.snapshots.smallest()
     }
 
     /// Point lookup at the latest state.
@@ -1622,16 +1575,10 @@ impl DbCore {
         // from a crash mid-write fails CRC validation and recovery falls
         // back to `<e-1>`.)
         let epoch = self.manifest_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        text.push_str(&format!("crc {:08x}\n", wal::crc32(text.as_bytes())));
         self.manifest_dirty.store(true, Ordering::Release);
-        let mut f = self.storage.create(&manifest_name(epoch))?;
-        f.append(text.as_bytes())?;
-        f.sync()?;
+        sealed::write_sealed(self.storage.as_ref(), MANIFEST_PREFIX, epoch, text)?;
         // Sealed: the on-disk manifest now names the live WAL set.
         self.manifest_dirty.store(false, Ordering::Release);
-        if epoch > 1 {
-            let _ = self.storage.remove(&manifest_name(epoch - 1));
-        }
         Ok(())
     }
 

@@ -71,13 +71,8 @@ pub struct LevelIter {
 }
 
 impl LevelIter {
-    /// Over `tables`, which must be sorted by min key and non-overlapping
-    /// (cache-filling).
-    pub fn new(tables: Vec<Arc<TableReader>>) -> Self {
-        Self::with_fill(tables, true)
-    }
-
-    /// [`LevelIter::new`] with an explicit block-cache fill policy.
+    /// Over `tables`, which must be sorted by min key and non-overlapping,
+    /// with an explicit block-cache fill policy.
     pub fn with_fill(tables: Vec<Arc<TableReader>>, fill_cache: bool) -> Self {
         debug_assert!(tables.windows(2).all(|w| w[0].max_key() < w[1].min_key()));
         Self {
@@ -163,19 +158,9 @@ pub enum MergeSource {
 }
 
 impl MergeSource {
-    /// Wrap a table (cache-filling).
-    pub fn table(reader: Arc<TableReader>) -> Self {
-        Self::table_with(reader, true)
-    }
-
     /// Wrap a table with an explicit block-cache fill policy.
     pub fn table_with(reader: Arc<TableReader>, fill_cache: bool) -> Self {
         MergeSource::Table(TableIter::with_fill(reader, fill_cache))
-    }
-
-    /// Wrap a sorted level (cache-filling).
-    pub fn level(tables: Vec<Arc<TableReader>>) -> Self {
-        Self::level_with(tables, true)
     }
 
     /// Wrap a sorted level with an explicit block-cache fill policy.

@@ -67,6 +67,7 @@ pub mod iter;
 pub mod memtable;
 pub mod options;
 pub mod scheduler;
+mod sealed;
 pub mod sharding;
 pub mod skiplist;
 pub mod snapshot;
@@ -89,7 +90,7 @@ pub use sharding::{
     ShardedStats, Topology, TrafficSampler,
 };
 pub use snapshot::Snapshot;
-pub use stats::{CompactionBreakdown, DbStats, LookupBreakdown, StatsSnapshot};
+pub use stats::{CompactionBreakdown, DbStats, StatsSnapshot};
 // Observability vocabulary (spans, histograms, the scrapeable snapshot)
 // lives in `lsm-obs`; re-exported so engine users need no extra dep.
 pub use lsm_obs::{Event, EventKind, MetricsSnapshot, Observer, GLOBAL_SHARD};

@@ -380,12 +380,6 @@ pub struct Options {
     /// *whole engine*, not per shard). 0 disables caching (the paper's
     /// read sweeps run uncached so every lookup pays its I/O).
     pub block_cache_bytes: usize,
-    /// Lock stripes of the block cache (rounded up to a power of two);
-    /// 0 picks one per core, clamped to `[4, 64]`.
-    pub cache_segments: usize,
-    /// Maximum open table handles kept resident by the table-handle
-    /// cache.
-    pub table_cache_handles: usize,
     /// In-segment search strategy.
     pub search: SearchStrategy,
     /// Optional per-level error bounds: level `L` uses
@@ -445,8 +439,6 @@ impl Default for Options {
             max_levels: 8,
             wal: true,
             block_cache_bytes: 0,
-            cache_segments: 0,
-            table_cache_handles: 1024,
             search: SearchStrategy::Binary,
             per_level_epsilon: None,
             compaction: CompactionPolicy::Leveling,
@@ -476,8 +468,6 @@ impl Options {
             max_levels: 8,
             wal: true,
             block_cache_bytes: 0,
-            cache_segments: 0,
-            table_cache_handles: 1024,
             search: SearchStrategy::Binary,
             per_level_epsilon: None,
             compaction: CompactionPolicy::Leveling,

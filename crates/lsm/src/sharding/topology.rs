@@ -47,8 +47,7 @@
 use learned_index::{IndexKind, SegmentIndex};
 use lsm_io::Storage;
 
-use crate::wal;
-use crate::{Error, Result};
+use crate::{sealed, Error, Result};
 
 /// Legacy router state file (PR 3; unsealed text). Readable as epoch 0.
 pub(crate) const LEGACY_ROUTER_FILE: &str = "SHARDING";
@@ -58,7 +57,7 @@ pub(crate) const TOPOLOGY_PREFIX: &str = "SHARDING-";
 pub(crate) const ROUTER_MODEL_FILE: &str = "SHARDING.model";
 
 pub(crate) fn topology_name(epoch: u64) -> String {
-    format!("{TOPOLOGY_PREFIX}{epoch:06}")
+    sealed::name(TOPOLOGY_PREFIX, epoch)
 }
 
 /// One persisted routing topology: the shard set at one epoch.
@@ -155,14 +154,8 @@ impl Topology {
         for b in &self.boundaries {
             text.push_str(&format!("boundary {b}\n"));
         }
-        text.push_str(&format!("crc {:08x}\n", wal::crc32(text.as_bytes())));
-        let mut f = storage.create(&topology_name(self.epoch))?;
-        f.append(text.as_bytes())?;
-        f.sync()?;
-        // Sealed: older epochs (and the legacy file) are superseded.
-        if self.epoch > 1 {
-            let _ = storage.remove(&topology_name(self.epoch - 1));
-        }
+        sealed::write_sealed(storage, TOPOLOGY_PREFIX, self.epoch, text)?;
+        // Sealed: the legacy file is superseded too.
         let _ = storage.remove(LEGACY_ROUTER_FILE);
         Ok(())
     }
@@ -172,29 +165,7 @@ impl Topology {
     /// file (epoch 0) for pre-topology directories. `Ok(None)` means a
     /// fresh database.
     pub(crate) fn load(storage: &dyn Storage) -> Result<Option<Topology>> {
-        let mut epochs: Vec<u64> = storage
-            .list()?
-            .into_iter()
-            .filter_map(|n| n.strip_prefix(TOPOLOGY_PREFIX)?.parse().ok())
-            .collect();
-        epochs.sort_unstable_by(|a, b| b.cmp(a));
-        for epoch in epochs {
-            let raw = lsm_io::read_all(storage, &topology_name(epoch))?;
-            let Ok(text) = String::from_utf8(raw) else {
-                continue; // unsealed garbage from a crash mid-write
-            };
-            let Some(idx) = text
-                .rfind("crc ")
-                .filter(|&i| i == 0 || text.as_bytes()[i - 1] == b'\n')
-            else {
-                continue;
-            };
-            let Ok(want) = u32::from_str_radix(text[idx + 4..].trim_end(), 16) else {
-                continue;
-            };
-            if wal::crc32(&text.as_bytes()[..idx]) != want {
-                continue; // torn seal: fall back to the previous epoch
-            }
+        if let Some((epoch, text)) = sealed::newest_valid(storage, TOPOLOGY_PREFIX)? {
             return Ok(Some(Self::parse(&text, epoch)?));
         }
         if storage.exists(LEGACY_ROUTER_FILE) {

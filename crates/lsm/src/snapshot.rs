@@ -34,7 +34,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::memtable::MemRun;
-use crate::types::{SeqNo, MAX_SEQ};
+use crate::types::SeqNo;
 use crate::version::Version;
 
 /// Shared registry of live snapshot sequence numbers (multiset: several
@@ -67,12 +67,6 @@ impl SnapshotList {
             mems,
             list: Arc::clone(self),
         }
-    }
-
-    /// The oldest sequence number any live snapshot can read at, or
-    /// [`MAX_SEQ`] when no snapshots are held.
-    pub(crate) fn smallest(&self) -> SeqNo {
-        self.live.lock().keys().next().copied().unwrap_or(MAX_SEQ)
     }
 
     /// Number of live snapshot handles.
@@ -161,21 +155,17 @@ mod tests {
     }
 
     #[test]
-    fn smallest_tracks_live_handles() {
+    fn len_tracks_live_handles() {
         let list = SnapshotList::new();
-        assert_eq!(list.smallest(), MAX_SEQ);
         let a = pin(&list, 10);
         let b = pin(&list, 5);
         let c = pin(&list, 5);
-        assert_eq!(list.smallest(), 5);
         assert_eq!(list.len(), 3);
         drop(b);
-        assert_eq!(list.smallest(), 5, "duplicate pin still live");
+        assert_eq!(list.len(), 2, "duplicate pin still live");
         drop(c);
-        assert_eq!(list.smallest(), 10);
         assert_eq!(a.seq(), 10);
         drop(a);
-        assert_eq!(list.smallest(), MAX_SEQ);
         assert_eq!(list.len(), 0);
     }
 }

@@ -424,12 +424,8 @@ impl TableReader {
     }
 
     /// Position of the first entry with user key ≥ `key` (= `n` if none),
-    /// resolved with one index prediction + one bounded read.
-    pub fn seek_position(&self, key: u64) -> Result<usize> {
-        self.seek_position_opts(key, true)
-    }
-
-    /// [`TableReader::seek_position`] with an explicit cache fill policy.
+    /// resolved with one index prediction + one bounded read, under an
+    /// explicit cache fill policy.
     pub fn seek_position_opts(&self, key: u64, fill_cache: bool) -> Result<usize> {
         if self.n == 0 || key <= self.min_key {
             return Ok(0);
@@ -461,21 +457,9 @@ impl TableReader {
         Ok(format::decode_entry_key(&kb))
     }
 
-    /// Read the full entry at `pos`.
-    pub fn entry_at(&self, pos: usize) -> Result<Entry> {
-        let mut buf = vec![0u8; self.entry_width];
-        self.file
-            .read_exact_at((pos * self.entry_width) as u64, &mut buf)?;
-        format::decode_entry(&buf, self.value_width)
-    }
-
-    /// Read entries `[lo, hi)` with one pread (compaction / range scans).
-    pub fn entries_in(&self, lo: usize, hi: usize) -> Result<Vec<Entry>> {
-        self.entries_in_opts(lo, hi, true)
-    }
-
-    /// [`TableReader::entries_in`] with an explicit cache fill policy —
-    /// compaction inputs and opt-out scans read with `fill_cache = false`.
+    /// Read entries `[lo, hi)` with one pread (compaction / range scans)
+    /// under an explicit cache fill policy — compaction inputs and opt-out
+    /// scans read with `fill_cache = false`.
     pub fn entries_in_opts(&self, lo: usize, hi: usize, fill_cache: bool) -> Result<Vec<Entry>> {
         let hi = hi.min(self.n);
         if lo >= hi {
@@ -535,12 +519,8 @@ pub struct TableIter {
 }
 
 impl TableIter {
-    /// New iterator positioned before the first entry (cache-filling).
-    pub fn new(reader: Arc<TableReader>) -> Self {
-        Self::with_fill(reader, true)
-    }
-
-    /// New iterator with an explicit cache fill policy.
+    /// New iterator positioned before the first entry, with an explicit
+    /// cache fill policy.
     pub fn with_fill(reader: Arc<TableReader>, fill_cache: bool) -> Self {
         let chunk_entries = (4096 / reader.entry_width).max(1);
         Self {
@@ -670,7 +650,7 @@ mod tests {
             for probe in [0u64, 5, 10, 29_990, 29_995, 30_000, 123_456] {
                 let want = keys.partition_point(|&k| k < probe);
                 assert_eq!(
-                    r.seek_position(probe).unwrap(),
+                    r.seek_position_opts(probe, true).unwrap(),
                     want,
                     "{kind} probe={probe}"
                 );
@@ -682,7 +662,7 @@ mod tests {
     fn iterator_scans_in_order() {
         let keys: Vec<u64> = (0..500u64).map(|i| i * 3).collect();
         let (_s, r) = make_table(&keys, IndexKind::RadixSpline);
-        let mut it = TableIter::new(r);
+        let mut it = TableIter::with_fill(r, true);
         it.seek_to_first();
         let mut seen = Vec::new();
         while let Some(e) = it.current().unwrap() {
@@ -696,7 +676,7 @@ mod tests {
     fn iterator_seek_mid_stream() {
         let keys: Vec<u64> = (0..500u64).map(|i| i * 3).collect();
         let (_s, r) = make_table(&keys, IndexKind::Plex);
-        let mut it = TableIter::new(r);
+        let mut it = TableIter::with_fill(r, true);
         it.seek(100).unwrap(); // between 99 and 102
         let first = it.current().unwrap().unwrap().key.user_key;
         assert_eq!(first, 102);

@@ -5,100 +5,235 @@
 //! read counts (Fig. 10), compaction stage breakdown (Fig. 9), and index
 //! memory (Figs. 6, 8, 11, 12). [`DbStats`] collects all of them with
 //! relaxed atomics so the hot path stays cheap.
+//!
+//! Every counter is declared **once**, in the `engine_counters!` table
+//! below, with its doc comment and its class. The macro expands the table
+//! into [`DbStats`], [`StatsSnapshot`], `snapshot`, `since`, `absorb_cache`,
+//! `counter_pairs` and `+=`; both scrape surfaces (METRICS and STATS) render
+//! [`StatsSnapshot::counter_pairs`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum LSM levels tracked by the per-level counters.
 pub const MAX_LEVELS: usize = 12;
 
-/// Shared engine counters. Cloneable snapshots via [`DbStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct DbStats {
-    // Point lookup stage timers (Table 1 / Figure 7).
-    pub lookups: AtomicU64,
-    pub table_locate_ns: AtomicU64,
-    pub predict_ns: AtomicU64,
-    pub io_cpu_ns: AtomicU64,
-    pub search_ns: AtomicU64,
-    // Bloom behaviour.
-    pub bloom_checks: AtomicU64,
-    pub bloom_negatives: AtomicU64,
-    // Per-level reads (Figure 10).
-    pub level_reads: [AtomicU64; MAX_LEVELS],
-    pub level_read_ns: [AtomicU64; MAX_LEVELS],
-    pub memtable_hits: AtomicU64,
-    // Write path / group commit. One `Db::write` = one batch; the writer
-    // queue fuses the batches of concurrent writers into **commit groups**
-    // (`write_groups`), each logged as one WAL record — so `wal_appends`
-    // equals `write_groups` (not `write_batches`) and the gap between
-    // `write_batches` and `write_groups` measures how much fusing the
-    // queue achieved under concurrency.
-    pub write_batches: AtomicU64,
-    pub write_entries: AtomicU64,
-    pub write_groups: AtomicU64,
-    pub wal_appends: AtomicU64,
-    pub wal_bytes: AtomicU64,
-    pub wal_syncs: AtomicU64,
-    // Compaction breakdown (Figure 9).
-    pub flushes: AtomicU64,
-    pub compactions: AtomicU64,
-    pub compact_total_ns: AtomicU64,
-    pub compact_kv_io_ns: AtomicU64,
-    pub compact_train_ns: AtomicU64,
-    pub compact_model_write_ns: AtomicU64,
-    pub compact_bytes_read: AtomicU64,
-    pub compact_bytes_written: AtomicU64,
-    // Write-amplification accounting: where maintenance traffic lands.
-    /// Sub-range merge units executed (a single-threaded compaction
-    /// counts one).
-    pub subcompactions: AtomicU64,
-    /// Bytes flushes wrote into L0 (the denominator of
-    /// [`StatsSnapshot::write_amplification`]).
-    pub flush_bytes_written: AtomicU64,
-    /// Compaction input bytes by the level they were read from.
-    pub compact_level_bytes_read: [AtomicU64; MAX_LEVELS],
-    /// Compaction output bytes by the level they were written to.
-    pub compact_level_bytes_written: [AtomicU64; MAX_LEVELS],
-    // Range scans (Figure 11).
-    pub scans: AtomicU64,
-    pub scan_entries: AtomicU64,
-    // Background maintenance (`Maintenance::Background`): write
-    // backpressure and worker activity.
-    /// Writes delayed ~1 ms because L0 reached `l0_slowdown_trigger`.
-    pub stall_slowdowns: AtomicU64,
-    /// Write stalls that blocked until maintenance caught up (L0 at
-    /// `l0_stop_trigger`, or the immutable-memtable queue full).
-    pub stall_stops: AtomicU64,
-    /// Total wall time writers spent stalled (both kinds), in ns.
-    pub stall_ns: AtomicU64,
-    /// Memtable rotations onto the immutable queue.
-    pub imm_rotations: AtomicU64,
-    /// High-water mark of the immutable-memtable queue depth.
-    pub imm_queue_peak: AtomicU64,
-    /// Busy time of background flush workers, in ns.
-    pub bg_flush_ns: AtomicU64,
-    /// Busy time of background compaction workers, in ns.
-    pub bg_compact_ns: AtomicU64,
-    /// Errors surfaced by background workers (the last one is also kept by
-    /// the Db for inspection).
-    pub bg_errors: AtomicU64,
-    /// Writes that completed while at least one background worker was busy
-    /// — the counter that proves foreground/maintenance overlap.
-    pub writes_during_maintenance: AtomicU64,
-    /// Live shard splits completed by the sharding layer (counted on the
-    /// [`crate::sharding::ShardedDb`]'s own stats block, merged into
-    /// `ShardedDb::stats()`).
-    pub shard_splits: AtomicU64,
-    /// Runtime commit-marker log checkpoints (markers below the flush
-    /// watermark dropped without a reopen).
-    pub commit_checkpoints: AtomicU64,
-    /// Gauge: background workers currently executing a flush or compaction
-    /// (not part of [`StatsSnapshot`]; read via
-    /// [`DbStats::active_background_workers`]).
-    pub bg_active: AtomicU64,
-    /// Gauge: writers currently blocked in a hard stop (not part of
-    /// [`StatsSnapshot`]; read via [`DbStats::stalled_writers`]).
-    pub stalled_now: AtomicU64,
+/// A counter class: `(since(later, earlier), merge(a, b))`.
+type Class = (fn(u64, u64) -> u64, fn(u64, u64) -> u64);
+/// Monotone count: a diff subtracts, a merge adds.
+const SUM: Class = (|later, earlier| later - earlier, |a, b| a + b);
+/// High-water mark: a fleet's peak is its worst shard's, not the sum.
+const PEAK: Class = (|later, _| later, u64::max);
+/// A reading: private per-shard caches add up to the fleet's footprint.
+const GAUGE: Class = (|later, _| later, |a, b| a + b);
+
+/// Expands the counter table. `engine`: an atomic in [`DbStats`], scraped
+/// under its field name. `cache`: owned by the `EngineCache` — absent from
+/// `DbStats`, zero after `snapshot()`, added by `absorb_cache` from the named
+/// `CacheStats` field. `level`: one `SUM` per LSM level, scraped as
+/// `level{N}_{wire}`; a bracketed group is emitted for level N when any
+/// member is non-zero there, so a small tree does not scrape 48 zeros.
+/// `live`: gauges read in place, never snapshotted.
+macro_rules! engine_counters {
+    (
+        engine { $( $(#[$em:meta])* $ec:ident $e:ident, )* }
+        cache { $( $(#[$cm:meta])* $cc:ident $c:ident = $src:ident, )* }
+        level { $( [ $( $(#[$lm:meta])* $l:ident as $wire:literal ),* ], )* }
+        live { $( $(#[$gm:meta])* $g:ident, )* }
+    ) => {
+        /// Shared engine counters. Cloneable snapshots via [`DbStats::snapshot`].
+        #[derive(Debug, Default)]
+        pub struct DbStats {
+            $( $(#[$em])* pub $e: AtomicU64, )*
+            $($( $(#[$lm])* pub $l: [AtomicU64; MAX_LEVELS], )*)*
+            $( $(#[$gm])* pub $g: AtomicU64, )*
+        }
+
+        /// Point-in-time copy of [`DbStats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $( $(#[$em])* pub $e: u64, )*
+            $( $(#[$cm])* pub $c: u64, )*
+            $($( $(#[$lm])* pub $l: [u64; MAX_LEVELS], )*)*
+        }
+
+        impl DbStats {
+            /// Copy the current counter values. The engine cache keeps its own
+            /// atomics; fold them in with [`StatsSnapshot::absorb_cache`].
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $e: self.$e.load(Ordering::Relaxed), )*
+                    $( $c: 0, )*
+                    $($( $l: std::array::from_fn(|i| self.$l[i].load(Ordering::Relaxed)), )*)*
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Deltas since `earlier`; peaks and gauges keep the later value.
+            pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $e: $ec.0(self.$e, earlier.$e), )*
+                    $( $c: $cc.0(self.$c, earlier.$c), )*
+                    $($( $l: std::array::from_fn(|i| self.$l[i] - earlier.$l[i]), )*)*
+                }
+            }
+
+            /// Fold the engine cache's counters into this snapshot. Callable
+            /// more than once (a split-budget fleet absorbs one `CacheStats`
+            /// per shard): counters and byte gauges accumulate.
+            pub fn absorb_cache(&mut self, cache: &crate::cache::CacheStats) {
+                $( self.$c += cache.$src; )*
+            }
+
+            /// Flatten into `(name, value)` pairs for the scrape surfaces
+            /// (`MetricsSnapshot::counters`, the STATS JSON): scalar counters
+            /// under their field names, then `level{N}_…` for busy levels.
+            pub fn counter_pairs(&self) -> Vec<(String, u64)> {
+                let mut out = vec![
+                    $( (stringify!($e).to_string(), self.$e), )*
+                    $( (stringify!($c).to_string(), self.$c), )*
+                ];
+                $( for i in 0..MAX_LEVELS {
+                    if $( self.$l[i] > 0 )||* {
+                        $( out.push((format!(concat!("level{}_", $wire), i), self.$l[i])); )*
+                    }
+                } )*
+                out
+            }
+        }
+
+        /// Class-wise merge — what makes per-shard stats composable into one
+        /// engine-level report.
+        impl std::ops::AddAssign for StatsSnapshot {
+            fn add_assign(&mut self, rhs: StatsSnapshot) {
+                $( self.$e = $ec.1(self.$e, rhs.$e); )*
+                $( self.$c = $cc.1(self.$c, rhs.$c); )*
+                for i in 0..MAX_LEVELS {
+                    $($( self.$l[i] += rhs.$l[i]; )*)*
+                }
+            }
+        }
+
+        /// A snapshot holding `base + step * i` in its `i`-th slot, so the
+        /// class test walks the whole table instead of a hand-picked few.
+        #[cfg(test)]
+        fn numbered(base: u64, step: u64) -> StatsSnapshot {
+            let mut slots = (0..).map(|i| base + step * i);
+            let mut next = || slots.next().unwrap();
+            StatsSnapshot {
+                $( $e: next(), )*
+                $( $c: next(), )*
+                $($( $l: std::array::from_fn(|_| next()), )*)*
+            }
+        }
+    };
+}
+
+engine_counters! {
+    engine {
+        // Point lookup stage timers (Table 1 / Figure 7).
+        SUM lookups,
+        SUM table_locate_ns,
+        SUM predict_ns,
+        SUM io_cpu_ns,
+        SUM search_ns,
+        // Bloom behaviour.
+        SUM bloom_checks,
+        SUM bloom_negatives,
+        SUM memtable_hits,
+        // Write path / group commit. One `Db::write` = one batch; the writer
+        // queue fuses the batches of concurrent writers into **commit groups**
+        // (`write_groups`), each logged as one WAL record — so `wal_appends`
+        // equals `write_groups` (not `write_batches`) and the gap between
+        // `write_batches` and `write_groups` measures how much fusing the
+        // queue achieved under concurrency.
+        SUM write_batches,
+        SUM write_entries,
+        SUM write_groups,
+        SUM wal_appends,
+        SUM wal_bytes,
+        SUM wal_syncs,
+        // Maintenance: compaction breakdown (Figure 9), write-amp accounting.
+        SUM flushes,
+        /// Bytes flushes wrote into L0 (the denominator of
+        /// [`StatsSnapshot::write_amplification`]).
+        SUM flush_bytes_written,
+        SUM compactions,
+        /// Sub-range merge units executed (a single-threaded compaction,
+        /// `max_subcompactions = 1`, counts one).
+        SUM subcompactions,
+        SUM compact_total_ns,
+        SUM compact_kv_io_ns,
+        SUM compact_train_ns,
+        SUM compact_model_write_ns,
+        SUM compact_bytes_read,
+        SUM compact_bytes_written,
+        // Range scans (Figure 11).
+        SUM scans,
+        SUM scan_entries,
+        // Background maintenance (`Maintenance::Background`): write
+        // backpressure and worker activity.
+        /// Writes delayed ~1 ms because L0 reached `l0_slowdown_trigger`.
+        SUM stall_slowdowns,
+        /// Write stalls that blocked until maintenance caught up (L0 at
+        /// `l0_stop_trigger`, or the immutable-memtable queue full).
+        SUM stall_stops,
+        /// Total wall time writers spent stalled (both kinds), in ns.
+        SUM stall_ns,
+        /// Memtable rotations onto the immutable queue.
+        SUM imm_rotations,
+        /// High-water mark of the immutable-memtable queue depth.
+        PEAK imm_queue_peak,
+        /// Busy time of background flush workers, in ns.
+        SUM bg_flush_ns,
+        /// Busy time of background compaction workers, in ns.
+        SUM bg_compact_ns,
+        /// Errors surfaced by background workers (the last one is also kept
+        /// by the Db for inspection).
+        SUM bg_errors,
+        /// Writes that completed while at least one background worker was
+        /// busy — the counter that proves foreground/maintenance overlap.
+        SUM writes_during_maintenance,
+        /// Live shard splits completed by the sharding layer (counted on the
+        /// [`crate::sharding::ShardedDb`]'s own stats block, merged into
+        /// `ShardedDb::stats()`).
+        SUM shard_splits,
+        /// Runtime commit-marker log checkpoints (markers below the flush
+        /// watermark dropped without a reopen).
+        SUM commit_checkpoints,
+    }
+    cache {
+        SUM cache_block_hits = block_hits,
+        SUM cache_block_misses = block_misses,
+        SUM cache_block_evictions = block_evictions,
+        SUM cache_table_hits = table_hits,
+        SUM cache_table_misses = table_misses,
+        /// Bytes currently charged; summing snapshots adds (private
+        /// per-shard caches combine into the fleet's total footprint).
+        GAUGE cache_used_bytes = used_bytes,
+        /// The byte ceiling.
+        GAUGE cache_capacity_bytes = capacity_bytes,
+    }
+    level {
+        // Per-level reads (Figure 10).
+        [level_reads as "reads", level_read_ns as "read_ns"],
+        // Per-level write-amp attribution: where maintenance traffic lands.
+        [
+            /// Compaction input bytes by the level they were read from.
+            compact_level_bytes_read as "compact_bytes_read",
+            /// Compaction output bytes by the level they were written to.
+            compact_level_bytes_written as "compact_bytes_written"
+        ],
+    }
+    live {
+        /// Gauge: background workers currently executing a flush or
+        /// compaction (not part of [`StatsSnapshot`]; read via
+        /// [`DbStats::active_background_workers`]).
+        bg_active,
+        /// Gauge: writers currently blocked in a hard stop (not part of
+        /// [`StatsSnapshot`]; read via [`DbStats::stalled_writers`]).
+        stalled_now,
+    }
 }
 
 impl DbStats {
@@ -183,293 +318,9 @@ impl DbStats {
             .map(DbStats::snapshot)
             .fold(StatsSnapshot::default(), |acc, s| acc + s)
     }
-
-    /// Copy the current counter values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let lv = |a: &[AtomicU64; MAX_LEVELS]| {
-            let mut out = [0u64; MAX_LEVELS];
-            for (o, x) in out.iter_mut().zip(a.iter()) {
-                *o = x.load(Ordering::Relaxed);
-            }
-            out
-        };
-        StatsSnapshot {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            table_locate_ns: self.table_locate_ns.load(Ordering::Relaxed),
-            predict_ns: self.predict_ns.load(Ordering::Relaxed),
-            io_cpu_ns: self.io_cpu_ns.load(Ordering::Relaxed),
-            search_ns: self.search_ns.load(Ordering::Relaxed),
-            bloom_checks: self.bloom_checks.load(Ordering::Relaxed),
-            bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed),
-            level_reads: lv(&self.level_reads),
-            level_read_ns: lv(&self.level_read_ns),
-            memtable_hits: self.memtable_hits.load(Ordering::Relaxed),
-            write_batches: self.write_batches.load(Ordering::Relaxed),
-            write_entries: self.write_entries.load(Ordering::Relaxed),
-            write_groups: self.write_groups.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            compact_total_ns: self.compact_total_ns.load(Ordering::Relaxed),
-            compact_kv_io_ns: self.compact_kv_io_ns.load(Ordering::Relaxed),
-            compact_train_ns: self.compact_train_ns.load(Ordering::Relaxed),
-            compact_model_write_ns: self.compact_model_write_ns.load(Ordering::Relaxed),
-            compact_bytes_read: self.compact_bytes_read.load(Ordering::Relaxed),
-            compact_bytes_written: self.compact_bytes_written.load(Ordering::Relaxed),
-            subcompactions: self.subcompactions.load(Ordering::Relaxed),
-            flush_bytes_written: self.flush_bytes_written.load(Ordering::Relaxed),
-            compact_level_bytes_read: lv(&self.compact_level_bytes_read),
-            compact_level_bytes_written: lv(&self.compact_level_bytes_written),
-            scans: self.scans.load(Ordering::Relaxed),
-            scan_entries: self.scan_entries.load(Ordering::Relaxed),
-            stall_slowdowns: self.stall_slowdowns.load(Ordering::Relaxed),
-            stall_stops: self.stall_stops.load(Ordering::Relaxed),
-            stall_ns: self.stall_ns.load(Ordering::Relaxed),
-            imm_rotations: self.imm_rotations.load(Ordering::Relaxed),
-            imm_queue_peak: self.imm_queue_peak.load(Ordering::Relaxed),
-            bg_flush_ns: self.bg_flush_ns.load(Ordering::Relaxed),
-            bg_compact_ns: self.bg_compact_ns.load(Ordering::Relaxed),
-            bg_errors: self.bg_errors.load(Ordering::Relaxed),
-            writes_during_maintenance: self.writes_during_maintenance.load(Ordering::Relaxed),
-            shard_splits: self.shard_splits.load(Ordering::Relaxed),
-            commit_checkpoints: self.commit_checkpoints.load(Ordering::Relaxed),
-            // The engine cache keeps its own atomics; callers fold them in
-            // with `StatsSnapshot::absorb_cache`.
-            ..StatsSnapshot::default()
-        }
-    }
-}
-
-/// Point-in-time copy of [`DbStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    pub lookups: u64,
-    pub table_locate_ns: u64,
-    pub predict_ns: u64,
-    pub io_cpu_ns: u64,
-    pub search_ns: u64,
-    pub bloom_checks: u64,
-    pub bloom_negatives: u64,
-    pub level_reads: [u64; MAX_LEVELS],
-    pub level_read_ns: [u64; MAX_LEVELS],
-    pub memtable_hits: u64,
-    pub write_batches: u64,
-    pub write_entries: u64,
-    pub write_groups: u64,
-    pub wal_appends: u64,
-    pub wal_bytes: u64,
-    pub wal_syncs: u64,
-    pub flushes: u64,
-    pub compactions: u64,
-    pub compact_total_ns: u64,
-    pub compact_kv_io_ns: u64,
-    pub compact_train_ns: u64,
-    pub compact_model_write_ns: u64,
-    pub compact_bytes_read: u64,
-    pub compact_bytes_written: u64,
-    /// Sub-range merge units executed (one per compaction at
-    /// `max_subcompactions = 1`).
-    pub subcompactions: u64,
-    /// Bytes flushes wrote into L0.
-    pub flush_bytes_written: u64,
-    /// Compaction input bytes by source level.
-    pub compact_level_bytes_read: [u64; MAX_LEVELS],
-    /// Compaction output bytes by destination level.
-    pub compact_level_bytes_written: [u64; MAX_LEVELS],
-    pub scans: u64,
-    pub scan_entries: u64,
-    pub stall_slowdowns: u64,
-    pub stall_stops: u64,
-    pub stall_ns: u64,
-    pub imm_rotations: u64,
-    /// High-water mark (monotone, not a delta-friendly counter —
-    /// [`StatsSnapshot::since`] reports the later value).
-    pub imm_queue_peak: u64,
-    pub bg_flush_ns: u64,
-    pub bg_compact_ns: u64,
-    pub bg_errors: u64,
-    pub writes_during_maintenance: u64,
-    pub shard_splits: u64,
-    pub commit_checkpoints: u64,
-    // --- engine-cache counters, absorbed from the shared cache via
-    // [`StatsSnapshot::absorb_cache`] (the cache keeps its own atomics;
-    // `DbStats` never sees them, so `snapshot()` leaves these zero).
-    pub cache_block_hits: u64,
-    pub cache_block_misses: u64,
-    pub cache_block_evictions: u64,
-    pub cache_table_hits: u64,
-    pub cache_table_misses: u64,
-    /// Gauge (bytes currently charged) — [`StatsSnapshot::since`] keeps
-    /// the later value; summing snapshots adds (private per-shard caches
-    /// combine into the fleet's total footprint).
-    pub cache_used_bytes: u64,
-    /// Gauge (the byte ceiling) — same diff/merge rules as
-    /// `cache_used_bytes`.
-    pub cache_capacity_bytes: u64,
 }
 
 impl StatsSnapshot {
-    /// Deltas since `earlier`.
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let mut out = *self;
-        out.lookups -= earlier.lookups;
-        out.table_locate_ns -= earlier.table_locate_ns;
-        out.predict_ns -= earlier.predict_ns;
-        out.io_cpu_ns -= earlier.io_cpu_ns;
-        out.search_ns -= earlier.search_ns;
-        out.bloom_checks -= earlier.bloom_checks;
-        out.bloom_negatives -= earlier.bloom_negatives;
-        for i in 0..MAX_LEVELS {
-            out.level_reads[i] -= earlier.level_reads[i];
-            out.level_read_ns[i] -= earlier.level_read_ns[i];
-        }
-        out.memtable_hits -= earlier.memtable_hits;
-        out.write_batches -= earlier.write_batches;
-        out.write_entries -= earlier.write_entries;
-        out.write_groups -= earlier.write_groups;
-        out.wal_appends -= earlier.wal_appends;
-        out.wal_bytes -= earlier.wal_bytes;
-        out.wal_syncs -= earlier.wal_syncs;
-        out.flushes -= earlier.flushes;
-        out.compactions -= earlier.compactions;
-        out.compact_total_ns -= earlier.compact_total_ns;
-        out.compact_kv_io_ns -= earlier.compact_kv_io_ns;
-        out.compact_train_ns -= earlier.compact_train_ns;
-        out.compact_model_write_ns -= earlier.compact_model_write_ns;
-        out.compact_bytes_read -= earlier.compact_bytes_read;
-        out.compact_bytes_written -= earlier.compact_bytes_written;
-        out.subcompactions -= earlier.subcompactions;
-        out.flush_bytes_written -= earlier.flush_bytes_written;
-        for i in 0..MAX_LEVELS {
-            out.compact_level_bytes_read[i] -= earlier.compact_level_bytes_read[i];
-            out.compact_level_bytes_written[i] -= earlier.compact_level_bytes_written[i];
-        }
-        out.scans -= earlier.scans;
-        out.scan_entries -= earlier.scan_entries;
-        out.stall_slowdowns -= earlier.stall_slowdowns;
-        out.stall_stops -= earlier.stall_stops;
-        out.stall_ns -= earlier.stall_ns;
-        out.imm_rotations -= earlier.imm_rotations;
-        // Peak is a high-water mark, not a counter: keep the later value.
-        out.imm_queue_peak = self.imm_queue_peak;
-        out.bg_flush_ns -= earlier.bg_flush_ns;
-        out.bg_compact_ns -= earlier.bg_compact_ns;
-        out.bg_errors -= earlier.bg_errors;
-        out.writes_during_maintenance -= earlier.writes_during_maintenance;
-        out.shard_splits -= earlier.shard_splits;
-        out.commit_checkpoints -= earlier.commit_checkpoints;
-        out.cache_block_hits -= earlier.cache_block_hits;
-        out.cache_block_misses -= earlier.cache_block_misses;
-        out.cache_block_evictions -= earlier.cache_block_evictions;
-        out.cache_table_hits -= earlier.cache_table_hits;
-        out.cache_table_misses -= earlier.cache_table_misses;
-        // Gauges, not counters: report the later reading.
-        out.cache_used_bytes = self.cache_used_bytes;
-        out.cache_capacity_bytes = self.cache_capacity_bytes;
-        out
-    }
-
-    /// Fold the engine cache's counters into this snapshot. Callable more
-    /// than once (a split-budget fleet absorbs one [`CacheStats`](crate::cache::CacheStats) per
-    /// shard): counters and byte gauges accumulate.
-    pub fn absorb_cache(&mut self, cache: &crate::cache::CacheStats) {
-        self.cache_block_hits += cache.block_hits;
-        self.cache_block_misses += cache.block_misses;
-        self.cache_block_evictions += cache.block_evictions;
-        self.cache_table_hits += cache.table_hits;
-        self.cache_table_misses += cache.table_misses;
-        self.cache_used_bytes += cache.used_bytes;
-        self.cache_capacity_bytes += cache.capacity_bytes;
-    }
-
-    /// Sum a set of snapshots (e.g. one per shard) into one report.
-    /// Equivalent to folding with `+`.
-    pub fn merged(parts: &[StatsSnapshot]) -> StatsSnapshot {
-        parts
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, s| acc + *s)
-    }
-
-    /// Flatten into `(name, value)` pairs for the metrics surface
-    /// (`MetricsSnapshot::counters`). Scalar counters keep their field
-    /// names; the per-level arrays flatten to `level{N}_reads` /
-    /// `level{N}_read_ns`, emitted only for levels that saw traffic so a
-    /// scrape of a small tree is not 24 lines of zeros.
-    pub fn counter_pairs(&self) -> Vec<(String, u64)> {
-        macro_rules! pairs {
-            ($($f:ident),* $(,)?) => {
-                vec![ $( (stringify!($f).to_string(), self.$f) ),* ]
-            }
-        }
-        let mut out = pairs!(
-            lookups,
-            table_locate_ns,
-            predict_ns,
-            io_cpu_ns,
-            search_ns,
-            bloom_checks,
-            bloom_negatives,
-            memtable_hits,
-            write_batches,
-            write_entries,
-            write_groups,
-            wal_appends,
-            wal_bytes,
-            wal_syncs,
-            flushes,
-            flush_bytes_written,
-            compactions,
-            subcompactions,
-            compact_total_ns,
-            compact_kv_io_ns,
-            compact_train_ns,
-            compact_model_write_ns,
-            compact_bytes_read,
-            compact_bytes_written,
-            scans,
-            scan_entries,
-            stall_slowdowns,
-            stall_stops,
-            stall_ns,
-            imm_rotations,
-            imm_queue_peak,
-            bg_flush_ns,
-            bg_compact_ns,
-            bg_errors,
-            writes_during_maintenance,
-            shard_splits,
-            commit_checkpoints,
-            cache_block_hits,
-            cache_block_misses,
-            cache_block_evictions,
-            cache_table_hits,
-            cache_table_misses,
-            cache_used_bytes,
-            cache_capacity_bytes,
-        );
-        for (i, (&n, &ns)) in self.level_reads.iter().zip(&self.level_read_ns).enumerate() {
-            if n > 0 || ns > 0 {
-                out.push((format!("level{i}_reads"), n));
-                out.push((format!("level{i}_read_ns"), ns));
-            }
-        }
-        // Per-level write-amp attribution, same nonzero-only flattening.
-        for (i, (&r, &w)) in self
-            .compact_level_bytes_read
-            .iter()
-            .zip(&self.compact_level_bytes_written)
-            .enumerate()
-        {
-            if r > 0 || w > 0 {
-                out.push((format!("level{i}_compact_bytes_read"), r));
-                out.push((format!("level{i}_compact_bytes_written"), w));
-            }
-        }
-        out
-    }
-
     /// Device write amplification of the maintenance pipeline: every byte
     /// written by flushes and compactions, per byte of user data flushed.
     /// `1.0` means no compaction traffic yet; `0.0` means nothing flushed.
@@ -479,17 +330,6 @@ impl StatsSnapshot {
         }
         (self.flush_bytes_written + self.compact_bytes_written) as f64
             / self.flush_bytes_written as f64
-    }
-
-    /// The lookup breakdown of Table 1, averaged per lookup (ns).
-    pub fn lookup_breakdown(&self) -> LookupBreakdown {
-        let n = self.lookups.max(1);
-        LookupBreakdown {
-            table_locate_ns: self.table_locate_ns / n,
-            predict_ns: self.predict_ns / n,
-            io_cpu_ns: self.io_cpu_ns / n,
-            search_ns: self.search_ns / n,
-        }
     }
 
     /// The compaction breakdown of Figure 9.
@@ -503,85 +343,12 @@ impl StatsSnapshot {
     }
 }
 
-/// Counter-wise sum: every additive counter adds; the high-water mark
-/// `imm_queue_peak` takes the maximum (the peak of a fleet is the worst
-/// shard's peak, not the sum). This is what makes per-shard stats
-/// composable into one engine-level report.
-impl std::ops::AddAssign for StatsSnapshot {
-    fn add_assign(&mut self, rhs: StatsSnapshot) {
-        macro_rules! add_fields {
-            ($($f:ident),* $(,)?) => { $( self.$f += rhs.$f; )* }
-        }
-        add_fields!(
-            lookups,
-            table_locate_ns,
-            predict_ns,
-            io_cpu_ns,
-            search_ns,
-            bloom_checks,
-            bloom_negatives,
-            memtable_hits,
-            write_batches,
-            write_entries,
-            write_groups,
-            wal_appends,
-            wal_bytes,
-            wal_syncs,
-            flushes,
-            compactions,
-            compact_total_ns,
-            compact_kv_io_ns,
-            compact_train_ns,
-            compact_model_write_ns,
-            compact_bytes_read,
-            compact_bytes_written,
-            subcompactions,
-            flush_bytes_written,
-            scans,
-            scan_entries,
-            stall_slowdowns,
-            stall_stops,
-            stall_ns,
-            imm_rotations,
-            bg_flush_ns,
-            bg_compact_ns,
-            bg_errors,
-            writes_during_maintenance,
-            shard_splits,
-            commit_checkpoints,
-            cache_block_hits,
-            cache_block_misses,
-            cache_block_evictions,
-            cache_table_hits,
-            cache_table_misses,
-            cache_used_bytes,
-            cache_capacity_bytes,
-        );
-        for i in 0..MAX_LEVELS {
-            self.level_reads[i] += rhs.level_reads[i];
-            self.level_read_ns[i] += rhs.level_read_ns[i];
-            self.compact_level_bytes_read[i] += rhs.compact_level_bytes_read[i];
-            self.compact_level_bytes_written[i] += rhs.compact_level_bytes_written[i];
-        }
-        self.imm_queue_peak = self.imm_queue_peak.max(rhs.imm_queue_peak);
-    }
-}
-
 impl std::ops::Add for StatsSnapshot {
     type Output = StatsSnapshot;
     fn add(mut self, rhs: StatsSnapshot) -> StatsSnapshot {
         self += rhs;
         self
     }
-}
-
-/// Per-lookup average stage times (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LookupBreakdown {
-    pub table_locate_ns: u64,
-    pub predict_ns: u64,
-    pub io_cpu_ns: u64,
-    pub search_ns: u64,
 }
 
 /// Aggregate compaction stage times (Figure 9).
@@ -611,6 +378,62 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_counter_obeys_its_class() {
+        let (earlier, later) = (numbered(1, 1), numbered(1000, 3));
+        let scrape = |s: StatsSnapshot| s.counter_pairs();
+        let (old, new) = (scrape(earlier), scrape(later));
+        let (diff, sum) = (scrape(later.since(&earlier)), scrape(earlier + later));
+        // Every slot is non-zero in all four, so the four scrapes line up.
+        assert_eq!(sum.len(), std::mem::size_of::<StatsSnapshot>() / 8);
+        let mut not_sums = Vec::new();
+        for i in 0..sum.len() {
+            let (name, e, l) = (&*old[i].0, old[i].1, new[i].1);
+            match (diff[i].1, sum[i].1) {
+                got if got == (l - e, e + l) => {}
+                got if got == (l, e.max(l)) => not_sums.push((name, "peak")),
+                got if got == (l, e + l) => not_sums.push((name, "gauge")),
+                got => panic!("{name}: (since, +) = {got:?} of ({e}, {l}) obeys no class"),
+            }
+        }
+        // The classes that are not plain sums, pinned independently of the
+        // table: declaring any other counter `PEAK`/`GAUGE` (or these `SUM`)
+        // fails here.
+        let want = [
+            ("imm_queue_peak", "peak"),
+            ("cache_used_bytes", "gauge"),
+            ("cache_capacity_bytes", "gauge"),
+        ];
+        assert_eq!(not_sums, want);
+    }
+
+    /// Wire names and order of a scrape with every counter non-zero, as the
+    /// hand-written lists this table replaced emitted them.
+    #[test]
+    fn counter_pairs_names_are_pinned() {
+        const SCALARS: &str = "lookups table_locate_ns predict_ns io_cpu_ns search_ns \
+            bloom_checks bloom_negatives memtable_hits write_batches write_entries \
+            write_groups wal_appends wal_bytes wal_syncs flushes flush_bytes_written \
+            compactions subcompactions compact_total_ns compact_kv_io_ns compact_train_ns \
+            compact_model_write_ns compact_bytes_read compact_bytes_written scans \
+            scan_entries stall_slowdowns stall_stops stall_ns imm_rotations imm_queue_peak \
+            bg_flush_ns bg_compact_ns bg_errors writes_during_maintenance shard_splits \
+            commit_checkpoints cache_block_hits cache_block_misses cache_block_evictions \
+            cache_table_hits cache_table_misses cache_used_bytes cache_capacity_bytes";
+        let mut want: Vec<String> = SCALARS.split_whitespace().map(String::from).collect();
+        let groups = [
+            ["reads", "read_ns"],
+            ["compact_bytes_read", "compact_bytes_written"],
+        ];
+        for group in groups {
+            for level in 0..MAX_LEVELS {
+                want.extend(group.iter().map(|wire| format!("level{level}_{wire}")));
+            }
+        }
+        let scrape = numbered(1, 1).counter_pairs();
+        assert_eq!(scrape.into_iter().map(|p| p.0).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
     fn snapshot_diffs() {
         let s = DbStats::new();
         s.lookups.fetch_add(5, Ordering::Relaxed);
@@ -619,25 +442,9 @@ mod tests {
         s.lookups.fetch_add(3, Ordering::Relaxed);
         s.add_predict_ns(50);
         s.record_level_read(2, 42);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.lookups, 3);
-        assert_eq!(d.predict_ns, 50);
-        assert_eq!(d.level_reads[2], 1);
-        assert_eq!(d.level_read_ns[2], 42);
-    }
-
-    #[test]
-    fn breakdown_averages_per_lookup() {
-        let s = DbStats::new();
-        s.lookups.fetch_add(10, Ordering::Relaxed);
-        s.add_predict_ns(1000);
-        s.add_io_cpu_ns(20_000);
-        s.add_search_ns(500);
-        let b = s.snapshot().lookup_breakdown();
-        assert_eq!(b.predict_ns, 100);
-        assert_eq!(b.io_cpu_ns, 2_000);
-        assert_eq!(b.search_ns, 50);
+        let d = s.snapshot().since(&a);
+        assert_eq!((d.lookups, d.predict_ns), (3, 50));
+        assert_eq!((d.level_reads[2], d.level_read_ns[2]), (1, 42));
     }
 
     #[test]
@@ -661,44 +468,26 @@ mod tests {
         s.record_rotation(3);
         s.record_rotation(2);
         let snap = s.snapshot();
-        assert_eq!(snap.stall_slowdowns, 1);
-        assert_eq!(snap.stall_stops, 1);
+        assert_eq!((snap.stall_slowdowns, snap.stall_stops), (1, 1));
         assert_eq!(snap.stall_ns, 500);
         assert_eq!(snap.imm_rotations, 3);
         assert_eq!(snap.imm_queue_peak, 3, "peak is a high-water mark");
-        let later = s.snapshot();
-        assert_eq!(later.since(&snap).imm_queue_peak, 3, "peak survives diffs");
     }
 
     #[test]
     fn add_sums_counters_and_maxes_peak() {
         let a = DbStats::new();
         a.lookups.fetch_add(3, Ordering::Relaxed);
-        a.record_level_read(1, 10);
         a.record_rotation(2);
         let b = DbStats::new();
         b.lookups.fetch_add(4, Ordering::Relaxed);
-        b.record_level_read(1, 5);
         b.record_rotation(5);
-        b.record_stall(true, 70);
-
-        let sum = a.snapshot() + b.snapshot();
-        assert_eq!(sum.lookups, 7);
-        assert_eq!(sum.level_reads[1], 2);
-        assert_eq!(sum.level_read_ns[1], 15);
-        assert_eq!(sum.imm_rotations, 2);
-        assert_eq!(sum.imm_queue_peak, 5, "peak is a max, not a sum");
-        assert_eq!(sum.stall_stops, 1);
-        assert_eq!(sum.stall_ns, 70);
-
-        // The helper folds the live blocks the same way.
-        assert_eq!(DbStats::merged([&a, &b]), sum);
-        assert_eq!(StatsSnapshot::merged(&[a.snapshot(), b.snapshot()]), sum);
-        assert_eq!(
-            StatsSnapshot::merged(&[]),
-            StatsSnapshot::default(),
-            "empty merge is the zero snapshot"
-        );
+        // The helper folds the live blocks the way `+` folds snapshots.
+        let sum = DbStats::merged([&a, &b]);
+        assert_eq!(sum, a.snapshot() + b.snapshot());
+        assert_eq!((sum.lookups, sum.imm_queue_peak), (7, 5));
+        let none = DbStats::merged([]);
+        assert_eq!(none, StatsSnapshot::default(), "empty merge is zero");
     }
 
     #[test]
@@ -706,12 +495,17 @@ mod tests {
         let s = DbStats::new();
         s.lookups.fetch_add(9, Ordering::Relaxed);
         s.record_level_read(2, 42);
+        s.record_compact_write(3, 7);
         let pairs = s.snapshot().counter_pairs();
         let get = |name: &str| pairs.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         assert_eq!(get("lookups"), Some(9));
         assert_eq!(get("level2_reads"), Some(1));
         assert_eq!(get("level2_read_ns"), Some(42));
         assert_eq!(get("level0_reads"), None, "idle levels stay off the wire");
+        // A group flattens together, and only where it saw traffic.
+        assert_eq!(get("level3_compact_bytes_read"), Some(0));
+        assert_eq!(get("level3_compact_bytes_written"), Some(7));
+        assert_eq!(get("level3_reads"), None);
     }
 
     #[test]

@@ -48,18 +48,8 @@ impl Version {
     }
 
     /// Point lookup through the levels (paper Figure 1): L0 newest→oldest,
-    /// then one candidate table per deeper level.
-    pub fn get(
-        &self,
-        key: u64,
-        snapshot: SeqNo,
-        stats: &DbStats,
-    ) -> Result<Option<Option<Vec<u8>>>> {
-        self.get_opts(key, snapshot, stats, true)
-    }
-
-    /// [`Version::get`] with an explicit block-cache fill policy
-    /// (`ReadOptions::fill_cache`).
+    /// then one candidate table per deeper level, under an explicit
+    /// block-cache fill policy (`ReadOptions::fill_cache`).
     pub fn get_opts(
         &self,
         key: u64,
@@ -299,7 +289,7 @@ mod tests {
         };
         v.levels[0].push(l0);
         let stats = DbStats::new();
-        let got = v.get(10, u64::MAX >> 8, &stats).unwrap();
+        let got = v.get_opts(10, u64::MAX >> 8, &stats, true).unwrap();
         assert_eq!(got, Some(Some(b"newest".to_vec())));
         assert_eq!(stats.snapshot().level_reads[0], 1);
     }

@@ -109,3 +109,33 @@ fn compaction_evicts_dead_tables() {
     assert!(cache.used_bytes() <= cache.capacity_bytes());
     let _ = used_before;
 }
+
+/// The scrape's `cache_*` counters are the engine cache's own, field for
+/// field (`StatsSnapshot::absorb_cache`); no `DbStats` atomic backs them.
+#[test]
+fn metrics_scrape_reports_the_cache_counters() {
+    let db = loaded_db(64 << 10); // smaller than the tree: misses and evictions
+    for _ in 0..2 {
+        for k in (0..5_000u64).step_by(7) {
+            db.get(k).unwrap();
+        }
+    }
+    let cache = db.block_cache().unwrap().stats();
+    let counters = db.metrics().counters;
+    let want = [
+        ("cache_block_hits", cache.block_hits),
+        ("cache_block_misses", cache.block_misses),
+        ("cache_block_evictions", cache.block_evictions),
+        ("cache_table_hits", cache.table_hits),
+        ("cache_table_misses", cache.table_misses),
+        ("cache_used_bytes", cache.used_bytes),
+        ("cache_capacity_bytes", cache.capacity_bytes),
+    ];
+    for (name, value) in want {
+        let scraped = counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert_eq!(scraped, Some(value), "{name}");
+    }
+    assert!(cache.block_hits > 0 && cache.block_misses > 0 && cache.block_evictions > 0);
+    assert_eq!(cache.capacity_bytes, 64 << 10);
+    assert!(cache.used_bytes > 0);
+}

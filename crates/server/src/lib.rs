@@ -47,14 +47,13 @@
 //! ```
 
 pub mod client;
-pub mod hist;
 pub mod openloop;
 pub mod protocol;
 pub mod server;
 pub mod transport;
 
 pub use client::{Client, ClientError};
-pub use hist::LatencyHistogram;
+pub use lsm_obs::hist::LatencyHistogram;
 pub use lsm_obs::MetricsSnapshot;
 pub use openloop::{run_open_loop, OpenLoopSummary};
 pub use protocol::{BatchEntry, FrameError, Request, Response, ServerError};

@@ -509,7 +509,9 @@ fn map_engine_error(db: &ShardedDb, opts: &ServerOptions, e: LsmError) -> Respon
 
 /// Render [`ShardedStats`] as a JSON object (hand-built: the engine's
 /// stats types carry no serde impls, and the wire format only needs a
-/// stable read-only rendering).
+/// stable read-only rendering): the sharding layer's own fields, then
+/// every merged engine counter under its METRICS name
+/// (`StatsSnapshot::counter_pairs`), then the derived write amplification.
 pub(crate) fn stats_json(s: &ShardedStats) -> String {
     fn num_list<T: std::fmt::Display>(xs: &[T]) -> String {
         let mut out = String::from("[");
@@ -522,19 +524,12 @@ pub(crate) fn stats_json(s: &ShardedStats) -> String {
         out.push(']');
         out
     }
-    let m = &s.merged;
-    format!(
+    let mut out = format!(
         concat!(
             "{{\"topology_epoch\":{},\"shard_ids\":{},\"resident_bytes\":{},",
             "\"resident_entries\":{},\"resident_imbalance\":{:.6},",
             "\"observed_imbalance\":{:.6},\"observed_keys\":{},",
-            "\"live_commit_markers\":{},\"lookups\":{},\"write_batches\":{},",
-            "\"write_entries\":{},\"wal_syncs\":{},\"flushes\":{},",
-            "\"compactions\":{},\"subcompactions\":{},",
-            "\"flush_bytes_written\":{},\"compact_bytes_read\":{},",
-            "\"compact_bytes_written\":{},\"write_amplification\":{:.3},",
-            "\"scans\":{},\"stall_slowdowns\":{},",
-            "\"stall_stops\":{},\"shard_splits\":{}}}"
+            "\"live_commit_markers\":{}"
         ),
         s.topology_epoch,
         num_list(&s.shard_ids),
@@ -544,20 +539,13 @@ pub(crate) fn stats_json(s: &ShardedStats) -> String {
         s.observed_imbalance,
         s.observed_keys,
         s.live_commit_markers,
-        m.lookups,
-        m.write_batches,
-        m.write_entries,
-        m.wal_syncs,
-        m.flushes,
-        m.compactions,
-        m.subcompactions,
-        m.flush_bytes_written,
-        m.compact_bytes_read,
-        m.compact_bytes_written,
-        m.write_amplification(),
-        m.scans,
-        m.stall_slowdowns,
-        m.stall_stops,
-        m.shard_splits,
-    )
+    );
+    // Writing into a `String` cannot fail.
+    use std::fmt::Write as _;
+    for (name, value) in s.merged.counter_pairs() {
+        let _ = write!(out, ",\"{name}\":{value}");
+    }
+    let write_amp = s.merged.write_amplification();
+    let _ = write!(out, ",\"write_amplification\":{write_amp:.3}}}");
+    out
 }

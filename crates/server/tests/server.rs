@@ -174,6 +174,83 @@ fn metrics_with_observability_off_reports_counters_only() {
     server.close().expect("close");
 }
 
+/// STATS and METRICS render one counter table. On a quiesced server
+/// (synchronous maintenance, one client) every METRICS counter is a STATS
+/// JSON key with the same value, and every key the hand-written STATS
+/// renderer used to emit is still there.
+#[test]
+fn stats_json_carries_every_metrics_counter() {
+    let (server, connector) = mem_server(2);
+    let client = Client::new(connector.connect().expect("dial"));
+    // Enough writes to flush and compact, so per-level counters scrape too.
+    for k in 0..2_000u64 {
+        client.put(k % 700, &[0xCD; 32], k % 64 == 0).expect("put");
+    }
+    for k in (0..700u64).step_by(5) {
+        client.get(k).expect("get");
+    }
+    client.scan(0, 32).expect("scan");
+
+    let metrics = client.metrics().expect("metrics");
+    let json = client.stats_json().expect("stats");
+    let stats: serde_json::Value = serde_json::from_str(&json).expect("STATS is valid JSON");
+    let scraped_per_level = |wire: &str| {
+        let is_level = |n: &str| n.starts_with("level") && n.ends_with(wire);
+        metrics.counters.iter().any(|(n, _)| is_level(n))
+    };
+    assert!(
+        scraped_per_level("_reads") && scraped_per_level("_compact_bytes_written"),
+        "the workload should reach the per-level counters: {json}"
+    );
+    for (name, value) in &metrics.counters {
+        let got = stats.get(name).and_then(|v| v.as_u64());
+        assert_eq!(got, Some(*value), "{name} in {json}");
+    }
+    // Every key of the parent's hand-written renderer.
+    const PARENT_KEYS: [&str; 23] = [
+        "topology_epoch",
+        "shard_ids",
+        "resident_bytes",
+        "resident_entries",
+        "resident_imbalance",
+        "observed_imbalance",
+        "observed_keys",
+        "live_commit_markers",
+        "lookups",
+        "write_batches",
+        "write_entries",
+        "wal_syncs",
+        "flushes",
+        "compactions",
+        "subcompactions",
+        "flush_bytes_written",
+        "compact_bytes_read",
+        "compact_bytes_written",
+        "write_amplification",
+        "scans",
+        "stall_slowdowns",
+        "stall_stops",
+        "shard_splits",
+    ];
+    for key in PARENT_KEYS {
+        assert!(stats.get(key).is_some(), "{key} missing from {json}");
+    }
+    let counter = |name: &str| stats.get(name).and_then(|v| v.as_u64()).expect("counter");
+    assert_eq!(counter("write_batches"), 2_000);
+    assert_eq!(counter("shard_splits"), 0);
+    let (flushed, compacted) = (
+        counter("flush_bytes_written"),
+        counter("compact_bytes_written"),
+    );
+    assert!(flushed > 0 && compacted > 0);
+    let write_amp = format!("{:.3}", (flushed + compacted) as f64 / flushed as f64);
+    assert!(
+        json.contains(&format!("\"write_amplification\":{write_amp}")),
+        "write amplification keeps its 3-decimal rendering ({write_amp}): {json}"
+    );
+    server.close().expect("close");
+}
+
 #[test]
 fn stats_and_metrics_interleave_consistently_under_pipelining() {
     let (server, connector) = mem_server_with_obs(2);
@@ -293,6 +370,11 @@ fn graceful_close_persists_every_acknowledged_durable_write() {
 fn close_answers_in_flight_requests_before_releasing_the_engine() {
     let (server, connector) = mem_server(1);
     let client = Arc::new(Client::new(connector.connect().expect("dial")));
+    // One round trip first: the connection must be accepted and its reader
+    // registered before `close` starts, or this races thread start-up (a
+    // connection still in the accept queue at close is refused, by design)
+    // instead of testing the drain.
+    assert_eq!(client.get(0).expect("warm-up get"), None);
 
     // Pipeline a pile of writes, then close concurrently. The in-memory
     // pipe delivers buffered frames before EOF, so the server reads all
@@ -376,7 +458,8 @@ fn corrupt_frames_get_typed_errors_or_clean_disconnects() {
         let conn = connector.connect().expect("dial");
         let mut w = conn.writer;
         w.write_all(&u32::MAX.to_le_bytes()).expect("send");
-        w.write_all(&[0u8; 64]).expect("send");
+        // The server may hang up as soon as it has read the length.
+        let _ = w.write_all(&[0u8; 64]);
         let mut r = conn.reader;
         let mut buf = [0u8; 16];
         assert_eq!(r.read(&mut buf).expect("read"), 0, "expected clean EOF");
