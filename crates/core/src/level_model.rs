@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use learned_index::{IndexConfig, IndexKind, SegmentIndex};
 use lsm_tree::sstable::TableReader;
-use lsm_tree::stats::DbStats;
+use lsm_tree::stats::{add_stage_ns, DbStats, StageTimer};
 use lsm_tree::types::SeqNo;
 use lsm_tree::Result;
 
@@ -57,12 +57,9 @@ impl LevelModel {
         if self.tables.is_empty() {
             return Ok(None);
         }
-        let t0 = std::time::Instant::now();
+        let t0 = StageTimer::start();
         let bound = self.index.predict(key);
-        stats.predict_ns.fetch_add(
-            t0.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        add_stage_ns(&stats.predict_ns, t0.ns());
         if bound.is_empty() {
             return Ok(None);
         }

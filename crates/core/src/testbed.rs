@@ -145,9 +145,9 @@ impl Testbed {
         // was consumed by the bulk load).
         debug_assert_eq!(self.db.memtable_len(), 0);
         let stats = self.db.stats();
-        stats
-            .lookups
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // Sampled by the same rule as `Db::get`, so the granularity
+        // comparison is fair.
+        let _lookup = stats.begin_lookup();
         let version = self.db.version();
         for t in &version.levels[0] {
             if let Some(hit) = t.reader.get(key, MAX_SEQ, stats)? {

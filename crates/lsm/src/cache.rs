@@ -28,6 +28,7 @@
 //! from a panic hook mid-insert can never deadlock.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -133,8 +134,41 @@ impl CacheBudget {
 
 const NIL: usize = usize::MAX;
 
-struct Slot {
+/// A [`BlockKey`] with its hash, computed once per cache operation: the
+/// stripe is picked from it and the stripe's map takes it as is.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Hashed {
+    hash: u64,
     key: BlockKey,
+}
+
+impl Hash for Hashed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hands a [`Hashed`]'s value to the map unchanged. The keys are the
+/// engine's own, so SipHash's protection against chosen keys is not missed.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only `Hashed` keys, which write one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+struct Slot {
+    key: Hashed,
     data: Arc<Vec<u8>>,
     prev: usize,
     next: usize,
@@ -146,7 +180,7 @@ struct Slot {
 
 /// One lock stripe: a slab-backed intrusive LRU list (O(1) get/insert).
 struct LruSegment {
-    map: HashMap<BlockKey, usize>,
+    map: HashMap<Hashed, usize, BuildHasherDefault<PassThrough>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -156,7 +190,7 @@ struct LruSegment {
 impl LruSegment {
     fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -239,7 +273,7 @@ impl std::fmt::Debug for BlockCache {
     }
 }
 
-/// splitmix64 — cheap, well-mixed segment selector.
+/// splitmix64 — cheap and well mixed.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -279,12 +313,22 @@ impl BlockCache {
         }
     }
 
-    fn segment_of(&self, key: BlockKey) -> usize {
-        (mix64(key.table_id ^ key.block_no.rotate_left(32)) as usize) & self.mask
+    fn hashed(key: BlockKey) -> Hashed {
+        Hashed {
+            hash: mix64(key.table_id ^ key.block_no.rotate_left(32)),
+            key,
+        }
+    }
+
+    /// From bits the stripe's own map does not use (it indexes with the low
+    /// bits and tags with the top seven).
+    fn segment_of(&self, key: Hashed) -> usize {
+        (key.hash >> 32) as usize & self.mask
     }
 
     /// Fetch a block, marking it most-recently-used within its segment.
     pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
+        let key = Self::hashed(key);
         let mut seg = self.segments[self.segment_of(key)].lock();
         match seg.map.get(&key).copied() {
             Some(i) => {
@@ -341,6 +385,7 @@ impl BlockCache {
     /// overshot. When every block is gone and pinned charges still leave
     /// no room, the insert is dropped — pinned components win.
     pub fn insert(&self, key: BlockKey, data: Arc<Vec<u8>>) {
+        let key = Self::hashed(key);
         let seg_idx = self.segment_of(key);
         // Retire any existing version of the key so the path below is a
         // plain insert (refresh keeps the newest payload and MRU position).
@@ -396,7 +441,7 @@ impl BlockCache {
             let victims: Vec<usize> = seg
                 .map
                 .iter()
-                .filter(|(k, _)| k.table_id == table_id)
+                .filter(|(k, _)| k.key.table_id == table_id)
                 .map(|(_, &i)| i)
                 .collect();
             for i in victims {
@@ -794,7 +839,7 @@ mod tests {
         c.insert(key(1, 0), block(1, 4096));
         // Hold a segment lock and format anyway — the old implementation
         // locked its single mutex here and deadlocked.
-        let _guard = c.segments[c.segment_of(key(1, 0))].lock();
+        let _guard = c.segments[c.segment_of(BlockCache::hashed(key(1, 0)))].lock();
         let s = format!("{c:?}");
         assert!(s.contains("used_bytes"), "{s}");
     }

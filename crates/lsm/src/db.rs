@@ -23,6 +23,10 @@
 //!   memtable, then the immutable queue (newest first), then the
 //!   [`Version`] — so rotated-but-unflushed writes stay visible.
 //!
+//! Reads take none of the locks below: they resolve through the published
+//! `ReadView` (see [`crate::snapshot`]), which `DbCore::install` swaps
+//! whenever the buffer, the immutable queue or the version changes.
+//!
 //! ## Pipelined group commit
 //!
 //! Concurrent writers do not contend on the tree lock: each enqueues its
@@ -78,11 +82,11 @@ use crate::cache::EngineCache;
 use crate::compaction::{
     advance_cursor, pick_compaction_excluding, run_compaction, CompactionTask, KeyRetention,
 };
-use crate::iter::{db_iter_over, DbIterator};
+use crate::iter::DbIterator;
 use crate::memtable::{ImmutableMemTable, MemRun, MemTable, ENTRY_OVERHEAD};
 use crate::options::{CompactionPolicy, Maintenance, Options, ReadOptions, WriteOptions};
 use crate::scheduler::{MaintSignal, Scheduler, Step};
-use crate::snapshot::{Snapshot, SnapshotList};
+use crate::snapshot::{ReadView, Snapshot};
 use crate::sstable::{TableBuilder, TableReader};
 use crate::stats::DbStats;
 use crate::types::{Entry, EntryKind, SeqNo};
@@ -135,6 +139,8 @@ pub enum WritePressure {
 }
 
 struct Inner {
+    // `mem`, `imms` and `version` make up the read view: they change only
+    // inside `DbCore::install`, which publishes the next one.
     mem: MemTable,
     /// Rotated-but-unflushed buffers, oldest at the front (background
     /// maintenance only; always empty under `Maintenance::Synchronous`).
@@ -161,6 +167,9 @@ pub(crate) struct DbCore {
     opts: Options,
     storage: Arc<dyn Storage>,
     inner: RwLock<Inner>,
+    /// The published view of `inner`, swapped by [`DbCore::install`]; a read
+    /// holds this lock for one `Arc` clone (the shims have no `arc-swap`).
+    view: RwLock<Arc<ReadView>>,
     /// Published sequence ceiling: reads observe exactly the writes with
     /// `seq <= visible`. Lags `Inner::seq` by the commit groups whose
     /// members are still inserting; advanced only by
@@ -187,7 +196,8 @@ pub(crate) struct DbCore {
     /// directories reuse file names (`000001.sst` exists in every shard),
     /// so handles are keyed `(scope, name)`.
     cache_scope: u64,
-    snapshots: Arc<SnapshotList>,
+    /// Live [`Snapshot`] handles.
+    snapshots: Arc<AtomicUsize>,
     /// Monotonic file-number allocator — atomic so background merges can
     /// name outputs without holding the tree lock.
     next_file_no: AtomicU64,
@@ -528,6 +538,7 @@ impl Db {
         let core = Arc::new(DbCore {
             opts,
             storage,
+            view: RwLock::new(Arc::new(DbCore::view_of(&inner))),
             inner: RwLock::new(inner),
             visible: AtomicU64::new(start_seq),
             write_queue: StdMutex::new(WriteQueue::default()),
@@ -538,7 +549,7 @@ impl Db {
             stats: Arc::new(DbStats::new()),
             cache,
             cache_scope,
-            snapshots: SnapshotList::new(),
+            snapshots: Arc::default(),
             next_file_no: AtomicU64::new(next_file_no),
             manifest_epoch: AtomicU64::new(manifest_epoch),
             manifest_dirty: AtomicBool::new(false),
@@ -931,15 +942,11 @@ impl Db {
     /// memtables (surviving flushes). Reads through it — via
     /// [`ReadOptions::at`] — are stable until the handle drops.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.core.inner.read();
-        // Pin the *published* ceiling, not `inner.seq`: sequences above
-        // `visible` belong to commit groups whose members may still be
-        // inserting, and a snapshot must never see half a batch.
-        self.core.snapshots.acquire(
-            self.core.visible.load(Ordering::Acquire),
-            Arc::clone(&inner.version),
-            Self::mem_stack(&inner),
-        )
+        // The published ceiling, not `Inner::seq`: sequences above `visible`
+        // belong to commit groups whose members may still be inserting, and
+        // a snapshot must never see half a batch.
+        let (view, seq) = self.read_point(&ReadOptions::new());
+        Snapshot::pin(seq, view, &self.core.snapshots)
     }
 
     /// Snapshot pinning the current structures but reading at an explicit
@@ -952,28 +959,12 @@ impl Db {
     /// consumed the gap); entries above what is pinned simply don't exist
     /// here, so the higher ceiling is harmless.
     pub(crate) fn snapshot_at(&self, seq: SeqNo) -> Snapshot {
-        let inner = self.core.inner.read();
-        self.core
-            .snapshots
-            .acquire(seq, Arc::clone(&inner.version), Self::mem_stack(&inner))
-    }
-
-    /// The memtable stack, newest run first: a shared handle to the live
-    /// buffer (no copy — the concurrent skiplist is safe to read while
-    /// growing, and sequence filtering hides post-pin entries), then
-    /// queued immutable memtables newest to oldest.
-    fn mem_stack(inner: &Inner) -> Vec<MemRun> {
-        let mut mems = Vec::with_capacity(1 + inner.imms.len());
-        mems.push(MemRun::Live(inner.mem.clone()));
-        for imm in inner.imms.iter().rev() {
-            mems.push(MemRun::Frozen(Arc::clone(imm.entries())));
-        }
-        mems
+        Snapshot::pin(seq, self.core.view(), &self.core.snapshots)
     }
 
     /// Number of live snapshot handles.
     pub fn live_snapshots(&self) -> usize {
-        self.core.snapshots.len()
+        self.core.snapshots.load(Ordering::Relaxed)
     }
 
     /// Point lookup at the latest state.
@@ -1007,43 +998,22 @@ impl Db {
     }
 
     fn get_with_impl(&self, key: u64, ropts: &ReadOptions<'_>) -> Result<Option<Vec<u8>>> {
-        let stats = &self.core.stats;
-        stats.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(snap) = ropts.snapshot {
-            // Pinned path: the snapshot's own memtable stack + version.
-            for mem in snap.mems() {
-                if let Some(hit) = mem.get(key, snap.seq()) {
-                    stats.memtable_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(hit.map(|v| v.to_vec()));
-                }
-            }
-            return match snap
-                .version()
-                .get_opts(key, snap.seq(), stats, ropts.fill_cache)?
-            {
-                Some(v) => Ok(v),
-                None => Ok(None),
-            };
-        }
-        // Live path reads at the published ceiling — never into a commit
-        // group that is still applying (fence-publish).
-        let inner = self.core.inner.read();
-        let seq = ropts.effective_seq(self.core.visible.load(Ordering::Acquire));
-        if let Some(hit) = inner.mem.get(key, seq) {
-            stats.memtable_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.map(|v| v.to_vec()));
-        }
-        // Rotated-but-unflushed buffers are newer than every SSTable.
-        for imm in inner.imms.iter().rev() {
-            if let Some(hit) = imm.get(key, seq) {
-                stats.memtable_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit.map(|v| v.to_vec()));
-            }
-        }
-        match inner.version.get_opts(key, seq, stats, ropts.fill_cache)? {
-            Some(v) => Ok(v),
-            None => Ok(None),
-        }
+        let _lookup = self.core.stats.begin_lookup();
+        let (view, seq) = self.read_point(ropts);
+        view.get(key, seq, ropts.fill_cache, &self.core.stats)
+    }
+
+    /// What a read with `ropts` resolves against: the snapshot's view or the
+    /// current one, loaded *before* the ceiling (see [`crate::snapshot`]) —
+    /// which is the published one, never into a commit group that is still
+    /// applying (fence-publish).
+    fn read_point(&self, ropts: &ReadOptions<'_>) -> (Arc<ReadView>, SeqNo) {
+        let view = match ropts.snapshot {
+            Some(snap) => Arc::clone(snap.view()),
+            None => self.core.view(),
+        };
+        let ceiling = self.core.visible.load(Ordering::Acquire);
+        (view, ropts.effective_seq(ceiling))
     }
 
     /// Range lookup: up to `limit` live pairs with key ≥ `start`.
@@ -1071,24 +1041,8 @@ impl Db {
     /// Iterator honouring [`ReadOptions`]: through a pinned [`Snapshot`],
     /// at an explicit sequence ceiling, or over the latest state.
     pub fn iter_with(&self, ropts: &ReadOptions<'_>) -> Result<DbIterator> {
-        if let Some(snap) = ropts.snapshot {
-            // Reuse the snapshot's pinned memtable stack — no per-iterator
-            // deep clone of the write buffers.
-            return Ok(db_iter_over(
-                snap.mems().to_vec(),
-                snap.version(),
-                snap.seq(),
-                ropts.fill_cache,
-            ));
-        }
-        let inner = self.core.inner.read();
-        let seq = ropts.effective_seq(self.core.visible.load(Ordering::Acquire));
-        Ok(db_iter_over(
-            Self::mem_stack(&inner),
-            &inner.version,
-            seq,
-            ropts.fill_cache,
-        ))
+        let (view, seq) = self.read_point(ropts);
+        Ok(view.iter(seq, ropts.fill_cache))
     }
 
     // ------------------------------------------------- flush / maintenance
@@ -1322,18 +1276,18 @@ impl Db {
 
     /// A clone of the current version (level structure snapshot).
     pub fn version(&self) -> Arc<Version> {
-        Arc::clone(&self.core.inner.read().version)
+        Arc::clone(&self.core.view().version)
     }
 
     /// Total in-memory index bytes across all tables — the memory axis of
     /// Figures 6, 8, 11 and 12.
     pub fn index_memory_bytes(&self) -> usize {
-        self.core.inner.read().version.index_memory_bytes()
+        self.core.view().version.index_memory_bytes()
     }
 
     /// Total bloom filter bytes.
     pub fn bloom_memory_bytes(&self) -> usize {
-        self.core.inner.read().version.bloom_memory_bytes()
+        self.core.view().version.bloom_memory_bytes()
     }
 
     /// Engine counters.
@@ -1457,7 +1411,7 @@ impl Db {
         let sorted = matches!(core.opts.compaction, CompactionPolicy::Leveling);
         let mut version = Version::with_layout(core.opts.max_levels, sorted);
         version.levels[level] = tables;
-        inner.version = Arc::new(version);
+        core.install(&mut inner, |tree| tree.version = Arc::new(version));
         // Bulk-loaded entries bypass the writer queue; publish their range
         // directly so reads (and the sharding fence) see them.
         core.visible.store(inner.seq, Ordering::Release);
@@ -1545,6 +1499,47 @@ impl DbCore {
             }
         }
         Ok((version, next_file_no, seq, wal_names))
+    }
+
+    fn view(&self) -> Arc<ReadView> {
+        Arc::clone(&self.view.read())
+    }
+
+    /// The view of `inner`: a shared handle to the live buffer (no copy —
+    /// the skiplist is safe to read while growing, and sequence filtering
+    /// hides what is above a read's ceiling), then the queued immutable
+    /// memtables newest to oldest, then the version.
+    fn view_of(inner: &Inner) -> ReadView {
+        let frozen = inner.imms.iter().rev();
+        ReadView {
+            mems: std::iter::once(MemRun::Live(inner.mem.clone()))
+                .chain(frozen.map(|imm| MemRun::Frozen(Arc::clone(imm.entries()))))
+                .collect(),
+            version: Arc::clone(&inner.version),
+        }
+    }
+
+    /// The one place `mem`, `imms` and `version` change: apply `edit`, then
+    /// publish the view of the result. The caller holds the tree write
+    /// lock, so views go out in the order the tree changed, and a commit
+    /// group (which claims under the same lock) only ever inserts into a
+    /// buffer whose view is already published.
+    fn install(&self, inner: &mut Inner, edit: impl FnOnce(&mut Inner)) {
+        edit(inner);
+        let next = Arc::new(Self::view_of(inner));
+        // Dropped after the view lock: it may be the last pin of a table.
+        let _retired = std::mem::replace(&mut *self.view.write(), next);
+    }
+
+    /// Settle the active buffer before it is frozen or flushed: every
+    /// claimed commit group has finished inserting (none can register while
+    /// the caller holds the tree lock) *and* been published. The run must
+    /// hold every sequence its WAL says it does, and none above a ceiling a
+    /// read may be holding — a flush keeps only a key's newest version,
+    /// which such a read could not see.
+    fn quiesce(&self, inner: &Inner) {
+        inner.mem.wait_quiescent();
+        self.wait_visible(inner.seq);
     }
 
     fn write_manifest(&self, inner: &Inner) -> Result<()> {
@@ -1829,11 +1824,7 @@ impl DbCore {
     }
 
     fn flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        // Quiesce first: commit-group members may still be inserting into
-        // this buffer (they registered under the tree lock we now hold, so
-        // no *new* appliers can appear). The flushed table must contain
-        // every sequence its WAL says it does.
-        inner.mem.wait_quiescent();
+        self.quiesce(inner);
         let flush_started = Instant::now();
         let entries = inner.mem.len() as u64;
         let flush_span = self.obs.as_deref().map(|obs| {
@@ -1842,8 +1833,10 @@ impl DbCore {
             span
         });
         let handle = self.build_l0_table(inner.mem.iter_all())?;
-        inner.version = Arc::new(inner.version.with_l0_table(handle));
-        inner.mem = MemTable::new();
+        self.install(inner, |tree| {
+            tree.version = Arc::new(tree.version.with_l0_table(handle));
+            tree.mem = MemTable::new();
+        });
         // Start a fresh log; the old one is retired only after the manifest
         // durably references the new SSTable — until then a crash must
         // still find the old log named by the old manifest, or the flushed
@@ -1961,11 +1954,13 @@ impl DbCore {
             // `run_compaction` registered the outputs eagerly; only the
             // inputs' cache residue is left to retire here.
             self.retire_cached_tables(&task);
-            inner.version = Arc::new(inner.version.with_compaction_applied(
-                task.level,
-                &removed,
-                result.outputs,
-            ));
+            self.install(inner, |tree| {
+                tree.version = Arc::new(tree.version.with_compaction_applied(
+                    task.level,
+                    &removed,
+                    result.outputs,
+                ));
+            });
             retired.extend(removed);
         }
         Ok(retired)
@@ -2067,20 +2062,18 @@ impl DbCore {
     /// fresh WAL. The manifest is rewritten first so a crash finds every
     /// live log. Caller signals the flush workers.
     fn rotate_memtable(&self, inner: &mut Inner) -> Result<()> {
-        // Quiesce before freezing (and before the emptiness probe): a
-        // claimed-but-unapplied commit group must finish inserting, or the
-        // frozen run would miss sequences its WAL covers. New appliers
-        // cannot register while we hold the tree lock.
-        inner.mem.wait_quiescent();
+        // Before the emptiness probe too: a claimed group may not have
+        // inserted anything yet.
+        self.quiesce(inner);
         if inner.mem.is_empty() {
             return Ok(());
         }
         let old_wal = self.rotate_wal(inner)?;
-        let imm = Arc::new(ImmutableMemTable::freeze(
-            std::mem::take(&mut inner.mem),
-            old_wal,
-        ));
-        inner.imms.push_back(imm);
+        self.install(inner, |tree| {
+            let full = std::mem::take(&mut tree.mem);
+            let imm = ImmutableMemTable::freeze(full, old_wal);
+            tree.imms.push_back(Arc::new(imm));
+        });
         self.stats.record_rotation(inner.imms.len());
         if let Some(obs) = self.obs.as_deref() {
             obs.emit(EventKind::MemtableRotation, 0, inner.imms.len() as u64, 0);
@@ -2123,8 +2116,10 @@ impl DbCore {
         let result = (|| -> Result<()> {
             let handle = self.build_l0_table(imm.entries().iter().cloned())?;
             let mut inner = self.inner.write();
-            inner.version = Arc::new(inner.version.with_l0_table(handle));
-            inner.imms.pop_front();
+            self.install(&mut inner, |tree| {
+                tree.version = Arc::new(tree.version.with_l0_table(handle));
+                tree.imms.pop_front();
+            });
             self.write_manifest(&inner)?;
             drop(inner);
             // The manifest no longer names this log; retire it.
@@ -2205,11 +2200,13 @@ impl DbCore {
             // inputs' cache residue is left to retire here.
             self.retire_cached_tables(&task);
             let mut inner = self.inner.write();
-            inner.version = Arc::new(inner.version.with_compaction_applied(
-                task.level,
-                &removed,
-                run.outputs,
-            ));
+            self.install(&mut inner, |tree| {
+                tree.version = Arc::new(tree.version.with_compaction_applied(
+                    task.level,
+                    &removed,
+                    run.outputs,
+                ));
+            });
             self.write_manifest(&inner)?;
             drop(inner);
             for name in &removed {
@@ -2390,14 +2387,19 @@ mod tests {
             db.put(k, b"x").unwrap();
         }
         db.flush().unwrap();
+        // The first lookup of a fresh Db is a sampled one.
+        db.get(3).unwrap();
         let before = db.stats().snapshot();
-        for k in 0..100u64 {
-            db.get(k * 7).unwrap();
+        assert!(before.predict_ns > 0 && before.io_cpu_ns > 0);
+        // Counts are exact whichever lookups are sampled: every key is in
+        // a table (the buffer was flushed), so some level answered each.
+        for k in 0..1_600u64 {
+            assert!(db.get(k * 7 % 1_000).unwrap().is_some());
         }
         let delta = db.stats().snapshot().since(&before);
-        assert_eq!(delta.lookups, 100);
-        assert!(delta.predict_ns > 0);
-        assert!(delta.io_cpu_ns > 0);
+        assert_eq!(delta.lookups, 1_600);
+        assert_eq!(delta.level_reads.iter().sum::<u64>(), 1_600);
+        assert_eq!(delta.memtable_hits, 0);
     }
 
     #[test]

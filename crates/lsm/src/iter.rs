@@ -14,51 +14,49 @@
 use std::sync::Arc;
 
 use crate::memtable::{MemCursor, MemRun};
+use crate::snapshot::ReadView;
 use crate::sstable::{TableIter, TableReader};
 use crate::types::{Entry, EntryKind, InternalKey, SeqNo};
-use crate::version::Version;
 use crate::Result;
 
-/// Build a snapshot-consistent [`DbIterator`] over the read path's three
-/// layers: a memtable stack (the live concurrent buffer plus queued
-/// immutable memtables, each an already-sorted run), then every SSTable of
-/// `version`. Newer sources come first so same-key ties resolve newest.
-/// Entries the live buffer receives after this call carry sequence numbers
-/// above `seq` and are filtered by the iterator's visibility rule.
-/// `fill_cache` is the scan's block-cache fill policy
-/// (`ReadOptions::fill_cache`), threaded into every table cursor.
-pub(crate) fn db_iter_over(
-    mems: Vec<MemRun>,
-    version: &Version,
-    seq: SeqNo,
-    fill_cache: bool,
-) -> DbIterator {
-    let mut sources = Vec::with_capacity(mems.len() + 1 + version.levels.len());
-    for mem in mems {
-        sources.push(match mem {
-            MemRun::Live(m) => MergeSource::Mem(m.cursor()),
-            MemRun::Frozen(entries) => MergeSource::buffered_shared(entries),
-        });
-    }
-    for t in &version.levels[0] {
-        sources.push(MergeSource::table_with(Arc::clone(&t.reader), fill_cache));
-    }
-    if version.sorted_levels {
-        for level in version.levels.iter().skip(1) {
-            if !level.is_empty() {
-                sources.push(MergeSource::level_with(
-                    level.iter().map(|t| Arc::clone(&t.reader)).collect(),
-                    fill_cache,
-                ));
-            }
+impl ReadView {
+    /// A snapshot-consistent [`DbIterator`] over the view's three layers:
+    /// the memtable stack (the live concurrent buffer plus queued immutable
+    /// memtables, each an already-sorted run), then every SSTable of the
+    /// version. Newer sources come first so same-key ties resolve newest.
+    /// Entries the live buffer receives after this call carry sequence
+    /// numbers above `seq` and are filtered by the iterator's visibility
+    /// rule. `fill_cache` is the scan's block-cache fill policy
+    /// (`ReadOptions::fill_cache`), threaded into every table cursor.
+    pub(crate) fn iter(&self, seq: SeqNo, fill_cache: bool) -> DbIterator {
+        let version = &self.version;
+        let mut sources = Vec::with_capacity(self.mems.len() + 1 + version.levels.len());
+        for mem in &self.mems {
+            sources.push(match mem {
+                MemRun::Live(m) => MergeSource::Mem(m.cursor()),
+                MemRun::Frozen(entries) => MergeSource::buffered_shared(Arc::clone(entries)),
+            });
         }
-    } else {
-        // Tiering: runs overlap, so every table merges independently.
-        for t in version.levels.iter().skip(1).flatten() {
+        for t in &version.levels[0] {
             sources.push(MergeSource::table_with(Arc::clone(&t.reader), fill_cache));
         }
+        if version.sorted_levels {
+            for level in version.levels.iter().skip(1) {
+                if !level.is_empty() {
+                    sources.push(MergeSource::level_with(
+                        level.iter().map(|t| Arc::clone(&t.reader)).collect(),
+                        fill_cache,
+                    ));
+                }
+            }
+        } else {
+            // Tiering: runs overlap, so every table merges independently.
+            for t in version.levels.iter().skip(1).flatten() {
+                sources.push(MergeSource::table_with(Arc::clone(&t.reader), fill_cache));
+            }
+        }
+        DbIterator::new(MergeIter::new(sources), seq)
     }
-    DbIterator::new(MergeIter::new(sources), seq)
 }
 
 /// Cursor over one sorted level: non-overlapping tables concatenated in key

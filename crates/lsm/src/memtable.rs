@@ -69,14 +69,6 @@ impl MemTable {
         );
     }
 
-    /// Apply one batched operation at `seq`.
-    pub fn apply(&self, op: &crate::batch::BatchOp, seq: SeqNo) {
-        match op.kind {
-            EntryKind::Put => self.put(op.key, seq, &op.value),
-            EntryKind::Delete => self.delete(op.key, seq),
-        }
-    }
-
     /// Apply a whole batch whose first operation commits at `first_seq`
     /// (operation `i` at `first_seq + i`). Inserts are quiet — the shared
     /// `len`/`approx_bytes` counters are settled once per batch, not twice
@@ -332,11 +324,6 @@ impl ImmutableMemTable {
         }
     }
 
-    /// Newest version of `key` visible at `seq` (see [`MemTable::get`]).
-    pub fn get(&self, key: u64, seq: SeqNo) -> Option<Option<&[u8]>> {
-        search_sorted_run(&self.entries, key, seq)
-    }
-
     /// The frozen entries, flush order (key asc, seq desc).
     pub fn entries(&self) -> &Arc<Vec<Entry>> {
         &self.entries
@@ -449,10 +436,12 @@ mod tests {
         assert_eq!(imm.approximate_bytes(), bytes);
         assert_eq!(imm.wal(), Some("000003.wal"));
         assert_eq!(imm.entries().len(), 3);
-        assert_eq!(imm.get(1, MAX_VISIBLE), Some(Some(&b"v5"[..])));
-        assert_eq!(imm.get(1, 2), Some(Some(&b"v2"[..])));
-        assert_eq!(imm.get(9, MAX_VISIBLE), Some(None), "tombstone");
-        assert_eq!(imm.get(4, MAX_VISIBLE), None);
+        // Read the way a `ReadView` reads a queued buffer.
+        let run = MemRun::Frozen(Arc::clone(imm.entries()));
+        assert_eq!(run.get(1, MAX_VISIBLE), Some(Some(&b"v5"[..])));
+        assert_eq!(run.get(1, 2), Some(Some(&b"v2"[..])));
+        assert_eq!(run.get(9, MAX_VISIBLE), Some(None), "tombstone");
+        assert_eq!(run.get(4, MAX_VISIBLE), None);
     }
 
     const MAX_VISIBLE: SeqNo = u64::MAX >> 8;

@@ -1,87 +1,71 @@
-//! RAII read snapshots.
+//! The read view, and RAII snapshots of it.
+//!
+//! A `ReadView` is what a read resolves through, immutable once built: the
+//! **memtable stack** — a shared handle to the live write buffer (the
+//! concurrent skiplist, see [`crate::memtable::MemRun`]), then the queued
+//! immutable memtables, newest first — and the **level structure**, an
+//! `Arc` of the copy-on-write [`Version`]. The engine publishes a fresh
+//! view whenever either changes and a read clones the current `Arc`: it
+//! holds no engine lock while it searches. `get`, `get_at`, iterators and
+//! snapshots all go through `ReadView::get` / `ReadView::iter`.
+//!
+//! **View first, ceiling second.** A read sees the entries of its view with
+//! `seq <= ceiling` and must load the view *before* the published ceiling.
+//! In the other order a flush between the two loads may replace the buffer
+//! by an L0 table, which keeps only the newest version of each key — one
+//! above the ceiling already loaded — and the read would skip it and return
+//! an older version than it was entitled to. A view older than its ceiling
+//! is harmless: what it lacks is newer than all it holds.
 //!
 //! A [`Snapshot`] is a pinned point-in-time view of the database
-//! (LevelDB's `GetSnapshot`/`ReleaseSnapshot`, made RAII). It captures
-//! three things at creation:
+//! (LevelDB's `GetSnapshot`/`ReleaseSnapshot`, made RAII): the view current
+//! at creation plus the **sequence ceiling** then published. The live
+//! buffer keeps receiving entries, but above the ceiling, so they are
+//! filtered at read time; the view's `Arc`s keep the buffer alive across
+//! rotations and flushes and every pre-snapshot SSTable reader alive after
+//! compactions unlink the files. Reads through the handle (`Db::get_with` /
+//! `Db::iter_with` with [`crate::ReadOptions::at`]) therefore return
+//! identical results whatever runs concurrently; dropping it releases
+//! every pin.
 //!
-//! * the **sequence ceiling** — writes after the snapshot are invisible;
-//! * the **level structure** — an `Arc` of the copy-on-write [`Version`],
-//!   which keeps every pre-snapshot SSTable reader alive even after later
-//!   compactions replace and unlink those files;
-//! * the **memtable stack** — a shared handle to the active write buffer
-//!   (the concurrent skiplist, see [`crate::memtable::MemRun`]) plus shared
-//!   handles to every queued immutable memtable (background maintenance).
-//!   The live buffer keeps receiving entries after the snapshot, but they
-//!   carry sequence numbers above the ceiling and are filtered at read
-//!   time; the `Arc` keeps the buffer alive across later rotations, so a
-//!   flush (which rebuilds the buffer and dedups versions into an SSTable)
-//!   cannot disturb the snapshot's view of unflushed writes.
-//!
-//! Reads through the handle (`Db::get_with` / `Db::iter_with` with
-//! [`crate::ReadOptions::at`]) therefore return identical results no matter
-//! how many writes, flushes or compactions happen concurrently. Dropping
-//! the handle releases every pin.
-//!
-//! A snapshot's sequence ceiling is usually the instance's own latest
-//! sequence, but the sharding layer pins every shard at one shared *fence*
-//! sequence instead (`Db::snapshot_at`): the per-shard pins all read at the
-//! same globally published ceiling, which is what makes a
-//! [`crate::sharding::ShardedSnapshot`] a coherent cut across shards.
+//! The sharding layer pins every shard at one shared *fence* sequence
+//! instead of the shard's own ceiling (`Db::snapshot_at`), which is what
+//! makes a [`crate::sharding::ShardedSnapshot`] a coherent cut across shards.
 
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::memtable::MemRun;
+use crate::stats::DbStats;
 use crate::types::SeqNo;
 use crate::version::Version;
+use crate::Result;
 
-/// Shared registry of live snapshot sequence numbers (multiset: several
-/// snapshots may pin the same sequence). The engine uses it for
-/// observability ([`crate::Db::live_snapshots`]) and as the hook for any
-/// future watermark-based garbage collection.
-#[derive(Debug, Default)]
-pub(crate) struct SnapshotList {
-    live: Mutex<BTreeMap<SeqNo, usize>>,
+/// What reads resolve through — see the module docs.
+#[derive(Debug)]
+pub(crate) struct ReadView {
+    /// Newest run first: the live buffer, then the immutable queue.
+    pub(crate) mems: Vec<MemRun>,
+    pub(crate) version: Arc<Version>,
 }
 
-impl SnapshotList {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Register a snapshot pinning `seq` over `version` + the memtable
-    /// stack `mems` (newest first: the live buffer handle, then queued
-    /// immutable memtables newest to oldest).
-    pub(crate) fn acquire(
-        self: &Arc<Self>,
+impl ReadView {
+    /// The newest value of `key` at or below `seq`: the one point lookup.
+    pub(crate) fn get(
+        &self,
+        key: u64,
         seq: SeqNo,
-        version: Arc<Version>,
-        mems: Vec<MemRun>,
-    ) -> Snapshot {
-        *self.live.lock().entry(seq).or_insert(0) += 1;
-        Snapshot {
-            seq,
-            version,
-            mems,
-            list: Arc::clone(self),
-        }
-    }
-
-    /// Number of live snapshot handles.
-    pub(crate) fn len(&self) -> usize {
-        self.live.lock().values().sum()
-    }
-
-    fn release(&self, seq: SeqNo) {
-        let mut live = self.live.lock();
-        if let Some(count) = live.get_mut(&seq) {
-            *count -= 1;
-            if *count == 0 {
-                live.remove(&seq);
+        fill_cache: bool,
+        stats: &DbStats,
+    ) -> Result<Option<Vec<u8>>> {
+        for mem in &self.mems {
+            if let Some(hit) = mem.get(key, seq) {
+                stats.memtable_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(hit.map(<[u8]>::to_vec));
             }
         }
+        let found = self.version.get_opts(key, seq, stats, fill_cache)?;
+        Ok(found.flatten())
     }
 }
 
@@ -111,34 +95,33 @@ impl SnapshotList {
 #[derive(Debug)]
 pub struct Snapshot {
     seq: SeqNo,
-    version: Arc<Version>,
-    /// Memtable stack at creation (newest first), each run in internal-key
-    /// order: the live buffer handle, then any queued immutable memtables.
-    mems: Vec<MemRun>,
-    list: Arc<SnapshotList>,
+    view: Arc<ReadView>,
+    /// The owning engine's count of live handles ([`crate::Db::live_snapshots`]).
+    live: Arc<AtomicUsize>,
 }
 
 impl Snapshot {
+    /// Pin `view` at `seq`, counted in `live` until dropped.
+    pub(crate) fn pin(seq: SeqNo, view: Arc<ReadView>, live: &Arc<AtomicUsize>) -> Snapshot {
+        live.fetch_add(1, Ordering::Relaxed);
+        let live = Arc::clone(live);
+        Snapshot { seq, view, live }
+    }
+
     /// The sequence number reads through this snapshot observe.
     pub fn seq(&self) -> SeqNo {
         self.seq
     }
 
-    /// The pinned level structure.
-    pub(crate) fn version(&self) -> &Arc<Version> {
-        &self.version
-    }
-
-    /// The pinned memtable stack, newest run first (each in internal-key
-    /// order).
-    pub(crate) fn mems(&self) -> &[MemRun] {
-        &self.mems
+    /// The pinned view.
+    pub(crate) fn view(&self) -> &Arc<ReadView> {
+        &self.view
     }
 }
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        self.list.release(self.seq);
+        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -146,26 +129,27 @@ impl Drop for Snapshot {
 mod tests {
     use super::*;
 
-    fn pin(list: &Arc<SnapshotList>, seq: SeqNo) -> Snapshot {
-        list.acquire(
-            seq,
-            Arc::new(Version::new(2)),
-            vec![MemRun::Frozen(Arc::new(Vec::new()))],
-        )
+    fn pin(live: &Arc<AtomicUsize>, seq: SeqNo) -> Snapshot {
+        let view = ReadView {
+            mems: vec![MemRun::Frozen(Arc::new(Vec::new()))],
+            version: Arc::new(Version::new(2)),
+        };
+        Snapshot::pin(seq, Arc::new(view), live)
     }
 
     #[test]
     fn len_tracks_live_handles() {
-        let list = SnapshotList::new();
-        let a = pin(&list, 10);
-        let b = pin(&list, 5);
-        let c = pin(&list, 5);
-        assert_eq!(list.len(), 3);
+        let live = Arc::new(AtomicUsize::new(0));
+        let len = || live.load(Ordering::Relaxed);
+        let a = pin(&live, 10);
+        let b = pin(&live, 5);
+        let c = pin(&live, 5);
+        assert_eq!(len(), 3);
         drop(b);
-        assert_eq!(list.len(), 2, "duplicate pin still live");
+        assert_eq!(len(), 2, "duplicate pin still live");
         drop(c);
         assert_eq!(a.seq(), 10);
         drop(a);
-        assert_eq!(list.len(), 0);
+        assert_eq!(len(), 0);
     }
 }

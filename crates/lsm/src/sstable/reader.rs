@@ -3,10 +3,11 @@
 //! A point lookup is exactly the paper's four-stage pipeline (Table 1):
 //! table locate (done by the caller), *prediction* (inner index + model),
 //! *disk I/O* (one `pread` of the position boundary), and *binary search*
-//! within the fetched range. Each stage is timed into [`DbStats`].
+//! within the fetched range. Each stage is timed into [`DbStats`] (in one
+//! lookup of every `STAGE_SAMPLE_PERIOD`). The fetched range is a `Span`,
+//! searched where it lies: nothing assembles a copy of cached blocks.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use learned_index::{IndexKind, SearchBound, SegmentIndex};
 
@@ -14,13 +15,51 @@ use crate::bloom::BloomFilter;
 use crate::cache::{BlockKey, EngineCache, TABLE_HANDLE_OVERHEAD};
 use crate::options::SearchStrategy;
 use crate::sstable::format::{self, Footer};
-use crate::stats::DbStats;
+use crate::stats::{add_stage_ns, DbStats, StageTimer};
 use crate::types::{Entry, SeqNo};
 use crate::{Error, Result};
 use lsm_io::{RandomAccessFile, Storage};
+use lsm_workloads::KEY_LEN;
 
 /// Cache block granularity (matches the device model's 4 KiB blocks).
 const CACHE_BLOCK: u64 = 4096;
+
+/// The bytes of a run of fixed-width entries, as fetched.
+enum Span {
+    /// One positional read into one buffer (no cache attached).
+    Buf(Vec<u8>),
+    /// Consecutive cached blocks, borrowed; the run starts `skip` bytes into
+    /// the first. Every block but the file's last is `CACHE_BLOCK` long.
+    Blocks {
+        blocks: Vec<Arc<Vec<u8>>>,
+        skip: usize,
+    },
+}
+
+impl Span {
+    /// `len` bytes at offset `off` of the run: borrowed in place, or — only
+    /// when they straddle a block edge — stitched into `scratch`.
+    #[inline]
+    fn bytes<'a>(&'a self, off: usize, len: usize, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+        match self {
+            Span::Buf(buf) => &buf[off..off + len],
+            Span::Blocks { blocks, skip } => {
+                let at = skip + off;
+                let (mut b, mut o) = (at / CACHE_BLOCK as usize, at % CACHE_BLOCK as usize);
+                if o + len <= blocks[b].len() {
+                    return &blocks[b][o..o + len];
+                }
+                scratch.clear();
+                while scratch.len() < len {
+                    let take = (len - scratch.len()).min(blocks[b].len() - o);
+                    scratch.extend_from_slice(&blocks[b][o..o + take]);
+                    (b, o) = (b + 1, 0);
+                }
+                scratch
+            }
+        }
+    }
+}
 
 /// An open, immutable SSTable.
 pub struct TableReader {
@@ -83,6 +122,12 @@ impl TableReader {
         let mut fbuf = vec![0u8; format::FOOTER_LEN];
         file.read_exact_at(len - format::FOOTER_LEN as u64, &mut fbuf)?;
         let footer = Footer::decode(&fbuf)?;
+        // Every entry offset a search computes must lie inside the file.
+        let entry_width = format::entry_width(footer.value_width as usize);
+        if footer.n.checked_mul(entry_width as u64) != Some(footer.index_off) {
+            let what = "entries do not end where the index starts";
+            return Err(Error::Corruption(format!("{name}: {what}")));
+        }
 
         let mut ibuf = vec![0u8; footer.index_len as usize];
         file.read_exact_at(footer.index_off, &mut ibuf)?;
@@ -113,7 +158,7 @@ impl TableReader {
             name: name.to_string(),
             n: footer.n as usize,
             value_width: footer.value_width as usize,
-            entry_width: format::entry_width(footer.value_width as usize),
+            entry_width,
             min_key: footer.min_key,
             max_key: footer.max_key,
             index,
@@ -225,23 +270,13 @@ impl TableReader {
         }
 
         // Stage: prediction (inner index + model).
-        let t = Instant::now();
+        let t = StageTimer::start();
         let bound = self.index.predict(key);
-        stats.add_predict_ns(t.elapsed().as_nanos() as u64);
+        add_stage_ns(&stats.predict_ns, t.ns());
         if bound.is_empty() {
             return Ok(None);
         }
-
-        // Stage: disk I/O — one pread of the position boundary.
-        let t = Instant::now();
-        let buf = self.read_positions_opts(bound, fill_cache)?;
-        stats.add_io_cpu_ns(t.elapsed().as_nanos() as u64);
-
-        // Stage: binary search within the fetched range.
-        let t = Instant::now();
-        let result = self.search_buffer(&buf, bound, key, snapshot)?;
-        stats.add_search_ns(t.elapsed().as_nanos() as u64);
-        Ok(result)
+        self.fetch_and_search(bound, key, snapshot, stats, fill_cache)
     }
 
     /// Point lookup constrained to positions `[lo, hi)` — used by
@@ -263,55 +298,57 @@ impl TableReader {
         if bound.is_empty() {
             return Ok(None);
         }
-        let t = Instant::now();
-        let buf = self.read_positions_opts(bound, true)?;
-        stats.add_io_cpu_ns(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        let result = self.search_buffer(&buf, bound, key, snapshot)?;
-        stats.add_search_ns(t.elapsed().as_nanos() as u64);
-        Ok(result)
+        self.fetch_and_search(bound, key, snapshot, stats, true)
     }
 
-    /// Read entries `[bound.lo, bound.hi)` in one positional read, through
-    /// the block cache when one is attached, honouring `fill_cache`: a
-    /// no-fill read is served from the cache when the blocks are resident
-    /// but never inserts, so scans and compactions cannot evict the
-    /// point-lookup working set.
-    fn read_positions_opts(&self, bound: SearchBound, fill_cache: bool) -> Result<Vec<u8>> {
-        let lo_byte = (bound.lo * self.entry_width) as u64;
-        let len = (bound.hi - bound.lo) * self.entry_width;
-        match &self.cache {
-            None => {
-                let mut buf = vec![0u8; len];
-                self.file.read_exact_at(lo_byte, &mut buf)?;
-                Ok(buf)
-            }
-            Some(cache) => self.read_span_cached(cache, lo_byte, len, fill_cache),
-        }
-    }
-
-    /// Assemble `[off, off+len)` from cached 4 KiB blocks, loading misses
-    /// from the device (inserted into the cache only when `fill_cache`).
-    fn read_span_cached(
+    /// The last two stages of a point lookup, shared by the table-grained
+    /// and level-grained paths.
+    fn fetch_and_search(
         &self,
-        cache: &Arc<EngineCache>,
-        off: u64,
-        len: usize,
+        bound: SearchBound,
+        key: u64,
+        snapshot: SeqNo,
+        stats: &DbStats,
         fill_cache: bool,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<Option<Option<Vec<u8>>>> {
+        // Stage: disk I/O — one pread of the position boundary.
+        let t = StageTimer::start();
+        let span = self.fetch(bound, fill_cache)?;
+        add_stage_ns(&stats.io_cpu_ns, t.ns());
+
+        // Stage: binary search within the fetched range.
+        let t = StageTimer::start();
+        let result = self.search_span(&span, bound, key, snapshot);
+        add_stage_ns(&stats.search_ns, t.ns());
+        result
+    }
+
+    /// Fetch entries `[bound.lo, bound.hi)`: one positional read when no
+    /// cache is attached, otherwise the 4 KiB blocks covering them, each
+    /// from the cache or, on a miss, the device. A no-fill fetch is served
+    /// from resident blocks but never inserts, so scans and compactions
+    /// cannot evict the point-lookup working set.
+    fn fetch(&self, bound: SearchBound, fill_cache: bool) -> Result<Span> {
+        let off = (bound.lo * self.entry_width) as u64;
+        let len = (bound.hi - bound.lo) * self.entry_width;
+        let Some(cache) = &self.cache else {
+            let mut buf = vec![0u8; len];
+            self.file.read_exact_at(off, &mut buf)?;
+            return Ok(Span::Buf(buf));
+        };
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(Span::Buf(Vec::new()));
         }
         let file_len = self.file.len();
         let first = off / CACHE_BLOCK;
         let last = (off + len as u64 - 1) / CACHE_BLOCK;
-        let mut out = vec![0u8; len];
+        let mut blocks = Vec::with_capacity((last - first + 1) as usize);
         for b in first..=last {
             let key = BlockKey {
                 table_id: self.table_id,
                 block_no: b,
             };
-            let block = match cache.blocks().get(key) {
+            blocks.push(match cache.blocks().get(key) {
                 Some(block) => block,
                 None => {
                     let start = b * CACHE_BLOCK;
@@ -324,38 +361,33 @@ impl TableReader {
                     }
                     block
                 }
-            };
-            // Copy this block's overlap with the requested span.
-            let block_start = b * CACHE_BLOCK;
-            let copy_from = off.max(block_start);
-            let copy_to = (off + len as u64).min(block_start + block.len() as u64);
-            if copy_from < copy_to {
-                let src = (copy_from - block_start) as usize..(copy_to - block_start) as usize;
-                let dst = (copy_from - off) as usize..(copy_to - off) as usize;
-                out[dst].copy_from_slice(&block[src]);
-            }
+            });
         }
-        Ok(out)
+        Ok(Span::Blocks {
+            blocks,
+            skip: (off - first * CACHE_BLOCK) as usize,
+        })
     }
 
-    /// Lower-bound position of `key` within the fetched buffer of `count`
-    /// fixed-width entries, using the configured strategy.
-    fn lower_bound_in(&self, buf: &[u8], count: usize, key: u64) -> usize {
-        let key_at = |i: usize| format::decode_entry_key(&buf[i * self.entry_width..]);
-        match self.search {
-            SearchStrategy::Binary => {
-                let mut lo = 0usize;
-                let mut hi = count;
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if key_at(mid) < key {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            }
+    /// User key of entry `i` of `span`.
+    #[inline]
+    fn span_key(&self, span: &Span, i: usize, scratch: &mut Vec<u8>) -> u64 {
+        format::decode_entry_key(span.bytes(i * self.entry_width, KEY_LEN, scratch))
+    }
+
+    /// Entry `i` of `span`, decoded.
+    fn span_entry(&self, span: &Span, i: usize, scratch: &mut Vec<u8>) -> Result<Entry> {
+        let bytes = span.bytes(i * self.entry_width, self.entry_width, scratch);
+        format::decode_entry(bytes, self.value_width)
+    }
+
+    /// Lower-bound position of `key` among the `count` entries of `span`,
+    /// using the configured strategy.
+    fn lower_bound_in(&self, span: &Span, count: usize, key: u64) -> usize {
+        let mut scratch = Vec::new();
+        let mut key_at = |i: usize| self.span_key(span, i, &mut scratch);
+        let (mut lo, mut hi) = match self.search {
+            SearchStrategy::Binary => (0, count),
             SearchStrategy::Exponential => {
                 // Gallop outward from the centre (the model's prediction sits
                 // at the centre of the fetched boundary by construction).
@@ -363,56 +395,48 @@ impl TableReader {
                     return 0;
                 }
                 let start = count / 2;
-                let (mut lo, mut hi);
+                let mut step = 1usize;
                 if key_at(start) < key {
                     // Bracket to the right: [start+step/2, start+step].
-                    let mut step = 1usize;
                     while start + step < count && key_at(start + step) < key {
                         step *= 2;
                     }
-                    lo = start + step / 2;
-                    hi = (start + step + 1).min(count);
+                    (start + step / 2, (start + step + 1).min(count))
                 } else {
                     // Bracket to the left.
-                    let mut step = 1usize;
                     while step <= start && key_at(start - step) >= key {
                         step *= 2;
                     }
-                    lo = start.saturating_sub(step);
-                    hi = start + 1;
+                    (start.saturating_sub(step), start + 1)
                 }
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if key_at(mid) < key {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
+            }
+        };
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if key_at(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        lo
     }
 
     /// Search the fetched fixed-width entries for `key`.
-    fn search_buffer(
+    fn search_span(
         &self,
-        buf: &[u8],
+        span: &Span,
         bound: SearchBound,
         key: u64,
         snapshot: SeqNo,
     ) -> Result<Option<Option<Vec<u8>>>> {
         let count = bound.hi - bound.lo;
-        let lo = self.lower_bound_in(buf, count, key);
-        if lo >= count {
+        let lo = self.lower_bound_in(span, count, key);
+        let mut scratch = Vec::new();
+        if lo >= count || self.span_key(span, lo, &mut scratch) != key {
             return Ok(None);
         }
-        let off = lo * self.entry_width;
-        let k = format::decode_entry_key(&buf[off..]);
-        if k != key {
-            return Ok(None);
-        }
-        let entry = format::decode_entry(&buf[off..], self.value_width)?;
+        let entry = self.span_entry(span, lo, &mut scratch)?;
         if entry.key.seq > snapshot {
             // The only version in this table is newer than the snapshot.
             return Ok(None);
@@ -434,9 +458,9 @@ impl TableReader {
             return Ok(self.n);
         }
         let bound = self.index.predict(key);
-        let buf = self.read_positions_opts(bound, fill_cache)?;
+        let span = self.fetch(bound, fill_cache)?;
         let count = bound.hi - bound.lo;
-        let lo = self.lower_bound_in(buf.as_slice(), count, key);
+        let lo = self.lower_bound_in(&span, count, key);
         let mut pos = bound.lo + lo;
         // The learned bound contains the insertion point for absent keys at
         // its edge in rare rounding cases; walk forward defensively.
@@ -451,7 +475,7 @@ impl TableReader {
     /// Read the user key of the entry at `pos` (one small read).
     pub fn key_at(&self, pos: usize) -> Result<u64> {
         debug_assert!(pos < self.n);
-        let mut kb = [0u8; lsm_workloads::KEY_LEN];
+        let mut kb = [0u8; KEY_LEN];
         self.file
             .read_exact_at((pos * self.entry_width) as u64, &mut kb)?;
         Ok(format::decode_entry_key(&kb))
@@ -465,13 +489,11 @@ impl TableReader {
         if lo >= hi {
             return Ok(Vec::new());
         }
-        let buf = self.read_positions_opts(SearchBound { lo, hi }, fill_cache)?;
+        let span = self.fetch(SearchBound { lo, hi }, fill_cache)?;
+        let mut scratch = Vec::new();
         let mut out = Vec::with_capacity(hi - lo);
         for i in 0..hi - lo {
-            out.push(format::decode_entry(
-                &buf[i * self.entry_width..],
-                self.value_width,
-            )?);
+            out.push(self.span_entry(&span, i, &mut scratch)?);
         }
         Ok(out)
     }
@@ -485,10 +507,9 @@ impl TableReader {
         let mut pos = 0usize;
         while pos < self.n {
             let hi = (pos + CHUNK_ENTRIES).min(self.n);
-            let buf = self.read_positions_opts(SearchBound { lo: pos, hi }, false)?;
-            for i in 0..hi - pos {
-                keys.push(format::decode_entry_key(&buf[i * self.entry_width..]));
-            }
+            let span = self.fetch(SearchBound { lo: pos, hi }, false)?;
+            let mut scratch = Vec::new();
+            keys.extend((0..hi - pos).map(|i| self.span_key(&span, i, &mut scratch)));
             pos = hi;
         }
         Ok(keys)
@@ -615,6 +636,88 @@ mod tests {
         }
     }
 
+    /// The in-place search against the plain one: 136-byte entries straddle
+    /// 4 KiB edges (4096 = 30 × 136 + 16) and the file's last block is
+    /// short. An uncached reader (one buffer), a cached reader (borrowed
+    /// blocks) and the level-model entry point must agree on every key, and
+    /// the cached reader must touch the cache exactly as a block-by-block
+    /// fetch of each boundary does: every covering block, in order, a miss
+    /// filling it.
+    #[test]
+    fn cached_uncached_and_positioned_lookups_agree() {
+        const MAX: SeqNo = u64::MAX >> 8;
+        let keys: Vec<u64> = (0..400u64).map(|i| i * 4 + 10).collect();
+        let probes = (0..=keys[399] + 8).chain([u64::MAX]);
+        for kind in IndexKind::ALL {
+            let storage = MemStorage::new();
+            let file = storage.create("t.sst").unwrap();
+            let index = IndexChoice::new(kind, 8);
+            let mut b = TableBuilder::new(file, "t.sst".into(), index, 100, 10);
+            for (i, &k) in keys.iter().enumerate() {
+                b.add(&Entry::put(k, i as u64 + 1, vec![k as u8; 100]))
+                    .unwrap();
+            }
+            b.finish().unwrap();
+            // The last entries share the file's last, short block.
+            let file_len = storage.size_of("t.sst").unwrap();
+            assert_eq!((file_len / CACHE_BLOCK, 400 * 136 / CACHE_BLOCK), (13, 13));
+            assert_ne!(file_len % CACHE_BLOCK, 0);
+            for search in [SearchStrategy::Binary, SearchStrategy::Exponential] {
+                let open = |cache: Option<Arc<EngineCache>>| {
+                    let reader = TableReader::open_with(&storage, "t.sst", cache.clone()).unwrap();
+                    (reader.with_search_strategy(search), cache)
+                };
+                let (plain, _) = open(None);
+                assert_eq!(plain.entry_width(), 136);
+                let (cached, cache) = open(Some(Arc::new(EngineCache::new(1 << 20))));
+                let (positioned, _) = open(Some(Arc::new(EngineCache::new(1 << 20))));
+                let mut resident = std::collections::HashSet::new();
+                let (mut hits, mut misses) = (0u64, 0u64);
+                for key in probes.clone() {
+                    let want = keys
+                        .binary_search(&key)
+                        .ok()
+                        .map(|_| Some(vec![key as u8; 100]));
+                    let stats = DbStats::new();
+                    let got = cached.get(key, MAX, &stats).unwrap();
+                    let what = format!("{kind} {search:?} key {key}");
+                    assert_eq!(got, want, "{what} cached");
+                    assert_eq!(
+                        plain.get(key, MAX, &DbStats::new()).unwrap(),
+                        want,
+                        "{what}"
+                    );
+                    let bound = cached.index().predict(key);
+                    let at = positioned.get_in_positions(key, bound.lo, bound.hi, MAX, &stats);
+                    assert_eq!(at.unwrap(), want, "{what} positioned");
+                    // The blocks the cached lookup fetched, if it got past
+                    // the range check, the filter and an empty bound.
+                    let s = stats.snapshot();
+                    if s.bloom_checks == 1 && s.bloom_negatives == 0 && !bound.is_empty() {
+                        let first = (bound.lo * 136) as u64 / CACHE_BLOCK;
+                        let last = (bound.hi * 136 - 1) as u64 / CACHE_BLOCK;
+                        for block in first..=last {
+                            if resident.insert(block) {
+                                misses += 1;
+                            } else {
+                                hits += 1;
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    cache.unwrap().hit_miss(),
+                    (hits, misses),
+                    "{kind} {search:?}"
+                );
+                assert!(
+                    hits > 0 && misses >= 14,
+                    "all 14 blocks of entries were read"
+                );
+            }
+        }
+    }
+
     #[test]
     fn snapshot_hides_newer_version() {
         let keys = [10u64, 20, 30];
@@ -697,5 +800,12 @@ mod tests {
         f.append(&[0u8; 50]).unwrap();
         drop(f);
         assert!(TableReader::open(&storage, "bad").is_err());
+        // A footer whose entry width disagrees with where the entries end.
+        let (storage, _) = make_table(&[1, 2, 3], IndexKind::Pgm);
+        let mut bytes = lsm_io::read_all(&storage, "t.sst").unwrap();
+        let value_width = bytes.len() - format::FOOTER_LEN + 8;
+        bytes[value_width] += 1;
+        storage.create("wide").unwrap().append(&bytes).unwrap();
+        assert!(TableReader::open(&storage, "wide").is_err());
     }
 }

@@ -12,10 +12,57 @@
 //! `counter_pairs` and `+=`; both scrape surfaces (METRICS and STATS) render
 //! [`StatsSnapshot::counter_pairs`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Maximum LSM levels tracked by the per-level counters.
 pub const MAX_LEVELS: usize = 12;
+
+/// One lookup in this many is timed (see [`DbStats::begin_lookup`]).
+pub const STAGE_SAMPLE_PERIOD: u64 = 16;
+
+thread_local! {
+    /// What a stage nanosecond on this thread counts for: the period inside
+    /// a sampled lookup, 0 inside an unsampled one, 1 outside any lookup.
+    static STAGE_WEIGHT: Cell<u64> = const { Cell::new(1) };
+}
+
+/// One point lookup, from [`DbStats::begin_lookup`] until this is dropped.
+#[must_use]
+pub struct LookupScope(());
+
+impl Drop for LookupScope {
+    fn drop(&mut self) {
+        STAGE_WEIGHT.set(1);
+    }
+}
+
+/// Stopwatch for one stage of a lookup; inside an unsampled lookup it never
+/// reads the clock.
+pub struct StageTimer(Option<Instant>);
+
+impl StageTimer {
+    #[inline]
+    pub fn start() -> Self {
+        StageTimer((STAGE_WEIGHT.get() > 0).then(Instant::now))
+    }
+
+    /// Nanoseconds since `start` (0 inside an unsampled lookup).
+    #[inline]
+    pub fn ns(&self) -> u64 {
+        self.0.map_or(0, |t| t.elapsed().as_nanos() as u64)
+    }
+}
+
+/// Add `ns` of a stage of the current lookup to `sum`, at the lookup's weight.
+#[inline]
+pub fn add_stage_ns(sum: &AtomicU64, ns: u64) {
+    let weight = STAGE_WEIGHT.get();
+    if weight > 0 {
+        sum.fetch_add(ns * weight, Ordering::Relaxed);
+    }
+}
 
 /// A counter class: `(since(later, earlier), merge(a, b))`.
 type Class = (fn(u64, u64) -> u64, fn(u64, u64) -> u64);
@@ -131,11 +178,18 @@ macro_rules! engine_counters {
 
 engine_counters! {
     engine {
-        // Point lookup stage timers (Table 1 / Figure 7).
+        // Point lookup stage timers (Table 1 / Figure 7). "Sampled": one
+        // lookup in `STAGE_SAMPLE_PERIOD` is timed and counts that many times
+        // — an unbiased total, to divide by the exact counts.
+        /// Point lookups started ([`DbStats::begin_lookup`]). Exact.
         SUM lookups,
+        /// Locating each sorted level's candidate table. Sampled.
         SUM table_locate_ns,
+        /// Index prediction (inner index + model). Sampled.
         SUM predict_ns,
+        /// Fetching the position boundary, cache or device. Sampled.
         SUM io_cpu_ns,
+        /// Searching the fetched boundary. Sampled.
         SUM search_ns,
         // Bloom behaviour.
         SUM bloom_checks,
@@ -216,7 +270,12 @@ engine_counters! {
     }
     level {
         // Per-level reads (Figure 10).
-        [level_reads as "reads", level_read_ns as "read_ns"],
+        [
+            /// Lookups answered by each level. Exact.
+            level_reads as "reads",
+            /// The answering table read, by level. Sampled.
+            level_read_ns as "read_ns"
+        ],
         // Per-level write-amp attribution: where maintenance traffic lands.
         [
             /// Compaction input bytes by the level they were read from.
@@ -242,26 +301,25 @@ impl DbStats {
         Self::default()
     }
 
+    /// Count one point lookup and decide whether it is timed: the first of
+    /// every [`STAGE_SAMPLE_PERIOD`] is, in full (all of its stages or none,
+    /// so no timer site can fall in step with the period), at that weight.
+    /// A stage run outside any lookup is timed every time at weight 1.
     #[inline]
-    pub(crate) fn add_predict_ns(&self, ns: u64) {
-        self.predict_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add_io_cpu_ns(&self, ns: u64) {
-        self.io_cpu_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add_search_ns(&self, ns: u64) {
-        self.search_ns.fetch_add(ns, Ordering::Relaxed);
+    pub fn begin_lookup(&self) -> LookupScope {
+        let nth = self.lookups.fetch_add(1, Ordering::Relaxed);
+        STAGE_WEIGHT.set(match nth % STAGE_SAMPLE_PERIOD {
+            0 => STAGE_SAMPLE_PERIOD,
+            _ => 0,
+        });
+        LookupScope(())
     }
 
     /// Record one read that was served by level `level`.
     pub(crate) fn record_level_read(&self, level: usize, ns: u64) {
         if level < MAX_LEVELS {
             self.level_reads[level].fetch_add(1, Ordering::Relaxed);
-            self.level_read_ns[level].fetch_add(ns, Ordering::Relaxed);
+            add_stage_ns(&self.level_read_ns[level], ns);
         }
     }
 
@@ -437,14 +495,43 @@ mod tests {
     fn snapshot_diffs() {
         let s = DbStats::new();
         s.lookups.fetch_add(5, Ordering::Relaxed);
-        s.add_predict_ns(100);
+        add_stage_ns(&s.predict_ns, 100);
         let a = s.snapshot();
         s.lookups.fetch_add(3, Ordering::Relaxed);
-        s.add_predict_ns(50);
+        add_stage_ns(&s.predict_ns, 50);
         s.record_level_read(2, 42);
         let d = s.snapshot().since(&a);
         assert_eq!((d.lookups, d.predict_ns), (3, 50));
         assert_eq!((d.level_reads[2], d.level_read_ns[2]), (1, 42));
+    }
+
+    /// No clock: a constant 10 ns per stage through 1 600 lookups. One in
+    /// 16 is sampled and counts 16 times, so the sums come back exact.
+    #[test]
+    fn sampled_stage_sums_are_unbiased_and_counts_exact() {
+        let s = DbStats::new();
+        for i in 0..1_600 {
+            let _lookup = s.begin_lookup();
+            assert_eq!(StageTimer::start().0.is_some(), i % 16 == 0, "lookup {i}");
+            for sum in [
+                &s.table_locate_ns,
+                &s.predict_ns,
+                &s.io_cpu_ns,
+                &s.search_ns,
+            ] {
+                add_stage_ns(sum, 10);
+            }
+            s.record_level_read(1, 10);
+        }
+        let snap = s.snapshot();
+        assert_eq!((snap.lookups, snap.level_reads[1]), (1_600, 1_600));
+        let sums = [snap.table_locate_ns, snap.predict_ns, snap.io_cpu_ns];
+        assert_eq!(sums, [16_000; 3]);
+        assert_eq!((snap.search_ns, snap.level_read_ns[1]), (16_000, 16_000));
+        // Outside a lookup every call is timed and counts once.
+        assert!(StageTimer::start().0.is_some());
+        add_stage_ns(&s.search_ns, 5);
+        assert_eq!(s.snapshot().search_ns, 16_005);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! a half-applied edit.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::sstable::{TableMeta, TableReader};
-use crate::stats::DbStats;
+use crate::stats::{add_stage_ns, DbStats, StageTimer};
 use crate::types::SeqNo;
 use crate::Result;
 
@@ -57,42 +56,39 @@ impl Version {
         stats: &DbStats,
         fill_cache: bool,
     ) -> Result<Option<Option<Vec<u8>>>> {
+        let probe = |level: usize, t: &TableHandle| -> Result<_> {
+            let started = StageTimer::start();
+            let hit = t.reader.get_opts(key, snapshot, stats, fill_cache)?;
+            if hit.is_some() {
+                stats.record_level_read(level, started.ns());
+            }
+            Ok(hit)
+        };
         // L0: tables may overlap; newest first.
         for t in &self.levels[0] {
-            let started = Instant::now();
-            if let Some(hit) = t.reader.get_opts(key, snapshot, stats, fill_cache)? {
-                stats.record_level_read(0, started.elapsed().as_nanos() as u64);
+            if let Some(hit) = probe(0, t)? {
                 return Ok(Some(hit));
             }
         }
-        if self.sorted_levels {
-            // L1+: binary search for the single candidate table.
-            for (level, tables) in self.levels.iter().enumerate().skip(1) {
-                let t0 = Instant::now();
+        for (level, tables) in self.levels.iter().enumerate().skip(1) {
+            if self.sorted_levels {
+                // L1+: binary search for the single candidate table.
+                let t0 = StageTimer::start();
                 let candidate = Self::locate(tables, key);
-                stats.table_locate_ns.fetch_add(
-                    t0.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+                add_stage_ns(&stats.table_locate_ns, t0.ns());
                 if let Some(t) = candidate {
-                    let started = Instant::now();
-                    if let Some(hit) = t.reader.get_opts(key, snapshot, stats, fill_cache)? {
-                        stats.record_level_read(level, started.elapsed().as_nanos() as u64);
+                    if let Some(hit) = probe(level, t)? {
                         return Ok(Some(hit));
                     }
                 }
-            }
-        } else {
-            // Tiering: every run of every level may hold the key; newest
-            // runs first.
-            for (level, tables) in self.levels.iter().enumerate().skip(1) {
+            } else {
+                // Tiering: every run of every level may hold the key; newest
+                // runs first.
                 for t in tables {
                     if key < t.meta.min_key || key > t.meta.max_key {
                         continue;
                     }
-                    let started = Instant::now();
-                    if let Some(hit) = t.reader.get_opts(key, snapshot, stats, fill_cache)? {
-                        stats.record_level_read(level, started.elapsed().as_nanos() as u64);
+                    if let Some(hit) = probe(level, t)? {
                         return Ok(Some(hit));
                     }
                 }

@@ -42,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -56,7 +56,7 @@ use crate::protocol::{
     decode_request, encode_response, read_frame, write_frame, FrameError, Request, Response,
     ServerError, DEFAULT_MAX_FRAME,
 };
-use crate::transport::{Connection, Listener};
+use crate::transport::Listener;
 
 /// Server-side cap on `Scan`/`SnapshotScan` limits, so one request can
 /// neither hold a worker for an unbounded merge nor overflow the
@@ -140,8 +140,7 @@ struct Shared {
     closing: AtomicBool,
     /// Live connections, for the closer to EOF; keyed by a serial.
     conns: Mutex<HashMap<u64, Arc<ConnState>>>,
-    /// Reader threads to join on close (readers also self-register here
-    /// because the acceptor spawns them).
+    /// Reader threads to join on close, pushed by the acceptor.
     readers: Mutex<Vec<JoinHandle<()>>>,
     /// Total requests shed with `RetryAfter` since start (observability
     /// for tests and the bench runner).
@@ -270,31 +269,33 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &dyn Listener) {
         }
         serial += 1;
         let id = serial;
+        // Registered here, not by the reader thread: `close` joins this
+        // thread before it EOFs `conns`, so every reader it then joins is in
+        // the map. A reader that registered itself could do so after that
+        // sweep, never see EOF, and hang the join.
+        let state = Arc::new(ConnState {
+            read_shutdown: conn.read_shutdown_handle(),
+            both_shutdown: conn.both_shutdown_handle(),
+            writer: Mutex::new(conn.writer),
+            inflight: AtomicUsize::new(0),
+        });
+        shared.conns.lock().unwrap().insert(id, Arc::clone(&state));
         let shared2 = Arc::clone(shared);
+        let reader = conn.reader;
         let handle = std::thread::Builder::new()
             .name(format!("lsm-server-conn-{id}"))
-            .spawn(move || reader_loop(&shared2, id, conn))
+            .spawn(move || reader_loop(&shared2, id, reader, &state))
             .expect("spawn reader");
         shared.readers.lock().unwrap().push(handle);
     }
 }
 
-fn reader_loop(shared: &Arc<Shared>, conn_id: u64, conn: Connection) {
-    let read_shutdown = conn.read_shutdown_handle();
-    let both_shutdown = conn.both_shutdown_handle();
-    let mut reader = conn.reader;
-    let state = Arc::new(ConnState {
-        writer: Mutex::new(conn.writer),
-        inflight: AtomicUsize::new(0),
-        read_shutdown,
-        both_shutdown,
-    });
-    shared
-        .conns
-        .lock()
-        .unwrap()
-        .insert(conn_id, Arc::clone(&state));
-
+fn reader_loop(
+    shared: &Arc<Shared>,
+    conn_id: u64,
+    mut reader: Box<dyn Read + Send>,
+    state: &Arc<ConnState>,
+) {
     loop {
         let (id, tag, payload) = match read_frame(&mut reader, shared.opts.max_frame) {
             Ok(frame) => frame,
@@ -317,12 +318,12 @@ fn reader_loop(shared: &Arc<Shared>, conn_id: u64, conn: Connection) {
                 continue;
             }
         };
-        match admit(shared, &state, &req) {
+        match admit(shared, state, &req) {
             Admission::Admit => {
                 state.inflight.fetch_add(1, Ordering::AcqRel);
                 let mut q = shared.ready.queue.lock().unwrap();
                 q.push_back(Work {
-                    conn: Arc::clone(&state),
+                    conn: Arc::clone(state),
                     id,
                     req,
                 });

@@ -407,6 +407,30 @@ fn close_answers_in_flight_requests_before_releasing_the_engine() {
     assert_eq!(concluded, 100, "every request gets a typed conclusion");
 }
 
+/// A connection accepted just before `close` must still be EOFed by it: the
+/// acceptor registers the connection before it spawns the reader, and
+/// `close` joins the acceptor before it sweeps. (The reader used to
+/// register itself; a `close` that swept in between then joined a reader
+/// nobody would ever wake.) The client keeps its end open throughout, so
+/// only `close` can end the reader.
+#[test]
+fn close_right_after_connect_never_hangs() {
+    for round in 0..200u32 {
+        let (server, connector) = mem_server(1);
+        let _open = connector.connect().expect("dial");
+        // Vary where in accept → spawn → first read the close lands.
+        for _ in 0..round % 8 {
+            std::thread::yield_now();
+        }
+        let (done, closed) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(server.close()));
+        closed
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("round {round}: Server::close hung"))
+            .expect("close");
+    }
+}
+
 #[test]
 fn corrupt_frames_get_typed_errors_or_clean_disconnects() {
     let (server, connector) = mem_server(1);
