@@ -31,9 +31,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::cache::EngineCache;
-use crate::iter::{MergeIter, MergeSource};
+use crate::iter::{Cursor, Merge};
 use crate::options::{CompactionPolicy, Options};
-use crate::sstable::{TableBuilder, TableReader};
+use crate::sstable::{TableBuilder, TableIter, TableReader};
 use crate::stats::DbStats;
 use crate::types::{EntryKind, InternalKey};
 use crate::version::{TableHandle, Version};
@@ -396,16 +396,16 @@ fn merge_sub_range(
     cache: Option<Arc<EngineCache>>,
     range: SubRange,
 ) -> Result<SubOutcome> {
-    let sources: Vec<MergeSource> = task
+    let sources = task
         .inputs
         .iter()
         .chain(task.next_inputs.iter())
         // No-fill: a compaction sweep reads every input block exactly once;
         // letting it populate the cache would evict the hot read set in
         // favor of blocks whose tables are deleted when the merge commits.
-        .map(|t| MergeSource::table_with(Arc::clone(&t.reader), false))
+        .map(|t| Box::new(TableIter::with_fill(Arc::clone(&t.reader), false)) as Box<dyn Cursor>)
         .collect();
-    let mut merge = MergeIter::new(sources);
+    let mut merge = Merge::new(sources);
     match range.lo {
         Some(lo) => merge.seek(lo)?,
         None => merge.seek_to_first(),
@@ -438,44 +438,45 @@ fn merge_sub_range(
         Ok(())
     };
 
-    while let Some(entry) = merge.next_entry()? {
-        if range.hi.is_some_and(|hi| entry.key.user_key >= hi) {
+    // The merge is read key by key; a value is borrowed, and only for an
+    // entry that is written out.
+    while let Some(key) = merge.key()? {
+        if range.hi.is_some_and(|hi| key.user_key >= hi) {
             break; // seam: the next sub-range owns this key onward
         }
         out.bytes_in += in_width;
         // Dedup: internal-key order puts the newest version of a user key
         // first; all later versions of the same key are obsolete here
         // (live snapshots read through their own pinned `Version`).
-        if !retention.keep(&entry.key) {
-            continue;
-        }
+        if retention.keep(&key) {
+            // Tiering keeps one table per run; leveling rotates at the
+            // granularity target. (Retention emits one version per user key,
+            // so a rotation boundary is always also a user-key boundary and
+            // sorted runs stay non-overlapping.)
+            let rotate = matches!(opts.compaction, CompactionPolicy::Leveling)
+                && builder
+                    .as_ref()
+                    .is_some_and(|b| b.data_bytes() >= opts.sstable_target_bytes);
+            if rotate {
+                let full = builder.take().expect("non-empty builder");
+                finish_builder(full, &mut out)?;
+            }
 
-        // Tiering keeps one table per run; leveling rotates at the
-        // granularity target. (Retention emits one version per user key, so
-        // a rotation boundary is always also a user-key boundary and sorted
-        // runs stay non-overlapping.)
-        let rotate = matches!(opts.compaction, CompactionPolicy::Leveling)
-            && builder
-                .as_ref()
-                .is_some_and(|b| b.data_bytes() >= opts.sstable_target_bytes);
-        if rotate {
-            let full = builder.take().expect("non-empty builder");
-            finish_builder(full, &mut out)?;
+            if builder.is_none() {
+                let name = format!("{:06}.sst", next_file_no.fetch_add(1, Ordering::Relaxed));
+                let file = storage.create(&name)?;
+                builder = Some(TableBuilder::new(
+                    file,
+                    name,
+                    opts.index_for_level(task.level + 1),
+                    opts.value_width,
+                    opts.bloom_bits_for_level(task.level + 1),
+                ));
+            }
+            let b = builder.as_mut().expect("builder just created");
+            b.add_parts(&key, merge.value())?;
         }
-
-        if builder.is_none() {
-            let name = format!("{:06}.sst", next_file_no.fetch_add(1, Ordering::Relaxed));
-            let file = storage.create(&name)?;
-            builder = Some(TableBuilder::new(
-                file,
-                name,
-                opts.index_for_level(task.level + 1),
-                opts.value_width,
-                opts.bloom_bits_for_level(task.level + 1),
-            ));
-        }
-        let b = builder.as_mut().expect("builder just created");
-        b.add(&entry)?;
+        merge.advance();
     }
     if let Some(b) = builder.take() {
         finish_builder(b, &mut out)?;
@@ -690,7 +691,7 @@ mod tests {
     use learned_index::IndexKind;
     use lsm_io::MemStorage;
 
-    fn handle_with(storage: &MemStorage, name: &str, entries: Vec<Entry>) -> Arc<TableHandle> {
+    fn handle_with(storage: &dyn Storage, name: &str, entries: Vec<Entry>) -> Arc<TableHandle> {
         let file = storage.create(name).unwrap();
         let mut b = TableBuilder::new(
             file,
@@ -822,10 +823,10 @@ mod tests {
     fn dump(outputs: &[Arc<TableHandle>]) -> Vec<(u64, u64, EntryKind, Vec<u8>)> {
         let mut all = Vec::new();
         for t in outputs {
-            let mut m = MergeIter::new(vec![MergeSource::table_with(Arc::clone(&t.reader), false)]);
-            m.seek_to_first();
-            while let Some(e) = m.next_entry().unwrap() {
-                all.push((e.key.user_key, e.key.seq, e.key.kind, e.value));
+            let mut it = TableIter::with_fill(Arc::clone(&t.reader), false);
+            while let Some(key) = it.key().unwrap() {
+                all.push((key.user_key, key.seq, key.kind, it.value().to_vec()));
+                it.advance();
             }
         }
         all
@@ -1007,5 +1008,84 @@ mod tests {
         assert!(snap.compact_total_ns >= snap.compact_train_ns + snap.compact_model_write_ns);
         assert!(snap.compact_bytes_read > 0);
         assert!(snap.compact_bytes_written > 0);
+    }
+
+    /// Each block once per pass: an unpartitioned compaction — uncached, or
+    /// reading no-fill through a cache — reads from the device exactly the
+    /// blocks its inputs' entries occupy, the one a chunk shares with the
+    /// next chunk included once.
+    #[test]
+    fn compaction_reads_each_input_block_once() {
+        for cached in [false, true] {
+            let storage = lsm_io::SimStorage::new(lsm_io::CostModel::default());
+            let cache = cached.then(|| Arc::new(EngineCache::new(1 << 20)));
+            let mut entry_blocks = 0;
+            let mut input = |name: &str, entries: Vec<Entry>| {
+                let t = handle_with(&storage, name, entries);
+                entry_blocks += (t.meta.n * t.reader.entry_width() as u64).div_ceil(4096);
+                let reader = TableReader::open_with(&storage, name, cache.clone()).unwrap();
+                Arc::new(TableHandle {
+                    meta: t.meta.clone(),
+                    reader: Arc::new(reader),
+                })
+            };
+            let task = CompactionTask {
+                level: 0,
+                inputs: vec![
+                    input("a", puts(0..2_000, 9)),
+                    input("b", puts(500..2_500, 5)),
+                ],
+                next_inputs: vec![input("c", puts(100..3_000, 1))],
+                is_bottom: true,
+            };
+            let opts = Options::small_for_tests();
+            let read_blocks = || storage.stats().snapshot().read_blocks;
+            let before = read_blocks();
+            let fno = AtomicU64::new(100);
+            let stats = DbStats::new();
+            let result =
+                run_compaction(&storage, &task, &opts, &stats, &fno, cache.clone(), 0, None)
+                    .unwrap();
+            let during = read_blocks() - before;
+            // Opening the outputs read their footers, indexes and filters.
+            let before = read_blocks();
+            for t in &result.outputs {
+                TableReader::open(&storage, &t.meta.name).unwrap();
+            }
+            let opening = read_blocks() - before;
+            assert_eq!(during - opening, entry_blocks, "cached={cached}");
+            assert!(entry_blocks > 100, "{entry_blocks} blocks of input");
+        }
+    }
+
+    /// A damaged entry mid-input fails the compaction with a typed error.
+    #[test]
+    fn compaction_over_a_damaged_entry_is_corruption() {
+        let damages: [fn(&mut [u8]); 2] = [
+            |entry| entry[24] = 9,                                       // kind tag
+            |entry| entry[32..36].copy_from_slice(&33u32.to_le_bytes()), // value length
+        ];
+        for damage in damages {
+            let storage = MemStorage::new();
+            let good = handle_with(&storage, "good", puts(0..600, 1));
+            let mut bytes = lsm_io::read_all(&storage, "good").unwrap();
+            let width = good.reader.entry_width();
+            damage(&mut bytes[217 * width..218 * width]);
+            storage.create("bad").unwrap().append(&bytes).unwrap();
+            let bad = Arc::new(TableHandle {
+                meta: good.meta.clone(),
+                reader: Arc::new(TableReader::open(&storage, "bad").unwrap()),
+            });
+            let task = CompactionTask {
+                level: 0,
+                inputs: vec![handle_with(&storage, "new", puts(100..300, 9)), bad],
+                next_inputs: vec![],
+                is_bottom: true,
+            };
+            let opts = Options::small_for_tests();
+            let fno = AtomicU64::new(0);
+            let run = run_compaction(&storage, &task, &opts, &DbStats::new(), &fno, None, 0, None);
+            assert!(matches!(run, Err(crate::Error::Corruption(_))), "{run:?}");
+        }
     }
 }

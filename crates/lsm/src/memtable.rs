@@ -23,8 +23,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::iter::Cursor;
 use crate::skiplist::{Node, SkipList};
 use crate::types::{Entry, EntryKind, InternalKey, SeqNo};
+use crate::Result;
 
 /// Approximate per-entry bookkeeping overhead, matching the on-disk entry
 /// header (24-byte key slot + 8-byte meta + 4-byte length). Shared with
@@ -204,7 +206,7 @@ impl MemTable {
 
 /// Cursor over a live [`MemTable`] for the merge stack: unlike the iterator
 /// adapters it is `'static` (owns an `Arc` to the buffer) and supports
-/// re-seeking, which is what `MergeSource` needs.
+/// re-seeking, which is what a [`Cursor`] needs.
 pub struct MemCursor {
     mem: MemTable,
     /// Current node, null when exhausted / unpositioned.
@@ -216,44 +218,73 @@ pub struct MemCursor {
 unsafe impl Send for MemCursor {}
 
 impl MemCursor {
-    /// Position at the first record with user key ≥ `key`.
-    pub fn seek(&mut self, key: u64) {
+    fn node(&self) -> Option<&Node> {
+        // SAFETY: a non-null node is live for the list's lifetime, and the
+        // list lives in `mem`'s `Arc` at least as long as this borrow.
+        unsafe { self.node.as_ref() }
+    }
+}
+
+impl Cursor for MemCursor {
+    fn seek(&mut self, key: u64) -> Result<()> {
         self.node = self.mem.shared.list.find_ge(&InternalKey::seek_to(key));
+        Ok(())
     }
 
-    /// Position at the smallest record.
-    pub fn seek_to_first(&mut self) {
+    fn seek_to_first(&mut self) {
         self.node = self.mem.shared.list.front();
     }
 
-    /// Key under the cursor, if any.
-    pub fn current_key(&self) -> Option<InternalKey> {
-        if self.node.is_null() {
-            return None;
-        }
-        // SAFETY: non-null nodes are live for the list's lifetime.
-        Some(unsafe { *(*self.node).key() })
+    fn key(&mut self) -> Result<Option<InternalKey>> {
+        Ok(self.node().map(|n| *n.key()))
     }
 
-    /// Clone out the record under the cursor, if any.
-    pub fn take_current(&self) -> Option<Entry> {
-        if self.node.is_null() {
-            return None;
-        }
-        // SAFETY: as above.
-        let n = unsafe { &*self.node };
-        Some(Entry {
-            key: *n.key(),
-            value: n.value().to_vec(),
-        })
+    fn value(&mut self) -> &[u8] {
+        self.node().map(Node::value).unwrap_or_default()
     }
 
-    /// Step forward one record.
-    pub fn advance(&mut self) {
-        if !self.node.is_null() {
-            // SAFETY: as above.
-            self.node = unsafe { (*self.node).next0() };
+    fn advance(&mut self) {
+        if let Some(n) = self.node() {
+            self.node = n.next0();
         }
+    }
+}
+
+/// Cursor over a frozen run (a queued immutable memtable): the `Arc` is
+/// shared, so an iterator pins the sorted copy instead of cloning it.
+pub struct RunCursor {
+    entries: Arc<Vec<Entry>>,
+    pos: usize,
+}
+
+impl RunCursor {
+    /// Over `entries`, which must be in internal-key order.
+    pub fn new(entries: Arc<Vec<Entry>>) -> Self {
+        Self { entries, pos: 0 }
+    }
+}
+
+impl Cursor for RunCursor {
+    fn seek(&mut self, key: u64) -> Result<()> {
+        let from = InternalKey::seek_to(key);
+        self.pos = self.entries.partition_point(|e| e.key < from);
+        Ok(())
+    }
+
+    fn seek_to_first(&mut self) {
+        self.pos = 0;
+    }
+
+    fn key(&mut self) -> Result<Option<InternalKey>> {
+        Ok(self.entries.get(self.pos).map(|e| e.key))
+    }
+
+    fn value(&mut self) -> &[u8] {
+        self.entries.get(self.pos).map_or(&[], |e| &e.value[..])
+    }
+
+    fn advance(&mut self) {
+        self.pos += 1;
     }
 }
 
@@ -317,9 +348,12 @@ impl ImmutableMemTable {
     /// Freeze `mem`, remembering the log (`wal`) that covers it. The caller
     /// must have quiesced the buffer first (`MemTable::wait_quiescent`).
     pub fn freeze(mem: MemTable, wal: Option<String>) -> Self {
+        let entries: Vec<Entry> = mem.iter_all().collect();
+        // Checked here, once, not by every iterator opened over the run.
+        debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
         Self {
             approx_bytes: mem.approximate_bytes(),
-            entries: Arc::new(mem.iter_all().collect()),
+            entries: Arc::new(entries),
             wal,
         }
     }
@@ -415,14 +449,16 @@ mod tests {
         m.put(2, 2, b"b");
         let mut c = m.cursor();
         drop(m);
+        let user_key = |c: &mut MemCursor| c.key().unwrap().map(|k| k.user_key);
         c.seek_to_first();
-        assert_eq!(c.current_key().map(|k| k.user_key), Some(1));
+        assert_eq!(user_key(&mut c), Some(1));
         c.advance();
-        assert_eq!(c.take_current().map(|e| e.value), Some(b"b".to_vec()));
+        assert_eq!(user_key(&mut c), Some(2));
+        assert_eq!(c.value(), b"b");
         c.advance();
-        assert!(c.current_key().is_none());
-        c.seek(2);
-        assert_eq!(c.current_key().map(|k| k.user_key), Some(2));
+        assert_eq!(user_key(&mut c), None);
+        c.seek(2).unwrap();
+        assert_eq!(user_key(&mut c), Some(2));
     }
 
     #[test]

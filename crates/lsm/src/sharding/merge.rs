@@ -1,13 +1,16 @@
 //! Globally ordered scans over range- or hash-partitioned shards.
 //!
-//! Each shard contributes one snapshot-consistent [`DbIterator`] (which
-//! already resolves versions and tombstones *within* its shard); this
-//! module k-way-merges their live `(key, value)` streams with a binary
-//! heap keyed by `(user_key, shard)`. Shards own disjoint key sets — a key
-//! routes to exactly one shard under either policy — so the merge needs no
-//! cross-shard deduplication, only ordering. Under range partitioning the
-//! heap degenerates to shard concatenation; under hash partitioning it
-//! does real interleaving. Either way the output is one ascending scan.
+//! Each shard contributes one snapshot-consistent [`DbIterator`], which
+//! already resolves versions and tombstones *within* its shard and is a
+//! [`crate::iter::Cursor`] over its live pairs. The cross-shard scan is the
+//! engine's one [`Merge`] over those cursors, read by one more `DbIterator`
+//! at [`MAX_SEQ`]: shards own disjoint key sets — a key routes to exactly
+//! one shard under either policy — so every pair a shard yields is visible
+//! and unshadowed, the outer visibility rule passes it through, and only the
+//! ordering does work. A value crosses both layers borrowed and is copied
+//! once, by the outer `next`. Under range partitioning the merge
+//! degenerates to shard concatenation; under hash partitioning it does real
+//! interleaving. Either way the output is one ascending scan.
 //!
 //! The sources are **epoch-pinned**: [`super::ShardedDb::iter_at`] builds
 //! them from the shard set of the [`super::ShardedSnapshot`]'s own topology
@@ -15,11 +18,8 @@
 //! drop a source nor double one — the merge keeps reading the parent it
 //! pinned, never a half-populated child.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use crate::iter::DbIterator;
-use crate::Result;
+use crate::iter::{Cursor, DbIterator, Merge};
+use crate::types::MAX_SEQ;
 
 /// Merged iterator over per-shard [`DbIterator`]s, yielding live
 /// `(key, value)` pairs in ascending key order across the whole
@@ -29,117 +29,34 @@ use crate::Result;
 /// The per-shard iterators pin their own memtable stacks and versions
 /// (`Arc`s), so the merged scan stays stable across concurrent writes,
 /// flushes and compactions.
-pub struct ShardedDbIterator {
-    iters: Vec<DbIterator>,
-    /// Current front of each shard's stream (`None` = exhausted or not
-    /// yet primed).
-    heads: Vec<Option<(u64, Vec<u8>)>>,
-    /// Min-heap of `(front key, shard)` for every non-exhausted shard.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    primed: bool,
-}
+pub type ShardedDbIterator = DbIterator;
 
-impl ShardedDbIterator {
-    /// Merge over one iterator per shard.
-    pub(crate) fn new(iters: Vec<DbIterator>) -> Self {
-        let n = iters.len();
-        Self {
-            iters,
-            heads: (0..n).map(|_| None).collect(),
-            heap: BinaryHeap::with_capacity(n),
-            primed: false,
-        }
-    }
-
-    /// Position every shard at its first live key ≥ `key`.
-    pub fn seek(&mut self, key: u64) -> Result<()> {
-        for it in &mut self.iters {
-            it.seek(key)?;
-        }
-        self.reset();
-        Ok(())
-    }
-
-    /// Position every shard at its smallest key.
-    pub fn seek_to_first(&mut self) {
-        for it in &mut self.iters {
-            it.seek_to_first();
-        }
-        self.reset();
-    }
-
-    fn reset(&mut self) {
-        self.heap.clear();
-        self.heads.iter_mut().for_each(|h| *h = None);
-        self.primed = false;
-    }
-
-    /// Pull the first entry of every shard into the heap (lazy, so the
-    /// infallible `seek_to_first` stays infallible; read errors surface on
-    /// the first `next`).
-    fn prime(&mut self) -> Result<()> {
-        for i in 0..self.iters.len() {
-            debug_assert!(self.heads[i].is_none());
-            self.heads[i] = self.iters[i].next()?;
-            if let Some((k, _)) = &self.heads[i] {
-                self.heap.push(Reverse((*k, i)));
-            }
-        }
-        self.primed = true;
-        Ok(())
-    }
-
-    /// Next live `(key, value)` pair in global key order.
-    #[allow(clippy::should_implement_trait)] // fallible cursor, like DbIterator
-    pub fn next(&mut self) -> Result<Option<(u64, Vec<u8>)>> {
-        if !self.primed {
-            self.prime()?;
-        }
-        let Some(Reverse((_, shard))) = self.heap.pop() else {
-            return Ok(None);
-        };
-        let out = self.heads[shard].take().expect("popped shard has a head");
-        self.heads[shard] = self.iters[shard].next()?;
-        if let Some((k, _)) = &self.heads[shard] {
-            self.heap.push(Reverse((*k, shard)));
-        }
-        Ok(Some(out))
-    }
-
-    /// Collect up to `limit` pairs from the current position.
-    pub fn collect_up_to(&mut self, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut out = Vec::with_capacity(limit.min(1024));
-        while out.len() < limit {
-            match self.next()? {
-                Some(kv) => out.push(kv),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
+/// Merge over one iterator per shard.
+pub(crate) fn over_shards(iters: Vec<DbIterator>) -> ShardedDbIterator {
+    let shards = iters.into_iter().map(|it| Box::new(it) as Box<dyn Cursor>);
+    DbIterator::new(Merge::new(shards.collect()), MAX_SEQ)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iter::{MergeIter, MergeSource};
-    use crate::types::{Entry, MAX_SEQ};
+    use crate::memtable::RunCursor;
+    use crate::types::Entry;
+    use std::sync::Arc;
 
     fn shard_iter(keys: &[u64]) -> DbIterator {
         let entries = keys
             .iter()
             .map(|&k| Entry::put(k, 1, vec![k as u8]))
             .collect();
-        DbIterator::new(
-            MergeIter::new(vec![MergeSource::buffered(entries)]),
-            MAX_SEQ,
-        )
+        let run = RunCursor::new(Arc::new(entries));
+        DbIterator::new(Merge::new(vec![Box::new(run)]), MAX_SEQ)
     }
 
     #[test]
     fn merges_interleaved_shards_in_global_order() {
         // Hash-style interleaving: keys mod 3.
-        let mut it = ShardedDbIterator::new(vec![
+        let mut it = over_shards(vec![
             shard_iter(&[0, 3, 6, 9]),
             shard_iter(&[1, 4, 7]),
             shard_iter(&[2, 5, 8]),
@@ -156,7 +73,7 @@ mod tests {
 
     #[test]
     fn range_shards_concatenate() {
-        let mut it = ShardedDbIterator::new(vec![
+        let mut it = over_shards(vec![
             shard_iter(&[1, 2, 3]),
             shard_iter(&[10, 11]),
             shard_iter(&[]),
@@ -172,8 +89,7 @@ mod tests {
 
     #[test]
     fn seek_positions_every_shard() {
-        let mut it =
-            ShardedDbIterator::new(vec![shard_iter(&[0, 4, 8, 12]), shard_iter(&[1, 5, 9, 13])]);
+        let mut it = over_shards(vec![shard_iter(&[0, 4, 8, 12]), shard_iter(&[1, 5, 9, 13])]);
         it.seek(6).unwrap();
         let got = it.collect_up_to(3).unwrap();
         assert_eq!(

@@ -832,7 +832,7 @@ impl ShardedDb {
             .enumerate()
             .map(|(i, d)| d.iter_with(&ReadOptions::at(snapshot.shard(i))))
             .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedDbIterator::new(iters))
+        Ok(merge::over_shards(iters))
     }
 
     /// Range lookup: up to `limit` live pairs with key ≥ `start`, merged

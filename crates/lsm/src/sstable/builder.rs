@@ -13,7 +13,7 @@ use learned_index::IndexKind;
 use crate::bloom::BloomFilter;
 use crate::options::IndexChoice;
 use crate::sstable::format::{self, Footer};
-use crate::types::{Entry, SeqNo};
+use crate::types::{Entry, InternalKey, SeqNo};
 use crate::{Error, Result};
 use lsm_io::WritableFile;
 
@@ -86,25 +86,31 @@ impl TableBuilder {
     /// Append one entry. Entries must arrive in strictly increasing user-key
     /// order (the caller deduplicates versions).
     pub fn add(&mut self, e: &Entry) -> Result<()> {
+        self.add_parts(&e.key, &e.value)
+    }
+
+    /// [`TableBuilder::add`] from a key and a borrowed value, so a merge can
+    /// hand over a cursor's bytes without building an [`Entry`].
+    pub fn add_parts(&mut self, key: &InternalKey, value: &[u8]) -> Result<()> {
         if let Some(last) = self.last_key {
-            if e.key.user_key <= last {
+            if key.user_key <= last {
                 return Err(Error::Corruption(format!(
                     "out-of-order key {} after {last}",
-                    e.key.user_key
+                    key.user_key
                 )));
             }
         }
-        if e.value.len() > self.value_width {
+        if value.len() > self.value_width {
             return Err(Error::Corruption(format!(
                 "value of {} bytes exceeds table slot {}",
-                e.value.len(),
+                value.len(),
                 self.value_width
             )));
         }
-        self.last_key = Some(e.key.user_key);
-        self.keys.push(e.key.user_key);
-        self.max_seq = self.max_seq.max(e.key.seq);
-        format::encode_entry(&mut self.buf, e, self.value_width);
+        self.last_key = Some(key.user_key);
+        self.keys.push(key.user_key);
+        self.max_seq = self.max_seq.max(key.seq);
+        format::encode_entry(&mut self.buf, key, value, self.value_width);
         if self.buf.len() >= WRITE_CHUNK {
             self.file.append(&self.buf)?;
             self.buf.clear();

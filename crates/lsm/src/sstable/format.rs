@@ -40,20 +40,22 @@ pub fn entry_width(value_width: usize) -> usize {
 }
 
 /// Serialize one entry into `out` (appends exactly `entry_width` bytes).
-pub fn encode_entry(out: &mut Vec<u8>, e: &Entry, value_width: usize) {
-    debug_assert!(e.value.len() <= value_width, "value exceeds table slot");
-    out.extend_from_slice(&encode_key(e.key.user_key));
-    out.push(e.key.kind.tag());
-    let seq_bytes = e.key.seq.to_le_bytes();
+pub fn encode_entry(out: &mut Vec<u8>, key: &InternalKey, value: &[u8], value_width: usize) {
+    debug_assert!(value.len() <= value_width, "value exceeds table slot");
+    out.extend_from_slice(&encode_key(key.user_key));
+    out.push(key.kind.tag());
+    let seq_bytes = key.seq.to_le_bytes();
     out.extend_from_slice(&seq_bytes[..7]);
-    out.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-    out.extend_from_slice(&e.value);
-    out.resize(out.len() + (value_width - e.value.len()), 0);
+    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.extend_from_slice(value);
+    out.resize(out.len() + (value_width - value.len()), 0);
 }
 
-/// Parse the entry at `buf[0..entry_width]`.
-pub fn decode_entry(buf: &[u8], value_width: usize) -> Result<Entry> {
-    if buf.len() < entry_width(value_width) {
+/// Parse and check the fixed header at `buf[0..ENTRY_HEADER]`: the internal
+/// key and the length of the value that follows it. A cursor decides on
+/// this alone and borrows the value only of an entry it keeps.
+pub fn decode_header(buf: &[u8], value_width: usize) -> Result<(InternalKey, usize)> {
+    if buf.len() < ENTRY_HEADER {
         return Err(Error::Corruption("entry buffer too short".into()));
     }
     let user_key = decode_key(&buf[..KEY_LEN]);
@@ -68,15 +70,22 @@ pub fn decode_entry(buf: &[u8], value_width: usize) -> Result<Entry> {
             "value length {vlen} exceeds slot {value_width}"
         )));
     }
+    let key = InternalKey {
+        user_key,
+        seq,
+        kind,
+    };
+    Ok((key, vlen))
+}
+
+/// Parse the entry at `buf[0..entry_width]`.
+pub fn decode_entry(buf: &[u8], value_width: usize) -> Result<Entry> {
+    if buf.len() < entry_width(value_width) {
+        return Err(Error::Corruption("entry buffer too short".into()));
+    }
+    let (key, vlen) = decode_header(buf, value_width)?;
     let value = buf[ENTRY_HEADER..ENTRY_HEADER + vlen].to_vec();
-    Ok(Entry {
-        key: InternalKey {
-            user_key,
-            seq,
-            kind,
-        },
-        value,
-    })
+    Ok(Entry { key, value })
 }
 
 /// Read only the user key of the entry at `buf[0..]` (hot path of in-segment
@@ -150,18 +159,19 @@ mod tests {
     fn entry_roundtrip() {
         let e = Entry::put(0xdead_beef, 42, b"hello".to_vec());
         let mut buf = Vec::new();
-        encode_entry(&mut buf, &e, 16);
+        encode_entry(&mut buf, &e.key, &e.value, 16);
         assert_eq!(buf.len(), entry_width(16));
         let back = decode_entry(&buf, 16).unwrap();
         assert_eq!(back, e);
         assert_eq!(decode_entry_key(&buf), 0xdead_beef);
+        assert_eq!(decode_header(&buf, 16).unwrap(), (e.key, 5));
     }
 
     #[test]
     fn tombstone_roundtrip() {
         let e = Entry::tombstone(7, 9);
         let mut buf = Vec::new();
-        encode_entry(&mut buf, &e, 8);
+        encode_entry(&mut buf, &e.key, &e.value, 8);
         let back = decode_entry(&buf, 8).unwrap();
         assert_eq!(back.key.kind, EntryKind::Delete);
         assert!(back.value.is_empty());
@@ -171,9 +181,17 @@ mod tests {
     fn corrupt_entry_rejected() {
         assert!(decode_entry(&[0u8; 4], 16).is_err());
         let mut buf = Vec::new();
-        encode_entry(&mut buf, &Entry::put(1, 1, vec![1, 2, 3]), 8);
+        let e = Entry::put(1, 1, vec![1, 2, 3]);
+        encode_entry(&mut buf, &e.key, &e.value, 8);
+        let good = buf.clone();
         buf[KEY_LEN] = 9; // bad kind tag
         assert!(decode_entry(&buf, 8).is_err());
+        assert!(decode_header(&buf[..ENTRY_HEADER], 8).is_err());
+        buf.clone_from(&good);
+        buf[KEY_LEN + 8] = 9; // a value longer than the slot
+        assert!(decode_entry(&buf, 8).is_err());
+        assert!(decode_header(&buf[..ENTRY_HEADER], 8).is_err());
+        assert!(decode_header(&good[..ENTRY_HEADER - 1], 8).is_err());
     }
 
     #[test]
@@ -220,7 +238,7 @@ mod tests {
         let seq = (1u64 << 55) - 1;
         let e = Entry::put(1, seq, vec![]);
         let mut buf = Vec::new();
-        encode_entry(&mut buf, &e, 4);
+        encode_entry(&mut buf, &e.key, &e.value, 4);
         assert_eq!(decode_entry(&buf, 4).unwrap().key.seq, seq);
     }
 }
