@@ -33,7 +33,7 @@ use std::time::Instant;
 use crate::cache::EngineCache;
 use crate::iter::{Cursor, Merge};
 use crate::options::{CompactionPolicy, Options};
-use crate::sstable::{TableBuilder, TableIter, TableReader};
+use crate::sstable::{TableBuilder, TableIter, TableMeta, TableReader};
 use crate::stats::DbStats;
 use crate::types::{EntryKind, InternalKey};
 use crate::version::{TableHandle, Version};
@@ -371,6 +371,107 @@ pub fn plan_subcompactions(
     Ok(ranges)
 }
 
+/// What writing tables needs from the engine that owns them: where the
+/// files go, how they are named and built, and the cache their readers join.
+/// A flush, a bulk load and every compaction write through one
+/// [`LevelWriter`] over it.
+pub struct TableContext<'a> {
+    pub storage: &'a dyn Storage,
+    pub opts: &'a Options,
+    /// Supplies output names — an atomic, so background workers (and
+    /// parallel subcompaction threads) can name outputs without holding the
+    /// tree lock for the duration of a merge.
+    pub next_file_no: &'a AtomicU64,
+    pub cache: Option<&'a Arc<EngineCache>>,
+    /// The engine's namespace in the shared table-handle cache.
+    pub cache_scope: u64,
+}
+
+impl TableContext<'_> {
+    /// Publish open readers into the shared table-handle cache under the
+    /// engine's scope, so the first read of a fresh table does not pay a
+    /// cold-handle miss.
+    pub fn register(&self, tables: &[Arc<TableHandle>]) {
+        if let Some(cache) = self.cache {
+            for t in tables {
+                cache
+                    .tables()
+                    .insert(self.cache_scope, &t.meta.name, Arc::clone(&t.reader));
+            }
+        }
+    }
+}
+
+/// The one table writer: sorted `(key, value)` pairs with one version per
+/// user key in, the tables of one level out. A pair added while no table is
+/// open takes the next file number, creates the file and starts a builder
+/// with the level's index and filter choice; [`LevelWriter::cut`] finishes
+/// it and reopens it for reading. Where the cuts fall is the caller's policy.
+pub struct LevelWriter<'a> {
+    ctx: &'a TableContext<'a>,
+    level: usize,
+    open: Option<TableBuilder>,
+    done: Vec<Arc<TableHandle>>,
+}
+
+impl<'a> LevelWriter<'a> {
+    /// A writer of `level`'s tables.
+    pub fn new(ctx: &'a TableContext<'a>, level: usize) -> Self {
+        Self {
+            ctx,
+            level,
+            open: None,
+            done: Vec::new(),
+        }
+    }
+
+    /// Entry bytes of the table being built; 0 when none is.
+    pub fn open_bytes(&self) -> u64 {
+        self.open.as_ref().map_or(0, TableBuilder::data_bytes)
+    }
+
+    /// Append one pair; user keys must strictly increase.
+    pub fn add(&mut self, key: &InternalKey, value: &[u8]) -> Result<()> {
+        if self.open.is_none() {
+            let (ctx, opts) = (self.ctx, self.ctx.opts);
+            let name = format!(
+                "{:06}.sst",
+                ctx.next_file_no.fetch_add(1, Ordering::Relaxed)
+            );
+            let file = ctx.storage.create(&name)?;
+            self.open = Some(TableBuilder::new(
+                file,
+                name,
+                opts.index_for_level(self.level),
+                opts.value_width,
+                opts.bloom_bits_for_level(self.level),
+            ));
+        }
+        let builder = self.open.as_mut().expect("a table was just opened");
+        builder.add_parts(key, value)
+    }
+
+    /// Finish the table being built, if any; the next pair starts another.
+    pub fn cut(&mut self) -> Result<()> {
+        if let Some(builder) = self.open.take() {
+            let ctx = self.ctx;
+            let meta = builder.finish()?;
+            let reader = Arc::new(
+                TableReader::open_with(ctx.storage, &meta.name, ctx.cache.cloned())?
+                    .with_search_strategy(ctx.opts.search),
+            );
+            self.done.push(Arc::new(TableHandle { meta, reader }));
+        }
+        Ok(())
+    }
+
+    /// Finish the last table and hand over all of them, in key order.
+    pub fn finish(mut self) -> Result<Vec<Arc<TableHandle>>> {
+        self.cut()?;
+        Ok(self.done)
+    }
+}
+
 /// What one sub-range merge produced; [`run_compaction`] aggregates these
 /// across subcompactions before the caller installs a single version edit.
 struct SubOutcome {
@@ -378,9 +479,11 @@ struct SubOutcome {
     /// Input bytes this sub-range consumed (entries popped from the merge
     /// before retention × input entry width).
     bytes_in: u64,
-    bytes_written: u64,
-    train_ns: u64,
-    model_write_ns: u64,
+}
+
+/// Sum of one `u64` of every table's meta.
+fn total(tables: &[Arc<TableHandle>], of: fn(&TableMeta) -> u64) -> u64 {
+    tables.iter().map(|t| of(&t.meta)).sum()
 }
 
 /// Merge `task`'s inputs restricted to `range`, writing ≤-target-size
@@ -389,13 +492,11 @@ struct SubOutcome {
 /// loop. `KeyRetention` state lives entirely inside one call — safe under
 /// parallelism because sub-ranges are disjoint in user-key space.
 fn merge_sub_range(
-    storage: &dyn Storage,
+    ctx: &TableContext<'_>,
     task: &CompactionTask,
-    opts: &Options,
-    next_file_no: &AtomicU64,
-    cache: Option<Arc<EngineCache>>,
     range: SubRange,
 ) -> Result<SubOutcome> {
+    let opts = ctx.opts;
     let sources = task
         .inputs
         .iter()
@@ -412,31 +513,14 @@ fn merge_sub_range(
     }
 
     let in_width = crate::sstable::format::entry_width(opts.value_width) as u64;
-    let mut out = SubOutcome {
-        outputs: Vec::new(),
-        bytes_in: 0,
-        bytes_written: 0,
-        train_ns: 0,
-        model_write_ns: 0,
-    };
-    let mut builder: Option<TableBuilder> = None;
+    let mut bytes_in = 0;
+    let mut out = LevelWriter::new(ctx, task.level + 1);
     let mut retention = KeyRetention::new(task.is_bottom);
-
-    let finish_builder = |b: TableBuilder, out: &mut SubOutcome| -> Result<()> {
-        if b.is_empty() {
-            return Ok(());
-        }
-        let meta = b.finish()?;
-        out.bytes_written += meta.file_bytes;
-        out.train_ns += meta.train_ns;
-        out.model_write_ns += meta.model_write_ns;
-        let reader = Arc::new(
-            TableReader::open_with(storage, &meta.name, cache.clone())?
-                .with_search_strategy(opts.search),
-        );
-        out.outputs.push(Arc::new(TableHandle { meta, reader }));
-        Ok(())
-    };
+    // Tiering keeps one table per run; leveling rotates at the granularity
+    // target. (Retention emits one version per user key, so a rotation
+    // boundary is always also a user-key boundary and sorted runs stay
+    // non-overlapping.)
+    let rotates = matches!(opts.compaction, CompactionPolicy::Leveling);
 
     // The merge is read key by key; a value is borrowed, and only for an
     // entry that is written out.
@@ -444,51 +528,24 @@ fn merge_sub_range(
         if range.hi.is_some_and(|hi| key.user_key >= hi) {
             break; // seam: the next sub-range owns this key onward
         }
-        out.bytes_in += in_width;
+        bytes_in += in_width;
         // Dedup: internal-key order puts the newest version of a user key
         // first; all later versions of the same key are obsolete here
         // (live snapshots read through their own pinned `Version`).
         if retention.keep(&key) {
-            // Tiering keeps one table per run; leveling rotates at the
-            // granularity target. (Retention emits one version per user key,
-            // so a rotation boundary is always also a user-key boundary and
-            // sorted runs stay non-overlapping.)
-            let rotate = matches!(opts.compaction, CompactionPolicy::Leveling)
-                && builder
-                    .as_ref()
-                    .is_some_and(|b| b.data_bytes() >= opts.sstable_target_bytes);
-            if rotate {
-                let full = builder.take().expect("non-empty builder");
-                finish_builder(full, &mut out)?;
+            if rotates && out.open_bytes() >= opts.sstable_target_bytes {
+                out.cut()?;
             }
-
-            if builder.is_none() {
-                let name = format!("{:06}.sst", next_file_no.fetch_add(1, Ordering::Relaxed));
-                let file = storage.create(&name)?;
-                builder = Some(TableBuilder::new(
-                    file,
-                    name,
-                    opts.index_for_level(task.level + 1),
-                    opts.value_width,
-                    opts.bloom_bits_for_level(task.level + 1),
-                ));
-            }
-            let b = builder.as_mut().expect("builder just created");
-            b.add_parts(&key, merge.value())?;
+            out.add(&key, merge.value())?;
         }
         merge.advance();
     }
-    if let Some(b) = builder.take() {
-        finish_builder(b, &mut out)?;
-    }
-    Ok(out)
+    let outputs = out.finish()?;
+    Ok(SubOutcome { outputs, bytes_in })
 }
 
-/// Execute `task`: merge inputs, write ≤-target-size output tables, record
-/// the stage breakdown into `stats`. `next_file_no` supplies output names —
-/// an atomic, so background workers (and parallel subcompaction threads)
-/// can name outputs without holding the tree lock for the duration of the
-/// merge.
+/// Execute `task`: merge inputs, write ≤-target-size output tables through
+/// `ctx`, record the stage breakdown into `stats`.
 ///
 /// When [`Options::max_subcompactions`] > 1 under leveling, the job's key
 /// space is range-partitioned by [`plan_subcompactions`] and each
@@ -499,25 +556,21 @@ fn merge_sub_range(
 /// orphan output files, never a partial compaction.
 ///
 /// Freshly built outputs are registered eagerly in the table-handle cache
-/// under `cache_scope` (when `cache` is present), so the first
-/// post-compaction read does not pay a cold-handle miss.
+/// ([`TableContext::register`]), so the first post-compaction read does not
+/// pay a cold-handle miss.
 ///
 /// When observability is on, `obs` brackets the run in a
 /// `compaction_begin` / `compaction_end` span (begin carries the source
 /// level, end the input/output byte totals); a partitioned run nests one
 /// `subcompaction_begin` / `subcompaction_end` sub-span per sub-range,
 /// whose begin event carries the parent span id in `a`.
-#[allow(clippy::too_many_arguments)] // one call site family; a config struct would just rename these
 pub fn run_compaction(
-    storage: &dyn Storage,
+    ctx: &TableContext<'_>,
     task: &CompactionTask,
-    opts: &Options,
     stats: &DbStats,
-    next_file_no: &AtomicU64,
-    cache: Option<Arc<EngineCache>>,
-    cache_scope: u64,
     obs: Option<&EngineObs>,
 ) -> Result<CompactionResult> {
+    let (storage, opts) = (ctx.storage, ctx.opts);
     let total_start = Instant::now();
     let span = obs.map(|o| {
         let span = o.span();
@@ -545,14 +598,10 @@ pub fn run_compaction(
         } else {
             None // unpartitioned: keep the default obs timeline unchanged
         };
-        let outcome = merge_sub_range(storage, task, opts, next_file_no, cache.clone(), range)?;
+        let outcome = merge_sub_range(ctx, task, range)?;
         if let (Some(o), Some(s)) = (obs, sub_span) {
-            o.emit(
-                EventKind::SubcompactionEnd,
-                s,
-                outcome.bytes_in,
-                outcome.bytes_written,
-            );
+            let written = total(&outcome.outputs, |m| m.file_bytes);
+            o.emit(EventKind::SubcompactionEnd, s, outcome.bytes_in, written);
         }
         Ok(outcome)
     };
@@ -618,26 +667,11 @@ pub fn run_compaction(
         return Err(e);
     }
 
-    let mut outputs = Vec::new();
-    let mut bytes_written = 0u64;
-    let mut train_ns = 0u64;
-    let mut model_write_ns = 0u64;
-    for o in ok {
-        outputs.extend(o.outputs);
-        bytes_written += o.bytes_written;
-        train_ns += o.train_ns;
-        model_write_ns += o.model_write_ns;
-    }
-
-    // Eager registration: the outputs' readers are already open — publish
-    // them so the first post-compaction read doesn't re-open the table.
-    if let Some(cache) = &cache {
-        for t in &outputs {
-            cache
-                .tables()
-                .insert(cache_scope, &t.meta.name, Arc::clone(&t.reader));
-        }
-    }
+    let outputs: Vec<Arc<TableHandle>> = ok.into_iter().flat_map(|o| o.outputs).collect();
+    let bytes_written = total(&outputs, |m| m.file_bytes);
+    let train_ns = total(&outputs, |m| m.train_ns);
+    let model_write_ns = total(&outputs, |m| m.model_write_ns);
+    ctx.register(&outputs);
 
     let total_ns = total_start.elapsed().as_nanos() as u64;
     let bytes_read = task.input_bytes();
@@ -708,6 +742,25 @@ mod tests {
         Arc::new(TableHandle { meta, reader })
     }
 
+    /// `run_compaction` on `storage`: file numbers from `fno`, cache scope 0.
+    fn run(
+        storage: &dyn Storage,
+        task: &CompactionTask,
+        opts: &Options,
+        stats: &DbStats,
+        fno: &AtomicU64,
+        cache: Option<&Arc<EngineCache>>,
+    ) -> Result<CompactionResult> {
+        let ctx = TableContext {
+            storage,
+            opts,
+            next_file_no: fno,
+            cache,
+            cache_scope: 0,
+        };
+        run_compaction(&ctx, task, stats, None)
+    }
+
     fn puts(range: std::ops::Range<u64>, seq: u64) -> Vec<Entry> {
         range
             .map(|k| Entry::put(k, seq, vec![k as u8; 4]))
@@ -742,7 +795,7 @@ mod tests {
             is_bottom: true,
         };
         let fno = AtomicU64::new(100);
-        let result = run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         assert_eq!(result.outputs.len(), 1);
         let out = &result.outputs[0];
         assert_eq!(out.meta.n, 10, "one survivor per key");
@@ -769,7 +822,7 @@ mod tests {
             is_bottom: true,
         };
         let fno = AtomicU64::new(200);
-        let result = run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         let out = &result.outputs[0];
         assert_eq!(out.meta.n, 4, "tombstone dropped at bottom");
         let got = out.reader.get(2, u64::MAX >> 8, &stats).unwrap();
@@ -789,7 +842,7 @@ mod tests {
             is_bottom: false,
         };
         let fno = AtomicU64::new(300);
-        let result = run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         assert_eq!(result.outputs[0].meta.n, 1, "tombstone must survive");
     }
 
@@ -808,7 +861,7 @@ mod tests {
             is_bottom: true,
         };
         let fno = AtomicU64::new(400);
-        let result = run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         assert!(result.outputs.len() > 1, "must split into multiple tables");
         let total: u64 = result.outputs.iter().map(|t| t.meta.n).sum();
         assert_eq!(total, 200);
@@ -882,14 +935,13 @@ mod tests {
 
         let fno = AtomicU64::new(100);
         let stats = DbStats::new();
-        let single = run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        let single = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         let expected = dump(&single.outputs);
 
         for n in [2, 4, 8] {
             opts.max_subcompactions = n;
             let stats = DbStats::new();
-            let parallel =
-                run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+            let parallel = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
             assert_eq!(
                 dump(&parallel.outputs),
                 expected,
@@ -930,7 +982,7 @@ mod tests {
         opts.max_subcompactions = 4;
         let stats = DbStats::new();
         let fno = AtomicU64::new(0);
-        let result = run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         let total: u64 = result.outputs.iter().map(|t| t.meta.n).sum();
         assert_eq!(total, 600, "300 tombstoned keys fully elided at the bottom");
         for (key, _, kind, _) in dump(&result.outputs) {
@@ -949,17 +1001,14 @@ mod tests {
         let fno = AtomicU64::new(0);
         let cache = Arc::new(EngineCache::new(1 << 20));
         let scope = cache.next_scope();
-        let result = run_compaction(
-            &storage,
-            &task,
-            &opts,
-            &stats,
-            &fno,
-            Some(Arc::clone(&cache)),
-            scope,
-            None,
-        )
-        .unwrap();
+        let ctx = TableContext {
+            storage: &storage,
+            opts: &opts,
+            next_file_no: &fno,
+            cache: Some(&cache),
+            cache_scope: scope,
+        };
+        let result = run_compaction(&ctx, &task, &stats, None).unwrap();
         assert!(!result.outputs.is_empty());
         for t in &result.outputs {
             assert!(
@@ -979,7 +1028,7 @@ mod tests {
         let opts = Options::small_for_tests();
         let stats = DbStats::new();
         let fno = AtomicU64::new(0);
-        let result = run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         let snap = stats.snapshot();
         assert_eq!(snap.compact_level_bytes_read[0], l0_bytes);
         assert_eq!(snap.compact_level_bytes_read[1], l1_bytes);
@@ -1000,7 +1049,7 @@ mod tests {
             is_bottom: true,
         };
         let fno = AtomicU64::new(500);
-        run_compaction(&storage, &task, &opts, &stats, &fno, None, 0, None).unwrap();
+        run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         let snap = stats.snapshot();
         assert_eq!(snap.compactions, 1);
         assert!(snap.compact_total_ns > 0);
@@ -1043,9 +1092,7 @@ mod tests {
             let before = read_blocks();
             let fno = AtomicU64::new(100);
             let stats = DbStats::new();
-            let result =
-                run_compaction(&storage, &task, &opts, &stats, &fno, cache.clone(), 0, None)
-                    .unwrap();
+            let result = run(&storage, &task, &opts, &stats, &fno, cache.as_ref()).unwrap();
             let during = read_blocks() - before;
             // Opening the outputs read their footers, indexes and filters.
             let before = read_blocks();
@@ -1084,8 +1131,8 @@ mod tests {
             };
             let opts = Options::small_for_tests();
             let fno = AtomicU64::new(0);
-            let run = run_compaction(&storage, &task, &opts, &DbStats::new(), &fno, None, 0, None);
-            assert!(matches!(run, Err(crate::Error::Corruption(_))), "{run:?}");
+            let ran = run(&storage, &task, &opts, &DbStats::new(), &fno, None);
+            assert!(matches!(ran, Err(crate::Error::Corruption(_))), "{ran:?}");
         }
     }
 }

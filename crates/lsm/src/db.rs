@@ -81,15 +81,16 @@ use crate::batch::{BatchOp, WriteBatch};
 use crate::cache::EngineCache;
 use crate::compaction::{
     advance_cursor, pick_compaction_excluding, run_compaction, CompactionTask, KeyRetention,
+    LevelWriter, TableContext,
 };
-use crate::iter::DbIterator;
-use crate::memtable::{ImmutableMemTable, MemRun, MemTable, ENTRY_OVERHEAD};
+use crate::iter::{Cursor, DbIterator};
+use crate::memtable::{ImmutableMemTable, MemTable, ENTRY_OVERHEAD};
 use crate::options::{CompactionPolicy, Maintenance, Options, ReadOptions, WriteOptions};
 use crate::scheduler::{MaintSignal, Scheduler, Step};
 use crate::snapshot::{ReadView, Snapshot};
-use crate::sstable::{TableBuilder, TableReader};
+use crate::sstable::TableReader;
 use crate::stats::DbStats;
-use crate::types::{Entry, EntryKind, SeqNo};
+use crate::types::{Entry, SeqNo};
 use crate::version::{TableHandle, Version};
 use crate::wal::{self, WalWriter};
 use crate::{sealed, Error, Result};
@@ -335,8 +336,7 @@ struct WriteRequest {
     /// The ops' WAL region, pre-encoded by the submitting thread *outside*
     /// the commit path ([`wal::encode_ops`]) so the leader's serial
     /// section only concatenates member regions. Empty when this write
-    /// will not be logged (WAL off / `disable_wal`) or logs through the
-    /// cross-shard prepare format.
+    /// will not be logged (WAL off / `disable_wal`).
     encoded: Vec<u8>,
     sync: bool,
     disable_wal: bool,
@@ -345,7 +345,7 @@ struct WriteRequest {
     /// extend.
     assigned: Option<SeqNo>,
     /// Cross-shard prepare tag — also forces a singleton group, since the
-    /// prepare record's framing differs from a plain one.
+    /// prepare record's header differs from a plain one.
     cross: Option<wal::CrossBatchTag>,
     slot: StdMutex<SlotState>,
 }
@@ -487,13 +487,9 @@ impl Db {
                     if !committed {
                         continue;
                     }
-                    for e in &record.entries {
-                        inner.seq = inner.seq.max(e.key.seq);
-                        match e.key.kind {
-                            EntryKind::Put => inner.mem.put(e.key.user_key, e.key.seq, &e.value),
-                            EntryKind::Delete => inner.mem.delete(e.key.user_key, e.key.seq),
-                        }
-                    }
+                    let last_seq = record.first_seq + record.ops.len() as SeqNo - 1;
+                    inner.seq = inner.seq.max(last_seq);
+                    inner.mem.apply_batch(&record.ops, record.first_seq);
                     replayed.push(record);
                 }
             }
@@ -510,16 +506,7 @@ impl Db {
             // every shard has re-opened, so the fragments must no longer
             // depend on them.
             for record in &replayed {
-                let ops: Vec<crate::batch::BatchOp> = record
-                    .entries
-                    .iter()
-                    .map(|e| crate::batch::BatchOp {
-                        kind: e.key.kind,
-                        key: e.key.user_key,
-                        value: e.value.clone(),
-                    })
-                    .collect();
-                w.append_batch(record.entries[0].key.seq, &ops)?;
+                w.append_batch(record.first_seq, &record.ops)?;
             }
             if !replayed.is_empty() {
                 w.sync()?;
@@ -568,7 +555,7 @@ impl Db {
             // Seed the table-handle cache with the recovered tree so the
             // shared budget charges every open handle from the start.
             for level in inner.version.levels.iter() {
-                core.register_tables(level);
+                core.tables().register(level);
             }
         }
         // The previous generation's logs are fully superseded (their
@@ -776,7 +763,7 @@ impl Db {
         let ops = batch.into_ops();
         // Encode the WAL region here, on the submitting thread, so the
         // leader's serial section does no per-op byte shuffling.
-        let encoded = if core.opts.wal && !wopts.disable_wal && cross.is_none() {
+        let encoded = if core.opts.wal && !wopts.disable_wal {
             wal::encode_ops(&ops)
         } else {
             Vec::new()
@@ -1270,7 +1257,7 @@ impl Db {
             + inner
                 .imms
                 .iter()
-                .map(|imm| imm.approximate_bytes() as u64)
+                .map(|imm| imm.mem.approximate_bytes() as u64)
                 .sum::<u64>()
     }
 
@@ -1383,31 +1370,16 @@ impl Db {
             level += 1;
         }
 
-        let mut tables = Vec::new();
+        let ctx = core.tables();
+        let mut out = LevelWriter::new(&ctx, level);
         for chunk in pending.chunks(per_table) {
-            let name = format!(
-                "{:06}.sst",
-                core.next_file_no.fetch_add(1, Ordering::Relaxed)
-            );
-            let file = core.storage.create(&name)?;
-            let mut b = TableBuilder::new(
-                file,
-                name.clone(),
-                core.opts.index_for_level(level),
-                core.opts.value_width,
-                core.opts.bloom_bits_for_level(level),
-            );
             for e in chunk {
-                b.add(e)?;
+                out.add(&e.key, &e.value)?;
             }
-            let meta = b.finish()?;
-            let reader = Arc::new(
-                TableReader::open_with(core.storage.as_ref(), &name, core.cache.clone())?
-                    .with_search_strategy(core.opts.search),
-            );
-            tables.push(Arc::new(TableHandle { meta, reader }));
+            out.cut()?;
         }
-        core.register_tables(&tables);
+        let tables = out.finish()?;
+        ctx.register(&tables);
         let sorted = matches!(core.opts.compaction, CompactionPolicy::Leveling);
         let mut version = Version::with_layout(core.opts.max_levels, sorted);
         version.levels[level] = tables;
@@ -1507,15 +1479,24 @@ impl DbCore {
 
     /// The view of `inner`: a shared handle to the live buffer (no copy —
     /// the skiplist is safe to read while growing, and sequence filtering
-    /// hides what is above a read's ceiling), then the queued immutable
-    /// memtables newest to oldest, then the version.
+    /// hides what is above a read's ceiling), then handles to the queued
+    /// immutable memtables newest to oldest, then the version.
     fn view_of(inner: &Inner) -> ReadView {
-        let frozen = inner.imms.iter().rev();
+        let queued = inner.imms.iter().rev().map(|imm| &imm.mem);
         ReadView {
-            mems: std::iter::once(MemRun::Live(inner.mem.clone()))
-                .chain(frozen.map(|imm| MemRun::Frozen(Arc::clone(imm.entries()))))
-                .collect(),
+            mems: std::iter::once(&inner.mem).chain(queued).cloned().collect(),
             version: Arc::clone(&inner.version),
+        }
+    }
+
+    /// What this engine's tables are written through.
+    fn tables(&self) -> TableContext<'_> {
+        TableContext {
+            storage: self.storage.as_ref(),
+            opts: &self.opts,
+            next_file_no: &self.next_file_no,
+            cache: self.cache.as_ref(),
+            cache_scope: self.cache_scope,
         }
     }
 
@@ -1531,9 +1512,9 @@ impl DbCore {
         let _retired = std::mem::replace(&mut *self.view.write(), next);
     }
 
-    /// Settle the active buffer before it is frozen or flushed: every
+    /// Settle the active buffer before it is sealed or flushed: every
     /// claimed commit group has finished inserting (none can register while
-    /// the caller holds the tree lock) *and* been published. The run must
+    /// the caller holds the tree lock) *and* been published. The buffer must
     /// hold every sequence its WAL says it does, and none above a ceiling a
     /// read may be holding — a flush keeps only a key's newest version,
     /// which such a read could not see.
@@ -1552,7 +1533,7 @@ impl DbCore {
         // then the active log. A crash must find all of them, or rotated
         // but unflushed acknowledged writes would be lost.
         for imm in &inner.imms {
-            if let Some(name) = imm.wal() {
+            if let Some(name) = &imm.wal {
                 text.push_str(&format!("wal {name}\n"));
             }
         }
@@ -1711,14 +1692,10 @@ impl DbCore {
                 // is all-or-nothing and indistinguishable from one large
                 // batch, which is safe because no member was acknowledged
                 // unless the whole record landed. Members pre-encoded
-                // their regions off-path; only cross-shard prepares (whose
-                // record format differs) encode here.
-                let framed = if head.cross.is_some() {
-                    w.append_batch_tagged(first_seq, &head.ops, head.cross.as_ref())?
-                } else {
-                    let parts: Vec<&[u8]> = members.iter().map(|m| m.encoded.as_slice()).collect();
-                    w.append_encoded_group(first_seq, total, &parts)?
-                };
+                // their regions off-path; a cross-shard prepare (always a
+                // group of one) differs only in the record header.
+                let parts: Vec<&[u8]> = members.iter().map(|m| m.encoded.as_slice()).collect();
+                let framed = w.append_encoded(first_seq, total, &parts, head.cross.as_ref())?;
                 self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
                 self.stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
                 wal_framed = framed;
@@ -1832,7 +1809,7 @@ impl DbCore {
             obs.emit(EventKind::FlushBegin, span, entries, 0);
             span
         });
-        let handle = self.build_l0_table(inner.mem.iter_all())?;
+        let handle = self.flush_table(&inner.mem)?;
         self.install(inner, |tree| {
             tree.version = Arc::new(tree.version.with_l0_table(handle));
             tree.mem = MemTable::new();
@@ -1866,39 +1843,28 @@ impl DbCore {
         Ok(())
     }
 
-    /// Build one L0 SSTable from a memtable's entries (flush order: key
-    /// asc, seq desc — the newest version per user key survives, tombstones
-    /// are kept since L0 is never the bottom).
-    fn build_l0_table(&self, entries: impl IntoIterator<Item = Entry>) -> Result<Arc<TableHandle>> {
-        let name = format!(
-            "{:06}.sst",
-            self.next_file_no.fetch_add(1, Ordering::Relaxed)
-        );
-        let file = self.storage.create(&name)?;
-        let mut builder = TableBuilder::new(
-            file,
-            name.clone(),
-            self.opts.index_for_level(0),
-            self.opts.value_width,
-            self.opts.bloom_bits_for_level(0),
-        );
+    /// Write a quiesced buffer out as one L0 table, in either maintenance
+    /// mode: flush order is key asc, seq desc, so the newest version per user
+    /// key survives; tombstones are kept since L0 is never the bottom. Keys
+    /// and values are borrowed from the skiplist's nodes.
+    fn flush_table(&self, mem: &MemTable) -> Result<Arc<TableHandle>> {
+        let ctx = self.tables();
+        let mut out = LevelWriter::new(&ctx, 0);
         let mut retention = KeyRetention::new(false);
-        for e in entries {
-            if !retention.keep(&e.key) {
-                continue;
+        let mut cursor = mem.cursor();
+        cursor.seek_to_first();
+        while let Some(key) = cursor.key()? {
+            if retention.keep(&key) {
+                out.add(&key, cursor.value())?;
             }
-            builder.add(&e)?;
+            cursor.advance();
         }
-        let meta = builder.finish()?;
+        let handle = out.finish()?.pop();
+        let handle = handle.ok_or_else(|| Error::Corruption("flush of an empty buffer".into()))?;
         self.stats
             .flush_bytes_written
-            .fetch_add(meta.file_bytes, Ordering::Relaxed);
-        let reader = Arc::new(
-            TableReader::open_with(self.storage.as_ref(), &name, self.cache.clone())?
-                .with_search_strategy(self.opts.search),
-        );
-        let handle = Arc::new(TableHandle { meta, reader });
-        self.register_tables(std::slice::from_ref(&handle));
+            .fetch_add(handle.meta.file_bytes, Ordering::Relaxed);
+        ctx.register(std::slice::from_ref(&handle));
         Ok(handle)
     }
 
@@ -1910,18 +1876,6 @@ impl DbCore {
             for t in task.inputs.iter().chain(task.next_inputs.iter()) {
                 cache.blocks().evict_table(t.reader.table_id());
                 cache.tables().evict(self.cache_scope, &t.meta.name);
-            }
-        }
-    }
-
-    /// Publish freshly opened readers into the shared table-handle cache
-    /// under this instance's scope.
-    fn register_tables(&self, tables: &[Arc<TableHandle>]) {
-        if let Some(cache) = &self.cache {
-            for t in tables {
-                cache
-                    .tables()
-                    .insert(self.cache_scope, &t.meta.name, Arc::clone(&t.reader));
             }
         }
     }
@@ -1940,16 +1894,7 @@ impl DbCore {
             pick_compaction_excluding(&inner.version, &self.opts, &inner.cursors, &inner.busy)
         {
             advance_cursor(&inner.version, &task, &mut inner.cursors);
-            let result = run_compaction(
-                self.storage.as_ref(),
-                &task,
-                &self.opts,
-                &self.stats,
-                &self.next_file_no,
-                self.cache.clone(),
-                self.cache_scope,
-                self.obs.as_deref(),
-            )?;
+            let result = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
             let removed = task.input_names();
             // `run_compaction` registered the outputs eagerly; only the
             // inputs' cache residue is left to retire here.
@@ -2058,9 +2003,9 @@ impl DbCore {
         Ok(inner.wal.replace(w).map(|old| old.name().to_string()))
     }
 
-    /// Freeze the active memtable onto the immutable queue and open a
-    /// fresh WAL. The manifest is rewritten first so a crash finds every
-    /// live log. Caller signals the flush workers.
+    /// Seal the active memtable onto the immutable queue — its handle
+    /// moves, nothing is copied — and open a fresh WAL. The manifest is
+    /// rewritten before returning so a crash finds every live log.
     fn rotate_memtable(&self, inner: &mut Inner) -> Result<()> {
         // Before the emptiness probe too: a claimed group may not have
         // inserted anything yet.
@@ -2070,8 +2015,8 @@ impl DbCore {
         }
         let old_wal = self.rotate_wal(inner)?;
         self.install(inner, |tree| {
-            let full = std::mem::take(&mut tree.mem);
-            let imm = ImmutableMemTable::freeze(full, old_wal);
+            let mem = std::mem::take(&mut tree.mem);
+            let imm = ImmutableMemTable { mem, wal: old_wal };
             tree.imms.push_back(Arc::new(imm));
         });
         self.stats.record_rotation(inner.imms.len());
@@ -2107,14 +2052,14 @@ impl DbCore {
         };
         let started = Instant::now();
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
-        let entries = imm.entries().len() as u64;
+        let entries = imm.mem.len() as u64;
         let flush_span = self.obs.as_deref().map(|obs| {
             let span = obs.span();
             obs.emit(EventKind::FlushBegin, span, entries, 0);
             span
         });
         let result = (|| -> Result<()> {
-            let handle = self.build_l0_table(imm.entries().iter().cloned())?;
+            let handle = self.flush_table(&imm.mem)?;
             let mut inner = self.inner.write();
             self.install(&mut inner, |tree| {
                 tree.version = Arc::new(tree.version.with_l0_table(handle));
@@ -2123,7 +2068,7 @@ impl DbCore {
             self.write_manifest(&inner)?;
             drop(inner);
             // The manifest no longer names this log; retire it.
-            if let Some(old) = imm.wal() {
+            if let Some(old) = &imm.wal {
                 let _ = self.storage.remove(old);
             }
             self.stats.flushes.fetch_add(1, Ordering::Relaxed);
@@ -2186,16 +2131,7 @@ impl DbCore {
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
         let removed = task.input_names();
         let result = (|| -> Result<()> {
-            let run = run_compaction(
-                self.storage.as_ref(),
-                &task,
-                &self.opts,
-                &self.stats,
-                &self.next_file_no,
-                self.cache.clone(),
-                self.cache_scope,
-                self.obs.as_deref(),
-            )?;
+            let run = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
             // `run_compaction` registered the outputs eagerly; only the
             // inputs' cache residue is left to retire here.
             self.retire_cached_tables(&task);
@@ -2572,11 +2508,12 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::manual_is_multiple_of)] // the MSRV (1.82) predates `u64::is_multiple_of`
     fn background_reads_see_immutable_queue() {
         let db = background_db();
         db.pause_flushes();
         // Fill past the write buffer so the next write rotates the
-        // memtable onto the (frozen) queue.
+        // memtable onto the (paused) queue.
         let mut k = 0u64;
         while db.immutable_memtables() == 0 {
             db.put(k, &[b'q'; 24]).unwrap();
@@ -2600,6 +2537,62 @@ mod tests {
         db.wait_for_maintenance();
         assert_eq!(db.immutable_memtables(), 0, "queue drained after resume");
         assert_eq!(db.get(0).unwrap(), Some(vec![b'q'; 24]));
+
+        // Against a model: overwrites and deletes over 97 keys, so versions
+        // of one key lie in every buffer; a snapshot pinned in the first
+        // buffer, then one after each of two rotations.
+        let db = background_db();
+        db.pause_flushes();
+        let mut model = std::collections::BTreeMap::new();
+        let mut pinned = Vec::new();
+        let mut i = 0u64;
+        while pinned.len() < 3 {
+            let key = i * 31 % 97;
+            if i % 7 == 3 {
+                db.delete(key).unwrap();
+                model.remove(&key);
+            } else {
+                let value = format!("v{i:06}").into_bytes();
+                db.put(key, &value).unwrap();
+                model.insert(key, value);
+            }
+            i += 1;
+            // A buffer takes some 390 of these writes, so the first multiple
+            // of 50 after a rotation is far from the next one — which, at
+            // two queued, would wait on the paused flush.
+            if i % 50 == 0 && db.immutable_memtables() == pinned.len() {
+                pinned.push((db.snapshot(), model.clone()));
+            }
+        }
+        assert_eq!(db.immutable_memtables(), 2, "two buffers queued");
+        for k in 0..40u64 {
+            db.put(k, b"newest").unwrap();
+            model.insert(k, b"newest".to_vec());
+        }
+        let check = |when: &str| {
+            let views = pinned.iter().map(|(snap, model)| (Some(snap), model));
+            for (snap, model) in views.chain([(None, &model)]) {
+                let ropts = snap.map_or_else(ReadOptions::new, ReadOptions::at);
+                let what = format!("{when}, at {:?}", snap.map(Snapshot::seq));
+                for k in 0..97u64 {
+                    assert_eq!(
+                        db.get_with(k, &ropts).unwrap(),
+                        model.get(&k).cloned(),
+                        "{what}"
+                    );
+                }
+                let mut it = db.iter_with(&ropts).unwrap();
+                it.seek_to_first();
+                let pairs: Vec<_> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+                assert_eq!(it.collect_up_to(usize::MAX).unwrap(), pairs, "{what}");
+            }
+        };
+        check("queued");
+        db.resume_flushes();
+        db.wait_for_maintenance();
+        assert_eq!(db.immutable_memtables(), 0);
+        // The snapshots still read their pinned buffers, now retired.
+        check("flushed");
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! cross-shard scans (the paper's `NewIter` / `NewLevelIter` / `NewDBIter`
 //! stack in Figure 4).
 //!
-//! A [`Cursor`] is a position in one sorted stream — the live memtable, a
-//! frozen run, a table, a level — that reads a *key* and lends a *value*
-//! without building an entry. [`Merge`] k-way-merges cursors by internal key
-//! through a loser tree over their head keys; it is the only merge in the
-//! engine. [`DbIterator`] layers LSM visibility on top — newest version per
+//! A [`Cursor`] is a position in one sorted stream — a memtable (live or
+//! queued for flush), a table, a level — that reads a *key* and lends a
+//! *value* without building an entry. [`Merge`] k-way-merges cursors by
+//! internal key through a loser tree over their head keys; it is the only
+//! merge in the engine. [`DbIterator`] layers LSM visibility on top — newest version per
 //! user key wins, tombstones suppress older versions, and versions newer
 //! than the read snapshot are invisible — deciding on keys alone and copying
 //! the value only of a pair it returns. Compaction runs the same `Merge`
@@ -19,7 +19,6 @@
 
 use std::sync::Arc;
 
-use crate::memtable::{MemRun, RunCursor};
 use crate::snapshot::ReadView;
 use crate::sstable::TableIter;
 use crate::types::{EntryKind, InternalKey, SeqNo};
@@ -50,7 +49,7 @@ pub trait Cursor: Send {
 impl ReadView {
     /// A snapshot-consistent [`DbIterator`] over the view's three layers:
     /// the memtable stack (the live concurrent buffer plus queued immutable
-    /// memtables, each an already-sorted run), then every SSTable of the
+    /// memtables, each a skiplist), then every SSTable of the
     /// version. Newer sources come first so same-key ties resolve newest.
     /// Entries the live buffer receives after this call carry sequence
     /// numbers above `seq` and are filtered by the iterator's visibility
@@ -61,10 +60,7 @@ impl ReadView {
         let mut sources: Vec<Box<dyn Cursor>> =
             Vec::with_capacity(self.mems.len() + 1 + version.levels.len());
         for mem in &self.mems {
-            sources.push(match mem {
-                MemRun::Live(m) => Box::new(m.cursor()),
-                MemRun::Frozen(entries) => Box::new(RunCursor::new(Arc::clone(entries))),
-            });
+            sources.push(Box::new(mem.cursor()));
         }
         let table = |t: &Arc<TableHandle>| -> Box<dyn Cursor> {
             Box::new(TableIter::with_fill(Arc::clone(&t.reader), fill_cache))
@@ -385,7 +381,7 @@ mod tests {
     use crate::types::Entry;
 
     fn buffered(entries: Vec<Entry>) -> Box<dyn Cursor> {
-        Box::new(RunCursor::new(Arc::new(entries)))
+        Box::new(memtable(&entries).cursor())
     }
 
     #[test]
@@ -565,23 +561,21 @@ mod tests {
         mem
     }
 
-    /// One cursor per list, of the four kinds in turn: a table (136-byte
-    /// entries straddle its block edges), a level of three tables, a frozen
-    /// run, the live memtable.
+    /// One cursor per list, of the three kinds in turn: a table (136-byte
+    /// entries straddle its block edges), a level of three tables, a memtable.
     fn cursors(storage: &MemStorage, lists: &[Vec<Entry>]) -> Vec<Box<dyn Cursor>> {
         let cursor = |(i, list): (usize, &Vec<Entry>)| -> Box<dyn Cursor> {
             let name = format!("s{i}");
-            match i % 4 {
+            match i % 3 {
                 0 => {
-                    let t = table(storage, &name, list, i % 8 == 0);
-                    Box::new(TableIter::with_fill(Arc::clone(&t.reader), i % 16 == 0))
+                    let t = table(storage, &name, list, i % 6 == 0);
+                    Box::new(TableIter::with_fill(Arc::clone(&t.reader), i % 12 == 0))
                 }
                 1 => {
                     let mut version = Version::new(2);
                     version.levels[1] = level(storage, &name, list);
                     Box::new(LevelIter::new(Arc::new(version), 1, true))
                 }
-                2 => Box::new(RunCursor::new(Arc::new(list.clone()))),
                 _ => Box::new(memtable(list).cursor()),
             }
         };
@@ -675,7 +669,7 @@ mod tests {
         }
     }
 
-    /// A `ReadView` over `lists`: the live buffer, a frozen run, two L0
+    /// A `ReadView` over `lists`: the live buffer, a queued one, two L0
     /// tables, then two deeper levels — each one sorted run cut into three
     /// tables (leveling) or a stack of whole, overlapping tables (tiering).
     fn view(storage: &MemStorage, name: &str, lists: &[Vec<Entry>], sorted: bool) -> ReadView {
@@ -689,10 +683,7 @@ mod tests {
             }
         }
         ReadView {
-            mems: vec![
-                MemRun::Live(memtable(&lists[0])),
-                MemRun::Frozen(Arc::new(lists[1].clone())),
-            ],
+            mems: vec![memtable(&lists[0]), memtable(&lists[1])],
             version: Arc::new(version),
         }
     }

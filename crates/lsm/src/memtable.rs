@@ -6,26 +6,29 @@
 //! experiment; size is tracked approximately (key slot + metadata + value
 //! bytes).
 //!
-//! Since the pipelined group commit ([`crate::db`]) landed, the buffer is a
-//! lock-free [`SkipList`] shared via `Arc`:
-//! commit-group members clone the handle under the write lock, then insert
-//! **in parallel outside it**. The `appliers` gate counts in-flight group
-//! members so rotation/flush can wait for the buffer to quiesce
-//! (`MemTable::wait_quiescent`) before freezing it — a frozen buffer must
-//! contain every sequence number the WAL says it does.
+//! The buffer is a lock-free [`SkipList`] shared via `Arc`: commit-group
+//! members ([`crate::db`]) clone the handle under the write lock, then
+//! insert **in parallel outside it**. The `appliers` gate counts in-flight
+//! group members so a rotation or flush can wait for the buffer to quiesce
+//! (`MemTable::wait_quiescent`) — a sealed buffer must contain every
+//! sequence number the WAL says it does.
 //!
-//! Under background maintenance a full buffer is **frozen** into an
-//! [`ImmutableMemTable`] — a sorted, shareable run that sits on the flush
-//! queue, stays readable (it is still the newest data after the active
-//! buffer), and remembers which WAL file made it durable so the log can be
-//! retired once the flush lands.
+//! There is one representation from the first insert to the L0 table. Under
+//! background maintenance a full buffer is **sealed**, not copied: its
+//! handle moves into an [`ImmutableMemTable`] on the flush queue beside the
+//! name of the WAL file that made it durable, and a fresh skiplist takes its
+//! place. Nothing inserts into a sealed buffer — claims register on the
+//! active one under the tree lock the rotation holds — so the flush worker,
+//! readers and pinned snapshots all read the same nodes, through the same
+//! [`MemTable::get`] and [`MemCursor`] the live buffer is read with. A flush
+//! borrows each key and value from its node; no entry is cloned out.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::iter::Cursor;
 use crate::skiplist::{Node, SkipList};
-use crate::types::{Entry, EntryKind, InternalKey, SeqNo};
+use crate::types::{EntryKind, InternalKey, SeqNo};
 use crate::Result;
 
 /// Approximate per-entry bookkeeping overhead, matching the on-disk entry
@@ -79,31 +82,17 @@ impl MemTable {
     pub fn apply_batch(&self, ops: &[crate::batch::BatchOp], first_seq: SeqNo) {
         let mut bytes = 0usize;
         for (i, op) in ops.iter().enumerate() {
-            let seq = first_seq + i as SeqNo;
-            match op.kind {
-                EntryKind::Put => {
-                    bytes += ENTRY_OVERHEAD + op.value.len();
-                    self.shared.list.insert_quiet(
-                        InternalKey {
-                            user_key: op.key,
-                            seq,
-                            kind: EntryKind::Put,
-                        },
-                        op.value.to_vec(),
-                    );
-                }
-                EntryKind::Delete => {
-                    bytes += ENTRY_OVERHEAD;
-                    self.shared.list.insert_quiet(
-                        InternalKey {
-                            user_key: op.key,
-                            seq,
-                            kind: EntryKind::Delete,
-                        },
-                        Vec::new(),
-                    );
-                }
-            }
+            let value = match op.kind {
+                EntryKind::Put => op.value.clone(),
+                EntryKind::Delete => Vec::new(),
+            };
+            bytes += ENTRY_OVERHEAD + value.len();
+            let key = InternalKey {
+                user_key: op.key,
+                seq: first_seq + i as SeqNo,
+                kind: op.kind,
+            };
+            self.shared.list.insert_quiet(key, value);
         }
         self.shared.list.add_stats(ops.len(), bytes);
     }
@@ -146,19 +135,9 @@ impl MemTable {
         }
     }
 
-    /// Iterate all records (key asc, seq desc) starting at `seek` (inclusive
-    /// by internal-key order).
-    pub fn range_from(&self, seek: InternalKey) -> impl Iterator<Item = Entry> + '_ {
-        self.shared.list.iter_from(seek)
-    }
-
-    /// Iterate everything, flush order.
-    pub fn iter_all(&self) -> impl Iterator<Item = Entry> + '_ {
-        self.shared.list.iter()
-    }
-
-    /// A raw cursor over the live buffer for merge iteration. The cursor
-    /// holds its own `Arc` to the buffer, so it outlives rotations.
+    /// A cursor over the buffer, live or sealed: for merge iteration and
+    /// for the flush. It holds its own `Arc` to the buffer, so it outlives
+    /// rotations.
     pub fn cursor(&self) -> MemCursor {
         MemCursor {
             mem: self.clone(),
@@ -204,9 +183,8 @@ impl MemTable {
     }
 }
 
-/// Cursor over a live [`MemTable`] for the merge stack: unlike the iterator
-/// adapters it is `'static` (owns an `Arc` to the buffer) and supports
-/// re-seeking, which is what a [`Cursor`] needs.
+/// Cursor over a [`MemTable`]: `'static` (it owns an `Arc` to the buffer)
+/// and re-seekable, which is what a [`Cursor`] needs.
 pub struct MemCursor {
     mem: MemTable,
     /// Current node, null when exhausted / unpositioned.
@@ -250,133 +228,32 @@ impl Cursor for MemCursor {
     }
 }
 
-/// Cursor over a frozen run (a queued immutable memtable): the `Arc` is
-/// shared, so an iterator pins the sorted copy instead of cloning it.
-pub struct RunCursor {
-    entries: Arc<Vec<Entry>>,
-    pos: usize,
-}
-
-impl RunCursor {
-    /// Over `entries`, which must be in internal-key order.
-    pub fn new(entries: Arc<Vec<Entry>>) -> Self {
-        Self { entries, pos: 0 }
-    }
-}
-
-impl Cursor for RunCursor {
-    fn seek(&mut self, key: u64) -> Result<()> {
-        let from = InternalKey::seek_to(key);
-        self.pos = self.entries.partition_point(|e| e.key < from);
-        Ok(())
-    }
-
-    fn seek_to_first(&mut self) {
-        self.pos = 0;
-    }
-
-    fn key(&mut self) -> Result<Option<InternalKey>> {
-        Ok(self.entries.get(self.pos).map(|e| e.key))
-    }
-
-    fn value(&mut self) -> &[u8] {
-        self.entries.get(self.pos).map_or(&[], |e| &e.value[..])
-    }
-
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-}
-
-/// One layer of the in-memory read stack: the live buffer (shared skiplist)
-/// or a frozen run pinned by a snapshot. Snapshots hold `Live` handles
-/// directly — sequence filtering at read time makes the growing buffer safe
-/// to share, and the `Arc` keeps it alive across rotations.
-#[derive(Debug, Clone)]
-pub enum MemRun {
-    /// The active buffer (or a former active buffer pinned by a snapshot).
-    Live(MemTable),
-    /// A frozen immutable run (flush queue), shared via `Arc`.
-    Frozen(Arc<Vec<Entry>>),
-}
-
-impl MemRun {
-    /// Newest version of `key` visible at `seq` (see [`MemTable::get`]).
-    pub fn get(&self, key: u64, seq: SeqNo) -> Option<Option<&[u8]>> {
-        match self {
-            MemRun::Live(mem) => mem.get(key, seq),
-            MemRun::Frozen(entries) => search_sorted_run(entries, key, seq),
-        }
-    }
-}
-
-/// Binary search a sorted entry run (internal-key order: key asc, seq desc)
-/// for the newest version of `key` visible at `seq`. Same contract as
-/// [`MemTable::get`]: `None` = not present, `Some(None)` = deleted,
-/// `Some(Some(v))` = live value.
-pub fn search_sorted_run(entries: &[Entry], key: u64, seq: SeqNo) -> Option<Option<&[u8]>> {
-    let from = InternalKey {
-        user_key: key,
-        seq,
-        kind: EntryKind::Put,
-    };
-    let i = entries.partition_point(|e| e.key < from);
-    let e = entries.get(i)?;
-    if e.key.user_key != key {
-        return None;
-    }
-    match e.key.kind {
-        EntryKind::Put => Some(Some(e.value.as_slice())),
-        EntryKind::Delete => Some(None),
-    }
-}
-
-/// A frozen write buffer queued for flush (background maintenance).
-///
-/// The entries are shared via `Arc`, so the flush worker, concurrent
-/// readers, iterators and snapshots all reuse one sorted copy.
+/// A sealed write buffer queued for flush (background maintenance): the
+/// skiplist it was while it took writes, which the flush worker, readers,
+/// iterators and snapshots share by handle.
 #[derive(Debug)]
 pub struct ImmutableMemTable {
-    entries: Arc<Vec<Entry>>,
-    approx_bytes: usize,
-    /// The WAL file that made these writes durable; retired after the
-    /// flushed SSTable is referenced by the manifest.
-    wal: Option<String>,
-}
-
-impl ImmutableMemTable {
-    /// Freeze `mem`, remembering the log (`wal`) that covers it. The caller
-    /// must have quiesced the buffer first (`MemTable::wait_quiescent`).
-    pub fn freeze(mem: MemTable, wal: Option<String>) -> Self {
-        let entries: Vec<Entry> = mem.iter_all().collect();
-        // Checked here, once, not by every iterator opened over the run.
-        debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
-        Self {
-            approx_bytes: mem.approximate_bytes(),
-            entries: Arc::new(entries),
-            wal,
-        }
-    }
-
-    /// The frozen entries, flush order (key asc, seq desc).
-    pub fn entries(&self) -> &Arc<Vec<Entry>> {
-        &self.entries
-    }
-
-    /// Approximate resident bytes at freeze time.
-    pub fn approximate_bytes(&self) -> usize {
-        self.approx_bytes
-    }
-
-    /// The WAL file covering these writes, if logging was on.
-    pub fn wal(&self) -> Option<&str> {
-        self.wal.as_deref()
-    }
+    /// The buffer. The rotation that sealed it quiesced it first
+    /// (`MemTable::wait_quiescent`), and nothing inserts into it since.
+    pub mem: MemTable,
+    /// The WAL file that made these writes durable, if logging was on;
+    /// retired after the flushed SSTable is referenced by the manifest.
+    pub wal: Option<String>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(user key, seq)` of every record from the cursor's position on.
+    fn keys_from(c: &mut MemCursor) -> Vec<(u64, SeqNo)> {
+        let mut out = Vec::new();
+        while let Some(key) = c.key().unwrap() {
+            out.push((key.user_key, key.seq));
+            c.advance();
+        }
+        out
+    }
 
     #[test]
     fn newest_version_wins() {
@@ -418,8 +295,9 @@ mod tests {
         m.put(2, 1, b"a");
         m.put(1, 2, b"b");
         m.put(1, 9, b"c");
-        let keys: Vec<(u64, u64)> = m.iter_all().map(|e| (e.key.user_key, e.key.seq)).collect();
-        assert_eq!(keys, vec![(1, 9), (1, 2), (2, 1)]);
+        let mut c = m.cursor();
+        c.seek_to_first();
+        assert_eq!(keys_from(&mut c), vec![(1, 9), (1, 2), (2, 1)]);
     }
 
     #[test]
@@ -468,16 +346,19 @@ mod tests {
         m.put(1, 2, b"v2");
         m.delete(9, 7);
         let bytes = m.approximate_bytes();
-        let imm = ImmutableMemTable::freeze(m, Some("000003.wal".into()));
-        assert_eq!(imm.approximate_bytes(), bytes);
-        assert_eq!(imm.wal(), Some("000003.wal"));
-        assert_eq!(imm.entries().len(), 3);
+        let imm = ImmutableMemTable {
+            mem: m.clone(),
+            wal: Some("000003.wal".into()),
+        };
+        drop(m);
+        assert_eq!(imm.mem.approximate_bytes(), bytes);
+        assert_eq!(imm.wal.as_deref(), Some("000003.wal"));
+        assert_eq!(imm.mem.len(), 3);
         // Read the way a `ReadView` reads a queued buffer.
-        let run = MemRun::Frozen(Arc::clone(imm.entries()));
-        assert_eq!(run.get(1, MAX_VISIBLE), Some(Some(&b"v5"[..])));
-        assert_eq!(run.get(1, 2), Some(Some(&b"v2"[..])));
-        assert_eq!(run.get(9, MAX_VISIBLE), Some(None), "tombstone");
-        assert_eq!(run.get(4, MAX_VISIBLE), None);
+        assert_eq!(imm.mem.get(1, MAX_VISIBLE), Some(Some(&b"v5"[..])));
+        assert_eq!(imm.mem.get(1, 2), Some(Some(&b"v2"[..])));
+        assert_eq!(imm.mem.get(9, MAX_VISIBLE), Some(None), "tombstone");
+        assert_eq!(imm.mem.get(4, MAX_VISIBLE), None);
     }
 
     const MAX_VISIBLE: SeqNo = u64::MAX >> 8;
@@ -488,11 +369,9 @@ mod tests {
         for k in 0..10u64 {
             m.put(k, k + 1, b"v");
         }
-        let first = m
-            .range_from(InternalKey::seek_to(5))
-            .next()
-            .expect("entries from 5");
-        assert_eq!(first.key.user_key, 5);
+        let mut c = m.cursor();
+        c.seek(5).unwrap();
+        assert_eq!(keys_from(&mut c)[0], (5, 6), "entries from 5");
     }
 
     #[test]
@@ -515,9 +394,12 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(m.len(), 2000);
-        let entries: Vec<Entry> = m.iter_all().collect();
-        for w in entries.windows(2) {
-            assert!(w[0].key < w[1].key, "sorted after concurrent inserts");
+        let mut c = m.cursor();
+        c.seek_to_first();
+        let keys = keys_from(&mut c);
+        assert_eq!(keys.len(), 2000);
+        for w in keys.windows(2) {
+            assert!(w[0].0 < w[1].0, "sorted after concurrent inserts");
         }
     }
 }

@@ -40,17 +40,12 @@ pub(crate) fn over_shards(iters: Vec<DbIterator>) -> ShardedDbIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::RunCursor;
-    use crate::types::Entry;
-    use std::sync::Arc;
+    use crate::memtable::MemTable;
 
     fn shard_iter(keys: &[u64]) -> DbIterator {
-        let entries = keys
-            .iter()
-            .map(|&k| Entry::put(k, 1, vec![k as u8]))
-            .collect();
-        let run = RunCursor::new(Arc::new(entries));
-        DbIterator::new(Merge::new(vec![Box::new(run)]), MAX_SEQ)
+        let mem = MemTable::new();
+        keys.iter().for_each(|&k| mem.put(k, 1, &[k as u8]));
+        DbIterator::new(Merge::new(vec![Box::new(mem.cursor())]), MAX_SEQ)
     }
 
     #[test]

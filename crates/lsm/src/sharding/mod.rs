@@ -40,8 +40,9 @@
 //!   resolve through the pinned epoch's shard set, so a split published
 //!   after the snapshot cannot reroute (or lose) anything it sees.
 //! * **Merged scans** ([`merge`]) — per-shard snapshot-consistent
-//!   iterators k-way-merged by a binary heap into one globally ordered
-//!   scan, sourced from the pinned epoch.
+//!   iterators merged by the engine's one loser-tree
+//!   [`crate::iter::Merge`] into one globally ordered scan, sourced from
+//!   the pinned epoch.
 //! * **One shared worker pool** — under [`Maintenance::Background`] the
 //!   thread counts are a *global* budget: a single `scheduler` pool
 //!   round-robins flush/compaction steps across all shards (the step

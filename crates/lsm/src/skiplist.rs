@@ -24,11 +24,13 @@
 //! Towers are linked bottom-up with `compare_exchange` per level; a lost
 //! race re-finds the splice at that level only. Keys are [`InternalKey`]s
 //! (user key asc, seq desc), identical to the `BTreeMap` encoding this
-//! replaces, so the flush path streams entries in SSTable order unchanged.
+//! replaces, so a flush walks level 0 in SSTable order. Nothing here copies an
+//! entry out: readers, cursors and the flush borrow keys and values from the
+//! nodes ([`crate::memtable::MemCursor`]).
 
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
-use crate::types::{Entry, InternalKey};
+use crate::types::InternalKey;
 
 /// Maximum tower height. With branching factor 4 (LevelDB's choice),
 /// 12 levels comfortably cover hundreds of millions of entries.
@@ -229,25 +231,6 @@ impl SkipList {
     pub fn approximate_bytes(&self) -> usize {
         self.approx_bytes.load(Ordering::Relaxed)
     }
-
-    /// Iterate all entries in internal-key order (key asc, seq desc),
-    /// cloning each. Entries inserted concurrently may or may not appear —
-    /// callers sequence iteration against writers (flush holds the write
-    /// lock and waits for in-flight appliers) or filter by sequence.
-    pub fn iter(&self) -> SkipIter<'_> {
-        SkipIter {
-            node: self.front(),
-            _list: self,
-        }
-    }
-
-    /// Iterate entries with internal key ≥ `seek`, cloning each.
-    pub fn iter_from(&self, seek: InternalKey) -> SkipIter<'_> {
-        SkipIter {
-            node: self.find_ge(&seek),
-            _list: self,
-        }
-    }
 }
 
 impl Drop for SkipList {
@@ -265,34 +248,27 @@ impl Drop for SkipList {
     }
 }
 
-/// Borrowed forward iterator over a [`SkipList`] (see [`SkipList::iter`]).
-pub struct SkipIter<'a> {
-    node: *mut Node,
-    _list: &'a SkipList,
-}
-
-impl Iterator for SkipIter<'_> {
-    type Item = Entry;
-
-    fn next(&mut self) -> Option<Entry> {
-        if self.node.is_null() {
-            return None;
-        }
-        // SAFETY: non-null nodes are live for the list's lifetime.
-        let n = unsafe { &*self.node };
-        self.node = n.next0();
-        Some(Entry {
-            key: n.key,
-            value: n.value.clone(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{EntryKind, SeqNo};
+    use crate::types::{Entry, EntryKind, SeqNo};
     use std::sync::Arc;
+
+    /// Every entry from `node` on, in list order.
+    fn entries_from(_list: &SkipList, mut node: *mut Node) -> Vec<Entry> {
+        let mut out = Vec::new();
+        // SAFETY: non-null nodes are live as long as the list is borrowed.
+        while let Some(n) = unsafe { node.as_ref() } {
+            let (key, value) = (*n.key(), n.value().to_vec());
+            out.push(Entry { key, value });
+            node = n.next0();
+        }
+        out
+    }
+
+    fn entries(list: &SkipList) -> Vec<Entry> {
+        entries_from(list, list.front())
+    }
 
     fn key(user_key: u64, seq: SeqNo) -> InternalKey {
         InternalKey {
@@ -308,7 +284,10 @@ mod tests {
         l.insert(key(2, 1), b"a".to_vec(), 1);
         l.insert(key(1, 2), b"b".to_vec(), 1);
         l.insert(key(1, 9), b"c".to_vec(), 1);
-        let got: Vec<(u64, SeqNo)> = l.iter().map(|e| (e.key.user_key, e.key.seq)).collect();
+        let got: Vec<(u64, SeqNo)> = entries(&l)
+            .iter()
+            .map(|e| (e.key.user_key, e.key.seq))
+            .collect();
         assert_eq!(got, vec![(1, 9), (1, 2), (2, 1)]);
         assert_eq!(l.len(), 3);
         assert_eq!(l.approximate_bytes(), 3);
@@ -320,16 +299,16 @@ mod tests {
         for k in (0..100u64).rev() {
             l.insert(key(k, k + 1), vec![k as u8], 1);
         }
-        let first = l.iter_from(InternalKey::seek_to(37)).next().unwrap();
-        assert_eq!(first.key.user_key, 37);
-        assert!(l.iter_from(InternalKey::seek_to(1000)).next().is_none());
+        let from_37 = entries_from(&l, l.find_ge(&InternalKey::seek_to(37)));
+        assert_eq!(from_37[0].key.user_key, 37);
+        assert!(l.find_ge(&InternalKey::seek_to(1000)).is_null());
     }
 
     #[test]
     fn empty_list_behaves() {
         let l = SkipList::new();
         assert!(l.is_empty());
-        assert!(l.iter().next().is_none());
+        assert!(entries(&l).is_empty());
         assert!(l.front().is_null());
     }
 
@@ -356,7 +335,7 @@ mod tests {
         }
         let n = threads * per;
         assert_eq!(list.len() as u64, n);
-        let entries: Vec<Entry> = list.iter().collect();
+        let entries = entries(&list);
         assert_eq!(entries.len() as u64, n);
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.key.user_key, i as u64, "dense sorted keys");

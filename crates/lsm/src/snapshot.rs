@@ -2,8 +2,9 @@
 //!
 //! A `ReadView` is what a read resolves through, immutable once built: the
 //! **memtable stack** — a shared handle to the live write buffer (the
-//! concurrent skiplist, see [`crate::memtable::MemRun`]), then the queued
-//! immutable memtables, newest first — and the **level structure**, an
+//! concurrent skiplist, see [`crate::memtable::MemTable`]), then the queued
+//! sealed buffers, newest first, each the same kind of handle — and the
+//! **level structure**, an
 //! `Arc` of the copy-on-write [`Version`]. The engine publishes a fresh
 //! view whenever either changes and a read clones the current `Arc`: it
 //! holds no engine lock while it searches. `get`, `get_at`, iterators and
@@ -35,7 +36,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::memtable::MemRun;
+use crate::memtable::MemTable;
 use crate::stats::DbStats;
 use crate::types::SeqNo;
 use crate::version::Version;
@@ -44,8 +45,8 @@ use crate::Result;
 /// What reads resolve through — see the module docs.
 #[derive(Debug)]
 pub(crate) struct ReadView {
-    /// Newest run first: the live buffer, then the immutable queue.
-    pub(crate) mems: Vec<MemRun>,
+    /// Newest buffer first: the live one, then the immutable queue.
+    pub(crate) mems: Vec<MemTable>,
     pub(crate) version: Arc<Version>,
 }
 
@@ -131,7 +132,7 @@ mod tests {
 
     fn pin(live: &Arc<AtomicUsize>, seq: SeqNo) -> Snapshot {
         let view = ReadView {
-            mems: vec![MemRun::Frozen(Arc::new(Vec::new()))],
+            mems: vec![MemTable::new()],
             version: Arc::new(Version::new(2)),
         };
         Snapshot::pin(seq, Arc::new(view), live)

@@ -36,7 +36,7 @@
 //! own frame CRC).
 
 use crate::batch::BatchOp;
-use crate::types::{Entry, EntryKind, InternalKey, SeqNo};
+use crate::types::{EntryKind, SeqNo};
 use crate::{Error, Result};
 use lsm_io::{Storage, WritableFile};
 
@@ -68,12 +68,13 @@ pub struct CrossBatchTag {
     pub participants: Vec<u16>,
 }
 
-/// One decoded WAL record: the fragment's entries plus, for cross-shard
-/// prepare records, the tag the recovery coordinator resolves against the
-/// commit-marker log.
+/// One decoded WAL record: its operations — operation `i` committed at
+/// `first_seq + i` — plus, for cross-shard prepare records, the tag the
+/// recovery coordinator resolves against the commit-marker log.
 #[derive(Debug, Clone)]
 pub struct ReplayedRecord {
-    pub entries: Vec<Entry>,
+    pub first_seq: SeqNo,
+    pub ops: Vec<BatchOp>,
     pub cross: Option<CrossBatchTag>,
 }
 
@@ -159,15 +160,14 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Encode a batch's per-op region — `[kind u8][key u64][value_len u32]
-/// [value]` per op, byte-identical to what [`WalWriter::append_batch`]
-/// produces after the record header (ops carry no sequence numbers; replay
-/// derives them from the header's `first_seq`). Writers pre-encode their
-/// own batches with this *before* queueing, so the commit leader's serial
-/// section only concatenates regions and CRC-frames
-/// ([`WalWriter::append_encoded_group`]). An op whose value overflows the
-/// u32 length prefix yields an oversized region the append's payload check
-/// rejects before anything reaches the log.
-pub(crate) fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
+/// [value]` per op: what follows the header of a record (ops carry no
+/// sequence numbers; replay derives them from the header's `first_seq`).
+/// The one op encoder. Writers encode their own batches with it *before*
+/// queueing, so the commit leader's serial section only concatenates
+/// regions and CRC-frames ([`WalWriter::append_encoded`]). An op whose
+/// value overflows the u32 length prefix yields an oversized region the
+/// append's payload check rejects before anything reaches the log.
+pub fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
     let cap = ops
         .iter()
         .map(|op| OP_HEADER + op.value.len())
@@ -247,85 +247,32 @@ impl WalWriter {
     /// length prefixes would write an undecodable frame and lose every
     /// batch behind it on replay.
     pub fn append_batch(&mut self, first_seq: SeqNo, ops: &[BatchOp]) -> Result<u64> {
-        self.append_batch_tagged(first_seq, ops, None)
+        self.append_encoded(first_seq, ops.len(), &[&encode_ops(ops)], None)
     }
 
-    /// [`WalWriter::append_batch`], optionally tagging the record as a
-    /// cross-shard **prepare** (format 2): replay hands the tag to the
-    /// recovery coordinator instead of applying the fragment
-    /// unconditionally.
-    pub fn append_batch_tagged(
-        &mut self,
-        first_seq: SeqNo,
-        ops: &[BatchOp],
-        cross: Option<&CrossBatchTag>,
-    ) -> Result<u64> {
-        self.append_slices(first_seq, &[ops], cross)
-    }
-
-    /// Append a whole **commit group** — several member batches — as one
-    /// fused framed record (format 1). The pipelined group commit
-    /// ([`crate::db`]) claims one contiguous sequence range for the queue
-    /// and logs it with one frame, one CRC pass, one storage append; replay
+    /// Append one record over **pre-encoded** op regions ([`encode_ops`]),
+    /// `count` ops in all (the caller tracks it; encoded bytes don't carry
+    /// it), concatenated in order: the one header writer and the one
+    /// frame-and-append. Several regions are a whole **commit group** fused
+    /// into one record — the pipelined group commit ([`crate::db`]) claims
+    /// one contiguous sequence range for the queue and logs it with one
+    /// frame, one CRC pass, one storage append, the leader only
+    /// concatenating what each writer encoded outside the lock. Replay
     /// cannot tell a fused record from a single large batch, so recovery
     /// stays all-or-nothing per *group* — which is safe precisely because
     /// the visible ceiling is only published once the whole group applied.
-    pub fn append_batch_group(&mut self, first_seq: SeqNo, groups: &[&[BatchOp]]) -> Result<u64> {
-        self.append_slices(first_seq, groups, None)
-    }
-
-    /// [`WalWriter::append_batch_group`] over **pre-encoded** member
-    /// regions (`encode_ops`): the commit leader only concatenates and
-    /// CRC-frames here, because each writer encoded its own ops outside
-    /// the lock — the per-op byte shuffling leaves the pipeline's serial
-    /// section. `count` is the total op count across `parts` (the caller
-    /// tracks it; encoded bytes don't carry it).
-    pub fn append_encoded_group(
+    ///
+    /// `cross` tags the record as a cross-shard **prepare** (format 2,
+    /// which differs from format 1 only in its header): replay hands the
+    /// tag to the recovery coordinator instead of applying the fragment
+    /// unconditionally.
+    pub fn append_encoded(
         &mut self,
         first_seq: SeqNo,
         count: usize,
         parts: &[&[u8]],
-    ) -> Result<u64> {
-        debug_assert!(count > 0, "empty batches are not logged");
-        if count > u32::MAX as usize {
-            return Err(Error::Corruption(format!(
-                "wal batch of {count} ops exceeds the record format"
-            )));
-        }
-        let payload: usize = BATCH_HEADER
-            + parts
-                .iter()
-                .map(|p| p.len())
-                .fold(0usize, usize::saturating_add);
-        if payload > u32::MAX as usize {
-            return Err(Error::Corruption(format!(
-                "wal batch payload of {payload} bytes exceeds the record format"
-            )));
-        }
-        self.buf.clear();
-        self.buf.push(BATCH_FORMAT);
-        self.buf.extend_from_slice(&first_seq.to_le_bytes());
-        self.buf.extend_from_slice(&(count as u32).to_le_bytes());
-        for p in parts {
-            self.buf.extend_from_slice(p);
-        }
-        let framed = frame(&self.buf);
-        self.file.append(&framed)?;
-        Ok(framed.len() as u64)
-    }
-
-    /// Shared encoder: `slices` are concatenated in order, op `i` of the
-    /// concatenation logged at `first_seq + i`.
-    fn append_slices(
-        &mut self,
-        first_seq: SeqNo,
-        slices: &[&[BatchOp]],
         cross: Option<&CrossBatchTag>,
     ) -> Result<u64> {
-        let count: usize = slices
-            .iter()
-            .map(|s| s.len())
-            .fold(0usize, usize::saturating_add);
         debug_assert!(count > 0, "empty batches are not logged");
         if count > u32::MAX as usize {
             return Err(Error::Corruption(format!(
@@ -338,18 +285,10 @@ impl WalWriter {
             ));
         }
         let header = BATCH_HEADER + cross.map_or(0, |t| CROSS_HEADER + 2 * t.participants.len());
-        let payload: usize = header
-            + slices
-                .iter()
-                .flat_map(|s| s.iter())
-                .map(|op| {
-                    if op.value.len() > u32::MAX as usize {
-                        usize::MAX
-                    } else {
-                        OP_HEADER + op.value.len()
-                    }
-                })
-                .fold(0usize, usize::saturating_add);
+        let payload = parts
+            .iter()
+            .map(|p| p.len())
+            .fold(header, usize::saturating_add);
         if payload > u32::MAX as usize {
             return Err(Error::Corruption(format!(
                 "wal batch payload of {payload} bytes exceeds the record format"
@@ -372,30 +311,12 @@ impl WalWriter {
                 self.buf.extend_from_slice(&shard.to_le_bytes());
             }
         }
-        for op in slices.iter().flat_map(|s| s.iter()) {
-            self.buf.push(op.kind.tag());
-            self.buf.extend_from_slice(&op.key.to_le_bytes());
-            self.buf
-                .extend_from_slice(&(op.value.len() as u32).to_le_bytes());
-            self.buf.extend_from_slice(&op.value);
+        for p in parts {
+            self.buf.extend_from_slice(p);
         }
-
         let framed = frame(&self.buf);
         self.file.append(&framed)?;
         Ok(framed.len() as u64)
-    }
-
-    /// Append one single-operation record (convenience for tests).
-    pub fn append(&mut self, key: u64, seq: SeqNo, kind: EntryKind, value: &[u8]) -> Result<()> {
-        self.append_batch(
-            seq,
-            &[BatchOp {
-                kind,
-                key,
-                value: value.to_vec(),
-            }],
-        )?;
-        Ok(())
     }
 
     /// Flush the log to the storage medium.
@@ -410,7 +331,7 @@ impl WalWriter {
     }
 }
 
-/// Decode one intact batch payload into its entries and, for cross-shard
+/// Decode one intact batch payload into its operations and, for cross-shard
 /// prepare records, its resolution tag.
 fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
     if body.len() < BATCH_HEADER {
@@ -483,7 +404,7 @@ fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
         }
         let kind = EntryKind::from_tag(body[pos])
             .ok_or_else(|| Error::Corruption(format!("wal bad kind {}", body[pos])))?;
-        let user_key = u64::from_le_bytes(body[pos + 1..pos + 9].try_into().unwrap());
+        let key = u64::from_le_bytes(body[pos + 1..pos + 9].try_into().unwrap());
         let vlen = u32::from_le_bytes(body[pos + 9..pos + 13].try_into().unwrap()) as usize;
         pos += OP_HEADER;
         if pos + vlen > body.len() {
@@ -491,12 +412,9 @@ fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
                 "wal batch value overruns record at op {i}/{count}"
             )));
         }
-        out.push(Entry {
-            key: InternalKey {
-                user_key,
-                seq: first_seq + i as SeqNo,
-                kind,
-            },
+        out.push(BatchOp {
+            kind,
+            key,
             value: body[pos..pos + vlen].to_vec(),
         });
         pos += vlen;
@@ -508,7 +426,8 @@ fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
         )));
     }
     Ok(ReplayedRecord {
-        entries: out,
+        first_seq,
+        ops: out,
         cross,
     })
 }
@@ -531,20 +450,36 @@ pub fn replay_records(storage: &dyn Storage, name: &str) -> Result<Vec<ReplayedR
     intact_frames(&data).map(decode_batch).collect()
 }
 
-/// [`replay_records`] flattened to entries, applying every record
-/// unconditionally — for callers outside the sharded recovery protocol
-/// (and for tests).
-pub fn replay(storage: &dyn Storage, name: &str) -> Result<Vec<Entry>> {
-    Ok(replay_records(storage, name)?
-        .into_iter()
-        .flat_map(|r| r.entries)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{Entry, InternalKey};
     use lsm_io::MemStorage;
+
+    impl WalWriter {
+        /// Append one single-operation record.
+        fn append(&mut self, key: u64, seq: SeqNo, kind: EntryKind, value: &[u8]) -> Result<()> {
+            let value = value.to_vec();
+            self.append_batch(seq, &[BatchOp { kind, key, value }])?;
+            Ok(())
+        }
+    }
+
+    /// [`replay_records`] flattened to entries, every record applied.
+    fn replay(storage: &dyn Storage, name: &str) -> Result<Vec<Entry>> {
+        let records = replay_records(storage, name)?;
+        let entries = records.into_iter().flat_map(|r| {
+            r.ops.into_iter().enumerate().map(move |(i, op)| Entry {
+                key: InternalKey {
+                    user_key: op.key,
+                    seq: r.first_seq + i as SeqNo,
+                    kind: op.kind,
+                },
+                value: op.value,
+            })
+        });
+        Ok(entries.collect())
+    }
 
     #[test]
     fn crc32_known_vectors() {
@@ -652,16 +587,18 @@ mod tests {
             key: 3,
             value: b"b1".to_vec(),
         }];
-        w.append_batch_group(20, &[&a, &b]).unwrap();
+        w.append_encoded(20, 3, &[&encode_ops(&a), &encode_ops(&b)], None)
+            .unwrap();
         drop(w);
         // One frame holding every member's ops, seqs contiguous across the
         // member boundary.
         let records = replay_records(&storage, "wal").unwrap();
         assert_eq!(records.len(), 1, "the group is one record");
-        let seqs: Vec<u64> = records[0].entries.iter().map(|e| e.key.seq).collect();
-        assert_eq!(seqs, vec![20, 21, 22]);
-        assert_eq!(records[0].entries[2].key.user_key, 3);
         assert_eq!(records[0].cross, None, "fused groups are plain format 1");
+        let entries = replay(&storage, "wal").unwrap();
+        let seqs: Vec<u64> = entries.iter().map(|e| e.key.seq).collect();
+        assert_eq!(seqs, vec![20, 21, 22]);
+        assert_eq!(entries[2].key.user_key, 3);
     }
 
     #[test]
@@ -768,18 +705,18 @@ mod tests {
             },
         ];
         // This shard's fragment holds seqs 103..=104 of the global batch.
-        w.append_batch_tagged(103, &ops, Some(&tag)).unwrap();
+        w.append_encoded(103, 2, &[&encode_ops(&ops)], Some(&tag))
+            .unwrap();
         w.append(9, 105, EntryKind::Put, b"plain").unwrap();
         drop(w);
 
         let records = replay_records(&storage, "wal").unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].cross.as_ref(), Some(&tag));
-        assert_eq!(records[0].entries.len(), 2);
-        assert_eq!(records[0].entries[0].key.seq, 103);
-        assert_eq!(records[0].entries[1].key.kind, EntryKind::Delete);
+        assert_eq!(records[0].first_seq, 103);
+        assert_eq!(records[0].ops, ops);
         assert_eq!(records[1].cross, None);
-        assert_eq!(records[1].entries[0].value, b"plain");
+        assert_eq!(records[1].ops[0].value, b"plain");
         // The flattened view applies everything.
         assert_eq!(replay(&storage, "wal").unwrap().len(), 3);
     }
@@ -803,6 +740,100 @@ mod tests {
         f.append(&frame).unwrap();
         drop(f);
         assert!(replay_records(&storage, "wal").is_err());
+    }
+
+    /// The three record kinds through the public appenders, against the
+    /// bytes the same calls wrote before the appenders shared one encoder.
+    #[test]
+    fn record_bytes_match_the_recorded_golden() {
+        let op = |kind, key, value: &[u8]| BatchOp {
+            kind,
+            key,
+            value: value.to_vec(),
+        };
+        let storage = MemStorage::new();
+        let mut w = WalWriter::create(&storage, "wal").unwrap();
+        // A single batch: put, delete, empty value.
+        let single = [
+            op(EntryKind::Put, 1, b"one"),
+            op(EntryKind::Delete, 2, b""),
+            op(EntryKind::Put, 3, b""),
+        ];
+        assert_eq!(w.append_batch(7, &single).unwrap(), 63);
+        // A fused group of three pre-encoded members.
+        let members = [
+            vec![
+                op(EntryKind::Put, 10, b"a1"),
+                op(EntryKind::Delete, 11, b""),
+            ],
+            vec![op(EntryKind::Put, 12, &[0xab; 40])],
+            vec![
+                op(EntryKind::Delete, 13, b""),
+                op(EntryKind::Put, u64::MAX, b"z"),
+            ],
+        ];
+        let encoded: Vec<Vec<u8>> = members.iter().map(|m| encode_ops(m)).collect();
+        let parts: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        assert_eq!(w.append_encoded(10, 5, &parts, None).unwrap(), 129);
+        // A format-2 prepare with two participants.
+        let tag = CrossBatchTag {
+            global_first: 18,
+            global_last: 25,
+            participants: vec![0, 3],
+        };
+        let frag = [
+            op(EntryKind::Put, 20, b"frag"),
+            op(EntryKind::Delete, 21, b""),
+        ];
+        let prepare = w.append_encoded(20, 2, &[&encode_ops(&frag)], Some(&tag));
+        assert_eq!(prepare.unwrap(), 73);
+        drop(w);
+        let bytes = lsm_io::read_all(&storage, "wal").unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_LOG);
+    }
+
+    /// Recorded at the parent of the change that made the appenders share
+    /// one encoder, by the calls above (`append_batch`,
+    /// `append_encoded_group`, `append_batch_tagged`).
+    const GOLDEN_LOG: &str = "\
+        ea68f2213700000001070000000000000003000000010100000000000000030000006f6e\
+        650002000000000000000000000001030000000000000000000000b43957657900000001\
+        0a0000000000000005000000010a00000000000000020000006131000b00000000000000\
+        00000000010c0000000000000028000000ababababababababababababababababababab\
+        ababababababababababababababababababababab000d000000000000000000000001ff\
+        ffffffffffffff010000007a409548684100000002140000000000000002000000120000\
+        000000000019000000000000000200000003000114000000000000000400000066726167\
+        00150000000000000000000000";
+
+    /// Every field of the record format that can overflow is checked before
+    /// the log is touched.
+    #[test]
+    fn oversize_records_are_corruption_and_leave_the_log_untouched() {
+        let storage = MemStorage::new();
+        let mut w = WalWriter::create(&storage, "wal").unwrap();
+        let region = encode_ops(&[BatchOp {
+            kind: EntryKind::Put,
+            key: 1,
+            value: b"v".to_vec(),
+        }]);
+        let ops = w.append_encoded(1, u32::MAX as usize + 1, &[&region], None);
+        assert!(matches!(ops, Err(Error::Corruption(_))), "op count");
+        let tag = CrossBatchTag {
+            global_first: 1,
+            global_last: 1,
+            participants: vec![0; u16::MAX as usize + 1],
+        };
+        let participants = w.append_encoded(1, 1, &[&region], Some(&tag));
+        assert!(matches!(participants, Err(Error::Corruption(_))));
+        // 64 × 64 MiB of zero pages nothing reads: 4 GiB with the header.
+        let chunk = vec![0u8; 1 << 26];
+        let payload = w.append_encoded(1, 1, &[&chunk[..]; 64], None);
+        assert!(
+            matches!(payload, Err(Error::Corruption(_))),
+            "payload length"
+        );
+        assert_eq!(w.written(), 0);
     }
 
     #[test]

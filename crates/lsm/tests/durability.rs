@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use learned_index::IndexKind;
 use lsm_io::{FileStorage, MemStorage, Storage};
-use lsm_tree::{Db, Options, WriteBatch, WriteOptions};
+use lsm_tree::wal::{encode_ops, replay_records, CrossBatchTag, WalWriter};
+use lsm_tree::{BatchOp, Db, EntryKind, Options, WriteBatch, WriteOptions};
 use proptest::prelude::*;
 
 fn opts() -> Options {
@@ -214,6 +215,72 @@ fn unflushed_writes_survive_two_crashes() {
         .filter(|n| n.ends_with(".wal"))
         .collect();
     assert_eq!(wals.len(), 1, "old logs retired on reopen: {wals:?}");
+    drop(db);
+
+    // The same through every record kind: a crash leaves a single batch, a
+    // fused group of three and a cross-shard prepare unflushed. A
+    // standalone open resolves the prepare as committed.
+    let op = |kind, key, value: &[u8]| BatchOp {
+        kind,
+        key,
+        value: value.to_vec(),
+    };
+    let (put, delete) = (EntryKind::Put, EntryKind::Delete);
+    let single = vec![op(put, 1, b"one"), op(delete, 2, b""), op(put, 3, b"")];
+    let members = [
+        vec![op(put, 10, b"a1"), op(delete, 1, b"")],
+        vec![op(put, 12, &[0xab; 24])],
+        vec![op(delete, 13, b""), op(put, 10, b"a2")],
+    ];
+    let fragment = vec![op(put, 20, b"frag"), op(delete, 12, b"")];
+    let tag = CrossBatchTag {
+        global_first: 9,
+        global_last: 14,
+        participants: vec![0, 3],
+    };
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    drop(Db::open(Arc::clone(&storage), opts()).unwrap());
+    let live_wal = || {
+        let names = storage.list().unwrap().into_iter();
+        let mut wals = names.filter(|n| n.ends_with(".wal"));
+        let name = wals.next().expect("live wal");
+        assert_eq!(wals.next(), None, "exactly one live log");
+        name
+    };
+    {
+        let mut log = WalWriter::create(storage.as_ref(), &live_wal()).unwrap();
+        log.append_batch(1, &single).unwrap();
+        let encoded: Vec<Vec<u8>> = members.iter().map(|m| encode_ops(m)).collect();
+        let parts: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        log.append_encoded(4, 5, &parts, None).unwrap();
+        log.append_encoded(11, 2, &[&encode_ops(&fragment)], Some(&tag))
+            .unwrap();
+    }
+    let check = |db: &Db| {
+        assert_eq!(db.latest_seq(), 12);
+        assert_eq!(db.get(1).unwrap(), None, "deleted by the group");
+        assert_eq!(db.get(3).unwrap(), Some(vec![]), "empty value");
+        assert_eq!(db.get(10).unwrap(), Some(b"a2".to_vec()));
+        assert_eq!(db.get(12).unwrap(), None, "deleted by the prepare");
+        assert_eq!(db.get(20).unwrap(), Some(b"frag".to_vec()));
+        assert_eq!(db.get_at(12, 10).unwrap(), Some(vec![0xab; 24]));
+    };
+    check(&Db::open(Arc::clone(&storage), opts()).unwrap());
+    // The fresh log holds the same ops at the same sequence numbers, the
+    // prepare now a plain record.
+    let relogged = replay_records(storage.as_ref(), &live_wal()).unwrap();
+    let got: Vec<_> = relogged.iter().map(|r| (r.first_seq, &r.ops[..])).collect();
+    let group = members.concat();
+    assert_eq!(
+        got,
+        [(1, &single[..]), (4, &group[..]), (11, &fragment[..])]
+    );
+    assert!(relogged.iter().all(|r| r.cross.is_none()));
+    // A second crash re-logs the same bytes.
+    let first = lsm_io::read_all(storage.as_ref(), &live_wal()).unwrap();
+    check(&Db::open(Arc::clone(&storage), opts()).unwrap());
+    let second = lsm_io::read_all(storage.as_ref(), &live_wal()).unwrap();
+    assert_eq!(first, second);
 }
 
 proptest! {

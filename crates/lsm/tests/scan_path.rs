@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use lsm_io::{read_all, MemStorage, Storage};
-use lsm_tree::{CompactionPolicy, Db, Error, Options, WriteBatch, WriteOptions};
+use lsm_tree::{CompactionPolicy, Db, Error, Maintenance, Options, WriteBatch, WriteOptions};
 
 const VALUE_WIDTH: usize = 32;
 /// On-disk entry: 24-byte key slot, kind, 7-byte seq, 4-byte length, value.
@@ -147,6 +147,43 @@ fn compaction_outputs_are_byte_identical() {
         drop(db);
         assert_eq!(table_files_crc(&storage), want, "{compaction:?}");
     }
+}
+
+/// One flush, whichever mode runs it: the same batches — overwrites,
+/// deletes, several versions of a key — flushed inline and by the background
+/// worker leave a byte-identical first L0 table.
+#[test]
+fn flush_writes_the_same_table_in_either_mode() {
+    let first_table = |maintenance: Maintenance| -> Vec<u8> {
+        let storage = Arc::new(MemStorage::new());
+        let opts = Options {
+            value_width: VALUE_WIDTH,
+            maintenance,
+            ..Options::small_for_tests()
+        };
+        let db = Db::open(storage.clone(), opts).unwrap();
+        db.pause_compactions();
+        for round in 0..5u64 {
+            let mut batch = WriteBatch::new();
+            for i in 0..60u64 {
+                let key = i * 7 % 90;
+                match (i + round) % 5 {
+                    0 => batch.delete(key),
+                    _ => batch.put(key, &value_of(key + round)),
+                };
+            }
+            db.write(batch, &WriteOptions::default()).unwrap();
+        }
+        db.flush().unwrap();
+        assert_eq!(db.stats().snapshot().flushes, 1, "{maintenance:?}");
+        let mut names: Vec<String> = storage.list().unwrap();
+        names.retain(|n| n.ends_with(".sst"));
+        assert_eq!(names.len(), 1, "{maintenance:?}: {names:?}");
+        read_all(storage.as_ref(), &names[0]).unwrap()
+    };
+    let inline = first_table(Maintenance::Synchronous);
+    assert!(inline.len() > 60 * ENTRY_WIDTH, "{} bytes", inline.len());
+    assert_eq!(first_table(Maintenance::background()), inline);
 }
 
 // Recorded at the parent of the change that introduced the cursor merge
