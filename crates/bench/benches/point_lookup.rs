@@ -28,7 +28,7 @@ fn bench_point_lookup(c: &mut Criterion) {
             let mut i = 0usize;
             b.iter(|| {
                 i = (i + 1) & 1023;
-                std::hint::black_box(tb.get(probes[i]).expect("get"))
+                std::hint::black_box(tb.db().get(probes[i]).expect("get"))
             });
         });
     }

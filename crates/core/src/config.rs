@@ -1,7 +1,7 @@
 //! The three-dimensional configuration space of Section 4.1.
 
 use learned_index::IndexKind;
-use lsm_tree::{IndexChoice, Options};
+use lsm_tree::{IndexChoice, IndexGranularity, Options};
 use lsm_workloads::Dataset;
 
 /// Position boundaries swept by Figure 6 (entries).
@@ -11,7 +11,9 @@ pub const PAPER_BOUNDARIES: [usize; 6] = [256, 128, 64, 32, 16, 8];
 pub const PAPER_SST_MIB: [u64; 5] = [8, 16, 32, 64, 128];
 
 /// Index granularity: per-SSTable models of a given table size, or one model
-/// per level (Bourbon's `LevelModel`).
+/// per level (Bourbon's level model). The engine does the lookups either way
+/// ([`IndexChoice::granularity`]); this is the SSTable size and Figure 8's
+/// label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
     /// One index per SSTable of roughly this many bytes.
@@ -30,9 +32,12 @@ impl Granularity {
         }
     }
 
-    /// Whether level-grained models are active.
-    pub fn is_level(&self) -> bool {
-        matches!(self, Granularity::Level { .. })
+    /// What the engine's lookups consult.
+    pub fn index_granularity(&self) -> IndexGranularity {
+        match self {
+            Granularity::SstBytes(_) => IndexGranularity::Table,
+            Granularity::Level { .. } => IndexGranularity::Level,
+        }
     }
 
     /// Label used in Figure 8 ("8M", "512K", ..., "L").
@@ -121,17 +126,15 @@ impl TestbedConfig {
             l0_compaction_trigger: 4,
             value_width: self.value_width,
             bloom_bits_per_key: self.bloom_bits_per_key,
-            index: IndexChoice::with_boundary(self.index_kind, self.position_boundary),
+            index: IndexChoice {
+                granularity: self.granularity.index_granularity(),
+                ..IndexChoice::with_boundary(self.index_kind, self.position_boundary)
+            },
             max_levels: 8,
             per_level_epsilon: self.per_level_epsilon.clone(),
             block_cache_bytes: self.block_cache_bytes,
             ..Options::default()
         }
-    }
-
-    /// Epsilon implied by the position boundary.
-    pub fn epsilon(&self) -> usize {
-        (self.position_boundary / 2).max(1)
     }
 }
 
@@ -148,13 +151,16 @@ mod tests {
         let o = c.to_options();
         assert_eq!(o.index.position_boundary(), 64);
         assert_eq!(o.sstable_target_bytes, 1 << 20);
-        assert_eq!(c.epsilon(), 32);
     }
 
     #[test]
     fn granularity_labels() {
         assert_eq!(Granularity::SstBytes(8 << 20).label(), "8M");
         assert_eq!(Granularity::Level { sst_bytes: 1 }.label(), "L");
-        assert!(Granularity::Level { sst_bytes: 1 }.is_level());
+        let mut c = TestbedConfig::quick(IndexKind::Pgm, 64, Dataset::Random);
+        assert_eq!(c.to_options().index.granularity, IndexGranularity::Table);
+        c.granularity = Granularity::Level { sst_bytes: 1 << 20 };
+        assert_eq!(c.to_options().index.granularity, IndexGranularity::Level);
+        assert_eq!(c.to_options().sstable_target_bytes, 1 << 20);
     }
 }

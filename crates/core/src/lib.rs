@@ -6,22 +6,22 @@
 //!
 //! Layering:
 //!
-//! * [`config`] — the configuration space and the paper's sweep grids;
-//! * [`level_model`] — level-grained learned indexes (Bourbon's
-//!   `LevelModel`): one model per sorted run instead of one per SSTable;
+//! * [`config`] — the configuration space and the paper's sweep grids, each
+//!   point mapped onto engine options (the engine owns all three dimensions:
+//!   granularity is `lsm_tree::IndexChoice::granularity`);
+//! * [`allocator`] — non-uniform position boundaries across levels
+//!   (Observation 5);
 //! * [`testbed`] — [`Testbed`]: an engine instance wired to a configuration,
-//!   with dataset loading and workload runners;
+//!   with dataset loading and workload runners, every read through `Db`;
 //! * [`report`] — measurement records that serialize to JSON and print as
 //!   the rows/series the paper reports.
 
 pub mod allocator;
 pub mod config;
-pub mod level_model;
 pub mod report;
 pub mod testbed;
 
 pub use allocator::{AllocationPlan, BoundaryAllocator, LevelWorkload};
 pub use config::{Granularity, TestbedConfig, PAPER_BOUNDARIES, PAPER_SST_MIB};
-pub use level_model::LevelModel;
 pub use report::{CompactionReport, LookupReport, RangeReport};
 pub use testbed::Testbed;

@@ -7,16 +7,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use learned_index::IndexConfig;
-use lsm_tree::types::MAX_SEQ;
 use lsm_tree::{Db, Error, Result, WriteBatch, WriteOptions};
 use lsm_workloads::{value_for_key, Op, RequestDistribution, YcsbSpec, YcsbWorkload};
 
 use crate::config::TestbedConfig;
-use crate::level_model::LevelModel;
 use crate::report::{CompactionReport, LookupReport, RangeReport};
 
-/// An engine instance plus the loaded key set and (optionally) level models.
+/// An engine instance plus the loaded key set.
 pub struct Testbed {
     config: TestbedConfig,
     db: Db,
@@ -25,8 +22,6 @@ pub struct Testbed {
     /// Insertion order when loaded through the write path (newest last);
     /// gives the "read-latest" distribution its recency semantics.
     insertion_order: Option<Vec<u64>>,
-    /// One model per level when granularity is [`Granularity::Level`].
-    level_models: Vec<Option<LevelModel>>,
 }
 
 impl Testbed {
@@ -38,7 +33,6 @@ impl Testbed {
             db,
             keys: Vec::new(),
             insertion_order: None,
-            level_models: Vec::new(),
         })
     }
 
@@ -58,18 +52,13 @@ impl Testbed {
     }
 
     /// Generate the configured dataset and bulk-load it into a leveled tree
-    /// (the read experiments' load phase), then build level models if the
-    /// granularity asks for them.
+    /// (the read experiments' load phase).
     pub fn load(&mut self) -> Result<()> {
         let c = &self.config;
         self.keys = c.dataset.generate(c.num_keys, c.seed);
         let vw = c.value_width;
         self.db
-            .bulk_load(self.keys.iter().map(|&k| (k, value_for_key(k, vw))))?;
-        if c.granularity.is_level() {
-            self.build_level_models()?;
-        }
-        Ok(())
+            .bulk_load(self.keys.iter().map(|&k| (k, value_for_key(k, vw))))
     }
 
     /// Batch size used by the write-path load phases: large enough that the
@@ -103,84 +92,13 @@ impl Testbed {
         }
         self.db.flush()?;
         self.insertion_order = Some(inserted);
-        if c.granularity.is_level() {
-            self.build_level_models()?;
-        }
         Ok(())
     }
 
-    /// Train one model per non-empty sorted level (Figure 8's "L" point).
-    pub fn build_level_models(&mut self) -> Result<()> {
-        let version = self.db.version();
-        let index_config = IndexConfig {
-            epsilon: self.config.epsilon(),
-            ..IndexConfig::default()
-        };
-        let mut models = Vec::with_capacity(version.levels.len());
-        for (level, tables) in version.levels.iter().enumerate() {
-            if level == 0 || tables.is_empty() {
-                models.push(None);
-                continue;
-            }
-            let readers = tables
-                .iter()
-                .map(|t| std::sync::Arc::clone(&t.reader))
-                .collect();
-            models.push(Some(LevelModel::build(
-                readers,
-                self.config.index_kind,
-                &index_config,
-            )?));
-        }
-        self.level_models = models;
-        Ok(())
-    }
-
-    /// Point lookup honouring the granularity mode.
-    pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>> {
-        if self.level_models.iter().all(Option::is_none) {
-            return self.db.get(key);
-        }
-        // Level-model path (read-only phase: the memtable is empty and L0
-        // was consumed by the bulk load).
-        debug_assert_eq!(self.db.memtable_len(), 0);
-        let stats = self.db.stats();
-        // Sampled by the same rule as `Db::get`, so the granularity
-        // comparison is fair.
-        let _lookup = stats.begin_lookup();
-        let version = self.db.version();
-        for t in &version.levels[0] {
-            if let Some(hit) = t.reader.get(key, MAX_SEQ, stats)? {
-                return Ok(hit);
-            }
-        }
-        for model in self.level_models.iter().flatten() {
-            if let Some(hit) = model.get(key, MAX_SEQ, stats)? {
-                return Ok(hit);
-            }
-        }
-        Ok(None)
-    }
-
-    /// Index memory in effect: level models when enabled, per-table indexes
-    /// otherwise.
+    /// Index memory lookups consult: per level, its model under
+    /// [`crate::Granularity::Level`], its tables' indexes otherwise.
     pub fn index_memory_bytes(&self) -> u64 {
-        if self.level_models.iter().any(Option::is_some) {
-            // L0 tables (if any) still carry their own indexes.
-            let l0: usize = self.db.version().levels[0]
-                .iter()
-                .map(|t| t.reader.index_bytes())
-                .sum();
-            let models: usize = self
-                .level_models
-                .iter()
-                .flatten()
-                .map(LevelModel::size_bytes)
-                .sum();
-            (l0 + models) as u64
-        } else {
-            self.db.index_memory_bytes() as u64
-        }
+        self.db.index_memory_bytes() as u64
     }
 
     /// Run `ops` point lookups drawn from `dist` over the loaded keys and
@@ -206,7 +124,7 @@ impl Testbed {
                 Some(order) => order[order.len() - 1 - pos],
                 None => self.keys[pos],
             };
-            let got = self.get(key)?;
+            let got = self.db.get(key)?;
             debug_assert!(got.is_some(), "loaded key {key} must be found");
         }
         let cpu_ns = wall.elapsed().as_nanos() as u64;
@@ -398,23 +316,80 @@ mod tests {
         }
     }
 
+    fn level_config(kind: IndexKind) -> TestbedConfig {
+        let mut c = tiny_config(kind);
+        c.granularity = Granularity::Level {
+            sst_bytes: 256 << 10,
+        };
+        c
+    }
+
+    /// Every non-empty sorted level of the engine's version has its model.
+    fn assert_every_sorted_level_has_its_model(tb: &Testbed, when: &str) {
+        let version = tb.db().version();
+        let mut sorted_levels = 0;
+        for (level, tables) in version.levels.iter().enumerate().skip(1) {
+            assert_eq!(
+                version.level_index(level).is_some(),
+                !tables.is_empty(),
+                "{when}: level {level}"
+            );
+            sorted_levels += usize::from(!tables.is_empty());
+        }
+        assert!(sorted_levels > 0, "{when}: nothing below L0");
+    }
+
     #[test]
     fn level_granularity_cuts_memory() {
         let mut per_sst = Testbed::new(tiny_config(IndexKind::Pgm)).unwrap();
         per_sst.load().unwrap();
-        let mut config = tiny_config(IndexKind::Pgm);
-        config.granularity = Granularity::Level {
-            sst_bytes: 256 << 10,
-        };
-        let mut level = Testbed::new(config).unwrap();
+        let mut level = Testbed::new(level_config(IndexKind::Pgm)).unwrap();
         level.load().unwrap();
 
         assert!(level.index_memory_bytes() < per_sst.index_memory_bytes());
-        // Lookups still work through the level models.
+        // The lookups go through the level models, and the report says so:
+        // each is counted at the level that answered it, and the per-level
+        // memory is the memory of what answered.
         let report = level
             .run_point_lookups(300, RequestDistribution::Uniform)
             .unwrap();
         assert_eq!(report.ops, 300);
+        assert_eq!(report.level_reads.iter().sum::<u64>(), 300);
+        assert_eq!(report.index_memory_bytes, level.index_memory_bytes());
+        assert_eq!(
+            report.level_index_bytes.iter().sum::<u64>(),
+            report.index_memory_bytes
+        );
+    }
+
+    /// YCSB at level granularity reads through the models — after the load
+    /// and after the run's own writes, flushes and compactions — and returns
+    /// what the per-table testbed returns.
+    #[test]
+    fn ycsb_at_level_granularity_reads_through_the_models() {
+        // A small buffer: the run's updates flush and compact into the load.
+        let small_buffer = |mut c: TestbedConfig| {
+            c.write_buffer_bytes = 32 << 10;
+            Testbed::new(c).unwrap()
+        };
+        let mut per_sst = small_buffer(tiny_config(IndexKind::Pgm));
+        let mut level = small_buffer(level_config(IndexKind::Pgm));
+        for tb in [&mut per_sst, &mut level] {
+            tb.load().unwrap();
+        }
+        assert_every_sorted_level_has_its_model(&level, "after load");
+        for tb in [&mut per_sst, &mut level] {
+            tb.run_ycsb(YcsbSpec::A, 12_000).unwrap();
+        }
+        let stats = level.db().stats().snapshot();
+        assert!(stats.flushes > 0 && stats.compactions > 0, "{stats:?}");
+        assert_every_sorted_level_has_its_model(&level, "after YCSB-A");
+        assert!(level.index_memory_bytes() < per_sst.index_memory_bytes());
+        for &k in level.keys().iter().step_by(7) {
+            let got = level.db().get(k).unwrap();
+            assert!(got.is_some(), "key {k}");
+            assert_eq!(got, per_sst.db().get(k).unwrap(), "key {k}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Memory governance: a globally budgeted, lock-striped block cache plus a
-//! table-handle cache.
+//! Memory governance: a globally budgeted, lock-striped block cache whose
+//! budget open tables also charge.
 //!
 //! The paper's Section 1 guideline — "wisely allocate the memory budget" —
 //! is about the components that *compete* for one ceiling: cached data
@@ -19,9 +19,8 @@
 //! * **Table handles** (the resident `TableReader`s: index model + bloom
 //!   filter + fixed overhead) charge the same budget as *pinned* bytes the
 //!   moment they open and release on drop — index memory squeezes block
-//!   space, exactly the trade the paper's figures sweep. A bounded
-//!   [`TableCache`] additionally deduplicates opens of the same file and
-//!   caps how many retired handles stay resident.
+//!   space, exactly the trade the paper's figures sweep. Nothing else holds
+//!   a reader: the charge lasts as long as some `Version` lists the table.
 //!
 //! The budget is a pair of atomics, so [`EngineCache`]'s `Debug` (and every
 //! gauge accessor) reads without taking a lock — formatting one of these
@@ -33,8 +32,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-use crate::sstable::TableReader;
 
 /// Cache key: table identity + block index within the table file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -471,120 +468,6 @@ impl BlockCache {
     }
 }
 
-/// A resident table handle: keyed by `(scope, file name)` — scopes make
-/// shard-local file names (`000007.sst` exists in every shard directory)
-/// globally unambiguous.
-struct TableSlot {
-    reader: Arc<TableReader>,
-    tick: u64,
-}
-
-struct TableMap {
-    map: HashMap<(u64, String), TableSlot>,
-    tick: u64,
-}
-
-/// Maximum open table handles a [`TableCache`] keeps resident.
-const TABLE_CACHE_HANDLES: usize = 1024;
-
-/// Bounded LRU of open [`TableReader`]s.
-///
-/// The handles themselves charge the shared budget as pinned bytes for as
-/// long as *any* strong reference exists (see
-/// `TableReader::open_shared`); this cache's job is (a) deduplicating
-/// opens of the same file within one scope and (b) bounding how many
-/// handles stay resident after the tree stopped referencing them — evicting
-/// an entry drops the cache's reference, and the charge disappears with the
-/// last one.
-pub struct TableCache {
-    inner: Mutex<TableMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl TableCache {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(TableMap {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Look up an open handle, refreshing its recency.
-    pub fn get(&self, scope: u64, name: &str) -> Option<Arc<TableReader>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&(scope, name.to_string())) {
-            Some(slot) => {
-                slot.tick = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&slot.reader))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Register an open handle, evicting least-recently-used entries past
-    /// the handle cap.
-    pub fn insert(&self, scope: u64, name: &str, reader: Arc<TableReader>) {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner
-            .map
-            .insert((scope, name.to_string()), TableSlot { reader, tick });
-        while inner.map.len() > TABLE_CACHE_HANDLES {
-            // O(n) victim scan: the handle map is small (≤ a few thousand)
-            // and eviction is rare next to block traffic.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.tick)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => inner.map.remove(&k),
-                None => break,
-            };
-        }
-    }
-
-    /// Drop the handle for `(scope, name)` (file retired).
-    pub fn evict(&self, scope: u64, name: &str) {
-        self.inner.lock().map.remove(&(scope, name.to_string()));
-    }
-
-    /// Drop every handle belonging to `scope` (its `Db` closed).
-    pub fn evict_scope(&self, scope: u64) {
-        self.inner.lock().map.retain(|(s, _), _| *s != scope);
-    }
-
-    /// Open handles currently resident.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// Whether no handles are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// (hits, misses) so far.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// Point-in-time cache counters, per component (the `cache_*` rows of the
 /// `METRICS` scrape).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -593,8 +476,6 @@ pub struct CacheStats {
     pub block_misses: u64,
     pub block_insertions: u64,
     pub block_evictions: u64,
-    pub table_hits: u64,
-    pub table_misses: u64,
     /// Bytes held by cached blocks.
     pub block_used_bytes: u64,
     /// Bytes pinned by open table handles (index models + filters).
@@ -605,8 +486,8 @@ pub struct CacheStats {
     pub capacity_bytes: u64,
 }
 
-/// The engine-wide cache: one [`CacheBudget`] charged by the block cache,
-/// the table-handle cache, and every open `TableReader`'s pinned bytes.
+/// The engine-wide cache: one [`CacheBudget`] charged by the block cache
+/// and every open `TableReader`'s pinned bytes.
 ///
 /// A standalone [`crate::Db`] builds one when `Options::block_cache_bytes`
 /// is nonzero; a [`crate::sharding::ShardedDb`] builds exactly one and
@@ -615,10 +496,6 @@ pub struct CacheStats {
 pub struct EngineCache {
     budget: Arc<CacheBudget>,
     blocks: BlockCache,
-    tables: TableCache,
-    /// Scope allocator: each `Db` opened against this cache gets a unique
-    /// namespace for its (shard-local) file names.
-    next_scope: AtomicU64,
 }
 
 impl std::fmt::Debug for EngineCache {
@@ -639,9 +516,7 @@ impl EngineCache {
         let budget = Arc::new(CacheBudget::new(capacity_bytes));
         Self {
             blocks: BlockCache::with_budget(Arc::clone(&budget), auto_segments()),
-            tables: TableCache::new(),
             budget,
-            next_scope: AtomicU64::new(1),
         }
     }
 
@@ -650,19 +525,9 @@ impl EngineCache {
         (opts.block_cache_bytes > 0).then(|| Arc::new(EngineCache::new(opts.block_cache_bytes)))
     }
 
-    /// Allocate a scope (one per `Db` sharing this cache).
-    pub fn next_scope(&self) -> u64 {
-        self.next_scope.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The block half.
     pub fn blocks(&self) -> &BlockCache {
         &self.blocks
-    }
-
-    /// The table-handle half.
-    pub fn tables(&self) -> &TableCache {
-        &self.tables
     }
 
     /// Pinned charge for an open table handle (index + bloom + overhead).
@@ -693,7 +558,6 @@ impl EngineCache {
     /// Snapshot every per-component counter.
     pub fn stats(&self) -> CacheStats {
         let (block_hits, block_misses) = self.blocks.hit_miss();
-        let (table_hits, table_misses) = self.tables.hit_miss();
         let block_used_bytes = self.budget.block_bytes() as u64;
         let table_used_bytes = self.budget.table_bytes() as u64;
         CacheStats {
@@ -701,8 +565,6 @@ impl EngineCache {
             block_misses,
             block_insertions: self.blocks.insertions.load(Ordering::Relaxed),
             block_evictions: self.blocks.evictions.load(Ordering::Relaxed),
-            table_hits,
-            table_misses,
             block_used_bytes,
             table_used_bytes,
             // Derived from the same two reads, so the parts always add up.
@@ -873,7 +735,5 @@ mod tests {
         assert_eq!(s.table_used_bytes, 1000);
         assert_eq!(s.used_bytes, 1512);
         assert_eq!(s.capacity_bytes, 1 << 20);
-        let scope_a = cache.next_scope();
-        assert_ne!(scope_a, cache.next_scope(), "scopes are unique");
     }
 }

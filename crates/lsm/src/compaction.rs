@@ -383,23 +383,6 @@ pub struct TableContext<'a> {
     /// tree lock for the duration of a merge.
     pub next_file_no: &'a AtomicU64,
     pub cache: Option<&'a Arc<EngineCache>>,
-    /// The engine's namespace in the shared table-handle cache.
-    pub cache_scope: u64,
-}
-
-impl TableContext<'_> {
-    /// Publish open readers into the shared table-handle cache under the
-    /// engine's scope, so the first read of a fresh table does not pay a
-    /// cold-handle miss.
-    pub fn register(&self, tables: &[Arc<TableHandle>]) {
-        if let Some(cache) = self.cache {
-            for t in tables {
-                cache
-                    .tables()
-                    .insert(self.cache_scope, &t.meta.name, Arc::clone(&t.reader));
-            }
-        }
-    }
 }
 
 /// The one table writer: sorted `(key, value)` pairs with one version per
@@ -555,10 +538,6 @@ fn merge_sub_range(
 /// version edit + manifest seal — a failed or crashed job leaves only
 /// orphan output files, never a partial compaction.
 ///
-/// Freshly built outputs are registered eagerly in the table-handle cache
-/// ([`TableContext::register`]), so the first post-compaction read does not
-/// pay a cold-handle miss.
-///
 /// When observability is on, `obs` brackets the run in a
 /// `compaction_begin` / `compaction_end` span (begin carries the source
 /// level, end the input/output byte totals); a partitioned run nests one
@@ -671,7 +650,6 @@ pub fn run_compaction(
     let bytes_written = total(&outputs, |m| m.file_bytes);
     let train_ns = total(&outputs, |m| m.train_ns);
     let model_write_ns = total(&outputs, |m| m.model_write_ns);
-    ctx.register(&outputs);
 
     let total_ns = total_start.elapsed().as_nanos() as u64;
     let bytes_read = task.input_bytes();
@@ -742,7 +720,7 @@ mod tests {
         Arc::new(TableHandle { meta, reader })
     }
 
-    /// `run_compaction` on `storage`: file numbers from `fno`, cache scope 0.
+    /// `run_compaction` on `storage`, file numbers from `fno`.
     fn run(
         storage: &dyn Storage,
         task: &CompactionTask,
@@ -756,7 +734,6 @@ mod tests {
             opts,
             next_file_no: fno,
             cache,
-            cache_scope: 0,
         };
         run_compaction(&ctx, task, stats, None)
     }
@@ -988,34 +965,6 @@ mod tests {
         for (key, _, kind, _) in dump(&result.outputs) {
             assert_ne!(kind, EntryKind::Delete, "no tombstone escapes");
             assert_ne!(key % 3, 0, "no deleted key resurrects at a seam");
-        }
-    }
-
-    #[test]
-    fn outputs_register_eagerly_in_table_cache() {
-        let storage = MemStorage::new();
-        let task = overlapping_task(&storage);
-        let mut opts = Options::small_for_tests();
-        opts.max_subcompactions = 2;
-        let stats = DbStats::new();
-        let fno = AtomicU64::new(0);
-        let cache = Arc::new(EngineCache::new(1 << 20));
-        let scope = cache.next_scope();
-        let ctx = TableContext {
-            storage: &storage,
-            opts: &opts,
-            next_file_no: &fno,
-            cache: Some(&cache),
-            cache_scope: scope,
-        };
-        let result = run_compaction(&ctx, &task, &stats, None).unwrap();
-        assert!(!result.outputs.is_empty());
-        for t in &result.outputs {
-            assert!(
-                cache.tables().get(scope, &t.meta.name).is_some(),
-                "output {} must be resident before the first read",
-                t.meta.name
-            );
         }
     }
 

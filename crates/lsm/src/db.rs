@@ -193,10 +193,6 @@ pub(crate) struct DbCore {
     publish_cv: Condvar,
     stats: Arc<DbStats>,
     cache: Option<Arc<EngineCache>>,
-    /// This instance's namespace in the shared table-handle cache — shard
-    /// directories reuse file names (`000001.sst` exists in every shard),
-    /// so handles are keyed `(scope, name)`.
-    cache_scope: u64,
     /// Live [`Snapshot`] handles.
     snapshots: Arc<AtomicUsize>,
     /// Monotonic file-number allocator — atomic so background merges can
@@ -446,7 +442,6 @@ impl Db {
         // byte budget is global); a standalone open builds its own from
         // `Options::block_cache_bytes`.
         let cache = shared_cache.or_else(|| EngineCache::from_options(&opts));
-        let cache_scope = cache.as_ref().map_or(0, |c| c.next_scope());
         let sorted_levels = matches!(opts.compaction, CompactionPolicy::Leveling);
         let mut inner = Inner {
             mem: MemTable::new(),
@@ -535,7 +530,6 @@ impl Db {
             publish_cv: Condvar::new(),
             stats: Arc::new(DbStats::new()),
             cache,
-            cache_scope,
             snapshots: Arc::default(),
             next_file_no: AtomicU64::new(next_file_no),
             manifest_epoch: AtomicU64::new(manifest_epoch),
@@ -552,11 +546,6 @@ impl Db {
             // Persist the fresh log's name so a reopen knows where to look.
             let inner = core.inner.read();
             core.write_manifest(&inner)?;
-            // Seed the table-handle cache with the recovered tree so the
-            // shared budget charges every open handle from the start.
-            for level in inner.version.levels.iter() {
-                core.tables().register(level);
-            }
         }
         // The previous generation's logs are fully superseded (their
         // surviving contents were re-logged above and the manifest no
@@ -1379,10 +1368,10 @@ impl Db {
             out.cut()?;
         }
         let tables = out.finish()?;
-        ctx.register(&tables);
         let sorted = matches!(core.opts.compaction, CompactionPolicy::Leveling);
         let mut version = Version::with_layout(core.opts.max_levels, sorted);
         version.levels[level] = tables;
+        version.train_level_indexes(&core.opts)?;
         core.install(&mut inner, |tree| tree.version = Arc::new(version));
         // Bulk-loaded entries bypass the writer queue; publish their range
         // directly so reads (and the sharding fence) see them.
@@ -1394,11 +1383,6 @@ impl Db {
 impl Drop for Db {
     fn drop(&mut self) {
         self.shutdown_workers();
-        // Release this instance's handles from the shared table cache —
-        // a retired split parent must not keep charging the global budget.
-        if let Some(cache) = &self.core.cache {
-            cache.tables().evict_scope(self.core.cache_scope);
-        }
     }
 }
 
@@ -1470,6 +1454,7 @@ impl DbCore {
                 level.sort_by_key(|t| t.meta.min_key);
             }
         }
+        version.train_level_indexes(opts)?;
         Ok((version, next_file_no, seq, wal_names))
     }
 
@@ -1496,7 +1481,6 @@ impl DbCore {
             opts: &self.opts,
             next_file_no: &self.next_file_no,
             cache: self.cache.as_ref(),
-            cache_scope: self.cache_scope,
         }
     }
 
@@ -1864,20 +1848,40 @@ impl DbCore {
         self.stats
             .flush_bytes_written
             .fetch_add(handle.meta.file_bytes, Ordering::Relaxed);
-        ctx.register(std::slice::from_ref(&handle));
         Ok(handle)
     }
 
-    /// Drop a finished compaction's inputs from both cache components:
-    /// their blocks (dead weight — the tables are about to be unlinked)
-    /// and their handles in the table cache.
+    /// Drop a finished compaction's inputs' cached blocks: dead weight, the
+    /// tables are about to be unlinked.
     fn retire_cached_tables(&self, task: &CompactionTask) {
         if let Some(cache) = &self.cache {
             for t in task.inputs.iter().chain(task.next_inputs.iter()) {
                 cache.blocks().evict_table(t.reader.table_id());
-                cache.tables().evict(self.cache_scope, &t.meta.name);
             }
         }
+    }
+
+    /// `inner`'s version with `task`'s inputs replaced by `outputs` and the
+    /// models of the levels that changed retrained (level granularity only;
+    /// the time joins the compaction's training share).
+    fn compacted(
+        &self,
+        inner: &Inner,
+        task: &CompactionTask,
+        outputs: Vec<Arc<TableHandle>>,
+    ) -> Result<Arc<Version>> {
+        let removed = task.input_names();
+        let mut version = inner
+            .version
+            .with_compaction_applied(task.level, &removed, outputs);
+        let train_ns = version.train_level_indexes(&self.opts)?;
+        self.stats
+            .compact_train_ns
+            .fetch_add(train_ns, Ordering::Relaxed);
+        self.stats
+            .compact_total_ns
+            .fetch_add(train_ns, Ordering::Relaxed);
+        Ok(Arc::new(version))
     }
 
     /// Run compactions until the tree satisfies its shape invariants,
@@ -1895,18 +1899,10 @@ impl DbCore {
         {
             advance_cursor(&inner.version, &task, &mut inner.cursors);
             let result = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
-            let removed = task.input_names();
-            // `run_compaction` registered the outputs eagerly; only the
-            // inputs' cache residue is left to retire here.
             self.retire_cached_tables(&task);
-            self.install(inner, |tree| {
-                tree.version = Arc::new(tree.version.with_compaction_applied(
-                    task.level,
-                    &removed,
-                    result.outputs,
-                ));
-            });
-            retired.extend(removed);
+            let version = self.compacted(inner, &task, result.outputs)?;
+            self.install(inner, |tree| tree.version = version);
+            retired.extend(task.input_names());
         }
         Ok(retired)
     }
@@ -2132,17 +2128,10 @@ impl DbCore {
         let removed = task.input_names();
         let result = (|| -> Result<()> {
             let run = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
-            // `run_compaction` registered the outputs eagerly; only the
-            // inputs' cache residue is left to retire here.
             self.retire_cached_tables(&task);
             let mut inner = self.inner.write();
-            self.install(&mut inner, |tree| {
-                tree.version = Arc::new(tree.version.with_compaction_applied(
-                    task.level,
-                    &removed,
-                    run.outputs,
-                ));
-            });
+            let version = self.compacted(&inner, &task, run.outputs)?;
+            self.install(&mut inner, |tree| tree.version = version);
             self.write_manifest(&inner)?;
             drop(inner);
             for name in &removed {
@@ -2193,6 +2182,7 @@ impl DbCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::IndexGranularity;
     use learned_index::IndexKind;
 
     fn small_db(kind: IndexKind) -> Db {
@@ -2272,20 +2262,58 @@ mod tests {
         }
     }
 
+    /// The levels of `db`'s version that have a model, and its sorted
+    /// levels that hold tables.
+    fn modelled_and_populated_levels(db: &Db) -> (Vec<usize>, Vec<usize>) {
+        let v = db.version();
+        let levels = 0..v.levels.len();
+        (
+            levels
+                .clone()
+                .filter(|&l| v.level_index(l).is_some())
+                .collect(),
+            levels
+                .skip(1)
+                .filter(|&l| !v.levels[l].is_empty())
+                .collect(),
+        )
+    }
+
     #[test]
     fn reopen_recovers_tables() {
-        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-        let opts = Options::small_for_tests();
-        {
-            let db = Db::open(Arc::clone(&storage), opts.clone()).unwrap();
-            for k in 0..2_000u64 {
-                db.put(k, b"persisted").unwrap();
+        for granularity in [IndexGranularity::Table, IndexGranularity::Level] {
+            let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+            let mut opts = Options::small_for_tests();
+            opts.index.granularity = granularity;
+            let (index_memory, modelled) = {
+                let db = Db::open(Arc::clone(&storage), opts.clone()).unwrap();
+                for k in 0..2_000u64 {
+                    db.put(k, b"persisted").unwrap();
+                }
+                db.flush().unwrap();
+                (
+                    db.index_memory_bytes(),
+                    modelled_and_populated_levels(&db).0,
+                )
+            };
+            // A level's model is not stored: recovery trains it again.
+            let db = Db::open(storage, opts).unwrap();
+            assert_eq!(db.index_memory_bytes(), index_memory, "{granularity:?}");
+            let (reopened, populated) = modelled_and_populated_levels(&db);
+            assert_eq!(reopened, modelled, "{granularity:?}");
+            match granularity {
+                IndexGranularity::Table => assert_eq!(modelled, [0usize; 0]),
+                IndexGranularity::Level => assert_eq!(modelled, populated),
             }
-            db.flush().unwrap();
-        }
-        let db = Db::open(storage, opts).unwrap();
-        for k in (0..2_000u64).step_by(111) {
-            assert_eq!(db.get(k).unwrap(), Some(b"persisted".to_vec()), "key {k}");
+            let reads_before = db.stats().snapshot().level_reads;
+            for k in (0..2_000u64).step_by(111) {
+                assert_eq!(db.get(k).unwrap(), Some(b"persisted".to_vec()), "key {k}");
+            }
+            let reads = db.stats().snapshot().level_reads;
+            assert_eq!(
+                reads.iter().sum::<u64>(),
+                reads_before.iter().sum::<u64>() + 19
+            );
         }
     }
 
@@ -2461,26 +2489,36 @@ mod tests {
 
     #[test]
     fn read_options_fill_cache_controls_population() {
-        let mut opts = Options::small_for_tests();
-        opts.block_cache_bytes = 1 << 20;
-        let db = Db::open_memory(opts).unwrap();
-        for k in 0..2_000u64 {
-            db.put(k, &[7u8; 32]).unwrap();
-        }
-        db.flush().unwrap();
-        let cache = db.block_cache().unwrap();
-        let baseline = cache.used_bytes();
-        db.get_with(
-            1_500,
-            &ReadOptions {
+        for granularity in [IndexGranularity::Table, IndexGranularity::Level] {
+            let mut opts = Options::small_for_tests();
+            opts.block_cache_bytes = 1 << 20;
+            opts.index.granularity = granularity;
+            let db = Db::open_memory(opts).unwrap();
+            for k in 0..2_000u64 {
+                db.put(k, &[7u8; 32]).unwrap();
+            }
+            db.flush().unwrap();
+            let cache = db.block_cache().unwrap();
+            let baseline = cache.stats();
+            let no_fill = ReadOptions {
                 fill_cache: false,
                 ..ReadOptions::new()
-            },
-        )
-        .unwrap();
-        assert_eq!(cache.used_bytes(), baseline, "no-fill read must not insert");
-        db.get_with(1_500, &ReadOptions::new()).unwrap();
-        assert!(cache.used_bytes() > baseline, "default read populates");
+            };
+            assert!(db.get_with(10, &no_fill).unwrap().is_some());
+            // Answered below L0, where the granularities differ.
+            assert_eq!(db.stats().snapshot().level_reads[0], 0);
+            let after = cache.stats();
+            assert_eq!(
+                (after.block_insertions, after.block_used_bytes),
+                (baseline.block_insertions, baseline.block_used_bytes),
+                "{granularity:?}: a no-fill read must not insert"
+            );
+            db.get_with(10, &ReadOptions::new()).unwrap();
+            assert!(
+                cache.stats().block_used_bytes > baseline.block_used_bytes,
+                "{granularity:?}: a default read populates"
+            );
+        }
     }
 
     // ---------------------------------------------- background maintenance

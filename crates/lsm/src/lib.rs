@@ -5,7 +5,9 @@
 //! (10 bits/key), partial compaction at SSTable granularity, and — the point
 //! of the exercise — a *pluggable index* per SSTable: classical fence
 //! pointers or any of the six learned indexes from the `learned-index`
-//! crate, selected via [`Options::index`].
+//! crate, selected via [`Options::index`] — or, at
+//! [`IndexGranularity::Level`], one model per sorted level kept in the
+//! [`version::Version`].
 //!
 //! Design points mirrored from LevelDB because the paper relies on them:
 //!
@@ -78,12 +80,12 @@ pub mod version;
 pub mod wal;
 
 pub use batch::{BatchOp, WriteBatch};
-pub use cache::{BlockCache, BlockKey, CacheStats, EngineCache, TableCache};
+pub use cache::{BlockCache, BlockKey, CacheStats, EngineCache};
 pub use db::{Db, WritePressure};
 pub use iter::DbIterator;
 pub use options::{
-    CompactionPolicy, IndexChoice, Maintenance, Options, ReadOptions, SearchStrategy,
-    ShardedOptions, ShardingPolicy, WriteOptions,
+    CompactionPolicy, IndexChoice, IndexGranularity, Maintenance, Options, ReadOptions,
+    SearchStrategy, ShardedOptions, ShardingPolicy, WriteOptions,
 };
 pub use sharding::{
     RecoveryReport, RoutingState, ShardRouter, ShardedDb, ShardedDbIterator, ShardedSnapshot,

@@ -4,7 +4,8 @@
 //! * **index type** → [`IndexChoice::kind`];
 //! * **position boundary** → [`IndexChoice::config`] (ε = boundary / 2);
 //! * **index granularity** → [`Options::sstable_target_bytes`] (SSTable
-//!   size; the level-grained model lives in the `learned-lsm` crate).
+//!   size) and [`IndexChoice::granularity`] (one model per table, or one per
+//!   sorted level).
 
 use learned_index::{IndexConfig, IndexKind};
 
@@ -109,11 +110,25 @@ pub enum SearchStrategy {
     Exponential,
 }
 
-/// Which index each SSTable is built with.
+/// What one model of a sorted level covers (paper Section 5.2, Figure 8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum IndexGranularity {
+    /// Each SSTable is looked up through its own index.
+    #[default]
+    Table,
+    /// One model per sorted level, trained over all of the level's keys and
+    /// kept in the [`crate::version::Version`] (Bourbon's level model): far
+    /// less index memory, retrained whenever a compaction changes the level.
+    /// L0 and tiered levels overlap, so they keep per-table lookups.
+    Level,
+}
+
+/// Which index each SSTable is built with, and what a lookup consults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexChoice {
     pub kind: IndexKind,
     pub config: IndexConfig,
+    pub granularity: IndexGranularity,
 }
 
 impl IndexChoice {
@@ -125,6 +140,7 @@ impl IndexChoice {
                 epsilon,
                 ..IndexConfig::default()
             },
+            granularity: IndexGranularity::Table,
         }
     }
 
@@ -133,6 +149,7 @@ impl IndexChoice {
         Self {
             kind,
             config: IndexConfig::with_position_boundary(boundary),
+            granularity: IndexGranularity::Table,
         }
     }
 
@@ -497,14 +514,9 @@ impl Options {
             None => self.index.clone(),
             Some(eps) if eps.is_empty() => self.index.clone(),
             Some(eps) => {
-                let e = eps[level.min(eps.len() - 1)].max(1);
-                IndexChoice {
-                    kind: self.index.kind,
-                    config: IndexConfig {
-                        epsilon: e,
-                        ..self.index.config.clone()
-                    },
-                }
+                let mut choice = self.index.clone();
+                choice.config.epsilon = eps[level.min(eps.len() - 1)].max(1);
+                choice
             }
         }
     }

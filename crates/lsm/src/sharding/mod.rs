@@ -763,16 +763,7 @@ impl ShardedDb {
     /// keeps churning (retry, or pin a [`ShardedDb::snapshot`], which
     /// never retries).
     pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>> {
-        self.get_with_retries(key, MAX_GET_RETRIES)
-    }
-
-    /// [`ShardedDb::get`] with an explicit epoch-change retry budget:
-    /// `retries == 0` means "one attempt, fail on any concurrent
-    /// cutover". Exposed so callers with their own retry discipline (a
-    /// network front end that would rather shed than spin) can tighten
-    /// the cap.
-    pub fn get_with_retries(&self, key: u64, retries: usize) -> Result<Option<Vec<u8>>> {
-        self.core.get_with_retries(key, retries)
+        self.core.get_with_retries(key, MAX_GET_RETRIES)
     }
 
     /// Point lookup through a pinned [`ShardedSnapshot`] — routed through
@@ -1195,7 +1186,8 @@ impl ShardedCore {
     }
 
     /// Unpinned point lookup with a bounded epoch-change retry budget
-    /// (see [`ShardedDb::get`] for the consistency argument).
+    /// (see [`ShardedDb::get`] for the consistency argument); `retries == 0`
+    /// means one attempt, failing on any concurrent cutover.
     fn get_with_retries(&self, key: u64, retries: usize) -> Result<Option<Vec<u8>>> {
         let mut attempts = 0usize;
         loop {
@@ -2062,7 +2054,7 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let mut saw_unavailable = false;
         while std::time::Instant::now() < deadline {
-            match db.get_with_retries(7, 0) {
+            match db.core.get_with_retries(7, 0) {
                 Err(Error::Unavailable(msg)) => {
                     assert!(msg.contains("epoch race"), "unexpected message: {msg}");
                     saw_unavailable = true;

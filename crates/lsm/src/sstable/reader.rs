@@ -266,6 +266,21 @@ impl TableReader {
         stats: &DbStats,
         fill_cache: bool,
     ) -> Result<Option<Option<Vec<u8>>>> {
+        self.get_within(key, None, snapshot, stats, fill_cache)
+    }
+
+    /// The lookup every table of a [`crate::version::Version`] is entered
+    /// through: the key-range and filter gate, then the position boundary —
+    /// `within` when a level's model predicted it, the table's own index
+    /// otherwise — fetched and searched.
+    pub(crate) fn get_within(
+        &self,
+        key: u64,
+        within: Option<SearchBound>,
+        snapshot: SeqNo,
+        stats: &DbStats,
+        fill_cache: bool,
+    ) -> Result<Option<Option<Vec<u8>>>> {
         if self.n == 0 || key < self.min_key || key > self.max_key {
             return Ok(None);
         }
@@ -278,21 +293,26 @@ impl TableReader {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return Ok(None);
         }
-
-        // Stage: prediction (inner index + model).
-        let t = StageTimer::start();
-        let bound = self.index.predict(key);
-        add_stage_ns(&stats.predict_ns, t.ns());
+        let bound = match within {
+            Some(bound) => bound,
+            None => {
+                // Stage: prediction (inner index + model).
+                let t = StageTimer::start();
+                let bound = self.index.predict(key);
+                add_stage_ns(&stats.predict_ns, t.ns());
+                bound
+            }
+        };
         if bound.is_empty() {
             return Ok(None);
         }
         self.fetch_and_search(bound, key, snapshot, stats, fill_cache)
     }
 
-    /// Point lookup constrained to positions `[lo, hi)` — used by
-    /// level-grained models that predict a range themselves and bypass the
-    /// table's own index (Bourbon's `LevelModel`, paper Section 5.2). Stage
-    /// timings for I/O and search are still recorded.
+    /// Fetch and search positions `[lo, hi)` for `key`, cache-filling: the
+    /// last two stages of a lookup on their own, with no gate and no
+    /// prediction before them (stage probes and tests; the engine's lookups
+    /// go through [`TableReader::get_opts`]).
     pub fn get_in_positions(
         &self,
         key: u64,
@@ -311,8 +331,7 @@ impl TableReader {
         self.fetch_and_search(bound, key, snapshot, stats, true)
     }
 
-    /// The last two stages of a point lookup, shared by the table-grained
-    /// and level-grained paths.
+    /// The last two stages of a point lookup, whoever predicted `bound`.
     fn fetch_and_search(
         &self,
         bound: SearchBound,
@@ -501,9 +520,9 @@ impl TableReader {
         Ok(format::decode_entry_key(&kb))
     }
 
-    /// All user keys, read sequentially (used to train level-grained
-    /// models). A one-shot full-table sweep: it never fills the block
-    /// cache — training a model must not evict the read working set.
+    /// All user keys, read sequentially (what a level's model is trained
+    /// over). A one-shot full-table sweep: it never fills the block cache —
+    /// training a model must not evict the read working set.
     pub fn read_all_keys(&self) -> Result<Vec<u64>> {
         let mut keys = Vec::with_capacity(self.n);
         const CHUNK_ENTRIES: usize = 4096;
@@ -578,8 +597,11 @@ impl TableIter {
     }
 }
 
-// The per-entry calls are `#[inline]`: `LevelIter` calls them from another
-// module, and out of line a scan's `next` measured about 20 % slower.
+// The per-entry calls are inlined: `LevelIter` calls them from another
+// module, and out of line a scan's `next` measured about 20 % slower. `key`
+// is the large one and sat on the inliner's threshold — an unrelated edit
+// elsewhere in the crate pushed it out of line (`scan_kops` −9 % on
+// `get-hot`) — so it does not leave the decision to a hint.
 impl Cursor for TableIter {
     /// One index prediction and one bounded read, which stays held as the
     /// first chunk: reading on from here fetches nothing the search did.
@@ -606,7 +628,7 @@ impl Cursor for TableIter {
         self.park(0, Span::Buf(Vec::new()), 0, 0);
     }
 
-    #[inline]
+    #[inline(always)]
     fn key(&mut self) -> Result<Option<InternalKey>> {
         let r = &*self.reader;
         if self.pos >= r.n {
@@ -689,7 +711,7 @@ mod tests {
     /// The in-place search against the plain one: 136-byte entries straddle
     /// 4 KiB edges (4096 = 30 × 136 + 16) and the file's last block is
     /// short. An uncached reader (one buffer), a cached reader (borrowed
-    /// blocks) and the level-model entry point must agree on every key, and
+    /// blocks) and the positioned entry point must agree on every key, and
     /// the cached reader must touch the cache exactly as a block-by-block
     /// fetch of each boundary does: every covering block, in order, a miss
     /// filling it. Then the cursor: a pass — seek to a probe, walk to the

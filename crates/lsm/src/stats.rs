@@ -260,8 +260,6 @@ engine_counters! {
         SUM cache_block_hits = block_hits,
         SUM cache_block_misses = block_misses,
         SUM cache_block_evictions = block_evictions,
-        SUM cache_table_hits = table_hits,
-        SUM cache_table_misses = table_misses,
         /// Bytes currently charged; summing snapshots adds (private
         /// per-shard caches combine into the fleet's total footprint).
         GAUGE cache_used_bytes = used_bytes,
@@ -476,7 +474,7 @@ mod tests {
             scan_entries stall_slowdowns stall_stops stall_ns imm_rotations imm_queue_peak \
             bg_flush_ns bg_compact_ns bg_errors writes_during_maintenance shard_splits \
             commit_checkpoints cache_block_hits cache_block_misses cache_block_evictions \
-            cache_table_hits cache_table_misses cache_used_bytes cache_capacity_bytes";
+            cache_used_bytes cache_capacity_bytes";
         let mut want: Vec<String> = SCALARS.split_whitespace().map(String::from).collect();
         let groups = [
             ["reads", "read_ns"],

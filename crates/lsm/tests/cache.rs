@@ -126,8 +126,6 @@ fn metrics_scrape_reports_the_cache_counters() {
         ("cache_block_hits", cache.block_hits),
         ("cache_block_misses", cache.block_misses),
         ("cache_block_evictions", cache.block_evictions),
-        ("cache_table_hits", cache.table_hits),
-        ("cache_table_misses", cache.table_misses),
         ("cache_used_bytes", cache.used_bytes),
         ("cache_capacity_bytes", cache.capacity_bytes),
     ];

@@ -3,7 +3,8 @@
 //! A random stream of puts/deletes/atomic batches/gets/scans runs through
 //! the LSM-tree (with limits small enough to force flushes and multi-level
 //! compactions) and simultaneously through a `BTreeMap` reference model;
-//! every read must agree, under every index kind. Halfway through, a
+//! every read must agree, under every index kind and at either index
+//! granularity. Halfway through, a
 //! [`Snapshot`] is taken and held across the remaining churn — at the end
 //! its full contents must still equal the oracle state at that midpoint.
 //!
@@ -20,7 +21,9 @@ use std::sync::Arc;
 
 use learned_index::IndexKind;
 use lsm_io::{CrashStorage, Storage};
-use lsm_tree::{Db, Options, ReadOptions, ShardedDb, ShardedOptions, WriteBatch, WriteOptions};
+use lsm_tree::{
+    Db, IndexGranularity, Options, ReadOptions, ShardedDb, ShardedOptions, WriteBatch, WriteOptions,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,10 +62,16 @@ fn dump(db: &Db, ropts: &ReadOptions<'_>) -> Vec<(u64, Vec<u8>)> {
     it.collect_up_to(usize::MAX).unwrap()
 }
 
-fn run_against_oracle(kind: IndexKind, ops: &[OpSpec]) -> Result<(), TestCaseError> {
+fn run_against_oracle(
+    kind: IndexKind,
+    granularity: IndexGranularity,
+    ops: &[OpSpec],
+) -> Result<(), TestCaseError> {
     let mut opts = Options::small_for_tests();
     opts.index.kind = kind;
+    opts.index.granularity = granularity;
     let db = Db::open_memory(opts).unwrap();
+    let what = format!("{kind} {granularity:?}");
     let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     type HeldSnapshot = (lsm_tree::Snapshot, Vec<(u64, Vec<u8>)>);
     let mut held: Option<HeldSnapshot> = None;
@@ -102,7 +111,7 @@ fn run_against_oracle(kind: IndexKind, ops: &[OpSpec]) -> Result<(), TestCaseErr
             }
             OpSpec::Get(k) => {
                 let got = db.get(*k).unwrap();
-                prop_assert_eq!(got.as_ref(), oracle.get(k), "{} get({})", kind, k);
+                prop_assert_eq!(got.as_ref(), oracle.get(k), "{} get({})", what, k);
             }
             OpSpec::Scan(start, limit) => {
                 let got = db.scan(*start, *limit).unwrap();
@@ -111,7 +120,7 @@ fn run_against_oracle(kind: IndexKind, ops: &[OpSpec]) -> Result<(), TestCaseErr
                     .take(*limit)
                     .map(|(k, v)| (*k, v.clone()))
                     .collect();
-                prop_assert_eq!(&got, &want, "{} scan({}, {})", kind, start, limit);
+                prop_assert_eq!(&got, &want, "{} scan({}, {})", what, start, limit);
             }
         }
     }
@@ -120,12 +129,19 @@ fn run_against_oracle(kind: IndexKind, ops: &[OpSpec]) -> Result<(), TestCaseErr
     db.flush().unwrap();
     for (k, v) in &oracle {
         let got = db.get(*k).unwrap();
-        prop_assert_eq!(got.as_ref(), Some(v), "{} final {}", kind, k);
+        prop_assert_eq!(got.as_ref(), Some(v), "{} final {}", what, k);
     }
     // The held snapshot still reads exactly the midpoint state.
     if let Some((snap, want)) = held {
         let got = dump(&db, &ReadOptions::at(&snap));
-        prop_assert_eq!(got, want, "{} snapshot diverged", kind);
+        prop_assert_eq!(got, want, "{} snapshot diverged", what);
+    }
+    // Every sorted level that holds tables is read through its model.
+    let version = db.version();
+    for (level, tables) in version.levels.iter().enumerate().skip(1) {
+        let wants_model = granularity == IndexGranularity::Level && !tables.is_empty();
+        let has_model = version.level_index(level).is_some();
+        prop_assert_eq!(has_model, wants_model, "{} level {}", what, level);
     }
     Ok(())
 }
@@ -138,27 +154,33 @@ proptest! {
 
     #[test]
     fn lsm_matches_btreemap_pgm(ops in prop::collection::vec(op_strategy(), 1..800)) {
-        run_against_oracle(IndexKind::Pgm, &ops)?;
+        run_against_oracle(IndexKind::Pgm, IndexGranularity::Table, &ops)?;
     }
 
     #[test]
     fn lsm_matches_btreemap_fence(ops in prop::collection::vec(op_strategy(), 1..800)) {
-        run_against_oracle(IndexKind::FencePointers, &ops)?;
+        run_against_oracle(IndexKind::FencePointers, IndexGranularity::Table, &ops)?;
     }
 
     #[test]
     fn lsm_matches_btreemap_rmi(ops in prop::collection::vec(op_strategy(), 1..800)) {
-        run_against_oracle(IndexKind::Rmi, &ops)?;
+        run_against_oracle(IndexKind::Rmi, IndexGranularity::Table, &ops)?;
     }
 
     #[test]
     fn lsm_matches_btreemap_plex(ops in prop::collection::vec(op_strategy(), 1..800)) {
-        run_against_oracle(IndexKind::Plex, &ops)?;
+        run_against_oracle(IndexKind::Plex, IndexGranularity::Table, &ops)?;
+    }
+
+    #[test]
+    fn lsm_matches_btreemap_level_granularity(ops in prop::collection::vec(op_strategy(), 1..800)) {
+        run_against_oracle(IndexKind::Pgm, IndexGranularity::Level, &ops)?;
     }
 }
 
-/// One deterministic end-to-end pass for each of the seven kinds (keeps the
-/// proptest budget low while still touching every family).
+/// One deterministic end-to-end pass for each of the seven kinds at either
+/// granularity (keeps the proptest budget low while still touching every
+/// family).
 #[test]
 fn all_kinds_deterministic_smoke() {
     let ops: Vec<OpSpec> = (0..3_000u64)
@@ -170,7 +192,9 @@ fn all_kinds_deterministic_smoke() {
         })
         .collect();
     for kind in IndexKind::ALL {
-        run_against_oracle(kind, &ops).unwrap();
+        for granularity in [IndexGranularity::Table, IndexGranularity::Level] {
+            run_against_oracle(kind, granularity, &ops).unwrap();
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use lsm_io::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
-use lsm_tree::{Db, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
+use lsm_tree::{Db, IndexGranularity, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
 
 /// Once armed, parks the next WAL `sync` until released.
 #[derive(Default)]
@@ -173,10 +173,23 @@ fn no_read_waits_for_a_sync() {
 /// stamp it reads for a key would go backwards.
 #[test]
 fn a_keys_stamp_never_goes_backwards() {
+    stamps_never_go_backwards(IndexGranularity::Table);
+}
+
+/// The same race with one model per sorted level: every compaction install
+/// swaps the models of the levels it changed under the readers, who must
+/// only ever pair a model with the table list it was trained over.
+#[test]
+fn a_keys_stamp_never_goes_backwards_at_level_granularity() {
+    stamps_never_go_backwards(IndexGranularity::Level);
+}
+
+fn stamps_never_go_backwards(granularity: IndexGranularity) {
     const KEYS: u64 = 64;
     const WRITES: u64 = 40_000;
     let mut opts = Options::small_for_tests();
     opts.write_buffer_bytes = 4 << 10;
+    opts.index.granularity = granularity;
     opts.maintenance = Maintenance::Background {
         flush_threads: 1,
         compaction_threads: 1,
@@ -229,5 +242,15 @@ fn a_keys_stamp_never_goes_backwards() {
             .find(|s| s % KEYS == key)
             .unwrap();
         assert_eq!(db.get(key).unwrap(), Some(last.to_le_bytes().to_vec()));
+    }
+    db.wait_for_maintenance();
+    let version = db.version();
+    for (level, tables) in version.levels.iter().enumerate().skip(1) {
+        let wants_model = granularity == IndexGranularity::Level && !tables.is_empty();
+        assert_eq!(
+            version.level_index(level).is_some(),
+            wants_model,
+            "L{level}"
+        );
     }
 }
