@@ -1,86 +1,16 @@
 //! Figure 12: YCSB A–F — average op latency vs index memory, per index,
 //! swept over position boundaries to trace the memory-latency curve.
 //!
-//! With `--shards N` (N > 1) the six mixes instead run against an
-//! `N`-shard `ShardedDb` (learned range routing, shared worker pool) —
-//! the engine-level sharding scenario rather than the paper's figure.
-//! Add `--max-shards M` (and optionally `--split-threshold F`) to let
-//! the topology split hot shards live during the runs.
+//! `--cache-mb N` gives every configuration an engine-wide cache budget;
+//! the default 0 keeps the historical uncached read path.
 //!
-//! `--cache-mb N` gives every configuration an engine-wide cache budget
-//! (shared across shards); the default 0 keeps the historical uncached
-//! read path.
-//!
-//! With `--server` the six mixes are driven through the `lsm-server`
-//! network front end at a fixed open-loop arrival rate (`--rate R`;
-//! default auto-calibrates), reporting coordinated-omission-free latency
-//! quantiles and admission-control sheds instead of closed-loop averages.
+//! The sharded and served YCSB scenarios (`--shards`, `--server`) are
+//! `examples/ycsb.rs`.
 
 use lsm_bench::{runner, Cli};
 
 fn main() {
     let cli = Cli::parse();
-    if cli.server {
-        let (records, stats) = runner::ycsb_server(
-            &cli.scale,
-            cli.dataset,
-            cli.shards,
-            learned_index::IndexKind::Pgm,
-            0x5eed,
-            cli.rate,
-            cli.cache_mb,
-        )
-        .expect("server ycsb experiment");
-        println!(
-            "# YCSB A–F through lsm-server ({} shard(s), open-loop)",
-            cli.shards
-        );
-        for r in &records {
-            println!(
-                "YCSB-{}  rate={:8.0}/s (achieved {:8.0}/s)  p50={:9.1}us  \
-                 p99={:9.1}us  p99.9={:9.1}us  shed={}  errors={}",
-                r.workload,
-                r.target_rate,
-                r.achieved_rate,
-                r.p50_us,
-                r.p99_us,
-                r.p999_us,
-                r.shed,
-                r.errors
-            );
-        }
-        println!("\nsharded stats (last mix, via STATS):\n{stats}");
-        cli.maybe_write(&learned_lsm::report::to_json(&records));
-        return;
-    }
-    if cli.shards > 1 {
-        let records = runner::ycsb_sharded(
-            &cli.scale,
-            cli.dataset,
-            cli.shards,
-            learned_index::IndexKind::Pgm,
-            0x5eed,
-            runner::Rebalance::from_flags(cli.max_shards, cli.split_threshold),
-            cli.cache_mb,
-        )
-        .expect("sharded ycsb experiment");
-        println!("# YCSB A–F on a {}-shard ShardedDb", cli.shards);
-        for r in &records {
-            println!(
-                "YCSB-{}  shards={}→{}  avg-op={:9.2}us  load-imbalance={:5.1}%  \
-                 splits={}  stalls={:8.2}ms",
-                r.workload,
-                r.shards,
-                r.final_shards,
-                r.avg_op_us,
-                r.load_imbalance * 100.0,
-                r.splits,
-                r.stall_ms
-            );
-        }
-        cli.maybe_write(&learned_lsm::report::to_json(&records));
-        return;
-    }
     let boundaries = [128usize, 32, 8];
     let records = runner::fig12(&cli.scale, cli.dataset, &boundaries, cli.cache_mb)
         .expect("fig12 experiment");

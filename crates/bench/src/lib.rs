@@ -6,6 +6,7 @@
 //!   default is the *quick* profile, which preserves every shape at
 //!   laptop scale (see `DESIGN.md`, "Scale" substitution).
 //! * `--keys N`, `--ops N`, `--dataset NAME` — override the profile;
+//! * `--cache-mb N` — engine cache budget (default 0: uncached);
 //! * `--out PATH` — additionally write the records as JSON.
 
 pub mod runner;
@@ -66,25 +67,8 @@ pub struct Cli {
     pub dataset: Dataset,
     pub all_datasets: bool,
     pub out: Option<String>,
-    /// `--shards N`: run against an `N`-shard `ShardedDb` where the
-    /// runner supports it (YCSB); 1 = the single-`Db` path.
-    pub shards: usize,
-    /// `--max-shards N`: allow live shard splitting up to `N` shards
-    /// (0 = frozen topology, the default).
-    pub max_shards: usize,
-    /// `--split-threshold F`: resident-bytes overshoot (fraction of the
-    /// fair target share) past which a shard is split live.
-    pub split_threshold: f64,
-    /// `--server`: drive the workload through the `lsm-server` network
-    /// front end (frame protocol, admission control, open-loop arrivals)
-    /// instead of calling the engine directly.
-    pub server: bool,
-    /// `--rate R`: open-loop arrival rate, requests/s, for `--server`
-    /// runs. `None` (the default) calibrates per mix from a closed-loop
-    /// burst.
-    pub rate: Option<f64>,
     /// `--cache-mb N`: engine-wide cache budget in MiB (blocks + table
-    /// handles, shared across every shard). 0 (the default) runs uncached.
+    /// handles). 0 (the default) runs uncached.
     pub cache_mb: usize,
 }
 
@@ -100,11 +84,6 @@ impl Cli {
         let mut dataset = Dataset::Random;
         let mut all_datasets = false;
         let mut out = None;
-        let mut shards = 1usize;
-        let mut max_shards = 0usize;
-        let mut split_threshold = 0.2f64;
-        let mut server = false;
-        let mut rate = None;
         let mut cache_mb = 0usize;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -118,24 +97,7 @@ impl Cli {
                 "--smoke" => scale = Scale::smoke(),
                 "--keys" => scale.keys = next_usize("--keys"),
                 "--ops" => scale.ops = next_usize("--ops"),
-                "--shards" => shards = next_usize("--shards").max(1),
-                "--max-shards" => max_shards = next_usize("--max-shards"),
-                "--split-threshold" => {
-                    split_threshold = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--split-threshold needs a number"));
-                }
-                "--server" => server = true,
                 "--cache-mb" => cache_mb = next_usize("--cache-mb"),
-                "--rate" => {
-                    let r: f64 = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--rate needs a number"));
-                    // 0 = auto-calibrate, same as omitting the flag.
-                    rate = (r > 0.0).then_some(r);
-                }
                 "--dataset" => {
                     let name = it.next().unwrap_or_else(|| die("--dataset needs a name"));
                     dataset = Dataset::from_name(&name)
@@ -145,7 +107,7 @@ impl Cli {
                 "--out" => out = Some(it.next().unwrap_or_else(|| die("--out needs a path"))),
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --full | --smoke | --keys N | --ops N | --shards N | --max-shards N | --split-threshold F | --server | --rate R | --cache-mb N | --dataset NAME | --all-datasets | --out PATH"
+                        "flags: --full | --smoke | --keys N | --ops N | --cache-mb N | --dataset NAME | --all-datasets | --out PATH"
                     );
                     std::process::exit(0);
                 }
@@ -157,11 +119,6 @@ impl Cli {
             dataset,
             all_datasets,
             out,
-            shards,
-            max_shards,
-            split_threshold,
-            server,
-            rate,
             cache_mb,
         }
     }
@@ -225,24 +182,6 @@ mod tests {
         assert_eq!(c.dataset, Dataset::Wiki);
         assert_eq!(c.out.as_deref(), Some("/tmp/x.json"));
         assert_eq!(c.cache_mb, 0, "uncached by default");
-    }
-
-    #[test]
-    fn shards_flag_parses_and_defaults_to_one() {
-        assert_eq!(parse(&[]).shards, 1);
-        assert_eq!(parse(&["--shards", "4"]).shards, 4);
-        assert_eq!(parse(&["--shards", "0"]).shards, 1, "clamped to >= 1");
-    }
-
-    #[test]
-    fn server_and_rate_flags_parse() {
-        let c = parse(&[]);
-        assert!(!c.server);
-        assert_eq!(c.rate, None);
-        let c = parse(&["--server", "--rate", "5000"]);
-        assert!(c.server);
-        assert_eq!(c.rate, Some(5000.0));
-        assert_eq!(parse(&["--rate", "0"]).rate, None, "0 = auto-calibrate");
     }
 
     #[test]

@@ -564,41 +564,13 @@ fn push_requests(reqs: &mut Vec<lsm_server::Request>, op: Op, value_width: usize
 /// admission-control sheds are counted, not hidden.
 ///
 /// Returns the per-mix records plus the last mix's sharded-stats report,
-/// fetched through the `STATS` opcode like any other request.
-pub fn ycsb_server(
-    scale: &Scale,
-    dataset: Dataset,
-    shards: usize,
-    kind: IndexKind,
-    seed: u64,
-    rate: Option<f64>,
-    cache_mb: usize,
-) -> Result<(Vec<ServerYcsbRecord>, String)> {
-    let (records, stats, _) =
-        ycsb_server_inner(scale, dataset, shards, kind, seed, rate, cache_mb, false)?;
-    Ok((records, stats))
-}
-
-/// [`ycsb_server`] with the engine's observability layer on: alongside
-/// the stats JSON, scrape the full [`lsm_server::MetricsSnapshot`] (folded
-/// per-shard latency histograms plus the event timeline) through the
-/// `METRICS` opcode after the last mix.
-pub fn ycsb_server_with_metrics(
-    scale: &Scale,
-    dataset: Dataset,
-    shards: usize,
-    kind: IndexKind,
-    seed: u64,
-    rate: Option<f64>,
-    cache_mb: usize,
-) -> Result<(Vec<ServerYcsbRecord>, String, lsm_server::MetricsSnapshot)> {
-    let (records, stats, snap) =
-        ycsb_server_inner(scale, dataset, shards, kind, seed, rate, cache_mb, true)?;
-    Ok((records, stats, snap.expect("observability was on")))
-}
-
+/// fetched through the `STATS` opcode like any other request — and, with
+/// `observability` (the engine's observability layer) on, the full
+/// [`lsm_server::MetricsSnapshot`] (folded per-shard latency histograms plus
+/// the event timeline) scraped through the `METRICS` opcode after the last
+/// mix.
 #[allow(clippy::too_many_arguments)]
-fn ycsb_server_inner(
+pub fn ycsb_server(
     scale: &Scale,
     dataset: Dataset,
     shards: usize,

@@ -34,7 +34,7 @@
 //!   concurrent writes, flushes and compactions.
 //! * [`ReadOptions`] — per-read knobs (`snapshot`, `fill_cache`) for
 //!   [`Db::get_with`] / [`Db::iter_with`].
-//! * [`WriteOptions`] — per-write knobs (`sync`, `disable_wal`).
+//! * [`WriteOptions`] — the per-write knob (`sync`).
 //!
 //! ```
 //! use lsm_tree::{Db, Options, ReadOptions, WriteBatch, WriteOptions};
@@ -135,6 +135,17 @@ impl From<std::io::Error> for Error {
 impl From<learned_index::codec::DecodeError> for Error {
     fn from(e: learned_index::codec::DecodeError) -> Self {
         Error::Corruption(format!("index decode: {e}"))
+    }
+}
+
+/// [`Error`] carries `std::io::Error` and so is not `Clone`; a group
+/// failure must be delivered to every member, and a background failure to
+/// every later `flush` and `close`, so approximate.
+pub(crate) fn clone_error(e: &Error) -> Error {
+    match e {
+        Error::Io(io) => Error::Io(std::io::Error::new(io.kind(), io.to_string())),
+        Error::Corruption(msg) => Error::Corruption(msg.clone()),
+        Error::Unavailable(msg) => Error::Unavailable(msg.clone()),
     }
 }
 

@@ -12,36 +12,23 @@ use learned_index::{IndexConfig, IndexKind};
 use crate::snapshot::Snapshot;
 use crate::types::SeqNo;
 
-/// Per-write knobs (LevelDB's `WriteOptions`), passed to [`crate::Db::write`].
+/// The per-write knob (LevelDB's `WriteOptions`), passed to
+/// [`crate::Db::write`].
 ///
-/// Both knobs default to the cheap setting: unsynced, logged writes.
+/// It defaults to the cheap setting: unsynced writes (logged whenever
+/// [`Options::wal`] is on).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WriteOptions {
     /// `fsync` the write-ahead log before the write returns. Durable against
     /// power loss, at one storage sync per batch — another reason batched
     /// writes beat per-key writes when durability matters.
     pub sync: bool,
-    /// Skip the write-ahead log for this batch. The write is lost on crash
-    /// until the next flush makes it durable; bulk loaders that can replay
-    /// their input use this to halve write traffic.
-    pub disable_wal: bool,
 }
 
 impl WriteOptions {
     /// Synced durable writes (`sync = true`).
     pub fn durable() -> Self {
-        Self {
-            sync: true,
-            disable_wal: false,
-        }
-    }
-
-    /// Unlogged writes (`disable_wal = true`).
-    pub fn unlogged() -> Self {
-        Self {
-            sync: false,
-            disable_wal: true,
-        }
+        Self { sync: true }
     }
 }
 

@@ -31,7 +31,7 @@
 //! parked on it can deadlock against a writer that holds the lock while
 //! stalled on backpressure this very pool is supposed to relieve. `N`
 //! shards share one global thread budget and one wakeup channel instead of
-//! spawning `N` pools (see `Db::open_internal`'s `ExternalPool`).
+//! spawning `N` pools (see `Embedding::pool` in [`crate::db`]).
 //!
 //! Shutdown (`Scheduler::shutdown`, invoked by `Db::close`/`Drop`) wakes
 //! all workers and flips them into *drain* mode: flush workers keep
@@ -52,6 +52,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use crate::stats::DbStats;
+use crate::{clone_error, Error, Result};
 
 /// Process-wide pool of *extra* threads that range-partitioned compactions
 /// ([`crate::compaction::run_compaction`] with
@@ -170,6 +173,43 @@ impl MaintSignal {
             if timeout.timed_out() {
                 break;
             }
+        }
+    }
+}
+
+/// The standing error of an engine's background work: the last failed
+/// step's, until a later step succeeds. Held as an [`Error`], not its text,
+/// so `flush` and `close` hand back the variant the worker met — a full
+/// disk under a flush is an I/O error, not corruption.
+#[derive(Default)]
+pub(crate) struct BgError(parking_lot::Mutex<Option<Error>>);
+
+impl BgError {
+    /// A step failed; `stats.bg_errors` keeps the history.
+    pub fn record(&self, e: &Error, stats: &DbStats) {
+        stats.bg_errors.fetch_add(1, Ordering::Relaxed);
+        *self.0.lock() = Some(clone_error(e));
+    }
+
+    /// A step succeeded: any recorded error is no longer standing (the
+    /// failed work was retried and made progress). Cheap when no error was
+    /// ever recorded.
+    pub fn clear(&self, stats: &DbStats) {
+        if stats.bg_errors.load(Ordering::Relaxed) > 0 {
+            *self.0.lock() = None;
+        }
+    }
+
+    /// The standing error's text.
+    pub fn get(&self) -> Option<String> {
+        self.0.lock().as_ref().map(Error::to_string)
+    }
+
+    /// `Err` with the standing error's own variant, if there is one.
+    pub fn to_result(&self) -> Result<()> {
+        match &*self.0.lock() {
+            None => Ok(()),
+            Some(e) => Err(clone_error(e)),
         }
     }
 }

@@ -13,7 +13,7 @@
 use lsm_io::Storage;
 
 use crate::wal::crc32;
-use crate::Result;
+use crate::{Error, Result};
 
 /// File name of `epoch` under `prefix`.
 pub(crate) fn name(prefix: &str, epoch: u64) -> String {
@@ -52,8 +52,9 @@ fn is_sealed(text: &str) -> bool {
 
 /// The newest `<prefix><epoch>` file that validates, as `(epoch, text)`
 /// (footer included). Torn or unsealed files — a crash mid-write — are
-/// skipped in favour of an older epoch; `None` means no sealed file exists.
-/// Whether the text's own contents agree with `epoch` is the caller's check.
+/// skipped in favour of an older epoch; `None` means no sealed file exists
+/// (and no unsealed pre-epoch one: see [`refuse_unsealed`]). Whether the
+/// text's own contents agree with `epoch` is the caller's check.
 pub(crate) fn newest_valid(storage: &dyn Storage, prefix: &str) -> Result<Option<(u64, String)>> {
     let mut epochs: Vec<u64> = storage
         .list()?
@@ -68,7 +69,23 @@ pub(crate) fn newest_valid(storage: &dyn Storage, prefix: &str) -> Result<Option
             _ => {} // torn or unsealed: fall back to an older epoch
         }
     }
+    refuse_unsealed(storage, prefix)?;
     Ok(None)
+}
+
+/// `prefix` without its dash (`MANIFEST`, `SHARDING`, `COMMIT`) names the
+/// pre-epoch, unsealed form of the file, which nothing reads any more. With
+/// no epoch file to adopt, its presence is a typed error — never "no file",
+/// which an open takes for a fresh database and sweeps the directory.
+pub(crate) fn refuse_unsealed(storage: &dyn Storage, prefix: &str) -> Result<()> {
+    let stem = prefix.trim_end_matches('-');
+    if storage.exists(stem) {
+        return Err(Error::Corruption(format!(
+            "{stem} is an unsealed pre-epoch file this build does not read, \
+             and no {prefix}<n> validates"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

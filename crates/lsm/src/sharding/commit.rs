@@ -15,8 +15,9 @@
 //!
 //! ## Log lifetime: reopen truncation + runtime checkpoints
 //!
-//! The log lives in epoch-numbered files (`COMMIT-<n>`; the legacy
-//! `COMMIT` name is still read). Recovery reads the **union** of every
+//! The log lives in epoch-numbered files (`COMMIT-<n>`; a pre-epoch
+//! `COMMIT` file with no generation beside it is refused with a typed
+//! error). Recovery reads the **union** of every
 //! intact frame across all of them — a superfluous marker is harmless
 //! (its fragments were already re-logged as plain records), a missing one
 //! would abort a committed batch, so every rewrite keeps the old file
@@ -56,24 +57,21 @@
 //!
 //! ```text
 //! frame   = [crc32 u32][payload_len u32][payload]
-//! payload = [version u8 = 1][global_first u64][global_last u64]
-//!         | [version u8 = 2][global_first u64][global_last u64]
+//! payload = [version u8 = 2][global_first u64][global_last u64]
 //!           [topology_epoch u64]
 //! ```
 //!
-//! Version 2 additionally records the topology epoch the batch was routed
-//! at; recovery validates it against the last sealed topology (a marker
-//! from a *future* epoch means the store was tampered with or mixed up).
+//! The topology epoch is the one the batch was routed at; recovery
+//! validates it against the last sealed topology (a marker from a *future*
+//! epoch means the store was tampered with or mixed up). Any other version
+//! or length inside an intact frame is corruption.
 
 use std::collections::HashSet;
 
 use crate::types::SeqNo;
 use crate::wal::{frame, intact_frames};
-use crate::{Error, Result};
+use crate::{sealed, Error, Result};
 use lsm_io::{Storage, WritableFile};
-
-/// Legacy marker log file name (PR 4 layouts; still read on recovery).
-pub(crate) const LEGACY_COMMIT_LOG: &str = "COMMIT";
 
 /// Epoch-numbered marker log prefix.
 pub(crate) const COMMIT_PREFIX: &str = "COMMIT-";
@@ -82,16 +80,14 @@ fn commit_name(n: u64) -> String {
     format!("{COMMIT_PREFIX}{n:06}")
 }
 
-/// Marker payload versions understood by this build.
-const MARKER_V1: u8 = 1;
+/// The marker payload version this build writes and reads.
 const MARKER_V2: u8 = 2;
 
-/// Payload bytes of a v1 / v2 marker.
-const MARKER_V1_LEN: usize = 1 + 8 + 8;
-const MARKER_V2_LEN: usize = MARKER_V1_LEN + 8;
+/// Payload bytes of a marker.
+const MARKER_V2_LEN: usize = 1 + 8 + 8 + 8;
 
 /// One sealed marker held in memory: the batch's global sequence range
-/// plus the topology epoch it committed under (0 for legacy v1 markers).
+/// plus the topology epoch it committed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Marker {
     pub first: SeqNo,
@@ -198,9 +194,7 @@ fn encode_marker(m: &Marker) -> [u8; MARKER_V2_LEN] {
 }
 
 fn decode_marker(body: &[u8]) -> Result<Marker> {
-    let ok_v1 = body.len() == MARKER_V1_LEN && body[0] == MARKER_V1;
-    let ok_v2 = body.len() == MARKER_V2_LEN && body[0] == MARKER_V2;
-    if !ok_v1 && !ok_v2 {
+    if body.len() != MARKER_V2_LEN || body[0] != MARKER_V2 {
         return Err(Error::Corruption(format!(
             "commit marker of {} bytes, version {}",
             body.len(),
@@ -210,11 +204,7 @@ fn decode_marker(body: &[u8]) -> Result<Marker> {
     Ok(Marker {
         first: SeqNo::from_le_bytes(body[1..9].try_into().unwrap()),
         last: SeqNo::from_le_bytes(body[9..17].try_into().unwrap()),
-        epoch: if ok_v2 {
-            u64::from_le_bytes(body[17..25].try_into().unwrap())
-        } else {
-            0
-        },
+        epoch: u64::from_le_bytes(body[17..25].try_into().unwrap()),
     })
 }
 
@@ -230,7 +220,7 @@ pub(crate) struct RecoveredMarkers {
     pub files: Vec<String>,
 }
 
-/// Read every sealed marker as the union over all `COMMIT*` generations.
+/// Read every sealed marker as the union over all `COMMIT-<n>` generations.
 /// A torn or CRC-corrupt tail ends a file's scan without error — an
 /// unsealed marker *is* an aborted batch. A malformed payload inside an
 /// intact frame is corruption.
@@ -242,15 +232,13 @@ pub(crate) fn read_markers(storage: &dyn Storage) -> Result<RecoveredMarkers> {
         files: Vec::new(),
     };
     for name in storage.list()? {
-        let is_generation = name
+        let Some(generation) = name
             .strip_prefix(COMMIT_PREFIX)
-            .and_then(|n| n.parse::<u64>().ok());
-        if name != LEGACY_COMMIT_LOG && is_generation.is_none() {
+            .and_then(|n| n.parse::<u64>().ok())
+        else {
             continue;
-        }
-        if let Some(generation) = is_generation {
-            out.next_generation = out.next_generation.max(generation + 1);
-        }
+        };
+        out.next_generation = out.next_generation.max(generation + 1);
         let data = lsm_io::read_all(storage, &name)?;
         // A torn or CRC-corrupt tail ends the frame scan cleanly: a
         // marker that did not finish sealing *is* an aborted batch.
@@ -260,6 +248,9 @@ pub(crate) fn read_markers(storage: &dyn Storage) -> Result<RecoveredMarkers> {
             out.max_epoch = out.max_epoch.max(m.epoch);
         }
         out.files.push(name);
+    }
+    if out.files.is_empty() {
+        sealed::refuse_unsealed(storage, COMMIT_PREFIX)?;
     }
     Ok(out)
 }
@@ -294,18 +285,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_markers_still_read() {
-        let storage = MemStorage::new();
-        let mut payload = [0u8; MARKER_V1_LEN];
-        payload[0] = MARKER_V1;
+    fn pre_epoch_commit_file_and_v1_frames_are_refused() {
+        // A 17-byte version-1 payload: the pre-epoch marker format.
+        let mut payload = [0u8; 17];
+        payload[0] = 1;
         payload[1..9].copy_from_slice(&7u64.to_le_bytes());
         payload[9..17].copy_from_slice(&9u64.to_le_bytes());
-        let mut f = storage.create(LEGACY_COMMIT_LOG).unwrap();
-        f.append(&frame(&payload)).unwrap();
-        drop(f);
-        let markers = read_markers(&storage).unwrap();
-        assert!(markers.ranges.contains(&(7, 9)));
-        assert_eq!(markers.max_epoch, 0);
+        let cases = [
+            ("COMMIT", "COMMIT is an unsealed"),
+            ("COMMIT-000001", "version 1"),
+        ];
+        for (name, why) in cases {
+            let storage = MemStorage::new();
+            let mut f = storage.create(name).unwrap();
+            f.append(&frame(&payload)).unwrap();
+            drop(f);
+            let refused = read_markers(&storage).map(|m| m.ranges);
+            assert!(
+                matches!(&refused, Err(Error::Corruption(msg)) if msg.contains(why)),
+                "{name}: {refused:?}"
+            );
+        }
     }
 
     #[test]

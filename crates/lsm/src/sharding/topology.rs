@@ -20,13 +20,12 @@
 //!   sealed topology still names the parent (split children are orphans
 //!   and are discarded); after it, the children own the range (and the
 //!   parent directory is the orphan).
-//! * The legacy unsealed `SHARDING` file (PR 3 layouts) is still readable
-//!   as epoch 0 with stable ids `0..shards`.
+//! * The unsealed `SHARDING` file of PR 3 layouts has no reader: found
+//!   with no sealed successor, it is a typed error.
 //!
 //! ## Epoch lifecycle, compactly
 //!
-//! 1. **Born** — a fresh store seals `SHARDING-000001` (a legacy
-//!    `SHARDING` file reads as epoch 0).
+//! 1. **Born** — a fresh store seals `SHARDING-000001`.
 //! 2. **Advanced** — every published change (a split's cutover) seals
 //!    `SHARDING-<epoch+1>` and only then retires the predecessor; the
 //!    seal *is* the change's single storage-visible commit point.
@@ -49,8 +48,6 @@ use lsm_io::Storage;
 
 use crate::{sealed, Error, Result};
 
-/// Legacy router state file (PR 3; unsealed text). Readable as epoch 0.
-pub(crate) const LEGACY_ROUTER_FILE: &str = "SHARDING";
 /// Epoch-numbered topology prefix (CRC-sealed).
 pub(crate) const TOPOLOGY_PREFIX: &str = "SHARDING-";
 /// Serialized CDF model (binary, `learned-index` codec; best-effort).
@@ -138,8 +135,8 @@ impl Topology {
     // ------------------------------------------------------- persistence
 
     /// Seal this topology as `SHARDING-<epoch>` (fresh file, CRC footer,
-    /// synced), then retire the predecessor epoch and the legacy file —
-    /// the single storage-visible cutover of a topology change.
+    /// synced), then retire the predecessor epoch — the single
+    /// storage-visible cutover of a topology change.
     pub(crate) fn save(&self, storage: &dyn Storage) -> Result<()> {
         let mut text = format!("epoch {}\n", self.epoch);
         text.push_str(&format!(
@@ -154,27 +151,15 @@ impl Topology {
         for b in &self.boundaries {
             text.push_str(&format!("boundary {b}\n"));
         }
-        sealed::write_sealed(storage, TOPOLOGY_PREFIX, self.epoch, text)?;
-        // Sealed: the legacy file is superseded too.
-        let _ = storage.remove(LEGACY_ROUTER_FILE);
-        Ok(())
+        sealed::write_sealed(storage, TOPOLOGY_PREFIX, self.epoch, text)
     }
 
     /// Load the newest sealed topology: the highest `SHARDING-<epoch>`
-    /// whose CRC footer validates, falling back to the legacy `SHARDING`
-    /// file (epoch 0) for pre-topology directories. `Ok(None)` means a
-    /// fresh database.
+    /// whose CRC footer validates. `Ok(None)` means a fresh database.
     pub(crate) fn load(storage: &dyn Storage) -> Result<Option<Topology>> {
-        if let Some((epoch, text)) = sealed::newest_valid(storage, TOPOLOGY_PREFIX)? {
-            return Ok(Some(Self::parse(&text, epoch)?));
-        }
-        if storage.exists(LEGACY_ROUTER_FILE) {
-            let raw = lsm_io::read_all(storage, LEGACY_ROUTER_FILE)?;
-            let text = String::from_utf8(raw)
-                .map_err(|_| Error::Corruption("sharding file is not UTF-8".into()))?;
-            return Ok(Some(Self::parse_legacy(&text)?));
-        }
-        Ok(None)
+        sealed::newest_valid(storage, TOPOLOGY_PREFIX)?
+            .map(|(epoch, text)| Self::parse(&text, epoch))
+            .transpose()
     }
 
     fn parse(text: &str, epoch: u64) -> Result<Topology> {
@@ -229,62 +214,6 @@ impl Topology {
         Ok(topo)
     }
 
-    /// The PR 3 `SHARDING` format: `shards N`, `policy`, `sample_len`,
-    /// `boundary` lines — stable ids are implicitly `0..N`.
-    fn parse_legacy(text: &str) -> Result<Topology> {
-        let mut shards = 0usize;
-        let mut range = false;
-        let mut sample_len = 0usize;
-        let mut boundaries = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let corrupt = || Error::Corruption(format!("sharding file line {lineno}"));
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("shards") => {
-                    shards = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(corrupt)?;
-                }
-                Some("policy") => {
-                    range = match parts.next() {
-                        Some("range") => true,
-                        Some("hash") => false,
-                        _ => return Err(corrupt()),
-                    };
-                }
-                Some("sample_len") => {
-                    sample_len = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(corrupt)?;
-                }
-                Some("boundary") => {
-                    boundaries.push(
-                        parts
-                            .next()
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(corrupt)?,
-                    );
-                }
-                _ => {}
-            }
-        }
-        if shards == 0 {
-            return Err(Error::Corruption("sharding file: no shard count".into()));
-        }
-        let topo = Topology {
-            epoch: 0,
-            ids: (0..shards as u16).collect(),
-            boundaries: if range { boundaries } else { Vec::new() },
-            range,
-            next_id: shards as u16,
-            sample_len,
-        };
-        topo.validate()?;
-        Ok(topo)
-    }
-
     fn validate(&self) -> Result<()> {
         if self.ids.is_empty() {
             return Err(Error::Corruption("topology with no shards".into()));
@@ -320,8 +249,7 @@ impl Topology {
         let live: std::collections::HashSet<u16> = self.ids.iter().copied().collect();
         let mut orphans = std::collections::HashSet::new();
         for name in storage.list()? {
-            if (name.starts_with(TOPOLOGY_PREFIX) && name != current) || name == LEGACY_ROUTER_FILE
-            {
+            if name.starts_with(TOPOLOGY_PREFIX) && name != current {
                 let _ = storage.remove(&name);
                 continue;
             }
@@ -407,18 +335,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_sharding_file_reads_as_epoch_zero() {
+    fn unsealed_sharding_file_is_refused_not_read_as_fresh() {
         let storage = MemStorage::new();
-        let mut f = storage.create(LEGACY_ROUTER_FILE).unwrap();
+        let mut f = storage.create("SHARDING").unwrap();
         f.append(b"shards 3\npolicy range\nsample_len 99\nboundary 10\nboundary 20\n")
             .unwrap();
         drop(f);
-        let t = Topology::load(&storage).unwrap().unwrap();
-        assert_eq!(t.epoch, 0);
-        assert_eq!(t.ids, vec![0, 1, 2]);
-        assert_eq!(t.boundaries, vec![10, 20]);
-        assert_eq!(t.next_id, 3);
-        assert_eq!(t.sample_len, 99);
+        let refused = Topology::load(&storage);
+        assert!(
+            matches!(&refused, Err(Error::Corruption(msg)) if msg.contains("SHARDING")),
+            "{refused:?}"
+        );
+        // A sealed successor is adopted; the leftover is ignored.
+        range_topology().save(&storage).unwrap();
+        assert_eq!(Topology::load(&storage).unwrap(), Some(range_topology()));
     }
 
     #[test]

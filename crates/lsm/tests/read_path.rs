@@ -9,7 +9,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use lsm_io::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
-use lsm_tree::{Db, IndexGranularity, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
+use lsm_tree::{
+    Db, IndexGranularity, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions,
+    WritePressure,
+};
 
 /// Once armed, parks the next WAL `sync` until released.
 #[derive(Default)]
@@ -120,11 +123,15 @@ fn no_read_waits_for_a_sync() {
         inner: MemStorage::new(),
         gate: Arc::clone(&gate),
     });
-    let db = Db::open(storage, Options::small_for_tests()).unwrap();
+    // Background maintenance, so that `write_pressure` has triggers to read.
+    let mut opts = Options::small_for_tests();
+    opts.maintenance = Maintenance::background();
+    let db = Db::open(storage, opts).unwrap();
     // Tables on several levels, and a tail still in the memtable.
     for k in 0..2_000u64 {
         db.put(k, &k.to_le_bytes()).unwrap();
     }
+    db.wait_for_maintenance();
     assert!(db.stats().snapshot().flushes > 0 && db.memtable_len() > 0);
 
     gate.arm();
@@ -154,6 +161,10 @@ fn no_read_waits_for_a_sync() {
                 None,
                 "the parked write is not visible"
             );
+            // What a front end's admission control asks on every write.
+            assert!(db.memtable_len() > 0 && db.resident_bytes() > 0);
+            assert_eq!(db.immutable_memtables(), 0);
+            assert_eq!(db.write_pressure(), WritePressure::Clear);
             done.send(()).unwrap();
         });
         let finished = reads_done.recv_timeout(Duration::from_secs(10));

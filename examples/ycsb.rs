@@ -178,31 +178,17 @@ fn run_server(
         "shed",
         "errors"
     );
-    let (records, stats, snap) = if metrics {
-        let (records, stats, snap) = runner::ycsb_server_with_metrics(
-            &scale,
-            Dataset::Random,
-            shards,
-            kind,
-            0xfeed,
-            rate,
-            cache_mb,
-        )
-        .expect("server ycsb");
-        (records, stats, Some(snap))
-    } else {
-        let (records, stats) = runner::ycsb_server(
-            &scale,
-            Dataset::Random,
-            shards,
-            kind,
-            0xfeed,
-            rate,
-            cache_mb,
-        )
-        .expect("server ycsb");
-        (records, stats, None)
-    };
+    let (records, stats, snap) = runner::ycsb_server(
+        &scale,
+        Dataset::Random,
+        shards,
+        kind,
+        0xfeed,
+        rate,
+        cache_mb,
+        metrics,
+    )
+    .expect("server ycsb");
     for r in records {
         println!(
             "{:>9} {:>11.0} {:>11.0} {:>10.1} {:>10.1} {:>10.1} {:>7} {:>7}",

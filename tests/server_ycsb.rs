@@ -9,9 +9,18 @@ use learned_lsm_repro::workloads::Dataset;
 #[test]
 fn all_six_ycsb_mixes_run_through_the_server_path() {
     let scale = Scale::smoke();
-    let (records, stats) =
-        runner::ycsb_server(&scale, Dataset::Random, 2, IndexKind::Pgm, 0xacce, None, 0)
-            .expect("server ycsb at smoke scale");
+    let (records, stats, metrics) = runner::ycsb_server(
+        &scale,
+        Dataset::Random,
+        2,
+        IndexKind::Pgm,
+        0xacce,
+        None,
+        0,
+        false,
+    )
+    .expect("server ycsb at smoke scale");
+    assert!(metrics.is_none(), "no scrape without observability");
 
     let names: Vec<&str> = records.iter().map(|r| r.workload.as_str()).collect();
     assert_eq!(names, ["A", "B", "C", "D", "E", "F"], "all six mixes ran");
@@ -52,7 +61,7 @@ fn all_six_ycsb_mixes_run_through_the_server_path() {
 fn explicit_rate_is_honored_as_the_schedule() {
     let mut scale = Scale::smoke();
     scale.ops = 400;
-    let (records, _) = runner::ycsb_server(
+    let (records, _, _) = runner::ycsb_server(
         &scale,
         Dataset::Random,
         1,
@@ -60,6 +69,7 @@ fn explicit_rate_is_honored_as_the_schedule() {
         0xbee5,
         Some(20_000.0),
         0,
+        false,
     )
     .expect("fixed-rate server ycsb");
     for r in &records {
