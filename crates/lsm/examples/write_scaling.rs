@@ -20,16 +20,16 @@ fn run_list(threads: usize, total: u64) -> f64 {
                 let base = t as u64 * per;
                 for i in 0..per {
                     let k = base + i;
-                    l.insert(
+                    l.insert_quiet(
                         InternalKey {
                             user_key: k,
                             seq: k + 1,
                             kind: EntryKind::Put,
                         },
                         vec![7u8; 64],
-                        100,
                     );
                 }
+                l.add_stats(per as usize, per as usize * 100);
             })
         })
         .collect();

@@ -1,9 +1,11 @@
-//! Maintenance in both modes: the inline flush-and-compact of
-//! `Maintenance::Synchronous`, and admission control, rotation and the
-//! worker steps of `Maintenance::Background`; explicit flushes, the
-//! wait/pause/resume hooks and close (ARCHITECTURE.md §3).
+//! Maintenance (ARCHITECTURE.md §3): sealing a full buffer onto the
+//! immutable queue, the one procedure that empties the queue and restores
+//! the tree's shape — `flush_one`, `compact_one` — and its two drivers: a
+//! pool thread (`Maintenance::Background`) or the writer that sealed the
+//! buffer (`Maintenance::Synchronous`). Also admission control, explicit
+//! flushes, the wait/pause/resume hooks and close.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,11 +29,9 @@ const SLOWDOWN_DELAY: Duration = Duration::from_millis(1);
 impl Db {
     // ------------------------------------------------- flush / maintenance
 
-    /// Force a flush of the current memtable (no-op when empty).
-    ///
-    /// Under background maintenance the buffer is rotated onto the
-    /// immutable queue (bypassing backpressure — an explicit flush is an
-    /// order, not a write) and the call blocks until the queue drains.
+    /// Force a flush of the current memtable (no-op when empty): the
+    /// buffer is rotated onto the immutable queue and the call returns once
+    /// the queue has drained.
     pub fn flush(&self) -> Result<()> {
         Self::flush_all(self.core.coordination.as_deref(), || vec![self]).map(drop)
     }
@@ -66,39 +66,33 @@ impl Db {
         Ok(shards)
     }
 
-    /// First half of a flush: push the active memtable toward the tables.
-    /// Synchronous mode flushes (and compacts) inline; background mode
-    /// rotates the buffer onto the immutable queue and returns without
-    /// waiting. The sharding layer calls this under its commit lock — a
-    /// rotation racing a cross-shard commit could flush an unsealed
-    /// prepare fragment into an SSTable, which replays unconditionally —
-    /// and does the (possibly long) wait outside it.
+    /// First half of a flush: seal the active memtable onto the immutable
+    /// queue (bypassing backpressure — an explicit flush is an order, not a
+    /// write) and return without waiting. The sharding layer calls this
+    /// under its commit lock — a rotation racing a cross-shard commit could
+    /// seal an unsealed prepare fragment toward an SSTable, which replays
+    /// unconditionally — and does the (possibly long) second half outside
+    /// it.
     pub(crate) fn begin_flush(&self) -> Result<()> {
-        if self.core.opts.maintenance.is_background() {
-            {
-                let mut inner = self.core.inner.write();
-                if !inner.mem.is_empty() {
-                    self.core.rotate_memtable(&mut inner)?;
-                }
+        {
+            let mut inner = self.core.inner.write();
+            if !inner.mem.is_empty() {
+                self.core.rotate_memtable(&mut inner)?;
             }
-            self.core.signal.bump();
-            return Ok(());
         }
-        let mut inner = self.core.inner.write();
-        if inner.mem.is_empty() {
-            return Ok(());
-        }
-        self.core.flush_locked(&mut inner)
+        self.core.signal.bump();
+        Ok(())
     }
 
-    /// Second half of a flush: wait for the background queues to drain and
-    /// surface any worker error. No-op under synchronous maintenance.
+    /// Second half of a flush: the queue drains — the pool is waited for
+    /// and its standing error surfaced, or, under synchronous maintenance,
+    /// this thread does the work.
     pub(crate) fn finish_flush(&self) -> Result<()> {
         if self.core.opts.maintenance.is_background() {
             self.wait_flush_drain();
             return self.core.bg_error.to_result();
         }
-        Ok(())
+        self.core.drain_inline()
     }
 
     /// Block until the immutable-memtable queue is empty and no flush is
@@ -107,11 +101,8 @@ impl Db {
     fn wait_flush_drain(&self) {
         loop {
             let epoch = self.core.signal.epoch();
-            {
-                let inner = self.core.inner.read();
-                if inner.imms.is_empty() && !inner.flush_active {
-                    return;
-                }
+            if self.core.inner.read().flush_idle() {
+                return;
             }
             if self.core.flush_paused.load(Ordering::Acquire) || self.background_error().is_some() {
                 return; // paused or failing: the drain will not happen
@@ -132,8 +123,8 @@ impl Db {
             let epoch = self.core.signal.epoch();
             {
                 let inner = self.core.inner.read();
-                let flush_idle = self.core.flush_paused.load(Ordering::Acquire)
-                    || (inner.imms.is_empty() && !inner.flush_active);
+                let flush_idle =
+                    self.core.flush_paused.load(Ordering::Acquire) || inner.flush_idle();
                 let compact_idle = inner.busy.is_empty()
                     && (self.core.compaction_paused.load(Ordering::Acquire)
                         || pick_compaction_excluding(
@@ -209,141 +200,7 @@ impl Drop for Db {
 }
 
 impl DbCore {
-    // ------------------------------------------- synchronous maintenance
-
-    /// Flush the memtable if it exceeds the write buffer (synchronous
-    /// mode's inline maintenance).
-    pub(super) fn maybe_flush(&self, inner: &mut Inner) -> Result<()> {
-        if inner.mem.approximate_bytes() < self.opts.write_buffer_bytes {
-            return Ok(());
-        }
-        self.flush_locked(inner)
-    }
-
-    fn flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        self.quiesce(inner);
-        let flush_started = Instant::now();
-        let entries = inner.mem.len() as u64;
-        let flush_span = self.obs.as_deref().map(|obs| {
-            let span = obs.span();
-            obs.emit(EventKind::FlushBegin, span, entries, 0);
-            span
-        });
-        let handle = self.flush_table(&inner.mem)?;
-        self.install(inner, |tree| {
-            tree.version = Arc::new(tree.version.with_l0_table(handle));
-            tree.mem = MemTable::new();
-        });
-        // Start a fresh log; the old one is retired only after the manifest
-        // durably references the new SSTable — until then a crash must
-        // still find the old log named by the old manifest, or the flushed
-        // writes would be lost.
-        let old_wal = self.rotate_wal(inner)?;
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        if let (Some(obs), Some(span)) = (self.obs.as_deref(), flush_span) {
-            obs.emit(
-                EventKind::FlushEnd,
-                span,
-                entries,
-                flush_started.elapsed().as_nanos() as u64,
-            );
-        }
-        let retired_tables = self.compact_until_stable(inner)?;
-        self.write_manifest(inner)?;
-        // Only now is the sealed manifest free of the merged inputs and
-        // the old log — a crash at any earlier boundary still finds a
-        // manifest whose files all exist. Open readers pinned by a live
-        // Snapshot's Version keep removed tables readable until released.
-        for name in retired_tables {
-            let _ = self.storage.remove(&name);
-        }
-        if let Some(old) = old_wal {
-            let _ = self.storage.remove(&old);
-        }
-        Ok(())
-    }
-
-    /// Write a quiesced buffer out as one L0 table, in either maintenance
-    /// mode: flush order is key asc, seq desc, so the newest version per user
-    /// key survives; tombstones are kept since L0 is never the bottom. Keys
-    /// and values are borrowed from the skiplist's nodes.
-    fn flush_table(&self, mem: &MemTable) -> Result<Arc<TableHandle>> {
-        let ctx = self.tables();
-        let mut out = LevelWriter::new(&ctx, 0);
-        let mut retention = KeyRetention::new(false);
-        let mut cursor = mem.cursor();
-        cursor.seek_to_first();
-        while let Some(key) = cursor.key()? {
-            if retention.keep(&key) {
-                out.add(&key, cursor.value())?;
-            }
-            cursor.advance();
-        }
-        let handle = out.finish()?.pop();
-        let handle = handle.ok_or_else(|| Error::Corruption("flush of an empty buffer".into()))?;
-        self.stats
-            .flush_bytes_written
-            .fetch_add(handle.meta.file_bytes, Ordering::Relaxed);
-        Ok(handle)
-    }
-
-    /// Drop a finished compaction's inputs' cached blocks: dead weight, the
-    /// tables are about to be unlinked.
-    fn retire_cached_tables(&self, task: &CompactionTask) {
-        if let Some(cache) = &self.cache {
-            for t in task.inputs.iter().chain(task.next_inputs.iter()) {
-                cache.blocks().evict_table(t.reader.table_id());
-            }
-        }
-    }
-
-    /// `inner`'s version with `task`'s inputs replaced by `outputs` and the
-    /// models of the levels that changed retrained (level granularity only;
-    /// the time joins the compaction's training share).
-    fn compacted(
-        &self,
-        inner: &Inner,
-        task: &CompactionTask,
-        outputs: Vec<Arc<TableHandle>>,
-    ) -> Result<Arc<Version>> {
-        let removed = task.input_names();
-        let mut version = inner
-            .version
-            .with_compaction_applied(task.level, &removed, outputs);
-        let train_ns = version.train_level_indexes(&self.opts)?;
-        self.stats
-            .compact_train_ns
-            .fetch_add(train_ns, Ordering::Relaxed);
-        self.stats
-            .compact_total_ns
-            .fetch_add(train_ns, Ordering::Relaxed);
-        Ok(Arc::new(version))
-    }
-
-    /// Run compactions until the tree satisfies its shape invariants,
-    /// returning the merged input tables' names. The caller removes them
-    /// **after** its manifest rewrite seals: until then the only sealed
-    /// manifest on disk still names these files, and unlinking them first
-    /// would leave a crash with a manifest pointing at nothing — an
-    /// unopenable database. (The background path, `compact_step`, orders
-    /// its removals the same way.)
-    fn compact_until_stable(&self, inner: &mut Inner) -> Result<Vec<String>> {
-        let inner = &mut *inner;
-        let mut retired = Vec::new();
-        while let Some(task) =
-            pick_compaction_excluding(&inner.version, &self.opts, &inner.cursors, &inner.busy)
-        {
-            advance_cursor(&inner.version, &task, &mut inner.cursors);
-            let result = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
-            self.retire_cached_tables(&task);
-            let version = self.compacted(inner, &task, result.outputs)?;
-            self.install(inner, |tree| tree.version = version);
-            retired.extend(task.input_names());
-        }
-        Ok(retired)
-    }
-
-    // ------------------------------------------- background maintenance
+    // ------------------------------------------------- sealing the buffer
 
     /// Admission control for one write (background mode): rotate a full
     /// memtable onto the immutable queue, delaying or blocking the writer
@@ -412,6 +269,23 @@ impl DbCore {
         outcome
     }
 
+    /// Synchronous maintenance's trigger, run by a writer after its write
+    /// is acknowledged: seal the buffer if it is full, then restore the
+    /// tree's shape on this thread before returning. A queued buffer nobody
+    /// is flushing — a failed flush left it — is retried here too; one that
+    /// another writer is flushing is that writer's to finish.
+    pub(super) fn maintain_inline(&self) -> Result<()> {
+        {
+            let mut inner = self.inner.write();
+            if inner.mem.approximate_bytes() >= self.opts.write_buffer_bytes {
+                self.rotate_memtable(&mut inner)?;
+            } else if inner.imms.is_empty() || inner.flush_active {
+                return Ok(());
+            }
+        }
+        self.drain_inline()
+    }
+
     /// Swap in a fresh WAL, returning the retiring log's name (`None`
     /// when the WAL is off). The fresh log is **created before the old
     /// writer is released**: a failed create leaves the engine still
@@ -460,30 +334,29 @@ impl DbCore {
         Ok(())
     }
 
-    /// One unit of flush-worker work: claim the oldest immutable memtable,
-    /// build its L0 table off-lock, install it and retire its WAL.
-    /// Installation is strictly oldest-first (single claim at a time) —
-    /// L0's newest-first read order depends on it.
-    pub(crate) fn flush_step(&self, draining: bool) -> Step {
-        if self.flush_paused.load(Ordering::Acquire) && !draining {
-            return Step::Idle;
-        }
+    // ------------------------------------- the one maintenance procedure
+
+    /// Flush the oldest queued buffer, if no one else is: build its L0
+    /// table off-lock, install it, seal the manifest, and only then retire
+    /// its WAL — until the seal, the sealed manifest on disk still names
+    /// that log, and a crash must find it. One claim at a time, so tables
+    /// reach L0 oldest-first; L0's newest-first read order depends on it.
+    /// `Ok(false)`: nothing to claim.
+    fn flush_one(&self) -> Result<bool> {
         let imm = {
             let mut inner = self.inner.write();
             if inner.flush_active {
-                return Step::Idle;
+                return Ok(false);
             }
-            match inner.imms.front() {
-                None => return Step::Idle,
-                Some(front) => {
-                    let imm = Arc::clone(front);
-                    inner.flush_active = true;
-                    imm
-                }
-            }
+            let Some(front) = inner.imms.front() else {
+                return Ok(false);
+            };
+            let imm = Arc::clone(front);
+            inner.flush_active = true;
+            imm
         };
-        let started = Instant::now();
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
         let entries = imm.mem.len() as u64;
         let flush_span = self.obs.as_deref().map(|obs| {
             let span = obs.span();
@@ -499,7 +372,6 @@ impl DbCore {
             });
             self.write_manifest(&inner)?;
             drop(inner);
-            // The manifest no longer names this log; retire it.
             if let Some(old) = &imm.wal {
                 let _ = self.storage.remove(old);
             }
@@ -508,9 +380,6 @@ impl DbCore {
         })();
         self.inner.write().flush_active = false;
         self.stats.bg_active.fetch_sub(1, Ordering::Relaxed);
-        self.stats
-            .bg_flush_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let (Some(obs), Some(span)) = (self.obs.as_deref(), flush_span) {
             // Emitted on error too: an end with the elapsed time still
             // closes the span; the paired begin makes the outcome legible.
@@ -521,55 +390,69 @@ impl DbCore {
                 started.elapsed().as_nanos() as u64,
             );
         }
-        match result {
-            Ok(()) => {
-                self.bg_error.clear(&self.stats);
-                self.signal.bump();
-                Step::Worked
-            }
-            Err(e) => {
-                // No bump: nothing changed for waiters, and bumping here
-                // would turn a persistent failure into a busy spin. The
-                // worker retries on the next signal (or poll interval).
-                self.bg_error.record(&e, &self.stats);
-                Step::Idle
-            }
-        }
+        self.finished(result)
     }
 
-    /// One unit of compaction-worker work: claim a due task whose inputs
-    /// are free, merge off-lock, install the edit. Disjoint tasks run
-    /// concurrently; the `busy` set keeps claims from overlapping.
-    pub(crate) fn compact_step(&self, draining: bool) -> Step {
-        if draining || self.compaction_paused.load(Ordering::Acquire) {
-            return Step::Idle;
+    /// Write a quiesced buffer out as one L0 table: flush order is key asc,
+    /// seq desc, so the newest version per user key survives; tombstones are
+    /// kept since L0 is never the bottom. Keys and values are borrowed from
+    /// the skiplist's nodes.
+    fn flush_table(&self, mem: &MemTable) -> Result<Arc<TableHandle>> {
+        let ctx = self.tables();
+        let mut out = LevelWriter::new(&ctx, 0);
+        let mut retention = KeyRetention::new(false);
+        let mut cursor = mem.cursor();
+        cursor.seek_to_first();
+        while let Some(key) = cursor.key()? {
+            if retention.keep(&key) {
+                out.add(&key, cursor.value())?;
+            }
+            cursor.advance();
         }
+        let handle = out.finish()?.pop();
+        let handle = handle.ok_or_else(|| Error::Corruption("flush of an empty buffer".into()))?;
+        self.stats
+            .flush_bytes_written
+            .fetch_add(handle.meta.file_bytes, Ordering::Relaxed);
+        Ok(handle)
+    }
+
+    /// Run one due compaction whose inputs are free: merge off-lock,
+    /// install the edit, seal the manifest, and only then unlink the
+    /// inputs — until the seal, the only sealed manifest on disk still
+    /// names them, and unlinking first would leave a crash with a manifest
+    /// pointing at nothing. Disjoint tasks run concurrently; the `busy` set
+    /// keeps claims from overlapping. `Ok(false)`: nothing to claim.
+    fn compact_one(&self) -> Result<bool> {
         let task = {
             let mut inner = self.inner.write();
             let inner = &mut *inner;
-            match pick_compaction_excluding(&inner.version, &self.opts, &inner.cursors, &inner.busy)
-            {
-                None => return Step::Idle,
-                Some(task) => {
-                    advance_cursor(&inner.version, &task, &mut inner.cursors);
-                    for name in task.input_names() {
-                        inner.busy.insert(name);
-                    }
-                    task
-                }
-            }
+            let Some(task) =
+                pick_compaction_excluding(&inner.version, &self.opts, &inner.cursors, &inner.busy)
+            else {
+                return Ok(false);
+            };
+            advance_cursor(&inner.version, &task, &mut inner.cursors);
+            inner.busy.extend(task.input_names());
+            task
         };
-        let started = Instant::now();
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
         let removed = task.input_names();
         let result = (|| -> Result<()> {
             let run = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
-            self.retire_cached_tables(&task);
+            // The inputs' cached blocks are dead weight from here on.
+            if let Some(cache) = &self.cache {
+                for t in task.inputs.iter().chain(task.next_inputs.iter()) {
+                    cache.blocks().evict_table(t.reader.table_id());
+                }
+            }
             let mut inner = self.inner.write();
             let version = self.compacted(&inner, &task, run.outputs)?;
             self.install(&mut inner, |tree| tree.version = version);
             self.write_manifest(&inner)?;
             drop(inner);
+            // Open readers pinned by a live Snapshot's Version keep removed
+            // tables readable until released.
             for name in &removed {
                 let _ = self.storage.remove(name);
             }
@@ -582,18 +465,104 @@ impl DbCore {
             }
         }
         self.stats.bg_active.fetch_sub(1, Ordering::Relaxed);
+        self.finished(result)
+    }
+
+    /// `inner`'s version with `task`'s inputs replaced by `outputs` and the
+    /// models of the levels that changed retrained (level granularity only;
+    /// the time joins the compaction's training share).
+    fn compacted(
+        &self,
+        inner: &Inner,
+        task: &CompactionTask,
+        outputs: Vec<Arc<TableHandle>>,
+    ) -> Result<Arc<Version>> {
+        let removed = task.input_names();
+        let mut version = inner
+            .version
+            .with_compaction_applied(task.level, &removed, outputs);
+        let train_ns = version.train_level_indexes(&self.opts)?;
         self.stats
-            .bg_compact_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            .compact_train_ns
+            .fetch_add(train_ns, Ordering::Relaxed);
+        self.stats
+            .compact_total_ns
+            .fetch_add(train_ns, Ordering::Relaxed);
+        Ok(Arc::new(version))
+    }
+
+    /// The outcome of a claimed flush or compaction, its claim released:
+    /// success changed the tree, so waiters are woken. A failure changed
+    /// nothing for them, and bumping here would turn a pool worker's
+    /// persistent failure into a busy spin — it retries on the next signal
+    /// (or poll interval).
+    fn finished(&self, result: Result<()>) -> Result<bool> {
+        result.map(|()| {
+            self.signal.bump();
+            true
+        })
+    }
+
+    // ----------------------------------------------------- its two drivers
+
+    /// The writer as driver (`Maintenance::Synchronous`): flush and compact
+    /// on this thread until the queue is empty and nothing it can claim is
+    /// due, handing the first error to the caller. A front buffer another
+    /// writer is flushing is waited for like any stall; that writer's bump
+    /// ends the wait, whether it finished or failed.
+    fn drain_inline(&self) -> Result<()> {
+        loop {
+            let epoch = self.signal.epoch();
+            let worked = self
+                .flush_one()
+                .and_then(|flushed| Ok(flushed || self.compact_one()?));
+            match worked {
+                Ok(true) => {}
+                Ok(false) if self.inner.read().flush_idle() => return Ok(()),
+                Ok(false) => self.signal.wait_past(epoch),
+                Err(e) => {
+                    // No pool thread spins on this signal, and a writer
+                    // waiting for the claim just released must try it.
+                    self.signal.bump();
+                    return Err(e);
+                }
+            }
+        }
+    }
+
+    /// One unit of flush-worker work (shutdown overrides the pause, to
+    /// drain the queue).
+    pub(crate) fn flush_step(&self, draining: bool) -> Step {
+        if self.flush_paused.load(Ordering::Acquire) && !draining {
+            return Step::Idle;
+        }
+        self.worker_step(&self.stats.bg_flush_ns, || self.flush_one())
+    }
+
+    /// One unit of compaction-worker work (none once shutdown has begun).
+    pub(crate) fn compact_step(&self, draining: bool) -> Step {
+        if draining || self.compaction_paused.load(Ordering::Acquire) {
+            return Step::Idle;
+        }
+        self.worker_step(&self.stats.bg_compact_ns, || self.compact_one())
+    }
+
+    /// A pool thread as driver (`Maintenance::Background`): one call of
+    /// `body` with what only a worker needs around it — its busy clock, the
+    /// standing error and the `Step` the pool loop reads.
+    fn worker_step(&self, busy_ns: &AtomicU64, body: impl FnOnce() -> Result<bool>) -> Step {
+        let started = Instant::now();
+        let result = body();
+        if !matches!(result, Ok(false)) {
+            busy_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
         match result {
-            Ok(()) => {
+            Ok(true) => {
                 self.bg_error.clear(&self.stats);
-                self.signal.bump();
                 Step::Worked
             }
+            Ok(false) => Step::Idle,
             Err(e) => {
-                // No bump (see flush_step): avoid busy-spinning on a
-                // persistent failure.
                 self.bg_error.record(&e, &self.stats);
                 Step::Idle
             }

@@ -5,23 +5,25 @@
 //!
 //! ## Maintenance scheduling
 //!
-//! Writes land in the memtable; what happens when it fills depends on
-//! [`Options::maintenance`]:
+//! Writes land in the memtable. When it fills it is **rotated** onto an
+//! immutable-memtable queue, and one procedure (`maintenance.rs`:
+//! `flush_one`, `compact_one`) drains the queue into L0 and merges what is
+//! due; [`Options::maintenance`] says who runs it:
 //!
-//! * [`Maintenance::Synchronous`] (default): the buffer is flushed to an L0
-//!   SSTable and compactions run *inline* until the tree satisfies its
-//!   shape invariants — deterministic, so the paper's compaction
-//!   experiments measure maintenance work instead of racing against it.
-//! * [`Maintenance::Background`]: the buffer is **rotated** onto an
-//!   immutable-memtable queue and the write returns immediately; dedicated
-//!   flush and compaction workers (see [`crate::scheduler`]) restore the
-//!   invariant concurrently. Writers are regulated LevelDB-style: each
-//!   write is delayed ~1 ms once L0 reaches
-//!   [`Options::l0_slowdown_trigger`], and blocks outright at
-//!   [`Options::l0_stop_trigger`] (or when the immutable queue is full)
-//!   until maintenance catches up. Reads always consult the active
-//!   memtable, then the immutable queue (newest first), then the
-//!   [`Version`] — so rotated-but-unflushed writes stay visible.
+//! * [`Maintenance::Synchronous`] (default): the writer that filled the
+//!   buffer, *inline*, until the tree satisfies its shape invariants —
+//!   deterministic, so the paper's compaction experiments measure
+//!   maintenance work instead of racing against it.
+//! * [`Maintenance::Background`]: dedicated flush and compaction workers
+//!   (see [`crate::scheduler`]), concurrently; the write returns once the
+//!   buffer is rotated. Writers are regulated LevelDB-style: each write is
+//!   delayed ~1 ms once L0 reaches [`Options::l0_slowdown_trigger`], and
+//!   blocks outright at [`Options::l0_stop_trigger`] (or when the immutable
+//!   queue is full) until maintenance catches up.
+//!
+//! Reads always consult the active memtable, then the immutable queue
+//! (newest first), then the [`Version`] — so rotated-but-unflushed writes
+//! stay visible.
 //!
 //! Reads take none of the locks below: they resolve through the published
 //! `ReadView` (see [`crate::snapshot`]), which `DbCore::install` swaps
@@ -120,8 +122,9 @@ struct Inner {
     // `mem`, `imms` and `version` make up the read view: they change only
     // inside `DbCore::install`, which publishes the next one.
     mem: MemTable,
-    /// Rotated-but-unflushed buffers, oldest at the front (background
-    /// maintenance only; always empty under `Maintenance::Synchronous`).
+    /// Rotated-but-unflushed buffers, oldest at the front. Under
+    /// `Maintenance::Synchronous` the writer that queued one flushes it
+    /// before returning.
     imms: VecDeque<Arc<ImmutableMemTable>>,
     version: Arc<Version>,
     seq: SeqNo,
@@ -129,11 +132,18 @@ struct Inner {
     cursors: Vec<u64>,
     /// Active write-ahead log (None when `Options::wal` is off).
     wal: Option<WalWriter>,
-    /// A background flush worker holds the front immutable memtable.
+    /// A flush holds the front immutable memtable.
     flush_active: bool,
-    /// Input tables of in-flight background compactions (by file name);
-    /// excluded from new picks so disjoint tasks can run concurrently.
+    /// Input tables of in-flight compactions (by file name); excluded from
+    /// new picks so disjoint tasks can run concurrently.
     busy: HashSet<String>,
+}
+
+impl Inner {
+    /// No buffer is queued for flush or being flushed.
+    fn flush_idle(&self) -> bool {
+        self.imms.is_empty() && !self.flush_active
+    }
 }
 
 /// Shared engine state: everything the foreground API and the background
@@ -433,8 +443,9 @@ impl Db {
     ///   [`Options::l0_slowdown_trigger`]: each write is braked ~1 ms.
     /// * [`WritePressure::Clear`] — no backpressure.
     ///
-    /// Under [`Maintenance::Synchronous`] there is no backpressure
-    /// (flushes run inline), so this always reports `Clear`.
+    /// Under [`Maintenance::Synchronous`] there is no backpressure (the
+    /// writer that fills the buffer flushes it), so this always reports
+    /// `Clear`.
     ///
     /// [`Maintenance::Synchronous`]: crate::options::Maintenance::Synchronous
     pub fn write_pressure(&self) -> WritePressure {

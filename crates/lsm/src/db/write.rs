@@ -358,8 +358,7 @@ impl Db {
         } else if cross.is_none() {
             // Cross-shard fragments defer the inline flush until the
             // batch's commit marker is durable ([`Db::flush_deferred`]).
-            let mut inner = core.inner.write();
-            core.maybe_flush(&mut inner)?;
+            core.maintain_inline()?;
         }
         Ok(last_seq)
     }
@@ -372,8 +371,7 @@ impl Db {
         if self.core.opts.maintenance.is_background() {
             return Ok(());
         }
-        let mut inner = self.core.inner.write();
-        self.core.maybe_flush(&mut inner)
+        self.core.maintain_inline()
     }
 
     /// Insert or overwrite `key` (thin wrapper over [`Db::write`]).

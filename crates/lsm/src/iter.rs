@@ -478,6 +478,7 @@ mod tests {
 
     // ----------------------------------------------- model and work tests
 
+    use crate::batch::BatchOp;
     use crate::cache::EngineCache;
     use crate::memtable::MemTable;
     use crate::options::IndexChoice;
@@ -553,10 +554,12 @@ mod tests {
     fn memtable(entries: &[Entry]) -> MemTable {
         let mem = MemTable::new();
         for e in entries {
-            match e.key.kind {
-                EntryKind::Put => mem.put(e.key.user_key, e.key.seq, &e.value),
-                EntryKind::Delete => mem.delete(e.key.user_key, e.key.seq),
-            }
+            let op = BatchOp {
+                kind: e.key.kind,
+                key: e.key.user_key,
+                value: e.value.clone(),
+            };
+            mem.apply_batch(&[op], e.key.seq);
         }
         mem
     }

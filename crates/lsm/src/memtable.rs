@@ -61,24 +61,11 @@ impl MemTable {
         Self::default()
     }
 
-    /// Insert a put record.
-    pub fn put(&self, user_key: u64, seq: SeqNo, value: &[u8]) {
-        self.shared.list.insert(
-            InternalKey {
-                user_key,
-                seq,
-                kind: EntryKind::Put,
-            },
-            value.to_vec(),
-            ENTRY_OVERHEAD + value.len(),
-        );
-    }
-
     /// Apply a whole batch whose first operation commits at `first_seq`
-    /// (operation `i` at `first_seq + i`). Inserts are quiet — the shared
-    /// `len`/`approx_bytes` counters are settled once per batch, not twice
-    /// per entry, so parallel commit-group appliers don't serialize on the
-    /// counter cache line.
+    /// (operation `i` at `first_seq + i`) — the buffer's one insert path.
+    /// Inserts are quiet — the shared `len`/`approx_bytes` counters are
+    /// settled once per batch, not twice per entry, so parallel commit-group
+    /// appliers don't serialize on the counter cache line.
     pub fn apply_batch(&self, ops: &[crate::batch::BatchOp], first_seq: SeqNo) {
         let mut bytes = 0usize;
         for (i, op) in ops.iter().enumerate() {
@@ -95,19 +82,6 @@ impl MemTable {
             self.shared.list.insert_quiet(key, value);
         }
         self.shared.list.add_stats(ops.len(), bytes);
-    }
-
-    /// Insert a tombstone.
-    pub fn delete(&self, user_key: u64, seq: SeqNo) {
-        self.shared.list.insert(
-            InternalKey {
-                user_key,
-                seq,
-                kind: EntryKind::Delete,
-            },
-            Vec::new(),
-            ENTRY_OVERHEAD,
-        );
     }
 
     /// Newest version of `user_key` visible at `snapshot`:
@@ -244,6 +218,15 @@ pub struct ImmutableMemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::WriteBatch;
+
+    fn put(m: &MemTable, key: u64, seq: SeqNo, value: &[u8]) {
+        m.apply_batch(WriteBatch::new().put(key, value).ops(), seq);
+    }
+
+    fn delete(m: &MemTable, key: u64, seq: SeqNo) {
+        m.apply_batch(WriteBatch::new().delete(key).ops(), seq);
+    }
 
     /// `(user key, seq)` of every record from the cursor's position on.
     fn keys_from(c: &mut MemCursor) -> Vec<(u64, SeqNo)> {
@@ -258,16 +241,16 @@ mod tests {
     #[test]
     fn newest_version_wins() {
         let m = MemTable::new();
-        m.put(5, 1, b"old");
-        m.put(5, 3, b"new");
+        put(&m, 5, 1, b"old");
+        put(&m, 5, 3, b"new");
         assert_eq!(m.get(5, u64::MAX >> 8), Some(Some(&b"new"[..])));
     }
 
     #[test]
     fn snapshot_reads_see_past() {
         let m = MemTable::new();
-        m.put(5, 1, b"v1");
-        m.put(5, 5, b"v5");
+        put(&m, 5, 1, b"v1");
+        put(&m, 5, 5, b"v5");
         assert_eq!(m.get(5, 1), Some(Some(&b"v1"[..])));
         assert_eq!(m.get(5, 4), Some(Some(&b"v1"[..])));
         assert_eq!(m.get(5, 5), Some(Some(&b"v5"[..])));
@@ -277,8 +260,8 @@ mod tests {
     #[test]
     fn tombstone_reported_as_deleted() {
         let m = MemTable::new();
-        m.put(7, 1, b"x");
-        m.delete(7, 2);
+        put(&m, 7, 1, b"x");
+        delete(&m, 7, 2);
         assert_eq!(m.get(7, u64::MAX >> 8), Some(None));
         assert_eq!(m.get(7, 1), Some(Some(&b"x"[..])));
     }
@@ -292,9 +275,9 @@ mod tests {
     #[test]
     fn flush_order_is_key_asc_seq_desc() {
         let m = MemTable::new();
-        m.put(2, 1, b"a");
-        m.put(1, 2, b"b");
-        m.put(1, 9, b"c");
+        put(&m, 2, 1, b"a");
+        put(&m, 1, 2, b"b");
+        put(&m, 1, 9, b"c");
         let mut c = m.cursor();
         c.seek_to_first();
         assert_eq!(keys_from(&mut c), vec![(1, 9), (1, 2), (2, 1)]);
@@ -304,9 +287,9 @@ mod tests {
     fn size_tracks_values() {
         let m = MemTable::new();
         assert_eq!(m.approximate_bytes(), 0);
-        m.put(1, 1, &[0u8; 100]);
+        put(&m, 1, 1, &[0u8; 100]);
         assert_eq!(m.approximate_bytes(), 136);
-        m.delete(2, 2);
+        delete(&m, 2, 2);
         assert_eq!(m.approximate_bytes(), 172);
         assert_eq!(m.len(), 2);
     }
@@ -315,7 +298,7 @@ mod tests {
     fn clones_share_one_buffer() {
         let a = MemTable::new();
         let b = a.clone();
-        b.put(1, 1, b"via-clone");
+        put(&b, 1, 1, b"via-clone");
         assert_eq!(a.get(1, u64::MAX >> 8), Some(Some(&b"via-clone"[..])));
         assert_eq!(a.len(), b.len());
     }
@@ -323,8 +306,8 @@ mod tests {
     #[test]
     fn cursor_survives_handle_drop() {
         let m = MemTable::new();
-        m.put(1, 1, b"a");
-        m.put(2, 2, b"b");
+        put(&m, 1, 1, b"a");
+        put(&m, 2, 2, b"b");
         let mut c = m.cursor();
         drop(m);
         let user_key = |c: &mut MemCursor| c.key().unwrap().map(|k| k.user_key);
@@ -342,9 +325,9 @@ mod tests {
     #[test]
     fn freeze_preserves_contents_and_wal_name() {
         let m = MemTable::new();
-        m.put(1, 5, b"v5");
-        m.put(1, 2, b"v2");
-        m.delete(9, 7);
+        put(&m, 1, 5, b"v5");
+        put(&m, 1, 2, b"v2");
+        delete(&m, 9, 7);
         let bytes = m.approximate_bytes();
         let imm = ImmutableMemTable {
             mem: m.clone(),
@@ -367,7 +350,7 @@ mod tests {
     fn range_from_seeks_mid_key() {
         let m = MemTable::new();
         for k in 0..10u64 {
-            m.put(k, k + 1, b"v");
+            put(&m, k, k + 1, b"v");
         }
         let mut c = m.cursor();
         c.seek(5).unwrap();
@@ -383,7 +366,7 @@ mod tests {
                 mem.register_applier();
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
-                        mem.put(i * 4 + t, i * 4 + t + 1, b"v");
+                        put(&mem, i * 4 + t, i * 4 + t + 1, b"v");
                     }
                     mem.finish_applier();
                 })

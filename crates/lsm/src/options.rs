@@ -154,21 +154,24 @@ impl Default for IndexChoice {
 
 /// How flushes and compactions are scheduled.
 ///
-/// The paper's compaction experiments *measure* maintenance work, so it
-/// must never race against foreground traffic — [`Maintenance::Synchronous`]
-/// (the default) runs the flush and the whole follow-on merge cascade
-/// inside the write path, exactly as the seed engine did, and stays
-/// byte-for-byte deterministic.
+/// A full memtable is rotated onto an immutable queue either way, and the
+/// same flush and compaction steps empty it; this chooses who runs them.
 ///
-/// [`Maintenance::Background`] is the production mode: a full memtable is
-/// rotated onto an immutable queue and the write returns immediately, while
-/// dedicated flush and compaction worker threads restore the tree invariant
-/// concurrently. Writers are regulated LevelDB-style by
-/// [`Options::l0_slowdown_trigger`] / [`Options::l0_stop_trigger`].
+/// The paper's compaction experiments *measure* maintenance work, so it
+/// must never race against foreground traffic — under
+/// [`Maintenance::Synchronous`] (the default) the writer that filled the
+/// buffer runs the flush and the whole follow-on merge cascade itself
+/// before its write returns, which stays byte-for-byte deterministic.
+///
+/// [`Maintenance::Background`] is the production mode: the write returns
+/// once the buffer is rotated, while dedicated flush and compaction worker
+/// threads restore the tree invariant concurrently. Writers are regulated
+/// LevelDB-style by [`Options::l0_slowdown_trigger`] /
+/// [`Options::l0_stop_trigger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Maintenance {
-    /// Flush + compactions run inline in the write path (deterministic;
-    /// the mode every paper experiment uses).
+    /// Flush + compactions run inline in the write path, on the writer's
+    /// thread (deterministic; the mode every paper experiment uses).
     #[default]
     Synchronous,
     /// Dedicated background workers; writes overlap with maintenance.

@@ -11,6 +11,10 @@
 //!   [`crate::compaction::CompactionTask`] whose inputs are not already
 //!   being merged, run the merge off-lock, and install the edit.
 //!
+//! Both are the procedure a writer runs on its own thread under
+//! [`crate::options::Maintenance::Synchronous`] (`flush_one` / `compact_one`
+//! in `db/maintenance.rs`); the pool is one of its two drivers.
+//!
 //! Coordination uses one epoch-counter signal (`MaintSignal`): every
 //! state change (rotation, flush install, compaction install, pause toggle,
 //! shutdown) bumps the epoch and wakes everyone — workers waiting for work

@@ -40,11 +40,16 @@ pub(crate) fn over_shards(iters: Vec<DbIterator>) -> ShardedDbIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::WriteBatch;
     use crate::memtable::MemTable;
 
     fn shard_iter(keys: &[u64]) -> DbIterator {
         let mem = MemTable::new();
-        keys.iter().for_each(|&k| mem.put(k, 1, &[k as u8]));
+        let mut batch = WriteBatch::new();
+        for &k in keys {
+            batch.put(k, &[k as u8]);
+        }
+        mem.apply_batch(batch.ops(), 1);
         DbIterator::new(Merge::new(vec![Box::new(mem.cursor())]), MAX_SEQ)
     }
 

@@ -543,7 +543,9 @@ impl ShardedDb {
         self.shutdown_pool();
         self.core.bg_error.to_result()?;
         // The pool is drained, so there is nothing left to wait for:
-        // `finish_flush` only hands back a shard's standing worker error.
+        // `finish_flush` hands back a shard's standing worker error (or,
+        // under synchronous maintenance, retries what a failed inline flush
+        // left queued).
         let state = self.core.current_state();
         state.shards.iter().try_for_each(|d| d.finish_flush())
     }

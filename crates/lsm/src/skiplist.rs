@@ -139,19 +139,14 @@ impl SkipList {
 
     /// Insert `(key, value)`. Insert-only: an overwrite is a new entry at a
     /// new sequence number, so duplicates of `key` never arise in correct
-    /// use (and would merely coexist if they did). `extra_bytes` is the
-    /// caller's size accounting for this entry.
-    pub fn insert(&self, key: InternalKey, value: Vec<u8>, extra_bytes: usize) {
-        self.insert_quiet(key, value);
-        self.add_stats(1, extra_bytes);
-    }
-
-    /// [`insert`](Self::insert) without touching the shared `len` /
-    /// `approx_bytes` counters. Batch appliers use this to link a whole
-    /// write group with zero counter traffic, then settle the accounting
-    /// with one [`add_stats`](Self::add_stats) call — under many concurrent
-    /// writers the per-entry `fetch_add`s are cache-line ping-pong that
-    /// serializes the otherwise parallel apply phase.
+    /// use (and would merely coexist if they did).
+    ///
+    /// Quiet: the shared `len` / `approx_bytes` counters are not touched.
+    /// Batch appliers link a whole write group with zero counter traffic,
+    /// then settle the accounting with one [`add_stats`](Self::add_stats)
+    /// call — under many concurrent writers a per-entry `fetch_add` is
+    /// cache-line ping-pong that serializes the otherwise parallel apply
+    /// phase.
     pub fn insert_quiet(&self, key: InternalKey, value: Vec<u8>) {
         let height = Self::height_for(&key);
         // Raise the list height first; a racing taller insert is fine —
@@ -270,6 +265,11 @@ mod tests {
         entries_from(list, list.front())
     }
 
+    fn insert(l: &SkipList, key: InternalKey, value: Vec<u8>, bytes: usize) {
+        l.insert_quiet(key, value);
+        l.add_stats(1, bytes);
+    }
+
     fn key(user_key: u64, seq: SeqNo) -> InternalKey {
         InternalKey {
             user_key,
@@ -281,9 +281,9 @@ mod tests {
     #[test]
     fn sorted_iteration_key_asc_seq_desc() {
         let l = SkipList::new();
-        l.insert(key(2, 1), b"a".to_vec(), 1);
-        l.insert(key(1, 2), b"b".to_vec(), 1);
-        l.insert(key(1, 9), b"c".to_vec(), 1);
+        insert(&l, key(2, 1), b"a".to_vec(), 1);
+        insert(&l, key(1, 2), b"b".to_vec(), 1);
+        insert(&l, key(1, 9), b"c".to_vec(), 1);
         let got: Vec<(u64, SeqNo)> = entries(&l)
             .iter()
             .map(|e| (e.key.user_key, e.key.seq))
@@ -297,7 +297,7 @@ mod tests {
     fn find_ge_seeks_mid_list() {
         let l = SkipList::new();
         for k in (0..100u64).rev() {
-            l.insert(key(k, k + 1), vec![k as u8], 1);
+            insert(&l, key(k, k + 1), vec![k as u8], 1);
         }
         let from_37 = entries_from(&l, l.find_ge(&InternalKey::seek_to(37)));
         assert_eq!(from_37[0].key.user_key, 37);
@@ -325,7 +325,7 @@ mod tests {
                         // Interleave key ranges across threads so CAS races
                         // actually happen on shared splices.
                         let k = i * threads + t;
-                        l.insert(key(k, k + 1), k.to_le_bytes().to_vec(), 8);
+                        insert(&l, key(k, k + 1), k.to_le_bytes().to_vec(), 8);
                     }
                 })
             })

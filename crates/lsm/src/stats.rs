@@ -283,8 +283,8 @@ engine_counters! {
         ],
     }
     live {
-        /// Gauge: background workers currently executing a flush or
-        /// compaction (not part of [`StatsSnapshot`]; read via
+        /// Gauge: claimed flushes and compactions currently executing,
+        /// whoever drives them (not part of [`StatsSnapshot`]; read via
         /// [`DbStats::active_background_workers`]).
         bg_active,
         /// Gauge: writers currently blocked in a hard stop (not part of
@@ -353,7 +353,8 @@ impl DbStats {
         self.stall_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Background workers currently executing a flush or compaction.
+    /// Flushes and compactions currently executing — under background
+    /// maintenance, the pool workers that are mid-task.
     pub fn active_background_workers(&self) -> u64 {
         self.bg_active.load(Ordering::Relaxed)
     }

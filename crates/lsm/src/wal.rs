@@ -82,7 +82,7 @@ pub struct ReplayedRecord {
 const OP_HEADER: usize = 1 + 8 + 4;
 
 /// CRC-32 (IEEE) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
+static CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
@@ -106,7 +106,7 @@ const CRC32_TABLE: [u32; 256] = {
 /// byte `b` seen `k` positions before the end of an 8-byte window, so one
 /// loop iteration digests 8 bytes with 8 independent table loads.
 /// `CRC32_TABLES[0]` is the classic per-byte table above.
-const CRC32_TABLES: [[u32; 256]; 8] = {
+static CRC32_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     tables[0] = CRC32_TABLE;
     let mut k = 1;

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use lsm_io::{MemStorage, Storage};
+use lsm_io::{FaultStorage, MemStorage, Storage};
 use lsm_tree::{
     Db, Event, EventKind, Options, ShardedDb, ShardedOptions, WriteBatch, WriteOptions,
 };
@@ -242,4 +242,44 @@ fn disabling_observability_leaves_counters_byte_identical() {
     let off = run(false);
     let on = run(true);
     assert_eq!(off, on, "observability changed an engine counter");
+}
+
+/// A flush that meets a device error still closes its span: walk the fault
+/// through every write of one synchronous flush cycle (the rotation's
+/// manifest seal, the table's appends, the flush's seal) and require, at
+/// each failing landing, that every `flush_begin` in the timeline has its
+/// `flush_end` — and that the healed retry succeeds.
+#[test]
+fn a_failed_synchronous_flush_closes_its_span() {
+    let mut spans_that_failed = 0;
+    for n in 0.. {
+        let (storage, faults) = FaultStorage::wrap(Arc::new(MemStorage::new()));
+        let db = Db::open(storage, obs_opts()).unwrap();
+        let observer = Arc::clone(db.observability().expect("observability is on").observer());
+        for k in 0..100u64 {
+            db.put(k, b"pending").unwrap();
+        }
+        faults.fail_writes_after(n);
+        let outcome = db.flush();
+        let timeline = observer.drain();
+        let spans_of = |kind| -> Vec<u64> {
+            let of_kind = timeline.iter().filter(|e| e.kind == kind);
+            of_kind.map(|e| e.span).collect()
+        };
+        let begins = spans_of(EventKind::FlushBegin);
+        assert_eq!(
+            begins,
+            spans_of(EventKind::FlushEnd),
+            "fault after {n} writes: a flush span was left open"
+        );
+        if outcome.is_ok() {
+            assert_eq!(begins.len(), 1, "the unfaulted cycle flushes once");
+            break;
+        }
+        spans_that_failed += begins.len();
+        faults.heal();
+        db.flush().unwrap();
+        assert_eq!(db.get(7).unwrap(), Some(b"pending".to_vec()));
+    }
+    assert!(spans_that_failed > 0, "no fault landed inside a flush");
 }

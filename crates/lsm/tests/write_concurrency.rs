@@ -5,10 +5,15 @@
 //! immediately visible to its writer. These are the two invariants the
 //! fence-publish discipline exists for.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use learned_index::IndexKind;
+use lsm_io::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
+use lsm_tree::compaction::pick_compaction;
 use lsm_tree::{Db, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
 
 const KEYS: u64 = 8;
@@ -156,5 +161,172 @@ fn snapshot_pins_prefix_across_concurrent_overwrites() {
         let got = db.get_with(k, &ReadOptions::at(&snap)).unwrap();
         assert_eq!(got.as_deref(), Some(&b"before"[..]));
         assert_ne!(db.get(k).unwrap().as_deref(), Some(&b"before"[..]));
+    }
+}
+
+/// Parks the first table `sync` until released (the gate-storage idiom of
+/// `read_path.rs`, on `.sst` files instead of `.wal` ones).
+#[derive(Default)]
+struct Gate {
+    /// `(parked, released)`.
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn pass(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.0 = true;
+        self.cv.notify_all();
+        while !st.1 {
+            st = self.cv.wait(st).unwrap();
+        }
+    }
+
+    /// Whether a sync parked within `timeout`.
+    fn wait_parked(&self, timeout: Duration) -> bool {
+        let st = self.state.lock().unwrap();
+        let (st, _) = self.cv.wait_timeout_while(st, timeout, |s| !s.0).unwrap();
+        st.0
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+struct GateStorage {
+    inner: MemStorage,
+    gate: Arc<Gate>,
+}
+
+struct GateWriter {
+    inner: Box<dyn WritableFile>,
+    gate: Option<Arc<Gate>>,
+}
+
+impl WritableFile for GateWriter {
+    fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        self.inner.append(data)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        if let Some(gate) = &self.gate {
+            gate.pass();
+        }
+        self.inner.sync()
+    }
+
+    fn written(&self) -> u64 {
+        self.inner.written()
+    }
+}
+
+impl Storage for GateStorage {
+    fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
+        self.inner.open_read(name)
+    }
+
+    fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
+        Ok(Box::new(GateWriter {
+            inner: self.inner.create(name)?,
+            gate: name.ends_with(".sst").then(|| Arc::clone(&self.gate)),
+        }))
+    }
+
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.inner.remove(name)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.inner.list()
+    }
+
+    fn size_of(&self, name: &str) -> io::Result<u64> {
+        self.inner.size_of(name)
+    }
+
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+}
+
+/// Under synchronous maintenance the writer that fills the buffer flushes
+/// it, and nobody else waits for that: while its table `sync` is parked, a
+/// second writer's `put` completes and is readable — through a channel with
+/// a timeout, so an engine that flushes under the tree lock fails this test
+/// rather than hanging it. Then four writers at once: each has at most one
+/// sealed buffer outstanding, and when the last returns the queue is empty
+/// and the tree is in shape.
+#[test]
+fn a_synchronous_flush_parks_no_other_writer() {
+    const TIMEOUT: Duration = Duration::from_secs(10);
+    let gate = Arc::new(Gate::default());
+    let storage = Arc::new(GateStorage {
+        inner: MemStorage::new(),
+        gate: Arc::clone(&gate),
+    });
+    let mut opts = Options::small_for_tests();
+    opts.index.kind = IndexKind::Pgm;
+    let db = Db::open(storage, opts).unwrap();
+
+    let (done, put_done) = channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for k in 0.. {
+                db.put(k, &[7u8; 24]).unwrap();
+                if db.stats().snapshot().flushes > 0 {
+                    break;
+                }
+            }
+        });
+        let parked = gate.wait_parked(TIMEOUT);
+        s.spawn(|| {
+            db.put(u64::MAX, b"beside").unwrap();
+            done.send(db.get(u64::MAX).unwrap()).unwrap();
+        });
+        let beside = put_done.recv_timeout(TIMEOUT);
+        // Released before any assertion, so a failure still joins the scope.
+        gate.release();
+        assert!(parked, "no flush reached its table sync");
+        assert_eq!(
+            beside,
+            Ok(Some(b"beside".to_vec())),
+            "a put waited for another writer's flush"
+        );
+    });
+
+    std::thread::scope(|s| {
+        for t in 0..WRITERS {
+            let db = &db;
+            s.spawn(move || {
+                for i in 0..ROUNDS {
+                    db.put((t << 32) | i, &[t as u8; 24]).unwrap();
+                }
+            });
+        }
+    });
+    let stats = db.stats().snapshot();
+    assert!(stats.flushes > 2, "the writers crossed several flushes");
+    assert_eq!(stats.imm_rotations, stats.flushes);
+    assert!(
+        stats.imm_queue_peak <= WRITERS,
+        "a writer sealed a second buffer before its first was flushed: peak {}",
+        stats.imm_queue_peak
+    );
+    assert_eq!(db.immutable_memtables(), 0);
+    let cursors = vec![0; db.options().max_levels];
+    assert!(
+        pick_compaction(&db.version(), db.options(), &cursors).is_none(),
+        "the last writer out left a compaction due"
+    );
+    for t in 0..WRITERS {
+        let key = (t << 32) | (ROUNDS - 1);
+        assert_eq!(db.get(key).unwrap(), Some(vec![t as u8; 24]));
     }
 }

@@ -22,7 +22,7 @@
 //!   before touching the engine: a bounded, typed signal the client can
 //!   back off on, instead of a worker thread parked inside `make_room`.
 //! * **Slowdown** — the per-connection in-flight cap shrinks
-//!   (`queue_slowdown_cap`), so a pipelining client fills its shrunken
+//!   (`QUEUE_SLOWDOWN_CAP`), so a pipelining client fills its shrunken
 //!   window and naturally slows to the engine's drain rate.
 //! * **Clear** — requests are admitted up to `queue_cap` per connection;
 //!   beyond that they are shed (`RetryAfter`), bounding queue memory.
@@ -63,6 +63,14 @@ use crate::transport::Listener;
 /// client's frame cap.
 pub const MAX_SCAN_LIMIT: usize = 4096;
 
+/// Per-connection in-flight cap under [`WritePressure::Slowdown`] — below
+/// [`ServerOptions::queue_cap`], so pipelined writers drain to the engine's
+/// pace.
+const QUEUE_SLOWDOWN_CAP: usize = 16;
+
+/// Backoff hint (milliseconds) carried by every [`ServerError::RetryAfter`].
+const RETRY_AFTER_MS: u32 = 2;
+
 /// Tuning for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -74,12 +82,6 @@ pub struct ServerOptions {
     pub max_frame: usize,
     /// Per-connection in-flight cap under [`WritePressure::Clear`].
     pub queue_cap: usize,
-    /// Per-connection in-flight cap under [`WritePressure::Slowdown`] —
-    /// smaller, so pipelined writers drain to the engine's pace.
-    pub queue_slowdown_cap: usize,
-    /// Backoff hint (milliseconds) carried by every
-    /// [`ServerError::RetryAfter`] shed.
-    pub retry_after_ms: u32,
 }
 
 impl Default for ServerOptions {
@@ -88,8 +90,6 @@ impl Default for ServerOptions {
             workers: 4,
             max_frame: DEFAULT_MAX_FRAME,
             queue_cap: 128,
-            queue_slowdown_cap: 16,
-            retry_after_ms: 2,
         }
     }
 }
@@ -378,18 +378,14 @@ fn admit(shared: &Shared, state: &ConnState, req: &Request) -> Admission {
             // A stopped engine would park the worker inside `make_room`;
             // shed instead and let the client retry after the hint.
             WritePressure::Stop => 0,
-            WritePressure::Slowdown => opts.queue_slowdown_cap,
+            WritePressure::Slowdown => QUEUE_SLOWDOWN_CAP,
             WritePressure::Clear => opts.queue_cap,
         };
         if inflight >= cap {
-            return Admission::Shed(ServerError::RetryAfter {
-                ms: opts.retry_after_ms,
-            });
+            return Admission::Shed(ServerError::RetryAfter { ms: RETRY_AFTER_MS });
         }
     } else if inflight >= opts.queue_cap {
-        return Admission::Shed(ServerError::RetryAfter {
-            ms: opts.retry_after_ms,
-        });
+        return Admission::Shed(ServerError::RetryAfter { ms: RETRY_AFTER_MS });
     }
     Admission::Admit
 }
@@ -408,18 +404,18 @@ fn worker_loop(shared: &Arc<Shared>) {
                 q = shared.ready.cv.wait(q).unwrap();
             }
         };
-        let resp = execute(&shared.db, &shared.opts, work.req);
+        let resp = execute(&shared.db, work.req);
         work.conn.send(work.id, &resp);
         work.conn.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// Run one request against the engine.
-fn execute(db: &ShardedDb, opts: &ServerOptions, req: Request) -> Response {
+fn execute(db: &ShardedDb, req: Request) -> Response {
     match req {
         Request::Get { key } => match db.get(key) {
             Ok(v) => Response::Value(v),
-            Err(e) => map_engine_error(db, opts, e),
+            Err(e) => map_engine_error(db, e),
         },
         Request::Put {
             key,
@@ -428,12 +424,12 @@ fn execute(db: &ShardedDb, opts: &ServerOptions, req: Request) -> Response {
         } => {
             let mut batch = WriteBatch::with_capacity(1);
             batch.put(key, &value);
-            run_write(db, opts, batch, durable)
+            run_write(db, batch, durable)
         }
         Request::Delete { key, durable } => {
             let mut batch = WriteBatch::with_capacity(1);
             batch.delete(key);
-            run_write(db, opts, batch, durable)
+            run_write(db, batch, durable)
         }
         Request::WriteBatch { entries, durable } => {
             let mut batch = WriteBatch::with_capacity(entries.len());
@@ -447,7 +443,7 @@ fn execute(db: &ShardedDb, opts: &ServerOptions, req: Request) -> Response {
                     }
                 }
             }
-            run_write(db, opts, batch, durable)
+            run_write(db, batch, durable)
         }
         Request::Scan { start, limit } => {
             match db.scan(start, (limit as usize).min(MAX_SCAN_LIMIT)) {
@@ -455,7 +451,7 @@ fn execute(db: &ShardedDb, opts: &ServerOptions, req: Request) -> Response {
                     snapshot_seq: None,
                     pairs,
                 },
-                Err(e) => map_engine_error(db, opts, e),
+                Err(e) => map_engine_error(db, e),
             }
         }
         Request::SnapshotScan { start, limit } => {
@@ -470,7 +466,7 @@ fn execute(db: &ShardedDb, opts: &ServerOptions, req: Request) -> Response {
                     snapshot_seq: Some(snapshot.seq()),
                     pairs,
                 },
-                Err(e) => map_engine_error(db, opts, e),
+                Err(e) => map_engine_error(db, e),
             }
         }
         Request::Stats => Response::Stats {
@@ -480,7 +476,7 @@ fn execute(db: &ShardedDb, opts: &ServerOptions, req: Request) -> Response {
     }
 }
 
-fn run_write(db: &ShardedDb, opts: &ServerOptions, batch: WriteBatch, durable: bool) -> Response {
+fn run_write(db: &ShardedDb, batch: WriteBatch, durable: bool) -> Response {
     let wopts = if durable {
         WriteOptions::durable()
     } else {
@@ -488,7 +484,7 @@ fn run_write(db: &ShardedDb, opts: &ServerOptions, batch: WriteBatch, durable: b
     };
     match db.write(batch, &wopts) {
         Ok(seq) => Response::Committed { seq },
-        Err(e) => map_engine_error(db, opts, e),
+        Err(e) => map_engine_error(db, e),
     }
 }
 
@@ -496,11 +492,9 @@ fn run_write(db: &ShardedDb, opts: &ServerOptions, batch: WriteBatch, durable: b
 /// (epoch churn under a capped retry budget) becomes `RetryAfter` — the
 /// same back-off contract as admission shedding. A `Corruption` while
 /// the commit path is poisoned is the poison report itself.
-fn map_engine_error(db: &ShardedDb, opts: &ServerOptions, e: LsmError) -> Response {
+fn map_engine_error(db: &ShardedDb, e: LsmError) -> Response {
     match e {
-        LsmError::Unavailable(_) => Response::Error(ServerError::RetryAfter {
-            ms: opts.retry_after_ms,
-        }),
+        LsmError::Unavailable(_) => Response::Error(ServerError::RetryAfter { ms: RETRY_AFTER_MS }),
         LsmError::Corruption(m) if db.poisoned() => Response::Error(ServerError::Poisoned(m)),
         e @ (LsmError::Io(_) | LsmError::Corruption(_)) => {
             Response::Error(ServerError::Server(e.to_string()))
