@@ -4,7 +4,7 @@
 //!
 //! * `--full` — paper scale (6.4 M keys × 1000 B values; hours, needs RAM);
 //!   default is the *quick* profile, which preserves every shape at
-//!   laptop scale (see `DESIGN.md`, "Scale" substitution).
+//!   laptop scale (see `README.md`, "Experiments").
 //! * `--keys N`, `--ops N`, `--dataset NAME` — override the profile;
 //! * `--cache-mb N` — engine cache budget (default 0: uncached);
 //! * `--out PATH` — additionally write the records as JSON.

@@ -89,7 +89,7 @@ pub use options::{
 };
 pub use sharding::{
     RecoveryReport, RoutingState, ShardRouter, ShardedDb, ShardedDbIterator, ShardedSnapshot,
-    ShardedStats, Topology, TrafficSampler,
+    ShardedStats, Topology,
 };
 pub use snapshot::Snapshot;
 pub use stats::{CompactionBreakdown, DbStats, StatsSnapshot};

@@ -207,10 +207,9 @@ impl Maintenance {
 ///
 /// Range partitioning keeps shards scan-friendly (a merged scan touches
 /// only the shards a range spans) but needs *balanced* boundaries; the
-/// learned variant picks them from a sampled key distribution the same way
-/// the paper's learned indexes compress a CDF. Hash partitioning needs no
-/// knowledge of the distribution and is the fallback when none is
-/// available.
+/// learned variant cuts them at the quantiles of a sampled key
+/// distribution. Hash partitioning needs no knowledge of the distribution
+/// and is the fallback when none is available.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ShardingPolicy {
     /// Multiplicative-hash partitioning: balanced for any key set, but
@@ -218,17 +217,21 @@ pub enum ShardingPolicy {
     /// distributions.
     #[default]
     Hash,
-    /// Learned range partitioning: fit a cheap CDF model (PLR — the
-    /// paper's lightest segmentation) over `sample` and cut the key space
-    /// at the model's quantiles, so each shard holds an ≈equal fraction of
-    /// the distribution even when the key space is heavily skewed. Falls
-    /// back to [`ShardingPolicy::Hash`] when the sample is too small to
-    /// cut (< 2 distinct keys per shard).
+    /// Learned range partitioning: cut the key space at the quantiles of
+    /// `sample`, so each shard holds an ≈equal fraction of the
+    /// distribution even when the key space is heavily skewed; live splits
+    /// keep re-learning the cuts from the data. Routing is a binary search
+    /// over the cuts — no model. Falls back to [`ShardingPolicy::Hash`]
+    /// when the sample is too small to cut (< 2 distinct keys per shard;
+    /// one shard needs no cut and is always a range topology).
     LearnedRange {
         /// Sampled keys (any order, duplicates fine) — e.g. every n-th key
         /// of a load file, or keys drawn from live traffic.
         sample: Vec<u64>,
-        /// Error bound for the router's CDF model (the paper's ε).
+        /// Unused: the error bound of a router model that no longer
+        /// exists. Kept only because `benchmark/src/probes.rs` names the
+        /// field and an engine PR does not edit `benchmark/`; it leaves
+        /// with ROADMAP item 2's benchmark PR.
         epsilon: usize,
     },
 }

@@ -102,14 +102,6 @@ impl ShardedCore {
             .lock()
             .clone()
             .filter(|p| !p.cancelled.load(Ordering::Acquire));
-        {
-            // Feed the decaying traffic sample that boundary re-learning
-            // and split-cut selection read.
-            let mut sampler = self.sampler.lock();
-            for op in batch.ops() {
-                sampler.observe(op.key);
-            }
-        }
         let mut parts = split_batch(batch, &state.router);
         let touched: Vec<usize> = parts
             .iter()

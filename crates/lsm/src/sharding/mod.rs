@@ -5,11 +5,11 @@
 //! independent LSM-trees and exposes the same `write`/`get`/`iter`/
 //! `snapshot` surface as a single [`Db`]:
 //!
-//! * **Learned range routing** ([`router`]) — shard boundaries are chosen
-//!   from a sampled key distribution via a cheap CDF model (PLR over the
-//!   sample: `position/n` *is* the empirical CDF), so each shard holds an
-//!   ≈equal share of the data even on heavily skewed key spaces, with
-//!   hash sharding as the fallback for unknown distributions.
+//! * **Learned range routing** ([`router`]) — what is learned is the
+//!   shard boundaries: they are cut at the quantiles of a sampled key
+//!   distribution, so each shard holds an ≈equal share of the data even on
+//!   heavily skewed key spaces. Routing is one binary search over those
+//!   few cuts; hash sharding is the fallback for unknown distributions.
 //! * **Epoch'd routing topology** ([`topology`]) — the shard set itself is
 //!   a versioned, crash-atomically persisted artifact (`SHARDING-<epoch>`,
 //!   CRC-sealed like the per-shard manifests). A reopen adopts whatever
@@ -18,14 +18,13 @@
 //!   one hot shard with two children in a single epoch publish. Every
 //!   shard has a *stable id* (its `shard-<id>/` directory) that never
 //!   changes as routing positions shift.
-//! * **Live shard splitting** — a [`router::TrafficSampler`] keeps a
-//!   decaying sample of routed keys (observability + model retraining);
-//!   when one shard's resident bytes outgrow the fair target share past
+//! * **Live shard splitting** — when one shard's resident bytes outgrow
+//!   the fair target share past
 //!   [`crate::ShardedOptions::split_imbalance`], the hot shard is drained
 //!   through its pinned iterator into two child shards at an **exact
 //!   peel-or-halve quantile** of its own data, **without blocking
-//!   readers**, and the CDF model is retrained from the observed
-//!   traffic. See *The split protocol* below.
+//!   readers**: the boundaries keep being re-learned from the data as it
+//!   grows. See *The split protocol* below.
 //! * **Cross-shard atomic batches** ([`split`]) — a [`WriteBatch`] is
 //!   split per shard and committed under one *shared sequence fence*: the
 //!   whole batch gets one contiguous global sequence range (each shard a
@@ -46,7 +45,7 @@
 //! * **One shared worker pool** — under [`Maintenance::Background`] the
 //!   thread counts are a *global* budget: a single `scheduler` pool
 //!   round-robins flush/compaction steps across all shards (the step
-//!   closures re-read the shard list each pass, so split children join
+//!   closures re-derive the shard list each pass, so split children join
 //!   and retired parents leave the rotation live), and split evaluation
 //!   itself runs as a background maintenance step on the same pool.
 //! * **Coordinated crash recovery** — each shard keeps its own manifest +
@@ -60,8 +59,9 @@
 //! A split of the shard at routing position `p` with cut key `m`:
 //!
 //! 1. **Begin** (under the commit lock, brief): two child shards with
-//!    fresh stable ids are created, registered with the worker pool, and
-//!    a drain snapshot of the parent is pinned at the current fence `F₀`.
+//!    fresh stable ids are created and recorded as the pending split
+//!    (which is what puts them in the worker pool's rotation), and a drain
+//!    snapshot of the parent is pinned at the current fence `F₀`.
 //!    From this moment the **dual-write window** is open: every committed
 //!    write routed to the parent is *also* applied to the matching child
 //!    (same global sequence sub-range, plain WAL records), while reads
@@ -116,10 +116,8 @@
 //! recovery of *that* recovery: the resolution is idempotent, because
 //! markers are truncated only after every shard has re-opened and
 //! re-logged its surviving fragments as self-certifying plain records.
-//! [`RecoveryReport`] says what the coordinator decided — including
-//! whether the router's CDF model file was lost (routing then falls back
-//! *explicitly* to boundary binary search: same answers, reported, never
-//! silent) and how many orphaned split directories were swept.
+//! [`RecoveryReport`] says what the coordinator decided, and how many
+//! orphaned split directories were swept.
 //!
 //! The marker log is additionally **checkpointed at runtime**: once it
 //! grows past [`crate::ShardedOptions::commit_log_checkpoint_bytes`],
@@ -164,7 +162,7 @@ pub mod topology;
 
 pub use merge::ShardedDbIterator;
 pub use open::RecoveryReport;
-pub use router::{imbalance, ShardRouter, TrafficSampler};
+pub use router::{imbalance, ShardRouter};
 pub use split::{split_batch, split_by_cut};
 pub use stats::ShardedStats;
 pub use topology::Topology;
@@ -176,7 +174,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::EngineCache;
-use crate::db::{CommitCoordination, Db, DbCore};
+use crate::db::{CommitCoordination, Db};
 use crate::options::{ReadOptions, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler};
 use crate::snapshot::Snapshot;
@@ -315,7 +313,7 @@ struct PendingSplit {
 
 /// Shared engine state behind [`ShardedDb`]: everything the foreground
 /// API and the background split/maintenance steps both touch (the
-/// sharding-layer analogue of [`DbCore`]).
+/// sharding-layer analogue of [`crate::db::DbCore`]).
 struct ShardedCore {
     storage: Arc<dyn Storage>,
     opts: ShardedOptions,
@@ -345,8 +343,6 @@ struct ShardedCore {
     shutdown: Arc<AtomicBool>,
     /// The split in flight, if any (at most one at a time).
     pending: Mutex<Option<Arc<PendingSplit>>>,
-    /// Decaying sample of routed keys (fed under the commit lock).
-    sampler: Mutex<TrafficSampler>,
     /// The sharding layer's own counters (splits, checkpoints), merged
     /// into [`ShardedDb::stats`] alongside the per-shard blocks.
     own_stats: DbStats,
@@ -358,10 +354,6 @@ struct ShardedCore {
     /// Stable-id allocator (persisted via the topology at each cutover;
     /// ids burned by an aborted split are not reused in-process).
     next_shard_id: AtomicU32,
-    /// Shard cores the shared worker pool steps over. Re-read every
-    /// worker pass, so split children join the rotation at begin and the
-    /// retired parent leaves it at cutover.
-    worker_cores: RwLock<Arc<Vec<Arc<DbCore>>>>,
     /// The engine cache shared by every shard — one byte budget for the
     /// whole topology; split children open against it too. `None` when
     /// caching is off *or* when `opts.split_cache_budget` gave each shard
@@ -686,10 +678,6 @@ impl ShardedCore {
                 )));
             }
         }
-    }
-
-    fn worker_cores(&self) -> Arc<Vec<Arc<DbCore>>> {
-        Arc::clone(&self.worker_cores.read())
     }
 
     fn auto_split_enabled(&self) -> bool {

@@ -8,10 +8,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use super::{
-    commit, topology, RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology,
-    TrafficSampler,
-};
+use super::{commit, RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology};
 use crate::cache::EngineCache;
 use crate::db::{CommitCoordination, Db, DbCore, Embedding};
 use crate::options::{Maintenance, ShardedOptions};
@@ -31,10 +28,6 @@ pub struct RecoveryReport {
     pub aborted_fragments: u64,
     /// The topology epoch the database resumed at.
     pub topology_epoch: u64,
-    /// The router's persisted CDF model was missing or corrupt: routing
-    /// fell back — explicitly, not silently — to binary search over the
-    /// sealed boundaries (identical answers, just not learned).
-    pub router_model_degraded: bool,
     /// Orphaned shard directories swept: children of a split whose
     /// cutover never sealed, or the parent of one that did.
     pub orphan_shards_swept: u64,
@@ -52,37 +45,14 @@ impl ShardedDb {
     /// the cross-shard recovery coordinator.
     pub fn open(storage: Arc<dyn Storage>, opts: ShardedOptions) -> Result<ShardedDb> {
         let requested = opts.shards.max(1);
-        let mut model_degraded = false;
-        let (topo, router) = match Topology::load(storage.as_ref())? {
-            Some(topo) => {
-                let router = if topo.range {
-                    let model = topology::load_model(storage.as_ref());
-                    model_degraded = model.is_none() && topo.sample_len > 0;
-                    ShardRouter::with_boundaries(topo.boundaries.clone(), model, topo.sample_len)
-                } else {
-                    ShardRouter::Hash {
-                        shards: topo.shards(),
-                    }
-                };
-                (topo, router)
-            }
+        let topo = match Topology::load(storage.as_ref())? {
+            Some(topo) => topo,
             None => {
                 let router = ShardRouter::train(requested, &opts.policy);
-                let topo = match &router {
-                    ShardRouter::Range {
-                        boundaries,
-                        model,
-                        sample_len,
-                    } => {
-                        if let Some(m) = model {
-                            topology::save_model(storage.as_ref(), m.as_ref())?;
-                        }
-                        Topology::fresh(requested, true, boundaries.clone(), *sample_len)
-                    }
-                    ShardRouter::Hash { shards } => Topology::fresh(*shards, false, Vec::new(), 0),
-                };
+                let cuts = router.boundaries().to_vec();
+                let topo = Topology::fresh(requested, router.is_range(), cuts);
                 topo.save(storage.as_ref())?;
-                (topo, router)
+                topo
             }
         };
         // Sweep the debris of crashed topology changes — stale epochs,
@@ -198,7 +168,6 @@ impl ShardedDb {
             committed_fragments: committed_fragments.load(Ordering::Relaxed),
             aborted_fragments: aborted_fragments.load(Ordering::Relaxed),
             topology_epoch: topo.epoch,
-            router_model_degraded: model_degraded,
             orphan_shards_swept: orphans.len() as u64,
         };
 
@@ -209,11 +178,10 @@ impl ShardedDb {
             visible: AtomicU64::new(max_seq),
         };
 
-        let worker_cores: Vec<Arc<DbCore>> = shards.iter().map(|d| Arc::clone(d.core())).collect();
         let state = Arc::new(RoutingState {
             epoch: topo.epoch,
             ids: topo.ids.clone(),
-            router,
+            router: topo.router(),
             shards,
         });
         let next_shard_id = AtomicU32::new(topo.next_id as u32);
@@ -229,11 +197,9 @@ impl ShardedDb {
             signal: Arc::clone(&signal),
             shutdown: Arc::clone(&shutdown),
             pending: Mutex::new(None),
-            sampler: Mutex::new(TrafficSampler::default()),
             own_stats: DbStats::new(),
             observer,
             next_shard_id,
-            worker_cores: RwLock::new(Arc::new(worker_cores)),
             cache: shared_cache,
             write_ticks: AtomicU64::new(0),
             bg_error: BgError::default(),
@@ -298,6 +264,23 @@ impl ShardedDb {
 }
 
 impl ShardedCore {
+    /// Shard cores the shared worker pool steps over, derived every pass:
+    /// the current topology's shards plus a pending split's children. So
+    /// children join the rotation when the dual-write window opens and
+    /// leave it only when `pending` is cleared — at cutover (the topology
+    /// lists them now, and no longer the parent) or when a cancelled split
+    /// is swept, not when it is cancelled: a committer may still be stalled
+    /// on a child's backpressure. `pending` is read before the state, so a
+    /// cutover racing the pass lists the children twice, never not at all.
+    fn worker_cores(&self) -> Vec<Arc<DbCore>> {
+        let pending = self.pending.lock().clone();
+        let state = self.current_state();
+        let children = pending.iter().flat_map(|p| [&p.left, &p.right]);
+        (state.shards.iter().chain(children))
+            .map(|d| Arc::clone(d.core()))
+            .collect()
+    }
+
     pub(super) fn open_child(&self, id: u16) -> Result<Arc<Db>> {
         // A crashed-then-reopened process may have swept this directory
         // already; an *aborted* split in this process cannot have (ids
@@ -336,7 +319,7 @@ impl ShardedCore {
 /// starting at a rotating offset so no shard starves, and report
 /// [`Step::Worked`] as soon as any shard makes progress. The pool goes
 /// idle only when a full pass found nothing to do on any shard — which is
-/// also the shutdown-drain exit condition. The core list is re-read every
+/// also the shutdown-drain exit condition. The core list is derived every
 /// pass (see [`ShardedCore::worker_cores`]), so a live split's children
 /// join the rotation the moment the dual-write window opens and a retired
 /// parent leaves it at cutover.

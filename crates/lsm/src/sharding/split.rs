@@ -15,9 +15,9 @@ use std::sync::Arc;
 
 use crate::batch::WriteBatch;
 
-use super::router::{self, ShardRouter};
+use super::router::ShardRouter;
 use super::{topology, PendingSplit, RoutingState, ShardedCore, ShardedDb, Topology};
-use crate::db::{Db, DbCore};
+use crate::db::Db;
 use crate::options::{ReadOptions, WriteOptions};
 use crate::snapshot::Snapshot;
 use crate::types::SeqNo;
@@ -265,7 +265,6 @@ impl ShardedCore {
                 cancelled: AtomicBool::new(false),
                 span,
             });
-            self.add_worker_cores(&[p.left.core(), p.right.core()]);
             *self.pending.lock() = Some(Arc::clone(&p));
             if let Some(o) = self.observer.as_deref() {
                 o.emit(
@@ -421,16 +420,6 @@ impl ShardedCore {
         let mut topo_guard = self.topology.lock();
         let mut new_topo = topo_guard.with_split(p.parent_pos, p.cut, p.left_id, p.right_id);
         new_topo.next_id = self.allocated_ids_watermark(new_topo.next_id);
-        // Boundary re-learning: refit the CDF accelerator over the
-        // decaying observed-traffic sample so routing predictions track
-        // the distribution the new boundaries were cut from.
-        let epsilon = match &self.opts.policy {
-            crate::options::ShardingPolicy::LearnedRange { epsilon, .. } => *epsilon,
-            crate::options::ShardingPolicy::Hash => 32,
-        };
-        let mut sample = self.sampler.lock().observed().to_vec();
-        let retrained = router::train_cdf_model(&mut sample, epsilon);
-        new_topo.sample_len = retrained.as_ref().map_or(0, |(_, n)| *n);
         if let Err(e) = new_topo.save(self.storage.as_ref()) {
             // The seal may or may not have reached the store. Both sides
             // hold every acknowledged write, but this process is about to
@@ -445,15 +434,6 @@ impl ShardedCore {
             self.cleanup_cancelled(&p);
             return Err(e);
         }
-        let (model, sample_len) = match retrained {
-            Some((m, n)) => {
-                // Best-effort acceleration: a failed model write degrades
-                // routing to boundary binary search, never correctness.
-                let _ = topology::save_model(self.storage.as_ref(), m.as_ref());
-                (Some(m), n)
-            }
-            None => (None, 0),
-        };
         // Publish: children replace the parent at its routing position.
         let mut shards = state.shards.clone();
         shards.splice(
@@ -463,15 +443,13 @@ impl ShardedCore {
         let new_state = Arc::new(RoutingState {
             epoch: new_topo.epoch,
             ids: new_topo.ids.clone(),
-            router: ShardRouter::with_boundaries(new_topo.boundaries.clone(), model, sample_len),
+            router: new_topo.router(),
             shards,
         });
         *topo_guard = new_topo;
         drop(topo_guard);
         *self.state.write() = new_state;
         *self.pending.lock() = None;
-        let parent = Arc::clone(state.shard(p.parent_pos));
-        self.remove_worker_core(parent.core());
         self.own_stats.shard_splits.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.observer.as_deref() {
             o.emit(
@@ -544,27 +522,8 @@ impl ShardedCore {
             *pending = None;
         }
         drop(pending);
-        self.remove_worker_core(p.left.core());
-        self.remove_worker_core(p.right.core());
         self.remove_shard_dir(p.left_id);
         self.remove_shard_dir(p.right_id);
-    }
-
-    fn add_worker_cores(&self, cores: &[&Arc<DbCore>]) {
-        let mut guard = self.worker_cores.write();
-        let mut list = (**guard).clone();
-        list.extend(cores.iter().map(|c| Arc::clone(c)));
-        *guard = Arc::new(list);
-    }
-
-    fn remove_worker_core(&self, core: &Arc<DbCore>) {
-        let mut guard = self.worker_cores.write();
-        let list = (**guard)
-            .iter()
-            .filter(|c| !Arc::ptr_eq(c, core))
-            .cloned()
-            .collect();
-        *guard = Arc::new(list);
     }
 }
 

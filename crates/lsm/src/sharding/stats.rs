@@ -25,11 +25,6 @@ pub struct ShardedStats {
     pub resident_entries: Vec<u64>,
     /// `max/mean - 1` over `resident_bytes`.
     pub resident_imbalance: f64,
-    /// [`imbalance`] of the router's decaying observed-traffic sample —
-    /// how skewed *current* writes are under the current boundaries.
-    pub observed_imbalance: f64,
-    /// Keys in the observation window behind `observed_imbalance`.
-    pub observed_keys: usize,
     /// Markers live in the active commit-log generation.
     pub live_commit_markers: usize,
 }
@@ -62,25 +57,12 @@ impl ShardedDb {
         snap
     }
 
-    /// Residency and balance report: per-shard resident bytes/entries,
-    /// resident imbalance, and the router's observed-traffic imbalance —
-    /// the observability behind the split trigger.
+    /// Residency and balance report: per-shard resident bytes/entries and
+    /// their imbalance — the observability behind the split trigger.
     pub fn sharded_stats(&self) -> ShardedStats {
         let state = self.core.current_state();
         let resident_bytes: Vec<u64> = state.shards.iter().map(|d| d.resident_bytes()).collect();
         let resident_entries = Self::entry_counts(&state);
-        let (observed_imbalance, observed_keys) = {
-            let sampler = self.core.sampler.lock();
-            let window = sampler.observed();
-            if window.is_empty() {
-                (0.0, 0)
-            } else {
-                (
-                    imbalance(&state.router.partition_counts(window)),
-                    window.len(),
-                )
-            }
-        };
         ShardedStats {
             merged: self.stats(),
             topology_epoch: state.epoch,
@@ -88,8 +70,6 @@ impl ShardedDb {
             resident_imbalance: imbalance(&resident_bytes),
             resident_bytes,
             resident_entries,
-            observed_imbalance,
-            observed_keys,
             live_commit_markers: self
                 .core
                 .commit_log

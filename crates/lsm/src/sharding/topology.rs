@@ -38,20 +38,20 @@
 //!    cross-shard commit markers are stamped with their routing epoch
 //!    and validated against the last sealed one on recovery.
 //!
-//! The CDF model acceleration is persisted separately (`SHARDING.model`,
-//! best-effort): losing it degrades routing to boundary binary search —
-//! same answers — and the degradation is surfaced explicitly through
-//! [`crate::sharding::RecoveryReport`] instead of being silent.
+//! The boundary set in the sealed file is everything routing needs — a
+//! range topology's router ([`ShardRouter`]) is a binary search over it —
+//! so nothing else is persisted beside it.
 
-use learned_index::{IndexKind, SegmentIndex};
 use lsm_io::Storage;
 
+use super::ShardRouter;
 use crate::{sealed, Error, Result};
 
 /// Epoch-numbered topology prefix (CRC-sealed).
 pub(crate) const TOPOLOGY_PREFIX: &str = "SHARDING-";
-/// Serialized CDF model (binary, `learned-index` codec; best-effort).
-pub(crate) const ROUTER_MODEL_FILE: &str = "SHARDING.model";
+/// The router-model file stores written before PR 19 keep beside their
+/// topology. Nothing reads it; the sweep removes it.
+const LEGACY_ROUTER_MODEL_FILE: &str = "SHARDING.model";
 
 pub(crate) fn topology_name(epoch: u64) -> String {
     sealed::name(TOPOLOGY_PREFIX, epoch)
@@ -72,20 +72,12 @@ pub struct Topology {
     pub range: bool,
     /// Next stable id to allocate for a split child.
     pub next_id: u16,
-    /// Training-sample size behind the persisted CDF model (position →
-    /// CDF denominator); 0 when no model was ever fitted.
-    pub sample_len: usize,
 }
 
 impl Topology {
     /// A fresh epoch-1 topology for `shards` shards with stable ids
     /// `0..shards`.
-    pub(crate) fn fresh(
-        shards: usize,
-        range: bool,
-        boundaries: Vec<u64>,
-        sample_len: usize,
-    ) -> Self {
+    pub(crate) fn fresh(shards: usize, range: bool, boundaries: Vec<u64>) -> Self {
         let shards = shards.max(1);
         Topology {
             epoch: 1,
@@ -93,13 +85,23 @@ impl Topology {
             boundaries: if range { boundaries } else { Vec::new() },
             range,
             next_id: shards as u16,
-            sample_len,
         }
     }
 
     /// Number of shards at this epoch.
     pub fn shards(&self) -> usize {
         self.ids.len()
+    }
+
+    /// The router this topology routes by.
+    pub(crate) fn router(&self) -> ShardRouter {
+        if self.range {
+            ShardRouter::with_boundaries(self.boundaries.clone())
+        } else {
+            ShardRouter::Hash {
+                shards: self.shards(),
+            }
+        }
     }
 
     /// Directory prefix of the shard with stable id `id`.
@@ -128,7 +130,6 @@ impl Topology {
             boundaries,
             range: true,
             next_id: right + 1,
-            sample_len: self.sample_len,
         }
     }
 
@@ -144,7 +145,6 @@ impl Topology {
             if self.range { "range" } else { "hash" }
         ));
         text.push_str(&format!("next_id {}\n", self.next_id));
-        text.push_str(&format!("sample_len {}\n", self.sample_len));
         for id in &self.ids {
             text.push_str(&format!("shard {id}\n"));
         }
@@ -169,7 +169,6 @@ impl Topology {
             boundaries: Vec::new(),
             range: false,
             next_id: 0,
-            sample_len: 0,
         };
         for (lineno, line) in text.lines().enumerate() {
             let corrupt = || Error::Corruption(format!("topology file line {lineno}"));
@@ -195,9 +194,6 @@ impl Topology {
                 }
                 Some("next_id") => {
                     topo.next_id = value.and_then(|s| s.parse().ok()).ok_or_else(corrupt)?;
-                }
-                Some("sample_len") => {
-                    topo.sample_len = value.and_then(|s| s.parse().ok()).ok_or_else(corrupt)?;
                 }
                 Some("shard") => {
                     topo.ids
@@ -239,17 +235,19 @@ impl Topology {
         Ok(())
     }
 
-    /// Remove stale topology epochs (anything but this one) and orphaned
-    /// shard directories (stable ids this topology does not name) — the
-    /// debris of crashes mid-publish: an aborted split's children, or a
-    /// completed split's parent. Best-effort; a crash mid-sweep leaves
-    /// the next open to finish it. Returns the orphaned ids swept.
+    /// Remove stale topology epochs (anything but this one), a legacy
+    /// router-model file, and orphaned shard directories (stable ids this
+    /// topology does not name) — the debris of crashes mid-publish: an
+    /// aborted split's children, or a completed split's parent.
+    /// Best-effort; a crash mid-sweep leaves the next open to finish it.
+    /// Returns the orphaned ids swept.
     pub(crate) fn sweep_stale(&self, storage: &dyn Storage) -> Result<Vec<u16>> {
         let current = topology_name(self.epoch);
         let live: std::collections::HashSet<u16> = self.ids.iter().copied().collect();
         let mut orphans = std::collections::HashSet::new();
         for name in storage.list()? {
-            if name.starts_with(TOPOLOGY_PREFIX) && name != current {
+            let stale_epoch = name.starts_with(TOPOLOGY_PREFIX) && name != current;
+            if stale_epoch || name == LEGACY_ROUTER_MODEL_FILE {
                 let _ = storage.remove(&name);
                 continue;
             }
@@ -270,34 +268,13 @@ impl Topology {
     }
 }
 
-/// Persist the router's CDF model (best-effort acceleration; the
-/// boundaries in the sealed topology are the source of truth).
-pub(crate) fn save_model(storage: &dyn Storage, model: &dyn SegmentIndex) -> Result<()> {
-    let mut f = storage.create(ROUTER_MODEL_FILE)?;
-    f.append(&model.encode())?;
-    f.sync()?;
-    Ok(())
-}
-
-/// Load the persisted CDF model. `Ok(None)` when missing **or** corrupt —
-/// the caller reports the degradation and routes by boundary binary
-/// search (identical answers).
-pub(crate) fn load_model(storage: &dyn Storage) -> Option<Box<dyn SegmentIndex>> {
-    if !storage.exists(ROUTER_MODEL_FILE) {
-        return None;
-    }
-    lsm_io::read_all(storage, ROUTER_MODEL_FILE)
-        .ok()
-        .and_then(|bytes| IndexKind::decode(&bytes).ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsm_io::MemStorage;
 
     fn range_topology() -> Topology {
-        Topology::fresh(4, true, vec![100, 200, 300], 4000)
+        Topology::fresh(4, true, vec![100, 200, 300])
     }
 
     #[test]
@@ -383,18 +360,45 @@ mod tests {
         assert!(storage.exists(&topology_name(2)));
     }
 
+    /// The sealed topology text as written before PR 19, `sample_len`
+    /// line included.
+    const PARENT_TEXT: &str = "epoch 1\npolicy range\nnext_id 4\nsample_len 99\n\
+                               shard 0\nshard 1\nshard 2\nshard 3\n\
+                               boundary 100\nboundary 200\nboundary 300\n";
+
     #[test]
-    fn model_roundtrip_and_corruption_degrade() {
+    fn a_parent_written_sample_len_line_is_skipped() {
         let storage = MemStorage::new();
-        assert!(load_model(&storage).is_none());
-        let mut sample: Vec<u64> = (0..1000u64).map(|i| i * 3).collect();
-        let (model, _) = crate::sharding::router::train_cdf_model(&mut sample, 16).unwrap();
-        save_model(&storage, model.as_ref()).unwrap();
-        assert!(load_model(&storage).is_some());
-        // Corrupt model: silently unusable, not an error.
-        let mut f = storage.create(ROUTER_MODEL_FILE).unwrap();
-        f.append(b"\x00\x01garbage").unwrap();
+        sealed::write_sealed(&storage, TOPOLOGY_PREFIX, 1, PARENT_TEXT.into()).unwrap();
+        assert_eq!(Topology::load(&storage).unwrap(), Some(range_topology()));
+        // Re-sealed by this build, the text no longer carries the line.
+        range_topology().save(&storage).unwrap();
+        let resealed = lsm_io::read_all(&storage, &topology_name(1)).unwrap();
+        assert!(!String::from_utf8_lossy(&resealed).contains("sample_len"));
+    }
+
+    /// A store the parent commit wrote keeps a `SHARDING.model` beside its
+    /// topology. An open never reads it — the boundaries route every key
+    /// exactly as the model-then-correct lookup did — and sweeps it.
+    #[test]
+    fn open_over_a_parent_written_store_routes_the_same_and_sweeps_the_model() {
+        use crate::sharding::ShardedDb;
+        use crate::{Options, ShardedOptions};
+        use std::sync::Arc;
+        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        sealed::write_sealed(storage.as_ref(), TOPOLOGY_PREFIX, 1, PARENT_TEXT.into()).unwrap();
+        let mut f = storage.create(LEGACY_ROUTER_MODEL_FILE).unwrap();
+        f.append(b"\x00\x01whatever the parent encoded").unwrap();
         drop(f);
-        assert!(load_model(&storage).is_none());
+        let opts = ShardedOptions::hash(2, Options::small_for_tests());
+        let db = ShardedDb::open(Arc::clone(&storage), opts).unwrap();
+        let routing = db.routing();
+        assert_eq!(routing.router().boundaries(), &[100, 200, 300]);
+        for (key, shard) in [(0, 0), (99, 0), (100, 1), (199, 1), (200, 2), (300, 3)] {
+            assert_eq!(routing.router().shard_of(key), shard, "key {key}");
+        }
+        assert_eq!(routing.router().shard_of(u64::MAX), 3);
+        assert!(!storage.exists(LEGACY_ROUTER_MODEL_FILE));
+        assert!(storage.exists(&topology_name(1)));
     }
 }

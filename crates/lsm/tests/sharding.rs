@@ -1080,31 +1080,56 @@ fn commit_marker_log_is_checkpointed_at_runtime() {
     }
 }
 
-/// Reopening a range-sharded database whose `SHARDING.model` file is
-/// missing (or corrupt) must fall back to boundary binary search
-/// **explicitly** — surfaced through the recovery report — and route
-/// identically.
+/// One shard under `LearnedRange` is a range topology with no boundaries,
+/// so `ShardedOptions::learned(1, ..).with_max_shards(n)` can split. (It
+/// used to come back hash-routed, and a hash topology never splits — the
+/// ceiling was accepted and silently never used.)
 #[test]
-fn missing_router_model_is_reported_not_silent() {
+fn a_single_learned_shard_splits_under_a_skewed_stream() {
+    let opts = ShardedOptions::learned(1, Vec::new(), base_opts())
+        .with_max_shards(4)
+        .with_split_trigger(0.10, 64 << 10);
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let opts = learned_opts(3, dense_sample());
-    {
-        let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
-        for k in (0..4000u64).step_by(40) {
-            db.put(k, b"v").unwrap();
+    let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
+    assert_eq!(db.shard_count(), 1);
+
+    // Quadratic spacing: dense near zero, ever sparser above.
+    let keys: Vec<u64> = (0..12_000u64).map(|i| i * i).collect();
+    for chunk in keys.chunks(8) {
+        let mut batch = WriteBatch::with_capacity(chunk.len());
+        for &k in chunk {
+            batch.put(k, &k.to_le_bytes());
         }
-        db.flush().unwrap();
-        assert!(!db.recovery_report().router_model_degraded);
+        db.write(batch, &WriteOptions::default()).unwrap();
     }
-    storage.remove("SHARDING.model").unwrap();
-    let db = ShardedDb::open(Arc::clone(&storage), opts).unwrap();
-    assert!(
-        db.recovery_report().router_model_degraded,
-        "model loss must be reported through the recovery report"
-    );
-    assert!(db.routing().router().is_range(), "no silent hash fallback");
-    for k in (0..4000u64).step_by(40) {
-        assert_eq!(db.get(k).unwrap(), Some(b"v".to_vec()), "key {k}");
+    while db.rebalance().unwrap() {}
+
+    let splits = db.sharded_stats().merged.shard_splits;
+    assert!(splits >= 1, "a lone learned shard never split");
+    assert_eq!(db.shard_count() as u64, 1 + splits);
+    assert_eq!(db.background_error(), None);
+    for &k in &keys {
+        assert_eq!(
+            db.get(k).unwrap(),
+            Some(k.to_le_bytes().to_vec()),
+            "key {k}"
+        );
+    }
+
+    // The reopen adopts the split topology, not the one shard it asked for.
+    let (shard_count, epoch) = (db.shard_count(), db.topology_epoch());
+    let boundaries = db.routing().router().boundaries().to_vec();
+    drop(db);
+    let db = ShardedDb::open(storage, opts).unwrap();
+    assert_eq!(db.shard_count(), shard_count);
+    assert_eq!(db.topology_epoch(), epoch);
+    assert_eq!(db.routing().router().boundaries(), boundaries);
+    for &k in &keys {
+        assert_eq!(
+            db.get(k).unwrap(),
+            Some(k.to_le_bytes().to_vec()),
+            "key {k}"
+        );
     }
 }
 
@@ -1148,8 +1173,6 @@ fn learned_routing_balances_zipfian_keys_within_20pct() {
     let max = *keys.last().unwrap();
     let uniform = ShardRouter::Range {
         boundaries: (1..4u64).map(|i| i * (max / 4)).collect(),
-        model: None,
-        sample_len: 0,
     };
     let uniform_imb = imbalance(&uniform.partition_counts(&keys));
     assert!(

@@ -523,7 +523,6 @@ pub(crate) fn stats_json(s: &ShardedStats) -> String {
         concat!(
             "{{\"topology_epoch\":{},\"shard_ids\":{},\"resident_bytes\":{},",
             "\"resident_entries\":{},\"resident_imbalance\":{:.6},",
-            "\"observed_imbalance\":{:.6},\"observed_keys\":{},",
             "\"live_commit_markers\":{}"
         ),
         s.topology_epoch,
@@ -531,8 +530,6 @@ pub(crate) fn stats_json(s: &ShardedStats) -> String {
         num_list(&s.resident_bytes),
         num_list(&s.resident_entries),
         s.resident_imbalance,
-        s.observed_imbalance,
-        s.observed_keys,
         s.live_commit_markers,
     );
     // Writing into a `String` cannot fail.

@@ -206,15 +206,14 @@ fn stats_json_carries_every_metrics_counter() {
         let got = stats.get(name).and_then(|v| v.as_u64());
         assert_eq!(got, Some(*value), "{name} in {json}");
     }
-    // Every key of the parent's hand-written renderer.
-    const PARENT_KEYS: [&str; 23] = [
+    // Every key of the hand-written renderer this one replaced, less the
+    // two that described the router's traffic sample (gone with it).
+    const PARENT_KEYS: [&str; 21] = [
         "topology_epoch",
         "shard_ids",
         "resident_bytes",
         "resident_entries",
         "resident_imbalance",
-        "observed_imbalance",
-        "observed_keys",
         "live_commit_markers",
         "lookups",
         "write_batches",

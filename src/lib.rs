@@ -3,7 +3,7 @@
 //! Reproduction of **"Evaluating Learned Indexes in LSM-tree Systems:
 //! Benchmarks, Insights and Design Choices"** (EDBT 2026) as a Rust
 //! workspace. This facade crate re-exports the pieces; see `README.md` for a
-//! tour and `DESIGN.md` / `EXPERIMENTS.md` for the reproduction notes.
+//! tour and the experiments, and `ARCHITECTURE.md` for the engine's design.
 //!
 //! * [`io`] — storage backends incl. the deterministic simulated NVMe;
 //! * [`workloads`] — the seven SOSD-style datasets and YCSB A–F;
