@@ -1,30 +1,28 @@
-//! Memory governance: a globally budgeted, lock-striped block cache whose
-//! budget open tables also charge.
+//! Memory governance: one byte budget, charged by cached blocks and by open
+//! tables, held by one lock-striped LRU cache.
 //!
 //! The paper's Section 1 guideline — "wisely allocate the memory budget" —
 //! is about the components that *compete* for one ceiling: cached data
 //! blocks, open table handles, bloom filters, and the learned index models
-//! themselves. This module gives the engine a single [`CacheBudget`] that
-//! all of them charge:
+//! themselves. A [`BlockCache`] is that ceiling and both of its tenants:
 //!
-//! * **Blocks** live in a [`BlockCache`]: N independent lock-striped LRU
-//!   segments keyed by `hash(table_id, block_no)`, so concurrent readers on
-//!   different segments never contend on one global mutex. Insertion
-//!   reserves bytes against the shared budget *before* taking any segment
-//!   lock; when the reservation fails, victims are evicted — from the
-//!   inserting key's own segment first, then sweeping the others — until it
-//!   fits. Because every shard of a [`crate::sharding::ShardedDb`] shares
-//!   the same budget, evicting a cold shard's blocks funds a hot shard's
-//!   working set.
+//! * **Blocks** live in N independent LRU stripes; a key's stripe is picked
+//!   from its mixed 64-bit hash, so each stripe sees a uniform sample of
+//!   the traffic and concurrent readers on different stripes never contend.
+//!   Insertion reserves bytes against the budget *before* taking any
+//!   stripe lock; when the reservation fails, the tail of the inserting
+//!   key's **own** stripe is evicted — one lock — until it fits. Every shard
+//!   of a [`crate::sharding::ShardedDb`] shares the one cache, so evicting
+//!   a cold shard's blocks funds a hot shard's working set.
 //! * **Table handles** (the resident `TableReader`s: index model + bloom
 //!   filter + fixed overhead) charge the same budget as *pinned* bytes the
 //!   moment they open and release on drop — index memory squeezes block
 //!   space, exactly the trade the paper's figures sweep. Nothing else holds
 //!   a reader: the charge lasts as long as some `Version` lists the table.
 //!
-//! The budget is a pair of atomics, so [`EngineCache`]'s `Debug` (and every
-//! gauge accessor) reads without taking a lock — formatting one of these
-//! from a panic hook mid-insert can never deadlock.
+//! The ledger is a pair of atomics, so `Debug` (and every gauge accessor)
+//! reads without taking a lock — formatting the cache from a panic hook
+//! mid-insert can never deadlock.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -43,91 +41,6 @@ pub struct BlockKey {
 /// Fixed per-handle overhead charged for an open table beyond its measured
 /// index + bloom bytes (file handle, footer, metadata).
 pub const TABLE_HANDLE_OVERHEAD: usize = 256;
-
-/// One byte ceiling shared by every charging component (and, through
-/// [`EngineCache`], by every shard of a `ShardedDb`).
-///
-/// Two charge classes, one atomic each — total usage is *derived* as their
-/// sum, so `used = blocks + tables` holds by construction:
-/// * *block* bytes are *reserved* — `CacheBudget::try_reserve_block`
-///   refuses to grow them past `capacity - table bytes`, and the block
-///   cache evicts until a reservation succeeds, so block bytes never
-///   overshoot the ceiling at any instant;
-/// * *pinned* bytes (table handles, filters, index models) are charged
-///   unconditionally — a table the engine needs open cannot be refused —
-///   and block evictions compensate on the next reservation.
-pub struct CacheBudget {
-    capacity: usize,
-    block_bytes: AtomicUsize,
-    table_bytes: AtomicUsize,
-}
-
-impl CacheBudget {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            block_bytes: AtomicUsize::new(0),
-            table_bytes: AtomicUsize::new(0),
-        }
-    }
-
-    /// Reserve `bytes` for a block if the budget can hold them; the caller
-    /// evicts and retries on failure.
-    fn try_reserve_block(&self, bytes: usize) -> bool {
-        let mut blocks = self.block_bytes.load(Ordering::Relaxed);
-        loop {
-            // Pinned charges are never refused, so on their own they may
-            // exceed the ceiling: no room is left, not a negative amount.
-            let room = self.capacity.saturating_sub(self.table_bytes());
-            if blocks + bytes > room {
-                return false;
-            }
-            match self.block_bytes.compare_exchange_weak(
-                blocks,
-                blocks + bytes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(cur) => blocks = cur,
-            }
-        }
-    }
-
-    fn release_block(&self, bytes: usize) {
-        self.block_bytes.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// Pinned charge (open table handle): never refused — the block side
-    /// yields the space instead.
-    fn charge_table(&self, bytes: usize) {
-        self.table_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn release_table(&self, bytes: usize) {
-        self.table_bytes.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// Configured ceiling.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity
-    }
-
-    /// Bytes charged right now, all components.
-    pub fn used_bytes(&self) -> usize {
-        self.block_bytes() + self.table_bytes()
-    }
-
-    /// Bytes held by cached blocks.
-    pub fn block_bytes(&self) -> usize {
-        self.block_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes pinned by open table handles (index models + filters).
-    pub fn table_bytes(&self) -> usize {
-        self.table_bytes.load(Ordering::Relaxed)
-    }
-}
 
 const NIL: usize = usize::MAX;
 
@@ -169,14 +82,10 @@ struct Slot {
     data: Arc<Vec<u8>>,
     prev: usize,
     next: usize,
-    /// Logical last-touch time from the cache-wide clock — cross-segment
-    /// eviction compares tail ages so a burst into one stripe displaces
-    /// the globally coldest block, not its own stripe's recent entries.
-    tick: u64,
 }
 
 /// One lock stripe: a slab-backed intrusive LRU list (O(1) get/insert).
-struct LruSegment {
+struct Stripe {
     map: HashMap<Hashed, usize, BuildHasherDefault<PassThrough>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -184,7 +93,7 @@ struct LruSegment {
     tail: usize, // least recently used
 }
 
-impl LruSegment {
+impl Stripe {
     fn new() -> Self {
         Self {
             map: HashMap::default(),
@@ -234,23 +143,33 @@ impl LruSegment {
 
     /// Evict the least-recently-used entry; returns its byte size.
     fn pop_tail(&mut self) -> Option<usize> {
-        let victim = self.tail;
-        if victim == NIL {
-            return None;
-        }
-        Some(self.remove(victim))
+        (self.tail != NIL).then(|| self.remove(self.tail))
     }
 }
 
-/// Sharded, thread-safe block cache: lock-striped LRU segments over one
-/// shared [`CacheBudget`].
+/// The engine-wide cache: lock-striped LRU block storage and the byte
+/// ledger that blocks and open `TableReader`s both charge.
+///
+/// A standalone [`crate::Db`] builds one when `Options::block_cache_bytes`
+/// is nonzero; a [`crate::sharding::ShardedDb`] builds exactly one and
+/// threads it through every shard — including children created by live
+/// splits — so the whole topology shares a single byte ceiling.
+///
+/// Two charge classes, one atomic each — total usage is *derived* as their
+/// sum, so `used = blocks + tables` holds by construction:
+/// * *block* bytes are *reserved* — `try_reserve` refuses to grow them past
+///   `capacity - table bytes`, and `insert` evicts until a reservation
+///   succeeds, so block bytes never overshoot the ceiling at any instant;
+/// * *pinned* bytes (table handles, filters, index models) are charged
+///   unconditionally — a table the engine needs open cannot be refused —
+///   and block evictions compensate on the next reservation.
 pub struct BlockCache {
-    segments: Box<[Mutex<LruSegment>]>,
-    /// `segments.len() - 1`; the count is a power of two.
+    stripes: Box<[Mutex<Stripe>]>,
+    /// `stripes.len() - 1`; the count is a power of two.
     mask: usize,
-    budget: Arc<CacheBudget>,
-    /// Logical clock stamped onto entries at each touch (see `Slot::tick`).
-    clock: AtomicU64,
+    capacity: usize,
+    block_bytes: AtomicUsize,
+    table_bytes: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -259,13 +178,14 @@ pub struct BlockCache {
 
 impl std::fmt::Debug for BlockCache {
     // Reads only atomics — safe to format from any context, including one
-    // already inside a segment lock (the old single-mutex impl deadlocked
-    // there).
+    // already inside a stripe lock.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCache")
-            .field("segments", &(self.mask + 1))
-            .field("capacity_bytes", &self.budget.capacity_bytes())
-            .field("used_bytes", &self.budget.block_bytes())
+            .field("stripes", &(self.mask + 1))
+            .field("capacity_bytes", &self.capacity)
+            .field("used_bytes", &self.used_bytes())
+            .field("block_bytes", &self.block_bytes())
+            .field("table_bytes", &self.table_bytes())
             .finish()
     }
 }
@@ -278,36 +198,33 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Lock stripes of a block cache: one per core, rounded to a power of two,
-/// clamped to `[4, 64]`.
-fn auto_segments() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8)
-        .next_power_of_two()
-        .clamp(4, 64)
-}
-
 impl BlockCache {
-    /// Standalone cache with its own budget and the automatic stripe count.
+    /// New cache with `capacity_bytes` shared by blocks and pinned charges,
+    /// one stripe per core (rounded to a power of two, clamped to `[4, 64]`).
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_budget(Arc::new(CacheBudget::new(capacity_bytes)), auto_segments())
+        let cores = std::thread::available_parallelism().map_or(8, |n| n.get());
+        Self::with_stripes(capacity_bytes, cores.next_power_of_two().clamp(4, 64))
     }
 
-    /// Cache charging `budget`, striped over `segments` (rounded up to a
-    /// power of two).
-    pub fn with_budget(budget: Arc<CacheBudget>, segments: usize) -> Self {
-        let n = segments.max(1).next_power_of_two();
+    /// `stripes` is rounded up to a power of two; one stripe is an exact LRU.
+    fn with_stripes(capacity: usize, stripes: usize) -> Self {
+        let n = stripes.max(1).next_power_of_two();
         Self {
-            segments: (0..n).map(|_| Mutex::new(LruSegment::new())).collect(),
+            stripes: (0..n).map(|_| Mutex::new(Stripe::new())).collect(),
             mask: n - 1,
-            budget,
-            clock: AtomicU64::new(0),
+            capacity,
+            block_bytes: AtomicUsize::new(0),
+            table_bytes: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
+    }
+
+    /// Build from engine options; `None` when caching is disabled.
+    pub fn from_options(opts: &crate::Options) -> Option<Arc<BlockCache>> {
+        (opts.block_cache_bytes > 0).then(|| Arc::new(BlockCache::new(opts.block_cache_bytes)))
     }
 
     fn hashed(key: BlockKey) -> Hashed {
@@ -319,21 +236,20 @@ impl BlockCache {
 
     /// From bits the stripe's own map does not use (it indexes with the low
     /// bits and tags with the top seven).
-    fn segment_of(&self, key: Hashed) -> usize {
+    fn stripe_of(&self, key: Hashed) -> usize {
         (key.hash >> 32) as usize & self.mask
     }
 
-    /// Fetch a block, marking it most-recently-used within its segment.
+    /// Fetch a block, marking it most-recently-used within its stripe.
     pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
         let key = Self::hashed(key);
-        let mut seg = self.segments[self.segment_of(key)].lock();
-        match seg.map.get(&key).copied() {
+        let mut stripe = self.stripes[self.stripe_of(key)].lock();
+        match stripe.map.get(&key).copied() {
             Some(i) => {
-                seg.detach(i);
-                seg.push_front(i);
-                seg.slots[i].tick = self.clock.fetch_add(1, Ordering::Relaxed);
+                stripe.detach(i);
+                stripe.push_front(i);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&seg.slots[i].data))
+                Some(Arc::clone(&stripe.slots[i].data))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -342,71 +258,70 @@ impl BlockCache {
         }
     }
 
-    /// Evict one entry: scan every stripe's LRU tail and pop the globally
-    /// oldest (by logical touch time), so a hot stripe's burst displaces
-    /// the coldest block anywhere, not its own recent entries. Holds at
-    /// most one segment lock at a time; the victim choice may race with a
-    /// concurrent touch, which costs nothing but precision. Falls back to
-    /// a sweep from `start` if the chosen stripe drained meanwhile.
-    fn evict_one(&self, start: usize) -> bool {
-        let mut victim: Option<(usize, u64)> = None;
-        for idx in 0..=self.mask {
-            let seg = self.segments[idx].lock();
-            if seg.tail != NIL {
-                let tick = seg.slots[seg.tail].tick;
-                if victim.is_none_or(|(_, best)| tick < best) {
-                    victim = Some((idx, tick));
-                }
-            }
-        }
-        if let Some((idx, _)) = victim {
-            if let Some(bytes) = self.segments[idx].lock().pop_tail() {
-                self.budget.release_block(bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        for off in 0..=self.mask {
-            let idx = (start + off) & self.mask;
-            if let Some(bytes) = self.segments[idx].lock().pop_tail() {
-                self.budget.release_block(bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
+    /// Reserve `bytes` for a block if the budget can hold them; the caller
+    /// evicts and retries on failure.
+    fn try_reserve(&self, bytes: usize) -> bool {
+        let reserve = |blocks: usize| {
+            // Pinned charges are never refused, so on their own they may
+            // exceed the ceiling: no room is left, not a negative amount.
+            let room = self.capacity.saturating_sub(self.table_bytes());
+            (blocks + bytes <= room).then_some(blocks + bytes)
+        };
+        self.block_bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, reserve)
+            .is_ok()
     }
 
-    /// Insert (or refresh) a block. Bytes are reserved against the shared
-    /// budget *first*; eviction makes room, so the budget is never
-    /// overshot. When every block is gone and pinned charges still leave
-    /// no room, the insert is dropped — pinned components win.
+    fn release(&self, bytes: usize) {
+        self.block_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// Evict one block to fund an insert into stripe `own`: pop that
+    /// stripe's LRU tail, taking its lock and no other. A stripe is a
+    /// uniform sample of the traffic (see `stripe_of`), so its tail is as
+    /// cold as any. Only when `own` is empty — pinned charges or an
+    /// oversized block left it nothing to give — are the other stripes
+    /// swept in order, one lock at a time, for the first with a tail.
+    fn evict_one(&self, own: usize) -> bool {
+        (0..=self.mask).any(|off| {
+            let popped = self.stripes[(own + off) & self.mask].lock().pop_tail();
+            if let Some(bytes) = popped {
+                self.release(bytes);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            popped.is_some()
+        })
+    }
+
+    /// Insert (or refresh) a block. Bytes are reserved against the budget
+    /// *first*; eviction makes room, so the budget is never overshot. When
+    /// every block is gone and pinned charges still leave no room, the
+    /// insert is dropped — pinned components win.
     pub fn insert(&self, key: BlockKey, data: Arc<Vec<u8>>) {
         let key = Self::hashed(key);
-        let seg_idx = self.segment_of(key);
+        let own = self.stripe_of(key);
         // Retire any existing version of the key so the path below is a
         // plain insert (refresh keeps the newest payload and MRU position).
         {
-            let mut seg = self.segments[seg_idx].lock();
-            if let Some(&i) = seg.map.get(&key) {
-                let bytes = seg.remove(i);
-                self.budget.release_block(bytes);
+            let mut stripe = self.stripes[own].lock();
+            if let Some(&i) = stripe.map.get(&key) {
+                let bytes = stripe.remove(i);
+                self.release(bytes);
             }
         }
-        while !self.budget.try_reserve_block(data.len()) {
-            if !self.evict_one(seg_idx) {
+        while !self.try_reserve(data.len()) {
+            if !self.evict_one(own) {
                 return; // nothing left to evict; the block does not fit
             }
         }
-        let mut seg = self.segments[seg_idx].lock();
-        if let Some(&i) = seg.map.get(&key) {
+        let mut stripe = self.stripes[own].lock();
+        if let Some(&i) = stripe.map.get(&key) {
             // A concurrent insert of the same key won the race: keep one
             // copy and hand back this call's reservation.
-            let old = std::mem::replace(&mut seg.slots[i].data, data);
-            self.budget.release_block(old.len());
-            seg.detach(i);
-            seg.push_front(i);
-            seg.slots[i].tick = self.clock.fetch_add(1, Ordering::Relaxed);
+            let old = std::mem::replace(&mut stripe.slots[i].data, data);
+            self.release(old.len());
+            stripe.detach(i);
+            stripe.push_front(i);
             return;
         }
         let slot = Slot {
@@ -414,57 +329,96 @@ impl BlockCache {
             data,
             prev: NIL,
             next: NIL,
-            tick: self.clock.fetch_add(1, Ordering::Relaxed),
         };
-        let i = match seg.free.pop() {
+        let i = match stripe.free.pop() {
             Some(i) => {
-                seg.slots[i] = slot;
+                stripe.slots[i] = slot;
                 i
             }
             None => {
-                seg.slots.push(slot);
-                seg.slots.len() - 1
+                stripe.slots.push(slot);
+                stripe.slots.len() - 1
             }
         };
-        seg.map.insert(key, i);
-        seg.push_front(i);
+        stripe.map.insert(key, i);
+        stripe.push_front(i);
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drop every cached block belonging to `table_id` (table deleted).
-    pub fn evict_table(&self, table_id: u64) {
-        for m in self.segments.iter() {
-            let mut seg = m.lock();
-            let victims: Vec<usize> = seg
+    /// Drop every cached block of the tables in `table_ids` (their files
+    /// were deleted), in one pass over the stripes.
+    pub fn evict_tables(&self, table_ids: &[u64]) {
+        for m in self.stripes.iter() {
+            let mut stripe = m.lock();
+            let victims: Vec<usize> = stripe
                 .map
                 .iter()
-                .filter(|(k, _)| k.key.table_id == table_id)
+                .filter(|(k, _)| table_ids.contains(&k.key.table_id))
                 .map(|(_, &i)| i)
                 .collect();
             for i in victims {
-                let bytes = seg.remove(i);
-                self.budget.release_block(bytes);
+                let bytes = stripe.remove(i);
+                self.release(bytes);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Bytes currently held by cached blocks.
-    pub fn used_bytes(&self) -> usize {
-        self.budget.block_bytes()
+    /// Pinned charge for an open table handle (index + bloom + overhead):
+    /// never refused — the block side yields the space instead.
+    pub(crate) fn charge_table(&self, bytes: usize) {
+        self.table_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Ceiling of the shared budget this cache charges.
+    /// Release a pinned table charge (handle dropped).
+    pub(crate) fn release_table(&self, bytes: usize) {
+        self.table_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// The ceiling.
     pub fn capacity_bytes(&self) -> usize {
-        self.budget.capacity_bytes()
+        self.capacity
     }
 
-    /// (hits, misses) so far.
+    /// Bytes charged right now, all components.
+    pub fn used_bytes(&self) -> usize {
+        self.block_bytes() + self.table_bytes()
+    }
+
+    /// Bytes held by cached blocks.
+    pub fn block_bytes(&self) -> usize {
+        self.block_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes pinned by open table handles (index models + filters).
+    pub fn table_bytes(&self) -> usize {
+        self.table_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Block (hits, misses) so far — the headline hit rate.
     pub fn hit_miss(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Snapshot every per-component counter.
+    pub fn stats(&self) -> CacheStats {
+        let (block_hits, block_misses) = self.hit_miss();
+        let block_used_bytes = self.block_bytes() as u64;
+        let table_used_bytes = self.table_bytes() as u64;
+        CacheStats {
+            block_hits,
+            block_misses,
+            block_insertions: self.insertions.load(Ordering::Relaxed),
+            block_evictions: self.evictions.load(Ordering::Relaxed),
+            block_used_bytes,
+            table_used_bytes,
+            // Derived from the same two reads, so the parts always add up.
+            used_bytes: block_used_bytes + table_used_bytes,
+            capacity_bytes: self.capacity as u64,
+        }
     }
 }
 
@@ -486,97 +440,12 @@ pub struct CacheStats {
     pub capacity_bytes: u64,
 }
 
-/// The engine-wide cache: one [`CacheBudget`] charged by the block cache
-/// and every open `TableReader`'s pinned bytes.
-///
-/// A standalone [`crate::Db`] builds one when `Options::block_cache_bytes`
-/// is nonzero; a [`crate::sharding::ShardedDb`] builds exactly one and
-/// threads it through every shard — including children created by live
-/// splits — so the whole topology shares a single byte ceiling.
-pub struct EngineCache {
-    budget: Arc<CacheBudget>,
-    blocks: BlockCache,
-}
-
-impl std::fmt::Debug for EngineCache {
-    // Atomics only — never blocks (see the module docs).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineCache")
-            .field("capacity_bytes", &self.budget.capacity_bytes())
-            .field("used_bytes", &self.budget.used_bytes())
-            .field("block_bytes", &self.budget.block_bytes())
-            .field("table_bytes", &self.budget.table_bytes())
-            .finish()
-    }
-}
-
-impl EngineCache {
-    /// New cache with `capacity_bytes` shared across all components.
-    pub fn new(capacity_bytes: usize) -> Self {
-        let budget = Arc::new(CacheBudget::new(capacity_bytes));
-        Self {
-            blocks: BlockCache::with_budget(Arc::clone(&budget), auto_segments()),
-            budget,
-        }
-    }
-
-    /// Build from engine options; `None` when caching is disabled.
-    pub fn from_options(opts: &crate::Options) -> Option<Arc<EngineCache>> {
-        (opts.block_cache_bytes > 0).then(|| Arc::new(EngineCache::new(opts.block_cache_bytes)))
-    }
-
-    /// The block half.
-    pub fn blocks(&self) -> &BlockCache {
-        &self.blocks
-    }
-
-    /// Pinned charge for an open table handle (index + bloom + overhead).
-    pub(crate) fn charge_table(&self, bytes: usize) {
-        self.budget.charge_table(bytes);
-    }
-
-    /// Release a pinned table charge (handle dropped).
-    pub(crate) fn release_table(&self, bytes: usize) {
-        self.budget.release_table(bytes);
-    }
-
-    /// Total charged bytes, all components.
-    pub fn used_bytes(&self) -> usize {
-        self.budget.used_bytes()
-    }
-
-    /// The shared ceiling.
-    pub fn capacity_bytes(&self) -> usize {
-        self.budget.capacity_bytes()
-    }
-
-    /// Block-cache (hits, misses) — the headline hit rate.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        self.blocks.hit_miss()
-    }
-
-    /// Snapshot every per-component counter.
-    pub fn stats(&self) -> CacheStats {
-        let (block_hits, block_misses) = self.blocks.hit_miss();
-        let block_used_bytes = self.budget.block_bytes() as u64;
-        let table_used_bytes = self.budget.table_bytes() as u64;
-        CacheStats {
-            block_hits,
-            block_misses,
-            block_insertions: self.blocks.insertions.load(Ordering::Relaxed),
-            block_evictions: self.blocks.evictions.load(Ordering::Relaxed),
-            block_used_bytes,
-            table_used_bytes,
-            // Derived from the same two reads, so the parts always add up.
-            used_bytes: block_used_bytes + table_used_bytes,
-            capacity_bytes: self.budget.capacity_bytes() as u64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsm_workloads::dist::ZipfianGen;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn key(t: u64, b: u64) -> BlockKey {
         BlockKey {
@@ -591,7 +460,11 @@ mod tests {
 
     /// Single-stripe cache: global LRU order is exact.
     fn unsharded(capacity: usize) -> BlockCache {
-        BlockCache::with_budget(Arc::new(CacheBudget::new(capacity)), 1)
+        BlockCache::with_stripes(capacity, 1)
+    }
+
+    fn stripe_lens(c: &BlockCache) -> Vec<usize> {
+        c.stripes.iter().map(|m| m.lock().map.len()).collect()
     }
 
     #[test]
@@ -643,9 +516,11 @@ mod tests {
         c.insert(key(1, 0), block(1, 100));
         c.insert(key(1, 1), block(1, 100));
         c.insert(key(2, 0), block(2, 100));
-        c.evict_table(1);
+        c.insert(key(3, 0), block(3, 100));
+        c.evict_tables(&[1, 3]);
         assert!(c.get(key(1, 0)).is_none());
         assert!(c.get(key(1, 1)).is_none());
+        assert!(c.get(key(3, 0)).is_none());
         assert!(c.get(key(2, 0)).is_some());
         assert_eq!(c.used_bytes(), 100);
     }
@@ -656,7 +531,7 @@ mod tests {
         for b in 0..100u64 {
             c.insert(key(1, b), block(b as u8, 4096));
         }
-        let slots = c.segments[0].lock().slots.len();
+        let slots = c.stripes[0].lock().slots.len();
         assert!(slots <= 4, "slab must recycle: {slots}");
     }
 
@@ -676,56 +551,145 @@ mod tests {
 
     #[test]
     fn cross_segment_eviction_funds_hot_stripe() {
-        // Fill the budget from many tables (spread over all stripes), then
-        // hammer inserts that all land in one stripe: they must succeed by
-        // stealing bytes from the other stripes.
-        let c = BlockCache::new(8 * 4096);
-        for b in 0..8u64 {
+        // Fill the budget from many tables, then burst one table's blocks
+        // in. Each burst block pops its own stripe's tail, and a stripe
+        // holds a uniform sample of both populations, so the tails are the
+        // cold blocks: the burst ends up resident, funded by every stripe.
+        // (Four stripes whatever the host: at 256 blocks over 64 stripes a
+        // stripe holds four, and the sample is too small to be uniform.)
+        const BLOCKS: u64 = 256;
+        let c = BlockCache::with_stripes(BLOCKS as usize * 4096, 4);
+        for b in 0..BLOCKS {
             c.insert(key(b, b), block(1, 4096));
         }
-        assert_eq!(c.used_bytes(), 8 * 4096);
-        for b in 0..8u64 {
-            c.insert(key(99, b), block(2, 4096));
+        assert_eq!(c.used_bytes(), c.capacity_bytes());
+        for b in 0..BLOCKS {
+            c.insert(key(999, b), block(2, 4096));
+            assert!(c.used_bytes() <= c.capacity_bytes(), "overshoot at {b}");
         }
-        let resident = (0..8u64).filter(|&b| c.get(key(99, b)).is_some()).count();
+        let resident = (0..BLOCKS).filter(|&b| c.get(key(999, b)).is_some());
+        let resident = resident.count() as u64;
         assert!(
-            resident >= 7,
-            "hot inserts must displace cold stripes: only {resident}/8 resident"
+            resident * 10 >= BLOCKS * 9,
+            "the burst must displace the cold blocks: only {resident}/{BLOCKS} resident"
         );
-        assert!(c.used_bytes() <= c.capacity_bytes());
+    }
+
+    /// Gets of `blocks` zipfian(0.99) block numbers, filling on miss.
+    /// Rank 0 is hottest; `mix64` scatters the ranks over table ids.
+    fn zipfian_trace(blocks: usize, gets: usize) -> impl Iterator<Item = (u64, u64)> {
+        let zipf = ZipfianGen::new(blocks, 0.99);
+        let mut rng = StdRng::seed_from_u64(0x5eed_0020);
+        (0..gets).map(move |_| {
+            let rank = zipf.sample(&mut rng) as u64;
+            (mix64(rank) % 32, rank)
+        })
+    }
+
+    /// The evidence that the local rule costs no hits: one skewed trace
+    /// over 8x the capacity, through an exact global LRU (one stripe) and
+    /// through 4, 16 and 64 stripes that each evict only their own tail.
+    #[test]
+    fn own_stripe_eviction_matches_global_lru_on_zipfian_reads() {
+        const CAPACITY: usize = 4096;
+        const LEN: usize = 64;
+        let data = block(0, LEN);
+        let hit_share = |stripes: usize| {
+            let c = BlockCache::with_stripes(CAPACITY * LEN, stripes);
+            for (table, block_no) in zipfian_trace(8 * CAPACITY, 200_000) {
+                if c.get(key(table, block_no)).is_none() {
+                    c.insert(key(table, block_no), Arc::clone(&data));
+                    assert!(c.used_bytes() <= c.capacity_bytes());
+                }
+            }
+            let (hits, misses) = c.hit_miss();
+            hits as f64 / (hits + misses) as f64
+        };
+        let exact = hit_share(1);
+        assert!(exact > 0.5, "the trace must be cacheable: {exact}");
+        for stripes in [4, 16, 64] {
+            let striped = hit_share(stripes);
+            assert!(
+                (striped - exact).abs() < 0.01,
+                "{stripes} stripes hit {striped:.4}, global LRU {exact:.4}"
+            );
+        }
+    }
+
+    /// Nothing rebalances the stripes but the hash: with tables retired
+    /// under the readers and pinned charges taking up to half the budget
+    /// and giving it back, no stripe grows past twice the mean.
+    #[test]
+    fn stripes_stay_balanced_under_table_eviction_and_pinned_charges() {
+        const CAPACITY: usize = 4096;
+        const LEN: usize = 64;
+        const STEP: usize = CAPACITY * LEN / 64;
+        let data = block(0, LEN);
+        let c = BlockCache::with_stripes(CAPACITY * LEN, 64);
+        let mut generation = [0u64; 32];
+        let mut pinned = 0;
+        let mut worst = 0f64;
+        for (i, (table, block_no)) in zipfian_trace(8 * CAPACITY, 200_000).enumerate() {
+            let id = table + 32 * generation[table as usize];
+            if c.get(key(id, block_no)).is_none() {
+                c.insert(key(id, block_no), Arc::clone(&data));
+                assert!(c.used_bytes() <= c.capacity_bytes());
+            }
+            if i % 1_000 != 999 {
+                continue;
+            }
+            // A compaction retires a table (its keys come back under a new
+            // id), and a table handle opens or closes: the pinned charge
+            // climbs to half the budget in 32 steps, then back down.
+            let retired = (i / 1_000) as u64 % 32;
+            c.evict_tables(&[retired + 32 * generation[retired as usize]]);
+            generation[retired as usize] += 1;
+            if (i / 32_000) % 2 == 0 {
+                c.charge_table(STEP);
+                pinned += STEP;
+            } else {
+                c.release_table(STEP);
+                pinned -= STEP;
+            }
+            let lens = stripe_lens(&c);
+            let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
+            worst = worst.max(*lens.iter().max().unwrap() as f64 / mean);
+        }
+        assert!(pinned > 0 && c.table_bytes() == pinned);
+        assert!(worst < 2.0, "fullest stripe at {worst:.2}x the mean");
     }
 
     #[test]
     fn debug_takes_no_lock() {
         let c = BlockCache::new(1 << 20);
         c.insert(key(1, 0), block(1, 4096));
-        // Hold a segment lock and format anyway — the old implementation
+        // Hold a stripe lock and format anyway — the old implementation
         // locked its single mutex here and deadlocked.
-        let _guard = c.segments[c.segment_of(BlockCache::hashed(key(1, 0)))].lock();
+        let _guard = c.stripes[c.stripe_of(BlockCache::hashed(key(1, 0)))].lock();
         let s = format!("{c:?}");
         assert!(s.contains("used_bytes"), "{s}");
     }
 
     #[test]
     fn pinned_charges_squeeze_block_space() {
-        let cache = EngineCache::new(4 * 4096);
+        let cache = BlockCache::new(4 * 4096);
         cache.charge_table(3 * 4096);
         // Only one block's worth of head-room remains.
-        cache.blocks().insert(key(1, 0), block(1, 4096));
-        cache.blocks().insert(key(1, 1), block(1, 4096));
+        cache.insert(key(1, 0), block(1, 4096));
+        cache.insert(key(1, 1), block(1, 4096));
         assert!(cache.used_bytes() <= cache.capacity_bytes());
-        assert_eq!(cache.blocks().used_bytes(), 4096, "one block fits");
+        assert_eq!(cache.block_bytes(), 4096, "one block fits");
         cache.release_table(3 * 4096);
-        cache.blocks().insert(key(1, 2), block(1, 4096));
-        assert!(cache.blocks().used_bytes() >= 2 * 4096, "space came back");
+        cache.insert(key(1, 2), block(1, 4096));
+        assert!(cache.block_bytes() >= 2 * 4096, "space came back");
     }
 
     #[test]
     fn engine_cache_stats_roundtrip() {
-        let cache = EngineCache::new(1 << 20);
-        cache.blocks().insert(key(1, 0), block(1, 512));
-        cache.blocks().get(key(1, 0));
-        cache.blocks().get(key(1, 9));
+        let cache = BlockCache::new(1 << 20);
+        cache.insert(key(1, 0), block(1, 512));
+        cache.get(key(1, 0));
+        cache.get(key(1, 9));
         cache.charge_table(1000);
         let s = cache.stats();
         assert_eq!(s.block_hits, 1);

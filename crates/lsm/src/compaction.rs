@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::cache::EngineCache;
+use crate::cache::BlockCache;
 use crate::iter::{Cursor, Merge};
 use crate::options::{CompactionPolicy, Options};
 use crate::sstable::{TableBuilder, TableIter, TableMeta, TableReader};
@@ -382,7 +382,7 @@ pub struct TableContext<'a> {
     /// parallel subcompaction threads) can name outputs without holding the
     /// tree lock for the duration of a merge.
     pub next_file_no: &'a AtomicU64,
-    pub cache: Option<&'a Arc<EngineCache>>,
+    pub cache: Option<&'a Arc<BlockCache>>,
 }
 
 /// The one table writer: sorted `(key, value)` pairs with one version per
@@ -727,7 +727,7 @@ mod tests {
         opts: &Options,
         stats: &DbStats,
         fno: &AtomicU64,
-        cache: Option<&Arc<EngineCache>>,
+        cache: Option<&Arc<BlockCache>>,
     ) -> Result<CompactionResult> {
         let ctx = TableContext {
             storage,
@@ -1016,7 +1016,7 @@ mod tests {
     fn compaction_reads_each_input_block_once() {
         for cached in [false, true] {
             let storage = lsm_io::SimStorage::new(lsm_io::CostModel::default());
-            let cache = cached.then(|| Arc::new(EngineCache::new(1 << 20)));
+            let cache = cached.then(|| Arc::new(BlockCache::new(1 << 20)));
             let mut entry_blocks = 0;
             let mut input = |name: &str, entries: Vec<Entry>| {
                 let t = handle_with(&storage, name, entries);

@@ -442,9 +442,8 @@ impl DbCore {
             let run = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
             // The inputs' cached blocks are dead weight from here on.
             if let Some(cache) = &self.cache {
-                for t in task.inputs.iter().chain(task.next_inputs.iter()) {
-                    cache.blocks().evict_table(t.reader.table_id());
-                }
+                let inputs = task.inputs.iter().chain(task.next_inputs.iter());
+                cache.evict_tables(&inputs.map(|t| t.reader.table_id()).collect::<Vec<_>>());
             }
             let mut inner = self.inner.write();
             let version = self.compacted(&inner, &task, run.outputs)?;

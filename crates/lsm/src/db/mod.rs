@@ -42,14 +42,12 @@
 //! the next group — WAL append and memtable apply of successive groups
 //! overlap (the pipeline).
 //!
-//! Two refinements: a writer that finds the queue empty with no active
-//! leader (and is unsynced, or the only writer in flight) takes a **solo
-//! fast path**, committing directly without the slot/wakeup machinery; and
-//! a leader about to pay a real `sync` waits a bounded **commit window**
-//! (`COMMIT_WINDOW`, 50 µs, yielding — never blocking followers' enqueue) for
-//! the other in-flight writers to join, so a flush-bound load fuses into
-//! maximal groups and the flush count drops by the writer count. A lone
-//! writer never waits.
+//! One refinement: a leader about to pay a real `sync` waits a bounded
+//! **commit window** (`COMMIT_WINDOW`, 50 µs, yielding — never blocking
+//! followers' enqueue) for the other in-flight writers to join, so a
+//! flush-bound load fuses into maximal groups and the flush count drops by
+//! the writer count. A lone writer never waits: it enqueues, is the front,
+//! and leads a group of one down the same path.
 //!
 //! Visibility follows the **fence-publish discipline**: reads see exactly
 //! the prefix `seq <= visible`, and a group bumps `visible` to its last
@@ -89,7 +87,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::cache::EngineCache;
+use crate::cache::BlockCache;
 use crate::compaction::TableContext;
 use crate::iter::DbIterator;
 use crate::memtable::{ImmutableMemTable, MemTable};
@@ -179,7 +177,7 @@ pub(crate) struct DbCore {
     publish: StdMutex<PublishQueue>,
     publish_cv: Condvar,
     stats: Arc<DbStats>,
-    cache: Option<Arc<EngineCache>>,
+    cache: Option<Arc<BlockCache>>,
     /// Live [`Snapshot`] handles.
     snapshots: Arc<AtomicUsize>,
     /// Monotonic file-number allocator — atomic so background merges can
@@ -239,7 +237,7 @@ pub(crate) struct Embedding<'a> {
     /// This shard's handle on the owner's event ring.
     pub obs: Option<Arc<EngineObs>>,
     /// The owner's cache: one byte budget for every shard.
-    pub cache: Option<Arc<EngineCache>>,
+    pub cache: Option<Arc<BlockCache>>,
 }
 
 /// Decides, during recovery, whether a replayed cross-shard **prepare**
@@ -347,22 +345,8 @@ impl Db {
         self.get_with(key, &ReadOptions::new())
     }
 
-    /// Point lookup at an explicit sequence ceiling against the **live**
-    /// tree. Unlike a [`Snapshot`], a bare sequence number pins nothing:
-    /// versions below the ceiling may be garbage-collected by intervening
-    /// flushes/compactions. Prefer [`Db::snapshot`] + [`Db::get_with`].
-    pub fn get_at(&self, key: u64, snapshot: SeqNo) -> Result<Option<Vec<u8>>> {
-        self.get_with(
-            key,
-            &ReadOptions {
-                read_seq: Some(snapshot),
-                ..ReadOptions::new()
-            },
-        )
-    }
-
-    /// Point lookup honouring [`ReadOptions`]: snapshot / sequence ceiling
-    /// and block-cache fill policy.
+    /// Point lookup honouring [`ReadOptions`]: snapshot and block-cache fill
+    /// policy.
     pub fn get_with(&self, key: u64, ropts: &ReadOptions<'_>) -> Result<Option<Vec<u8>>> {
         let started = self.core.obs.as_ref().map(|_| Instant::now());
         let out = self.get_with_impl(key, ropts);
@@ -551,7 +535,7 @@ impl Db {
     }
 
     /// The engine cache (block + table-handle budget), when enabled.
-    pub fn block_cache(&self) -> Option<&Arc<EngineCache>> {
+    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         self.core.cache.as_ref()
     }
 

@@ -11,7 +11,7 @@ use parking_lot::RwLock;
 
 use super::write::{PublishQueue, WriteQueue};
 use super::{Db, DbCore, Embedding, Inner};
-use crate::cache::EngineCache;
+use crate::cache::BlockCache;
 use crate::compaction::LevelWriter;
 use crate::memtable::MemTable;
 use crate::options::{CompactionPolicy, Maintenance, Options};
@@ -60,7 +60,7 @@ impl Db {
         // The sharding layer passes one cache shared by every shard (its
         // byte budget is global); a standalone open builds its own from
         // `Options::block_cache_bytes`.
-        let cache = shared_cache.or_else(|| EngineCache::from_options(&opts));
+        let cache = shared_cache.or_else(|| BlockCache::from_options(&opts));
         let sorted_levels = matches!(opts.compaction, CompactionPolicy::Leveling);
         let mut inner = Inner {
             mem: MemTable::new(),
@@ -289,7 +289,7 @@ impl DbCore {
         text: &str,
         storage: &dyn Storage,
         opts: &Options,
-        cache: Option<&Arc<EngineCache>>,
+        cache: Option<&Arc<BlockCache>>,
     ) -> Result<(Version, u64, SeqNo, Vec<String>)> {
         let sorted_levels = matches!(opts.compaction, CompactionPolicy::Leveling);
         let mut version = Version::with_layout(opts.max_levels, sorted_levels);

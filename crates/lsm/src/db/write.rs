@@ -261,33 +261,9 @@ impl Db {
             slot: StdMutex::new(SlotState::Queued),
         });
         {
+            // A writer that finds the queue empty is its front: it leads a
+            // group of one through the same `lead_group` as everyone else.
             let mut q = core.write_queue.lock().unwrap();
-            // Uncontended fast path: an empty queue with no leader active
-            // means this writer IS the group — commit solo and skip the
-            // slot/wakeup machinery (the queue is the price of concurrency;
-            // a lone writer shouldn't pay it). Synced writes with other
-            // writers in flight decline the shortcut: they enqueue so the
-            // leader's commit window can fuse them under one flush.
-            let solo_ok = !req.sync || core.writers_in_flight.load(Ordering::Relaxed) <= 1;
-            if q.queue.is_empty() && !q.leader_active && solo_ok {
-                q.leader_active = true;
-                drop(q);
-                let result = {
-                    let mut inner = core.inner.write();
-                    core.commit_group(&mut inner, std::slice::from_ref(&req))
-                };
-                let mut q = core.write_queue.lock().unwrap();
-                q.leader_active = false;
-                core.write_queue_cv.notify_all();
-                drop(q);
-                match result {
-                    Ok(mut claims) => {
-                        let claim = claims.pop().expect("solo group has one claim");
-                        return self.finish_write(&req, claim, background, cross, started);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
             q.queue.push_back(Arc::clone(&req));
             core.write_queue_cv.notify_all();
         }
@@ -319,8 +295,7 @@ impl Db {
     }
 
     /// The member half of a commit: apply the claimed ops, publish when the
-    /// group completes, and block until the fence admits them. Shared by
-    /// the queued path and the solo fast path.
+    /// group completes, and block until the fence admits them.
     fn finish_write(
         &self,
         req: &WriteRequest,

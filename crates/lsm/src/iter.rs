@@ -479,7 +479,7 @@ mod tests {
     // ----------------------------------------------- model and work tests
 
     use crate::batch::BatchOp;
-    use crate::cache::EngineCache;
+    use crate::cache::BlockCache;
     use crate::memtable::MemTable;
     use crate::options::IndexChoice;
     use crate::sharding::merge::over_shards;
@@ -539,7 +539,7 @@ mod tests {
         let mut b = TableBuilder::new(storage.create(name).unwrap(), name.into(), index, 100, 10);
         entries.iter().for_each(|e| b.add(e).unwrap());
         let meta = b.finish().unwrap();
-        let cache = cached.then(|| Arc::new(EngineCache::new(1 << 20)));
+        let cache = cached.then(|| Arc::new(BlockCache::new(1 << 20)));
         let reader = Arc::new(TableReader::open_with(storage, name, cache).unwrap());
         Arc::new(TableHandle { meta, reader })
     }

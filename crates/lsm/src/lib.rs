@@ -80,7 +80,7 @@ pub mod version;
 pub mod wal;
 
 pub use batch::{BatchOp, WriteBatch};
-pub use cache::{BlockCache, BlockKey, CacheStats, EngineCache};
+pub use cache::{BlockCache, BlockKey, CacheStats};
 pub use db::{Db, WritePressure};
 pub use iter::DbIterator;
 pub use options::{

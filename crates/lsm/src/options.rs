@@ -38,10 +38,6 @@ impl WriteOptions {
 pub struct ReadOptions<'a> {
     /// Read at this pinned snapshot instead of the latest state.
     pub snapshot: Option<&'a Snapshot>,
-    /// Explicit sequence-number ceiling; used when a raw [`SeqNo`] is on
-    /// hand instead of a [`Snapshot`] handle (ignored when `snapshot` is
-    /// set). `None` reads the latest state.
-    pub read_seq: Option<SeqNo>,
     /// Whether blocks fetched by this read may populate the block cache
     /// (default `true`). Scans and one-off analytical reads set this to
     /// `false` so they do not evict the point-lookup working set.
@@ -59,7 +55,6 @@ impl<'a> ReadOptions<'a> {
     pub fn new() -> Self {
         Self {
             snapshot: None,
-            read_seq: None,
             fill_cache: true,
         }
     }
@@ -74,11 +69,7 @@ impl<'a> ReadOptions<'a> {
 
     /// The sequence ceiling this read observes, given the latest sequence.
     pub fn effective_seq(&self, latest: SeqNo) -> SeqNo {
-        match (self.snapshot, self.read_seq) {
-            (Some(s), _) => s.seq(),
-            (None, Some(seq)) => seq,
-            (None, None) => latest,
-        }
+        self.snapshot.map_or(latest, |s| s.seq())
     }
 }
 
@@ -274,12 +265,6 @@ pub struct ShardedOptions {
     /// watermark are dropped, bounding the log without a reopen. `0`
     /// disables runtime checkpointing (reopen still truncates).
     pub commit_log_checkpoint_bytes: u64,
-    /// Split `base.block_cache_bytes` into per-shard private caches of
-    /// `budget / shards` each instead of one shared engine-wide budget.
-    /// The default (`false`, one shared cache) lets a hot shard's working
-    /// set displace a cold shard's blocks; this flag exists as the
-    /// baseline for that experiment and for strict per-shard isolation.
-    pub split_cache_budget: bool,
     /// Engine options applied to every shard.
     pub base: Options,
 }
@@ -294,7 +279,6 @@ impl ShardedOptions {
             split_imbalance: 0.2,
             min_split_bytes: 4 * base.write_buffer_bytes as u64,
             commit_log_checkpoint_bytes: 1 << 20,
-            split_cache_budget: false,
             base,
         }
     }
@@ -333,13 +317,6 @@ impl ShardedOptions {
     /// Set the engine-wide cache budget (bytes; 0 disables caching).
     pub fn with_cache_bytes(mut self, bytes: usize) -> Self {
         self.base.block_cache_bytes = bytes;
-        self
-    }
-
-    /// Use per-shard private caches of `budget / shards` each instead of
-    /// the shared engine-wide budget (the experiment baseline).
-    pub fn with_split_cache_budget(mut self) -> Self {
-        self.split_cache_budget = true;
         self
     }
 }

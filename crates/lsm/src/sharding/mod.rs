@@ -173,7 +173,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::cache::EngineCache;
+use crate::cache::BlockCache;
 use crate::db::{CommitCoordination, Db};
 use crate::options::{ReadOptions, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler};
@@ -356,9 +356,8 @@ struct ShardedCore {
     next_shard_id: AtomicU32,
     /// The engine cache shared by every shard — one byte budget for the
     /// whole topology; split children open against it too. `None` when
-    /// caching is off *or* when `opts.split_cache_budget` gave each shard
-    /// a private cache (the experiment baseline).
-    cache: Option<Arc<EngineCache>>,
+    /// caching is off.
+    cache: Option<Arc<BlockCache>>,
     /// Write-batch counter driving the synchronous-mode split check.
     write_ticks: AtomicU64,
     /// The sharding layer's own standing background error (failed split
@@ -606,9 +605,8 @@ impl ShardedDb {
         self.core.recovery
     }
 
-    /// The engine cache shared by every shard, when caching is on and the
-    /// budget is not split (`ShardedOptions::split_cache_budget`).
-    pub fn cache(&self) -> Option<&Arc<EngineCache>> {
+    /// The engine cache shared by every shard, when caching is on.
+    pub fn cache(&self) -> Option<&Arc<BlockCache>> {
         self.core.cache.as_ref()
     }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use super::{commit, RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology};
-use crate::cache::EngineCache;
+use crate::cache::BlockCache;
 use crate::db::{CommitCoordination, Db, DbCore, Embedding};
 use crate::options::{Maintenance, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler, Step};
@@ -87,19 +87,8 @@ impl ShardedDb {
         let committed_fragments = AtomicU64::new(0);
         let aborted_fragments = AtomicU64::new(0);
 
-        // One cache, one budget, every shard — unless the caller asked for
-        // the split-budget baseline, in which case each shard gets a
-        // private cache of `block_cache_bytes / shards` via its own
-        // options and no cache is shared.
-        let shared_cache = if opts.split_cache_budget {
-            None
-        } else {
-            EngineCache::from_options(&opts.base)
-        };
-        let mut shard_base = opts.base.clone();
-        if opts.split_cache_budget {
-            shard_base.block_cache_bytes = opts.base.block_cache_bytes / topo.shards().max(1);
-        }
+        // One cache, one budget, every shard.
+        let shared_cache = BlockCache::from_options(&opts.base);
 
         let mut shards = Vec::with_capacity(topo.shards());
         for &id in &topo.ids {
@@ -144,7 +133,7 @@ impl ShardedDb {
                 obs,
                 cache: shared_cache.clone(),
             };
-            let shard = Db::open_internal(dir, shard_base.clone(), embedding)?;
+            let shard = Db::open_internal(dir, opts.base.clone(), embedding)?;
             shards.push(Arc::new(shard));
         }
 
@@ -297,21 +286,16 @@ impl ShardedCore {
             .observer
             .as_ref()
             .map(|o| Arc::new(EngineObs::new(Arc::clone(o), id)));
-        // Children join the shared budget; under the split-budget
-        // baseline they get a private cache sized like their siblings'.
-        let mut base = self.opts.base.clone();
-        if self.cache.is_none() && self.opts.split_cache_budget {
-            let n = self.state.read().shards.len().max(1);
-            base.block_cache_bytes = self.opts.base.block_cache_bytes / n;
-        }
         let embedding = Embedding {
             pool,
             resolver: None,
             coordination: Some(Arc::clone(&self.coordination)),
             obs,
+            // Children join the shared budget.
             cache: self.cache.clone(),
         };
-        Ok(Arc::new(Db::open_internal(dir, base, embedding)?))
+        let base = self.opts.base.clone();
+        Db::open_internal(dir, base, embedding).map(Arc::new)
     }
 }
 

@@ -43,16 +43,9 @@ impl ShardedDb {
                 .chain(std::iter::once(&self.core.own_stats)),
         );
         // Cache counters live in the cache itself, not in any `DbStats`
-        // block: absorb the shared cache once, or each shard's private
-        // cache under the split-budget baseline.
+        // block.
         if let Some(cache) = &self.core.cache {
             snap.absorb_cache(&cache.stats());
-        } else {
-            for db in state.shards.iter() {
-                if let Some(cache) = db.block_cache() {
-                    snap.absorb_cache(&cache.stats());
-                }
-            }
         }
         snap
     }

@@ -7,8 +7,8 @@
 //! **level structure**, an
 //! `Arc` of the copy-on-write [`Version`]. The engine publishes a fresh
 //! view whenever either changes and a read clones the current `Arc`: it
-//! holds no engine lock while it searches. `get`, `get_at`, iterators and
-//! snapshots all go through `ReadView::get` / `ReadView::iter`.
+//! holds no engine lock while it searches. `get`, iterators and snapshots
+//! all go through `ReadView::get` / `ReadView::iter`.
 //!
 //! **View first, ceiling second.** A read sees the entries of its view with
 //! `seq <= ceiling` and must load the view *before* the published ceiling.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use learned_index::{IndexKind, SearchBound, SegmentIndex};
 
 use crate::bloom::BloomFilter;
-use crate::cache::{BlockKey, EngineCache, TABLE_HANDLE_OVERHEAD};
+use crate::cache::{BlockCache, BlockKey, TABLE_HANDLE_OVERHEAD};
 use crate::iter::Cursor;
 use crate::options::SearchStrategy;
 use crate::sstable::format::{self, Footer};
@@ -82,7 +82,7 @@ pub struct TableReader {
     max_key: u64,
     index: Box<dyn SegmentIndex>,
     bloom: BloomFilter,
-    cache: Option<Arc<EngineCache>>,
+    cache: Option<Arc<BlockCache>>,
     /// Bytes charged against the cache budget while this handle is open
     /// (index model + bloom + fixed overhead); released on drop.
     pinned_bytes: usize,
@@ -122,7 +122,7 @@ impl TableReader {
     pub fn open_with(
         storage: &dyn Storage,
         name: &str,
-        cache: Option<Arc<EngineCache>>,
+        cache: Option<Arc<BlockCache>>,
     ) -> Result<Self> {
         let file = storage.open_read(name)?;
         let len = file.len();
@@ -132,10 +132,16 @@ impl TableReader {
         let mut fbuf = vec![0u8; format::FOOTER_LEN];
         file.read_exact_at(len - format::FOOTER_LEN as u64, &mut fbuf)?;
         let footer = Footer::decode(&fbuf)?;
-        // Every entry offset a search computes must lie inside the file.
+        // Entries, index, bloom and footer must tile the file exactly: every
+        // entry offset a search computes lies inside it, and no length read
+        // from a damaged footer is ever allocated.
         let entry_width = format::entry_width(footer.value_width as usize);
-        if footer.n.checked_mul(entry_width as u64) != Some(footer.index_off) {
-            let what = "entries do not end where the index starts";
+        let tiles = footer.n.checked_mul(entry_width as u64) == Some(footer.index_off)
+            && footer.index_off.checked_add(footer.index_len) == Some(footer.bloom_off)
+            && footer.bloom_off.checked_add(footer.bloom_len)
+                == Some(len - format::FOOTER_LEN as u64);
+        if !tiles {
+            let what = "entries, index and bloom do not tile the file";
             return Err(Error::Corruption(format!("{name}: {what}")));
         }
 
@@ -406,12 +412,12 @@ impl TableReader {
                 table_id: self.table_id,
                 block_no: b,
             };
-            blocks.push(match cache.blocks().get(key) {
+            blocks.push(match cache.get(key) {
                 Some(block) => block,
                 None => {
                     let block = Arc::new(self.read_blocks(b, b)?);
                     if fill_cache {
-                        cache.blocks().insert(key, Arc::clone(&block));
+                        cache.insert(key, Arc::clone(&block));
                     }
                     block
                 }
@@ -738,14 +744,14 @@ mod tests {
             assert_eq!((file_len / CACHE_BLOCK, 400 * 136 / CACHE_BLOCK), (13, 13));
             assert_ne!(file_len % CACHE_BLOCK, 0);
             for search in [SearchStrategy::Binary, SearchStrategy::Exponential] {
-                let open = |cache: Option<Arc<EngineCache>>| {
+                let open = |cache: Option<Arc<BlockCache>>| {
                     let reader = TableReader::open_with(&storage, "t.sst", cache.clone()).unwrap();
                     (reader.with_search_strategy(search), cache)
                 };
                 let (plain, _) = open(None);
                 assert_eq!(plain.entry_width(), 136);
-                let (cached, cache) = open(Some(Arc::new(EngineCache::new(1 << 20))));
-                let (positioned, _) = open(Some(Arc::new(EngineCache::new(1 << 20))));
+                let (cached, cache) = open(Some(Arc::new(BlockCache::new(1 << 20))));
+                let (positioned, _) = open(Some(Arc::new(BlockCache::new(1 << 20))));
                 let mut resident = std::collections::HashSet::new();
                 let (mut hits, mut misses) = (0u64, 0u64);
                 for key in probes.clone() {
@@ -790,14 +796,14 @@ mod tests {
                     "all 14 blocks of entries were read"
                 );
 
-                let cursor = |cache: Option<Arc<EngineCache>>, fill| {
+                let cursor = |cache: Option<Arc<BlockCache>>, fill| {
                     let (reader, cache) = open(cache);
                     (TableIter::with_fill(Arc::new(reader), fill), cache)
                 };
                 let (mut filling, fill_cache) =
-                    cursor(Some(Arc::new(EngineCache::new(1 << 20))), true);
+                    cursor(Some(Arc::new(BlockCache::new(1 << 20))), true);
                 let (mut no_fill, no_fill_cache) =
-                    cursor(Some(Arc::new(EngineCache::new(1 << 20))), false);
+                    cursor(Some(Arc::new(BlockCache::new(1 << 20))), false);
                 let (mut uncached, _) = cursor(None, false);
                 let mut resident = std::collections::HashSet::new();
                 let (mut hits, mut asked) = (0u64, 0u64);
@@ -939,5 +945,49 @@ mod tests {
         bytes[value_width] += 1;
         storage.create("wide").unwrap().append(&bytes).unwrap();
         assert!(TableReader::open(&storage, "wide").is_err());
+    }
+
+    /// No bit of a footer, flipped, takes the process down (surviving this
+    /// test is the assertion: an unchecked `index_len` used to be handed to
+    /// the allocator). The six layout fields and the magic contradict the
+    /// file's length, so those flips are `Corruption`. Nothing else in the
+    /// file repeats `min_key`, `max_key` or `max_seq` — it carries no
+    /// checksum — so those flips open: the reader then claims a wider or a
+    /// narrower key range, every get inside it is right, and a key outside
+    /// it reads as not in this table.
+    #[test]
+    fn footer_bit_flips_never_abort() {
+        let keys: Vec<u64> = (0..300u64).map(|i| i * 7 + 1).collect();
+        let (storage, good) = make_table(&keys, IndexKind::Pgm);
+        let bytes = lsm_io::read_all(&storage, "t.sst").unwrap();
+        let footer_at = bytes.len() - format::FOOTER_LEN;
+        let open = |bad: &[u8]| {
+            storage.create("flip").unwrap().append(bad).unwrap();
+            TableReader::open(&storage, "flip")
+        };
+
+        let mut huge = bytes.clone();
+        huge[footer_at + 20..footer_at + 28].copy_from_slice(&(1u64 << 46).to_le_bytes());
+        assert!(matches!(open(&huge), Err(Error::Corruption(_))));
+
+        let stats = DbStats::new();
+        let snapshot = u64::MAX >> 8;
+        let probes = keys.iter().flat_map(|&k| [k, k + 1]).chain([0, u64::MAX]);
+        let probes: Vec<u64> = probes.collect();
+        for bit in 0..format::FOOTER_LEN * 8 {
+            let mut bad = bytes.clone();
+            bad[footer_at + bit / 8] ^= 1 << (bit % 8);
+            let reader = match open(&bad) {
+                Ok(reader) => reader,
+                Err(Error::Corruption(_)) => continue,
+                Err(e) => panic!("bit {bit}: {e}"),
+            };
+            assert!((44..68).contains(&(bit / 8)), "bit {bit} opened");
+            for &k in &probes {
+                let claimed = (reader.min_key()..=reader.max_key()).contains(&k);
+                let want = good.get(k, snapshot, &stats).unwrap().filter(|_| claimed);
+                assert_eq!(reader.get(k, snapshot, &stats).unwrap(), want, "bit {bit}");
+            }
+        }
     }
 }

@@ -70,12 +70,12 @@ type Class = (fn(u64, u64) -> u64, fn(u64, u64) -> u64);
 const SUM: Class = (|later, earlier| later - earlier, |a, b| a + b);
 /// High-water mark: a fleet's peak is its worst shard's, not the sum.
 const PEAK: Class = (|later, _| later, u64::max);
-/// A reading: private per-shard caches add up to the fleet's footprint.
+/// A reading: separate engines' caches add up to the fleet's footprint.
 const GAUGE: Class = (|later, _| later, |a, b| a + b);
 
 /// Expands the counter table. `engine`: an atomic in [`DbStats`], scraped
-/// under its field name. `cache`: owned by the `EngineCache` — absent from
-/// `DbStats`, zero after `snapshot()`, added by `absorb_cache` from the named
+/// under its field name. `cache`: owned by the `BlockCache` — absent from
+/// `DbStats`, zero after `snapshot()`, set by `absorb_cache` from the named
 /// `CacheStats` field. `level`: one `SUM` per LSM level, scraped as
 /// `level{N}_{wire}`; a bracketed group is emitted for level N when any
 /// member is non-zero there, so a small tree does not scrape 48 zeros.
@@ -125,11 +125,10 @@ macro_rules! engine_counters {
                 }
             }
 
-            /// Fold the engine cache's counters into this snapshot. Callable
-            /// more than once (a split-budget fleet absorbs one `CacheStats`
-            /// per shard): counters and byte gauges accumulate.
+            /// Set this snapshot's cache counters from the engine cache's —
+            /// an engine, sharded or not, has one cache or none.
             pub fn absorb_cache(&mut self, cache: &crate::cache::CacheStats) {
-                $( self.$c += cache.$src; )*
+                $( self.$c = cache.$src; )*
             }
 
             /// Flatten into `(name, value)` pairs for the scrape surfaces
@@ -260,8 +259,8 @@ engine_counters! {
         SUM cache_block_hits = block_hits,
         SUM cache_block_misses = block_misses,
         SUM cache_block_evictions = block_evictions,
-        /// Bytes currently charged; summing snapshots adds (private
-        /// per-shard caches combine into the fleet's total footprint).
+        /// Bytes currently charged; summing snapshots adds (separate
+        /// engines' caches combine into the fleet's total footprint).
         GAUGE cache_used_bytes = used_bytes,
         /// The byte ceiling.
         GAUGE cache_capacity_bytes = capacity_bytes,

@@ -76,9 +76,9 @@ fn cache_capacity_bounds_memory() {
     // room for blocks rather than overshooting via blocks.
     let cache = db.block_cache().unwrap();
     assert!(
-        cache.blocks().used_bytes() <= 8 << 10,
+        cache.block_bytes() <= 8 << 10,
         "block bytes exceeded budget: {}",
-        cache.blocks().used_bytes()
+        cache.block_bytes()
     );
     let stats = cache.stats();
     assert_eq!(

@@ -1,7 +1,6 @@
 //! Memory-governance integration tests: the engine-wide cache budget under
-//! concurrency, scan/compaction pollution regressions, and the shared
-//! sharded budget — including the PR's acceptance experiment (skewed reads
-//! under one shared budget vs. per-shard split budgets).
+//! concurrency, scan/compaction pollution regressions, and the budget every
+//! shard of a `ShardedDb` shares.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -9,7 +8,6 @@ use std::sync::Arc;
 use learned_index::IndexKind;
 use lsm_io::{CostModel, SimStorage, Storage};
 use lsm_tree::{BlockCache, BlockKey, Db, Options, ReadOptions, ShardedDb, ShardedOptions};
-use lsm_workloads::RequestDistribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,7 +47,7 @@ fn cache_storm_holds_budget_and_loses_nothing() {
                     }
                     _ => {
                         if i % 61 == 0 {
-                            cache.evict_table(table);
+                            cache.evict_tables(&[table]);
                         } else {
                             cache.insert(key(table, rng.gen_range(0..64)), block(BLOCK / 2));
                         }
@@ -74,7 +72,7 @@ fn cache_storm_holds_budget_and_loses_nothing() {
     // Dropping every table must return the budget to exactly zero: any
     // residue would be a slot lost by a racing insert/evict pair.
     for table in 0..6u64 {
-        cache.evict_table(table);
+        cache.evict_tables(&[table]);
     }
     assert_eq!(cache.used_bytes(), 0, "bytes leaked by the storm");
 }
@@ -212,62 +210,5 @@ fn hot_shard_displaces_cold_shards_blocks() {
         refetched >= cold_blocks / 2,
         "cold shard's blocks should have been displaced: \
          {refetched} of {cold_blocks} distinct blocks re-fetched"
-    );
-}
-
-/// Modeled device time for `ops` zipfian point reads against a fresh
-/// 4-shard database with the given cache configuration.
-fn skewed_read_device_ns(total_budget: usize, split_budget: bool) -> u64 {
-    const KEYS: u64 = 24_000;
-    let mut base = Options::small_for_tests();
-    base.index.kind = IndexKind::Pgm;
-    let sample: Vec<u64> = (0..KEYS).collect();
-    let mut opts = ShardedOptions::learned(4, sample, base).with_cache_bytes(total_budget);
-    if split_budget {
-        opts = opts.with_split_cache_budget();
-    }
-    let sim = Arc::new(SimStorage::new(CostModel::default()));
-    let storage: Arc<dyn Storage> = Arc::clone(&sim) as Arc<dyn Storage>;
-    let db = ShardedDb::open(storage, opts).unwrap();
-    for k in 0..KEYS {
-        db.put(k, format!("value-{k}").as_bytes()).unwrap();
-    }
-    db.flush().unwrap();
-
-    // YCSB-C: 100% reads, zipfian over key positions. Rank 0 is hottest
-    // and ranks map straight onto the sorted key space, so the head of
-    // the distribution is a contiguous range owned by one shard — the
-    // skewed-shard scenario the shared budget exists for.
-    let chooser = RequestDistribution::Zipfian { theta: 0.99 }.chooser(KEYS as usize);
-    let mut rng = StdRng::seed_from_u64(0x9c3b);
-    for _ in 0..10_000 {
-        db.get(chooser.next(&mut rng) as u64).unwrap();
-    }
-    let before = sim.stats().snapshot();
-    for _ in 0..30_000 {
-        db.get(chooser.next(&mut rng) as u64).unwrap();
-    }
-    sim.stats().snapshot().since(&before).sim_read_ns
-}
-
-/// Acceptance criterion: at a fixed byte budget, 4-shard skewed-read
-/// throughput with the shared cache must be ≥ 1.3× the per-shard
-/// split-budget baseline. Reads are I/O-bound on the simulated device, so
-/// at a fixed op count throughput is inversely proportional to modeled
-/// device time: the split baseline must burn ≥ 1.3× the device time.
-#[test]
-fn shared_budget_beats_split_budget_on_skewed_reads() {
-    let budget = 128 << 10;
-    let shared_ns = skewed_read_device_ns(budget, false);
-    let split_ns = skewed_read_device_ns(budget, true);
-    println!(
-        "shared {shared_ns} ns, split {split_ns} ns, ratio {:.2}x",
-        split_ns as f64 / shared_ns.max(1) as f64
-    );
-    assert!(
-        split_ns as f64 >= 1.3 * shared_ns as f64,
-        "shared budget must serve a skewed load ≥1.3× better: \
-         shared {shared_ns} ns vs split {split_ns} ns ({:.2}×)",
-        split_ns as f64 / shared_ns.max(1) as f64
     );
 }

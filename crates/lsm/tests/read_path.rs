@@ -150,7 +150,7 @@ fn no_read_waits_for_a_sync() {
             let value = |k: u64| Some(k.to_le_bytes().to_vec());
             assert_eq!(db.get(3).unwrap(), value(3), "from a table");
             assert_eq!(db.get(1_999).unwrap(), value(1_999), "from the memtable");
-            assert_eq!(db.get_at(7, db.latest_seq()).unwrap(), value(7));
+            assert_eq!(db.get(7).unwrap(), value(7));
             let snap = db.snapshot();
             assert_eq!(db.get_with(11, &ReadOptions::at(&snap)).unwrap(), value(11));
             let mut it = db.iter().unwrap();
