@@ -327,16 +327,16 @@ mod tests {
     /// Every non-empty sorted level of the engine's version has its model.
     fn assert_every_sorted_level_has_its_model(tb: &Testbed, when: &str) {
         let version = tb.db().version();
-        let mut sorted_levels = 0;
+        let mut populated = 0;
         for (level, tables) in version.levels.iter().enumerate().skip(1) {
             assert_eq!(
                 version.level_index(level).is_some(),
                 !tables.is_empty(),
                 "{when}: level {level}"
             );
-            sorted_levels += usize::from(!tables.is_empty());
+            populated += usize::from(!tables.is_empty());
         }
-        assert!(sorted_levels > 0, "{when}: nothing below L0");
+        assert!(populated > 0, "{when}: nothing below L0");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! serialization inside [`TableBuilder::finish`] are timed separately so
 //! Figure 9's breakdown falls out directly.
 //!
-//! **Subcompactions** ([`Options::max_subcompactions`] > 1, leveling
-//! only): one logical compaction is range-partitioned into disjoint
+//! **Subcompactions** ([`Options::max_subcompactions`] > 1): one
+//! logical compaction is range-partitioned into disjoint
 //! user-key sub-ranges ([`plan_subcompactions`] cuts at byte-weighted
 //! input-table boundaries so each sub-range carries ≈even work) and each
 //! sub-range merges on its own scoped thread. Correctness at the seams
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use crate::cache::BlockCache;
 use crate::iter::{Cursor, Merge};
-use crate::options::{CompactionPolicy, Options};
+use crate::options::Options;
 use crate::sstable::{TableBuilder, TableIter, TableMeta, TableReader};
 use crate::stats::DbStats;
 use crate::types::{EntryKind, InternalKey};
@@ -138,9 +138,6 @@ pub fn pick_compaction_excluding(
     busy: &HashSet<String>,
 ) -> Option<CompactionTask> {
     let is_busy = |t: &Arc<TableHandle>| busy.contains(&t.meta.name);
-    if let CompactionPolicy::Tiering { runs_per_level } = opts.compaction {
-        return pick_tiering(version, runs_per_level.max(2), &is_busy);
-    }
     // L0 first: file-count pressure stalls writes soonest.
     if version.levels[0].len() >= opts.l0_compaction_trigger {
         let inputs = version.levels[0].clone();
@@ -213,38 +210,6 @@ pub fn advance_cursor(version: &Version, task: &CompactionTask, cursors: &mut [u
     let tables = &version.levels[task.level];
     let is_last = tables.last().map(|t| t.meta.max_key <= max).unwrap_or(true);
     cursors[task.level] = if is_last { 0 } else { max };
-}
-
-/// Tiering trigger: any level holding `runs_per_level` runs merges *all*
-/// of them into one new run stacked on the next level (next-level runs are
-/// not touched — that is the write-amplification saving).
-fn pick_tiering(
-    version: &Version,
-    runs_per_level: usize,
-    is_busy: &dyn Fn(&Arc<TableHandle>) -> bool,
-) -> Option<CompactionTask> {
-    for level in 0..version.levels.len() - 1 {
-        // L0 and deeper levels share one trigger: the size ratio `T`.
-        let trigger = runs_per_level;
-        if version.levels[level].len() >= trigger {
-            let inputs = version.levels[level].clone();
-            if inputs.iter().any(is_busy) {
-                continue; // this level is already being merged
-            }
-            // Tombstones drop only when nothing deeper can hold older
-            // versions (the output level itself must be empty too, since we
-            // do not merge with it).
-            let is_bottom =
-                version.levels[level + 1].is_empty() && is_bottom_output(version, level + 1);
-            return Some(CompactionTask {
-                level,
-                inputs,
-                next_inputs: Vec::new(),
-                is_bottom,
-            });
-        }
-    }
-    None
 }
 
 /// True when `output_level` is (or will be) the deepest populated level, so
@@ -499,11 +464,6 @@ fn merge_sub_range(
     let mut bytes_in = 0;
     let mut out = LevelWriter::new(ctx, task.level + 1);
     let mut retention = KeyRetention::new(task.is_bottom);
-    // Tiering keeps one table per run; leveling rotates at the granularity
-    // target. (Retention emits one version per user key, so a rotation
-    // boundary is always also a user-key boundary and sorted runs stay
-    // non-overlapping.)
-    let rotates = matches!(opts.compaction, CompactionPolicy::Leveling);
 
     // The merge is read key by key; a value is borrowed, and only for an
     // entry that is written out.
@@ -516,7 +476,10 @@ fn merge_sub_range(
         // first; all later versions of the same key are obsolete here
         // (live snapshots read through their own pinned `Version`).
         if retention.keep(&key) {
-            if rotates && out.open_bytes() >= opts.sstable_target_bytes {
+            // Rotate at the granularity target. Retention emits one version
+            // per user key, so a rotation boundary is always also a user-key
+            // boundary and the output level stays disjoint.
+            if out.open_bytes() >= opts.sstable_target_bytes {
                 out.cut()?;
             }
             out.add(&key, merge.value())?;
@@ -530,10 +493,10 @@ fn merge_sub_range(
 /// Execute `task`: merge inputs, write ≤-target-size output tables through
 /// `ctx`, record the stage breakdown into `stats`.
 ///
-/// When [`Options::max_subcompactions`] > 1 under leveling, the job's key
-/// space is range-partitioned by [`plan_subcompactions`] and each
-/// sub-range merges on its own scoped thread; `max_subcompactions = 1`
-/// (the default) runs the exact single-threaded merge. Outputs come back
+/// When [`Options::max_subcompactions`] > 1, the job's key space is
+/// range-partitioned by [`plan_subcompactions`] and each sub-range merges
+/// on its own scoped thread; `max_subcompactions = 1` (the default) runs
+/// the exact single-threaded merge. Outputs come back
 /// in key order either way, and the caller commits them through **one**
 /// version edit + manifest seal — a failed or crashed job leaves only
 /// orphan output files, never a partial compaction.
@@ -557,14 +520,7 @@ pub fn run_compaction(
         span
     });
 
-    // Range-partition only under leveling: a tiering merge must emit one
-    // sorted run, which a partitioned job would split into several.
-    let ranges =
-        if matches!(opts.compaction, CompactionPolicy::Leveling) && opts.max_subcompactions > 1 {
-            plan_subcompactions(task, opts.max_subcompactions)?
-        } else {
-            vec![SubRange::unbounded()]
-        };
+    let ranges = plan_subcompactions(task, opts.max_subcompactions)?;
     let partitioned = ranges.len() > 1;
 
     let run_one = |idx: usize, range: SubRange| -> Result<SubOutcome> {
@@ -821,6 +777,47 @@ mod tests {
         let fno = AtomicU64::new(300);
         let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
         assert_eq!(result.outputs[0].meta.n, 1, "tombstone must survive");
+    }
+
+    /// A tombstone written above an older version survives every merge that
+    /// is not the bottom and is dropped by the one that is — with `is_bottom`
+    /// as the picker computes it, not set by hand: the L0→L1 merge keeps all
+    /// 1 000 (L2 still holds what they mask), the L1→L2 merge that meets the
+    /// masked versions keeps none, and no step in between reads a deleted
+    /// key as live.
+    #[test]
+    fn a_tombstone_outlives_every_merge_above_the_version_it_masks() {
+        let storage = MemStorage::new();
+        let mut opts = Options::small_for_tests();
+        opts.l0_compaction_trigger = 1;
+        let stats = DbStats::new();
+        let fno = AtomicU64::new(100);
+        let dels = (0..1_000).map(|k| Entry::tombstone(k, 9)).collect();
+        let mut v = Version::new(4);
+        v.levels[0].push(handle_with(&storage, "del", dels));
+        v.levels[2].push(handle_with(&storage, "old", puts(0..1_200, 1)));
+        let mut cursors = [0; 4];
+        let mut steps = Vec::new();
+        while let Some(task) = pick_compaction(&v, &opts, &cursors) {
+            let outputs = run(&storage, &task, &opts, &stats, &fno, None)
+                .unwrap()
+                .outputs;
+            let kept = dump(&outputs)
+                .into_iter()
+                .filter(|e| e.2 == EntryKind::Delete);
+            steps.push((task.level, task.is_bottom, kept.count()));
+            advance_cursor(&v, &task, &mut cursors);
+            v = v.with_compaction_applied(task.level, &task.input_names(), outputs);
+            for k in (0..1_000).step_by(37) {
+                let got = v.get_opts(k, u64::MAX >> 8, &stats, true).unwrap();
+                assert!(got.flatten().is_none(), "key {k} after {steps:?}");
+            }
+            let live = v.get_opts(1_100, u64::MAX >> 8, &stats, true).unwrap();
+            assert_eq!(live, Some(Some(vec![76; 4])), "after {steps:?}");
+        }
+        assert_eq!(steps[0], (0, false, 1_000));
+        assert!(steps.len() > 1, "L1 outgrew its target: {steps:?}");
+        assert!(steps[1..].iter().all(|&s| s == (1, true, 0)), "{steps:?}");
     }
 
     #[test]

@@ -66,19 +66,14 @@ impl ReadView {
             Box::new(TableIter::with_fill(Arc::clone(&t.reader), fill_cache))
         };
         sources.extend(version.levels[0].iter().map(table));
-        if version.sorted_levels {
-            for (level, tables) in version.levels.iter().enumerate().skip(1) {
-                if !tables.is_empty() {
-                    sources.push(Box::new(LevelIter::new(
-                        Arc::clone(version),
-                        level,
-                        fill_cache,
-                    )));
-                }
+        for (level, tables) in version.levels.iter().enumerate().skip(1) {
+            if !tables.is_empty() {
+                sources.push(Box::new(LevelIter::new(
+                    Arc::clone(version),
+                    level,
+                    fill_cache,
+                )));
             }
-        } else {
-            // Tiering: runs overlap, so every table merges independently.
-            sources.extend(version.levels.iter().skip(1).flatten().map(table));
         }
         DbIterator::new(Merge::new(sources), seq)
     }
@@ -674,15 +669,14 @@ mod tests {
 
     /// A `ReadView` over `lists`: the live buffer, a queued one, two L0
     /// tables, then two deeper levels — each one sorted run cut into three
-    /// tables (leveling) or a stack of whole, overlapping tables (tiering).
-    fn view(storage: &MemStorage, name: &str, lists: &[Vec<Entry>], sorted: bool) -> ReadView {
-        let mut version = Version::with_layout(4, sorted);
+    /// tables.
+    fn view(storage: &MemStorage, name: &str, lists: &[Vec<Entry>]) -> ReadView {
+        let mut version = Version::new(4);
         for (i, list) in lists.iter().enumerate().skip(2) {
             let name = format!("{name}-{i}");
             match i {
                 2 | 3 => version.levels[0].push(table(storage, &name, list, i == 2)),
-                _ if sorted => version.levels[i - 3] = level(storage, &name, list),
-                _ => version.levels[i / 2 - 1].push(table(storage, &name, list, false)),
+                _ => version.levels[i - 3] = level(storage, &name, list),
             }
         }
         ReadView {
@@ -695,14 +689,12 @@ mod tests {
     fn views_and_shards_match_the_model() {
         let storage = MemStorage::new();
         let mut rng = Rng(0x2545_f491_4f6c_dd1d);
-        for sorted in [true, false] {
-            let lists = entry_lists(if sorted { 6 } else { 8 }, &mut rng);
-            for snapshot in [MAX_SEQ, 400] {
-                let view = view(&storage, &format!("v{sorted}"), &lists, sorted);
-                let mut it = view.iter(snapshot, snapshot == 400);
-                let what = format!("sorted={sorted} snapshot {snapshot}");
-                check_against(&mut it, &live(&lists, snapshot), &mut rng, &what);
-            }
+        let lists = entry_lists(6, &mut rng);
+        for snapshot in [MAX_SEQ, 400] {
+            let view = view(&storage, "v", &lists);
+            let mut it = view.iter(snapshot, snapshot == 400);
+            let what = format!("snapshot {snapshot}");
+            check_against(&mut it, &live(&lists, snapshot), &mut rng, &what);
         }
         // Three shards, user keys dealt out by `key % 3`.
         let lists = entry_lists(6, &mut rng);
@@ -712,7 +704,7 @@ mod tests {
                 mine.cloned().collect()
             };
             let lists: Vec<Vec<Entry>> = lists.iter().map(of_shard).collect();
-            view(&storage, &format!("shard{shard}"), &lists, true).iter(500, true)
+            view(&storage, &format!("shard{shard}"), &lists).iter(500, true)
         });
         let mut it = over_shards(shards.collect());
         check_against(&mut it, &live(&lists, 500), &mut rng, "3 shards");

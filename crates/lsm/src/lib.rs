@@ -84,8 +84,8 @@ pub use cache::{BlockCache, BlockKey, CacheStats};
 pub use db::{Db, WritePressure};
 pub use iter::DbIterator;
 pub use options::{
-    CompactionPolicy, IndexChoice, IndexGranularity, Maintenance, Options, ReadOptions,
-    SearchStrategy, ShardedOptions, ShardingPolicy, WriteOptions,
+    IndexChoice, IndexGranularity, Maintenance, Options, ReadOptions, SearchStrategy,
+    ShardedOptions, ShardingPolicy, WriteOptions,
 };
 pub use sharding::{
     RecoveryReport, RoutingState, ShardRouter, ShardedDb, ShardedDbIterator, ShardedSnapshot,

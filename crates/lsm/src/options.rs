@@ -97,7 +97,7 @@ pub enum IndexGranularity {
     /// One model per sorted level, trained over all of the level's keys and
     /// kept in the [`crate::version::Version`] (Bourbon's level model): far
     /// less index memory, retrained whenever a compaction changes the level.
-    /// L0 and tiered levels overlap, so they keep per-table lookups.
+    /// L0's tables overlap, so it keeps per-table lookups.
     Level,
 }
 
@@ -196,33 +196,30 @@ impl Maintenance {
 /// How a [`crate::sharding::ShardedDb`] partitions the key space across
 /// shards.
 ///
-/// Range partitioning keeps shards scan-friendly (a merged scan touches
-/// only the shards a range spans) but needs *balanced* boundaries; the
-/// learned variant cuts them at the quantiles of a sampled key
-/// distribution. Hash partitioning needs no knowledge of the distribution
-/// and is the fallback when none is available.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Every shard owns a key range, which keeps shards scan-friendly (a
+/// merged scan is a concatenation) and lets a hot shard split, but needs
+/// *balanced* boundaries: they are cut at the quantiles of a sampled key
+/// distribution.
+///
+/// One variant, and `epsilon` in it, only because `benchmark/src/probes.rs`
+/// builds `LearnedRange { sample, epsilon }` by name and an engine PR does
+/// not edit `benchmark/`: the enum becomes its sample when ROADMAP item 2's
+/// benchmark PR takes both.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ShardingPolicy {
-    /// Multiplicative-hash partitioning: balanced for any key set, but
-    /// scans must merge every shard. The fallback for unknown key
-    /// distributions.
-    #[default]
-    Hash,
     /// Learned range partitioning: cut the key space at the quantiles of
     /// `sample`, so each shard holds an ≈equal fraction of the
     /// distribution even when the key space is heavily skewed; live splits
     /// keep re-learning the cuts from the data. Routing is a binary search
-    /// over the cuts — no model. Falls back to [`ShardingPolicy::Hash`]
-    /// when the sample is too small to cut (< 2 distinct keys per shard;
-    /// one shard needs no cut and is always a range topology).
+    /// over the cuts — no model. A sample too small to cut (< 2 distinct
+    /// keys per shard) yields equal-width cuts of the `u64` key space —
+    /// still ranges, so live splitting can re-learn them from the data.
     LearnedRange {
         /// Sampled keys (any order, duplicates fine) — e.g. every n-th key
         /// of a load file, or keys drawn from live traffic.
         sample: Vec<u64>,
         /// Unused: the error bound of a router model that no longer
-        /// exists. Kept only because `benchmark/src/probes.rs` names the
-        /// field and an engine PR does not edit `benchmark/`; it leaves
-        /// with ROADMAP item 2's benchmark PR.
+        /// exists (see the enum's note).
         epsilon: usize,
     },
 }
@@ -244,8 +241,8 @@ pub struct ShardedOptions {
     pub policy: ShardingPolicy,
     /// Ceiling on the shard count for live splitting. `0` (the default)
     /// freezes the topology: no shard ever splits, which keeps the paper
-    /// experiments byte-identical. Set above the initial count to let a
-    /// range-partitioned engine split hot shards online.
+    /// experiments byte-identical. Set above the initial count to let the
+    /// engine split hot shards online.
     pub max_shards: usize,
     /// Evaluate the split trigger automatically (in the write path under
     /// synchronous maintenance, on the shared worker pool under
@@ -270,10 +267,14 @@ pub struct ShardedOptions {
 }
 
 impl ShardedOptions {
-    fn with_policy(shards: usize, policy: ShardingPolicy, base: Options) -> Self {
+    /// `shards` learned-range shards, boundaries fitted over `sample`.
+    pub fn learned(shards: usize, sample: Vec<u64>, base: Options) -> Self {
         Self {
             shards,
-            policy,
+            policy: ShardingPolicy::LearnedRange {
+                sample,
+                epsilon: 32,
+            },
             max_shards: 0,
             auto_split: false,
             split_imbalance: 0.2,
@@ -281,23 +282,6 @@ impl ShardedOptions {
             commit_log_checkpoint_bytes: 1 << 20,
             base,
         }
-    }
-
-    /// `shards` hash-partitioned shards over `base` options.
-    pub fn hash(shards: usize, base: Options) -> Self {
-        Self::with_policy(shards, ShardingPolicy::Hash, base)
-    }
-
-    /// `shards` learned-range shards, boundaries fitted over `sample`.
-    pub fn learned(shards: usize, sample: Vec<u64>, base: Options) -> Self {
-        Self::with_policy(
-            shards,
-            ShardingPolicy::LearnedRange {
-                sample,
-                epsilon: 32,
-            },
-            base,
-        )
     }
 
     /// Enable automatic live splitting up to `max_shards` shards.
@@ -319,24 +303,6 @@ impl ShardedOptions {
         self.base.block_cache_bytes = bytes;
         self
     }
-}
-
-/// Merge policy (the LSM design-space axis of Dostoevsky/Wacky — the
-/// paper's second future direction suggests studying learned indexes across
-/// it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompactionPolicy {
-    /// One sorted run per level; a level overflowing its `T`-exponential
-    /// target partially merges into the next (LevelDB; the paper's setup).
-    #[default]
-    Leveling,
-    /// Up to `runs_per_level` overlapping runs per level; a full level
-    /// merges *as a whole* into one new run at the next level. Lower write
-    /// amplification, more runs to check per lookup.
-    Tiering {
-        /// Runs that trigger a merge (usually the size ratio `T`).
-        runs_per_level: usize,
-    },
 }
 
 /// Engine options.
@@ -373,8 +339,6 @@ pub struct Options {
     /// `per_level_epsilon[min(L, len-1)]` instead of the global ε —
     /// Observation 5's non-uniform position boundaries.
     pub per_level_epsilon: Option<Vec<usize>>,
-    /// Merge policy.
-    pub compaction: CompactionPolicy,
     /// Optional per-level Bloom budgets (bits per key): level `L` uses
     /// `per_level_bloom_bits[min(L, len-1)]`. Monkey \[Dayan et al., cited
     /// as \[8\] in the paper\] shows skewing bits toward upper levels beats a
@@ -394,11 +358,11 @@ pub struct Options {
     /// a writer that fills the active memtable while the queue is full
     /// blocks until a flush drains a slot.
     pub max_immutable_memtables: usize,
-    /// Maximum parallel **subcompactions** per compaction job (leveling
-    /// only). Above 1, one logical compaction is range-partitioned into
-    /// disjoint user-key sub-ranges (cut at byte-weighted input-table
-    /// boundaries so sub-ranges carry ≈even work) and merged on that many
-    /// scoped threads, then installed through **one** manifest seal — a
+    /// Maximum parallel **subcompactions** per compaction job. Above 1,
+    /// one logical compaction is range-partitioned into disjoint user-key
+    /// sub-ranges (cut at byte-weighted input-table boundaries so
+    /// sub-ranges carry ≈even work) and merged on that many scoped
+    /// threads, then installed through **one** manifest seal — a
     /// partial compaction is never visible, whichever thread finishes
     /// first or crashes. `1` (the default) is byte-for-byte today's
     /// single-threaded merge. Under a [`crate::sharding::ShardedDb`] every
@@ -428,7 +392,6 @@ impl Default for Options {
             block_cache_bytes: 0,
             search: SearchStrategy::Binary,
             per_level_epsilon: None,
-            compaction: CompactionPolicy::Leveling,
             per_level_bloom_bits: None,
             maintenance: Maintenance::Synchronous,
             l0_slowdown_trigger: 8,
@@ -457,7 +420,6 @@ impl Options {
             block_cache_bytes: 0,
             search: SearchStrategy::Binary,
             per_level_epsilon: None,
-            compaction: CompactionPolicy::Leveling,
             per_level_bloom_bits: None,
             maintenance: Maintenance::Synchronous,
             l0_slowdown_trigger: 8,

@@ -1,16 +1,17 @@
-//! Globally ordered scans over range- or hash-partitioned shards.
+//! Globally ordered scans over range-partitioned shards.
 //!
 //! Each shard contributes one snapshot-consistent [`DbIterator`], which
 //! already resolves versions and tombstones *within* its shard and is a
 //! [`crate::iter::Cursor`] over its live pairs. The cross-shard scan is the
 //! engine's one [`Merge`] over those cursors, read by one more `DbIterator`
-//! at [`MAX_SEQ`]: shards own disjoint key sets — a key routes to exactly
-//! one shard under either policy — so every pair a shard yields is visible
-//! and unshadowed, the outer visibility rule passes it through, and only the
-//! ordering does work. A value crosses both layers borrowed and is copied
-//! once, by the outer `next`. Under range partitioning the merge
-//! degenerates to shard concatenation; under hash partitioning it does real
-//! interleaving. Either way the output is one ascending scan.
+//! at [`MAX_SEQ`]: shards own disjoint key ranges — a key routes to exactly
+//! one shard — so every pair a shard yields is visible and unshadowed, the
+//! outer visibility rule passes it through, and only the ordering does
+//! work. A value crosses both layers borrowed and is copied once, by the
+//! outer `next`. Because every shard owns a range, the merge amounts to
+//! shard concatenation in routing order; it stays a merge so that the
+//! order of the sources never has to be argued, and its output is one
+//! ascending scan whatever sets the sources hold.
 //!
 //! The sources are **epoch-pinned**: [`super::ShardedDb::iter_at`] builds
 //! them from the shard set of the [`super::ShardedSnapshot`]'s own topology
@@ -55,7 +56,8 @@ mod tests {
 
     #[test]
     fn merges_interleaved_shards_in_global_order() {
-        // Hash-style interleaving: keys mod 3.
+        // Sources that interleave (keys mod 3), as no range topology does:
+        // the merge orders whatever it is given.
         let mut it = over_shards(vec![
             shard_iter(&[0, 3, 6, 9]),
             shard_iter(&[1, 4, 7]),

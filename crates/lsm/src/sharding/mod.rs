@@ -1,15 +1,16 @@
 //! Sharded engine: many [`Db`] shards behind one `Db`-shaped facade, with
 //! a routing topology that changes **online**.
 //!
-//! [`ShardedDb`] range- or hash-partitions the key space across `N`
-//! independent LSM-trees and exposes the same `write`/`get`/`iter`/
-//! `snapshot` surface as a single [`Db`]:
+//! [`ShardedDb`] range-partitions the key space across `N` independent
+//! LSM-trees — every shard owns one contiguous key range — and exposes
+//! the same `write`/`get`/`iter`/`snapshot` surface as a single [`Db`]:
 //!
 //! * **Learned range routing** ([`router`]) — what is learned is the
 //!   shard boundaries: they are cut at the quantiles of a sampled key
 //!   distribution, so each shard holds an ≈equal share of the data even on
 //!   heavily skewed key spaces. Routing is one binary search over those
-//!   few cuts; hash sharding is the fallback for unknown distributions.
+//!   few cuts. With no usable sample the first cuts are equal-width and
+//!   splitting (below) re-learns them.
 //! * **Epoch'd routing topology** ([`topology`]) — the shard set itself is
 //!   a versioned, crash-atomically persisted artifact (`SHARDING-<epoch>`,
 //!   CRC-sealed like the per-shard manifests). A reopen adopts whatever
@@ -694,8 +695,8 @@ mod tests {
     /// stops, reads succeed again.
     #[test]
     fn capped_get_retries_surface_unavailable_under_epoch_churn() {
-        let db = ShardedDb::open_memory(ShardedOptions::hash(2, Options::small_for_tests()))
-            .expect("open");
+        let opts = ShardedOptions::learned(2, vec![7], Options::small_for_tests());
+        let db = ShardedDb::open_memory(opts).expect("open");
         db.put(7, b"seven").expect("put");
 
         // Simulated cutover churn: keep republishing the same shard set at
@@ -713,9 +714,7 @@ mod tests {
                         Arc::new(RoutingState {
                             epoch: cur.epoch + 1,
                             ids: cur.ids.clone(),
-                            router: ShardRouter::Hash {
-                                shards: cur.shards.len(),
-                            },
+                            router: ShardRouter::with_boundaries(cur.router.boundaries().to_vec()),
                             shards: cur.shards.clone(),
                         })
                     };
@@ -759,7 +758,8 @@ mod tests {
         let (storage, faults) = lsm_io::FaultStorage::wrap(Arc::new(lsm_io::MemStorage::new()));
         let mut base = Options::small_for_tests();
         base.maintenance = crate::options::Maintenance::background();
-        let db = ShardedDb::open(storage, ShardedOptions::hash(2, base)).expect("open");
+        let opts = ShardedOptions::learned(2, (0..200).collect(), base);
+        let db = ShardedDb::open(storage, opts).expect("open");
         db.pause_flushes();
         for k in 0..200u64 {
             db.put(k, b"queued").expect("put");

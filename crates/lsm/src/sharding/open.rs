@@ -49,8 +49,7 @@ impl ShardedDb {
             Some(topo) => topo,
             None => {
                 let router = ShardRouter::train(requested, &opts.policy);
-                let cuts = router.boundaries().to_vec();
-                let topo = Topology::fresh(requested, router.is_range(), cuts);
+                let topo = Topology::fresh(router.boundaries().to_vec());
                 topo.save(storage.as_ref())?;
                 topo
             }

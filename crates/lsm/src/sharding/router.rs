@@ -1,13 +1,16 @@
 //! The shard router: which shard owns a key.
 //!
-//! Range partitioning needs boundaries that balance *data*, not key space —
-//! on a skewed distribution (zipfian, lognormal) equal key-space slices put
-//! almost everything in one shard. What the learned router learns is **the
-//! cuts**: boundary `i` is the `i/N` quantile of a sorted key sample (equal
-//! mass per shard by construction), and a live split
+//! Every shard owns one contiguous key range, so a router *is* its
+//! boundaries. Range partitioning needs boundaries that balance *data*, not
+//! key space — on a skewed distribution (zipfian, lognormal) equal key-space
+//! slices put almost everything in one shard. What the learned router
+//! learns is **the cuts**: boundary `i` is the `i/N` quantile of a sorted
+//! key sample (equal mass per shard by construction), and a live split
 //! ([`crate::sharding::ShardedDb`]) adds a cut at an exact peel-or-halve
 //! quantile of the hot shard's own pinned data, so the layout adapts under
-//! inserts instead of being refitted offline.
+//! inserts instead of being refitted offline. With no usable sample the
+//! first cuts are equal-width slices of the key space, and splitting
+//! re-learns them from there.
 //!
 //! Routing itself is one binary search over those cuts. A topology holds
 //! at most `max_shards − 1` of them (a handful), so there is nothing for a
@@ -15,11 +18,8 @@
 //! pays on arrays long enough that locating dominates, and four
 //! comparisons are cheaper than any prediction.
 //!
-//! When no sample is available (unknown distribution) the router falls
-//! back to multiplicative hashing, which balances any key set but gives up
-//! range locality. Routing answers a *position* (0-based slot in the
-//! current topology); the sharding layer maps positions to stable shard
-//! ids and directories.
+//! Routing answers a *position* (0-based slot in the current topology);
+//! the sharding layer maps positions to stable shard ids and directories.
 
 use crate::options::ShardingPolicy;
 
@@ -28,110 +28,69 @@ use crate::options::ShardingPolicy;
 /// epoch'd `SHARDING-<epoch>` topology file so a reopen routes identically
 /// (a boundary drift would strand keys in the wrong shard).
 #[derive(Debug)]
-pub enum ShardRouter {
-    /// Multiplicative-hash partitioning (fallback).
-    Hash {
-        /// Number of shards.
-        shards: usize,
-    },
-    /// Learned range partitioning.
-    Range {
-        /// Strictly ascending shard cut points, `shards - 1` of them:
-        /// shard `i` owns `[boundaries[i-1], boundaries[i])` (unbounded at
-        /// the ends).
-        boundaries: Vec<u64>,
-    },
-}
-
-/// Finalizer of splitmix64: a full-avalanche mix so sequential keys spread
-/// uniformly across shards.
-#[inline]
-fn mix64(mut k: u64) -> u64 {
-    k ^= k >> 33;
-    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    k ^= k >> 33;
-    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    k ^ (k >> 33)
+pub struct ShardRouter {
+    /// Strictly ascending shard cut points, `shards - 1` of them: shard
+    /// `i` owns `[boundaries[i-1], boundaries[i])` (unbounded at the ends).
+    boundaries: Vec<u64>,
 }
 
 impl ShardRouter {
-    /// Build a router for `shards` shards under `policy`.
+    /// Build a router for `shards` shards under `policy`: boundary `i` is
+    /// the first key of shard `i`, cut at the `i/shards` quantile of the
+    /// sample so each shard receives ≈ equal sampled mass.
     ///
-    /// A learned-range policy whose sample is too small to cut (< 2
-    /// distinct keys per shard) falls back to hash sharding — boundaries
-    /// from a vanishing sample would be noise, and hash at least balances.
-    /// One shard needs no cut and so no sample: it is a range topology
-    /// with no boundaries, which live splitting can then cut.
+    /// A sample too small to cut (< 2 distinct keys per shard) would give
+    /// boundaries that are noise, so the cuts are then equal-width slices
+    /// of the `u64` key space: still ranges, which live splitting re-cuts
+    /// from the data as it arrives. One shard (or none asked for) has no
+    /// cut either way.
     pub fn train(shards: usize, policy: &ShardingPolicy) -> ShardRouter {
-        let shards = shards.max(1);
-        match policy {
-            ShardingPolicy::Hash => ShardRouter::Hash { shards },
-            ShardingPolicy::LearnedRange { sample, .. } => {
-                let mut sample = sample.clone();
-                sample.sort_unstable();
-                sample.dedup();
-                let n = sample.len();
-                if shards > 1 && n < shards * 2 {
-                    return ShardRouter::Hash { shards };
-                }
-                // Quantile cuts: boundary i is the first key of shard i+1,
-                // so each shard receives ≈ n/shards of the sampled mass.
-                ShardRouter::Range {
-                    boundaries: (1..shards).map(|i| sample[i * n / shards]).collect(),
-                }
+        let ShardingPolicy::LearnedRange { sample, .. } = policy;
+        let mut sample = sample.clone();
+        sample.sort_unstable();
+        sample.dedup();
+        let n = sample.len();
+        let cut = |i: usize| {
+            if n < shards * 2 {
+                (((i as u128) << 64) / shards as u128) as u64
+            } else {
+                sample[i * n / shards]
             }
-        }
+        };
+        ShardRouter::with_boundaries((1..shards).map(cut).collect())
     }
 
-    /// A range router over an explicit (already validated, strictly
-    /// ascending) boundary set — how a topology epoch materializes its
-    /// router after a reopen or a live split.
+    /// A router over an explicit (already validated, strictly ascending)
+    /// boundary set — how a topology epoch materializes its router after
+    /// a reopen or a live split.
     pub fn with_boundaries(boundaries: Vec<u64>) -> ShardRouter {
         debug_assert!(boundaries.windows(2).all(|w| w[0] < w[1]));
-        ShardRouter::Range { boundaries }
+        ShardRouter { boundaries }
     }
 
     /// Number of shards this router spreads keys over.
     pub fn shards(&self) -> usize {
-        match self {
-            ShardRouter::Hash { shards } => *shards,
-            ShardRouter::Range { boundaries } => boundaries.len() + 1,
-        }
+        self.boundaries.len() + 1
     }
 
-    /// Whether this is (learned) range partitioning.
-    pub fn is_range(&self) -> bool {
-        matches!(self, ShardRouter::Range { .. })
-    }
-
-    /// The boundary set (empty for hash routing).
+    /// The boundary set.
     pub fn boundaries(&self) -> &[u64] {
-        match self {
-            ShardRouter::Hash { .. } => &[],
-            ShardRouter::Range { boundaries } => boundaries,
-        }
+        &self.boundaries
     }
 
     /// The key range owned by shard position `pos`:
     /// `(inclusive lower, exclusive upper)` with `None` at the unbounded
     /// ends.
     pub fn shard_range(&self, pos: usize) -> (Option<u64>, Option<u64>) {
-        match self {
-            ShardRouter::Hash { .. } => (None, None),
-            ShardRouter::Range { boundaries } => (
-                pos.checked_sub(1).map(|i| boundaries[i]),
-                boundaries.get(pos).copied(),
-            ),
-        }
+        (
+            pos.checked_sub(1).map(|i| self.boundaries[i]),
+            self.boundaries.get(pos).copied(),
+        )
     }
 
-    /// The shard that owns `key`: in range mode, the number of cuts at or
-    /// below it.
+    /// The shard that owns `key`: the number of cuts at or below it.
     pub fn shard_of(&self, key: u64) -> usize {
-        match self {
-            ShardRouter::Hash { shards } => (mix64(key) % *shards as u64) as usize,
-            ShardRouter::Range { boundaries } => boundaries.partition_point(|&b| b <= key),
-        }
+        self.boundaries.partition_point(|&b| b <= key)
     }
 
     /// How many of `keys` each shard would receive.
@@ -173,14 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_router_balances_sequential_keys() {
-        let r = ShardRouter::train(4, &ShardingPolicy::Hash);
-        let keys: Vec<u64> = (0..40_000).collect();
-        let counts = r.partition_counts(&keys);
-        assert!(imbalance(&counts) < 0.1, "{counts:?}");
-    }
-
-    #[test]
     fn learned_range_router_balances_skewed_keys() {
         let keys = skewed_keys(50_000);
         let sample: Vec<u64> = keys.iter().copied().step_by(13).collect();
@@ -191,7 +142,6 @@ mod tests {
                 epsilon: 32,
             },
         );
-        assert!(r.is_range());
         let counts = r.partition_counts(&keys);
         assert!(imbalance(&counts) < 0.05, "{counts:?}");
         // Uniform key-space cuts on the same keys: terribly unbalanced —
@@ -205,11 +155,8 @@ mod tests {
     fn range_routing_respects_exact_boundaries() {
         let sample: Vec<u64> = (0..4000u64).map(|i| i * 10).collect();
         let r = ShardRouter::train(4, &ShardingPolicy::LearnedRange { sample, epsilon: 8 });
-        let ShardRouter::Range { ref boundaries } = r else {
-            panic!("expected range router");
-        };
-        assert_eq!(boundaries.len(), 3);
-        for (i, &b) in boundaries.iter().enumerate() {
+        assert_eq!(r.boundaries().len(), 3);
+        for (i, &b) in r.boundaries().iter().enumerate() {
             // A boundary key is the first key of the next shard.
             assert_eq!(r.shard_of(b), i + 1, "boundary {b}");
             assert_eq!(r.shard_of(b - 1), i, "just below boundary {b}");
@@ -253,7 +200,7 @@ mod tests {
                 cuts.sort_unstable();
                 cuts.dedup();
                 check(&cuts);
-                let topo = Topology::fresh(cuts.len() + 1, true, cuts);
+                let topo = Topology::fresh(cuts);
                 let router = topo.router();
                 for pos in 0..topo.shards() {
                     let (lo, hi) = router.shard_range(pos);
@@ -269,22 +216,27 @@ mod tests {
         }
     }
 
+    /// A sample too small to cut (< 2 distinct keys per shard) yields
+    /// equal-width slices of the key space — ranges, never anything a
+    /// split cannot re-cut.
     #[test]
-    fn tiny_sample_falls_back_to_hash() {
+    fn tiny_sample_gets_equal_width_cuts() {
         let tiny = |shards| {
             ShardRouter::train(
                 shards,
                 &ShardingPolicy::LearnedRange {
-                    sample: vec![1, 2, 3],
+                    sample: vec![1, 2, 3, 3, 1],
                     epsilon: 8,
                 },
             )
         };
-        assert!(!tiny(4).is_range());
-        assert_eq!(tiny(4).shards(), 4);
-        // One shard needs no cut, so no sample is too small for it: a range
-        // topology without boundaries, which a live split can cut later.
-        assert!(tiny(1).is_range());
+        assert_eq!(tiny(4).boundaries(), [1 << 62, 1 << 63, 3 << 62]);
+        assert_eq!(tiny(2).boundaries(), [1 << 63]);
+        let three = tiny(3);
+        assert_eq!(three.shards(), 3);
+        assert_eq!(three.boundaries(), [u64::MAX / 3, u64::MAX / 3 * 2]);
+        assert_eq!(three.shard_of(u64::MAX), 2);
+        // One shard needs no cut, so no sample is too small for it.
         assert_eq!(tiny(1).boundaries(), &[] as &[u64]);
         assert_eq!(tiny(1).shard_of(u64::MAX), 0);
     }

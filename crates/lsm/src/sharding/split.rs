@@ -106,7 +106,7 @@ impl ShardedCore {
     /// and headroom exists. (The cut key itself is chosen later,
     /// off-lock, by [`ShardedCore::exact_cut`].)
     fn split_candidate(&self, state: &RoutingState) -> Option<usize> {
-        if !state.router.is_range() || state.shards() >= self.opts.max_shards.max(1) {
+        if state.shards() >= self.opts.max_shards.max(1) {
             return None;
         }
         let bytes: Vec<u64> = state.shards.iter().map(|d| d.resident_bytes()).collect();

@@ -38,9 +38,9 @@
 //!    cross-shard commit markers are stamped with their routing epoch
 //!    and validated against the last sealed one on recovery.
 //!
-//! The boundary set in the sealed file is everything routing needs — a
-//! range topology's router ([`ShardRouter`]) is a binary search over it —
-//! so nothing else is persisted beside it.
+//! The boundary set in the sealed file is everything routing needs — the
+//! router ([`ShardRouter`]) is a binary search over it — so nothing else
+//! is persisted beside it.
 
 use lsm_io::Storage;
 
@@ -65,26 +65,23 @@ pub struct Topology {
     /// Stable shard ids in routing order (`ids[pos]` owns range slot
     /// `pos`). Directories are `shard-<id>/`.
     pub ids: Vec<u16>,
-    /// Ascending cut points for range routing (`ids.len() - 1` of them);
-    /// empty for hash routing.
+    /// Strictly ascending cut points, `ids.len() - 1` of them: the shard
+    /// at position `pos` owns `[boundaries[pos-1], boundaries[pos])`.
     pub boundaries: Vec<u64>,
-    /// Whether this topology range-partitions (hash otherwise).
-    pub range: bool,
     /// Next stable id to allocate for a split child.
     pub next_id: u16,
 }
 
 impl Topology {
-    /// A fresh epoch-1 topology for `shards` shards with stable ids
-    /// `0..shards`.
-    pub(crate) fn fresh(shards: usize, range: bool, boundaries: Vec<u64>) -> Self {
-        let shards = shards.max(1);
+    /// A fresh epoch-1 topology cut at `boundaries`: one shard more than
+    /// there are cuts, with stable ids in routing order from 0.
+    pub(crate) fn fresh(boundaries: Vec<u64>) -> Self {
+        let shards = boundaries.len() as u16 + 1;
         Topology {
             epoch: 1,
-            ids: (0..shards as u16).collect(),
-            boundaries: if range { boundaries } else { Vec::new() },
-            range,
-            next_id: shards as u16,
+            ids: (0..shards).collect(),
+            boundaries,
+            next_id: shards,
         }
     }
 
@@ -95,13 +92,7 @@ impl Topology {
 
     /// The router this topology routes by.
     pub(crate) fn router(&self) -> ShardRouter {
-        if self.range {
-            ShardRouter::with_boundaries(self.boundaries.clone())
-        } else {
-            ShardRouter::Hash {
-                shards: self.shards(),
-            }
-        }
+        ShardRouter::with_boundaries(self.boundaries.clone())
     }
 
     /// Directory prefix of the shard with stable id `id`.
@@ -118,7 +109,6 @@ impl Topology {
     /// what keeps the sealed topology pointing at the real child
     /// directories).
     pub(crate) fn with_split(&self, pos: usize, cut: u64, left: u16, right: u16) -> Topology {
-        debug_assert!(self.range, "hash topologies do not split");
         debug_assert!(left >= self.next_id && right > left);
         let mut ids = self.ids.clone();
         ids.splice(pos..=pos, [left, right]);
@@ -128,7 +118,6 @@ impl Topology {
             epoch: self.epoch + 1,
             ids,
             boundaries,
-            range: true,
             next_id: right + 1,
         }
     }
@@ -139,12 +128,12 @@ impl Topology {
     /// synced), then retire the predecessor epoch — the single
     /// storage-visible cutover of a topology change.
     pub(crate) fn save(&self, storage: &dyn Storage) -> Result<()> {
-        let mut text = format!("epoch {}\n", self.epoch);
-        text.push_str(&format!(
-            "policy {}\n",
-            if self.range { "range" } else { "hash" }
-        ));
-        text.push_str(&format!("next_id {}\n", self.next_id));
+        // `policy range` is the only policy there is; the line stays so the
+        // bytes of a sealed topology do not move.
+        let mut text = format!(
+            "epoch {}\npolicy range\nnext_id {}\n",
+            self.epoch, self.next_id
+        );
         for id in &self.ids {
             text.push_str(&format!("shard {id}\n"));
         }
@@ -167,7 +156,6 @@ impl Topology {
             epoch,
             ids: Vec::new(),
             boundaries: Vec::new(),
-            range: false,
             next_id: 0,
         };
         for (lineno, line) in text.lines().enumerate() {
@@ -185,13 +173,16 @@ impl Topology {
                         )));
                     }
                 }
-                Some("policy") => {
-                    topo.range = match value {
-                        Some("range") => true,
-                        Some("hash") => false,
-                        _ => return Err(corrupt()),
-                    };
-                }
+                Some("policy") => match value {
+                    Some("range") => {}
+                    Some("hash") => {
+                        return Err(Error::Corruption(format!(
+                            "{}: hash topologies are not read by this build",
+                            topology_name(epoch)
+                        )))
+                    }
+                    _ => return Err(corrupt()),
+                },
                 Some("next_id") => {
                     topo.next_id = value.and_then(|s| s.parse().ok()).ok_or_else(corrupt)?;
                 }
@@ -223,14 +214,10 @@ impl Topology {
                 "topology id allocator behind a live shard id".into(),
             ));
         }
-        if self.range {
-            if self.boundaries.len() + 1 != self.ids.len()
-                || !self.boundaries.windows(2).all(|w| w[0] < w[1])
-            {
-                return Err(Error::Corruption("topology: bad boundaries".into()));
-            }
-        } else if !self.boundaries.is_empty() {
-            return Err(Error::Corruption("hash topology with boundaries".into()));
+        if self.boundaries.len() + 1 != self.ids.len()
+            || !self.boundaries.windows(2).all(|w| w[0] < w[1])
+        {
+            return Err(Error::Corruption("topology: bad boundaries".into()));
         }
         Ok(())
     }
@@ -274,7 +261,7 @@ mod tests {
     use lsm_io::MemStorage;
 
     fn range_topology() -> Topology {
-        Topology::fresh(4, true, vec![100, 200, 300])
+        Topology::fresh(vec![100, 200, 300])
     }
 
     #[test]
@@ -337,6 +324,22 @@ mod tests {
         assert!(Topology::load(&storage).is_err(), "unordered boundaries");
     }
 
+    /// A sealed topology whose policy line says `hash` (a store created
+    /// with the hash policy this build no longer has) routes by nothing
+    /// this build can reproduce: a typed error that says so, not a guess.
+    #[test]
+    fn a_sealed_hash_topology_is_refused_by_name() {
+        let storage = MemStorage::new();
+        let text = "epoch 1\npolicy hash\nnext_id 2\nshard 0\nshard 1\n";
+        sealed::write_sealed(&storage, TOPOLOGY_PREFIX, 1, text.into()).unwrap();
+        let refused = Topology::load(&storage);
+        assert!(
+            matches!(&refused, Err(Error::Corruption(msg))
+                if msg.contains("hash topologies are not read by this build")),
+            "{refused:?}"
+        );
+    }
+
     #[test]
     fn sweep_removes_orphan_dirs_and_stale_epochs() {
         let storage = MemStorage::new();
@@ -390,7 +393,7 @@ mod tests {
         let mut f = storage.create(LEGACY_ROUTER_MODEL_FILE).unwrap();
         f.append(b"\x00\x01whatever the parent encoded").unwrap();
         drop(f);
-        let opts = ShardedOptions::hash(2, Options::small_for_tests());
+        let opts = ShardedOptions::learned(2, vec![], Options::small_for_tests());
         let db = ShardedDb::open(Arc::clone(&storage), opts).unwrap();
         let routing = db.routing();
         assert_eq!(routing.router().boundaries(), &[100, 200, 300]);

@@ -80,29 +80,24 @@ impl std::fmt::Debug for LevelIndex {
 /// Immutable snapshot of the level structure.
 #[derive(Debug, Clone)]
 pub struct Version {
-    /// `levels[0]` newest-first. Under leveling, `levels[1..]` are sorted by
-    /// `min_key` and non-overlapping; under tiering every level is a stack
-    /// of overlapping runs searched newest-first.
+    /// `levels[0]` holds whole flushed buffers, newest first, and they may
+    /// overlap. **`levels[1..]` are sorted by `min_key` and disjoint** in
+    /// every `Version` the engine builds: a compaction's outputs replace
+    /// exactly the key range they were merged from, and recovery refuses a
+    /// manifest that says otherwise. One candidate table per level
+    /// ([`Version::locate`]), one concatenating cursor per level
+    /// ([`crate::iter::LevelIter`]) and one model per level rest on it.
     pub levels: Vec<Vec<Arc<TableHandle>>>,
-    /// Whether `levels[1..]` maintain the sorted non-overlapping invariant
-    /// (false for tiering).
-    pub sorted_levels: bool,
     /// `level_index[l]`, when present, was trained over exactly `levels[l]`.
     level_index: Vec<Option<Arc<LevelIndex>>>,
 }
 
 impl Version {
-    /// Empty version with `max_levels` levels (leveling layout).
+    /// Empty version with `max_levels` levels.
     pub fn new(max_levels: usize) -> Self {
-        Self::with_layout(max_levels, true)
-    }
-
-    /// Empty version; `sorted_levels = false` for a tiering tree.
-    pub fn with_layout(max_levels: usize, sorted_levels: bool) -> Self {
         let max_levels = max_levels.max(2);
         Self {
             levels: vec![Vec::new(); max_levels],
-            sorted_levels,
             level_index: vec![None; max_levels],
         }
     }
@@ -158,23 +153,12 @@ impl Version {
                         return Ok(Some(hit));
                     }
                 }
-            } else if self.sorted_levels {
+            } else {
                 // L1+: binary search for the single candidate table.
                 let t0 = StageTimer::start();
                 let candidate = Self::locate(tables, key);
                 add_stage_ns(&stats.table_locate_ns, t0.ns());
                 if let Some(t) = candidate {
-                    if let Some(hit) = probe(level, t, None)? {
-                        return Ok(Some(hit));
-                    }
-                }
-            } else {
-                // Tiering: every run of every level may hold the key; newest
-                // runs first.
-                for t in tables {
-                    if key < t.meta.min_key || key > t.meta.max_key {
-                        continue;
-                    }
                     if let Some(hit) = probe(level, t, None)? {
                         return Ok(Some(hit));
                     }
@@ -216,9 +200,8 @@ impl Version {
     }
 
     /// New version where `removed` (by file name) disappear from `level` and
-    /// `level + 1`, and `added` join `level + 1`. Under leveling the target
-    /// level is re-sorted by min key; under tiering the new run stacks on
-    /// top (newest first).
+    /// `level + 1`, and `added` join `level + 1`, which is re-sorted by min
+    /// key.
     pub fn with_compaction_applied(
         &self,
         level: usize,
@@ -232,15 +215,8 @@ impl Version {
         let is_removed = |t: &Arc<TableHandle>| removed.iter().any(|r| r == &t.meta.name);
         v.levels[level].retain(|t| !is_removed(t));
         v.levels[level + 1].retain(|t| !is_removed(t));
-        if v.sorted_levels {
-            v.levels[level + 1].extend(added);
-            v.levels[level + 1].sort_by_key(|t| t.meta.min_key);
-        } else {
-            // The merged run is newer than everything already at the level.
-            for (i, t) in added.into_iter().enumerate() {
-                v.levels[level + 1].insert(i, t);
-            }
-        }
+        v.levels[level + 1].extend(added);
+        v.levels[level + 1].sort_by_key(|t| t.meta.min_key);
         v
     }
 
@@ -265,7 +241,7 @@ impl Version {
     /// level's keys, with the level's error bound. Run on a version about to
     /// be installed; returns the nanoseconds spent.
     pub(crate) fn train_level_indexes(&mut self, opts: &Options) -> Result<u64> {
-        if opts.index.granularity != IndexGranularity::Level || !self.sorted_levels {
+        if opts.index.granularity != IndexGranularity::Level {
             return Ok(0);
         }
         let started = Instant::now();
@@ -544,14 +520,6 @@ mod tests {
         let has_model: Vec<bool> = (0..4).map(|l| v.level_index(l).is_some()).collect();
         assert_eq!(has_model, [false, false, true, false]);
         assert_reads(&v, 2, &[50], &[500], "past an empty L1");
-        // A tiered level is a stack of overlapping runs: nothing to model.
-        let mut tiered = Version::with_layout(3, false);
-        tiered.levels[1].push(make_handle(&storage, "run", 0..100));
-        tiered
-            .train_level_indexes(&level_grained(IndexKind::Pgm, 8))
-            .unwrap();
-        assert!(tiered.level_index(1).is_none());
-        assert_reads(&tiered, 1, &[7], &[], "tiered");
     }
 
     #[test]

@@ -218,7 +218,8 @@ fn disabling_observability_leaves_counters_byte_identical() {
     fn run(observability: bool) -> Vec<(String, u64)> {
         let mut base = Options::small_for_tests();
         base.observability = observability;
-        let db = ShardedDb::open_memory(ShardedOptions::hash(2, base)).unwrap();
+        let opts = ShardedOptions::learned(2, (0..1600).collect(), base);
+        let db = ShardedDb::open_memory(opts).unwrap();
         let wopts = WriteOptions::default();
         for i in 0..400u64 {
             let mut batch = WriteBatch::new();

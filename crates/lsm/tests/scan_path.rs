@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use lsm_io::{read_all, MemStorage, Storage};
-use lsm_tree::{CompactionPolicy, Db, Error, Maintenance, Options, WriteBatch, WriteOptions};
+use lsm_tree::{Db, Error, Maintenance, Options, WriteBatch, WriteOptions};
 
 const VALUE_WIDTH: usize = 32;
 /// On-disk entry: 24-byte key slot, kind, 7-byte seq, 4-byte length, value.
@@ -108,45 +108,33 @@ fn table_files_crc(storage: &MemStorage) -> (usize, u32) {
 #[test]
 #[allow(clippy::manual_is_multiple_of)] // the MSRV (1.82) predates `u64::is_multiple_of`
 fn compaction_outputs_are_byte_identical() {
-    let golden = [
-        (
-            CompactionPolicy::Leveling,
-            (GOLDEN_LEVELING_FILES, GOLDEN_LEVELING_CRC),
-        ),
-        (
-            CompactionPolicy::Tiering { runs_per_level: 3 },
-            (GOLDEN_TIERING_FILES, GOLDEN_TIERING_CRC),
-        ),
-    ];
-    for (compaction, want) in golden {
-        let storage = Arc::new(MemStorage::new());
-        let opts = Options {
-            value_width: VALUE_WIDTH,
-            compaction,
-            ..Options::small_for_tests()
-        };
-        let db = Db::open(storage.clone(), opts).unwrap();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for round in 0..24u64 {
-            let mut batch = WriteBatch::new();
-            for _ in 0..250 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let key = x % 3_000;
-                if x % 11 == 0 {
-                    batch.delete(key);
-                } else {
-                    batch.put(key, &value_of(key ^ round));
-                }
+    let storage = Arc::new(MemStorage::new());
+    let opts = Options {
+        value_width: VALUE_WIDTH,
+        ..Options::small_for_tests()
+    };
+    let db = Db::open(storage.clone(), opts).unwrap();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for round in 0..24u64 {
+        let mut batch = WriteBatch::new();
+        for _ in 0..250 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = x % 3_000;
+            if x % 11 == 0 {
+                batch.delete(key);
+            } else {
+                batch.put(key, &value_of(key ^ round));
             }
-            db.write(batch, &WriteOptions::default()).unwrap();
-            db.flush().unwrap();
         }
-        assert!(db.stats().snapshot().compactions >= 5, "{compaction:?}");
-        drop(db);
-        assert_eq!(table_files_crc(&storage), want, "{compaction:?}");
+        db.write(batch, &WriteOptions::default()).unwrap();
+        db.flush().unwrap();
     }
+    assert!(db.stats().snapshot().compactions >= 5);
+    drop(db);
+    let golden = (GOLDEN_LEVELING_FILES, GOLDEN_LEVELING_CRC);
+    assert_eq!(table_files_crc(&storage), golden);
 }
 
 /// One flush, whichever mode runs it: the same batches — overwrites,
@@ -190,5 +178,3 @@ fn flush_writes_the_same_table_in_either_mode() {
 // (PR 13's `MergeIter` over `Vec<Entry>` chunks), from this same test.
 const GOLDEN_LEVELING_FILES: usize = 27;
 const GOLDEN_LEVELING_CRC: u32 = 1_937_225_261;
-const GOLDEN_TIERING_FILES: usize = 4;
-const GOLDEN_TIERING_CRC: u32 = 2_280_806_711;

@@ -41,7 +41,7 @@ fn cross_shard_batch_roundtrip_and_reopen() {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     {
         let db = ShardedDb::open(Arc::clone(&storage), learned_opts(4, dense_sample())).unwrap();
-        assert!(db.routing().router().is_range());
+        assert_eq!(db.routing().router().boundaries(), [1000, 2000, 3000]);
         // One batch spanning all four shards.
         let mut batch = WriteBatch::new();
         for k in (0..4000u64).step_by(100) {
@@ -96,10 +96,7 @@ fn unflushed_synced_writes_survive_reopen() {
 fn boundary_adjacent_keys_stay_consistent() {
     let db = ShardedDb::open_memory(learned_opts(4, dense_sample())).unwrap();
     let routing = db.routing();
-    let ShardRouter::Range { boundaries, .. } = routing.router() else {
-        panic!("expected a range router");
-    };
-    let boundaries = boundaries.clone();
+    let boundaries = routing.router().boundaries().to_vec();
     assert_eq!(boundaries.len(), 3);
     // Write keys exactly at, just below and just above every boundary.
     let mut probes = Vec::new();
@@ -168,17 +165,11 @@ fn tombstones_mask_across_shards() {
 }
 
 #[test]
-fn merged_iterator_global_order_hash_and_range() {
-    for policy in [
-        ShardingPolicy::Hash,
-        ShardingPolicy::LearnedRange {
-            sample: dense_sample(),
-            epsilon: 16,
-        },
-    ] {
-        let mut opts = ShardedOptions::hash(4, base_opts());
-        opts.policy = policy.clone();
-        let db = ShardedDb::open_memory(opts).unwrap();
+fn merged_iterator_global_order() {
+    // Quantile cuts (every shard holds keys), then the equal-width cuts of
+    // an empty sample (every key in shard 0, three empty sources).
+    for (cuts, sample) in [("quantile", dense_sample()), ("equal-width", Vec::new())] {
+        let db = ShardedDb::open_memory(learned_opts(4, sample)).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let mut reference = std::collections::BTreeMap::new();
         for _ in 0..3000 {
@@ -192,7 +183,7 @@ fn merged_iterator_global_order_hash_and_range() {
         it.seek_to_first();
         let got = it.collect_up_to(usize::MAX).unwrap();
         let want: Vec<(u64, Vec<u8>)> = reference.into_iter().collect();
-        assert_eq!(got, want, "policy {policy:?}");
+        assert_eq!(got, want, "{cuts} cuts");
         // Mid-range seek matches the reference too.
         let mut it = db.iter().unwrap();
         it.seek(2000).unwrap();
@@ -203,7 +194,7 @@ fn merged_iterator_global_order_hash_and_range() {
             .take(10)
             .cloned()
             .collect();
-        assert_eq!(tail, want_tail, "policy {policy:?}");
+        assert_eq!(tail, want_tail, "{cuts} cuts");
     }
 }
 
@@ -1080,20 +1071,9 @@ fn commit_marker_log_is_checkpointed_at_runtime() {
     }
 }
 
-/// One shard under `LearnedRange` is a range topology with no boundaries,
-/// so `ShardedOptions::learned(1, ..).with_max_shards(n)` can split. (It
-/// used to come back hash-routed, and a hash topology never splits — the
-/// ceiling was accepted and silently never used.)
-#[test]
-fn a_single_learned_shard_splits_under_a_skewed_stream() {
-    let opts = ShardedOptions::learned(1, Vec::new(), base_opts())
-        .with_max_shards(4)
-        .with_split_trigger(0.10, 64 << 10);
-    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
-    assert_eq!(db.shard_count(), 1);
-
-    // Quadratic spacing: dense near zero, ever sparser above.
+/// 12 000 keys `i²` — dense near zero, ever sparser above — each holding its
+/// own bytes, written in batches of 8; then splits run until none is due.
+fn load_skewed_stream(db: &ShardedDb) -> Vec<u64> {
     let keys: Vec<u64> = (0..12_000u64).map(|i| i * i).collect();
     for chunk in keys.chunks(8) {
         let mut batch = WriteBatch::with_capacity(chunk.len());
@@ -1103,18 +1083,37 @@ fn a_single_learned_shard_splits_under_a_skewed_stream() {
         db.write(batch, &WriteOptions::default()).unwrap();
     }
     while db.rebalance().unwrap() {}
+    keys
+}
 
-    let splits = db.sharded_stats().merged.shard_splits;
-    assert!(splits >= 1, "a lone learned shard never split");
-    assert_eq!(db.shard_count() as u64, 1 + splits);
-    assert_eq!(db.background_error(), None);
-    for &k in &keys {
+fn assert_reads_back(db: &ShardedDb, keys: &[u64]) {
+    for &k in keys {
         assert_eq!(
             db.get(k).unwrap(),
             Some(k.to_le_bytes().to_vec()),
             "key {k}"
         );
     }
+}
+
+/// One shard is a topology with no boundaries, which a split can cut:
+/// `ShardedOptions::learned(1, ..).with_max_shards(n)` splits.
+#[test]
+fn a_single_learned_shard_splits_under_a_skewed_stream() {
+    let opts = ShardedOptions::learned(1, Vec::new(), base_opts())
+        .with_max_shards(4)
+        .with_split_trigger(0.10, 64 << 10);
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
+    assert_eq!(db.shard_count(), 1);
+
+    let keys = load_skewed_stream(&db);
+
+    let splits = db.sharded_stats().merged.shard_splits;
+    assert!(splits >= 1, "a lone learned shard never split");
+    assert_eq!(db.shard_count() as u64, 1 + splits);
+    assert_eq!(db.background_error(), None);
+    assert_reads_back(&db, &keys);
 
     // The reopen adopts the split topology, not the one shard it asked for.
     let (shard_count, epoch) = (db.shard_count(), db.topology_epoch());
@@ -1124,21 +1123,43 @@ fn a_single_learned_shard_splits_under_a_skewed_stream() {
     assert_eq!(db.shard_count(), shard_count);
     assert_eq!(db.topology_epoch(), epoch);
     assert_eq!(db.routing().router().boundaries(), boundaries);
-    for &k in &keys {
-        assert_eq!(
-            db.get(k).unwrap(),
-            Some(k.to_le_bytes().to_vec()),
-            "key {k}"
-        );
-    }
+    assert_reads_back(&db, &keys);
+}
+
+/// A sample too small to cut four ways (three keys) still opens as a range
+/// topology — three ascending equal-width cuts of the key space — so the
+/// ceiling is usable: under a load that all lands in the first slice the
+/// hot shard splits and the cuts are re-learned from the data. (The parent
+/// of this test's commit came back hash-routed here and never split.)
+#[test]
+fn a_small_sample_opens_equal_width_ranges_and_still_splits() {
+    let opts = ShardedOptions::learned(4, vec![1, 2, 3], base_opts())
+        .with_max_shards(8)
+        .with_split_trigger(0.10, 64 << 10);
+    let db = ShardedDb::open_memory(opts).unwrap();
+    assert_eq!(
+        db.routing().router().boundaries(),
+        [1 << 62, 1 << 63, 3 << 62]
+    );
+
+    // Every key is far below the first cut: shard 0 takes the whole load.
+    let keys = load_skewed_stream(&db);
+
+    let splits = db.sharded_stats().merged.shard_splits;
+    assert!(splits >= 1, "the hot equal-width shard never split");
+    assert_eq!(db.shard_count() as u64, 4 + splits);
+    let boundaries = db.routing().router().boundaries().to_vec();
+    assert!(boundaries.windows(2).all(|w| w[0] < w[1]));
+    assert!(boundaries[0] < 1 << 62, "a cut learned from the data");
+    assert_eq!(db.background_error(), None);
+    assert_reads_back(&db, &keys);
 }
 
 // ------------------------------------------------------------ acceptance
 
 /// Acceptance: on a skewed (zipfian-sampled) key distribution, learned
 /// range routing keeps shard sizes within 20% of fair share — where naive
-/// uniform key-space cuts collapse almost everything into one shard — and
-/// the hash fallback stays balanced too.
+/// uniform key-space cuts collapse almost everything into one shard.
 #[test]
 fn learned_routing_balances_zipfian_keys_within_20pct() {
     // Distinct keys whose *density* follows a zipfian request stream:
@@ -1162,7 +1183,6 @@ fn learned_routing_balances_zipfian_keys_within_20pct() {
             epsilon: 32,
         },
     );
-    assert!(learned.is_range(), "sample is large enough to cut");
     let learned_imb = imbalance(&learned.partition_counts(&keys));
     assert!(
         learned_imb <= 0.20,
@@ -1171,19 +1191,12 @@ fn learned_routing_balances_zipfian_keys_within_20pct() {
 
     // Naive uniform key-space cuts on the same keys: heavily unbalanced.
     let max = *keys.last().unwrap();
-    let uniform = ShardRouter::Range {
-        boundaries: (1..4u64).map(|i| i * (max / 4)).collect(),
-    };
+    let uniform = ShardRouter::with_boundaries((1..4u64).map(|i| i * (max / 4)).collect());
     let uniform_imb = imbalance(&uniform.partition_counts(&keys));
     assert!(
         uniform_imb > 2.0 * learned_imb.max(0.05),
         "uniform cuts should be far worse: uniform {uniform_imb:.3} vs learned {learned_imb:.3}"
     );
-
-    // The hash fallback balances too (it just can't serve range scans
-    // from a shard subset).
-    let hash = ShardRouter::train(4, &ShardingPolicy::Hash);
-    assert!(imbalance(&hash.partition_counts(&keys)) <= 0.20);
 
     // End to end: load through a 4-shard ShardedDb and measure resident
     // entries per shard.

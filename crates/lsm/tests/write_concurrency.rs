@@ -35,6 +35,39 @@ fn run_torn_read_check(opts: Options) {
     db.write(init, &WriteOptions::default()).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The writers start once the reader has finished one check, so it is
+    // running beside them from their first batch however the host schedules
+    // a new thread (1 600 batches take ~60 ms in release: less than a
+    // thread's start-up on a busy two-core machine).
+    let (first_check, reader_running) = channel();
+    let reader = {
+        let db = Arc::clone(&db);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut checks = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let snap = db.snapshot();
+                let ropts = ReadOptions::at(&snap);
+                let first = db.get_with(0, &ropts).unwrap().expect("key 0 initialized");
+                for k in 1..KEYS {
+                    let got = db.get_with(k, &ropts).unwrap().expect("key initialized");
+                    assert_eq!(
+                        got,
+                        first,
+                        "torn batch at ceiling {}: key {k} disagrees with key 0",
+                        snap.seq()
+                    );
+                }
+                checks += 1;
+                if checks == 1 {
+                    first_check.send(()).unwrap();
+                }
+            }
+            checks
+        })
+    };
+    reader_running.recv().unwrap();
+
     let writers: Vec<_> = (0..WRITERS)
         .map(|t| {
             let db = Arc::clone(&db);
@@ -56,30 +89,6 @@ fn run_torn_read_check(opts: Options) {
             })
         })
         .collect();
-
-    let reader = {
-        let db = Arc::clone(&db);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut checks = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let snap = db.snapshot();
-                let ropts = ReadOptions::at(&snap);
-                let first = db.get_with(0, &ropts).unwrap().expect("key 0 initialized");
-                for k in 1..KEYS {
-                    let got = db.get_with(k, &ropts).unwrap().expect("key initialized");
-                    assert_eq!(
-                        got,
-                        first,
-                        "torn batch at ceiling {}: key {k} disagrees with key 0",
-                        snap.seq()
-                    );
-                }
-                checks += 1;
-            }
-            checks
-        })
-    };
 
     for w in writers {
         w.join().unwrap();

@@ -79,8 +79,8 @@ struct ReadHalf {
 /// use lsm_tree::{Options, ShardedOptions};
 /// use std::sync::Arc;
 ///
-/// let db = ShardedDb::open_memory(ShardedOptions::hash(2, Options::small_for_tests()))
-///     .expect("open");
+/// let opts = ShardedOptions::learned(2, (0..4).collect(), Options::small_for_tests());
+/// let db = ShardedDb::open_memory(opts).expect("open");
 /// let (connector, listener) = MemTransport::endpoint();
 /// let server = Server::start(db, Arc::new(listener), ServerOptions::default());
 /// let client = Client::new(connector.connect().expect("dial"));

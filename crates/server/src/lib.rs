@@ -34,8 +34,9 @@
 //! use lsm_tree::{Options, ShardedOptions};
 //! use std::sync::Arc;
 //!
-//! let db = ShardedDb::open_memory(ShardedOptions::hash(2, Options::small_for_tests()))
-//!     .expect("open");
+//! // Two range shards, cut at the median of a sample of the keys.
+//! let opts = ShardedOptions::learned(2, (0..16).collect(), Options::small_for_tests());
+//! let db = ShardedDb::open_memory(opts).expect("open");
 //! let (connector, listener) = MemTransport::endpoint();
 //! let server = Server::start(db, Arc::new(listener), ServerOptions::default());
 //!

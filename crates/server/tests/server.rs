@@ -17,9 +17,15 @@ use lsm_tree::sharding::ShardedDb;
 use lsm_tree::{EventKind, Maintenance, Options, ShardedOptions};
 use rand::{RngCore, SeedableRng, StdRng};
 
+/// `shards` range shards cut inside the small keys every test here writes
+/// (two shards: at 4), so both hold data and a batch over keys 3 and 4
+/// crosses the cut.
+fn sharded(shards: usize, base: Options) -> ShardedOptions {
+    ShardedOptions::learned(shards, (0..8).collect(), base)
+}
+
 fn mem_server(shards: usize) -> (Server, lsm_server::MemConnector) {
-    let db = ShardedDb::open_memory(ShardedOptions::hash(shards, Options::small_for_tests()))
-        .expect("open");
+    let db = ShardedDb::open_memory(sharded(shards, Options::small_for_tests())).expect("open");
     let (connector, listener) = MemTransport::endpoint();
     let server = Server::start(db, Arc::new(listener), ServerOptions::default());
     (server, connector)
@@ -28,7 +34,7 @@ fn mem_server(shards: usize) -> (Server, lsm_server::MemConnector) {
 fn mem_server_with_obs(shards: usize) -> (Server, lsm_server::MemConnector) {
     let mut base = Options::small_for_tests();
     base.observability = true;
-    let db = ShardedDb::open_memory(ShardedOptions::hash(shards, base)).expect("open");
+    let db = ShardedDb::open_memory(sharded(shards, base)).expect("open");
     let (connector, listener) = MemTransport::endpoint();
     let server = Server::start(db, Arc::new(listener), ServerOptions::default());
     (server, connector)
@@ -339,7 +345,7 @@ fn pipelined_responses_match_out_of_order_waits() {
 #[test]
 fn graceful_close_persists_every_acknowledged_durable_write() {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let opts = || ShardedOptions::hash(2, Options::small_for_tests());
+    let opts = || sharded(2, Options::small_for_tests());
     let db = ShardedDb::open(Arc::clone(&storage), opts()).expect("open");
     let (connector, listener) = MemTransport::endpoint();
     let server = Server::start(db, Arc::new(listener), ServerOptions::default());
@@ -532,7 +538,7 @@ fn stopped_engine_sheds_writes_with_retry_after_instead_of_stalling() {
     let mut base = Options::small_for_tests();
     base.maintenance = Maintenance::background();
     base.max_immutable_memtables = 1;
-    let db = ShardedDb::open_memory(ShardedOptions::hash(1, base)).expect("open");
+    let db = ShardedDb::open_memory(sharded(1, base)).expect("open");
     let (connector, listener) = MemTransport::endpoint();
     let server = Server::start(
         db,
@@ -604,8 +610,7 @@ fn stopped_engine_sheds_writes_with_retry_after_instead_of_stalling() {
 
 #[test]
 fn tcp_transport_smoke() {
-    let db =
-        ShardedDb::open_memory(ShardedOptions::hash(2, Options::small_for_tests())).expect("open");
+    let db = ShardedDb::open_memory(sharded(2, Options::small_for_tests())).expect("open");
     let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");
     let addr = transport.local_addr().to_string();
     let server = Server::start(db, Arc::new(transport), ServerOptions::default());
@@ -621,8 +626,7 @@ fn tcp_transport_smoke() {
 fn requests_after_frame_cap_are_rejected_not_buffered() {
     // A frame larger than the server cap must kill the connection before
     // the server allocates for it.
-    let db =
-        ShardedDb::open_memory(ShardedOptions::hash(1, Options::small_for_tests())).expect("open");
+    let db = ShardedDb::open_memory(sharded(1, Options::small_for_tests())).expect("open");
     let (connector, listener) = MemTransport::endpoint();
     let server = Server::start(
         db,
