@@ -7,69 +7,25 @@
 //! lookup of every `STAGE_SAMPLE_PERIOD`). The fetched range is a `Span`,
 //! searched where it lies: nothing assembles a copy of cached blocks.
 
+mod cursor;
+mod fetch;
+
+pub use cursor::TableIter;
+use fetch::Span;
+
 use std::sync::Arc;
 
 use learned_index::{IndexKind, SearchBound, SegmentIndex};
 
 use crate::bloom::BloomFilter;
-use crate::cache::{BlockCache, BlockKey, TABLE_HANDLE_OVERHEAD};
-use crate::iter::Cursor;
+use crate::cache::{BlockCache, TABLE_HANDLE_OVERHEAD};
 use crate::options::SearchStrategy;
 use crate::sstable::format::{self, Footer};
 use crate::stats::{add_stage_ns, DbStats, StageTimer};
-use crate::types::{Entry, InternalKey, SeqNo};
+use crate::types::{Entry, SeqNo};
 use crate::{Error, Result};
 use lsm_io::{RandomAccessFile, Storage};
 use lsm_workloads::KEY_LEN;
-
-/// Cache block granularity (matches the device model's 4 KiB blocks).
-const CACHE_BLOCK: u64 = 4096;
-
-/// The bytes of a run of fixed-width entries, as fetched.
-enum Span {
-    /// One positional read into one buffer (no cache attached).
-    Buf(Vec<u8>),
-    /// Consecutive cached blocks, borrowed; the run starts `skip` bytes into
-    /// the first. Every block but the file's last is `CACHE_BLOCK` long.
-    Blocks {
-        blocks: Vec<Arc<Vec<u8>>>,
-        skip: usize,
-    },
-}
-
-impl Span {
-    /// `len` bytes at offset `off` of the run: borrowed in place, or — only
-    /// when they straddle a block edge — stitched into `scratch`.
-    #[inline]
-    fn bytes<'a>(&'a self, off: usize, len: usize, scratch: &'a mut Vec<u8>) -> &'a [u8] {
-        match self {
-            Span::Buf(buf) => &buf[off..off + len],
-            Span::Blocks { blocks, skip } => {
-                let at = skip + off;
-                let (mut b, mut o) = (at / CACHE_BLOCK as usize, at % CACHE_BLOCK as usize);
-                if o + len <= blocks[b].len() {
-                    return &blocks[b][o..o + len];
-                }
-                scratch.clear();
-                while scratch.len() < len {
-                    let take = (len - scratch.len()).min(blocks[b].len() - o);
-                    scratch.extend_from_slice(&blocks[b][o..o + take]);
-                    (b, o) = (b + 1, 0);
-                }
-                scratch
-            }
-        }
-    }
-
-    /// Block `b` of the file, if this span — whose run starts at file offset
-    /// `at` — holds it.
-    fn block(&self, at: u64, b: u64) -> Option<&Arc<Vec<u8>>> {
-        match self {
-            Span::Buf(_) => None,
-            Span::Blocks { blocks, .. } => blocks.get(b.checked_sub(at / CACHE_BLOCK)? as usize),
-        }
-    }
-}
 
 /// An open, immutable SSTable.
 pub struct TableReader {
@@ -358,87 +314,6 @@ impl TableReader {
         result
     }
 
-    /// Fetch entries `[bound.lo, bound.hi)`: one positional read when no
-    /// cache is attached, otherwise the 4 KiB blocks covering them, each
-    /// from the cache or, on a miss, the device. A no-fill fetch is served
-    /// from resident blocks but never inserts, so scans and compactions
-    /// cannot evict the point-lookup working set.
-    fn fetch(&self, bound: SearchBound, fill_cache: bool) -> Result<Span> {
-        if self.cache.is_some() {
-            return self.fetch_blocks(bound, fill_cache, None);
-        }
-        let mut buf = vec![0u8; (bound.hi - bound.lo) * self.entry_width];
-        self.file
-            .read_exact_at((bound.lo * self.entry_width) as u64, &mut buf)?;
-        Ok(Span::Buf(buf))
-    }
-
-    /// The 4 KiB blocks covering entries `[bound.lo, bound.hi)`, in order.
-    /// A block that `held` — a cursor's previous span and the entry its run
-    /// starts at — already has is taken from there: nobody is asked for it
-    /// again. Without a cache the blocks still missing are read whole and
-    /// aligned, in one call.
-    fn fetch_blocks(
-        &self,
-        bound: SearchBound,
-        fill_cache: bool,
-        held: Option<(&Span, usize)>,
-    ) -> Result<Span> {
-        let off = (bound.lo * self.entry_width) as u64;
-        let len = ((bound.hi - bound.lo) * self.entry_width) as u64;
-        if len == 0 {
-            return Ok(Span::Buf(Vec::new()));
-        }
-        let first = off / CACHE_BLOCK;
-        let last = (off + len - 1) / CACHE_BLOCK;
-        let mut blocks = Vec::with_capacity((last - first + 1) as usize);
-        for b in first..=last {
-            let held = held.and_then(|(span, lo)| span.block((lo * self.entry_width) as u64, b));
-            if let Some(block) = held {
-                blocks.push(Arc::clone(block));
-                continue;
-            }
-            let Some(cache) = &self.cache else {
-                let rest = self.read_blocks(b, last)?;
-                if b == last {
-                    blocks.push(Arc::new(rest));
-                } else {
-                    let chop = rest.chunks(CACHE_BLOCK as usize);
-                    blocks.extend(chop.map(|block| Arc::new(block.to_vec())));
-                }
-                break;
-            };
-            let key = BlockKey {
-                table_id: self.table_id,
-                block_no: b,
-            };
-            blocks.push(match cache.get(key) {
-                Some(block) => block,
-                None => {
-                    let block = Arc::new(self.read_blocks(b, b)?);
-                    if fill_cache {
-                        cache.insert(key, Arc::clone(&block));
-                    }
-                    block
-                }
-            });
-        }
-        Ok(Span::Blocks {
-            blocks,
-            skip: (off - first * CACHE_BLOCK) as usize,
-        })
-    }
-
-    /// Blocks `first..=last` of the file (its last block is short), read
-    /// from the device in one call.
-    fn read_blocks(&self, first: u64, last: u64) -> Result<Vec<u8>> {
-        let start = first * CACHE_BLOCK;
-        let end = ((last + 1) * CACHE_BLOCK).min(self.file.len());
-        let mut buf = vec![0u8; end.saturating_sub(start) as usize];
-        self.file.read_exact_at(start, &mut buf)?;
-        Ok(buf)
-    }
-
     /// User key of entry `i` of `span`.
     #[inline]
     fn span_key(&self, span: &Span, i: usize, scratch: &mut Vec<u8>) -> u64 {
@@ -525,23 +400,6 @@ impl TableReader {
             .read_exact_at((pos * self.entry_width) as u64, &mut kb)?;
         Ok(format::decode_entry_key(&kb))
     }
-
-    /// All user keys, read sequentially (what a level's model is trained
-    /// over). A one-shot full-table sweep: it never fills the block cache —
-    /// training a model must not evict the read working set.
-    pub fn read_all_keys(&self) -> Result<Vec<u64>> {
-        let mut keys = Vec::with_capacity(self.n);
-        const CHUNK_ENTRIES: usize = 4096;
-        let mut pos = 0usize;
-        while pos < self.n {
-            let hi = (pos + CHUNK_ENTRIES).min(self.n);
-            let span = self.fetch(SearchBound { lo: pos, hi }, false)?;
-            let mut scratch = Vec::new();
-            keys.extend((0..hi - pos).map(|i| self.span_key(&span, i, &mut scratch)));
-            pos = hi;
-        }
-        Ok(keys)
-    }
 }
 
 impl Drop for TableReader {
@@ -552,132 +410,17 @@ impl Drop for TableReader {
     }
 }
 
-/// Sequential cursor over one table, fetching one I/O block's worth of
-/// entries at a time (the paper's range-lookup implementation reads one
-/// 4096-byte block per step). It holds the bytes as fetched — what `seek`
-/// searched, then one chunk per refill — and reads keys and values where
-/// they lie; a refill carries the blocks the old span shares with the new
-/// one, so one pass asks the cache or the device for each block once.
-pub struct TableIter {
-    reader: Arc<TableReader>,
-    /// Entry under the cursor.
-    pos: usize,
-    /// The bytes of entries `[lo, hi)`.
-    span: Span,
-    lo: usize,
-    hi: usize,
-    /// Where the last seek landed: chunks end every `chunk_entries` from here.
-    origin: usize,
-    /// Value length of the entry at `pos`, from the header `key` decoded.
-    vlen: usize,
-    /// Entries fetched per refill.
-    chunk_entries: usize,
-    /// Whether this cursor's reads may populate the block cache
-    /// (`ReadOptions::fill_cache`; compaction inputs always read no-fill).
-    fill_cache: bool,
-    scratch: Vec<u8>,
-}
-
-impl TableIter {
-    /// New cursor at the first entry, with an explicit cache fill policy.
-    pub fn with_fill(reader: Arc<TableReader>, fill_cache: bool) -> Self {
-        let chunk_entries = (4096 / reader.entry_width).max(1);
-        Self {
-            reader,
-            pos: 0,
-            span: Span::Buf(Vec::new()),
-            lo: 0,
-            hi: 0,
-            origin: 0,
-            vlen: 0,
-            chunk_entries,
-            fill_cache,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Park at entry `pos`, holding `span` as entries `[lo, hi)`.
-    fn park(&mut self, pos: usize, span: Span, lo: usize, hi: usize) {
-        (self.pos, self.origin) = (pos, pos);
-        (self.span, self.lo, self.hi) = (span, lo, hi);
-    }
-}
-
-// The per-entry calls are inlined: `LevelIter` calls them from another
-// module, and out of line a scan's `next` measured about 20 % slower. `key`
-// is the large one and sat on the inliner's threshold — an unrelated edit
-// elsewhere in the crate pushed it out of line (`scan_kops` −9 % on
-// `get-hot`) — so it does not leave the decision to a hint.
-impl Cursor for TableIter {
-    /// One index prediction and one bounded read, which stays held as the
-    /// first chunk: reading on from here fetches nothing the search did.
-    fn seek(&mut self, key: u64) -> Result<()> {
-        let r = &*self.reader;
-        if r.n == 0 || key <= r.min_key || key > r.max_key {
-            let pos = if key > r.max_key { r.n } else { 0 };
-            self.park(pos, Span::Buf(Vec::new()), 0, 0);
-            return Ok(());
-        }
-        let bound = r.index.predict(key);
-        let span = r.fetch_blocks(bound, self.fill_cache, None)?;
-        let pos = bound.lo + r.lower_bound_in(&span, bound.hi - bound.lo, key);
-        self.park(pos, span, bound.lo, bound.hi);
-        // The learned bound contains the insertion point for absent keys at
-        // its edge in rare rounding cases; walk forward defensively.
-        while pos == bound.hi && self.key()?.is_some_and(|k| k.user_key < key) {
-            self.pos += 1;
-        }
-        Ok(())
-    }
-
-    fn seek_to_first(&mut self) {
-        self.park(0, Span::Buf(Vec::new()), 0, 0);
-    }
-
-    #[inline(always)]
-    fn key(&mut self) -> Result<Option<InternalKey>> {
-        let r = &*self.reader;
-        if self.pos >= r.n {
-            return Ok(None);
-        }
-        if self.pos >= self.hi {
-            // Refill up to the next chunk edge.
-            let chunks = (self.pos - self.origin) / self.chunk_entries + 1;
-            let hi = (self.origin + chunks * self.chunk_entries).min(r.n);
-            let bound = SearchBound { lo: self.pos, hi };
-            self.span = r.fetch_blocks(bound, self.fill_cache, Some((&self.span, self.lo)))?;
-            (self.lo, self.hi) = (self.pos, hi);
-        }
-        let off = (self.pos - self.lo) * r.entry_width;
-        let header = self
-            .span
-            .bytes(off, format::ENTRY_HEADER, &mut self.scratch);
-        let (key, vlen) = format::decode_header(header, r.value_width)?;
-        self.vlen = vlen;
-        Ok(Some(key))
-    }
-
-    #[inline]
-    fn value(&mut self) -> &[u8] {
-        let off = (self.pos - self.lo) * self.reader.entry_width + format::ENTRY_HEADER;
-        self.span.bytes(off, self.vlen, &mut self.scratch)
-    }
-
-    #[inline]
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::fetch::CACHE_BLOCK;
     use super::*;
+    use crate::iter::Cursor;
     use crate::options::IndexChoice;
     use crate::sstable::builder::TableBuilder;
     use crate::types::EntryKind;
     use lsm_io::{CostModel, MemStorage, SimStorage};
 
-    fn make_table(keys: &[u64], kind: IndexKind) -> (MemStorage, Arc<TableReader>) {
+    pub(super) fn make_table(keys: &[u64], kind: IndexKind) -> (MemStorage, Arc<TableReader>) {
         let storage = MemStorage::new();
         let file = storage.create("t.sst").unwrap();
         let mut b = TableBuilder::new(file, "t.sst".into(), IndexChoice::new(kind, 8), 24, 10);
@@ -880,55 +623,6 @@ mod tests {
             r.get(1, u64::MAX >> 8, &stats).unwrap(),
             Some(Some(b"a".to_vec()))
         );
-    }
-
-    #[test]
-    fn seek_position_matches_partition_point() {
-        let keys: Vec<u64> = (0..3_000u64).map(|i| i * 10).collect();
-        for kind in [IndexKind::Pgm, IndexKind::FencePointers, IndexKind::Rmi] {
-            let (_s, r) = make_table(&keys, kind);
-            let mut it = TableIter::with_fill(r, true);
-            for probe in [0u64, 5, 10, 29_990, 29_995, 30_000, 123_456] {
-                it.seek(probe).unwrap();
-                let want = keys.partition_point(|&k| k < probe);
-                assert_eq!(it.pos, want, "{kind} probe={probe}");
-                let at = it.key().unwrap().map(|k| k.user_key);
-                assert_eq!(at, keys.get(want).copied(), "{kind} probe={probe}");
-            }
-        }
-    }
-
-    #[test]
-    fn iterator_scans_in_order() {
-        let keys: Vec<u64> = (0..500u64).map(|i| i * 3).collect();
-        let (_s, r) = make_table(&keys, IndexKind::RadixSpline);
-        let mut it = TableIter::with_fill(r, true);
-        it.seek_to_first();
-        let mut seen = Vec::new();
-        while let Some(key) = it.key().unwrap() {
-            assert_eq!(it.value(), format!("val-{}", key.user_key).as_bytes());
-            seen.push(key.user_key);
-            it.advance();
-        }
-        assert_eq!(seen, keys);
-    }
-
-    #[test]
-    fn iterator_seek_mid_stream() {
-        let keys: Vec<u64> = (0..500u64).map(|i| i * 3).collect();
-        let (_s, r) = make_table(&keys, IndexKind::Plex);
-        let mut it = TableIter::with_fill(r, true);
-        it.seek(100).unwrap(); // between 99 and 102
-        let first = it.key().unwrap().unwrap().user_key;
-        assert_eq!(first, 102);
-        assert_eq!(it.pos, 34);
-    }
-
-    #[test]
-    fn read_all_keys_roundtrip() {
-        let keys: Vec<u64> = (0..5_000u64).map(|i| i * 13 + 5).collect();
-        let (_s, r) = make_table(&keys, IndexKind::Pgm);
-        assert_eq!(r.read_all_keys().unwrap(), keys);
     }
 
     #[test]
