@@ -65,10 +65,10 @@ impl Span {
 
 impl TableReader {
     /// Fetch entries `[bound.lo, bound.hi)`: one positional read when no
-    /// cache is attached, otherwise the 4 KiB blocks covering them, each
-    /// from the cache or, on a miss, the device. A no-fill fetch is served
-    /// from resident blocks but never inserts, so scans and compactions
-    /// cannot evict the point-lookup working set.
+    /// cache is attached, otherwise the 4 KiB blocks covering them, from
+    /// the cache or, a run of misses at a time, the device. A no-fill fetch
+    /// is served from resident blocks but never inserts, so scans and
+    /// compactions cannot evict the point-lookup working set.
     pub(super) fn fetch(&self, bound: SearchBound, fill_cache: bool) -> Result<Span> {
         if self.cache.is_some() {
             return self.fetch_blocks(bound, fill_cache, None);
@@ -81,9 +81,9 @@ impl TableReader {
 
     /// The 4 KiB blocks covering entries `[bound.lo, bound.hi)`, in order.
     /// A block that `held` — a cursor's previous span and the entry its run
-    /// starts at — already has is taken from there: nobody is asked for it
-    /// again. Without a cache the blocks still missing are read whole and
-    /// aligned, in one call.
+    /// starts at — already has is taken from there, the next from the cache;
+    /// each maximal run of blocks nobody had is one device call. With no
+    /// cache every block not held is such a run.
     pub(super) fn fetch_blocks(
         &self,
         bound: SearchBound,
@@ -98,36 +98,25 @@ impl TableReader {
         let first = off / CACHE_BLOCK;
         let last = (off + len - 1) / CACHE_BLOCK;
         let mut blocks = Vec::with_capacity((last - first + 1) as usize);
+        // Blocks `run..b` are the open run: nobody had them.
+        let mut run = first;
         for b in first..=last {
             let held = held.and_then(|(span, lo)| span.block((lo * self.entry_width) as u64, b));
-            if let Some(block) = held {
-                blocks.push(Arc::clone(block));
-                continue;
+            let found = match (held, &self.cache) {
+                (Some(block), _) => Some(Arc::clone(block)),
+                (None, Some(cache)) => cache.get(self.block_key(b)),
+                (None, None) => None,
+            };
+            if let Some(block) = found {
+                if run < b {
+                    self.read_blocks(run, b - 1, fill_cache, &mut blocks)?;
+                }
+                blocks.push(block);
+                run = b + 1;
             }
-            let Some(cache) = &self.cache else {
-                let rest = self.read_blocks(b, last)?;
-                if b == last {
-                    blocks.push(Arc::new(rest));
-                } else {
-                    let chop = rest.chunks(CACHE_BLOCK as usize);
-                    blocks.extend(chop.map(|block| Arc::new(block.to_vec())));
-                }
-                break;
-            };
-            let key = BlockKey {
-                table_id: self.table_id,
-                block_no: b,
-            };
-            blocks.push(match cache.get(key) {
-                Some(block) => block,
-                None => {
-                    let block = Arc::new(self.read_blocks(b, b)?);
-                    if fill_cache {
-                        cache.insert(key, Arc::clone(&block));
-                    }
-                    block
-                }
-            });
+        }
+        if run <= last {
+            self.read_blocks(run, last, fill_cache, &mut blocks)?;
         }
         Ok(Span::Blocks {
             blocks,
@@ -135,14 +124,37 @@ impl TableReader {
         })
     }
 
-    /// Blocks `first..=last` of the file (its last block is short), read
-    /// from the device in one call.
-    fn read_blocks(&self, first: u64, last: u64) -> Result<Vec<u8>> {
+    fn block_key(&self, block_no: u64) -> BlockKey {
+        BlockKey {
+            table_id: self.table_id,
+            block_no,
+        }
+    }
+
+    /// Read blocks `first..=last` of the file (its last block is short) in
+    /// one device call and push them, chopped at `CACHE_BLOCK`, onto
+    /// `blocks`; a filling read of a cached table offers each to the cache,
+    /// which admits what its budget can hold.
+    fn read_blocks(
+        &self,
+        first: u64,
+        last: u64,
+        fill_cache: bool,
+        blocks: &mut Vec<Arc<Vec<u8>>>,
+    ) -> Result<()> {
         let start = first * CACHE_BLOCK;
         let end = ((last + 1) * CACHE_BLOCK).min(self.file.len());
-        let mut buf = vec![0u8; end.saturating_sub(start) as usize];
-        self.file.read_exact_at(start, &mut buf)?;
-        Ok(buf)
+        let mut run = vec![0u8; end.saturating_sub(start) as usize];
+        self.file.read_exact_at(start, &mut run)?;
+        let cache = self.cache.as_ref().filter(|_| fill_cache);
+        for (b, block) in (first..).zip(run.chunks(CACHE_BLOCK as usize)) {
+            let block = Arc::new(block.to_vec());
+            if let Some(cache) = cache {
+                cache.insert(self.block_key(b), Arc::clone(&block));
+            }
+            blocks.push(block);
+        }
+        Ok(())
     }
 
     /// All user keys, read sequentially (what a level's model is trained
@@ -165,13 +177,128 @@ impl TableReader {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::make_table;
+    use super::super::tests::{make_table, write_wide_table};
+    use super::super::TableIter;
+    use super::*;
+    use crate::cache::BlockCache;
+    use crate::iter::Cursor;
+    use crate::stats::DbStats;
+    use crate::types::SeqNo;
+    use crate::Error;
     use learned_index::IndexKind;
+    use lsm_io::{CostModel, FaultStorage, MemStorage, SimStorage, Storage};
 
+    const MAX: SeqNo = u64::MAX >> 8;
+    /// Entries 61..180 of the wide table lie in blocks 2..=5; entries 61,
+    /// 91, 121 and 151 each lie whole in one of them, in order.
+    const COVER: SearchBound = SearchBound { lo: 61, hi: 180 };
+
+    fn open(storage: &dyn Storage, capacity: usize) -> (TableReader, Arc<BlockCache>) {
+        let cache = Arc::new(BlockCache::new(capacity));
+        let reader = TableReader::open_with(storage, "t.sst", Some(Arc::clone(&cache)));
+        (reader.unwrap(), cache)
+    }
+
+    /// Make the block entry `at` lies in resident.
+    fn warm(reader: &TableReader, at: usize) {
+        let one = SearchBound { lo: at, hi: at + 1 };
+        reader.fetch(one, true).unwrap();
+    }
+
+    fn bytes_of(span: &Span, len: usize) -> Vec<u8> {
+        span.bytes(0, len, &mut Vec::new()).to_vec()
+    }
+
+    /// A cover with one resident block costs a device call per gap: one when
+    /// the block is at either end, two when it is inside — the same blocks
+    /// a block-by-block fetch read, the bytes and the answer an uncached
+    /// reader's. And the budget still holds when a run is larger than the
+    /// room left: the run is read whole, the cache admits what fits.
+    #[test]
+    fn a_partly_resident_cover_reads_only_its_gaps() {
+        let storage = SimStorage::new(CostModel::default());
+        let keys = write_wide_table(&storage, IndexKind::Pgm);
+        let plain = TableReader::open(&storage, "t.sst").unwrap();
+        let len = (COVER.hi - COVER.lo) * 136;
+        let want = bytes_of(&plain.fetch(COVER, true).unwrap(), len);
+        let value = Some(Some(vec![keys[100] as u8; 100]));
+        let stats = DbStats::new();
+        for (resident, calls) in [(61, 1), (91, 2), (121, 2), (151, 1)] {
+            let (cached, cache) = open(&storage, 1 << 20);
+            warm(&cached, resident);
+            let before = storage.stats().snapshot();
+            let got = cached.get_in_positions(keys[100], COVER.lo, COVER.hi, MAX, &stats);
+            let read = storage.stats().snapshot().since(&before);
+            assert_eq!(got.unwrap(), value, "resident {resident}");
+            let read = (read.read_calls, read.read_blocks, read.read_bytes);
+            assert_eq!(read, (calls, 3, 3 * CACHE_BLOCK), "resident {resident}");
+            assert_eq!(cache.hit_miss(), (1, 4), "resident {resident}");
+            let span = cached.fetch(COVER, true).unwrap();
+            assert_eq!(bytes_of(&span, len), want, "resident {resident}");
+            assert_eq!(cache.hit_miss(), (5, 4), "all four were admitted");
+        }
+
+        // Room for two blocks beside the handle's pinned bytes, a run of
+        // three (entries 61..150 lie in blocks 2..=4).
+        let pinned = open(&storage, 1 << 20).1.table_bytes();
+        let (cached, cache) = open(&storage, pinned + 2 * CACHE_BLOCK as usize + 100);
+        let before = storage.stats().snapshot();
+        let got = cached.get_in_positions(keys[100], 61, 150, MAX, &stats);
+        let read = storage.stats().snapshot().since(&before);
+        assert_eq!(got.unwrap(), value);
+        assert_eq!((read.read_calls, read.read_blocks), (1, 3));
+        assert!(cache.used_bytes() <= cache.capacity_bytes());
+        assert_eq!(cache.block_bytes(), 2 * CACHE_BLOCK as usize);
+        assert_eq!(cache.hit_miss(), (0, 3), "each block asked for once");
+    }
+
+    /// A run whose read fails is `Error::Io` from a get and from a seek —
+    /// no panic, no span served short — and the cache holds what it held:
+    /// the failed get's only trace is its probe of the one resident block
+    /// (the cover's last, so the run before it is what fails). Healed, the
+    /// same get is right.
+    #[test]
+    fn a_failed_run_read_is_a_typed_error_and_inserts_nothing() {
+        let (storage, faults) = FaultStorage::wrap(Arc::new(MemStorage::new()));
+        let keys = write_wide_table(&*storage, IndexKind::Pgm);
+        let (reader, cache) = open(&*storage, 1 << 20);
+        let reader = Arc::new(reader);
+        let stats = DbStats::new();
+        let get = || reader.get_in_positions(keys[100], COVER.lo, COVER.hi, MAX, &stats);
+        warm(&reader, 151);
+        let mut before = cache.stats();
+
+        faults.poison("t.sst");
+        assert!(matches!(get(), Err(Error::Io(_))));
+        (before.block_hits, before.block_misses) = (before.block_hits + 1, before.block_misses + 3);
+        assert_eq!(cache.stats(), before);
+        let mut it = TableIter::with_fill(Arc::clone(&reader), true);
+        assert!(matches!(it.seek(keys[100]), Err(Error::Io(_))));
+        let after = cache.stats();
+        assert_eq!(
+            after.block_hits, before.block_hits,
+            "entry 100 is not in block 5"
+        );
+        assert_eq!(after.block_insertions, before.block_insertions);
+        assert_eq!(cache.block_bytes(), CACHE_BLOCK as usize);
+
+        faults.heal();
+        assert_eq!(get().unwrap(), Some(Some(vec![keys[100] as u8; 100])));
+        assert_eq!(cache.block_bytes(), 4 * CACHE_BLOCK as usize);
+    }
+
+    /// A training sweep is a device call per 4 096-entry chunk on a cached
+    /// reader too, and leaves the cache empty.
     #[test]
     fn read_all_keys_roundtrip() {
         let keys: Vec<u64> = (0..5_000u64).map(|i| i * 13 + 5).collect();
-        let (_s, r) = make_table(&keys, IndexKind::Pgm);
+        let (storage, r) = make_table(&keys, IndexKind::Pgm);
         assert_eq!(r.read_all_keys().unwrap(), keys);
+        let (cached, cache) = open(&storage, 1 << 20);
+        let before = storage.stats().snapshot();
+        assert_eq!(cached.read_all_keys().unwrap(), keys);
+        let read = storage.stats().snapshot().since(&before);
+        assert_eq!(read.read_calls, 2);
+        assert_eq!(cache.block_bytes(), 0);
     }
 }

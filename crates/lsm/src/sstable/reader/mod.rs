@@ -433,6 +433,34 @@ mod tests {
         (storage, reader)
     }
 
+    /// 400 entries of 136 bytes (100-byte values of `key as u8`, seq =
+    /// position + 1) as `t.sst`: entries straddle 4 KiB edges
+    /// (4096 = 30 × 136 + 16) and the file's last block is short.
+    pub(super) fn write_wide_table(storage: &dyn Storage, kind: IndexKind) -> Vec<u64> {
+        let keys: Vec<u64> = (0..400u64).map(|i| i * 4 + 10).collect();
+        let file = storage.create("t.sst").unwrap();
+        let index = IndexChoice::new(kind, 8);
+        let mut b = TableBuilder::new(file, "t.sst".into(), index, 100, 10);
+        for (i, &k) in keys.iter().enumerate() {
+            b.add(&Entry::put(k, i as u64 + 1, vec![k as u8; 100]))
+                .unwrap();
+        }
+        b.finish().unwrap();
+        keys
+    }
+
+    /// The device calls and blocks one fetch of `cover` makes when `have`
+    /// says which blocks are held or resident: a call per maximal run of
+    /// the others.
+    pub(super) fn device_reads(
+        cover: std::ops::Range<u64>,
+        have: impl Fn(u64) -> bool,
+    ) -> (u64, u64) {
+        let missing: Vec<u64> = cover.filter(|&b| !have(b)).collect();
+        let runs = (0..missing.len()).filter(|&i| i == 0 || missing[i - 1] + 1 != missing[i]);
+        (runs.count() as u64, missing.len() as u64)
+    }
+
     #[test]
     fn get_finds_every_key_for_every_index_kind() {
         let keys: Vec<u64> = (0..2_000u64).map(|i| i * 7 + 1).collect();
@@ -457,31 +485,25 @@ mod tests {
         }
     }
 
-    /// The in-place search against the plain one: 136-byte entries straddle
-    /// 4 KiB edges (4096 = 30 × 136 + 16) and the file's last block is
-    /// short. An uncached reader (one buffer), a cached reader (borrowed
+    /// The in-place search against the plain one, on `write_wide_table`'s
+    /// straddling entries. An uncached reader (one buffer), a cached reader (borrowed
     /// blocks) and the positioned entry point must agree on every key, and
-    /// the cached reader must touch the cache exactly as a block-by-block
-    /// fetch of each boundary does: every covering block, in order, a miss
-    /// filling it. Then the cursor: a pass — seek to a probe, walk to the
-    /// end — through a filling, a no-fill and an uncached `TableIter` yields
-    /// the model's entries and asks the cache, and on a miss the device, for
-    /// each block from the boundary's first to the table's last exactly once.
+    /// the cached reader must ask the cache for every covering block once,
+    /// in order, and the device for each maximal run of non-resident ones in
+    /// one call, filling them. Then the cursor: a pass — seek to a probe,
+    /// walk to the end — through a filling, a no-fill and an uncached
+    /// `TableIter` yields the model's entries and asks the cache for each
+    /// block from the boundary's first to the table's last exactly once; of
+    /// every fetch — the seek's boundary, then a refill per chunk — the
+    /// blocks neither held from the fetch before nor resident are read, a
+    /// device call per run.
     #[test]
     fn cached_uncached_and_positioned_lookups_agree() {
         const MAX: SeqNo = u64::MAX >> 8;
-        let keys: Vec<u64> = (0..400u64).map(|i| i * 4 + 10).collect();
-        let probes = (0..=keys[399] + 8).chain([u64::MAX]);
         for kind in IndexKind::ALL {
             let storage = SimStorage::new(CostModel::default());
-            let file = storage.create("t.sst").unwrap();
-            let index = IndexChoice::new(kind, 8);
-            let mut b = TableBuilder::new(file, "t.sst".into(), index, 100, 10);
-            for (i, &k) in keys.iter().enumerate() {
-                b.add(&Entry::put(k, i as u64 + 1, vec![k as u8; 100]))
-                    .unwrap();
-            }
-            b.finish().unwrap();
+            let keys = write_wide_table(&storage, kind);
+            let probes = (0..=keys[399] + 8).chain([u64::MAX]);
             // The last entries share the file's last, short block.
             let file_len = storage.size_of("t.sst").unwrap();
             assert_eq!((file_len / CACHE_BLOCK, 400 * 136 / CACHE_BLOCK), (13, 13));
@@ -503,7 +525,9 @@ mod tests {
                         .ok()
                         .map(|_| Some(vec![key as u8; 100]));
                     let stats = DbStats::new();
+                    let before = storage.stats().snapshot();
                     let got = cached.get(key, MAX, &stats).unwrap();
+                    let read = storage.stats().snapshot().since(&before);
                     let what = format!("{kind} {search:?} key {key}");
                     assert_eq!(got, want, "{what} cached");
                     assert_eq!(
@@ -517,9 +541,11 @@ mod tests {
                     // The blocks the cached lookup fetched, if it got past
                     // the range check, the filter and an empty bound.
                     let s = stats.snapshot();
+                    let mut device = (0, 0);
                     if s.bloom_checks == 1 && s.bloom_negatives == 0 && !bound.is_empty() {
                         let first = (bound.lo * 136) as u64 / CACHE_BLOCK;
                         let last = (bound.hi * 136 - 1) as u64 / CACHE_BLOCK;
+                        device = device_reads(first..last + 1, |b| resident.contains(&b));
                         for block in first..=last {
                             if resident.insert(block) {
                                 misses += 1;
@@ -528,6 +554,7 @@ mod tests {
                             }
                         }
                     }
+                    assert_eq!((read.read_calls, read.read_blocks), device, "{what}");
                 }
                 assert_eq!(
                     cache.unwrap().hit_miss(),
@@ -561,12 +588,41 @@ mod tests {
                         p => (plain.index().predict(p).lo * 136) as u64 / CACHE_BLOCK..14,
                     };
                     let new = pass.clone().filter(|b| !resident.contains(b)).count() as u64;
+                    // The fetches of one pass, as entries: the boundary, then
+                    // a refill at every chunk edge from where the seek landed.
+                    let mut fetches = Vec::new();
+                    if probe > keys[0] && probe <= keys[399] {
+                        let bound = plain.index().predict(probe);
+                        fetches.push((bound.lo, bound.hi));
+                    }
+                    let (mut pos, mut hi) = (want, fetches.last().map_or(0, |f| f.1));
+                    while pos < 400 {
+                        if pos >= hi {
+                            hi = (want + ((pos - want) / 30 + 1) * 30).min(400);
+                            fetches.push((pos, hi));
+                        }
+                        pos = hi;
+                    }
+                    // The device calls they make: nothing is resident for
+                    // the cursors that do not fill.
+                    let (mut calls, mut fill_calls) = (0, 0);
+                    let (mut held, mut warm) = (0..0, resident.clone());
+                    for (lo, hi) in fetches.into_iter().filter(|(lo, hi)| lo < hi) {
+                        let cover = (lo * 136) as u64 / CACHE_BLOCK
+                            ..(hi * 136 - 1) as u64 / CACHE_BLOCK + 1;
+                        calls += device_reads(cover.clone(), |b| held.contains(&b)).0;
+                        let have = |b| held.contains(&b) || warm.contains(&b);
+                        fill_calls += device_reads(cover.clone(), have).0;
+                        warm.extend(cover.clone());
+                        held = cover;
+                    }
+                    let blocks = pass.end - pass.start;
                     let passes = [
-                        (&mut filling, new, "filling"),
-                        (&mut no_fill, pass.end - pass.start, "no-fill"),
-                        (&mut uncached, pass.end - pass.start, "uncached"),
+                        (&mut filling, (fill_calls, new), "filling"),
+                        (&mut no_fill, (calls, blocks), "no-fill"),
+                        (&mut uncached, (calls, blocks), "uncached"),
                     ];
-                    for (it, device_blocks, which) in passes {
+                    for (it, device, which) in passes {
                         let before = storage.stats().snapshot();
                         it.seek(probe).unwrap();
                         for (i, &k) in keys.iter().enumerate().skip(want) {
@@ -578,7 +634,8 @@ mod tests {
                         }
                         assert_eq!(it.key().unwrap(), None, "{what} {which}");
                         let read = storage.stats().snapshot().since(&before);
-                        assert_eq!(read.read_blocks, device_blocks, "{what} {which}");
+                        let read = (read.read_calls, read.read_blocks);
+                        assert_eq!(read, device, "{what} {which}");
                     }
                     hits += pass.end - pass.start - new;
                     asked += pass.end - pass.start;
