@@ -26,7 +26,7 @@ fn run_list(threads: usize, total: u64) -> f64 {
                             seq: k + 1,
                             kind: EntryKind::Put,
                         },
-                        vec![7u8; 64],
+                        &[7u8; 64],
                     );
                 }
                 l.add_stats(per as usize, per as usize * 100);

@@ -3,25 +3,30 @@
 //! A concurrent sorted run over [`InternalKey`] — key ascending, sequence
 //! descending — so a flush streams entries in exactly the order the SSTable
 //! builder needs. The paper's write buffer is 64 MB for the compaction
-//! experiment; size is tracked approximately (key slot + metadata + value
-//! bytes).
+//! experiment; size is tracked approximately and *logically* (key slot +
+//! metadata + value bytes, `ENTRY_OVERHEAD` a record), whatever the
+//! skiplist's arena holds, so a rotation point is a function of the writes
+//! alone.
 //!
 //! The buffer is a lock-free [`SkipList`] shared via `Arc`: commit-group
-//! members ([`crate::db`]) clone the handle under the write lock, then
-//! insert **in parallel outside it**. The `appliers` gate counts in-flight
-//! group members so a rotation or flush can wait for the buffer to quiesce
-//! (`MemTable::wait_quiescent`) — a sealed buffer must contain every
+//! members (`crates/lsm/src/db/write.rs`) clone the handle under the write
+//! lock, then insert **in parallel outside it**. The `appliers` gate counts
+//! in-flight group members so a rotation or flush can wait for the buffer to
+//! quiesce (`MemTable::wait_quiescent`) — a sealed buffer must contain every
 //! sequence number the WAL says it does.
 //!
-//! There is one representation from the first insert to the L0 table. Under
-//! background maintenance a full buffer is **sealed**, not copied: its
-//! handle moves into an [`ImmutableMemTable`] on the flush queue beside the
-//! name of the WAL file that made it durable, and a fresh skiplist takes its
-//! place. Nothing inserts into a sealed buffer — claims register on the
-//! active one under the tree lock the rotation holds — so the flush worker,
-//! readers and pinned snapshots all read the same nodes, through the same
-//! [`MemTable::get`] and [`MemCursor`] the live buffer is read with. A flush
-//! borrows each key and value from its node; no entry is cloned out.
+//! There is one representation from the first insert to the L0 table, and a
+//! write is copied once on the way in: [`MemTable::apply_batch`] copies each
+//! value from the batch straight into its node. Under background maintenance
+//! a full buffer is **sealed**, not copied: its handle moves into an
+//! [`ImmutableMemTable`] on the flush queue beside the name of the WAL file
+//! that made it durable, and a fresh skiplist takes its place
+//! (`crates/lsm/src/db/maintenance.rs`). Nothing inserts into a sealed buffer
+//! — claims register on the active one under the tree lock the rotation
+//! holds — so the flush worker, readers and pinned snapshots all read the
+//! same nodes, through the same [`MemTable::get`] and [`MemCursor`] the live
+//! buffer is read with. A flush borrows each key and value from its node; no
+//! entry is cloned out.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,7 +45,7 @@ pub(crate) const ENTRY_OVERHEAD: usize = 36;
 struct MemShared {
     list: SkipList,
     /// Commit-group members currently inserting. Guarded by the protocol in
-    /// `db.rs`: registration happens under the DB write lock, so once a
+    /// `db/write.rs`: registration happens under the DB write lock, so once a
     /// rotation (holding that lock) observes zero it stays zero.
     appliers: AtomicUsize,
 }
@@ -62,16 +67,17 @@ impl MemTable {
     }
 
     /// Apply a whole batch whose first operation commits at `first_seq`
-    /// (operation `i` at `first_seq + i`) — the buffer's one insert path.
+    /// (operation `i` at `first_seq + i`) — the buffer's one insert path, and
+    /// the one place a value is copied: from the batch into its node.
     /// Inserts are quiet — the shared `len`/`approx_bytes` counters are
     /// settled once per batch, not twice per entry, so parallel commit-group
     /// appliers don't serialize on the counter cache line.
     pub fn apply_batch(&self, ops: &[crate::batch::BatchOp], first_seq: SeqNo) {
         let mut bytes = 0usize;
         for (i, op) in ops.iter().enumerate() {
-            let value = match op.kind {
-                EntryKind::Put => op.value.clone(),
-                EntryKind::Delete => Vec::new(),
+            let value: &[u8] = match op.kind {
+                EntryKind::Put => &op.value,
+                EntryKind::Delete => &[],
             };
             bytes += ENTRY_OVERHEAD + value.len();
             let key = InternalKey {
@@ -93,13 +99,7 @@ impl MemTable {
             seq: snapshot,
             kind: EntryKind::Put,
         };
-        let node = self.shared.list.find_ge(&from);
-        if node.is_null() {
-            return None;
-        }
-        // SAFETY: nodes live as long as the list; the list lives at least as
-        // long as this `&self` borrow (it is inside our `Arc`).
-        let n = unsafe { &*node };
+        let n = self.shared.list.find_ge(&from)?;
         if n.key().user_key != user_key {
             return None;
         }
@@ -115,7 +115,7 @@ impl MemTable {
     pub fn cursor(&self) -> MemCursor {
         MemCursor {
             mem: self.clone(),
-            node: std::ptr::null(),
+            node: None,
         }
     }
 
@@ -135,7 +135,7 @@ impl MemTable {
     }
 
     /// Announce one commit-group member that will insert into this buffer.
-    /// Must be called under the DB write lock (see `db.rs`) so that
+    /// Must be called under the DB write lock (see `db/write.rs`) so that
     /// [`MemTable::wait_quiescent`], also under that lock, cannot race a
     /// late registration.
     pub(crate) fn register_applier(&self) {
@@ -161,42 +161,45 @@ impl MemTable {
 /// and re-seekable, which is what a [`Cursor`] needs.
 pub struct MemCursor {
     mem: MemTable,
-    /// Current node, null when exhausted / unpositioned.
-    node: *const Node,
+    /// Current node, `None` when exhausted / unpositioned. `'static` stands
+    /// for "as long as `mem`": nothing borrowed from it leaves the cursor
+    /// for longer than a borrow of the cursor.
+    node: Option<Node<'static>>,
 }
 
-// SAFETY: the raw pointer targets a node kept alive by `mem`'s `Arc`; nodes
-// are immutable after linking.
+// SAFETY: `node` points into the arena `mem`'s `Arc` keeps alive, wherever
+// the cursor moves; nodes are immutable after linking.
 unsafe impl Send for MemCursor {}
 
 impl MemCursor {
-    fn node(&self) -> Option<&Node> {
-        // SAFETY: a non-null node is live for the list's lifetime, and the
-        // list lives in `mem`'s `Arc` at least as long as this borrow.
-        unsafe { self.node.as_ref() }
+    /// Position on the node `find` picks from the buffer's list.
+    fn position(&mut self, find: impl FnOnce(&SkipList) -> Option<Node<'_>>) {
+        // SAFETY: `self.mem` keeps the list alive for as long as `self.node`
+        // exists, and the list frees no node before it drops.
+        self.node = find(&self.mem.shared.list).map(|n| unsafe { n.detach() });
     }
 }
 
 impl Cursor for MemCursor {
     fn seek(&mut self, key: u64) -> Result<()> {
-        self.node = self.mem.shared.list.find_ge(&InternalKey::seek_to(key));
+        self.position(|list| list.find_ge(&InternalKey::seek_to(key)));
         Ok(())
     }
 
     fn seek_to_first(&mut self) {
-        self.node = self.mem.shared.list.front();
+        self.position(SkipList::front);
     }
 
     fn key(&mut self) -> Result<Option<InternalKey>> {
-        Ok(self.node().map(|n| *n.key()))
+        Ok(self.node.map(|n| *n.key()))
     }
 
     fn value(&mut self) -> &[u8] {
-        self.node().map(Node::value).unwrap_or_default()
+        self.node.map(Node::value).unwrap_or_default()
     }
 
     fn advance(&mut self) {
-        if let Some(n) = self.node() {
+        if let Some(n) = self.node {
             self.node = n.next0();
         }
     }
@@ -219,6 +222,10 @@ pub struct ImmutableMemTable {
 mod tests {
     use super::*;
     use crate::batch::WriteBatch;
+    use crate::skiplist::live_chunks;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BTreeMap;
 
     fn put(m: &MemTable, key: u64, seq: SeqNo, value: &[u8]) {
         m.apply_batch(WriteBatch::new().put(key, value).ops(), seq);
@@ -322,6 +329,31 @@ mod tests {
         assert_eq!(user_key(&mut c), Some(2));
     }
 
+    /// The arena goes when the last handle does, whichever kind it is: a
+    /// cursor that outlived every `MemTable` handle still reads its nodes,
+    /// and dropping it returns every chunk.
+    #[test]
+    fn last_handle_returns_every_chunk() {
+        let before = live_chunks::get();
+        let m = MemTable::new();
+        for k in 0..64u64 {
+            put(&m, k, k + 1, &[k as u8; 500]);
+        }
+        let chunks = live_chunks::get() - before;
+        assert!(chunks >= 4, "32 KiB of nodes span chunks: {chunks}");
+        let mut c = m.cursor();
+        drop(m);
+        assert_eq!(
+            live_chunks::get() - before,
+            chunks,
+            "the cursor holds the buffer"
+        );
+        c.seek(63).unwrap();
+        assert_eq!(c.value(), &[63u8; 500]);
+        drop(c);
+        assert_eq!(live_chunks::get(), before);
+    }
+
     #[test]
     fn freeze_preserves_contents_and_wal_name() {
         let m = MemTable::new();
@@ -383,6 +415,59 @@ mod tests {
         assert_eq!(keys.len(), 2000);
         for w in keys.windows(2) {
             assert!(w[0].0 < w[1].0, "sorted after concurrent inserts");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random puts, empty values and tombstones over a few keys, applied
+        /// in batches of five with values long enough to cross chunk edges:
+        /// `get` at random snapshots and a full cursor walk agree with a
+        /// `BTreeMap` in internal-key order.
+        #[test]
+        fn get_and_cursor_agree_with_a_btreemap(
+            ops in prop::collection::vec((0u64..24, 0u8..5, 0usize..2_000), 1..160),
+            probes in prop::collection::vec((0u64..26, 0u64..170), 40),
+        ) {
+            let m = MemTable::new();
+            let mut model: BTreeMap<(u64, Reverse<SeqNo>), Option<Vec<u8>>> = BTreeMap::new();
+            for (i, chunk) in ops.chunks(5).enumerate() {
+                let first_seq = (i * 5 + 1) as SeqNo;
+                let mut batch = WriteBatch::new();
+                for (j, &(key, kind, len)) in chunk.iter().enumerate() {
+                    let seq = first_seq + j as SeqNo;
+                    let value = match kind {
+                        0 => None,
+                        1 => Some(Vec::new()),
+                        _ => Some(vec![seq as u8; len]),
+                    };
+                    match &value {
+                        None => batch.delete(key),
+                        Some(v) => batch.put(key, v),
+                    };
+                    model.insert((key, Reverse(seq)), value);
+                }
+                m.apply_batch(batch.ops(), first_seq);
+            }
+            prop_assert_eq!(m.len(), model.len());
+            for &(key, snapshot) in &probes {
+                let want = model
+                    .range((key, Reverse(snapshot))..=(key, Reverse(0)))
+                    .next()
+                    .map(|(_, v)| v.as_deref());
+                prop_assert_eq!(m.get(key, snapshot), want, "key {} at {}", key, snapshot);
+            }
+            let mut c = m.cursor();
+            c.seek_to_first();
+            for (&(key, Reverse(seq)), value) in &model {
+                let at = c.key().unwrap().expect("the cursor ends with the model");
+                prop_assert_eq!((at.user_key, at.seq), (key, seq));
+                prop_assert_eq!(at.kind == EntryKind::Delete, value.is_none());
+                prop_assert_eq!(c.value(), value.as_deref().unwrap_or_default());
+                c.advance();
+            }
+            prop_assert_eq!(c.key().unwrap(), None);
         }
     }
 }

@@ -178,3 +178,62 @@ fn flush_writes_the_same_table_in_either_mode() {
 // (PR 13's `MergeIter` over `Vec<Entry>` chunks), from this same test.
 const GOLDEN_LEVELING_FILES: usize = 27;
 const GOLDEN_LEVELING_CRC: u32 = 1_937_225_261;
+
+/// The benchmark's `ingest-scan` load at 1/16 scale — 9 472 `books` keys in
+/// a seeded shuffle, 32-entry batches of 100-byte values, 64 KiB buffer,
+/// 32 KiB tables, PGM at boundary 64, WAL on — rotates, flushes and
+/// compacts where it did when a write-buffer node was a `Box` holding a
+/// `Vec`: the buffer's size is the logical count (36 B + value a record),
+/// not what the arena holds, so every file on the device has the same name
+/// and size.
+#[test]
+fn ingest_scan_load_rotates_where_it_always_did() {
+    use learned_index::IndexKind;
+    use lsm_tree::IndexChoice;
+    use lsm_workloads::{value_for_key, Dataset};
+    use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+
+    let keys = Dataset::Books.generate(148 * 1024 / 16, 42);
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.shuffle(&mut StdRng::seed_from_u64(42));
+    let storage = Arc::new(MemStorage::new());
+    let opts = Options {
+        write_buffer_bytes: 64 << 10,
+        sstable_target_bytes: 32 << 10,
+        value_width: 100,
+        bloom_bits_per_key: 10,
+        index: IndexChoice::with_boundary(IndexKind::Pgm, 64),
+        block_cache_bytes: 128 << 10,
+        maintenance: Maintenance::Synchronous,
+        ..Options::default()
+    };
+    let db = Db::open(storage.clone(), opts).unwrap();
+    for chunk in order.chunks(32) {
+        let mut batch = WriteBatch::with_capacity(chunk.len());
+        for &pos in chunk {
+            batch.put(keys[pos], &value_for_key(keys[pos], 100));
+        }
+        db.write(batch, &WriteOptions::default()).unwrap();
+    }
+    let stats = db.stats().snapshot();
+    let mut names = storage.list().unwrap();
+    names.sort();
+    let files: Vec<String> = names
+        .iter()
+        .map(|name| format!("{name}={}", storage.size_of(name).unwrap()))
+        .collect();
+    assert_eq!((stats.flushes, stats.compactions), (18, 19));
+    assert_eq!(files.join(" "), GOLDEN_INGEST_FILES);
+}
+
+// Recorded at the parent of the change that moved the write buffer's nodes
+// into an arena (PR 23), from this same test.
+const GOLDEN_INGEST_FILES: &str = "\
+    000078.sst=33213 000079.sst=33213 000092.sst=33213 000102.sst=33213 000103.sst=33213 \
+    000104.sst=33213 000105.sst=33213 000106.sst=33213 000107.sst=33213 000108.sst=33213 \
+    000109.sst=33213 000110.sst=33213 000111.sst=33213 000112.sst=33213 000113.sst=33213 \
+    000114.sst=33213 000115.sst=33213 000116.sst=33213 000117.sst=33213 000118.sst=33213 \
+    000119.sst=33001 000120.sst=33213 000121.sst=33213 000122.sst=33213 000123.sst=33213 \
+    000124.sst=33213 000125.sst=33213 000126.sst=33213 000127.sst=33213 000128.sst=33213 \
+    000129.sst=33213 000130.sst=33213 000131.sst=33213 000132.sst=33213 000134.sst=70521 \
+    000135.wal=29096 000136.sst=70521 MANIFEST-000056=726";

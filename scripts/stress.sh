@@ -13,7 +13,9 @@
 #   buffer   x20  write_concurrency (four synchronous writers hand the flush
 #                 claim to each other), backpressure, durability: a sealed
 #                 write buffer is read by its flusher, live readers and
-#                 pinned snapshots at once, with no copy between them
+#                 pinned snapshots at once, with no copy between them; and
+#                 the library's skiplist:: and memtable:: unit tests —
+#                 inserters hand the arena's full chunk on to each other
 #   sharding x10  the sharding binary: splits under load, the dual-write
 #                 window, the crash matrices
 #
@@ -37,6 +39,7 @@ buffer() {
         lsm write_concurrency
         lsm backpressure
         lsm durability
+        cargo test --release --offline -q -p lsm-tree --lib -- skiplist:: memtable:: || exit 1
     done
 }
 
