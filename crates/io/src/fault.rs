@@ -138,6 +138,13 @@ impl RandomAccessFile for FaultFile {
     fn len(&self) -> u64 {
         self.inner.len()
     }
+
+    fn read_exact_vectored_at(&self, offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<()> {
+        if self.control.name_poisoned(&self.name) {
+            return Err(injected());
+        }
+        self.inner.read_exact_vectored_at(offset, bufs)
+    }
 }
 
 impl Storage for FaultStorage {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::{IoStats, RandomAccessFile, Storage, WritableFile};
+use crate::{scatter, short_read, span_len, IoStats, RandomAccessFile, Storage, WritableFile};
 
 type FileMap = HashMap<String, Arc<RwLock<Vec<u8>>>>;
 
@@ -76,6 +76,18 @@ impl RandomAccessFile for MemFile {
 
     fn len(&self) -> u64 {
         self.data.read().len() as u64
+    }
+
+    fn read_exact_vectored_at(&self, offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<()> {
+        let data = self.data.read();
+        let wanted = span_len(bufs);
+        let rest = data.get(offset as usize..).unwrap_or_default();
+        if rest.len() < wanted {
+            return Err(short_read(offset, wanted, rest.len()));
+        }
+        scatter(rest, bufs);
+        self.stats.record_read(wanted as u64, 0, 0);
+        Ok(())
     }
 }
 

@@ -9,11 +9,20 @@
 //! * **Blocks** live in N independent LRU stripes; a key's stripe is picked
 //!   from its mixed 64-bit hash, so each stripe sees a uniform sample of
 //!   the traffic and concurrent readers on different stripes never contend.
-//!   Insertion reserves bytes against the budget *before* taking any
-//!   stripe lock; when the reservation fails, the tail of the inserting
-//!   key's **own** stripe is evicted — one lock — until it fits. Every shard
-//!   of a [`crate::sharding::ShardedDb`] shares the one cache, so evicting
-//!   a cold shard's blocks funds a hot shard's working set.
+//!   An insert is one hold of its key's **own** stripe: retire an existing
+//!   version, reserve the bytes against the budget, evict that stripe's
+//!   tail until the reservation succeeds, link. Every shard of a
+//!   [`crate::sharding::ShardedDb`] shares the one cache, so evicting a
+//!   cold shard's blocks funds a hot shard's working set.
+//! * **Spares.** A missed block is written once: the reader asks
+//!   `BlockCache::buffer` for the buffer the device fills, and that same
+//!   `Arc` is what `insert` links. The buffers come from evictions — a
+//!   popped tail whose `Arc` nobody else holds waits in the stripe that
+//!   evicted it, at most `SPARES` of them, for the next miss there; a
+//!   block a cursor or a lookup still reads is dropped instead, never
+//!   rewritten. Spares are not charged to the budget: at most `stripes ×
+//!   SPARES × 4 KiB` of them exist, and they replace the run buffer and the
+//!   per-block copies a miss used to allocate outside the budget every time.
 //! * **Table handles** (the resident `TableReader`s: index model + bloom
 //!   filter + fixed overhead) charge the same budget as *pinned* bytes the
 //!   moment they open and release on drop — index memory squeezes block
@@ -41,6 +50,15 @@ pub struct BlockKey {
 /// Fixed per-handle overhead charged for an open table beyond its measured
 /// index + bloom bytes (file handle, footer, metadata).
 pub const TABLE_HANDLE_OVERHEAD: usize = 256;
+
+/// The block size the reader fetches in (the device model's 4 KiB): the one
+/// buffer size worth keeping, since only a table's last block differs.
+pub(crate) const BLOCK_BYTES: usize = 4096;
+
+/// Evicted buffers a stripe keeps for its next misses. One is the steady
+/// state (a miss takes it, the insert's eviction puts one back); the rest
+/// cover a run with several blocks in one stripe and a second reader.
+const SPARES: usize = 4;
 
 const NIL: usize = usize::MAX;
 
@@ -91,6 +109,10 @@ struct Stripe {
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
+    /// `BLOCK_BYTES`-long buffers with one owner, at most `SPARES`.
+    spares: Vec<Arc<Vec<u8>>>,
+    /// What a vacated slot holds.
+    empty: Arc<Vec<u8>>,
 }
 
 impl Stripe {
@@ -101,6 +123,8 @@ impl Stripe {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
+            spares: Vec::with_capacity(SPARES),
+            empty: Arc::default(),
         }
     }
 
@@ -130,20 +154,25 @@ impl Stripe {
         }
     }
 
-    /// Remove slot `i` from the list, map and slab; returns its byte size.
-    fn remove(&mut self, i: usize) -> usize {
+    /// Remove slot `i` from the list, map and slab; returns its block.
+    fn remove(&mut self, i: usize) -> Arc<Vec<u8>> {
         self.detach(i);
         let k = self.slots[i].key;
-        let bytes = self.slots[i].data.len();
-        self.slots[i].data = Arc::new(Vec::new());
         self.map.remove(&k);
         self.free.push(i);
-        bytes
+        std::mem::replace(&mut self.slots[i].data, Arc::clone(&self.empty))
     }
 
-    /// Evict the least-recently-used entry; returns its byte size.
-    fn pop_tail(&mut self) -> Option<usize> {
-        (self.tail != NIL).then(|| self.remove(self.tail))
+    /// Keep a removed block's buffer for the next miss, if it is whole, a
+    /// place is free and nobody else holds it: a reader that does keeps its
+    /// bytes, and the buffer is freed when the reader is done.
+    fn keep_spare(&mut self, mut block: Arc<Vec<u8>>) {
+        let spare = block.len() == BLOCK_BYTES
+            && self.spares.len() < SPARES
+            && Arc::get_mut(&mut block).is_some();
+        if spare {
+            self.spares.push(block);
+        }
     }
 }
 
@@ -276,53 +305,77 @@ impl BlockCache {
         self.block_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    /// Evict one block to fund an insert into stripe `own`: pop that
-    /// stripe's LRU tail, taking its lock and no other. A stripe is a
-    /// uniform sample of the traffic (see `stripe_of`), so its tail is as
-    /// cold as any. Only when `own` is empty — pinned charges or an
-    /// oversized block left it nothing to give — are the other stripes
-    /// swept in order, one lock at a time, for the first with a tail.
-    fn evict_one(&self, own: usize) -> bool {
-        (0..=self.mask).any(|off| {
-            let popped = self.stripes[(own + off) & self.mask].lock().pop_tail();
-            if let Some(bytes) = popped {
-                self.release(bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            popped.is_some()
-        })
+    /// Evict stripe `stripe`'s LRU tail, if it has one, keeping its buffer.
+    fn evict_tail(&self, stripe: &mut Stripe) -> bool {
+        if stripe.tail == NIL {
+            return false;
+        }
+        let block = stripe.remove(stripe.tail);
+        self.release(block.len());
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        stripe.keep_spare(block);
+        true
     }
 
-    /// Insert (or refresh) a block. Bytes are reserved against the budget
-    /// *first*; eviction makes room, so the budget is never overshot. When
-    /// every block is gone and pinned charges still leave no room, the
-    /// insert is dropped — pinned components win.
+    /// Reserve `bytes`, evicting `stripe`'s tail until they fit; false when
+    /// the stripe ran out of blocks first.
+    fn fund(&self, stripe: &mut Stripe, bytes: usize) -> bool {
+        loop {
+            if self.try_reserve(bytes) {
+                return true;
+            }
+            if !self.evict_tail(stripe) {
+                return false;
+            }
+        }
+    }
+
+    /// A `len`-byte buffer, its contents arbitrary, for the block about to
+    /// be read from the device and inserted under `key`: a spare of the
+    /// key's own stripe — where that insert's eviction will leave the next —
+    /// or a new one. The `Arc` has one owner.
+    pub(crate) fn buffer(&self, key: BlockKey, len: usize) -> Arc<Vec<u8>> {
+        if len == BLOCK_BYTES {
+            let own = self.stripe_of(Self::hashed(key));
+            if let Some(spare) = self.stripes[own].lock().spares.pop() {
+                return spare;
+            }
+        }
+        Arc::new(vec![0; len])
+    }
+
+    /// Insert (or refresh) a block, in one hold of its stripe's lock. Bytes
+    /// are reserved against the budget *first*; evicting the stripe's own
+    /// tail makes room, so the budget is never overshot. A stripe is a
+    /// uniform sample of the traffic (see `stripe_of`), so its tail is as
+    /// cold as any. Only when it is empty — pinned charges or an oversized
+    /// block left it nothing to give — is its lock dropped and the other
+    /// stripes swept in order, one lock at a time, for the first with a
+    /// tail. When every block is gone and pinned charges still leave no
+    /// room, the insert is dropped — pinned components win.
     pub fn insert(&self, key: BlockKey, data: Arc<Vec<u8>>) {
         let key = Self::hashed(key);
         let own = self.stripe_of(key);
-        // Retire any existing version of the key so the path below is a
-        // plain insert (refresh keeps the newest payload and MRU position).
-        {
-            let mut stripe = self.stripes[own].lock();
+        let mut stripe = self.stripes[own].lock();
+        loop {
+            // Retire any existing version of the key — one may have landed
+            // while the lock was dropped — so what follows is a plain insert
+            // (refresh keeps the newest payload and MRU position).
             if let Some(&i) = stripe.map.get(&key) {
-                let bytes = stripe.remove(i);
-                self.release(bytes);
+                let old = stripe.remove(i);
+                self.release(old.len());
+                stripe.keep_spare(old);
             }
-        }
-        while !self.try_reserve(data.len()) {
-            if !self.evict_one(own) {
+            if self.fund(&mut stripe, data.len()) {
+                break;
+            }
+            drop(stripe);
+            let swept = (1..=self.mask)
+                .any(|off| self.evict_tail(&mut self.stripes[(own + off) & self.mask].lock()));
+            if !swept {
                 return; // nothing left to evict; the block does not fit
             }
-        }
-        let mut stripe = self.stripes[own].lock();
-        if let Some(&i) = stripe.map.get(&key) {
-            // A concurrent insert of the same key won the race: keep one
-            // copy and hand back this call's reservation.
-            let old = std::mem::replace(&mut stripe.slots[i].data, data);
-            self.release(old.len());
-            stripe.detach(i);
-            stripe.push_front(i);
-            return;
+            stripe = self.stripes[own].lock();
         }
         let slot = Slot {
             key,
@@ -356,9 +409,10 @@ impl BlockCache {
                 .filter(|(k, _)| table_ids.contains(&k.key.table_id))
                 .map(|(_, &i)| i)
                 .collect();
+            // A compaction retires thousands of blocks at once: they are
+            // dropped, not kept as spares.
             for i in victims {
-                let bytes = stripe.remove(i);
-                self.release(bytes);
+                self.release(stripe.remove(i).len());
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -533,6 +587,73 @@ mod tests {
         }
         let slots = c.stripes[0].lock().slots.len();
         assert!(slots <= 4, "slab must recycle: {slots}");
+    }
+
+    fn spare_bytes(c: &BlockCache) -> usize {
+        let of = |s: &Stripe| s.spares.iter().map(|b| b.len()).sum::<usize>();
+        c.stripes.iter().map(|m| of(&m.lock())).sum()
+    }
+
+    #[test]
+    fn an_evicted_buffer_is_the_next_one_unless_a_reader_holds_it() {
+        let c = unsharded(BLOCK_BYTES);
+        let held = block(1, BLOCK_BYTES);
+        c.insert(key(1, 0), Arc::clone(&held));
+        // Evicted while a reader holds it: dropped by the cache, not kept.
+        let second = block(2, BLOCK_BYTES);
+        let second_at = Arc::as_ptr(&second);
+        c.insert(key(1, 1), second);
+        assert_eq!(spare_bytes(&c), 0);
+        assert!(held.iter().all(|&x| x == 1));
+        // Evicted with no other owner: the next miss's buffer.
+        c.insert(key(1, 2), block(3, BLOCK_BYTES));
+        assert_eq!(spare_bytes(&c), BLOCK_BYTES);
+        let mut next = c.buffer(key(1, 3), BLOCK_BYTES);
+        assert_eq!(Arc::as_ptr(&next), second_at);
+        assert!(Arc::get_mut(&mut next).is_some(), "one owner");
+        assert_eq!(spare_bytes(&c), 0);
+        // A short block (a table's last) is not kept, nor a spare cut down
+        // to serve one.
+        let c = unsharded(BLOCK_BYTES);
+        c.insert(key(1, 0), block(1, 100));
+        c.insert(key(1, 1), block(2, BLOCK_BYTES));
+        assert_eq!(spare_bytes(&c), 0);
+        c.insert(key(1, 2), block(3, BLOCK_BYTES));
+        assert_eq!(c.buffer(key(1, 3), 100).len(), 100);
+        assert_eq!(spare_bytes(&c), BLOCK_BYTES);
+    }
+
+    /// Spares are the one thing the ledger does not count, so their number
+    /// is bounded per stripe whatever an insert evicts at once, and a
+    /// retired table's blocks are dropped, not kept.
+    #[test]
+    fn spares_stay_within_their_bound() {
+        const STRIPES: usize = 4;
+        let bound = STRIPES * SPARES * BLOCK_BYTES;
+        let c = BlockCache::with_stripes(256 * BLOCK_BYTES, STRIPES);
+        let miss = |table: u64, b: u64| {
+            c.insert(key(table, b), c.buffer(key(table, b), BLOCK_BYTES));
+            assert!(c.used_bytes() <= c.capacity_bytes());
+            assert!(spare_bytes(&c) <= bound);
+        };
+        for b in 0..2_000 {
+            miss(1, b);
+        }
+        assert!(spare_bytes(&c) > 0, "steady state: an eviction a miss");
+        // A pinned charge makes one insert evict half the cache.
+        c.charge_table(128 * BLOCK_BYTES);
+        miss(2, 0);
+        assert!(
+            spare_bytes(&c) >= SPARES * BLOCK_BYTES,
+            "a stripe gave all it had"
+        );
+        assert!(c.block_bytes() <= 128 * BLOCK_BYTES);
+        // A compaction retires what is left at once, and keeps none of it.
+        for stripe in c.stripes.iter() {
+            stripe.lock().spares.clear();
+        }
+        c.evict_tables(&[1, 2]);
+        assert_eq!((c.block_bytes(), spare_bytes(&c)), (0, 0));
     }
 
     #[test]

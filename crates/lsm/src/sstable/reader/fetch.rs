@@ -1,16 +1,24 @@
 //! Where device bytes arrive: the span a lookup or a cursor searches, and the
 //! reads that fill it.
+//!
+//! A missed block is written once. A run of blocks nobody had is one device
+//! call ([`lsm_io::RandomAccessFile::read_exact_vectored_at`]) straight into
+//! one buffer per block — a filling read's buffers are the cache's
+//! ([`crate::cache::BlockCache::buffer`]: what its last evictions left) —
+//! and the `Arc`s that were filled are the ones the span holds and the cache
+//! is offered: no run buffer, no zeroing, no copy, and in steady state no
+//! allocation for block storage.
 
 use std::sync::Arc;
 
 use learned_index::SearchBound;
 
 use super::TableReader;
-use crate::cache::BlockKey;
+use crate::cache::{BlockKey, BLOCK_BYTES};
 use crate::Result;
 
 /// Cache block granularity (matches the device model's 4 KiB blocks).
-pub(super) const CACHE_BLOCK: u64 = 4096;
+pub(super) const CACHE_BLOCK: u64 = BLOCK_BYTES as u64;
 
 /// The bytes of a run of fixed-width entries, as fetched.
 pub(super) enum Span {
@@ -132,9 +140,11 @@ impl TableReader {
     }
 
     /// Read blocks `first..=last` of the file (its last block is short) in
-    /// one device call and push them, chopped at `CACHE_BLOCK`, onto
-    /// `blocks`; a filling read of a cached table offers each to the cache,
-    /// which admits what its budget can hold.
+    /// one device call, each into its own buffer, and push them onto
+    /// `blocks`. A filling read of a cached table takes the buffers from
+    /// the cache and offers each block back to it — the same `Arc`, so the
+    /// bytes are written once — and the cache admits what its budget can
+    /// hold.
     fn read_blocks(
         &self,
         first: u64,
@@ -142,17 +152,26 @@ impl TableReader {
         fill_cache: bool,
         blocks: &mut Vec<Arc<Vec<u8>>>,
     ) -> Result<()> {
-        let start = first * CACHE_BLOCK;
-        let end = ((last + 1) * CACHE_BLOCK).min(self.file.len());
-        let mut run = vec![0u8; end.saturating_sub(start) as usize];
-        self.file.read_exact_at(start, &mut run)?;
         let cache = self.cache.as_ref().filter(|_| fill_cache);
-        for (b, block) in (first..).zip(run.chunks(CACHE_BLOCK as usize)) {
-            let block = Arc::new(block.to_vec());
-            if let Some(cache) = cache {
-                cache.insert(self.block_key(b), Arc::clone(&block));
+        let end = ((last + 1) * CACHE_BLOCK).min(self.file.len());
+        let held = blocks.len();
+        blocks.extend((first..=last).map(|b| {
+            let len = end.saturating_sub(b * CACHE_BLOCK).min(CACHE_BLOCK) as usize;
+            match cache {
+                Some(cache) => cache.buffer(self.block_key(b), len),
+                None => Arc::new(vec![0; len]),
             }
-            blocks.push(block);
+        }));
+        let mut bufs: Vec<&mut [u8]> = blocks[held..]
+            .iter_mut()
+            .map(|block| &mut Arc::get_mut(block).expect("a new buffer has one owner")[..])
+            .collect();
+        self.file
+            .read_exact_vectored_at(first * CACHE_BLOCK, &mut bufs)?;
+        if let Some(cache) = cache {
+            for (b, block) in (first..).zip(&blocks[held..]) {
+                cache.insert(self.block_key(b), Arc::clone(block));
+            }
         }
         Ok(())
     }
@@ -164,10 +183,10 @@ impl TableReader {
         let mut keys = Vec::with_capacity(self.n);
         const CHUNK_ENTRIES: usize = 4096;
         let mut pos = 0usize;
+        let mut scratch = Vec::new();
         while pos < self.n {
             let hi = (pos + CHUNK_ENTRIES).min(self.n);
             let span = self.fetch(SearchBound { lo: pos, hi }, false)?;
-            let mut scratch = Vec::new();
             keys.extend((0..hi - pos).map(|i| self.span_key(&span, i, &mut scratch)));
             pos = hi;
         }
@@ -285,6 +304,51 @@ mod tests {
         faults.heal();
         assert_eq!(get().unwrap(), Some(Some(vec![keys[100] as u8; 100])));
         assert_eq!(cache.block_bytes(), 4 * CACHE_BLOCK as usize);
+    }
+
+    /// A buffer is reused only when the evicted block's `Arc` had no other
+    /// owner. A span and a parked cursor hold blocks of a two-block cache
+    /// through a storm of misses that evicts them and recycles every buffer
+    /// it can: what they hold keeps its bytes, and every answer is right.
+    /// (Without the uniqueness check a held block becomes a spare, and the
+    /// next miss in its stripe panics in `read_blocks`.)
+    #[test]
+    fn a_block_a_cursor_holds_is_never_rewritten() {
+        let storage = MemStorage::new();
+        let keys = write_wide_table(&storage, IndexKind::Pgm);
+        let plain = TableReader::open(&storage, "t.sst").unwrap();
+        let pinned = open(&storage, 1 << 20).1.table_bytes();
+        let (reader, cache) = open(&storage, pinned + 2 * CACHE_BLOCK as usize);
+        let reader = Arc::new(reader);
+        let stats = DbStats::new();
+
+        // Entries 61..120 are blocks 2 and 3, whole: the cache's two.
+        let two = SearchBound { lo: 61, hi: 120 };
+        let len = (two.hi - two.lo) * 136;
+        let want = bytes_of(&plain.fetch(two, true).unwrap(), len);
+        let held = reader.fetch(two, true).unwrap();
+        assert_eq!(cache.block_bytes(), 2 * CACHE_BLOCK as usize);
+        // The seek's blocks take their place; the cursor holds those.
+        let mut it = TableIter::with_fill(Arc::clone(&reader), true);
+        it.seek(keys[200]).unwrap();
+
+        for _ in 0..50 {
+            for at in (0..keys.len()).step_by(31) {
+                let got = reader.get_in_positions(keys[at], at, at + 1, MAX, &stats);
+                assert_eq!(got.unwrap(), Some(Some(vec![keys[at] as u8; 100])));
+                assert!(cache.used_bytes() <= cache.capacity_bytes());
+            }
+        }
+        let evictions = cache.stats().block_evictions;
+        assert!(evictions > 500, "a storm of misses: {evictions}");
+
+        assert_eq!(bytes_of(&held, len), want);
+        for &k in &keys[200..] {
+            assert_eq!(it.key().unwrap().map(|ik| ik.user_key), Some(k));
+            assert_eq!(it.value(), vec![k as u8; 100]);
+            it.advance();
+        }
+        assert_eq!(it.key().unwrap(), None);
     }
 
     /// A training sweep is a device call per 4 096-entry chunk on a cached

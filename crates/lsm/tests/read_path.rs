@@ -1,6 +1,7 @@
-//! The read path's two concurrency properties: no read holds an engine lock
-//! across a writer's `sync`, and a read loads its view before its sequence
-//! ceiling, so what a reader sees of a key never goes backwards.
+//! The read path's concurrency properties: no read holds an engine lock
+//! across a writer's `sync`; a read loads its view before its sequence
+//! ceiling, so what a reader sees of a key never goes backwards; and the
+//! buffer a miss fills is never one another reader still holds.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,6 +14,9 @@ use lsm_tree::{
     Db, IndexGranularity, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions,
     WritePressure,
 };
+use lsm_workloads::value_for_key;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Once armed, parks the next WAL `sync` until released.
 #[derive(Default)]
@@ -264,4 +268,67 @@ fn stamps_never_go_backwards(granularity: IndexGranularity) {
             "L{level}"
         );
     }
+}
+
+/// The miss path, shared: four readers issue uniform gets and a fifth thread
+/// scans (filling) over a cache of a few dozen blocks, so nearly every
+/// buffer the device fills was another block a moment ago, and evictions
+/// race the lookups and the cursor that still hold what is evicted. Every
+/// value is checked against its key; the ledger is sampled throughout.
+#[test]
+fn cold_readers_and_a_scan_share_a_tiny_cache() {
+    const KEYS: u64 = 20_000;
+    const VALUE_LEN: usize = 100;
+    const GETS: usize = 10_000;
+    let key = |i: u64| i * 7 + 3;
+    let mut opts = Options::small_for_tests();
+    (opts.write_buffer_bytes, opts.sstable_target_bytes) = (64 << 10, 64 << 10);
+    opts.value_width = VALUE_LEN;
+    opts.block_cache_bytes = 192 << 10;
+    let db = Db::open_memory(opts).unwrap();
+    for i in 0..KEYS {
+        db.put(key(i), &value_for_key(key(i), VALUE_LEN)).unwrap();
+    }
+    db.flush().unwrap();
+    let cache = db.block_cache().unwrap();
+    let room = cache.capacity_bytes().saturating_sub(cache.table_bytes());
+    assert!(
+        (8 * 4096..=40 * 4096).contains(&room),
+        "a tiny cache: {room}"
+    );
+
+    let readers_left = AtomicU64::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (db, cache, readers_left) = (&db, &cache, &readers_left);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(t);
+                for n in 0..GETS {
+                    let k = key(rng.gen_range(0..KEYS));
+                    assert_eq!(db.get(k).unwrap(), Some(value_for_key(k, VALUE_LEN)));
+                    if n % 64 == 0 {
+                        assert!(cache.used_bytes() <= cache.capacity_bytes());
+                    }
+                }
+                readers_left.fetch_sub(1, Ordering::Release);
+            });
+        }
+        let mut start = 0;
+        while readers_left.load(Ordering::Acquire) > 0 {
+            let out = db.scan(key(start), 300).unwrap();
+            assert_eq!(out.len(), 300);
+            for (i, (k, v)) in (start..).zip(&out) {
+                assert_eq!(*k, key(i));
+                assert_eq!(*v, value_for_key(*k, VALUE_LEN));
+            }
+            assert!(cache.used_bytes() <= cache.capacity_bytes());
+            start = (start + 300) % (KEYS - 300);
+        }
+    });
+    let stats = cache.stats();
+    assert!(
+        stats.block_evictions > GETS as u64,
+        "the readers must have missed: {stats:?}"
+    );
+    assert!(stats.block_used_bytes > 0 && stats.used_bytes <= stats.capacity_bytes);
 }
