@@ -1,44 +1,58 @@
 //! Memory governance: one byte budget, charged by cached blocks and by open
-//! tables, held by one lock-striped LRU cache.
+//! tables, and the blocks themselves — found through their table, evicted
+//! by a clock in each lock stripe.
 //!
 //! The paper's Section 1 guideline — "wisely allocate the memory budget" —
 //! is about the components that *compete* for one ceiling: cached data
 //! blocks, open table handles, bloom filters, and the learned index models
 //! themselves. A [`BlockCache`] is that ceiling and both of its tenants:
 //!
-//! * **Blocks** live in N independent LRU stripes; a key's stripe is picked
-//!   from its mixed 64-bit hash, so each stripe sees a uniform sample of
-//!   the traffic and concurrent readers on different stripes never contend.
-//!   An insert is one hold of its key's **own** stripe: retire an existing
-//!   version, reserve the bytes against the budget, evict that stripe's
-//!   tail until the reservation succeeds, link. Every shard of a
-//!   [`crate::sharding::ShardedDb`] shares the one cache, so evicting a
-//!   cold shard's blocks funds a hot shard's working set.
+//! * **Blocks** live in their table's slots. An open `TableReader`
+//!   registers one slot per 4 KiB data block (`CachedTable`), and a fetch
+//!   reads its whole cover under one read of that table's slot lock
+//!   (`Resident`): it clones the resident `Arc`s, sets their reference
+//!   bits and adds its hits and misses once. A hit takes no stripe lock,
+//!   hashes nothing and moves nothing. The `BlockKey` entry points reach
+//!   the same slots through a `table_id → slots` map.
+//! * **Stripes** hold what a miss needs. A block's stripe is picked from
+//!   its mixed 64-bit hash, so each stripe sees a uniform sample of the
+//!   traffic; it keeps a clock ring of its resident blocks and a few spare
+//!   buffers. An insert is one hold of its block's **own** stripe: reserve
+//!   the bytes against the budget, run that stripe's hand until the
+//!   reservation succeeds, publish into the slot. The hand gives a
+//!   referenced block a second chance — clears its bit, moves on — and
+//!   evicts the first unreferenced one (CLOCK, Corbató 1968). Every shard
+//!   of a [`crate::sharding::ShardedDb`] shares the one cache, so evicting
+//!   a cold shard's blocks funds a hot shard's working set.
+//! * **Lock order:** stripe, then table slots. A reader holds one slot lock
+//!   and never a stripe lock; an insert or the hand holds its stripe and
+//!   one slot lock at a time. The `table_id → slots` map is taken alone,
+//!   or by a `BlockKey` get before one slot lock.
 //! * **Spares.** A missed block is written once: the reader asks
 //!   `BlockCache::buffer` for the buffer the device fills, and that same
-//!   `Arc` is what `insert` links. The buffers come from evictions — a
-//!   popped tail whose `Arc` nobody else holds waits in the stripe that
-//!   evicted it, at most `SPARES` of them, for the next miss there; a
+//!   `Arc` is what the insert publishes. The buffers come from evictions —
+//!   an evicted block whose `Arc` nobody else holds waits in the stripe
+//!   that evicted it, at most `SPARES` of them, for the next miss there; a
 //!   block a cursor or a lookup still reads is dropped instead, never
 //!   rewritten. Spares are not charged to the budget: at most `stripes ×
 //!   SPARES × 4 KiB` of them exist, and they replace the run buffer and the
 //!   per-block copies a miss used to allocate outside the budget every time.
 //! * **Table handles** (the resident `TableReader`s: index model + bloom
 //!   filter + fixed overhead) charge the same budget as *pinned* bytes the
-//!   moment they open and release on drop — index memory squeezes block
-//!   space, exactly the trade the paper's figures sweep. Nothing else holds
-//!   a reader: the charge lasts as long as some `Version` lists the table.
+//!   moment they open — index memory squeezes block space, exactly the
+//!   trade the paper's figures sweep. Nothing else holds a reader: when the
+//!   last `Version` listing it drops it, its charge is released and its
+//!   slots retire, so its blocks leave the budget with it.
 //!
 //! The ledger is a pair of atomics, so `Debug` (and every gauge accessor)
 //! reads without taking a lock — formatting the cache from a panic hook
 //! mid-insert can never deadlock.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 /// Cache key: table identity + block index within the table file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,110 +74,52 @@ pub(crate) const BLOCK_BYTES: usize = 4096;
 /// cover a run with several blocks in one stripe and a second reader.
 const SPARES: usize = 4;
 
-const NIL: usize = usize::MAX;
-
-/// A [`BlockKey`] with its hash, computed once per cache operation: the
-/// stripe is picked from it and the stripe's map takes it as is.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Hashed {
-    hash: u64,
-    key: BlockKey,
-}
-
-impl Hash for Hashed {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Hands a [`Hashed`]'s value to the map unchanged. The keys are the
-/// engine's own, so SipHash's protection against chosen keys is not missed.
+/// One data block's place in its table: the block while resident, and the
+/// bit a hit sets and the hand clears.
 #[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("only `Hashed` keys, which write one u64");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 struct Slot {
-    key: Hashed,
-    data: Arc<Vec<u8>>,
-    prev: usize,
-    next: usize,
+    block: Option<Arc<Vec<u8>>>,
+    referenced: AtomicBool,
 }
 
-/// One lock stripe: a slab-backed intrusive LRU list (O(1) get/insert).
-struct Stripe {
-    map: HashMap<Hashed, usize, BuildHasherDefault<PassThrough>>,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+/// A table's slots, one per data block (a `BlockKey` table's grow to the
+/// largest block inserted).
+struct TableSlots {
+    id: u64,
+    /// Set under the write lock when the table retires: its slots are
+    /// emptied and nothing is published into them again. Read under that
+    /// lock, except by the ring's sweep, which a stale read only delays.
+    retired: AtomicBool,
+    slots: RwLock<Vec<Slot>>,
+}
+
+impl TableSlots {
+    fn new(id: u64, blocks: usize) -> Arc<Self> {
+        Arc::new(Self {
+            id,
+            retired: AtomicBool::new(false),
+            slots: RwLock::new((0..blocks).map(|_| Slot::default()).collect()),
+        })
+    }
+}
+
+/// A resident block, as its stripe's ring holds it.
+struct Entry {
+    table: Arc<TableSlots>,
+    block_no: usize,
+}
+
+/// What a stripe's lock guards.
+struct Clock {
+    /// The stripe's resident blocks; the hand is the front, and a new block
+    /// or a spared one goes to the back, a whole turn away.
+    ring: VecDeque<Entry>,
     /// `BLOCK_BYTES`-long buffers with one owner, at most `SPARES`.
     spares: Vec<Arc<Vec<u8>>>,
-    /// What a vacated slot holds.
-    empty: Arc<Vec<u8>>,
 }
 
-impl Stripe {
-    fn new() -> Self {
-        Self {
-            map: HashMap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            spares: Vec::with_capacity(SPARES),
-            empty: Arc::default(),
-        }
-    }
-
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    /// Remove slot `i` from the list, map and slab; returns its block.
-    fn remove(&mut self, i: usize) -> Arc<Vec<u8>> {
-        self.detach(i);
-        let k = self.slots[i].key;
-        self.map.remove(&k);
-        self.free.push(i);
-        std::mem::replace(&mut self.slots[i].data, Arc::clone(&self.empty))
-    }
-
-    /// Keep a removed block's buffer for the next miss, if it is whole, a
+impl Clock {
+    /// Keep an evicted block's buffer for the next miss, if it is whole, a
     /// place is free and nobody else holds it: a reader that does keeps its
     /// bytes, and the buffer is freed when the reader is done.
     fn keep_spare(&mut self, mut block: Arc<Vec<u8>>) {
@@ -176,8 +132,17 @@ impl Stripe {
     }
 }
 
-/// The engine-wide cache: lock-striped LRU block storage and the byte
-/// ledger that blocks and open `TableReader`s both charge.
+struct Stripe {
+    clock: Mutex<Clock>,
+    /// Ring entries whose table retired since the ring was last swept. A
+    /// retirement empties slots without the stripe's lock; the hand skips
+    /// what it left, and an insert sweeps the ring once it is half stale.
+    stale: AtomicUsize,
+}
+
+/// The engine-wide cache: the byte ledger that blocks and open
+/// `TableReader`s both charge, the slots every open table's blocks are
+/// found in, and the lock stripes a miss evicts through.
 ///
 /// A standalone [`crate::Db`] builds one when `Options::block_cache_bytes`
 /// is nonzero; a [`crate::sharding::ShardedDb`] builds exactly one and
@@ -187,15 +152,17 @@ impl Stripe {
 /// Two charge classes, one atomic each — total usage is *derived* as their
 /// sum, so `used = blocks + tables` holds by construction:
 /// * *block* bytes are *reserved* — `try_reserve` refuses to grow them past
-///   `capacity - table bytes`, and `insert` evicts until a reservation
+///   `capacity - table bytes`, and an insert evicts until a reservation
 ///   succeeds, so block bytes never overshoot the ceiling at any instant;
 /// * *pinned* bytes (table handles, filters, index models) are charged
 ///   unconditionally — a table the engine needs open cannot be refused —
 ///   and block evictions compensate on the next reservation.
 pub struct BlockCache {
-    stripes: Box<[Mutex<Stripe>]>,
+    stripes: Box<[Stripe]>,
     /// `stripes.len() - 1`; the count is a power of two.
     mask: usize,
+    /// Every table with slots, by id: the `BlockKey` entry points' way in.
+    tables: RwLock<HashMap<u64, Arc<TableSlots>>>,
     capacity: usize,
     block_bytes: AtomicUsize,
     table_bytes: AtomicUsize,
@@ -235,12 +202,20 @@ impl BlockCache {
         Self::with_stripes(capacity_bytes, cores.next_power_of_two().clamp(4, 64))
     }
 
-    /// `stripes` is rounded up to a power of two; one stripe is an exact LRU.
+    /// `stripes` is rounded up to a power of two.
     fn with_stripes(capacity: usize, stripes: usize) -> Self {
         let n = stripes.max(1).next_power_of_two();
+        let stripe = |_| Stripe {
+            clock: Mutex::new(Clock {
+                ring: VecDeque::new(),
+                spares: Vec::with_capacity(SPARES),
+            }),
+            stale: AtomicUsize::new(0),
+        };
         Self {
-            stripes: (0..n).map(|_| Mutex::new(Stripe::new())).collect(),
+            stripes: (0..n).map(stripe).collect(),
             mask: n - 1,
+            tables: RwLock::default(),
             capacity,
             block_bytes: AtomicUsize::new(0),
             table_bytes: AtomicUsize::new(0),
@@ -256,30 +231,15 @@ impl BlockCache {
         (opts.block_cache_bytes > 0).then(|| Arc::new(BlockCache::new(opts.block_cache_bytes)))
     }
 
-    fn hashed(key: BlockKey) -> Hashed {
-        Hashed {
-            hash: mix64(key.table_id ^ key.block_no.rotate_left(32)),
-            key,
-        }
+    fn stripe_of(&self, key: BlockKey) -> usize {
+        (mix64(key.table_id ^ key.block_no.rotate_left(32)) >> 32) as usize & self.mask
     }
 
-    /// From bits the stripe's own map does not use (it indexes with the low
-    /// bits and tags with the top seven).
-    fn stripe_of(&self, key: Hashed) -> usize {
-        (key.hash >> 32) as usize & self.mask
-    }
-
-    /// Fetch a block, marking it most-recently-used within its stripe.
+    /// Fetch a block, setting its reference bit.
     pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
-        let key = Self::hashed(key);
-        let mut stripe = self.stripes[self.stripe_of(key)].lock();
-        match stripe.map.get(&key).copied() {
-            Some(i) => {
-                stripe.detach(i);
-                stripe.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&stripe.slots[i].data))
-            }
+        let tables = self.tables.read();
+        match tables.get(&key.table_id) {
+            Some(table) => Resident::new(self, table).get(key.block_no),
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -305,26 +265,43 @@ impl BlockCache {
         self.block_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
-    /// Evict stripe `stripe`'s LRU tail, if it has one, keeping its buffer.
-    fn evict_tail(&self, stripe: &mut Stripe) -> bool {
-        if stripe.tail == NIL {
-            return false;
+    /// Run `clock`'s hand until it evicts a block, keeping its buffer; false
+    /// when the ring ran out first. A referenced block is passed over once —
+    /// its bit cleared, to the back — but no more than a turn's worth of
+    /// them: readers setting bits as fast as the hand clears them cannot
+    /// stall an insert.
+    fn evict_one(&self, clock: &mut Clock) -> bool {
+        let mut spare_turn = clock.ring.len();
+        while let Some(entry) = clock.ring.pop_front() {
+            let mut slots = entry.table.slots.write();
+            // A retired table's entries are stale: its slots are gone.
+            let Some(slot) = slots.get_mut(entry.block_no) else {
+                continue;
+            };
+            if std::mem::take(slot.referenced.get_mut()) && spare_turn > 0 {
+                spare_turn -= 1;
+                drop(slots);
+                clock.ring.push_back(entry);
+                continue;
+            }
+            let block = slot.block.take().expect("a ring entry's slot is resident");
+            drop(slots);
+            self.release(block.len());
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            clock.keep_spare(block);
+            return true;
         }
-        let block = stripe.remove(stripe.tail);
-        self.release(block.len());
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        stripe.keep_spare(block);
-        true
+        false
     }
 
-    /// Reserve `bytes`, evicting `stripe`'s tail until they fit; false when
-    /// the stripe ran out of blocks first.
-    fn fund(&self, stripe: &mut Stripe, bytes: usize) -> bool {
+    /// Reserve `bytes`, evicting with `clock`'s hand until they fit; false
+    /// when the stripe ran out of blocks first.
+    fn fund(&self, clock: &mut Clock, bytes: usize) -> bool {
         loop {
             if self.try_reserve(bytes) {
                 return true;
             }
-            if !self.evict_tail(stripe) {
+            if !self.evict_one(clock) {
                 return false;
             }
         }
@@ -336,84 +313,122 @@ impl BlockCache {
     /// or a new one. The `Arc` has one owner.
     pub(crate) fn buffer(&self, key: BlockKey, len: usize) -> Arc<Vec<u8>> {
         if len == BLOCK_BYTES {
-            let own = self.stripe_of(Self::hashed(key));
-            if let Some(spare) = self.stripes[own].lock().spares.pop() {
+            let own = &self.stripes[self.stripe_of(key)];
+            if let Some(spare) = own.clock.lock().spares.pop() {
                 return spare;
             }
         }
         Arc::new(vec![0; len])
     }
 
-    /// Insert (or refresh) a block, in one hold of its stripe's lock. Bytes
-    /// are reserved against the budget *first*; evicting the stripe's own
-    /// tail makes room, so the budget is never overshot. A stripe is a
-    /// uniform sample of the traffic (see `stripe_of`), so its tail is as
-    /// cold as any. Only when it is empty — pinned charges or an oversized
-    /// block left it nothing to give — is its lock dropped and the other
-    /// stripes swept in order, one lock at a time, for the first with a
-    /// tail. When every block is gone and pinned charges still leave no
-    /// room, the insert is dropped — pinned components win.
+    /// Insert (or refresh) a block of any table, registered or not.
     pub fn insert(&self, key: BlockKey, data: Arc<Vec<u8>>) {
-        let key = Self::hashed(key);
-        let own = self.stripe_of(key);
-        let mut stripe = self.stripes[own].lock();
-        loop {
-            // Retire any existing version of the key — one may have landed
-            // while the lock was dropped — so what follows is a plain insert
-            // (refresh keeps the newest payload and MRU position).
-            if let Some(&i) = stripe.map.get(&key) {
-                let old = stripe.remove(i);
-                self.release(old.len());
-                stripe.keep_spare(old);
-            }
-            if self.fund(&mut stripe, data.len()) {
-                break;
-            }
-            drop(stripe);
+        let table = Arc::clone(
+            self.tables
+                .write()
+                .entry(key.table_id)
+                .or_insert_with(|| TableSlots::new(key.table_id, 0)),
+        );
+        self.publish(&table, key.block_no, data);
+    }
+
+    /// Publish `data` as block `block_no` of `table`, in one hold of its
+    /// stripe's lock. Bytes are reserved against the budget *first*; the
+    /// stripe's hand makes room, so the budget is never overshot. A stripe
+    /// is a uniform sample of the traffic (see `stripe_of`), so its hand
+    /// finds blocks as cold as any. Only when it has nothing left to evict —
+    /// pinned charges or an oversized block took it all — is its lock
+    /// dropped and the other stripes' hands run in order, one lock at a
+    /// time. When every block is gone and pinned charges still leave no
+    /// room, the insert is dropped — pinned components win — and so is one
+    /// into a table that retired meanwhile. A refresh takes the old
+    /// version's place, ring entry and bit included.
+    fn publish(&self, table: &Arc<TableSlots>, block_no: u64, data: Arc<Vec<u8>>) {
+        let own = self.stripe_of(BlockKey {
+            table_id: table.id,
+            block_no,
+        });
+        let stripe = &self.stripes[own];
+        let mut clock = stripe.clock.lock();
+        while !self.fund(&mut clock, data.len()) {
+            drop(clock);
             let swept = (1..=self.mask)
-                .any(|off| self.evict_tail(&mut self.stripes[(own + off) & self.mask].lock()));
+                .any(|off| self.evict_one(&mut self.stripes[(own + off) & self.mask].clock.lock()));
             if !swept {
                 return; // nothing left to evict; the block does not fit
             }
-            stripe = self.stripes[own].lock();
+            clock = stripe.clock.lock();
         }
-        let slot = Slot {
-            key,
-            data,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match stripe.free.pop() {
-            Some(i) => {
-                stripe.slots[i] = slot;
-                i
+        let b = block_no as usize;
+        let mut slots = table.slots.write();
+        if table.retired.load(Ordering::Relaxed) {
+            drop(slots);
+            self.release(data.len());
+            return;
+        }
+        if b >= slots.len() {
+            slots.resize_with(b + 1, Slot::default);
+        }
+        let old = slots[b].block.replace(data);
+        drop(slots);
+        match old {
+            Some(old) => {
+                self.release(old.len());
+                clock.keep_spare(old);
             }
-            None => {
-                stripe.slots.push(slot);
-                stripe.slots.len() - 1
-            }
-        };
-        stripe.map.insert(key, i);
-        stripe.push_front(i);
+            None => clock.ring.push_back(Entry {
+                table: Arc::clone(table),
+                block_no: b,
+            }),
+        }
         self.insertions.fetch_add(1, Ordering::Relaxed);
+        if 2 * stripe.stale.load(Ordering::Relaxed) > clock.ring.len() {
+            stripe.stale.store(0, Ordering::Relaxed);
+            clock
+                .ring
+                .retain(|e| !e.table.retired.load(Ordering::Relaxed));
+        }
+    }
+
+    /// Retire `table`'s slots: its resident blocks leave the budget now —
+    /// dropped, not kept as spares (a compaction retires thousands at once)
+    /// — and nothing is published into them again. Their ring entries go
+    /// stale, counted per stripe.
+    fn retire(&self, table: &Arc<TableSlots>) {
+        let slots = {
+            let mut slots = table.slots.write();
+            table.retired.store(true, Ordering::Relaxed);
+            std::mem::take(&mut *slots)
+        };
+        let (mut blocks, mut bytes) = (0, 0);
+        for (b, slot) in slots.into_iter().enumerate() {
+            if let Some(block) = slot.block {
+                (blocks, bytes) = (blocks + 1, bytes + block.len());
+                let key = BlockKey {
+                    table_id: table.id,
+                    block_no: b as u64,
+                };
+                self.stripes[self.stripe_of(key)]
+                    .stale
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.release(bytes);
+        self.evictions.fetch_add(blocks, Ordering::Relaxed);
+        let mut tables = self.tables.write();
+        if tables.get(&table.id).is_some_and(|t| Arc::ptr_eq(t, table)) {
+            tables.remove(&table.id);
+        }
     }
 
     /// Drop every cached block of the tables in `table_ids` (their files
-    /// were deleted), in one pass over the stripes.
+    /// were deleted). An open reader's table retired here caches nothing
+    /// more; a later `insert` of an unregistered id starts it afresh.
     pub fn evict_tables(&self, table_ids: &[u64]) {
-        for m in self.stripes.iter() {
-            let mut stripe = m.lock();
-            let victims: Vec<usize> = stripe
-                .map
-                .iter()
-                .filter(|(k, _)| table_ids.contains(&k.key.table_id))
-                .map(|(_, &i)| i)
-                .collect();
-            // A compaction retires thousands of blocks at once: they are
-            // dropped, not kept as spares.
-            for i in victims {
-                self.release(stripe.remove(i).len());
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+        for id in table_ids {
+            let table = self.tables.read().get(id).cloned();
+            if let Some(table) = table {
+                self.retire(&table);
             }
         }
     }
@@ -476,6 +491,105 @@ impl BlockCache {
     }
 }
 
+/// An open table's place in the cache — its slots and its handle's pinned
+/// charge — held by its `TableReader` and given back when that drops.
+pub(crate) struct CachedTable {
+    cache: Arc<BlockCache>,
+    slots: Arc<TableSlots>,
+    pinned: usize,
+}
+
+impl CachedTable {
+    /// Charge `pinned` bytes and register `blocks` slots for table `id`.
+    pub(crate) fn new(cache: Arc<BlockCache>, id: u64, blocks: usize, pinned: usize) -> Self {
+        cache.charge_table(pinned);
+        let slots = TableSlots::new(id, blocks);
+        cache.tables.write().insert(id, Arc::clone(&slots));
+        Self {
+            cache,
+            slots,
+            pinned,
+        }
+    }
+
+    /// One read of the slots, for a fetch's whole cover.
+    pub(crate) fn resident(&self) -> Resident<'_> {
+        Resident::new(&self.cache, &self.slots)
+    }
+
+    /// The buffer block `block_no` is read into (`BlockCache::buffer`).
+    pub(crate) fn buffer(&self, block_no: u64, len: usize) -> Arc<Vec<u8>> {
+        let key = BlockKey {
+            table_id: self.slots.id,
+            block_no,
+        };
+        self.cache.buffer(key, len)
+    }
+
+    /// Offer block `block_no`, as read, to the cache.
+    pub(crate) fn insert(&self, block_no: u64, data: Arc<Vec<u8>>) {
+        self.cache.publish(&self.slots, block_no, data);
+    }
+}
+
+impl Drop for CachedTable {
+    fn drop(&mut self) {
+        self.cache.release_table(self.pinned);
+        self.cache.retire(&self.slots);
+    }
+}
+
+/// One read of a table's slots: the resident blocks a fetch finds, each
+/// marked referenced. Its hits and misses are added to the cache's
+/// counters once, when it drops.
+pub(crate) struct Resident<'a> {
+    cache: &'a BlockCache,
+    slots: RwLockReadGuard<'a, Vec<Slot>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<'a> Resident<'a> {
+    fn new(cache: &'a BlockCache, table: &'a TableSlots) -> Self {
+        Self {
+            cache,
+            slots: table.slots.read(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Block `block_no`, if resident.
+    pub(crate) fn get(&mut self, block_no: u64) -> Option<Arc<Vec<u8>>> {
+        let Some(Slot {
+            block: Some(block),
+            referenced,
+        }) = self.slots.get(block_no as usize)
+        else {
+            self.misses += 1;
+            return None;
+        };
+        // Read first: a hot block's bit is already set, and a store would
+        // bounce its line between the cores that hit it.
+        if !referenced.load(Ordering::Relaxed) {
+            referenced.store(true, Ordering::Relaxed);
+        }
+        self.hits += 1;
+        Some(Arc::clone(block))
+    }
+}
+
+impl Drop for Resident<'_> {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            self.cache.hits.fetch_add(self.hits, Ordering::Relaxed);
+        }
+        if self.misses > 0 {
+            self.cache.misses.fetch_add(self.misses, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Point-in-time cache counters, per component (the `cache_*` rows of the
 /// `METRICS` scrape).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -500,6 +614,7 @@ mod tests {
     use lsm_workloads::dist::ZipfianGen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn key(t: u64, b: u64) -> BlockKey {
         BlockKey {
@@ -512,13 +627,37 @@ mod tests {
         Arc::new(vec![fill; len])
     }
 
-    /// Single-stripe cache: global LRU order is exact.
+    /// Single-stripe cache: one clock over every block.
     fn unsharded(capacity: usize) -> BlockCache {
         BlockCache::with_stripes(capacity, 1)
     }
 
+    /// `key`'s slot, looked at without setting its bit: (resident, referenced).
+    fn peek(c: &BlockCache, key: BlockKey) -> (bool, bool) {
+        let tables = c.tables.read();
+        let Some(table) = tables.get(&key.table_id) else {
+            return (false, false);
+        };
+        let slots = table.slots.read();
+        slots
+            .get(key.block_no as usize)
+            .map_or((false, false), |s| {
+                (s.block.is_some(), s.referenced.load(Ordering::Relaxed))
+            })
+    }
+
+    fn resident(c: &BlockCache, key: BlockKey) -> bool {
+        peek(c, key).0
+    }
+
+    /// Live (not retired) ring entries per stripe: its resident blocks.
     fn stripe_lens(c: &BlockCache) -> Vec<usize> {
-        c.stripes.iter().map(|m| m.lock().map.len()).collect()
+        let live = |clock: &Clock| {
+            let ring = clock.ring.iter();
+            ring.filter(|e| !e.table.retired.load(Ordering::Relaxed))
+                .count()
+        };
+        c.stripes.iter().map(|s| live(&s.clock.lock())).collect()
     }
 
     #[test]
@@ -531,20 +670,32 @@ mod tests {
         assert_eq!(c.used_bytes(), 4096);
     }
 
+    /// The second-chance rule on one stripe: a block is inserted
+    /// unreferenced, a hit sets its bit, and the hand clears the bit once
+    /// before it evicts the block.
     #[test]
     fn lru_eviction_order() {
         let c = unsharded(3 * 4096);
         for b in 0..3 {
             c.insert(key(1, b), block(b as u8, 4096));
+            assert_eq!(peek(&c, key(1, b)), (true, false), "inserted unreferenced");
         }
-        // Touch block 0 so block 1 becomes LRU.
         c.get(key(1, 0)).unwrap();
+        assert_eq!(peek(&c, key(1, 0)), (true, true), "a hit sets the bit");
+        // The hand meets block 0 first, clears its bit and evicts block 1.
         c.insert(key(1, 3), block(3, 4096));
-        assert!(c.get(key(1, 1)).is_none(), "block 1 was LRU");
-        assert!(c.get(key(1, 0)).is_some());
-        assert!(c.get(key(1, 2)).is_some());
-        assert!(c.get(key(1, 3)).is_some());
-        assert!(c.used_bytes() <= 3 * 4096);
+        assert!(
+            !resident(&c, key(1, 1)),
+            "block 1 was the first unreferenced"
+        );
+        assert_eq!(peek(&c, key(1, 0)), (true, false), "block 0 had its chance");
+        // Block 2 goes next, then block 0: its bit was cleared, not kept.
+        c.insert(key(1, 4), block(4, 4096));
+        assert!(!resident(&c, key(1, 2)) && resident(&c, key(1, 0)));
+        c.insert(key(1, 5), block(5, 4096));
+        assert!(!resident(&c, key(1, 0)));
+        assert!((3..6).all(|b| resident(&c, key(1, b))));
+        assert_eq!(c.used_bytes(), 3 * 4096);
     }
 
     #[test]
@@ -554,6 +705,7 @@ mod tests {
         c.insert(key(1, 0), block(2, 4096));
         assert_eq!(c.get(key(1, 0)).unwrap()[0], 2);
         assert_eq!(c.used_bytes(), 4096);
+        assert_eq!(stripe_lens(&c).iter().sum::<usize>(), 1, "one ring entry");
     }
 
     #[test]
@@ -577,21 +729,36 @@ mod tests {
         assert!(c.get(key(3, 0)).is_none());
         assert!(c.get(key(2, 0)).is_some());
         assert_eq!(c.used_bytes(), 100);
+        // A retired id inserted again starts afresh.
+        c.insert(key(1, 0), block(4, 100));
+        assert_eq!(c.get(key(1, 0)).unwrap()[0], 4);
     }
 
+    /// The ring holds one entry per resident block however many went
+    /// through, and a retired table's entries are swept once they are half
+    /// of it.
     #[test]
     fn slots_recycled_after_eviction() {
         let c = unsharded(2 * 4096);
         for b in 0..100u64 {
             c.insert(key(1, b), block(b as u8, 4096));
         }
-        let slots = c.stripes[0].lock().slots.len();
-        assert!(slots <= 4, "slab must recycle: {slots}");
+        let ring = |c: &BlockCache| c.stripes[0].clock.lock().ring.len();
+        assert_eq!(ring(&c), 2);
+
+        let c = unsharded(64 * 4096);
+        for b in 0..64u64 {
+            c.insert(key(1, b), block(1, 4096));
+        }
+        c.evict_tables(&[1]);
+        assert_eq!((c.block_bytes(), ring(&c)), (0, 64), "stale until swept");
+        c.insert(key(2, 0), block(2, 4096));
+        assert_eq!(ring(&c), 1);
     }
 
     fn spare_bytes(c: &BlockCache) -> usize {
-        let of = |s: &Stripe| s.spares.iter().map(|b| b.len()).sum::<usize>();
-        c.stripes.iter().map(|m| of(&m.lock())).sum()
+        let of = |clock: &Clock| clock.spares.iter().map(|b| b.len()).sum::<usize>();
+        c.stripes.iter().map(|s| of(&s.clock.lock())).sum()
     }
 
     #[test]
@@ -650,7 +817,7 @@ mod tests {
         assert!(c.block_bytes() <= 128 * BLOCK_BYTES);
         // A compaction retires what is left at once, and keeps none of it.
         for stripe in c.stripes.iter() {
-            stripe.lock().spares.clear();
+            stripe.clock.lock().spares.clear();
         }
         c.evict_tables(&[1, 2]);
         assert_eq!((c.block_bytes(), spare_bytes(&c)), (0, 0));
@@ -673,11 +840,12 @@ mod tests {
     #[test]
     fn cross_segment_eviction_funds_hot_stripe() {
         // Fill the budget from many tables, then burst one table's blocks
-        // in. Each burst block pops its own stripe's tail, and a stripe
-        // holds a uniform sample of both populations, so the tails are the
-        // cold blocks: the burst ends up resident, funded by every stripe.
-        // (Four stripes whatever the host: at 256 blocks over 64 stripes a
-        // stripe holds four, and the sample is too small to be uniform.)
+        // in. Each burst block runs its own stripe's hand, and a stripe
+        // holds a uniform sample of both populations, so the hand meets
+        // the cold blocks first: the burst ends up resident, funded by
+        // every stripe. (Four stripes whatever the host: at 256 blocks over
+        // 64 stripes a stripe holds four, and the sample is too small to be
+        // uniform.)
         const BLOCKS: u64 = 256;
         let c = BlockCache::with_stripes(BLOCKS as usize * 4096, 4);
         for b in 0..BLOCKS {
@@ -707,17 +875,42 @@ mod tests {
         })
     }
 
-    /// The evidence that the local rule costs no hits: one skewed trace
-    /// over 8x the capacity, through an exact global LRU (one stripe) and
-    /// through 4, 16 and 64 stripes that each evict only their own tail.
+    /// The hit share of an exact LRU of `capacity` blocks over `trace`.
+    fn exact_lru_hit_share(trace: impl Iterator<Item = (u64, u64)>, capacity: usize) -> f64 {
+        let mut last_use = HashMap::new();
+        let mut by_age = BTreeMap::new();
+        let (mut hits, mut gets) = (0u64, 0u64);
+        for (at, block) in trace.enumerate() {
+            gets += 1;
+            match last_use.insert(block, at) {
+                Some(before) => {
+                    by_age.remove(&before);
+                    hits += 1;
+                }
+                None if last_use.len() > capacity => {
+                    let (_, oldest) = by_age.pop_first().unwrap();
+                    last_use.remove(&oldest);
+                }
+                None => {}
+            }
+            by_age.insert(at, block);
+        }
+        hits as f64 / gets as f64
+    }
+
+    /// The evidence that a clock per stripe costs no hits: one skewed trace
+    /// over 8x the capacity, through an exact global LRU (a model, here)
+    /// and through 1, 4, 16 and 64 stripes that each run only their own
+    /// hand.
     #[test]
     fn own_stripe_eviction_matches_global_lru_on_zipfian_reads() {
         const CAPACITY: usize = 4096;
         const LEN: usize = 64;
+        const GETS: usize = 200_000;
         let data = block(0, LEN);
         let hit_share = |stripes: usize| {
             let c = BlockCache::with_stripes(CAPACITY * LEN, stripes);
-            for (table, block_no) in zipfian_trace(8 * CAPACITY, 200_000) {
+            for (table, block_no) in zipfian_trace(8 * CAPACITY, GETS) {
                 if c.get(key(table, block_no)).is_none() {
                     c.insert(key(table, block_no), Arc::clone(&data));
                     assert!(c.used_bytes() <= c.capacity_bytes());
@@ -726,13 +919,13 @@ mod tests {
             let (hits, misses) = c.hit_miss();
             hits as f64 / (hits + misses) as f64
         };
-        let exact = hit_share(1);
-        assert!(exact > 0.5, "the trace must be cacheable: {exact}");
-        for stripes in [4, 16, 64] {
-            let striped = hit_share(stripes);
+        let lru = exact_lru_hit_share(zipfian_trace(8 * CAPACITY, GETS), CAPACITY);
+        assert!(lru > 0.5, "the trace must be cacheable: {lru}");
+        for stripes in [1, 4, 16, 64] {
+            let clock = hit_share(stripes);
             assert!(
-                (striped - exact).abs() < 0.01,
-                "{stripes} stripes hit {striped:.4}, global LRU {exact:.4}"
+                (clock - lru).abs() < 0.01,
+                "{stripes} stripes hit {clock:.4}, exact LRU {lru:.4}"
             );
         }
     }
@@ -786,7 +979,7 @@ mod tests {
         c.insert(key(1, 0), block(1, 4096));
         // Hold a stripe lock and format anyway — the old implementation
         // locked its single mutex here and deadlocked.
-        let _guard = c.stripes[c.stripe_of(BlockCache::hashed(key(1, 0)))].lock();
+        let _guard = c.stripes[c.stripe_of(key(1, 0))].clock.lock();
         let s = format!("{c:?}");
         assert!(s.contains("used_bytes"), "{s}");
     }

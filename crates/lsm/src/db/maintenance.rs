@@ -440,11 +440,6 @@ impl DbCore {
         let removed = task.input_names();
         let result = (|| -> Result<()> {
             let run = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
-            // The inputs' cached blocks are dead weight from here on.
-            if let Some(cache) = &self.cache {
-                let inputs = task.inputs.iter().chain(task.next_inputs.iter());
-                cache.evict_tables(&inputs.map(|t| t.reader.table_id()).collect::<Vec<_>>());
-            }
             let mut inner = self.inner.write();
             let version = self.compacted(&inner, &task, run.outputs)?;
             self.install(&mut inner, |tree| tree.version = version);

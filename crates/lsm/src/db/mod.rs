@@ -942,6 +942,43 @@ mod tests {
         }
     }
 
+    /// A table's blocks leave the budget with its reader: of two `Db`s on
+    /// one cache, closing one takes exactly its resident blocks out at once,
+    /// not when the other's misses get round to evicting them.
+    #[test]
+    fn closing_a_db_releases_its_blocks_from_a_shared_cache() {
+        let cache = Arc::new(BlockCache::new(4 << 20));
+        let open = || {
+            let embedding = Embedding {
+                cache: Some(Arc::clone(&cache)),
+                ..Embedding::default()
+            };
+            let storage = Arc::new(MemStorage::new());
+            let db = Db::open_internal(storage, Options::small_for_tests(), embedding).unwrap();
+            for k in 0..2_000u64 {
+                db.put(k, &[7u8; 32]).unwrap();
+            }
+            db.flush().unwrap();
+            db
+        };
+        let warm = |db: &Db| {
+            let before = cache.block_bytes();
+            for k in (0..2_000u64).step_by(3) {
+                assert_eq!(db.get(k).unwrap(), Some(vec![7u8; 32]));
+            }
+            cache.block_bytes() - before
+        };
+        let (a, b) = (open(), open());
+        let kept = warm(&b);
+        let gone = warm(&a);
+        assert!(kept > 0 && gone > 0);
+        assert_eq!(cache.stats().block_evictions, 0, "both fit");
+        a.close().unwrap();
+        assert_eq!(cache.block_bytes(), kept);
+        drop(b);
+        assert_eq!((cache.block_bytes(), cache.table_bytes()), (0, 0));
+    }
+
     // ---------------------------------------------- background maintenance
 
     fn background_db() -> Db {

@@ -1,20 +1,22 @@
 //! Where device bytes arrive: the span a lookup or a cursor searches, and the
 //! reads that fill it.
 //!
-//! A missed block is written once. A run of blocks nobody had is one device
-//! call ([`lsm_io::RandomAccessFile::read_exact_vectored_at`]) straight into
-//! one buffer per block — a filling read's buffers are the cache's
-//! ([`crate::cache::BlockCache::buffer`]: what its last evictions left) —
-//! and the `Arc`s that were filled are the ones the span holds and the cache
-//! is offered: no run buffer, no zeroing, no copy, and in steady state no
-//! allocation for block storage.
+//! A cached block is found through the table's own slots in the cache, read
+//! once per cover under one read lock: a cover that hits takes no other
+//! lock. A missed block is written once. A run of blocks nobody had is one
+//! device call ([`lsm_io::RandomAccessFile::read_exact_vectored_at`])
+//! straight into one buffer per block — a filling read's buffers are the
+//! cache's ([`crate::cache::BlockCache::buffer`]: what its last evictions
+//! left) — and the `Arc`s that were filled are the ones the span holds and
+//! the cache is offered: no run buffer, no zeroing, no copy, and in steady
+//! state no allocation for block storage.
 
 use std::sync::Arc;
 
 use learned_index::SearchBound;
 
 use super::TableReader;
-use crate::cache::{BlockKey, BLOCK_BYTES};
+use crate::cache::BLOCK_BYTES;
 use crate::Result;
 
 /// Cache block granularity (matches the device model's 4 KiB blocks).
@@ -89,9 +91,13 @@ impl TableReader {
 
     /// The 4 KiB blocks covering entries `[bound.lo, bound.hi)`, in order.
     /// A block that `held` — a cursor's previous span and the entry its run
-    /// starts at — already has is taken from there, the next from the cache;
-    /// each maximal run of blocks nobody had is one device call. With no
-    /// cache every block not held is such a run.
+    /// starts at — already has is taken from there, the next from the
+    /// table's slots, each maximal run of blocks nobody had in one device
+    /// call. The slots are read once for the blocks up to the end of the
+    /// first such run and the one that ends it, so a cover that hits is one
+    /// read lock, and a block found after a run is taken before the run is
+    /// read — what the run inserts cannot evict it. With no cache every
+    /// block not held is such a run.
     pub(super) fn fetch_blocks(
         &self,
         bound: SearchBound,
@@ -105,38 +111,39 @@ impl TableReader {
         }
         let first = off / CACHE_BLOCK;
         let last = (off + len - 1) / CACHE_BLOCK;
+        let held = |b| held.and_then(|(span, lo)| span.block((lo * self.entry_width) as u64, b));
         let mut blocks = Vec::with_capacity((last - first + 1) as usize);
-        // Blocks `run..b` are the open run: nobody had them.
-        let mut run = first;
-        for b in first..=last {
-            let held = held.and_then(|(span, lo)| span.block((lo * self.entry_width) as u64, b));
-            let found = match (held, &self.cache) {
-                (Some(block), _) => Some(Arc::clone(block)),
-                (None, Some(cache)) => cache.get(self.block_key(b)),
-                (None, None) => None,
-            };
-            if let Some(block) = found {
-                if run < b {
-                    self.read_blocks(run, b - 1, fill_cache, &mut blocks)?;
+        let mut b = first;
+        while b <= last {
+            // The run `run..b` nobody had, and the block found after it.
+            let (mut run, mut after) = (None, None);
+            let mut resident = self.cache.as_ref().map(|cache| cache.resident());
+            while b <= last {
+                let found = held(b).cloned().or_else(|| resident.as_mut()?.get(b));
+                match (found, run) {
+                    (Some(block), None) => blocks.push(block),
+                    (Some(block), Some(_)) => {
+                        after = Some(block);
+                        break;
+                    }
+                    (None, None) => run = Some(b),
+                    (None, Some(_)) => {}
                 }
-                blocks.push(block);
-                run = b + 1;
+                b += 1;
             }
-        }
-        if run <= last {
-            self.read_blocks(run, last, fill_cache, &mut blocks)?;
+            drop(resident);
+            if let Some(run) = run {
+                self.read_blocks(run, b - 1, fill_cache, &mut blocks)?;
+            }
+            if let Some(block) = after {
+                blocks.push(block);
+                b += 1;
+            }
         }
         Ok(Span::Blocks {
             blocks,
             skip: (off - first * CACHE_BLOCK) as usize,
         })
-    }
-
-    fn block_key(&self, block_no: u64) -> BlockKey {
-        BlockKey {
-            table_id: self.table_id,
-            block_no,
-        }
     }
 
     /// Read blocks `first..=last` of the file (its last block is short) in
@@ -158,7 +165,7 @@ impl TableReader {
         blocks.extend((first..=last).map(|b| {
             let len = end.saturating_sub(b * CACHE_BLOCK).min(CACHE_BLOCK) as usize;
             match cache {
-                Some(cache) => cache.buffer(self.block_key(b), len),
+                Some(cache) => cache.buffer(b, len),
                 None => Arc::new(vec![0; len]),
             }
         }));
@@ -170,7 +177,7 @@ impl TableReader {
             .read_exact_vectored_at(first * CACHE_BLOCK, &mut bufs)?;
         if let Some(cache) = cache {
             for (b, block) in (first..).zip(&blocks[held..]) {
-                cache.insert(self.block_key(b), Arc::clone(block));
+                cache.insert(b, Arc::clone(block));
             }
         }
         Ok(())

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use learned_index::{IndexKind, SearchBound, SegmentIndex};
 
 use crate::bloom::BloomFilter;
-use crate::cache::{BlockCache, TABLE_HANDLE_OVERHEAD};
+use crate::cache::{BlockCache, CachedTable, TABLE_HANDLE_OVERHEAD};
 use crate::options::SearchStrategy;
 use crate::sstable::format::{self, Footer};
 use crate::stats::{add_stage_ns, DbStats, StageTimer};
@@ -38,10 +38,10 @@ pub struct TableReader {
     max_key: u64,
     index: Box<dyn SegmentIndex>,
     bloom: BloomFilter,
-    cache: Option<Arc<BlockCache>>,
-    /// Bytes charged against the cache budget while this handle is open
-    /// (index model + bloom + fixed overhead); released on drop.
-    pinned_bytes: usize,
+    /// This table's slots in the shared cache, and the bytes its handle
+    /// (index model + bloom + fixed overhead) pins there; both given back
+    /// on drop.
+    cache: Option<CachedTable>,
     table_id: u64,
     search: SearchStrategy,
 }
@@ -72,9 +72,10 @@ impl TableReader {
     }
 
     /// Open with an optional shared engine cache. Block reads go through
-    /// the cache's block half; the handle's resident bytes (index model +
-    /// bloom filter + fixed overhead) are charged against the shared
-    /// budget as *pinned* for as long as the reader lives.
+    /// the table's slots there, one per data block; the handle's resident
+    /// bytes (index model + bloom filter + fixed overhead) are charged
+    /// against the shared budget as *pinned*. Both last as long as the
+    /// reader: its drop releases the charge and retires the slots.
     pub fn open_with(
         storage: &dyn Storage,
         name: &str,
@@ -117,14 +118,12 @@ impl TableReader {
         let bloom = BloomFilter::decode(&bbuf)
             .ok_or_else(|| Error::Corruption(format!("{name}: bad bloom payload")))?;
 
-        let pinned_bytes = match &cache {
-            Some(c) => {
-                let bytes = index.size_bytes() + bloom.size_bytes() + TABLE_HANDLE_OVERHEAD;
-                c.charge_table(bytes);
-                bytes
-            }
-            None => 0,
-        };
+        let table_id = next_table_id();
+        let cache = cache.map(|cache| {
+            let pinned = index.size_bytes() + bloom.size_bytes() + TABLE_HANDLE_OVERHEAD;
+            let blocks = footer.index_off.div_ceil(fetch::CACHE_BLOCK) as usize;
+            CachedTable::new(cache, table_id, blocks, pinned)
+        });
         Ok(Self {
             file,
             name: name.to_string(),
@@ -136,8 +135,7 @@ impl TableReader {
             index,
             bloom,
             cache,
-            pinned_bytes,
-            table_id: next_table_id(),
+            table_id,
             search: SearchStrategy::Binary,
         })
     }
@@ -399,14 +397,6 @@ impl TableReader {
         self.file
             .read_exact_at((pos * self.entry_width) as u64, &mut kb)?;
         Ok(format::decode_entry_key(&kb))
-    }
-}
-
-impl Drop for TableReader {
-    fn drop(&mut self) {
-        if let Some(cache) = &self.cache {
-            cache.release_table(self.pinned_bytes);
-        }
     }
 }
 

@@ -2,12 +2,16 @@
 //! concurrency, scan/compaction pollution regressions, and the budget every
 //! shard of a `ShardedDb` shares.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use learned_index::IndexKind;
-use lsm_io::{CostModel, SimStorage, Storage};
-use lsm_tree::{BlockCache, BlockKey, Db, Options, ReadOptions, ShardedDb, ShardedOptions};
+use lsm_io::{CostModel, MemStorage, SimStorage, Storage};
+use lsm_tree::sstable::{TableBuilder, TableReader};
+use lsm_tree::{
+    BlockCache, BlockKey, Db, DbStats, Entry, IndexChoice, Options, ReadOptions, ShardedDb,
+    ShardedOptions,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,6 +79,99 @@ fn cache_storm_holds_budget_and_loses_nothing() {
         cache.evict_tables(&[table]);
     }
     assert_eq!(cache.used_bytes(), 0, "bytes leaked by the storm");
+}
+
+/// Hits, evictions and retirement at once, on one table's blocks: readers
+/// look up through the table's slots (`fetch_blocks`) while a second
+/// thread's inserts evict those blocks and a third retires the table — by
+/// `evict_tables` while the readers still hit it, then by dropping the
+/// reader for the next one. A reader must never see a torn or freed block:
+/// every value is right, the budget holds at every sample, and once every
+/// table is retired the block bytes are back to zero, each block's bytes
+/// released exactly once.
+#[test]
+fn hits_race_eviction_and_retirement() {
+    const KEYS: u64 = 2_000;
+    const TABLES: usize = 12;
+    let value = |k: u64| vec![(k % 251) as u8; 100];
+    let storage = MemStorage::new();
+    let mut builder = TableBuilder::new(
+        storage.create("t.sst").unwrap(),
+        "t.sst".into(),
+        IndexChoice::new(IndexKind::Pgm, 8),
+        100,
+        10,
+    );
+    for k in 0..KEYS {
+        builder.add(&Entry::put(k * 3, k + 1, value(k))).unwrap();
+    }
+    builder.finish().unwrap();
+    // Every handle is open, and charged, before the storm: pinned bytes only
+    // fall from here, so the whole ledger stays under the ceiling.
+    let cache = Arc::new(BlockCache::new(256 << 10));
+    let tables: Vec<Mutex<Option<Arc<TableReader>>>> = (0..TABLES)
+        .map(|_| {
+            let reader = TableReader::open_with(&storage, "t.sst", Some(Arc::clone(&cache)));
+            Mutex::new(Some(Arc::new(reader.unwrap())))
+        })
+        .collect();
+    let ids: Vec<u64> = tables
+        .iter()
+        .map(|t| t.lock().unwrap().as_ref().unwrap().table_id())
+        .collect();
+    let current = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let under_budget = || {
+        let (used, capacity) = (cache.used_bytes(), cache.capacity_bytes());
+        assert!(used <= capacity, "budget overshot: {used} > {capacity}");
+    };
+    std::thread::scope(|s| {
+        for seed in 0..2u64 {
+            let (tables, current, stop) = (&tables, &current, &stop);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let stats = DbStats::new();
+                while !stop.load(Ordering::Relaxed) {
+                    let at = current.load(Ordering::Relaxed).min(TABLES - 1);
+                    let Some(reader) = tables[at].lock().unwrap().clone() else {
+                        continue;
+                    };
+                    for _ in 0..64 {
+                        let k = rng.gen_range(0..KEYS);
+                        let got = reader.get(k * 3, u64::MAX >> 8, &stats).unwrap();
+                        assert_eq!(got, Some(Some(value(k))), "table {at} key {k}");
+                        under_budget();
+                    }
+                }
+            });
+        }
+        s.spawn(|| {
+            for b in (0..).take_while(|_| !stop.load(Ordering::Relaxed)) {
+                cache.insert(key(u64::MAX - b % 4, b % 64), block(BLOCK));
+                under_budget();
+            }
+        });
+        for (at, table) in tables.iter().enumerate() {
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            cache.evict_tables(&[ids[at]]);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            current.store(at + 1, Ordering::Relaxed);
+            table.lock().unwrap().take();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let stats = cache.stats();
+    assert!(
+        stats.block_hits > 0 && stats.block_evictions > 0,
+        "{stats:?}"
+    );
+    assert_eq!(cache.table_bytes(), 0, "every reader dropped");
+    cache.evict_tables(&[u64::MAX, u64::MAX - 1, u64::MAX - 2, u64::MAX - 3]);
+    assert_eq!(
+        cache.block_bytes(),
+        0,
+        "bytes released more or less than once"
+    );
 }
 
 fn cached_db(cache_bytes: usize, keys: u64) -> Db {

@@ -13,6 +13,13 @@
 //! (asserted below, to the call): fewer copies, not fewer or other reads.
 //! The parent read each run into a zeroed buffer, copied it out block by
 //! block, and allocated a placeholder for every evicted slot.
+//!
+//! Re-recorded at PR 25: 100 162 device calls and 308 702 blocks. Which
+//! blocks a 1 MiB cache still holds when a get asks depends on what it
+//! evicted, and the stripes' strict LRU became a clock (a hit sets a bit,
+//! the hand spares a referenced block once), so the misses moved: 28 more
+//! calls and 11 fewer blocks in 100 000 gets. The allocator counts did not
+//! (3.13 calls, 184 B per get).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,6 +114,6 @@ fn a_cold_get_allocates_no_block_storage() {
     );
     assert!(calls <= 4.0, "{calls:.2} allocator calls per cold get");
     assert!(bytes <= 512.0, "{bytes:.0} B allocated per cold get");
-    // The parent's reads, to the call.
-    assert_eq!((io.read_calls, io.read_blocks), (100_134, 308_713));
+    // The reads, to the call: a change here means the misses moved.
+    assert_eq!((io.read_calls, io.read_blocks), (100_162, 308_702));
 }

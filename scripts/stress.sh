@@ -7,10 +7,13 @@
 #
 # usage: scripts/stress.sh [group ...]        (no group = all of them)
 #
-#   reads    x50  cache_governance (the ledger storm), read_path (view before
-#                 ceiling, no read behind a parked sync, and four cold readers
-#                 beside a scan on a tiny cache: a miss fills the buffer an
-#                 eviction just left, never one a reader still holds), and
+#   reads    x50  cache_governance (the ledger storm; lookups hitting a
+#                 table's slots while inserts evict them and the table
+#                 retires: every value right, bytes released once),
+#                 read_path (view before ceiling, no read behind a parked
+#                 sync, and four cold readers beside a scan on a tiny cache:
+#                 a miss fills the buffer an eviction just left, never one a
+#                 reader still holds), and
 #                 the server's close_right_after_connect_never_hangs
 #   buffer   x20  write_concurrency (four synchronous writers hand the flush
 #                 claim to each other), backpressure, durability: a sealed
