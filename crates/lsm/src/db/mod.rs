@@ -322,17 +322,23 @@ impl Db {
         Snapshot::pin(seq, view, &self.core.snapshots)
     }
 
-    /// Snapshot pinning the current structures but reading at an explicit
-    /// sequence ceiling — the sharding layer's coherence primitive: every
-    /// shard is captured at the *same* globally published fence, so a
-    /// cross-shard batch (whose range is wholly above or wholly below any
-    /// published fence) is either fully visible or fully invisible.
+    /// Snapshot pinning `view` but reading at an explicit sequence ceiling —
+    /// the sharding layer's coherence primitive: every shard is captured at
+    /// the *same* globally published fence, so a cross-shard batch (whose
+    /// range is wholly above or wholly below any published fence) is either
+    /// fully visible or fully invisible. Which view may be pinned at which
+    /// fence is the caller's argument (`crate::sharding`'s *Visibility*).
     ///
     /// `seq` may exceed this shard's own latest sequence (other shards
     /// consumed the gap); entries above what is pinned simply don't exist
     /// here, so the higher ceiling is harmless.
-    pub(crate) fn snapshot_at(&self, seq: SeqNo) -> Snapshot {
-        Snapshot::pin(seq, self.core.view(), &self.core.snapshots)
+    pub(crate) fn snapshot_at(&self, seq: SeqNo, view: Arc<ReadView>) -> Snapshot {
+        Snapshot::pin(seq, view, &self.core.snapshots)
+    }
+
+    /// The published read view: what a read resolves through right now.
+    pub(crate) fn view(&self) -> Arc<ReadView> {
+        self.core.view()
     }
 
     /// Number of live snapshot handles.

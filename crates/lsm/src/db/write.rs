@@ -179,11 +179,13 @@ impl Db {
     /// instance has seen (the caller's allocator + commit lock guarantee
     /// it).
     ///
-    /// When `cross` is set the fragment is logged as a **prepare** record
-    /// and the synchronous-mode inline flush is deferred: the fragment
-    /// must not reach an SSTable (which replays unconditionally) before
-    /// the batch's commit marker seals it — the sharding layer calls
-    /// [`Db::flush_deferred`] after sealing.
+    /// When `cross` is set the fragment is logged as a **prepare** record.
+    /// Either way the synchronous-mode inline flush is left to the caller
+    /// ([`Db::flush_deferred`]): a prepare must not reach an SSTable (which
+    /// replays unconditionally) before the batch's commit marker seals it,
+    /// and no shard may flush a version the fence has not published yet —
+    /// the flush keeps only a key's newest version, and a reader pinned
+    /// below the fence would lose the one it is entitled to.
     pub(crate) fn write_assigned(
         &self,
         batch: WriteBatch,
@@ -291,7 +293,7 @@ impl Db {
                 q = core.write_queue_cv.wait(q).unwrap();
             }
         };
-        self.finish_write(&req, claim, background, cross, started)
+        self.finish_write(&req, claim, background, started)
     }
 
     /// The member half of a commit: apply the claimed ops, publish when the
@@ -301,7 +303,6 @@ impl Db {
         req: &WriteRequest,
         claim: ClaimedWrite,
         background: bool,
-        cross: Option<&wal::CrossBatchTag>,
         started: Option<Instant>,
     ) -> Result<SeqNo> {
         let core = &self.core;
@@ -330,18 +331,19 @@ impl Db {
                     .writes_during_maintenance
                     .fetch_add(1, Ordering::Relaxed);
             }
-        } else if cross.is_none() {
-            // Cross-shard fragments defer the inline flush until the
-            // batch's commit marker is durable ([`Db::flush_deferred`]).
+        } else if req.assigned.is_none() {
+            // The sharding layer's writes flush once the fence publishes
+            // them ([`Db::flush_deferred`]).
             core.maintain_inline()?;
         }
         Ok(last_seq)
     }
 
-    /// The deferred half of a cross-shard commit: flush the memtable if it
-    /// is over budget, now that the batch's marker has sealed it. Under
-    /// background maintenance this is a no-op — the next write's admission
-    /// control rotates the buffer at the same threshold.
+    /// The deferred half of a [`Db::write_assigned`]: flush the memtable if
+    /// it is over budget, now that the fence has published the batch (and
+    /// a cross-shard batch's marker has sealed it). Under background
+    /// maintenance this is a no-op — the next write's admission control
+    /// rotates the buffer at the same threshold.
     pub(crate) fn flush_deferred(&self) -> Result<()> {
         if self.core.opts.maintenance.is_background() {
             return Ok(());

@@ -1,6 +1,5 @@
-//! Cursors and the one merge over them: range lookups, compaction input and
-//! cross-shard scans (the paper's `NewIter` / `NewLevelIter` / `NewDBIter`
-//! stack in Figure 4).
+//! Cursors and the one merge over them: range lookups and compaction input
+//! (the paper's `NewIter` / `NewLevelIter` / `NewDBIter` stack in Figure 4).
 //!
 //! A [`Cursor`] is a position in one sorted stream — a memtable (live or
 //! queued for flush), a table, a level — that reads a *key* and lends a
@@ -12,10 +11,10 @@
 //! the value only of a pair it returns. Compaction runs the same `Merge`
 //! over its input tables and hands the builder the borrowed value.
 //!
-//! A `DbIterator` is itself a cursor, so one level up the sharding layer
-//! merges whole *engines* with the same code: a
-//! [`crate::sharding::ShardedDbIterator`] is a `DbIterator` over per-shard
-//! `DbIterator`s.
+//! One level up, the sharding layer merges nothing: shards own disjoint
+//! ranges, so a [`crate::sharding::ShardedDbIterator`] concatenates
+//! per-shard `DbIterator`s in routing order, the way [`LevelIter`]
+//! concatenates a level's tables.
 
 use std::sync::Arc;
 
@@ -477,7 +476,8 @@ mod tests {
     use crate::cache::BlockCache;
     use crate::memtable::MemTable;
     use crate::options::IndexChoice;
-    use crate::sharding::merge::over_shards;
+    use crate::sharding::merge::over_views;
+    use crate::sharding::{ShardRouter, ShardedDbIterator};
     use crate::sstable::{TableBuilder, TableReader};
     use crate::types::MAX_SEQ;
     use lsm_io::{MemStorage, Storage};
@@ -606,25 +606,50 @@ mod tests {
         puts.map(|(key, v)| (key, v.2)).collect()
     }
 
+    /// What [`check_against`] reads: one engine's iterator or the shards'.
+    trait Scan {
+        fn seek(&mut self, key: u64) -> Result<()>;
+        fn seek_to_first(&mut self);
+        fn collect_up_to(&mut self, limit: usize) -> Result<Vec<(u64, Vec<u8>)>>;
+    }
+
+    macro_rules! scan {
+        ($it:ty) => {
+            impl Scan for $it {
+                fn seek(&mut self, key: u64) -> Result<()> {
+                    <$it>::seek(self, key)
+                }
+                fn seek_to_first(&mut self) {
+                    <$it>::seek_to_first(self)
+                }
+                fn collect_up_to(&mut self, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
+                    <$it>::collect_up_to(self, limit)
+                }
+            }
+        };
+    }
+    scan!(DbIterator);
+    scan!(ShardedDbIterator);
+
     /// Read `it` against the model: all of it, then re-seeks mid-stream —
-    /// before the first key, to random keys, past the last.
+    /// before the first key, past the last, to each of `probes`, to random
+    /// keys; every other one after the previous exhausted `it` — and all of
+    /// it once more.
     fn check_against(
-        it: &mut DbIterator,
+        it: &mut impl Scan,
         model: &BTreeMap<u64, Vec<u8>>,
         rng: &mut Rng,
         what: &str,
+        probes: &[u64],
     ) {
         let from = |key: u64| -> Vec<(u64, Vec<u8>)> {
             model.range(key..).map(|(k, v)| (*k, v.clone())).collect()
         };
         it.seek_to_first();
         assert_eq!(it.collect_up_to(usize::MAX).unwrap(), from(0), "{what}");
-        for round in 0..12 {
-            let key = match round {
-                0 => 0,
-                1 => 10_000,
-                _ => rng.below(420),
-            };
+        let random: Vec<u64> = (0..10).map(|_| rng.below(420)).collect();
+        let seeks = [0, 10_000].iter().chain(probes).chain(&random);
+        for (round, &key) in seeks.enumerate() {
             it.seek(key).unwrap();
             let want = from(key);
             let some = rng.below(20) as usize;
@@ -641,6 +666,8 @@ mod tests {
                 );
             }
         }
+        it.seek_to_first();
+        assert_eq!(it.collect_up_to(usize::MAX).unwrap(), from(0), "{what}");
     }
 
     #[test]
@@ -662,17 +689,18 @@ mod tests {
             for snapshot in [MAX_SEQ, 700, 300, 0] {
                 let mut it = DbIterator::new(Merge::new(cursors(&storage, &lists)), snapshot);
                 let what = format!("k={k} snapshot {snapshot}");
-                check_against(&mut it, &live(&lists, snapshot), &mut rng, &what);
+                check_against(&mut it, &live(&lists, snapshot), &mut rng, &what, &[]);
             }
         }
     }
 
     /// A `ReadView` over `lists`: the live buffer, a queued one, two L0
     /// tables, then two deeper levels — each one sorted run cut into three
-    /// tables.
+    /// tables (an empty list makes no table).
     fn view(storage: &MemStorage, name: &str, lists: &[Vec<Entry>]) -> ReadView {
         let mut version = Version::new(4);
-        for (i, list) in lists.iter().enumerate().skip(2) {
+        let lists_with_tables = lists.iter().enumerate().skip(2);
+        for (i, list) in lists_with_tables.filter(|(_, list)| !list.is_empty()) {
             let name = format!("{name}-{i}");
             match i {
                 2 | 3 => version.levels[0].push(table(storage, &name, list, i == 2)),
@@ -694,20 +722,37 @@ mod tests {
             let view = view(&storage, "v", &lists);
             let mut it = view.iter(snapshot, snapshot == 400);
             let what = format!("snapshot {snapshot}");
-            check_against(&mut it, &live(&lists, snapshot), &mut rng, &what);
+            check_against(&mut it, &live(&lists, snapshot), &mut rng, &what, &[]);
         }
-        // Three shards, user keys dealt out by `key % 3`.
-        let lists = entry_lists(6, &mut rng);
-        let shards = (0..3).map(|shard| {
+        // Seven range-owned shards. User keys lie in 5..400, so the first
+        // shard ([0, 5)) and the last ([400, ∞)) are empty; the keys of
+        // [200, 240) are dropped, so a middle one is empty too.
+        let cuts = vec![5, 120, 200, 240, 330, 400];
+        let router = ShardRouter::with_boundaries(cuts.clone());
+        let kept = |e: &Entry| !(200..240).contains(&e.key.user_key);
+        let lists: Vec<Vec<Entry>> = entry_lists(6, &mut rng)
+            .into_iter()
+            .map(|list| list.into_iter().filter(kept).collect())
+            .collect();
+        let views = (0..=cuts.len()).map(|shard| {
             let of_shard = |list: &Vec<Entry>| -> Vec<Entry> {
-                let mine = list.iter().filter(|e| e.key.user_key % 3 == shard);
+                let mine = list
+                    .iter()
+                    .filter(|e| router.shard_of(e.key.user_key) == shard);
                 mine.cloned().collect()
             };
             let lists: Vec<Vec<Entry>> = lists.iter().map(of_shard).collect();
-            view(&storage, &format!("shard{shard}"), &lists).iter(500, true)
+            view(&storage, &format!("shard{shard}"), &lists)
         });
-        let mut it = over_shards(shards.collect());
-        check_against(&mut it, &live(&lists, 500), &mut rng, "3 shards");
+        let mut it = over_views(cuts, views.collect(), 500);
+        let probes = [4, 5, 120, 200, 220, 240, 330, 400, 401];
+        check_against(
+            &mut it,
+            &live(&lists, 500),
+            &mut rng,
+            "range shards",
+            &probes,
+        );
     }
 
     /// Calls made on one source.

@@ -197,7 +197,7 @@ impl Maintenance {
 /// shards.
 ///
 /// Every shard owns a key range, which keeps shards scan-friendly (a
-/// merged scan is a concatenation) and lets a hot shard split, but needs
+/// cross-shard scan is a concatenation) and lets a hot shard split, but needs
 /// *balanced* boundaries: they are cut at the quantiles of a sampled key
 /// distribution.
 ///

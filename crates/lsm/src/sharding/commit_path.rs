@@ -177,19 +177,20 @@ impl ShardedCore {
         }
         self.fence.next.store(last, Ordering::Relaxed);
         self.fence.visible.store(last, Ordering::Release);
-        if tag.is_some() {
-            // Deferred maintenance: inline flushes were withheld while the
-            // fragments were unsealed prepares (an SSTable replays
-            // unconditionally — flushing first would leak a torn batch
-            // past a crash). Sealed now, the shards may flush. We are
-            // past the commit point: a flush error here leaves the batch
-            // committed, durable and published, so it surfaces as a
-            // *retryable* maintenance error ([`ShardedDb::flush`] again
-            // once the storage heals) — never as commit poison, exactly
-            // like the single-`Db` inline-flush error path.
-            for &pos in &touched {
-                state.shard(pos).flush_deferred()?;
-            }
+        // Deferred maintenance: inline flushes were withheld until here, for
+        // two reasons. A prepare fragment must not reach an SSTable (which
+        // replays unconditionally) before its marker seals it, or a crash
+        // would leak a torn batch. And no version may be flushed before the
+        // fence publishes it: a flush keeps only a key's newest version, so
+        // a reader pinned without the commit lock at the old fence would
+        // find the version it is entitled to gone (the module docs'
+        // *Visibility*). We are past the commit point: a flush error here
+        // leaves the batch committed, durable and published, so it surfaces
+        // as a *retryable* maintenance error ([`ShardedDb::flush`] again
+        // once the storage heals) — never as commit poison, exactly like
+        // the single-`Db` inline-flush error path.
+        for &pos in &touched {
+            state.shard(pos).flush_deferred()?;
         }
         Ok(last)
     }
@@ -197,7 +198,9 @@ impl ShardedCore {
     /// Mirror one dual-write fragment into the split children at the same
     /// sequence sub-range. Child records are plain (never prepares) and
     /// never synced — pre-cutover durability is the parent's job, and the
-    /// cutover flushes the children before publishing them.
+    /// cutover flushes the children before publishing them. A child flushes
+    /// at once: no reader can pin it before the cutover, which publishes
+    /// it under the commit lock at a fence past every mirrored batch.
     fn mirror_to_children(
         &self,
         p: &PendingSplit,
@@ -206,13 +209,11 @@ impl ShardedCore {
         first_seq: SeqNo,
     ) -> Result<()> {
         let child_opts = WriteOptions::default();
-        if !left_part.is_empty() {
-            p.left
-                .write_assigned(left_part, &child_opts, first_seq, None)?;
-        }
-        if !right_part.is_empty() {
-            p.right
-                .write_assigned(right_part, &child_opts, first_seq, None)?;
+        for (child, part) in [(&p.left, left_part), (&p.right, right_part)] {
+            if !part.is_empty() {
+                child.write_assigned(part, &child_opts, first_seq, None)?;
+                child.flush_deferred()?;
+            }
         }
         Ok(())
     }

@@ -31,18 +31,19 @@
 //!   whole batch gets one contiguous global sequence range (each shard a
 //!   sub-range, one group-commit WAL record per touched shard), and the
 //!   fence's published ceiling advances only after every shard has
-//!   applied. Snapshots and merged scans read at the published fence
-//!   (pinned under the commit lock), so a multi-shard batch is
+//!   applied. Snapshots and scans read at the published fence, pinned
+//!   without the commit lock (see *Visibility*), so a multi-shard batch is
 //!   **all-or-nothing visible** to every multi-key view.
 //! * **Coherent snapshots** ([`ShardedSnapshot`]) — one RAII handle
 //!   capturing every shard at the same published fence **and at the
-//!   topology epoch of acquisition**: reads and merged scans through it
-//!   resolve through the pinned epoch's shard set, so a split published
-//!   after the snapshot cannot reroute (or lose) anything it sees.
-//! * **Merged scans** ([`merge`]) — per-shard snapshot-consistent
-//!   iterators merged by the engine's one loser-tree
-//!   [`crate::iter::Merge`] into one globally ordered scan, sourced from
-//!   the pinned epoch.
+//!   topology epoch of acquisition**: reads and scans through it resolve
+//!   through the pinned epoch's shard set, so a split published after the
+//!   snapshot cannot reroute (or lose) anything it sees.
+//! * **Concatenated scans** ([`merge`]) — shards own disjoint ranges in
+//!   routing order, so a global scan is the per-shard snapshot-consistent
+//!   iterators one after another, each opened only when the scan reaches
+//!   its shard (one more sorted level of the paper's `NewLevelIter`),
+//!   sourced from the pinned epoch.
 //! * **One shared worker pool** — under [`Maintenance::Background`] the
 //!   thread counts are a *global* budget: a single `scheduler` pool
 //!   round-robins flush/compaction steps across all shards (the step
@@ -138,12 +139,36 @@
 //! ## Visibility (in-process)
 //!
 //! The fence makes cross-shard batches atomically visible **to multi-key
-//! views** — snapshots and merged scans. Bare point [`ShardedDb::get`]s
-//! read the owning shard's latest applied state and make no cross-key
-//! promise (two separate `get`s are not a cut, with or without sharding;
-//! use a [`ShardedSnapshot`] for one); a `get` that races a topology
-//! cutover re-checks the epoch and retries, so it never returns a value
-//! staler than the shard that owned the key when the read began. A
+//! views** — snapshots and scans. No read takes the commit lock, which a
+//! durable writer holds across its WAL sync. A pin loads, in order, the
+//! routing state, each shard's published view, then the fence `F`; it then
+//! re-checks the epoch and each view (`Arc::ptr_eq`) and retries if either
+//! moved, which only an install or a cutover does. Its invariant:
+//!
+//! > **Every entry ≤ `F` is in the pinned views, and no version ≤ `F` was
+//! > dropped for one above `F`.**
+//!
+//! The first half holds because the views were still the published ones
+//! when `F` was loaded, and the fence publishes a batch only after every
+//! shard applied it to a buffer a published view already holds (a cutover
+//! swaps the state under the commit lock, so a fence loaded after it
+//! would fail the epoch re-check). The second holds because a shard
+//! flushes only entries the fence has published: a flush keeps a key's
+//! newest version only, so a buffer holding `k@old ≤ F` and an unpublished
+//! `k@new > F` must not reach a table. A shard's buffer is sealed only
+//! under the commit lock, and never while it holds part of the batch in
+//! flight: admission control seals it before that part lands, and every
+//! synchronous-mode inline flush runs after the fence publish
+//! (`Db::flush_deferred`), as a cross-shard prepare's already had to. A
+//! split's children flush at once — no reader can pin them before the
+//! cutover.
+//!
+//! Bare point [`ShardedDb::get`]s read the owning shard's latest applied
+//! state and make no cross-key promise (two separate `get`s are not a
+//! cut, with or without sharding; use a [`ShardedSnapshot`] for one); a
+//! `get` that races a topology cutover re-checks the epoch and retries,
+//! so it never returns a value staler than the shard that owned the key
+//! when the read began. A
 //! storage error mid-commit poisons the write path (reads stay
 //! available), so no *later* commit can ever publish a fence past the
 //! orphaned sub-batches — and since the batch was never sealed, a reopen
@@ -284,6 +309,15 @@ impl ShardedSnapshot {
     pub(crate) fn shard(&self, i: usize) -> &Snapshot {
         &self.pins[i]
     }
+
+    /// A second handle on the same pins, counted as live on its own.
+    fn repin(&self) -> ShardedSnapshot {
+        ShardedSnapshot {
+            seq: self.seq,
+            state: Arc::clone(&self.state),
+            pins: self.pins.iter().map(Snapshot::repin).collect(),
+        }
+    }
 }
 
 /// A split in flight: children exist and receive dual writes, but the
@@ -406,23 +440,29 @@ impl ShardedDb {
     /// Acquire a coherent snapshot: every shard pinned at the same
     /// published fence and the current topology epoch.
     ///
-    /// The pins are taken under the commit lock, so no cross-shard batch
-    /// is mid-flight while any shard is captured: each pinned state
-    /// contains exactly the batches at or below the fence. (Pinning
-    /// *after* a bare fence read would race background flushes, whose
-    /// newest-version-per-key retention can drop a sub-fence version in
-    /// the window — the lock closes it.) Snapshot acquisition therefore
-    /// serializes briefly with writes; reads through the handle never do
-    /// — and a split publishing a new epoch later leaves the handle
-    /// reading the shard set it pinned.
+    /// No lock is taken, so acquiring one never waits for a writer's sync:
+    /// the routing state, then every shard's view, then the fence are
+    /// loaded, and the pin is retried if a view or the epoch moved
+    /// meanwhile (see *Visibility* in the [module docs](self) for why each
+    /// pinned view then holds exactly the batches at or below the fence). A
+    /// split publishing a new epoch later leaves the handle reading the
+    /// shard set it pinned.
     pub fn snapshot(&self) -> ShardedSnapshot {
-        let _commit = self.core.coordination.lock.lock();
-        let state = self.core.current_state();
-        let seq = self.core.fence.visible.load(Ordering::Acquire);
-        ShardedSnapshot {
-            seq,
-            pins: state.shards.iter().map(|d| d.snapshot_at(seq)).collect(),
-            state,
+        let core = &self.core;
+        loop {
+            let state = core.current_state();
+            let views: Vec<_> = state.shards.iter().map(|d| d.view()).collect();
+            let seq = core.fence.visible.load(Ordering::Acquire);
+            let settled = core.state_epoch() == state.epoch
+                && (state.shards.iter().zip(&views)).all(|(d, v)| Arc::ptr_eq(&d.view(), v));
+            if settled {
+                let pins = state.shards.iter().zip(views);
+                return ShardedSnapshot {
+                    seq,
+                    pins: pins.map(|(d, v)| d.snapshot_at(seq, v)).collect(),
+                    state,
+                };
+            }
         }
     }
 
@@ -433,38 +473,32 @@ impl ShardedDb {
         state.shards.iter().map(|d| d.live_snapshots()).sum()
     }
 
-    /// Globally ordered scan over the latest published state (internally
-    /// pins a coherent [`ShardedSnapshot`] for the iterator's lifetime —
-    /// the per-shard iterators hold the pinned structures, so the scan is
-    /// stable and cut-consistent).
+    /// Globally ordered scan over the latest published state. The iterator
+    /// owns a coherent [`ShardedSnapshot`] for its lifetime (counted in
+    /// [`ShardedDb::live_snapshots`]), so the scan is stable and
+    /// cut-consistent.
     pub fn iter(&self) -> Result<ShardedDbIterator> {
-        self.iter_at(&self.snapshot())
+        Ok(ShardedDbIterator::new(self.snapshot()))
     }
 
     /// Globally ordered scan through a pinned [`ShardedSnapshot`],
-    /// sourced from the snapshot's own topology epoch.
+    /// sourced from the snapshot's own topology epoch. The iterator holds
+    /// pins of its own, so it may outlive `snapshot`.
     pub fn iter_at(&self, snapshot: &ShardedSnapshot) -> Result<ShardedDbIterator> {
-        let iters = snapshot
-            .state
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, d)| d.iter_with(&ReadOptions::at(snapshot.shard(i))))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(merge::over_shards(iters))
+        Ok(ShardedDbIterator::new(snapshot.repin()))
     }
 
-    /// Range lookup: up to `limit` live pairs with key ≥ `start`, merged
-    /// across shards in global key order.
+    /// Range lookup: up to `limit` live pairs with key ≥ `start`, in global
+    /// key order.
     pub fn scan(&self, start: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
         let started = self.core.observer.as_ref().map(|_| Instant::now());
         let snapshot = self.snapshot();
-        let mut it = self.iter_at(&snapshot)?;
-        it.seek(start)?;
-        let out = it.collect_up_to(limit)?;
         // Attribute the scan to the shard owning its start key, so the
         // merged stats still count it exactly once.
-        let owner = snapshot.state.shard(snapshot.state.router.shard_of(start));
+        let owner = Arc::clone(snapshot.state.shard(snapshot.state.router.shard_of(start)));
+        let mut it = ShardedDbIterator::new(snapshot);
+        it.seek(start)?;
+        let out = it.collect_up_to(limit)?;
         let stats = owner.stats();
         stats.scans.fetch_add(1, Ordering::Relaxed);
         stats

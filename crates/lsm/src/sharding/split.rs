@@ -213,7 +213,8 @@ impl ShardedCore {
             let bytes: Vec<u64> = state.shards.iter().map(|d| d.resident_bytes()).collect();
             let fraction = self.split_target(&bytes) as f64 / bytes[pos].max(1) as f64;
             let seq = self.fence.visible.load(Ordering::Acquire);
-            (pos, fraction, state.shard(pos).snapshot_at(seq))
+            let parent = state.shard(pos);
+            (pos, fraction, parent.snapshot_at(seq, parent.view()))
         };
         // Pass B (no lock): the exact cut — peel a fair-share child or
         // halve, from the parent's pinned image. Writers landing
@@ -279,7 +280,8 @@ impl ShardedCore {
             // or below it comes from the drain, everything above arrives
             // through the dual-write window.
             let snap_seq = self.fence.visible.load(Ordering::Acquire);
-            let snap = state.shard(pos).snapshot_at(snap_seq);
+            let parent = state.shard(pos);
+            let snap = parent.snapshot_at(snap_seq, parent.view());
             (state, p, snap, snap_seq)
         };
         match self.drain_parent(&state, &p, &snap, snap_seq) {
@@ -352,7 +354,8 @@ impl ShardedCore {
                 "drain seqs must stay below the pin fence"
             );
             child.write_assigned(std::mem::take(chunk), &child_opts, first, None)?;
-            Ok(())
+            // No reader can pin a child before the cutover: it flushes at once.
+            child.flush_deferred()
         };
         while let Some((k, v)) = it.next()? {
             if p.cancelled.load(Ordering::Acquire) {

@@ -32,6 +32,9 @@
 //! The sharding layer pins every shard at one shared *fence* sequence
 //! instead of the shard's own ceiling (`Db::snapshot_at`), which is what
 //! makes a [`crate::sharding::ShardedSnapshot`] a coherent cut across shards.
+//! There a view older than the fence is *not* harmless — another shard may
+//! show the batch it lacks — so every view is loaded before the fence and
+//! re-checked after it (the sharding module's *Visibility*).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -107,6 +110,11 @@ impl Snapshot {
         live.fetch_add(1, Ordering::Relaxed);
         let live = Arc::clone(live);
         Snapshot { seq, view, live }
+    }
+
+    /// A second handle on the same view and ceiling, counted on its own.
+    pub(crate) fn repin(&self) -> Snapshot {
+        Snapshot::pin(self.seq, Arc::clone(&self.view), &self.live)
     }
 
     /// The sequence number reads through this snapshot observe.

@@ -1,5 +1,6 @@
 //! The read path's concurrency properties: no read holds an engine lock
-//! across a writer's `sync`; a read loads its view before its sequence
+//! across a writer's `sync`, on one `Db` or across shards (whose commit
+//! lock is held across it too); a read loads its view before its sequence
 //! ceiling, so what a reader sees of a key never goes backwards; and the
 //! buffer a miss fills is never one another reader still holds.
 
@@ -11,8 +12,8 @@ use std::time::Duration;
 
 use lsm_io::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
 use lsm_tree::{
-    Db, IndexGranularity, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions,
-    WritePressure,
+    Db, IndexGranularity, Maintenance, Options, ReadOptions, ShardedDb, ShardedOptions, WriteBatch,
+    WriteOptions, WritePressure,
 };
 use lsm_workloads::value_for_key;
 use rand::rngs::StdRng;
@@ -176,6 +177,70 @@ fn no_read_waits_for_a_sync() {
         // the scope on the blocked threads.
         gate.release();
         assert!(finished.is_ok(), "a read waited for the writer's sync");
+    });
+    assert_eq!(db.get(5_000).unwrap(), Some(b"durable".to_vec()));
+}
+
+/// The sharded twin: a sharded write holds the commit lock across its
+/// shard's WAL sync, and no sharded read takes that lock — not a point
+/// read, a pinned read, a snapshot, an iterator or a scan across the cut.
+#[test]
+fn no_sharded_read_waits_for_a_sync() {
+    let gate = Arc::new(Gate::default());
+    let storage = Arc::new(GateStorage {
+        inner: MemStorage::new(),
+        gate: Arc::clone(&gate),
+    });
+    let mut base = Options::small_for_tests();
+    base.maintenance = Maintenance::background();
+    let db = ShardedDb::open(
+        storage,
+        ShardedOptions::learned(2, (0..2_000).collect(), base),
+    )
+    .unwrap();
+    assert_eq!(db.routing().router().boundaries(), [1_000]);
+    for k in 0..2_000u64 {
+        db.put(k, &k.to_le_bytes()).unwrap();
+    }
+    db.wait_for_maintenance();
+
+    gate.arm();
+    let (done, reads_done) = channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut batch = WriteBatch::new();
+            batch.put(5_000, b"durable");
+            db.write(batch, &WriteOptions::durable()).unwrap();
+        });
+        assert!(
+            gate.wait_parked(Duration::from_secs(30)),
+            "the durable write never reached its sync"
+        );
+        s.spawn(|| {
+            let value = |k: u64| Some(k.to_le_bytes().to_vec());
+            let pair = |k: u64| (k, k.to_le_bytes().to_vec());
+            assert_eq!(db.get(3).unwrap(), value(3));
+            let snap = db.snapshot();
+            assert_eq!(db.get_at(1_500, &snap).unwrap(), value(1_500));
+            assert_eq!(
+                db.get_at(5_000, &snap).unwrap(),
+                None,
+                "parked, not visible"
+            );
+            let mut it = db.iter().unwrap();
+            it.seek(999).unwrap();
+            assert_eq!(it.collect_up_to(2).unwrap(), [pair(999), pair(1_000)]);
+            assert_eq!(db.scan(1_998, 10).unwrap(), [pair(1_998), pair(1_999)]);
+            done.send(()).unwrap();
+        });
+        let finished = reads_done.recv_timeout(Duration::from_secs(10));
+        // Released either way, so a failure is reported instead of hanging
+        // the scope on the blocked threads.
+        gate.release();
+        assert!(
+            finished.is_ok(),
+            "a sharded read waited for the writer's sync"
+        );
     });
     assert_eq!(db.get(5_000).unwrap(), Some(b"durable".to_vec()));
 }

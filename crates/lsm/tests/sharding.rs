@@ -243,17 +243,70 @@ fn sharded_snapshot_is_coherent_and_pinned_across_maintenance() {
     assert_eq!(it.collect_up_to(usize::MAX).unwrap(), pinned);
     // The live view moved on.
     assert_eq!(db.get(0).unwrap(), Some(b"new-2-0".to_vec()));
+    drop((snap, it));
+    assert_eq!(db.live_snapshots(), 0);
+}
+
+/// An iterator owns the coherent snapshot it reads through: one pin per
+/// shard for as long as it lives — from `iter`, and from `iter_at` even
+/// after the snapshot it was made from drops — and none once it drops.
+#[test]
+fn an_iterator_holds_its_pins() {
+    let db = ShardedDb::open_memory(learned_opts(4, dense_sample())).unwrap();
+    let shards = db.shard_count();
+    for k in (0..4000u64).step_by(7) {
+        db.put(k, b"before").unwrap();
+    }
+    let mut it = db.iter().unwrap();
+    assert_eq!(db.live_snapshots(), shards);
+    let snap = db.snapshot();
+    let mut at = db.iter_at(&snap).unwrap();
     drop(snap);
+    assert_eq!(db.live_snapshots(), 2 * shards);
+    for k in (0..4000u64).step_by(7) {
+        db.put(k, b"after").unwrap();
+    }
+    db.flush().unwrap();
+    for it in [&mut it, &mut at] {
+        it.seek_to_first();
+        let pairs = it.collect_up_to(usize::MAX).unwrap();
+        assert_eq!(pairs.len(), 4000usize.div_ceil(7));
+        assert!(pairs.iter().all(|(_, v)| v == b"before"));
+    }
+    drop((it, at));
     assert_eq!(db.live_snapshots(), 0);
 }
 
 /// The fence test: a writer thread commits cross-shard batches where every
 /// batch writes the *same* round number to one marker key per shard. Any
 /// snapshot, taken at any moment, must observe the same round on all four
-/// markers — a mixed view would mean a partially visible batch.
+/// markers — a mixed view would mean a partially visible batch — and no
+/// marker may ever read an older round, or none, than an earlier snapshot
+/// saw: that would mean a pin lost a version it was entitled to.
 #[test]
 fn cross_shard_batches_are_all_or_nothing_visible() {
-    let db = Arc::new(background_sharded(4));
+    all_or_nothing_visible(Maintenance::background());
+}
+
+/// The fence test under synchronous maintenance, where a full buffer is
+/// flushed by the writer that filled it, inside its commit. Each round a
+/// single-shard batch re-puts one shard's marker, at the current round,
+/// with filler enough to fill the buffer every few dozen rounds: so a shard
+/// flushes while its buffer holds two versions of its marker, and the
+/// newer is the batch still in flight. Flushed before the fence publishes
+/// that batch, the table would keep only the unpublished version, and a
+/// snapshot pinned at the old fence would read an older round, or none.
+#[test]
+fn cross_shard_batches_are_all_or_nothing_visible_through_inline_flushes() {
+    all_or_nothing_visible(Maintenance::Synchronous);
+}
+
+fn all_or_nothing_visible(maintenance: Maintenance) {
+    let mut base = base_opts();
+    base.maintenance = maintenance;
+    let inline = !maintenance.is_background();
+    let opts = ShardedOptions::learned(4, dense_sample(), base);
+    let db = Arc::new(ShardedDb::open_memory(opts).unwrap());
     // One marker key per shard (dense_sample boundaries: 1000/2000/3000).
     let markers = [500u64, 1500, 2500, 3500];
     for &m in &markers {
@@ -264,6 +317,7 @@ fn cross_shard_batches_are_all_or_nothing_visible() {
         let db = Arc::clone(&db);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            let filler = b"filler-traffic-filler-traffic";
             let mut round: u64 = 0;
             while !stop.load(Ordering::Relaxed) {
                 round += 1;
@@ -273,20 +327,43 @@ fn cross_shard_batches_are_all_or_nothing_visible() {
                 }
                 // Filler traffic so flushes/rotations happen too — odd
                 // keys only, so it can never overwrite an (even) marker.
-                batch.put((round % 2000) * 2 + 1, b"filler-traffic-filler-traffic");
+                if !inline {
+                    batch.put((round % 2000) * 2 + 1, filler);
+                }
                 db.write(batch, &WriteOptions::default()).unwrap();
+                if inline {
+                    let shard = round % 4;
+                    let mut batch = WriteBatch::new();
+                    batch.put(markers[shard as usize], &round.to_le_bytes());
+                    for j in 0..8 {
+                        batch.put(shard * 1000 + (round * 8 + j) % 500 * 2 + 1, filler);
+                    }
+                    db.write(batch, &WriteOptions::default()).unwrap();
+                }
             }
             round
         })
     };
+    let round_of = |v: Vec<u8>| u64::from_le_bytes(v.try_into().unwrap());
+    let mut seen = [None; 4];
     let mut coherent_checks = 0u32;
     let deadline = Instant::now() + std::time::Duration::from_millis(400);
     while Instant::now() < deadline {
         let snap = db.snapshot();
-        let rounds: Vec<Option<Vec<u8>>> = markers
+        let rounds: Vec<Option<u64>> = markers
             .iter()
-            .map(|&m| db.get_at(m, &snap).unwrap())
+            .map(|&m| db.get_at(m, &snap).unwrap().map(round_of))
             .collect();
+        for ((m, was), now) in markers.iter().zip(&mut seen).zip(&rounds) {
+            // `None` orders below every round: this is "never lost once
+            // seen" and "never backwards" at once.
+            assert!(
+                *now >= *was,
+                "snapshot at fence {} read marker {m} at {now:?} after {was:?}",
+                snap.seq()
+            );
+            *was = *now;
+        }
         if rounds[0].is_none() {
             continue; // nothing committed yet
         }
@@ -301,6 +378,8 @@ fn cross_shard_batches_are_all_or_nothing_visible() {
     let rounds_written = writer.join().unwrap();
     assert!(rounds_written > 10, "writer made progress");
     assert!(coherent_checks > 10, "checker made progress");
+    let flushes = db.stats().flushes;
+    assert!(!inline || flushes > 10, "only {flushes} inline flushes ran");
     db.wait_for_maintenance();
     assert_eq!(db.background_error(), None);
     // Final state: all markers agree on the last round.

@@ -10,10 +10,12 @@
 #   reads    x50  cache_governance (the ledger storm; lookups hitting a
 #                 table's slots while inserts evict them and the table
 #                 retires: every value right, bytes released once),
-#                 read_path (view before ceiling, no read behind a parked
-#                 sync, and four cold readers beside a scan on a tiny cache:
-#                 a miss fills the buffer an eviction just left, never one a
-#                 reader still holds), and
+#                 read_path (view before ceiling; no read behind a parked
+#                 sync, on one Db or sharded — a sharded snapshot, iterator
+#                 or scan pins without the commit lock the syncing writer
+#                 holds; and four cold readers beside a scan on a tiny
+#                 cache: a miss fills the buffer an eviction just left,
+#                 never one a reader still holds), and
 #                 the server's close_right_after_connect_never_hangs
 #   buffer   x20  write_concurrency (four synchronous writers hand the flush
 #                 claim to each other), backpressure, durability: a sealed
@@ -22,7 +24,9 @@
 #                 the library's skiplist:: and memtable:: unit tests —
 #                 inserters hand the arena's full chunk on to each other
 #   sharding x10  the sharding binary: splits under load, the dual-write
-#                 window, the crash matrices
+#                 window, the crash matrices, and the fence test under both
+#                 maintenance modes (lock-free pins against rotations and
+#                 inline flushes: no torn batch, no marker lost or older)
 #
 # Stops at the first failing run, with a non-zero exit status.
 cd "$(dirname "$0")/.." || exit 1
