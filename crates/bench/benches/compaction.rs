@@ -2,8 +2,8 @@
 //! (`Options::max_subcompactions`) under a sustained zipfian write stream.
 //!
 //! The stream runs to steady state on the simulated NVMe with background
-//! maintenance (1 flush + 1 compaction worker) and deliberately tight L0
-//! triggers, so compaction drain rate — not the write path — is the
+//! maintenance (1 flush + 1 compaction worker) and an eager L0 compaction
+//! trigger, so compaction drain rate — not the write path — is the
 //! binding constraint and every nanosecond the merge saves comes straight
 //! out of writer stalls. Two metrics per knob setting, reported through
 //! `iter_custom` so the shim's `median_ns` *is* the metric:
@@ -38,11 +38,9 @@ fn bench_opts(max_subcompactions: usize) -> Options {
     o.write_buffer_bytes = 128 << 10;
     o.sstable_target_bytes = 128 << 10;
     o.maintenance = Maintenance::background();
-    // Tight triggers: the stream outruns a single-threaded merge, so the
+    // An eager trigger: the stream outruns a single-threaded merge, so the
     // stall counters see exactly what the parallel merge buys back.
     o.l0_compaction_trigger = 2;
-    o.l0_slowdown_trigger = 4;
-    o.l0_stop_trigger = 8;
     o.max_subcompactions = max_subcompactions;
     o
 }

@@ -2,14 +2,15 @@
 //! immutable queue, the one procedure that empties the queue and restores
 //! the tree's shape — `flush_one`, `compact_one` — and its two drivers: a
 //! pool thread (`Maintenance::Background`) or the writer that sealed the
-//! buffer (`Maintenance::Synchronous`). Also admission control, explicit
-//! flushes, the wait/pause/resume hooks and close.
+//! buffer (`Maintenance::Synchronous`). Also admission (`make_room`, the
+//! writer's side of the one rule `WritePressure::of`), explicit flushes,
+//! the wait/pause/resume hooks and close.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::{CommitCoordination, Db, DbCore, Inner};
+use super::{CommitCoordination, Db, DbCore, Inner, WritePressure};
 use crate::compaction::{
     advance_cursor, pick_compaction_excluding, run_compaction, CompactionTask, KeyRetention,
     LevelWriter,
@@ -22,7 +23,7 @@ use crate::wal::WalWriter;
 use crate::{Error, Result};
 use lsm_obs::EventKind;
 
-/// Per-write delay applied once L0 reaches the slowdown trigger (LevelDB
+/// Per-write delay applied once L0 reaches `L0_SLOWDOWN_TRIGGER` (LevelDB
 /// sleeps the same 1 ms).
 const SLOWDOWN_DELAY: Duration = Duration::from_millis(1);
 
@@ -202,71 +203,78 @@ impl Drop for Db {
 impl DbCore {
     // ------------------------------------------------- sealing the buffer
 
-    /// Admission control for one write (background mode): rotate a full
-    /// memtable onto the immutable queue, delaying or blocking the writer
-    /// per the LevelDB triggers first.
+    /// Admission for one write (background mode), by the one rule
+    /// (`WritePressure::of`): wait out a `Stop`, brake once at `Slowdown` —
+    /// a gentle brake that spreads the wait over many writes —, then rotate
+    /// a full buffer onto the immutable queue.
+    ///
+    /// The first look is a `try_read`: when the tree lock is write-held (a
+    /// leader mid-commit, maintenance installing a version), blocking would
+    /// serialize admission behind the commit pipeline and keep this writer
+    /// out of the very group whose flush could cover it. Skipping a
+    /// contended look admits at most one extra group's worth of data; the
+    /// next uncontended one sees the pressure.
     pub(super) fn make_room(&self) -> Result<()> {
+        let pressed = self.inner.try_read().is_some_and(|inner| {
+            let (pressure, full) = inner.pressure(&self.opts);
+            full || pressure > WritePressure::Clear
+        });
+        if !pressed {
+            return Ok(());
+        }
         let mut slowed = false;
-        let mut stop_started: Option<Instant> = None;
-        let mut stop_span: Option<u64> = None;
+        let mut stopped = None;
         let outcome = loop {
             let epoch = self.signal.epoch();
             let mut inner = self.inner.write();
-            let l0 = inner.version.levels[0].len();
-            // One delay per write while L0 rides above the soft trigger —
-            // a gentle brake that spreads the wait over many writes (no
-            // upper bound: at peak pressure writes still brake before the
-            // hard stop, as in LevelDB).
-            if !slowed && l0 >= self.opts.l0_slowdown_trigger {
-                drop(inner);
-                let started = Instant::now();
-                let span = self.obs.as_deref().map(|obs| {
-                    let span = obs.span();
-                    obs.emit(EventKind::StallBegin, span, 0, 0);
-                    span
-                });
-                std::thread::sleep(SLOWDOWN_DELAY);
-                let ns = started.elapsed().as_nanos() as u64;
-                self.stats.record_stall(false, ns);
-                if let (Some(obs), Some(span)) = (self.obs.as_deref(), span) {
-                    obs.emit(EventKind::StallEnd, span, 0, ns);
+            match inner.pressure(&self.opts) {
+                (WritePressure::Stop, _) => {
+                    drop(inner);
+                    stopped = stopped.or_else(|| Some(self.stall_begin(true)));
+                    self.signal.wait_past(epoch);
                 }
-                slowed = true;
-                continue;
-            }
-            if inner.mem.approximate_bytes() < self.opts.write_buffer_bytes {
-                break Ok(());
-            }
-            // The buffer is full: rotating requires a queue slot and L0
-            // headroom; otherwise the writer stops until maintenance
-            // catches up.
-            if l0 >= self.opts.l0_stop_trigger
-                || inner.imms.len() >= self.opts.max_immutable_memtables.max(1)
-            {
-                drop(inner);
-                if stop_started.is_none() {
-                    stop_started = Some(Instant::now());
-                    self.stats.stalled_now.fetch_add(1, Ordering::Relaxed);
-                    stop_span = self.obs.as_deref().map(|obs| {
-                        let span = obs.span();
-                        obs.emit(EventKind::StallBegin, span, 1, 0);
-                        span
-                    });
+                (WritePressure::Slowdown, _) if !slowed => {
+                    drop(inner);
+                    let stall = self.stall_begin(false);
+                    std::thread::sleep(SLOWDOWN_DELAY);
+                    self.stall_end(false, stall);
+                    slowed = true;
                 }
-                self.signal.wait_past(epoch);
-                continue;
+                (_, true) => break self.rotate_memtable(&mut inner),
+                (_, false) => break Ok(()),
             }
-            break self.rotate_memtable(&mut inner);
         };
-        if let Some(started) = stop_started {
-            self.stats.stalled_now.fetch_sub(1, Ordering::Relaxed);
-            let ns = started.elapsed().as_nanos() as u64;
-            self.stats.record_stall(true, ns);
-            if let (Some(obs), Some(span)) = (self.obs.as_deref(), stop_span) {
-                obs.emit(EventKind::StallEnd, span, 1, ns);
-            }
+        if let Some(stall) = stopped {
+            self.stall_end(true, stall);
         }
         outcome
+    }
+
+    /// A writer stall starts: its clock, and its span when observed. A
+    /// stopped writer counts in the `stalled_writers` gauge until it ends.
+    fn stall_begin(&self, stop: bool) -> (Instant, Option<u64>) {
+        if stop {
+            self.stats.stalled_now.fetch_add(1, Ordering::Relaxed);
+        }
+        let started = Instant::now();
+        let span = self.obs.as_deref().map(|obs| {
+            let span = obs.span();
+            obs.emit(EventKind::StallBegin, span, stop as u64, 0);
+            span
+        });
+        (started, span)
+    }
+
+    /// A writer stall ends: counted, timed and, when observed, closed.
+    fn stall_end(&self, stop: bool, (started, span): (Instant, Option<u64>)) {
+        if stop {
+            self.stats.stalled_now.fetch_sub(1, Ordering::Relaxed);
+        }
+        let ns = started.elapsed().as_nanos() as u64;
+        self.stats.record_stall(stop, ns);
+        if let (Some(obs), Some(span)) = (self.obs.as_deref(), span) {
+            obs.emit(EventKind::StallEnd, span, stop as u64, ns);
+        }
     }
 
     /// Synchronous maintenance's trigger, run by a writer after its write

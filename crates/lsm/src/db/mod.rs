@@ -16,10 +16,12 @@
 //!   maintenance work instead of racing against it.
 //! * [`Maintenance::Background`]: dedicated flush and compaction workers
 //!   (see [`crate::scheduler`]), concurrently; the write returns once the
-//!   buffer is rotated. Writers are regulated LevelDB-style: each write is
-//!   delayed ~1 ms once L0 reaches [`Options::l0_slowdown_trigger`], and
-//!   blocks outright at [`Options::l0_stop_trigger`] (or when the immutable
-//!   queue is full) until maintenance catches up.
+//!   buffer is rotated. Writers are admitted by one rule over LevelDB's
+//!   fixed limits ([`WritePressure`]): each write is delayed ~1 ms once L0
+//!   holds [`L0_SLOWDOWN_TRIGGER`] tables, and one that must rotate the
+//!   buffer blocks at [`L0_STOP_TRIGGER`] tables or
+//!   [`MAX_IMMUTABLE_MEMTABLES`] queued buffers until maintenance catches
+//!   up.
 //!
 //! Reads always consult the active memtable, then the immutable queue
 //! (newest first), then the [`Version`] — so rotated-but-unflushed writes
@@ -102,18 +104,48 @@ use crate::{Error, Result};
 use lsm_io::Storage;
 use lsm_obs::{EngineObs, MetricsSnapshot, GLOBAL_SHARD};
 
-/// What the write-path admission triggers would do to the next write —
-/// see [`Db::write_pressure`]. Ordered by severity (`Clear < Slowdown <
-/// Stop`), so a front end can take the max across shards.
+/// L0 table count at which every write (background maintenance) is braked
+/// once, ~1 ms (LevelDB's `kL0_SlowdownWritesTrigger`).
+pub const L0_SLOWDOWN_TRIGGER: usize = 8;
+
+/// L0 table count at which a write that must rotate the buffer waits for an
+/// L0 compaction (LevelDB's `kL0_StopWritesTrigger`). An L0 compaction is
+/// due long before: `Options::l0_compaction_trigger` may not exceed it
+/// under background maintenance ([`Db::open`] refuses).
+pub const L0_STOP_TRIGGER: usize = 12;
+
+/// Rotated buffers queued for flush at which a write that must rotate the
+/// buffer waits for a flush (background maintenance).
+pub const MAX_IMMUTABLE_MEMTABLES: usize = 2;
+
+/// What admission does to the next write — see [`Db::write_pressure`].
+/// Ordered by severity (`Clear < Slowdown < Stop`), so a front end can take
+/// the max across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WritePressure {
     /// No backpressure: a write proceeds undelayed.
     Clear,
-    /// L0 is at the slowdown trigger: each write is delayed ~1 ms.
+    /// L0 is at [`L0_SLOWDOWN_TRIGGER`]: each write is delayed ~1 ms.
     Slowdown,
     /// A write that needs to rotate the buffer would block until
     /// maintenance drains L0 or the immutable queue.
     Stop,
+}
+
+impl WritePressure {
+    /// The admission rule — the one the writer obeys (`make_room`) and the
+    /// one [`Db::write_pressure`] reports: a full buffer with L0 at
+    /// [`L0_STOP_TRIGGER`] or [`MAX_IMMUTABLE_MEMTABLES`] queued stops,
+    /// else L0 at [`L0_SLOWDOWN_TRIGGER`] slows.
+    fn of(l0_tables: usize, queued: usize, buffer_full: bool) -> WritePressure {
+        if buffer_full && (l0_tables >= L0_STOP_TRIGGER || queued >= MAX_IMMUTABLE_MEMTABLES) {
+            WritePressure::Stop
+        } else if l0_tables >= L0_SLOWDOWN_TRIGGER {
+            WritePressure::Slowdown
+        } else {
+            WritePressure::Clear
+        }
+    }
 }
 
 struct Inner {
@@ -141,6 +173,14 @@ impl Inner {
     /// No buffer is queued for flush or being flushed.
     fn flush_idle(&self) -> bool {
         self.imms.is_empty() && !self.flush_active
+    }
+
+    /// The admission rule's verdict on the next write, and whether the
+    /// buffer is full (that write then rotates it).
+    fn pressure(&self, opts: &Options) -> (WritePressure, bool) {
+        let full = self.mem.approximate_bytes() >= opts.write_buffer_bytes;
+        let l0 = self.version.levels[0].len();
+        (WritePressure::of(l0, self.imms.len(), full), full)
     }
 }
 
@@ -422,15 +462,17 @@ impl Db {
         self.core.view().mems[0].len()
     }
 
-    /// What the LevelDB admission triggers would do to the *next* write —
-    /// the probe a front end uses to shed load before a writer thread
-    /// commits to (and possibly blocks in) [`Db::write`].
+    /// What admission would do to the *next* write — the probe a front end
+    /// uses to shed load before a writer thread commits to (and possibly
+    /// blocks in) [`Db::write`]. The writer obeys the same rule, over the
+    /// tree state this view publishes:
     ///
     /// * [`WritePressure::Stop`] — the write buffer is full and rotation
-    ///   is blocked (L0 at [`Options::l0_stop_trigger`] or the immutable
-    ///   queue full): a write would stall until maintenance catches up.
-    /// * [`WritePressure::Slowdown`] — L0 is at
-    ///   [`Options::l0_slowdown_trigger`]: each write is braked ~1 ms.
+    ///   is blocked (L0 at [`L0_STOP_TRIGGER`] or
+    ///   [`MAX_IMMUTABLE_MEMTABLES`] queued): a write would stall until
+    ///   maintenance catches up.
+    /// * [`WritePressure::Slowdown`] — L0 is at [`L0_SLOWDOWN_TRIGGER`]:
+    ///   each write is braked ~1 ms.
     /// * [`WritePressure::Clear`] — no backpressure.
     ///
     /// Under [`Maintenance::Synchronous`] there is no backpressure (the
@@ -443,19 +485,8 @@ impl Db {
             return WritePressure::Clear;
         }
         let view = self.core.view();
-        let opts = &self.core.opts;
-        let l0 = view.version.levels[0].len();
-        let buffer_full = view.mems[0].approximate_bytes() >= opts.write_buffer_bytes;
-        let queued = view.mems.len() - 1;
-        if buffer_full
-            && (l0 >= opts.l0_stop_trigger || queued >= opts.max_immutable_memtables.max(1))
-        {
-            WritePressure::Stop
-        } else if l0 >= opts.l0_slowdown_trigger {
-            WritePressure::Slowdown
-        } else {
-            WritePressure::Clear
-        }
+        let full = view.mems[0].approximate_bytes() >= self.core.opts.write_buffer_bytes;
+        WritePressure::of(view.version.levels[0].len(), view.mems.len() - 1, full)
     }
 
     /// Number of rotated-but-unflushed immutable memtables queued.
@@ -616,6 +647,38 @@ mod tests {
         let mut opts = Options::small_for_tests();
         opts.index.kind = kind;
         Db::open_memory(opts).unwrap()
+    }
+
+    /// The admission rule at each of its edges: a stop needs a full buffer,
+    /// and either limit stops it; L0 alone only slows.
+    #[test]
+    fn admission_is_one_rule_over_fixed_limits() {
+        use WritePressure::{Clear, Slowdown, Stop};
+        let (slow, stop, cap) = (
+            L0_SLOWDOWN_TRIGGER,
+            L0_STOP_TRIGGER,
+            MAX_IMMUTABLE_MEMTABLES,
+        );
+        assert!(slow < stop && cap >= 1);
+        let cases = [
+            // (L0 tables, queued buffers, buffer full) → pressure
+            ((0, 0, true), Clear),
+            ((slow - 1, cap - 1, true), Clear),
+            ((slow, 0, false), Slowdown),
+            ((slow, cap - 1, true), Slowdown),
+            ((stop, cap, false), Slowdown),
+            ((stop - 1, cap - 1, true), Slowdown),
+            ((stop, 0, true), Stop),
+            ((0, cap, true), Stop),
+            ((0, cap, false), Clear),
+        ];
+        for ((l0, queued, full), want) in cases {
+            assert_eq!(
+                WritePressure::of(l0, queued, full),
+                want,
+                "{l0} {queued} {full}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::{Condvar, Mutex as StdMutex};
 use parking_lot::RwLock;
 
 use super::write::{PublishQueue, WriteQueue};
-use super::{Db, DbCore, Embedding, Inner};
+use super::{Db, DbCore, Embedding, Inner, L0_STOP_TRIGGER};
 use crate::cache::BlockCache;
 use crate::compaction::LevelWriter;
 use crate::memtable::MemTable;
@@ -38,6 +38,10 @@ impl Db {
     /// against) — shard directories belong behind
     /// [`crate::sharding::ShardedDb::open`], whose coordinator resolves
     /// prepares to committed/aborted before the fence resumes.
+    ///
+    /// Background maintenance with an `l0_compaction_trigger` above
+    /// [`L0_STOP_TRIGGER`] is refused (`InvalidInput`): a writer stopped
+    /// there would wait for a compaction that is never due.
     pub fn open(storage: Arc<dyn Storage>, opts: Options) -> Result<Db> {
         Self::open_internal(storage, opts, Embedding::default())
     }
@@ -47,6 +51,16 @@ impl Db {
         opts: Options,
         embedding: Embedding<'_>,
     ) -> Result<Db> {
+        if opts.maintenance.is_background() && opts.l0_compaction_trigger > L0_STOP_TRIGGER {
+            return Err(Error::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "l0_compaction_trigger {} is above the L0 stop trigger {L0_STOP_TRIGGER}: \
+                     a stopped writer would wait for a compaction that is never due",
+                    opts.l0_compaction_trigger
+                ),
+            )));
+        }
         let Embedding {
             pool,
             resolver,

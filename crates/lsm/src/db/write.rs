@@ -125,9 +125,8 @@ impl Db {
     /// sequenced before it — is fully visible to readers.
     ///
     /// Under background maintenance this is also where backpressure
-    /// applies: the write may be delayed (L0 at the slowdown trigger) or
-    /// blocked (L0 at the stop trigger / immutable queue full) before it is
-    /// admitted.
+    /// applies, by the rule [`Db::write_pressure`] reports: the write may
+    /// be delayed (`Slowdown`) or blocked (`Stop`) before it is admitted.
     ///
     /// ```rust
     /// use lsm_tree::{Db, Options, WriteBatch, WriteOptions};
@@ -228,23 +227,9 @@ impl Db {
         let _in_flight = InFlightGuard(&core.writers_in_flight);
         let background = core.opts.maintenance.is_background();
         if background {
-            // Admission control runs *before* queueing, so a stalled write
-            // never blocks the leader pipeline. Fast path: no L0 pressure
-            // and room in the buffer — skip the machinery entirely. The
-            // probe is `try_read`: when the tree lock is write-held (a
-            // leader mid-commit, maintenance installing a version),
-            // blocking here would serialize admission behind the commit
-            // pipeline and keep this writer out of the very group whose
-            // flush could cover it. Skipping a contended probe admits at
-            // most one extra group's worth of data; the next uncontended
-            // probe sees the pressure and stalls as usual.
-            let needs_room = core.inner.try_read().is_some_and(|inner| {
-                inner.version.levels[0].len() >= core.opts.l0_slowdown_trigger
-                    || inner.mem.approximate_bytes() >= core.opts.write_buffer_bytes
-            });
-            if needs_room {
-                core.make_room()?;
-            }
+            // Admission runs *before* queueing, so a stalled write never
+            // blocks the leader pipeline.
+            core.make_room()?;
         }
         let ops = batch.into_ops();
         // Encode the WAL region here, on the submitting thread, so the

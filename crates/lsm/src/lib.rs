@@ -81,7 +81,7 @@ pub mod wal;
 
 pub use batch::{BatchOp, WriteBatch};
 pub use cache::{BlockCache, BlockKey, CacheStats};
-pub use db::{Db, WritePressure};
+pub use db::{Db, WritePressure, L0_SLOWDOWN_TRIGGER, L0_STOP_TRIGGER, MAX_IMMUTABLE_MEMTABLES};
 pub use iter::DbIterator;
 pub use options::{
     IndexChoice, IndexGranularity, Maintenance, Options, ReadOptions, SearchStrategy,

@@ -156,9 +156,8 @@ impl Default for IndexChoice {
 ///
 /// [`Maintenance::Background`] is the production mode: the write returns
 /// once the buffer is rotated, while dedicated flush and compaction worker
-/// threads restore the tree invariant concurrently. Writers are regulated
-/// LevelDB-style by [`Options::l0_slowdown_trigger`] /
-/// [`Options::l0_stop_trigger`].
+/// threads restore the tree invariant concurrently. Writers are admitted by
+/// one rule over LevelDB's fixed limits ([`crate::WritePressure`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Maintenance {
     /// Flush + compactions run inline in the write path, on the writer's
@@ -315,6 +314,8 @@ pub struct Options {
     /// Level size ratio `T` (paper: 10).
     pub size_ratio: u64,
     /// Number of L0 files that triggers an L0→L1 compaction (LevelDB: 4).
+    /// Under background maintenance at most [`crate::L0_STOP_TRIGGER`]:
+    /// a writer stopped there waits for this compaction.
     pub l0_compaction_trigger: usize,
     /// Fixed value slot width (paper: 1000-byte values).
     pub value_width: usize,
@@ -347,17 +348,6 @@ pub struct Options {
     pub per_level_bloom_bits: Option<Vec<usize>>,
     /// Flush/compaction scheduling (see [`Maintenance`]).
     pub maintenance: Maintenance,
-    /// Background mode only: L0 file count at which each write is delayed
-    /// by ~1 ms, giving compaction a chance to catch up before the hard
-    /// stop (LevelDB's `kL0_SlowdownWritesTrigger`).
-    pub l0_slowdown_trigger: usize,
-    /// Background mode only: L0 file count at which writers block until an
-    /// L0 compaction completes (LevelDB's `kL0_StopWritesTrigger`).
-    pub l0_stop_trigger: usize,
-    /// Background mode only: maximum immutable memtables queued for flush;
-    /// a writer that fills the active memtable while the queue is full
-    /// blocks until a flush drains a slot.
-    pub max_immutable_memtables: usize,
     /// Maximum parallel **subcompactions** per compaction job. Above 1,
     /// one logical compaction is range-partitioned into disjoint user-key
     /// sub-ranges (cut at byte-weighted input-table boundaries so
@@ -394,9 +384,6 @@ impl Default for Options {
             per_level_epsilon: None,
             per_level_bloom_bits: None,
             maintenance: Maintenance::Synchronous,
-            l0_slowdown_trigger: 8,
-            l0_stop_trigger: 12,
-            max_immutable_memtables: 2,
             max_subcompactions: 1,
             observability: false,
         }
@@ -422,9 +409,6 @@ impl Options {
             per_level_epsilon: None,
             per_level_bloom_bits: None,
             maintenance: Maintenance::Synchronous,
-            l0_slowdown_trigger: 8,
-            l0_stop_trigger: 12,
-            max_immutable_memtables: 2,
             max_subcompactions: 1,
             observability: false,
         }

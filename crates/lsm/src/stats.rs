@@ -226,10 +226,10 @@ engine_counters! {
         SUM scan_entries,
         // Background maintenance (`Maintenance::Background`): write
         // backpressure and worker activity.
-        /// Writes delayed ~1 ms because L0 reached `l0_slowdown_trigger`.
+        /// Writes delayed ~1 ms because L0 reached `L0_SLOWDOWN_TRIGGER`.
         SUM stall_slowdowns,
         /// Write stalls that blocked until maintenance caught up (L0 at
-        /// `l0_stop_trigger`, or the immutable-memtable queue full).
+        /// `L0_STOP_TRIGGER`, or the immutable-memtable queue full).
         SUM stall_stops,
         /// Total wall time writers spent stalled (both kinds), in ns.
         SUM stall_ns,

@@ -1,27 +1,30 @@
-//! Background-maintenance integration tests: LevelDB-style write
-//! backpressure (slowdown / stop triggers, immutable-queue cap) and the
-//! foreground/maintenance overlap the scheduler exists to provide.
+//! Background-maintenance integration tests: write admission — one rule
+//! over LevelDB's fixed limits (`L0_SLOWDOWN_TRIGGER`, `L0_STOP_TRIGGER`,
+//! `MAX_IMMUTABLE_MEMTABLES`) — and the foreground/maintenance overlap the
+//! scheduler exists to provide.
 //!
 //! The trigger tests are deterministic: compactions are paused so L0
 //! pressure builds exactly one table per explicit flush, and every
 //! assertion is about *whether* a stall was recorded (counters), never
-//! about how long anything took.
+//! about how long anything took. At each step, what `Db::write_pressure`
+//! reports is what the next write does.
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use learned_index::IndexKind;
-use lsm_io::CostModel;
-use lsm_tree::{Db, Maintenance, Options};
+use lsm_io::{CostModel, MemStorage};
+use lsm_tree::{
+    Db, Error, Maintenance, Options, WritePressure, L0_SLOWDOWN_TRIGGER, L0_STOP_TRIGGER,
+    MAX_IMMUTABLE_MEMTABLES,
+};
 
-/// Tight triggers so a handful of 24-byte-value flushes walk L0 through
-/// the slowdown (3) and stop (5) thresholds.
+/// Small buffers under background maintenance: a handful of 24-byte-value
+/// flushes walk L0 through the slowdown and stop triggers.
 fn bp_opts() -> Options {
     let mut o = Options::small_for_tests();
     o.index.kind = IndexKind::Pgm;
     o.maintenance = Maintenance::background();
-    o.l0_slowdown_trigger = 3;
-    o.l0_stop_trigger = 5;
-    o.max_immutable_memtables = 4;
     o
 }
 
@@ -39,6 +42,15 @@ fn l0_len(db: &Db) -> usize {
     db.version().levels[0].len()
 }
 
+/// Wait until `writer` is stopped — and fail, rather than spin forever, if
+/// it finishes without ever being stopped.
+fn wait_until_stopped(db: &Db, writer: &JoinHandle<()>) {
+    while db.stats().stalled_writers() == 0 {
+        assert!(!writer.is_finished(), "the writer was never stopped");
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn writers_slow_at_slowdown_and_stop_at_stop_trigger() {
     let db = Arc::new(Db::open_sim(bp_opts(), CostModel::default()).unwrap());
@@ -46,9 +58,10 @@ fn writers_slow_at_slowdown_and_stop_at_stop_trigger() {
     let mut key = 0u64;
 
     // Below the slowdown trigger: writes are unimpeded.
-    while l0_len(&db) < 2 {
+    while l0_len(&db) < L0_SLOWDOWN_TRIGGER - 1 {
         flush_one_table(&db, &mut key, 40);
     }
+    assert_eq!(db.write_pressure(), WritePressure::Clear);
     let before = db.stats().snapshot();
     for _ in 0..20 {
         db.put(key, &[7u8; 24]).unwrap();
@@ -60,13 +73,11 @@ fn writers_slow_at_slowdown_and_stop_at_stop_trigger() {
 
     // At the slowdown trigger: every write is delayed once (~1 ms) and the
     // stall counters record it.
-    while l0_len(&db) < 3 {
+    while l0_len(&db) < L0_SLOWDOWN_TRIGGER {
         flush_one_table(&db, &mut key, 40);
     }
-    assert!(
-        l0_len(&db) >= 3 && l0_len(&db) < 5,
-        "L0 in the slowdown zone"
-    );
+    assert!(l0_len(&db) < L0_STOP_TRIGGER, "L0 in the slowdown zone");
+    assert_eq!(db.write_pressure(), WritePressure::Slowdown);
     let before = db.stats().snapshot();
     for _ in 0..5 {
         db.put(key, &[7u8; 24]).unwrap();
@@ -79,10 +90,11 @@ fn writers_slow_at_slowdown_and_stop_at_stop_trigger() {
 
     // Push L0 to the stop trigger (explicit flushes bypass backpressure —
     // they are orders, not writes).
-    while l0_len(&db) < 5 {
+    while l0_len(&db) < L0_STOP_TRIGGER {
         flush_one_table(&db, &mut key, 40);
     }
-    assert!(l0_len(&db) >= 5);
+    // A stop needs a full buffer too: until then writes are only braked.
+    assert_eq!(db.write_pressure(), WritePressure::Slowdown);
 
     // A writer that fills the buffer must now block until compaction
     // catches up. Only resuming compactions can release it.
@@ -100,9 +112,8 @@ fn writers_slow_at_slowdown_and_stop_at_stop_trigger() {
     };
     // Deterministic: the writer cannot finish while L0 ≥ stop and
     // compactions are paused, so the stalled-writers gauge must rise.
-    while db.stats().stalled_writers() == 0 {
-        std::thread::yield_now();
-    }
+    wait_until_stopped(&db, &writer);
+    assert_eq!(db.write_pressure(), WritePressure::Stop);
     // Resuming compaction is what releases it.
     db.resume_compactions();
     writer.join().unwrap();
@@ -111,7 +122,10 @@ fn writers_slow_at_slowdown_and_stop_at_stop_trigger() {
         db.stats().snapshot().stall_stops > stopped_before,
         "the writer recorded a hard stop"
     );
-    assert!(l0_len(&db) < 5, "compaction caught up after the stall");
+    assert!(
+        l0_len(&db) < L0_STOP_TRIGGER,
+        "compaction caught up after the stall"
+    );
     assert_eq!(db.background_error(), None);
 
     // Nothing was lost across the stalls.
@@ -122,18 +136,14 @@ fn writers_slow_at_slowdown_and_stop_at_stop_trigger() {
 
 #[test]
 fn writers_stop_when_immutable_queue_is_full() {
-    let mut opts = bp_opts();
-    opts.max_immutable_memtables = 2;
-    // Sky-high L0 triggers: this test isolates the queue-cap stall.
-    opts.l0_slowdown_trigger = 1_000;
-    opts.l0_stop_trigger = 1_000;
-    let db = Arc::new(Db::open_memory(opts).unwrap());
+    // Flushes paused: L0 stays empty, so only the queue cap can stop.
+    let db = Arc::new(Db::open_memory(bp_opts()).unwrap());
     db.pause_flushes();
 
     // Fill the queue to its cap: each rotation is admitted while the queue
     // has a free slot.
     let mut key = 0u64;
-    while db.immutable_memtables() < 2 {
+    while db.immutable_memtables() < MAX_IMMUTABLE_MEMTABLES {
         db.put(key, &[9u8; 24]).unwrap();
         key += 1;
     }
@@ -151,9 +161,8 @@ fn writers_stop_when_immutable_queue_is_full() {
         })
     };
     // The writer must be observably blocked before a flush frees a slot.
-    while db.stats().stalled_writers() == 0 {
-        std::thread::yield_now();
-    }
+    wait_until_stopped(&db, &writer);
+    assert_eq!(db.write_pressure(), WritePressure::Stop);
     db.resume_flushes();
     writer.join().unwrap();
     db.wait_for_maintenance();
@@ -211,7 +220,7 @@ fn writers_overlap_with_background_maintenance_on_sim_nvme() {
     }
     // The tree invariant was restored concurrently, not by the writers.
     assert!(
-        db.version().levels[0].len() < db.options().l0_stop_trigger,
+        db.version().levels[0].len() < L0_STOP_TRIGGER,
         "L0 under control"
     );
 }
@@ -241,4 +250,26 @@ fn synchronous_mode_records_no_stalls_or_rotations() {
     assert_eq!(s.bg_compact_ns, 0);
     assert_eq!(s.writes_during_maintenance, 0);
     assert_eq!(db.immutable_memtables(), 0);
+}
+
+/// A compaction trigger above the stop trigger would stop writers for a
+/// compaction that is never due: background maintenance refuses it at open,
+/// with a typed error instead of a hang at the first stop. At the stop
+/// trigger, and in synchronous mode (which never stops a writer), it opens.
+#[test]
+fn a_compaction_trigger_above_the_stop_trigger_is_refused() {
+    let open = |trigger: usize, maintenance: Maintenance| {
+        let mut opts = bp_opts();
+        opts.l0_compaction_trigger = trigger;
+        opts.maintenance = maintenance;
+        Db::open(Arc::new(MemStorage::new()), opts)
+    };
+    let refused = open(L0_STOP_TRIGGER + 1, Maintenance::background());
+    assert!(
+        matches!(&refused, Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput),
+        "{:?}",
+        refused.err()
+    );
+    open(L0_STOP_TRIGGER, Maintenance::background()).unwrap();
+    open(L0_STOP_TRIGGER + 1, Maintenance::Synchronous).unwrap();
 }

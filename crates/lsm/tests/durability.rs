@@ -369,7 +369,6 @@ use lsm_tree::Maintenance;
 fn background_opts() -> Options {
     let mut o = opts();
     o.maintenance = Maintenance::background();
-    o.max_immutable_memtables = 4;
     o
 }
 

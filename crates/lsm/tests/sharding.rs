@@ -1337,9 +1337,6 @@ fn four_shards_sustain_1_5x_write_throughput() {
         o.sstable_target_bytes = 4 << 10;
         o.maintenance = maintenance;
         o.l0_compaction_trigger = 2;
-        o.l0_slowdown_trigger = 6;
-        o.l0_stop_trigger = 20;
-        o.max_immutable_memtables = 4;
         o
     }
     // Same *global* worker budget for both configurations. A single tree

@@ -16,16 +16,18 @@
 //! # Admission control
 //!
 //! The engine's write stalls ([`WritePressure`]) are mapped to the
-//! network edge instead of being absorbed as open-ended blocking:
+//! network edge instead of being absorbed as open-ended blocking. One rule
+//! (`window`): a request is admitted while its connection has fewer
+//! requests in flight than the window of the pressure it meets, and shed
+//! with [`ServerError::RetryAfter`] otherwise. A read meets `Clear`; a
+//! write meets the engine's [`ShardedDb::write_pressure`]:
 //!
-//! * **Stop** — write requests are shed with [`ServerError::RetryAfter`]
-//!   before touching the engine: a bounded, typed signal the client can
-//!   back off on, instead of a worker thread parked inside `make_room`.
-//! * **Slowdown** — the per-connection in-flight cap shrinks
-//!   (`QUEUE_SLOWDOWN_CAP`), so a pipelining client fills its shrunken
-//!   window and naturally slows to the engine's drain rate.
-//! * **Clear** — requests are admitted up to `queue_cap` per connection;
-//!   beyond that they are shed (`RetryAfter`), bounding queue memory.
+//! * **Stop** — no window: writes are shed before touching the engine, a
+//!   bounded, typed signal the client can back off on, instead of a worker
+//!   thread parked inside `make_room`.
+//! * **Slowdown** — `QUEUE_SLOWDOWN_CAP`, so a pipelining client fills its
+//!   shrunken window and naturally slows to the engine's drain rate.
+//! * **Clear** — `QUEUE_CAP`, bounding queue memory.
 //!
 //! A poisoned commit path (a cross-shard batch failed mid-way) turns
 //! every subsequent write into [`ServerError::Poisoned`] — the client
@@ -63,9 +65,11 @@ use crate::transport::Listener;
 /// client's frame cap.
 pub const MAX_SCAN_LIMIT: usize = 4096;
 
+/// Per-connection in-flight cap under [`WritePressure::Clear`].
+const QUEUE_CAP: usize = 128;
+
 /// Per-connection in-flight cap under [`WritePressure::Slowdown`] — below
-/// [`ServerOptions::queue_cap`], so pipelined writers drain to the engine's
-/// pace.
+/// `QUEUE_CAP`, so pipelined writers drain to the engine's pace.
 const QUEUE_SLOWDOWN_CAP: usize = 16;
 
 /// Backoff hint (milliseconds) carried by every [`ServerError::RetryAfter`].
@@ -80,8 +84,6 @@ pub struct ServerOptions {
     /// Largest request frame accepted before the connection is dropped
     /// as corrupt.
     pub max_frame: usize,
-    /// Per-connection in-flight cap under [`WritePressure::Clear`].
-    pub queue_cap: usize,
 }
 
 impl Default for ServerOptions {
@@ -89,7 +91,6 @@ impl Default for ServerOptions {
         ServerOptions {
             workers: 4,
             max_frame: DEFAULT_MAX_FRAME,
-            queue_cap: 128,
         }
     }
 }
@@ -366,28 +367,30 @@ fn admit(shared: &Shared, state: &ConnState, req: &Request) -> Admission {
     if shared.closing.load(Ordering::Acquire) {
         return Admission::Shed(ServerError::ShuttingDown("server draining".into()));
     }
-    let opts = &shared.opts;
-    let inflight = state.inflight.load(Ordering::Acquire);
-    if req.is_write() {
-        if shared.db.poisoned() {
-            return Admission::Shed(ServerError::Poisoned(
-                "cross-shard commit failed mid-way; reopen to recover".into(),
-            ));
-        }
-        let cap = match shared.db.write_pressure() {
-            // A stopped engine would park the worker inside `make_room`;
-            // shed instead and let the client retry after the hint.
-            WritePressure::Stop => 0,
-            WritePressure::Slowdown => QUEUE_SLOWDOWN_CAP,
-            WritePressure::Clear => opts.queue_cap,
-        };
-        if inflight >= cap {
-            return Admission::Shed(ServerError::RetryAfter { ms: RETRY_AFTER_MS });
-        }
-    } else if inflight >= opts.queue_cap {
+    let pressure = if !req.is_write() {
+        WritePressure::Clear
+    } else if shared.db.poisoned() {
+        return Admission::Shed(ServerError::Poisoned(
+            "cross-shard commit failed mid-way; reopen to recover".into(),
+        ));
+    } else {
+        shared.db.write_pressure()
+    };
+    if state.inflight.load(Ordering::Acquire) >= window(pressure) {
         return Admission::Shed(ServerError::RetryAfter { ms: RETRY_AFTER_MS });
     }
     Admission::Admit
+}
+
+/// The per-connection in-flight window a request meeting `pressure` is
+/// admitted within. A stopped engine would park the worker inside
+/// `make_room`: its window is empty, and the client retries after the hint.
+fn window(pressure: WritePressure) -> usize {
+    match pressure {
+        WritePressure::Stop => 0,
+        WritePressure::Slowdown => QUEUE_SLOWDOWN_CAP,
+        WritePressure::Clear => QUEUE_CAP,
+    }
 }
 
 fn worker_loop(shared: &Arc<Shared>) {

@@ -14,7 +14,7 @@ use lsm_server::{
     ServerError, ServerOptions, TcpTransport,
 };
 use lsm_tree::sharding::ShardedDb;
-use lsm_tree::{EventKind, Maintenance, Options, ShardedOptions};
+use lsm_tree::{EventKind, Maintenance, Options, ShardedOptions, WritePressure};
 use rand::{RngCore, SeedableRng, StdRng};
 
 /// `shards` range shards cut inside the small keys every test here writes
@@ -537,7 +537,6 @@ fn stopped_engine_sheds_writes_with_retry_after_instead_of_stalling() {
     // server must convert that into RETRY_AFTER sheds at the edge.
     let mut base = Options::small_for_tests();
     base.maintenance = Maintenance::background();
-    base.max_immutable_memtables = 1;
     let db = ShardedDb::open_memory(sharded(1, base)).expect("open");
     let (connector, listener) = MemTransport::endpoint();
     let server = Server::start(
@@ -582,6 +581,12 @@ fn stopped_engine_sheds_writes_with_retry_after_instead_of_stalling() {
     }
     assert!(committed > 0, "puts before the stop must succeed");
     assert!(server.shed_count() > 0, "server must count its sheds");
+    // A read meets no write pressure: it is admitted while writes shed.
+    assert_eq!(server.db().write_pressure(), WritePressure::Stop);
+    assert_eq!(
+        client.get(0).expect("get while stopped"),
+        Some(value.clone())
+    );
 
     // Un-pause: the engine drains, and retrying eventually succeeds — a
     // shed was a backoff signal, not a failure.
