@@ -563,12 +563,12 @@ fn push_requests(reqs: &mut Vec<lsm_server::Request>, op: Op, value_width: usize
 /// measured from *scheduled* arrival (coordinated-omission-free), and
 /// admission-control sheds are counted, not hidden.
 ///
-/// Returns the per-mix records plus the last mix's sharded-stats report,
-/// fetched through the `STATS` opcode like any other request — and, with
-/// `observability` (the engine's observability layer) on, the full
-/// [`lsm_server::MetricsSnapshot`] (folded per-shard latency histograms plus
-/// the event timeline) scraped through the `METRICS` opcode after the last
-/// mix.
+/// Returns the per-mix records plus the last mix's
+/// [`lsm_server::MetricsSnapshot`], scraped through the `METRICS` opcode
+/// like any other request: the engine's counters and the sharding layer's
+/// residency report always; with `observability` (the engine's
+/// observability layer) on, also the folded per-shard latency histograms
+/// and the event timeline.
 #[allow(clippy::too_many_arguments)]
 pub fn ycsb_server(
     scale: &Scale,
@@ -579,17 +579,12 @@ pub fn ycsb_server(
     rate: Option<f64>,
     cache_mb: usize,
     observability: bool,
-) -> Result<(
-    Vec<ServerYcsbRecord>,
-    String,
-    Option<lsm_server::MetricsSnapshot>,
-)> {
+) -> Result<(Vec<ServerYcsbRecord>, lsm_server::MetricsSnapshot)> {
     use lsm_server::{Client, MemTransport, Server, ServerOptions};
     use std::sync::Arc;
 
     let mut out = Vec::new();
-    let mut stats_json = String::new();
-    let mut metrics = None;
+    let mut metrics = lsm_server::MetricsSnapshot::default();
     let keys = dataset.generate(scale.keys, seed);
     for spec in YcsbSpec::ALL {
         let mut workload = YcsbWorkload::new(spec, keys.clone(), seed ^ 0xc5);
@@ -643,13 +638,10 @@ pub fn ycsb_server(
         let summary =
             lsm_server::run_open_loop(&client, target_rate, reqs.len(), |i| reqs[i].clone())
                 .map_err(client_err)?;
-        stats_json = client.stats_json().map_err(client_err)?;
-        if observability {
-            // Scrape after the measured run so the histograms fold the
-            // whole mix; draining the ring here also keeps it from
-            // overflowing across mixes.
-            metrics = Some(client.metrics().map_err(client_err)?);
-        }
+        // Scrape after the measured run so the histograms fold the whole
+        // mix; draining the ring here also keeps it from overflowing
+        // across mixes.
+        metrics = client.metrics().map_err(client_err)?;
 
         out.push(ServerYcsbRecord {
             workload: spec.name().to_string(),
@@ -668,7 +660,7 @@ pub fn ycsb_server(
         });
         server.close()?;
     }
-    Ok((out, stats_json, metrics))
+    Ok((out, metrics))
 }
 
 // ------------------------------------------------------- live rebalancing

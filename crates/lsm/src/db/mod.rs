@@ -102,7 +102,7 @@ use crate::version::Version;
 use crate::wal::{self, WalWriter};
 use crate::{Error, Result};
 use lsm_io::Storage;
-use lsm_obs::{EngineObs, MetricsSnapshot, GLOBAL_SHARD};
+use lsm_obs::{EngineObs, MetricsSnapshot};
 
 /// L0 table count at which every write (background maintenance) is braked
 /// once, ~1 ms (LevelDB's `kL0_SlowdownWritesTrigger`).
@@ -533,26 +533,17 @@ impl Db {
         self.core.obs.as_ref()
     }
 
-    /// Assemble a scrapeable [`MetricsSnapshot`]: `DbStats` counters
-    /// always; latency quantiles and the drained event timeline only when
-    /// observability is on. Draining consumes the ring — each event
-    /// appears in exactly one scrape.
+    /// Assemble a scrapeable [`MetricsSnapshot`] — the one-shard case of
+    /// the sharded scrape: `DbStats` counters always; latency quantiles and
+    /// the drained event timeline only when observability is on. Draining
+    /// consumes the ring — each event appears in exactly one scrape.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::disabled();
         let mut stats = self.stats().snapshot();
         if let Some(cache) = &self.core.cache {
             stats.absorb_cache(&cache.stats());
         }
-        snap.counters = stats.counter_pairs();
-        if let Some(obs) = self.core.obs.as_deref() {
-            let set = obs.ops.snapshot();
-            snap.enabled = true;
-            snap.total = set.summarize(GLOBAL_SHARD);
-            snap.shards = vec![set.summarize(obs.shard())];
-            snap.events = obs.observer().drain();
-            snap.dropped_events = obs.observer().dropped();
-        }
-        snap
+        let obs = self.core.obs.as_deref();
+        MetricsSnapshot::collect(stats.counter_pairs(), obs.map(|o| &**o.observer()), obs)
     }
 
     /// The shared core (sharding layer: worker-pool step closures hold one

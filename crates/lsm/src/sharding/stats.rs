@@ -1,10 +1,10 @@
 //! What a sharded engine reports: merged counters, the residency and
-//! balance report behind the split trigger, and the metrics scrape
-//! (ARCHITECTURE.md §7).
+//! balance report behind the split trigger, and the metrics scrape that
+//! carries both (ARCHITECTURE.md §7).
 
-use super::{imbalance, ShardedDb};
+use super::{imbalance, RoutingState, ShardedDb};
 use crate::stats::{DbStats, StatsSnapshot};
-use lsm_obs::{MetricsSnapshot, GLOBAL_SHARD};
+use lsm_obs::MetricsSnapshot;
 
 /// Residency + balance report of one [`ShardedDb`] — the observability
 /// the split trigger acts on, exposed so an operator can watch a split
@@ -27,6 +27,28 @@ pub struct ShardedStats {
     pub resident_imbalance: f64,
     /// Markers live in the active commit-log generation.
     pub live_commit_markers: usize,
+}
+
+impl ShardedStats {
+    /// The scrape's counters: every merged engine counter, then
+    /// `topology_epoch`, `live_commit_markers`, and per shard in routing
+    /// order `shard{id}_resident_bytes` / `shard{id}_resident_entries`
+    /// (the `level{N}_…` convention, keyed by stable id). The two ratios
+    /// are not carried — `resident_imbalance` is a function of the
+    /// per-shard bytes, [`StatsSnapshot::write_amplification`] one of
+    /// `flush_bytes_written` and `compact_bytes_written`.
+    pub fn counter_pairs(&self) -> Vec<(String, u64)> {
+        let markers = self.live_commit_markers as u64;
+        let mut out = self.merged.counter_pairs();
+        out.push(("topology_epoch".into(), self.topology_epoch));
+        out.push(("live_commit_markers".into(), markers));
+        for (pos, id) in self.shard_ids.iter().enumerate() {
+            let (bytes, entries) = (self.resident_bytes[pos], self.resident_entries[pos]);
+            out.push((format!("shard{id}_resident_bytes"), bytes));
+            out.push((format!("shard{id}_resident_entries"), entries));
+        }
+        out
+    }
 }
 
 impl ShardedDb {
@@ -53,9 +75,12 @@ impl ShardedDb {
     /// Residency and balance report: per-shard resident bytes/entries and
     /// their imbalance — the observability behind the split trigger.
     pub fn sharded_stats(&self) -> ShardedStats {
-        let state = self.core.current_state();
+        self.report(&self.core.current_state())
+    }
+
+    fn report(&self, state: &RoutingState) -> ShardedStats {
         let resident_bytes: Vec<u64> = state.shards.iter().map(|d| d.resident_bytes()).collect();
-        let resident_entries = Self::entry_counts(&state);
+        let resident_entries = Self::entry_counts(state);
         ShardedStats {
             merged: self.stats(),
             topology_epoch: state.epoch,
@@ -71,32 +96,16 @@ impl ShardedDb {
         }
     }
 
-    /// Assemble the scrapeable [`MetricsSnapshot`]: merged `DbStats`
-    /// counters always; with observability on, per-shard latency
-    /// summaries plus the cross-shard **histogram fold** (bucket-wise
-    /// merge — quantiles of the union, never averages of per-shard
-    /// quantiles) and the drained event timeline. Draining consumes the
-    /// ring: each event appears in exactly one scrape.
+    /// Assemble the scrapeable [`MetricsSnapshot`] (see `Db::metrics`, its
+    /// one-shard case): the merged counters and the residency report of
+    /// [`ShardedStats::counter_pairs`], both from one routing state;
+    /// with observability on, per-shard latency summaries, their fold and
+    /// the drained event timeline.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::disabled();
-        snap.counters = self.stats().counter_pairs();
-        let Some(observer) = self.core.observer.as_deref() else {
-            return snap;
-        };
-        snap.enabled = true;
         let state = self.core.current_state();
-        let mut fold = lsm_obs::OpHistSet::default();
-        for (pos, db) in state.shards.iter().enumerate() {
-            let Some(obs) = db.observability() else {
-                continue;
-            };
-            let set = obs.ops.snapshot();
-            fold.merge(&set);
-            snap.shards.push(set.summarize(state.ids[pos]));
-        }
-        snap.total = fold.summarize(GLOBAL_SHARD);
-        snap.events = observer.drain();
-        snap.dropped_events = observer.dropped();
-        snap
+        let shards = state.shards.iter().filter_map(|db| db.observability());
+        let observer = self.core.observer.as_deref();
+        let counters = self.report(&state).counter_pairs();
+        MetricsSnapshot::collect(counters, observer, shards.map(|obs| &**obs))
     }
 }

@@ -9,7 +9,7 @@
 //! Every counter is declared **once**, in the `engine_counters!` table
 //! below, with its doc comment and its class. The macro expands the table
 //! into [`DbStats`], [`StatsSnapshot`], `snapshot`, `since`, `absorb_cache`,
-//! `counter_pairs` and `+=`; both scrape surfaces (METRICS and STATS) render
+//! `counter_pairs` and `+=`; the one scrape, METRICS, renders
 //! [`StatsSnapshot::counter_pairs`].
 
 use std::cell::Cell;
@@ -131,9 +131,9 @@ macro_rules! engine_counters {
                 $( self.$c = cache.$src; )*
             }
 
-            /// Flatten into `(name, value)` pairs for the scrape surfaces
-            /// (`MetricsSnapshot::counters`, the STATS JSON): scalar counters
-            /// under their field names, then `level{N}_…` for busy levels.
+            /// Flatten into `(name, value)` pairs for the scrape
+            /// (`MetricsSnapshot::counters`): scalar counters under their
+            /// field names, then `level{N}_…` for busy levels.
             pub fn counter_pairs(&self) -> Vec<(String, u64)> {
                 let mut out = vec![
                     $( (stringify!($e).to_string(), self.$e), )*

@@ -1205,6 +1205,56 @@ fn a_single_learned_shard_splits_under_a_skewed_stream() {
     assert_reads_back(&db, &keys);
 }
 
+/// The metrics scrape carries the residency report, and nothing is lost
+/// by dropping its two ratios: on a quiesced 2-shard database after one
+/// live split, the scrape's pairs equal `sharded_stats()`, and both ratios
+/// recomputed from the pairs equal the report's.
+#[test]
+fn metrics_carry_the_residency_report_after_a_split() {
+    let mut opts = ShardedOptions::learned(1, Vec::new(), base_opts())
+        .with_max_shards(4)
+        .with_split_trigger(0.10, 64 << 10);
+    opts.auto_split = false; // the one split is driven by hand
+    let db = ShardedDb::open_memory(opts).unwrap();
+    for chunk in (0..12_000u64).map(|i| i * i).collect::<Vec<_>>().chunks(8) {
+        let mut batch = WriteBatch::with_capacity(chunk.len());
+        for &k in chunk {
+            batch.put(k, &k.to_le_bytes());
+        }
+        db.write(batch, &WriteOptions::default()).unwrap();
+    }
+    assert!(db.rebalance().unwrap(), "the lone shard is due a split");
+    assert_eq!(db.shard_count(), 2, "one live split");
+
+    let report = db.sharded_stats();
+    let snap = db.metrics();
+    assert_eq!(report.merged.shard_splits, 1);
+    assert_eq!(snap.counters, report.counter_pairs());
+    let value = |name: &str| {
+        let pair = snap.counters.iter().find(|(n, _)| n == name);
+        pair.unwrap_or_else(|| panic!("{name} missing")).1
+    };
+    assert_eq!(value("topology_epoch"), report.topology_epoch);
+    assert_eq!(
+        value("live_commit_markers"),
+        report.live_commit_markers as u64
+    );
+    let mut bytes = Vec::new();
+    for (pos, id) in report.shard_ids.iter().enumerate() {
+        bytes.push(value(&format!("shard{id}_resident_bytes")));
+        assert_eq!(bytes[pos], report.resident_bytes[pos]);
+        let entries = value(&format!("shard{id}_resident_entries"));
+        assert_eq!(entries, report.resident_entries[pos]);
+    }
+    assert_eq!(imbalance(&bytes), report.resident_imbalance);
+    let (flushed, compacted) = (value("flush_bytes_written"), value("compact_bytes_written"));
+    assert!(flushed > 0 && compacted > 0);
+    assert_eq!(
+        (flushed + compacted) as f64 / flushed as f64,
+        report.merged.write_amplification()
+    );
+}
+
 /// A sample too small to cut four ways (three keys) still opens as a range
 /// topology — three ascending equal-width cuts of the key space — so the
 /// ceiling is usable: under a load that all lands in the first slice the

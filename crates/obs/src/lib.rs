@@ -17,8 +17,9 @@
 //!   multi-writer recorder the engine's hot paths use; snapshots lower
 //!   into the single-writer form for folding and quantiles.
 //! * [`MetricsSnapshot`] — counters + folded histogram quantiles +
-//!   recent events, with a bounds-checked wire codec (the `METRICS`
-//!   opcode payload) and a Prometheus-style [`MetricsSnapshot::render_text`].
+//!   recent events, rendered by [`MetricsSnapshot::render_text`] as a
+//!   Prometheus-style exposition. Its wire form (the `METRICS` opcode
+//!   payload) belongs to the server's protocol; this crate has no codec.
 //!
 //! Cross-shard aggregation folds **histograms**, never averages of
 //! per-shard quantiles — see [`OpHistSet::merge`].

@@ -4,9 +4,10 @@
 //!
 //! Layering: this crate knows nothing about the engine. The engine
 //! hangs an [`EngineObs`] off each shard (all sharing one [`Observer`])
-//! and records into it; the sharding layer *folds* the per-shard
+//! and records into it; [`MetricsSnapshot::collect`] *folds* the per-shard
 //! histograms (bucket-wise [`LatencyHistogram::merge`], never averages
-//! of averages) and assembles the snapshot.
+//! of averages) and assembles the snapshot, for a sharded engine and a
+//! single `Db` (a fleet of one) alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -221,7 +222,8 @@ pub struct MetricsSnapshot {
     /// Whether `Options::observability` was on. When off, only the
     /// counters are populated (today's `DbStats`, unperturbed).
     pub enabled: bool,
-    /// Flat `DbStats` counters, name → value.
+    /// Flat counters, name → value: every `DbStats` counter, then, for a
+    /// sharded engine, its residency report.
     pub counters: Vec<(String, u64)>,
     /// Cross-shard fold (histogram-merged, not averaged).
     pub total: OpLatencies,
@@ -233,230 +235,34 @@ pub struct MetricsSnapshot {
     pub dropped_events: u64,
 }
 
-// ------------------------------------------------------------ wire codec
-//
-// The snapshot crosses the server protocol as an opaque payload, so it
-// carries its own bounds-checked binary codec here (little-endian,
-// mirroring the frame protocol's conventions). Decoding untrusted bytes
-// must return a typed error, never panic or over-allocate: every count
-// is validated against the bytes actually present before reserving.
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, at: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < n {
-            return Err(format!(
-                "metrics payload truncated: need {n} bytes, have {}",
-                self.remaining()
-            ));
-        }
-        let out = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Guard a decoded element count against the bytes present, so a
-    /// count lie cannot drive a huge allocation.
-    fn checked_count(&self, count: u32, min_elem_bytes: usize) -> Result<usize, String> {
-        let count = count as usize;
-        if count > self.remaining() / min_elem_bytes.max(1) + 1 {
-            return Err(format!(
-                "metrics count {count} impossible for {} remaining bytes",
-                self.remaining()
-            ));
-        }
-        Ok(count)
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.remaining() != 0 {
-            return Err(format!(
-                "metrics payload has {} trailing bytes",
-                self.remaining()
-            ));
-        }
-        Ok(())
-    }
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_summary(buf: &mut Vec<u8>, s: &HistSummary) {
-    for v in [
-        s.count, s.mean_ns, s.max_ns, s.p50_ns, s.p90_ns, s.p99_ns, s.p999_ns,
-    ] {
-        put_u64(buf, v);
-    }
-}
-
-fn get_summary(c: &mut Cursor<'_>) -> Result<HistSummary, String> {
-    Ok(HistSummary {
-        count: c.u64()?,
-        mean_ns: c.u64()?,
-        max_ns: c.u64()?,
-        p50_ns: c.u64()?,
-        p90_ns: c.u64()?,
-        p99_ns: c.u64()?,
-        p999_ns: c.u64()?,
-    })
-}
-
-fn put_op_latencies(buf: &mut Vec<u8>, l: &OpLatencies) {
-    put_u16(buf, l.shard);
-    put_summary(buf, &l.write);
-    put_summary(buf, &l.sync_wait);
-    put_summary(buf, &l.get);
-    put_summary(buf, &l.scan);
-}
-
-fn get_op_latencies(c: &mut Cursor<'_>) -> Result<OpLatencies, String> {
-    Ok(OpLatencies {
-        shard: c.u16()?,
-        write: get_summary(c)?,
-        sync_wait: get_summary(c)?,
-        get: get_summary(c)?,
-        scan: get_summary(c)?,
-    })
-}
-
-/// Bytes of one encoded [`OpLatencies`] (shard tag + 4 × 7 u64 fields).
-const OP_LATENCIES_BYTES: usize = 2 + 4 * 7 * 8;
-/// Bytes of one encoded [`Event`].
-const EVENT_BYTES: usize = 8 * 4 + 1 + 2;
-
 impl MetricsSnapshot {
-    /// The snapshot an engine opened with observability off reports
-    /// (counters are still filled in by the engine before sending).
-    pub fn disabled() -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
-
-    /// Serialize for the wire (little-endian, self-delimiting).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(self.enabled as u8);
-        put_u64(buf, self.dropped_events);
-        put_u32(buf, self.counters.len() as u32);
-        for (name, value) in &self.counters {
-            put_u32(buf, name.len() as u32);
-            buf.extend_from_slice(name.as_bytes());
-            put_u64(buf, *value);
-        }
-        put_op_latencies(buf, &self.total);
-        put_u32(buf, self.shards.len() as u32);
-        for s in &self.shards {
-            put_op_latencies(buf, s);
-        }
-        put_u32(buf, self.events.len() as u32);
-        for e in &self.events {
-            put_u64(buf, e.ts_ns);
-            put_u64(buf, e.span);
-            put_u64(buf, e.a);
-            put_u64(buf, e.b);
-            buf.push(e.kind as u8);
-            put_u16(buf, e.shard);
-        }
-    }
-
-    /// Decode an untrusted payload. Every failure is a typed message —
-    /// truncation, count lies, unknown event kinds, trailing junk — and
-    /// never a panic.
-    pub fn decode(payload: &[u8]) -> Result<MetricsSnapshot, String> {
-        let mut c = Cursor::new(payload);
-        let enabled = match c.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(format!("metrics enabled flag must be 0/1, got {other}")),
-        };
-        let dropped_events = c.u64()?;
-
-        let raw = c.u32()?;
-        let n = c.checked_count(raw, 4 + 8)?;
-        let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            let raw = c.u32()?;
-            let len = c.checked_count(raw, 1)?;
-            let name = std::str::from_utf8(c.take(len)?)
-                .map_err(|_| "metrics counter name is not UTF-8".to_string())?
-                .to_string();
-            counters.push((name, c.u64()?));
-        }
-
-        let total = get_op_latencies(&mut c)?;
-        let raw = c.u32()?;
-        let n = c.checked_count(raw, OP_LATENCIES_BYTES)?;
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(get_op_latencies(&mut c)?);
-        }
-
-        let raw = c.u32()?;
-        let n = c.checked_count(raw, EVENT_BYTES)?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ts_ns = c.u64()?;
-            let span = c.u64()?;
-            let a = c.u64()?;
-            let b = c.u64()?;
-            let kind = c.u8()?;
-            let shard = c.u16()?;
-            let kind = EventKind::from_u8(kind)
-                .ok_or_else(|| format!("metrics event kind {kind} unknown"))?;
-            events.push(Event {
-                ts_ns,
-                span,
-                a,
-                b,
-                kind,
-                shard,
-            });
-        }
-        c.finish()?;
-        Ok(MetricsSnapshot {
-            enabled,
+    /// Assemble a scrape of a fleet of shards: `counters` always; with an
+    /// `observer`, each shard's latency summary, their bucket-wise fold
+    /// and the drained event timeline. Draining consumes the ring: each
+    /// event appears in exactly one scrape.
+    pub fn collect<'a>(
+        counters: Vec<(String, u64)>,
+        observer: Option<&Observer>,
+        shards: impl IntoIterator<Item = &'a EngineObs>,
+    ) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
             counters,
-            total,
-            shards,
-            events,
-            dropped_events,
-        })
+            ..MetricsSnapshot::default()
+        };
+        let Some(observer) = observer else {
+            return snap;
+        };
+        snap.enabled = true;
+        let mut fold = OpHistSet::default();
+        for obs in shards {
+            let set = obs.ops.snapshot();
+            fold.merge(&set);
+            snap.shards.push(set.summarize(obs.shard()));
+        }
+        snap.total = fold.summarize(crate::GLOBAL_SHARD);
+        snap.events = observer.drain();
+        snap.dropped_events = observer.dropped();
+        snap
     }
 
     /// Prometheus-style text exposition: counters, per-op latency
@@ -547,67 +353,6 @@ mod tests {
             shards: vec![set.summarize(2)],
             events: obs.observer().drain(),
             dropped_events: obs.observer().dropped(),
-        }
-    }
-
-    #[test]
-    fn snapshot_roundtrips() {
-        let snap = sample_snapshot();
-        let mut buf = Vec::new();
-        snap.encode(&mut buf);
-        let back = MetricsSnapshot::decode(&buf).expect("decode");
-        assert_eq!(back, snap);
-        assert_eq!(back.events.len(), 2);
-        assert_eq!(back.events[0].span, back.events[1].span);
-    }
-
-    #[test]
-    fn disabled_snapshot_roundtrips() {
-        let mut snap = MetricsSnapshot::disabled();
-        snap.counters.push(("write_batches".into(), 42));
-        let mut buf = Vec::new();
-        snap.encode(&mut buf);
-        assert_eq!(MetricsSnapshot::decode(&buf).expect("decode"), snap);
-    }
-
-    #[test]
-    fn corrupt_payloads_are_typed_errors_never_panics() {
-        let snap = sample_snapshot();
-        let mut buf = Vec::new();
-        snap.encode(&mut buf);
-
-        // Every truncation point fails cleanly.
-        for cut in 0..buf.len() {
-            assert!(
-                MetricsSnapshot::decode(&buf[..cut]).is_err(),
-                "truncation at {cut} must not decode"
-            );
-        }
-        // Trailing junk is rejected.
-        let mut long = buf.clone();
-        long.push(0);
-        assert!(MetricsSnapshot::decode(&long).is_err());
-        // Count lies cannot drive allocation.
-        let mut lied = buf.clone();
-        lied[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(MetricsSnapshot::decode(&lied).is_err());
-        // A bad enabled flag is typed.
-        let mut bad = buf.clone();
-        bad[0] = 7;
-        assert!(MetricsSnapshot::decode(&bad)
-            .unwrap_err()
-            .contains("enabled flag"));
-        // Seeded byte flips: decode either succeeds or errors, never
-        // panics (structural fields may survive a payload-word flip).
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        for _ in 0..2_000 {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut fuzzed = buf.clone();
-            let at = (seed >> 33) as usize % fuzzed.len();
-            fuzzed[at] ^= (seed >> 17) as u8 | 1;
-            let _ = MetricsSnapshot::decode(&fuzzed);
         }
     }
 

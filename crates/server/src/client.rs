@@ -256,16 +256,9 @@ impl Client {
         }
     }
 
-    /// The server's sharded-stats report as a JSON document.
-    pub fn stats_json(&self) -> Result<String> {
-        match self.call(&Request::Stats)? {
-            Response::Stats { json } => Ok(json),
-            other => Self::unexpected("STATS", other),
-        }
-    }
-
-    /// Scrape the server's metrics surface: counters, per-shard latency
-    /// quantiles and the recent event timeline. Render with
+    /// Scrape the server's metrics surface: counters (the engine's, then
+    /// its sharding layer's residency report), per-shard latency quantiles
+    /// and the recent event timeline. Render with
     /// [`MetricsSnapshot::render_text`] for a Prometheus-style exposition.
     pub fn metrics(&self) -> Result<MetricsSnapshot> {
         match self.call(&Request::Metrics)? {

@@ -6,9 +6,12 @@
 //! pushes back? It adds, in order of appearance on a request's path:
 //!
 //! * [`protocol`] — a length-prefixed binary frame format (GET / PUT /
-//!   DELETE / WRITE_BATCH / SCAN / SNAPSHOT_SCAN / STATS / METRICS),
+//!   DELETE / WRITE_BATCH / SCAN / SNAPSHOT_SCAN / METRICS),
 //!   request ids chosen by the client and echoed by the server,
 //!   responses free to arrive out of order — per-connection pipelining.
+//!   It is the one wire codec: the `METRICS` scrape — every engine
+//!   counter, the sharding layer's residency report, latency quantiles
+//!   and the event timeline — is encoded by it like any other payload.
 //! * [`transport`] — pluggable byte transports: real TCP, and an
 //!   in-memory duplex pair so every test and benchmark exercises the
 //!   full request path without sockets or network.

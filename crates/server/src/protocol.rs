@@ -25,12 +25,12 @@
 //! | `WRITE_BATCH`(0x04) | `flags u8, count u32, count × entry`              |
 //! | `SCAN` (0x05)       | `start u64, limit u32`                            |
 //! | `SNAPSHOT_SCAN`(0x06)| `start u64, limit u32`                           |
-//! | `STATS` (0x07)      | (empty)                                           |
 //! | `METRICS` (0x08)    | (empty)                                           |
 //!
 //! A batch `entry` is `kind u8` (0 = put, 1 = delete), `key u64`, and for
 //! puts `vlen u32, value`. `flags` bit 0 requests a durable (synced)
-//! commit before the acknowledgement.
+//! commit before the acknowledgement. Opcode 0x07 (a retired `STATS`) is
+//! unknown: `ERR_BAD_REQUEST`, and the connection stays usable.
 //!
 //! ## Status codes and payloads
 //!
@@ -39,13 +39,24 @@
 //! | `OK_VALUE` (0x00)         | `present u8, [vlen u32, value]`           |
 //! | `OK_COMMITTED` (0x01)     | `seq u64`                                 |
 //! | `OK_ENTRIES` (0x02)       | `has_snap u8, [snap_seq u64], count u32, count × (key u64, vlen u32, value)` |
-//! | `OK_STATS` (0x03)         | `jlen u32, json`                          |
-//! | `OK_METRICS` (0x04)       | `mlen u32, snapshot` — a [`MetricsSnapshot`] in its own binary codec |
+//! | `OK_METRICS` (0x04)       | `enabled u8, dropped u64, count u32, count × (nlen u32, name, value u64), total, shards u32, shards × latencies, events u32, events × event` |
 //! | `ERR_RETRY_AFTER` (0x10)  | `retry_ms u32` — shed by admission control: back off and resend |
 //! | `ERR_POISONED` (0x11)     | `mlen u32, msg` — a cross-shard commit failed mid-way; the engine refuses writes until reopened |
 //! | `ERR_BAD_REQUEST` (0x12)  | `mlen u32, msg` — unknown opcode or malformed payload |
 //! | `ERR_SERVER` (0x13)       | `mlen u32, msg` — engine I/O or corruption error |
 //! | `ERR_SHUTTING_DOWN` (0x14)| `mlen u32, msg` — the server is draining; the connection will close |
+//!
+//! An `OK_METRICS` payload is a [`MetricsSnapshot`]'s fields in order.
+//! `latencies` (and `total`) is `shard u16` then four summaries — write,
+//! sync wait, get, scan — of seven `u64` each (count, mean, max, p50, p90,
+//! p99, p99.9); an `event` is `ts u64, span u64, a u64, b u64, kind u8,
+//! shard u16`. The counters are every engine counter, then, from a sharded
+//! engine, `topology_epoch`, `live_commit_markers` and per shard in routing
+//! order `shard{id}_resident_bytes` / `shard{id}_resident_entries`.
+//!
+//! Every declared count is checked against the bytes left in the payload
+//! before anything is reserved for it, so a lie is a typed error, never a
+//! large allocation.
 //!
 //! Framing violations (a declared length above the server's cap, or a
 //! stream that ends mid-frame) are not answerable — the stream can no
@@ -53,7 +64,7 @@
 
 use std::io::{self, Read, Write};
 
-use lsm_obs::MetricsSnapshot;
+use lsm_obs::{Event, EventKind, HistSummary, MetricsSnapshot, OpLatencies};
 
 /// Smallest legal frame body: id (8) + tag (1).
 pub const MIN_FRAME: usize = 9;
@@ -74,13 +85,11 @@ pub const OP_DELETE: u8 = 0x03;
 pub const OP_WRITE_BATCH: u8 = 0x04;
 pub const OP_SCAN: u8 = 0x05;
 pub const OP_SNAPSHOT_SCAN: u8 = 0x06;
-pub const OP_STATS: u8 = 0x07;
 pub const OP_METRICS: u8 = 0x08;
 
 pub const ST_OK_VALUE: u8 = 0x00;
 pub const ST_OK_COMMITTED: u8 = 0x01;
 pub const ST_OK_ENTRIES: u8 = 0x02;
-pub const ST_OK_STATS: u8 = 0x03;
 pub const ST_OK_METRICS: u8 = 0x04;
 pub const ST_ERR_RETRY_AFTER: u8 = 0x10;
 pub const ST_ERR_POISONED: u8 = 0x11;
@@ -124,7 +133,6 @@ pub enum Request {
         start: u64,
         limit: u32,
     },
-    Stats,
     Metrics,
 }
 
@@ -180,8 +188,6 @@ pub enum Response {
         snapshot_seq: Option<u64>,
         pairs: Vec<(u64, Vec<u8>)>,
     },
-    /// `STATS` result: the engine's sharded stats as a JSON document.
-    Stats { json: String },
     /// `METRICS` result: counters, latency quantiles and the recent
     /// event timeline (see [`MetricsSnapshot`]).
     Metrics(Box<MetricsSnapshot>),
@@ -227,6 +233,15 @@ impl From<FrameError> for io::Error {
 
 // ------------------------------------------------------------- encoding
 
+/// Wire bytes of one encoded [`OpLatencies`]: shard tag + 4 × 7 `u64`.
+const LATENCIES_BYTES: usize = 2 + 4 * 7 * 8;
+/// Wire bytes of one encoded [`Event`].
+const EVENT_BYTES: usize = 4 * 8 + 1 + 2;
+
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -238,6 +253,40 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
+}
+
+fn put_latencies(out: &mut Vec<u8>, l: &OpLatencies) {
+    put_u16(out, l.shard);
+    for s in [&l.write, &l.sync_wait, &l.get, &l.scan] {
+        for v in [
+            s.count, s.mean_ns, s.max_ns, s.p50_ns, s.p90_ns, s.p99_ns, s.p999_ns,
+        ] {
+            put_u64(out, v);
+        }
+    }
+}
+
+fn put_metrics(out: &mut Vec<u8>, snap: &MetricsSnapshot) {
+    out.push(snap.enabled as u8);
+    put_u64(out, snap.dropped_events);
+    put_u32(out, snap.counters.len() as u32);
+    for (name, value) in &snap.counters {
+        put_bytes(out, name.as_bytes());
+        put_u64(out, *value);
+    }
+    put_latencies(out, &snap.total);
+    put_u32(out, snap.shards.len() as u32);
+    for l in &snap.shards {
+        put_latencies(out, l);
+    }
+    put_u32(out, snap.events.len() as u32);
+    for e in &snap.events {
+        for v in [e.ts_ns, e.span, e.a, e.b] {
+            put_u64(out, v);
+        }
+        out.push(e.kind as u8);
+        put_u16(out, e.shard);
+    }
 }
 
 /// Encode one frame (either direction) into `out`.
@@ -299,7 +348,6 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, req: &Request) {
             put_u32(&mut p, *limit);
             OP_SNAPSHOT_SCAN
         }
-        Request::Stats => OP_STATS,
         Request::Metrics => OP_METRICS,
     };
     encode_frame(out, id, tag, &p);
@@ -341,14 +389,8 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, resp: &Response) {
             }
             ST_OK_ENTRIES
         }
-        Response::Stats { json } => {
-            put_bytes(&mut p, json.as_bytes());
-            ST_OK_STATS
-        }
         Response::Metrics(snap) => {
-            let mut body = Vec::new();
-            snap.encode(&mut body);
-            put_bytes(&mut p, &body);
+            put_metrics(&mut p, snap);
             ST_OK_METRICS
         }
         Response::Error(e) => match e {
@@ -390,35 +432,117 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.buf.len() - self.pos {
+            return Err("payload truncated".into());
+        }
+        let out = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
     fn u8(&mut self) -> Result<u8, String> {
-        let b = *self.buf.get(self.pos).ok_or("payload truncated")?;
-        self.pos += 1;
-        Ok(b)
+        Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, String> {
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, String> {
-        let end = self.pos.checked_add(4).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or("payload truncated")?;
-        let v = u32::from_le_bytes(self.buf[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        let end = self.pos.checked_add(8).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or("payload truncated")?;
-        let v = u64::from_le_bytes(self.buf[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, String> {
         let len = self.u32()? as usize;
-        let end = self.pos.checked_add(len).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or("declared byte length overruns payload")?;
-        let v = self.buf[self.pos..end].to_vec();
-        self.pos = end;
-        Ok(v)
+        Ok(self.take(len)?.to_vec())
+    }
+
+    /// A declared element count, refused unless the bytes left can hold
+    /// that many elements of at least `min_bytes` each — checked before
+    /// the caller reserves anything for them.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
+        let count = self.u32()? as usize;
+        if count.saturating_mul(min_bytes) > self.buf.len() - self.pos {
+            return Err(format!("count {count} overruns payload"));
+        }
+        Ok(count)
+    }
+
+    fn latencies(&mut self) -> Result<OpLatencies, String> {
+        let shard = self.u16()?;
+        let mut summary = || -> Result<HistSummary, String> {
+            Ok(HistSummary {
+                count: self.u64()?,
+                mean_ns: self.u64()?,
+                max_ns: self.u64()?,
+                p50_ns: self.u64()?,
+                p90_ns: self.u64()?,
+                p99_ns: self.u64()?,
+                p999_ns: self.u64()?,
+            })
+        };
+        Ok(OpLatencies {
+            shard,
+            write: summary()?,
+            sync_wait: summary()?,
+            get: summary()?,
+            scan: summary()?,
+        })
+    }
+
+    fn metrics(&mut self) -> Result<MetricsSnapshot, String> {
+        let enabled = match self.u8()? {
+            0 => false,
+            1 => true,
+            other => return Err(format!("metrics enabled flag must be 0/1, got {other}")),
+        };
+        let dropped_events = self.u64()?;
+        let n = self.count(4 + 8)?;
+        let mut counters = Vec::with_capacity(n);
+        for _ in 0..n {
+            let name = String::from_utf8(self.bytes()?)
+                .map_err(|_| "metrics counter name is not UTF-8")?;
+            counters.push((name, self.u64()?));
+        }
+        let total = self.latencies()?;
+        let n = self.count(LATENCIES_BYTES)?;
+        let mut shards = Vec::with_capacity(n);
+        for _ in 0..n {
+            shards.push(self.latencies()?);
+        }
+        let n = self.count(EVENT_BYTES)?;
+        let mut events = Vec::with_capacity(n);
+        for _ in 0..n {
+            let [ts_ns, span, a, b] = [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
+            let kind = self.u8()?;
+            let kind = EventKind::from_u8(kind)
+                .ok_or_else(|| format!("metrics event kind {kind} unknown"))?;
+            events.push(Event {
+                ts_ns,
+                span,
+                a,
+                b,
+                kind,
+                shard: self.u16()?,
+            });
+        }
+        Ok(MetricsSnapshot {
+            enabled,
+            counters,
+            total,
+            shards,
+            events,
+            dropped_events,
+        })
     }
 
     fn finish(self) -> Result<(), String> {
@@ -456,12 +580,8 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<Request, String> {
         }
         OP_WRITE_BATCH => {
             let flags = c.u8()?;
-            let count = c.u32()? as usize;
-            // An honest batch needs ≥ 9 bytes per entry; a declared count
-            // past that is a lie about data that cannot be present.
-            if count > payload.len() / 9 + 1 {
-                return Err(format!("batch count {count} overruns payload"));
-            }
+            // The smallest entry is a delete: kind + key.
+            let count = c.count(1 + 8)?;
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
                 entries.push(match c.u8()? {
@@ -483,7 +603,6 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<Request, String> {
             start: c.u64()?,
             limit: c.u32()?,
         },
-        OP_STATS => Request::Stats,
         OP_METRICS => Request::Metrics,
         op => return Err(format!("unknown opcode 0x{op:02x}")),
     };
@@ -505,10 +624,8 @@ pub fn decode_response(status: u8, payload: &[u8]) -> Result<Response, String> {
                 0 => None,
                 _ => Some(c.u64()?),
             };
-            let count = c.u32()? as usize;
-            if count > payload.len() / 12 + 1 {
-                return Err(format!("entry count {count} overruns payload"));
-            }
+            // The smallest pair is a key and an empty value's length.
+            let count = c.count(8 + 4)?;
             let mut pairs = Vec::with_capacity(count);
             for _ in 0..count {
                 let k = c.u64()?;
@@ -519,10 +636,7 @@ pub fn decode_response(status: u8, payload: &[u8]) -> Result<Response, String> {
                 pairs,
             }
         }
-        ST_OK_STATS => Response::Stats {
-            json: String::from_utf8(c.bytes()?).map_err(|_| "stats json is not UTF-8")?,
-        },
-        ST_OK_METRICS => Response::Metrics(Box::new(MetricsSnapshot::decode(&c.bytes()?)?)),
+        ST_OK_METRICS => Response::Metrics(Box::new(c.metrics()?)),
         ST_ERR_RETRY_AFTER => Response::Error(ServerError::RetryAfter { ms: c.u32()? }),
         ST_ERR_POISONED => Response::Error(ServerError::Poisoned(msg(&mut c)?)),
         ST_ERR_BAD_REQUEST => Response::Error(ServerError::BadRequest(msg(&mut c)?)),
@@ -595,6 +709,7 @@ pub fn write_frame(w: &mut dyn Write, buf: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsm_obs::EngineObs;
 
     fn roundtrip_req(req: Request) {
         let mut buf = Vec::new();
@@ -605,13 +720,33 @@ mod tests {
         assert_eq!(decode_request(tag, &payload).expect("decode"), req);
     }
 
-    fn roundtrip_resp(resp: Response) {
+    /// Encode `resp` as a frame and read it back: `(status, payload)`.
+    fn response_payload(resp: &Response) -> (u8, Vec<u8>) {
         let mut buf = Vec::new();
-        encode_response(&mut buf, 7, &resp);
+        encode_response(&mut buf, 7, resp);
         let mut r = &buf[..];
         let (id, tag, payload) = read_frame(&mut r, DEFAULT_MAX_FRAME).expect("frame");
         assert_eq!(id, 7);
+        (tag, payload)
+    }
+
+    fn roundtrip_resp(resp: Response) {
+        let (tag, payload) = response_payload(&resp);
         assert_eq!(decode_response(tag, &payload).expect("decode"), resp);
+    }
+
+    /// A scrape with counters, a fold, one shard's summary and a span's
+    /// two events.
+    fn sample_snapshot() -> MetricsSnapshot {
+        let obs = EngineObs::solo(2);
+        obs.ops.write.record(1_000);
+        obs.ops.write.record(2_000);
+        obs.ops.get.record(500);
+        let span = obs.span();
+        obs.emit(EventKind::FlushBegin, span, 0, 0);
+        obs.emit(EventKind::FlushEnd, span, 128, 9_999);
+        let counters = vec![("lookups".into(), 7), ("flushes".into(), 1)];
+        MetricsSnapshot::collect(counters, Some(obs.observer()), [&obs])
     }
 
     #[test]
@@ -639,7 +774,6 @@ mod tests {
             limit: 10,
         });
         roundtrip_req(Request::SnapshotScan { start: 9, limit: 0 });
-        roundtrip_req(Request::Stats);
         roundtrip_req(Request::Metrics);
     }
 
@@ -656,15 +790,13 @@ mod tests {
             snapshot_seq: None,
             pairs: Vec::new(),
         });
-        roundtrip_resp(Response::Stats {
-            json: "{\"x\":1}".into(),
-        });
-        roundtrip_resp(Response::Metrics(Box::new(MetricsSnapshot::disabled())));
-        let mut snap = MetricsSnapshot::disabled();
-        snap.enabled = true;
-        snap.counters.push(("flushes".into(), 3));
-        snap.dropped_events = 9;
-        roundtrip_resp(Response::Metrics(Box::new(snap)));
+        roundtrip_resp(Response::Metrics(Box::default()));
+        roundtrip_resp(Response::Metrics(Box::new(MetricsSnapshot {
+            enabled: true,
+            counters: vec![("flushes".into(), 3)],
+            dropped_events: 9,
+            ..MetricsSnapshot::default()
+        })));
         roundtrip_resp(Response::Error(ServerError::RetryAfter { ms: 20 }));
         roundtrip_resp(Response::Error(ServerError::Poisoned("p".into())));
         roundtrip_resp(Response::Error(ServerError::BadRequest("b".into())));
@@ -736,12 +868,64 @@ mod tests {
         assert!(decode_request(OP_WRITE_BATCH, &p).is_err());
         // METRICS takes no payload: junk is trailing bytes, not a panic.
         assert!(decode_request(OP_METRICS, &[1, 2, 3]).is_err());
-        // A metrics response whose inner snapshot is corrupt is a typed
-        // error (the snapshot codec's own message), never a panic.
-        let mut p = Vec::new();
-        put_bytes(&mut p, &[0xff; 5]);
-        assert!(decode_response(ST_OK_METRICS, &p).is_err());
-        // Truncated inner length prefix.
-        assert!(decode_response(ST_OK_METRICS, &[9, 0, 0, 0]).is_err());
+        // A retired STATS opcode is unknown.
+        assert!(decode_request(0x07, &[])
+            .unwrap_err()
+            .contains("unknown opcode 0x07"));
+    }
+
+    #[test]
+    fn snapshot_roundtrips() {
+        let snap = sample_snapshot();
+        assert_eq!(snap.events.len(), 2);
+        assert_eq!(snap.events[0].span, snap.events[1].span);
+        roundtrip_resp(Response::Metrics(Box::new(snap)));
+    }
+
+    #[test]
+    fn disabled_snapshot_roundtrips() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counters.push(("write_batches".into(), 42));
+        roundtrip_resp(Response::Metrics(Box::new(snap)));
+    }
+
+    #[test]
+    fn corrupt_payloads_are_typed_errors_never_panics() {
+        let (tag, payload) = response_payload(&Response::Metrics(Box::new(sample_snapshot())));
+        assert_eq!(tag, ST_OK_METRICS);
+        let decode = |p: &[u8]| decode_response(ST_OK_METRICS, p);
+
+        // Every truncation point fails cleanly.
+        for cut in 0..payload.len() {
+            assert!(
+                decode(&payload[..cut]).is_err(),
+                "truncation at {cut} must not decode"
+            );
+        }
+        // Trailing junk is rejected.
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(decode(&long).is_err());
+        // A counter-count lie (after `enabled u8, dropped u64`) is refused
+        // by the guard before anything is reserved.
+        let mut lied = payload.clone();
+        lied[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&lied).unwrap_err().contains("overruns payload"));
+        // A bad enabled flag is typed.
+        let mut bad = payload.clone();
+        bad[0] = 7;
+        assert!(decode(&bad).unwrap_err().contains("enabled flag"));
+        // Seeded byte flips: decode either succeeds or errors, never
+        // panics (structural fields may survive a payload-word flip).
+        let mut seed = 0x9e3779b97f4a7c15u64;
+        for _ in 0..2_000 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let mut fuzzed = payload.clone();
+            let at = (seed >> 33) as usize % fuzzed.len();
+            fuzzed[at] ^= (seed >> 17) as u8 | 1;
+            let _ = decode(&fuzzed);
+        }
     }
 }

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use lsm_obs::{EventKind, GLOBAL_SHARD};
-use lsm_tree::sharding::{ShardedDb, ShardedStats};
+use lsm_tree::sharding::ShardedDb;
 use lsm_tree::{Error as LsmError, WriteBatch, WriteOptions, WritePressure};
 use std::sync::{Condvar, Mutex};
 
@@ -213,7 +213,7 @@ impl Server {
         self.shared.shed.load(Ordering::Relaxed)
     }
 
-    /// The engine being served — for operational probes (stats, pausing
+    /// The engine being served — for operational probes (residency, pausing
     /// maintenance in tests). Closing goes through [`Server::close`];
     /// this reference cannot (`ShardedDb::close` consumes the value).
     pub fn db(&self) -> &ShardedDb {
@@ -472,9 +472,6 @@ fn execute(db: &ShardedDb, req: Request) -> Response {
                 Err(e) => map_engine_error(db, e),
             }
         }
-        Request::Stats => Response::Stats {
-            json: stats_json(&db.sharded_stats()),
-        },
         Request::Metrics => Response::Metrics(Box::new(db.metrics())),
     }
 }
@@ -503,44 +500,4 @@ fn map_engine_error(db: &ShardedDb, e: LsmError) -> Response {
             Response::Error(ServerError::Server(e.to_string()))
         }
     }
-}
-
-/// Render [`ShardedStats`] as a JSON object (hand-built: the engine's
-/// stats types carry no serde impls, and the wire format only needs a
-/// stable read-only rendering): the sharding layer's own fields, then
-/// every merged engine counter under its METRICS name
-/// (`StatsSnapshot::counter_pairs`), then the derived write amplification.
-pub(crate) fn stats_json(s: &ShardedStats) -> String {
-    fn num_list<T: std::fmt::Display>(xs: &[T]) -> String {
-        let mut out = String::from("[");
-        for (i, x) in xs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&x.to_string());
-        }
-        out.push(']');
-        out
-    }
-    let mut out = format!(
-        concat!(
-            "{{\"topology_epoch\":{},\"shard_ids\":{},\"resident_bytes\":{},",
-            "\"resident_entries\":{},\"resident_imbalance\":{:.6},",
-            "\"live_commit_markers\":{}"
-        ),
-        s.topology_epoch,
-        num_list(&s.shard_ids),
-        num_list(&s.resident_bytes),
-        num_list(&s.resident_entries),
-        s.resident_imbalance,
-        s.live_commit_markers,
-    );
-    // Writing into a `String` cannot fail.
-    use std::fmt::Write as _;
-    for (name, value) in s.merged.counter_pairs() {
-        let _ = write!(out, ",\"{name}\":{value}");
-    }
-    let write_amp = s.merged.write_amplification();
-    let _ = write!(out, ",\"write_amplification\":{write_amp:.3}}}");
-    out
 }

@@ -79,10 +79,12 @@ fn every_opcode_roundtrips() {
     client.delete(2, false).expect("delete");
     assert_eq!(client.get(2).expect("get"), None);
 
-    let stats = client.stats_json().expect("stats");
+    let snap = client.metrics().expect("metrics");
+    let has = |name: &str| snap.counters.iter().any(|(n, _)| n == name);
     assert!(
-        stats.contains("\"topology_epoch\"") && stats.contains("\"resident_bytes\""),
-        "stats JSON should carry sharded fields: {stats}"
+        has("topology_epoch") && has("shard0_resident_bytes") && has("shard1_resident_bytes"),
+        "the scrape should carry the sharded report: {:?}",
+        snap.counters
     );
 
     server.close().expect("close");
@@ -180,12 +182,13 @@ fn metrics_with_observability_off_reports_counters_only() {
     server.close().expect("close");
 }
 
-/// STATS and METRICS render one counter table. On a quiesced server
-/// (synchronous maintenance, one client) every METRICS counter is a STATS
-/// JSON key with the same value, and every key the hand-written STATS
-/// renderer used to emit is still there.
+/// The one scrape carries the engine's counters and the sharding layer's
+/// residency report. On a quiesced server (synchronous maintenance, one
+/// client) the report equals `sharded_stats()`, and every name the retired
+/// STATS JSON carried is a counter, less the two ratios (each a function of
+/// carried counters).
 #[test]
-fn stats_json_carries_every_metrics_counter() {
+fn metrics_carries_the_sharded_report() {
     let (server, connector) = mem_server(2);
     let client = Client::new(connector.connect().expect("dial"));
     // Enough writes to flush and compact, so per-level counters scrape too.
@@ -198,28 +201,26 @@ fn stats_json_carries_every_metrics_counter() {
     client.scan(0, 32).expect("scan");
 
     let metrics = client.metrics().expect("metrics");
-    let json = client.stats_json().expect("stats");
-    let stats: serde_json::Value = serde_json::from_str(&json).expect("STATS is valid JSON");
+    let names: Vec<&str> = metrics.counters.iter().map(|(n, _)| n.as_str()).collect();
+    let counter = |name: &str| {
+        let found = metrics.counters.iter().find(|(n, _)| n == name);
+        found
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("{name} missing from {names:?}"))
+    };
     let scraped_per_level = |wire: &str| {
-        let is_level = |n: &str| n.starts_with("level") && n.ends_with(wire);
-        metrics.counters.iter().any(|(n, _)| is_level(n))
+        let is_level = |n: &&str| n.starts_with("level") && n.ends_with(wire);
+        names.iter().any(is_level)
     };
     assert!(
         scraped_per_level("_reads") && scraped_per_level("_compact_bytes_written"),
-        "the workload should reach the per-level counters: {json}"
+        "the workload should reach the per-level counters: {names:?}"
     );
-    for (name, value) in &metrics.counters {
-        let got = stats.get(name).and_then(|v| v.as_u64());
-        assert_eq!(got, Some(*value), "{name} in {json}");
-    }
-    // Every key of the hand-written renderer this one replaced, less the
-    // two that described the router's traffic sample (gone with it).
-    const PARENT_KEYS: [&str; 21] = [
+    // Every name of the STATS JSON this scrape replaced, less the two
+    // ratios and the three per-shard lists (`shard_ids`, `resident_bytes`,
+    // `resident_entries`), which are now one pair per shard, checked below.
+    const PARENT_KEYS: [&str; 16] = [
         "topology_epoch",
-        "shard_ids",
-        "resident_bytes",
-        "resident_entries",
-        "resident_imbalance",
         "live_commit_markers",
         "lookups",
         "write_batches",
@@ -231,39 +232,56 @@ fn stats_json_carries_every_metrics_counter() {
         "flush_bytes_written",
         "compact_bytes_read",
         "compact_bytes_written",
-        "write_amplification",
         "scans",
         "stall_slowdowns",
         "stall_stops",
         "shard_splits",
     ];
     for key in PARENT_KEYS {
-        assert!(stats.get(key).is_some(), "{key} missing from {json}");
+        counter(key);
     }
-    let counter = |name: &str| stats.get(name).and_then(|v| v.as_u64()).expect("counter");
     assert_eq!(counter("write_batches"), 2_000);
     assert_eq!(counter("shard_splits"), 0);
-    let (flushed, compacted) = (
-        counter("flush_bytes_written"),
-        counter("compact_bytes_written"),
-    );
-    assert!(flushed > 0 && compacted > 0);
-    let write_amp = format!("{:.3}", (flushed + compacted) as f64 / flushed as f64);
-    assert!(
-        json.contains(&format!("\"write_amplification\":{write_amp}")),
-        "write amplification keeps its 3-decimal rendering ({write_amp}): {json}"
-    );
+    assert!(counter("flush_bytes_written") > 0 && counter("compact_bytes_written") > 0);
+
+    // Both shards' residency pairs, in routing order, right after the
+    // report's two scalars, and equal to the engine's own report.
+    let report = server.db().sharded_stats();
+    assert_eq!(report.shard_ids.len(), 2);
+    let at = names
+        .iter()
+        .position(|n| *n == "topology_epoch")
+        .expect("epoch");
+    let mut expected = vec![
+        ("topology_epoch".to_string(), report.topology_epoch),
+        (
+            "live_commit_markers".to_string(),
+            report.live_commit_markers as u64,
+        ),
+    ];
+    for (pos, id) in report.shard_ids.iter().enumerate() {
+        assert!(report.resident_bytes[pos] > 0, "shard {id} holds data");
+        expected.push((
+            format!("shard{id}_resident_bytes"),
+            report.resident_bytes[pos],
+        ));
+        expected.push((
+            format!("shard{id}_resident_entries"),
+            report.resident_entries[pos],
+        ));
+    }
+    assert_eq!(metrics.counters[at..], expected[..]);
     server.close().expect("close");
 }
 
 #[test]
-fn stats_and_metrics_interleave_consistently_under_pipelining() {
+fn metrics_interleave_consistently_under_pipelining() {
     let (server, connector) = mem_server_with_obs(2);
     let client = Client::new(connector.connect().expect("dial"));
 
-    // Alternate writes with pipelined STATS and METRICS submissions; the
-    // two surfaces must answer out of order without cross-talk, and each
-    // snapshot's write counter must be consistent with the writes
+    // Alternate writes with pipelined METRICS and SCAN submissions; the
+    // two response kinds must answer out of order without cross-talk, and
+    // each snapshot's write counter must be consistent with the writes
     // acknowledged before it was submitted (monotone, bounded by total).
     let mut probes: Vec<(u64, bool, u64)> = Vec::new(); // (id, is_metrics, acked_before)
     let mut acked = 0u64;
@@ -272,11 +290,11 @@ fn stats_and_metrics_interleave_consistently_under_pipelining() {
             client.put(round * 10 + k, b"v", false).expect("put");
             acked += 1;
         }
-        probes.push((
-            client.submit(&Request::Stats).expect("submit stats"),
-            false,
-            acked,
-        ));
+        let scan = Request::Scan {
+            start: 0,
+            limit: 1_000,
+        };
+        probes.push((client.submit(&scan).expect("submit scan"), false, acked));
         probes.push((
             client.submit(&Request::Metrics).expect("submit metrics"),
             true,
@@ -284,7 +302,7 @@ fn stats_and_metrics_interleave_consistently_under_pipelining() {
         ));
     }
     let total = acked;
-    let mut last_stats = 0u64;
+    let mut scans = 0u64;
     let mut last_metrics = 0u64;
     for (id, is_metrics, floor) in probes.into_iter().rev() {
         match (is_metrics, client.wait(id).expect("wait")) {
@@ -302,14 +320,18 @@ fn stats_and_metrics_interleave_consistently_under_pipelining() {
                 );
                 last_metrics = last_metrics.max(batches);
             }
-            (false, Response::Stats { json }) => {
-                assert!(json.contains("\"topology_epoch\""));
-                last_stats += 1;
+            (false, Response::Entries { pairs, .. }) => {
+                assert!(
+                    pairs.len() as u64 >= floor && pairs.len() as u64 <= total,
+                    "scan saw {} keys, acked floor {floor}, total {total}",
+                    pairs.len()
+                );
+                scans += 1;
             }
             (_, other) => panic!("probe answered {other:?}"),
         }
     }
-    assert_eq!(last_stats, 20, "every STATS probe answered as stats");
+    assert_eq!(scans, 20, "every SCAN probe answered as entries");
     assert_eq!(
         last_metrics, total,
         "the final metrics scrape saw every write"
@@ -441,20 +463,22 @@ fn corrupt_frames_get_typed_errors_or_clean_disconnects() {
     let (server, connector) = mem_server(1);
 
     // Unknown opcode, intact framing: typed BAD_REQUEST, connection
-    // survives.
-    {
+    // survives. 0x07 is the retired STATS an old client may still send.
+    for (opcode, payload) in [(0x6f, &[0x00][..]), (0x07, &[][..])] {
         let conn = connector.connect().expect("dial");
         let mut w = conn.writer;
         let mut body = Vec::new();
-        body.extend_from_slice(&((MIN_FRAME + 1) as u32).to_le_bytes());
+        body.extend_from_slice(&((MIN_FRAME + payload.len()) as u32).to_le_bytes());
         body.extend_from_slice(&77u64.to_le_bytes());
-        body.push(0x6f); // no such opcode
-        body.push(0x00);
+        body.push(opcode);
+        body.extend_from_slice(payload);
         w.write_all(&body).expect("send");
         let client = Client::from_halves(conn.reader, w);
         match client.wait(77) {
-            Ok(Response::Error(ServerError::BadRequest(_))) => {}
-            other => panic!("bad opcode answered {other:?}"),
+            Ok(Response::Error(ServerError::BadRequest(m))) => {
+                assert!(m.contains("unknown opcode"), "{m}")
+            }
+            other => panic!("opcode {opcode:#04x} answered {other:?}"),
         }
         // Still serviceable afterwards.
         let id = client.submit(&Request::Get { key: 0 }).expect("submit");

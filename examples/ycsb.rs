@@ -29,12 +29,12 @@
 //! control, and a fixed open-loop arrival rate (`--rate R` requests/s;
 //! omitted or 0 auto-calibrates from a closed-loop burst). The report
 //! shows coordinated-omission-free p50/p99/p99.9 and the sheds the
-//! server's backpressure mapping answered with `RETRY_AFTER`, then dumps
-//! the engine's sharded-stats JSON fetched through the `STATS` opcode.
-//! Adding `--metrics` turns the engine's observability layer on and ends
-//! the run with a `METRICS` scrape: per-shard write/get latency quantiles
-//! folded across shards plus the recent event timeline, rendered in the
-//! Prometheus text exposition.
+//! server's backpressure mapping answered with `RETRY_AFTER`, then prints
+//! the last mix's `METRICS` scrape in the Prometheus text exposition: the
+//! engine's counters and the sharding layer's residency report. Adding
+//! `--metrics` turns the engine's observability layer on, so the scrape
+//! also carries per-shard write/get latency quantiles folded across shards
+//! and the recent event timeline.
 
 use learned_lsm_repro::index::IndexKind;
 use learned_lsm_repro::testbed::{Granularity, Testbed, TestbedConfig};
@@ -145,8 +145,8 @@ fn main() {
 }
 
 /// The `--server` path: all six mixes through the `lsm-server` front end
-/// at an open-loop arrival rate, ending with the engine's sharded-stats
-/// report fetched through the wire (the `STATS` opcode).
+/// at an open-loop arrival rate, ending with the last mix's scrape fetched
+/// through the wire (the `METRICS` opcode).
 fn run_server(
     kind: IndexKind,
     shards: usize,
@@ -178,7 +178,7 @@ fn run_server(
         "shed",
         "errors"
     );
-    let (records, stats, snap) = runner::ycsb_server(
+    let (records, snap) = runner::ycsb_server(
         &scale,
         Dataset::Random,
         shards,
@@ -202,10 +202,7 @@ fn run_server(
             r.errors,
         );
     }
-    println!("\nsharded stats (last mix, via STATS):\n{stats}");
-    if let Some(snap) = snap {
-        println!("\nmetrics (last mix, via METRICS):\n{}", snap.render_text());
-    }
+    println!("\nmetrics (last mix, via METRICS):\n{}", snap.render_text());
 }
 
 /// The `--shards N` path: all six mixes against a `ShardedDb` via the

@@ -121,16 +121,32 @@ fn fig8_granularity_saves_memory_not_latency() {
 
 /// Observation 4 (Figure 9): learning + model writing are a small share of
 /// compaction; PLEX is the most expensive trainer.
+///
+/// The shares are wall-clock, so one run's can be inflated by whatever else
+/// the host ran meanwhile. Each kind's share is the minimum over `RUNS`
+/// runs, which noise can only raise, and PLEX must out-cost PLR by
+/// `PLEX_OVER_PLR` at that floor.
 #[test]
 fn fig9_training_overhead_is_modest() {
+    const RUNS: usize = 3;
+    /// PLEX's floor share must exceed PLR's by this factor (paper: 10–15 %
+    /// vs < 5 %; a debug build on a 2-core host floors at ≈ 14.5 % vs
+    /// ≈ 2.5 %, about 6×).
+    const PLEX_OVER_PLR: f64 = 2.0;
     // The write experiment needs enough volume to trigger compactions:
     // 20k ops × ~68 B against a 128 KiB buffer gives ~10 flushes.
     let mut scale = smoke();
     scale.ops = 20_000;
-    let records = runner::fig9(&scale, Dataset::Random, &[64]).unwrap();
+    let runs: Vec<_> = (0..RUNS)
+        .map(|_| runner::fig9(&scale, Dataset::Random, &[64]).unwrap())
+        .collect();
     let pct = |abbrev: &str| {
-        let r = records.iter().find(|r| r.index == abbrev).unwrap();
-        r.train_pct + r.model_write_pct
+        let shares = runs.iter().map(|records| {
+            let r = records.iter().find(|r| r.index == abbrev).unwrap();
+            assert!(r.compactions > 0, "{abbrev}: workload must compact");
+            r.train_pct + r.model_write_pct
+        });
+        shares.fold(f64::INFINITY, f64::min)
     };
     for kind in IndexKind::ALL {
         let p = pct(kind.abbrev());
@@ -138,16 +154,12 @@ fn fig9_training_overhead_is_modest() {
             p < 50.0,
             "{kind}: training+writing at {p:.1}% of compaction is not modest"
         );
-        let r = records.iter().find(|r| r.index == kind.abbrev()).unwrap();
-        assert!(r.compactions > 0, "{kind}: workload must compact");
     }
-    // PLEX self-tuning costs more than cheap trainers like PLR/FP (paper:
-    // 10-15% vs <5%).
+    let (plex, plr) = (pct("PLEX"), pct("PLR"));
+    eprintln!("fig9 floor shares over {RUNS} runs: PLEX {plex:.2}% PLR {plr:.2}%");
     assert!(
-        pct("PLEX") > pct("PLR"),
-        "PLEX {} should out-cost PLR {}",
-        pct("PLEX"),
-        pct("PLR")
+        plex > PLEX_OVER_PLR * plr,
+        "PLEX {plex:.2}% should out-cost PLR {plr:.2}% by {PLEX_OVER_PLR}x"
     );
 }
 

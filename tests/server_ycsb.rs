@@ -9,7 +9,7 @@ use learned_lsm_repro::workloads::Dataset;
 #[test]
 fn all_six_ycsb_mixes_run_through_the_server_path() {
     let scale = Scale::smoke();
-    let (records, stats, metrics) = runner::ycsb_server(
+    let (records, metrics) = runner::ycsb_server(
         &scale,
         Dataset::Random,
         2,
@@ -20,7 +20,7 @@ fn all_six_ycsb_mixes_run_through_the_server_path() {
         false,
     )
     .expect("server ycsb at smoke scale");
-    assert!(metrics.is_none(), "no scrape without observability");
+    assert!(!metrics.enabled, "no histograms without observability");
 
     let names: Vec<&str> = records.iter().map(|r| r.workload.as_str()).collect();
     assert_eq!(names, ["A", "B", "C", "D", "E", "F"], "all six mixes ran");
@@ -48,20 +48,27 @@ fn all_six_ycsb_mixes_run_through_the_server_path() {
         assert!(r.max_us >= r.p999_us, "YCSB-{} max below p99.9", r.workload);
     }
 
-    // Satellite: the sharded-stats report travels through the STATS opcode.
-    for field in ["topology_epoch", "shard_ids", "resident_bytes", "lookups"] {
-        assert!(
-            stats.contains(&format!("\"{field}\"")),
-            "stats JSON missing {field}: {stats}"
-        );
-    }
+    // The sharded report travels in the METRICS scrape: the epoch, a
+    // residency pair per shard, and the engine counters.
+    let counter = |name: &str| metrics.counters.iter().find(|(n, _)| n == name);
+    assert!(
+        counter("topology_epoch").is_some(),
+        "{:?}",
+        metrics.counters
+    );
+    assert!(counter("lookups").is_some_and(|(_, v)| *v > 0));
+    let resident = metrics
+        .counters
+        .iter()
+        .filter(|(n, _)| n.starts_with("shard") && n.ends_with("_resident_bytes"));
+    assert_eq!(resident.count(), 2, "{:?}", metrics.counters);
 }
 
 #[test]
 fn explicit_rate_is_honored_as_the_schedule() {
     let mut scale = Scale::smoke();
     scale.ops = 400;
-    let (records, _, _) = runner::ycsb_server(
+    let (records, _) = runner::ycsb_server(
         &scale,
         Dataset::Random,
         1,
