@@ -4,8 +4,9 @@
 //! `--cache-mb N` gives every configuration an engine-wide cache budget;
 //! the default 0 keeps the historical uncached read path.
 //!
-//! The sharded and served YCSB scenarios (`--shards`, `--server`) are
-//! `examples/ycsb.rs`.
+//! A sharded engine behind the server is measured by the benchmark's
+//! `shard-mixed` workload (`benchmark/`), and `tests/server_ycsb.rs` runs
+//! the six mixes through that path.
 
 use lsm_bench::{runner, Cli};
 

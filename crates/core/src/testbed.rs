@@ -197,34 +197,16 @@ impl Testbed {
     /// Run a write-only workload of `ops` puts through the normal write path
     /// (flushes + compactions included) and report the compaction breakdown
     /// (Figure 9). Call on a *fresh* testbed. Each op is its own
-    /// one-entry batch (`Db::put`) — the per-key write mode.
+    /// one-entry batch (`Db::put`).
     pub fn run_write_workload(&mut self, ops: usize) -> Result<CompactionReport> {
-        self.run_write_workload_batched(ops, 1)
-    }
-
-    /// [`Testbed::run_write_workload`] with the writes grouped into
-    /// `batch_size`-entry `WriteBatch`es — the group-commit write mode.
-    /// Same workload, same flush/compaction work; the difference in
-    /// `avg_write_us` against the per-key run is the WAL/group-commit
-    /// saving.
-    pub fn run_write_workload_batched(
-        &mut self,
-        ops: usize,
-        batch_size: usize,
-    ) -> Result<CompactionReport> {
         let c = &self.config;
         self.keys = c.dataset.generate(ops, c.seed);
         let vw = c.value_width;
 
         let io_before = self.db.storage().stats().snapshot();
         let wall = Instant::now();
-        let wopts = WriteOptions::default();
-        for chunk in self.keys.chunks(batch_size.max(1)) {
-            let mut batch = WriteBatch::with_capacity(chunk.len());
-            for &k in chunk {
-                batch.put(k, &value_for_key(k, vw));
-            }
-            self.db.write(batch, &wopts)?;
+        for &k in &self.keys {
+            self.db.put(k, &value_for_key(k, vw))?;
         }
         self.db.flush()?;
         let cpu_ns = wall.elapsed().as_nanos() as u64;

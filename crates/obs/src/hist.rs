@@ -1,17 +1,16 @@
 //! HDR-style log-bucketed latency histogram.
 //!
-//! Open-loop latency distributions span five-plus orders of magnitude
-//! (sub-microsecond cache hits to multi-millisecond shed-and-retry
-//! stalls), so a fixed-width histogram either wastes memory or loses
-//! the tail. This one keeps exact counts below 128 ns and 64
+//! Latency distributions span five-plus orders of magnitude
+//! (sub-microsecond cache hits to multi-millisecond write stalls), so a
+//! fixed-width histogram either wastes memory or loses the tail. This one keeps exact counts below 128 ns and 64
 //! logarithmic sub-buckets per power-of-two octave above that: relative
 //! quantile error is bounded by 1/64 (~1.6 %) everywhere, with a few KiB
 //! of total state and O(1) lock-free-free (single-writer) recording.
 //!
 //! Two recorders share the bucket scheme:
 //!
-//! * [`LatencyHistogram`] — single-writer (`&mut self`), the shape used
-//!   by the open-loop driver and by folded snapshots;
+//! * [`LatencyHistogram`] — single-writer (`&mut self`), the shape of
+//!   folded snapshots and of every quantile query;
 //! * [`AtomicHistogram`] — shared-writer (`&self`, relaxed atomics), the
 //!   shape the engine's hot paths record into concurrently. A snapshot
 //!   lowers it into a `LatencyHistogram` for quantiles and merging.

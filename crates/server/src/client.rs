@@ -4,10 +4,9 @@
 //! request gets a fresh monotone id; because the server may answer out
 //! of order, responses that arrive while waiting for a different id are
 //! stashed and handed out when their turn comes. That split —
-//! [`Client::submit`] to send without waiting, [`Client::wait`] /
-//! [`Client::recv_next`] to collect — is what lets one connection keep
-//! many requests in flight (and what the open-loop bench driver is
-//! built on). The typed convenience calls ([`Client::get`],
+//! [`Client::submit`] to send without waiting, [`Client::wait`] to
+//! collect by id — is what lets one connection keep many requests in
+//! flight. The typed convenience calls ([`Client::get`],
 //! [`Client::put`], …) are plain submit-then-wait.
 
 use std::collections::HashMap;
@@ -137,14 +136,6 @@ impl Client {
         }
     }
 
-    /// The id the next [`Client::submit`] will use. With a single
-    /// submitting thread, ids are exactly `next_request_id() + i` for
-    /// the i-th subsequent submit — which is how the open-loop driver
-    /// maps a response id back to its scheduled send time.
-    pub fn next_request_id(&self) -> u64 {
-        self.next_id.load(Ordering::Acquire)
-    }
-
     /// Send a request without waiting; returns its id.
     pub fn submit(&self, req: &Request) -> Result<u64> {
         let id = self.next_id.fetch_add(1, Ordering::AcqRel);
@@ -168,17 +159,6 @@ impl Client {
             }
             half.stash.insert(got, resp);
         }
-    }
-
-    /// Collect the next completion in arrival order: a stashed response
-    /// if any, otherwise the next frame off the wire.
-    pub fn recv_next(&self) -> Result<(u64, Response)> {
-        let mut half = self.read_half.lock();
-        if let Some(id) = half.stash.keys().next().copied() {
-            let resp = half.stash.remove(&id).unwrap();
-            return Ok((id, resp));
-        }
-        Self::read_one(&mut half, self.max_frame)
     }
 
     fn read_one(half: &mut ReadHalf, max_frame: usize) -> Result<(u64, Response)> {

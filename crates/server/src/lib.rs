@@ -2,8 +2,8 @@
 //!
 //! The engine crates answer *how fast is a lookup*; this crate answers
 //! the question a deployment actually faces: what happens to latency
-//! when requests arrive over a wire at a fixed rate and the engine
-//! pushes back? It adds, in order of appearance on a request's path:
+//! when requests arrive over a wire and the engine pushes back? It adds,
+//! in order of appearance on a request's path:
 //!
 //! * [`protocol`] — a length-prefixed binary frame format (GET / PUT /
 //!   DELETE / WRITE_BATCH / SCAN / SNAPSHOT_SCAN / METRICS),
@@ -24,10 +24,6 @@
 //!   [`Server::close`] drains in-flight requests before releasing the
 //!   engine, so every acknowledged write survives a reopen.
 //! * [`Client`] — the matching sync pipelined client.
-//! * [`openloop`] — a fixed-arrival-rate driver whose latencies are
-//!   measured from *scheduled* arrival, not actual send, making the
-//!   recorded distribution free of coordinated omission; backed by the
-//!   log-bucketed [`LatencyHistogram`].
 //!
 //! # Example
 //!
@@ -51,15 +47,12 @@
 //! ```
 
 pub mod client;
-pub mod openloop;
 pub mod protocol;
 pub mod server;
 pub mod transport;
 
 pub use client::{Client, ClientError};
-pub use lsm_obs::hist::LatencyHistogram;
 pub use lsm_obs::MetricsSnapshot;
-pub use openloop::{run_open_loop, OpenLoopSummary};
 pub use protocol::{BatchEntry, FrameError, Request, Response, ServerError};
 pub use server::{Server, ServerOptions, MAX_SCAN_LIMIT};
 pub use transport::{tcp_connect, Connection, Listener, MemConnector, MemTransport, TcpTransport};

@@ -13,8 +13,8 @@
 //!   exposing LevelDB's API quartet: atomic `WriteBatch` group commit,
 //!   RAII `Snapshot` handles, and `ReadOptions`/`WriteOptions` knobs;
 //! * [`server`] — the network front end: length-prefixed frame protocol,
-//!   pipelined client, admission control mapped onto engine backpressure,
-//!   and an open-loop (coordinated-omission-free) latency driver;
+//!   pipelined client, and admission control mapped onto engine
+//!   backpressure;
 //! * [`testbed`] — the paper's configuration space and workload runners.
 //!
 //! ```

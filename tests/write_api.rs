@@ -1,47 +1,13 @@
-//! Cross-crate checks for the `WriteBatch` group-commit API at the harness
-//! layer: the write-modes runner must show batched loading issuing a
-//! fraction of the WAL records per-key loading pays, with the whole
-//! experiment stack (Testbed → Db → WAL) wired through `Db::write`.
+//! Cross-crate check for the `WriteBatch` group-commit API at the harness
+//! layer: the testbed's write-path load goes Testbed → `Db::write` → WAL
+//! and pays one WAL record per batch, not one per key.
 
-use learned_lsm_repro::bench::{runner, Scale};
+use learned_lsm_repro::index::IndexKind;
+use learned_lsm_repro::testbed::{Granularity, Testbed, TestbedConfig};
 use learned_lsm_repro::workloads::Dataset;
 
 #[test]
-fn write_modes_records_group_commit_savings() {
-    let scale = Scale::smoke();
-    let records = runner::write_modes(&scale, Dataset::Random, &[64, 512]).unwrap();
-    assert_eq!(records.len(), 3);
-
-    let per_key = &records[0];
-    assert_eq!(per_key.mode, "per-key");
-    assert_eq!(
-        per_key.wal_appends, scale.ops as u64,
-        "per-key pays one WAL record per op"
-    );
-
-    for r in &records[1..] {
-        assert_eq!(r.mode, "batched");
-        let expected = scale.ops.div_ceil(r.batch_size) as u64;
-        assert_eq!(
-            r.wal_appends, expected,
-            "batch_size {} must log ceil(ops/batch) records",
-            r.batch_size
-        );
-        assert!(r.avg_write_us > 0.0);
-        assert!(
-            r.speedup_vs_per_key > 1.0,
-            "batched (batch_size {}) must beat per-key: {:.2}x",
-            r.batch_size,
-            r.speedup_vs_per_key
-        );
-    }
-}
-
-#[test]
 fn batched_and_per_key_loads_agree() {
-    use learned_lsm_repro::index::IndexKind;
-    use learned_lsm_repro::testbed::{Granularity, Testbed, TestbedConfig};
-
     let mut config = TestbedConfig::quick(IndexKind::Pgm, 64, Dataset::Segment);
     config.num_keys = 20_000;
     config.value_width = 32;
@@ -57,10 +23,11 @@ fn batched_and_per_key_loads_agree() {
         assert!(tb.db().get(k).unwrap().is_some(), "key {k} lost in load");
     }
     let stats = tb.db().stats().snapshot();
-    assert!(
-        stats.wal_appends < stats.write_entries / 100,
-        "load must group-commit: {} records for {} entries",
+    assert_eq!(stats.write_entries, keys.len() as u64);
+    assert_eq!(
         stats.wal_appends,
-        stats.write_entries
+        keys.len().div_ceil(Testbed::LOAD_BATCH) as u64,
+        "the load must log one WAL record per {}-entry batch",
+        Testbed::LOAD_BATCH
     );
 }
