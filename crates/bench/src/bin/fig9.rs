@@ -1,5 +1,12 @@
 //! Figure 9: compaction time and its learn / write-model breakdown under a
 //! write-only workload.
+//!
+//! `learn` is every output table's training time, wherever it ran. A table
+//! of 2 048 keys or more that is not a job's last trains on a helper thread
+//! beside the next table's merge when a permit is free, so its training is
+//! not all compaction wall time: `learn %` can read above the merge
+//! thread's own share, and `kv+io` subtracts only the training the merge
+//! thread ran inline or waited on.
 
 use lsm_bench::{runner, Cli};
 

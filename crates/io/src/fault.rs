@@ -15,7 +15,7 @@ use parking_lot::RwLock;
 use crate::{IoStats, RandomAccessFile, Storage, WritableFile};
 
 /// Shared fault control handle.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FaultControl {
     /// Remaining successful *write* operations before failures begin
     /// (negative = unlimited).
@@ -24,6 +24,18 @@ pub struct FaultControl {
     poisoned_substring: RwLock<Option<String>>,
     /// Master switch.
     armed: AtomicBool,
+}
+
+impl Default for FaultControl {
+    /// Disarmed, with no write budget: arming one fault (a poisoned name)
+    /// fails nothing else.
+    fn default() -> Self {
+        FaultControl {
+            writes_until_failure: AtomicI64::new(-1),
+            poisoned_substring: RwLock::new(None),
+            armed: AtomicBool::new(false),
+        }
+    }
 }
 
 impl FaultControl {

@@ -9,8 +9,15 @@
 //! The merge deduplicates versions (one survivor per user key) and drops
 //! tombstones when the output is the bottom-most populated level. Outputs
 //! rotate at the SSTable granularity target. Index training and model
-//! serialization inside [`TableBuilder::finish`] are timed separately so
-//! Figure 9's breakdown falls out directly.
+//! serialization are timed separately per table so Figure 9's breakdown
+//! falls out directly.
+//!
+//! **The seal pipeline** ([`LevelWriter`]): a finished table that is not
+//! the job's last trains its index and builds its filter on a helper thread
+//! leased from the maintenance thread budget while the merge fills the next
+//! table; the merge thread appends the finished table's tail before it
+//! creates the next table's file, so storage sees the same operations, in
+//! the same order, as when every table sealed inline.
 //!
 //! **Subcompactions** ([`Options::max_subcompactions`] > 1): one
 //! logical compaction is range-partitioned into disjoint
@@ -28,11 +35,13 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::cache::BlockCache;
 use crate::iter::{Cursor, Merge};
 use crate::options::Options;
+use crate::sstable::builder::{TrainedTail, WrittenTable};
 use crate::sstable::{TableBuilder, TableIter, TableMeta, TableReader};
 use crate::stats::DbStats;
 use crate::types::{EntryKind, InternalKey};
@@ -337,9 +346,9 @@ pub fn plan_subcompactions(
 }
 
 /// What writing tables needs from the engine that owns them: where the
-/// files go, how they are named and built, and the cache their readers join.
-/// A flush, a bulk load and every compaction write through one
-/// [`LevelWriter`] over it.
+/// files go, how they are named and built, the cache their readers join and
+/// the counters their seals report to. A flush, a bulk load and every
+/// compaction write through one [`LevelWriter`] over it.
 pub struct TableContext<'a> {
     pub storage: &'a dyn Storage,
     pub opts: &'a Options,
@@ -348,17 +357,45 @@ pub struct TableContext<'a> {
     /// tree lock for the duration of a merge.
     pub next_file_no: &'a AtomicU64,
     pub cache: Option<&'a Arc<BlockCache>>,
+    pub stats: &'a DbStats,
+}
+
+/// A table holding fewer keys than this seals inline: training and
+/// filtering it (≈ 80 ns a key) costs less than a helper's spawn and join
+/// (≈ 37 µs).
+const OFF_THREAD_MIN_KEYS: usize = 2_048;
+
+/// A table whose data is written and whose index and filter train on a
+/// helper thread while the merge fills the next table.
+struct PendingSeal {
+    table: WrittenTable,
+    helper: JoinHandle<TrainedTail>,
 }
 
 /// The one table writer: sorted `(key, value)` pairs with one version per
 /// user key in, the tables of one level out. A pair added while no table is
-/// open takes the next file number, creates the file and starts a builder
-/// with the level's index and filter choice; [`LevelWriter::cut`] finishes
-/// it and reopens it for reading. Where the cuts fall is the caller's policy.
+/// open takes the next file number and starts a builder with the level's
+/// index and filter choice; [`LevelWriter::cut`] finishes it and reopens it
+/// for reading. Where the cuts fall is the caller's policy.
+///
+/// **The seal pipeline.** A cut table's data is written at once; its index
+/// and filter train on a helper leased from the maintenance thread budget
+/// while the merge fills the next table, whose file is created only at its
+/// first append. Before that create the writer joins the helper and
+/// appends the finished table's index, filter and footer, syncs it and
+/// opens its reader — so a table's tail is written before the next table's
+/// file exists, and every create, append and sync keeps the order and the
+/// bytes of sealing each table inline. A table seals inline when no permit
+/// is free, when it holds fewer than `OFF_THREAD_MIN_KEYS` keys, and when
+/// it is the last one ([`LevelWriter::finish`]). Dropping the writer joins
+/// a pending helper.
 pub struct LevelWriter<'a> {
     ctx: &'a TableContext<'a>,
     level: usize,
     open: Option<TableBuilder>,
+    /// At most one table awaits its seal, and only while the open table
+    /// has no file.
+    pending: Option<PendingSeal>,
     done: Vec<Arc<TableHandle>>,
 }
 
@@ -369,6 +406,7 @@ impl<'a> LevelWriter<'a> {
             ctx,
             level,
             open: None,
+            pending: None,
             done: Vec::new(),
         }
     }
@@ -380,43 +418,107 @@ impl<'a> LevelWriter<'a> {
 
     /// Append one pair; user keys must strictly increase.
     pub fn add(&mut self, key: &InternalKey, value: &[u8]) -> Result<()> {
-        if self.open.is_none() {
-            let (ctx, opts) = (self.ctx, self.ctx.opts);
-            let name = format!(
-                "{:06}.sst",
-                ctx.next_file_no.fetch_add(1, Ordering::Relaxed)
-            );
-            let file = ctx.storage.create(&name)?;
-            self.open = Some(TableBuilder::new(
-                file,
-                name,
-                opts.index_for_level(self.level),
-                opts.value_width,
-                opts.bloom_bits_for_level(self.level),
-            ));
+        let builder = match self.open {
+            Some(ref mut builder) => builder,
+            None => {
+                let (ctx, opts) = (self.ctx, self.ctx.opts);
+                let name = format!(
+                    "{:06}.sst",
+                    ctx.next_file_no.fetch_add(1, Ordering::Relaxed)
+                );
+                self.open.insert(TableBuilder::deferred(
+                    name,
+                    opts.index_for_level(self.level),
+                    opts.value_width,
+                    opts.bloom_bits_for_level(self.level),
+                ))
+            }
+        };
+        builder.add_parts(key, value)?;
+        if builder.needs_file() {
+            self.create_file()?;
         }
-        let builder = self.open.as_mut().expect("a table was just opened");
-        builder.add_parts(key, value)
+        Ok(())
+    }
+
+    /// Seal the pending table, then create the open table's file.
+    fn create_file(&mut self) -> Result<()> {
+        self.settle()?;
+        let builder = self.open.as_mut().expect("a table is open");
+        let file = self.ctx.storage.create(builder.name())?;
+        builder.attach(file)
     }
 
     /// Finish the table being built, if any; the next pair starts another.
     pub fn cut(&mut self) -> Result<()> {
-        if let Some(builder) = self.open.take() {
-            let ctx = self.ctx;
-            let meta = builder.finish()?;
-            let reader = Arc::new(
-                TableReader::open_with(ctx.storage, &meta.name, ctx.cache.cloned())?
-                    .with_search_strategy(ctx.opts.search),
-            );
-            self.done.push(Arc::new(TableHandle { meta, reader }));
+        self.finish_table(false)
+    }
+
+    /// Write the open table's data, then seal it — beside the next table's
+    /// merge when it may and a helper is free, inline otherwise.
+    fn finish_table(&mut self, last: bool) -> Result<()> {
+        if self.open.as_ref().is_some_and(|b| !b.has_file()) {
+            self.create_file()?;
         }
+        let Some(builder) = self.open.take() else {
+            return Ok(());
+        };
+        let (table, keys) = builder.write_data()?;
+        let lease = (!last && keys.len() >= OFF_THREAD_MIN_KEYS)
+            .then(|| crate::scheduler::borrow_subcompaction_threads(1))
+            .filter(|lease| lease.extra() == 1);
+        let Some(lease) = lease else {
+            return self.open_reader(table.seal(keys.train())?);
+        };
+        // The helper holds its permit until its work is done.
+        let helper = std::thread::spawn(move || {
+            let _permit = lease;
+            keys.train()
+        });
+        let ctx = self.ctx;
+        ctx.stats.seals_off_thread.fetch_add(1, Ordering::Relaxed);
+        self.pending = Some(PendingSeal { table, helper });
+        Ok(())
+    }
+
+    /// Join the pending table's helper and seal the table.
+    fn settle(&mut self) -> Result<()> {
+        let Some(pending) = self.pending.take() else {
+            return Ok(());
+        };
+        let waited = Instant::now();
+        let tail = pending.helper.join().expect("seal helper panicked");
+        let wait_ns = waited.elapsed().as_nanos() as u64;
+        let mut meta = pending.table.seal(tail)?;
+        meta.train_wait_ns = meta.train_ns.min(wait_ns);
+        self.open_reader(meta)
+    }
+
+    /// Open a sealed table for reading and add it to the output.
+    fn open_reader(&mut self, meta: TableMeta) -> Result<()> {
+        let ctx = self.ctx;
+        let reader = Arc::new(
+            TableReader::open_with(ctx.storage, &meta.name, ctx.cache.cloned())?
+                .with_search_strategy(ctx.opts.search),
+        );
+        self.done.push(Arc::new(TableHandle { meta, reader }));
         Ok(())
     }
 
     /// Finish the last table and hand over all of them, in key order.
     pub fn finish(mut self) -> Result<Vec<Arc<TableHandle>>> {
-        self.cut()?;
-        Ok(self.done)
+        self.finish_table(true)?;
+        self.settle()?;
+        Ok(std::mem::take(&mut self.done))
+    }
+}
+
+impl Drop for LevelWriter<'_> {
+    /// A writer that fails or is abandoned mid-table still joins its helper.
+    fn drop(&mut self) {
+        if let Some(pending) = self.pending.take() {
+            let _ = pending.helper.join();
+        }
     }
 }
 
@@ -605,6 +707,9 @@ pub fn run_compaction(
     let outputs: Vec<Arc<TableHandle>> = ok.into_iter().flat_map(|o| o.outputs).collect();
     let bytes_written = total(&outputs, |m| m.file_bytes);
     let train_ns = total(&outputs, |m| m.train_ns);
+    // Training that ran beside a later table's merge is not merge time; only
+    // what a merge thread trained inline, or waited on, comes off it.
+    let train_wait_ns = total(&outputs, |m| m.train_wait_ns);
     let model_write_ns = total(&outputs, |m| m.model_write_ns);
 
     let total_ns = total_start.elapsed().as_nanos() as u64;
@@ -623,7 +728,7 @@ pub fn run_compaction(
         .compact_model_write_ns
         .fetch_add(model_write_ns, Ordering::Relaxed);
     stats.compact_kv_io_ns.fetch_add(
-        total_ns.saturating_sub(train_ns + model_write_ns),
+        total_ns.saturating_sub(train_wait_ns + model_write_ns),
         Ordering::Relaxed,
     );
     stats
@@ -690,6 +795,7 @@ mod tests {
             opts,
             next_file_no: fno,
             cache,
+            stats,
         };
         run_compaction(&ctx, task, stats, None)
     }

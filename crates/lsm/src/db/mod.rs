@@ -599,6 +599,7 @@ impl DbCore {
             opts: &self.opts,
             next_file_no: &self.next_file_no,
             cache: self.cache.as_ref(),
+            stats: &self.stats,
         }
     }
 

@@ -278,11 +278,13 @@ impl Db {
 
         let ctx = core.tables();
         let mut out = LevelWriter::new(&ctx, level);
+        // Cut before each chunk, not after it: the last table is
+        // `finish`'s, which seals it inline.
         for chunk in pending.chunks(per_table) {
+            out.cut()?;
             for e in chunk {
                 out.add(&e.key, &e.value)?;
             }
-            out.cut()?;
         }
         let tables = out.finish()?;
         let mut version = Version::new(core.opts.max_levels);
@@ -349,6 +351,7 @@ impl DbCore {
                         bloom_bytes: reader.bloom_bytes(),
                         index_kind: reader.index_kind(),
                         train_ns: 0,
+                        train_wait_ns: 0,
                         model_write_ns: 0,
                     };
                     if level < version.levels.len() {
@@ -438,6 +441,7 @@ mod tests {
                 opts: &opts,
                 next_file_no: &next_file_no,
                 cache: None,
+                stats: &DbStats::new(),
             };
             let mut names = Vec::new();
             for (seq, (keys, value)) in [(0..150, b"old"), (second, b"new")].into_iter().enumerate()

@@ -92,8 +92,11 @@ fn subcompaction_budget() -> &'static SubcompactionBudget {
 
 /// Take up to `want` extra-thread permits without blocking; the lease
 /// returns them on drop. `extra() == 0` means "run on the calling thread
-/// alone" — always a valid outcome.
-pub(crate) fn borrow_subcompaction_threads(want: usize) -> SubcompactionLease {
+/// alone" — always a valid outcome. Partitioned compactions and the table
+/// writer's seal helpers (see [`crate::compaction::LevelWriter`]) lease
+/// here; a caller that holds every permit keeps all of that work on the
+/// threads that asked for it.
+pub fn borrow_subcompaction_threads(want: usize) -> SubcompactionLease {
     let budget = subcompaction_budget();
     let mut cur = budget.free.load(Ordering::Relaxed);
     loop {
@@ -114,7 +117,7 @@ pub(crate) fn borrow_subcompaction_threads(want: usize) -> SubcompactionLease {
 }
 
 /// Permits held by one compaction job; returned to the budget on drop.
-pub(crate) struct SubcompactionLease {
+pub struct SubcompactionLease {
     extra: usize,
 }
 

@@ -1,14 +1,22 @@
 //! SSTable builder — the paper's `BuildTable` interface.
 //!
 //! Receives key-sorted, deduplicated entries (from a flush or compaction
-//! merge), streams the fixed-width data section to storage, then *trains the
-//! index over the buffered keys*, serializes it, appends the Bloom filter and
-//! footer. Training and model-write durations are recorded separately
-//! because Figure 9 breaks compaction time into exactly those stages.
+//! merge) and streams the fixed-width data section to storage. Finishing a
+//! table is three steps, so a caller can run the middle one elsewhere:
+//!
+//! 1. `TableBuilder::write_data` appends what is left of the data section;
+//! 2. `TableKeys::train` *trains the index over the buffered keys* and
+//!    builds the Bloom filter — CPU only, no storage, any thread;
+//! 3. `WrittenTable::seal` serializes the index, appends it, the filter
+//!    and the footer, and syncs.
+//!
+//! [`TableBuilder::finish`] runs the three in a row. Training and
+//! model-write durations are recorded separately because Figure 9 breaks
+//! compaction time into exactly those stages.
 
 use std::time::Instant;
 
-use learned_index::IndexKind;
+use learned_index::{IndexKind, SegmentIndex};
 
 use crate::bloom::BloomFilter;
 use crate::options::IndexChoice;
@@ -39,15 +47,22 @@ pub struct TableMeta {
     pub bloom_bytes: usize,
     /// Index kind used.
     pub index_kind: IndexKind,
-    /// Nanoseconds spent training the index model.
+    /// Nanoseconds spent training the index model, on whichever thread
+    /// trained it.
     pub train_ns: u64,
+    /// Of `train_ns`, what the writing thread spent on it: all of it for a
+    /// table trained inline, at most its wait at the join for one trained
+    /// beside the next table's merge.
+    pub train_wait_ns: u64,
     /// Nanoseconds spent serializing + appending the model.
     pub model_write_ns: u64,
 }
 
 /// Streaming builder for one SSTable.
 pub struct TableBuilder {
-    file: Box<dyn WritableFile>,
+    /// `None` until the caller attaches the file (see
+    /// [`TableBuilder::deferred`]).
+    file: Option<Box<dyn WritableFile>>,
     name: String,
     index: IndexChoice,
     value_width: usize,
@@ -70,8 +85,22 @@ impl TableBuilder {
         value_width: usize,
         bloom_bits_per_key: usize,
     ) -> Self {
+        let mut builder = Self::deferred(name, index, value_width, bloom_bits_per_key);
+        builder.file = Some(file);
+        builder
+    }
+
+    /// A builder whose file does not exist yet: entries buffer until
+    /// [`TableBuilder::needs_file`], and [`TableBuilder::attach`] hands the
+    /// file over before anything is appended to it.
+    pub(crate) fn deferred(
+        name: String,
+        index: IndexChoice,
+        value_width: usize,
+        bloom_bits_per_key: usize,
+    ) -> Self {
         Self {
-            file,
+            file: None,
             name,
             index,
             value_width,
@@ -81,6 +110,37 @@ impl TableBuilder {
             max_seq: 0,
             last_key: None,
         }
+    }
+
+    /// The table's file name.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Whether the builder has no file yet and a full chunk waits for one.
+    pub(crate) fn needs_file(&self) -> bool {
+        self.file.is_none() && self.buf.len() >= WRITE_CHUNK
+    }
+
+    /// Whether the file is attached.
+    pub(crate) fn has_file(&self) -> bool {
+        self.file.is_some()
+    }
+
+    /// Hand over the file of a [`TableBuilder::deferred`] builder; a full
+    /// chunk waiting for it is appended now.
+    pub(crate) fn attach(&mut self, file: Box<dyn WritableFile>) -> Result<()> {
+        self.file = Some(file);
+        self.append_chunk()
+    }
+
+    /// Append the buffer once it holds a chunk and the file exists.
+    fn append_chunk(&mut self) -> Result<()> {
+        if let Some(file) = self.file.as_mut().filter(|_| self.buf.len() >= WRITE_CHUNK) {
+            file.append(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
     }
 
     /// Append one entry. Entries must arrive in strictly increasing user-key
@@ -111,11 +171,7 @@ impl TableBuilder {
         self.keys.push(key.user_key);
         self.max_seq = self.max_seq.max(key.seq);
         format::encode_entry(&mut self.buf, key, value, self.value_width);
-        if self.buf.len() >= WRITE_CHUNK {
-            self.file.append(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
+        self.append_chunk()
     }
 
     /// Number of entries added so far.
@@ -134,41 +190,109 @@ impl TableBuilder {
     }
 
     /// Train the index, write index + bloom + footer, and return the meta.
-    pub fn finish(mut self) -> Result<TableMeta> {
-        if !self.buf.is_empty() {
-            self.file.append(&self.buf)?;
-            self.buf.clear();
-        }
+    pub fn finish(self) -> Result<TableMeta> {
+        let (table, keys) = self.write_data()?;
+        table.seal(keys.train())
+    }
+
+    /// Step 1: append the rest of the data section. What comes back is the
+    /// written table, which [`WrittenTable::seal`] completes, and its keys,
+    /// which [`TableKeys::train`] turns into what the seal appends.
+    pub(crate) fn write_data(self) -> Result<(WrittenTable, TableKeys)> {
         let data_len = self.data_bytes();
-
-        // --- train (Figure 9 "Learn" stage) ---
-        let t0 = Instant::now();
-        let index = self.index.kind.build(&self.keys, &self.index.config);
-        let train_ns = t0.elapsed().as_nanos() as u64;
-
-        // --- serialize + append model (Figure 9 "Write Model" stage) ---
-        let t1 = Instant::now();
-        let payload = index.encode();
-        self.file.append(&payload)?;
-        let model_write_ns = t1.elapsed().as_nanos() as u64;
-
-        // --- bloom ---
-        let bloom = BloomFilter::build(&self.keys, self.bloom_bits_per_key);
-        let mut bloom_buf = Vec::with_capacity(bloom.size_bytes() + 8);
-        bloom.encode_into(&mut bloom_buf);
-        self.file.append(&bloom_buf)?;
-
-        // --- footer ---
+        let mut file = self
+            .file
+            .expect("a table's file exists before its data is written");
+        if !self.buf.is_empty() {
+            file.append(&self.buf)?;
+        }
+        // The seal fills in where the index and the filter land.
         let footer = Footer {
             n: self.keys.len() as u64,
             value_width: self.value_width as u32,
             index_off: data_len,
-            index_len: payload.len() as u64,
-            bloom_off: data_len + payload.len() as u64,
-            bloom_len: bloom_buf.len() as u64,
+            index_len: 0,
+            bloom_off: 0,
+            bloom_len: 0,
             min_key: self.keys.first().copied().unwrap_or(0),
             max_key: self.keys.last().copied().unwrap_or(0),
             max_seq: self.max_seq,
+        };
+        let table = WrittenTable {
+            file,
+            name: self.name,
+            footer,
+        };
+        let keys = TableKeys {
+            keys: self.keys,
+            index: self.index,
+            bloom_bits_per_key: self.bloom_bits_per_key,
+        };
+        Ok((table, keys))
+    }
+}
+
+/// The key column of a table whose data is written: what its index and
+/// filter are built over.
+pub(crate) struct TableKeys {
+    keys: Vec<u64>,
+    index: IndexChoice,
+    bloom_bits_per_key: usize,
+}
+
+impl TableKeys {
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Step 2: train the index (Figure 9's "Learn" stage) and build the
+    /// filter. Touches no storage, so it may run on any thread.
+    pub fn train(self) -> TrainedTail {
+        let t0 = Instant::now();
+        let index = self.index.kind.build(&self.keys, &self.index.config);
+        let train_ns = t0.elapsed().as_nanos() as u64;
+        let bloom = BloomFilter::build(&self.keys, self.bloom_bits_per_key);
+        TrainedTail {
+            index,
+            bloom,
+            train_ns,
+        }
+    }
+}
+
+/// A table's trained index and built filter, not yet on storage.
+pub(crate) struct TrainedTail {
+    index: Box<dyn SegmentIndex>,
+    bloom: BloomFilter,
+    train_ns: u64,
+}
+
+/// A table whose data section is on storage; its seal appends the rest.
+pub(crate) struct WrittenTable {
+    file: Box<dyn WritableFile>,
+    name: String,
+    footer: Footer,
+}
+
+impl WrittenTable {
+    /// Step 3: serialize and append the model (Figure 9's "Write Model"
+    /// stage), then the filter and footer, and sync.
+    pub fn seal(mut self, tail: TrainedTail) -> Result<TableMeta> {
+        let t1 = Instant::now();
+        let payload = tail.index.encode();
+        self.file.append(&payload)?;
+        let model_write_ns = t1.elapsed().as_nanos() as u64;
+
+        let mut bloom_buf = Vec::with_capacity(tail.bloom.size_bytes() + 8);
+        tail.bloom.encode_into(&mut bloom_buf);
+        self.file.append(&bloom_buf)?;
+
+        let footer = Footer {
+            index_len: payload.len() as u64,
+            bloom_off: self.footer.index_off + payload.len() as u64,
+            bloom_len: bloom_buf.len() as u64,
+            ..self.footer
         };
         let mut fbuf = Vec::with_capacity(format::FOOTER_LEN);
         footer.encode_into(&mut fbuf);
@@ -182,11 +306,12 @@ impl TableBuilder {
             max_key: footer.max_key,
             max_seq: footer.max_seq,
             file_bytes: self.file.written(),
-            index_bytes: index.size_bytes(),
+            index_bytes: tail.index.size_bytes(),
             index_payload_bytes: payload.len(),
             bloom_bytes: bloom_buf.len(),
-            index_kind: index.kind(),
-            train_ns,
+            index_kind: tail.index.kind(),
+            train_ns: tail.train_ns,
+            train_wait_ns: tail.train_ns,
             model_write_ns,
         })
     }

@@ -221,6 +221,9 @@ engine_counters! {
         SUM compact_model_write_ns,
         SUM compact_bytes_read,
         SUM compact_bytes_written,
+        /// Tables whose index and filter trained on a helper thread beside
+        /// the next table's merge (the rest train inline).
+        SUM seals_off_thread,
         // Range scans (Figure 11).
         SUM scans,
         SUM scan_entries,
@@ -418,7 +421,13 @@ pub struct CompactionBreakdown {
 
 impl CompactionBreakdown {
     /// Fraction of compaction time spent training (paper: <5% for most
-    /// indexes, 10–15% for PLEX).
+    /// indexes, 10–15% for PLEX). `train_ns` is every output table's
+    /// training time wherever it ran, while `total_ns` is the merge's wall
+    /// time; a table trained on a helper beside the next table's merge
+    /// (see [`crate::compaction::LevelWriter`]) adds to the first and only
+    /// its wait at the join to the second, so the share reads higher than
+    /// the merge thread's own — and `kv_io_ns` subtracts only the training
+    /// a merge thread ran inline or waited on.
     pub fn train_fraction(&self) -> f64 {
         self.train_ns as f64 / self.total_ns.max(1) as f64
     }
@@ -470,8 +479,8 @@ mod tests {
             bloom_checks bloom_negatives memtable_hits write_batches write_entries \
             write_groups wal_appends wal_bytes wal_syncs flushes flush_bytes_written \
             compactions subcompactions compact_total_ns compact_kv_io_ns compact_train_ns \
-            compact_model_write_ns compact_bytes_read compact_bytes_written scans \
-            scan_entries stall_slowdowns stall_stops stall_ns imm_rotations imm_queue_peak \
+            compact_model_write_ns compact_bytes_read compact_bytes_written \
+            seals_off_thread scans scan_entries stall_slowdowns stall_stops stall_ns imm_rotations imm_queue_peak \
             bg_flush_ns bg_compact_ns bg_errors writes_during_maintenance shard_splits \
             commit_checkpoints cache_block_hits cache_block_misses cache_block_evictions \
             cache_used_bytes cache_capacity_bytes";

@@ -34,6 +34,13 @@
 //! apply; marker absent → the commit never sealed, suppress the fragment.
 //! Format-1 records always apply (single-shard commits are sealed by their
 //! own frame CRC).
+//!
+//! The writer builds each record in one reused buffer: the 8-byte frame
+//! header is reserved in front, the payload written behind it, and the CRC
+//! and length filled in last. [`crc32`] folds 64 bytes a step with
+//! carry-less multiplies on x86-64 hosts that have them and falls back to
+//! slicing-by-8 tables elsewhere; it frames every WAL record, manifest and
+//! topology seal and commit marker, and checks them again on replay.
 
 use crate::batch::BatchOp;
 use crate::types::{EntryKind, SeqNo};
@@ -122,12 +129,26 @@ static CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE) over `data`, slicing-by-8 — this frames every record in
-/// the commit leader's serial section (and re-checks them on replay), so
-/// it digests 8 bytes per step instead of paying a per-byte dependency
-/// chain. The tail shorter than 8 bytes falls back to the per-byte table.
+/// CRC-32 (IEEE) over `data`. It frames every record in the commit
+/// leader's serial section (and re-checks them on replay), so on an x86-64
+/// host with the carry-less multiply it folds 64 bytes a step (`clmul`);
+/// elsewhere, below `clmul::MIN_LEN` and for the last `len % 16` bytes the
+/// slicing-by-8 tables digest 8 bytes a step. Both give the same value.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && clmul::available() {
+        let folded = data.len() & !15;
+        // SAFETY: `available` saw the CPU feature the kernel is compiled
+        // for, and `folded` is at least `MIN_LEN` and a multiple of 16.
+        let crc = unsafe { clmul::fold(!0, &data[..folded]) };
+        return !crc32_tables(crc, &data[folded..]);
+    }
+    !crc32_tables(!0, data)
+}
+
+/// The slicing-by-8 update of the running (inverted) CRC register `crc`
+/// over `data`; the tail shorter than 8 bytes goes a byte at a time.
+fn crc32_tables(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ crc;
@@ -144,7 +165,99 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel 2009 — the bit-reflected form zlib and Linux use): four 128-bit
+/// lanes fold 64 bytes a step, fold into one lane, then Barrett-reduce to
+/// 32 bits. The constants are `x^k mod P(x)`, bit-reflected, for the IEEE
+/// polynomial `P`.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Shortest input the kernel takes: one 64-byte block, plus one
+    /// 64-byte step so the fold pays for its reduction.
+    pub const MIN_LEN: usize = 128;
+
+    /// Whether this CPU has the carry-less multiply (cached by std).
+    pub fn available() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+    }
+
+    /// The running (inverted) CRC register after `data`.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`, and `data.len()` must be a
+    /// multiple of 16 and at least 64.
+    #[target_feature(enable = "pclmulqdq")]
+    pub unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= 64 && data.len() & 15 == 0);
+        // One lane times `k`: its low half by k's low and its high half by
+        // k's high, summed — the lane moved `k`'s distance further on.
+        macro_rules! step {
+            ($x:expr, $k:expr) => {
+                _mm_xor_si128(
+                    _mm_clmulepi64_si128($x, $k, 0x00),
+                    _mm_clmulepi64_si128($x, $k, 0x11),
+                )
+            };
+        }
+        // SAFETY: every load reads 16 bytes at the start of a 16-byte
+        // chunk of `data` (`chunks_exact`), and the caller vouches for the
+        // CPU feature the intrinsics need.
+        unsafe {
+            let load = |chunk: &[u8]| _mm_loadu_si128(chunk.as_ptr().cast());
+            let (head, rest) = data.split_at(64);
+            let mut x1 = _mm_xor_si128(load(&head[..16]), _mm_cvtsi32_si128(crc as i32));
+            let mut x2 = load(&head[16..32]);
+            let mut x3 = load(&head[32..48]);
+            let mut x4 = load(&head[48..]);
+
+            let k1k2 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
+            let mut blocks = rest.chunks_exact(64);
+            for block in &mut blocks {
+                x1 = _mm_xor_si128(step!(x1, k1k2), load(&block[..16]));
+                x2 = _mm_xor_si128(step!(x2, k1k2), load(&block[16..32]));
+                x3 = _mm_xor_si128(step!(x3, k1k2), load(&block[32..48]));
+                x4 = _mm_xor_si128(step!(x4, k1k2), load(&block[48..]));
+            }
+
+            // Four lanes into one, then the remaining 16-byte chunks.
+            let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
+            x1 = _mm_xor_si128(step!(x1, k3k4), x2);
+            x1 = _mm_xor_si128(step!(x1, k3k4), x3);
+            x1 = _mm_xor_si128(step!(x1, k3k4), x4);
+            for chunk in blocks.remainder().chunks_exact(16) {
+                x1 = _mm_xor_si128(step!(x1, k3k4), load(chunk));
+            }
+
+            // 128 bits to 64, then to the 32-bit remainder.
+            let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+            x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+            let k5 = _mm_set_epi64x(0, 0x1_63cd_6124);
+            x1 = _mm_xor_si128(
+                _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
+                _mm_srli_si128(x1, 4),
+            );
+            let poly = _mm_set_epi64x(0x1_f701_1641, 0x1_db71_0641);
+            let mut x2 = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+            x2 = _mm_clmulepi64_si128(_mm_and_si128(x2, low32), poly, 0x00);
+            x1 = _mm_xor_si128(x1, x2);
+            _mm_cvtsi128_si32(_mm_srli_si128(x1, 4)) as u32
+        }
+    }
+}
+
+/// Fill in the frame header a record's buffer reserved: `buf` is 8 bytes
+/// of header room followed by the payload, and becomes
+/// `[crc32 u32][payload_len u32][payload]`.
+fn seal_frame(buf: &mut [u8]) {
+    let (header, payload) = buf.split_at_mut(8);
+    header[..4].copy_from_slice(&crc32(payload).to_le_bytes());
+    header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
 }
 
 /// Frame one record payload for a CRC-framed log:
@@ -153,9 +266,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// crash-tear) identically.
 pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
 }
 
@@ -294,7 +407,10 @@ impl WalWriter {
                 "wal batch payload of {payload} bytes exceeds the record format"
             )));
         }
+        // The frame header is reserved in front and filled in once the
+        // payload is in place: one buffer, one copy of the regions.
         self.buf.clear();
+        self.buf.extend_from_slice(&[0; 8]);
         self.buf.push(if cross.is_some() {
             CROSS_BATCH_FORMAT
         } else {
@@ -314,9 +430,9 @@ impl WalWriter {
         for p in parts {
             self.buf.extend_from_slice(p);
         }
-        let framed = frame(&self.buf);
-        self.file.append(&framed)?;
-        Ok(framed.len() as u64)
+        seal_frame(&mut self.buf);
+        self.file.append(&self.buf)?;
+        Ok(self.buf.len() as u64)
     }
 
     /// Flush the log to the storage medium.
@@ -496,26 +612,52 @@ mod tests {
         assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
     }
 
+    /// CRC-32 a bit at a time: the definition the fast paths must equal.
+    fn bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB88320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// `n` bytes of a multiplicative hash sequence.
+    fn pseudo_random(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect()
+    }
+
     #[test]
     fn crc32_table_matches_bitwise_reference() {
-        fn bitwise(data: &[u8]) -> u32 {
-            let mut crc: u32 = !0;
-            for &b in data {
-                crc ^= b as u32;
-                for _ in 0..8 {
-                    let mask = (crc & 1).wrapping_neg();
-                    crc = (crc >> 1) ^ (0xEDB88320 & mask);
-                }
-            }
-            !crc
-        }
-        let mut payload = Vec::new();
-        for i in 0..1024u32 {
-            payload.push((i.wrapping_mul(2654435761) >> 13) as u8);
-        }
+        let payload = pseudo_random(1024);
         for window in [0usize, 1, 7, 64, 1000, 1024] {
             assert_eq!(crc32(&payload[..window]), bitwise(&payload[..window]));
         }
+    }
+
+    /// Both kernels — `crc32` (which folds with carry-less multiplies where
+    /// the CPU has them) and the slicing-by-8 tables called directly — equal
+    /// the bitwise reference at every length up to 1 100 bytes, from every
+    /// start offset in a 16-byte line, and over 1 MiB.
+    #[test]
+    fn crc32_kernels_match_bitwise_reference_at_every_length_and_offset() {
+        let data = pseudo_random(1_100 + 16);
+        for offset in 0..16 {
+            for len in 0..=1_100 {
+                let input = &data[offset..offset + len];
+                let want = bitwise(input);
+                assert_eq!(crc32(input), want, "len {len} offset {offset}");
+                assert_eq!(!crc32_tables(!0, input), want, "len {len} offset {offset}");
+            }
+        }
+        let big = pseudo_random(1 << 20);
+        assert_eq!(crc32(&big), bitwise(&big));
+        assert_eq!(!crc32_tables(!0, &big), bitwise(&big));
     }
 
     #[test]

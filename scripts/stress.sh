@@ -20,7 +20,10 @@
 #   buffer   x20  write_concurrency (four synchronous writers hand the flush
 #                 claim to each other), backpressure, durability: a sealed
 #                 write buffer is read by its flusher, live readers and
-#                 pinned snapshots at once, with no copy between them; and
+#                 pinned snapshots at once, with no copy between them;
+#                 seal_pipeline (a table's index trains on a helper while
+#                 the merge fills the next table: the same storage ops, a
+#                 fault while a seal is pending fails cleanly); and
 #                 the library's skiplist:: and memtable:: unit tests —
 #                 inserters hand the arena's full chunk on to each other
 #   sharding x10  the sharding binary: splits under load, the dual-write
@@ -48,6 +51,7 @@ buffer() {
         lsm write_concurrency
         lsm backpressure
         lsm durability
+        lsm seal_pipeline
         cargo test --release --offline -q -p lsm-tree --lib -- skiplist:: memtable:: || exit 1
     done
 }
