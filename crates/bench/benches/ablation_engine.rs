@@ -20,7 +20,6 @@ fn build_db(search: SearchStrategy, cache_bytes: usize, keys: &[u64]) -> Db {
     opts.sstable_target_bytes = 128 << 10;
     opts.search = search;
     opts.block_cache_bytes = cache_bytes;
-    opts.wal = false;
     let db = Db::open(Arc::new(SimStorage::new(CostModel::default())), opts).expect("open");
     db.bulk_load(keys.iter().map(|&k| (k, vec![0u8; 24])))
         .expect("load");

@@ -130,7 +130,6 @@ impl TestbedConfig {
                 granularity: self.granularity.index_granularity(),
                 ..IndexChoice::with_boundary(self.index_kind, self.position_boundary)
             },
-            max_levels: 8,
             per_level_epsilon: self.per_level_epsilon.clone(),
             block_cache_bytes: self.block_cache_bytes,
             ..Options::default()

@@ -29,8 +29,9 @@
 //! [`KeyRetention`] state machine sees complete version chains and
 //! tombstone elision is identical to the single-threaded merge. The
 //! caller installs all sub-outputs through **one** version edit and one
-//! manifest seal — a partial compaction is never visible, and a crash
-//! leaves only orphan output files (swept on the next open).
+//! manifest seal — a partial compaction is never visible. A failed job
+//! removes its outputs before it returns; a crash leaves them as orphan
+//! files (swept on the next open).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,21 +127,11 @@ impl CompactionTask {
 }
 
 /// Decide whether any level needs compacting. `cursors` is the per-level
-/// round-robin key cursor (advanced by [`advance_cursor`]).
+/// round-robin key cursor (advanced by [`advance_cursor`]). A task whose
+/// inputs intersect `busy` (tables claimed by an in-flight compaction) is
+/// never picked; a level whose due work is blocked is skipped, so disjoint
+/// tasks at other levels can still run concurrently.
 pub fn pick_compaction(
-    version: &Version,
-    opts: &Options,
-    cursors: &[u64],
-) -> Option<CompactionTask> {
-    pick_compaction_excluding(version, opts, cursors, &HashSet::new())
-}
-
-/// [`pick_compaction`] that never selects a task whose inputs intersect
-/// `busy` (tables claimed by an in-flight background compaction). A level
-/// whose due work is blocked is skipped, so disjoint tasks at other levels
-/// can still run concurrently. With an empty `busy` set this is exactly
-/// the synchronous picker.
-pub fn pick_compaction_excluding(
     version: &Version,
     opts: &Options,
     cursors: &[u64],
@@ -376,7 +367,8 @@ struct PendingSeal {
 /// user key in, the tables of one level out. A pair added while no table is
 /// open takes the next file number and starts a builder with the level's
 /// index and filter choice; [`LevelWriter::cut`] finishes it and reopens it
-/// for reading. Where the cuts fall is the caller's policy.
+/// for reading. Where the cuts fall is the caller's policy;
+/// [`LevelWriter::write`] runs one caller's pairs through a writer.
 ///
 /// **The seal pipeline.** A cut table's data is written at once; its index
 /// and filter train on a helper leased from the maintenance thread budget
@@ -387,8 +379,7 @@ struct PendingSeal {
 /// file exists, and every create, append and sync keeps the order and the
 /// bytes of sealing each table inline. A table seals inline when no permit
 /// is free, when it holds fewer than `OFF_THREAD_MIN_KEYS` keys, and when
-/// it is the last one ([`LevelWriter::finish`]). Dropping the writer joins
-/// a pending helper.
+/// it is the last one. Dropping the writer joins a pending helper.
 pub struct LevelWriter<'a> {
     ctx: &'a TableContext<'a>,
     level: usize,
@@ -397,6 +388,8 @@ pub struct LevelWriter<'a> {
     /// has no file.
     pending: Option<PendingSeal>,
     done: Vec<Arc<TableHandle>>,
+    /// Every file this writer created, removed if the write fails.
+    created: Vec<String>,
 }
 
 impl<'a> LevelWriter<'a> {
@@ -408,7 +401,30 @@ impl<'a> LevelWriter<'a> {
             open: None,
             pending: None,
             done: Vec::new(),
+            created: Vec::new(),
         }
+    }
+
+    /// Write one level's tables: `fill` adds the pairs and places the cuts,
+    /// then the last table seals and all of them are handed over in key
+    /// order. A job installs all of these tables or none, so when `fill` or
+    /// a seal fails every file the writer created is removed before the
+    /// error returns.
+    pub fn write(
+        ctx: &'a TableContext<'a>,
+        level: usize,
+        fill: impl FnOnce(&mut Self) -> Result<()>,
+    ) -> Result<Vec<Arc<TableHandle>>> {
+        let mut out = Self::new(ctx, level);
+        let written = fill(&mut out).and_then(|()| {
+            out.finish_table(true)?;
+            out.settle()?;
+            Ok(std::mem::take(&mut out.done))
+        });
+        if written.is_err() {
+            discard(ctx.storage, std::mem::take(&mut out.created));
+        }
+        written
     }
 
     /// Entry bytes of the table being built; 0 when none is.
@@ -446,6 +462,7 @@ impl<'a> LevelWriter<'a> {
         self.settle()?;
         let builder = self.open.as_mut().expect("a table is open");
         let file = self.ctx.storage.create(builder.name())?;
+        self.created.push(builder.name().to_string());
         builder.attach(file)
     }
 
@@ -504,13 +521,19 @@ impl<'a> LevelWriter<'a> {
         self.done.push(Arc::new(TableHandle { meta, reader }));
         Ok(())
     }
+}
 
-    /// Finish the last table and hand over all of them, in key order.
-    pub fn finish(mut self) -> Result<Vec<Arc<TableHandle>>> {
-        self.finish_table(true)?;
-        self.settle()?;
-        Ok(std::mem::take(&mut self.done))
+/// Remove the files of tables a job wrote but does not install
+/// (best-effort: what a crash leaves, the open sweep collects).
+pub(crate) fn discard(storage: &dyn Storage, names: impl IntoIterator<Item = String>) {
+    for name in names {
+        let _ = storage.remove(&name);
     }
+}
+
+/// The file names of `tables`, for [`discard`].
+pub(crate) fn names(tables: &[Arc<TableHandle>]) -> impl Iterator<Item = String> + '_ {
+    tables.iter().map(|t| t.meta.name.clone())
 }
 
 impl Drop for LevelWriter<'_> {
@@ -564,44 +587,46 @@ fn merge_sub_range(
 
     let in_width = crate::sstable::format::entry_width(opts.value_width) as u64;
     let mut bytes_in = 0;
-    let mut out = LevelWriter::new(ctx, task.level + 1);
-    let mut retention = KeyRetention::new(task.is_bottom);
-
-    // The merge is read key by key; a value is borrowed, and only for an
-    // entry that is written out.
-    while let Some(key) = merge.key()? {
-        if range.hi.is_some_and(|hi| key.user_key >= hi) {
-            break; // seam: the next sub-range owns this key onward
-        }
-        bytes_in += in_width;
-        // Dedup: internal-key order puts the newest version of a user key
-        // first; all later versions of the same key are obsolete here
-        // (live snapshots read through their own pinned `Version`).
-        if retention.keep(&key) {
-            // Rotate at the granularity target. Retention emits one version
-            // per user key, so a rotation boundary is always also a user-key
-            // boundary and the output level stays disjoint.
-            if out.open_bytes() >= opts.sstable_target_bytes {
-                out.cut()?;
+    let outputs = LevelWriter::write(ctx, task.level + 1, |out| {
+        let mut retention = KeyRetention::new(task.is_bottom);
+        // The merge is read key by key; a value is borrowed, and only for
+        // an entry that is written out.
+        while let Some(key) = merge.key()? {
+            if range.hi.is_some_and(|hi| key.user_key >= hi) {
+                break; // seam: the next sub-range owns this key onward
             }
-            out.add(&key, merge.value())?;
+            bytes_in += in_width;
+            // Dedup: internal-key order puts the newest version of a user
+            // key first; all later versions of the same key are obsolete
+            // here (live snapshots read through their own pinned `Version`).
+            if retention.keep(&key) {
+                // Rotate at the granularity target. Retention emits one
+                // version per user key, so a rotation boundary is always
+                // also a user-key boundary and the output level stays
+                // disjoint.
+                if out.open_bytes() >= opts.sstable_target_bytes {
+                    out.cut()?;
+                }
+                out.add(&key, merge.value())?;
+            }
+            merge.advance();
         }
-        merge.advance();
-    }
-    let outputs = out.finish()?;
+        Ok(())
+    })?;
     Ok(SubOutcome { outputs, bytes_in })
 }
 
 /// Execute `task`: merge inputs, write ≤-target-size output tables through
-/// `ctx`, record the stage breakdown into `stats`.
+/// `ctx`, record the stage breakdown into `ctx.stats`.
 ///
 /// When [`Options::max_subcompactions`] > 1, the job's key space is
 /// range-partitioned by [`plan_subcompactions`] and each sub-range merges
 /// on its own scoped thread; `max_subcompactions = 1` (the default) runs
 /// the exact single-threaded merge. Outputs come back
 /// in key order either way, and the caller commits them through **one**
-/// version edit + manifest seal — a failed or crashed job leaves only
-/// orphan output files, never a partial compaction.
+/// version edit + manifest seal. A failed run removes its outputs before
+/// it returns; a crash leaves them as orphans for the open sweep. Never a
+/// partial compaction either way.
 ///
 /// When observability is on, `obs` brackets the run in a
 /// `compaction_begin` / `compaction_end` span (begin carries the source
@@ -611,10 +636,9 @@ fn merge_sub_range(
 pub fn run_compaction(
     ctx: &TableContext<'_>,
     task: &CompactionTask,
-    stats: &DbStats,
     obs: Option<&EngineObs>,
 ) -> Result<CompactionResult> {
-    let (storage, opts) = (ctx.storage, ctx.opts);
+    let (storage, opts, stats) = (ctx.storage, ctx.opts, ctx.stats);
     let total_start = Instant::now();
     let span = obs.map(|o| {
         let span = o.span();
@@ -676,35 +700,20 @@ pub fn run_compaction(
     };
 
     // Aggregate in partition order (ranges ascend, outputs within a range
-    // ascend, so the concatenation is globally sorted and disjoint). On
-    // any sub-range error nothing was installed — drop the sibling
-    // outputs' handles and best-effort unlink their files so an in-process
-    // failure leaks nothing (a crash instead leaves orphans for the
-    // open-time sweep).
-    let mut ok = Vec::with_capacity(outcomes.len());
-    let mut first_err = None;
-    for r in outcomes {
-        match r {
-            Ok(o) => ok.push(o),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
+    // ascend, so the concatenation is globally sorted and disjoint). A
+    // failed sub-range removed its own outputs; the siblings' go too.
+    let mut outputs = Vec::new();
+    let mut failed = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok(o) => outputs.extend(o.outputs),
+            Err(e) => failed = failed.or(Some(e)),
         }
     }
-    if let Some(e) = first_err {
-        for o in ok {
-            for t in o.outputs {
-                let name = t.meta.name.clone();
-                drop(t);
-                let _ = storage.remove(&name);
-            }
-        }
+    if let Some(e) = failed {
+        discard(storage, names(&outputs));
         return Err(e);
     }
-
-    let outputs: Vec<Arc<TableHandle>> = ok.into_iter().flat_map(|o| o.outputs).collect();
     let bytes_written = total(&outputs, |m| m.file_bytes);
     let train_ns = total(&outputs, |m| m.train_ns);
     // Training that ran beside a later table's merge is not merge time; only
@@ -797,7 +806,7 @@ mod tests {
             cache,
             stats,
         };
-        run_compaction(&ctx, task, stats, None)
+        run_compaction(&ctx, task, None)
     }
 
     fn puts(range: std::ops::Range<u64>, seq: u64) -> Vec<Entry> {
@@ -814,7 +823,7 @@ mod tests {
         let mut v = Version::new(4);
         v.levels[0].push(handle_with(&storage, "a", puts(0..10, 5)));
         v.levels[0].push(handle_with(&storage, "b", puts(5..15, 3)));
-        let task = pick_compaction(&v, &opts, &[0; 4]).expect("L0 compaction due");
+        let task = pick_compaction(&v, &opts, &[0; 4], &HashSet::new()).expect("L0 compaction due");
         assert_eq!(task.level, 0);
         assert_eq!(task.inputs.len(), 2);
         assert!(task.is_bottom);
@@ -904,7 +913,7 @@ mod tests {
         v.levels[2].push(handle_with(&storage, "old", puts(0..1_200, 1)));
         let mut cursors = [0; 4];
         let mut steps = Vec::new();
-        while let Some(task) = pick_compaction(&v, &opts, &cursors) {
+        while let Some(task) = pick_compaction(&v, &opts, &cursors, &HashSet::new()) {
             let outputs = run(&storage, &task, &opts, &stats, &fno, None)
                 .unwrap()
                 .outputs;

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use super::{CommitCoordination, Db, DbCore, Inner, WritePressure};
 use crate::compaction::{
-    advance_cursor, pick_compaction_excluding, run_compaction, CompactionTask, KeyRetention,
+    advance_cursor, discard, names, pick_compaction, run_compaction, CompactionTask, KeyRetention,
     LevelWriter,
 };
 use crate::iter::Cursor;
@@ -128,7 +128,7 @@ impl Db {
                     self.core.flush_paused.load(Ordering::Acquire) || inner.flush_idle();
                 let compact_idle = inner.busy.is_empty()
                     && (self.core.compaction_paused.load(Ordering::Acquire)
-                        || pick_compaction_excluding(
+                        || pick_compaction(
                             &inner.version,
                             &self.core.opts,
                             &inner.cursors,
@@ -294,17 +294,10 @@ impl DbCore {
         self.drain_inline()
     }
 
-    /// Swap in a fresh WAL, returning the retiring log's name (`None`
-    /// when the WAL is off). The fresh log is **created before the old
-    /// writer is released**: a failed create leaves the engine still
-    /// logging to the old WAL, where take-then-create would leave
-    /// `inner.wal = None` and silently un-log every later write — which
-    /// under the cross-shard protocol would skip a prepare record while
-    /// its marker still seals the batch, tearing it across a crash.
-    fn rotate_wal(&self, inner: &mut Inner) -> Result<Option<String>> {
-        if !self.opts.wal {
-            return Ok(None);
-        }
+    /// Swap in a fresh WAL, returning the retiring log's name. The fresh
+    /// log is **created before the old writer is released**: a failed
+    /// create leaves the engine still logging to the old WAL.
+    fn rotate_wal(&self, inner: &mut Inner) -> Result<String> {
         let fresh = format!(
             "{:06}.wal",
             self.next_file_no.fetch_add(1, Ordering::Relaxed)
@@ -314,7 +307,7 @@ impl DbCore {
         // not replay it — hold back acknowledgements (see
         // `manifest_dirty`) in case the caller's own rewrite fails.
         self.manifest_dirty.store(true, Ordering::Release);
-        Ok(inner.wal.replace(w).map(|old| old.name().to_string()))
+        Ok(std::mem::replace(&mut inner.wal, w).name().to_string())
     }
 
     /// Seal the active memtable onto the immutable queue — its handle
@@ -327,10 +320,10 @@ impl DbCore {
         if inner.mem.is_empty() {
             return Ok(());
         }
-        let old_wal = self.rotate_wal(inner)?;
+        let wal = self.rotate_wal(inner)?;
         self.install(inner, |tree| {
             let mem = std::mem::take(&mut tree.mem);
-            let imm = ImmutableMemTable { mem, wal: old_wal };
+            let imm = ImmutableMemTable { mem, wal };
             tree.imms.push_back(Arc::new(imm));
         });
         self.stats.record_rotation(inner.imms.len());
@@ -380,9 +373,7 @@ impl DbCore {
             });
             self.write_manifest(&inner)?;
             drop(inner);
-            if let Some(old) = &imm.wal {
-                let _ = self.storage.remove(old);
-            }
+            let _ = self.storage.remove(&imm.wal);
             self.stats.flushes.fetch_add(1, Ordering::Relaxed);
             Ok(())
         })();
@@ -407,17 +398,19 @@ impl DbCore {
     /// the skiplist's nodes.
     fn flush_table(&self, mem: &MemTable) -> Result<Arc<TableHandle>> {
         let ctx = self.tables();
-        let mut out = LevelWriter::new(&ctx, 0);
-        let mut retention = KeyRetention::new(false);
-        let mut cursor = mem.cursor();
-        cursor.seek_to_first();
-        while let Some(key) = cursor.key()? {
-            if retention.keep(&key) {
-                out.add(&key, cursor.value())?;
+        let handle = LevelWriter::write(&ctx, 0, |out| {
+            let mut retention = KeyRetention::new(false);
+            let mut cursor = mem.cursor();
+            cursor.seek_to_first();
+            while let Some(key) = cursor.key()? {
+                if retention.keep(&key) {
+                    out.add(&key, cursor.value())?;
+                }
+                cursor.advance();
             }
-            cursor.advance();
-        }
-        let handle = out.finish()?.pop();
+            Ok(())
+        })?
+        .pop();
         let handle = handle.ok_or_else(|| Error::Corruption("flush of an empty buffer".into()))?;
         self.stats
             .flush_bytes_written
@@ -436,7 +429,7 @@ impl DbCore {
             let mut inner = self.inner.write();
             let inner = &mut *inner;
             let Some(task) =
-                pick_compaction_excluding(&inner.version, &self.opts, &inner.cursors, &inner.busy)
+                pick_compaction(&inner.version, &self.opts, &inner.cursors, &inner.busy)
             else {
                 return Ok(false);
             };
@@ -447,9 +440,11 @@ impl DbCore {
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
         let removed = task.input_names();
         let result = (|| -> Result<()> {
-            let run = run_compaction(&self.tables(), &task, &self.stats, self.obs.as_deref())?;
+            let run = run_compaction(&self.tables(), &task, self.obs.as_deref())?;
             let mut inner = self.inner.write();
-            let version = self.compacted(&inner, &task, run.outputs)?;
+            let version = self
+                .compacted(&inner, &task, run.outputs.clone())
+                .inspect_err(|_| discard(self.storage.as_ref(), names(&run.outputs)))?;
             self.install(&mut inner, |tree| tree.version = version);
             self.write_manifest(&inner)?;
             drop(inner);

@@ -160,8 +160,8 @@ struct Inner {
     seq: SeqNo,
     /// Per-level round-robin compaction cursors (last compacted max key).
     cursors: Vec<u64>,
-    /// Active write-ahead log (None when `Options::wal` is off).
-    wal: Option<WalWriter>,
+    /// Active write-ahead log.
+    wal: WalWriter,
     /// A flush holds the front immutable memtable.
     flush_active: bool,
     /// Input tables of in-flight compactions (by file name); excluded from

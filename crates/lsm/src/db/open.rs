@@ -12,14 +12,14 @@ use parking_lot::RwLock;
 use super::write::{PublishQueue, WriteQueue};
 use super::{Db, DbCore, Embedding, Inner, L0_STOP_TRIGGER};
 use crate::cache::BlockCache;
-use crate::compaction::LevelWriter;
+use crate::compaction::{discard, names, LevelWriter};
 use crate::memtable::MemTable;
 use crate::options::{Maintenance, Options};
 use crate::scheduler::{BgError, Scheduler};
 use crate::sstable::TableReader;
 use crate::stats::DbStats;
 use crate::types::{Entry, SeqNo};
-use crate::version::{TableHandle, Version};
+use crate::version::{TableHandle, Version, MAX_LEVELS};
 use crate::wal::{self, WalWriter};
 use crate::{sealed, Error, Result};
 use lsm_io::{CostModel, MemStorage, SimStorage, Storage};
@@ -75,16 +75,9 @@ impl Db {
         // byte budget is global); a standalone open builds its own from
         // `Options::block_cache_bytes`.
         let cache = shared_cache.or_else(|| BlockCache::from_options(&opts));
-        let mut inner = Inner {
-            mem: MemTable::new(),
-            imms: VecDeque::new(),
-            version: Arc::new(Version::new(opts.max_levels)),
-            seq: 0,
-            cursors: vec![0; opts.max_levels],
-            wal: None,
-            flush_active: false,
-            busy: HashSet::new(),
-        };
+        let mem = MemTable::new();
+        let mut version = Version::new(MAX_LEVELS);
+        let mut seq = 0;
         let mut next_file_no = 1u64;
         let mut manifest_epoch = 0u64;
         let mut replayed: Vec<wal::ReplayedRecord> = Vec::new();
@@ -93,11 +86,11 @@ impl Db {
             sealed::newest_valid(storage.as_ref(), MANIFEST_PREFIX)?
         {
             manifest_epoch = epoch;
-            let (version, recovered_next, seq, wal_names) =
+            let (recovered, recovered_next, recovered_seq, wal_names) =
                 DbCore::recover(&manifest_text, storage.as_ref(), &opts, cache.as_ref())?;
-            inner.version = Arc::new(version);
+            version = recovered;
             next_file_no = recovered_next;
-            inner.seq = seq;
+            seq = recovered_seq;
             // Replay unflushed batches from the previous generation's logs
             // — the active one plus one per immutable memtable that was
             // still queued at the crash, oldest first. Cross-shard prepare
@@ -117,31 +110,36 @@ impl Db {
                         continue;
                     }
                     let last_seq = record.first_seq + record.ops.len() as SeqNo - 1;
-                    inner.seq = inner.seq.max(last_seq);
-                    inner.mem.apply_batch(&record.ops, record.first_seq);
+                    seq = seq.max(last_seq);
+                    mem.apply_batch(&record.ops, record.first_seq);
                     replayed.push(record);
                 }
             }
             old_wals = wal_names;
         }
-        if opts.wal {
-            let name = format!("{next_file_no:06}.wal");
-            next_file_no += 1;
-            let mut w = WalWriter::create(storage.as_ref(), &name)?;
-            // Re-log the surviving records into the fresh log, one batch
-            // record each, so a second crash before the next flush still
-            // loses nothing. Resolved cross-shard fragments are re-logged
-            // as *plain* records: their commit markers may be pruned once
-            // every shard has re-opened, so the fragments must no longer
-            // depend on them.
-            for record in &replayed {
-                w.append_batch(record.first_seq, &record.ops)?;
-            }
-            if !replayed.is_empty() {
-                w.sync()?;
-            }
-            inner.wal = Some(w);
+        let mut wal = WalWriter::create(storage.as_ref(), &format!("{next_file_no:06}.wal"))?;
+        next_file_no += 1;
+        // Re-log the surviving records into the fresh log, one batch record
+        // each, so a second crash before the next flush still loses
+        // nothing. Resolved cross-shard fragments are re-logged as *plain*
+        // records: their commit markers may be pruned once every shard has
+        // re-opened, so the fragments must no longer depend on them.
+        for record in &replayed {
+            wal.append_batch(record.first_seq, &record.ops)?;
         }
+        if !replayed.is_empty() {
+            wal.sync()?;
+        }
+        let inner = Inner {
+            mem,
+            imms: VecDeque::new(),
+            version: Arc::new(version),
+            seq,
+            cursors: vec![0; MAX_LEVELS],
+            wal,
+            flush_active: false,
+            busy: HashSet::new(),
+        };
         let external = pool.is_some();
         let (signal, shutdown) = pool.unwrap_or_default();
         let start_seq = inner.seq;
@@ -178,10 +176,8 @@ impl Db {
         // The previous generation's logs are fully superseded (their
         // surviving contents were re-logged above and the manifest no
         // longer names them) — retire them so only live logs remain.
-        if core.opts.wal {
-            for old in old_wals {
-                let _ = core.storage.remove(&old);
-            }
+        for old in old_wals {
+            let _ = core.storage.remove(&old);
         }
         // Sweep manifests stranded by earlier crashes (an unsealed newer
         // epoch, predecessors whose retirement never ran) *and* orphan
@@ -267,7 +263,7 @@ impl Db {
         let per_table = core.opts.entries_per_table();
         let total = pending.len() as u64;
         let mut level = 1usize;
-        while level + 1 < core.opts.max_levels {
+        while level + 1 < MAX_LEVELS {
             let cap_entries = core.opts.level_target_bytes(level)
                 / crate::sstable::format::entry_width(core.opts.value_width) as u64;
             if total <= cap_entries {
@@ -277,19 +273,22 @@ impl Db {
         }
 
         let ctx = core.tables();
-        let mut out = LevelWriter::new(&ctx, level);
-        // Cut before each chunk, not after it: the last table is
-        // `finish`'s, which seals it inline.
-        for chunk in pending.chunks(per_table) {
-            out.cut()?;
-            for e in chunk {
-                out.add(&e.key, &e.value)?;
+        // Cut before each chunk, not after it: the last table is the
+        // writer's, which seals it inline.
+        let tables = LevelWriter::write(&ctx, level, |out| {
+            for chunk in pending.chunks(per_table) {
+                out.cut()?;
+                for e in chunk {
+                    out.add(&e.key, &e.value)?;
+                }
             }
-        }
-        let tables = out.finish()?;
-        let mut version = Version::new(core.opts.max_levels);
+            Ok(())
+        })?;
+        let mut version = Version::new(MAX_LEVELS);
         version.levels[level] = tables;
-        version.train_level_indexes(&core.opts)?;
+        version
+            .train_level_indexes(&core.opts)
+            .inspect_err(|_| discard(core.storage.as_ref(), names(&version.levels[level])))?;
         core.install(&mut inner, |tree| tree.version = Arc::new(version));
         // Bulk-loaded entries bypass the writer queue; publish their range
         // directly so reads (and the sharding fence) see them.
@@ -305,7 +304,7 @@ impl DbCore {
         opts: &Options,
         cache: Option<&Arc<BlockCache>>,
     ) -> Result<(Version, u64, SeqNo, Vec<String>)> {
-        let mut version = Version::new(opts.max_levels);
+        let mut version = Version::new(MAX_LEVELS);
         let mut next_file_no = 1u64;
         let mut seq = 0u64;
         let mut wal_names = Vec::new();
@@ -389,14 +388,10 @@ impl DbCore {
         // Every live log, oldest first: one per queued immutable memtable,
         // then the active log. A crash must find all of them, or rotated
         // but unflushed acknowledged writes would be lost.
-        for imm in &inner.imms {
-            if let Some(name) = &imm.wal {
-                text.push_str(&format!("wal {name}\n"));
-            }
+        for name in inner.imms.iter().map(|imm| &imm.wal) {
+            text.push_str(&format!("wal {name}\n"));
         }
-        if let Some(w) = &inner.wal {
-            text.push_str(&format!("wal {}\n", w.name()));
-        }
+        text.push_str(&format!("wal {}\n", inner.wal.name()));
         for (level, tables) in inner.version.levels.iter().enumerate() {
             for t in tables {
                 text.push_str(&format!("table {level} {}\n", t.meta.name));
@@ -446,12 +441,14 @@ mod tests {
             let mut names = Vec::new();
             for (seq, (keys, value)) in [(0..150, b"old"), (second, b"new")].into_iter().enumerate()
             {
-                let mut out = LevelWriter::new(&ctx, 1);
-                for key in keys {
-                    let entry = Entry::put(key, seq as SeqNo + 1, value.to_vec());
-                    out.add(&entry.key, &entry.value).unwrap();
-                }
-                names.push(out.finish().unwrap().remove(0).meta.name.clone());
+                let tables = LevelWriter::write(&ctx, 1, |out| {
+                    for key in keys {
+                        let entry = Entry::put(key, seq as SeqNo + 1, value.to_vec());
+                        out.add(&entry.key, &entry.value)?;
+                    }
+                    Ok(())
+                });
+                names.push(tables.unwrap().remove(0).meta.name.clone());
             }
             let text = format!("next 3 2\ntable 1 {}\ntable 1 {}\n", names[1], names[0]);
             sealed::write_sealed(storage.as_ref(), MANIFEST_PREFIX, 1, text).unwrap();

@@ -39,8 +39,7 @@ struct WriteRequest {
     ops: Vec<BatchOp>,
     /// The ops' WAL region, pre-encoded by the submitting thread *outside*
     /// the commit path ([`wal::encode_ops`]) so the leader's serial
-    /// section only concatenates member regions. Empty when this write
-    /// will not be logged (WAL off).
+    /// section only concatenates member regions.
     encoded: Vec<u8>,
     sync: bool,
     /// Externally assigned first sequence number (the sharding fence).
@@ -117,8 +116,7 @@ impl Db {
     /// Apply `batch` atomically — the single write entry point.
     ///
     /// The batch joins the writer queue, receives one contiguous sequence
-    /// range, and (unless the WAL is off) is logged inside **one**
-    /// CRC-framed WAL record — possibly
+    /// range, and is logged inside **one** CRC-framed WAL record — possibly
     /// fused with other concurrently queued batches (pipelined group
     /// commit; see the module docs). The call returns the last sequence
     /// number assigned to the batch, after the batch — and every batch
@@ -234,14 +232,9 @@ impl Db {
         let ops = batch.into_ops();
         // Encode the WAL region here, on the submitting thread, so the
         // leader's serial section does no per-op byte shuffling.
-        let encoded = if core.opts.wal {
-            wal::encode_ops(&ops)
-        } else {
-            Vec::new()
-        };
         let req = Arc::new(WriteRequest {
+            encoded: wal::encode_ops(&ops),
             ops,
-            encoded,
             sync: wopts.sync,
             assigned,
             cross: cross.cloned(),
@@ -479,43 +472,30 @@ impl DbCore {
         let first_seq = head.assigned.unwrap_or(inner.seq + 1);
         let total: usize = members.iter().map(|m| m.ops.len()).sum();
         let last_seq = first_seq + total as SeqNo - 1;
-        // `rotate_wal` replaces the writer atomically, so with the WAL
-        // enabled there is always one to append to.
-        debug_assert!(
-            inner.wal.is_some() || !self.opts.wal,
-            "wal enabled but no writer — a rotation lost it"
-        );
-        let mut wal_framed = 0u64;
-        if let Some(w) = &mut inner.wal {
-            // One fused, CRC-framed record for the whole group; replay
-            // is all-or-nothing and indistinguishable from one large
-            // batch, which is safe because no member was acknowledged
-            // unless the whole record landed. Members pre-encoded
-            // their regions off-path; a cross-shard prepare (always a
-            // group of one) differs only in the record header.
-            let parts: Vec<&[u8]> = members.iter().map(|m| m.encoded.as_slice()).collect();
-            let framed = w.append_encoded(first_seq, total, &parts, head.cross.as_ref())?;
-            self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-            self.stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
-            wal_framed = framed;
-            if members.iter().any(|m| m.sync) {
-                let sync_started = self.obs.as_ref().map(|_| Instant::now());
-                w.sync()?;
-                self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
-                if let (Some(obs), Some(started)) = (self.obs.as_deref(), sync_started) {
-                    let ns = started.elapsed().as_nanos() as u64;
-                    obs.ops.sync_wait.record(ns);
-                    obs.emit(EventKind::WalSync, 0, ns, 0);
-                }
+        // One fused, CRC-framed record for the whole group; replay is
+        // all-or-nothing and indistinguishable from one large batch, which
+        // is safe because no member was acknowledged unless the whole
+        // record landed. Members pre-encoded their regions off-path; a
+        // cross-shard prepare (always a group of one) differs only in the
+        // record header.
+        let parts: Vec<&[u8]> = members.iter().map(|m| m.encoded.as_slice()).collect();
+        let framed = inner
+            .wal
+            .append_encoded(first_seq, total, &parts, head.cross.as_ref())?;
+        self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
+        self.stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
+        if members.iter().any(|m| m.sync) {
+            let sync_started = self.obs.as_ref().map(|_| Instant::now());
+            inner.wal.sync()?;
+            self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
+            if let (Some(obs), Some(started)) = (self.obs.as_deref(), sync_started) {
+                let ns = started.elapsed().as_nanos() as u64;
+                obs.ops.sync_wait.record(ns);
+                obs.emit(EventKind::WalSync, 0, ns, 0);
             }
         }
         if let Some(obs) = self.obs.as_deref() {
-            obs.emit(
-                EventKind::WriteGroupCommit,
-                0,
-                members.len() as u64,
-                wal_framed,
-            );
+            obs.emit(EventKind::WriteGroupCommit, 0, members.len() as u64, framed);
         }
         inner.seq = inner.seq.max(last_seq);
         self.stats.write_groups.fetch_add(1, Ordering::Relaxed);

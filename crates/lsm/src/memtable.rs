@@ -213,9 +213,9 @@ pub struct ImmutableMemTable {
     /// The buffer. The rotation that sealed it quiesced it first
     /// (`MemTable::wait_quiescent`), and nothing inserts into it since.
     pub mem: MemTable,
-    /// The WAL file that made these writes durable, if logging was on;
-    /// retired after the flushed SSTable is referenced by the manifest.
-    pub wal: Option<String>,
+    /// The WAL file that made these writes durable; retired after the
+    /// flushed SSTable is referenced by the manifest.
+    pub wal: String,
 }
 
 #[cfg(test)]
@@ -363,11 +363,11 @@ mod tests {
         let bytes = m.approximate_bytes();
         let imm = ImmutableMemTable {
             mem: m.clone(),
-            wal: Some("000003.wal".into()),
+            wal: "000003.wal".into(),
         };
         drop(m);
         assert_eq!(imm.mem.approximate_bytes(), bytes);
-        assert_eq!(imm.wal.as_deref(), Some("000003.wal"));
+        assert_eq!(imm.wal, "000003.wal");
         assert_eq!(imm.mem.len(), 3);
         // Read the way a `ReadView` reads a queued buffer.
         assert_eq!(imm.mem.get(1, MAX_VISIBLE), Some(Some(&b"v5"[..])));

@@ -15,8 +15,7 @@ use crate::types::SeqNo;
 /// The per-write knob (LevelDB's `WriteOptions`), passed to
 /// [`crate::Db::write`].
 ///
-/// It defaults to the cheap setting: unsynced writes (logged whenever
-/// [`Options::wal`] is on).
+/// It defaults to the cheap setting: unsynced (but logged) writes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WriteOptions {
     /// `fsync` the write-ahead log before the write returns. Durable against
@@ -323,11 +322,6 @@ pub struct Options {
     pub bloom_bits_per_key: usize,
     /// Index built into every SSTable.
     pub index: IndexChoice,
-    /// Maximum number of levels.
-    pub max_levels: usize,
-    /// Write every update to a write-ahead log before the memtable, so an
-    /// unflushed buffer survives a crash (LevelDB default behaviour).
-    pub wal: bool,
     /// Cache budget in bytes shared by every charging component — cached
     /// blocks, open table handles, filters and index models all draw from
     /// this one ceiling (under a `ShardedDb` it is the budget of the
@@ -377,8 +371,6 @@ impl Default for Options {
             value_width: 1000,
             bloom_bits_per_key: 10,
             index: IndexChoice::default(),
-            max_levels: 8,
-            wal: true,
             block_cache_bytes: 0,
             search: SearchStrategy::Binary,
             per_level_epsilon: None,
@@ -400,17 +392,8 @@ impl Options {
             size_ratio: 4,
             l0_compaction_trigger: 2,
             value_width: 32,
-            bloom_bits_per_key: 10,
             index: IndexChoice::new(IndexKind::Pgm, 8),
-            max_levels: 8,
-            wal: true,
-            block_cache_bytes: 0,
-            search: SearchStrategy::Binary,
-            per_level_epsilon: None,
-            per_level_bloom_bits: None,
-            maintenance: Maintenance::Synchronous,
-            max_subcompactions: 1,
-            observability: false,
+            ..Self::default()
         }
     }
 

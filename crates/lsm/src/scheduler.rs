@@ -37,6 +37,11 @@
 //! shards share one global thread budget and one wakeup channel instead of
 //! spawning `N` pools (see `Embedding::pool` in [`crate::db`]).
 //!
+//! Beside the workers, one process-wide budget of *extra* threads is lent
+//! out per merge: to a partitioned compaction's sub-ranges and to the table
+//! writer's seal helpers, which train a finished table's index beside the
+//! next table's merge. Either gets what is free and never waits for more.
+//!
 //! Shutdown (`Scheduler::shutdown`, invoked by `Db::close`/`Drop`) wakes
 //! all workers and flips them into *drain* mode: flush workers keep
 //! flushing until the immutable queue is empty (even when paused — on
@@ -62,12 +67,14 @@ use crate::{clone_error, Error, Result};
 
 /// Process-wide pool of *extra* threads that range-partitioned compactions
 /// ([`crate::compaction::run_compaction`] with
-/// [`crate::Options::max_subcompactions`] > 1) may borrow.
+/// [`crate::Options::max_subcompactions`] > 1) and the table writer's seal
+/// helpers ([`crate::compaction::LevelWriter`]) may borrow.
 ///
-/// Every compaction job already owns the thread it runs on (a pool worker
-/// or the writer itself under synchronous maintenance); a partitioned job
-/// borrows up to `ranges - 1` more for the duration of one merge. The
-/// budget is shared across every `Db` in the process — under a sharded
+/// Every flush or compaction job already owns the thread it runs on (a pool
+/// worker or the writer itself under synchronous maintenance); a
+/// partitioned job borrows up to `ranges - 1` more for the duration of one
+/// merge, and a seal helper one for the duration of one table's training.
+/// The budget is shared across every `Db` in the process — under a sharded
 /// database many compaction workers run at once, and without a common cap
 /// the thread count would multiply (workers × subcompactions). Sized to
 /// the machine's parallelism; acquisition is best-effort and never blocks:
@@ -116,7 +123,8 @@ pub fn borrow_subcompaction_threads(want: usize) -> SubcompactionLease {
     }
 }
 
-/// Permits held by one compaction job; returned to the budget on drop.
+/// Permits held by one partitioned merge or seal helper; returned to the
+/// budget on drop.
 pub struct SubcompactionLease {
     extra: usize,
 }

@@ -115,7 +115,7 @@ impl ShardedCore {
         // Single-shard batches are already crash-atomic through their one
         // WAL record. Participant sets carry stable shard ids, which
         // survive topology changes.
-        let tag = (touched.len() > 1 && self.commit_log.is_some()).then(|| CrossBatchTag {
+        let tag = (touched.len() > 1).then(|| CrossBatchTag {
             global_first: first,
             global_last: last,
             participants: touched.iter().map(|&pos| state.ids[pos]).collect(),
@@ -162,11 +162,7 @@ impl ShardedCore {
             // flushed too, so an acknowledged durable batch stays
             // committed through power loss.
             let sealed = {
-                let mut log = self
-                    .commit_log
-                    .as_ref()
-                    .expect("tag implies commit log")
-                    .lock();
+                let mut log = self.commit_log.lock();
                 log.seal(tag.global_first, tag.global_last, state.epoch)
                     .and_then(|()| if wopts.sync { log.sync() } else { Ok(()) })
             };
@@ -248,20 +244,13 @@ impl ShardedCore {
 
     fn checkpoint_due(&self) -> bool {
         let threshold = self.opts.commit_log_checkpoint_bytes;
-        threshold > 0
-            && self
-                .commit_log
-                .as_ref()
-                .is_some_and(|l| l.lock().bytes() > threshold)
+        threshold > 0 && self.commit_log.lock().bytes() > threshold
     }
 
     /// Runtime marker-log checkpoint: flush every shard (so no prepare at
     /// or below the watermark still lives in a WAL), then rewrite the
     /// surviving markers into a fresh generation.
     fn checkpoint_commit_log(&self) -> Result<bool> {
-        if self.commit_log.is_none() {
-            return Ok(false);
-        }
         // Phase 1 (commit lock): fix the watermark and rotate every
         // memtable — every prepare ≤ watermark is now bound for an
         // SSTable, after which its WAL (and so the prepare record) is
@@ -281,8 +270,7 @@ impl ShardedCore {
         // the watermark was read are above it (the fence only grows) and
         // are carried over.
         let _commit = self.coordination.enter()?;
-        let log = self.commit_log.as_ref().expect("checked above");
-        let mut log = log.lock();
+        let mut log = self.commit_log.lock();
         log.checkpoint(self.storage.as_ref(), watermark)?;
         self.own_stats
             .commit_checkpoints

@@ -366,10 +366,9 @@ struct ShardedCore {
     /// visible nor durable in this process). Shared with every shard so
     /// even a flush through [`ShardedDb::shard`] honours both.
     coordination: Arc<CommitCoordination>,
-    /// Commit-marker log sealing cross-shard batches (`None` when the WAL
-    /// is disabled — nothing to seal). Appends happen under the commit
-    /// lock; the inner mutex only satisfies `&self` mutability.
-    commit_log: Option<Mutex<commit::CommitLog>>,
+    /// Commit-marker log sealing cross-shard batches. Appends happen under
+    /// the commit lock; the mutex only satisfies `&self` mutability.
+    commit_log: Mutex<commit::CommitLog>,
     /// What recovery resolved when this handle was opened.
     recovery: RecoveryReport,
     /// Shared wakeup channel: every shard's rotations/installs bump it,

@@ -143,15 +143,10 @@ impl ShardedDb {
         // *this* open crashes: until every shard above has reopened, the
         // markers stay on disk for the next attempt to resolve the
         // remaining prepares identically.
-        let commit_log = if opts.base.wal {
-            let log = commit::CommitLog::create(storage.as_ref(), markers.next_generation)?;
-            for old in &markers.files {
-                let _ = storage.remove(old);
-            }
-            Some(Mutex::new(log))
-        } else {
-            None
-        };
+        let commit_log = commit::CommitLog::create(storage.as_ref(), markers.next_generation)?;
+        for old in &markers.files {
+            let _ = storage.remove(old);
+        }
         let recovery = RecoveryReport {
             committed_fragments: committed_fragments.load(Ordering::Relaxed),
             aborted_fragments: aborted_fragments.load(Ordering::Relaxed),
@@ -180,7 +175,7 @@ impl ShardedDb {
             topology: Mutex::new(topo),
             fence,
             coordination,
-            commit_log,
+            commit_log: Mutex::new(commit_log),
             recovery,
             signal: Arc::clone(&signal),
             shutdown: Arc::clone(&shutdown),

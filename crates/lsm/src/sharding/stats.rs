@@ -88,11 +88,7 @@ impl ShardedDb {
             resident_imbalance: imbalance(&resident_bytes),
             resident_bytes,
             resident_entries,
-            live_commit_markers: self
-                .core
-                .commit_log
-                .as_ref()
-                .map_or(0, |l| l.lock().live_markers()),
+            live_commit_markers: self.core.commit_log.lock().live_markers(),
         }
     }
 

@@ -26,6 +26,9 @@ use crate::stats::{add_stage_ns, DbStats, StageTimer};
 use crate::types::SeqNo;
 use crate::Result;
 
+/// Levels of every engine's tree, L0 included (LevelDB's `kNumLevels` is 7).
+pub const MAX_LEVELS: usize = 8;
+
 /// An open table plus its build metadata.
 #[derive(Debug)]
 pub struct TableHandle {
@@ -93,12 +96,13 @@ pub struct Version {
 }
 
 impl Version {
-    /// Empty version with `max_levels` levels.
-    pub fn new(max_levels: usize) -> Self {
-        let max_levels = max_levels.max(2);
+    /// Empty version with `levels` levels (at least two); the engine's
+    /// have [`MAX_LEVELS`].
+    pub fn new(levels: usize) -> Self {
+        let levels = levels.max(2);
         Self {
-            levels: vec![Vec::new(); max_levels],
-            level_index: vec![None; max_levels],
+            levels: vec![Vec::new(); levels],
+            level_index: vec![None; levels],
         }
     }
 

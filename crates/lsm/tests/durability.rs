@@ -70,23 +70,6 @@ fn mixed_flushed_and_unflushed_state_recovers() {
 }
 
 #[test]
-fn wal_disabled_loses_unflushed_but_keeps_tables() {
-    let mut o = opts();
-    o.wal = false;
-    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    {
-        let db = Db::open(Arc::clone(&storage), o.clone()).unwrap();
-        for k in 0..2_000u64 {
-            db.put(k, b"flushed").unwrap();
-        }
-        db.put(9_999, b"unflushed").unwrap();
-    }
-    let db = Db::open(storage, o).unwrap();
-    assert_eq!(db.get(500).unwrap(), Some(b"flushed".to_vec()));
-    assert_eq!(db.get(9_999).unwrap(), None, "no WAL, write lost");
-}
-
-#[test]
 fn old_wals_are_retired_after_flush() {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     let db = Db::open(Arc::clone(&storage), opts()).unwrap();

@@ -4,10 +4,9 @@
 //!
 //! Failure points are **op-indexed** (`lsm_io::CrashStorage`): the fault
 //! lands after an exact count of mutating storage operations, so the runs
-//! are deterministic with the WAL enabled — the historical `o.wal = false`
-//! workaround (WAL appends drained a byte/write *budget* at a rate the
-//! test could not predict) is gone.
+//! are deterministic although every write is logged.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use learned_index::IndexKind;
@@ -17,7 +16,7 @@ use lsm_tree::{Db, Options};
 fn opts() -> Options {
     let mut o = Options::small_for_tests();
     o.index.kind = IndexKind::Pgm;
-    o // WAL stays on: op-indexed failure points are deterministic
+    o
 }
 
 #[test]
@@ -85,6 +84,62 @@ fn poisoned_table_read_errors_do_not_panic() {
     assert!(err.is_err(), "read through poisoned table must error");
     ctl.heal();
     assert_eq!(db.get(1_500).unwrap(), Some(b"x".to_vec()));
+}
+
+/// A failed flush or compaction removes the outputs it does not install
+/// before it returns its error: once the fault heals, and before any reopen
+/// (whose sweep would hide a leak), the store's tables are the version's.
+/// The fault walks every write of one flush — its table, its manifest seal
+/// and the compaction it runs — until a run succeeds. (A compaction that
+/// installed and then failed its manifest seal keeps its inputs: the sealed
+/// manifest on storage still names them.)
+#[test]
+fn a_failed_job_leaves_no_output_behind() {
+    let value = [7u8; 24];
+    let tables = |db: &Db| -> HashSet<String> {
+        let version = db.version();
+        let live = version.levels.iter().flatten();
+        live.map(|t| t.meta.name.clone()).collect()
+    };
+    let (mut n, mut compaction_faults) = (0, 0);
+    loop {
+        let (storage, ctl) = FaultStorage::wrap(Arc::new(MemStorage::new()) as Arc<dyn Storage>);
+        let db = Db::open(Arc::clone(&storage) as Arc<dyn Storage>, opts()).unwrap();
+        for k in 0..3_300u64 {
+            db.put(k, &value).unwrap();
+        }
+        // One table parked in L0: the walked flush crosses the trigger and
+        // compacts.
+        while db.version().levels[0].len() != 1 {
+            for k in 5_000..5_050u64 {
+                db.put(k, &value).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        for k in 1_000..1_200u64 {
+            db.put(k, b"pending").unwrap();
+        }
+        let compactions = db.stats().snapshot().compactions;
+        ctl.fail_writes_after(n);
+        let failed = db.flush().is_err();
+        ctl.heal();
+        let files = storage.list().unwrap().into_iter();
+        let files: HashSet<String> = files.filter(|f| f.ends_with(".sst")).collect();
+        if db.stats().snapshot().compactions == compactions {
+            assert_eq!(files, tables(&db), "fault after {n} writes");
+            compaction_faults += usize::from(db.version().levels[0].len() == 2);
+        }
+        db.flush().unwrap();
+        assert_eq!(db.get(1_100).unwrap(), Some(b"pending".to_vec()));
+        if !failed {
+            break;
+        }
+        n += 1;
+    }
+    assert!(
+        compaction_faults > 3,
+        "the walk crosses the compaction's writes"
+    );
 }
 
 /// The failure point is a *count*, so the walk can land the fault on each

@@ -5,6 +5,7 @@
 //! immediately visible to its writer. These are the two invariants the
 //! fence-publish discipline exists for.
 
+use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
@@ -14,6 +15,7 @@ use std::time::Duration;
 use learned_index::IndexKind;
 use lsm_io::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
 use lsm_tree::compaction::pick_compaction;
+use lsm_tree::version::MAX_LEVELS;
 use lsm_tree::{Db, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
 
 const KEYS: u64 = 8;
@@ -329,9 +331,9 @@ fn a_synchronous_flush_parks_no_other_writer() {
         stats.imm_queue_peak
     );
     assert_eq!(db.immutable_memtables(), 0);
-    let cursors = vec![0; db.options().max_levels];
+    let cursors = vec![0; MAX_LEVELS];
     assert!(
-        pick_compaction(&db.version(), db.options(), &cursors).is_none(),
+        pick_compaction(&db.version(), db.options(), &cursors, &HashSet::new()).is_none(),
         "the last writer out left a compaction due"
     );
     for t in 0..WRITERS {
