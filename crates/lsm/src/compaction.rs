@@ -446,7 +446,7 @@ impl<'a> LevelWriter<'a> {
                     name,
                     opts.index_for_level(self.level),
                     opts.value_width,
-                    opts.bloom_bits_for_level(self.level),
+                    opts.bloom_bits_per_key,
                 ))
             }
         };

@@ -338,11 +338,11 @@ impl DbCore {
     // ------------------------------------- the one maintenance procedure
 
     /// Flush the oldest queued buffer, if no one else is: build its L0
-    /// table off-lock, install it, seal the manifest, and only then retire
-    /// its WAL — until the seal, the sealed manifest on disk still names
-    /// that log, and a crash must find it. One claim at a time, so tables
-    /// reach L0 oldest-first; L0's newest-first read order depends on it.
-    /// `Ok(false)`: nothing to claim.
+    /// table off-lock, install it and seal the manifest, whose seal retires
+    /// the buffer's WAL — until then the sealed manifest on disk still
+    /// names that log, and a crash must find it. One claim at a time, so
+    /// tables reach L0 oldest-first; L0's newest-first read order depends
+    /// on it. `Ok(false)`: nothing to claim.
     fn flush_one(&self) -> Result<bool> {
         let imm = {
             let mut inner = self.inner.write();
@@ -371,9 +371,7 @@ impl DbCore {
                 tree.version = Arc::new(tree.version.with_l0_table(handle));
                 tree.imms.pop_front();
             });
-            self.write_manifest(&inner)?;
-            drop(inner);
-            let _ = self.storage.remove(&imm.wal);
+            self.write_manifest(&mut inner)?;
             self.stats.flushes.fetch_add(1, Ordering::Relaxed);
             Ok(())
         })();
@@ -419,9 +417,9 @@ impl DbCore {
     }
 
     /// Run one due compaction whose inputs are free: merge off-lock,
-    /// install the edit, seal the manifest, and only then unlink the
-    /// inputs — until the seal, the only sealed manifest on disk still
-    /// names them, and unlinking first would leave a crash with a manifest
+    /// install the edit and seal the manifest, whose seal unlinks the
+    /// inputs — until then the only sealed manifest on disk still names
+    /// them, and unlinking first would leave a crash with a manifest
     /// pointing at nothing. Disjoint tasks run concurrently; the `busy` set
     /// keeps claims from overlapping. `Ok(false)`: nothing to claim.
     fn compact_one(&self) -> Result<bool> {
@@ -438,7 +436,6 @@ impl DbCore {
             task
         };
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
-        let removed = task.input_names();
         let result = (|| -> Result<()> {
             let run = run_compaction(&self.tables(), &task, self.obs.as_deref())?;
             let mut inner = self.inner.write();
@@ -446,19 +443,12 @@ impl DbCore {
                 .compacted(&inner, &task, run.outputs.clone())
                 .inspect_err(|_| discard(self.storage.as_ref(), names(&run.outputs)))?;
             self.install(&mut inner, |tree| tree.version = version);
-            self.write_manifest(&inner)?;
-            drop(inner);
-            // Open readers pinned by a live Snapshot's Version keep removed
-            // tables readable until released.
-            for name in &removed {
-                let _ = self.storage.remove(name);
-            }
-            Ok(())
+            self.write_manifest(&mut inner)
         })();
         {
             let mut inner = self.inner.write();
-            for name in &removed {
-                inner.busy.remove(name);
+            for name in task.input_names() {
+                inner.busy.remove(&name);
             }
         }
         self.stats.bg_active.fetch_sub(1, Ordering::Relaxed);

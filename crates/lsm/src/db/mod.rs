@@ -1,5 +1,5 @@
 //! The database facade — LevelDB's quartet: `write(WriteBatch, WriteOptions)`
-//! as the single write entry point (with `put`/`delete`/`put_batch` as thin
+//! as the single write entry point (with `put`/`delete` as thin
 //! wrappers), `get_with`/`iter_with(ReadOptions)` as the read entry points,
 //! and RAII [`Snapshot`] handles for pinned point-in-time reads.
 //!
@@ -70,7 +70,10 @@
 //! crash at any storage-operation boundary leaves at least one intact
 //! manifest; recovery picks the newest epoch that validates (a pre-epoch
 //! unsealed `MANIFEST` with no sealed successor is a typed error, never a
-//! fresh database).
+//! fresh database). The seal is also the one place live files are retired:
+//! it removes the logs and tables earlier manifests named and it does not
+//! (`DbCore::write_manifest`), and a failed seal leaves those removals to
+//! the next one that succeeds.
 //!
 //! [`Maintenance::Synchronous`]: crate::options::Maintenance::Synchronous
 //! [`Maintenance::Background`]: crate::options::Maintenance::Background
@@ -167,6 +170,10 @@ struct Inner {
     /// Input tables of in-flight compactions (by file name); excluded from
     /// new picks so disjoint tasks can run concurrently.
     busy: HashSet<String>,
+    /// The logs and tables any manifest written since the last successful
+    /// seal may name, in manifest order (logs, then tables level by level).
+    /// `DbCore::write_manifest` removes those its next seal stops naming.
+    named: Vec<String>,
 }
 
 impl Inner {

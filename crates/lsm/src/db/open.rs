@@ -81,14 +81,13 @@ impl Db {
         let mut next_file_no = 1u64;
         let mut manifest_epoch = 0u64;
         let mut replayed: Vec<wal::ReplayedRecord> = Vec::new();
-        let mut old_wals: Vec<String> = Vec::new();
+        let mut named: Vec<String> = Vec::new();
         if let Some((epoch, manifest_text)) =
             sealed::newest_valid(storage.as_ref(), MANIFEST_PREFIX)?
         {
             manifest_epoch = epoch;
             let (recovered, recovered_next, recovered_seq, wal_names) =
                 DbCore::recover(&manifest_text, storage.as_ref(), &opts, cache.as_ref())?;
-            version = recovered;
             next_file_no = recovered_next;
             seq = recovered_seq;
             // Replay unflushed batches from the previous generation's logs
@@ -115,7 +114,16 @@ impl Db {
                     replayed.push(record);
                 }
             }
-            old_wals = wal_names;
+            // The first seal below retires the replayed logs.
+            named = wal_names;
+            named.extend(
+                recovered
+                    .levels
+                    .iter()
+                    .flatten()
+                    .map(|t| t.meta.name.clone()),
+            );
+            version = recovered;
         }
         let mut wal = WalWriter::create(storage.as_ref(), &format!("{next_file_no:06}.wal"))?;
         next_file_no += 1;
@@ -139,6 +147,7 @@ impl Db {
             wal,
             flush_active: false,
             busy: HashSet::new(),
+            named,
         };
         let external = pool.is_some();
         let (signal, shutdown) = pool.unwrap_or_default();
@@ -168,42 +177,30 @@ impl Db {
             coordination,
             obs,
         });
-        {
-            // Persist the fresh log's name so a reopen knows where to look.
-            let inner = core.inner.read();
-            core.write_manifest(&inner)?;
-        }
-        // The previous generation's logs are fully superseded (their
-        // surviving contents were re-logged above and the manifest no
-        // longer names them) — retire them so only live logs remain.
-        for old in old_wals {
-            let _ = core.storage.remove(&old);
-        }
+        // Persist the fresh log's name so a reopen knows where to look. The
+        // seal retires the previous generation's logs: their surviving
+        // contents were re-logged above.
+        core.write_manifest(&mut core.inner.write())?;
         // Sweep manifests stranded by earlier crashes (an unsealed newer
-        // epoch, predecessors whose retirement never ran) *and* orphan
-        // tables — outputs of a flush or
-        // (sub)compaction that crashed before its manifest seal. A parallel
-        // compaction can strand several such outputs at once; none is
-        // named by any sealed manifest, so the recovered version is the
-        // single source of truth for which `.sst` files are live.
-        // Best-effort — a crash mid-sweep just leaves the next open to
-        // finish it.
+        // epoch, predecessors whose retirement never ran) *and* orphans:
+        // tables a flush or (sub)compaction wrote before a crash beat its
+        // seal — a parallel compaction can strand several at once — and
+        // logs a rotation created before a crash beat the seal naming
+        // them. No write into such a log was acknowledged (`manifest_dirty`
+        // held them back), so the manifest just sealed is the single source
+        // of truth for which files are live. Best-effort — a crash
+        // mid-sweep just leaves the next open to finish it.
         let current = sealed::name(MANIFEST_PREFIX, core.manifest_epoch.load(Ordering::Relaxed));
-        let live: HashSet<String> = {
+        {
             let inner = core.inner.read();
-            inner
-                .version
-                .levels
-                .iter()
-                .flatten()
-                .map(|t| t.meta.name.clone())
-                .collect()
-        };
-        for name in core.storage.list()? {
-            let stale = name != current && name.starts_with(MANIFEST_PREFIX);
-            let orphan = name.ends_with(".sst") && !live.contains(&name);
-            if stale || orphan {
-                let _ = core.storage.remove(&name);
+            let live: HashSet<&String> = inner.named.iter().collect();
+            for name in core.storage.list()? {
+                let stale = name != current && name.starts_with(MANIFEST_PREFIX);
+                let orphan =
+                    (name.ends_with(".sst") || name.ends_with(".wal")) && !live.contains(&name);
+                if stale || orphan {
+                    let _ = core.storage.remove(&name);
+                }
             }
         }
         let scheduler = match core.opts.maintenance {
@@ -293,7 +290,7 @@ impl Db {
         // Bulk-loaded entries bypass the writer queue; publish their range
         // directly so reads (and the sharding fence) see them.
         core.visible.store(inner.seq, Ordering::Release);
-        core.write_manifest(&inner)
+        core.write_manifest(&mut inner)
     }
 }
 
@@ -379,24 +376,40 @@ impl DbCore {
         Ok((version, next_file_no, seq, wal_names))
     }
 
-    pub(super) fn write_manifest(&self, inner: &Inner) -> Result<()> {
+    /// Seal a manifest naming `inner`'s live files, then remove every log
+    /// and table an earlier manifest named and this one does not — the one
+    /// place a live file is retired (LevelDB's `RemoveObsoleteFiles` after
+    /// `LogAndApply`). A failed seal removes nothing: either manifest may
+    /// be the one a crash finds, so the next successful seal removes what
+    /// this one owed.
+    pub(super) fn write_manifest(&self, inner: &mut Inner) -> Result<()> {
         let mut text = format!(
             "next {} {}\n",
             self.next_file_no.load(Ordering::Relaxed),
             inner.seq
         );
+        let mut sealing = Vec::new();
         // Every live log, oldest first: one per queued immutable memtable,
         // then the active log. A crash must find all of them, or rotated
         // but unflushed acknowledged writes would be lost.
-        for name in inner.imms.iter().map(|imm| &imm.wal) {
+        let logs = inner.imms.iter().map(|imm| imm.wal.as_str());
+        for name in logs.chain([inner.wal.name()]) {
             text.push_str(&format!("wal {name}\n"));
+            sealing.push(name.to_string());
         }
-        text.push_str(&format!("wal {}\n", inner.wal.name()));
         for (level, tables) in inner.version.levels.iter().enumerate() {
             for t in tables {
                 text.push_str(&format!("table {level} {}\n", t.meta.name));
+                sealing.push(t.meta.name.clone());
             }
         }
+        let known: HashSet<&String> = inner.named.iter().collect();
+        let fresh: Vec<String> = sealing
+            .iter()
+            .filter(|n| !known.contains(n))
+            .cloned()
+            .collect();
+        inner.named.extend(fresh);
         // Seal into a fresh epoch file, then retire the predecessor: the
         // store always holds at least one intact manifest, whichever
         // storage operation a crash lands on. (An unsealed `MANIFEST-<e>`
@@ -407,6 +420,13 @@ impl DbCore {
         sealed::write_sealed(self.storage.as_ref(), MANIFEST_PREFIX, epoch, text)?;
         // Sealed: the on-disk manifest now names the live WAL set.
         self.manifest_dirty.store(false, Ordering::Release);
+        // Open readers pinned by a live Snapshot's Version keep removed
+        // tables readable until released.
+        let live: HashSet<&String> = sealing.iter().collect();
+        for name in inner.named.iter().filter(|n| !live.contains(n)) {
+            let _ = self.storage.remove(name);
+        }
+        inner.named = sealing;
         Ok(())
     }
 }

@@ -344,16 +344,6 @@ impl Db {
         self.write(batch, &WriteOptions::default())?;
         Ok(())
     }
-
-    /// Write `pairs` as one atomic batch (thin wrapper over [`Db::write`]).
-    pub fn put_batch(&self, pairs: &[(u64, Vec<u8>)]) -> Result<()> {
-        let mut batch = WriteBatch::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            batch.put(*k, v);
-        }
-        self.write(batch, &WriteOptions::default())?;
-        Ok(())
-    }
 }
 
 impl DbCore {

@@ -29,7 +29,7 @@
 //!   contiguous sequence range, and is framed inside **one** CRC-framed WAL
 //!   record — possibly fused with other concurrently queued batches
 //!   (pipelined group commit; see [`db`]'s module docs); recovery applies a
-//!   record all-or-nothing. `put`/`delete`/`put_batch` are thin wrappers.
+//!   record all-or-nothing. `put`/`delete` are thin wrappers.
 //! * [`Snapshot`] — an RAII handle pinning a point-in-time view across
 //!   concurrent writes, flushes and compactions.
 //! * [`ReadOptions`] — per-read knobs (`snapshot`, `fill_cache`) for

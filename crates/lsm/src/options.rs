@@ -334,12 +334,6 @@ pub struct Options {
     /// `per_level_epsilon[min(L, len-1)]` instead of the global ε —
     /// Observation 5's non-uniform position boundaries.
     pub per_level_epsilon: Option<Vec<usize>>,
-    /// Optional per-level Bloom budgets (bits per key): level `L` uses
-    /// `per_level_bloom_bits[min(L, len-1)]`. Monkey \[Dayan et al., cited
-    /// as \[8\] in the paper\] shows skewing bits toward upper levels beats a
-    /// uniform budget — the same argument Observation 5 makes for position
-    /// boundaries.
-    pub per_level_bloom_bits: Option<Vec<usize>>,
     /// Flush/compaction scheduling (see [`Maintenance`]).
     pub maintenance: Maintenance,
     /// Maximum parallel **subcompactions** per compaction job. Above 1,
@@ -374,7 +368,6 @@ impl Default for Options {
             block_cache_bytes: 0,
             search: SearchStrategy::Binary,
             per_level_epsilon: None,
-            per_level_bloom_bits: None,
             maintenance: Maintenance::Synchronous,
             max_subcompactions: 1,
             observability: false,
@@ -417,15 +410,6 @@ impl Options {
                 choice.config.epsilon = eps[level.min(eps.len() - 1)].max(1);
                 choice
             }
-        }
-    }
-
-    /// Bloom bits/key for tables written to `level`.
-    pub fn bloom_bits_for_level(&self, level: usize) -> usize {
-        match &self.per_level_bloom_bits {
-            None => self.bloom_bits_per_key,
-            Some(bits) if bits.is_empty() => self.bloom_bits_per_key,
-            Some(bits) => bits[level.min(bits.len() - 1)].max(1),
         }
     }
 

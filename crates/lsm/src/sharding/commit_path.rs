@@ -64,16 +64,6 @@ impl ShardedDb {
         Ok(())
     }
 
-    /// Write `pairs` as one atomic (possibly cross-shard) batch.
-    pub fn put_batch(&self, pairs: &[(u64, Vec<u8>)]) -> Result<()> {
-        let mut batch = WriteBatch::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            batch.put(*k, v);
-        }
-        self.write(batch, &WriteOptions::default())?;
-        Ok(())
-    }
-
     /// Checkpoint the commit-marker log now: flush every shard, then drop
     /// markers below the flush watermark into a fresh log generation.
     /// Returns whether a checkpoint ran (it is skipped when flushes are

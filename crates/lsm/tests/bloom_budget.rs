@@ -1,13 +1,14 @@
-//! Per-level Bloom budgets (Monkey-style, the paper's citation [8]):
-//! correctness under skewed budgets, and the memory effect.
+//! The Bloom budget (`Options::bloom_bits_per_key`; the paper uses 10): what
+//! fewer bits per key save in filter memory and cost in false-positive
+//! table I/O.
 
 use learned_index::IndexKind;
 use lsm_tree::{Db, IndexChoice, Options};
 
-fn opts(bits: Option<Vec<usize>>) -> Options {
+fn opts(bits_per_key: usize) -> Options {
     let mut o = Options::small_for_tests();
     o.index = IndexChoice::with_boundary(IndexKind::Pgm, 32);
-    o.per_level_bloom_bits = bits;
+    o.bloom_bits_per_key = bits_per_key;
     o
 }
 
@@ -19,40 +20,33 @@ fn load(db: &Db, n: u64) {
 }
 
 #[test]
-fn skewed_budgets_preserve_correctness() {
-    // Generous bits up top, starved at the bottom.
-    let db = Db::open_memory(opts(Some(vec![14, 10, 4, 2]))).unwrap();
-    load(&db, 6_000);
-    for k in (0..6_000u64).step_by(61) {
-        assert_eq!(db.get(k * 3).unwrap(), Some(b"v".to_vec()));
-    }
-    assert_eq!(db.get(1).unwrap(), None);
-}
-
-#[test]
-fn starved_bottom_level_costs_less_memory() {
-    let uniform = Db::open_memory(opts(None)).unwrap();
-    load(&uniform, 6_000);
-    let skewed = Db::open_memory(opts(Some(vec![10, 10, 2, 2]))).unwrap();
-    load(&skewed, 6_000);
+fn fewer_bits_per_key_cost_less_memory() {
+    let full = Db::open_memory(opts(10)).unwrap();
+    load(&full, 6_000);
+    let starved = Db::open_memory(opts(2)).unwrap();
+    load(&starved, 6_000);
     assert!(
-        skewed.bloom_memory_bytes() < uniform.bloom_memory_bytes(),
-        "2 bits/key at deep levels must shrink the bloom footprint: {} vs {}",
-        skewed.bloom_memory_bytes(),
-        uniform.bloom_memory_bytes()
+        starved.bloom_memory_bytes() < full.bloom_memory_bytes(),
+        "2 bits/key must shrink the bloom footprint: {} vs {}",
+        starved.bloom_memory_bytes(),
+        full.bloom_memory_bytes()
     );
 }
 
 #[test]
 fn starved_blooms_mean_more_false_positive_io() {
     // With 1 bit/key the filters pass almost everything; absent-key lookups
-    // then pay table I/O that 10 bits/key would have skipped.
-    let strong = Db::open_memory(opts(Some(vec![12]))).unwrap();
+    // then pay table I/O that 12 bits/key would have skipped. Every present
+    // key still reads back.
+    let strong = Db::open_memory(opts(12)).unwrap();
     load(&strong, 6_000);
-    let weak = Db::open_memory(opts(Some(vec![1]))).unwrap();
+    let weak = Db::open_memory(opts(1)).unwrap();
     load(&weak, 6_000);
 
     let miss_rate = |db: &Db| {
+        for k in (0..6_000u64).step_by(61) {
+            assert_eq!(db.get(k * 3).unwrap(), Some(b"v".to_vec()));
+        }
         let before = db.stats().snapshot();
         for k in 0..3_000u64 {
             assert_eq!(db.get(k * 3 + 1).unwrap(), None); // absent keys
@@ -70,13 +64,4 @@ fn starved_blooms_mean_more_false_positive_io() {
         strong_rejects > 0.9,
         "12 bits/key should reject >90%: {strong_rejects:.3}"
     );
-}
-
-#[test]
-fn empty_override_falls_back() {
-    let o = opts(Some(vec![]));
-    assert_eq!(o.bloom_bits_for_level(3), o.bloom_bits_per_key);
-    let o = opts(Some(vec![7]));
-    assert_eq!(o.bloom_bits_for_level(0), 7);
-    assert_eq!(o.bloom_bits_for_level(9), 7);
 }

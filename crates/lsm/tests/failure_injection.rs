@@ -90,9 +90,10 @@ fn poisoned_table_read_errors_do_not_panic() {
 /// before it returns its error: once the fault heals, and before any reopen
 /// (whose sweep would hide a leak), the store's tables are the version's.
 /// The fault walks every write of one flush — its table, its manifest seal
-/// and the compaction it runs — until a run succeeds. (A compaction that
-/// installed and then failed its manifest seal keeps its inputs: the sealed
-/// manifest on storage still names them.)
+/// and the compaction it runs — until a run succeeds. A failed seal owes
+/// the removals it did not make (a retired log, merged inputs) to the next
+/// successful one: after one more write and flush, the store holds exactly
+/// the version's tables and one log.
 #[test]
 fn a_failed_job_leaves_no_output_behind() {
     let value = [7u8; 24];
@@ -100,6 +101,10 @@ fn a_failed_job_leaves_no_output_behind() {
         let version = db.version();
         let live = version.levels.iter().flatten();
         live.map(|t| t.meta.name.clone()).collect()
+    };
+    let files = |storage: &dyn Storage, suffix: &str| -> HashSet<String> {
+        let files = storage.list().unwrap().into_iter();
+        files.filter(|f| f.ends_with(suffix)).collect()
     };
     let (mut n, mut compaction_faults) = (0, 0);
     loop {
@@ -123,14 +128,20 @@ fn a_failed_job_leaves_no_output_behind() {
         ctl.fail_writes_after(n);
         let failed = db.flush().is_err();
         ctl.heal();
-        let files = storage.list().unwrap().into_iter();
-        let files: HashSet<String> = files.filter(|f| f.ends_with(".sst")).collect();
         if db.stats().snapshot().compactions == compactions {
-            assert_eq!(files, tables(&db), "fault after {n} writes");
+            assert_eq!(
+                files(storage.as_ref(), ".sst"),
+                tables(&db),
+                "fault after {n} writes"
+            );
             compaction_faults += usize::from(db.version().levels[0].len() == 2);
         }
+        db.put(9_000, &value).unwrap();
         db.flush().unwrap();
         assert_eq!(db.get(1_100).unwrap(), Some(b"pending".to_vec()));
+        let healed = format!("fault after {n} writes, then a write and a flush");
+        assert_eq!(files(storage.as_ref(), ".sst"), tables(&db), "{healed}");
+        assert_eq!(files(storage.as_ref(), ".wal").len(), 1, "{healed}");
         if !failed {
             break;
         }
@@ -140,6 +151,49 @@ fn a_failed_job_leaves_no_output_behind() {
         compaction_faults > 3,
         "the walk crosses the compaction's writes"
     );
+}
+
+/// A crash after a rotation creates its log and before the seal that names
+/// it leaves a log no sealed manifest names. No write into it was
+/// acknowledged — a write waits for the seal — so the reopen's sweep
+/// removes it: the image reopens with exactly one log and every
+/// acknowledged write. (A rotation whose log could not be created spends
+/// a file number first, so the reopen's own log does not reuse the
+/// stray's name.)
+#[test]
+fn a_log_no_sealed_manifest_names_is_swept_at_open() {
+    let (crash, cut) = CrashStorage::new();
+    let (storage, faults) = FaultStorage::wrap(Arc::clone(&crash) as Arc<dyn Storage>);
+    let db = Db::open(storage as Arc<dyn Storage>, opts()).unwrap();
+    for k in 0..200u64 {
+        db.put(k, b"acked").unwrap();
+    }
+    faults.poison(".wal");
+    assert!(db.flush().is_err(), "the rotation's log cannot be created");
+    faults.heal();
+    // The retried rotation creates its log; the manifest naming it is
+    // refused.
+    cut.crash_after(1);
+    assert!(db.flush().is_err());
+    drop(db);
+    let image = Arc::new(crash.image());
+    let logs = |s: &MemStorage| {
+        s.list()
+            .unwrap()
+            .iter()
+            .filter(|f| f.ends_with(".wal"))
+            .count()
+    };
+    assert_eq!(
+        logs(&image),
+        2,
+        "the cut falls between a log's create and its seal"
+    );
+    let db = Db::open(Arc::clone(&image) as Arc<dyn Storage>, opts()).unwrap();
+    assert_eq!(logs(&image), 1, "the unnamed log is swept");
+    for k in 0..200u64 {
+        assert_eq!(db.get(k).unwrap(), Some(b"acked".to_vec()), "key {k}");
+    }
 }
 
 /// The failure point is a *count*, so the walk can land the fault on each

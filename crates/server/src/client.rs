@@ -216,23 +216,12 @@ impl Client {
         }
     }
 
-    /// Range scan from `start`, up to `limit` pairs.
+    /// Range scan from `start`, up to `limit` pairs, read from one
+    /// coherent cross-shard snapshot.
     pub fn scan(&self, start: u64, limit: u32) -> Result<ScanEntries> {
         match self.call(&Request::Scan { start, limit })? {
-            Response::Entries { pairs, .. } => Ok(pairs),
+            Response::Entries(pairs) => Ok(pairs),
             other => Self::unexpected("SCAN", other),
-        }
-    }
-
-    /// Range scan through a pinned coherent snapshot; also returns the
-    /// snapshot's fence sequence.
-    pub fn snapshot_scan(&self, start: u64, limit: u32) -> Result<(u64, ScanEntries)> {
-        match self.call(&Request::SnapshotScan { start, limit })? {
-            Response::Entries {
-                snapshot_seq: Some(seq),
-                pairs,
-            } => Ok((seq, pairs)),
-            other => Self::unexpected("SNAPSHOT_SCAN", other),
         }
     }
 

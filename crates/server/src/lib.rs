@@ -6,7 +6,7 @@
 //! in order of appearance on a request's path:
 //!
 //! * [`protocol`] — a length-prefixed binary frame format (GET / PUT /
-//!   DELETE / WRITE_BATCH / SCAN / SNAPSHOT_SCAN / METRICS),
+//!   DELETE / WRITE_BATCH / SCAN / METRICS),
 //!   request ids chosen by the client and echoed by the server,
 //!   responses free to arrive out of order — per-connection pipelining.
 //!   It is the one wire codec: the `METRICS` scrape — every engine

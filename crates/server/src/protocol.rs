@@ -24,13 +24,13 @@
 //! | `DELETE` (0x03)     | `flags u8, key u64`                               |
 //! | `WRITE_BATCH`(0x04) | `flags u8, count u32, count × entry`              |
 //! | `SCAN` (0x05)       | `start u64, limit u32`                            |
-//! | `SNAPSHOT_SCAN`(0x06)| `start u64, limit u32`                           |
 //! | `METRICS` (0x08)    | (empty)                                           |
 //!
 //! A batch `entry` is `kind u8` (0 = put, 1 = delete), `key u64`, and for
 //! puts `vlen u32, value`. `flags` bit 0 requests a durable (synced)
-//! commit before the acknowledgement. Opcode 0x07 (a retired `STATS`) is
-//! unknown: `ERR_BAD_REQUEST`, and the connection stays usable.
+//! commit before the acknowledgement. Opcodes 0x06 and 0x07 (a retired
+//! `SNAPSHOT_SCAN` and `STATS`) are unknown: `ERR_BAD_REQUEST`, and the
+//! connection stays usable.
 //!
 //! ## Status codes and payloads
 //!
@@ -38,7 +38,7 @@
 //! |---------------------------|-------------------------------------------|
 //! | `OK_VALUE` (0x00)         | `present u8, [vlen u32, value]`           |
 //! | `OK_COMMITTED` (0x01)     | `seq u64`                                 |
-//! | `OK_ENTRIES` (0x02)       | `has_snap u8, [snap_seq u64], count u32, count × (key u64, vlen u32, value)` |
+//! | `OK_ENTRIES` (0x02)       | `count u32, count × (key u64, vlen u32, value)` |
 //! | `OK_METRICS` (0x04)       | `enabled u8, dropped u64, count u32, count × (nlen u32, name, value u64), total, shards u32, shards × latencies, events u32, events × event` |
 //! | `ERR_RETRY_AFTER` (0x10)  | `retry_ms u32` — shed by admission control: back off and resend |
 //! | `ERR_POISONED` (0x11)     | `mlen u32, msg` — a cross-shard commit failed mid-way; the engine refuses writes until reopened |
@@ -84,7 +84,6 @@ pub const OP_PUT: u8 = 0x02;
 pub const OP_DELETE: u8 = 0x03;
 pub const OP_WRITE_BATCH: u8 = 0x04;
 pub const OP_SCAN: u8 = 0x05;
-pub const OP_SNAPSHOT_SCAN: u8 = 0x06;
 pub const OP_METRICS: u8 = 0x08;
 
 pub const ST_OK_VALUE: u8 = 0x00;
@@ -126,10 +125,6 @@ pub enum Request {
         durable: bool,
     },
     Scan {
-        start: u64,
-        limit: u32,
-    },
-    SnapshotScan {
         start: u64,
         limit: u32,
     },
@@ -182,12 +177,8 @@ pub enum Response {
     Value(Option<Vec<u8>>),
     /// Write acknowledgement: the last sequence number of the commit.
     Committed { seq: u64 },
-    /// `SCAN` / `SNAPSHOT_SCAN` result; `snapshot_seq` is the pinned
-    /// fence for snapshot scans, `None` for plain scans.
-    Entries {
-        snapshot_seq: Option<u64>,
-        pairs: Vec<(u64, Vec<u8>)>,
-    },
+    /// `SCAN` result.
+    Entries(Vec<(u64, Vec<u8>)>),
     /// `METRICS` result: counters, latency quantiles and the recent
     /// event timeline (see [`MetricsSnapshot`]).
     Metrics(Box<MetricsSnapshot>),
@@ -343,11 +334,6 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, req: &Request) {
             put_u32(&mut p, *limit);
             OP_SCAN
         }
-        Request::SnapshotScan { start, limit } => {
-            put_u64(&mut p, *start);
-            put_u32(&mut p, *limit);
-            OP_SNAPSHOT_SCAN
-        }
         Request::Metrics => OP_METRICS,
     };
     encode_frame(out, id, tag, &p);
@@ -371,17 +357,7 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, resp: &Response) {
             put_u64(&mut p, *seq);
             ST_OK_COMMITTED
         }
-        Response::Entries {
-            snapshot_seq,
-            pairs,
-        } => {
-            match snapshot_seq {
-                Some(s) => {
-                    p.push(1);
-                    put_u64(&mut p, *s);
-                }
-                None => p.push(0),
-            }
+        Response::Entries(pairs) => {
             put_u32(&mut p, pairs.len() as u32);
             for (k, v) in pairs {
                 put_u64(&mut p, *k);
@@ -599,10 +575,6 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<Request, String> {
             start: c.u64()?,
             limit: c.u32()?,
         },
-        OP_SNAPSHOT_SCAN => Request::SnapshotScan {
-            start: c.u64()?,
-            limit: c.u32()?,
-        },
         OP_METRICS => Request::Metrics,
         op => return Err(format!("unknown opcode 0x{op:02x}")),
     };
@@ -620,10 +592,6 @@ pub fn decode_response(status: u8, payload: &[u8]) -> Result<Response, String> {
         }),
         ST_OK_COMMITTED => Response::Committed { seq: c.u64()? },
         ST_OK_ENTRIES => {
-            let snapshot_seq = match c.u8()? {
-                0 => None,
-                _ => Some(c.u64()?),
-            };
             // The smallest pair is a key and an empty value's length.
             let count = c.count(8 + 4)?;
             let mut pairs = Vec::with_capacity(count);
@@ -631,10 +599,7 @@ pub fn decode_response(status: u8, payload: &[u8]) -> Result<Response, String> {
                 let k = c.u64()?;
                 pairs.push((k, c.bytes()?));
             }
-            Response::Entries {
-                snapshot_seq,
-                pairs,
-            }
+            Response::Entries(pairs)
         }
         ST_OK_METRICS => Response::Metrics(Box::new(c.metrics()?)),
         ST_ERR_RETRY_AFTER => Response::Error(ServerError::RetryAfter { ms: c.u32()? }),
@@ -773,7 +738,6 @@ mod tests {
             start: 0,
             limit: 10,
         });
-        roundtrip_req(Request::SnapshotScan { start: 9, limit: 0 });
         roundtrip_req(Request::Metrics);
     }
 
@@ -782,14 +746,8 @@ mod tests {
         roundtrip_resp(Response::Value(None));
         roundtrip_resp(Response::Value(Some(b"x".to_vec())));
         roundtrip_resp(Response::Committed { seq: 99 });
-        roundtrip_resp(Response::Entries {
-            snapshot_seq: Some(12),
-            pairs: vec![(1, b"a".to_vec()), (2, Vec::new())],
-        });
-        roundtrip_resp(Response::Entries {
-            snapshot_seq: None,
-            pairs: Vec::new(),
-        });
+        roundtrip_resp(Response::Entries(vec![(1, b"a".to_vec()), (2, Vec::new())]));
+        roundtrip_resp(Response::Entries(Vec::new()));
         roundtrip_resp(Response::Metrics(Box::default()));
         roundtrip_resp(Response::Metrics(Box::new(MetricsSnapshot {
             enabled: true,
@@ -868,10 +826,12 @@ mod tests {
         assert!(decode_request(OP_WRITE_BATCH, &p).is_err());
         // METRICS takes no payload: junk is trailing bytes, not a panic.
         assert!(decode_request(OP_METRICS, &[1, 2, 3]).is_err());
-        // A retired STATS opcode is unknown.
-        assert!(decode_request(0x07, &[])
-            .unwrap_err()
-            .contains("unknown opcode 0x07"));
+        // The retired SNAPSHOT_SCAN and STATS opcodes are unknown.
+        for op in [0x06u8, 0x07] {
+            assert!(decode_request(op, &[])
+                .unwrap_err()
+                .contains(&format!("unknown opcode 0x{op:02x}")));
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::protocol::{
 };
 use crate::transport::Listener;
 
-/// Server-side cap on `Scan`/`SnapshotScan` limits, so one request can
+/// Server-side cap on `Scan` limits, so one request can
 /// neither hold a worker for an unbounded merge nor overflow the
 /// client's frame cap.
 pub const MAX_SCAN_LIMIT: usize = 4096;
@@ -450,25 +450,7 @@ fn execute(db: &ShardedDb, req: Request) -> Response {
         }
         Request::Scan { start, limit } => {
             match db.scan(start, (limit as usize).min(MAX_SCAN_LIMIT)) {
-                Ok(pairs) => Response::Entries {
-                    snapshot_seq: None,
-                    pairs,
-                },
-                Err(e) => map_engine_error(db, e),
-            }
-        }
-        Request::SnapshotScan { start, limit } => {
-            let snapshot = db.snapshot();
-            let run = || -> lsm_tree::Result<Vec<(u64, Vec<u8>)>> {
-                let mut it = db.iter_at(&snapshot)?;
-                it.seek(start)?;
-                it.collect_up_to((limit as usize).min(MAX_SCAN_LIMIT))
-            };
-            match run() {
-                Ok(pairs) => Response::Entries {
-                    snapshot_seq: Some(snapshot.seq()),
-                    pairs,
-                },
+                Ok(pairs) => Response::Entries(pairs),
                 Err(e) => map_engine_error(db, e),
             }
         }

@@ -69,12 +69,19 @@ fn every_opcode_roundtrips() {
         vec![2, 3, 4]
     );
 
-    let (snap_seq, pairs) = client.snapshot_scan(3, 10).expect("snapshot scan");
-    assert!(snap_seq > 0);
+    // A wire SCAN is counted as one scan.
+    let scans = || {
+        let snap = client.metrics().expect("metrics");
+        let scans = snap.counters.iter().find(|(n, _)| n == "scans");
+        scans.map(|(_, v)| *v).expect("scans counter")
+    };
+    let before = scans();
+    let pairs = client.scan(3, 10).expect("scan from a cut");
     assert_eq!(
         pairs.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
         vec![3, 4]
     );
+    assert_eq!(scans(), before + 1);
 
     client.delete(2, false).expect("delete");
     assert_eq!(client.get(2).expect("get"), None);
@@ -320,7 +327,7 @@ fn metrics_interleave_consistently_under_pipelining() {
                 );
                 last_metrics = last_metrics.max(batches);
             }
-            (false, Response::Entries { pairs, .. }) => {
+            (false, Response::Entries(pairs)) => {
                 assert!(
                     pairs.len() as u64 >= floor && pairs.len() as u64 <= total,
                     "scan saw {} keys, acked floor {floor}, total {total}",

@@ -162,13 +162,6 @@ fn requests() -> Vec<(&'static str, Request)> {
                 limit: 64,
             },
         ),
-        (
-            "SNAPSHOT_SCAN",
-            Request::SnapshotScan {
-                start: 11,
-                limit: 0,
-            },
-        ),
         ("METRICS", Request::Metrics),
     ]
 }
@@ -182,18 +175,12 @@ fn responses() -> Vec<(&'static str, Response)> {
         ("OK_VALUE", Response::Value(Some(b"found".to_vec()))),
         ("OK_COMMITTED", Response::Committed { seq: 99 }),
         (
-            "OK_ENTRIES snapshot",
-            Response::Entries {
-                snapshot_seq: Some(12),
-                pairs: vec![(1, b"a".to_vec()), (2, Vec::new()), (3, vec![7; 9])],
-            },
+            "OK_ENTRIES",
+            Response::Entries(vec![(1, b"a".to_vec()), (2, Vec::new()), (3, vec![7; 9])]),
         ),
         (
-            "OK_ENTRIES",
-            Response::Entries {
-                snapshot_seq: None,
-                pairs: vec![(4, b"d".to_vec())],
-            },
+            "OK_ENTRIES one",
+            Response::Entries(vec![(4, b"d".to_vec())]),
         ),
         ("OK_METRICS", Response::Metrics(Box::new(snap))),
         ("OK_METRICS off", Response::Metrics(Box::default())),

@@ -112,7 +112,7 @@ fn all_six_ycsb_mixes_run_through_the_server_path() {
                         v.is_some() || loaded.binary_search(key).is_err(),
                         "YCSB-{name}: loaded key {key} answered None"
                     ),
-                    (Request::Scan { .. }, Response::Entries { .. }) => {}
+                    (Request::Scan { .. }, Response::Entries(_)) => {}
                     (Request::Put { .. }, Response::Committed { .. }) => {}
                     (Request::Put { .. }, Response::Error(ServerError::RetryAfter { .. })) => {}
                     _ => panic!("YCSB-{name}: {req:?} answered {resp:?}"),
