@@ -49,10 +49,7 @@ fn bench_opts(observability: bool) -> Options {
     // inside the measured region — the bench sees only queue, WAL and
     // skiplist insert work (plus, in the durable config, the WAL flushes).
     o.write_buffer_bytes = 256 << 20;
-    o.maintenance = Maintenance::Background {
-        flush_threads: 1,
-        compaction_threads: 1,
-    };
+    o.maintenance = Maintenance::Background;
     o.observability = observability;
     o
 }

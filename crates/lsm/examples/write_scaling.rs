@@ -45,10 +45,7 @@ fn run_db(threads: usize) {
     let o = Options {
         value_width: 64,
         write_buffer_bytes: 256 << 20,
-        maintenance: Maintenance::Background {
-            flush_threads: 1,
-            compaction_threads: 1,
-        },
+        maintenance: Maintenance::Background,
         ..Options::default()
     };
     let db = Arc::new(Db::open_sim(o, lsm_io::CostModel::with_sync_latency(100_000)).unwrap());

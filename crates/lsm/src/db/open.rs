@@ -124,6 +124,19 @@ impl Db {
                     .map(|t| t.meta.name.clone()),
             );
             version = recovered;
+        } else {
+            // No manifest validates. A fresh open seals one before its
+            // first write, so a crash can strand at most an empty log; a
+            // table or a log with records means the manifest was lost, and
+            // opening as fresh would sweep the data away.
+            for name in storage.list()? {
+                let log = name.ends_with(".wal");
+                if name.ends_with(".sst") || (log && storage.size_of(&name)? > 0) {
+                    return Err(Error::Corruption(format!(
+                        "{name} holds data, but no {MANIFEST_PREFIX}<n> validates"
+                    )));
+                }
+            }
         }
         let mut wal = WalWriter::create(storage.as_ref(), &format!("{next_file_no:06}.wal"))?;
         next_file_no += 1;
@@ -207,18 +220,13 @@ impl Db {
             Maintenance::Synchronous => None,
             // On an external pool the sharding layer owns the worker
             // threads; this instance only contributes its step functions.
-            Maintenance::Background { .. } if external => None,
-            Maintenance::Background {
-                flush_threads,
-                compaction_threads,
-            } => {
+            Maintenance::Background if external => None,
+            Maintenance::Background => {
                 let flush_core = Arc::clone(&core);
                 let compact_core = Arc::clone(&core);
                 Some(Scheduler::start(
                     Arc::clone(&core.signal),
                     Arc::clone(&core.shutdown),
-                    flush_threads,
-                    compaction_threads,
                     move |draining| flush_core.flush_step(draining),
                     move |draining| compact_core.compact_step(draining),
                 ))
@@ -494,20 +502,47 @@ mod tests {
         assert_eq!(storage.list().unwrap().len(), files_before);
     }
 
+    /// A store that holds data no sealed manifest names is refused, and the
+    /// refused open sweeps nothing: an unsealed pre-epoch `MANIFEST`, or no
+    /// manifest at all beside a table and a log with records (the manifest
+    /// was lost, not never written: a fresh open seals one before its first
+    /// write). At the parent of the second input the open succeeded on an
+    /// empty database and its sweep removed both files.
     #[test]
     fn unsealed_manifest_is_refused_not_opened_as_fresh() {
+        let table: &[u8] = b"a table only a lost manifest could name";
+        // Each input lists its files in name order, as the sorted listing.
+        for (files, reason) in [
+            (
+                vec![("000003.sst", table), ("MANIFEST", b"next 4 0\n")],
+                "MANIFEST",
+            ),
+            (
+                vec![("000003.sst", table), ("000004.wal", b"a record")],
+                "holds data",
+            ),
+        ] {
+            let storage = Arc::new(MemStorage::new());
+            for (name, bytes) in &files {
+                storage.create(name).unwrap().append(bytes).unwrap();
+            }
+            let refused = Db::open(storage.clone(), Options::small_for_tests());
+            assert!(
+                matches!(&refused, Err(Error::Corruption(msg)) if msg.contains(reason)),
+                "{:?}",
+                refused.err()
+            );
+            let mut left = storage.list().unwrap();
+            left.sort_unstable();
+            let names: Vec<&str> = files.iter().map(|(name, _)| *name).collect();
+            assert_eq!(left, names, "a refused open sweeps nothing");
+        }
+
+        // An empty log is what a crash before a fresh open's first seal
+        // leaves: that store opens as fresh, and the sweep takes the log.
         let storage = Arc::new(MemStorage::new());
-        let put = |name: &str, bytes: &[u8]| storage.create(name).unwrap().append(bytes).unwrap();
-        put("MANIFEST", b"next 4 0\n");
-        put(
-            "000003.sst",
-            b"a table only the unsealed manifest could name",
-        );
-        let refused = Db::open(storage.clone(), Options::small_for_tests());
-        assert!(matches!(refused, Err(Error::Corruption(msg)) if msg.contains("MANIFEST")));
-        assert!(
-            storage.exists("000003.sst") && storage.exists("MANIFEST"),
-            "a refused open sweeps nothing"
-        );
+        drop(storage.create("000009.wal").unwrap());
+        Db::open(storage.clone(), Options::small_for_tests()).unwrap();
+        assert!(!storage.exists("000009.wal"));
     }
 }

@@ -154,8 +154,8 @@ impl Default for IndexChoice {
 /// before its write returns, which stays byte-for-byte deterministic.
 ///
 /// [`Maintenance::Background`] is the production mode: the write returns
-/// once the buffer is rotated, while dedicated flush and compaction worker
-/// threads restore the tree invariant concurrently. Writers are admitted by
+/// once the buffer is rotated, while one flush and one compaction worker
+/// thread restore the tree invariant concurrently. Writers are admitted by
 /// one rule over LevelDB's fixed limits ([`crate::WritePressure`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Maintenance {
@@ -163,31 +163,25 @@ pub enum Maintenance {
     /// thread (deterministic; the mode every paper experiment uses).
     #[default]
     Synchronous,
-    /// Dedicated background workers; writes overlap with maintenance.
-    Background {
-        /// Flush worker threads draining the immutable-memtable queue.
-        /// Installation into L0 is age-ordered, so extra threads add
-        /// redundancy rather than reordering.
-        flush_threads: usize,
-        /// Compaction worker threads. Disjoint tasks (different levels /
-        /// key ranges) run concurrently; claimed input tables are excluded
-        /// from later picks.
-        compaction_threads: usize,
-    },
+    /// One flush worker draining the immutable-memtable queue (L0 installs
+    /// one claim at a time, oldest first) and one compaction worker; writes
+    /// overlap with maintenance. A compaction's extra merge threads are
+    /// leased per merge from the process-wide budget (`crate::scheduler`).
+    Background,
 }
 
 impl Maintenance {
-    /// Background maintenance with one flush and one compaction worker.
+    /// [`Maintenance::Background`]. Kept only because `benchmark/` calls
+    /// it and an engine change does not edit `benchmark/`: it goes with
+    /// ROADMAP item 17(ii)'s benchmark change. In-repo callers name the
+    /// variant.
     pub fn background() -> Self {
-        Maintenance::Background {
-            flush_threads: 1,
-            compaction_threads: 1,
-        }
+        Maintenance::Background
     }
 
     /// Whether this is a background (worker-thread) configuration.
     pub fn is_background(&self) -> bool {
-        matches!(self, Maintenance::Background { .. })
+        matches!(self, Maintenance::Background)
     }
 }
 
@@ -225,9 +219,8 @@ pub enum ShardingPolicy {
 /// Configuration of a [`crate::sharding::ShardedDb`]: the shard count, the
 /// partitioning policy, and the per-shard engine [`Options`].
 ///
-/// Under [`Maintenance::Background`] the thread counts in `base` are the
-/// **global** budget: one shared worker pool drives every shard's flushes
-/// and compactions (no per-shard pools).
+/// Under [`Maintenance::Background`] one flush and one compaction worker
+/// drive every shard's flushes and compactions (no per-shard pools).
 #[derive(Debug, Clone)]
 pub struct ShardedOptions {
     /// Number of shards (≥ 1) for a **fresh** database. An existing

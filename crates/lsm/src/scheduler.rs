@@ -1,15 +1,16 @@
-//! Background maintenance: dedicated flush and compaction workers.
+//! Background maintenance: one dedicated flush and one compaction worker.
 //!
 //! Under [`crate::options::Maintenance::Background`] the write path never
 //! merges SSTables itself. A full memtable is rotated onto an immutable
-//! queue and the write returns; the workers spawned here restore the tree
-//! invariant concurrently:
+//! queue and the write returns; the two workers spawned here restore the
+//! tree invariant concurrently:
 //!
-//! * **flush workers** drain the immutable-memtable queue into L0 tables
-//!   (strictly oldest-first — L0's newest-first read order depends on it);
-//! * **compaction workers** repeatedly claim a due
+//! * the **flush worker** drains the immutable-memtable queue into L0
+//!   tables (strictly oldest-first — L0's newest-first read order depends
+//!   on it);
+//! * the **compaction worker** repeatedly claims a due
 //!   [`crate::compaction::CompactionTask`] whose inputs are not already
-//!   being merged, run the merge off-lock, and install the edit.
+//!   being merged, runs the merge off-lock, and installs the edit.
 //!
 //! Both are the procedure a writer runs on its own thread under
 //! [`crate::options::Maintenance::Synchronous`] (`flush_one` / `compact_one`
@@ -34,8 +35,8 @@
 //! *block* on the sharding layer's commit lock (only try-lock): a worker
 //! parked on it can deadlock against a writer that holds the lock while
 //! stalled on backpressure this very pool is supposed to relieve. `N`
-//! shards share one global thread budget and one wakeup channel instead of
-//! spawning `N` pools (see `Embedding::pool` in [`crate::db`]).
+//! shards share the two workers and one wakeup channel instead of spawning
+//! `N` pools (see `Embedding::pool` in [`crate::db`]).
 //!
 //! Beside the workers, one process-wide budget of *extra* threads is lent
 //! out per merge: to a partitioned compaction's sub-ranges and to the table
@@ -43,11 +44,11 @@
 //! next table's merge. Either gets what is free and never waits for more.
 //!
 //! Shutdown (`Scheduler::shutdown`, invoked by `Db::close`/`Drop`) wakes
-//! all workers and flips them into *drain* mode: flush workers keep
+//! both workers and flips them into *drain* mode: the flush worker keeps
 //! flushing until the immutable queue is empty (even when paused — on
 //! shutdown an acknowledged write is better off in an SSTable than only in
-//! its WAL), compaction workers finish their in-flight task and stop
-//! claiming new ones, and every thread is joined before the database
+//! its WAL), the compaction worker finishes its in-flight task and stops
+//! claiming new ones, and both threads are joined before the database
 //! counts as closed. Compaction *debt* may survive a shutdown; nothing is
 //! lost — the next open simply resumes merging where the tree left off.
 //!
@@ -74,9 +75,9 @@ use crate::{clone_error, Error, Result};
 /// worker or the writer itself under synchronous maintenance); a
 /// partitioned job borrows up to `ranges - 1` more for the duration of one
 /// merge, and a seal helper one for the duration of one table's training.
-/// The budget is shared across every `Db` in the process — under a sharded
-/// database many compaction workers run at once, and without a common cap
-/// the thread count would multiply (workers × subcompactions). Sized to
+/// The budget is shared across every `Db` in the process — every database
+/// open in it may run a compaction at once, and without a common cap the
+/// thread count would multiply (databases × subcompactions). Sized to
 /// the machine's parallelism; acquisition is best-effort and never blocks:
 /// a job that gets fewer permits than it wanted folds several sub-ranges
 /// onto each thread it did get (same outputs, just less overlap).
@@ -242,8 +243,9 @@ pub(crate) enum Step {
 ///
 /// `step(draining)` performs at most one unit of work. During a drain
 /// (`draining == true`) the first [`Step::Idle`] ends the thread: for a
-/// flush worker that means the queue is empty (or claimed by a sibling who
-/// will finish it); for a compaction worker it means "stop now".
+/// flush worker that means the queue is empty (or its front claimed by
+/// another thread that will finish it); for a compaction worker it means
+/// "stop now".
 fn worker_loop<S: FnMut(bool) -> Step>(signal: &MaintSignal, shutdown: &AtomicBool, mut step: S) {
     loop {
         let epoch = signal.epoch();
@@ -263,46 +265,32 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Spawn `flush_threads` flush workers and `compaction_threads`
-    /// compaction workers (each pool at least one thread). `flush_step` /
+    /// Spawn one `lsm-flush` and one `lsm-compact` worker. `flush_step` /
     /// `compact_step` are closures over the shared database core, each
     /// performing at most one flush / one compaction.
     pub fn start<FS, CS>(
         signal: Arc<MaintSignal>,
         shutdown: Arc<AtomicBool>,
-        flush_threads: usize,
-        compaction_threads: usize,
         flush_step: FS,
         compact_step: CS,
     ) -> Self
     where
-        FS: Fn(bool) -> Step + Send + Sync + 'static,
-        CS: Fn(bool) -> Step + Send + Sync + 'static,
+        FS: FnMut(bool) -> Step + Send + 'static,
+        CS: FnMut(bool) -> Step + Send + 'static,
     {
-        let flush_step = Arc::new(flush_step);
-        let compact_step = Arc::new(compact_step);
-        let mut handles = Vec::with_capacity(flush_threads + compaction_threads);
-        for i in 0..flush_threads.max(1) {
+        let spawn = |name: &str, step: Box<dyn FnMut(bool) -> Step + Send>| {
             let (signal, shutdown) = (Arc::clone(&signal), Arc::clone(&shutdown));
-            let step = Arc::clone(&flush_step);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("lsm-flush-{i}"))
-                    .spawn(move || worker_loop(&signal, &shutdown, |d| step(d)))
-                    .expect("spawn flush worker"),
-            );
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || worker_loop(&signal, &shutdown, step))
+                .expect("spawn maintenance worker")
+        };
+        Self {
+            handles: vec![
+                spawn("lsm-flush", Box::new(flush_step)),
+                spawn("lsm-compact", Box::new(compact_step)),
+            ],
         }
-        for i in 0..compaction_threads.max(1) {
-            let (signal, shutdown) = (Arc::clone(&signal), Arc::clone(&shutdown));
-            let step = Arc::clone(&compact_step);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("lsm-compact-{i}"))
-                    .spawn(move || worker_loop(&signal, &shutdown, |d| step(d)))
-                    .expect("spawn compaction worker"),
-            );
-        }
-        Self { handles }
     }
 
     /// Signal shutdown and join every worker.
@@ -361,8 +349,6 @@ mod tests {
             Scheduler::start(
                 Arc::clone(&signal),
                 Arc::clone(&shutdown),
-                1,
-                1,
                 move |_| {
                     if p.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
                         .is_ok()

@@ -44,12 +44,13 @@
 //!   iterators one after another, each opened only when the scan reaches
 //!   its shard (one more sorted level of the paper's `NewLevelIter`),
 //!   sourced from the pinned epoch.
-//! * **One shared worker pool** — under [`Maintenance::Background`] the
-//!   thread counts are a *global* budget: a single `scheduler` pool
-//!   round-robins flush/compaction steps across all shards (the step
-//!   closures re-derive the shard list each pass, so split children join
-//!   and retired parents leave the rotation live), and split evaluation
-//!   itself runs as a background maintenance step on the same pool.
+//! * **One shared worker pool** — under [`Maintenance::Background`] one
+//!   flush and one compaction worker serve the whole engine: a single
+//!   `scheduler` pool round-robins flush/compaction steps across all
+//!   shards (the step closures re-derive the shard list each pass, so
+//!   split children join and retired parents leave the rotation live),
+//!   and split evaluation itself runs as a background maintenance step on
+//!   the same pool.
 //! * **Coordinated crash recovery** — each shard keeps its own manifest +
 //!   WALs in its own `shard-<id>/` directory (`lsm_io::PrefixedStorage`),
 //!   and a recovery coordinator in [`ShardedDb::open`] resolves

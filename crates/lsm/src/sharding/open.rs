@@ -3,7 +3,7 @@
 //! fence resumes, the shared worker pool, and split children
 //! (ARCHITECTURE.md §4–5).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -190,31 +190,25 @@ impl ShardedDb {
 
         let scheduler = match core.opts.base.maintenance {
             Maintenance::Synchronous => None,
-            Maintenance::Background {
-                flush_threads,
-                compaction_threads,
-            } => {
+            Maintenance::Background => {
                 let flush_core = Arc::clone(&core);
                 let compact_core = Arc::clone(&core);
-                let flush_rr = AtomicUsize::new(0);
-                let compact_rr = AtomicUsize::new(0);
+                let (mut flush_rr, mut compact_rr) = (0, 0);
                 Some(Scheduler::start(
                     signal,
                     shutdown,
-                    flush_threads,
-                    compaction_threads,
                     move |draining| {
                         let cores = flush_core.worker_cores();
-                        round_robin(&cores, &flush_rr, |c| c.flush_step(draining))
+                        round_robin(&cores, &mut flush_rr, |c| c.flush_step(draining))
                     },
                     move |draining| {
-                        // Compaction workers double as the split step:
+                        // The compaction worker doubles as the split step:
                         // when no merge is due anywhere, evaluate the
                         // rebalance trigger (live splitting is tree
                         // maintenance like any other).
                         let cores = compact_core.worker_cores();
                         if matches!(
-                            round_robin(&cores, &compact_rr, |c| c.compact_step(draining)),
+                            round_robin(&cores, &mut compact_rr, |c| c.compact_step(draining)),
                             Step::Worked
                         ) {
                             return Step::Worked;
@@ -301,12 +295,13 @@ impl ShardedCore {
 /// pass (see [`ShardedCore::worker_cores`]), so a live split's children
 /// join the rotation the moment the dual-write window opens and a retired
 /// parent leaves it at cutover.
-fn round_robin(cores: &[Arc<DbCore>], rr: &AtomicUsize, step: impl Fn(&DbCore) -> Step) -> Step {
+fn round_robin(cores: &[Arc<DbCore>], rr: &mut usize, step: impl Fn(&DbCore) -> Step) -> Step {
     let n = cores.len();
     if n == 0 {
         return Step::Idle;
     }
-    let start = rr.fetch_add(1, Ordering::Relaxed) % n;
+    let start = *rr % n;
+    *rr = rr.wrapping_add(1);
     for i in 0..n {
         if matches!(step(&cores[(start + i) % n]), Step::Worked) {
             return Step::Worked;

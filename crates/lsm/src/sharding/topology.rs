@@ -144,11 +144,21 @@ impl Topology {
     }
 
     /// Load the newest sealed topology: the highest `SHARDING-<epoch>`
-    /// whose CRC footer validates. `Ok(None)` means a fresh database.
+    /// whose CRC footer validates. `Ok(None)` means a fresh database. A
+    /// fresh create seals its topology before any shard directory exists,
+    /// so shard files with no topology mean it was lost: `Corruption`,
+    /// where opening as fresh would sweep them.
     pub(crate) fn load(storage: &dyn Storage) -> Result<Option<Topology>> {
-        sealed::newest_valid(storage, TOPOLOGY_PREFIX)?
-            .map(|(epoch, text)| Self::parse(&text, epoch))
-            .transpose()
+        let Some((epoch, text)) = sealed::newest_valid(storage, TOPOLOGY_PREFIX)? else {
+            let mut names = storage.list()?.into_iter();
+            return match names.find(|n| n.starts_with("shard-")) {
+                Some(name) => Err(Error::Corruption(format!(
+                    "{name} exists, but no {TOPOLOGY_PREFIX}<n> validates"
+                ))),
+                None => Ok(None),
+            };
+        };
+        Self::parse(&text, epoch).map(Some)
     }
 
     fn parse(text: &str, epoch: u64) -> Result<Topology> {
@@ -258,7 +268,10 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{Options, ShardedOptions};
+    use crate::sharding::ShardedDb;
     use lsm_io::MemStorage;
+    use std::sync::Arc;
 
     fn range_topology() -> Topology {
         Topology::fresh(vec![100, 200, 300])
@@ -313,6 +326,30 @@ mod tests {
         // A sealed successor is adopted; the leftover is ignored.
         range_topology().save(&storage).unwrap();
         assert_eq!(Topology::load(&storage).unwrap(), Some(range_topology()));
+    }
+
+    /// Shard files with no topology at all: the topology was lost, and the
+    /// open refuses and sweeps nothing. At the parent of this check the
+    /// open created a fresh topology whose sweep removed every shard
+    /// directory it did not name.
+    #[test]
+    fn shard_files_without_a_topology_are_refused_not_read_as_fresh() {
+        let storage = Arc::new(MemStorage::new());
+        assert_eq!(Topology::load(storage.as_ref()).unwrap(), None, "fresh");
+        let orphan = "shard-3/000004.sst";
+        drop(storage.create(orphan).unwrap());
+        let opts = ShardedOptions::learned(2, Vec::new(), Options::small_for_tests());
+        let refused = ShardedDb::open(storage.clone(), opts);
+        assert!(
+            matches!(&refused, Err(Error::Corruption(msg)) if msg.contains(orphan)),
+            "{:?}",
+            refused.err()
+        );
+        assert_eq!(
+            storage.list().unwrap(),
+            [orphan],
+            "a refused open sweeps nothing"
+        );
     }
 
     #[test]

@@ -186,10 +186,7 @@ fn writers_stop_when_immutable_queue_is_full() {
 fn writers_overlap_with_background_maintenance_on_sim_nvme() {
     let mut opts = Options::small_for_tests();
     opts.index.kind = IndexKind::Pgm;
-    opts.maintenance = Maintenance::Background {
-        flush_threads: 1,
-        compaction_threads: 1,
-    };
+    opts.maintenance = Maintenance::Background;
     let db = Db::open_sim(opts, CostModel::default()).unwrap();
     let mut key = 0u64;
     // Keep writing rounds until overlap is observed (first round almost

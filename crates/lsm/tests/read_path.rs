@@ -270,10 +270,7 @@ fn stamps_never_go_backwards(granularity: IndexGranularity) {
     let mut opts = Options::small_for_tests();
     opts.write_buffer_bytes = 4 << 10;
     opts.index.granularity = granularity;
-    opts.maintenance = Maintenance::Background {
-        flush_threads: 1,
-        compaction_threads: 1,
-    };
+    opts.maintenance = Maintenance::Background;
     let db = Db::open_memory(opts).unwrap();
     let stop = AtomicBool::new(false);
     let reads = AtomicU64::new(0);

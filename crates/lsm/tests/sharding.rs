@@ -1389,13 +1389,9 @@ fn four_shards_sustain_1_5x_write_throughput() {
         o.l0_compaction_trigger = 2;
         o
     }
-    // Same *global* worker budget for both configurations. A single tree
-    // cannot exploit the second flush thread (L0 installation is strictly
-    // oldest-first, one claim at a time); four shards can.
-    let background = Maintenance::Background {
-        flush_threads: 2,
-        compaction_threads: 2,
-    };
+    // The same two maintenance workers for both configurations: the
+    // sharded engine's round-robin over four shards, or the one tree's.
+    let background = Maintenance::Background;
     // YCSB load phase: the dataset keys in random order, batched writes.
     let keys = Dataset::Random.generate(KEYS, 0x5eed);
     let mut order: Vec<u64> = keys.clone();
@@ -1433,7 +1429,7 @@ fn four_shards_sustain_1_5x_write_throughput() {
         )
     };
     let run_sharded = |maintenance: Maintenance| -> (u64, f64) {
-        // Identical per-shard options and the same shared worker budget;
+        // Identical per-shard options and the same two shared workers;
         // boundaries learned from a sample of the keys.
         let sample: Vec<u64> = keys.iter().copied().step_by(8).collect();
         let db = ShardedDb::open_sim(

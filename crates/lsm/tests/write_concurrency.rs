@@ -125,10 +125,7 @@ fn concurrent_batches_are_never_torn_synchronous() {
 fn concurrent_batches_are_never_torn_background() {
     let mut opts = Options::small_for_tests();
     opts.index.kind = IndexKind::Pgm;
-    opts.maintenance = Maintenance::Background {
-        flush_threads: 1,
-        compaction_threads: 1,
-    };
+    opts.maintenance = Maintenance::Background;
     run_torn_read_check(opts);
 }
 

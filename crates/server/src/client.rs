@@ -21,6 +21,7 @@ use crate::protocol::{
 };
 use crate::transport::Connection;
 use lsm_obs::MetricsSnapshot;
+use lsm_tree::WriteBatch;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -75,7 +76,7 @@ struct ReadHalf {
 /// use lsm_server::{Client, MemTransport, Server, ServerOptions};
 /// use lsm_server::protocol::{Request, Response};
 /// use lsm_tree::sharding::ShardedDb;
-/// use lsm_tree::{Options, ShardedOptions};
+/// use lsm_tree::{Options, ShardedOptions, WriteBatch};
 /// use std::sync::Arc;
 ///
 /// let opts = ShardedOptions::learned(2, (0..4).collect(), Options::small_for_tests());
@@ -88,8 +89,10 @@ struct ReadHalf {
 /// // later by id — the server may complete them out of order.
 /// let ids: Vec<u64> = (0..4)
 ///     .map(|k| {
+///         let mut batch = WriteBatch::new();
+///         batch.put(k, b"v");
 ///         client
-///             .submit(&Request::Put { key: k, value: vec![b'v'], durable: false })
+///             .submit(&Request::WriteBatch { batch, durable: false })
 ///             .expect("submit")
 ///     })
 ///     .collect();
@@ -183,36 +186,27 @@ impl Client {
         }
     }
 
-    /// Single-key write; returns the commit sequence number.
+    /// Single-key write (a batch of one); returns the commit sequence
+    /// number.
     pub fn put(&self, key: u64, value: &[u8], durable: bool) -> Result<u64> {
-        self.committed(
-            "PUT",
-            &Request::Put {
-                key,
-                value: value.to_vec(),
-                durable,
-            },
-        )
+        let mut batch = WriteBatch::with_capacity(1);
+        batch.put(key, value);
+        self.write_batch(batch, durable)
     }
 
-    /// Single-key delete; returns the commit sequence number.
+    /// Single-key delete (a batch of one); returns the commit sequence
+    /// number.
     pub fn delete(&self, key: u64, durable: bool) -> Result<u64> {
-        self.committed("DELETE", &Request::Delete { key, durable })
+        let mut batch = WriteBatch::with_capacity(1);
+        batch.delete(key);
+        self.write_batch(batch, durable)
     }
 
     /// Atomic multi-key batch; returns the commit sequence number.
-    pub fn write_batch(
-        &self,
-        entries: Vec<crate::protocol::BatchEntry>,
-        durable: bool,
-    ) -> Result<u64> {
-        self.committed("WRITE_BATCH", &Request::WriteBatch { entries, durable })
-    }
-
-    fn committed(&self, what: &str, req: &Request) -> Result<u64> {
-        match self.call(req)? {
+    pub fn write_batch(&self, batch: WriteBatch, durable: bool) -> Result<u64> {
+        match self.call(&Request::WriteBatch { batch, durable })? {
             Response::Committed { seq } => Ok(seq),
-            other => Self::unexpected(what, other),
+            other => Self::unexpected("WRITE_BATCH", other),
         }
     }
 

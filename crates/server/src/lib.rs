@@ -5,10 +5,11 @@
 //! when requests arrive over a wire and the engine pushes back? It adds,
 //! in order of appearance on a request's path:
 //!
-//! * [`protocol`] — a length-prefixed binary frame format (GET / PUT /
-//!   DELETE / WRITE_BATCH / SCAN / METRICS),
-//!   request ids chosen by the client and echoed by the server,
-//!   responses free to arrive out of order — per-connection pipelining.
+//! * [`protocol`] — a length-prefixed binary frame format (GET /
+//!   WRITE_BATCH / SCAN / METRICS; every write is a batch, a single put
+//!   or delete a batch of one), request ids chosen by the client and
+//!   echoed by the server, responses free to arrive out of order —
+//!   per-connection pipelining.
 //!   It is the one wire codec: the `METRICS` scrape — every engine
 //!   counter, the sharding layer's residency report, latency quantiles
 //!   and the event timeline — is encoded by it like any other payload.
@@ -53,6 +54,6 @@ pub mod transport;
 
 pub use client::{Client, ClientError};
 pub use lsm_obs::MetricsSnapshot;
-pub use protocol::{BatchEntry, FrameError, Request, Response, ServerError};
+pub use protocol::{FrameError, Request, Response, ServerError};
 pub use server::{Server, ServerOptions, MAX_SCAN_LIMIT};
 pub use transport::{tcp_connect, Connection, Listener, MemConnector, MemTransport, TcpTransport};

@@ -20,15 +20,16 @@
 //! | opcode              | request payload                                   |
 //! |---------------------|---------------------------------------------------|
 //! | `GET` (0x01)        | `key u64`                                         |
-//! | `PUT` (0x02)        | `flags u8, key u64, vlen u32, value`              |
-//! | `DELETE` (0x03)     | `flags u8, key u64`                               |
 //! | `WRITE_BATCH`(0x04) | `flags u8, count u32, count × entry`              |
 //! | `SCAN` (0x05)       | `start u64, limit u32`                            |
 //! | `METRICS` (0x08)    | (empty)                                           |
 //!
-//! A batch `entry` is `kind u8` (0 = put, 1 = delete), `key u64`, and for
-//! puts `vlen u32, value`. `flags` bit 0 requests a durable (synced)
-//! commit before the acknowledgement. Opcodes 0x06 and 0x07 (a retired
+//! Every write is a `WRITE_BATCH`, decoded straight into the engine's
+//! [`WriteBatch`]: a single put or delete is a batch of one. A batch
+//! `entry` is `kind u8` (0 = put, 1 = delete), `key u64`, and for puts
+//! `vlen u32, value`. `flags` bit 0 requests a durable (synced) commit
+//! before the acknowledgement. Opcodes 0x02 and 0x03 (the retired
+//! single-key `PUT` and `DELETE`), 0x06 and 0x07 (a retired
 //! `SNAPSHOT_SCAN` and `STATS`) are unknown: `ERR_BAD_REQUEST`, and the
 //! connection stays usable.
 //!
@@ -65,6 +66,7 @@
 use std::io::{self, Read, Write};
 
 use lsm_obs::{Event, EventKind, HistSummary, MetricsSnapshot, OpLatencies};
+use lsm_tree::{EntryKind, WriteBatch};
 
 /// Smallest legal frame body: id (8) + tag (1).
 pub const MIN_FRAME: usize = 9;
@@ -80,8 +82,6 @@ pub const FLAG_DURABLE: u8 = 1;
 // ------------------------------------------------------------- tag bytes
 
 pub const OP_GET: u8 = 0x01;
-pub const OP_PUT: u8 = 0x02;
-pub const OP_DELETE: u8 = 0x03;
 pub const OP_WRITE_BATCH: u8 = 0x04;
 pub const OP_SCAN: u8 = 0x05;
 pub const OP_METRICS: u8 = 0x08;
@@ -98,30 +98,15 @@ pub const ST_ERR_SHUTTING_DOWN: u8 = 0x14;
 
 // ---------------------------------------------------------------- types
 
-/// One entry of a [`Request::WriteBatch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchEntry {
-    Put(u64, Vec<u8>),
-    Delete(u64),
-}
-
 /// A decoded request frame body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     Get {
         key: u64,
     },
-    Put {
-        key: u64,
-        value: Vec<u8>,
-        durable: bool,
-    },
-    Delete {
-        key: u64,
-        durable: bool,
-    },
+    /// Every write: applied atomically by one `ShardedDb::write`.
     WriteBatch {
-        entries: Vec<BatchEntry>,
+        batch: WriteBatch,
         durable: bool,
     },
     Scan {
@@ -135,10 +120,7 @@ impl Request {
     /// Whether this request mutates the database — the class admission
     /// control sheds under write backpressure.
     pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Request::Put { .. } | Request::Delete { .. } | Request::WriteBatch { .. }
-        )
+        matches!(self, Request::WriteBatch { .. })
     }
 }
 
@@ -296,34 +278,19 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, req: &Request) {
             put_u64(&mut p, *key);
             OP_GET
         }
-        Request::Put {
-            key,
-            value,
-            durable,
-        } => {
+        Request::WriteBatch { batch, durable } => {
             p.push(if *durable { FLAG_DURABLE } else { 0 });
-            put_u64(&mut p, *key);
-            put_bytes(&mut p, value);
-            OP_PUT
-        }
-        Request::Delete { key, durable } => {
-            p.push(if *durable { FLAG_DURABLE } else { 0 });
-            put_u64(&mut p, *key);
-            OP_DELETE
-        }
-        Request::WriteBatch { entries, durable } => {
-            p.push(if *durable { FLAG_DURABLE } else { 0 });
-            put_u32(&mut p, entries.len() as u32);
-            for e in entries {
-                match e {
-                    BatchEntry::Put(k, v) => {
+            put_u32(&mut p, batch.len() as u32);
+            for op in batch.ops() {
+                match op.kind {
+                    EntryKind::Put => {
                         p.push(0);
-                        put_u64(&mut p, *k);
-                        put_bytes(&mut p, v);
+                        put_u64(&mut p, op.key);
+                        put_bytes(&mut p, &op.value);
                     }
-                    BatchEntry::Delete(k) => {
+                    EntryKind::Delete => {
                         p.push(1);
-                        put_u64(&mut p, *k);
+                        put_u64(&mut p, op.key);
                     }
                 }
             }
@@ -437,9 +404,14 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
+    /// A `u32`-length-prefixed byte string, borrowed from the payload.
+    fn slice(&mut self) -> Result<&'a [u8], String> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    fn bytes(&mut self) -> Result<Vec<u8>, String> {
+        Ok(self.slice()?.to_vec())
     }
 
     /// A declared element count, refused unless the bytes left can hold
@@ -539,35 +511,20 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<Request, String> {
     let mut c = Cursor::new(payload);
     let req = match opcode {
         OP_GET => Request::Get { key: c.u64()? },
-        OP_PUT => {
-            let flags = c.u8()?;
-            Request::Put {
-                key: c.u64()?,
-                value: c.bytes()?,
-                durable: flags & FLAG_DURABLE != 0,
-            }
-        }
-        OP_DELETE => {
-            let flags = c.u8()?;
-            Request::Delete {
-                key: c.u64()?,
-                durable: flags & FLAG_DURABLE != 0,
-            }
-        }
         OP_WRITE_BATCH => {
             let flags = c.u8()?;
             // The smallest entry is a delete: kind + key.
             let count = c.count(1 + 8)?;
-            let mut entries = Vec::with_capacity(count);
+            let mut batch = WriteBatch::with_capacity(count);
             for _ in 0..count {
-                entries.push(match c.u8()? {
-                    0 => BatchEntry::Put(c.u64()?, c.bytes()?),
-                    1 => BatchEntry::Delete(c.u64()?),
+                match c.u8()? {
+                    0 => batch.put(c.u64()?, c.slice()?),
+                    1 => batch.delete(c.u64()?),
                     k => return Err(format!("unknown batch entry kind {k}")),
-                });
+                };
             }
             Request::WriteBatch {
-                entries,
+                batch,
                 durable: flags & FLAG_DURABLE != 0,
             }
         }
@@ -717,28 +674,51 @@ mod tests {
     #[test]
     fn requests_roundtrip() {
         roundtrip_req(Request::Get { key: u64::MAX });
-        roundtrip_req(Request::Put {
-            key: 1,
-            value: b"v".to_vec(),
+        let mut batch = WriteBatch::new();
+        batch.put(3, &[0xab; 100]).delete(4).put(5, &[]);
+        roundtrip_req(Request::WriteBatch {
+            batch,
             durable: true,
-        });
-        roundtrip_req(Request::Delete {
-            key: 2,
-            durable: false,
         });
         roundtrip_req(Request::WriteBatch {
-            entries: vec![
-                BatchEntry::Put(3, vec![0xab; 100]),
-                BatchEntry::Delete(4),
-                BatchEntry::Put(5, Vec::new()),
-            ],
-            durable: true,
+            batch: WriteBatch::new(),
+            durable: false,
         });
         roundtrip_req(Request::Scan {
             start: 0,
             limit: 10,
         });
         roundtrip_req(Request::Metrics);
+    }
+
+    /// The WRITE_BATCH frame of a put and a delete, byte for byte: the
+    /// layout the retired single-key opcodes folded into, unchanged.
+    #[test]
+    fn write_batch_frame_bytes_are_pinned() {
+        let mut batch = WriteBatch::new();
+        batch.put(7, b"hi").delete(9);
+        let req = Request::WriteBatch {
+            batch,
+            durable: true,
+        };
+        let mut buf = Vec::new();
+        encode_request(&mut buf, 5, &req);
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            38, 0, 0, 0,                    // len: id + tag + payload
+            5, 0, 0, 0, 0, 0, 0, 0,         // id
+            OP_WRITE_BATCH,                 // tag 0x04
+            FLAG_DURABLE,                   // flags
+            2, 0, 0, 0,                     // count
+            0, 7, 0, 0, 0, 0, 0, 0, 0,      // put, key 7
+            2, 0, 0, 0, b'h', b'i',         // vlen, value
+            1, 9, 0, 0, 0, 0, 0, 0, 0,      // delete, key 9
+        ];
+        assert_eq!(buf, expected);
+        assert_eq!(
+            decode_request(OP_WRITE_BATCH, &expected[4 + MIN_FRAME..]),
+            Ok(req)
+        );
     }
 
     #[test]
@@ -808,9 +788,11 @@ mod tests {
     fn garbage_payloads_decode_to_errors_not_panics() {
         // Declared value length overruns the payload.
         let mut p = vec![0u8]; // flags
+        p.extend_from_slice(&1u32.to_le_bytes()); // count
+        p.push(0); // put
         p.extend_from_slice(&1u64.to_le_bytes());
         p.extend_from_slice(&u32::MAX.to_le_bytes()); // vlen lie
-        assert!(decode_request(OP_PUT, &p).is_err());
+        assert!(decode_request(OP_WRITE_BATCH, &p).is_err());
         // Unknown opcode.
         assert!(decode_request(0x7f, &[]).is_err());
         // Trailing junk.
@@ -826,8 +808,9 @@ mod tests {
         assert!(decode_request(OP_WRITE_BATCH, &p).is_err());
         // METRICS takes no payload: junk is trailing bytes, not a panic.
         assert!(decode_request(OP_METRICS, &[1, 2, 3]).is_err());
-        // The retired SNAPSHOT_SCAN and STATS opcodes are unknown.
-        for op in [0x06u8, 0x07] {
+        // The retired PUT, DELETE, SNAPSHOT_SCAN and STATS opcodes are
+        // unknown.
+        for op in [0x02u8, 0x03, 0x06, 0x07] {
             assert!(decode_request(op, &[])
                 .unwrap_err()
                 .contains(&format!("unknown opcode 0x{op:02x}")));

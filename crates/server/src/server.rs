@@ -7,7 +7,7 @@
 //! One **acceptor** thread blocks on the transport's `accept`. Each
 //! accepted connection gets one **reader** thread that decodes frames
 //! and either sheds the request immediately (admission control, below)
-//! or pushes it onto a global ready queue. A fixed pool of **worker**
+//! or pushes it onto a global ready queue. A fixed pool of four **worker**
 //! threads pops the queue, executes against the [`ShardedDb`], and
 //! writes the response through the connection's writer mutex — so
 //! responses from different requests interleave freely and a pipelined
@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 
 use lsm_obs::{EventKind, GLOBAL_SHARD};
 use lsm_tree::sharding::ShardedDb;
-use lsm_tree::{Error as LsmError, WriteBatch, WriteOptions, WritePressure};
+use lsm_tree::{Error as LsmError, WriteOptions, WritePressure};
 use std::sync::{Condvar, Mutex};
 
 use crate::protocol::{
@@ -75,12 +75,13 @@ const QUEUE_SLOWDOWN_CAP: usize = 16;
 /// Backoff hint (milliseconds) carried by every [`ServerError::RetryAfter`].
 const RETRY_AFTER_MS: u32 = 2;
 
+/// Worker threads executing admitted requests, shared across all
+/// connections.
+const WORKERS: usize = 4;
+
 /// Tuning for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Worker threads executing admitted requests (shared across all
-    /// connections).
-    pub workers: usize,
     /// Largest request frame accepted before the connection is dropped
     /// as corrupt.
     pub max_frame: usize,
@@ -89,7 +90,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
-            workers: 4,
             max_frame: DEFAULT_MAX_FRAME,
         }
     }
@@ -162,7 +162,6 @@ impl Server {
     /// Take ownership of `db` and serve it over `listener` until
     /// [`Server::close`].
     pub fn start(db: ShardedDb, listener: Arc<dyn Listener>, opts: ServerOptions) -> Server {
-        let workers = opts.workers.max(1);
         let shared = Arc::new(Shared {
             db,
             opts,
@@ -176,7 +175,7 @@ impl Server {
             shed: AtomicUsize::new(0),
         });
 
-        let worker_handles = (0..workers)
+        let worker_handles = (0..WORKERS)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -420,33 +419,16 @@ fn execute(db: &ShardedDb, req: Request) -> Response {
             Ok(v) => Response::Value(v),
             Err(e) => map_engine_error(db, e),
         },
-        Request::Put {
-            key,
-            value,
-            durable,
-        } => {
-            let mut batch = WriteBatch::with_capacity(1);
-            batch.put(key, &value);
-            run_write(db, batch, durable)
-        }
-        Request::Delete { key, durable } => {
-            let mut batch = WriteBatch::with_capacity(1);
-            batch.delete(key);
-            run_write(db, batch, durable)
-        }
-        Request::WriteBatch { entries, durable } => {
-            let mut batch = WriteBatch::with_capacity(entries.len());
-            for e in &entries {
-                match e {
-                    crate::protocol::BatchEntry::Put(k, v) => {
-                        batch.put(*k, v);
-                    }
-                    crate::protocol::BatchEntry::Delete(k) => {
-                        batch.delete(*k);
-                    }
-                }
+        Request::WriteBatch { batch, durable } => {
+            let wopts = if durable {
+                WriteOptions::durable()
+            } else {
+                WriteOptions::default()
+            };
+            match db.write(batch, &wopts) {
+                Ok(seq) => Response::Committed { seq },
+                Err(e) => map_engine_error(db, e),
             }
-            run_write(db, batch, durable)
         }
         Request::Scan { start, limit } => {
             match db.scan(start, (limit as usize).min(MAX_SCAN_LIMIT)) {
@@ -455,18 +437,6 @@ fn execute(db: &ShardedDb, req: Request) -> Response {
             }
         }
         Request::Metrics => Response::Metrics(Box::new(db.metrics())),
-    }
-}
-
-fn run_write(db: &ShardedDb, batch: WriteBatch, durable: bool) -> Response {
-    let wopts = if durable {
-        WriteOptions::durable()
-    } else {
-        WriteOptions::default()
-    };
-    match db.write(batch, &wopts) {
-        Ok(seq) => Response::Committed { seq },
-        Err(e) => map_engine_error(db, e),
     }
 }
 

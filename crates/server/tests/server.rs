@@ -10,11 +10,11 @@ use std::time::{Duration, Instant};
 use lsm_io::{MemStorage, Storage};
 use lsm_server::protocol::{encode_request, MIN_FRAME};
 use lsm_server::{
-    tcp_connect, BatchEntry, Client, ClientError, MemTransport, Request, Response, Server,
-    ServerError, ServerOptions, TcpTransport,
+    tcp_connect, Client, ClientError, MemTransport, Request, Response, Server, ServerError,
+    ServerOptions, TcpTransport,
 };
 use lsm_tree::sharding::ShardedDb;
-use lsm_tree::{EventKind, Maintenance, Options, ShardedOptions, WritePressure};
+use lsm_tree::{EventKind, Maintenance, Options, ShardedOptions, WriteBatch, WritePressure};
 use rand::{RngCore, SeedableRng, StdRng};
 
 /// `shards` range shards cut inside the small keys every test here writes
@@ -51,16 +51,9 @@ fn every_opcode_roundtrips() {
     assert!(seq2 > seq1, "commit sequences advance");
     assert_eq!(client.get(1).expect("get"), Some(b"one".to_vec()));
 
-    client
-        .write_batch(
-            vec![
-                BatchEntry::Put(3, b"three".to_vec()),
-                BatchEntry::Put(4, b"four".to_vec()),
-                BatchEntry::Delete(1),
-            ],
-            false,
-        )
-        .expect("batch");
+    let mut batch = WriteBatch::new();
+    batch.put(3, b"three").put(4, b"four").delete(1);
+    client.write_batch(batch, false).expect("batch");
     assert_eq!(client.get(1).expect("get deleted"), None);
 
     let pairs = client.scan(0, 10).expect("scan");
@@ -417,10 +410,11 @@ fn close_answers_in_flight_requests_before_releasing_the_engine() {
     // after), never silence or a torn frame.
     let ids: Vec<u64> = (0..100u64)
         .map(|k| {
+            let mut batch = WriteBatch::new();
+            batch.put(k, &[b'x'; 16]);
             client
-                .submit(&Request::Put {
-                    key: k,
-                    value: vec![b'x'; 16],
+                .submit(&Request::WriteBatch {
+                    batch,
                     durable: false,
                 })
                 .expect("submit")
@@ -470,8 +464,17 @@ fn corrupt_frames_get_typed_errors_or_clean_disconnects() {
     let (server, connector) = mem_server(1);
 
     // Unknown opcode, intact framing: typed BAD_REQUEST, connection
-    // survives. 0x07 is the retired STATS an old client may still send.
-    for (opcode, payload) in [(0x6f, &[0x00][..]), (0x07, &[][..])] {
+    // survives. 0x07 is the retired STATS an old client may still send;
+    // 0x02 and 0x03 the retired single-key PUT (flags, key 1, value "v")
+    // and DELETE (flags, key 1).
+    let put: &[u8] = &[0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, b'v'];
+    let delete: &[u8] = &[0, 1, 0, 0, 0, 0, 0, 0, 0];
+    for (opcode, payload) in [
+        (0x6f, &[0x00][..]),
+        (0x07, &[][..]),
+        (0x02, put),
+        (0x03, delete),
+    ] {
         let conn = connector.connect().expect("dial");
         let mut w = conn.writer;
         let mut body = Vec::new();
@@ -497,12 +500,14 @@ fn corrupt_frames_get_typed_errors_or_clean_disconnects() {
         let conn = connector.connect().expect("dial");
         let mut w = conn.writer;
         let mut payload = vec![0u8]; // flags
+        payload.extend_from_slice(&1u32.to_le_bytes()); // count
+        payload.push(0); // put
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // value-length lie
         let mut body = Vec::new();
         body.extend_from_slice(&((MIN_FRAME + payload.len()) as u32).to_le_bytes());
         body.extend_from_slice(&5u64.to_le_bytes());
-        body.push(0x02); // PUT
+        body.push(0x04); // WRITE_BATCH
         body.extend_from_slice(&payload);
         w.write_all(&body).expect("send");
         let client = Client::from_halves(conn.reader, w);
@@ -570,14 +575,7 @@ fn stopped_engine_sheds_writes_with_retry_after_instead_of_stalling() {
     base.maintenance = Maintenance::background();
     let db = ShardedDb::open_memory(sharded(1, base)).expect("open");
     let (connector, listener) = MemTransport::endpoint();
-    let server = Server::start(
-        db,
-        Arc::new(listener),
-        ServerOptions {
-            workers: 2,
-            ..ServerOptions::default()
-        },
-    );
+    let server = Server::start(db, Arc::new(listener), ServerOptions::default());
     server.db().pause_flushes();
 
     let client = Client::new(connector.connect().expect("dial"));
@@ -664,23 +662,17 @@ fn requests_after_frame_cap_are_rejected_not_buffered() {
     // the server allocates for it.
     let db = ShardedDb::open_memory(sharded(1, Options::small_for_tests())).expect("open");
     let (connector, listener) = MemTransport::endpoint();
-    let server = Server::start(
-        db,
-        Arc::new(listener),
-        ServerOptions {
-            max_frame: 1 << 10,
-            ..ServerOptions::default()
-        },
-    );
+    let server = Server::start(db, Arc::new(listener), ServerOptions { max_frame: 1 << 10 });
     let conn = connector.connect().expect("dial");
     let mut w = conn.writer;
+    let mut batch = WriteBatch::new();
+    batch.put(1, &[0u8; 4 << 10]);
     let mut buf = Vec::new();
     encode_request(
         &mut buf,
         1,
-        &Request::Put {
-            key: 1,
-            value: vec![0u8; 4 << 10],
+        &Request::WriteBatch {
+            batch,
             durable: false,
         },
     );

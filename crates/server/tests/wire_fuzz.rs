@@ -8,11 +8,13 @@
 //! Every outcome must be a typed `FrameError`, a typed `Err` or an `Ok` —
 //! never a panic — and no allocation on the way may exceed what the bytes
 //! that arrived can justify: the largest in-memory element per wire byte
-//! is a batch entry (32 bytes for at least 9 on the wire), so no single
-//! allocation may pass `RESERVE_FACTOR` × the frame, plus room for an
-//! error message. `read_frame` reserves the declared body up to its cap;
-//! the cap here is the intact frame's body, as a server's is its largest
-//! legal frame, so a length flip upward is `BadLength`, never a reserve.
+//! is a batch op (40 bytes for at least 9 on the wire; the 18 bytes of
+//! frame header, flags and count cover the excess over 4× at the sizes
+//! here), so no single allocation may pass `RESERVE_FACTOR` × the frame,
+//! plus room for an error message. `read_frame` reserves the declared body
+//! up to its cap; the cap here is the intact frame's body, as a server's is
+//! its largest legal frame, so a length flip upward is `BadLength`, never a
+//! reserve.
 //!
 //! The wire carries no checksum (the transport under a frame is trusted
 //! to deliver the bytes sent), so a flip may decode to another valid
@@ -29,7 +31,8 @@ use lsm_obs::{EngineObs, EventKind, MetricsSnapshot, Observer};
 use lsm_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame,
 };
-use lsm_server::{BatchEntry, Request, Response, ServerError};
+use lsm_server::{Request, Response, ServerError};
+use lsm_tree::WriteBatch;
 use rand::{RngCore, SeedableRng, StdRng};
 
 /// Largest single allocation per frame byte a decode may make.
@@ -127,33 +130,26 @@ fn metrics_snapshot() -> MetricsSnapshot {
 }
 
 fn requests() -> Vec<(&'static str, Request)> {
+    let write = |batch: &mut WriteBatch, durable| Request::WriteBatch {
+        batch: std::mem::take(batch),
+        durable,
+    };
     vec![
         ("GET", Request::Get { key: 0xfeed }),
         (
-            "PUT",
-            Request::Put {
-                key: 1,
-                value: b"value".to_vec(),
-                durable: true,
-            },
+            "WRITE_BATCH put",
+            write(WriteBatch::new().put(1, b"value"), true),
         ),
         (
-            "DELETE",
-            Request::Delete {
-                key: 2,
-                durable: false,
-            },
+            "WRITE_BATCH delete",
+            write(WriteBatch::new().delete(2), false),
         ),
         (
             "WRITE_BATCH",
-            Request::WriteBatch {
-                entries: vec![
-                    BatchEntry::Put(3, vec![0xab; 24]),
-                    BatchEntry::Delete(4),
-                    BatchEntry::Put(5, Vec::new()),
-                ],
-                durable: true,
-            },
+            write(
+                WriteBatch::new().put(3, &[0xab; 24]).delete(4).put(5, &[]),
+                true,
+            ),
         ),
         (
             "SCAN",

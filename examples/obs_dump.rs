@@ -44,10 +44,7 @@ fn main() {
 
     let mut base = Options::small_for_tests();
     base.observability = true;
-    base.maintenance = Maintenance::Background {
-        flush_threads: 1,
-        compaction_threads: 1,
-    };
+    base.maintenance = Maintenance::Background;
     // Uniform-trained boundaries + a zipfian-dense stream: the hot shard
     // fattens until the live-split trigger fires, so the timeline carries
     // the full split lifecycle alongside flushes and stalls.

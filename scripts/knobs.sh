@@ -1,6 +1,6 @@
 #!/bin/sh
 # The option count of record: the `pub` fields of the option structs a caller
-# can set, plus the fields of the two option enums' struct variants. ROADMAP's
+# can set, plus the fields of the option enums' struct variants. ROADMAP's
 # house rule "no new `Options` field" and CHANGES.md quote these numbers.
 #
 # usage: scripts/knobs.sh [--max N] [repo-root]
@@ -29,7 +29,6 @@ ReadOptions|crates/lsm/src/options.rs|^pub struct ReadOptions<|$struct
 WriteOptions|crates/lsm/src/options.rs|^pub struct WriteOptions [{]|$struct
 ServerOptions|crates/server/src/server.rs|^pub struct ServerOptions [{]|$struct
 IndexConfig|crates/learned/src/lib.rs|^pub struct IndexConfig [{]|$struct
-Maintenance::Background|crates/lsm/src/options.rs|^    Background [{]|$variant
 ShardingPolicy::LearnedRange|crates/lsm/src/options.rs|^    LearnedRange [{]|$variant"
 
 total=0 missing=0

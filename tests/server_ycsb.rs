@@ -20,28 +20,28 @@ const VALUE_WIDTH: usize = 32;
 /// so a GET or SCAN is never shed by admission control.
 const WINDOW: usize = 32;
 
-/// Background maintenance on a small shared pool, so writes in the mix
-/// meet real flushes, compactions and write pressure.
+/// Background maintenance, so writes in the mix meet real flushes,
+/// compactions and write pressure.
 fn engine_options() -> Options {
     let mut o = Options::default();
     o.index.kind = IndexKind::Pgm;
     o.value_width = VALUE_WIDTH;
     o.write_buffer_bytes = 128 << 10;
     o.sstable_target_bytes = 128 << 10;
-    o.maintenance = Maintenance::Background {
-        flush_threads: 2,
-        compaction_threads: 2,
-    };
+    o.maintenance = Maintenance::Background;
     o
 }
 
 /// Expand one YCSB op into wire requests. Read-modify-write becomes a GET
-/// and then a PUT, as a real client sends it.
+/// and then a one-put WRITE_BATCH, as a real client sends it.
 fn push_requests(reqs: &mut Vec<Request>, op: Op) {
-    let put = |key: u64, value_key: u64| Request::Put {
-        key,
-        value: value_for_key(value_key, VALUE_WIDTH),
-        durable: false,
+    let put = |key: u64, value_key: u64| {
+        let mut batch = WriteBatch::with_capacity(1);
+        batch.put(key, &value_for_key(value_key, VALUE_WIDTH));
+        Request::WriteBatch {
+            batch,
+            durable: false,
+        }
     };
     match op {
         Op::Read(k) => reqs.push(Request::Get { key: k }),
@@ -113,8 +113,11 @@ fn all_six_ycsb_mixes_run_through_the_server_path() {
                         "YCSB-{name}: loaded key {key} answered None"
                     ),
                     (Request::Scan { .. }, Response::Entries(_)) => {}
-                    (Request::Put { .. }, Response::Committed { .. }) => {}
-                    (Request::Put { .. }, Response::Error(ServerError::RetryAfter { .. })) => {}
+                    (Request::WriteBatch { .. }, Response::Committed { .. }) => {}
+                    (
+                        Request::WriteBatch { .. },
+                        Response::Error(ServerError::RetryAfter { .. }),
+                    ) => {}
                     _ => panic!("YCSB-{name}: {req:?} answered {resp:?}"),
                 }
             }
