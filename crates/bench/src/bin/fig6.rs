@@ -6,8 +6,8 @@ use lsm_bench::{runner, Cli};
 
 fn main() {
     let cli = Cli::parse();
-    let records =
-        runner::fig6(&cli.scale, &cli.datasets(), &runner::BOUNDARIES).expect("fig6 experiment");
+    let records = runner::fig6(&cli.scale, &cli.datasets(), &learned_lsm::PAPER_BOUNDARIES)
+        .expect("fig6 experiment");
     println!("# Figure 6 — latency & memory vs position boundary");
     let mut last_dataset = String::new();
     for r in &records {

@@ -62,9 +62,6 @@ pub fn fig5(keys_per_dataset: usize, points: usize, seed: u64) -> Vec<CdfRecord>
 
 // ---------------------------------------------------------------- Figure 6
 
-/// Position boundaries used by the quick profile (same as the paper's).
-pub const BOUNDARIES: [usize; 6] = [256, 128, 64, 32, 16, 8];
-
 /// Figure 6: latency and memory vs position boundary, per index, per dataset.
 pub fn fig6(
     scale: &Scale,

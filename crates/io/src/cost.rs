@@ -28,9 +28,10 @@ pub struct CostModel {
     /// cheaper than random reads on NVMe.
     pub write_block_ns: u64,
     /// Flush (`sync`) latency, nanoseconds. Unlike the counted read/write
-    /// costs above, this one is **realized**: [`crate::SimStorage`] actually
-    /// sleeps the calling thread for this long on every `sync`, because the
-    /// interesting behaviour of a durable commit path — writers piling into
+    /// costs above, this one is **realized**: a modeled
+    /// [`crate::MemStorage`] actually sleeps the calling thread for this
+    /// long on every `sync`, because the interesting behaviour of a durable
+    /// commit path — writers piling into
     /// the commit queue while the leader is stuck in `fsync`, letting the
     /// next leader fuse them into one record — only emerges when the leader
     /// is genuinely blocked. `0` (the default) keeps `sync` free and
@@ -52,8 +53,8 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A cost model that charges nothing — turns a [`crate::SimStorage`] into
-    /// a counting-only [`crate::MemStorage`].
+    /// A cost model that charges no time: a store under it counts calls,
+    /// bytes and blocks only.
     pub fn free() -> Self {
         Self {
             block_size: DEFAULT_BLOCK_SIZE,

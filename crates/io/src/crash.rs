@@ -1,25 +1,24 @@
 //! Deterministic crash-point storage for recovery testing.
 //!
-//! [`CrashStorage`] wraps an in-memory file store and **halts the world**
-//! after a configurable number of mutating storage operations: the N-th
-//! and every later `create`/`append`/`sync`/`remove` fails with a
-//! "simulated crash" error, so the byte image freezes at an exact,
-//! reproducible operation boundary. [`CrashStorage::image`] then yields a
-//! deep copy of that frozen state — exactly what a real crash would leave
-//! on disk — which a test reopens as a fresh database, any number of
-//! times (including re-crashing the recovery itself via
-//! [`CrashStorage::over`]).
+//! A [`CrashStorage`] is an in-memory store behind an [`Interposed`] whose
+//! hook, the [`CrashControl`], **halts the world** after a configurable
+//! number of mutating storage operations: the N-th and every later
+//! `create`/`append`/`sync`/`remove` fails with a "simulated crash" error,
+//! so the byte image freezes at an exact, reproducible operation boundary.
+//! [`CrashStorage::image`] then yields a deep copy of that frozen state —
+//! exactly what a real crash would leave on disk — which a test reopens as
+//! a fresh database, any number of times (including re-crashing the
+//! recovery itself via [`CrashStorage::over`]).
 //!
-//! This generalizes [`crate::FaultStorage`]: where the fault wrapper
-//! injects *recoverable* errors (a budget of writes, a poisoned name) to
-//! test clean failure paths, the crash storage models *termination* — no
-//! operation succeeds after the crash point, and recovery only ever sees
-//! the image. Because the index is an exact operation count rather than a
-//! byte budget spread across unrelated files, a test can enumerate every
-//! crash point of a protocol (`for n in 0..=total_ops`) instead of
-//! sampling, and two runs of the same deterministic workload crash at the
-//! same place — which is what lets the WAL stay enabled in
-//! failure-injection tests.
+//! Where the fault storage ([`crate::FaultStorage`]) injects *recoverable*
+//! errors (a budget of appends, a poisoned name) to test clean failure
+//! paths, the crash storage models *termination* — no operation succeeds
+//! after the crash point, and recovery only ever sees the image. Because
+//! the index is an exact operation count rather than a byte budget spread
+//! across unrelated files, a test can enumerate every crash point of a
+//! protocol (`for n in 0..=total_ops`) instead of sampling, and two runs
+//! of the same deterministic workload crash at the same place — which is
+//! what lets the WAL stay enabled in failure-injection tests.
 //!
 //! Reads are never failed: they cannot change the image, and the
 //! in-process engine is expected to keep serving whatever it has in
@@ -30,9 +29,10 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
+use crate::interpose::{Hook, Interposed, Op};
+use crate::MemStorage;
 
-/// Shared crash-point control handle.
+/// Shared crash-point control handle: the hook of a [`CrashStorage`].
 #[derive(Debug)]
 pub struct CrashControl {
     /// Mutating operations performed so far.
@@ -84,7 +84,8 @@ impl CrashControl {
 
     /// Count one mutating operation, failing it if the world has halted.
     /// Check-and-increment is a single CAS so concurrent writers can never
-    /// slip an operation past the limit.
+    /// slip an operation past the limit
+    /// (`concurrent_appends_never_pass_the_limit`).
     fn tick(&self) -> io::Result<()> {
         let limit = self.limit.load(Ordering::SeqCst);
         let allowed = self
@@ -101,11 +102,17 @@ impl CrashControl {
     }
 }
 
-/// In-memory storage that halts at an exact mutating-operation index.
-pub struct CrashStorage {
-    inner: MemStorage,
-    control: Arc<CrashControl>,
+impl Hook for CrashControl {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        match op {
+            Op::Open(_) | Op::Read(_) => Ok(()),
+            Op::Create(_) | Op::Append(..) | Op::Sync(_) | Op::Remove(_) => self.tick(),
+        }
+    }
 }
+
+/// In-memory storage that halts at an exact mutating-operation index.
+pub type CrashStorage = Interposed<Arc<MemStorage>, CrashControl>;
 
 impl CrashStorage {
     /// A fresh, empty crash-point store and its control handle.
@@ -118,18 +125,13 @@ impl CrashStorage {
     /// *recovery* of an earlier crash.
     pub fn over(image: MemStorage) -> (Arc<CrashStorage>, Arc<CrashControl>) {
         let control = Arc::new(CrashControl::default());
-        (
-            Arc::new(CrashStorage {
-                inner: image,
-                control: Arc::clone(&control),
-            }),
-            control,
-        )
+        let storage = Interposed::hooked(Arc::new(image), Arc::clone(&control));
+        (Arc::new(storage), control)
     }
 
     /// The control handle (also returned by the constructors).
     pub fn control(&self) -> &Arc<CrashControl> {
-        &self.control
+        &self.hook
     }
 
     /// A deep copy of the current byte image — what the "disk" holds at
@@ -140,66 +142,10 @@ impl CrashStorage {
     }
 }
 
-/// Append side: every `append`/`sync` is one mutating operation.
-struct CrashWriter {
-    inner: Box<dyn WritableFile>,
-    control: Arc<CrashControl>,
-}
-
-impl WritableFile for CrashWriter {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.control.tick()?;
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.control.tick()?;
-        self.inner.sync()
-    }
-
-    fn written(&self) -> u64 {
-        self.inner.written()
-    }
-}
-
-impl Storage for CrashStorage {
-    fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
-        self.inner.open_read(name)
-    }
-
-    fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        self.control.tick()?;
-        Ok(Box::new(CrashWriter {
-            inner: self.inner.create(name)?,
-            control: Arc::clone(&self.control),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.control.tick()?;
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.inner.list()
-    }
-
-    fn size_of(&self, name: &str) -> io::Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Storage;
 
     #[test]
     fn world_halts_at_the_exact_op_index() {
@@ -266,5 +212,48 @@ mod tests {
         assert!(!ctl.has_crashed());
         w.append(b"y").unwrap();
         assert_eq!(s.size_of("f").unwrap(), 1);
+    }
+
+    /// Eight writers race one armed control: exactly `k` appends get
+    /// through, each writer's appends fail from its first failure on, and
+    /// the count stops at the limit.
+    #[test]
+    fn concurrent_appends_never_pass_the_limit() {
+        const K: u64 = 3_001;
+        let (s, ctl) = CrashStorage::new();
+        let writers: Vec<_> = (0..8)
+            .map(|t| s.create(&format!("f{t}")).unwrap())
+            .collect();
+        let armed_at = ctl.ops();
+        ctl.crash_after(K);
+        let start = std::sync::Barrier::new(writers.len());
+        let passed: u64 = std::thread::scope(|scope| {
+            let threads: Vec<_> = writers
+                .into_iter()
+                .map(|mut w| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        let results: Vec<bool> =
+                            (0..1_000).map(|_| w.append(b"x").is_ok()).collect();
+                        let passed = results.iter().take_while(|&&ok| ok).count();
+                        assert!(
+                            results[passed..].iter().all(|&ok| !ok),
+                            "an append passed a failed one"
+                        );
+                        passed as u64
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        assert_eq!(passed, K);
+        assert_eq!(ctl.ops(), armed_at + K);
+        assert!(ctl.has_crashed());
+        let image = s.image();
+        let bytes: u64 = (0..8)
+            .map(|t| image.size_of(&format!("f{t}")).unwrap())
+            .sum();
+        assert_eq!(bytes, K, "the image holds exactly the appends that passed");
     }
 }

@@ -1,10 +1,11 @@
-//! Fault-injection storage wrapper for failure testing.
+//! Fault-injection storage for failure testing.
 //!
-//! Wraps any [`Storage`] and fails I/O operations on command: after a
-//! countdown of operations, or on every operation matching a name substring.
-//! Used by the engine's failure-injection tests to check that flushes and
-//! compactions fail *cleanly* (no torn versions, reads keep working, a retry
-//! succeeds once the fault clears).
+//! A [`FaultStorage`] is any [`Storage`] behind an [`Interposed`] whose
+//! hook, the [`FaultControl`], fails operations on command: the appends
+//! past a budget, or every read and write of a file whose name matches a
+//! substring. Used by the engine's failure-injection tests to check that
+//! flushes and compactions fail *cleanly* (no torn versions, reads keep
+//! working, a retry succeeds once the fault clears).
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -12,15 +13,16 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::{IoStats, RandomAccessFile, Storage, WritableFile};
+use crate::interpose::{Hook, Interposed, Op};
+use crate::Storage;
 
-/// Shared fault control handle.
+/// Shared fault control handle: the hook of a [`FaultStorage`].
 #[derive(Debug)]
 pub struct FaultControl {
-    /// Remaining successful *write* operations before failures begin
-    /// (negative = unlimited).
+    /// Remaining successful appends before failures begin (negative =
+    /// unlimited).
     writes_until_failure: AtomicI64,
-    /// Fail every operation touching a file whose name contains this.
+    /// Fail the reads and writes of a file whose name contains this.
     poisoned_substring: RwLock<Option<String>>,
     /// Master switch.
     armed: AtomicBool,
@@ -39,13 +41,16 @@ impl Default for FaultControl {
 }
 
 impl FaultControl {
-    /// Allow `n` more write operations, then fail all subsequent ones.
+    /// Allow `n` more appends, then fail every later one. Creates, syncs
+    /// and removes do not count and are not failed.
     pub fn fail_writes_after(&self, n: u64) {
         self.writes_until_failure.store(n as i64, Ordering::SeqCst);
         self.armed.store(true, Ordering::SeqCst);
     }
 
-    /// Fail every operation on files whose name contains `pat`.
+    /// Fail the `open_read`, reads, `create`, appends and syncs of every
+    /// file whose name contains `pat`. Its `remove` still succeeds, and
+    /// `exists`, `list`, `size_of` and a file's `len` are never failed.
     pub fn poison(&self, pat: &str) {
         *self.poisoned_substring.write() = Some(pat.to_string());
         self.armed.store(true, Ordering::SeqCst);
@@ -83,123 +88,33 @@ impl FaultControl {
     }
 }
 
-fn injected() -> io::Error {
-    io::Error::other("injected fault")
+impl Hook for FaultControl {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        let fails = match op {
+            Op::Open(name) | Op::Read(name) | Op::Create(name) | Op::Sync(name) => {
+                self.name_poisoned(name)
+            }
+            Op::Append(name, _) => self.name_poisoned(name) || !self.consume_write_budget(),
+            Op::Remove(_) => false,
+        };
+        if fails {
+            return Err(io::Error::other("injected fault"));
+        }
+        Ok(())
+    }
 }
 
-/// Storage wrapper that injects failures per its [`FaultControl`].
-pub struct FaultStorage {
-    inner: Arc<dyn Storage>,
-    control: Arc<FaultControl>,
-}
+/// A storage that injects failures per its [`FaultControl`].
+pub type FaultStorage = Interposed<Arc<dyn Storage>, FaultControl>;
 
 impl FaultStorage {
     /// Wrap `inner`; returns the storage and its control handle.
     pub fn wrap(inner: Arc<dyn Storage>) -> (Arc<FaultStorage>, Arc<FaultControl>) {
         let control = Arc::new(FaultControl::default());
         (
-            Arc::new(FaultStorage {
-                inner,
-                control: Arc::clone(&control),
-            }),
+            Arc::new(Interposed::hooked(inner, Arc::clone(&control))),
             control,
         )
-    }
-}
-
-struct FaultWriter {
-    inner: Box<dyn WritableFile>,
-    control: Arc<FaultControl>,
-    name: String,
-}
-
-impl WritableFile for FaultWriter {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        if self.control.name_poisoned(&self.name) || !self.control.consume_write_budget() {
-            return Err(injected());
-        }
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if self.control.name_poisoned(&self.name) {
-            return Err(injected());
-        }
-        self.inner.sync()
-    }
-
-    fn written(&self) -> u64 {
-        self.inner.written()
-    }
-}
-
-struct FaultFile {
-    inner: Arc<dyn RandomAccessFile>,
-    control: Arc<FaultControl>,
-    name: String,
-}
-
-impl RandomAccessFile for FaultFile {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        if self.control.name_poisoned(&self.name) {
-            return Err(injected());
-        }
-        self.inner.read_at(offset, buf)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn read_exact_vectored_at(&self, offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<()> {
-        if self.control.name_poisoned(&self.name) {
-            return Err(injected());
-        }
-        self.inner.read_exact_vectored_at(offset, bufs)
-    }
-}
-
-impl Storage for FaultStorage {
-    fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
-        if self.control.name_poisoned(name) {
-            return Err(injected());
-        }
-        Ok(Arc::new(FaultFile {
-            inner: self.inner.open_read(name)?,
-            control: Arc::clone(&self.control),
-            name: name.to_string(),
-        }))
-    }
-
-    fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        if self.control.name_poisoned(name) {
-            return Err(injected());
-        }
-        Ok(Box::new(FaultWriter {
-            inner: self.inner.create(name)?,
-            control: Arc::clone(&self.control),
-            name: name.to_string(),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.inner.list()
-    }
-
-    fn size_of(&self, name: &str) -> io::Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
     }
 }
 
@@ -230,6 +145,12 @@ mod tests {
         let r = s.open_read("keep").unwrap();
         let mut b = [0u8; 1];
         r.read_exact_at(0, &mut b).unwrap();
+        ctl.poison("keep");
+        assert!(r.read_exact_at(0, &mut b).is_err());
+        assert!(s.open_read("keep").is_err());
+        assert_eq!(s.size_of("keep").unwrap(), 1, "size_of is never failed");
+        s.remove("keep").unwrap();
+        ctl.poison("bad");
         ctl.heal();
         assert!(s.create("bad-file").is_ok());
     }

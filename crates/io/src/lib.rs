@@ -3,17 +3,26 @@
 //! The paper's experiments run against a 2 TB NVMe SSD through `pread`. To
 //! make the reproduction deterministic and machine-independent we model the
 //! device instead of requiring the hardware: every experiment runs against a
-//! [`Storage`] implementation, and three are provided:
+//! [`Storage`] implementation. There are two devices:
 //!
 //! * [`FileStorage`] — real files on a local filesystem (functional parity,
 //!   used by integration tests and anyone who wants to run on a real disk).
-//! * [`MemStorage`] — plain in-memory files (fast unit tests).
-//! * [`SimStorage`] — in-memory files plus a *deterministic I/O cost model*:
-//!   each read/write is charged in 4096-byte blocks against a virtual clock,
-//!   calibrated so that one random block read costs ~2.1 µs, matching Table 1
-//!   of the paper ("Disk I/O 2.10–2.16 us/op"). All experiments report
-//!   `cpu time (measured) + I/O time (modeled)`, which reproduces the paper's
-//!   latency *shapes* exactly and is immune to page-cache noise.
+//! * [`MemStorage`] — in-memory files. [`MemStorage::new`] counts bytes and
+//!   calls only (fast unit tests); [`MemStorage::modeled`] adds a
+//!   *deterministic I/O cost model*: each read/write is charged in
+//!   4096-byte blocks against a virtual clock, calibrated so that one
+//!   random block read costs ~2.1 µs, matching Table 1 of the paper ("Disk
+//!   I/O 2.10–2.16 us/op"). [`SimStorage`] is the modeled store under the
+//!   name the benchmark uses. All experiments report `cpu time (measured) +
+//!   I/O time (modeled)`, which reproduces the paper's latency *shapes*
+//!   exactly and is immune to page-cache noise.
+//!
+//! [`PrefixedStorage`] is a per-shard view of one device. Every storage
+//! that only *watches* operations is one decorator, [`Interposed`], with a
+//! [`Hook`] that sees each [`Op`] before the wrapped store does:
+//! [`CrashStorage`] halts at an operation index ([`CrashControl`]),
+//! [`FaultStorage`] fails a budget or a name ([`FaultControl`]), and tests
+//! park or record operations with hooks of their own.
 //!
 //! The traits intentionally mirror LevelDB's `Env`/`RandomAccessFile`/
 //! `WritableFile` split because the testbed is a LevelDB-style system.
@@ -22,6 +31,7 @@ pub mod cost;
 pub mod crash;
 pub mod fault;
 pub mod file;
+pub mod interpose;
 pub mod mem;
 pub mod prefix;
 pub mod sim;
@@ -34,6 +44,7 @@ pub use cost::{CostModel, DEFAULT_BLOCK_SIZE};
 pub use crash::{CrashControl, CrashStorage};
 pub use fault::{FaultControl, FaultStorage};
 pub use file::FileStorage;
+pub use interpose::{Hook, Interposed, Op};
 pub use mem::MemStorage;
 pub use prefix::PrefixedStorage;
 pub use sim::SimStorage;
@@ -45,9 +56,9 @@ pub use stats::{IoStats, IoStatsSnapshot};
 /// SSTables concurrently from lookups and compactions.
 ///
 /// One method call is one device call: the engine's read counts
-/// (`IoStats::read_calls`, and what a [`SimStorage`] charges) count calls of
-/// `read_at`, `read_exact_at` and `read_exact_vectored_at` alike, so a
-/// wrapper that forwards a vectored read forwards it as one.
+/// (`IoStats::read_calls`, and what a modeled [`MemStorage`] charges)
+/// count calls of `read_at`, `read_exact_at` and `read_exact_vectored_at`
+/// alike, so a wrapper that forwards a vectored read forwards it as one.
 pub trait RandomAccessFile: Send + Sync {
     /// Read up to `buf.len()` bytes starting at `offset`, returning the number
     /// of bytes read. Short reads only happen at end-of-file.
@@ -202,6 +213,16 @@ mod tests {
     }
 
     #[test]
+    fn unarmed_crash_storage_contract() {
+        exercise_storage(&*CrashStorage::new().0);
+    }
+
+    #[test]
+    fn unarmed_fault_storage_contract() {
+        exercise_storage(&*FaultStorage::wrap(Arc::new(MemStorage::new())).0);
+    }
+
+    #[test]
     fn file_storage_contract() {
         let dir = tempfile::tempdir().unwrap();
         exercise_storage(&FileStorage::new(dir.path()).unwrap());
@@ -280,6 +301,53 @@ mod tests {
         r.read_exact_vectored_at(0, &mut [&mut a[..], &mut b[..]])
             .unwrap();
         assert!(a.iter().chain(&b).all(|&x| x == 9));
+    }
+
+    /// Notes every operation, with the bytes of each append.
+    #[derive(Default)]
+    struct Recorder(parking_lot::Mutex<Vec<String>>);
+
+    impl Hook for Recorder {
+        fn before(&self, op: Op<'_>) -> io::Result<()> {
+            let line = match op {
+                Op::Append(name, data) => {
+                    format!("append {name} {}", String::from_utf8_lossy(data))
+                }
+                op => format!("{op:?}"),
+            };
+            self.0.lock().push(line);
+            Ok(())
+        }
+    }
+
+    /// A hook sees each operation once, in the order it is made, before
+    /// the store does — what a recording of a load's storage ops relies on.
+    #[test]
+    fn a_hook_sees_every_operation_in_order() {
+        let recorder = Arc::new(Recorder::default());
+        let s = Interposed::hooked(Arc::new(MemStorage::new()), Arc::clone(&recorder));
+        let mut w = s.create("f").unwrap();
+        w.append(b"ab").unwrap();
+        w.append(b"cd").unwrap();
+        w.sync().unwrap();
+        let r = s.open_read("f").unwrap();
+        r.read_exact_vectored_at(0, &mut [&mut [0u8; 1][..], &mut [0u8; 3][..]])
+            .unwrap();
+        assert!(s.exists("f") && r.len() == 4 && s.size_of("f").unwrap() == 4);
+        s.remove("f").unwrap();
+        assert_eq!(
+            *recorder.0.lock(),
+            [
+                "Create(\"f\")",
+                "append f ab",
+                "append f cd",
+                "Sync(\"f\")",
+                "Open(\"f\")",
+                "Read(\"f\")",
+                "Remove(\"f\")",
+            ]
+        );
+        assert_eq!(s.stats().snapshot().read_calls, 1, "one vectored read");
     }
 
     #[test]

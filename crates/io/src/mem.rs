@@ -1,5 +1,12 @@
-//! Plain in-memory storage. No cost model — used for fast unit tests and as
-//! the byte store underlying [`crate::SimStorage`].
+//! The in-memory store, with or without a cost model.
+//!
+//! [`MemStorage::new`] is the plain store of the unit tests: it counts the
+//! bytes and calls of every read and append and charges no blocks and no
+//! time. [`MemStorage::modeled`] is the same store with a [`CostModel`]:
+//! every read and append is charged in whole blocks against the store's
+//! [`IoStats`] virtual clock, so an experiment's "I/O time" is a pure
+//! function of its access pattern, and a `sync` sleeps the model's
+//! `sync_ns`. [`crate::SimStorage`] is the modeled store under its old name.
 
 use std::collections::HashMap;
 use std::io;
@@ -7,7 +14,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::{scatter, short_read, span_len, IoStats, RandomAccessFile, Storage, WritableFile};
+use crate::{
+    scatter, short_read, span_len, CostModel, IoStats, RandomAccessFile, Storage, WritableFile,
+};
 
 type FileMap = HashMap<String, Arc<RwLock<Vec<u8>>>>;
 
@@ -16,61 +25,93 @@ type FileMap = HashMap<String, Arc<RwLock<Vec<u8>>>>;
 pub struct MemStorage {
     files: RwLock<FileMap>,
     stats: IoStats,
+    /// What each access costs; `None` charges bytes and calls only.
+    model: Option<CostModel>,
 }
 
 impl MemStorage {
-    /// New empty store.
+    /// New empty store that charges no blocks and no time.
     pub fn new() -> Self {
         Self::default()
     }
 
-    pub(crate) fn get(&self, name: &str) -> Option<Arc<RwLock<Vec<u8>>>> {
-        self.files.read().get(name).cloned()
+    /// New empty store that charges every access by `model`.
+    pub fn modeled(model: CostModel) -> Self {
+        Self {
+            model: Some(model),
+            ..Self::default()
+        }
+    }
+
+    fn get(&self, name: &str) -> io::Result<Arc<RwLock<Vec<u8>>>> {
+        let file = self.files.read().get(name).cloned();
+        file.ok_or_else(|| not_found(name))
+    }
+
+    fn meter(&self) -> Meter {
+        Meter {
+            stats: self.stats.clone(),
+            model: self.model,
+        }
     }
 
     /// A deep copy of every file's current contents — a point-in-time disk
-    /// image. The crash-point harness ([`crate::CrashStorage`]) hands these
-    /// out so a test can "reopen the machine" from the exact bytes a halted
-    /// world left behind, as many times as it likes.
+    /// image, under the same cost model. The crash-point harness
+    /// ([`crate::CrashStorage`]) hands these out so a test can "reopen the
+    /// machine" from the exact bytes a halted world left behind, as many
+    /// times as it likes.
     pub fn deep_clone(&self) -> MemStorage {
-        let out = MemStorage::new();
-        let mut files = out.files.write();
-        for (name, data) in self.files.read().iter() {
-            files.insert(name.clone(), Arc::new(RwLock::new(data.read().clone())));
+        let files = self.files.read();
+        let copy = |(name, data): (&String, &Arc<RwLock<Vec<u8>>>)| {
+            (name.clone(), Arc::new(RwLock::new(data.read().clone())))
+        };
+        MemStorage {
+            files: RwLock::new(files.iter().map(copy).collect()),
+            stats: IoStats::default(),
+            model: self.model,
         }
-        drop(files);
-        out
+    }
+}
+
+fn not_found(name: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}"))
+}
+
+/// Where a file's traffic is charged: the store's counters and model.
+struct Meter {
+    stats: IoStats,
+    model: Option<CostModel>,
+}
+
+impl Meter {
+    fn read(&self, offset: u64, len: usize) {
+        let (blocks, ns) = self.model.map_or((0, 0), |m| {
+            (m.blocks_spanned(offset, len), m.read_cost_ns(offset, len))
+        });
+        self.stats.record_read(len as u64, blocks, ns);
     }
 
-    pub(crate) fn insert_empty(&self, name: &str) -> Arc<RwLock<Vec<u8>>> {
-        let buf = Arc::new(RwLock::new(Vec::new()));
-        self.files
-            .write()
-            .insert(name.to_string(), Arc::clone(&buf));
-        buf
-    }
-
-    fn not_found(name: &str) -> io::Error {
-        io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}"))
+    fn write(&self, offset: u64, len: usize) {
+        let (blocks, ns) = self.model.map_or((0, 0), |m| {
+            (m.blocks_spanned(offset, len), m.write_cost_ns(offset, len))
+        });
+        self.stats.record_write(len as u64, blocks, ns);
     }
 }
 
 /// Read side of an in-memory file.
-pub(crate) struct MemFile {
-    pub(crate) data: Arc<RwLock<Vec<u8>>>,
-    pub(crate) stats: IoStats,
+struct MemFile {
+    data: Arc<RwLock<Vec<u8>>>,
+    meter: Meter,
 }
 
 impl RandomAccessFile for MemFile {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
         let data = self.data.read();
-        let off = offset as usize;
-        if off >= data.len() {
-            return Ok(0);
-        }
-        let n = buf.len().min(data.len() - off);
-        buf[..n].copy_from_slice(&data[off..off + n]);
-        self.stats.record_read(n as u64, 0, 0);
+        let rest = data.get(offset as usize..).unwrap_or_default();
+        let n = buf.len().min(rest.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        self.meter.read(offset, n);
         Ok(n)
     }
 
@@ -86,16 +127,16 @@ impl RandomAccessFile for MemFile {
             return Err(short_read(offset, wanted, rest.len()));
         }
         scatter(rest, bufs);
-        self.stats.record_read(wanted as u64, 0, 0);
+        self.meter.read(offset, wanted);
         Ok(())
     }
 }
 
 /// Append side of an in-memory file.
-pub(crate) struct MemWriter {
-    pub(crate) data: Arc<RwLock<Vec<u8>>>,
-    pub(crate) stats: IoStats,
-    pub(crate) written: u64,
+struct MemWriter {
+    data: Arc<RwLock<Vec<u8>>>,
+    meter: Meter,
+    written: u64,
 }
 
 impl WritableFile for MemWriter {
@@ -111,12 +152,21 @@ impl WritableFile for MemWriter {
         }
         buf.extend_from_slice(data);
         drop(buf);
+        self.meter.write(self.written, data.len());
         self.written += data.len() as u64;
-        self.stats.record_write(data.len() as u64, 0, 0);
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        let sync_ns = self.meter.model.map_or(0, |m| m.sync_ns);
+        if sync_ns > 0 {
+            // Realized latency, not just a counted one: block the caller
+            // like a real FLUSH would, so commit-queue dynamics (group
+            // fusion behind a syncing leader) are physically reproduced.
+            // See `CostModel::sync_ns`.
+            self.meter.stats.record_sync(sync_ns);
+            std::thread::sleep(std::time::Duration::from_nanos(sync_ns));
+        }
         Ok(())
     }
 
@@ -127,28 +177,27 @@ impl WritableFile for MemWriter {
 
 impl Storage for MemStorage {
     fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
-        let data = self.get(name).ok_or_else(|| Self::not_found(name))?;
         Ok(Arc::new(MemFile {
-            data,
-            stats: self.stats.clone(),
+            data: self.get(name)?,
+            meter: self.meter(),
         }))
     }
 
     fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        let data = self.insert_empty(name);
+        let data = Arc::new(RwLock::new(Vec::new()));
+        self.files
+            .write()
+            .insert(name.to_string(), Arc::clone(&data));
         Ok(Box::new(MemWriter {
             data,
-            stats: self.stats.clone(),
+            meter: self.meter(),
             written: 0,
         }))
     }
 
     fn remove(&self, name: &str) -> io::Result<()> {
-        self.files
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| Self::not_found(name))
+        let removed = self.files.write().remove(name);
+        removed.map(drop).ok_or_else(|| not_found(name))
     }
 
     fn exists(&self, name: &str) -> bool {
@@ -160,9 +209,7 @@ impl Storage for MemStorage {
     }
 
     fn size_of(&self, name: &str) -> io::Result<u64> {
-        self.get(name)
-            .map(|d| d.read().len() as u64)
-            .ok_or_else(|| Self::not_found(name))
+        Ok(self.get(name)?.read().len() as u64)
     }
 
     fn stats(&self) -> &IoStats {

@@ -1,149 +1,60 @@
-//! Simulated block device: in-memory contents plus a deterministic cost model.
+//! The simulated block device under its old name.
 //!
-//! This is the device the benchmark harness runs against. Reads and writes
-//! behave exactly like [`crate::MemStorage`] but every call is charged in
-//! whole blocks against the storage's [`IoStats`] virtual clock, so an
-//! experiment's "I/O time" is a pure function of its access pattern.
+//! A [`SimStorage`] is a [`MemStorage::modeled`] store: in-memory contents
+//! whose every read and append is charged in whole blocks by a
+//! [`CostModel`]. It stays a type of its own only because the benchmark
+//! package names it (`Arc<SimStorage>`, `SimStorage::new`); new code can
+//! hold the modeled `MemStorage` directly.
 
 use std::io;
 use std::sync::Arc;
 
-use crate::mem::{MemFile, MemStorage, MemWriter};
-use crate::{span_len, CostModel, IoStats, RandomAccessFile, Storage, WritableFile};
+use crate::{CostModel, IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
 
 /// In-memory storage with block-granular simulated I/O costs.
-#[derive(Debug, Default)]
-pub struct SimStorage {
-    mem: MemStorage,
-    model: CostModel,
-}
+#[derive(Debug)]
+pub struct SimStorage(MemStorage);
 
 impl SimStorage {
     /// New empty simulated device with the given cost model.
     pub fn new(model: CostModel) -> Self {
-        Self {
-            mem: MemStorage::new(),
-            model,
-        }
-    }
-
-    /// The cost model in effect.
-    pub fn model(&self) -> &CostModel {
-        &self.model
+        Self(MemStorage::modeled(model))
     }
 }
 
-struct SimFile {
-    inner: MemFile,
-    model: CostModel,
-    stats: IoStats,
-}
-
-impl RandomAccessFile for SimFile {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        // Bypass MemFile's own stats (constructed with a detached sink); we
-        // charge block-granular costs here instead.
-        let n = self.inner.read_at(offset, buf)?;
-        let blocks = self.model.blocks_spanned(offset, n);
-        let ns = self.model.read_cost_ns(offset, n);
-        self.stats.record_read(n as u64, blocks, ns);
-        Ok(n)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn read_exact_vectored_at(&self, offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<()> {
-        self.inner.read_exact_vectored_at(offset, bufs)?;
-        let n = span_len(bufs);
-        let blocks = self.model.blocks_spanned(offset, n);
-        let ns = self.model.read_cost_ns(offset, n);
-        self.stats.record_read(n as u64, blocks, ns);
-        Ok(())
-    }
-}
-
-struct SimWriter {
-    inner: MemWriter,
-    model: CostModel,
-    stats: IoStats,
-}
-
-impl WritableFile for SimWriter {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        let offset = self.inner.written();
-        self.inner.append(data)?;
-        let blocks = self.model.blocks_spanned(offset, data.len());
-        let ns = self.model.write_cost_ns(offset, data.len());
-        self.stats.record_write(data.len() as u64, blocks, ns);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.inner.sync()?;
-        if self.model.sync_ns > 0 {
-            // Realized latency, not just a counted one: block the caller
-            // like a real FLUSH would, so commit-queue dynamics (group
-            // fusion behind a syncing leader) are physically reproduced.
-            // See `CostModel::sync_ns`.
-            self.stats.record_sync(self.model.sync_ns);
-            std::thread::sleep(std::time::Duration::from_nanos(self.model.sync_ns));
-        }
-        Ok(())
-    }
-
-    fn written(&self) -> u64 {
-        self.inner.written()
+impl Default for SimStorage {
+    fn default() -> Self {
+        Self::new(CostModel::default())
     }
 }
 
 impl Storage for SimStorage {
     fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
-        let data = self.mem.get(name).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no such file: {name}"))
-        })?;
-        Ok(Arc::new(SimFile {
-            inner: MemFile {
-                data,
-                stats: IoStats::new(),
-            },
-            model: self.model,
-            stats: self.mem.stats().clone(),
-        }))
+        self.0.open_read(name)
     }
 
     fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        let data = self.mem.insert_empty(name);
-        Ok(Box::new(SimWriter {
-            inner: MemWriter {
-                data,
-                stats: IoStats::new(),
-                written: 0,
-            },
-            model: self.model,
-            stats: self.mem.stats().clone(),
-        }))
+        self.0.create(name)
     }
 
     fn remove(&self, name: &str) -> io::Result<()> {
-        self.mem.remove(name)
+        self.0.remove(name)
     }
 
     fn exists(&self, name: &str) -> bool {
-        self.mem.exists(name)
+        self.0.exists(name)
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
-        self.mem.list()
+        self.0.list()
     }
 
     fn size_of(&self, name: &str) -> io::Result<u64> {
-        self.mem.size_of(name)
+        self.0.size_of(name)
     }
 
     fn stats(&self) -> &IoStats {
-        self.mem.stats()
+        self.0.stats()
     }
 }
 

@@ -370,11 +370,6 @@ impl PgmIndex {
         self.levels.len()
     }
 
-    /// Leaf segments (used by tests and the ablation bench).
-    pub fn leaf_segments(&self) -> &[PgmSegment] {
-        &self.levels[0]
-    }
-
     /// Rank of `key` in `segs` limited to the predicted window `[lo, hi)`,
     /// with defensive fallback to a full binary search if the window missed
     /// (cannot happen when the ε guarantee holds, but costs nothing to keep).

@@ -16,8 +16,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Maximum LSM levels tracked by the per-level counters.
-pub const MAX_LEVELS: usize = 12;
+use crate::version::MAX_LEVELS;
 
 /// One lookup in this many is timed (see [`DbStats::begin_lookup`]).
 pub const STAGE_SAMPLE_PERIOD: u64 = 16;

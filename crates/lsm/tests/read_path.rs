@@ -10,7 +10,7 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use lsm_io::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
+use lsm_io::{Hook, Interposed, MemStorage, Op, Storage};
 use lsm_tree::{
     Db, IndexGranularity, Maintenance, Options, ReadOptions, ShardedDb, ShardedOptions, WriteBatch,
     WriteOptions, WritePressure,
@@ -19,7 +19,8 @@ use lsm_workloads::value_for_key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Once armed, parks the next WAL `sync` until released.
+/// A storage hook that, once armed, parks the next WAL `sync` until
+/// released.
 #[derive(Default)]
 struct Gate {
     /// `(armed, parked, released)`.
@@ -57,64 +58,21 @@ impl Gate {
     }
 }
 
-struct GateStorage {
-    inner: MemStorage,
-    gate: Arc<Gate>,
-}
-
-struct GateWriter {
-    inner: Box<dyn WritableFile>,
-    gate: Option<Arc<Gate>>,
-}
-
-impl WritableFile for GateWriter {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if let Some(gate) = &self.gate {
-            gate.pass();
+impl Hook for Gate {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        if matches!(op, Op::Sync(name) if name.ends_with(".wal")) {
+            self.pass();
         }
-        self.inner.sync()
-    }
-
-    fn written(&self) -> u64 {
-        self.inner.written()
+        Ok(())
     }
 }
 
-impl Storage for GateStorage {
-    fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
-        self.inner.open_read(name)
-    }
-
-    fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        Ok(Box::new(GateWriter {
-            inner: self.inner.create(name)?,
-            gate: name.ends_with(".wal").then(|| Arc::clone(&self.gate)),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.inner.list()
-    }
-
-    fn size_of(&self, name: &str) -> io::Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
-    }
+/// A fresh store whose WAL syncs pass `gate`.
+fn gated(gate: &Arc<Gate>) -> Arc<dyn Storage> {
+    Arc::new(Interposed::hooked(
+        Arc::new(MemStorage::new()),
+        Arc::clone(gate),
+    ))
 }
 
 /// A group-commit leader syncs the WAL while it holds the tree write lock.
@@ -124,10 +82,7 @@ impl Storage for GateStorage {
 #[test]
 fn no_read_waits_for_a_sync() {
     let gate = Arc::new(Gate::default());
-    let storage = Arc::new(GateStorage {
-        inner: MemStorage::new(),
-        gate: Arc::clone(&gate),
-    });
+    let storage = gated(&gate);
     // Background maintenance, so that `write_pressure` has triggers to read.
     let mut opts = Options::small_for_tests();
     opts.maintenance = Maintenance::background();
@@ -187,10 +142,7 @@ fn no_read_waits_for_a_sync() {
 #[test]
 fn no_sharded_read_waits_for_a_sync() {
     let gate = Arc::new(Gate::default());
-    let storage = Arc::new(GateStorage {
-        inner: MemStorage::new(),
-        gate: Arc::clone(&gate),
-    });
+    let storage = gated(&gate);
     let mut base = Options::small_for_tests();
     base.maintenance = Maintenance::background();
     let db = ShardedDb::open(

@@ -20,9 +20,7 @@ use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use learned_index::IndexKind;
-use lsm_io::{
-    FaultControl, FaultStorage, IoStats, MemStorage, RandomAccessFile, Storage, WritableFile,
-};
+use lsm_io::{FaultControl, FaultStorage, Hook, Interposed, MemStorage, Op, Storage};
 use lsm_tree::compaction::{LevelWriter, TableContext};
 use lsm_tree::scheduler::borrow_subcompaction_threads;
 use lsm_tree::stats::DbStats;
@@ -43,79 +41,29 @@ fn fnv(bytes: &[u8]) -> u64 {
 
 type Log = Arc<Mutex<Vec<String>>>;
 
-/// Storage that logs every mutating operation in the order it arrives.
-struct Recording {
-    inner: Arc<dyn Storage>,
-    log: Log,
-}
-
-struct RecordingFile {
-    inner: Box<dyn WritableFile>,
-    name: String,
-    log: Log,
-}
+/// A storage hook that logs every mutating operation in the order it
+/// arrives.
+struct Recording(Log);
 
 impl Recording {
-    fn over(inner: Arc<dyn Storage>) -> (Arc<Recording>, Log) {
+    fn over(inner: Arc<dyn Storage>) -> (Arc<dyn Storage>, Log) {
         let log = Log::default();
-        let storage = Recording {
-            inner,
-            log: Arc::clone(&log),
+        let hook = Arc::new(Recording(Arc::clone(&log)));
+        (Arc::new(Interposed::hooked(inner, hook)), log)
+    }
+}
+
+impl Hook for Recording {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        let line = match op {
+            Op::Create(name) => format!("create {name}"),
+            Op::Append(name, data) => format!("append {name} {} {:016x}", data.len(), fnv(data)),
+            Op::Sync(name) => format!("sync {name}"),
+            Op::Remove(name) => format!("remove {name}"),
+            Op::Open(_) | Op::Read(_) => return Ok(()),
         };
-        (Arc::new(storage), log)
-    }
-}
-
-impl WritableFile for RecordingFile {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        let op = format!("append {} {} {:016x}", self.name, data.len(), fnv(data));
-        self.log.lock().unwrap().push(op);
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.log.lock().unwrap().push(format!("sync {}", self.name));
-        self.inner.sync()
-    }
-
-    fn written(&self) -> u64 {
-        self.inner.written()
-    }
-}
-
-impl Storage for Recording {
-    fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
-        self.inner.open_read(name)
-    }
-
-    fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        self.log.lock().unwrap().push(format!("create {name}"));
-        Ok(Box::new(RecordingFile {
-            inner: self.inner.create(name)?,
-            name: name.to_string(),
-            log: Arc::clone(&self.log),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.log.lock().unwrap().push(format!("remove {name}"));
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.inner.list()
-    }
-
-    fn size_of(&self, name: &str) -> io::Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
+        self.0.lock().unwrap().push(line);
+        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use learned_index::IndexKind;
-use lsm_io::{IoStats, MemStorage, RandomAccessFile, Storage, WritableFile};
+use lsm_io::{Hook, Interposed, MemStorage, Op};
 use lsm_tree::compaction::pick_compaction;
 use lsm_tree::version::MAX_LEVELS;
 use lsm_tree::{Db, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
@@ -172,8 +172,8 @@ fn snapshot_pins_prefix_across_concurrent_overwrites() {
     }
 }
 
-/// Parks the first table `sync` until released (the gate-storage idiom of
-/// `read_path.rs`, on `.sst` files instead of `.wal` ones).
+/// A storage hook that parks the first table `sync` until released (the
+/// gate of `read_path.rs`, on `.sst` files instead of `.wal` ones).
 #[derive(Default)]
 struct Gate {
     /// `(parked, released)`.
@@ -204,63 +204,12 @@ impl Gate {
     }
 }
 
-struct GateStorage {
-    inner: MemStorage,
-    gate: Arc<Gate>,
-}
-
-struct GateWriter {
-    inner: Box<dyn WritableFile>,
-    gate: Option<Arc<Gate>>,
-}
-
-impl WritableFile for GateWriter {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if let Some(gate) = &self.gate {
-            gate.pass();
+impl Hook for Gate {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        if matches!(op, Op::Sync(name) if name.ends_with(".sst")) {
+            self.pass();
         }
-        self.inner.sync()
-    }
-
-    fn written(&self) -> u64 {
-        self.inner.written()
-    }
-}
-
-impl Storage for GateStorage {
-    fn open_read(&self, name: &str) -> io::Result<Arc<dyn RandomAccessFile>> {
-        self.inner.open_read(name)
-    }
-
-    fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        Ok(Box::new(GateWriter {
-            inner: self.inner.create(name)?,
-            gate: name.ends_with(".sst").then(|| Arc::clone(&self.gate)),
-        }))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.inner.remove(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.inner.list()
-    }
-
-    fn size_of(&self, name: &str) -> io::Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
+        Ok(())
     }
 }
 
@@ -275,10 +224,10 @@ impl Storage for GateStorage {
 fn a_synchronous_flush_parks_no_other_writer() {
     const TIMEOUT: Duration = Duration::from_secs(10);
     let gate = Arc::new(Gate::default());
-    let storage = Arc::new(GateStorage {
-        inner: MemStorage::new(),
-        gate: Arc::clone(&gate),
-    });
+    let storage = Arc::new(Interposed::hooked(
+        Arc::new(MemStorage::new()),
+        Arc::clone(&gate),
+    ));
     let mut opts = Options::small_for_tests();
     opts.index.kind = IndexKind::Pgm;
     let db = Db::open(storage, opts).unwrap();

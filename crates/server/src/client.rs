@@ -109,20 +109,12 @@ pub struct Client {
     writer: Mutex<Box<dyn Write + Send>>,
     read_half: Mutex<ReadHalf>,
     next_id: AtomicU64,
-    max_frame: usize,
 }
 
 impl Client {
     /// Wrap a dialed [`Connection`].
     pub fn new(conn: Connection) -> Client {
-        Client::with_max_frame(conn, DEFAULT_MAX_FRAME)
-    }
-
-    /// Wrap a connection with a non-default response-frame cap.
-    pub fn with_max_frame(conn: Connection, max_frame: usize) -> Client {
-        let mut client = Client::from_halves(conn.reader, conn.writer);
-        client.max_frame = max_frame;
-        client
+        Client::from_halves(conn.reader, conn.writer)
     }
 
     /// Build a client from raw stream halves — for tests and tools that
@@ -135,7 +127,6 @@ impl Client {
                 stash: HashMap::new(),
             }),
             next_id: AtomicU64::new(1),
-            max_frame: DEFAULT_MAX_FRAME,
         }
     }
 
@@ -156,7 +147,7 @@ impl Client {
             if let Some(resp) = half.stash.remove(&id) {
                 return Ok(resp);
             }
-            let (got, resp) = Self::read_one(&mut half, self.max_frame)?;
+            let (got, resp) = Self::read_one(&mut half)?;
             if got == id {
                 return Ok(resp);
             }
@@ -164,9 +155,9 @@ impl Client {
         }
     }
 
-    fn read_one(half: &mut ReadHalf, max_frame: usize) -> Result<(u64, Response)> {
+    fn read_one(half: &mut ReadHalf) -> Result<(u64, Response)> {
         let (id, tag, payload) =
-            read_frame(&mut *half.reader, max_frame).map_err(ClientError::Frame)?;
+            read_frame(&mut *half.reader, DEFAULT_MAX_FRAME).map_err(ClientError::Frame)?;
         let resp = decode_response(tag, &payload).map_err(ClientError::Protocol)?;
         Ok((id, resp))
     }

@@ -25,7 +25,10 @@
 #                 the merge fills the next table: the same storage ops, a
 #                 fault while a seal is pending fails cleanly); and
 #                 the library's skiplist:: and memtable:: unit tests —
-#                 inserters hand the arena's full chunk on to each other
+#                 inserters hand the arena's full chunk on to each other;
+#                 and lsm-io's unit tests — eight writers race one armed
+#                 crash control (exactly k appends pass), and every hook
+#                 sees each storage op once, in order
 #   sharding x10  the sharding binary: splits under load, the dual-write
 #                 window, the crash matrices, and the fence test under both
 #                 maintenance modes (lock-free pins against rotations and
@@ -53,6 +56,7 @@ buffer() {
         lsm durability
         lsm seal_pipeline
         cargo test --release --offline -q -p lsm-tree --lib -- skiplist:: memtable:: || exit 1
+        cargo test --release --offline -q -p lsm-io || exit 1
     done
 }
 
