@@ -7,10 +7,7 @@ use lsm_workloads::Dataset;
 
 fn bench_build(c: &mut Criterion) {
     let keys = Dataset::Books.generate(200_000, 7);
-    let config = IndexConfig {
-        epsilon: 32,
-        ..IndexConfig::default()
-    };
+    let config = IndexConfig { epsilon: 32 };
     let mut g = c.benchmark_group("index_build_200k_books");
     g.sample_size(10);
     g.throughput(Throughput::Elements(keys.len() as u64));

@@ -9,10 +9,7 @@ use rand::{Rng, SeedableRng};
 
 fn bench_predict(c: &mut Criterion) {
     let keys = Dataset::Random.generate(200_000, 11);
-    let config = IndexConfig {
-        epsilon: 16,
-        ..IndexConfig::default()
-    };
+    let config = IndexConfig { epsilon: 16 };
     let mut rng = StdRng::seed_from_u64(3);
     let probes: Vec<u64> = (0..1024)
         .map(|_| keys[rng.gen_range(0..keys.len())])

@@ -88,10 +88,7 @@ impl BoundaryAllocator {
         if level.keys.is_empty() {
             return 0;
         }
-        let config = IndexConfig {
-            epsilon: (boundary / 2).max(1),
-            ..IndexConfig::default()
-        };
+        let config = IndexConfig::with_position_boundary(boundary);
         let chunks = level.tables.max(1);
         let per = level.keys.len().div_ceil(chunks);
         level

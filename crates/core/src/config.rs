@@ -81,23 +81,6 @@ pub struct TestbedConfig {
 }
 
 impl TestbedConfig {
-    /// The paper's full-scale settings: 6.4 M keys × 1000-byte values.
-    pub fn paper_scale(kind: IndexKind, boundary: usize, dataset: Dataset) -> Self {
-        Self {
-            index_kind: kind,
-            position_boundary: boundary,
-            granularity: Granularity::SstBytes(64 << 20),
-            dataset,
-            num_keys: 6_400_000,
-            value_width: 1000,
-            write_buffer_bytes: 64 << 20,
-            bloom_bits_per_key: 10,
-            seed: DEFAULT_SEED,
-            per_level_epsilon: None,
-            block_cache_bytes: 0,
-        }
-    }
-
     /// Scaled-down settings that preserve every shape: 200 K keys × 100-byte
     /// values, 1 MiB SSTables — the tree still has 3+ levels and the
     /// boundary still spans multiple I/O blocks at its large end.

@@ -61,14 +61,6 @@ pub fn put_u64_slice(out: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-/// Length-prefixed `u32` slice.
-pub fn put_u32_slice(out: &mut Vec<u8>, vs: &[u32]) {
-    put_u32(out, vs.len() as u32);
-    for &v in vs {
-        put_u32(out, v);
-    }
-}
-
 /// Cursor over a byte slice with typed reads.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -124,19 +116,6 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Length-prefixed `u32` vector.
-    pub fn u32_vec(&mut self, what: &'static str) -> Result<Vec<u32>, DecodeError> {
-        let n = self.u32(what)? as usize;
-        if n * 4 > self.buf.len() - self.pos {
-            return Err(DecodeError::Corrupt(what));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32(what)?);
-        }
-        Ok(out)
-    }
-
     /// Error if any bytes remain unread.
     pub fn finish(self) -> Result<(), DecodeError> {
         let rest = self.buf.len() - self.pos;
@@ -175,10 +154,8 @@ mod tests {
     fn slice_roundtrip() {
         let mut out = Vec::new();
         put_u64_slice(&mut out, &[1, 2, 3]);
-        put_u32_slice(&mut out, &[9, 8]);
         let mut r = Reader::new(&out);
         assert_eq!(r.u64_vec("xs").unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.u32_vec("ys").unwrap(), vec![9, 8]);
         r.finish().unwrap();
     }
 

@@ -117,10 +117,7 @@ mod tests {
     fn errors_bounded_by_epsilon() {
         let ks = keys(20_000);
         for eps in [4usize, 32] {
-            let config = IndexConfig {
-                epsilon: eps,
-                ..IndexConfig::default()
-            };
+            let config = IndexConfig { epsilon: eps };
             for kind in [IndexKind::Pgm, IndexKind::Plr, IndexKind::FencePointers] {
                 let idx = kind.build(&ks, &config);
                 let d = IndexDiagnostics::evaluate(idx.as_ref(), &ks);
@@ -141,20 +138,8 @@ mod tests {
     #[test]
     fn tighter_epsilon_means_smaller_errors() {
         let ks = keys(20_000);
-        let tight = IndexKind::Pgm.build(
-            &ks,
-            &IndexConfig {
-                epsilon: 2,
-                ..Default::default()
-            },
-        );
-        let loose = IndexKind::Pgm.build(
-            &ks,
-            &IndexConfig {
-                epsilon: 128,
-                ..Default::default()
-            },
-        );
+        let tight = IndexKind::Pgm.build(&ks, &IndexConfig { epsilon: 2 });
+        let loose = IndexKind::Pgm.build(&ks, &IndexConfig { epsilon: 128 });
         let dt = IndexDiagnostics::evaluate(tight.as_ref(), &ks);
         let dl = IndexDiagnostics::evaluate(loose.as_ref(), &ks);
         assert!(dt.mean_error < dl.mean_error);
@@ -164,13 +149,7 @@ mod tests {
     #[test]
     fn perfect_fit_is_all_zero_errors() {
         let ks: Vec<u64> = (0..5_000u64).map(|i| i * 10).collect();
-        let idx = IndexKind::Rmi.build(
-            &ks,
-            &IndexConfig {
-                epsilon: 8,
-                ..Default::default()
-            },
-        );
+        let idx = IndexKind::Rmi.build(&ks, &IndexConfig { epsilon: 8 });
         let d = IndexDiagnostics::evaluate(idx.as_ref(), &ks);
         // Linear data: RMI's recorded error is 0; centre error ≤ 1 (clamping).
         assert!(d.max_error <= 1, "{}", d.summary());

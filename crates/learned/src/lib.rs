@@ -165,7 +165,9 @@ impl IndexKind {
     }
 
     /// Build an index of this kind over `keys` (sorted, distinct) with the
-    /// given configuration.
+    /// given configuration. Each kind's own construction tunable is the
+    /// constant beside it ([`pgm::PGM_EPSILON_RECURSIVE`],
+    /// [`radixspline::RADIX_BITS`], [`fitting::BPTREE_FANOUT`]).
     pub fn build(&self, keys: &[u64], config: &IndexConfig) -> Box<dyn SegmentIndex> {
         let eps = config.epsilon.max(1);
         match self {
@@ -173,21 +175,17 @@ impl IndexKind {
             IndexKind::FitingTree => Box::new(fitting::FitingTreeIndex::build(
                 keys,
                 eps,
-                config.bptree_fanout,
+                fitting::BPTREE_FANOUT,
             )),
             IndexKind::Plr => Box::new(plr::PlrIndex::build(keys, eps)),
             IndexKind::Plex => Box::new(plex::PlexIndex::build(keys, eps)),
             IndexKind::RadixSpline => Box::new(radixspline::RadixSplineIndex::build(
                 keys,
                 eps,
-                config.radix_bits,
+                radixspline::RADIX_BITS,
             )),
             IndexKind::Rmi => Box::new(rmi::RmiIndex::build_for_epsilon(keys, eps)),
-            IndexKind::Pgm => Box::new(pgm::PgmIndex::build(
-                keys,
-                eps,
-                config.pgm_epsilon_recursive,
-            )),
+            IndexKind::Pgm => Box::new(pgm::PgmIndex::build(keys, eps, pgm::PGM_EPSILON_RECURSIVE)),
         }
     }
 
@@ -220,38 +218,29 @@ impl fmt::Display for IndexKind {
     }
 }
 
-/// Construction parameters for the configuration space of Section 4.
+/// The index half of the configuration space of Section 4: the position
+/// boundary, as its error bound ε. (The index type is the [`IndexKind`] that
+/// builds with it; granularity is an engine setting.) Each kind's own
+/// construction tunable is a constant, not a setting: no experiment of the
+/// paper varies one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexConfig {
     /// Error bound ε. The paper's *position boundary* is `2ε` (the final
     /// search range the LSM-tree reads from disk).
     pub epsilon: usize,
-    /// Paper default `EpsilonRecursive = 4` for PGM's internal levels.
-    pub pgm_epsilon_recursive: usize,
-    /// Paper-tuned `RadixBits = 1` for RadixSpline's radix table.
-    pub radix_bits: u32,
-    /// Fanout of FITing-Tree's inner B+-tree.
-    pub bptree_fanout: usize,
 }
 
 impl Default for IndexConfig {
     fn default() -> Self {
-        Self {
-            epsilon: 32,
-            pgm_epsilon_recursive: 4,
-            radix_bits: 1,
-            bptree_fanout: 16,
-        }
+        Self { epsilon: 32 }
     }
 }
 
 impl IndexConfig {
-    /// Config with a specific position boundary (`2ε`), paper defaults
-    /// elsewhere.
+    /// Config with a specific position boundary (`2ε`).
     pub fn with_position_boundary(boundary: usize) -> Self {
         Self {
             epsilon: (boundary / 2).max(1),
-            ..Self::default()
         }
     }
 

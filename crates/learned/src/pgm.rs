@@ -329,6 +329,10 @@ pub fn optimal_pla(keys: &[u64], eps: usize) -> Vec<PgmSegment> {
     out
 }
 
+/// Error bound of PGM's internal levels when built through
+/// [`IndexKind::build`]: the paper's default `EpsilonRecursive = 4`.
+pub const PGM_EPSILON_RECURSIVE: usize = 4;
+
 /// The recursive PGM-index.
 #[derive(Debug, Clone)]
 pub struct PgmIndex {
@@ -342,7 +346,7 @@ pub struct PgmIndex {
 
 impl PgmIndex {
     /// Build over `keys` (sorted, distinct) with leaf error `eps` and
-    /// internal error `eps_rec` (paper default 4).
+    /// internal error `eps_rec` ([`PGM_EPSILON_RECURSIVE`] in the engine).
     pub fn build(keys: &[u64], eps: usize, eps_rec: usize) -> Self {
         let eps_rec = eps_rec.max(1);
         let mut levels = Vec::new();

@@ -3,12 +3,15 @@
 //! The radix table maps the top `radix_bits` of `key - min_key` to the range
 //! of spline knots sharing that prefix, replacing most of the binary search
 //! over knots. The paper tunes `RadixBits = 1` for LSM-trees (bigger tables
-//! buy little once tables are per-SSTable) — the parameter stays
-//! configurable here.
+//! buy little once tables are per-SSTable): [`RADIX_BITS`].
 
 use crate::codec::{self, DecodeError, Reader};
 use crate::spline::{self, SplinePoint};
 use crate::{IndexKind, SearchBound, SegmentIndex};
+
+/// Radix table width when built through [`IndexKind::build`]: the paper's
+/// LSM-tuned `RadixBits = 1`.
+pub const RADIX_BITS: u32 = 1;
 
 /// Radix table over spline-knot keys: `table[p]` = index of the first knot
 /// whose shifted prefix is ≥ `p`.

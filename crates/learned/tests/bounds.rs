@@ -17,10 +17,7 @@ fn all_kinds() -> impl Strategy<Value = IndexKind> {
 }
 
 fn build(kind: IndexKind, keys: &[u64], eps: usize) -> Box<dyn SegmentIndex> {
-    let config = IndexConfig {
-        epsilon: eps,
-        ..IndexConfig::default()
-    };
+    let config = IndexConfig { epsilon: eps };
     kind.build(keys, &config)
 }
 

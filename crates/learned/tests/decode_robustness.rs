@@ -21,7 +21,7 @@ proptest! {
         kind in prop::sample::select(IndexKind::ALL.to_vec()),
     ) {
         let keys: Vec<u64> = (0..500u64).map(|i| i * 7 + 3).collect();
-        let idx = kind.build(&keys, &IndexConfig { epsilon: 8, ..Default::default() });
+        let idx = kind.build(&keys, &IndexConfig { epsilon: 8 });
         let full = idx.encode();
         let cut = ((full.len() as f64 * cut_fraction) as usize).min(full.len() - 1);
         prop_assert!(
@@ -41,7 +41,7 @@ proptest! {
         kind in prop::sample::select(IndexKind::ALL.to_vec()),
     ) {
         let keys: Vec<u64> = (0..300u64).map(|i| i * 11).collect();
-        let idx = kind.build(&keys, &IndexConfig { epsilon: 8, ..Default::default() });
+        let idx = kind.build(&keys, &IndexConfig { epsilon: 8 });
         let mut bytes = idx.encode();
         let pos = ((bytes.len() as f64 * pos_frac) as usize).min(bytes.len() - 1);
         bytes[pos] ^= xor;

@@ -514,10 +514,8 @@ impl<'a> LevelWriter<'a> {
     /// Open a sealed table for reading and add it to the output.
     fn open_reader(&mut self, meta: TableMeta) -> Result<()> {
         let ctx = self.ctx;
-        let reader = Arc::new(
-            TableReader::open_with(ctx.storage, &meta.name, ctx.cache.cloned())?
-                .with_search_strategy(ctx.opts.search),
-        );
+        let reader = TableReader::open_with(ctx.storage, &meta.name, ctx.cache.cloned())?;
+        let reader = Arc::new(reader);
         self.done.push(Arc::new(TableHandle { meta, reader }));
         Ok(())
     }

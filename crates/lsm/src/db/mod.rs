@@ -751,6 +751,35 @@ mod tests {
         }
     }
 
+    /// A bulk load replaces the version, so into a database that holds
+    /// tables, or a buffer that holds an entry, it is refused before it
+    /// writes a file, and every earlier write still reads back.
+    #[test]
+    fn bulk_load_into_a_database_with_data_is_refused() {
+        let storage = Arc::new(MemStorage::new());
+        let db = Db::open(storage.clone(), Options::small_for_tests()).unwrap();
+        db.bulk_load((0..2_000u64).map(|k| (k, vec![1u8; 8])))
+            .unwrap();
+        let files = storage.list().unwrap();
+        let again = db.bulk_load((2_000..4_000u64).map(|k| (k, vec![2u8; 8])));
+        let refused = |r: Result<()>| matches!(r, Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput);
+        assert!(refused(again), "a second load over tables");
+        assert_eq!(
+            storage.list().unwrap(),
+            files,
+            "the refused load wrote nothing"
+        );
+        assert_eq!(db.get(5).unwrap(), Some(vec![1u8; 8]));
+        assert_eq!(db.get(2_005).unwrap(), None);
+
+        let db = small_db(IndexKind::Pgm);
+        db.put(7, b"put").unwrap();
+        let over = db.bulk_load((0..100u64).map(|k| (k, vec![3u8; 8])));
+        assert!(refused(over), "a load over a buffered put");
+        assert_eq!(db.get(7).unwrap().as_deref(), Some(&b"put"[..]));
+        assert_eq!(db.get(8).unwrap(), None);
+    }
+
     /// The levels of `db`'s version that have a model, and its sorted
     /// levels that hold tables.
     fn modelled_and_populated_levels(db: &Db) -> (Vec<usize>, Vec<usize>) {

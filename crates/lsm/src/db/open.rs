@@ -248,12 +248,24 @@ impl Db {
     /// Build and install a fully-loaded database in bulk: entries stream
     /// straight into leveled SSTables without write amplification. Intended
     /// for experiment setup (load phase), not a public write path.
+    ///
+    /// The load replaces the version, so it is refused (`InvalidInput`),
+    /// before anything is written, unless the database is empty: no table,
+    /// and no entry in the live or a queued buffer.
     pub fn bulk_load<I>(&self, entries: I) -> Result<()>
     where
         I: IntoIterator<Item = (u64, Vec<u8>)>,
     {
         let core = &self.core;
         let mut inner = core.inner.write();
+        let buffered = !inner.mem.is_empty() || inner.imms.iter().any(|imm| !imm.mem.is_empty());
+        if buffered || inner.version.table_count() > 0 {
+            return Err(Error::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "bulk_load needs an empty database: it would replace the tables and \
+                 buffers it holds",
+            )));
+        }
         let mut pending: Vec<Entry> = Vec::new();
         for (k, v) in entries {
             inner.seq += 1;
@@ -339,10 +351,7 @@ impl DbCore {
                     let name = parts
                         .next()
                         .ok_or_else(|| Error::Corruption(format!("manifest line {lineno}")))?;
-                    let reader = Arc::new(
-                        TableReader::open_with(storage, name, cache.cloned())?
-                            .with_search_strategy(opts.search),
-                    );
+                    let reader = Arc::new(TableReader::open_with(storage, name, cache.cloned())?);
                     let meta = crate::sstable::TableMeta {
                         name: name.to_string(),
                         n: reader.len() as u64,

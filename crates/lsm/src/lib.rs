@@ -84,8 +84,8 @@ pub use cache::{BlockCache, BlockKey, CacheStats};
 pub use db::{Db, WritePressure, L0_SLOWDOWN_TRIGGER, L0_STOP_TRIGGER, MAX_IMMUTABLE_MEMTABLES};
 pub use iter::DbIterator;
 pub use options::{
-    IndexChoice, IndexGranularity, Maintenance, Options, ReadOptions, SearchStrategy,
-    ShardedOptions, ShardingPolicy, WriteOptions,
+    IndexChoice, IndexGranularity, Maintenance, Options, ReadOptions, ShardedOptions,
+    ShardingPolicy, WriteOptions,
 };
 pub use sharding::{
     RecoveryReport, RoutingState, ShardRouter, ShardedDb, ShardedDbIterator, ShardedSnapshot,

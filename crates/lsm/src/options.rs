@@ -1,11 +1,13 @@
 //! Engine configuration: the system half of the paper's configuration space.
 //!
-//! The three paper knobs map here as:
+//! The three paper knobs are all of [`IndexChoice`], and nothing else in it:
 //! * **index type** → [`IndexChoice::kind`];
 //! * **position boundary** → [`IndexChoice::config`] (ε = boundary / 2);
-//! * **index granularity** → [`Options::sstable_target_bytes`] (SSTable
-//!   size) and [`IndexChoice::granularity`] (one model per table, or one per
-//!   sorted level).
+//! * **index granularity** → [`IndexChoice::granularity`] (one model per
+//!   table, or one per sorted level), with [`Options::sstable_target_bytes`]
+//!   setting the table size.
+//!
+//! The lookup binary-searches the fetched boundary, as the paper's does.
 
 use learned_index::{IndexConfig, IndexKind};
 
@@ -72,21 +74,6 @@ impl<'a> ReadOptions<'a> {
     }
 }
 
-/// How the final in-segment search runs over the fetched position boundary.
-///
-/// The paper's testbed binary-searches the range; Ramadhan et al. (cited in
-/// Section 7) report moderate gains from *exponential search* starting at
-/// the predicted position — accurate models find the key in O(log error)
-/// comparisons instead of O(log 2ε).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Binary search over the whole fetched range (paper default).
-    #[default]
-    Binary,
-    /// Exponential (galloping) search outward from the predicted position.
-    Exponential,
-}
-
 /// What one model of a sorted level covers (paper Section 5.2, Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexGranularity {
@@ -109,14 +96,11 @@ pub struct IndexChoice {
 }
 
 impl IndexChoice {
-    /// Index of `kind` with error bound `epsilon` (paper defaults elsewhere).
+    /// Index of `kind` with error bound `epsilon`, per table.
     pub fn new(kind: IndexKind, epsilon: usize) -> Self {
         Self {
             kind,
-            config: IndexConfig {
-                epsilon,
-                ..IndexConfig::default()
-            },
+            config: IndexConfig { epsilon },
             granularity: IndexGranularity::Table,
         }
     }
@@ -321,8 +305,6 @@ pub struct Options {
     /// *whole engine*, not per shard). 0 disables caching (the paper's
     /// read sweeps run uncached so every lookup pays its I/O).
     pub block_cache_bytes: usize,
-    /// In-segment search strategy.
-    pub search: SearchStrategy,
     /// Optional per-level error bounds: level `L` uses
     /// `per_level_epsilon[min(L, len-1)]` instead of the global ε —
     /// Observation 5's non-uniform position boundaries.
@@ -359,7 +341,6 @@ impl Default for Options {
             bloom_bits_per_key: 10,
             index: IndexChoice::default(),
             block_cache_bytes: 0,
-            search: SearchStrategy::Binary,
             per_level_epsilon: None,
             maintenance: Maintenance::Synchronous,
             max_subcompactions: 1,

@@ -76,10 +76,6 @@ use lsm_io::{Storage, WritableFile};
 /// Epoch-numbered marker log prefix.
 pub(crate) const COMMIT_PREFIX: &str = "COMMIT-";
 
-fn commit_name(n: u64) -> String {
-    format!("{COMMIT_PREFIX}{n:06}")
-}
-
 /// The marker payload version this build writes and reads.
 const MARKER_V2: u8 = 2;
 
@@ -112,7 +108,7 @@ impl CommitLog {
     /// survivors over via [`CommitLog::checkpoint`]).
     pub(crate) fn create(storage: &dyn Storage, generation: u64) -> Result<CommitLog> {
         Ok(CommitLog {
-            file: storage.create(&commit_name(generation))?,
+            file: storage.create(&sealed::name(COMMIT_PREFIX, generation))?,
             generation,
             markers: Vec::new(),
         })
@@ -168,14 +164,14 @@ impl CommitLog {
             .collect();
         let dropped = self.markers.len() - survivors.len();
         let generation = self.generation + 1;
-        let mut file = storage.create(&commit_name(generation))?;
+        let mut file = storage.create(&sealed::name(COMMIT_PREFIX, generation))?;
         for m in &survivors {
             file.append(&frame(&encode_marker(m)))?;
         }
         file.sync()?;
         // The fresh generation is durable: swap it in, then retire the
         // predecessor (best-effort — recovery unions all generations).
-        let old = commit_name(self.generation);
+        let old = sealed::name(COMMIT_PREFIX, self.generation);
         self.file = file;
         self.generation = generation;
         self.markers = survivors;
@@ -315,7 +311,7 @@ mod tests {
         log.seal(1, 5, 1).unwrap();
         log.seal(6, 9, 1).unwrap();
         drop(log);
-        let name = commit_name(1);
+        let name = sealed::name(COMMIT_PREFIX, 1);
         let full = lsm_io::read_all(&storage, &name).unwrap();
         // Tear one byte off the second marker: it must vanish cleanly.
         let mut f = storage.create(&name).unwrap();
@@ -347,7 +343,10 @@ mod tests {
         assert!(markers.ranges.contains(&(31, 40)));
         assert!(!markers.ranges.contains(&(1, 10)), "checkpointed away");
         assert_eq!(markers.next_generation, 3);
-        assert!(!storage.exists(&commit_name(1)), "predecessor retired");
+        assert!(
+            !storage.exists(&sealed::name(COMMIT_PREFIX, 1)),
+            "predecessor retired"
+        );
     }
 
     #[test]

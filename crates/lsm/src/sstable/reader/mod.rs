@@ -19,7 +19,6 @@ use learned_index::{IndexKind, SearchBound, SegmentIndex};
 
 use crate::bloom::BloomFilter;
 use crate::cache::{BlockCache, CachedTable, TABLE_HANDLE_OVERHEAD};
-use crate::options::SearchStrategy;
 use crate::sstable::format::{self, Footer};
 use crate::stats::{add_stage_ns, DbStats, StageTimer};
 use crate::types::{Entry, SeqNo};
@@ -43,7 +42,6 @@ pub struct TableReader {
     /// on drop.
     cache: Option<CachedTable>,
     table_id: u64,
-    search: SearchStrategy,
 }
 
 /// Process-unique table ids for cache keys.
@@ -136,14 +134,7 @@ impl TableReader {
             bloom,
             cache,
             table_id,
-            search: SearchStrategy::Binary,
         })
-    }
-
-    /// Select the in-segment search strategy (builder style).
-    pub fn with_search_strategy(mut self, search: SearchStrategy) -> Self {
-        self.search = search;
-        self
     }
 
     /// Process-unique id of this table (cache key component).
@@ -324,39 +315,14 @@ impl TableReader {
         format::decode_entry(bytes, self.value_width)
     }
 
-    /// Lower-bound position of `key` among the `count` entries of `span`,
-    /// using the configured strategy.
+    /// Lower-bound position of `key` among the `count` entries of `span`:
+    /// one binary search over the fetched boundary.
     fn lower_bound_in(&self, span: &Span, count: usize, key: u64) -> usize {
         let mut scratch = Vec::new();
-        let mut key_at = |i: usize| self.span_key(span, i, &mut scratch);
-        let (mut lo, mut hi) = match self.search {
-            SearchStrategy::Binary => (0, count),
-            SearchStrategy::Exponential => {
-                // Gallop outward from the centre (the model's prediction sits
-                // at the centre of the fetched boundary by construction).
-                if count == 0 {
-                    return 0;
-                }
-                let start = count / 2;
-                let mut step = 1usize;
-                if key_at(start) < key {
-                    // Bracket to the right: [start+step/2, start+step].
-                    while start + step < count && key_at(start + step) < key {
-                        step *= 2;
-                    }
-                    (start + step / 2, (start + step + 1).min(count))
-                } else {
-                    // Bracket to the left.
-                    while step <= start && key_at(start - step) >= key {
-                        step *= 2;
-                    }
-                    (start.saturating_sub(step), start + 1)
-                }
-            }
-        };
+        let (mut lo, mut hi) = (0, count);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if key_at(mid) < key {
+            if self.span_key(span, mid, &mut scratch) < key {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -498,150 +464,135 @@ mod tests {
             let file_len = storage.size_of("t.sst").unwrap();
             assert_eq!((file_len / CACHE_BLOCK, 400 * 136 / CACHE_BLOCK), (13, 13));
             assert_ne!(file_len % CACHE_BLOCK, 0);
-            for search in [SearchStrategy::Binary, SearchStrategy::Exponential] {
-                let open = |cache: Option<Arc<BlockCache>>| {
-                    let reader = TableReader::open_with(&storage, "t.sst", cache.clone()).unwrap();
-                    (reader.with_search_strategy(search), cache)
-                };
-                let (plain, _) = open(None);
-                assert_eq!(plain.entry_width(), 136);
-                let (cached, cache) = open(Some(Arc::new(BlockCache::new(1 << 20))));
-                let (positioned, _) = open(Some(Arc::new(BlockCache::new(1 << 20))));
-                let mut resident = std::collections::HashSet::new();
-                let (mut hits, mut misses) = (0u64, 0u64);
-                for key in probes.clone() {
-                    let want = keys
-                        .binary_search(&key)
-                        .ok()
-                        .map(|_| Some(vec![key as u8; 100]));
-                    let stats = DbStats::new();
-                    let before = storage.stats().snapshot();
-                    let got = cached.get(key, MAX, &stats).unwrap();
-                    let read = storage.stats().snapshot().since(&before);
-                    let what = format!("{kind} {search:?} key {key}");
-                    assert_eq!(got, want, "{what} cached");
-                    assert_eq!(
-                        plain.get(key, MAX, &DbStats::new()).unwrap(),
-                        want,
-                        "{what}"
-                    );
-                    let bound = cached.index().predict(key);
-                    let at = positioned.get_in_positions(key, bound.lo, bound.hi, MAX, &stats);
-                    assert_eq!(at.unwrap(), want, "{what} positioned");
-                    // The blocks the cached lookup fetched, if it got past
-                    // the range check, the filter and an empty bound.
-                    let s = stats.snapshot();
-                    let mut device = (0, 0);
-                    if s.bloom_checks == 1 && s.bloom_negatives == 0 && !bound.is_empty() {
-                        let first = (bound.lo * 136) as u64 / CACHE_BLOCK;
-                        let last = (bound.hi * 136 - 1) as u64 / CACHE_BLOCK;
-                        device = device_reads(first..last + 1, |b| resident.contains(&b));
-                        for block in first..=last {
-                            if resident.insert(block) {
-                                misses += 1;
-                            } else {
-                                hits += 1;
-                            }
+            let open = |cache: Option<Arc<BlockCache>>| {
+                let reader = TableReader::open_with(&storage, "t.sst", cache.clone()).unwrap();
+                (reader, cache)
+            };
+            let (plain, _) = open(None);
+            assert_eq!(plain.entry_width(), 136);
+            let (cached, cache) = open(Some(Arc::new(BlockCache::new(1 << 20))));
+            let (positioned, _) = open(Some(Arc::new(BlockCache::new(1 << 20))));
+            let mut resident = std::collections::HashSet::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for key in probes.clone() {
+                let want = keys
+                    .binary_search(&key)
+                    .ok()
+                    .map(|_| Some(vec![key as u8; 100]));
+                let stats = DbStats::new();
+                let before = storage.stats().snapshot();
+                let got = cached.get(key, MAX, &stats).unwrap();
+                let read = storage.stats().snapshot().since(&before);
+                let what = format!("{kind} key {key}");
+                assert_eq!(got, want, "{what} cached");
+                assert_eq!(
+                    plain.get(key, MAX, &DbStats::new()).unwrap(),
+                    want,
+                    "{what}"
+                );
+                let bound = cached.index().predict(key);
+                let at = positioned.get_in_positions(key, bound.lo, bound.hi, MAX, &stats);
+                assert_eq!(at.unwrap(), want, "{what} positioned");
+                // The blocks the cached lookup fetched, if it got past
+                // the range check, the filter and an empty bound.
+                let s = stats.snapshot();
+                let mut device = (0, 0);
+                if s.bloom_checks == 1 && s.bloom_negatives == 0 && !bound.is_empty() {
+                    let first = (bound.lo * 136) as u64 / CACHE_BLOCK;
+                    let last = (bound.hi * 136 - 1) as u64 / CACHE_BLOCK;
+                    device = device_reads(first..last + 1, |b| resident.contains(&b));
+                    for block in first..=last {
+                        if resident.insert(block) {
+                            misses += 1;
+                        } else {
+                            hits += 1;
                         }
                     }
-                    assert_eq!((read.read_calls, read.read_blocks), device, "{what}");
                 }
-                assert_eq!(
-                    cache.unwrap().hit_miss(),
-                    (hits, misses),
-                    "{kind} {search:?}"
-                );
-                assert!(
-                    hits > 0 && misses >= 14,
-                    "all 14 blocks of entries were read"
-                );
-
-                let cursor = |cache: Option<Arc<BlockCache>>, fill| {
-                    let (reader, cache) = open(cache);
-                    (TableIter::with_fill(Arc::new(reader), fill), cache)
-                };
-                let (mut filling, fill_cache) =
-                    cursor(Some(Arc::new(BlockCache::new(1 << 20))), true);
-                let (mut no_fill, no_fill_cache) =
-                    cursor(Some(Arc::new(BlockCache::new(1 << 20))), false);
-                let (mut uncached, _) = cursor(None, false);
-                let mut resident = std::collections::HashSet::new();
-                let (mut hits, mut asked) = (0u64, 0u64);
-                for probe in probes.clone() {
-                    let what = format!("{kind} {search:?} probe {probe}");
-                    let want = keys.partition_point(|&k| k < probe);
-                    // The blocks one pass asks for: none past the last key,
-                    // all 14 up to the first, else from the boundary's first.
-                    let pass = match probe {
-                        p if p > keys[399] => 14..14,
-                        p if p <= keys[0] => 0..14,
-                        p => (plain.index().predict(p).lo * 136) as u64 / CACHE_BLOCK..14,
-                    };
-                    let new = pass.clone().filter(|b| !resident.contains(b)).count() as u64;
-                    // The fetches of one pass, as entries: the boundary, then
-                    // a refill at every chunk edge from where the seek landed.
-                    let mut fetches = Vec::new();
-                    if probe > keys[0] && probe <= keys[399] {
-                        let bound = plain.index().predict(probe);
-                        fetches.push((bound.lo, bound.hi));
-                    }
-                    let (mut pos, mut hi) = (want, fetches.last().map_or(0, |f| f.1));
-                    while pos < 400 {
-                        if pos >= hi {
-                            hi = (want + ((pos - want) / 30 + 1) * 30).min(400);
-                            fetches.push((pos, hi));
-                        }
-                        pos = hi;
-                    }
-                    // The device calls they make: nothing is resident for
-                    // the cursors that do not fill.
-                    let (mut calls, mut fill_calls) = (0, 0);
-                    let (mut held, mut warm) = (0..0, resident.clone());
-                    for (lo, hi) in fetches.into_iter().filter(|(lo, hi)| lo < hi) {
-                        let cover = (lo * 136) as u64 / CACHE_BLOCK
-                            ..(hi * 136 - 1) as u64 / CACHE_BLOCK + 1;
-                        calls += device_reads(cover.clone(), |b| held.contains(&b)).0;
-                        let have = |b| held.contains(&b) || warm.contains(&b);
-                        fill_calls += device_reads(cover.clone(), have).0;
-                        warm.extend(cover.clone());
-                        held = cover;
-                    }
-                    let blocks = pass.end - pass.start;
-                    let passes = [
-                        (&mut filling, (fill_calls, new), "filling"),
-                        (&mut no_fill, (calls, blocks), "no-fill"),
-                        (&mut uncached, (calls, blocks), "uncached"),
-                    ];
-                    for (it, device, which) in passes {
-                        let before = storage.stats().snapshot();
-                        it.seek(probe).unwrap();
-                        for (i, &k) in keys.iter().enumerate().skip(want) {
-                            let key = it.key().unwrap().expect("an entry");
-                            let at = (key.user_key, key.seq, key.kind);
-                            assert_eq!(at, (k, i as u64 + 1, EntryKind::Put), "{what} {which}");
-                            assert_eq!(it.value(), [k as u8; 100], "{what} {which}");
-                            it.advance();
-                        }
-                        assert_eq!(it.key().unwrap(), None, "{what} {which}");
-                        let read = storage.stats().snapshot().since(&before);
-                        let read = (read.read_calls, read.read_blocks);
-                        assert_eq!(read, device, "{what} {which}");
-                    }
-                    hits += pass.end - pass.start - new;
-                    asked += pass.end - pass.start;
-                    resident.extend(pass);
-                }
-                assert_eq!(
-                    fill_cache.unwrap().hit_miss(),
-                    (hits, 14),
-                    "{kind} {search:?}"
-                );
-                assert_eq!(
-                    no_fill_cache.unwrap().hit_miss(),
-                    (0, asked),
-                    "{kind} {search:?}"
-                );
+                assert_eq!((read.read_calls, read.read_blocks), device, "{what}");
             }
+            assert_eq!(cache.unwrap().hit_miss(), (hits, misses), "{kind}");
+            assert!(
+                hits > 0 && misses >= 14,
+                "all 14 blocks of entries were read"
+            );
+
+            let cursor = |cache: Option<Arc<BlockCache>>, fill| {
+                let (reader, cache) = open(cache);
+                (TableIter::with_fill(Arc::new(reader), fill), cache)
+            };
+            let (mut filling, fill_cache) = cursor(Some(Arc::new(BlockCache::new(1 << 20))), true);
+            let (mut no_fill, no_fill_cache) =
+                cursor(Some(Arc::new(BlockCache::new(1 << 20))), false);
+            let (mut uncached, _) = cursor(None, false);
+            let mut resident = std::collections::HashSet::new();
+            let (mut hits, mut asked) = (0u64, 0u64);
+            for probe in probes.clone() {
+                let what = format!("{kind} probe {probe}");
+                let want = keys.partition_point(|&k| k < probe);
+                // The blocks one pass asks for: none past the last key,
+                // all 14 up to the first, else from the boundary's first.
+                let pass = match probe {
+                    p if p > keys[399] => 14..14,
+                    p if p <= keys[0] => 0..14,
+                    p => (plain.index().predict(p).lo * 136) as u64 / CACHE_BLOCK..14,
+                };
+                let new = pass.clone().filter(|b| !resident.contains(b)).count() as u64;
+                // The fetches of one pass, as entries: the boundary, then
+                // a refill at every chunk edge from where the seek landed.
+                let mut fetches = Vec::new();
+                if probe > keys[0] && probe <= keys[399] {
+                    let bound = plain.index().predict(probe);
+                    fetches.push((bound.lo, bound.hi));
+                }
+                let (mut pos, mut hi) = (want, fetches.last().map_or(0, |f| f.1));
+                while pos < 400 {
+                    if pos >= hi {
+                        hi = (want + ((pos - want) / 30 + 1) * 30).min(400);
+                        fetches.push((pos, hi));
+                    }
+                    pos = hi;
+                }
+                // The device calls they make: nothing is resident for
+                // the cursors that do not fill.
+                let (mut calls, mut fill_calls) = (0, 0);
+                let (mut held, mut warm) = (0..0, resident.clone());
+                for (lo, hi) in fetches.into_iter().filter(|(lo, hi)| lo < hi) {
+                    let cover =
+                        (lo * 136) as u64 / CACHE_BLOCK..(hi * 136 - 1) as u64 / CACHE_BLOCK + 1;
+                    calls += device_reads(cover.clone(), |b| held.contains(&b)).0;
+                    let have = |b| held.contains(&b) || warm.contains(&b);
+                    fill_calls += device_reads(cover.clone(), have).0;
+                    warm.extend(cover.clone());
+                    held = cover;
+                }
+                let blocks = pass.end - pass.start;
+                let passes = [
+                    (&mut filling, (fill_calls, new), "filling"),
+                    (&mut no_fill, (calls, blocks), "no-fill"),
+                    (&mut uncached, (calls, blocks), "uncached"),
+                ];
+                for (it, device, which) in passes {
+                    let before = storage.stats().snapshot();
+                    it.seek(probe).unwrap();
+                    for (i, &k) in keys.iter().enumerate().skip(want) {
+                        let key = it.key().unwrap().expect("an entry");
+                        let at = (key.user_key, key.seq, key.kind);
+                        assert_eq!(at, (k, i as u64 + 1, EntryKind::Put), "{what} {which}");
+                        assert_eq!(it.value(), [k as u8; 100], "{what} {which}");
+                        it.advance();
+                    }
+                    assert_eq!(it.key().unwrap(), None, "{what} {which}");
+                    let read = storage.stats().snapshot().since(&before);
+                    let read = (read.read_calls, read.read_blocks);
+                    assert_eq!(read, device, "{what} {which}");
+                }
+                hits += pass.end - pass.start - new;
+                asked += pass.end - pass.start;
+                resident.extend(pass);
+            }
+            assert_eq!(fill_cache.unwrap().hit_miss(), (hits, 14), "{kind}");
+            assert_eq!(no_fill_cache.unwrap().hit_miss(), (0, asked), "{kind}");
         }
     }
 

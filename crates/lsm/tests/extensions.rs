@@ -1,65 +1,13 @@
-//! Integration tests for the engine extensions beyond the paper's baseline
-//! testbed: exponential in-segment search and per-level position boundaries.
-
-use std::collections::BTreeMap;
+//! Integration tests for the engine extension beyond the paper's baseline
+//! testbed: per-level position boundaries (Observation 5).
 
 use learned_index::IndexKind;
-use lsm_tree::{Db, IndexChoice, Options, SearchStrategy};
+use lsm_tree::{Db, IndexChoice, Options};
 
 fn base_opts() -> Options {
     let mut o = Options::small_for_tests();
     o.index = IndexChoice::with_boundary(IndexKind::Pgm, 64);
     o
-}
-
-#[test]
-fn exponential_search_agrees_with_binary() {
-    let mk = |strategy| {
-        let mut o = base_opts();
-        o.search = strategy;
-        let db = Db::open_memory(o).unwrap();
-        for k in 0..4_000u64 {
-            db.put(k * 3, format!("v{k}").as_bytes()).unwrap();
-        }
-        db.delete(300).unwrap();
-        db.flush().unwrap();
-        db
-    };
-    let binary = mk(SearchStrategy::Binary);
-    let expo = mk(SearchStrategy::Exponential);
-    for probe in 0..12_100u64 {
-        assert_eq!(
-            binary.get(probe).unwrap(),
-            expo.get(probe).unwrap(),
-            "probe {probe}"
-        );
-    }
-    // Scans agree too (seek uses the same lower-bound machinery).
-    assert_eq!(
-        binary.scan(1_000, 50).unwrap(),
-        expo.scan(1_000, 50).unwrap()
-    );
-}
-
-#[test]
-fn exponential_search_with_every_index_kind() {
-    for kind in IndexKind::ALL {
-        let mut o = base_opts();
-        o.index.kind = kind;
-        o.search = SearchStrategy::Exponential;
-        let db = Db::open_memory(o).unwrap();
-        let mut oracle = BTreeMap::new();
-        for k in 0..2_000u64 {
-            let v = vec![(k % 251) as u8; 8];
-            db.put(k * 7, &v).unwrap();
-            oracle.insert(k * 7, v);
-        }
-        db.flush().unwrap();
-        for (k, v) in oracle.iter().step_by(29) {
-            assert_eq!(db.get(*k).unwrap().as_ref(), Some(v), "{kind} key {k}");
-        }
-        assert_eq!(db.get(3).unwrap(), None, "{kind}");
-    }
 }
 
 #[test]

@@ -15,10 +15,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(32);
     let n = 100_000usize;
-    let config = IndexConfig {
-        epsilon: eps,
-        ..IndexConfig::default()
-    };
+    let config = IndexConfig { epsilon: eps };
 
     println!(
         "epsilon={eps} (position boundary {}), {n} keys per dataset\n",

@@ -25,10 +25,7 @@ fn main() {
 
     // Raw index layer: train over the bare key array.
     let keys = dataset.generate(n, 42);
-    let config = IndexConfig {
-        epsilon: (boundary / 2).max(1),
-        ..IndexConfig::default()
-    };
+    let config = IndexConfig::with_position_boundary(boundary);
     println!(
         "{:6} {:>10} {:>12} {:>12} {:>14}",
         "index", "segments", "memory (B)", "build (ms)", "bytes/key"

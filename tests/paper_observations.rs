@@ -312,3 +312,64 @@ fn fig5_cdfs_are_distinct_and_monotone() {
     };
     assert!(mid("books") < mid("random") / 5.0);
 }
+
+/// Section 4.1's cost model bounds the measured I/O: a point lookup of a
+/// present key reads at most `TheoreticalCost::point_lookup(..).io_blocks`
+/// blocks, for every index kind, at a tight and a wide boundary and a small
+/// and a paper-sized value. `w` is the widest bound the table's index
+/// predicted for the probed keys, not the nominal boundary `2ε`: FT and PLR
+/// predict `2ε + 1` entries, RS, PLEX and PGM one more on each side
+/// (`2ε + 3`), RMI its trained error; with `2ε` the model undercounts them
+/// by a block at boundary 256 and 1000-byte values (66 against 67 read).
+#[test]
+fn cost_model_bounds_measured_lookup_blocks() {
+    use learned_lsm_repro::index::cost::TheoreticalCost;
+    use learned_lsm_repro::io::{CostModel, MemStorage, Storage};
+    use learned_lsm_repro::lsm::{Db, IndexChoice, Options};
+    use std::sync::Arc;
+
+    let model = CostModel::default();
+    let keys = Dataset::Random.generate(20_000, 7);
+    for kind in IndexKind::ALL {
+        for boundary in [8usize, 256] {
+            for value_width in [100usize, 1000] {
+                let storage = Arc::new(MemStorage::modeled(model));
+                let opts = Options {
+                    value_width,
+                    sstable_target_bytes: 64 << 20,
+                    index: IndexChoice::with_boundary(kind, boundary),
+                    ..Options::default()
+                };
+                let db = Db::open(storage.clone(), opts).unwrap();
+                db.bulk_load(keys.iter().map(|&k| (k, vec![k as u8; value_width])))
+                    .unwrap();
+                let version = db.version();
+                assert_eq!(version.table_count(), 1, "one bulk-loaded table");
+                let reader = &version.levels.iter().flatten().next().unwrap().reader;
+                let index = reader.index();
+
+                let (mut w, mut most) = (0, 0);
+                for &k in keys.iter().step_by(53) {
+                    w = w.max(index.predict(k).len());
+                    let before = storage.stats().snapshot();
+                    assert!(db.get(k).unwrap().is_some(), "{kind} key {k}");
+                    most = most.max(storage.stats().snapshot().since(&before).read_blocks);
+                }
+                let cost = TheoreticalCost::point_lookup(
+                    kind,
+                    w,
+                    reader.entry_width(),
+                    model.block_size,
+                    index.segment_count(),
+                );
+                let what = format!("{kind} boundary {boundary} width {value_width} (w {w})");
+                assert!(most > 0, "{what}: a lookup reads the device");
+                assert!(
+                    most <= cost.io_blocks,
+                    "{what}: read {most} blocks, the model allows {}",
+                    cost.io_blocks
+                );
+            }
+        }
+    }
+}
