@@ -50,10 +50,7 @@ impl FitingTreeIndex {
         let n = r.u32("ft.n")?;
         let eps = r.u32("ft.eps")?;
         let fanout = r.u32("ft.fanout")? as usize;
-        let count = r.u32("ft.segment_count")? as usize;
-        if count * Segment::ENCODED_LEN > r.remaining() {
-            return Err(DecodeError::Corrupt("ft.segment_count"));
-        }
+        let count = r.count("ft.segment_count", Segment::ENCODED_LEN)?;
         let mut segments = Vec::with_capacity(count);
         for _ in 0..count {
             segments.push(Segment::decode(r)?);

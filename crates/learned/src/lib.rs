@@ -193,11 +193,9 @@ impl IndexKind {
     /// [`SegmentIndex::encode_into`]. The payload must start with the kind
     /// tag byte.
     pub fn decode(bytes: &[u8]) -> Result<Box<dyn SegmentIndex>, codec::DecodeError> {
-        let (&tag, rest) = bytes
-            .split_first()
-            .ok_or(codec::DecodeError::UnexpectedEof("kind tag"))?;
+        let mut r = codec::Reader::new(bytes);
+        let tag = r.u8("kind tag")?;
         let kind = IndexKind::from_tag(tag).ok_or(codec::DecodeError::BadTag(tag))?;
-        let mut r = codec::Reader::new(rest);
         let idx: Box<dyn SegmentIndex> = match kind {
             IndexKind::FencePointers => Box::new(fence::FencePointerIndex::decode_body(&mut r)?),
             IndexKind::FitingTree => Box::new(fitting::FitingTreeIndex::decode_body(&mut r)?),

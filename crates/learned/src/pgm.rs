@@ -411,10 +411,7 @@ impl PgmIndex {
         }
         let mut levels = Vec::with_capacity(nlevels);
         for _ in 0..nlevels {
-            let count = r.u32("pgm.level_len")? as usize;
-            if count * PgmSegment::ENCODED_LEN > r.remaining() {
-                return Err(DecodeError::Corrupt("pgm.level_len"));
-            }
+            let count = r.count("pgm.level_len", PgmSegment::ENCODED_LEN)?;
             let mut segs = Vec::with_capacity(count);
             for _ in 0..count {
                 segs.push(PgmSegment::decode(r)?);

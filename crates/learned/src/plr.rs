@@ -58,10 +58,8 @@ impl PlrIndex {
     pub(crate) fn decode_body(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.u32("plr.n")?;
         let eps = r.u32("plr.eps")?;
-        let count = r.u32("plr.segment_count")? as usize;
-        // Validate against both the key count and the actual remaining
-        // payload so corrupt lengths cannot trigger huge allocations.
-        if (count > n as usize && n > 0) || count * Segment::ENCODED_LEN > r.remaining() {
+        let count = r.count("plr.segment_count", Segment::ENCODED_LEN)?;
+        if count > n as usize && n > 0 {
             return Err(DecodeError::Corrupt("plr.segment_count"));
         }
         let mut segments = Vec::with_capacity(count);

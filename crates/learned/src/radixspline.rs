@@ -13,6 +13,11 @@ use crate::{IndexKind, SearchBound, SegmentIndex};
 /// LSM-tuned `RadixBits = 1`.
 pub const RADIX_BITS: u32 = 1;
 
+/// Widest radix table: `2^16 + 1` slots. A build clamps to it and a decode
+/// refuses anything wider, so a stored width can never size a table the
+/// build would not have made.
+const MAX_RADIX_BITS: u32 = 16;
+
 /// Radix table over spline-knot keys: `table[p]` = index of the first knot
 /// whose shifted prefix is ≥ `p`.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +30,7 @@ struct RadixTable {
 
 impl RadixTable {
     fn build(knots: &[SplinePoint], bits: u32) -> Self {
-        let bits = bits.clamp(1, 24);
+        let bits = bits.clamp(1, MAX_RADIX_BITS);
         let min_key = knots.first().map_or(0, |k| k.key);
         let max_key = knots.last().map_or(0, |k| k.key);
         let span = max_key - min_key;
@@ -113,6 +118,9 @@ impl RadixSplineIndex {
         let n = r.u32("rs.n")?;
         let eps = r.u32("rs.eps")?;
         let bits = r.u32("rs.bits")?;
+        if bits == 0 || bits > MAX_RADIX_BITS {
+            return Err(DecodeError::Corrupt("rs.bits"));
+        }
         let knots = spline::decode_knots(r)?;
         if knots.is_empty() && n > 0 {
             return Err(DecodeError::Corrupt("rs.knots"));

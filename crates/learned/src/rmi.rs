@@ -143,8 +143,8 @@ impl RmiIndex {
     pub(crate) fn decode_body(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.u32("rmi.n")?;
         let root = LinearModel::decode(r)?;
-        let count = r.u32("rmi.leaf_count")? as usize;
-        if count == 0 || count > (n as usize).max(1) || count * Leaf::ENCODED_LEN > r.remaining() {
+        let count = r.count("rmi.leaf_count", Leaf::ENCODED_LEN)?;
+        if count == 0 || count > (n as usize).max(1) {
             return Err(DecodeError::Corrupt("rmi.leaf_count"));
         }
         let mut leaves = Vec::with_capacity(count);

@@ -137,10 +137,7 @@ pub fn encode_knots(out: &mut Vec<u8>, knots: &[SplinePoint]) {
 
 /// Decode what [`encode_knots`] wrote.
 pub fn decode_knots(r: &mut Reader<'_>) -> Result<Vec<SplinePoint>, DecodeError> {
-    let count = r.u32("spline.count")? as usize;
-    if count * 12 > r.remaining() {
-        return Err(DecodeError::Corrupt("spline.count"));
-    }
+    let count = r.count("spline.count", SplinePoint::ENCODED_LEN)?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         out.push(SplinePoint {

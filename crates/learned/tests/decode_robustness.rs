@@ -74,3 +74,26 @@ proptest! {
         prop_assert!(IndexKind::decode(&bytes).is_err(), "{kind}");
     }
 }
+
+/// A stored radix width above what any build writes is refused, not used
+/// to size a table: one changed byte once made a 300-key payload decode
+/// to a 2^24-slot table (64 MiB pinned in the cache budget).
+#[test]
+fn radix_width_beyond_any_build_is_refused() {
+    let keys: Vec<u64> = (0..300u64).map(|i| i * 11).collect();
+    let idx = IndexKind::RadixSpline.build(&keys, &IndexConfig { epsilon: 8 });
+    let mut bytes = idx.encode();
+    // tag u8, n u32, eps u32, then the radix width u32 at offset 9.
+    assert_eq!(bytes[9..13], 1u32.to_le_bytes());
+    for bits in [0u32, 17, 24, u32::MAX] {
+        bytes[9..13].copy_from_slice(&bits.to_le_bytes());
+        assert!(IndexKind::decode(&bytes).is_err(), "rs.bits = {bits}");
+    }
+    bytes[9..13].copy_from_slice(&16u32.to_le_bytes());
+    let widest = IndexKind::decode(&bytes).expect("16 bits is a width a build writes");
+    assert!(
+        widest.size_bytes() < 1 << 20,
+        "{} bytes",
+        widest.size_bytes()
+    );
+}

@@ -3,6 +3,8 @@
 //! Double hashing over a 64-bit mix of the user key, `k = ⌈b·ln2⌉` probes —
 //! the same construction LevelDB uses, adapted to `u64` keys.
 
+use crate::codec::{self, DecodeError, Reader};
+
 /// Immutable Bloom filter over a set of `u64` keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -64,32 +66,28 @@ impl BloomFilter {
         self.bits.len() * 8 + 16
     }
 
-    /// Serialize: k, then the bit words.
+    /// Serialize: k, then the length-prefixed bit words.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&(self.bits.len() as u32).to_le_bytes());
-        for w in &self.bits {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        codec::put_u32(out, self.k);
+        codec::put_u64_slice(out, &self.bits);
     }
 
-    /// Decode what [`BloomFilter::encode_into`] wrote.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
-        if buf.len() < 8 {
-            return None;
+    /// Decode what [`BloomFilter::encode_into`] wrote. Every build writes
+    /// at least one word, so an empty bit array is refused: probing it
+    /// would divide by zero.
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(buf);
+        let k = r.u32("bloom k")?;
+        if k == 0 || k > 30 {
+            return Err(DecodeError::Corrupt("bloom k"));
         }
-        let k = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-        let words = u32::from_le_bytes(buf[4..8].try_into().ok()?) as usize;
-        if buf.len() != 8 + words * 8 || k == 0 || k > 30 {
-            return None;
+        let bits = r.u64_vec("bloom words")?;
+        if bits.is_empty() {
+            return Err(DecodeError::Corrupt("bloom words"));
         }
-        let mut bits = Vec::with_capacity(words);
-        for i in 0..words {
-            let off = 8 + i * 8;
-            bits.push(u64::from_le_bytes(buf[off..off + 8].try_into().ok()?));
-        }
-        let n_bits = (words * 64) as u64;
-        Some(Self { bits, n_bits, k })
+        r.finish()?;
+        let n_bits = (bits.len() * 64) as u64;
+        Ok(Self { bits, n_bits, k })
     }
 }
 
@@ -146,7 +144,31 @@ mod tests {
         f.encode_into(&mut buf);
         let back = BloomFilter::decode(&buf).unwrap();
         assert_eq!(back, f);
-        assert!(BloomFilter::decode(&buf[..4]).is_none());
-        assert!(BloomFilter::decode(&[]).is_none());
+        assert!(BloomFilter::decode(&buf[..4]).is_err());
+        assert!(BloomFilter::decode(&[]).is_err());
+    }
+
+    /// Every strict prefix of a payload is an error, never a panic.
+    #[test]
+    fn every_strict_prefix_is_refused() {
+        let keys: Vec<u64> = (0..100u64).collect();
+        let mut buf = Vec::new();
+        BloomFilter::build(&keys, 10).encode_into(&mut buf);
+        for cut in 0..buf.len() {
+            assert!(BloomFilter::decode(&buf[..cut]).is_err(), "prefix of {cut}");
+        }
+    }
+
+    /// `[k][0 words]` is refused: no build writes it, and a filter over no
+    /// bits would divide by zero on its first probe.
+    #[test]
+    fn empty_bit_array_is_refused() {
+        let mut buf = Vec::new();
+        codec::put_u32(&mut buf, 7);
+        codec::put_u32(&mut buf, 0);
+        assert_eq!(
+            BloomFilter::decode(&buf),
+            Err(DecodeError::Corrupt("bloom words"))
+        );
     }
 }

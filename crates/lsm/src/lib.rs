@@ -97,6 +97,9 @@ pub use stats::{CompactionBreakdown, DbStats, StatsSnapshot};
 // lives in `lsm-obs`; re-exported so engine users need no extra dep.
 pub use lsm_obs::{Event, EventKind, MetricsSnapshot, Observer, GLOBAL_SHARD};
 pub use types::{Entry, EntryKind, InternalKey, SeqNo};
+// The one byte codec: the WAL, the table footer, the bloom payload, the
+// commit marker and the server's wire protocol decode through it too.
+pub use learned_index::codec;
 
 use std::fmt;
 
@@ -132,9 +135,9 @@ impl From<std::io::Error> for Error {
     }
 }
 
-impl From<learned_index::codec::DecodeError> for Error {
-    fn from(e: learned_index::codec::DecodeError) -> Self {
-        Error::Corruption(format!("index decode: {e}"))
+impl From<codec::DecodeError> for Error {
+    fn from(e: codec::DecodeError) -> Self {
+        Error::Corruption(format!("decode: {e}"))
     }
 }
 

@@ -68,6 +68,7 @@
 
 use std::collections::HashSet;
 
+use crate::codec::{self, Reader};
 use crate::types::SeqNo;
 use crate::wal::{frame, intact_frames};
 use crate::{sealed, Error, Result};
@@ -180,28 +181,31 @@ impl CommitLog {
     }
 }
 
-fn encode_marker(m: &Marker) -> [u8; MARKER_V2_LEN] {
-    let mut payload = [0u8; MARKER_V2_LEN];
-    payload[0] = MARKER_V2;
-    payload[1..9].copy_from_slice(&m.first.to_le_bytes());
-    payload[9..17].copy_from_slice(&m.last.to_le_bytes());
-    payload[17..25].copy_from_slice(&m.epoch.to_le_bytes());
+fn encode_marker(m: &Marker) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(MARKER_V2_LEN);
+    codec::put_u8(&mut payload, MARKER_V2);
+    codec::put_u64(&mut payload, m.first);
+    codec::put_u64(&mut payload, m.last);
+    codec::put_u64(&mut payload, m.epoch);
     payload
 }
 
 fn decode_marker(body: &[u8]) -> Result<Marker> {
-    if body.len() != MARKER_V2_LEN || body[0] != MARKER_V2 {
+    let mut r = Reader::new(body);
+    let version = r.u8("commit marker version")?;
+    if version != MARKER_V2 {
         return Err(Error::Corruption(format!(
-            "commit marker of {} bytes, version {}",
-            body.len(),
-            body.first().copied().unwrap_or(0)
+            "commit marker of {} bytes, version {version}",
+            body.len()
         )));
     }
-    Ok(Marker {
-        first: SeqNo::from_le_bytes(body[1..9].try_into().unwrap()),
-        last: SeqNo::from_le_bytes(body[9..17].try_into().unwrap()),
-        epoch: u64::from_le_bytes(body[17..25].try_into().unwrap()),
-    })
+    let marker = Marker {
+        first: r.u64("commit marker first")?,
+        last: r.u64("commit marker last")?,
+        epoch: r.u64("commit marker epoch")?,
+    };
+    r.finish()?;
+    Ok(marker)
 }
 
 /// What recovery reads from disk: the union of sealed markers across all
@@ -302,6 +306,21 @@ mod tests {
                 "{name}: {refused:?}"
             );
         }
+    }
+
+    /// Every strict prefix of a marker payload is an error, never a panic.
+    #[test]
+    fn every_strict_marker_prefix_is_refused() {
+        let payload = encode_marker(&Marker {
+            first: 3,
+            last: 8,
+            epoch: 2,
+        });
+        assert_eq!(payload.len(), MARKER_V2_LEN);
+        for cut in 0..payload.len() {
+            assert!(decode_marker(&payload[..cut]).is_err(), "prefix of {cut}");
+        }
+        assert_eq!(decode_marker(&payload).unwrap().last, 8);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! key column is strictly increasing, which is what the index models train
 //! on.
 
+use crate::codec::{self, Reader};
 use crate::types::{Entry, EntryKind, InternalKey, SeqNo};
 use crate::{Error, Result};
 use lsm_workloads::{decode_key, encode_key, KEY_LEN};
@@ -53,7 +54,10 @@ pub fn encode_entry(out: &mut Vec<u8>, key: &InternalKey, value: &[u8], value_wi
 
 /// Parse and check the fixed header at `buf[0..ENTRY_HEADER]`: the internal
 /// key and the length of the value that follows it. A cursor decides on
-/// this alone and borrows the value only of an entry it keeps.
+/// this alone and borrows the value only of an entry it keeps. It reads
+/// the slot in place rather than through [`codec`]: the slot is the
+/// fixed-width position → offset layout that lookups and cursors read
+/// entry by entry, and its 7-byte sequence number is no codec scalar.
 pub fn decode_header(buf: &[u8], value_width: usize) -> Result<(InternalKey, usize)> {
     if buf.len() < ENTRY_HEADER {
         return Err(Error::Corruption("entry buffer too short".into()));
@@ -112,42 +116,42 @@ pub struct Footer {
 impl Footer {
     /// Serialize (fixed width, magic last).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.n.to_le_bytes());
-        out.extend_from_slice(&self.value_width.to_le_bytes());
-        out.extend_from_slice(&self.index_off.to_le_bytes());
-        out.extend_from_slice(&self.index_len.to_le_bytes());
-        out.extend_from_slice(&self.bloom_off.to_le_bytes());
-        out.extend_from_slice(&self.bloom_len.to_le_bytes());
-        out.extend_from_slice(&self.min_key.to_le_bytes());
-        out.extend_from_slice(&self.max_key.to_le_bytes());
-        out.extend_from_slice(&self.max_seq.to_le_bytes());
-        out.extend_from_slice(&MAGIC.to_le_bytes());
+        codec::put_u64(out, self.n);
+        codec::put_u32(out, self.value_width);
+        for v in [
+            self.index_off,
+            self.index_len,
+            self.bloom_off,
+            self.bloom_len,
+            self.min_key,
+            self.max_key,
+            self.max_seq,
+            MAGIC,
+        ] {
+            codec::put_u64(out, v);
+        }
     }
 
     /// Decode a `FOOTER_LEN`-byte buffer.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        if buf.len() != FOOTER_LEN {
-            return Err(Error::Corruption(format!(
-                "footer length {} != {FOOTER_LEN}",
-                buf.len()
-            )));
-        }
-        let u64_at = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().unwrap());
-        let magic = u64_at(FOOTER_LEN - 8);
+        let mut r = Reader::new(buf);
+        let footer = Footer {
+            n: r.u64("footer n")?,
+            value_width: r.u32("footer value_width")?,
+            index_off: r.u64("footer index_off")?,
+            index_len: r.u64("footer index_len")?,
+            bloom_off: r.u64("footer bloom_off")?,
+            bloom_len: r.u64("footer bloom_len")?,
+            min_key: r.u64("footer min_key")?,
+            max_key: r.u64("footer max_key")?,
+            max_seq: r.u64("footer max_seq")?,
+        };
+        let magic = r.u64("footer magic")?;
         if magic != MAGIC {
             return Err(Error::Corruption(format!("bad magic {magic:#x}")));
         }
-        Ok(Footer {
-            n: u64_at(0),
-            value_width: u32::from_le_bytes(buf[8..12].try_into().unwrap()),
-            index_off: u64_at(12),
-            index_len: u64_at(20),
-            bloom_off: u64_at(28),
-            bloom_len: u64_at(36),
-            min_key: u64_at(44),
-            max_key: u64_at(52),
-            max_seq: u64_at(60),
-        })
+        r.finish()?;
+        Ok(footer)
     }
 }
 

@@ -114,7 +114,7 @@ impl TableReader {
         let mut bbuf = vec![0u8; footer.bloom_len as usize];
         file.read_exact_at(footer.bloom_off, &mut bbuf)?;
         let bloom = BloomFilter::decode(&bbuf)
-            .ok_or_else(|| Error::Corruption(format!("{name}: bad bloom payload")))?;
+            .map_err(|e| Error::Corruption(format!("{name}: bad bloom payload: {e}")))?;
 
         let table_id = next_table_id();
         let cache = cache.map(|cache| {
@@ -680,6 +680,39 @@ mod tests {
                 let want = good.get(k, snapshot, &stats).unwrap().filter(|_| claimed);
                 assert_eq!(reader.get(k, snapshot, &stats).unwrap(), want, "bit {bit}");
             }
+        }
+    }
+
+    /// A table whose bloom region is `[k = 7][0 words]` (footer adjusted so
+    /// the regions still tile the file) is refused at open. It used to
+    /// open, and its first get divided by the filter's zero bits.
+    #[test]
+    fn an_empty_bloom_payload_is_refused_at_open() {
+        let keys: Vec<u64> = (0..100u64).map(|i| i * 10).collect();
+        let (storage, _) = make_table(&keys, IndexKind::Pgm);
+        let bytes = lsm_io::read_all(&storage, "t.sst").unwrap();
+        let footer_at = bytes.len() - format::FOOTER_LEN;
+        let footer = Footer::decode(&bytes[footer_at..]).unwrap();
+        let mut crafted = bytes[..footer.bloom_off as usize].to_vec();
+        crafted.extend_from_slice(&7u32.to_le_bytes());
+        crafted.extend_from_slice(&0u32.to_le_bytes());
+        Footer {
+            bloom_len: 8,
+            ..footer
+        }
+        .encode_into(&mut crafted);
+        storage
+            .create("empty-bloom.sst")
+            .unwrap()
+            .append(&crafted)
+            .unwrap();
+        match TableReader::open(&storage, "empty-bloom.sst") {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("empty-bloom.sst"), "{msg}"),
+            Err(e) => panic!("not corruption: {e}"),
+            Ok(r) => panic!(
+                "opened; get(30) = {:?}",
+                r.get(30, u64::MAX >> 8, &DbStats::new())
+            ),
         }
     }
 }

@@ -43,6 +43,7 @@
 //! topology seal and commit marker, and checks them again on replay.
 
 use crate::batch::BatchOp;
+use crate::codec::{self, Reader};
 use crate::types::{EntryKind, SeqNo};
 use crate::{Error, Result};
 use lsm_io::{Storage, WritableFile};
@@ -287,10 +288,9 @@ pub fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
         .fold(0usize, usize::saturating_add);
     let mut out = Vec::with_capacity(cap.min(u32::MAX as usize));
     for op in ops {
-        out.push(op.kind.tag());
-        out.extend_from_slice(&op.key.to_le_bytes());
-        out.extend_from_slice(&(op.value.len() as u32).to_le_bytes());
-        out.extend_from_slice(&op.value);
+        codec::put_u8(&mut out, op.kind.tag());
+        codec::put_u64(&mut out, op.key);
+        codec::put_bytes(&mut out, &op.value);
     }
     out
 }
@@ -301,33 +301,31 @@ pub fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
 /// is by definition unsealed. What an intact payload *means* is the
 /// caller's business.
 pub(crate) struct FrameIter<'a> {
-    data: &'a [u8],
-    pos: usize,
+    rest: Reader<'a>,
 }
 
 impl<'a> Iterator for FrameIter<'a> {
     type Item = &'a [u8];
 
+    /// The reader advances only past an intact frame, so once a tear or a
+    /// bad CRC ends the scan every later call ends it too.
     fn next(&mut self) -> Option<&'a [u8]> {
-        if self.pos + 8 > self.data.len() {
-            return None;
-        }
-        let crc = u32::from_le_bytes(self.data[self.pos..self.pos + 4].try_into().unwrap());
-        let len =
-            u32::from_le_bytes(self.data[self.pos + 4..self.pos + 8].try_into().unwrap()) as usize;
-        let body_start = self.pos + 8;
-        let body = self.data.get(body_start..body_start + len)?; // torn tail
+        let mut r = self.rest.clone();
+        let crc = r.u32("frame crc").ok()?;
+        let body = r.bytes("frame payload").ok()?; // torn tail
         if crc32(body) != crc {
             return None; // corrupt tail
         }
-        self.pos = body_start + len;
+        self.rest = r;
         Some(body)
     }
 }
 
 /// The intact frames of `data`, in append order.
 pub(crate) fn intact_frames(data: &[u8]) -> FrameIter<'_> {
-    FrameIter { data, pos: 0 }
+    FrameIter {
+        rest: Reader::new(data),
+    }
 }
 
 /// Append side of the write-ahead log.
@@ -411,20 +409,20 @@ impl WalWriter {
         // payload is in place: one buffer, one copy of the regions.
         self.buf.clear();
         self.buf.extend_from_slice(&[0; 8]);
-        self.buf.push(if cross.is_some() {
+        let format = if cross.is_some() {
             CROSS_BATCH_FORMAT
         } else {
             BATCH_FORMAT
-        });
-        self.buf.extend_from_slice(&first_seq.to_le_bytes());
-        self.buf.extend_from_slice(&(count as u32).to_le_bytes());
+        };
+        codec::put_u8(&mut self.buf, format);
+        codec::put_u64(&mut self.buf, first_seq);
+        codec::put_u32(&mut self.buf, count as u32);
         if let Some(tag) = cross {
-            self.buf.extend_from_slice(&tag.global_first.to_le_bytes());
-            self.buf.extend_from_slice(&tag.global_last.to_le_bytes());
-            self.buf
-                .extend_from_slice(&(tag.participants.len() as u16).to_le_bytes());
+            codec::put_u64(&mut self.buf, tag.global_first);
+            codec::put_u64(&mut self.buf, tag.global_last);
+            codec::put_u16(&mut self.buf, tag.participants.len() as u16);
             for &shard in &tag.participants {
-                self.buf.extend_from_slice(&shard.to_le_bytes());
+                codec::put_u16(&mut self.buf, shard);
             }
         }
         for p in parts {
@@ -448,52 +446,36 @@ impl WalWriter {
 }
 
 /// Decode one intact batch payload into its operations and, for cross-shard
-/// prepare records, its resolution tag.
+/// prepare records, its resolution tag. The codec checks every length — a
+/// CRC-valid but malformed record is a clean corruption error, and the
+/// declared op count is bounded by the record's size before anything is
+/// reserved for it; the checks here are what the bytes mean.
 fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
-    if body.len() < BATCH_HEADER {
+    let mut r = Reader::new(body);
+    let format = r.u8("wal format")?;
+    if format != BATCH_FORMAT && format != CROSS_BATCH_FORMAT {
         return Err(Error::Corruption(format!(
-            "wal batch header too short: {}",
-            body.len()
+            "wal batch format {format} unsupported (expected {BATCH_FORMAT} or {CROSS_BATCH_FORMAT})"
         )));
     }
-    if body[0] != BATCH_FORMAT && body[0] != CROSS_BATCH_FORMAT {
-        return Err(Error::Corruption(format!(
-            "wal batch format {} unsupported (expected {BATCH_FORMAT} or {CROSS_BATCH_FORMAT})",
-            body[0]
-        )));
-    }
-    let first_seq = SeqNo::from_le_bytes(body[1..9].try_into().unwrap());
-    let count = u32::from_le_bytes(body[9..13].try_into().unwrap()) as usize;
+    let first_seq = r.u64("wal first_seq")?;
+    let count = r.count("wal op count", OP_HEADER)?;
     if count == 0 {
         return Err(Error::Corruption("wal batch with zero operations".into()));
     }
-    let mut pos = BATCH_HEADER;
-    let cross = if body[0] == CROSS_BATCH_FORMAT {
-        if body.len() < pos + CROSS_HEADER {
-            return Err(Error::Corruption(format!(
-                "wal cross-shard header too short: {}",
-                body.len()
-            )));
-        }
-        let global_first = SeqNo::from_le_bytes(body[pos..pos + 8].try_into().unwrap());
-        let global_last = SeqNo::from_le_bytes(body[pos + 8..pos + 16].try_into().unwrap());
-        let nparts = u16::from_le_bytes(body[pos + 16..pos + 18].try_into().unwrap()) as usize;
-        pos += CROSS_HEADER;
-        if body.len() < pos + 2 * nparts {
-            return Err(Error::Corruption(format!(
-                "wal cross-shard record claims {nparts} participants in a {}-byte record",
-                body.len()
-            )));
+    let cross = if format == CROSS_BATCH_FORMAT {
+        let global_first = r.u64("wal global_first")?;
+        let global_last = r.u64("wal global_last")?;
+        let nparts = r.u16("wal participant count")?;
+        let mut participants = Vec::with_capacity(nparts.into());
+        for _ in 0..nparts {
+            participants.push(r.u16("wal participant")?);
         }
         if global_last < global_first {
             return Err(Error::Corruption(format!(
                 "wal cross-shard record with inverted range {global_first}..{global_last}"
             )));
         }
-        let participants = (0..nparts)
-            .map(|i| u16::from_le_bytes(body[pos + 2 * i..pos + 2 * i + 2].try_into().unwrap()))
-            .collect();
-        pos += 2 * nparts;
         Some(CrossBatchTag {
             global_first,
             global_last,
@@ -502,48 +484,19 @@ fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
     } else {
         None
     };
-    // Bound the claimed count by what the body could possibly hold before
-    // allocating — a CRC-valid but malformed record must produce a clean
-    // corruption error, not a giant allocation.
-    if count > (body.len() - pos) / OP_HEADER {
-        return Err(Error::Corruption(format!(
-            "wal batch claims {count} ops in a {}-byte record",
-            body.len()
-        )));
+    let mut ops = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = r.u8("wal op kind")?;
+        let kind = EntryKind::from_tag(tag)
+            .ok_or_else(|| Error::Corruption(format!("wal bad kind {tag}")))?;
+        let key = r.u64("wal op key")?;
+        let value = r.bytes("wal op value")?.to_vec();
+        ops.push(BatchOp { kind, key, value });
     }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        if pos + OP_HEADER > body.len() {
-            return Err(Error::Corruption(format!(
-                "wal batch truncated at op {i}/{count}"
-            )));
-        }
-        let kind = EntryKind::from_tag(body[pos])
-            .ok_or_else(|| Error::Corruption(format!("wal bad kind {}", body[pos])))?;
-        let key = u64::from_le_bytes(body[pos + 1..pos + 9].try_into().unwrap());
-        let vlen = u32::from_le_bytes(body[pos + 9..pos + 13].try_into().unwrap()) as usize;
-        pos += OP_HEADER;
-        if pos + vlen > body.len() {
-            return Err(Error::Corruption(format!(
-                "wal batch value overruns record at op {i}/{count}"
-            )));
-        }
-        out.push(BatchOp {
-            kind,
-            key,
-            value: body[pos..pos + vlen].to_vec(),
-        });
-        pos += vlen;
-    }
-    if pos != body.len() {
-        return Err(Error::Corruption(format!(
-            "wal batch has {} trailing bytes",
-            body.len() - pos
-        )));
-    }
+    r.finish()?;
     Ok(ReplayedRecord {
         first_seq,
-        ops: out,
+        ops,
         cross,
     })
 }

@@ -10,9 +10,10 @@
 //!   or delete a batch of one), request ids chosen by the client and
 //!   echoed by the server, responses free to arrive out of order —
 //!   per-connection pipelining.
-//!   It is the one wire codec: the `METRICS` scrape — every engine
+//!   It is the one wire format: the `METRICS` scrape — every engine
 //!   counter, the sharding layer's residency report, latency quantiles
-//!   and the event timeline — is encoded by it like any other payload.
+//!   and the event timeline — is encoded by it like any other payload,
+//!   through the engine's one byte codec, `lsm_tree::codec`.
 //! * [`transport`] — pluggable byte transports: real TCP, and an
 //!   in-memory duplex pair so every test and benchmark exercises the
 //!   full request path without sockets or network.

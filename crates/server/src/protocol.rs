@@ -55,9 +55,12 @@
 //! engine, `topology_epoch`, `live_commit_markers` and per shard in routing
 //! order `shard{id}_resident_bytes` / `shard{id}_resident_entries`.
 //!
-//! Every declared count is checked against the bytes left in the payload
-//! before anything is reserved for it, so a lie is a typed error, never a
-//! large allocation.
+//! Frames are written and read through the workspace's one byte codec,
+//! [`lsm_tree::codec`] (the engine's WAL, table footer and index payloads
+//! use the same one): every length is bounds-checked by its `Reader`, and
+//! every declared count goes through `Reader::count`, which checks it
+//! against the bytes left in the payload before anything is reserved for
+//! it — so a lie is a typed error, never a large allocation.
 //!
 //! Framing violations (a declared length above the server's cap, or a
 //! stream that ends mid-frame) are not answerable — the stream can no
@@ -66,6 +69,7 @@
 use std::io::{self, Read, Write};
 
 use lsm_obs::{Event, EventKind, HistSummary, MetricsSnapshot, OpLatencies};
+use lsm_tree::codec::{put_bytes, put_u16, put_u32, put_u64, DecodeError, Reader};
 use lsm_tree::{EntryKind, WriteBatch};
 
 /// Smallest legal frame body: id (8) + tag (1).
@@ -211,23 +215,6 @@ const LATENCIES_BYTES: usize = 2 + 4 * 7 * 8;
 /// Wire bytes of one encoded [`Event`].
 const EVENT_BYTES: usize = 4 * 8 + 1 + 2;
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
 fn put_latencies(out: &mut Vec<u8>, l: &OpLatencies) {
     put_u16(out, l.shard);
     for s in [&l.write, &l.sync_wait, &l.get, &l.scan] {
@@ -364,163 +351,102 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, resp: &Response) {
 
 // ------------------------------------------------------------- decoding
 
-/// Bounds-checked little-endian cursor over a frame payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A payload decode's failure: a [`DecodeError`] from the codec, or a
+/// message naming a value the protocol does not define.
+type Decoded<T> = Result<T, Box<dyn std::error::Error>>;
+
+fn latencies(r: &mut Reader<'_>) -> Result<OpLatencies, DecodeError> {
+    let shard = r.u16("latencies shard")?;
+    let mut summary = || -> Result<HistSummary, DecodeError> {
+        let mut field = || r.u64("latency summary");
+        Ok(HistSummary {
+            count: field()?,
+            mean_ns: field()?,
+            max_ns: field()?,
+            p50_ns: field()?,
+            p90_ns: field()?,
+            p99_ns: field()?,
+            p999_ns: field()?,
+        })
+    };
+    Ok(OpLatencies {
+        shard,
+        write: summary()?,
+        sync_wait: summary()?,
+        get: summary()?,
+        scan: summary()?,
+    })
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+fn metrics(r: &mut Reader<'_>) -> Decoded<MetricsSnapshot> {
+    let enabled = match r.u8("metrics enabled flag")? {
+        0 => false,
+        1 => true,
+        other => return Err(format!("metrics enabled flag must be 0/1, got {other}").into()),
+    };
+    let dropped_events = r.u64("metrics dropped events")?;
+    let n = r.count("metrics counter count", 4 + 8)?;
+    let mut counters = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = std::str::from_utf8(r.bytes("metrics counter name")?)
+            .map_err(|_| "metrics counter name is not UTF-8")?;
+        counters.push((name.to_owned(), r.u64("metrics counter value")?));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if n > self.buf.len() - self.pos {
-            return Err("payload truncated".into());
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+    let total = latencies(r)?;
+    let n = r.count("metrics shard count", LATENCIES_BYTES)?;
+    let mut shards = Vec::with_capacity(n);
+    for _ in 0..n {
+        shards.push(latencies(r)?);
     }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    let n = r.count("metrics event count", EVENT_BYTES)?;
+    let mut events = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut word = || r.u64("metrics event");
+        let [ts_ns, span, a, b] = [word()?, word()?, word()?, word()?];
+        let kind = r.u8("metrics event kind")?;
+        let kind =
+            EventKind::from_u8(kind).ok_or_else(|| format!("metrics event kind {kind} unknown"))?;
+        events.push(Event {
+            ts_ns,
+            span,
+            a,
+            b,
+            kind,
+            shard: r.u16("metrics event shard")?,
+        });
     }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// A `u32`-length-prefixed byte string, borrowed from the payload.
-    fn slice(&mut self) -> Result<&'a [u8], String> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        Ok(self.slice()?.to_vec())
-    }
-
-    /// A declared element count, refused unless the bytes left can hold
-    /// that many elements of at least `min_bytes` each — checked before
-    /// the caller reserves anything for them.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(min_bytes) > self.buf.len() - self.pos {
-            return Err(format!("count {count} overruns payload"));
-        }
-        Ok(count)
-    }
-
-    fn latencies(&mut self) -> Result<OpLatencies, String> {
-        let shard = self.u16()?;
-        let mut summary = || -> Result<HistSummary, String> {
-            Ok(HistSummary {
-                count: self.u64()?,
-                mean_ns: self.u64()?,
-                max_ns: self.u64()?,
-                p50_ns: self.u64()?,
-                p90_ns: self.u64()?,
-                p99_ns: self.u64()?,
-                p999_ns: self.u64()?,
-            })
-        };
-        Ok(OpLatencies {
-            shard,
-            write: summary()?,
-            sync_wait: summary()?,
-            get: summary()?,
-            scan: summary()?,
-        })
-    }
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot, String> {
-        let enabled = match self.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(format!("metrics enabled flag must be 0/1, got {other}")),
-        };
-        let dropped_events = self.u64()?;
-        let n = self.count(4 + 8)?;
-        let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = String::from_utf8(self.bytes()?)
-                .map_err(|_| "metrics counter name is not UTF-8")?;
-            counters.push((name, self.u64()?));
-        }
-        let total = self.latencies()?;
-        let n = self.count(LATENCIES_BYTES)?;
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(self.latencies()?);
-        }
-        let n = self.count(EVENT_BYTES)?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            let [ts_ns, span, a, b] = [self.u64()?, self.u64()?, self.u64()?, self.u64()?];
-            let kind = self.u8()?;
-            let kind = EventKind::from_u8(kind)
-                .ok_or_else(|| format!("metrics event kind {kind} unknown"))?;
-            events.push(Event {
-                ts_ns,
-                span,
-                a,
-                b,
-                kind,
-                shard: self.u16()?,
-            });
-        }
-        Ok(MetricsSnapshot {
-            enabled,
-            counters,
-            total,
-            shards,
-            events,
-            dropped_events,
-        })
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            ))
-        }
-    }
+    Ok(MetricsSnapshot {
+        enabled,
+        counters,
+        total,
+        shards,
+        events,
+        dropped_events,
+    })
 }
 
 /// Decode a request payload. `Err` carries a human-readable reason for
 /// the `ERR_BAD_REQUEST` response.
 pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<Request, String> {
-    let mut c = Cursor::new(payload);
+    request(opcode, payload).map_err(|e| e.to_string())
+}
+
+fn request(opcode: u8, payload: &[u8]) -> Decoded<Request> {
+    let mut r = Reader::new(payload);
     let req = match opcode {
-        OP_GET => Request::Get { key: c.u64()? },
+        OP_GET => Request::Get {
+            key: r.u64("get key")?,
+        },
         OP_WRITE_BATCH => {
-            let flags = c.u8()?;
+            let flags = r.u8("batch flags")?;
             // The smallest entry is a delete: kind + key.
-            let count = c.count(1 + 8)?;
+            let count = r.count("batch count", 1 + 8)?;
             let mut batch = WriteBatch::with_capacity(count);
             for _ in 0..count {
-                match c.u8()? {
-                    0 => batch.put(c.u64()?, c.slice()?),
-                    1 => batch.delete(c.u64()?),
-                    k => return Err(format!("unknown batch entry kind {k}")),
+                match r.u8("batch entry kind")? {
+                    0 => batch.put(r.u64("batch key")?, r.bytes("batch value")?),
+                    1 => batch.delete(r.u64("batch key")?),
+                    k => return Err(format!("unknown batch entry kind {k}").into()),
                 };
             }
             Request::WriteBatch {
@@ -529,49 +455,59 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<Request, String> {
             }
         }
         OP_SCAN => Request::Scan {
-            start: c.u64()?,
-            limit: c.u32()?,
+            start: r.u64("scan start")?,
+            limit: r.u32("scan limit")?,
         },
         OP_METRICS => Request::Metrics,
-        op => return Err(format!("unknown opcode 0x{op:02x}")),
+        op => return Err(format!("unknown opcode 0x{op:02x}").into()),
     };
-    c.finish()?;
+    r.finish()?;
     Ok(req)
 }
 
 /// Decode a response payload.
 pub fn decode_response(status: u8, payload: &[u8]) -> Result<Response, String> {
-    let mut c = Cursor::new(payload);
+    response(status, payload).map_err(|e| e.to_string())
+}
+
+fn response(status: u8, payload: &[u8]) -> Decoded<Response> {
+    let mut r = Reader::new(payload);
     let resp = match status {
-        ST_OK_VALUE => Response::Value(match c.u8()? {
+        ST_OK_VALUE => Response::Value(match r.u8("value present")? {
             0 => None,
-            _ => Some(c.bytes()?),
+            _ => Some(r.bytes("value")?.to_vec()),
         }),
-        ST_OK_COMMITTED => Response::Committed { seq: c.u64()? },
+        ST_OK_COMMITTED => Response::Committed {
+            seq: r.u64("committed seq")?,
+        },
         ST_OK_ENTRIES => {
             // The smallest pair is a key and an empty value's length.
-            let count = c.count(8 + 4)?;
+            let count = r.count("entry count", 8 + 4)?;
             let mut pairs = Vec::with_capacity(count);
             for _ in 0..count {
-                let k = c.u64()?;
-                pairs.push((k, c.bytes()?));
+                let k = r.u64("entry key")?;
+                pairs.push((k, r.bytes("entry value")?.to_vec()));
             }
             Response::Entries(pairs)
         }
-        ST_OK_METRICS => Response::Metrics(Box::new(c.metrics()?)),
-        ST_ERR_RETRY_AFTER => Response::Error(ServerError::RetryAfter { ms: c.u32()? }),
-        ST_ERR_POISONED => Response::Error(ServerError::Poisoned(msg(&mut c)?)),
-        ST_ERR_BAD_REQUEST => Response::Error(ServerError::BadRequest(msg(&mut c)?)),
-        ST_ERR_SERVER => Response::Error(ServerError::Server(msg(&mut c)?)),
-        ST_ERR_SHUTTING_DOWN => Response::Error(ServerError::ShuttingDown(msg(&mut c)?)),
-        s => return Err(format!("unknown status 0x{s:02x}")),
+        ST_OK_METRICS => Response::Metrics(Box::new(metrics(&mut r)?)),
+        ST_ERR_RETRY_AFTER => Response::Error(ServerError::RetryAfter {
+            ms: r.u32("retry ms")?,
+        }),
+        ST_ERR_POISONED => Response::Error(ServerError::Poisoned(msg(&mut r)?)),
+        ST_ERR_BAD_REQUEST => Response::Error(ServerError::BadRequest(msg(&mut r)?)),
+        ST_ERR_SERVER => Response::Error(ServerError::Server(msg(&mut r)?)),
+        ST_ERR_SHUTTING_DOWN => Response::Error(ServerError::ShuttingDown(msg(&mut r)?)),
+        s => return Err(format!("unknown status 0x{s:02x}").into()),
     };
-    c.finish()?;
+    r.finish()?;
     Ok(resp)
 }
 
-fn msg(c: &mut Cursor<'_>) -> Result<String, String> {
-    String::from_utf8(c.bytes()?).map_err(|_| "error message is not UTF-8".into())
+fn msg(r: &mut Reader<'_>) -> Decoded<String> {
+    let m =
+        std::str::from_utf8(r.bytes("error message")?).map_err(|_| "error message is not UTF-8")?;
+    Ok(m.to_owned())
 }
 
 // --------------------------------------------------------------- framing
@@ -585,7 +521,9 @@ pub fn read_frame(r: &mut dyn Read, max_frame: usize) -> Result<(u64, u8, Vec<u8
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(FrameError::Truncated),
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let len = u32::from_le_bytes(len_buf);
+    let len = Reader::new(&len_buf)
+        .u32("frame length")
+        .expect("four bytes hold a u32");
     if (len as usize) < MIN_FRAME || len as usize > max_frame {
         return Err(FrameError::BadLength(len));
     }
@@ -595,8 +533,9 @@ pub fn read_frame(r: &mut dyn Read, max_frame: usize) -> Result<(u64, u8, Vec<u8
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(FrameError::Truncated),
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let id = u64::from_le_bytes(body[..8].try_into().unwrap());
-    let tag = body[8];
+    let mut header = Reader::new(&body);
+    let id = header.u64("frame id").expect("MIN_FRAME covers the id");
+    let tag = header.u8("frame tag").expect("MIN_FRAME covers the tag");
     body.drain(..MIN_FRAME);
     Ok((id, tag, body))
 }
