@@ -351,6 +351,14 @@ impl DbCore {
                     let name = parts
                         .next()
                         .ok_or_else(|| Error::Corruption(format!("manifest line {lineno}")))?;
+                    // Skipping the line would leave the table unnamed, and
+                    // the open's sweep would delete it.
+                    if level >= MAX_LEVELS {
+                        return Err(Error::Corruption(format!(
+                            "manifest: table {name} at level {level}, past the last level {}",
+                            MAX_LEVELS - 1
+                        )));
+                    }
                     let reader = Arc::new(TableReader::open_with(storage, name, cache.cloned())?);
                     let meta = crate::sstable::TableMeta {
                         name: name.to_string(),
@@ -367,9 +375,7 @@ impl DbCore {
                         train_wait_ns: 0,
                         model_write_ns: 0,
                     };
-                    if level < version.levels.len() {
-                        version.levels[level].push(Arc::new(TableHandle { meta, reader }));
-                    }
+                    version.levels[level].push(Arc::new(TableHandle { meta, reader }));
                 }
                 _ => {}
             }
@@ -509,6 +515,47 @@ mod tests {
             refused.err()
         );
         assert_eq!(storage.list().unwrap().len(), files_before);
+    }
+
+    /// A manifest naming a table at a level this build does not have — what
+    /// a build that let `max_levels` exceed 8 wrote — is `Corruption` at
+    /// `open`, naming the level and the file, and the refused open sweeps
+    /// nothing. At the parent of this check recovery skipped the line, the
+    /// open succeeded on an empty database, and its sweep removed the table.
+    #[test]
+    fn table_past_the_last_level_is_refused_not_swept() {
+        let opts = Options::small_for_tests();
+        let storage = Arc::new(MemStorage::new());
+        let ctx = TableContext {
+            storage: storage.as_ref(),
+            opts: &opts,
+            next_file_no: &AtomicU64::new(1),
+            cache: None,
+            stats: &DbStats::new(),
+        };
+        let tables = LevelWriter::write(&ctx, 1, |out| {
+            for key in 0..150 {
+                let entry = Entry::put(key, 1, b"kept".to_vec());
+                out.add(&entry.key, &entry.value)?;
+            }
+            Ok(())
+        });
+        let name = tables.unwrap().remove(0).meta.name.clone();
+        let text = format!("next 3 1\ntable {MAX_LEVELS} {name}\n");
+        sealed::write_sealed(storage.as_ref(), MANIFEST_PREFIX, 1, text).unwrap();
+        let mut files_before = storage.list().unwrap();
+        files_before.sort_unstable();
+
+        let refused = Db::open(storage.clone(), opts);
+        assert!(
+            matches!(&refused, Err(Error::Corruption(msg))
+                if msg.contains(&format!("level {MAX_LEVELS}")) && msg.contains(&name)),
+            "{:?}",
+            refused.err()
+        );
+        let mut left = storage.list().unwrap();
+        left.sort_unstable();
+        assert_eq!(left, files_before, "a refused open sweeps nothing");
     }
 
     /// A store that holds data no sealed manifest names is refused, and the

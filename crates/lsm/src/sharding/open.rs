@@ -64,7 +64,7 @@ impl ShardedDb {
         let shutdown = Arc::new(AtomicBool::new(false));
         let coordination = Arc::new(CommitCoordination::default());
         // One shared observer for the whole engine: every shard emits into
-        // the same ring, so the drained timeline interleaves shards in
+        // the same buffer, so the drained timeline interleaves shards in
         // true order and span ids are unique engine-wide.
         let observer = opts
             .base

@@ -7,10 +7,10 @@
 //! free of engine dependencies so every layer (engine, sharding,
 //! server, benches) can record into it:
 //!
-//! * [`EventRing`] — a lock-free, fixed-capacity MPSC ring of
-//!   structured [`Event`]s. Emitting never locks or allocates; a full
-//!   ring drops the new event and counts the drop. Begin/end pairs
-//!   share a span id for duration stitching.
+//! * [`Observer`] — the engine's shared sink of structured [`Event`]s:
+//!   a bounded FIFO allocated up front, so emitting never allocates; a
+//!   full buffer drops the new event and counts the drop. Begin/end
+//!   pairs share a span id for duration stitching.
 //! * [`LatencyHistogram`] / [`AtomicHistogram`] — HDR-style
 //!   log-bucketed distributions (exact below 128 ns, 64 sub-buckets per
 //!   octave, ≤1/64 relative quantile error). The atomic variant is the
@@ -27,7 +27,6 @@
 pub mod event;
 pub mod hist;
 pub mod metrics;
-pub mod ring;
 
 pub use event::{now_ns, Event, EventKind, GLOBAL_SHARD};
 pub use hist::{AtomicHistogram, LatencyHistogram};
@@ -35,4 +34,3 @@ pub use metrics::{
     EngineObs, HistSummary, MetricsSnapshot, Observer, OpHistSet, OpHistograms, OpLatencies,
     DEFAULT_RING_CAPACITY,
 };
-pub use ring::EventRing;

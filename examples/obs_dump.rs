@@ -1,6 +1,6 @@
 //! Dump the engine's observability surface under a skewed write-heavy
 //! workload: run a sharded engine with background maintenance and live
-//! splits enabled, drain the event ring as the stream runs, and finish
+//! splits enabled, drain the event buffer as the stream runs, and finish
 //! with the folded Prometheus-style metrics text.
 //!
 //! ```sh
