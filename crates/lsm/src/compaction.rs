@@ -12,6 +12,13 @@
 //! serialization are timed separately per table so Figure 9's breakdown
 //! falls out directly.
 //!
+//! [`run_compaction`] always rewrites. The engine does not call it for a
+//! task whose rewrite would only copy its one input — nothing under it at
+//! the next level, one table's worth of entries, the next level's index
+//! choice and, into the bottom level, no tombstone — and moves that table
+//! down instead (`DbCore::compact_one`). So a rewrite into the bottom level
+//! still drops every tombstone, and a table holding one never moves there.
+//!
 //! **The seal pipeline** ([`LevelWriter`]): a finished table that is not
 //! the job's last trains its index and builds its filter on a helper thread
 //! leased from the maintenance thread budget while the merge fills the next
@@ -62,7 +69,9 @@ use lsm_obs::{EngineObs, EventKind};
 ///   what the learned index models train on);
 /// * a tombstone is additionally elided when the output is the bottom of
 ///   the tree (`elide_tombstones`) — there is nothing underneath left to
-///   mask.
+///   mask. A table that moves down a level instead of being merged skips
+///   this rule, so only a table known to hold no tombstone moves into the
+///   bottom level.
 ///
 /// Older versions pinned by a live [`crate::Snapshot`] do **not** need to
 /// survive the merge: snapshots read through their pinned `Version`, whose

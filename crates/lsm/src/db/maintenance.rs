@@ -17,7 +17,9 @@ use crate::compaction::{
 };
 use crate::iter::Cursor;
 use crate::memtable::{ImmutableMemTable, MemTable};
+use crate::options::Options;
 use crate::scheduler::Step;
+use crate::sstable::format::entry_width;
 use crate::version::{TableHandle, Version};
 use crate::wal::WalWriter;
 use crate::{Error, Result};
@@ -420,7 +422,10 @@ impl DbCore {
     /// install the edit and seal the manifest, whose seal unlinks the
     /// inputs — until then the only sealed manifest on disk still names
     /// them, and unlinking first would leave a crash with a manifest
-    /// pointing at nothing. Disjoint tasks run concurrently; the `busy` set
+    /// pointing at nothing. A task a rewrite would only copy ([`movable`])
+    /// is installed as a move instead: the same table joins the next level,
+    /// with no merge, and nothing is unlinked, because the new manifest
+    /// still names it. Disjoint tasks run concurrently; the `busy` set
     /// keeps claims from overlapping. `Ok(false)`: nothing to claim.
     fn compact_one(&self) -> Result<bool> {
         let task = {
@@ -437,11 +442,20 @@ impl DbCore {
         };
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
         let result = (|| -> Result<()> {
-            let run = run_compaction(&self.tables(), &task, self.obs.as_deref())?;
+            // What a failure removes: the files this job created, so none
+            // for a move, whose one output is a live table.
+            let (outputs, created) = match movable(&task, &self.opts) {
+                Some(table) => (vec![self.move_table(&task, table)], Vec::new()),
+                None => {
+                    let run = run_compaction(&self.tables(), &task, self.obs.as_deref())?;
+                    let created: Vec<String> = names(&run.outputs).collect();
+                    (run.outputs, created)
+                }
+            };
             let mut inner = self.inner.write();
             let version = self
-                .compacted(&inner, &task, run.outputs.clone())
-                .inspect_err(|_| discard(self.storage.as_ref(), names(&run.outputs)))?;
+                .compacted(&inner, &task, outputs)
+                .inspect_err(|_| discard(self.storage.as_ref(), created))?;
             self.install(&mut inner, |tree| tree.version = version);
             self.write_manifest(&mut inner)
         })();
@@ -453,6 +467,19 @@ impl DbCore {
         }
         self.stats.bg_active.fetch_sub(1, Ordering::Relaxed);
         self.finished(result)
+    }
+
+    /// Count and trace a move of `table`, `task`'s one input, as a
+    /// compaction job that read and wrote nothing.
+    fn move_table(&self, task: &CompactionTask, table: &Arc<TableHandle>) -> Arc<TableHandle> {
+        self.stats.compactions.fetch_add(1, Ordering::Relaxed);
+        self.stats.compaction_moves.fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = self.obs.as_deref() {
+            let span = obs.span();
+            obs.emit(EventKind::CompactionBegin, span, task.level as u64, 0);
+            obs.emit(EventKind::CompactionEnd, span, 0, 0);
+        }
+        Arc::clone(table)
     }
 
     /// `inner`'s version with `task`'s inputs replaced by `outputs` and the
@@ -557,11 +584,103 @@ impl DbCore {
     }
 }
 
+/// `task`'s one input when rewriting it would write the same table again,
+/// so it may move down as it is (LevelDB's trivial move): nothing at the
+/// next level overlaps it; its entries have the width and its index the
+/// choice the next level's tables get; it is small enough that the rewrite
+/// would not cut it in two; and, when the next level is the bottom, where a
+/// rewrite drops tombstones, it is known to hold none. A table recovered at
+/// open has an unknown tombstone count, so it is rewritten there.
+fn movable<'t>(task: &'t CompactionTask, opts: &Options) -> Option<&'t Arc<TableHandle>> {
+    let [table] = task.inputs.as_slice() else {
+        return None;
+    };
+    let width = entry_width(opts.value_width);
+    let one_table = table.meta.n * (width as u64) < opts.sstable_target_bytes + width as u64;
+    let same_index = opts.index_for_level(task.level) == opts.index_for_level(task.level + 1);
+    let tombstones_kept = !task.is_bottom || table.meta.tombstones == Some(0);
+    let movable = task.next_inputs.is_empty()
+        && table.reader.entry_width() == width
+        && one_table
+        && same_index
+        && tombstones_kept;
+    movable.then_some(table)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{Maintenance, Options};
-    use lsm_io::{FaultStorage, MemStorage};
+    use crate::options::Maintenance;
+    use crate::sstable::{TableBuilder, TableMeta, TableReader};
+    use crate::types::Entry;
+    use lsm_io::{FaultStorage, MemStorage, Storage};
+
+    /// Each condition of a move, broken alone, makes the task a rewrite.
+    /// At `small_for_tests` an entry is 68 B and a table 8 KiB, so a
+    /// rewrite of 121 entries writes one table and of 122 writes two.
+    #[test]
+    fn a_task_moves_only_when_its_rewrite_would_copy_it() {
+        let storage = MemStorage::new();
+        let opts = Options::small_for_tests();
+        let table = |name: &str, n: u64, tombstone: bool| -> Arc<TableHandle> {
+            let file = storage.create(name).unwrap();
+            let index = opts.index_for_level(2);
+            let mut b = TableBuilder::new(file, name.into(), index, 32, 10);
+            for k in 0..n {
+                let e = match tombstone && k == 7 {
+                    true => Entry::tombstone(k, 1),
+                    false => Entry::put(k, 1, vec![1; 8]),
+                };
+                b.add(&e).unwrap();
+            }
+            let meta = b.finish().unwrap();
+            let reader = Arc::new(TableReader::open(&storage, name).unwrap());
+            Arc::new(TableHandle { meta, reader })
+        };
+        let task = |inputs: Vec<Arc<TableHandle>>, next_inputs, is_bottom| CompactionTask {
+            level: 1,
+            inputs,
+            next_inputs,
+            is_bottom,
+        };
+        let moves = |task: &CompactionTask, opts: &Options| movable(task, opts).is_some();
+        let fits = table("fits", 121, false);
+        assert!(moves(&task(vec![fits.clone()], vec![], true), &opts));
+        assert!(!moves(
+            &task(vec![table("big", 122, false)], vec![], true),
+            &opts
+        ));
+        let under = vec![table("under", 10, false)];
+        assert!(!moves(&task(vec![fits.clone()], under, true), &opts));
+        let two = vec![fits.clone(), table("other", 10, false)];
+        assert!(!moves(&task(two, vec![], true), &opts));
+
+        let deleting = table("deleting", 121, true);
+        assert!(!moves(&task(vec![deleting.clone()], vec![], true), &opts));
+        assert!(moves(&task(vec![deleting], vec![], false), &opts));
+        let recovered = Arc::new(TableHandle {
+            meta: TableMeta {
+                tombstones: None,
+                ..fits.meta.clone()
+            },
+            reader: Arc::clone(&fits.reader),
+        });
+        assert!(!moves(&task(vec![recovered.clone()], vec![], true), &opts));
+        assert!(moves(&task(vec![recovered], vec![], false), &opts));
+
+        let small = vec![table("small", 10, false)];
+        assert!(moves(&task(small.clone(), vec![], true), &opts));
+        let wider = Options {
+            value_width: 40,
+            ..opts.clone()
+        };
+        assert!(!moves(&task(small, vec![], true), &wider));
+        let tighter_below = Options {
+            per_level_epsilon: Some(vec![8, 8, 4]),
+            ..opts.clone()
+        };
+        assert!(!moves(&task(vec![fits], vec![], true), &tighter_below));
+    }
 
     /// A full device under a background flush is an I/O error to whoever
     /// asks next — `flush`, then `close` — and stops being one once a retry

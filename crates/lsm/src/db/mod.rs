@@ -1220,4 +1220,114 @@ mod tests {
         }
         db.close().unwrap();
     }
+
+    /// What a reopen reads of a table — footer, loaded index and filter,
+    /// file size — is the meta its build returned, but for the timings and
+    /// the tombstone count, which the file does not record.
+    #[test]
+    fn reopen_recovers_the_meta_each_table_was_built_with() {
+        // Each table's level and meta, with what a reopen cannot read cleared.
+        let as_recovered = |db: &Db| -> Vec<(usize, crate::sstable::TableMeta)> {
+            let mut out = Vec::new();
+            for (level, tables) in db.version().levels.iter().enumerate() {
+                for t in tables {
+                    let meta = crate::sstable::TableMeta {
+                        train_ns: 0,
+                        train_wait_ns: 0,
+                        model_write_ns: 0,
+                        tombstones: None,
+                        ..t.meta.clone()
+                    };
+                    out.push((level, meta));
+                }
+            }
+            out
+        };
+        for kind in IndexKind::ALL {
+            let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+            let mut opts = Options::small_for_tests();
+            opts.index.kind = kind;
+            let (built, tombstones) = {
+                let db = Db::open(Arc::clone(&storage), opts.clone()).unwrap();
+                for k in 0..2_000u64 {
+                    db.put(k * 7 % 1_500, format!("v{k}").as_bytes()).unwrap();
+                    if k % 5 == 0 {
+                        db.delete(k * 3 % 1_500).unwrap();
+                    }
+                }
+                db.flush().unwrap();
+                let version = db.version();
+                let tables = version.levels.iter().flatten();
+                let tombstones: Vec<Option<u64>> = tables.map(|t| t.meta.tombstones).collect();
+                (as_recovered(&db), tombstones)
+            };
+            assert!(tombstones.iter().all(Option::is_some), "{kind}");
+            assert!(tombstones.iter().any(|&n| n > Some(0)), "{kind}");
+            assert!(built.iter().all(|(_, m)| m.max_seq > 0), "{kind}");
+            let db = Db::open(storage, opts).unwrap();
+            assert_eq!(as_recovered(&db), built, "{kind}");
+            let version = db.version();
+            let mut tables = version.levels.iter().flatten();
+            assert!(tables.all(|t| t.meta.tombstones.is_none()), "{kind}");
+        }
+    }
+
+    /// A table that moves down a level is the same table: an iterator and a
+    /// snapshot pinned while it sat in L0 read the same pairs once it is in
+    /// L1, and writes after the move do not show through them.
+    #[test]
+    fn readers_pinned_before_a_move_read_the_same_pairs_after_it() {
+        let opts = Options {
+            l0_compaction_trigger: 1,
+            sstable_target_bytes: 64 << 10,
+            maintenance: Maintenance::background(),
+            ..Options::small_for_tests()
+        };
+        let db = Db::open_memory(opts).unwrap();
+        db.pause_compactions();
+        let pairs: Vec<(u64, Vec<u8>)> = (0..300u64)
+            .map(|k| (k * 3, format!("v{k}").into_bytes()))
+            .collect();
+        for (k, v) in &pairs {
+            db.put(*k, v).unwrap();
+        }
+        db.flush().unwrap();
+        let table = {
+            let version = db.version();
+            assert_eq!(version.levels[0].len(), 1);
+            assert!(version.levels[1].is_empty());
+            version.levels[0][0].meta.name.clone()
+        };
+        let snap = db.snapshot();
+        let mut it = db.iter().unwrap();
+        it.seek_to_first();
+        let mut read = it.collect_up_to(100).unwrap();
+
+        db.resume_compactions();
+        db.wait_for_maintenance();
+        let version = db.version();
+        assert!(version.levels[0].is_empty());
+        let moved: Vec<&str> = version.levels[1]
+            .iter()
+            .map(|t| t.meta.name.as_str())
+            .collect();
+        assert_eq!(moved, [table.as_str()]);
+        let stats = db.stats().snapshot();
+        assert_eq!((stats.compactions, stats.compaction_moves), (1, 1));
+        assert_eq!(stats.compact_bytes_written, 0);
+        for (k, _) in &pairs {
+            db.put(*k, b"after the move").unwrap();
+        }
+
+        read.extend(it.collect_up_to(usize::MAX).unwrap());
+        assert_eq!(read, pairs);
+        for (k, v) in &pairs {
+            let got = db.get_with(*k, &ReadOptions::at(&snap)).unwrap();
+            assert_eq!(got.as_ref(), Some(v), "key {k}");
+        }
+        let mut it = db.iter_with(&ReadOptions::at(&snap)).unwrap();
+        it.seek_to_first();
+        assert_eq!(it.collect_up_to(usize::MAX).unwrap(), pairs);
+        assert_eq!(db.get(3).unwrap(), Some(b"after the move".to_vec()));
+    }
 }

@@ -365,15 +365,15 @@ impl DbCore {
                         n: reader.len() as u64,
                         min_key: reader.min_key(),
                         max_key: reader.max_key(),
-                        max_seq: 0,
+                        max_seq: reader.max_seq(),
                         file_bytes: storage.size_of(name)?,
                         index_bytes: reader.index_bytes(),
-                        index_payload_bytes: 0,
                         bloom_bytes: reader.bloom_bytes(),
                         index_kind: reader.index_kind(),
                         train_ns: 0,
                         train_wait_ns: 0,
                         model_write_ns: 0,
+                        tombstones: None,
                     };
                     version.levels[level].push(Arc::new(TableHandle { meta, reader }));
                 }

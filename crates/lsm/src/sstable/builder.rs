@@ -21,12 +21,14 @@ use learned_index::{IndexKind, SegmentIndex};
 use crate::bloom::BloomFilter;
 use crate::options::IndexChoice;
 use crate::sstable::format::{self, Footer};
-use crate::types::{Entry, InternalKey, SeqNo};
+use crate::types::{Entry, EntryKind, InternalKey, SeqNo};
 use crate::{Error, Result};
 use lsm_io::WritableFile;
 
-/// Everything the engine needs to know about a finished table.
-#[derive(Debug, Clone)]
+/// Everything the engine needs to know about a finished table. A table
+/// recovered at open reads the same from its footer and its loaded index
+/// and filter, except the timings (0) and the tombstone count (unknown).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableMeta {
     /// Storage file name.
     pub name: String,
@@ -41,9 +43,7 @@ pub struct TableMeta {
     pub file_bytes: u64,
     /// In-memory size of the table's index structure.
     pub index_bytes: usize,
-    /// Serialized index payload bytes on disk.
-    pub index_payload_bytes: usize,
-    /// Bloom filter bytes.
+    /// In-memory size of the table's Bloom filter.
     pub bloom_bytes: usize,
     /// Index kind used.
     pub index_kind: IndexKind,
@@ -56,6 +56,9 @@ pub struct TableMeta {
     pub train_wait_ns: u64,
     /// Nanoseconds spent serializing + appending the model.
     pub model_write_ns: u64,
+    /// Tombstones the table holds: counted by the build, `None` for a
+    /// table recovered at open (the file does not record it).
+    pub tombstones: Option<u64>,
 }
 
 /// Streaming builder for one SSTable.
@@ -70,6 +73,7 @@ pub struct TableBuilder {
     keys: Vec<u64>,
     buf: Vec<u8>,
     max_seq: SeqNo,
+    tombstones: u64,
     last_key: Option<u64>,
 }
 
@@ -108,6 +112,7 @@ impl TableBuilder {
             keys: Vec::new(),
             buf: Vec::with_capacity(WRITE_CHUNK + 4096),
             max_seq: 0,
+            tombstones: 0,
             last_key: None,
         }
     }
@@ -170,6 +175,7 @@ impl TableBuilder {
         self.last_key = Some(key.user_key);
         self.keys.push(key.user_key);
         self.max_seq = self.max_seq.max(key.seq);
+        self.tombstones += u64::from(key.kind == EntryKind::Delete);
         format::encode_entry(&mut self.buf, key, value, self.value_width);
         self.append_chunk()
     }
@@ -222,6 +228,7 @@ impl TableBuilder {
             file,
             name: self.name,
             footer,
+            tombstones: self.tombstones,
         };
         let keys = TableKeys {
             keys: self.keys,
@@ -273,6 +280,7 @@ pub(crate) struct WrittenTable {
     file: Box<dyn WritableFile>,
     name: String,
     footer: Footer,
+    tombstones: u64,
 }
 
 impl WrittenTable {
@@ -307,12 +315,12 @@ impl WrittenTable {
             max_seq: footer.max_seq,
             file_bytes: self.file.written(),
             index_bytes: tail.index.size_bytes(),
-            index_payload_bytes: payload.len(),
-            bloom_bytes: bloom_buf.len(),
+            bloom_bytes: tail.bloom.size_bytes(),
             index_kind: tail.index.kind(),
             train_ns: tail.train_ns,
             train_wait_ns: tail.train_ns,
             model_write_ns,
+            tombstones: Some(self.tombstones),
         })
     }
 }
@@ -345,8 +353,9 @@ mod tests {
         assert_eq!(meta.index_kind, IndexKind::Pgm);
         assert!(meta.train_ns > 0);
         assert_eq!(storage.size_of("000001.sst").unwrap(), meta.file_bytes);
+        assert_eq!(meta.tombstones, Some(0));
         // data + index + bloom + footer
-        let expected_min = 1000 * format::entry_width(32) as u64 + meta.index_payload_bytes as u64;
+        let expected_min = 1000 * format::entry_width(32) as u64 + format::FOOTER_LEN as u64;
         assert!(meta.file_bytes > expected_min);
     }
 
@@ -374,7 +383,7 @@ mod tests {
         for kind in IndexKind::ALL {
             let (_s, meta) = build_table(&keys, kind);
             assert_eq!(meta.index_kind, kind);
-            assert!(meta.index_payload_bytes > 0, "{kind}");
+            assert!(meta.index_bytes > 0, "{kind}");
         }
     }
 

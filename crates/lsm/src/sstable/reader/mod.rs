@@ -35,6 +35,7 @@ pub struct TableReader {
     entry_width: usize,
     min_key: u64,
     max_key: u64,
+    max_seq: SeqNo,
     index: Box<dyn SegmentIndex>,
     bloom: BloomFilter,
     /// This table's slots in the shared cache, and the bytes its handle
@@ -130,6 +131,7 @@ impl TableReader {
             entry_width,
             min_key: footer.min_key,
             max_key: footer.max_key,
+            max_seq: footer.max_seq,
             index,
             bloom,
             cache,
@@ -165,6 +167,11 @@ impl TableReader {
     /// Largest user key.
     pub fn max_key(&self) -> u64 {
         self.max_key
+    }
+
+    /// Largest sequence number the table holds.
+    pub fn max_seq(&self) -> SeqNo {
+        self.max_seq
     }
 
     /// In-memory index size (the memory axis of the figures).

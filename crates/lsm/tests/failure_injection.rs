@@ -8,10 +8,11 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use learned_index::IndexKind;
 use lsm_io::{CrashStorage, FaultStorage, MemStorage, Storage};
-use lsm_tree::{Db, Options};
+use lsm_tree::{Db, EventKind, IndexGranularity, Maintenance, Options, WriteBatch, WriteOptions};
 
 fn opts() -> Options {
     let mut o = Options::small_for_tests();
@@ -458,6 +459,174 @@ fn parallel_compaction_crash_matrix_opens_and_sweeps_orphans() {
                     "crash at {n}/{total}: orphan table {name} survived the reopen sweep"
                 );
             }
+        }
+    }
+}
+
+/// Options under which a buffer flushed above every key in the tree moves
+/// to L1 unchanged: L0 compacts at one table, and a buffer's worth of
+/// entries fits one table.
+fn moving_opts(maintenance: Maintenance) -> Options {
+    Options {
+        l0_compaction_trigger: 1,
+        sstable_target_bytes: 64 << 10,
+        maintenance,
+        ..opts()
+    }
+}
+
+/// Every `.sst` name the version holds, each once: a table in two levels
+/// would be listed twice.
+fn table_names(db: &Db) -> Vec<String> {
+    let version = db.version();
+    let mut names: Vec<String> = version
+        .levels
+        .iter()
+        .flatten()
+        .map(|t| t.meta.name.clone())
+        .collect();
+    let count = names.len();
+    names.sort();
+    names.dedup();
+    assert_eq!(names.len(), count, "a table at two levels: {names:?}");
+    names
+}
+
+/// A move whose edit is not sealed — the manifest seal fails, or, at level
+/// granularity, reading the moved table to train its new level's model
+/// fails — unlinks nothing: the moved file is the job's only output and a
+/// live table, so it stays on storage, and a reopen reads every key.
+#[test]
+fn a_failed_move_leaves_its_table_on_storage() {
+    for granularity in [IndexGranularity::Table, IndexGranularity::Level] {
+        let inner = Arc::new(MemStorage::new());
+        let (storage, faults) = FaultStorage::wrap(Arc::clone(&inner) as Arc<dyn Storage>);
+        let mut o = moving_opts(Maintenance::background());
+        o.index.granularity = granularity;
+        let db = Db::open(storage as Arc<dyn Storage>, o.clone()).unwrap();
+        db.pause_compactions();
+        for k in 0..300u64 {
+            db.put(k, b"moved").unwrap();
+        }
+        db.flush().unwrap();
+        let name = db.version().levels[0][0].meta.name.clone();
+        match granularity {
+            IndexGranularity::Table => faults.poison("MANIFEST"),
+            IndexGranularity::Level => faults.poison(&name),
+        }
+        db.resume_compactions();
+        // The error count, not the standing error: the flush worker's own
+        // success, landing after the failure, may clear that.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while db.stats().snapshot().bg_errors == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{granularity:?}: the move never failed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A failed job is retried, so it may have been counted again.
+        assert!(
+            db.stats().snapshot().compaction_moves >= 1,
+            "{granularity:?}"
+        );
+        assert!(
+            inner.exists(&name),
+            "{granularity:?}: the moved table was unlinked"
+        );
+        faults.heal();
+        for k in (0..300u64).step_by(7) {
+            assert_eq!(
+                db.get(k).unwrap(),
+                Some(b"moved".to_vec()),
+                "{granularity:?}"
+            );
+        }
+        drop(db);
+        // Reopened with no maintenance running: nothing rewrites the table
+        // before it is looked at.
+        o.maintenance = Maintenance::Synchronous;
+        let db = Db::open(Arc::clone(&inner) as Arc<dyn Storage>, o).unwrap();
+        assert_eq!(table_names(&db), [name], "{granularity:?}");
+        for k in 0..300u64 {
+            assert_eq!(
+                db.get(k).unwrap(),
+                Some(b"moved".to_vec()),
+                "{granularity:?}"
+            );
+        }
+    }
+}
+
+/// A sequential load, on which jobs move tables at every level, crashed at
+/// every storage-operation boundary: the image reopens with every
+/// acknowledged write, and no table is named at two levels.
+#[test]
+fn sequential_load_crash_matrix_keeps_every_acknowledged_write() {
+    const BATCHES: u64 = 60;
+    const PER_BATCH: u64 = 40;
+    let load = |db: &Db| -> u64 {
+        for b in 0..BATCHES {
+            let mut batch = WriteBatch::new();
+            for k in b * PER_BATCH..(b + 1) * PER_BATCH {
+                batch.put(k, &k.to_le_bytes());
+            }
+            if db.write(batch, &WriteOptions::default()).is_err() {
+                return b;
+            }
+        }
+        BATCHES
+    };
+    let o = Options {
+        write_buffer_bytes: 4 << 10,
+        sstable_target_bytes: 8 << 10,
+        size_ratio: 2,
+        ..moving_opts(Maintenance::Synchronous)
+    };
+    let total = {
+        let (storage, ctl) = CrashStorage::new();
+        let traced = Options {
+            observability: true,
+            ..o.clone()
+        };
+        let db = Db::open(storage as Arc<dyn Storage>, traced).unwrap();
+        let start = ctl.ops();
+        assert_eq!(load(&db), BATCHES);
+        let events = db.observability().unwrap().observer().drain();
+        let begins = events
+            .iter()
+            .filter(|e| e.kind == EventKind::CompactionBegin);
+        let moved_from: std::collections::BTreeSet<u64> = begins
+            .filter(|b| {
+                let end = events
+                    .iter()
+                    .find(|e| e.kind == EventKind::CompactionEnd && e.span == b.span);
+                end.is_some_and(|e| (e.a, e.b) == (0, 0))
+            })
+            .map(|b| b.a)
+            .collect();
+        assert_eq!(moved_from, (0..4).collect(), "moves at L0 to L3");
+        assert!(db.stats().snapshot().compaction_moves >= 4);
+        ctl.ops() - start
+    };
+    for n in 0..=total {
+        let (storage, ctl) = CrashStorage::new();
+        let db = Db::open(Arc::clone(&storage) as Arc<dyn Storage>, o.clone()).unwrap();
+        ctl.crash_after(n);
+        let acked = load(&db);
+        if n == total {
+            assert_eq!(acked, BATCHES, "the whole load fits the budget");
+        }
+        drop(db);
+        let img = Db::open(Arc::new(storage.image()), o.clone())
+            .unwrap_or_else(|e| panic!("image at op {n}/{total} unopenable: {e}"));
+        table_names(&img);
+        for k in 0..acked * PER_BATCH {
+            assert_eq!(
+                img.get(k).unwrap(),
+                Some(k.to_le_bytes().to_vec()),
+                "crash at {n}/{total}: key {k}"
+            );
         }
     }
 }

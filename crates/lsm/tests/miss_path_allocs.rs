@@ -20,6 +20,13 @@
 //! the hand spares a referenced block once), so the misses moved: 28 more
 //! calls and 11 fewer blocks in 100 000 gets. The allocator counts did not
 //! (3.13 calls, 184 B per get).
+//!
+//! Re-recorded once more when a compaction whose one input a rewrite would
+//! only copy began to move the table instead: 99 942 device calls and
+//! 308 676 blocks. The tree is the same table bytes at the same levels, but
+//! a moved table keeps its reader, and with it the blocks the cache holds
+//! for it, where a rewritten one started cold; so the misses moved again.
+//! The allocator counts did not (3.13 calls, 184 B per get).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,5 +122,5 @@ fn a_cold_get_allocates_no_block_storage() {
     assert!(calls <= 4.0, "{calls:.2} allocator calls per cold get");
     assert!(bytes <= 512.0, "{bytes:.0} B allocated per cold get");
     // The reads, to the call: a change here means the misses moved.
-    assert_eq!((io.read_calls, io.read_blocks), (100_162, 308_702));
+    assert_eq!((io.read_calls, io.read_blocks), (99_942, 308_676));
 }

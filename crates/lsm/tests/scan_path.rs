@@ -101,6 +101,17 @@ fn table_files_crc(storage: &MemStorage) -> (usize, u32) {
     (names.len(), lsm_tree::wal::crc32(&all))
 }
 
+/// The CRC of the live tables' bytes in read order — L0 newest first, then
+/// each deeper level by key — with no file name in it: two trees that
+/// differ only in what their tables are called agree on it.
+fn table_bytes_crc(db: &Db) -> u32 {
+    let mut all = Vec::new();
+    for table in db.version().levels.iter().flatten() {
+        all.extend(read_all(db.storage().as_ref(), &table.meta.name).unwrap());
+    }
+    lsm_tree::wal::crc32(&all)
+}
+
 /// One deterministic load — overwrites, deletes, 24 flushes and the
 /// compactions they trigger — leaves exactly the table files it left before
 /// the merge read keys instead of entries: same merge order, same
@@ -132,6 +143,7 @@ fn compaction_outputs_are_byte_identical() {
         db.flush().unwrap();
     }
     assert!(db.stats().snapshot().compactions >= 5);
+    assert_eq!(table_bytes_crc(&db), GOLDEN_LEVELING_BYTES_CRC);
     drop(db);
     let golden = (GOLDEN_LEVELING_FILES, GOLDEN_LEVELING_CRC);
     assert_eq!(table_files_crc(&storage), golden);
@@ -174,10 +186,16 @@ fn flush_writes_the_same_table_in_either_mode() {
     assert_eq!(first_table(Maintenance::background()), inline);
 }
 
-// Recorded at the parent of the change that introduced the cursor merge
-// (PR 13's `MergeIter` over `Vec<Entry>` chunks), from this same test.
+// The file CRC was recorded at the parent of the change that introduced the
+// cursor merge (PR 13's `MergeIter` over `Vec<Entry>` chunks), from this
+// same test, as 1 937 225 261. It was re-recorded once, when a compaction
+// whose one input a rewrite would only copy began to move the table
+// instead: a move takes no file number, so later tables are named lower.
+// The bytes CRC, which leaves the names out, was recorded at the parent of
+// that change and did not move: only the names did.
 const GOLDEN_LEVELING_FILES: usize = 27;
-const GOLDEN_LEVELING_CRC: u32 = 1_937_225_261;
+const GOLDEN_LEVELING_CRC: u32 = 1_855_501_775;
+const GOLDEN_LEVELING_BYTES_CRC: u32 = 1_251_751_604;
 
 /// The benchmark's `ingest-scan` load at 1/16 scale — 9 472 `books` keys in
 /// a seeded shuffle, 32-entry batches of 100-byte values, 64 KiB buffer,
@@ -185,7 +203,7 @@ const GOLDEN_LEVELING_CRC: u32 = 1_937_225_261;
 /// compacts where it did when a write-buffer node was a `Box` holding a
 /// `Vec`: the buffer's size is the logical count (36 B + value a record),
 /// not what the arena holds, so every file on the device has the same name
-/// and size.
+/// and size (the names as re-recorded below).
 #[test]
 fn ingest_scan_load_rotates_where_it_always_did() {
     use learned_index::IndexKind;
@@ -222,18 +240,55 @@ fn ingest_scan_load_rotates_where_it_always_did() {
         .iter()
         .map(|name| format!("{name}={}", storage.size_of(name).unwrap()))
         .collect();
-    assert_eq!((stats.flushes, stats.compactions), (18, 19));
+    let jobs = (stats.compactions, stats.compaction_moves);
+    assert_eq!((stats.flushes, jobs), (18, (19, 14)));
+    assert_eq!(table_bytes_crc(&db), GOLDEN_INGEST_BYTES_CRC);
     assert_eq!(files.join(" "), GOLDEN_INGEST_FILES);
 }
 
 // Recorded at the parent of the change that moved the write buffer's nodes
-// into an arena (PR 23), from this same test.
+// into an arena (PR 23), from this same test. Re-recorded once, when a
+// compaction whose one input a rewrite would only copy began to move the
+// table instead: a move takes no file number, so the names after the first
+// move are lower, and the tables' sizes are the ones they were. The bytes
+// CRC, which leaves the names out, was recorded at the parent of that change
+// and did not move.
 const GOLDEN_INGEST_FILES: &str = "\
-    000078.sst=33213 000079.sst=33213 000092.sst=33213 000102.sst=33213 000103.sst=33213 \
-    000104.sst=33213 000105.sst=33213 000106.sst=33213 000107.sst=33213 000108.sst=33213 \
-    000109.sst=33213 000110.sst=33213 000111.sst=33213 000112.sst=33213 000113.sst=33213 \
-    000114.sst=33213 000115.sst=33213 000116.sst=33213 000117.sst=33213 000118.sst=33213 \
-    000119.sst=33001 000120.sst=33213 000121.sst=33213 000122.sst=33213 000123.sst=33213 \
-    000124.sst=33213 000125.sst=33213 000126.sst=33213 000127.sst=33213 000128.sst=33213 \
-    000129.sst=33213 000130.sst=33213 000131.sst=33213 000132.sst=33213 000134.sst=70521 \
-    000135.wal=29096 000136.sst=70521 MANIFEST-000056=726";
+    000052.sst=33213 000053.sst=33213 000086.sst=33213 000088.sst=33213 000089.sst=33213 \
+    000090.sst=33213 000091.sst=33213 000092.sst=33213 000093.sst=33213 000094.sst=33213 \
+    000095.sst=33213 000096.sst=33213 000097.sst=33213 000098.sst=33213 000099.sst=33213 \
+    000100.sst=33213 000101.sst=33213 000102.sst=33213 000103.sst=33213 000104.sst=33213 \
+    000105.sst=33213 000106.sst=33213 000107.sst=33213 000108.sst=33213 000109.sst=33213 \
+    000110.sst=33213 000111.sst=33213 000112.sst=33213 000113.sst=33001 000114.sst=33213 \
+    000115.sst=33213 000116.sst=33213 000117.sst=33213 000118.sst=33213 000120.sst=70521 \
+    000121.wal=29096 000122.sst=70521 MANIFEST-000056=726";
+const GOLDEN_INGEST_BYTES_CRC: u32 = 4_020_877_169;
+
+/// 30 000 sequential puts cascade through the levels at exact counts —
+/// compaction jobs, tables at L1…L4 and bytes written to the device — with
+/// one merge thread per job and with four. A job whose one input has
+/// nothing under it moves the table; before jobs could, each rewrote it,
+/// and at four threads the rewrite cut a lone table into up to four, which
+/// the next level's jobs cut again: 3 862 jobs, 10 / 149 / 1 943 / 8 903
+/// tables and 434 933 254 B written for the same load.
+#[test]
+fn a_sequential_load_cascades_to_exact_counts() {
+    let run = |max_subcompactions| {
+        let storage = Arc::new(MemStorage::new());
+        let opts = Options {
+            max_subcompactions,
+            maintenance: Maintenance::Synchronous,
+            ..Options::small_for_tests()
+        };
+        let db = Db::open(storage.clone(), opts).unwrap();
+        for k in 0..30_000u64 {
+            db.put(k, &k.to_le_bytes()).unwrap();
+        }
+        let version = db.version();
+        let tables: Vec<usize> = (1..=4).map(|l| version.levels[l].len()).collect();
+        let jobs = db.stats().snapshot().compactions;
+        (jobs, tables, storage.stats().snapshot().write_bytes)
+    };
+    assert_eq!(run(1), (647, vec![9, 34, 138, 99], 7_949_322));
+    assert_eq!(run(4), (734, vec![10, 39, 158, 113], 8_628_298));
+}
