@@ -19,6 +19,16 @@
 //! down instead (`DbCore::compact_one`). So a rewrite into the bottom level
 //! still drops every tombstone, and a table holding one never moves there.
 //!
+//! **Reading the inputs.** Each input is read by a sweep cursor
+//! (`TableIter::sweep`): runs of 16 whole blocks straight from the device
+//! into one buffer the cursor keeps, one call per run, each block once, the
+//! block cache neither asked nor filled (a user scan's no-fill cursor, by
+//! contrast, is served from resident blocks and reads a chunk per call).
+//! The one [`Merge`] is generic over its sources, so here it drives the
+//! `TableIter`s with no virtual call per entry; a kept entry whose input
+//! has the output's value width reaches the builder as its raw slot,
+//! copied as is rather than decoded and encoded again.
+//!
 //! **The seal pipeline** ([`LevelWriter`]): a finished table that is not
 //! the job's last trains its index and builds its filter on a helper thread
 //! leased from the maintenance thread budget while the merge fills the next
@@ -443,24 +453,32 @@ impl<'a> LevelWriter<'a> {
 
     /// Append one pair; user keys must strictly increase.
     pub fn add(&mut self, key: &InternalKey, value: &[u8]) -> Result<()> {
-        let builder = match self.open {
-            Some(ref mut builder) => builder,
-            None => {
-                let (ctx, opts) = (self.ctx, self.ctx.opts);
-                let name = format!(
-                    "{:06}.sst",
-                    ctx.next_file_no.fetch_add(1, Ordering::Relaxed)
-                );
-                self.open.insert(TableBuilder::deferred(
-                    name,
-                    opts.index_for_level(self.level),
-                    opts.value_width,
-                    opts.bloom_bits_per_key,
-                ))
-            }
-        };
-        builder.add_parts(key, value)?;
-        if builder.needs_file() {
+        self.builder().add_parts(key, value)?;
+        self.after_add()
+    }
+
+    /// Append one entry as the whole slot a table of this level's value
+    /// width holds it in ([`TableBuilder::add_slot`]).
+    pub(crate) fn add_slot(&mut self, key: &InternalKey, slot: &[u8]) -> Result<()> {
+        self.builder().add_slot(key, slot)?;
+        self.after_add()
+    }
+
+    /// The table being built; a new one, with the next file number and the
+    /// level's index and filter choice, when none is.
+    fn builder(&mut self) -> &mut TableBuilder {
+        let (ctx, opts, level) = (self.ctx, self.ctx.opts, self.level);
+        self.open.get_or_insert_with(|| {
+            let file_no = ctx.next_file_no.fetch_add(1, Ordering::Relaxed);
+            let index = opts.index_for_level(level);
+            let (width, bits) = (opts.value_width, opts.bloom_bits_per_key);
+            TableBuilder::deferred(format!("{file_no:06}.sst"), index, width, bits)
+        })
+    }
+
+    /// Create the open table's file once a full chunk waits for it.
+    fn after_add(&mut self) -> Result<()> {
+        if self.open.as_ref().is_some_and(TableBuilder::needs_file) {
             self.create_file()?;
         }
         Ok(())
@@ -577,16 +595,16 @@ fn merge_sub_range(
     range: SubRange,
 ) -> Result<SubOutcome> {
     let opts = ctx.opts;
-    let sources = task
-        .inputs
-        .iter()
-        .chain(task.next_inputs.iter())
-        // No-fill: a compaction sweep reads every input block exactly once;
-        // letting it populate the cache would evict the hot read set in
-        // favor of blocks whose tables are deleted when the merge commits.
-        .map(|t| Box::new(TableIter::with_fill(Arc::clone(&t.reader), false)) as Box<dyn Cursor>)
-        .collect();
-    let mut merge = Merge::new(sources);
+    // One sweep per input: whole-block runs from the device, each block
+    // read once. The cache is neither asked nor filled — what it holds of
+    // these tables dies with them when the merge commits, and filling it
+    // would evict the hot read set for blocks nobody reads again.
+    let inputs = task.inputs.iter().chain(task.next_inputs.iter());
+    let mut merge = Merge::new(
+        inputs
+            .map(|t| TableIter::sweep(Arc::clone(&t.reader)))
+            .collect(),
+    );
     match range.lo {
         Some(lo) => merge.seek(lo)?,
         None => merge.seek_to_first(),
@@ -596,8 +614,8 @@ fn merge_sub_range(
     let mut bytes_in = 0;
     let outputs = LevelWriter::write(ctx, task.level + 1, |out| {
         let mut retention = KeyRetention::new(task.is_bottom);
-        // The merge is read key by key; a value is borrowed, and only for
-        // an entry that is written out.
+        // The merge is read key by key; an entry's bytes are borrowed, and
+        // only for an entry that is written out.
         while let Some(key) = merge.key()? {
             if range.hi.is_some_and(|hi| key.user_key >= hi) {
                 break; // seam: the next sub-range owns this key onward
@@ -614,7 +632,13 @@ fn merge_sub_range(
                 if out.open_bytes() >= opts.sstable_target_bytes {
                     out.cut()?;
                 }
-                out.add(&key, merge.value())?;
+                // An input of the output's width lends its slot as is.
+                let top = merge.top().expect("a key has a source");
+                if top.value_width() == opts.value_width {
+                    out.add_slot(&key, top.slot())?;
+                } else {
+                    out.add(&key, top.value())?;
+                }
             }
             merge.advance();
         }
@@ -1171,6 +1195,98 @@ mod tests {
             assert_eq!(during - opening, entry_blocks, "cached={cached}");
             assert!(entry_blocks > 100, "{entry_blocks} blocks of input");
         }
+    }
+
+    /// A device call per sweep run: an unpartitioned compaction reads each
+    /// input in 16-block runs, so its device calls are exactly the runs its
+    /// inputs' entries fill — a sixteenth, near enough, of the chunk-sized
+    /// calls a no-fill cursor made — and its blocks are exactly the blocks
+    /// they occupy, uncached or through a cache.
+    #[test]
+    fn compaction_reads_its_inputs_a_device_call_per_run() {
+        const RUN: u64 = 16 * 4096;
+        for cached in [false, true] {
+            let storage = lsm_io::SimStorage::new(lsm_io::CostModel::default());
+            let cache = cached.then(|| Arc::new(BlockCache::new(1 << 20)));
+            let (mut runs, mut blocks) = (0, 0);
+            let mut input = |name: &str, entries: Vec<Entry>| {
+                let t = handle_with(&storage, name, entries);
+                let data = t.meta.n * t.reader.entry_width() as u64;
+                (runs, blocks) = (runs + data.div_ceil(RUN), blocks + data.div_ceil(4096));
+                let reader = TableReader::open_with(&storage, name, cache.clone()).unwrap();
+                Arc::new(TableHandle {
+                    meta: t.meta.clone(),
+                    reader: Arc::new(reader),
+                })
+            };
+            let task = CompactionTask {
+                level: 0,
+                inputs: vec![
+                    input("a", puts(0..6_000, 9)),
+                    input("b", puts(3_000..9_000, 5)),
+                ],
+                next_inputs: vec![input("c", puts(1_000..10_000, 1))],
+                is_bottom: true,
+            };
+            let opts = Options::small_for_tests();
+            let reads = || storage.stats().snapshot();
+            let before = reads();
+            let fno = AtomicU64::new(100);
+            let stats = DbStats::new();
+            let result = run(&storage, &task, &opts, &stats, &fno, cache.as_ref()).unwrap();
+            let during = reads().since(&before);
+            // Opening the outputs read their footers, indexes and filters.
+            let before = reads();
+            for t in &result.outputs {
+                TableReader::open(&storage, &t.meta.name).unwrap();
+            }
+            let opening = reads().since(&before);
+            let calls = during.read_calls - opening.read_calls;
+            let read_blocks = during.read_blocks - opening.read_blocks;
+            assert_eq!((calls, read_blocks), (runs, blocks), "cached={cached}");
+            assert_eq!((runs, blocks), (24, 350), "cached={cached}");
+        }
+    }
+
+    /// A kept entry is copied as its slot when its input has the output's
+    /// value width, and re-encoded from key and value when it does not:
+    /// either way the output holds the same entries, and a slot-copied
+    /// table is byte for byte the table its entries, added one by one,
+    /// build.
+    #[test]
+    fn slot_copies_and_re_encoded_entries_make_the_same_tables() {
+        let storage = MemStorage::new();
+        let task = overlapping_task(&storage);
+        let stats = DbStats::new();
+        let fno = AtomicU64::new(100);
+        let mut opts = Options::small_for_tests();
+        opts.sstable_target_bytes = 1 << 20;
+        let copied = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
+        let [table] = copied.outputs.as_slice() else {
+            panic!("one output: {}", copied.outputs.len());
+        };
+        let file = storage.create("rebuilt").unwrap();
+        let index = opts.index_for_level(1);
+        let mut b = TableBuilder::new(file, "rebuilt".into(), index, 32, opts.bloom_bits_per_key);
+        for (key, seq, kind, value) in dump(&copied.outputs) {
+            b.add(&Entry {
+                key: InternalKey {
+                    user_key: key,
+                    seq,
+                    kind,
+                },
+                value,
+            })
+            .unwrap();
+        }
+        b.finish().unwrap();
+        let bytes = |name: &str| lsm_io::read_all(&storage, name).unwrap();
+        assert_eq!(bytes(&table.meta.name), bytes("rebuilt"));
+
+        opts.value_width = 40;
+        let wider = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
+        assert_eq!(wider.outputs[0].reader.entry_width(), 36 + 40);
+        assert_eq!(dump(&wider.outputs), dump(&copied.outputs));
     }
 
     /// A damaged entry mid-input fails the compaction with a typed error.

@@ -18,7 +18,7 @@ use crate::compaction::{
 use crate::iter::Cursor;
 use crate::memtable::{ImmutableMemTable, MemTable};
 use crate::options::Options;
-use crate::scheduler::Step;
+use crate::scheduler::{Step, Work};
 use crate::sstable::format::entry_width;
 use crate::version::{TableHandle, Version};
 use crate::wal::WalWriter;
@@ -107,7 +107,8 @@ impl Db {
             if self.core.inner.read().flush_idle() {
                 return;
             }
-            if self.core.flush_paused.load(Ordering::Acquire) || self.background_error().is_some() {
+            let paused = self.core.flush_paused.load(Ordering::Acquire);
+            if paused || self.core.bg_error.stands(Work::Flush) {
                 return; // paused or failing: the drain will not happen
             }
             self.core.signal.wait_past(epoch);
@@ -550,7 +551,7 @@ impl DbCore {
         if self.flush_paused.load(Ordering::Acquire) && !draining {
             return Step::Idle;
         }
-        self.worker_step(&self.stats.bg_flush_ns, || self.flush_one())
+        self.worker_step(Work::Flush, &self.stats.bg_flush_ns, || self.flush_one())
     }
 
     /// One unit of compaction-worker work (none once shutdown has begun).
@@ -558,13 +559,21 @@ impl DbCore {
         if draining || self.compaction_paused.load(Ordering::Acquire) {
             return Step::Idle;
         }
-        self.worker_step(&self.stats.bg_compact_ns, || self.compact_one())
+        self.worker_step(Work::Compaction, &self.stats.bg_compact_ns, || {
+            self.compact_one()
+        })
     }
 
     /// A pool thread as driver (`Maintenance::Background`): one call of
     /// `body` with what only a worker needs around it — its busy clock, the
-    /// standing error and the `Step` the pool loop reads.
-    fn worker_step(&self, busy_ns: &AtomicU64, body: impl FnOnce() -> Result<bool>) -> Step {
+    /// standing error of its kind of `work` and the `Step` the pool loop
+    /// reads.
+    fn worker_step(
+        &self,
+        work: Work,
+        busy_ns: &AtomicU64,
+        body: impl FnOnce() -> Result<bool>,
+    ) -> Step {
         let started = Instant::now();
         let result = body();
         if !matches!(result, Ok(false)) {
@@ -572,12 +581,12 @@ impl DbCore {
         }
         match result {
             Ok(true) => {
-                self.bg_error.clear(&self.stats);
+                self.bg_error.clear(work, &self.stats);
                 Step::Worked
             }
             Ok(false) => Step::Idle,
             Err(e) => {
-                self.bg_error.record(&e, &self.stats);
+                self.bg_error.record(work, &e, &self.stats);
                 Step::Idle
             }
         }

@@ -9,7 +9,8 @@
 //! user key wins, tombstones suppress older versions, and versions newer
 //! than the read snapshot are invisible — deciding on keys alone and copying
 //! the value only of a pair it returns. Compaction runs the same `Merge`
-//! over its input tables and hands the builder the borrowed value.
+//! over its input tables' sweep cursors and hands the builder each kept
+//! entry's slot (or, between tables of different widths, its value).
 //!
 //! One level up, the sharding layer merges nothing: shards own disjoint
 //! ranges, so a [`crate::sharding::ShardedDbIterator`] concatenates
@@ -43,6 +44,33 @@ pub trait Cursor: Send {
     fn value(&mut self) -> &[u8];
     /// Step past the entry whose key [`Cursor::key`] last returned.
     fn advance(&mut self);
+}
+
+/// A boxed cursor is a cursor: the sources of a [`Merge`] over mixed
+/// streams (a scan's memtables, tables and levels).
+impl<C: Cursor + ?Sized> Cursor for Box<C> {
+    fn seek(&mut self, key: u64) -> Result<()> {
+        (**self).seek(key)
+    }
+
+    fn seek_to_first(&mut self) {
+        (**self).seek_to_first()
+    }
+
+    #[inline]
+    fn key(&mut self) -> Result<Option<InternalKey>> {
+        (**self).key()
+    }
+
+    #[inline]
+    fn value(&mut self) -> &[u8] {
+        (**self).value()
+    }
+
+    #[inline]
+    fn advance(&mut self) {
+        (**self).advance()
+    }
 }
 
 impl ReadView {
@@ -161,7 +189,9 @@ const EMPTY: usize = usize::MAX;
 
 /// K-way merge by internal key (duplicates allowed across sources; the
 /// internal-key order already puts newer versions first) — itself a
-/// [`Cursor`].
+/// [`Cursor`]. Generic over its sources' type: a scan merges boxed cursors
+/// of every kind, a compaction its input tables' [`TableIter`]s directly,
+/// with no virtual call per entry.
 ///
 /// Every source's head key is cached and the smallest is selected through a
 /// loser tree, so a step costs O(log k) comparisons and reads one key:
@@ -170,8 +200,8 @@ const EMPTY: usize = usize::MAX;
 /// asks for. Ties across sources (same user key and seq — impossible in a
 /// correct DB) resolve to the earliest source, which is the newest input by
 /// construction.
-pub struct Merge {
-    sources: Vec<Box<dyn Cursor>>,
+pub struct Merge<C: Cursor = Box<dyn Cursor>> {
+    sources: Vec<C>,
     /// Head key of every source; `None` once it is exhausted.
     heads: Vec<Option<InternalKey>>,
     /// Source `i` is the leaf at `k + i` of a binary tree whose node `n > 0`
@@ -180,9 +210,9 @@ pub struct Merge {
     stale: Stale,
 }
 
-impl Merge {
+impl<C: Cursor> Merge<C> {
     /// Merge over `sources`; call one of the seek methods before reading.
-    pub fn new(sources: Vec<Box<dyn Cursor>>) -> Self {
+    pub fn new(sources: Vec<C>) -> Self {
         Self {
             heads: vec![None; sources.len()],
             tree: vec![EMPTY; sources.len().max(1)],
@@ -219,11 +249,18 @@ impl Merge {
         }
         self.tree[0] = winner;
     }
+
+    /// The source whose entry [`Cursor::key`] last returned, for what only
+    /// that source's own type can lend (a table cursor's raw slot).
+    #[inline]
+    pub(crate) fn top(&mut self) -> Option<&mut C> {
+        self.sources.get_mut(self.tree[0])
+    }
 }
 
 // The per-entry calls here and on `DbIterator` are `#[inline]`: out of line,
 // a scan's `next` measured about 20 % slower.
-impl Cursor for Merge {
+impl<C: Cursor> Cursor for Merge<C> {
     fn seek(&mut self, key: u64) -> Result<()> {
         self.stale = Stale::All;
         self.sources.iter_mut().try_for_each(|s| s.seek(key))

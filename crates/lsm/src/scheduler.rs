@@ -193,39 +193,59 @@ impl MaintSignal {
     }
 }
 
-/// The standing error of an engine's background work: the last failed
-/// step's, until a later step succeeds. Held as an [`Error`], not its text,
-/// so `flush` and `close` hand back the variant the worker met — a full
-/// disk under a flush is an I/O error, not corruption.
+/// Which background work an error belongs to: a success clears only the
+/// standing error of its own kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Work {
+    Flush,
+    Compaction,
+    /// The sharding layer's own split and marker-log checkpoint.
+    Sharding,
+}
+
+/// The standing errors of an engine's background work: per kind of work,
+/// the last failed step's, until a later step of the same kind succeeds —
+/// a flush's success says nothing of a failing compaction. Held as an
+/// [`Error`], not its text, so `flush` and `close` hand back the variant
+/// the worker met — a full disk under a flush is an I/O error, not
+/// corruption.
 #[derive(Default)]
-pub(crate) struct BgError(parking_lot::Mutex<Option<Error>>);
+pub(crate) struct BgError(parking_lot::Mutex<Vec<(Work, Error)>>);
 
 impl BgError {
-    /// A step failed; `stats.bg_errors` keeps the history.
-    pub fn record(&self, e: &Error, stats: &DbStats) {
+    /// A step of `work` failed; `stats.bg_errors` keeps the history.
+    pub fn record(&self, work: Work, e: &Error, stats: &DbStats) {
         stats.bg_errors.fetch_add(1, Ordering::Relaxed);
-        *self.0.lock() = Some(clone_error(e));
+        let mut standing = self.0.lock();
+        standing.retain(|(w, _)| *w != work);
+        standing.push((work, clone_error(e)));
     }
 
-    /// A step succeeded: any recorded error is no longer standing (the
-    /// failed work was retried and made progress). Cheap when no error was
-    /// ever recorded.
-    pub fn clear(&self, stats: &DbStats) {
+    /// A step of `work` succeeded: its recorded error is no longer
+    /// standing (the failed work was retried and made progress). Cheap
+    /// when no error was ever recorded.
+    pub fn clear(&self, work: Work, stats: &DbStats) {
         if stats.bg_errors.load(Ordering::Relaxed) > 0 {
-            *self.0.lock() = None;
+            self.0.lock().retain(|(w, _)| *w != work);
         }
     }
 
-    /// The standing error's text.
-    pub fn get(&self) -> Option<String> {
-        self.0.lock().as_ref().map(Error::to_string)
+    /// Whether an error of `work` stands.
+    pub fn stands(&self, work: Work) -> bool {
+        self.0.lock().iter().any(|(w, _)| *w == work)
     }
 
-    /// `Err` with the standing error's own variant, if there is one.
+    /// The most recent standing error's text.
+    pub fn get(&self) -> Option<String> {
+        self.0.lock().last().map(|(_, e)| e.to_string())
+    }
+
+    /// `Err` with the most recent standing error's own variant, if there
+    /// is one.
     pub fn to_result(&self) -> Result<()> {
-        match &*self.0.lock() {
+        match self.0.lock().last() {
             None => Ok(()),
-            Some(e) => Err(clone_error(e)),
+            Some((_, e)) => Err(clone_error(e)),
         }
     }
 }

@@ -10,6 +10,7 @@ use super::{split_batch, split_by_cut, PendingSplit, ShardedCore, ShardedDb};
 use crate::batch::WriteBatch;
 use crate::db::Db;
 use crate::options::WriteOptions;
+use crate::scheduler::Work;
 use crate::types::SeqNo;
 use crate::wal::CrossBatchTag;
 use crate::Result;
@@ -212,7 +213,7 @@ impl ShardedCore {
     fn after_commit(&self) {
         if self.checkpoint_due() {
             if let Err(e) = self.checkpoint_commit_log() {
-                self.bg_error.record(&e, &self.own_stats);
+                self.bg_error.record(Work::Sharding, &e, &self.own_stats);
             }
         }
         if self.auto_split_enabled() && !self.opts.base.maintenance.is_background() {
@@ -224,7 +225,7 @@ impl ShardedCore {
             #[allow(clippy::manual_is_multiple_of)]
             if tick % 16 == 0 {
                 if let Err(e) = self.try_split() {
-                    self.bg_error.record(&e, &self.own_stats);
+                    self.bg_error.record(Work::Sharding, &e, &self.own_stats);
                 }
             }
         }

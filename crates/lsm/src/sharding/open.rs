@@ -12,12 +12,12 @@ use super::{commit, RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb,
 use crate::cache::BlockCache;
 use crate::db::{CommitCoordination, Db, DbCore, Embedding};
 use crate::options::{Maintenance, ShardedOptions};
-use crate::scheduler::{BgError, MaintSignal, Scheduler, Step};
+use crate::scheduler::{BgError, MaintSignal, Scheduler, Step, Work};
 use crate::stats::DbStats;
 use crate::wal::CrossBatchTag;
 use crate::{Error, Result};
 use lsm_io::{CostModel, MemStorage, PrefixedStorage, SimStorage, Storage};
-use lsm_obs::{EngineObs, Observer, DEFAULT_RING_CAPACITY};
+use lsm_obs::{EngineObs, Observer, DEFAULT_EVENT_CAPACITY};
 
 /// What the recovery coordinator resolved during [`ShardedDb::open`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +69,7 @@ impl ShardedDb {
         let observer = opts
             .base
             .observability
-            .then(|| Arc::new(Observer::new(DEFAULT_RING_CAPACITY)));
+            .then(|| Arc::new(Observer::new(DEFAULT_EVENT_CAPACITY)));
 
         // Recovery coordination: read the commit-marker log once (union
         // of all generations), then recover every shard with a resolver
@@ -217,7 +217,10 @@ impl ShardedDb {
                             match compact_core.split_step() {
                                 Ok(true) => return Step::Worked,
                                 Ok(false) => {}
-                                Err(e) => compact_core.bg_error.record(&e, &compact_core.own_stats),
+                                Err(e) => {
+                                    let stats = &compact_core.own_stats;
+                                    compact_core.bg_error.record(Work::Sharding, &e, stats);
+                                }
                             }
                         }
                         Step::Idle

@@ -157,6 +157,37 @@ impl TableBuilder {
     /// [`TableBuilder::add`] from a key and a borrowed value, so a merge can
     /// hand over a cursor's bytes without building an [`Entry`].
     pub fn add_parts(&mut self, key: &InternalKey, value: &[u8]) -> Result<()> {
+        if value.len() > self.value_width {
+            return Err(Error::Corruption(format!(
+                "value of {} bytes exceeds table slot {}",
+                value.len(),
+                self.value_width
+            )));
+        }
+        self.note(key)?;
+        format::encode_entry(&mut self.buf, key, value, self.value_width);
+        self.append_chunk()
+    }
+
+    /// [`TableBuilder::add_parts`] from the entry's whole on-disk slot, as a
+    /// table of this builder's value width holds it: the bytes are copied
+    /// as they are, not decoded and encoded again. `key` is the slot's own
+    /// header, decoded — the order check and the key column need it.
+    pub(crate) fn add_slot(&mut self, key: &InternalKey, slot: &[u8]) -> Result<()> {
+        let width = format::entry_width(self.value_width);
+        if slot.len() != width {
+            let len = slot.len();
+            return Err(Error::Corruption(format!(
+                "slot of {len} bytes, table entries are {width}"
+            )));
+        }
+        self.note(key)?;
+        self.buf.extend_from_slice(slot);
+        self.append_chunk()
+    }
+
+    /// Check that `key` follows the last key, and count it.
+    fn note(&mut self, key: &InternalKey) -> Result<()> {
         if let Some(last) = self.last_key {
             if key.user_key <= last {
                 return Err(Error::Corruption(format!(
@@ -165,19 +196,11 @@ impl TableBuilder {
                 )));
             }
         }
-        if value.len() > self.value_width {
-            return Err(Error::Corruption(format!(
-                "value of {} bytes exceeds table slot {}",
-                value.len(),
-                self.value_width
-            )));
-        }
         self.last_key = Some(key.user_key);
         self.keys.push(key.user_key);
         self.max_seq = self.max_seq.max(key.seq);
         self.tombstones += u64::from(key.kind == EntryKind::Delete);
-        format::encode_entry(&mut self.buf, key, value, self.value_width);
-        self.append_chunk()
+        Ok(())
     }
 
     /// Number of entries added so far.

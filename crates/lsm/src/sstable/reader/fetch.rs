@@ -1,26 +1,39 @@
 //! Where device bytes arrive: the span a lookup or a cursor searches, and the
 //! reads that fill it.
 //!
-//! A cached block is found through the table's own slots in the cache, read
-//! once per cover under one read lock: a cover that hits takes no other
-//! lock. A missed block is written once. A run of blocks nobody had is one
-//! device call ([`lsm_io::RandomAccessFile::read_exact_vectored_at`])
-//! straight into one buffer per block — a filling read's buffers are the
-//! cache's ([`crate::cache::BlockCache::buffer`]: what its last evictions
-//! left) — and the `Arc`s that were filled are the ones the span holds and
-//! the cache is offered: no run buffer, no zeroing, no copy, and in steady
+//! A lookup or a user scan's chunk reads through the cache. A cached block
+//! is found through the table's own slots in the cache, read once per cover
+//! under one read lock: a cover that hits takes no other lock. A missed
+//! block is written once. A run of blocks nobody had is one device call
+//! ([`lsm_io::RandomAccessFile::read_exact_vectored_at`]) straight into one
+//! buffer per block — a filling read's buffers are the cache's
+//! ([`crate::cache::BlockCache::buffer`]: what its last evictions left) —
+//! and the `Arc`s that were filled are the ones the span holds and the
+//! cache is offered: no run buffer, no zeroing, no copy, and in steady
 //! state no allocation for block storage.
+//!
+//! A sweep ([`TableReader::sweep_run`]) bypasses all of that: it reads
+//! `SWEEP_BLOCKS` whole blocks at a time into the one buffer its cursor
+//! keeps, one device call per run, and neither asks nor fills the cache.
+//! Compaction inputs and level-model training read this way: they pass
+//! over each block once, and their blocks die with the tables they read.
 
 use std::sync::Arc;
 
 use learned_index::SearchBound;
 
-use super::TableReader;
+use super::{TableIter, TableReader};
 use crate::cache::BLOCK_BYTES;
+use crate::iter::Cursor;
 use crate::Result;
 
 /// Cache block granularity (matches the device model's 4 KiB blocks).
 pub(super) const CACHE_BLOCK: u64 = BLOCK_BYTES as u64;
+
+/// Blocks one sweep run reads (64 KiB): a sixteenth of the device calls of
+/// reading block by block, and a buffer small enough to keep one per input
+/// of a wide compaction.
+pub(super) const SWEEP_BLOCKS: usize = 16;
 
 /// The bytes of a run of fixed-width entries, as fetched.
 pub(super) enum Span {
@@ -183,19 +196,55 @@ impl TableReader {
         Ok(())
     }
 
-    /// All user keys, read sequentially (what a level's model is trained
-    /// over). A one-shot full-table sweep: it never fills the block cache —
-    /// training a model must not evict the read working set.
-    pub fn read_all_keys(&self) -> Result<Vec<u64>> {
+    /// A sweep's next run. `buf` holds the file's bytes `held`; entry
+    /// `from` on is wanted, at least up to entry `to`. What `buf` holds of
+    /// them moves to its front — at most the one entry a run's end cut —
+    /// and the rest of the run is read after it in one device call: up to
+    /// the end of the `SWEEP_BLOCKS`-th block from where the read starts,
+    /// or further if entry `to` ends later, and never past the last entry.
+    /// So runs after the first start on a block edge and every block is
+    /// read once. Returns the file offset `buf`'s bytes now end at.
+    pub(super) fn sweep_run(
+        &self,
+        buf: &mut Vec<u8>,
+        held: std::ops::Range<usize>,
+        from: usize,
+        to: usize,
+    ) -> Result<usize> {
+        let (width, block) = (self.entry_width, CACHE_BLOCK as usize);
+        let (start, data_end) = (from * width, self.n * width);
+        let (kept, read_at) = if held.contains(&start) {
+            buf.copy_within(start - held.start..held.end - held.start, 0);
+            (held.end - start, held.end)
+        } else {
+            (0, start)
+        };
+        let run_end = (read_at / block + SWEEP_BLOCKS) * block;
+        let end = run_end
+            .max((to * width).next_multiple_of(block))
+            .min(data_end);
+        let len = kept + (end - read_at);
+        if buf.len() < len {
+            // Room for a run and a carried entry, zeroed once per cursor.
+            let room = (SWEEP_BLOCKS * block + width).min(data_end);
+            buf.resize(len.max(room), 0);
+        }
+        if end > read_at {
+            self.file
+                .read_exact_at(read_at as u64, &mut buf[kept..len])?;
+        }
+        Ok(end)
+    }
+
+    /// All user keys, read by one sweep (what a level's model is trained
+    /// over): a device call per run, and the block cache is left as it was
+    /// — training a model must not evict the read working set.
+    pub fn read_all_keys(self: &Arc<Self>) -> Result<Vec<u64>> {
         let mut keys = Vec::with_capacity(self.n);
-        const CHUNK_ENTRIES: usize = 4096;
-        let mut pos = 0usize;
-        let mut scratch = Vec::new();
-        while pos < self.n {
-            let hi = (pos + CHUNK_ENTRIES).min(self.n);
-            let span = self.fetch(SearchBound { lo: pos, hi }, false)?;
-            keys.extend((0..hi - pos).map(|i| self.span_key(&span, i, &mut scratch)));
-            pos = hi;
+        let mut sweep = TableIter::sweep(Arc::clone(self));
+        while let Some(key) = sweep.key()? {
+            keys.push(key.user_key);
+            sweep.advance();
         }
         Ok(keys)
     }
@@ -358,8 +407,11 @@ mod tests {
         assert_eq!(it.key().unwrap(), None);
     }
 
-    /// A training sweep is a device call per 4 096-entry chunk on a cached
-    /// reader too, and leaves the cache empty.
+    /// Training reads through one sweep: a device call per 16-block run —
+    /// 5 for these 74 blocks of entries, where a 4 096-entry chunk per call
+    /// made 2 before the sweep replaced the chunk loop (the same blocks,
+    /// in 64 KiB runs rather than 240 KiB chunks) — on a cached reader too,
+    /// whose cache it neither asks nor fills.
     #[test]
     fn read_all_keys_roundtrip() {
         let keys: Vec<u64> = (0..5_000u64).map(|i| i * 13 + 5).collect();
@@ -367,9 +419,10 @@ mod tests {
         assert_eq!(r.read_all_keys().unwrap(), keys);
         let (cached, cache) = open(&storage, 1 << 20);
         let before = storage.stats().snapshot();
-        assert_eq!(cached.read_all_keys().unwrap(), keys);
+        assert_eq!(Arc::new(cached).read_all_keys().unwrap(), keys);
         let read = storage.stats().snapshot().since(&before);
-        assert_eq!(read.read_calls, 2);
+        assert_eq!(read.read_calls, 5);
+        assert_eq!(cache.hit_miss(), (0, 0));
         assert_eq!(cache.block_bytes(), 0);
     }
 }

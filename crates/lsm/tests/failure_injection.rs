@@ -515,10 +515,8 @@ fn a_failed_move_leaves_its_table_on_storage() {
             IndexGranularity::Level => faults.poison(&name),
         }
         db.resume_compactions();
-        // The error count, not the standing error: the flush worker's own
-        // success, landing after the failure, may clear that.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while db.stats().snapshot().bg_errors == 0 {
+        while db.background_error().is_none() {
             assert!(
                 Instant::now() < deadline,
                 "{granularity:?}: the move never failed"
@@ -556,6 +554,82 @@ fn a_failed_move_leaves_its_table_on_storage() {
             );
         }
     }
+}
+
+/// A failing compaction's error stands while flushes keep succeeding, and
+/// goes once a compaction succeeds: one worker's success never clears the
+/// other worker's error. The L0→L1 merge fails reading its poisoned L1
+/// input; with compactions then paused, three flushes succeed, and the
+/// error is there after each of them (it was cleared by the first, once).
+#[test]
+fn a_flush_never_clears_a_failing_compactions_error() {
+    let (storage, faults) = FaultStorage::wrap(Arc::new(MemStorage::new()));
+    let o = Options {
+        sstable_target_bytes: 1 << 20,
+        maintenance: Maintenance::background(),
+        ..opts()
+    };
+    let db = Db::open(storage as Arc<dyn Storage>, o).unwrap();
+    let load = |round: u64| {
+        for k in 0..300u64 {
+            db.put(k, &round.to_le_bytes()).unwrap();
+        }
+    };
+    let wait = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    for round in 0..2 {
+        load(round);
+        db.flush().unwrap();
+    }
+    db.wait_for_maintenance();
+    let version = db.version();
+    assert!(version.levels[0].is_empty(), "L0 merged into L1");
+    let [l1] = version.levels[1].as_slice() else {
+        panic!("one L1 table: {:?}", version.levels[1].len());
+    };
+    let poisoned = l1.meta.name.clone();
+
+    db.pause_compactions();
+    faults.poison(&poisoned);
+    for round in 2..4 {
+        load(round);
+        db.flush().unwrap();
+    }
+    db.resume_compactions();
+    wait("the compaction never failed", &|| {
+        db.background_error().is_some()
+    });
+    db.pause_compactions();
+    let failed = db.background_error().unwrap();
+    assert!(failed.contains("injected fault"), "{failed}");
+
+    for round in 4..7 {
+        let flushes = db.stats().snapshot().flushes;
+        load(round);
+        let flushed = db.flush();
+        let polls = Instant::now();
+        while polls.elapsed() < Duration::from_millis(50) {
+            assert_eq!(db.background_error(), Some(failed.clone()), "round {round}");
+        }
+        // The flush drained, and surfaced the standing compaction error.
+        assert!(db.stats().snapshot().flushes > flushes, "round {round}");
+        assert!(flushed.is_err(), "round {round}");
+    }
+
+    faults.heal();
+    db.resume_compactions();
+    wait("no compaction succeeded", &|| {
+        db.background_error().is_none()
+    });
+    db.wait_for_maintenance();
+    assert!(db.version().levels[0].is_empty());
+    assert_eq!(db.get(17).unwrap(), Some(6u64.to_le_bytes().to_vec()));
+    db.close().unwrap();
 }
 
 /// A sequential load, on which jobs move tables at every level, crashed at

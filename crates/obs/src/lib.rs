@@ -32,5 +32,5 @@ pub use event::{now_ns, Event, EventKind, GLOBAL_SHARD};
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use metrics::{
     EngineObs, HistSummary, MetricsSnapshot, Observer, OpHistSet, OpHistograms, OpLatencies,
-    DEFAULT_RING_CAPACITY,
+    DEFAULT_EVENT_CAPACITY,
 };

@@ -18,7 +18,7 @@ use crate::hist::{AtomicHistogram, LatencyHistogram};
 
 /// Default event-buffer capacity used by [`EngineObs::solo`] and the
 /// sharded engine (events).
-pub const DEFAULT_RING_CAPACITY: usize = 8192;
+pub const DEFAULT_EVENT_CAPACITY: usize = 8192;
 
 /// A push into reserved room and a swap cannot panic, so nothing poisons
 /// the event buffer's lock.
@@ -178,7 +178,7 @@ impl EngineObs {
     /// A standalone handle with its own observer — the single-`Db`
     /// (unsharded) configuration.
     pub fn solo(shard: u16) -> EngineObs {
-        EngineObs::new(Arc::new(Observer::new(DEFAULT_RING_CAPACITY)), shard)
+        EngineObs::new(Arc::new(Observer::new(DEFAULT_EVENT_CAPACITY)), shard)
     }
 
     /// The shared event sink.

@@ -26,6 +26,9 @@
 #                 fault while a seal is pending fails cleanly); and
 #                 the library's skiplist:: and memtable:: unit tests —
 #                 inserters hand the arena's full chunk on to each other;
+#                 its compaction:: and sstable::reader:: unit tests — the
+#                 seal helpers beside the merge, and the sweep cursor that
+#                 reads compaction inputs in whole-block runs;
 #                 and lsm-io's unit tests — eight writers race one armed
 #                 crash control (exactly k appends pass), and every hook
 #                 sees each storage op once, in order
@@ -56,6 +59,7 @@ buffer() {
         lsm durability
         lsm seal_pipeline
         cargo test --release --offline -q -p lsm-tree --lib -- skiplist:: memtable:: || exit 1
+        cargo test --release --offline -q -p lsm-tree --lib -- compaction:: sstable::reader:: || exit 1
         cargo test --release --offline -q -p lsm-io || exit 1
     done
 }
