@@ -35,20 +35,6 @@
 //! table; the merge thread appends the finished table's tail before it
 //! creates the next table's file, so storage sees the same operations, in
 //! the same order, as when every table sealed inline.
-//!
-//! **Subcompactions** ([`Options::max_subcompactions`] > 1): one
-//! logical compaction is range-partitioned into disjoint
-//! user-key sub-ranges ([`plan_subcompactions`] cuts at byte-weighted
-//! input-table boundaries so each sub-range carries ≈even work) and each
-//! sub-range merges on its own scoped thread. Correctness at the seams
-//! rests on cuts being *user-key* boundaries: every version of a user
-//! key lands in exactly one sub-range, so the per-subcompaction
-//! [`KeyRetention`] state machine sees complete version chains and
-//! tombstone elision is identical to the single-threaded merge. The
-//! caller installs all sub-outputs through **one** version edit and one
-//! manifest seal — a partial compaction is never visible. A failed job
-//! removes its outputs before it returns; a crash leaves them as orphan
-//! files (swept on the next open).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,114 +231,12 @@ fn is_bottom_output(version: &Version, output_level: usize) -> bool {
 #[derive(Debug)]
 pub struct CompactionResult {
     /// Newly written tables (for `task.level + 1`), ascending and disjoint
-    /// in key space across the whole job regardless of how many
-    /// subcompactions produced them.
+    /// in key space.
     pub outputs: Vec<Arc<TableHandle>>,
     /// Bytes read from inputs.
     pub bytes_read: u64,
     /// Bytes written to outputs.
     pub bytes_written: u64,
-}
-
-/// One disjoint slice of a compaction job's user-key space: the entries
-/// with `lo ≤ user_key < hi` (either bound `None` = unbounded on that
-/// side). Cuts are user-key boundaries, so every version of a key belongs
-/// to exactly one sub-range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubRange {
-    /// Inclusive lower bound on user keys (`None` = from the start).
-    pub lo: Option<u64>,
-    /// Exclusive upper bound on user keys (`None` = to the end).
-    pub hi: Option<u64>,
-}
-
-impl SubRange {
-    /// The whole key space — the single-threaded merge's one "partition".
-    pub fn unbounded() -> SubRange {
-        SubRange { lo: None, hi: None }
-    }
-}
-
-/// Boundary keys sampled per input table when planning sub-range cuts.
-/// More samples → finer-grained (more even) cuts at the cost of a few
-/// extra point reads per table before the merge starts.
-const BOUNDARY_SAMPLES_PER_TABLE: usize = 16;
-
-/// Partition `task`'s key space into at most `max_subcompactions` disjoint
-/// sub-ranges of roughly equal input **bytes**.
-///
-/// Each input table is sampled at `BOUNDARY_SAMPLES_PER_TABLE` evenly
-/// spaced entry positions; entries are fixed-width, so position intervals
-/// are byte intervals, and an anchor `(key, weight)` means "`weight` input
-/// bytes lie at user keys ≤ `key` since this table's previous anchor".
-/// Sorting all anchors by key yields a byte-weighted CDF of the whole
-/// job's input, and cuts fall wherever it crosses the next `k/n` fraction.
-/// Fewer than `max_subcompactions` ranges come back when the key space is
-/// too narrow to cut evenly (tiny inputs, heavy duplication across runs).
-pub fn plan_subcompactions(
-    task: &CompactionTask,
-    max_subcompactions: usize,
-) -> Result<Vec<SubRange>> {
-    if max_subcompactions <= 1 {
-        return Ok(vec![SubRange::unbounded()]);
-    }
-    let mut anchors: Vec<(u64, u64)> = Vec::new();
-    for t in task.inputs.iter().chain(task.next_inputs.iter()) {
-        let len = t.reader.len();
-        if len == 0 {
-            continue;
-        }
-        let width = t.reader.entry_width() as u64;
-        let samples = BOUNDARY_SAMPLES_PER_TABLE.min(len);
-        let mut prev = 0usize;
-        for j in 1..=samples {
-            let pos = len * j / samples;
-            if pos <= prev {
-                continue;
-            }
-            anchors.push((t.reader.key_at(pos - 1)?, (pos - prev) as u64 * width));
-            prev = pos;
-        }
-    }
-    anchors.sort_unstable();
-    let total: u64 = anchors.iter().map(|&(_, w)| w).sum();
-    if total == 0 {
-        return Ok(vec![SubRange::unbounded()]);
-    }
-    // A cut is placed *after* the anchor that crosses the k/n weight
-    // fraction (`hi = anchor_key + 1`, exclusive): the anchor key — and
-    // with it every version of that user key — stays left of the seam.
-    let n = max_subcompactions as u64;
-    let mut cuts: Vec<u64> = Vec::new();
-    let mut acc = 0u64;
-    let mut k = 1u64;
-    for &(key, w) in &anchors {
-        acc += w;
-        if k < n && acc.saturating_mul(n) >= total.saturating_mul(k) {
-            cuts.push(key.saturating_add(1));
-            while k < n && acc.saturating_mul(n) >= total.saturating_mul(k) {
-                k += 1;
-            }
-        }
-    }
-    cuts.dedup();
-    // A cut past the global max key would only add an empty tail range.
-    let max_key = task
-        .inputs
-        .iter()
-        .chain(task.next_inputs.iter())
-        .map(|t| t.meta.max_key)
-        .max()
-        .unwrap_or(0);
-    cuts.retain(|&c| c <= max_key);
-    let mut ranges = Vec::with_capacity(cuts.len() + 1);
-    let mut lo = None;
-    for c in cuts {
-        ranges.push(SubRange { lo, hi: Some(c) });
-        lo = Some(c);
-    }
-    ranges.push(SubRange { lo, hi: None });
-    Ok(ranges)
 }
 
 /// What writing tables needs from the engine that owns them: where the
@@ -362,9 +246,8 @@ pub fn plan_subcompactions(
 pub struct TableContext<'a> {
     pub storage: &'a dyn Storage,
     pub opts: &'a Options,
-    /// Supplies output names — an atomic, so background workers (and
-    /// parallel subcompaction threads) can name outputs without holding the
-    /// tree lock for the duration of a merge.
+    /// Supplies output names — an atomic, so background workers can name
+    /// outputs without holding the tree lock for the duration of a merge.
     pub next_file_no: &'a AtomicU64,
     pub cache: Option<&'a Arc<BlockCache>>,
     pub stats: &'a DbStats,
@@ -508,15 +391,15 @@ impl<'a> LevelWriter<'a> {
             return Ok(());
         };
         let (table, keys) = builder.write_data()?;
-        let lease = (!last && keys.len() >= OFF_THREAD_MIN_KEYS)
-            .then(|| crate::scheduler::borrow_subcompaction_threads(1))
-            .filter(|lease| lease.extra() == 1);
-        let Some(lease) = lease else {
+        let permit = (!last && keys.len() >= OFF_THREAD_MIN_KEYS)
+            .then(crate::scheduler::seal_permit)
+            .flatten();
+        let Some(permit) = permit else {
             return self.open_reader(table.seal(keys.train())?);
         };
         // The helper holds its permit until its work is done.
         let helper = std::thread::spawn(move || {
-            let _permit = lease;
+            let _permit = permit;
             keys.train()
         });
         let ctx = self.ctx;
@@ -570,30 +453,14 @@ impl Drop for LevelWriter<'_> {
     }
 }
 
-/// What one sub-range merge produced; [`run_compaction`] aggregates these
-/// across subcompactions before the caller installs a single version edit.
-struct SubOutcome {
-    outputs: Vec<Arc<TableHandle>>,
-    /// Input bytes this sub-range consumed (entries popped from the merge
-    /// before retention × input entry width).
-    bytes_in: u64,
-}
-
 /// Sum of one `u64` of every table's meta.
 fn total(tables: &[Arc<TableHandle>], of: fn(&TableMeta) -> u64) -> u64 {
     tables.iter().map(|t| of(&t.meta)).sum()
 }
 
-/// Merge `task`'s inputs restricted to `range`, writing ≤-target-size
-/// output tables. This is the body of the classic single-threaded
-/// compaction: with an unbounded range it is byte-for-byte the old merge
-/// loop. `KeyRetention` state lives entirely inside one call — safe under
-/// parallelism because sub-ranges are disjoint in user-key space.
-fn merge_sub_range(
-    ctx: &TableContext<'_>,
-    task: &CompactionTask,
-    range: SubRange,
-) -> Result<SubOutcome> {
+/// Merge `task`'s inputs into the ≤-target-size tables of `task.level + 1`,
+/// one version per user key, tombstones dropped at the bottom.
+fn merge_inputs(ctx: &TableContext<'_>, task: &CompactionTask) -> Result<Vec<Arc<TableHandle>>> {
     let opts = ctx.opts;
     // One sweep per input: whole-block runs from the device, each block
     // read once. The cache is neither asked nor filled — what it holds of
@@ -605,22 +472,12 @@ fn merge_sub_range(
             .map(|t| TableIter::sweep(Arc::clone(&t.reader)))
             .collect(),
     );
-    match range.lo {
-        Some(lo) => merge.seek(lo)?,
-        None => merge.seek_to_first(),
-    }
-
-    let in_width = crate::sstable::format::entry_width(opts.value_width) as u64;
-    let mut bytes_in = 0;
-    let outputs = LevelWriter::write(ctx, task.level + 1, |out| {
+    merge.seek_to_first();
+    LevelWriter::write(ctx, task.level + 1, |out| {
         let mut retention = KeyRetention::new(task.is_bottom);
         // The merge is read key by key; an entry's bytes are borrowed, and
         // only for an entry that is written out.
         while let Some(key) = merge.key()? {
-            if range.hi.is_some_and(|hi| key.user_key >= hi) {
-                break; // seam: the next sub-range owns this key onward
-            }
-            bytes_in += in_width;
             // Dedup: internal-key order puts the newest version of a user
             // key first; all later versions of the same key are obsolete
             // here (live snapshots read through their own pinned `Version`).
@@ -643,33 +500,28 @@ fn merge_sub_range(
             merge.advance();
         }
         Ok(())
-    })?;
-    Ok(SubOutcome { outputs, bytes_in })
+    })
 }
 
-/// Execute `task`: merge inputs, write ≤-target-size output tables through
-/// `ctx`, record the stage breakdown into `ctx.stats`.
+/// Execute `task`: merge its inputs on the calling thread, write
+/// ≤-target-size output tables through `ctx`, record the stage breakdown
+/// into `ctx.stats`.
 ///
-/// When [`Options::max_subcompactions`] > 1, the job's key space is
-/// range-partitioned by [`plan_subcompactions`] and each sub-range merges
-/// on its own scoped thread; `max_subcompactions = 1` (the default) runs
-/// the exact single-threaded merge. Outputs come back
-/// in key order either way, and the caller commits them through **one**
-/// version edit + manifest seal. A failed run removes its outputs before
-/// it returns; a crash leaves them as orphans for the open sweep. Never a
-/// partial compaction either way.
+/// Outputs come back in key order, and the caller installs them through
+/// **one** version edit and one manifest seal — a partial compaction is
+/// never visible. A failed run removes its outputs before it returns
+/// ([`LevelWriter::write`]); a crash leaves them as orphans for the open
+/// sweep.
 ///
 /// When observability is on, `obs` brackets the run in a
 /// `compaction_begin` / `compaction_end` span (begin carries the source
-/// level, end the input/output byte totals); a partitioned run nests one
-/// `subcompaction_begin` / `subcompaction_end` sub-span per sub-range,
-/// whose begin event carries the parent span id in `a`.
+/// level, end the input/output byte totals).
 pub fn run_compaction(
     ctx: &TableContext<'_>,
     task: &CompactionTask,
     obs: Option<&EngineObs>,
 ) -> Result<CompactionResult> {
-    let (storage, opts, stats) = (ctx.storage, ctx.opts, ctx.stats);
+    let stats = ctx.stats;
     let total_start = Instant::now();
     let span = obs.map(|o| {
         let span = o.span();
@@ -677,87 +529,17 @@ pub fn run_compaction(
         span
     });
 
-    let ranges = plan_subcompactions(task, opts.max_subcompactions)?;
-    let partitioned = ranges.len() > 1;
-
-    let run_one = |idx: usize, range: SubRange| -> Result<SubOutcome> {
-        let sub_span = if partitioned {
-            obs.zip(span).map(|(o, parent)| {
-                let s = o.span();
-                o.emit(EventKind::SubcompactionBegin, s, parent, idx as u64);
-                s
-            })
-        } else {
-            None // unpartitioned: keep the default obs timeline unchanged
-        };
-        let outcome = merge_sub_range(ctx, task, range)?;
-        if let (Some(o), Some(s)) = (obs, sub_span) {
-            let written = total(&outcome.outputs, |m| m.file_bytes);
-            o.emit(EventKind::SubcompactionEnd, s, outcome.bytes_in, written);
-        }
-        Ok(outcome)
-    };
-
-    let outcomes: Vec<Result<SubOutcome>> = if partitioned {
-        // Borrow extra threads from the process-wide maintenance budget;
-        // this job's own thread counts as one, so a lease of k runs the
-        // ranges on k+1 scoped threads. Contiguous chunks keep partition
-        // order, and a short lease just folds more ranges per thread.
-        let lease = crate::scheduler::borrow_subcompaction_threads(ranges.len() - 1);
-        let threads = lease.extra() + 1;
-        let per_thread = ranges.len().div_ceil(threads);
-        let run_one = &run_one;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .chunks(per_thread)
-                .enumerate()
-                .map(|(chunk_no, chunk)| {
-                    s.spawn(move || -> Vec<Result<SubOutcome>> {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &range)| run_one(chunk_no * per_thread + i, range))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("subcompaction thread panicked"))
-                .collect()
-        })
-    } else {
-        vec![run_one(0, ranges[0])]
-    };
-
-    // Aggregate in partition order (ranges ascend, outputs within a range
-    // ascend, so the concatenation is globally sorted and disjoint). A
-    // failed sub-range removed its own outputs; the siblings' go too.
-    let mut outputs = Vec::new();
-    let mut failed = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(o) => outputs.extend(o.outputs),
-            Err(e) => failed = failed.or(Some(e)),
-        }
-    }
-    if let Some(e) = failed {
-        discard(storage, names(&outputs));
-        return Err(e);
-    }
+    let outputs = merge_inputs(ctx, task)?;
     let bytes_written = total(&outputs, |m| m.file_bytes);
     let train_ns = total(&outputs, |m| m.train_ns);
     // Training that ran beside a later table's merge is not merge time; only
-    // what a merge thread trained inline, or waited on, comes off it.
+    // what the merge thread trained inline, or waited on, comes off it.
     let train_wait_ns = total(&outputs, |m| m.train_wait_ns);
     let model_write_ns = total(&outputs, |m| m.model_write_ns);
 
     let total_ns = total_start.elapsed().as_nanos() as u64;
     let bytes_read = task.input_bytes();
     stats.compactions.fetch_add(1, Ordering::Relaxed);
-    stats
-        .subcompactions
-        .fetch_add(ranges.len() as u64, Ordering::Relaxed);
     stats
         .compact_total_ns
         .fetch_add(total_ns, Ordering::Relaxed);
@@ -1006,8 +788,7 @@ mod tests {
     }
 
     /// Two overlapping L0 runs plus an overlapping L1 table — a job with
-    /// real cross-run version shadowing for the partitioned merge to get
-    /// right at every seam.
+    /// real cross-run version shadowing.
     fn overlapping_task(storage: &MemStorage) -> CompactionTask {
         let a = handle_with(storage, "a", puts(0..600, 9));
         let b = handle_with(
@@ -1021,93 +802,6 @@ mod tests {
             inputs: vec![a, b],
             next_inputs: vec![c],
             is_bottom: true,
-        }
-    }
-
-    #[test]
-    fn plan_cuts_tile_the_key_space() {
-        let storage = MemStorage::new();
-        let task = overlapping_task(&storage);
-        let ranges = plan_subcompactions(&task, 4).unwrap();
-        assert!(
-            ranges.len() > 1 && ranges.len() <= 4,
-            "900 distinct keys must admit cuts: {ranges:?}"
-        );
-        assert_eq!(ranges.first().unwrap().lo, None);
-        assert_eq!(ranges.last().unwrap().hi, None);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].hi, w[1].lo, "contiguous, disjoint tiling");
-            assert!(w[0].hi.is_some());
-        }
-        assert_eq!(
-            plan_subcompactions(&task, 1).unwrap(),
-            vec![SubRange::unbounded()],
-            "knob = 1 never partitions"
-        );
-    }
-
-    #[test]
-    fn partitioned_merge_matches_single_threaded() {
-        let storage = MemStorage::new();
-        let task = overlapping_task(&storage);
-        let mut opts = Options::small_for_tests();
-        opts.sstable_target_bytes = 4096;
-
-        let fno = AtomicU64::new(100);
-        let stats = DbStats::new();
-        let single = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
-        let expected = dump(&single.outputs);
-
-        for n in [2, 4, 8] {
-            opts.max_subcompactions = n;
-            let stats = DbStats::new();
-            let parallel = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
-            assert_eq!(
-                dump(&parallel.outputs),
-                expected,
-                "n={n}: same survivors in the same order"
-            );
-            for w in parallel.outputs.windows(2) {
-                assert!(
-                    w[0].meta.max_key < w[1].meta.min_key,
-                    "n={n}: outputs sorted and disjoint across sub-ranges"
-                );
-            }
-            let snap = stats.snapshot();
-            assert_eq!(snap.compactions, 1);
-            assert!(
-                snap.subcompactions >= 2,
-                "n={n}: the job must actually have partitioned"
-            );
-        }
-    }
-
-    #[test]
-    fn tombstone_elision_survives_partition_seams() {
-        let storage = MemStorage::new();
-        // Newer run tombstones every 3rd key; older run has every key.
-        let dels: Vec<Entry> = (0..900)
-            .step_by(3)
-            .map(|k| Entry::tombstone(k, 9))
-            .collect();
-        let newer = handle_with(&storage, "del", dels);
-        let older = handle_with(&storage, "old", puts(0..900, 1));
-        let task = CompactionTask {
-            level: 0,
-            inputs: vec![newer],
-            next_inputs: vec![older],
-            is_bottom: true,
-        };
-        let mut opts = Options::small_for_tests();
-        opts.max_subcompactions = 4;
-        let stats = DbStats::new();
-        let fno = AtomicU64::new(0);
-        let result = run(&storage, &task, &opts, &stats, &fno, None).unwrap();
-        let total: u64 = result.outputs.iter().map(|t| t.meta.n).sum();
-        assert_eq!(total, 600, "300 tombstoned keys fully elided at the bottom");
-        for (key, _, kind, _) in dump(&result.outputs) {
-            assert_ne!(kind, EntryKind::Delete, "no tombstone escapes");
-            assert_ne!(key % 3, 0, "no deleted key resurrects at a seam");
         }
     }
 
@@ -1151,10 +845,10 @@ mod tests {
         assert!(snap.compact_bytes_written > 0);
     }
 
-    /// Each block once per pass: an unpartitioned compaction — uncached, or
-    /// reading no-fill through a cache — reads from the device exactly the
-    /// blocks its inputs' entries occupy, the one a chunk shares with the
-    /// next chunk included once.
+    /// Each block once per pass: a compaction — uncached, or reading no-fill
+    /// through a cache — reads from the device exactly the blocks its
+    /// inputs' entries occupy, the one a chunk shares with the next chunk
+    /// included once.
     #[test]
     fn compaction_reads_each_input_block_once() {
         for cached in [false, true] {
@@ -1197,11 +891,11 @@ mod tests {
         }
     }
 
-    /// A device call per sweep run: an unpartitioned compaction reads each
-    /// input in 16-block runs, so its device calls are exactly the runs its
-    /// inputs' entries fill — a sixteenth, near enough, of the chunk-sized
-    /// calls a no-fill cursor made — and its blocks are exactly the blocks
-    /// they occupy, uncached or through a cache.
+    /// A device call per sweep run: a compaction reads each input in
+    /// 16-block runs, so its device calls are exactly the runs its inputs'
+    /// entries fill — a sixteenth, near enough, of the chunk-sized calls a
+    /// no-fill cursor made — and its blocks are exactly the blocks they
+    /// occupy, uncached or through a cache.
     #[test]
     fn compaction_reads_its_inputs_a_device_call_per_run() {
         const RUN: u64 = 16 * 4096;

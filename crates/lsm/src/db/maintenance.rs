@@ -88,12 +88,13 @@ impl Db {
     }
 
     /// Second half of a flush: the queue drains — the pool is waited for
-    /// and its standing error surfaced, or, under synchronous maintenance,
-    /// this thread does the work.
+    /// and its standing *flush* error surfaced (a failing compaction's is
+    /// not the flush's), or, under synchronous maintenance, this thread
+    /// does the work, compactions included.
     pub(crate) fn finish_flush(&self) -> Result<()> {
         if self.core.opts.maintenance.is_background() {
             self.wait_flush_drain();
-            return self.core.bg_error.to_result();
+            return self.core.bg_error.result_of(Work::Flush);
         }
         self.core.drain_inline()
     }
@@ -187,6 +188,12 @@ impl Db {
     /// dropping the handle, but surfaces any background error explicitly.
     pub fn close(mut self) -> Result<()> {
         self.shutdown_workers();
+        self.standing_error()
+    }
+
+    /// `Err` with the most recent standing background error, whatever
+    /// work it belongs to.
+    pub(crate) fn standing_error(&self) -> Result<()> {
         self.core.bg_error.to_result()
     }
 

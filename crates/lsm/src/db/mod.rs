@@ -253,8 +253,8 @@ pub(crate) struct DbCore {
     /// public flushes serialize against (and respect the poison state of)
     /// the owner's cross-shard commits.
     coordination: Option<Arc<CommitCoordination>>,
-    /// Observability handle (`Options::observability`): the shared event
-    /// ring plus this instance's per-op latency histograms. `None` when
+    /// Observability handle (`Options::observability`): the shared bounded
+    /// event buffer plus this instance's per-op latency histograms. `None` when
     /// observability is off — every emit site is a single branch on this
     /// option, so the disabled hot path is unchanged.
     obs: Option<Arc<EngineObs>>,
@@ -281,7 +281,7 @@ pub(crate) struct Embedding<'a> {
     pub resolver: Option<BatchResolver<'a>>,
     /// The owner's commit lock and poison flag.
     pub coordination: Option<Arc<CommitCoordination>>,
-    /// This shard's handle on the owner's event ring.
+    /// This shard's handle on the owner's bounded event buffer.
     pub obs: Option<Arc<EngineObs>>,
     /// The owner's cache: one byte budget for every shard.
     pub cache: Option<Arc<BlockCache>>,
@@ -543,7 +543,7 @@ impl Db {
     /// Assemble a scrapeable [`MetricsSnapshot`] — the one-shard case of
     /// the sharded scrape: `DbStats` counters always; latency quantiles and
     /// the drained event timeline only when observability is on. Draining
-    /// consumes the ring — each event appears in exactly one scrape.
+    /// empties the event buffer — each event appears in exactly one scrape.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut stats = self.stats().snapshot();
         if let Some(cache) = &self.core.cache {

@@ -69,7 +69,8 @@ impl Db {
             cache: shared_cache,
         } = embedding;
         // A standalone open with observability on builds its own handle;
-        // the sharding layer passes per-shard handles sharing one ring.
+        // the sharding layer passes per-shard handles sharing one bounded
+        // event buffer.
         let obs = obs.or_else(|| opts.observability.then(|| Arc::new(EngineObs::solo(0))));
         // The sharding layer passes one cache shared by every shard (its
         // byte budget is global); a standalone open builds its own from

@@ -311,19 +311,8 @@ pub struct Options {
     pub per_level_epsilon: Option<Vec<usize>>,
     /// Flush/compaction scheduling (see [`Maintenance`]).
     pub maintenance: Maintenance,
-    /// Maximum parallel **subcompactions** per compaction job. Above 1,
-    /// one logical compaction is range-partitioned into disjoint user-key
-    /// sub-ranges (cut at byte-weighted input-table boundaries so
-    /// sub-ranges carry ≈even work) and merged on that many scoped
-    /// threads, then installed through **one** manifest seal — a
-    /// partial compaction is never visible, whichever thread finishes
-    /// first or crashes. `1` (the default) is byte-for-byte today's
-    /// single-threaded merge. Under a [`crate::sharding::ShardedDb`] every
-    /// shard — including split children — inherits this knob from
-    /// `ShardedOptions::base`.
-    pub max_subcompactions: usize,
-    /// Engine observability (`lsm-obs`): tracing events into a lock-free
-    /// ring plus per-op latency histograms, scraped via
+    /// Engine observability (`lsm-obs`): tracing events into a bounded
+    /// event buffer plus per-op latency histograms, scraped via
     /// `Db::metrics` / `ShardedDb::metrics` and the server's `METRICS`
     /// opcode. Off by default: the paper experiments run unperturbed and
     /// `DbStats` behaves byte-identically to previous releases.
@@ -343,7 +332,6 @@ impl Default for Options {
             block_cache_bytes: 0,
             per_level_epsilon: None,
             maintenance: Maintenance::Synchronous,
-            max_subcompactions: 1,
             observability: false,
         }
     }

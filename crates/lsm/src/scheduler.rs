@@ -39,9 +39,9 @@
 //! `N` pools (see `Embedding::pool` in [`crate::db`]).
 //!
 //! Beside the workers, one process-wide budget of *extra* threads is lent
-//! out per merge: to a partitioned compaction's sub-ranges and to the table
-//! writer's seal helpers, which train a finished table's index beside the
-//! next table's merge. Either gets what is free and never waits for more.
+//! out, one permit at a time, to the table writer's seal helpers, which
+//! train a finished table's index beside the next table's merge. A writer
+//! takes a permit when one is free and never waits for one.
 //!
 //! Shutdown (`Scheduler::shutdown`, invoked by `Db::close`/`Drop`) wakes
 //! both workers and flips them into *drain* mode: the flush worker keeps
@@ -66,84 +66,41 @@ use std::time::Duration;
 use crate::stats::DbStats;
 use crate::{clone_error, Error, Result};
 
-/// Process-wide pool of *extra* threads that range-partitioned compactions
-/// ([`crate::compaction::run_compaction`] with
-/// [`crate::Options::max_subcompactions`] > 1) and the table writer's seal
-/// helpers ([`crate::compaction::LevelWriter`]) may borrow.
+/// The free permits of the process-wide pool of *extra* threads the table
+/// writer's seal helpers ([`crate::compaction::LevelWriter`]) may borrow,
+/// one per helper, for the duration of one table's training.
 ///
 /// Every flush or compaction job already owns the thread it runs on (a pool
-/// worker or the writer itself under synchronous maintenance); a
-/// partitioned job borrows up to `ranges - 1` more for the duration of one
-/// merge, and a seal helper one for the duration of one table's training.
-/// The budget is shared across every `Db` in the process — every database
-/// open in it may run a compaction at once, and without a common cap the
-/// thread count would multiply (databases × subcompactions). Sized to
-/// the machine's parallelism; acquisition is best-effort and never blocks:
-/// a job that gets fewer permits than it wanted folds several sub-ranges
-/// onto each thread it did get (same outputs, just less overlap).
-#[derive(Debug)]
-struct SubcompactionBudget {
-    free: AtomicUsize,
-}
-
-static SUBCOMPACTION_BUDGET: OnceLock<SubcompactionBudget> = OnceLock::new();
-
-fn subcompaction_budget() -> &'static SubcompactionBudget {
-    SUBCOMPACTION_BUDGET.get_or_init(|| SubcompactionBudget {
-        free: AtomicUsize::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        ),
+/// worker or the writer itself under synchronous maintenance); a helper is
+/// one more. The budget is shared across every `Db` in the process, so the
+/// helpers of every database open in it never outnumber the machine's
+/// parallelism. Acquisition never blocks: a writer that finds no permit
+/// seals the table inline (same bytes, just no overlap).
+fn seal_budget() -> &'static AtomicUsize {
+    static FREE: OnceLock<AtomicUsize> = OnceLock::new();
+    FREE.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        AtomicUsize::new(cores)
     })
 }
 
-/// Take up to `want` extra-thread permits without blocking; the lease
-/// returns them on drop. `extra() == 0` means "run on the calling thread
-/// alone" — always a valid outcome. Partitioned compactions and the table
-/// writer's seal helpers (see [`crate::compaction::LevelWriter`]) lease
-/// here; a caller that holds every permit keeps all of that work on the
-/// threads that asked for it.
-pub fn borrow_subcompaction_threads(want: usize) -> SubcompactionLease {
-    let budget = subcompaction_budget();
-    let mut cur = budget.free.load(Ordering::Relaxed);
-    loop {
-        let take = want.min(cur);
-        if take == 0 {
-            return SubcompactionLease { extra: 0 };
-        }
-        match budget.free.compare_exchange_weak(
-            cur,
-            cur - take,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return SubcompactionLease { extra: take },
-            Err(seen) => cur = seen,
-        }
-    }
+/// Take one seal-helper permit without blocking; `None` when every permit
+/// is lent out — the caller then does the work on its own thread. The
+/// permit returns to the budget on drop. A caller that holds every permit
+/// keeps all seals inline.
+pub fn seal_permit() -> Option<SealPermit> {
+    let free = seal_budget();
+    free.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+        .ok()
+        .map(|_| SealPermit(()))
 }
 
-/// Permits held by one partitioned merge or seal helper; returned to the
-/// budget on drop.
-pub struct SubcompactionLease {
-    extra: usize,
-}
+/// One permit held by a seal helper; returned to the budget on drop.
+pub struct SealPermit(());
 
-impl SubcompactionLease {
-    /// How many extra threads this job may spawn (0 = caller's thread only).
-    pub fn extra(&self) -> usize {
-        self.extra
-    }
-}
-
-impl Drop for SubcompactionLease {
+impl Drop for SealPermit {
     fn drop(&mut self) {
-        if self.extra > 0 {
-            subcompaction_budget()
-                .free
-                .fetch_add(self.extra, Ordering::Relaxed);
-        }
+        seal_budget().fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -248,6 +205,15 @@ impl BgError {
             Some((_, e)) => Err(clone_error(e)),
         }
     }
+
+    /// `Err` with `work`'s standing error, if there is one: what a step of
+    /// `work` the caller waited for reports, whatever other work fails.
+    pub fn result_of(&self, work: Work) -> Result<()> {
+        match self.0.lock().iter().find(|(w, _)| *w == work) {
+            None => Ok(()),
+            Some((_, e)) => Err(clone_error(e)),
+        }
+    }
 }
 
 /// What a worker found when it looked for work.
@@ -329,14 +295,13 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn subcompaction_budget_lease_roundtrip() {
-        let lease = borrow_subcompaction_threads(0);
-        assert_eq!(lease.extra(), 0, "asking for nothing gets nothing");
-        let lease = borrow_subcompaction_threads(2);
-        assert!(lease.extra() <= 2, "never over-grants");
-        drop(lease); // returning permits must not underflow
-        let again = borrow_subcompaction_threads(1);
-        assert!(again.extra() <= 1);
+    fn seal_permits_never_exceed_the_budget() {
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let all: Vec<SealPermit> = std::iter::from_fn(seal_permit).collect();
+        assert!(all.len() <= cores, "never over-grants");
+        drop(all);
+        let again: Vec<SealPermit> = std::iter::from_fn(seal_permit).collect();
+        assert!(again.len() <= cores, "a dropped permit returns once");
     }
 
     #[test]

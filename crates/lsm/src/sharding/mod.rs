@@ -382,9 +382,9 @@ struct ShardedCore {
     /// into [`ShardedDb::stats`] alongside the per-shard blocks.
     own_stats: DbStats,
     /// The shared event sink when `opts.base.observability` is on. Every
-    /// shard's [`EngineObs`] emits into this one ring; the sharding
-    /// layer's own lifecycle events (splits, checkpoints) are tagged
-    /// [`GLOBAL_SHARD`].
+    /// shard's [`EngineObs`] emits into this one bounded event buffer; the
+    /// sharding layer's own lifecycle events (splits, checkpoints) are
+    /// tagged [`GLOBAL_SHARD`].
     observer: Option<Arc<Observer>>,
     /// Stable-id allocator (persisted via the topology at each cutover;
     /// ids burned by an aborted split are not reused in-process).
@@ -569,11 +569,14 @@ impl ShardedDb {
         self.shutdown_pool();
         self.core.bg_error.to_result()?;
         // The pool is drained, so there is nothing left to wait for:
-        // `finish_flush` hands back a shard's standing worker error (or,
+        // `finish_flush` hands back a shard's standing flush error (or,
         // under synchronous maintenance, retries what a failed inline flush
-        // left queued).
+        // left queued), and `standing_error` a failing compaction's.
         let state = self.core.current_state();
-        state.shards.iter().try_for_each(|d| d.finish_flush())
+        state.shards.iter().try_for_each(|d| {
+            d.finish_flush()?;
+            d.standing_error()
+        })
     }
 
     fn shutdown_pool(&mut self) {
@@ -803,5 +806,47 @@ mod tests {
         db.flush().expect("rotate");
         faults.fail_writes_after(0);
         assert!(matches!(db.close(), Err(Error::Io(_))));
+    }
+
+    /// A shard's failing compaction is not a sharded flush's error — the
+    /// flush did flush and returns `Ok` — but `close` still reports it. The
+    /// shard's L0→L1 merge fails reading its poisoned L1 input.
+    #[test]
+    fn close_reports_a_shards_standing_compaction_error() {
+        let (storage, faults) = lsm_io::FaultStorage::wrap(Arc::new(lsm_io::MemStorage::new()));
+        let mut base = Options::small_for_tests();
+        base.sstable_target_bytes = 1 << 20;
+        base.maintenance = crate::options::Maintenance::background();
+        let db = ShardedDb::open(storage, ShardedOptions::learned(1, vec![], base)).expect("open");
+        let load = |round: u64| {
+            for k in 0..300u64 {
+                db.put(k, &round.to_le_bytes()).expect("put");
+            }
+            db.flush()
+        };
+        for round in 0..2 {
+            load(round).expect("flush");
+        }
+        db.wait_for_maintenance();
+        let version = db.shard(0).version();
+        let [l1] = version.levels[1].as_slice() else {
+            panic!("one L1 table: {}", version.levels[1].len());
+        };
+        db.pause_compactions();
+        let dir = Topology::shard_dir(db.routing().ids[0]);
+        faults.poison(&format!("{dir}{}", l1.meta.name));
+        for round in 2..4 {
+            load(round).expect("flush");
+        }
+        db.resume_compactions();
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while db.background_error().is_none() {
+            assert!(Instant::now() < deadline, "the compaction never failed");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        db.pause_compactions();
+        assert!(load(4).is_ok(), "a flush that flushed returns Ok");
+        let closed = db.close();
+        assert!(matches!(closed, Err(Error::Io(_))), "{closed:?}");
     }
 }

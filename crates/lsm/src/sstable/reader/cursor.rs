@@ -66,7 +66,8 @@ impl TableIter {
 
     /// New sweep cursor at the first entry: the read mode of compaction
     /// inputs. It reads its table in whole-block runs and never touches the
-    /// cache; a seek still lands anywhere (a subcompaction starts mid-table).
+    /// cache. Compaction only reads it from the front; a seek still lands
+    /// anywhere, because the [`Cursor`] contract requires one.
     pub(crate) fn sweep(reader: Arc<TableReader>) -> Self {
         Self::new(reader, Refill::Sweep { end: 0 })
     }

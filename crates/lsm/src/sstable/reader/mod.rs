@@ -362,15 +362,6 @@ impl TableReader {
             crate::types::EntryKind::Delete => None,
         }))
     }
-
-    /// Read the user key of the entry at `pos` (one small read).
-    pub fn key_at(&self, pos: usize) -> Result<u64> {
-        debug_assert!(pos < self.n);
-        let mut kb = [0u8; KEY_LEN];
-        self.file
-            .read_exact_at((pos * self.entry_width) as u64, &mut kb)?;
-        Ok(format::decode_entry_key(&kb))
-    }
 }
 
 #[cfg(test)]

@@ -215,9 +215,6 @@ engine_counters! {
         /// Jobs that moved their one input down a level unchanged: no
         /// merge, no file created or removed, no bytes read or written.
         SUM compaction_moves,
-        /// Sub-range merge units executed (a single-threaded compaction,
-        /// `max_subcompactions = 1`, counts one).
-        SUM subcompactions,
         SUM compact_total_ns,
         SUM compact_kv_io_ns,
         SUM compact_train_ns,
@@ -481,7 +478,7 @@ mod tests {
         const SCALARS: &str = "lookups table_locate_ns predict_ns io_cpu_ns search_ns \
             bloom_checks bloom_negatives memtable_hits write_batches write_entries \
             write_groups wal_appends wal_bytes wal_syncs flushes flush_bytes_written \
-            compactions compaction_moves subcompactions compact_total_ns compact_kv_io_ns compact_train_ns \
+            compactions compaction_moves compact_total_ns compact_kv_io_ns compact_train_ns \
             compact_model_write_ns compact_bytes_read compact_bytes_written \
             seals_off_thread scans scan_entries stall_slowdowns stall_stops stall_ns imm_rotations imm_queue_peak \
             bg_flush_ns bg_compact_ns bg_errors writes_during_maintenance shard_splits \

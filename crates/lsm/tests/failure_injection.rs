@@ -307,12 +307,8 @@ fn flush_fault_walk_is_clean_at_every_op() {
 /// Deterministic durable state whose next `flush` must also run a
 /// compaction (one table parked in L0, trigger at 2).
 fn compacting_state() -> (Arc<lsm_io::CrashStorage>, Arc<lsm_io::CrashControl>, Db) {
-    compacting_state_with(opts())
-}
-
-fn compacting_state_with(o: Options) -> (Arc<lsm_io::CrashStorage>, Arc<lsm_io::CrashControl>, Db) {
     let (storage, ctl) = CrashStorage::new();
-    let db = Db::open(Arc::clone(&storage) as Arc<dyn Storage>, o).unwrap();
+    let db = Db::open(Arc::clone(&storage) as Arc<dyn Storage>, opts()).unwrap();
     for k in 0..1_000u64 {
         db.put(k, b"base").unwrap();
     }
@@ -339,7 +335,9 @@ fn compacting_state_with(o: Options) -> (Arc<lsm_io::CrashStorage>, Arc<lsm_io::
 /// only manifest points at deleted files and the database is gone. (The
 /// incremental walk above cannot see this — a failed attempt's removes
 /// are skipped and the compaction rotates to fresh inputs — so this
-/// matrix rebuilds from scratch per index, like the sharded one.)
+/// matrix rebuilds from scratch per index, like the sharded one.) The
+/// open also sweeps what the crash stranded: every `.sst` left in the
+/// image is a table of the recovered version.
 #[test]
 fn flush_compaction_crash_matrix_image_always_opens() {
     let (ctl_total, db) = {
@@ -367,7 +365,8 @@ fn flush_compaction_crash_matrix_image_always_opens() {
             assert!(outcome.is_ok(), "full budget must flush: {n}/{total}");
         }
         drop(db);
-        let img = Db::open(Arc::new(storage.image()), opts())
+        let img_storage = Arc::new(storage.image());
+        let img = Db::open(Arc::clone(&img_storage) as Arc<dyn Storage>, opts())
             .unwrap_or_else(|e| panic!("image at flush op {n}/{total} unopenable: {e}"));
         for k in (0..1_000u64).step_by(97) {
             assert_eq!(
@@ -383,75 +382,9 @@ fn flush_compaction_crash_matrix_image_always_opens() {
                 "crash at {n}/{total}: lost WAL-covered key {k}"
             );
         }
-    }
-}
-
-/// The same rebuild-per-index crash matrix over a **range-partitioned**
-/// compaction (`max_subcompactions = 4`): parallel subcompaction threads
-/// interleave their output writes, so a crash can strand several
-/// half-built sub-range outputs at once — yet every fault-point image
-/// must reopen with all acknowledged data (the single manifest seal means
-/// old-version-or-new, never partial), and the open-time sweep must
-/// unlink every output table the crashed job stranded.
-#[test]
-fn parallel_compaction_crash_matrix_opens_and_sweeps_orphans() {
-    fn popts() -> Options {
-        let mut o = opts();
-        o.max_subcompactions = 4;
-        o
-    }
-    let total = {
-        let (_s, ctl, db) = compacting_state_with(popts());
-        let snap = db.stats().snapshot();
-        let start = ctl.ops();
-        db.flush().unwrap();
-        let after = db.stats().snapshot();
-        assert!(
-            after.compactions > snap.compactions,
-            "measured flush must compact"
-        );
-        assert!(
-            after.subcompactions - snap.subcompactions >= 2,
-            "the measured compaction must actually partition"
-        );
-        ctl.ops() - start
-    };
-    assert!(total > 10, "pipeline should span many ops: {total}");
-
-    for n in 0..=total {
-        let (storage, ctl, db) = compacting_state_with(popts());
-        ctl.crash_after(n);
-        let outcome = db.flush();
-        if n >= total {
-            assert!(outcome.is_ok(), "full budget must flush: {n}/{total}");
-        }
-        drop(db);
-        let img_storage = Arc::new(storage.image());
-        let img = Db::open(Arc::clone(&img_storage) as Arc<dyn Storage>, popts())
-            .unwrap_or_else(|e| panic!("image at op {n}/{total} unopenable: {e}"));
-        for k in (0..1_000u64).step_by(97) {
-            assert_eq!(
-                img.get(k).unwrap(),
-                Some(b"base".to_vec()),
-                "crash at {n}/{total}: lost flushed key {k}"
-            );
-        }
-        for k in (1_000..1_200u64).step_by(13) {
-            assert_eq!(
-                img.get(k).unwrap(),
-                Some(b"pending".to_vec()),
-                "crash at {n}/{total}: lost WAL-covered key {k}"
-            );
-        }
         // No orphans survive the reopen: every `.sst` in storage is named
-        // by the recovered version (stranded subcompaction outputs swept).
-        let live: std::collections::HashSet<String> = img
-            .version()
-            .levels
-            .iter()
-            .flatten()
-            .map(|t| t.meta.name.clone())
-            .collect();
+        // by the recovered version (stranded compaction outputs swept).
+        let live: HashSet<String> = table_names(&img).into_iter().collect();
         for name in img_storage.list().unwrap() {
             if name.ends_with(".sst") {
                 assert!(
@@ -559,8 +492,9 @@ fn a_failed_move_leaves_its_table_on_storage() {
 /// A failing compaction's error stands while flushes keep succeeding, and
 /// goes once a compaction succeeds: one worker's success never clears the
 /// other worker's error. The L0→L1 merge fails reading its poisoned L1
-/// input; with compactions then paused, three flushes succeed, and the
-/// error is there after each of them (it was cleared by the first, once).
+/// input; with compactions then paused, three flushes succeed and return
+/// `Ok`, and the error is there after each of them (it was cleared by the
+/// first, once).
 #[test]
 fn a_flush_never_clears_a_failing_compactions_error() {
     let (storage, faults) = FaultStorage::wrap(Arc::new(MemStorage::new()));
@@ -616,9 +550,9 @@ fn a_flush_never_clears_a_failing_compactions_error() {
         while polls.elapsed() < Duration::from_millis(50) {
             assert_eq!(db.background_error(), Some(failed.clone()), "round {round}");
         }
-        // The flush drained, and surfaced the standing compaction error.
+        // The flush drained and says so: the compaction's error is not its.
         assert!(db.stats().snapshot().flushes > flushes, "round {round}");
-        assert!(flushed.is_err(), "round {round}");
+        assert!(flushed.is_ok(), "round {round}: {flushed:?}");
     }
 
     faults.heal();

@@ -35,8 +35,9 @@ fn live_split_emits_ordered_span_linked_lifecycle_events() {
     let db = ShardedDb::open(Arc::clone(&storage), opts).unwrap();
     let observer = Arc::clone(db.observer().expect("observability is on"));
 
-    // Drain as we go: the ring keeps the *oldest* events on overflow, so
-    // a long stream could otherwise crowd out late-arriving split events.
+    // Drain as we go: the bounded event buffer keeps the *oldest* events on
+    // overflow, so a long stream could otherwise crowd out late-arriving
+    // split events.
     let mut timeline: Vec<Event> = Vec::new();
     let mut rng = StdRng::seed_from_u64(0x0b5);
     let mut batch = WriteBatch::new();
@@ -64,7 +65,7 @@ fn live_split_emits_ordered_span_linked_lifecycle_events() {
 
     let splits = db.sharded_stats().merged.shard_splits;
     assert!(splits >= 1, "stream never triggered a live split");
-    assert_eq!(observer.dropped(), 0, "drain cadence must outrun the ring");
+    assert_eq!(observer.dropped(), 0, "drains must outrun the buffer");
 
     let begins: Vec<&Event> = timeline
         .iter()
@@ -117,95 +118,50 @@ fn live_split_emits_ordered_span_linked_lifecycle_events() {
     assert_eq!(last_epoch, db.topology_epoch());
 }
 
-/// A range-partitioned compaction must appear in the timeline as
-/// `subcompaction_begin` / `subcompaction_end` sub-spans nested inside
-/// their parent `compaction_begin` / `compaction_end` span: each sub-span
-/// begin carries the parent's span id in `a`, sits between the parent's
-/// begin and end, and the sub-spans' output bytes sum to the parent's.
+/// Every compaction — a rewrite or a move — appears in the timeline as one
+/// `compaction_begin` and, later in the timeline, exactly one
+/// `compaction_end` with the same span id, whose `b` is the bytes the job
+/// wrote: the ends drained after each write sum to what
+/// `compact_bytes_written` rose by during it.
 #[test]
-fn parallel_compaction_emits_parent_linked_sub_spans() {
-    let mut opts = obs_opts();
-    opts.max_subcompactions = 4;
-    let db = Db::open_memory(opts).unwrap();
+fn every_compaction_span_closes_once_with_its_bytes_written() {
+    let db = Db::open_memory(obs_opts()).unwrap();
     let observer = Arc::clone(db.observability().expect("observability is on").observer());
 
-    // Drain as we go so the ring never overflows mid-stream.
     let mut timeline: Vec<Event> = Vec::new();
-    for k in 0..30_000u64 {
+    let mut written = 0;
+    for i in 0..20_000u64 {
+        // Scattered keys, so jobs rewrite their inputs and do not only move.
+        let k = i * 7_919 % 20_000;
         db.put(k, &k.to_le_bytes()).unwrap();
-        if k % 512 == 0 {
-            timeline.extend(observer.drain());
-        }
+        let events = observer.drain();
+        let ends = events.iter().filter(|e| e.kind == EventKind::CompactionEnd);
+        let now = db.stats().snapshot().compact_bytes_written;
+        assert_eq!(ends.map(|e| e.b).sum::<u64>(), now - written, "put {i}");
+        written = now;
+        timeline.extend(events);
     }
-    timeline.extend(observer.drain());
-    assert_eq!(observer.dropped(), 0, "drain cadence must outrun the ring");
+    assert_eq!(observer.dropped(), 0, "drains must outrun the buffer");
 
-    let sub_begins: Vec<(usize, &Event)> = timeline
+    let stats = db.stats().snapshot();
+    let (jobs, moves) = (stats.compactions, stats.compaction_moves);
+    assert!(jobs > moves, "{jobs} jobs, {moves} moves: none rewrote");
+    let begins: Vec<(usize, &Event)> = timeline
         .iter()
         .enumerate()
-        .filter(|(_, e)| e.kind == EventKind::SubcompactionBegin)
+        .filter(|(_, e)| e.kind == EventKind::CompactionBegin)
         .collect();
-    assert!(
-        !sub_begins.is_empty(),
-        "the stream must partition at least one compaction"
-    );
-
-    for (begin_idx, begin) in &sub_begins {
-        assert_ne!(begin.span, 0, "sub-spans carry live span ids");
-        let parent_span = begin.a;
-        // The parent compaction span exists and brackets the sub-span.
-        let parent_begin = timeline
+    assert_eq!(begins.len() as u64, stats.compactions);
+    for (at, begin) in begins {
+        assert_ne!(begin.span, 0, "spans carry live ids");
+        let ends: Vec<usize> = timeline
             .iter()
-            .position(|e| e.kind == EventKind::CompactionBegin && e.span == parent_span)
-            .expect("sub-span's `a` names a compaction_begin span");
-        let parent_end = timeline
-            .iter()
-            .position(|e| e.kind == EventKind::CompactionEnd && e.span == parent_span)
-            .expect("parent compaction must end");
-        let sub_end = timeline
-            .iter()
-            .position(|e| e.kind == EventKind::SubcompactionEnd && e.span == begin.span)
-            .expect("every sub-span ends");
-        assert!(parent_begin < *begin_idx, "sub-span begins after parent");
-        assert!(*begin_idx < sub_end, "sub-span ends after it begins");
-        assert!(sub_end < parent_end, "sub-span ends before parent");
-    }
-
-    // Per parent: sub-range output bytes sum to the parent's output bytes,
-    // and sub-range indexes (begin.b) are 0..n without gaps.
-    let parents: std::collections::BTreeSet<u64> = sub_begins.iter().map(|(_, e)| e.a).collect();
-    for parent_span in parents {
-        let subs: Vec<&Event> = sub_begins
-            .iter()
-            .filter(|(_, e)| e.a == parent_span)
-            .map(|(_, e)| *e)
+            .enumerate()
+            .filter(|(_, e)| e.kind == EventKind::CompactionEnd && e.span == begin.span)
+            .map(|(i, _)| i)
             .collect();
-        let mut indexes: Vec<u64> = subs.iter().map(|e| e.b).collect();
-        indexes.sort_unstable();
-        assert_eq!(
-            indexes,
-            (0..subs.len() as u64).collect::<Vec<_>>(),
-            "sub-range indexes are dense"
-        );
-        let sub_out: u64 = subs
-            .iter()
-            .map(|b| {
-                timeline
-                    .iter()
-                    .find(|e| e.kind == EventKind::SubcompactionEnd && e.span == b.span)
-                    .expect("matched above")
-                    .b
-            })
-            .sum();
-        let parent_out = timeline
-            .iter()
-            .find(|e| e.kind == EventKind::CompactionEnd && e.span == parent_span)
-            .expect("matched above")
-            .b;
-        assert_eq!(
-            sub_out, parent_out,
-            "sub-span output bytes must sum to the parent's"
-        );
+        assert_eq!(ends.len(), 1, "span {}: one end", begin.span);
+        assert!(ends[0] > at, "span {}: end before begin", begin.span);
     }
 }
 

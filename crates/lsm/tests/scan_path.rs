@@ -265,30 +265,29 @@ const GOLDEN_INGEST_FILES: &str = "\
 const GOLDEN_INGEST_BYTES_CRC: u32 = 4_020_877_169;
 
 /// 30 000 sequential puts cascade through the levels at exact counts —
-/// compaction jobs, tables at L1…L4 and bytes written to the device — with
-/// one merge thread per job and with four. A job whose one input has
-/// nothing under it moves the table; before jobs could, each rewrote it,
-/// and at four threads the rewrite cut a lone table into up to four, which
-/// the next level's jobs cut again: 3 862 jobs, 10 / 149 / 1 943 / 8 903
-/// tables and 434 933 254 B written for the same load.
+/// compaction jobs, tables at L1…L4 and bytes written to the device. A job
+/// whose one input has nothing under it moves the table; before jobs could,
+/// each rewrote it, and when a job could merge on four threads (an option
+/// since removed) the rewrite cut a lone table into up to four, which the
+/// next level's jobs cut again: 3 862 jobs, 10 / 149 / 1 943 / 8 903 tables
+/// and 434 933 254 B written for the same load.
 #[test]
 fn a_sequential_load_cascades_to_exact_counts() {
-    let run = |max_subcompactions| {
-        let storage = Arc::new(MemStorage::new());
-        let opts = Options {
-            max_subcompactions,
-            maintenance: Maintenance::Synchronous,
-            ..Options::small_for_tests()
-        };
-        let db = Db::open(storage.clone(), opts).unwrap();
-        for k in 0..30_000u64 {
-            db.put(k, &k.to_le_bytes()).unwrap();
-        }
-        let version = db.version();
-        let tables: Vec<usize> = (1..=4).map(|l| version.levels[l].len()).collect();
-        let jobs = db.stats().snapshot().compactions;
-        (jobs, tables, storage.stats().snapshot().write_bytes)
+    let storage = Arc::new(MemStorage::new());
+    let opts = Options {
+        maintenance: Maintenance::Synchronous,
+        ..Options::small_for_tests()
     };
-    assert_eq!(run(1), (647, vec![9, 34, 138, 99], 7_949_322));
-    assert_eq!(run(4), (734, vec![10, 39, 158, 113], 8_628_298));
+    let db = Db::open(storage.clone(), opts).unwrap();
+    for k in 0..30_000u64 {
+        db.put(k, &k.to_le_bytes()).unwrap();
+    }
+    let version = db.version();
+    let tables: Vec<usize> = (1..=4).map(|l| version.levels[l].len()).collect();
+    let jobs = db.stats().snapshot().compactions;
+    let written = storage.stats().snapshot().write_bytes;
+    assert_eq!(
+        (jobs, tables, written),
+        (647, vec![9, 34, 138, 99], 7_949_322)
+    );
 }

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use learned_index::IndexKind;
 use lsm_io::{FaultControl, FaultStorage, Hook, Interposed, MemStorage, Op, Storage};
 use lsm_tree::compaction::{LevelWriter, TableContext};
-use lsm_tree::scheduler::borrow_subcompaction_threads;
+use lsm_tree::scheduler::seal_permit;
 use lsm_tree::stats::DbStats;
 use lsm_tree::{Db, Error, IndexChoice, Maintenance, Options, WriteBatch, WriteOptions};
 
@@ -202,7 +202,7 @@ fn loads_make_the_inline_storage_ops() {
         let small = name.starts_with("64 KiB");
         assert_eq!(helped.seals_off_thread == 0, small, "{name}: {helped:?}");
 
-        let all = borrow_subcompaction_threads(usize::MAX);
+        let all: Vec<_> = std::iter::from_fn(seal_permit).collect();
         let alone = (shape.run)();
         drop(all);
         assert_eq!((alone.digest, alone.ops), pinned, "{name}, no helper");
@@ -213,7 +213,8 @@ fn loads_make_the_inline_storage_ops() {
 /// Every permit of the budget is free: no helper holds one.
 fn budget_is_whole() -> bool {
     let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-    borrow_subcompaction_threads(usize::MAX).extra() == cores
+    let all: Vec<_> = std::iter::from_fn(seal_permit).collect();
+    all.len() == cores
 }
 
 /// The names of each level's tables.

@@ -59,15 +59,8 @@ pub enum EventKind {
     /// The server shed a request with `RETRY_AFTER` at admission.
     /// `a` = 1 if the shed request was a write.
     ServerShed = 14,
-    /// One sub-range merge of a range-partitioned compaction started
-    /// (spanned; its own span id pairs it with
-    /// [`EventKind::SubcompactionEnd`]). `a` = the **parent** compaction's
-    /// span id, `b` = sub-range index within the job — the linkage that
-    /// stitches sub-spans back under their parent.
-    SubcompactionBegin = 15,
-    /// The sub-range merge finished. `a` = input bytes consumed by this
-    /// sub-range, `b` = output bytes it wrote.
-    SubcompactionEnd = 16,
+    // Codes 15 and 16 named the retired sub-range merge spans; they are
+    // not reused, so an old timeline never decodes as another kind.
 }
 
 impl EventKind {
@@ -88,8 +81,6 @@ impl EventKind {
             EventKind::SplitCutover => "split_cutover",
             EventKind::CommitCheckpoint => "commit_checkpoint",
             EventKind::ServerShed => "server_shed",
-            EventKind::SubcompactionBegin => "subcompaction_begin",
-            EventKind::SubcompactionEnd => "subcompaction_end",
         }
     }
 
@@ -110,8 +101,6 @@ impl EventKind {
             12 => EventKind::SplitCutover,
             13 => EventKind::CommitCheckpoint,
             14 => EventKind::ServerShed,
-            15 => EventKind::SubcompactionBegin,
-            16 => EventKind::SubcompactionEnd,
             _ => return None,
         })
     }
@@ -179,8 +168,10 @@ mod tests {
                 assert!(!k.name().is_empty());
             }
         }
-        assert_eq!(EventKind::from_u8(0), None);
-        assert_eq!(EventKind::from_u8(17), None);
+        // 15 and 16 are retired codes, never reused.
+        for unassigned in [0, 15, 16, 17] {
+            assert_eq!(EventKind::from_u8(unassigned), None);
+        }
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn metrics_opcode_scrapes_histograms_and_events() {
     assert!(text.contains("lsm_op_latency_ns{op=\"write\",shard=\"all\",quantile=\"0.99\"}"));
     assert!(text.contains("kind=flush_begin"));
 
-    // A second scrape sees a drained ring: events go to exactly one
+    // A second scrape sees a drained event buffer: events go to exactly one
     // consumer, while histograms and counters persist.
     let again = client.metrics().expect("metrics again");
     assert_eq!(again.total.write.count, 500);
@@ -217,9 +217,10 @@ fn metrics_carries_the_sharded_report() {
         "the workload should reach the per-level counters: {names:?}"
     );
     // Every name of the STATS JSON this scrape replaced, less the two
-    // ratios and the three per-shard lists (`shard_ids`, `resident_bytes`,
-    // `resident_entries`), which are now one pair per shard, checked below.
-    const PARENT_KEYS: [&str; 16] = [
+    // ratios, the three per-shard lists (`shard_ids`, `resident_bytes`,
+    // `resident_entries`), which are now one pair per shard, checked below,
+    // and `subcompactions`, a counter since removed.
+    const PARENT_KEYS: [&str; 15] = [
         "topology_epoch",
         "live_commit_markers",
         "lookups",
@@ -228,7 +229,6 @@ fn metrics_carries_the_sharded_report() {
         "wal_syncs",
         "flushes",
         "compactions",
-        "subcompactions",
         "flush_bytes_written",
         "compact_bytes_read",
         "compact_bytes_written",
