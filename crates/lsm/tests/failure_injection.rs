@@ -307,22 +307,68 @@ fn flush_fault_walk_is_clean_at_every_op() {
 /// Deterministic durable state whose next `flush` must also run a
 /// compaction (one table parked in L0, trigger at 2).
 fn compacting_state() -> (Arc<lsm_io::CrashStorage>, Arc<lsm_io::CrashControl>, Db) {
+    compacting_state_with(opts(), BASE_KEYS)
+}
+
+/// Keys `0..BASE_KEYS` are flushed as `base`; the next `BASE_KEYS..+200`
+/// wait in the buffer as `pending`.
+const BASE_KEYS: u64 = 1_000;
+
+/// [`compacting_state`] under `o`, with `base` flushed keys.
+fn compacting_state_with(
+    o: Options,
+    base: u64,
+) -> (Arc<lsm_io::CrashStorage>, Arc<lsm_io::CrashControl>, Db) {
     let (storage, ctl) = CrashStorage::new();
-    let db = Db::open(Arc::clone(&storage) as Arc<dyn Storage>, opts()).unwrap();
-    for k in 0..1_000u64 {
+    let db = Db::open(Arc::clone(&storage) as Arc<dyn Storage>, o).unwrap();
+    for k in 0..base {
         db.put(k, b"base").unwrap();
     }
     db.flush().unwrap();
     while db.version().levels[0].is_empty() {
-        for k in 5_000..5_050u64 {
+        for k in base + 4_000..base + 4_050 {
             db.put(k, b"filler").unwrap();
         }
         db.flush().unwrap();
     }
-    for k in 1_000..1_200u64 {
+    for k in base..base + 200 {
         db.put(k, b"pending").unwrap();
     }
     (storage, ctl, db)
+}
+
+/// Require the crash image in `storage` to reopen under `o` with every
+/// acknowledged key of a [`compacting_state_with`] of `base` keys, and with
+/// no `.sst` the recovered version does not name.
+fn assert_image_whole(storage: &lsm_io::CrashStorage, o: Options, base: u64, at: &str) {
+    let img_storage = Arc::new(storage.image());
+    let img = Db::open(Arc::clone(&img_storage) as Arc<dyn Storage>, o)
+        .unwrap_or_else(|e| panic!("image at op {at} unopenable: {e}"));
+    for k in (0..base).step_by(97) {
+        assert_eq!(
+            img.get(k).unwrap(),
+            Some(b"base".to_vec()),
+            "crash at {at}: lost flushed key {k}"
+        );
+    }
+    for k in (base..base + 200).step_by(13) {
+        assert_eq!(
+            img.get(k).unwrap(),
+            Some(b"pending".to_vec()),
+            "crash at {at}: lost WAL-covered key {k}"
+        );
+    }
+    // No orphans survive the reopen: every `.sst` in storage is named
+    // by the recovered version (stranded compaction outputs swept).
+    let live: HashSet<String> = table_names(&img).into_iter().collect();
+    for name in img_storage.list().unwrap() {
+        if name.ends_with(".sst") {
+            assert!(
+                live.contains(&name),
+                "crash at {at}: orphan table {name} survived the reopen sweep"
+            );
+        }
+    }
 }
 
 /// Fresh-state crash matrix over a flush-plus-compaction: for **every**
@@ -365,34 +411,53 @@ fn flush_compaction_crash_matrix_image_always_opens() {
             assert!(outcome.is_ok(), "full budget must flush: {n}/{total}");
         }
         drop(db);
-        let img_storage = Arc::new(storage.image());
-        let img = Db::open(Arc::clone(&img_storage) as Arc<dyn Storage>, opts())
-            .unwrap_or_else(|e| panic!("image at flush op {n}/{total} unopenable: {e}"));
-        for k in (0..1_000u64).step_by(97) {
-            assert_eq!(
-                img.get(k).unwrap(),
-                Some(b"base".to_vec()),
-                "crash at {n}/{total}: lost flushed key {k}"
-            );
+        assert_image_whole(&storage, opts(), BASE_KEYS, &format!("{n}/{total}"));
+    }
+}
+
+/// The same matrix over a compaction that runs in parallel with its own
+/// seals: its output tables are large enough that each but the last trains
+/// its index and filter on a helper thread while the merge fills the next
+/// one. A crash at any op — a pending seal's tail, the next table's create,
+/// the manifest seal — leaves an image that reopens whole and holds no
+/// stranded output.
+#[test]
+fn parallel_compaction_crash_matrix_opens_and_sweeps_orphans() {
+    const BASE: u64 = 6_000;
+    fn popts() -> Options {
+        Options {
+            write_buffer_bytes: 512 << 10,
+            sstable_target_bytes: 160 << 10,
+            ..opts()
         }
-        for k in (1_000..1_200u64).step_by(13) {
-            assert_eq!(
-                img.get(k).unwrap(),
-                Some(b"pending".to_vec()),
-                "crash at {n}/{total}: lost WAL-covered key {k}"
-            );
+    }
+    let total = {
+        let (_s, ctl, db) = compacting_state_with(popts(), BASE);
+        let before = db.stats().snapshot();
+        let start = ctl.ops();
+        db.flush().unwrap();
+        let after = db.stats().snapshot();
+        assert!(
+            after.compactions > before.compactions,
+            "the measured flush must compact"
+        );
+        assert!(
+            after.seals_off_thread > before.seals_off_thread,
+            "the measured compaction must seal beside its merge"
+        );
+        ctl.ops() - start
+    };
+    assert!(total > 10, "pipeline should span many ops: {total}");
+
+    for n in 0..=total {
+        let (storage, ctl, db) = compacting_state_with(popts(), BASE);
+        ctl.crash_after(n);
+        let outcome = db.flush();
+        if n >= total {
+            assert!(outcome.is_ok(), "full budget must flush: {n}/{total}");
         }
-        // No orphans survive the reopen: every `.sst` in storage is named
-        // by the recovered version (stranded compaction outputs swept).
-        let live: HashSet<String> = table_names(&img).into_iter().collect();
-        for name in img_storage.list().unwrap() {
-            if name.ends_with(".sst") {
-                assert!(
-                    live.contains(&name),
-                    "crash at {n}/{total}: orphan table {name} survived the reopen sweep"
-                );
-            }
-        }
+        drop(db);
+        assert_image_whole(&storage, popts(), BASE, &format!("{n}/{total}"));
     }
 }
 
