@@ -36,7 +36,6 @@
 //! creates the next table's file, so storage sees the same operations, in
 //! the same order, as when every table sealed inline.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -131,72 +130,45 @@ impl CompactionTask {
     }
 }
 
-/// Decide whether any level needs compacting. `cursors` is the per-level
-/// round-robin key cursor (advanced by [`advance_cursor`]). A task whose
-/// inputs intersect `busy` (tables claimed by an in-flight compaction) is
-/// never picked; a level whose due work is blocked is skipped, so disjoint
-/// tasks at other levels can still run concurrently.
+/// Decide whether any level needs compacting: L0 at its trigger first,
+/// else the first level over its target, whose input is the first table
+/// past that level's round-robin cursor (`cursors`, advanced by
+/// [`advance_cursor`]) plus the next-level tables it overlaps. A tree runs
+/// one compaction at a time (`DbCore::compact_one`), so every table of the
+/// version is free to pick.
 pub fn pick_compaction(
     version: &Version,
     opts: &Options,
     cursors: &[u64],
-    busy: &HashSet<String>,
 ) -> Option<CompactionTask> {
-    let is_busy = |t: &Arc<TableHandle>| busy.contains(&t.meta.name);
     // L0 first: file-count pressure stalls writes soonest.
     if version.levels[0].len() >= opts.l0_compaction_trigger {
         let inputs = version.levels[0].clone();
         let min = inputs.iter().map(|t| t.meta.min_key).min()?;
         let max = inputs.iter().map(|t| t.meta.max_key).max()?;
-        let next_inputs = version.overlapping(1, min, max);
-        if !inputs.iter().chain(next_inputs.iter()).any(is_busy) {
-            return Some(CompactionTask {
-                level: 0,
-                inputs,
-                next_inputs,
-                is_bottom: is_bottom_output(version, 1),
-            });
-        }
-        // An L0 merge is already in flight; fall through to deeper levels.
+        return Some(CompactionTask {
+            level: 0,
+            next_inputs: version.overlapping(1, min, max),
+            inputs,
+            is_bottom: is_bottom_output(version, 1),
+        });
     }
-    // Size-triggered levels.
-    for level in 1..version.levels.len() - 1 {
-        if version.level_bytes(level) > opts.level_target_bytes(level) {
-            let tables = &version.levels[level];
-            if tables.is_empty() {
-                continue;
-            }
-            // Round-robin: first table whose max key is past the cursor,
-            // skipping tables (or next-level overlaps) already claimed.
-            let cursor = cursors.get(level).copied().unwrap_or(0);
-            let start = tables
-                .iter()
-                .position(|t| t.meta.max_key > cursor)
-                .unwrap_or(0);
-            let candidate = (0..tables.len())
-                .map(|i| &tables[(start + i) % tables.len()])
-                .find_map(|input| {
-                    if is_busy(input) {
-                        return None;
-                    }
-                    let next_inputs =
-                        version.overlapping(level + 1, input.meta.min_key, input.meta.max_key);
-                    if next_inputs.iter().any(is_busy) {
-                        return None;
-                    }
-                    Some((Arc::clone(input), next_inputs))
-                });
-            if let Some((input, next_inputs)) = candidate {
-                return Some(CompactionTask {
-                    level,
-                    inputs: vec![input],
-                    next_inputs,
-                    is_bottom: is_bottom_output(version, level + 1),
-                });
-            }
-        }
-    }
-    None
+    // Size-triggered levels; one over its target holds a table.
+    let level = (1..version.levels.len() - 1)
+        .find(|&level| version.level_bytes(level) > opts.level_target_bytes(level))?;
+    // Round-robin: the first table whose max key is past the cursor.
+    let tables = &version.levels[level];
+    let cursor = cursors.get(level).copied().unwrap_or(0);
+    let input = tables
+        .iter()
+        .find(|t| t.meta.max_key > cursor)
+        .unwrap_or(&tables[0]);
+    Some(CompactionTask {
+        level,
+        inputs: vec![Arc::clone(input)],
+        next_inputs: version.overlapping(level + 1, input.meta.min_key, input.meta.max_key),
+        is_bottom: is_bottom_output(version, level + 1),
+    })
 }
 
 /// Advance the round-robin cursor for `task`'s source level, using the
@@ -218,7 +190,9 @@ pub fn advance_cursor(version: &Version, task: &CompactionTask, cursors: &mut [u
 }
 
 /// True when `output_level` is (or will be) the deepest populated level, so
-/// tombstones have nothing left to mask.
+/// tombstones have nothing left to mask. It stays so while the task runs:
+/// flushes add only to L0, and no other compaction of the tree runs beside
+/// it.
 fn is_bottom_output(version: &Version, output_level: usize) -> bool {
     version
         .levels
@@ -636,7 +610,7 @@ mod tests {
         let mut v = Version::new(4);
         v.levels[0].push(handle_with(&storage, "a", puts(0..10, 5)));
         v.levels[0].push(handle_with(&storage, "b", puts(5..15, 3)));
-        let task = pick_compaction(&v, &opts, &[0; 4], &HashSet::new()).expect("L0 compaction due");
+        let task = pick_compaction(&v, &opts, &[0; 4]).expect("L0 compaction due");
         assert_eq!(task.level, 0);
         assert_eq!(task.inputs.len(), 2);
         assert!(task.is_bottom);
@@ -726,7 +700,7 @@ mod tests {
         v.levels[2].push(handle_with(&storage, "old", puts(0..1_200, 1)));
         let mut cursors = [0; 4];
         let mut steps = Vec::new();
-        while let Some(task) = pick_compaction(&v, &opts, &cursors, &HashSet::new()) {
+        while let Some(task) = pick_compaction(&v, &opts, &cursors) {
             let outputs = run(&storage, &task, &opts, &stats, &fno, None)
                 .unwrap()
                 .outputs;

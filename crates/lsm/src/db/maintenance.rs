@@ -130,15 +130,10 @@ impl Db {
                 let inner = self.core.inner.read();
                 let flush_idle =
                     self.core.flush_paused.load(Ordering::Acquire) || inner.flush_idle();
-                let compact_idle = inner.busy.is_empty()
+                let compact_idle = !inner.compacting
                     && (self.core.compaction_paused.load(Ordering::Acquire)
-                        || pick_compaction(
-                            &inner.version,
-                            &self.core.opts,
-                            &inner.cursors,
-                            &inner.busy,
-                        )
-                        .is_none());
+                        || pick_compaction(&inner.version, &self.core.opts, &inner.cursors)
+                            .is_none());
                 if flush_idle && compact_idle {
                     return;
                 }
@@ -426,26 +421,27 @@ impl DbCore {
         Ok(handle)
     }
 
-    /// Run one due compaction whose inputs are free: merge off-lock,
-    /// install the edit and seal the manifest, whose seal unlinks the
-    /// inputs — until then the only sealed manifest on disk still names
-    /// them, and unlinking first would leave a crash with a manifest
-    /// pointing at nothing. A task a rewrite would only copy ([`movable`])
-    /// is installed as a move instead: the same table joins the next level,
-    /// with no merge, and nothing is unlinked, because the new manifest
-    /// still names it. Disjoint tasks run concurrently; the `busy` set
-    /// keeps claims from overlapping. `Ok(false)`: nothing to claim.
+    /// Run one due compaction, if no one else is: merge off-lock, install
+    /// the edit and seal the manifest, whose seal unlinks the inputs —
+    /// until then the only sealed manifest on disk still names them, and
+    /// unlinking first would leave a crash with a manifest pointing at
+    /// nothing. A task a rewrite would only copy ([`movable`]) is installed
+    /// as a move instead: the same table joins the next level, with no
+    /// merge, and nothing is unlinked, because the new manifest still names
+    /// it. One claim at a time, like a flush's. `Ok(false)`: nothing to
+    /// claim.
     fn compact_one(&self) -> Result<bool> {
         let task = {
             let mut inner = self.inner.write();
             let inner = &mut *inner;
-            let Some(task) =
-                pick_compaction(&inner.version, &self.opts, &inner.cursors, &inner.busy)
-            else {
+            if inner.compacting {
+                return Ok(false);
+            }
+            let Some(task) = pick_compaction(&inner.version, &self.opts, &inner.cursors) else {
                 return Ok(false);
             };
             advance_cursor(&inner.version, &task, &mut inner.cursors);
-            inner.busy.extend(task.input_names());
+            inner.compacting = true;
             task
         };
         self.stats.bg_active.fetch_add(1, Ordering::Relaxed);
@@ -467,12 +463,7 @@ impl DbCore {
             self.install(&mut inner, |tree| tree.version = version);
             self.write_manifest(&mut inner)
         })();
-        {
-            let mut inner = self.inner.write();
-            for name in task.input_names() {
-                inner.busy.remove(&name);
-            }
-        }
+        self.inner.write().compacting = false;
         self.stats.bg_active.fetch_sub(1, Ordering::Relaxed);
         self.finished(result)
     }
@@ -528,10 +519,12 @@ impl DbCore {
     // ----------------------------------------------------- its two drivers
 
     /// The writer as driver (`Maintenance::Synchronous`): flush and compact
-    /// on this thread until the queue is empty and nothing it can claim is
-    /// due, handing the first error to the caller. A front buffer another
-    /// writer is flushing is waited for like any stall; that writer's bump
-    /// ends the wait, whether it finished or failed.
+    /// on this thread until the queue is empty and nothing is due, handing
+    /// the first error to the caller. A front buffer another writer is
+    /// flushing is waited for like any stall; that writer's bump ends the
+    /// wait, whether it finished or failed. A compaction another writer
+    /// holds is not waited for: that writer picks again after its install,
+    /// so it sees what this one flushed.
     fn drain_inline(&self) -> Result<()> {
         loop {
             let epoch = self.signal.epoch();

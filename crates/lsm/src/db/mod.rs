@@ -84,7 +84,7 @@ mod write;
 
 use write::{PublishQueue, WriteQueue};
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
@@ -167,9 +167,8 @@ struct Inner {
     wal: WalWriter,
     /// A flush holds the front immutable memtable.
     flush_active: bool,
-    /// Input tables of in-flight compactions (by file name); excluded from
-    /// new picks so disjoint tasks can run concurrently.
-    busy: HashSet<String>,
+    /// A compaction holds the tree: one runs at a time.
+    compacting: bool,
     /// The logs and tables any manifest written since the last successful
     /// seal may name, in manifest order (logs, then tables level by level).
     /// `DbCore::write_manifest` removes those its next seal stops naming.

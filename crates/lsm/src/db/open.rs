@@ -39,9 +39,11 @@ impl Db {
     /// [`crate::sharding::ShardedDb::open`], whose coordinator resolves
     /// prepares to committed/aborted before the fence resumes.
     ///
-    /// Background maintenance with an `l0_compaction_trigger` above
-    /// [`L0_STOP_TRIGGER`] is refused (`InvalidInput`): a writer stopped
-    /// there would wait for a compaction that is never due.
+    /// `l0_compaction_trigger` must be at least 1 and, under background
+    /// maintenance, at most [`L0_STOP_TRIGGER`]; any other value is refused
+    /// (`InvalidInput`). At 0 an empty L0 would count as due and no level
+    /// below it would ever be compacted; above the stop trigger a stopped
+    /// writer would wait for a compaction that is never due.
     pub fn open(storage: Arc<dyn Storage>, opts: Options) -> Result<Db> {
         Self::open_internal(storage, opts, Embedding::default())
     }
@@ -51,13 +53,14 @@ impl Db {
         opts: Options,
         embedding: Embedding<'_>,
     ) -> Result<Db> {
-        if opts.maintenance.is_background() && opts.l0_compaction_trigger > L0_STOP_TRIGGER {
+        let trigger = opts.l0_compaction_trigger;
+        if trigger == 0 || (opts.maintenance.is_background() && trigger > L0_STOP_TRIGGER) {
             return Err(Error::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!(
-                    "l0_compaction_trigger {} is above the L0 stop trigger {L0_STOP_TRIGGER}: \
-                     a stopped writer would wait for a compaction that is never due",
-                    opts.l0_compaction_trigger
+                    "l0_compaction_trigger {trigger} is refused: at 0 no level below L0 is \
+                     ever compacted, and under background maintenance one above the L0 stop \
+                     trigger {L0_STOP_TRIGGER} stops writers for a compaction that is never due"
                 ),
             )));
         }
@@ -160,7 +163,7 @@ impl Db {
             cursors: vec![0; MAX_LEVELS],
             wal,
             flush_active: false,
-            busy: HashSet::new(),
+            compacting: false,
             named,
         };
         let external = pool.is_some();

@@ -148,9 +148,10 @@ pub enum Maintenance {
     #[default]
     Synchronous,
     /// One flush worker draining the immutable-memtable queue (L0 installs
-    /// one claim at a time, oldest first) and one compaction worker; writes
-    /// overlap with maintenance. A compaction's extra merge threads are
-    /// leased per merge from the process-wide budget (`crate::scheduler`).
+    /// one claim at a time, oldest first) and one compaction worker (a tree
+    /// runs one compaction at a time); writes overlap with maintenance. A
+    /// compaction's seal helpers are leased, one permit each, from the
+    /// process-wide budget (`crate::scheduler`).
     Background,
 }
 
@@ -290,8 +291,10 @@ pub struct Options {
     /// Level size ratio `T` (paper: 10).
     pub size_ratio: u64,
     /// Number of L0 files that triggers an L0→L1 compaction (LevelDB: 4).
-    /// Under background maintenance at most [`crate::L0_STOP_TRIGGER`]:
-    /// a writer stopped there waits for this compaction.
+    /// At least 1 (`Db::open` refuses 0, under which an empty L0 would be
+    /// due); under background maintenance at most
+    /// [`crate::L0_STOP_TRIGGER`]: a writer stopped there waits for this
+    /// compaction.
     pub l0_compaction_trigger: usize,
     /// Fixed value slot width (paper: 1000-byte values).
     pub value_width: usize,

@@ -8,9 +8,9 @@
 //! * the **flush worker** drains the immutable-memtable queue into L0
 //!   tables (strictly oldest-first — L0's newest-first read order depends
 //!   on it);
-//! * the **compaction worker** repeatedly claims a due
-//!   [`crate::compaction::CompactionTask`] whose inputs are not already
-//!   being merged, runs the merge off-lock, and installs the edit.
+//! * the **compaction worker** repeatedly claims the tree's one
+//!   compaction, picks the due [`crate::compaction::CompactionTask`], runs
+//!   the merge off-lock, and installs the edit.
 //!
 //! Both are the procedure a writer runs on its own thread under
 //! [`crate::options::Maintenance::Synchronous`] (`flush_one` / `compact_one`

@@ -253,20 +253,30 @@ fn synchronous_mode_records_no_stalls_or_rotations() {
 /// compaction that is never due: background maintenance refuses it at open,
 /// with a typed error instead of a hang at the first stop. At the stop
 /// trigger, and in synchronous mode (which never stops a writer), it opens.
+/// A trigger of 0 would leave every level below L0 uncompacted (an empty L0
+/// counts as due and yields no task): both modes refuse it, and 1 opens.
 #[test]
-fn a_compaction_trigger_above_the_stop_trigger_is_refused() {
+fn a_compaction_trigger_outside_its_bounds_is_refused() {
     let open = |trigger: usize, maintenance: Maintenance| {
         let mut opts = bp_opts();
         opts.l0_compaction_trigger = trigger;
         opts.maintenance = maintenance;
         Db::open(Arc::new(MemStorage::new()), opts)
     };
-    let refused = open(L0_STOP_TRIGGER + 1, Maintenance::background());
-    assert!(
-        matches!(&refused, Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput),
-        "{:?}",
-        refused.err()
-    );
+    for (trigger, maintenance) in [
+        (L0_STOP_TRIGGER + 1, Maintenance::background()),
+        (0, Maintenance::background()),
+        (0, Maintenance::Synchronous),
+    ] {
+        let refused = open(trigger, maintenance);
+        assert!(
+            matches!(&refused, Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "trigger {trigger}: {:?}",
+            refused.err()
+        );
+    }
     open(L0_STOP_TRIGGER, Maintenance::background()).unwrap();
+    open(1, Maintenance::background()).unwrap();
+    open(1, Maintenance::Synchronous).unwrap();
     open(L0_STOP_TRIGGER + 1, Maintenance::Synchronous).unwrap();
 }

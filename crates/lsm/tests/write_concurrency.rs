@@ -5,18 +5,17 @@
 //! immediately visible to its writer. These are the two invariants the
 //! fence-publish discipline exists for.
 
-use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 use learned_index::IndexKind;
 use lsm_io::{Hook, Interposed, MemStorage, Op};
 use lsm_tree::compaction::pick_compaction;
 use lsm_tree::version::MAX_LEVELS;
-use lsm_tree::{Db, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
+use lsm_tree::{Db, Event, EventKind, Maintenance, Options, ReadOptions, WriteBatch, WriteOptions};
 
 const KEYS: u64 = 8;
 const WRITERS: u64 = 4;
@@ -279,11 +278,85 @@ fn a_synchronous_flush_parks_no_other_writer() {
     assert_eq!(db.immutable_memtables(), 0);
     let cursors = vec![0; MAX_LEVELS];
     assert!(
-        pick_compaction(&db.version(), db.options(), &cursors, &HashSet::new()).is_none(),
+        pick_compaction(&db.version(), db.options(), &cursors).is_none(),
         "the last writer out left a compaction due"
     );
     for t in 0..WRITERS {
         let key = (t << 32) | (ROUNDS - 1);
         assert_eq!(db.get(key).unwrap(), Some(vec![t as u8; 24]));
     }
+}
+
+/// A tree runs one compaction at a time, whoever drives it: four
+/// synchronous writers of scattered keys, each running maintenance inline
+/// after its own writes, emit `CompactionBegin` and `CompactionEnd` strictly
+/// alternating, one span each, so no two compactions are ever open at
+/// once. A writer that finds the claim held leaves the work to its holder,
+/// and the last writer out leaves nothing due. Four fresh trees: how much
+/// two writers' maintenance overlaps depends on the schedule, and an engine
+/// that lets compactions overlap shows it in most single loads, not all.
+#[test]
+fn synchronous_writers_run_one_compaction_at_a_time() {
+    for _ in 0..4 {
+        four_writers_compact_one_at_a_time();
+    }
+}
+
+fn four_writers_compact_one_at_a_time() {
+    const PUTS: u64 = 2_500;
+    let mut opts = Options::small_for_tests();
+    opts.observability = true;
+    let db = Db::open_memory(opts).unwrap();
+    let observer = Arc::clone(db.observability().expect("observability is on").observer());
+    // Drained under the timeline's lock, so batches join it in emit order.
+    let timeline: Mutex<Vec<Event>> = Mutex::default();
+    let start = Barrier::new(WRITERS as usize);
+    std::thread::scope(|s| {
+        for t in 0..WRITERS {
+            let (db, observer, timeline, start) = (&db, &observer, &timeline, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..PUTS {
+                    let k = (i * 7_919 % PUTS) * WRITERS + t;
+                    db.put(k, &k.to_le_bytes()).unwrap();
+                    let mut timeline = timeline.lock().unwrap();
+                    timeline.extend(observer.drain());
+                }
+            });
+        }
+    });
+    assert_eq!(observer.dropped(), 0, "drains must outrun the buffer");
+
+    let compactions: Vec<Event> = timeline
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::CompactionBegin | EventKind::CompactionEnd
+            )
+        })
+        .collect();
+    let stats = db.stats().snapshot();
+    assert!(stats.compactions > 0, "the writers compacted");
+    assert_eq!(compactions.len() as u64, 2 * stats.compactions);
+    for (i, pair) in compactions.chunks(2).enumerate() {
+        let (begin, end) = (&pair[0], &pair[1]);
+        assert_eq!(
+            (begin.kind, end.kind, end.span),
+            (
+                EventKind::CompactionBegin,
+                EventKind::CompactionEnd,
+                begin.span
+            ),
+            "compaction {i} of {}: a second one opened before it closed",
+            stats.compactions
+        );
+    }
+    let cursors = vec![0; MAX_LEVELS];
+    assert!(
+        pick_compaction(&db.version(), db.options(), &cursors).is_none(),
+        "the last writer out left a compaction due"
+    );
 }

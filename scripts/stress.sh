@@ -17,8 +17,10 @@
 #                 cache: a miss fills the buffer an eviction just left,
 #                 never one a reader still holds), and
 #                 the server's close_right_after_connect_never_hangs
-#   buffer   x20  write_concurrency (four synchronous writers hand the flush
-#                 claim to each other), backpressure, durability: a sealed
+#   buffer   x20  write_concurrency (four synchronous writers hand each
+#                 other both claims, the flush's and the compaction's: no
+#                 two compactions of one tree are ever open at once),
+#                 backpressure, durability: a sealed
 #                 write buffer is read by its flusher, live readers and
 #                 pinned snapshots at once, with no copy between them;
 #                 seal_pipeline (a table's index trains on a helper while
