@@ -7,13 +7,17 @@
 //! blocks, open table handles, bloom filters, and the learned index models
 //! themselves. A [`BlockCache`] is that ceiling and both of its tenants:
 //!
-//! * **Blocks** live in their table's slots. An open `TableReader`
-//!   registers one slot per 4 KiB data block (`CachedTable`), and a fetch
+//! * **Blocks** live in their table's slots, each one allocation (an
+//!   `Arc<[u8]>`: counts and bytes together). An open `TableReader`
+//!   registers one slot per 4 KiB data block (`CachedTable`), and a lookup
 //!   reads its whole cover under one read of that table's slot lock
-//!   (`Resident`): it clones the resident `Arc`s, sets their reference
-//!   bits and adds its hits and misses once. A hit takes no stripe lock,
-//!   hashes nothing and moves nothing. The `BlockKey` entry points reach
-//!   the same slots through a `table_id → slots` map.
+//!   (`Resident`): when every block is resident it searches them where
+//!   they lie, inside that hold (`Resident::cover`: CPU only, never device
+//!   I/O), and otherwise a fetch clones the resident `Arc`s. Either sets
+//!   the blocks' reference bits and adds its hits and misses once. A hit
+//!   takes no stripe lock, hashes nothing and moves nothing. The
+//!   `BlockKey` entry points reach the same slots through a `table_id →
+//!   slots` map; their `insert` copies the block it is given.
 //! * **Stripes** hold what a miss needs. A block's stripe is picked from
 //!   its mixed 64-bit hash, so each stripe sees a uniform sample of the
 //!   traffic; it keeps a clock ring of its resident blocks and a few spare
@@ -33,10 +37,12 @@
 //!   `Arc` is what the insert publishes. The buffers come from evictions —
 //!   an evicted block whose `Arc` nobody else holds waits in the stripe
 //!   that evicted it, at most `SPARES` of them, for the next miss there; a
-//!   block a cursor or a lookup still reads is dropped instead, never
-//!   rewritten. Spares are not charged to the budget: at most `stripes ×
-//!   SPARES × 4 KiB` of them exist, and they replace the run buffer and the
-//!   per-block copies a miss used to allocate outside the budget every time.
+//!   block a cursor or a fetched span still holds is dropped instead, never
+//!   rewritten, and one a lookup reads in place is not evicted until the
+//!   lookup lets go of its table's slots. Spares are not charged to the
+//!   budget: at most `stripes × SPARES × 4 KiB` of them exist, and they
+//!   replace the run buffer and the per-block copies a miss used to
+//!   allocate outside the budget every time.
 //! * **Table handles** (the resident `TableReader`s: index model + bloom
 //!   filter + fixed overhead) charge the same budget as *pinned* bytes the
 //!   moment they open — index memory squeezes block space, exactly the
@@ -78,8 +84,16 @@ const SPARES: usize = 4;
 /// bit a hit sets and the hand clears.
 #[derive(Default)]
 struct Slot {
-    block: Option<Arc<Vec<u8>>>,
+    block: Option<Arc<[u8]>>,
     referenced: AtomicBool,
+}
+
+/// Set a hit block's bit. Read first: a hot block's bit is already set,
+/// and a store would bounce its line between the cores that hit it.
+fn mark(referenced: &AtomicBool) {
+    if !referenced.load(Ordering::Relaxed) {
+        referenced.store(true, Ordering::Relaxed);
+    }
 }
 
 /// A table's slots, one per data block (a `BlockKey` table's grow to the
@@ -103,6 +117,12 @@ impl TableSlots {
     }
 }
 
+/// A new zeroed block buffer: one allocation, the `Arc`'s counts and the
+/// bytes together.
+pub(crate) fn new_block(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0, len).collect()
+}
+
 /// A resident block, as its stripe's ring holds it.
 struct Entry {
     table: Arc<TableSlots>,
@@ -115,14 +135,14 @@ struct Clock {
     /// or a spared one goes to the back, a whole turn away.
     ring: VecDeque<Entry>,
     /// `BLOCK_BYTES`-long buffers with one owner, at most `SPARES`.
-    spares: Vec<Arc<Vec<u8>>>,
+    spares: Vec<Arc<[u8]>>,
 }
 
 impl Clock {
     /// Keep an evicted block's buffer for the next miss, if it is whole, a
     /// place is free and nobody else holds it: a reader that does keeps its
     /// bytes, and the buffer is freed when the reader is done.
-    fn keep_spare(&mut self, mut block: Arc<Vec<u8>>) {
+    fn keep_spare(&mut self, mut block: Arc<[u8]>) {
         let spare = block.len() == BLOCK_BYTES
             && self.spares.len() < SPARES
             && Arc::get_mut(&mut block).is_some();
@@ -236,7 +256,7 @@ impl BlockCache {
     }
 
     /// Fetch a block, setting its reference bit.
-    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&self, key: BlockKey) -> Option<Arc<[u8]>> {
         let tables = self.tables.read();
         match tables.get(&key.table_id) {
             Some(table) => Resident::new(self, table).get(key.block_no),
@@ -311,18 +331,25 @@ impl BlockCache {
     /// be read from the device and inserted under `key`: a spare of the
     /// key's own stripe — where that insert's eviction will leave the next —
     /// or a new one. The `Arc` has one owner.
-    pub(crate) fn buffer(&self, key: BlockKey, len: usize) -> Arc<Vec<u8>> {
+    pub(crate) fn buffer(&self, key: BlockKey, len: usize) -> Arc<[u8]> {
         if len == BLOCK_BYTES {
             let own = &self.stripes[self.stripe_of(key)];
             if let Some(spare) = own.clock.lock().spares.pop() {
                 return spare;
             }
         }
-        Arc::new(vec![0; len])
+        new_block(len)
     }
 
-    /// Insert (or refresh) a block of any table, registered or not.
+    /// Insert (or refresh) a copy of a block of any table, registered or
+    /// not.
     pub fn insert(&self, key: BlockKey, data: Arc<Vec<u8>>) {
+        self.insert_block(key, Arc::from(data.as_slice()));
+    }
+
+    /// [`BlockCache::insert`] of the block itself: the `Arc` is what the
+    /// slot keeps.
+    fn insert_block(&self, key: BlockKey, data: Arc<[u8]>) {
         let table = Arc::clone(
             self.tables
                 .write()
@@ -343,7 +370,7 @@ impl BlockCache {
     /// room, the insert is dropped — pinned components win — and so is one
     /// into a table that retired meanwhile. A refresh takes the old
     /// version's place, ring entry and bit included.
-    fn publish(&self, table: &Arc<TableSlots>, block_no: u64, data: Arc<Vec<u8>>) {
+    fn publish(&self, table: &Arc<TableSlots>, block_no: u64, data: Arc<[u8]>) {
         let own = self.stripe_of(BlockKey {
             table_id: table.id,
             block_no,
@@ -518,7 +545,7 @@ impl CachedTable {
     }
 
     /// The buffer block `block_no` is read into (`BlockCache::buffer`).
-    pub(crate) fn buffer(&self, block_no: u64, len: usize) -> Arc<Vec<u8>> {
+    pub(crate) fn buffer(&self, block_no: u64, len: usize) -> Arc<[u8]> {
         let key = BlockKey {
             table_id: self.slots.id,
             block_no,
@@ -527,7 +554,7 @@ impl CachedTable {
     }
 
     /// Offer block `block_no`, as read, to the cache.
-    pub(crate) fn insert(&self, block_no: u64, data: Arc<Vec<u8>>) {
+    pub(crate) fn insert(&self, block_no: u64, data: Arc<[u8]>) {
         self.cache.publish(&self.slots, block_no, data);
     }
 }
@@ -539,9 +566,9 @@ impl Drop for CachedTable {
     }
 }
 
-/// One read of a table's slots: the resident blocks a fetch finds, each
-/// marked referenced. Its hits and misses are added to the cache's
-/// counters once, when it drops.
+/// One read of a table's slots: the resident blocks a fetch finds, or a
+/// lookup's whole cover borrowed in place, each marked referenced. Its
+/// hits and misses are added to the cache's counters once, when it drops.
 pub(crate) struct Resident<'a> {
     cache: &'a BlockCache,
     slots: RwLockReadGuard<'a, Vec<Slot>>,
@@ -560,7 +587,7 @@ impl<'a> Resident<'a> {
     }
 
     /// Block `block_no`, if resident.
-    pub(crate) fn get(&mut self, block_no: u64) -> Option<Arc<Vec<u8>>> {
+    pub(crate) fn get(&mut self, block_no: u64) -> Option<Arc<[u8]>> {
         let Some(Slot {
             block: Some(block),
             referenced,
@@ -569,13 +596,34 @@ impl<'a> Resident<'a> {
             self.misses += 1;
             return None;
         };
-        // Read first: a hot block's bit is already set, and a store would
-        // bounce its line between the cores that hit it.
-        if !referenced.load(Ordering::Relaxed) {
-            referenced.store(true, Ordering::Relaxed);
-        }
+        mark(referenced);
         self.hits += 1;
         Some(Arc::clone(block))
+    }
+
+    /// Blocks `first..=last`, borrowed for as long as this hold lasts, if
+    /// every one is resident: each is then marked and counted a hit, as
+    /// `get` would. If one is not, nothing is marked or counted.
+    pub(crate) fn cover(&mut self, first: u64, last: u64) -> Option<Cover<'_>> {
+        let slots = self.slots.get(first as usize..=last as usize)?;
+        if !slots.iter().all(|slot| slot.block.is_some()) {
+            return None;
+        }
+        slots.iter().for_each(|slot| mark(&slot.referenced));
+        self.hits += slots.len() as u64;
+        Some(Cover(slots))
+    }
+}
+
+/// Consecutive resident blocks of one table, borrowed under its slot lock
+/// (`Resident::cover`): no `Arc` is cloned or dropped to read them.
+pub(crate) struct Cover<'a>(&'a [Slot]);
+
+impl<'a> Cover<'a> {
+    /// The cover's `i`-th block.
+    #[inline]
+    pub(crate) fn block(&self, i: usize) -> &'a [u8] {
+        self.0[i].block.as_deref().expect("a cover is resident")
     }
 }
 
@@ -627,6 +675,11 @@ mod tests {
         Arc::new(vec![fill; len])
     }
 
+    /// A block as the slots keep it, for `insert_block`.
+    fn shared(fill: u8, len: usize) -> Arc<[u8]> {
+        Arc::from(vec![fill; len])
+    }
+
     /// Single-stripe cache: one clock over every block.
     fn unsharded(capacity: usize) -> BlockCache {
         BlockCache::with_stripes(capacity, 1)
@@ -648,6 +701,16 @@ mod tests {
 
     fn resident(c: &BlockCache, key: BlockKey) -> bool {
         peek(c, key).0
+    }
+
+    impl CachedTable {
+        /// Every slot of the table, looked at without setting its bit:
+        /// (resident, referenced).
+        pub(crate) fn slot_states(&self) -> Vec<(bool, bool)> {
+            let slots = self.slots.slots.read();
+            let state = |s: &Slot| (s.block.is_some(), s.referenced.load(Ordering::Relaxed));
+            slots.iter().map(state).collect()
+        }
     }
 
     /// Live (not retired) ring entries per stripe: its resident blocks.
@@ -764,12 +827,12 @@ mod tests {
     #[test]
     fn an_evicted_buffer_is_the_next_one_unless_a_reader_holds_it() {
         let c = unsharded(BLOCK_BYTES);
-        let held = block(1, BLOCK_BYTES);
-        c.insert(key(1, 0), Arc::clone(&held));
+        let held = shared(1, BLOCK_BYTES);
+        c.insert_block(key(1, 0), Arc::clone(&held));
         // Evicted while a reader holds it: dropped by the cache, not kept.
-        let second = block(2, BLOCK_BYTES);
+        let second = shared(2, BLOCK_BYTES);
         let second_at = Arc::as_ptr(&second);
-        c.insert(key(1, 1), second);
+        c.insert_block(key(1, 1), second);
         assert_eq!(spare_bytes(&c), 0);
         assert!(held.iter().all(|&x| x == 1));
         // Evicted with no other owner: the next miss's buffer.
@@ -799,7 +862,7 @@ mod tests {
         let bound = STRIPES * SPARES * BLOCK_BYTES;
         let c = BlockCache::with_stripes(256 * BLOCK_BYTES, STRIPES);
         let miss = |table: u64, b: u64| {
-            c.insert(key(table, b), c.buffer(key(table, b), BLOCK_BYTES));
+            c.insert_block(key(table, b), c.buffer(key(table, b), BLOCK_BYTES));
             assert!(c.used_bytes() <= c.capacity_bytes());
             assert!(spare_bytes(&c) <= bound);
         };
@@ -907,12 +970,12 @@ mod tests {
         const CAPACITY: usize = 4096;
         const LEN: usize = 64;
         const GETS: usize = 200_000;
-        let data = block(0, LEN);
+        let data = shared(0, LEN);
         let hit_share = |stripes: usize| {
             let c = BlockCache::with_stripes(CAPACITY * LEN, stripes);
             for (table, block_no) in zipfian_trace(8 * CAPACITY, GETS) {
                 if c.get(key(table, block_no)).is_none() {
-                    c.insert(key(table, block_no), Arc::clone(&data));
+                    c.insert_block(key(table, block_no), Arc::clone(&data));
                     assert!(c.used_bytes() <= c.capacity_bytes());
                 }
             }
@@ -938,7 +1001,7 @@ mod tests {
         const CAPACITY: usize = 4096;
         const LEN: usize = 64;
         const STEP: usize = CAPACITY * LEN / 64;
-        let data = block(0, LEN);
+        let data = shared(0, LEN);
         let c = BlockCache::with_stripes(CAPACITY * LEN, 64);
         let mut generation = [0u64; 32];
         let mut pinned = 0;
@@ -946,7 +1009,7 @@ mod tests {
         for (i, (table, block_no)) in zipfian_trace(8 * CAPACITY, 200_000).enumerate() {
             let id = table + 32 * generation[table as usize];
             if c.get(key(id, block_no)).is_none() {
-                c.insert(key(id, block_no), Arc::clone(&data));
+                c.insert_block(key(id, block_no), Arc::clone(&data));
                 assert!(c.used_bytes() <= c.capacity_bytes());
             }
             if i % 1_000 != 999 {

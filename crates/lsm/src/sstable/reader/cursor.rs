@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use learned_index::SearchBound;
 
-use super::fetch::Span;
+use super::fetch::{Entries, Span};
 use super::TableReader;
 use crate::iter::Cursor;
 use crate::sstable::format;

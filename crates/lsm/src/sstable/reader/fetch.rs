@@ -3,8 +3,13 @@
 //!
 //! A lookup or a user scan's chunk reads through the cache. A cached block
 //! is found through the table's own slots in the cache, read once per cover
-//! under one read lock: a cover that hits takes no other lock. A missed
-//! block is written once. A run of blocks nobody had is one device call
+//! under one read lock: a cover that hits takes no other lock. A lookup
+//! whose cover is wholly resident goes no further: it is searched where the
+//! blocks lie, inside that hold ([`TableReader::search_resident`]), with no
+//! `Arc` cloned and no block list built; the hold then spans the search,
+//! which is CPU only. Any other cover is fetched into a [`Span`], and a
+//! cursor keeps what it fetched. A missed block is written once. A run of
+//! blocks nobody had is one device call
 //! ([`lsm_io::RandomAccessFile::read_exact_vectored_at`]) straight into one
 //! buffer per block — a filling read's buffers are the cache's
 //! ([`crate::cache::BlockCache::buffer`]: what its last evictions left) —
@@ -23,7 +28,7 @@ use std::sync::Arc;
 use learned_index::SearchBound;
 
 use super::{TableIter, TableReader};
-use crate::cache::BLOCK_BYTES;
+use crate::cache::{new_block, Cover, BLOCK_BYTES};
 use crate::iter::Cursor;
 use crate::Result;
 
@@ -35,50 +40,75 @@ pub(super) const CACHE_BLOCK: u64 = BLOCK_BYTES as u64;
 /// of a wide compaction.
 pub(super) const SWEEP_BLOCKS: usize = 16;
 
+/// The bytes of a run of fixed-width entries, as a search reads them.
+pub(super) trait Entries {
+    /// `len` bytes at offset `off` of the run: borrowed in place, or — only
+    /// when they straddle a block edge — stitched into `scratch`.
+    fn bytes<'a>(&'a self, off: usize, len: usize, scratch: &'a mut Vec<u8>) -> &'a [u8];
+}
+
+/// `len` bytes at offset `at` of consecutive blocks, `block(i)` the `i`-th
+/// (every one but the file's last `CACHE_BLOCK` long): borrowed in place,
+/// or stitched into `scratch` when they straddle a block edge.
+#[inline]
+fn stitch<'a>(
+    block: impl Fn(usize) -> &'a [u8],
+    at: usize,
+    len: usize,
+    scratch: &'a mut Vec<u8>,
+) -> &'a [u8] {
+    let (mut b, mut o) = (at / CACHE_BLOCK as usize, at % CACHE_BLOCK as usize);
+    let bytes = block(b);
+    if o + len <= bytes.len() {
+        return &bytes[o..o + len];
+    }
+    scratch.clear();
+    while scratch.len() < len {
+        let bytes = block(b);
+        let take = (len - scratch.len()).min(bytes.len() - o);
+        scratch.extend_from_slice(&bytes[o..o + take]);
+        (b, o) = (b + 1, 0);
+    }
+    scratch
+}
+
 /// The bytes of a run of fixed-width entries, as fetched.
 pub(super) enum Span {
     /// One positional read into one buffer (no cache attached).
     Buf(Vec<u8>),
-    /// Consecutive cached blocks, borrowed; the run starts `skip` bytes into
-    /// the first. Every block but the file's last is `CACHE_BLOCK` long.
-    Blocks {
-        blocks: Vec<Arc<Vec<u8>>>,
-        skip: usize,
-    },
+    /// Consecutive cached blocks, shared with the cache; the run starts
+    /// `skip` bytes into the first.
+    Blocks { blocks: Vec<Arc<[u8]>>, skip: usize },
+}
+
+impl Entries for Span {
+    #[inline]
+    fn bytes<'a>(&'a self, off: usize, len: usize, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+        match self {
+            Span::Buf(buf) => &buf[off..off + len],
+            Span::Blocks { blocks, skip } => stitch(|b| &blocks[b], skip + off, len, scratch),
+        }
+    }
+}
+
+/// A resident cover, searched where it lies in the cache; the run starts
+/// `skip` bytes into its first block.
+pub(super) struct InPlace<'a> {
+    cover: Cover<'a>,
+    skip: usize,
+}
+
+impl Entries for InPlace<'_> {
+    #[inline]
+    fn bytes<'a>(&'a self, off: usize, len: usize, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+        stitch(|b| self.cover.block(b), self.skip + off, len, scratch)
+    }
 }
 
 impl Span {
-    /// `len` bytes at offset `off` of the run: borrowed in place, or — only
-    /// when they straddle a block edge — stitched into `scratch`.
-    #[inline]
-    pub(super) fn bytes<'a>(
-        &'a self,
-        off: usize,
-        len: usize,
-        scratch: &'a mut Vec<u8>,
-    ) -> &'a [u8] {
-        match self {
-            Span::Buf(buf) => &buf[off..off + len],
-            Span::Blocks { blocks, skip } => {
-                let at = skip + off;
-                let (mut b, mut o) = (at / CACHE_BLOCK as usize, at % CACHE_BLOCK as usize);
-                if o + len <= blocks[b].len() {
-                    return &blocks[b][o..o + len];
-                }
-                scratch.clear();
-                while scratch.len() < len {
-                    let take = (len - scratch.len()).min(blocks[b].len() - o);
-                    scratch.extend_from_slice(&blocks[b][o..o + take]);
-                    (b, o) = (b + 1, 0);
-                }
-                scratch
-            }
-        }
-    }
-
     /// Block `b` of the file, if this span — whose run starts at file offset
     /// `at` — holds it.
-    fn block(&self, at: u64, b: u64) -> Option<&Arc<Vec<u8>>> {
+    fn block(&self, at: u64, b: u64) -> Option<&Arc<[u8]>> {
         match self {
             Span::Buf(_) => None,
             Span::Blocks { blocks, .. } => blocks.get(b.checked_sub(at / CACHE_BLOCK)? as usize),
@@ -87,6 +117,36 @@ impl Span {
 }
 
 impl TableReader {
+    /// The blocks covering entries `[bound.lo, bound.hi)` (not empty), and
+    /// where in the first of them the entries start.
+    fn cover_of(&self, bound: SearchBound) -> (u64, u64, usize) {
+        let off = (bound.lo * self.entry_width) as u64;
+        let end = (bound.hi * self.entry_width) as u64;
+        let first = off / CACHE_BLOCK;
+        (
+            first,
+            (end - 1) / CACHE_BLOCK,
+            (off - first * CACHE_BLOCK) as usize,
+        )
+    }
+
+    /// Run `search` over entries `[bound.lo, bound.hi)` (not empty) where
+    /// they lie in the cache, if every block covering them is resident:
+    /// under the one read-mode hold of the table's slots that a fetch takes,
+    /// marking and counting the same hits, with no `Arc` cloned and no block
+    /// list built. `None`, with nothing marked or counted, when a block is
+    /// not resident or no cache is attached: the caller fetches instead.
+    pub(super) fn search_resident<R>(
+        &self,
+        bound: SearchBound,
+        search: impl FnOnce(&InPlace<'_>) -> R,
+    ) -> Option<R> {
+        let (first, last, skip) = self.cover_of(bound);
+        let mut resident = self.cache.as_ref()?.resident();
+        let cover = resident.cover(first, last)?;
+        Some(search(&InPlace { cover, skip }))
+    }
+
     /// Fetch entries `[bound.lo, bound.hi)`: one positional read when no
     /// cache is attached, otherwise the 4 KiB blocks covering them, from
     /// the cache or, a run of misses at a time, the device. A no-fill fetch
@@ -117,13 +177,10 @@ impl TableReader {
         fill_cache: bool,
         held: Option<(&Span, usize)>,
     ) -> Result<Span> {
-        let off = (bound.lo * self.entry_width) as u64;
-        let len = ((bound.hi - bound.lo) * self.entry_width) as u64;
-        if len == 0 {
+        if bound.is_empty() {
             return Ok(Span::Buf(Vec::new()));
         }
-        let first = off / CACHE_BLOCK;
-        let last = (off + len - 1) / CACHE_BLOCK;
+        let (first, last, skip) = self.cover_of(bound);
         let held = |b| held.and_then(|(span, lo)| span.block((lo * self.entry_width) as u64, b));
         let mut blocks = Vec::with_capacity((last - first + 1) as usize);
         let mut b = first;
@@ -153,10 +210,7 @@ impl TableReader {
                 b += 1;
             }
         }
-        Ok(Span::Blocks {
-            blocks,
-            skip: (off - first * CACHE_BLOCK) as usize,
-        })
+        Ok(Span::Blocks { blocks, skip })
     }
 
     /// Read blocks `first..=last` of the file (its last block is short) in
@@ -170,7 +224,7 @@ impl TableReader {
         first: u64,
         last: u64,
         fill_cache: bool,
-        blocks: &mut Vec<Arc<Vec<u8>>>,
+        blocks: &mut Vec<Arc<[u8]>>,
     ) -> Result<()> {
         let cache = self.cache.as_ref().filter(|_| fill_cache);
         let end = ((last + 1) * CACHE_BLOCK).min(self.file.len());
@@ -179,7 +233,7 @@ impl TableReader {
             let len = end.saturating_sub(b * CACHE_BLOCK).min(CACHE_BLOCK) as usize;
             match cache {
                 Some(cache) => cache.buffer(b, len),
-                None => Arc::new(vec![0; len]),
+                None => new_block(len),
             }
         }));
         let mut bufs: Vec<&mut [u8]> = blocks[held..]
@@ -325,6 +379,77 @@ mod tests {
         assert!(cache.used_bytes() <= cache.capacity_bytes());
         assert_eq!(cache.block_bytes(), 2 * CACHE_BLOCK as usize);
         assert_eq!(cache.hit_miss(), (0, 3), "each block asked for once");
+    }
+
+    /// A lookup whose cover is resident searches it where it lies, any other
+    /// fetches it; either way the answer, the device reads, every slot's
+    /// bits and the cache's counters are what a fetch leaves. Checked on a
+    /// resident cover, one with a hole (in the middle where it has one), a
+    /// cold one, for a key and an absent key, on covers of blocks 2..=5,
+    /// of blocks 0..=1 (entry 30 straddles their edge: 4096 = 30 × 136 +
+    /// 16) and of blocks 12..=13 (the file's last, short block). A third
+    /// reader warmed alike shows the route: in place only when whole, and a
+    /// peek that finds a hole marks and counts nothing.
+    #[test]
+    fn in_place_and_fetched_lookups_leave_the_same_cache() {
+        let storage = SimStorage::new(CostModel::default());
+        let keys = write_wide_table(&storage, IndexKind::Pgm);
+        // An entry that lies whole in block `b`.
+        let inside = |b: u64| (b * CACHE_BLOCK) as usize / 136 + 1;
+        let covers = [
+            (COVER, 100),
+            (SearchBound { lo: 25, hi: 35 }, 30),
+            (SearchBound { lo: 380, hi: 400 }, 395),
+        ];
+        for (bound, at) in covers {
+            let first = (bound.lo * 136) as u64 / CACHE_BLOCK;
+            let last = (bound.hi * 136 - 1) as u64 / CACHE_BLOCK;
+            let hole = (first + last).div_ceil(2);
+            let whole: Vec<u64> = (first..=last).collect();
+            let holed: Vec<u64> = (first..=last).filter(|&b| b != hole).collect();
+            for key in [keys[at], keys[at] + 1] {
+                for warm_blocks in [&whole, &holed, &Vec::new()] {
+                    let what = format!("entries {bound:?}, key {key}, warm {warm_blocks:?}");
+                    let warmed = || {
+                        let (reader, cache) = open(&storage, 1 << 20);
+                        for (i, &b) in warm_blocks.iter().enumerate() {
+                            warm(&reader, inside(b));
+                            if i == 0 {
+                                warm(&reader, inside(b)); // referenced
+                            }
+                        }
+                        (reader, cache)
+                    };
+                    let states = |r: &TableReader| r.cache.as_ref().unwrap().slot_states();
+                    let (in_place, in_place_cache) = warmed();
+                    let (fetched, fetched_cache) = warmed();
+
+                    let (probe, probe_cache) = warmed();
+                    let before = (probe_cache.stats(), states(&probe));
+                    let routed = probe.search_resident(bound, |_| ()).is_some();
+                    assert_eq!(routed, warm_blocks.len() == whole.len(), "{what}");
+                    if !routed {
+                        assert_eq!((probe_cache.stats(), states(&probe)), before, "{what}");
+                    }
+
+                    let io = storage.stats().snapshot();
+                    let stats = DbStats::new();
+                    let got = in_place.get_in_positions(key, bound.lo, bound.hi, MAX, &stats);
+                    let in_place_io = storage.stats().snapshot().since(&io);
+                    let io = storage.stats().snapshot();
+                    let span = fetched.fetch(bound, true).unwrap();
+                    let want = fetched.find(&span, bound, key, MAX).unwrap();
+                    let fetched_io = storage.stats().snapshot().since(&io);
+                    assert_eq!(got.unwrap(), want, "{what}");
+                    let value = keys.binary_search(&key).ok().map(|_| vec![key as u8; 100]);
+                    assert_eq!(want, value.map(Some), "{what}");
+                    let reads = |io: lsm_io::IoStatsSnapshot| (io.read_calls, io.read_blocks);
+                    assert_eq!(reads(in_place_io), reads(fetched_io), "{what}");
+                    assert_eq!(in_place_cache.stats(), fetched_cache.stats(), "{what}");
+                    assert_eq!(states(&in_place), states(&fetched), "{what}");
+                }
+            }
+        }
     }
 
     /// A run whose read fails is `Error::Io` from a get and from a seek —

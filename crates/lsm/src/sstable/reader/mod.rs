@@ -5,13 +5,15 @@
 //! *disk I/O* (one `pread` of the position boundary), and *binary search*
 //! within the fetched range. Each stage is timed into [`DbStats`] (in one
 //! lookup of every `STAGE_SAMPLE_PERIOD`). The fetched range is a `Span`,
-//! searched where it lies: nothing assembles a copy of cached blocks.
+//! searched where it lies: nothing assembles a copy of cached blocks. A
+//! range whose blocks are all resident is not even fetched: it is searched
+//! in the cache's slots, under the one read of them the fetch would take.
 
 mod cursor;
 mod fetch;
 
 pub use cursor::TableIter;
-use fetch::Span;
+use fetch::Entries;
 
 use std::sync::Arc;
 
@@ -298,33 +300,37 @@ impl TableReader {
         stats: &DbStats,
         fill_cache: bool,
     ) -> Result<Option<Option<Vec<u8>>>> {
-        // Stage: disk I/O — one pread of the position boundary.
+        // Stage: disk I/O — one pread of the position boundary. When every
+        // block of it is resident there is none: the search runs over the
+        // blocks where they lie, under the one hold of the table's slots.
         let t = StageTimer::start();
+        let in_place = self.search_resident(bound, |cover| {
+            add_stage_ns(&stats.io_cpu_ns, t.ns());
+            self.search_span(cover, bound, key, snapshot, stats)
+        });
+        if let Some(result) = in_place {
+            return result;
+        }
         let span = self.fetch(bound, fill_cache)?;
         add_stage_ns(&stats.io_cpu_ns, t.ns());
-
-        // Stage: binary search within the fetched range.
-        let t = StageTimer::start();
-        let result = self.search_span(&span, bound, key, snapshot);
-        add_stage_ns(&stats.search_ns, t.ns());
-        result
+        self.search_span(&span, bound, key, snapshot, stats)
     }
 
     /// User key of entry `i` of `span`.
     #[inline]
-    fn span_key(&self, span: &Span, i: usize, scratch: &mut Vec<u8>) -> u64 {
+    fn span_key(&self, span: &impl Entries, i: usize, scratch: &mut Vec<u8>) -> u64 {
         format::decode_entry_key(span.bytes(i * self.entry_width, KEY_LEN, scratch))
     }
 
     /// Entry `i` of `span`, decoded.
-    fn span_entry(&self, span: &Span, i: usize, scratch: &mut Vec<u8>) -> Result<Entry> {
+    fn span_entry(&self, span: &impl Entries, i: usize, scratch: &mut Vec<u8>) -> Result<Entry> {
         let bytes = span.bytes(i * self.entry_width, self.entry_width, scratch);
         format::decode_entry(bytes, self.value_width)
     }
 
     /// Lower-bound position of `key` among the `count` entries of `span`:
     /// one binary search over the fetched boundary.
-    fn lower_bound_in(&self, span: &Span, count: usize, key: u64) -> usize {
+    fn lower_bound_in(&self, span: &impl Entries, count: usize, key: u64) -> usize {
         let mut scratch = Vec::new();
         let (mut lo, mut hi) = (0, count);
         while lo < hi {
@@ -338,10 +344,25 @@ impl TableReader {
         lo
     }
 
-    /// Search the fetched fixed-width entries for `key`.
+    /// Stage: binary search of the fetched fixed-width entries for `key`.
     fn search_span(
         &self,
-        span: &Span,
+        span: &impl Entries,
+        bound: SearchBound,
+        key: u64,
+        snapshot: SeqNo,
+        stats: &DbStats,
+    ) -> Result<Option<Option<Vec<u8>>>> {
+        let t = StageTimer::start();
+        let result = self.find(span, bound, key, snapshot);
+        add_stage_ns(&stats.search_ns, t.ns());
+        result
+    }
+
+    /// `key`'s version visible at `snapshot` among the entries of `span`.
+    fn find(
+        &self,
+        span: &impl Entries,
         bound: SearchBound,
         key: u64,
         snapshot: SeqNo,

@@ -4,7 +4,10 @@
 //!
 //! Steps: load a tree → measure per-level read shares under a skewed
 //! workload (Figure 10's imbalance) → run the greedy [`BoundaryAllocator`]
-//! → rebuild with per-level boundaries → compare.
+//! with the uniform tree's own index bytes as its budget → rebuild with
+//! per-level boundaries → compare. The budget is equal so that the
+//! comparison shows where memory goes, not how much of it there is (more
+//! index, fewer blocks: Observation 1).
 //!
 //! ```sh
 //! cargo run --release --example allocate_memory
@@ -64,7 +67,7 @@ fn main() {
         entry_bytes: 36 + 64,
         ..BoundaryAllocator::default()
     };
-    let budget = (probe.index_memory_bytes as usize) * 4;
+    let budget = probe.index_memory_bytes as usize;
     let plan = allocator.allocate(&levels, budget);
     println!("\nallocation plan (budget {budget} B):");
     for (lvl, (b, m)) in plan
@@ -89,11 +92,11 @@ fn main() {
     let after = tuned.run_point_lookups(20_000, dist).expect("tuned run");
 
     println!(
-        "\nuniform boundary 256: {:.2} µs/lookup, {} B of index",
-        probe.avg_latency_us, probe.index_memory_bytes
+        "\nuniform boundary 256: {:8} B of index, {:.2} µs/lookup",
+        probe.index_memory_bytes, probe.avg_latency_us
     );
     println!(
-        "allocated boundaries:  {:.2} µs/lookup, {} B of index",
-        after.avg_latency_us, after.index_memory_bytes
+        "allocated boundaries: {:8} B of index, {:.2} µs/lookup",
+        after.index_memory_bytes, after.avg_latency_us
     );
 }

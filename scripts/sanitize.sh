@@ -10,8 +10,11 @@
 # The tests: the lsm-tree library's skiplist::, memtable::, wal::, cache::,
 # iter:: and sstable::reader:: unit tests (the arena and its raw-pointer
 # towers, the log's CRC kernel over unaligned tails, the cache's slots, the
-# sweep buffers) and every lsm-io test. Filters, when given, replace the
-# library's six and filter lsm-io's tests too.
+# sweep buffers), the cache_governance integration tests and every lsm-io
+# test. cache_governance is the race: lookups read block bytes in place
+# under a table's slot lock while inserts evict and tables retire. Filters,
+# when given, replace the library's six and filter lsm-io's tests too;
+# cache_governance then does not run.
 #
 # It needs a nightly toolchain with the sanitizer runtimes and builds into
 # target/sanitize-address, so the stable build is left alone. The standard
@@ -47,6 +50,7 @@ test_under() {
 
 if [ $# -eq 0 ]; then
     test_under -p lsm-tree --lib -- skiplist:: memtable:: wal:: cache:: iter:: sstable::reader::
+    test_under -p lsm-tree --test cache_governance
     test_under -p lsm-io
 else
     test_under -p lsm-tree --lib -- "$@"
