@@ -5,8 +5,8 @@
 //! builder needs. The paper's write buffer is 64 MB for the compaction
 //! experiment; size is tracked approximately and *logically* (key slot +
 //! metadata + value bytes, `ENTRY_OVERHEAD` a record), whatever the
-//! skiplist's arena holds, so a rotation point is a function of the writes
-//! alone.
+//! skiplist's two arenas hold, so a rotation point is a function of the
+//! writes alone.
 //!
 //! The buffer is a lock-free [`SkipList`] shared via `Arc`: commit-group
 //! members (`crates/lsm/src/db/write.rs`) clone the handle under the write
@@ -17,16 +17,16 @@
 //!
 //! There is one representation from the first insert to the L0 table, and a
 //! write is copied once on the way in: [`MemTable::apply_batch`] copies each
-//! value from the batch straight into its node. Under background maintenance
-//! a full buffer is **sealed**, not copied: its handle moves into an
-//! [`ImmutableMemTable`] on the flush queue beside the name of the WAL file
-//! that made it durable, and a fresh skiplist takes its place
-//! (`crates/lsm/src/db/maintenance.rs`). Nothing inserts into a sealed buffer
-//! — claims register on the active one under the tree lock the rotation
-//! holds — so the flush worker, readers and pinned snapshots all read the
-//! same nodes, through the same [`MemTable::get`] and [`MemCursor`] the live
-//! buffer is read with. A flush borrows each key and value from its node; no
-//! entry is cloned out.
+//! value from the batch straight into the list's value arena, where its node
+//! points. Under background maintenance a full buffer is **sealed**, not
+//! copied: its handle moves into an [`ImmutableMemTable`] on the flush queue
+//! beside the name of the WAL file that made it durable, and a fresh
+//! skiplist takes its place (`crates/lsm/src/db/maintenance.rs`). Nothing
+//! inserts into a sealed buffer — claims register on the active one under
+//! the tree lock the rotation holds — so the flush worker, readers and
+//! pinned snapshots all read the same nodes, through the same
+//! [`MemTable::get`] and [`MemCursor`] the live buffer is read with. A flush borrows each key from its node and each value
+//! through its node's pointer; no entry is cloned out.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -68,7 +68,8 @@ impl MemTable {
 
     /// Apply a whole batch whose first operation commits at `first_seq`
     /// (operation `i` at `first_seq + i`) — the buffer's one insert path, and
-    /// the one place a value is copied: from the batch into its node.
+    /// the one place a value is copied: from the batch into the list's value
+    /// arena.
     /// Inserts are quiet — the shared `len`/`approx_bytes` counters are
     /// settled once per batch, not twice per entry, so parallel commit-group
     /// appliers don't serialize on the counter cache line.
@@ -167,15 +168,15 @@ pub struct MemCursor {
     node: Option<Node<'static>>,
 }
 
-// SAFETY: `node` points into the arena `mem`'s `Arc` keeps alive, wherever
-// the cursor moves; nodes are immutable after linking.
+// SAFETY: `node` and the value it points at lie in the arenas `mem`'s `Arc`
+// keeps alive, wherever the cursor moves; both are immutable after linking.
 unsafe impl Send for MemCursor {}
 
 impl MemCursor {
     /// Position on the node `find` picks from the buffer's list.
     fn position(&mut self, find: impl FnOnce(&SkipList) -> Option<Node<'_>>) {
         // SAFETY: `self.mem` keeps the list alive for as long as `self.node`
-        // exists, and the list frees no node before it drops.
+        // exists, and the list frees no node or value before it drops.
         self.node = find(&self.mem.shared.list).map(|n| unsafe { n.detach() });
     }
 }

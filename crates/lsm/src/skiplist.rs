@@ -6,19 +6,28 @@
 //! insert their batches **in parallel, outside the write lock**, which is
 //! what converts the write path from "one core per tree" to "all cores per
 //! tree". It is a skiplist *in an arena* because a write buffer is built
-//! once, read for a while and thrown away whole: a node is one bump
-//! allocation — header, exactly as many tower slots as its height, then the
-//! value bytes — so an insert copies its value once and calls no allocator,
-//! and dropping the list frees a handful of chunks without visiting a node.
+//! once, read for a while and thrown away whole: an insert is two bump
+//! allocations and calls no allocator, and dropping the list frees a handful
+//! of chunks without visiting a node.
+//!
+//! The list keeps two arenas. A node — header, then exactly as many tower
+//! slots as its height — is carved from the *node* arena; its value's bytes
+//! are copied once into the *value* arena, and the header holds their
+//! pointer beside their length. A descent reads headers and towers only, so
+//! keeping the values out of their way keeps the search lanes dense: at the
+//! benchmark's 100-byte values a node averages ~51 bytes where one carrying
+//! its value would take ~147, so a 4 MiB buffer's nodes fit in ~1.6 MB, not
+//! ~4.5 MB, and an insert's descent stays in a far smaller cache footprint.
+//! An empty value (a tombstone) takes no value bytes at all.
 //!
 //! The structure is deliberately *insert-only*:
 //!
 //! * overwrites and deletes are new entries at higher sequence numbers
 //!   (tombstones are entries like any other), so nothing is ever unlinked
-//!   and no chunk is freed until the whole list drops — every node pointer a
-//!   traversal can load stays valid for as long as the list does, which
-//!   removes the entire ABA/reclamation problem a general lock-free list has
-//!   to solve. A full chunk is never freed or reused either: it is replaced
+//!   and no chunk of either arena is freed until the whole list drops — every
+//!   node and value pointer a traversal can load stays valid for as long as
+//!   the list does, which removes the entire ABA/reclamation problem a
+//!   general lock-free list has to solve. A full chunk is never freed or reused either: it is replaced
 //!   as the *current* one and stays on the chain `Drop` walks;
 //! * readers traverse with plain `Acquire` loads and never take a lock; a
 //!   cursor stays valid indefinitely because the nodes it points at can
@@ -101,14 +110,17 @@ impl Chunk {
     }
 }
 
-/// Bump allocator the nodes live in: memory is handed out, never taken
-/// back, and freed all at once when the list drops.
+/// Bump allocator the nodes, or the values, live in: memory is handed out,
+/// never taken back, and freed all at once when the list drops.
 struct Arena {
     /// The chunk allocations are carved from.
     current: AtomicPtr<Chunk>,
     /// Size of the next chunk. `current` is replaced under this lock, by
     /// whichever inserter finds the chunk full first; carving takes no lock.
     next_size: Mutex<usize>,
+    /// Bytes handed out, chunk headers excluded: what the layout tests pin.
+    #[cfg(test)]
+    carved: AtomicUsize,
 }
 
 impl Arena {
@@ -116,6 +128,8 @@ impl Arena {
         Arena {
             current: AtomicPtr::new(Chunk::alloc(MIN_CHUNK, ptr::null_mut())),
             next_size: Mutex::new(2 * MIN_CHUNK),
+            #[cfg(test)]
+            carved: AtomicUsize::new(0),
         }
     }
 
@@ -129,7 +143,7 @@ impl Arena {
             let chunk = self.current.load(Ordering::Acquire);
             // SAFETY: a chunk, once installed, is live until the arena drops.
             // Relaxed: `used` only divides the chunk between inserters; the
-            // bytes are published by the CAS that links the node.
+            // bytes are published by the CAS that links their node.
             let (offset, capacity) = unsafe {
                 (
                     (*chunk).used.fetch_add(size, Ordering::Relaxed),
@@ -137,6 +151,8 @@ impl Arena {
                 )
             };
             if offset <= capacity && size <= capacity - offset {
+                #[cfg(test)]
+                self.carved.fetch_add(size, Ordering::Relaxed);
                 // SAFETY: `offset..offset + size` lies inside the chunk, and
                 // the `fetch_add` gave that range to this call only.
                 return unsafe { chunk.cast::<u8>().add(offset) };
@@ -182,14 +198,17 @@ impl Drop for Arena {
     }
 }
 
-/// What a node starts with. In the arena it is followed by `height` tower
-/// slots (`AtomicPtr<Header>`, level 0 first) and then `value_len` value
-/// bytes. A `&Header` covers the header alone, so the tower and the value
-/// are only ever reached from the node's raw pointer ([`slot`],
-/// [`Node::value`]), which carries the whole chunk's provenance.
+/// What a node starts with. In the node arena it is followed by `height`
+/// tower slots (`AtomicPtr<Header>`, level 0 first), and nothing else: the
+/// node is `size_of::<Header>() + 8 * height` bytes. A `&Header` covers the
+/// header alone, so the tower is only ever reached from the node's raw
+/// pointer ([`slot`]), which carries the whole chunk's provenance.
 #[repr(C)]
 struct Header {
     key: InternalKey,
+    /// The value's `value_len` bytes in the value arena; dangling (never
+    /// read) when the value is empty.
+    value: *const u8,
     value_len: u32,
     height: u32,
 }
@@ -266,14 +285,13 @@ impl<'a> Node<'a> {
     }
 
     pub(crate) fn value(self) -> &'a [u8] {
-        let node = self.ptr.as_ptr();
-        // SAFETY: `insert_quiet` laid the node out as header, `height` slots,
-        // `value_len` bytes, in one chunk, before linking it; none of it is
-        // written again.
+        // SAFETY: `new_node` copied the value's `value_len` bytes to `value`
+        // in the list's value arena (or left `value` dangling at length 0,
+        // which reads no byte) before the node was linked, and none of it is
+        // written again; the value arena lives as long as the list.
         unsafe {
-            let tower = node.add(1).cast::<AtomicPtr<Header>>();
-            let value = tower.add((*node).height as usize).cast::<u8>();
-            std::slice::from_raw_parts(value, (*node).value_len as usize)
+            let header = &*self.ptr.as_ptr();
+            std::slice::from_raw_parts(header.value, header.value_len as usize)
         }
     }
 
@@ -297,17 +315,20 @@ pub struct SkipList {
     /// Entry count (records, including versions).
     len: AtomicUsize,
     /// Approximate resident bytes as the callers account them (entry
-    /// overhead + value bytes) — not what the arena holds.
+    /// overhead + value bytes) — not what the arenas hold.
     approx_bytes: AtomicUsize,
     /// Where `head` and every node live. Nothing is freed before it drops.
-    arena: Arena,
+    nodes: Arena,
+    /// Where every non-empty value's bytes live, freed with `nodes`.
+    values: Arena,
 }
 
-// SAFETY: `head` and the chunk pointers inside `arena` own their memory
-// (freed in `Arena::drop` only), so the list can move between threads; nodes
-// are reached only through atomic pointers with Acquire/Release ordering,
-// node payloads are immutable plain bytes after linking, and the arena's
-// bump is atomic, so `&SkipList` can be shared.
+// SAFETY: `head`, the chunk pointers inside both arenas and the value
+// pointers in the headers own or point into memory freed in `Arena::drop`
+// only, so the list can move between threads; nodes are reached only
+// through atomic pointers with Acquire/Release ordering, headers and value
+// bytes are immutable plain bytes after linking, and the arenas' bumps are
+// atomic, so `&SkipList` can be shared.
 unsafe impl Send for SkipList {}
 unsafe impl Sync for SkipList {}
 
@@ -329,35 +350,48 @@ impl std::fmt::Debug for SkipList {
 impl SkipList {
     /// New empty list.
     pub fn new() -> Self {
-        let arena = Arena::new();
+        let (nodes, values) = (Arena::new(), Arena::new());
+        let key = InternalKey::seek_to(0);
         SkipList {
-            head: Self::new_node(&arena, InternalKey::seek_to(0), MAX_HEIGHT, &[]),
+            head: Self::new_node(&nodes, &values, key, MAX_HEIGHT, &[]),
             height: AtomicUsize::new(1),
             len: AtomicUsize::new(0),
             approx_bytes: AtomicUsize::new(0),
-            arena,
+            nodes,
+            values,
         }
     }
 
-    /// An unlinked node in `arena`: header written, `value` copied in, every
-    /// tower slot null.
-    fn new_node(arena: &Arena, key: InternalKey, height: usize, value: &[u8]) -> *mut Header {
+    /// An unlinked node in `nodes`, every tower slot null, its header
+    /// written and pointing at a copy of `value` in `values` (an empty value
+    /// takes no bytes there).
+    fn new_node(
+        nodes: &Arena,
+        values: &Arena,
+        key: InternalKey,
+        height: usize,
+        value: &[u8],
+    ) -> *mut Header {
         // The table and log formats carry a value's length in 4 bytes too.
         let value_len = u32::try_from(value.len()).expect("a value is shorter than 4 GiB");
-        let tower = height * size_of::<AtomicPtr<Header>>();
-        let size = size_of::<Header>() + tower + value.len().next_multiple_of(NODE_ALIGN);
-        let node = arena.alloc(size).cast::<Header>();
-        // SAFETY: `size` zeroed bytes at `node`, aligned for a `Header`, are
-        // this call's alone; the value's place starts `tower` bytes past the
-        // header and `size` leaves room for all of it.
+        let size = size_of::<Header>() + height * size_of::<AtomicPtr<Header>>();
+        let node = nodes.alloc(size).cast::<Header>();
+        let dst = match value.len() {
+            0 => NonNull::dangling().as_ptr(),
+            len => values.alloc(len.next_multiple_of(NODE_ALIGN)),
+        };
+        // SAFETY: `size` zeroed bytes at `node`, aligned for a `Header`, and
+        // at least `value.len()` bytes at `dst` are this call's alone (no
+        // byte at all when the value is empty, where `dst` is dangling but
+        // non-null and aligned, as a zero-length copy needs).
         unsafe {
+            ptr::copy_nonoverlapping(value.as_ptr(), dst, value.len());
             node.write(Header {
                 key,
+                value: dst,
                 value_len,
                 height: height as u32,
             });
-            let dst = node.add(1).cast::<u8>().add(tower);
-            ptr::copy_nonoverlapping(value.as_ptr(), dst, value.len());
         }
         node
     }
@@ -383,10 +417,10 @@ impl SkipList {
         h
     }
 
-    /// Insert `(key, value)`, copying `value` into the new node. Insert-only:
-    /// an overwrite is a new entry at a new sequence number, so duplicates of
-    /// `key` never arise in correct use (and would merely coexist if they
-    /// did).
+    /// Insert `(key, value)`, copying `value` into the value arena.
+    /// Insert-only: an overwrite is a new entry at a new sequence number, so
+    /// duplicates of `key` never arise in correct use (and would merely
+    /// coexist if they did).
     ///
     /// Quiet: the shared `len` / `approx_bytes` counters are not touched.
     /// Batch appliers link a whole write group with zero counter traffic,
@@ -401,7 +435,7 @@ impl SkipList {
         // where descents start; levels above what a search sees are skipped,
         // never misread.
         let top = self.height.fetch_max(height, Ordering::Relaxed).max(height);
-        let node = Self::new_node(&self.arena, key, height, value);
+        let node = Self::new_node(&self.nodes, &self.values, key, height, value);
         // One descent finds the splice at every level the tower will use.
         let mut splice = [(self.head, ptr::null_mut()); MAX_HEIGHT];
         let mut pred = self.head;
@@ -422,8 +456,9 @@ impl SkipList {
                 unsafe {
                     // Relaxed: published by the Release CAS that follows.
                     slot(node, level).store(succ, Ordering::Relaxed);
-                    // Release: the node's header, value and lower levels are
-                    // written before a reader can load this pointer. Failure
+                    // Release: the node's header, its value's bytes in the
+                    // value arena and its lower levels are written before a
+                    // reader can load this pointer. Failure
                     // Relaxed: the retry reloads through `walk`.
                     if slot(pred, level)
                         .compare_exchange(succ, node, Ordering::Release, Ordering::Relaxed)
@@ -504,6 +539,7 @@ pub(crate) mod live_chunks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::ENTRY_OVERHEAD;
     use crate::types::{Entry, EntryKind, SeqNo};
     use std::sync::Arc;
 
@@ -569,6 +605,16 @@ mod tests {
         assert!(l.front().is_none());
     }
 
+    /// Join every handle. The tests join their scoped threads by hand: a
+    /// handle's join is a `pthread_join`, which the thread sanitizer sees,
+    /// and the scope's own wait is a futex in the uninstrumented std, which
+    /// it does not (it would report the next use of a dead thread's memory).
+    fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+        for h in handles {
+            h.join().expect("a test thread finished");
+        }
+    }
+
     /// `threads` threads, released together, insert interleaved keys
     /// `i * threads + t` whose values `value_of` gives; every record must
     /// land, sorted, with its value intact.
@@ -576,7 +622,7 @@ mod tests {
         let list = SkipList::new();
         let start = std::sync::Barrier::new(threads as usize);
         std::thread::scope(|s| {
-            for t in 0..threads {
+            let inserters = (0..threads).map(|t| {
                 let (list, start) = (&list, &start);
                 s.spawn(move || {
                     start.wait();
@@ -586,8 +632,9 @@ mod tests {
                         let k = i * threads + t;
                         insert(list, key(k, k + 1), &value_of(k), 8);
                     }
-                });
-            }
+                })
+            });
+            join_all(inserters.collect());
         });
         let n = threads * per;
         assert_eq!(list.len() as u64, n);
@@ -618,6 +665,130 @@ mod tests {
         }
     }
 
+    /// Readers walk from the front and probe with `find_ge` while eight
+    /// writers insert values a little over half the largest chunk, so every
+    /// value opens a value chunk of its own. Every value a reader sees must
+    /// be its key's, whole: the header's value pointer and the bytes behind
+    /// it reach a reader only through the Release CAS that links the node.
+    #[test]
+    fn readers_see_whole_values_while_value_chunks_turn_over() {
+        use std::sync::atomic::AtomicBool;
+        let (writers, readers, per) = (8u64, 2, if cfg!(miri) { 2 } else { 4u64 });
+        let values: Vec<Vec<u8>> = (0..writers * per)
+            .map(|k| vec![k as u8; MAX_CHUNK / 2 + k as usize])
+            .collect();
+        let check = |n: Node<'_>| {
+            let k = n.key().user_key as usize;
+            assert!(n.value() == values[k], "key {k}: a value not its own");
+        };
+        for _ in 0..if cfg!(miri) { 1 } else { 4 } {
+            let list = SkipList::new();
+            let done = AtomicBool::new(false);
+            let start = std::sync::Barrier::new(writers as usize + readers);
+            std::thread::scope(|s| {
+                let walkers = (0..readers).map(|_| {
+                    let (list, done, start, check) = (&list, &done, &start, &check);
+                    s.spawn(move || {
+                        start.wait();
+                        loop {
+                            // Acquire: the last pass sees every insert.
+                            let last = done.load(Ordering::Acquire);
+                            let mut node = list.front();
+                            while let Some(n) = node {
+                                check(n);
+                                node = n.next0();
+                            }
+                            for k in 0..writers * per {
+                                if let Some(n) = list.find_ge(&InternalKey::seek_to(k)) {
+                                    check(n);
+                                }
+                            }
+                            if last {
+                                return;
+                            }
+                        }
+                    })
+                });
+                let walkers: Vec<_> = walkers.collect();
+                let inserters = (0..writers).map(|t| {
+                    let (list, start, values) = (&list, &start, &values);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..per {
+                            let k = i * writers + t;
+                            insert(list, key(k, k + 1), &values[k as usize], 8);
+                        }
+                    })
+                });
+                join_all(inserters.collect());
+                done.store(true, Ordering::Release);
+                join_all(walkers);
+            });
+            assert_eq!(entries(&list).len() as u64, writers * per);
+        }
+    }
+
+    fn carved(arena: &Arena) -> usize {
+        arena.carved.load(Ordering::Relaxed)
+    }
+
+    /// The layout, exactly. A node is its header and tower and nothing else;
+    /// a value takes its length rounded up to 8 in the value arena, and a
+    /// tombstone takes none. Heights derive from the keys, so the sums are
+    /// fixed. The set fills the benchmark's 4 MiB buffer: 30 840 puts (4 MiB
+    /// over the 36 + 100 bytes each is accounted at) of 100-byte values.
+    #[test]
+    fn a_node_is_its_header_and_tower_and_its_value_lives_apart() {
+        let l = SkipList::new();
+        assert_eq!(size_of::<Header>(), 40);
+        let head = 40 + 8 * MAX_HEIGHT;
+        assert_eq!((carved(&l.nodes), carved(&l.values)), (head, 0), "the head");
+        let n = (4 << 20) / (ENTRY_OVERHEAD + 100) as u64;
+        let mut slots = 0;
+        for k in 0..n {
+            let key = key(k, k + 1);
+            slots += SkipList::height_for(&key);
+            insert(&l, key, &[k as u8; 100], ENTRY_OVERHEAD + 100);
+        }
+        assert_eq!(n, 30_840);
+        assert_eq!(carved(&l.nodes) - head, 40 * n as usize + 8 * slots);
+        assert_eq!(carved(&l.nodes) - head, 1_562_384, "50.7 B a node");
+        assert_eq!(carved(&l.values), 104 * n as usize, "100 B round to 104");
+        assert_eq!(l.approximate_bytes(), 4_194_240, "the budget's bytes");
+        // A value's bytes round up to 8, one length at a time.
+        let mut rounded = 0;
+        for len in 1..=24u64 {
+            insert(&l, key(n + len, n + len), &vec![7; len as usize], 0);
+            rounded += (len as usize).next_multiple_of(8);
+        }
+        assert_eq!(rounded, 8 * (8 + 16 + 24));
+        assert_eq!(carved(&l.values), 104 * n as usize + rounded);
+        // A tombstone's node is a node like any other; it takes no value byte.
+        let (nodes, values) = (carved(&l.nodes), carved(&l.values));
+        let mut slots = 0;
+        for k in 0..1_000 {
+            let key = InternalKey {
+                user_key: k,
+                seq: 2 * n + k,
+                kind: EntryKind::Delete,
+            };
+            slots += SkipList::height_for(&key);
+            insert(&l, key, b"", ENTRY_OVERHEAD);
+        }
+        assert_eq!(carved(&l.nodes) - nodes, 40 * 1_000 + 8 * slots);
+        assert_eq!(carved(&l.values), values, "tombstones take no value bytes");
+        let tombstone = l.find_ge(&InternalKey::seek_to(5)).expect("key 5");
+        assert_eq!(
+            (tombstone.key().kind, tombstone.value()),
+            (EntryKind::Delete, &[][..])
+        );
+    }
+
+    /// A value larger than any chunk gets a value chunk of its own. The
+    /// counts are both arenas' chunks: an empty list is one per arena, the
+    /// big value adds one, a tombstone none (no value bytes, and its node
+    /// fits the first node chunk), and the next value one more, because the
+    /// big value filled its chunk.
     #[test]
     fn a_value_larger_than_any_chunk_gets_its_own() {
         let before = live_chunks::get();
@@ -627,38 +798,45 @@ mod tests {
         insert(&l, key(2, 2), &big, big.len());
         assert_eq!(
             live_chunks::get() - before,
-            2,
-            "the first chunk and the value's"
+            3,
+            "the two first chunks and the value's"
         );
         insert(&l, key(3, 3), b"", 0);
+        assert_eq!(live_chunks::get() - before, 3, "a tombstone takes none");
+        insert(&l, key(4, 4), b"tail", 4);
         let got = entries(&l);
-        assert_eq!(got.len(), 3);
+        assert_eq!(got.len(), 4);
         assert_eq!(got[0].value, b"small");
         assert_eq!(got[1].value, big);
         assert_eq!(got[2].value, b"");
+        assert_eq!(got[3].value, b"tail");
         assert_eq!(
             live_chunks::get() - before,
-            3,
-            "the next insert opened a new chunk"
+            4,
+            "the next value opened a new chunk"
         );
     }
 
+    /// The counts are both arenas' chunks: an empty list is one per arena,
+    /// and a full one is the two arenas' schedules side by side.
     #[test]
     fn chunks_grow_geometrically_and_drop_returns_every_one() {
         let before = live_chunks::get();
         let l = SkipList::new();
         assert_eq!(
             live_chunks::get() - before,
-            1,
-            "an empty list is one 4 KiB chunk"
+            2,
+            "an empty list is a 4 KiB chunk per arena"
         );
-        // Just under 4 MiB of nodes: 4 + 8 + … + 512 KiB is eight chunks and
-        // the first MiB, then three chunks of 1 MiB.
+        // Just under 4 MiB of values: 4 + 8 + … + 512 KiB is eight chunks
+        // and the first MiB, then three chunks of 1 MiB. The ~208 KB of
+        // nodes take six: 4 + 8 + … + 128 KiB.
         for k in 0..4096u64 {
             insert(&l, key(k, k + 1), &[0u8; 1024 - 48], 1024);
         }
+        assert_eq!(carved(&l.values), 4096 * (1024 - 48));
         let chunks = live_chunks::get() - before;
-        assert_eq!(chunks, 11);
+        assert_eq!(chunks, 11 + 6);
         let l = Arc::new(l);
         let shared = Arc::clone(&l);
         drop(l);

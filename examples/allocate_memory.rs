@@ -2,8 +2,10 @@
 //! fixed index-memory budget *non-uniformly* across levels according to the
 //! observed read distribution, instead of one global position boundary.
 //!
-//! Steps: load a tree → measure per-level read shares under a skewed
-//! workload (Figure 10's imbalance) → run the greedy [`BoundaryAllocator`]
+//! Steps: load a tree through the write path (flushes and compactions leave
+//! it layered, newer keys in upper levels) → measure per-level read shares
+//! under a read-latest workload (Figure 10's imbalance) → run the greedy
+//! [`BoundaryAllocator`]
 //! with the uniform tree's own index bytes as its budget → rebuild with
 //! per-level boundaries → compare. The budget is equal so that the
 //! comparison shows where memory goes, not how much of it there is (more
@@ -32,9 +34,14 @@ fn main() {
 
     // Phase 1: measure read shares with a uniform (coarse) configuration.
     let mut tb = Testbed::new(config()).expect("open");
-    tb.load().expect("load");
+    tb.load_via_writes().expect("load");
     let probe = tb.run_point_lookups(20_000, dist).expect("probe run");
     let total_reads: u64 = probe.level_reads.iter().sum();
+    let populated = probe.level_entries.iter().filter(|&&n| n > 0).count();
+    assert!(
+        populated >= 3,
+        "a plan moves memory across levels only if there are several"
+    );
     println!("per-level read shares under a read-latest workload:");
     for (lvl, reads) in probe.level_reads.iter().enumerate() {
         if *reads > 0 {
@@ -88,7 +95,7 @@ fn main() {
     let mut tuned_config = config();
     tuned_config.per_level_epsilon = Some(plan.to_per_level_epsilon());
     let mut tuned = Testbed::new(tuned_config).expect("open tuned");
-    tuned.load().expect("load tuned");
+    tuned.load_via_writes().expect("load tuned");
     let after = tuned.run_point_lookups(20_000, dist).expect("tuned run");
 
     println!(
