@@ -63,6 +63,29 @@ pub struct AllocationPlan {
     pub expected_io_ns: f64,
 }
 
+/// Why [`BoundaryAllocator::allocate`] returned no plan: the coarsest
+/// candidate on every level already needs more index memory than the
+/// budget, and refining only ever adds bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OverBudget {
+    /// Estimated index memory at the coarsest candidate on every level.
+    pub coarsest_bytes: usize,
+    /// The budget it exceeds.
+    pub budget_bytes: usize,
+}
+
+impl std::fmt::Display for OverBudget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "no plan fits: the coarsest boundary on every level needs {} B, over the {} B budget",
+            self.coarsest_bytes, self.budget_bytes
+        )
+    }
+}
+
+impl std::error::Error for OverBudget {}
+
 impl AllocationPlan {
     /// Convert to the engine's `per_level_epsilon` override.
     pub fn to_per_level_epsilon(&self) -> Vec<usize> {
@@ -100,8 +123,13 @@ impl BoundaryAllocator {
 
     /// Greedy allocation: start at the coarsest boundary everywhere, then
     /// repeatedly take the refinement with the best expected-time gain per
-    /// byte that still fits the budget.
-    pub fn allocate(&self, levels: &[LevelWorkload], budget_bytes: usize) -> AllocationPlan {
+    /// byte that still fits the budget. When the coarsest boundaries alone
+    /// exceed the budget, no plan fits and none is returned.
+    pub fn allocate(
+        &self,
+        levels: &[LevelWorkload],
+        budget_bytes: usize,
+    ) -> Result<AllocationPlan, OverBudget> {
         assert!(!self.candidates.is_empty());
         let coarse = self.candidates[0];
         // Precompute the memory matrix level × candidate.
@@ -117,6 +145,12 @@ impl BoundaryAllocator {
 
         let mut choice = vec![0usize; levels.len()]; // candidate index per level
         let mut total: usize = mem.iter().map(|row| row[0]).sum();
+        if total > budget_bytes {
+            return Err(OverBudget {
+                coarsest_bytes: total,
+                budget_bytes,
+            });
+        }
 
         loop {
             let mut best: Option<(usize, f64, usize)> = None; // (level, gain/byte, extra)
@@ -158,13 +192,13 @@ impl BoundaryAllocator {
             .map(|(lvl, &b)| lvl.read_share * self.io_ns(b))
             .sum();
         let total_memory = per_level_memory.iter().sum::<usize>();
-        AllocationPlan {
+        Ok(AllocationPlan {
             per_level_boundary,
             per_level_memory,
             total_memory,
             expected_io_ns,
         }
-        .normalized(coarse)
+        .normalized(coarse))
     }
 }
 
@@ -224,7 +258,7 @@ mod tests {
         // for the cold one.
         let hot_delta = alloc.memory_at(&levels[0], 8) - alloc.memory_at(&levels[0], 256);
         let budget = uniform_coarse + hot_delta + hot_delta / 4;
-        let plan = alloc.allocate(&levels, budget);
+        let plan = alloc.allocate(&levels, budget).unwrap();
         assert!(
             plan.per_level_boundary[0] < plan.per_level_boundary[1],
             "hot level must be refined first: {:?}",
@@ -238,25 +272,53 @@ mod tests {
         let levels = vec![level(2_000, 11, 0.3, 2), level(20_000, 13, 0.7, 8)];
         let alloc = BoundaryAllocator::default();
         let coarse_cost: f64 = levels.iter().map(|l| l.read_share * alloc.io_ns(256)).sum();
-        let plan = alloc.allocate(&levels, 1 << 20);
+        let plan = alloc.allocate(&levels, 1 << 20).unwrap();
         assert!(plan.expected_io_ns < coarse_cost, "refinement must help");
         assert!(plan.total_memory <= 1 << 20);
         assert_eq!(plan.per_level_boundary.len(), 2);
     }
 
+    /// A zero budget fits only levels that index nothing, and those keep
+    /// the coarsest boundary; a level with keys gets no plan.
     #[test]
     fn zero_budget_keeps_coarsest() {
-        let levels = vec![level(5_000, 7, 1.0, 4)];
         let alloc = BoundaryAllocator::default();
-        let plan = alloc.allocate(&levels, 0);
+        let empty = LevelWorkload {
+            keys: vec![],
+            read_share: 1.0,
+            tables: 1,
+        };
+        let plan = alloc.allocate(&[empty], 0).unwrap();
         assert_eq!(plan.per_level_boundary, vec![256]);
+        let levels = vec![level(5_000, 7, 1.0, 4)];
+        assert!(alloc.allocate(&levels, 0).is_err());
+    }
+
+    /// A budget one byte below the coarsest candidates' total gets no plan,
+    /// naming both byte counts; the exact total gets one, within it. (The
+    /// allocator used to return the coarsest plan over any budget.)
+    #[test]
+    fn a_budget_below_the_coarsest_total_gets_no_plan() {
+        let levels = vec![level(5_000, 1, 0.8, 4), level(20_000, 2, 0.2, 8)];
+        let alloc = BoundaryAllocator::default();
+        let coarsest: usize = levels.iter().map(|l| alloc.memory_at(l, 256)).sum();
+        assert_eq!(
+            alloc.allocate(&levels, coarsest - 1),
+            Err(OverBudget {
+                coarsest_bytes: coarsest,
+                budget_bytes: coarsest - 1,
+            })
+        );
+        // Only refinements that cost no byte fit.
+        let plan = alloc.allocate(&levels, coarsest).unwrap();
+        assert_eq!(plan.total_memory, coarsest);
     }
 
     #[test]
     fn unlimited_budget_reaches_finest() {
         let levels = vec![level(5_000, 7, 1.0, 4)];
         let alloc = BoundaryAllocator::default();
-        let plan = alloc.allocate(&levels, usize::MAX);
+        let plan = alloc.allocate(&levels, usize::MAX).unwrap();
         assert_eq!(plan.per_level_boundary, vec![8]);
     }
 
@@ -281,7 +343,9 @@ mod tests {
             },
             level(1_000, 3, 0.5, 1),
         ];
-        let plan = BoundaryAllocator::default().allocate(&levels, 1 << 16);
+        let plan = BoundaryAllocator::default()
+            .allocate(&levels, 1 << 16)
+            .unwrap();
         assert_eq!(plan.per_level_boundary.len(), 2);
         assert_eq!(plan.per_level_memory[0], 0);
     }

@@ -21,7 +21,7 @@ pub mod config;
 pub mod report;
 pub mod testbed;
 
-pub use allocator::{AllocationPlan, BoundaryAllocator, LevelWorkload};
+pub use allocator::{AllocationPlan, BoundaryAllocator, LevelWorkload, OverBudget};
 pub use config::{Granularity, TestbedConfig, PAPER_BOUNDARIES, PAPER_SST_MIB};
 pub use report::{CompactionReport, LookupReport, RangeReport};
 pub use testbed::Testbed;

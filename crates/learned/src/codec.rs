@@ -9,7 +9,7 @@
 //!   and decoded at every table open;
 //! * the engine's other on-device formats (`lsm_tree` re-exports this
 //!   module as `lsm_tree::codec`): the WAL record and its frame header,
-//!   the table footer, the bloom payload and the commit marker;
+//!   the table footer and the bloom payload;
 //! * the server's wire protocol, through that re-export.
 //!
 //! So every on-device and on-wire length is checked by the same few lines:

@@ -44,13 +44,13 @@ impl Db {
     /// reads whatever else the caller needs as of the rotation) with the
     /// lock held.
     ///
-    /// Under the lock, because a flush racing a cross-shard commit could
-    /// push a not-yet-sealed prepare fragment into an SSTable, which
-    /// replays unconditionally — tearing the batch across a crash; and
-    /// `enter` refuses while poisoned, because after a failed commit the
-    /// memtables hold orphaned unsealed fragments that must never become
-    /// durable. Only the (fast) rotate/flush half holds the lock; the
-    /// drain wait runs outside it. A standalone `Db` has no lock to take.
+    /// Under the lock, because a rotation racing a commit could seal a
+    /// buffer that commit is still applying to, and flush a version the
+    /// fence has not published; and `enter` refuses while poisoned, because
+    /// after a failed commit the memtables may hold part of a batch that
+    /// must never become durable. Only the (fast) rotate half holds the
+    /// lock; the drain wait runs outside it. A standalone `Db` has no lock
+    /// to take.
     pub(crate) fn flush_all<D: std::ops::Deref<Target = Db>>(
         coordination: Option<&CommitCoordination>,
         pick: impl FnOnce() -> Vec<D>,
@@ -72,10 +72,8 @@ impl Db {
     /// First half of a flush: seal the active memtable onto the immutable
     /// queue (bypassing backpressure — an explicit flush is an order, not a
     /// write) and return without waiting. The sharding layer calls this
-    /// under its commit lock — a rotation racing a cross-shard commit could
-    /// seal an unsealed prepare fragment toward an SSTable, which replays
-    /// unconditionally — and does the (possibly long) second half outside
-    /// it.
+    /// under its commit lock and does the (possibly long) second half
+    /// outside it.
     pub(crate) fn begin_flush(&self) -> Result<()> {
         {
             let mut inner = self.core.inner.write();
@@ -299,10 +297,14 @@ impl DbCore {
         self.drain_inline()
     }
 
-    /// Swap in a fresh WAL, returning the retiring log's name. The fresh
-    /// log is **created before the old writer is released**: a failed
-    /// create leaves the engine still logging to the old WAL.
-    fn rotate_wal(&self, inner: &mut Inner) -> Result<String> {
+    /// Swap in a fresh WAL, returning the retiring log's name (`None` on a
+    /// shard, which has no log). The fresh log is **created before the old
+    /// writer is released**: a failed create leaves the engine still
+    /// logging to the old WAL.
+    fn rotate_wal(&self, inner: &mut Inner) -> Result<Option<String>> {
+        if inner.wal.is_none() {
+            return Ok(None);
+        }
         let fresh = format!(
             "{:06}.wal",
             self.next_file_no.fetch_add(1, Ordering::Relaxed)
@@ -312,12 +314,13 @@ impl DbCore {
         // not replay it — hold back acknowledgements (see
         // `manifest_dirty`) in case the caller's own rewrite fails.
         self.manifest_dirty.store(true, Ordering::Release);
-        Ok(std::mem::replace(&mut inner.wal, w).name().to_string())
+        Ok(inner.wal.replace(w).map(|old| old.name().to_string()))
     }
 
     /// Seal the active memtable onto the immutable queue — its handle
     /// moves, nothing is copied — and open a fresh WAL. The manifest is
-    /// rewritten before returning so a crash finds every live log.
+    /// rewritten before returning so a crash finds every live log; a
+    /// shard's names no log, so its rotation writes nothing.
     fn rotate_memtable(&self, inner: &mut Inner) -> Result<()> {
         // Before the emptiness probe too: a claimed group may not have
         // inserted anything yet.
@@ -328,14 +331,17 @@ impl DbCore {
         let wal = self.rotate_wal(inner)?;
         self.install(inner, |tree| {
             let mem = std::mem::take(&mut tree.mem);
-            let imm = ImmutableMemTable { mem, wal };
+            let first = tree.mem_first.take().unwrap_or(tree.seq);
+            let imm = ImmutableMemTable { mem, wal, first };
             tree.imms.push_back(Arc::new(imm));
         });
         self.stats.record_rotation(inner.imms.len());
         if let Some(obs) = self.obs.as_deref() {
             obs.emit(EventKind::MemtableRotation, 0, inner.imms.len() as u64, 0);
         }
-        self.write_manifest(inner)?;
+        if inner.wal.is_some() {
+            self.write_manifest(inner)?;
+        }
         self.signal.bump();
         Ok(())
     }

@@ -75,6 +75,12 @@
 //! (`DbCore::write_manifest`), and a failed seal leaves those removals to
 //! the next one that succeeds.
 //!
+//! A shard of a [`crate::sharding::ShardedDb`] keeps no log of its own: the
+//! owner logs every batch once, for all shards, and hands each shard its
+//! part to apply. Its manifest records `flushed <seq>` in place of `wal`
+//! lines — every op routed to it at or below `seq` is in its tables — and a
+//! direct [`Db::write`] to it is refused.
+//!
 //! [`Maintenance::Synchronous`]: crate::options::Maintenance::Synchronous
 //! [`Maintenance::Background`]: crate::options::Maintenance::Background
 
@@ -102,7 +108,7 @@ use crate::snapshot::{ReadView, Snapshot};
 use crate::stats::DbStats;
 use crate::types::SeqNo;
 use crate::version::Version;
-use crate::wal::{self, WalWriter};
+use crate::wal::WalWriter;
 use crate::{Error, Result};
 use lsm_io::Storage;
 use lsm_obs::{EngineObs, MetricsSnapshot};
@@ -161,10 +167,14 @@ struct Inner {
     imms: VecDeque<Arc<ImmutableMemTable>>,
     version: Arc<Version>,
     seq: SeqNo,
+    /// The sequence number of the first write claimed into `mem`.
+    mem_first: Option<SeqNo>,
+    /// A shard's `flushed` as the last sealed manifest records it.
+    flushed: SeqNo,
     /// Per-level round-robin compaction cursors (last compacted max key).
     cursors: Vec<u64>,
-    /// Active write-ahead log.
-    wal: WalWriter,
+    /// Active write-ahead log; `None` on a shard (the owner logs for it).
+    wal: Option<WalWriter>,
     /// A flush holds the front immutable memtable.
     flush_active: bool,
     /// A compaction holds the tree: one runs at a time.
@@ -179,6 +189,11 @@ impl Inner {
     /// No buffer is queued for flush or being flushed.
     fn flush_idle(&self) -> bool {
         self.imms.is_empty() && !self.flush_active
+    }
+
+    /// The first sequence number the buffers hold, oldest first.
+    fn oldest_buffered(&self) -> Option<SeqNo> {
+        self.imms.front().map(|imm| imm.first).or(self.mem_first)
     }
 
     /// The admission rule's verdict on the next write, and whether the
@@ -267,17 +282,16 @@ pub struct Db {
 }
 
 /// What a [`crate::sharding::ShardedDb`] hands [`Db::open_internal`] for each
-/// shard it embeds; `Embedding::default()` is the standalone engine.
+/// shard it embeds; `Embedding::default()` is the standalone engine. An
+/// embedded database (one with `coordination`) keeps no log: the owner's
+/// one log holds its writes.
 #[derive(Default)]
-pub(crate) struct Embedding<'a> {
+pub(crate) struct Embedding {
     /// The owner's worker pool, as its wakeup channel and shutdown flag: the
     /// database spawns no threads of its own and wires both into its core,
     /// so rotations/installs in any shard wake the global workers and
     /// stalled writers alike.
     pub pool: Option<(Arc<MaintSignal>, Arc<AtomicBool>)>,
-    /// Resolves replayed cross-shard prepares; without one, every replayed
-    /// record applies.
-    pub resolver: Option<BatchResolver<'a>>,
     /// The owner's commit lock and poison flag.
     pub coordination: Option<Arc<CommitCoordination>>,
     /// This shard's handle on the owner's bounded event buffer.
@@ -286,29 +300,20 @@ pub(crate) struct Embedding<'a> {
     pub cache: Option<Arc<BlockCache>>,
 }
 
-/// Decides, during recovery, whether a replayed cross-shard **prepare**
-/// fragment committed (`Ok(true)`: apply + re-log it) or aborted
-/// (`Ok(false)`: suppress it). The sharding layer's recovery coordinator
-/// passes a closure resolving each tag against the per-database
-/// commit-marker log; it errors when the record itself is inconsistent
-/// (e.g. a fragment on a shard its participant set excludes).
-pub(crate) type BatchResolver<'a> = &'a dyn Fn(&wal::CrossBatchTag) -> Result<bool>;
-
 /// Cross-shard commit coordination shared between a [`crate::sharding::ShardedDb`]
-/// and every shard it owns. The sharding layer holds commits and coherent
-/// snapshots under `lock`; a shard-level [`Db::flush`] takes the same lock
-/// (and honours `poisoned`) so *no* flush path — not even one reached
-/// through [`crate::sharding::ShardedDb::shard`] — can push a
-/// not-yet-sealed prepare fragment into an SSTable, which would replay
-/// unconditionally and tear the batch across a crash.
+/// and every shard it owns. The sharding layer holds commits under `lock`;
+/// a shard-level [`Db::flush`] takes the same lock (and honours
+/// `poisoned`), so no flush — not even one reached through
+/// [`crate::sharding::ShardedDb::shard`] — seals a buffer while a commit is
+/// applying to it, or persists what a failed commit left behind.
 #[derive(Debug, Default)]
 pub(crate) struct CommitCoordination {
-    /// Serializes cross-shard commits, coherent snapshot pins, and every
-    /// rotate/flush of shard memtables (which may hold unsealed prepares).
+    /// Serializes cross-shard commits and every rotate/flush of shard
+    /// memtables.
     pub lock: Mutex<()>,
-    /// Set when a commit failed after touching some shards: writes and
-    /// flushes are refused so the orphaned fragments can neither become
-    /// visible nor durable in this process (reopen to recover).
+    /// Set when a commit failed after its log append began: writes and
+    /// flushes are refused so a part it applied can neither become visible
+    /// nor durable in this process (reopen to recover from the log).
     pub poisoned: AtomicBool,
 }
 
@@ -578,6 +583,38 @@ impl Db {
     /// groups are still applying.
     pub fn latest_seq(&self) -> SeqNo {
         self.core.visible.load(Ordering::Acquire)
+    }
+}
+
+impl Db {
+    // ------------------------------------------- a shard's place in the log
+
+    /// A shard's oldest write that no sealed manifest covers: the owner's
+    /// log must keep every record from there on. `None` when the log holds
+    /// nothing this shard still needs.
+    pub(crate) fn unflushed_from(&self) -> Option<SeqNo> {
+        let inner = self.core.inner.read();
+        if self.core.manifest_dirty.load(Ordering::Acquire) {
+            return Some(inner.flushed + 1);
+        }
+        inner.oldest_buffered()
+    }
+
+    /// Recovery, before any write: apply `op`, read back from the owner's
+    /// log at `seq`, unless this shard's tables hold it already (`seq` at
+    /// or below its manifest's `flushed`). Returns whether it applied.
+    pub(crate) fn replay(&self, op: &crate::batch::BatchOp, seq: SeqNo) -> bool {
+        let mut inner = self.core.inner.write();
+        if seq <= inner.flushed {
+            return false;
+        }
+        inner.mem.apply_batch(std::slice::from_ref(op), seq);
+        // The log may offer records out of sequence order (a re-logged copy
+        // read after a newer original), so the buffer's oldest op is a min.
+        inner.mem_first = Some(inner.mem_first.map_or(seq, |first| first.min(seq)));
+        inner.seq = inner.seq.max(seq);
+        self.core.visible.fetch_max(seq, Ordering::Release);
+        true
     }
 }
 

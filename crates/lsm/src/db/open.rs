@@ -33,12 +33,6 @@ const MANIFEST_PREFIX: &str = "MANIFEST-";
 impl Db {
     /// Open (or create) a database on `storage`.
     ///
-    /// A standalone open applies every replayed WAL record, including
-    /// cross-shard prepare fragments (it has no marker log to resolve them
-    /// against) — shard directories belong behind
-    /// [`crate::sharding::ShardedDb::open`], whose coordinator resolves
-    /// prepares to committed/aborted before the fence resumes.
-    ///
     /// `l0_compaction_trigger` must be at least 1 and, under background
     /// maintenance, at most [`L0_STOP_TRIGGER`]; any other value is refused
     /// (`InvalidInput`). At 0 an empty L0 would count as due and no level
@@ -51,7 +45,7 @@ impl Db {
     pub(crate) fn open_internal(
         storage: Arc<dyn Storage>,
         opts: Options,
-        embedding: Embedding<'_>,
+        embedding: Embedding,
     ) -> Result<Db> {
         let trigger = opts.l0_compaction_trigger;
         if trigger == 0 || (opts.maintenance.is_background() && trigger > L0_STOP_TRIGGER) {
@@ -66,11 +60,12 @@ impl Db {
         }
         let Embedding {
             pool,
-            resolver,
             coordination,
             obs,
             cache: shared_cache,
         } = embedding;
+        // A shard logs nothing: the owner's one log holds its writes.
+        let logged = coordination.is_none();
         // A standalone open with observability on builds its own handle;
         // the sharding layer passes per-shard handles sharing one bounded
         // event buffer.
@@ -84,6 +79,7 @@ impl Db {
         let mut seq = 0;
         let mut next_file_no = 1u64;
         let mut manifest_epoch = 0u64;
+        let mut mem_first = None;
         let mut replayed: Vec<wal::ReplayedRecord> = Vec::new();
         let mut named: Vec<String> = Vec::new();
         if let Some((epoch, manifest_text)) =
@@ -96,25 +92,12 @@ impl Db {
             seq = recovered_seq;
             // Replay unflushed batches from the previous generation's logs
             // — the active one plus one per immutable memtable that was
-            // still queued at the crash, oldest first. Cross-shard prepare
-            // fragments are resolved through the caller's resolver:
-            // aborted fragments are suppressed here and never re-logged,
-            // which is exactly how an unsealed cross-shard batch vanishes
-            // from this shard. Their sequence numbers are not counted
-            // either — after every shard suppresses its fragment the range
-            // is unused everywhere and the fence may re-allocate it.
+            // still queued at the crash, oldest first.
             for name in &wal_names {
                 for record in wal::replay_records(storage.as_ref(), name)? {
-                    let committed = match (&record.cross, resolver) {
-                        (Some(tag), Some(resolve)) => resolve(tag)?,
-                        _ => true,
-                    };
-                    if !committed {
-                        continue;
-                    }
-                    let last_seq = record.first_seq + record.ops.len() as SeqNo - 1;
-                    seq = seq.max(last_seq);
+                    seq = seq.max(record.last_seq());
                     mem.apply_batch(&record.ops, record.first_seq);
+                    mem_first.get_or_insert(record.first_seq);
                     replayed.push(record);
                 }
             }
@@ -142,24 +125,29 @@ impl Db {
                 }
             }
         }
-        let mut wal = WalWriter::create(storage.as_ref(), &format!("{next_file_no:06}.wal"))?;
-        next_file_no += 1;
-        // Re-log the surviving records into the fresh log, one batch record
-        // each, so a second crash before the next flush still loses
-        // nothing. Resolved cross-shard fragments are re-logged as *plain*
-        // records: their commit markers may be pruned once every shard has
-        // re-opened, so the fragments must no longer depend on them.
-        for record in &replayed {
-            wal.append_batch(record.first_seq, &record.ops)?;
-        }
-        if !replayed.is_empty() {
-            wal.sync()?;
+        // Re-log the surviving records into a fresh log, one batch record
+        // each, so a second crash before the next flush still loses nothing.
+        let mut wal = None;
+        if logged {
+            let log = wal.insert(WalWriter::create(
+                storage.as_ref(),
+                &format!("{next_file_no:06}.wal"),
+            )?);
+            next_file_no += 1;
+            for record in &replayed {
+                log.append_batch(record.first_seq, &record.ops)?;
+            }
+            if !replayed.is_empty() {
+                log.sync()?;
+            }
         }
         let inner = Inner {
             mem,
             imms: VecDeque::new(),
             version: Arc::new(version),
             seq,
+            mem_first,
+            flushed: seq,
             cursors: vec![0; MAX_LEVELS],
             wal,
             flush_active: false,
@@ -329,32 +317,33 @@ impl DbCore {
         let mut next_file_no = 1u64;
         let mut seq = 0u64;
         let mut wal_names = Vec::new();
+        let mut flushed = None;
         for (lineno, line) in text.lines().enumerate() {
             let mut parts = line.split_whitespace();
-            match parts.next() {
+            let tag = parts.next();
+            let corrupt = || Error::Corruption(format!("manifest line {lineno}"));
+            let mut number = || {
+                parts
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(corrupt)
+            };
+            match tag {
                 Some("next") => {
-                    next_file_no = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| Error::Corruption(format!("manifest line {lineno}")))?;
-                    seq = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| Error::Corruption(format!("manifest line {lineno}")))?;
+                    next_file_no = number()?;
+                    seq = number()?;
                 }
                 Some("wal") => {
                     // Oldest first: queued immutable-memtable logs, then
                     // the active log.
                     wal_names.extend(parts.next().map(|s| s.to_string()));
                 }
+                // A shard's: its tables hold every op routed to it up to
+                // here, and the owner's log replays what lies above.
+                Some("flushed") => flushed = Some(number()?),
                 Some("table") => {
-                    let level: usize = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| Error::Corruption(format!("manifest line {lineno}")))?;
-                    let name = parts
-                        .next()
-                        .ok_or_else(|| Error::Corruption(format!("manifest line {lineno}")))?;
+                    let level = usize::try_from(number()?).map_err(|_| corrupt())?;
+                    let name = parts.next().ok_or_else(corrupt)?;
                     // Skipping the line would leave the table unnamed, and
                     // the open's sweep would delete it.
                     if level >= MAX_LEVELS {
@@ -400,7 +389,7 @@ impl DbCore {
             }
         }
         version.train_level_indexes(opts)?;
-        Ok((version, next_file_no, seq, wal_names))
+        Ok((version, next_file_no, flushed.unwrap_or(seq), wal_names))
     }
 
     /// Seal a manifest naming `inner`'s live files, then remove every log
@@ -418,11 +407,18 @@ impl DbCore {
         let mut sealing = Vec::new();
         // Every live log, oldest first: one per queued immutable memtable,
         // then the active log. A crash must find all of them, or rotated
-        // but unflushed acknowledged writes would be lost.
-        let logs = inner.imms.iter().map(|imm| imm.wal.as_str());
-        for name in logs.chain([inner.wal.name()]) {
-            text.push_str(&format!("wal {name}\n"));
-            sealing.push(name.to_string());
+        // but unflushed acknowledged writes would be lost. A shard has none:
+        // it records how far its tables reach into the owner's log.
+        let flushed = inner.oldest_buffered().map_or(inner.seq, |first| first - 1);
+        match &inner.wal {
+            Some(wal) => {
+                let logs = inner.imms.iter().filter_map(|imm| imm.wal.as_deref());
+                for name in logs.chain([wal.name()]) {
+                    text.push_str(&format!("wal {name}\n"));
+                    sealing.push(name.to_string());
+                }
+            }
+            None => text.push_str(&format!("flushed {flushed}\n")),
         }
         for (level, tables) in inner.version.levels.iter().enumerate() {
             for t in tables {
@@ -447,6 +443,7 @@ impl DbCore {
         sealed::write_sealed(self.storage.as_ref(), MANIFEST_PREFIX, epoch, text)?;
         // Sealed: the on-disk manifest now names the live WAL set.
         self.manifest_dirty.store(false, Ordering::Release);
+        inner.flushed = flushed;
         // Open readers pinned by a live Snapshot's Version keep removed
         // tables readable until released.
         let live: HashSet<&String> = sealing.iter().collect();

@@ -39,16 +39,14 @@ struct WriteRequest {
     ops: Vec<BatchOp>,
     /// The ops' WAL region, pre-encoded by the submitting thread *outside*
     /// the commit path ([`wal::encode_ops`]) so the leader's serial
-    /// section only concatenates member regions.
+    /// section only concatenates member regions. Empty on a shard, which
+    /// logs nothing.
     encoded: Vec<u8>,
     sync: bool,
     /// Externally assigned first sequence number (the sharding fence).
     /// Such a write commits as a singleton group: its range is not ours to
     /// extend.
     assigned: Option<SeqNo>,
-    /// Cross-shard prepare tag — also forces a singleton group, since the
-    /// prepare record's header differs from a plain one.
-    cross: Option<wal::CrossBatchTag>,
     slot: StdMutex<SlotState>,
 }
 
@@ -151,50 +149,41 @@ impl Db {
     /// db.write(batch, &WriteOptions::durable()).unwrap();
     /// ```
     pub fn write(&self, batch: WriteBatch, wopts: &WriteOptions) -> Result<SeqNo> {
-        // When this instance is a shard, a direct write must serialize
-        // with the owner's cross-shard commits and respect the poison
-        // state: its inline flush could otherwise persist a shard
-        // memtable holding a not-yet-sealed (or orphaned) prepare
-        // fragment into an SSTable, which replays unconditionally.
-        // (Direct shard writes remain off-protocol for sequence
-        // allocation — see [`crate::sharding::ShardedDb::shard`].)
-        let _guard = self
-            .core
-            .coordination
-            .as_ref()
-            .map(|c| c.enter())
-            .transpose()?;
-        self.write_impl(batch, wopts, None, None)
+        // A shard logs nothing itself: a write that did not come through
+        // the owner's log would be lost by a crash.
+        if self.core.coordination.is_some() {
+            return Err(Error::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a shard of a sharded database takes writes only through its owner's log",
+            )));
+        }
+        self.write_impl(batch, wopts, None)
     }
 
-    /// [`Db::write`] with an externally assigned first sequence number.
+    /// [`Db::write`] with an externally assigned first sequence number, on
+    /// a shard: the sharding layer has logged the batch already.
     ///
     /// The sharding layer allocates **one** contiguous range per
     /// cross-shard batch from a shared fence and hands each shard's
     /// sub-batch its sub-range, so sequence numbers stay globally unique
     /// and per-shard monotone. `first_seq` must exceed every sequence this
     /// instance has seen (the caller's allocator + commit lock guarantee
-    /// it).
-    ///
-    /// When `cross` is set the fragment is logged as a **prepare** record.
-    /// Either way the synchronous-mode inline flush is left to the caller
-    /// ([`Db::flush_deferred`]): a prepare must not reach an SSTable (which
-    /// replays unconditionally) before the batch's commit marker seals it,
-    /// and no shard may flush a version the fence has not published yet —
-    /// the flush keeps only a key's newest version, and a reader pinned
-    /// below the fence would lose the one it is entitled to.
+    /// it). The synchronous-mode inline flush is left to the caller
+    /// ([`Db::flush_deferred`]): no shard may flush a version the fence has
+    /// not published yet — the flush keeps only a key's newest version,
+    /// and a reader pinned below the fence would lose the one it is
+    /// entitled to.
     pub(crate) fn write_assigned(
         &self,
         batch: WriteBatch,
         wopts: &WriteOptions,
         first_seq: SeqNo,
-        cross: Option<&wal::CrossBatchTag>,
     ) -> Result<SeqNo> {
-        self.write_impl(batch, wopts, Some(first_seq), cross)
+        self.write_impl(batch, wopts, Some(first_seq))
     }
 
-    /// The writer-queue protocol. Every write — plain, assigned-sequence,
-    /// cross-shard — rides the same queue:
+    /// The writer-queue protocol. Every write — plain or assigned-sequence
+    /// — rides the same queue:
     ///
     /// 1. enqueue a [`WriteRequest`] and wait on its slot;
     /// 2. whichever waiter finds itself at the queue front (with no leader
@@ -212,7 +201,6 @@ impl Db {
         batch: WriteBatch,
         wopts: &WriteOptions,
         assigned: Option<SeqNo>,
-        cross: Option<&wal::CrossBatchTag>,
     ) -> Result<SeqNo> {
         if batch.is_empty() {
             return Ok(self.core.visible.load(Ordering::Acquire));
@@ -232,12 +220,15 @@ impl Db {
         let ops = batch.into_ops();
         // Encode the WAL region here, on the submitting thread, so the
         // leader's serial section does no per-op byte shuffling.
+        let encoded = match core.coordination {
+            None => wal::encode_ops(&ops),
+            Some(_) => Vec::new(),
+        };
         let req = Arc::new(WriteRequest {
-            encoded: wal::encode_ops(&ops),
+            encoded,
             ops,
             sync: wopts.sync,
             assigned,
-            cross: cross.cloned(),
             slot: StdMutex::new(SlotState::Queued),
         });
         {
@@ -318,10 +309,9 @@ impl Db {
     }
 
     /// The deferred half of a [`Db::write_assigned`]: flush the memtable if
-    /// it is over budget, now that the fence has published the batch (and
-    /// a cross-shard batch's marker has sealed it). Under background
-    /// maintenance this is a no-op — the next write's admission control
-    /// rotates the buffer at the same threshold.
+    /// it is over budget, now that the fence has published the batch. Under
+    /// background maintenance this is a no-op — the next write's admission
+    /// control rotates the buffer at the same threshold.
     pub(crate) fn flush_deferred(&self) -> Result<()> {
         if self.core.opts.maintenance.is_background() {
             return Ok(());
@@ -369,7 +359,7 @@ impl DbCore {
         // group by `COMMIT_WINDOW`, never park it.
         if q.queue
             .front()
-            .is_some_and(|h| h.sync && h.assigned.is_none() && h.cross.is_none())
+            .is_some_and(|h| h.sync && h.assigned.is_none())
         {
             let deadline = Instant::now() + COMMIT_WINDOW;
             loop {
@@ -388,10 +378,10 @@ impl DbCore {
         let members: Vec<Arc<WriteRequest>> = {
             let mut members: Vec<Arc<WriteRequest>> = Vec::new();
             if let Some(head) = q.queue.pop_front() {
-                // The head defines the group. Assigned-sequence and
-                // cross-shard prepares commit alone; plain batches fuse
-                // with following plain batches, up to the group caps.
-                let exclusive = head.assigned.is_some() || head.cross.is_some();
+                // The head defines the group. An assigned-sequence batch
+                // commits alone; plain batches fuse with following plain
+                // batches, up to the group caps.
+                let exclusive = head.assigned.is_some();
                 let mut bytes: usize = head
                     .ops
                     .iter()
@@ -400,7 +390,7 @@ impl DbCore {
                 members.push(head);
                 while !exclusive && members.len() < MAX_GROUP_BATCHES && bytes < MAX_GROUP_BYTES {
                     match q.queue.front() {
-                        Some(next) if next.assigned.is_none() && next.cross.is_none() => {
+                        Some(next) if next.assigned.is_none() => {
                             let next = q.queue.pop_front().expect("front just checked");
                             bytes += next
                                 .ops
@@ -450,43 +440,44 @@ impl DbCore {
         inner: &mut Inner,
         members: &[Arc<WriteRequest>],
     ) -> Result<Vec<ClaimedWrite>> {
-        // If an earlier maintenance failure left the on-disk manifest not
-        // naming the live WAL set (a flush that rotated the log but died
-        // before its manifest rewrite), repair it before acknowledging:
-        // this group's record would otherwise sit in a log a crash never
-        // replays. Failing the repair fails the group — unacknowledged.
-        if self.manifest_dirty.load(Ordering::Acquire) {
-            self.write_manifest(inner)?;
-        }
         let head = &members[0];
         let first_seq = head.assigned.unwrap_or(inner.seq + 1);
         let total: usize = members.iter().map(|m| m.ops.len()).sum();
         let last_seq = first_seq + total as SeqNo - 1;
-        // One fused, CRC-framed record for the whole group; replay is
-        // all-or-nothing and indistinguishable from one large batch, which
-        // is safe because no member was acknowledged unless the whole
-        // record landed. Members pre-encoded their regions off-path; a
-        // cross-shard prepare (always a group of one) differs only in the
-        // record header.
-        let parts: Vec<&[u8]> = members.iter().map(|m| m.encoded.as_slice()).collect();
-        let framed = inner
-            .wal
-            .append_encoded(first_seq, total, &parts, head.cross.as_ref())?;
-        self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
-        if members.iter().any(|m| m.sync) {
-            let sync_started = self.obs.as_ref().map(|_| Instant::now());
-            inner.wal.sync()?;
-            self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
-            if let (Some(obs), Some(started)) = (self.obs.as_deref(), sync_started) {
-                let ns = started.elapsed().as_nanos() as u64;
-                obs.ops.sync_wait.record(ns);
-                obs.emit(EventKind::WalSync, 0, ns, 0);
+        // If an earlier maintenance failure left the on-disk manifest not
+        // naming the live WAL set (a flush that rotated the log but died
+        // before its manifest rewrite), repair it before acknowledging: this
+        // group's record would otherwise sit in a log a crash never
+        // replays. Failing the repair fails the group — unacknowledged.
+        if inner.wal.is_some() && self.manifest_dirty.load(Ordering::Acquire) {
+            self.write_manifest(inner)?;
+        }
+        let mut framed = 0;
+        if let Some(wal) = inner.wal.as_mut() {
+            // One fused, CRC-framed record for the whole group; replay is
+            // all-or-nothing and indistinguishable from one large batch,
+            // which is safe because no member was acknowledged unless the
+            // whole record landed. Members pre-encoded their regions
+            // off-path.
+            let parts: Vec<&[u8]> = members.iter().map(|m| m.encoded.as_slice()).collect();
+            framed = wal.append_encoded(first_seq, total, &parts)?;
+            self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
+            self.stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
+            if members.iter().any(|m| m.sync) {
+                let sync_started = self.obs.as_ref().map(|_| Instant::now());
+                wal.sync()?;
+                self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                if let (Some(obs), Some(started)) = (self.obs.as_deref(), sync_started) {
+                    let ns = started.elapsed().as_nanos() as u64;
+                    obs.ops.sync_wait.record(ns);
+                    obs.emit(EventKind::WalSync, 0, ns, 0);
+                }
             }
         }
         if let Some(obs) = self.obs.as_deref() {
             obs.emit(EventKind::WriteGroupCommit, 0, members.len() as u64, framed);
         }
+        inner.mem_first.get_or_insert(first_seq);
         inner.seq = inner.seq.max(last_seq);
         self.stats.write_groups.fetch_add(1, Ordering::Relaxed);
         self.stats

@@ -97,8 +97,8 @@ pub use stats::{CompactionBreakdown, DbStats, StatsSnapshot};
 // lives in `lsm-obs`; re-exported so engine users need no extra dep.
 pub use lsm_obs::{Event, EventKind, MetricsSnapshot, Observer, GLOBAL_SHARD};
 pub use types::{Entry, EntryKind, InternalKey, SeqNo};
-// The one byte codec: the WAL, the table footer, the bloom payload, the
-// commit marker and the server's wire protocol decode through it too.
+// The one byte codec: the WAL, the table footer, the bloom payload and
+// the server's wire protocol decode through it too.
 pub use learned_index::codec;
 
 use std::fmt;

@@ -20,7 +20,8 @@
 //! value from the batch straight into the list's value arena, where its node
 //! points. Under background maintenance a full buffer is **sealed**, not
 //! copied: its handle moves into an [`ImmutableMemTable`] on the flush queue
-//! beside the name of the WAL file that made it durable, and a fresh
+//! beside the name of the WAL file that made it durable (a shard of a
+//! sharded database has none: its writes are in the owner's log), and a fresh
 //! skiplist takes its place (`crates/lsm/src/db/maintenance.rs`). Nothing
 //! inserts into a sealed buffer — claims register on the active one under
 //! the tree lock the rotation holds — so the flush worker, readers and
@@ -215,8 +216,11 @@ pub struct ImmutableMemTable {
     /// (`MemTable::wait_quiescent`), and nothing inserts into it since.
     pub mem: MemTable,
     /// The WAL file that made these writes durable; retired after the
-    /// flushed SSTable is referenced by the manifest.
-    pub wal: String,
+    /// flushed SSTable is referenced by the manifest. `None` on a shard of
+    /// a sharded database, whose writes are in the owner's one log.
+    pub wal: Option<String>,
+    /// The sequence number of the first write claimed into the buffer.
+    pub first: SeqNo,
 }
 
 #[cfg(test)]
@@ -364,11 +368,12 @@ mod tests {
         let bytes = m.approximate_bytes();
         let imm = ImmutableMemTable {
             mem: m.clone(),
-            wal: "000003.wal".into(),
+            wal: Some("000003.wal".into()),
+            first: 2,
         };
         drop(m);
         assert_eq!(imm.mem.approximate_bytes(), bytes);
-        assert_eq!(imm.wal, "000003.wal");
+        assert_eq!(imm.wal.as_deref(), Some("000003.wal"));
         assert_eq!(imm.mem.len(), 3);
         // Read the way a `ReadView` reads a queued buffer.
         assert_eq!(imm.mem.get(1, MAX_VISIBLE), Some(Some(&b"v5"[..])));

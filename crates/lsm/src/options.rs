@@ -233,11 +233,6 @@ pub struct ShardedOptions {
     /// A shard is never split while its resident bytes are below this
     /// floor — splitting a near-empty shard only multiplies fixed costs.
     pub min_split_bytes: u64,
-    /// Commit-marker log size (bytes) past which a runtime checkpoint is
-    /// triggered: every shard is flushed and markers below the flush
-    /// watermark are dropped, bounding the log without a reopen. `0`
-    /// disables runtime checkpointing (reopen still truncates).
-    pub commit_log_checkpoint_bytes: u64,
     /// Engine options applied to every shard.
     pub base: Options,
 }
@@ -255,7 +250,6 @@ impl ShardedOptions {
             auto_split: false,
             split_imbalance: 0.2,
             min_split_bytes: 4 * base.write_buffer_bytes as u64,
-            commit_log_checkpoint_bytes: 1 << 20,
             base,
         }
     }

@@ -156,7 +156,7 @@ impl MaintSignal {
 pub(crate) enum Work {
     Flush,
     Compaction,
-    /// The sharding layer's own split and marker-log checkpoint.
+    /// The sharding layer's own split and log maintenance.
     Sharding,
 }
 

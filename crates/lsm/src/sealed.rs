@@ -7,8 +7,7 @@
 //! truncate-and-rewrite has a window where the only copy is empty, which the
 //! crash-point matrix found immediately.) The per-shard manifest
 //! (`MANIFEST-`) and the sharding topology (`SHARDING-`) are both kept this
-//! way; the commit-marker log follows a different rule (a union of
-//! append-only generations) and has its own code.
+//! way.
 
 use lsm_io::Storage;
 
@@ -77,7 +76,7 @@ pub(crate) fn newest_valid(storage: &dyn Storage, prefix: &str) -> Result<Option
 /// pre-epoch, unsealed form of the file, which nothing reads any more. With
 /// no epoch file to adopt, its presence is a typed error — never "no file",
 /// which an open takes for a fresh database and sweeps the directory.
-pub(crate) fn refuse_unsealed(storage: &dyn Storage, prefix: &str) -> Result<()> {
+fn refuse_unsealed(storage: &dyn Storage, prefix: &str) -> Result<()> {
     let stem = prefix.trim_end_matches('-');
     if storage.exists(stem) {
         return Err(Error::Corruption(format!(

@@ -29,10 +29,10 @@
 //! * **Cross-shard atomic batches** ([`split`]) — a [`WriteBatch`] is
 //!   split per shard and committed under one *shared sequence fence*: the
 //!   whole batch gets one contiguous global sequence range (each shard a
-//!   sub-range, one group-commit WAL record per touched shard), and the
-//!   fence's published ceiling advances only after every shard has
-//!   applied. Snapshots and scans read at the published fence, pinned
-//!   without the commit lock (see *Visibility*), so a multi-shard batch is
+//!   sub-range) and one record in the database's one log, and the fence's
+//!   published ceiling advances only after every shard has applied.
+//!   Snapshots and scans read at the published fence, pinned without the
+//!   commit lock (see *Visibility*), so a multi-shard batch is
 //!   **all-or-nothing visible** to every multi-key view.
 //! * **Coherent snapshots** ([`ShardedSnapshot`]) — one RAII handle
 //!   capturing every shard at the same published fence **and at the
@@ -51,11 +51,11 @@
 //!   split children join and retired parents leave the rotation live),
 //!   and split evaluation itself runs as a background maintenance step on
 //!   the same pool.
-//! * **Coordinated crash recovery** — each shard keeps its own manifest +
-//!   WALs in its own `shard-<id>/` directory (`lsm_io::PrefixedStorage`),
-//!   and a recovery coordinator in [`ShardedDb::open`] resolves
-//!   cross-shard batches to committed/aborted before the fence resumes
-//!   (see below).
+//! * **One log, replayed once** — each shard keeps its manifest and tables
+//!   in its own `shard-<id>/` directory (`lsm_io::PrefixedStorage`) and
+//!   no log of its own; the database's one log lives at the root, and
+//!   [`ShardedDb::open`] replays it into the shards before the fence
+//!   resumes (see below).
 //!
 //! ## The split protocol (dual-write window + one-epoch cutover)
 //!
@@ -66,16 +66,17 @@
 //!    (which is what puts them in the worker pool's rotation), and a drain
 //!    snapshot of the parent is pinned at the current fence `F₀`.
 //!    From this moment the **dual-write window** is open: every committed
-//!    write routed to the parent is *also* applied to the matching child
-//!    (same global sequence sub-range, plain WAL records), while reads
-//!    keep resolving through the parent.
+//!    write routed to the parent is *also* applied to the matching child's
+//!    memtable (same global sequence sub-range; the log holds it once, as
+//!    the parent's), while reads keep resolving through the parent.
 //! 2. **Drain** (no lock): the parent's pinned image is iterated and
 //!    copied into the children — keys `< m` left, `≥ m` right — with
 //!    sequence numbers `1..=n ≤ F₀`, i.e. strictly below every
 //!    dual-written version, so "newest version wins" merges the drain and
 //!    the window correctly no matter how they interleave.
-//! 3. **Cutover** (under the commit lock): the children are flushed
-//!    durable, the topology is sealed at `epoch+1` (the **single**
+//! 3. **Cutover** (under the commit lock): the children are flushed (the
+//!    log holds none of their drained entries; children that still buffer
+//!    defer the cutover), the topology is sealed at `epoch+1` (the **single**
 //!    storage-visible commit point of the split), the in-memory routing
 //!    state is swapped, and the parent leaves the worker rotation. The
 //!    parent directory is retired best-effort; recovery sweeps leftovers.
@@ -92,51 +93,34 @@
 //! are incomplete, so they are abandoned); it never fails the client's
 //! commit, because the parent — still the routed truth — applied it.
 //!
-//! ## Crash atomicity: the prepare/commit protocol
+//! ## Crash atomicity: one log
 //!
-//! Per-shard WALs are independent, so without coordination a crash
-//! between two shards' appends would resurrect a torn batch after
-//! recovery. Cross-shard batches therefore commit in two steps:
+//! The database keeps one log of `NNNNNN.wal` files at its root ([`log`]).
+//! A commit appends one record holding the batch's ops grouped by shard in
+//! routing order — op `i` at `first + i`, so each shard's part sits at its
+//! sub-range — and syncs it when `WriteOptions::sync` asks; only then do
+//! the shards apply their parts, logging nothing themselves. The record is
+//! the batch's commit point: a torn or CRC-corrupt frame is no record, so a
+//! reopen replays the whole batch or none of it (RocksDB makes
+//! cross-column-family batches atomic the same way, with one WAL every
+//! family shares).
 //!
-//! 1. **Prepare** — each touched shard's group-commit WAL record is
-//!    written as a *prepare* record (format 2), tagged with the batch's
-//!    global sequence range and participant set of **stable shard ids**
-//!    (ids survive topology changes, so a prepare written at epoch `e`
-//!    still resolves after any number of splits).
-//! 2. **Commit** — after every prepare is appended, one marker record in
-//!    the per-database [`commit`] log (`COMMIT-<n>`, at the root next to
-//!    the topology files) seals the batch, stamped with the topology
-//!    epoch it was routed at. That single CRC-framed append is the
-//!    batch's commit point. Only then does the fence publish the batch.
+//! A shard's manifest records `flushed <seq>`: every op routed to it at or
+//! below `seq` is in its tables. [`ShardedDb::open`] opens every shard from
+//! its tables, replays the log once — each op routed by key through the
+//! last sealed topology and applied only above its shard's `flushed` —,
+//! re-logs the records that still carry an op into a fresh file (a range
+//! already read is a copy, skipped whichever file holds it), and resumes
+//! the fence at the highest sequence seen. A log file is retired
+//! once no shard holds an unflushed op at or below its last sequence; once
+//! the live files pass a constant multiple of the write buffer, the shard
+//! holding the oldest unflushed op is flushed, so a shard that stops
+//! taking writes cannot pin the log.
 //!
-//! On [`ShardedDb::open`], the recovery coordinator reads the marker log
-//! once (the union of all generations), then recovers every shard with a
-//! resolver: a replayed prepare whose marker is present is applied (and
-//! re-logged as a plain record); one whose marker is absent — the crash
-//! landed anywhere before the seal, including mid-marker (a torn marker
-//! is no marker) — is suppressed on every shard, so the batch aborts
-//! everywhere. Single crash, crash during recovery, crash during the
-//! recovery of *that* recovery: the resolution is idempotent, because
-//! markers are truncated only after every shard has re-opened and
-//! re-logged its surviving fragments as self-certifying plain records.
-//! [`RecoveryReport`] says what the coordinator decided, and how many
-//! orphaned split directories were swept.
-//!
-//! The marker log is additionally **checkpointed at runtime**: once it
-//! grows past [`crate::ShardedOptions::commit_log_checkpoint_bytes`],
-//! every shard is flushed and markers below the flush watermark are
-//! dropped into a fresh generation (`CommitLog::checkpoint`),
-//! so long-lived heavy cross-shard traffic no longer grows it without
-//! bound.
-//!
-//! Two scope notes. Batches that touch a single shard skip the marker
-//! (their one WAL record is already all-or-nothing on replay). And with
-//! `sync = false`, "crash" means the
-//! storage-operation prefix model the harness tests (an OS that reorders
-//! unsynced appends across files can still tear a batch — same caveat as
-//! LevelDB); `WriteOptions::durable` closes that too, syncing every
-//! prepare before the marker is sealed.
-//!
+//! With `sync = false`, "crash" means the storage-operation prefix model
+//! the harness tests; `WriteOptions::durable` syncs the record before the
+//! batch is acknowledged.
+
 //! ## Visibility (in-process)
 //!
 //! The fence makes cross-shard batches atomically visible **to multi-key
@@ -160,9 +144,8 @@
 //! under the commit lock, and never while it holds part of the batch in
 //! flight: admission control seals it before that part lands, and every
 //! synchronous-mode inline flush runs after the fence publish
-//! (`Db::flush_deferred`), as a cross-shard prepare's already had to. A
-//! split's children flush at once — no reader can pin them before the
-//! cutover.
+//! (`Db::flush_deferred`). A split's children flush at once — no reader can
+//! pin them before the cutover.
 //!
 //! Bare point [`ShardedDb::get`]s read the owning shard's latest applied
 //! state and make no cross-key promise (two separate `get`s are not a
@@ -170,16 +153,16 @@
 //! `get` that races a topology cutover re-checks the epoch and retries,
 //! so it never returns a value staler than the shard that owned the key
 //! when the read began. A
-//! storage error mid-commit poisons the write path (reads stay
+//! failed log append or sync poisons the write path (reads stay
 //! available), so no *later* commit can ever publish a fence past the
-//! orphaned sub-batches — and since the batch was never sealed, a reopen
-//! aborts it everywhere.
+//! failed batch — and a reopen replays it whole if its record landed,
+//! and not at all if it did not.
 //!
 //! [`WriteBatch`]: crate::batch::WriteBatch
 //! [`Maintenance::Background`]: crate::options::Maintenance::Background
 
-pub mod commit;
 mod commit_path;
+mod log;
 pub mod merge;
 mod open;
 pub mod router;
@@ -187,6 +170,7 @@ pub mod split;
 mod stats;
 pub mod topology;
 
+pub use log::LOG_BOUND_BUFFERS;
 pub use merge::ShardedDbIterator;
 pub use open::RecoveryReport;
 pub use router::{imbalance, ShardRouter};
@@ -360,17 +344,17 @@ struct ShardedCore {
     /// allocator + boundary set).
     topology: Mutex<Topology>,
     fence: SeqFence,
-    /// The commit lock (serializes cross-shard commits — the fence
-    /// publishes in allocation order because of it) and the poison flag
-    /// (set when a commit failed after touching some shards: writes and
-    /// flushes are refused so the partial batch can neither become
-    /// visible nor durable in this process). Shared with every shard so
-    /// even a flush through [`ShardedDb::shard`] honours both.
+    /// The commit lock (serializes commits — the log's records and the
+    /// fence's publishes are in allocation order because of it) and the
+    /// poison flag (set when a log append or sync failed: writes and
+    /// flushes are refused so a partial batch can neither become visible
+    /// nor durable in this process). Shared with every shard so even a
+    /// flush through [`ShardedDb::shard`] honours both.
     coordination: Arc<CommitCoordination>,
-    /// Commit-marker log sealing cross-shard batches. Appends happen under
-    /// the commit lock; the mutex only satisfies `&self` mutability.
-    commit_log: Mutex<commit::CommitLog>,
-    /// What recovery resolved when this handle was opened.
+    /// The database's one log. Appends happen under the commit lock; the
+    /// mutex only satisfies `&self` mutability.
+    log: Mutex<log::ShardedLog>,
+    /// What the open found.
     recovery: RecoveryReport,
     /// Shared wakeup channel: every shard's rotations/installs bump it,
     /// the global workers and stalled writers wait on it.
@@ -378,8 +362,9 @@ struct ShardedCore {
     shutdown: Arc<AtomicBool>,
     /// The split in flight, if any (at most one at a time).
     pending: Mutex<Option<Arc<PendingSplit>>>,
-    /// The sharding layer's own counters (splits, checkpoints), merged
-    /// into [`ShardedDb::stats`] alongside the per-shard blocks.
+    /// The sharding layer's own counters (splits, the log's appends and
+    /// syncs), merged into [`ShardedDb::stats`] alongside the per-shard
+    /// blocks.
     own_stats: DbStats,
     /// The shared event sink when `opts.base.observability` is on. Every
     /// shard's [`EngineObs`] emits into this one bounded event buffer; the
@@ -395,8 +380,8 @@ struct ShardedCore {
     cache: Option<Arc<BlockCache>>,
     /// Write-batch counter driving the synchronous-mode split check.
     write_ticks: AtomicU64,
-    /// The sharding layer's own standing background error (failed split
-    /// or checkpoint) — never a commit error, those surface directly.
+    /// The sharding layer's own standing background error (a failed
+    /// split) — never a commit error, those surface directly.
     bg_error: BgError,
 }
 
@@ -513,11 +498,14 @@ impl ShardedDb {
     // ------------------------------------------------- flush / maintenance
 
     /// Flush every shard's memtable (and, under background maintenance,
-    /// wait for the queues to drain).
+    /// wait for the queues to drain), then retire the log files no shard
+    /// needs any more.
     pub fn flush(&self) -> Result<()> {
         let core = &self.core;
         let pick = || core.current_state().shards.clone();
-        Db::flush_all(Some(&core.coordination), pick).map(drop)
+        Db::flush_all(Some(&core.coordination), pick)?;
+        let _commit = core.coordination.enter()?;
+        core.maintain_log(&core.current_state())
     }
 
     fn each_shard(&self, f: impl Fn(&Db)) {
@@ -550,8 +538,7 @@ impl ShardedDb {
     }
 
     /// The most recent background error: a shard worker's, or the
-    /// sharding layer's own (a failed background split or marker-log
-    /// checkpoint).
+    /// sharding layer's own (a failed background split).
     pub fn background_error(&self) -> Option<String> {
         if let Some(e) = self.core.bg_error.get() {
             return Some(e);
@@ -604,12 +591,10 @@ impl ShardedDb {
         self.core.current_state()
     }
 
-    /// One shard's engine by routing position (read-only introspection;
-    /// writing through a shard directly bypasses the fence's sequence
-    /// allocation and is not supported). Shard-level [`Db::flush`] and
-    /// [`Db::write`] do serialize against cross-shard commits and refuse
-    /// while the write path is poisoned, so even a misuse can never
-    /// persist an unsealed prepare fragment into an SSTable.
+    /// One shard's engine by routing position (read-only introspection).
+    /// Its [`Db::write`] is refused: a write that bypassed the database's
+    /// log would be lost by a crash. Its [`Db::flush`] serializes against
+    /// commits and refuses while the write path is poisoned.
     pub fn shard(&self, pos: usize) -> Arc<Db> {
         Arc::clone(self.core.current_state().shard(pos))
     }
@@ -637,8 +622,8 @@ impl ShardedDb {
         self.core.fence.visible.load(Ordering::Acquire)
     }
 
-    /// What the recovery coordinator resolved when this handle was opened
-    /// (all zeros after a clean shutdown or a fresh create).
+    /// What the open found: the topology epoch it resumed at and the
+    /// orphaned split directories it swept.
     pub fn recovery_report(&self) -> RecoveryReport {
         self.core.recovery
     }
@@ -669,10 +654,10 @@ impl ShardedDb {
             .unwrap_or(crate::WritePressure::Clear)
     }
 
-    /// Whether a cross-shard commit failed mid-way in this process:
+    /// Whether a commit's log append or sync failed in this process:
     /// writes and flushes are refused (with a typed error) until the
-    /// database is reopened, which resolves the partial batch through
-    /// recovery. Reads keep working.
+    /// database is reopened, which replays the batch whole if its record
+    /// landed. Reads keep working.
     pub fn poisoned(&self) -> bool {
         self.core.coordination.poisoned.load(Ordering::Acquire)
     }

@@ -1,31 +1,26 @@
-//! Opening a sharded database: adopting the last sealed topology, the
-//! recovery coordinator that resolves cross-shard prepares before the
+//! Opening a sharded database: adopting the last sealed topology, every
+//! shard from its tables, one replay of the database's log before the
 //! fence resumes, the shared worker pool, and split children
 //! (ARCHITECTURE.md §4–5).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use super::{commit, RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology};
+use super::{log, RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology};
 use crate::cache::BlockCache;
 use crate::db::{CommitCoordination, Db, DbCore, Embedding};
 use crate::options::{Maintenance, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler, Step, Work};
 use crate::stats::DbStats;
-use crate::wal::CrossBatchTag;
-use crate::{Error, Result};
+use crate::Result;
 use lsm_io::{CostModel, MemStorage, PrefixedStorage, SimStorage, Storage};
 use lsm_obs::{EngineObs, Observer, DEFAULT_EVENT_CAPACITY};
 
-/// What the recovery coordinator resolved during [`ShardedDb::open`].
+/// What [`ShardedDb::open`] found.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Prepare fragments whose batch was sealed: replayed.
-    pub committed_fragments: u64,
-    /// Fragments of unsealed batches: suppressed everywhere.
-    pub aborted_fragments: u64,
     /// The topology epoch the database resumed at.
     pub topology_epoch: u64,
     /// Orphaned shard directories swept: children of a split whose
@@ -40,10 +35,13 @@ impl ShardedDb {
     /// epoch-1 topology and persists it. An existing one adopts the
     /// **last sealed topology** — whatever shard count and boundaries
     /// live splitting left behind; `opts.shards` is only the creation
-    /// default — sweeps any orphaned split directories, and recovers
-    /// every shard from its own `shard-<id>/` manifest + WALs through
-    /// the cross-shard recovery coordinator.
+    /// default — sweeps any orphaned split directories, opens every shard
+    /// from the tables its `shard-<id>/` manifest names, and replays the
+    /// database's one log into them. A store that keeps a log per shard
+    /// (or a `COMMIT-<n>` marker log) is refused with `Corruption` naming
+    /// the file.
     pub fn open(storage: Arc<dyn Storage>, opts: ShardedOptions) -> Result<ShardedDb> {
+        log::refuse_per_shard_logs(storage.as_ref())?;
         let requested = opts.shards.max(1);
         let topo = match Topology::load(storage.as_ref())? {
             Some(topo) => topo,
@@ -71,21 +69,6 @@ impl ShardedDb {
             .observability
             .then(|| Arc::new(Observer::new(DEFAULT_EVENT_CAPACITY)));
 
-        // Recovery coordination: read the commit-marker log once (union
-        // of all generations), then recover every shard with a resolver
-        // that applies a replayed cross-shard prepare fragment only if
-        // its batch was sealed. A crash anywhere before the seal aborts
-        // the batch on every shard.
-        let markers = commit::read_markers(storage.as_ref())?;
-        if markers.max_epoch > topo.epoch {
-            return Err(Error::Corruption(format!(
-                "commit marker names topology epoch {} but the last sealed topology is epoch {}",
-                markers.max_epoch, topo.epoch
-            )));
-        }
-        let committed_fragments = AtomicU64::new(0);
-        let aborted_fragments = AtomicU64::new(0);
-
         // One cache, one budget, every shard.
         let shared_cache = BlockCache::from_options(&opts.base);
 
@@ -96,38 +79,11 @@ impl ShardedDb {
                 Topology::shard_dir(id),
             ));
             let pool = background.then(|| (Arc::clone(&signal), Arc::clone(&shutdown)));
-            let resolver = |tag: &CrossBatchTag| -> Result<bool> {
-                // A prepare can only legitimately sit on a shard its
-                // participant set names — anything else means a log file
-                // landed in the wrong shard directory (or was tampered
-                // with), and silently resolving it would apply sequence
-                // numbers the fence never routed here. Participant sets
-                // name stable ids, so this check survives any number of
-                // topology epochs.
-                if !tag.participants.contains(&id) {
-                    return Err(Error::Corruption(format!(
-                        "shard {id} replayed a prepare for batch \
-                         {}..={} whose participant set {:?} excludes it",
-                        tag.global_first, tag.global_last, tag.participants
-                    )));
-                }
-                let sealed = markers
-                    .ranges
-                    .contains(&(tag.global_first, tag.global_last));
-                let counter = if sealed {
-                    &committed_fragments
-                } else {
-                    &aborted_fragments
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                Ok(sealed)
-            };
             let obs = observer
                 .as_ref()
                 .map(|o| Arc::new(EngineObs::new(Arc::clone(o), id)));
             let embedding = Embedding {
                 pool,
-                resolver: Some(&resolver),
                 coordination: Some(Arc::clone(&coordination)),
                 obs,
                 cache: shared_cache.clone(),
@@ -136,26 +92,24 @@ impl ShardedDb {
             shards.push(Arc::new(shard));
         }
 
-        // Every shard has re-opened: surviving fragments were re-logged as
-        // plain (self-certifying) records, so no marker is load-bearing
-        // any more. Start a fresh marker-log generation and retire the
-        // old ones — this is also what keeps recovery idempotent if
-        // *this* open crashes: until every shard above has reopened, the
-        // markers stay on disk for the next attempt to resolve the
-        // remaining prepares identically.
-        let commit_log = commit::CommitLog::create(storage.as_ref(), markers.next_generation)?;
-        for old in &markers.files {
-            let _ = storage.remove(old);
-        }
+        // Replay the log once, routing each op through the sealed topology
+        // to the shard its tables do not hold it in yet; the fence resumes
+        // at the highest sequence seen.
+        let router = topo.router();
+        let buffer = opts.base.write_buffer_bytes;
+        let (log, logged) = log::recover(Arc::clone(&storage), buffer, |record| {
+            let ops = (record.first_seq..).zip(&record.ops);
+            // Every op is offered to its shard: none may be skipped.
+            ops.fold(false, |applied, (seq, op)| {
+                shards[router.shard_of(op.key)].replay(op, seq) | applied
+            })
+        })?;
         let recovery = RecoveryReport {
-            committed_fragments: committed_fragments.load(Ordering::Relaxed),
-            aborted_fragments: aborted_fragments.load(Ordering::Relaxed),
             topology_epoch: topo.epoch,
             orphan_shards_swept: orphans.len() as u64,
         };
-
-        // The fence resumes from the highest sequence any shard recovered.
-        let max_seq = shards.iter().map(|d| d.latest_seq()).max().unwrap_or(0);
+        let shard_max = shards.iter().map(|d| d.latest_seq()).max().unwrap_or(0);
+        let max_seq = shard_max.max(logged);
         let fence = SeqFence {
             next: AtomicU64::new(max_seq),
             visible: AtomicU64::new(max_seq),
@@ -164,7 +118,7 @@ impl ShardedDb {
         let state = Arc::new(RoutingState {
             epoch: topo.epoch,
             ids: topo.ids.clone(),
-            router: topo.router(),
+            router,
             shards,
         });
         let next_shard_id = AtomicU32::new(topo.next_id as u32);
@@ -175,7 +129,7 @@ impl ShardedDb {
             topology: Mutex::new(topo),
             fence,
             coordination,
-            commit_log: Mutex::new(commit_log),
+            log: Mutex::new(log),
             recovery,
             signal: Arc::clone(&signal),
             shutdown: Arc::clone(&shutdown),
@@ -279,7 +233,6 @@ impl ShardedCore {
             .map(|o| Arc::new(EngineObs::new(Arc::clone(o), id)));
         let embedding = Embedding {
             pool,
-            resolver: None,
             coordination: Some(Arc::clone(&self.coordination)),
             obs,
             // Children join the shared budget.

@@ -353,7 +353,7 @@ impl ShardedCore {
                 drain_seq <= snap_seq,
                 "drain seqs must stay below the pin fence"
             );
-            child.write_assigned(std::mem::take(chunk), &child_opts, first, None)?;
+            child.write_assigned(std::mem::take(chunk), &child_opts, first)?;
             // No reader can pin a child before the cutover: it flushes at once.
             child.flush_deferred()
         };
@@ -407,7 +407,10 @@ impl ShardedCore {
             return Ok(false);
         }
         // The children must be durable before any topology names them: a
-        // crash right after the seal recovers *only* through them.
+        // crash right after the seal recovers *only* through them, and
+        // nothing logs their drained entries — they must be in tables a
+        // sealed manifest names. Paused flushes leave them buffering: the
+        // cutover waits.
         let made_durable = (|| -> Result<()> {
             p.left.begin_flush()?;
             p.right.begin_flush()?;
@@ -418,6 +421,9 @@ impl ShardedCore {
         if let Err(e) = made_durable {
             self.cleanup_cancelled(&p);
             return Err(e);
+        }
+        if p.left.unflushed_from().is_some() || p.right.unflushed_from().is_some() {
+            return Ok(false);
         }
         let state = self.current_state();
         let mut topo_guard = self.topology.lock();

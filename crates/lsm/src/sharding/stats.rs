@@ -12,7 +12,7 @@ use lsm_obs::MetricsSnapshot;
 #[derive(Debug, Clone)]
 pub struct ShardedStats {
     /// Engine counters summed across every shard (plus the sharding
-    /// layer's own split/checkpoint counters).
+    /// layer's own: splits, and the log's appends, bytes and syncs).
     pub merged: StatsSnapshot,
     /// The current topology epoch.
     pub topology_epoch: u64,
@@ -25,23 +25,19 @@ pub struct ShardedStats {
     pub resident_entries: Vec<u64>,
     /// `max/mean - 1` over `resident_bytes`.
     pub resident_imbalance: f64,
-    /// Markers live in the active commit-log generation.
-    pub live_commit_markers: usize,
 }
 
 impl ShardedStats {
     /// The scrape's counters: every merged engine counter, then
-    /// `topology_epoch`, `live_commit_markers`, and per shard in routing
+    /// `topology_epoch`, and per shard in routing
     /// order `shard{id}_resident_bytes` / `shard{id}_resident_entries`
     /// (the `level{N}_…` convention, keyed by stable id). The two ratios
     /// are not carried — `resident_imbalance` is a function of the
     /// per-shard bytes, [`StatsSnapshot::write_amplification`] one of
     /// `flush_bytes_written` and `compact_bytes_written`.
     pub fn counter_pairs(&self) -> Vec<(String, u64)> {
-        let markers = self.live_commit_markers as u64;
         let mut out = self.merged.counter_pairs();
         out.push(("topology_epoch".into(), self.topology_epoch));
-        out.push(("live_commit_markers".into(), markers));
         for (pos, id) in self.shard_ids.iter().enumerate() {
             let (bytes, entries) = (self.resident_bytes[pos], self.resident_entries[pos]);
             out.push((format!("shard{id}_resident_bytes"), bytes));
@@ -88,7 +84,6 @@ impl ShardedDb {
             resident_imbalance: imbalance(&resident_bytes),
             resident_bytes,
             resident_entries,
-            live_commit_markers: self.core.commit_log.lock().live_markers(),
         }
     }
 

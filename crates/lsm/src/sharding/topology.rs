@@ -6,10 +6,8 @@
 //! topology a *versioned* artifact instead:
 //!
 //! * Every shard has a **stable id** — the number in its `shard-<id>/`
-//!   directory — that never changes across topology epochs. Cross-shard
-//!   prepare records and their participant sets name stable ids, so a
-//!   prepare written at epoch `e` still resolves correctly after any
-//!   number of splits shifted routing positions around.
+//!   directory — that never changes across topology epochs, however many
+//!   splits shift routing positions around.
 //! * The topology itself (epoch, routing order of stable ids, boundary
 //!   set, id allocator) is persisted as a CRC-sealed `SHARDING-<epoch>`
 //!   file, exactly like the per-shard epoch'd manifests: a change writes
@@ -35,8 +33,7 @@
 //!    swept.
 //! 4. **Pinned** — snapshots resolve reads through the epoch they were
 //!    created under, so a later cutover cannot reroute what they see;
-//!    cross-shard commit markers are stamped with their routing epoch
-//!    and validated against the last sealed one on recovery.
+//!    a reopen routes the log's records through the last sealed one.
 //!
 //! The boundary set in the sealed file is everything routing needs — the
 //! router ([`ShardRouter`]) is a binary search over it — so nothing else
@@ -145,13 +142,13 @@ impl Topology {
 
     /// Load the newest sealed topology: the highest `SHARDING-<epoch>`
     /// whose CRC footer validates. `Ok(None)` means a fresh database. A
-    /// fresh create seals its topology before any shard directory exists,
-    /// so shard files with no topology mean it was lost: `Corruption`,
-    /// where opening as fresh would sweep them.
+    /// fresh create seals its topology before any shard directory or log
+    /// exists, so shard files or a log with no topology mean it was lost:
+    /// `Corruption`, where opening as fresh would sweep them.
     pub(crate) fn load(storage: &dyn Storage) -> Result<Option<Topology>> {
         let Some((epoch, text)) = sealed::newest_valid(storage, TOPOLOGY_PREFIX)? else {
             let mut names = storage.list()?.into_iter();
-            return match names.find(|n| n.starts_with("shard-")) {
+            return match names.find(|n| n.starts_with("shard-") || n.ends_with(".wal")) {
                 Some(name) => Err(Error::Corruption(format!(
                     "{name} exists, but no {TOPOLOGY_PREFIX}<n> validates"
                 ))),

@@ -254,9 +254,6 @@ engine_counters! {
         /// [`crate::sharding::ShardedDb`]'s own stats block, merged into
         /// `ShardedDb::stats()`).
         SUM shard_splits,
-        /// Runtime commit-marker log checkpoints (markers below the flush
-        /// watermark dropped without a reopen).
-        SUM commit_checkpoints,
     }
     cache {
         SUM cache_block_hits = block_hits,
@@ -482,7 +479,7 @@ mod tests {
             compact_model_write_ns compact_bytes_read compact_bytes_written \
             seals_off_thread scans scan_entries stall_slowdowns stall_stops stall_ns imm_rotations imm_queue_peak \
             bg_flush_ns bg_compact_ns bg_errors writes_during_maintenance shard_splits \
-            commit_checkpoints cache_block_hits cache_block_misses cache_block_evictions \
+            cache_block_hits cache_block_misses cache_block_evictions \
             cache_used_bytes cache_capacity_bytes";
         let mut want: Vec<String> = SCALARS.split_whitespace().map(String::from).collect();
         let groups = [

@@ -14,10 +14,6 @@
 //! ```text
 //! frame   = [crc32 u32][payload_len u32][payload]
 //! payload = [format u8 = 1][first_seq u64][count u32] count × op
-//!         | [format u8 = 2][first_seq u64][count u32]
-//!           [global_first u64][global_last u64]
-//!           [participant_count u16] participant_count × [shard u16]
-//!           count × op                                   (cross-shard)
 //! op      = [kind u8][user_key u64][value_len u32][value bytes]
 //! ```
 //!
@@ -25,22 +21,16 @@
 //! batch occupies one contiguous sequence range. The `format` byte versions
 //! the payload encoding; replay rejects formats it does not understand.
 //!
-//! Format 2 is the **cross-shard prepare record**: the fragment of a
-//! multi-shard batch that landed on this shard, tagged with the batch's
-//! *global* sequence range and the set of participant shards. A prepare
-//! record is not self-certifying — whether it replays is decided by the
-//! recovery coordinator against the per-database `COMMIT` marker log (see
-//! [`crate::sharding`]): marker present → the batch committed everywhere,
-//! apply; marker absent → the commit never sealed, suppress the fragment.
-//! Format-1 records always apply (single-shard commits are sealed by their
-//! own frame CRC).
+//! A [`crate::sharding::ShardedDb`] keeps one log of these records for all
+//! its shards: a cross-shard batch is one record, its ops grouped by shard
+//! in routing order, so its crash atomicity is the frame's own.
 //!
 //! The writer builds each record in one reused buffer: the 8-byte frame
 //! header is reserved in front, the payload written behind it, and the CRC
 //! and length filled in last. [`crc32`] folds 64 bytes a step with
 //! carry-less multiplies on x86-64 hosts that have them and falls back to
 //! slicing-by-8 tables elsewhere; it frames every WAL record, manifest and
-//! topology seal and commit marker, and checks them again on replay.
+//! topology seal, and checks them again on replay.
 
 use crate::batch::BatchOp;
 use crate::codec::{self, Reader};
@@ -48,42 +38,25 @@ use crate::types::{EntryKind, SeqNo};
 use crate::{Error, Result};
 use lsm_io::{Storage, WritableFile};
 
-/// WAL payload format for plain (single-shard) batches.
+/// WAL payload format of a batch record.
 pub const BATCH_FORMAT: u8 = 1;
-
-/// WAL payload format for cross-shard prepare records.
-pub const CROSS_BATCH_FORMAT: u8 = 2;
 
 /// Fixed bytes of a batch payload before its operations.
 const BATCH_HEADER: usize = 1 + 8 + 4;
 
-/// Extra fixed bytes of a cross-shard payload before its participant list.
-const CROSS_HEADER: usize = 8 + 8 + 2;
-
-/// The cross-shard identity of a prepare record: which global batch this
-/// fragment belongs to and which shards participate in it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrossBatchTag {
-    /// First sequence number of the *whole* batch (across all shards).
-    pub global_first: SeqNo,
-    /// Last sequence number of the whole batch.
-    pub global_last: SeqNo,
-    /// **Stable shard ids** (the numbers in `shard-<id>/` directory
-    /// names) the batch touches, sorted and unique. Stable ids — not
-    /// routing positions — because the routing topology can change
-    /// between the prepare and its recovery (a live split shifts
-    /// positions around), while a shard's id and directory never move.
-    pub participants: Vec<u16>,
-}
-
-/// One decoded WAL record: its operations — operation `i` committed at
-/// `first_seq + i` — plus, for cross-shard prepare records, the tag the
-/// recovery coordinator resolves against the commit-marker log.
+/// One decoded WAL record: its operations, operation `i` committed at
+/// `first_seq + i`.
 #[derive(Debug, Clone)]
 pub struct ReplayedRecord {
     pub first_seq: SeqNo,
     pub ops: Vec<BatchOp>,
-    pub cross: Option<CrossBatchTag>,
+}
+
+impl ReplayedRecord {
+    /// The sequence number of the record's last operation.
+    pub fn last_seq(&self) -> SeqNo {
+        self.first_seq + self.ops.len() as SeqNo - 1
+    }
 }
 
 /// Fixed bytes of one operation before its value payload.
@@ -261,18 +234,6 @@ fn seal_frame(buf: &mut [u8]) {
     header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
 }
 
-/// Frame one record payload for a CRC-framed log:
-/// `[crc32 u32][payload_len u32][payload]`. Shared by the WAL and the
-/// sharding layer's commit-marker log so both encode (and therefore
-/// crash-tear) identically.
-pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&[0; 8]);
-    out.extend_from_slice(payload);
-    seal_frame(&mut out);
-    out
-}
-
 /// Encode a batch's per-op region — `[kind u8][key u64][value_len u32]
 /// [value]` per op: what follows the header of a record (ops carry no
 /// sequence numbers; replay derives them from the header's `first_seq`).
@@ -300,7 +261,7 @@ pub fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
 /// frame — a crash mid-append is expected, and everything behind the tear
 /// is by definition unsealed. What an intact payload *means* is the
 /// caller's business.
-pub(crate) struct FrameIter<'a> {
+struct FrameIter<'a> {
     rest: Reader<'a>,
 }
 
@@ -322,7 +283,7 @@ impl<'a> Iterator for FrameIter<'a> {
 }
 
 /// The intact frames of `data`, in append order.
-pub(crate) fn intact_frames(data: &[u8]) -> FrameIter<'_> {
+fn intact_frames(data: &[u8]) -> FrameIter<'_> {
     FrameIter {
         rest: Reader::new(data),
     }
@@ -358,7 +319,7 @@ impl WalWriter {
     /// length prefixes would write an undecodable frame and lose every
     /// batch behind it on replay.
     pub fn append_batch(&mut self, first_seq: SeqNo, ops: &[BatchOp]) -> Result<u64> {
-        self.append_encoded(first_seq, ops.len(), &[&encode_ops(ops)], None)
+        self.append_encoded(first_seq, ops.len(), &[&encode_ops(ops)])
     }
 
     /// Append one record over **pre-encoded** op regions ([`encode_ops`]),
@@ -372,17 +333,13 @@ impl WalWriter {
     /// cannot tell a fused record from a single large batch, so recovery
     /// stays all-or-nothing per *group* — which is safe precisely because
     /// the visible ceiling is only published once the whole group applied.
-    ///
-    /// `cross` tags the record as a cross-shard **prepare** (format 2,
-    /// which differs from format 1 only in its header): replay hands the
-    /// tag to the recovery coordinator instead of applying the fragment
-    /// unconditionally.
+    /// A sharded database's cross-shard batch is the same: one region per
+    /// touched shard, in routing order.
     pub fn append_encoded(
         &mut self,
         first_seq: SeqNo,
         count: usize,
         parts: &[&[u8]],
-        cross: Option<&CrossBatchTag>,
     ) -> Result<u64> {
         debug_assert!(count > 0, "empty batches are not logged");
         if count > u32::MAX as usize {
@@ -390,16 +347,10 @@ impl WalWriter {
                 "wal batch of {count} ops exceeds the record format"
             )));
         }
-        if cross.is_some_and(|t| t.participants.len() > u16::MAX as usize) {
-            return Err(Error::Corruption(
-                "wal cross-shard tag exceeds the record format".into(),
-            ));
-        }
-        let header = BATCH_HEADER + cross.map_or(0, |t| CROSS_HEADER + 2 * t.participants.len());
         let payload = parts
             .iter()
             .map(|p| p.len())
-            .fold(header, usize::saturating_add);
+            .fold(BATCH_HEADER, usize::saturating_add);
         if payload > u32::MAX as usize {
             return Err(Error::Corruption(format!(
                 "wal batch payload of {payload} bytes exceeds the record format"
@@ -409,22 +360,9 @@ impl WalWriter {
         // payload is in place: one buffer, one copy of the regions.
         self.buf.clear();
         self.buf.extend_from_slice(&[0; 8]);
-        let format = if cross.is_some() {
-            CROSS_BATCH_FORMAT
-        } else {
-            BATCH_FORMAT
-        };
-        codec::put_u8(&mut self.buf, format);
+        codec::put_u8(&mut self.buf, BATCH_FORMAT);
         codec::put_u64(&mut self.buf, first_seq);
         codec::put_u32(&mut self.buf, count as u32);
-        if let Some(tag) = cross {
-            codec::put_u64(&mut self.buf, tag.global_first);
-            codec::put_u64(&mut self.buf, tag.global_last);
-            codec::put_u16(&mut self.buf, tag.participants.len() as u16);
-            for &shard in &tag.participants {
-                codec::put_u16(&mut self.buf, shard);
-            }
-        }
         for p in parts {
             self.buf.extend_from_slice(p);
         }
@@ -445,17 +383,17 @@ impl WalWriter {
     }
 }
 
-/// Decode one intact batch payload into its operations and, for cross-shard
-/// prepare records, its resolution tag. The codec checks every length — a
+/// Decode one intact batch payload into its operations. The codec checks
+/// every length — a
 /// CRC-valid but malformed record is a clean corruption error, and the
 /// declared op count is bounded by the record's size before anything is
 /// reserved for it; the checks here are what the bytes mean.
 fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
     let mut r = Reader::new(body);
     let format = r.u8("wal format")?;
-    if format != BATCH_FORMAT && format != CROSS_BATCH_FORMAT {
+    if format != BATCH_FORMAT {
         return Err(Error::Corruption(format!(
-            "wal batch format {format} unsupported (expected {BATCH_FORMAT} or {CROSS_BATCH_FORMAT})"
+            "wal batch format {format} unsupported (expected {BATCH_FORMAT})"
         )));
     }
     let first_seq = r.u64("wal first_seq")?;
@@ -463,27 +401,6 @@ fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
     if count == 0 {
         return Err(Error::Corruption("wal batch with zero operations".into()));
     }
-    let cross = if format == CROSS_BATCH_FORMAT {
-        let global_first = r.u64("wal global_first")?;
-        let global_last = r.u64("wal global_last")?;
-        let nparts = r.u16("wal participant count")?;
-        let mut participants = Vec::with_capacity(nparts.into());
-        for _ in 0..nparts {
-            participants.push(r.u16("wal participant")?);
-        }
-        if global_last < global_first {
-            return Err(Error::Corruption(format!(
-                "wal cross-shard record with inverted range {global_first}..{global_last}"
-            )));
-        }
-        Some(CrossBatchTag {
-            global_first,
-            global_last,
-            participants,
-        })
-    } else {
-        None
-    };
     let mut ops = Vec::with_capacity(count);
     for _ in 0..count {
         let tag = r.u8("wal op kind")?;
@@ -494,18 +411,12 @@ fn decode_batch(body: &[u8]) -> Result<ReplayedRecord> {
         ops.push(BatchOp { kind, key, value });
     }
     r.finish()?;
-    Ok(ReplayedRecord {
-        first_seq,
-        ops,
-        cross,
-    })
+    Ok(ReplayedRecord { first_seq, ops })
 }
 
 /// Replay a log file into its records, batch-atomically.
 ///
-/// Returns the decoded records in append order, each carrying its
-/// cross-shard tag when present — recovery resolves tagged fragments
-/// against the commit-marker log before applying them. A torn or
+/// Returns the decoded records in append order. A torn or
 /// CRC-corrupt tail frame terminates the replay without error (a crash
 /// mid-append is expected) and drops that frame's **entire batch** —
 /// recovery never applies a batch prefix. A malformed payload *inside* an
@@ -682,14 +593,13 @@ mod tests {
             key: 3,
             value: b"b1".to_vec(),
         }];
-        w.append_encoded(20, 3, &[&encode_ops(&a), &encode_ops(&b)], None)
+        w.append_encoded(20, 3, &[&encode_ops(&a), &encode_ops(&b)])
             .unwrap();
         drop(w);
         // One frame holding every member's ops, seqs contiguous across the
         // member boundary.
         let records = replay_records(&storage, "wal").unwrap();
         assert_eq!(records.len(), 1, "the group is one record");
-        assert_eq!(records[0].cross, None, "fused groups are plain format 1");
         let entries = replay(&storage, "wal").unwrap();
         let seqs: Vec<u64> = entries.iter().map(|e| e.key.seq).collect();
         assert_eq!(seqs, vec![20, 21, 22]);
@@ -740,21 +650,56 @@ mod tests {
         assert_eq!(entries.len(), 1);
     }
 
+    /// A format byte this build does not write is corruption behind a valid
+    /// CRC — 2 too, the retired cross-shard prepare record.
     #[test]
     fn unknown_format_is_corruption() {
+        for format in [2, 99] {
+            let storage = MemStorage::new();
+            let mut w = WalWriter::create(&storage, "wal").unwrap();
+            w.append(1, 1, EntryKind::Put, b"x").unwrap();
+            drop(w);
+            let mut full = lsm_io::read_all(&storage, "wal").unwrap();
+            full[8] = format; // payload format byte
+            let body_len = full.len() - 8;
+            let crc = crc32(&full[8..8 + body_len]);
+            full[0..4].copy_from_slice(&crc.to_le_bytes());
+            let mut f = storage.create("wal").unwrap();
+            f.append(&full).unwrap();
+            drop(f);
+            let refused = replay(&storage, "wal");
+            assert!(
+                matches!(&refused, Err(Error::Corruption(m)) if m.contains(&format!("format {format}"))),
+                "valid CRC + format {format}: {refused:?}"
+            );
+        }
+    }
+
+    /// A retired cross-shard record (format 2) left by an older build, its
+    /// CRC intact and its participant list overrunning the record, errors
+    /// cleanly: the format is refused before any header field is trusted.
+    #[test]
+    fn cross_record_malformed_headers_are_corruption() {
+        let mut body = vec![2u8];
+        body.extend_from_slice(&1u64.to_le_bytes()); // first_seq
+        body.extend_from_slice(&1u32.to_le_bytes()); // count
+        body.extend_from_slice(&1u64.to_le_bytes()); // global_first
+        body.extend_from_slice(&2u64.to_le_bytes()); // global_last
+        body.extend_from_slice(&u16::MAX.to_le_bytes()); // absurd participants
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&body);
         let storage = MemStorage::new();
-        let mut w = WalWriter::create(&storage, "wal").unwrap();
-        w.append(1, 1, EntryKind::Put, b"x").unwrap();
-        drop(w);
-        let mut full = lsm_io::read_all(&storage, "wal").unwrap();
-        full[8] = 99; // payload format byte
-        let body_len = full.len() - 8;
-        let crc = crc32(&full[8..8 + body_len]);
-        full[0..4].copy_from_slice(&crc.to_le_bytes());
         let mut f = storage.create("wal").unwrap();
-        f.append(&full).unwrap();
+        f.append(&frame).unwrap();
         drop(f);
-        assert!(replay(&storage, "wal").is_err(), "valid CRC + bad format");
+        let refused = replay_records(&storage, "wal");
+        assert!(
+            matches!(&refused, Err(Error::Corruption(m)) if m.contains("format 2")),
+            "{:?}",
+            refused.map(|r| r.len())
+        );
     }
 
     #[test]
@@ -778,66 +723,7 @@ mod tests {
         assert!(replay(&storage, "wal").is_err());
     }
 
-    #[test]
-    fn cross_record_roundtrips_tag_and_entries() {
-        let storage = MemStorage::new();
-        let mut w = WalWriter::create(&storage, "wal").unwrap();
-        let tag = CrossBatchTag {
-            global_first: 100,
-            global_last: 111,
-            participants: vec![0, 2, 5],
-        };
-        let ops = vec![
-            BatchOp {
-                kind: EntryKind::Put,
-                key: 7,
-                value: b"frag".to_vec(),
-            },
-            BatchOp {
-                kind: EntryKind::Delete,
-                key: 8,
-                value: vec![],
-            },
-        ];
-        // This shard's fragment holds seqs 103..=104 of the global batch.
-        w.append_encoded(103, 2, &[&encode_ops(&ops)], Some(&tag))
-            .unwrap();
-        w.append(9, 105, EntryKind::Put, b"plain").unwrap();
-        drop(w);
-
-        let records = replay_records(&storage, "wal").unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].cross.as_ref(), Some(&tag));
-        assert_eq!(records[0].first_seq, 103);
-        assert_eq!(records[0].ops, ops);
-        assert_eq!(records[1].cross, None);
-        assert_eq!(records[1].ops[0].value, b"plain");
-        // The flattened view applies everything.
-        assert_eq!(replay(&storage, "wal").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn cross_record_malformed_headers_are_corruption() {
-        // An intact CRC with a cross header whose participant list overruns
-        // the record must error cleanly.
-        let mut body = vec![CROSS_BATCH_FORMAT];
-        body.extend_from_slice(&1u64.to_le_bytes()); // first_seq
-        body.extend_from_slice(&1u32.to_le_bytes()); // count
-        body.extend_from_slice(&1u64.to_le_bytes()); // global_first
-        body.extend_from_slice(&2u64.to_le_bytes()); // global_last
-        body.extend_from_slice(&u16::MAX.to_le_bytes()); // absurd participants
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        let storage = MemStorage::new();
-        let mut f = storage.create("wal").unwrap();
-        f.append(&frame).unwrap();
-        drop(f);
-        assert!(replay_records(&storage, "wal").is_err());
-    }
-
-    /// The three record kinds through the public appenders, against the
+    /// The two record kinds through the public appenders, against the
     /// bytes the same calls wrote before the appenders shared one encoder.
     #[test]
     fn record_bytes_match_the_recorded_golden() {
@@ -869,19 +755,7 @@ mod tests {
         ];
         let encoded: Vec<Vec<u8>> = members.iter().map(|m| encode_ops(m)).collect();
         let parts: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-        assert_eq!(w.append_encoded(10, 5, &parts, None).unwrap(), 129);
-        // A format-2 prepare with two participants.
-        let tag = CrossBatchTag {
-            global_first: 18,
-            global_last: 25,
-            participants: vec![0, 3],
-        };
-        let frag = [
-            op(EntryKind::Put, 20, b"frag"),
-            op(EntryKind::Delete, 21, b""),
-        ];
-        let prepare = w.append_encoded(20, 2, &[&encode_ops(&frag)], Some(&tag));
-        assert_eq!(prepare.unwrap(), 73);
+        assert_eq!(w.append_encoded(10, 5, &parts).unwrap(), 129);
         drop(w);
         let bytes = lsm_io::read_all(&storage, "wal").unwrap();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -890,16 +764,17 @@ mod tests {
 
     /// Recorded at the parent of the change that made the appenders share
     /// one encoder, by the calls above (`append_batch`,
-    /// `append_encoded_group`, `append_batch_tagged`).
+    /// `append_encoded_group`). The recording also held a third record, a
+    /// format-2 cross-shard prepare; that format is gone (a sharded
+    /// database logs a cross-shard batch as one format-1 record in its one
+    /// log), so the golden is the recording's first 192 bytes, unchanged.
     const GOLDEN_LOG: &str = "\
         ea68f2213700000001070000000000000003000000010100000000000000030000006f6e\
         650002000000000000000000000001030000000000000000000000b43957657900000001\
         0a0000000000000005000000010a00000000000000020000006131000b00000000000000\
         00000000010c0000000000000028000000ababababababababababababababababababab\
         ababababababababababababababababababababab000d000000000000000000000001ff\
-        ffffffffffffff010000007a409548684100000002140000000000000002000000120000\
-        000000000019000000000000000200000003000114000000000000000400000066726167\
-        00150000000000000000000000";
+        ffffffffffffff010000007a";
 
     /// Every field of the record format that can overflow is checked before
     /// the log is touched.
@@ -912,18 +787,11 @@ mod tests {
             key: 1,
             value: b"v".to_vec(),
         }]);
-        let ops = w.append_encoded(1, u32::MAX as usize + 1, &[&region], None);
+        let ops = w.append_encoded(1, u32::MAX as usize + 1, &[&region]);
         assert!(matches!(ops, Err(Error::Corruption(_))), "op count");
-        let tag = CrossBatchTag {
-            global_first: 1,
-            global_last: 1,
-            participants: vec![0; u16::MAX as usize + 1],
-        };
-        let participants = w.append_encoded(1, 1, &[&region], Some(&tag));
-        assert!(matches!(participants, Err(Error::Corruption(_))));
         // 64 × 64 MiB of zero pages nothing reads: 4 GiB with the header.
         let chunk = vec![0u8; 1 << 26];
-        let payload = w.append_encoded(1, 1, &[&chunk[..]; 64], None);
+        let payload = w.append_encoded(1, 1, &[&chunk[..]; 64]);
         assert!(
             matches!(payload, Err(Error::Corruption(_))),
             "payload length"

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use learned_index::IndexKind;
 use lsm_io::{FileStorage, MemStorage, Storage};
-use lsm_tree::wal::{encode_ops, replay_records, CrossBatchTag, WalWriter};
+use lsm_tree::wal::{encode_ops, replay_records, WalWriter};
 use lsm_tree::{BatchOp, Db, EntryKind, Options, WriteBatch, WriteOptions};
 use proptest::prelude::*;
 
@@ -200,9 +200,10 @@ fn unflushed_writes_survive_two_crashes() {
     assert_eq!(wals.len(), 1, "old logs retired on reopen: {wals:?}");
     drop(db);
 
-    // The same through every record kind: a crash leaves a single batch, a
-    // fused group of three and a cross-shard prepare unflushed. A
-    // standalone open resolves the prepare as committed.
+    // The same through both record kinds: a crash leaves a single batch
+    // and a fused group of three unflushed. (A third kind, the cross-shard
+    // prepare, is gone: a sharded database logs each batch as one record of
+    // these in its one log.)
     let op = |kind, key, value: &[u8]| BatchOp {
         kind,
         key,
@@ -215,12 +216,6 @@ fn unflushed_writes_survive_two_crashes() {
         vec![op(put, 12, &[0xab; 24])],
         vec![op(delete, 13, b""), op(put, 10, b"a2")],
     ];
-    let fragment = vec![op(put, 20, b"frag"), op(delete, 12, b"")];
-    let tag = CrossBatchTag {
-        global_first: 9,
-        global_last: 14,
-        participants: vec![0, 3],
-    };
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     drop(Db::open(Arc::clone(&storage), opts()).unwrap());
     let live_wal = || {
@@ -235,29 +230,21 @@ fn unflushed_writes_survive_two_crashes() {
         log.append_batch(1, &single).unwrap();
         let encoded: Vec<Vec<u8>> = members.iter().map(|m| encode_ops(m)).collect();
         let parts: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-        log.append_encoded(4, 5, &parts, None).unwrap();
-        log.append_encoded(11, 2, &[&encode_ops(&fragment)], Some(&tag))
-            .unwrap();
+        log.append_encoded(4, 5, &parts).unwrap();
     }
     let check = |db: &Db| {
-        assert_eq!(db.latest_seq(), 12);
+        assert_eq!(db.latest_seq(), 8);
         assert_eq!(db.get(1).unwrap(), None, "deleted by the group");
         assert_eq!(db.get(3).unwrap(), Some(vec![]), "empty value");
         assert_eq!(db.get(10).unwrap(), Some(b"a2".to_vec()));
-        assert_eq!(db.get(12).unwrap(), None, "deleted by the prepare");
-        assert_eq!(db.get(20).unwrap(), Some(b"frag".to_vec()));
+        assert_eq!(db.get(12).unwrap(), Some(vec![0xab; 24]));
     };
     check(&Db::open(Arc::clone(&storage), opts()).unwrap());
-    // The fresh log holds the same ops at the same sequence numbers, the
-    // prepare now a plain record.
+    // The fresh log holds the same ops at the same sequence numbers.
     let relogged = replay_records(storage.as_ref(), &live_wal()).unwrap();
     let got: Vec<_> = relogged.iter().map(|r| (r.first_seq, &r.ops[..])).collect();
     let group = members.concat();
-    assert_eq!(
-        got,
-        [(1, &single[..]), (4, &group[..]), (11, &fragment[..])]
-    );
-    assert!(relogged.iter().all(|r| r.cross.is_none()));
+    assert_eq!(got, [(1, &single[..]), (4, &group[..])]);
     // A second crash re-logs the same bytes.
     let first = lsm_io::read_all(storage.as_ref(), &live_wal()).unwrap();
     check(&Db::open(Arc::clone(&storage), opts()).unwrap());

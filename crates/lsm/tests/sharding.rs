@@ -1,18 +1,19 @@
 //! Integration tests for the sharded engine: routing correctness at shard
 //! boundaries, cross-shard atomicity, coherent snapshots under concurrent
 //! background maintenance, merged-scan ordering, crash recovery through
-//! per-shard directories, the exhaustive cross-shard crash-point matrix
+//! the database's one log, the exhaustive cross-shard crash-point matrix
 //! (every storage-operation boundary of a 3-shard commit, with a second
 //! crash at every boundary of the recovery) — plus two acceptance
 //! benchmarks (sharded write throughput and learned-routing balance).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use learned_index::IndexKind;
-use lsm_io::{CrashStorage, MemStorage, Storage};
-use lsm_tree::sharding::imbalance;
+use lsm_io::{CrashStorage, FaultStorage, Hook, Interposed, MemStorage, Op, Storage};
+use lsm_tree::sharding::{imbalance, LOG_BOUND_BUFFERS};
 use lsm_tree::{
     Db, Maintenance, Options, ShardRouter, ShardedDb, ShardedOptions, ShardingPolicy, WriteBatch,
     WriteOptions,
@@ -403,7 +404,7 @@ fn merged_stats_aggregate_shards() {
         s.write_batches, 4,
         "one group commit per touched shard for a cross-shard batch"
     );
-    assert_eq!(s.wal_appends, 4);
+    assert_eq!(s.wal_appends, 1, "one record in the database's log");
     for k in (0..4000u64).step_by(100) {
         db.get(k).unwrap();
     }
@@ -428,8 +429,8 @@ fn crash_opts() -> ShardedOptions {
 }
 
 /// Committed state every crash image must preserve: flushed single-shard
-/// data plus a sealed-but-unflushed cross-shard batch (so recovery also
-/// exercises the committed-prepare path).
+/// data plus a durable but unflushed cross-shard batch (so recovery also
+/// replays a committed record from the log).
 fn write_baseline(db: &ShardedDb) {
     for k in BASE_KEYS {
         db.put(k * 300, b"base").unwrap();
@@ -523,10 +524,13 @@ fn crash_matrix_every_op_boundary_is_all_or_nothing() {
     db.write(target_batch(), &WriteOptions::durable()).unwrap();
     let total = ctl.ops() - start;
     drop(db);
-    assert!(
-        total >= 8,
-        "a 3-shard durable commit should span ≥ 8 storage ops (3×append + 3×sync \
-         + marker append + marker sync), got {total}"
+    // Re-recorded when the shards' own logs and the commit-marker log gave
+    // way to one log per database: a 3-shard durable commit is one record,
+    // appended and synced, where a prepare per shard and a marker, each
+    // appended and synced, made 8 ops.
+    assert_eq!(
+        total, 2,
+        "a 3-shard durable commit is one log append and one sync"
     );
 
     for n in 0..=total {
@@ -576,133 +580,195 @@ fn crash_matrix_every_op_boundary_is_all_or_nothing() {
     }
 }
 
-/// A failed cross-shard commit leaves orphaned **unsealed** prepare
-/// fragments in the touched shards' memtables. Every flush path — the
-/// sharded one and a shard-level `flush` reached through
-/// [`ShardedDb::shard`] — must refuse to persist them while the write
-/// path is poisoned (an SSTable replays unconditionally, so flushing
-/// would bake the torn batch into durable state), and a reopen must
-/// abort the batch everywhere.
+/// A commit whose log append or sync fails applies nothing to any memtable
+/// and poisons the write path: every flush path — the sharded one and a
+/// shard-level `flush` reached through [`ShardedDb::shard`] — refuses, and
+/// so do sharded and shard-level writes. The reopen is all-or-nothing. It
+/// is whole when the record landed: a failed sync leaves the appended
+/// record on the device, and a record on the device is the batch's commit
+/// point. (While each shard logged its own part and a marker sealed the
+/// batch, this reopen found every part unsealed and replayed none.)
 #[test]
 fn flush_after_poisoned_commit_cannot_persist_orphan_fragments() {
-    let (storage, ctl) = CrashStorage::new();
-    let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, crash_opts()).unwrap();
-    write_baseline(&db);
-    // Fail the commit right after the first shard's prepare landed, then
-    // heal the storage: the process lives on, poisoned.
-    ctl.crash_after(1);
-    assert!(db.write(target_batch(), &WriteOptions::durable()).is_err());
-    ctl.disarm();
-    assert!(
-        db.flush().is_err(),
-        "sharded flush must refuse while poisoned"
-    );
-    assert!(
-        db.shard(0).flush().is_err(),
-        "shard-level flush must refuse while poisoned"
-    );
-    assert!(
-        db.shard(0).put(5, b"x").is_err(),
-        "shard-level writes must refuse while poisoned (their inline \
-         flush could persist the orphan fragment)"
-    );
-    assert!(db.put(1, b"x").is_err(), "writes stay refused");
-    drop(db);
-    // Reopen: the unsealed fragment aborted on every shard.
-    let db = ShardedDb::open(Arc::new(storage.image()), crash_opts()).unwrap();
-    for &k in &TARGET_KEYS {
-        assert_eq!(
-            db.get(k).unwrap(),
-            None,
-            "orphan fragment leaked via key {k}"
+    // Crash before the append, then between the append and its sync.
+    for (crash_after, landed) in [(0, false), (1, true)] {
+        let label = format!("crash after {crash_after} op(s)");
+        let (storage, ctl) = CrashStorage::new();
+        let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, crash_opts()).unwrap();
+        write_baseline(&db);
+        let buffered: Vec<usize> = (0..3).map(|s| db.shard(s).memtable_len()).collect();
+        // Fail the commit, then heal the storage: the process lives on,
+        // poisoned.
+        ctl.crash_after(crash_after);
+        assert!(db.write(target_batch(), &WriteOptions::durable()).is_err());
+        ctl.disarm();
+        for &k in &TARGET_KEYS {
+            assert_eq!(db.get(k).unwrap(), None, "{label}: key {k} applied");
+        }
+        let now: Vec<usize> = (0..3).map(|s| db.shard(s).memtable_len()).collect();
+        assert_eq!(now, buffered, "{label}: a memtable took part of the batch");
+        assert!(
+            db.flush().is_err(),
+            "{label}: sharded flush must refuse while poisoned"
         );
+        assert!(
+            db.shard(0).flush().is_err(),
+            "{label}: shard-level flush must refuse while poisoned"
+        );
+        assert!(
+            db.shard(0).put(5, b"x").is_err(),
+            "{label}: shard-level writes are refused"
+        );
+        assert!(db.put(1, b"x").is_err(), "{label}: writes stay refused");
+        drop(db);
+        let db = ShardedDb::open(Arc::new(storage.image()), crash_opts()).unwrap();
+        for &k in &TARGET_KEYS {
+            let want = landed.then(|| b"target".to_vec());
+            assert_eq!(db.get(k).unwrap(), want, "{label}: key {k} after reopen");
+        }
+        check_recovered(&db, false, &label);
     }
-    check_recovered(&db, false, "poisoned-flush image");
 }
 
-/// A prepare record's participant set is load-bearing at recovery: a
-/// fragment replayed by a shard the set excludes means a WAL landed in
-/// the wrong shard directory (or was tampered with), and resolving it
-/// would apply sequence numbers the fence never routed there — the open
-/// must fail with corruption instead.
+/// A store laid out with a log per shard and a `COMMIT-<n>` marker log is
+/// refused, naming the file, and the refused open removes nothing: this
+/// build reads one log per database, and opening such a store would lose
+/// what its logs hold.
 #[test]
-fn misplaced_prepare_record_is_detected_as_corruption() {
-    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    {
+fn per_shard_logs_and_commit_markers_are_refused() {
+    for planted in ["shard-0/000001.wal", "COMMIT-1"] {
+        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
         let db = ShardedDb::open(Arc::clone(&storage), crash_opts()).unwrap();
-        // A batch touching shards 0 and 1 only — participants [0, 1].
-        let mut batch = WriteBatch::new();
-        batch.put(100, b"s0");
-        batch.put(1700, b"s1");
-        db.write(batch, &WriteOptions::durable()).unwrap();
-        // Crash without flush: the prepares sit in the live WALs.
-    }
-    // Misplace shard-0's log into shard-2's active-WAL slot.
-    let frag = lsm_io::read_all(storage.as_ref(), "shard-0/000001.wal").unwrap();
-    let mut f = storage.create("shard-2/000001.wal").unwrap();
-    f.append(&frag).unwrap();
-    drop(f);
-    let err = ShardedDb::open(storage, crash_opts())
-        .err()
-        .expect("misplaced prepare must fail the open");
-    match err {
-        lsm_tree::Error::Corruption(msg) => {
-            assert!(msg.contains("participant set"), "unexpected message: {msg}");
-        }
-        e => panic!("expected corruption, got: {e}"),
+        db.put(100, b"kept").unwrap();
+        drop(db);
+        let mut f = storage.create(planted).unwrap();
+        f.append(b"a record of the old layout").unwrap();
+        drop(f);
+        let mut before = storage.list().unwrap();
+        before.sort_unstable();
+        let refused = ShardedDb::open(Arc::clone(&storage), crash_opts());
+        assert!(
+            matches!(&refused, Err(lsm_tree::Error::Corruption(msg)) if msg.contains(planted)),
+            "{planted}: {:?}",
+            refused.err()
+        );
+        let mut after = storage.list().unwrap();
+        after.sort_unstable();
+        assert_eq!(after, before, "{planted}: a refused open removes nothing");
     }
 }
 
 /// A snapshot pinned at fence `F` before a crash defines the committed
-/// prefix: after the crash (mid-way through the next cross-shard commit)
-/// and recovery, the fence must resume at exactly `F` and a fresh snapshot
-/// must observe byte-for-byte the pinned contents — nothing of the torn
-/// batch, nothing missing.
+/// prefix. The next commit is one log record, so a crash on either side
+/// of its append decides it: before, the fence resumes at exactly `F` and
+/// a fresh snapshot observes byte-for-byte the pinned contents; after, it
+/// resumes at `F + len` with the whole batch and nothing else.
 #[test]
 fn snapshot_fence_is_the_committed_prefix_across_recovery() {
-    let (storage, ctl) = CrashStorage::new();
-    let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, crash_opts()).unwrap();
-    write_baseline(&db);
-    let snap = db.snapshot();
-    let fence = snap.seq();
-    let pinned: Vec<(u64, Vec<u8>)> = {
+    for (crash_after, landed) in [(0, false), (1, true)] {
+        let (storage, ctl) = CrashStorage::new();
+        let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, crash_opts()).unwrap();
+        write_baseline(&db);
+        let snap = db.snapshot();
+        let fence = snap.seq();
+        let pinned: Vec<(u64, Vec<u8>)> = {
+            let mut it = db.iter_at(&snap).unwrap();
+            it.seek_to_first();
+            it.collect_up_to(usize::MAX).unwrap()
+        };
+        assert_eq!(pinned.len(), BASE_KEYS.end as usize + PENDING_KEYS.len());
+
+        // Crash before the append, or after it and before its sync.
+        ctl.crash_after(crash_after);
+        assert!(db.write(target_batch(), &WriteOptions::durable()).is_err());
+        drop(snap);
+        drop(db);
+
+        let db = ShardedDb::open(Arc::new(storage.image()), crash_opts()).unwrap();
+        assert_eq!(db.recovery_report().topology_epoch, 1);
+        let mut want = pinned.clone();
+        let mut resumed = fence;
+        if landed {
+            want.extend(TARGET_KEYS.map(|k| (k, b"target".to_vec())));
+            want.sort_unstable();
+            resumed += TARGET_KEYS.len() as u64;
+        }
+        assert_eq!(
+            db.latest_visible_seq(),
+            resumed,
+            "crash after {crash_after}: the fence resumes at the committed prefix"
+        );
+        let snap = db.snapshot();
+        assert_eq!(snap.seq(), resumed);
         let mut it = db.iter_at(&snap).unwrap();
         it.seek_to_first();
-        it.collect_up_to(usize::MAX).unwrap()
-    };
-    assert_eq!(pinned.len(), BASE_KEYS.end as usize + PENDING_KEYS.len());
+        assert_eq!(
+            it.collect_up_to(usize::MAX).unwrap(),
+            want,
+            "crash after {crash_after}: snapshot at fence {resumed} after recovery"
+        );
+    }
+}
 
-    // Crash after the first shard's prepare landed: a torn commit.
-    ctl.crash_after(1);
-    assert!(db.write(target_batch(), &WriteOptions::durable()).is_err());
-    drop(snap);
-    drop(db);
+/// Counts the appends and syncs that reach the device.
+#[derive(Default)]
+struct OpCount {
+    appends: AtomicU64,
+    syncs: AtomicU64,
+}
 
-    let db = ShardedDb::open(Arc::new(storage.image()), crash_opts()).unwrap();
-    assert_eq!(
-        db.recovery_report(),
-        lsm_tree::RecoveryReport {
-            committed_fragments: PENDING_KEYS.len() as u64,
-            aborted_fragments: 1,
-            topology_epoch: 1,
-            ..Default::default()
-        },
-        "recovery must re-commit the baseline prepares and abort the torn one"
+impl OpCount {
+    fn get(&self) -> (u64, u64) {
+        let appends = self.appends.load(Ordering::SeqCst);
+        (appends, self.syncs.load(Ordering::SeqCst))
+    }
+}
+
+impl Hook for OpCount {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        match op {
+            Op::Append(..) => self.appends.fetch_add(1, Ordering::SeqCst),
+            Op::Sync(_) => self.syncs.fetch_add(1, Ordering::SeqCst),
+            _ => 0,
+        };
+        Ok(())
+    }
+}
+
+/// A batch is one record in the database's log, however many shards it
+/// touches: durable, exactly one append and one sync; not durable, one
+/// append and no sync. (With a log per shard and a marker log, a batch
+/// touching k shards made k + 1 of each.)
+#[test]
+fn a_batch_is_one_append_and_one_sync_however_many_shards_it_touches() {
+    let count = Arc::new(OpCount::default());
+    let storage = Interposed::hooked(
+        Arc::new(MemStorage::new()) as Arc<dyn Storage>,
+        Arc::clone(&count),
     );
-    assert_eq!(
-        db.latest_visible_seq(),
-        fence,
-        "the fence resumes at the committed prefix (aborted seqs are not replayed)"
-    );
-    let snap = db.snapshot();
-    assert_eq!(snap.seq(), fence);
-    let mut it = db.iter_at(&snap).unwrap();
-    it.seek_to_first();
-    assert_eq!(
-        it.collect_up_to(usize::MAX).unwrap(),
-        pinned,
-        "snapshot at fence {fence} after recovery must equal the pre-crash view"
-    );
+    let mut opts = learned_opts(4, dense_sample());
+    opts.base.write_buffer_bytes = 64 << 20; // nothing flushes
+    let db = ShardedDb::open(Arc::new(storage), opts).unwrap();
+    assert_eq!(db.routing().router().boundaries(), [1000, 2000, 3000]);
+    for round in 0..10u64 {
+        for shards in [1u64, 2, 4] {
+            for (wopts, syncs) in [(WriteOptions::durable(), 1), (WriteOptions::default(), 0)] {
+                let mut batch = WriteBatch::new();
+                for shard in 0..shards {
+                    batch.put(shard * 1000 + round, b"v");
+                }
+                let before = count.get();
+                db.write(batch, &wopts).unwrap();
+                let (appends, synced) = count.get();
+                assert_eq!(
+                    (appends - before.0, synced - before.1),
+                    (1, syncs),
+                    "{shards} shard(s), sync {}",
+                    wopts.sync
+                );
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------- live rebalancing
@@ -816,8 +882,8 @@ fn split_crash_matrix_topology_cutover_is_all_or_nothing() {
         o
     }
     // Committed state: flushed skew into shard 0 (the split candidate), a
-    // sealed-but-unflushed cross-shard batch (so recovery also resolves a
-    // prepare across the split), and an unflushed single-shard write.
+    // durable but unflushed cross-shard batch (so recovery also routes a
+    // logged record across the split), and an unflushed single-shard write.
     fn write_split_baseline(db: &ShardedDb) -> std::collections::BTreeMap<u64, Vec<u8>> {
         let mut expect = std::collections::BTreeMap::new();
         let mut batch = WriteBatch::new();
@@ -1059,9 +1125,10 @@ fn dual_write_window_crash_matrix_and_epoch_pinned_snapshots() {
     }
 }
 
-/// A child-side write failure during the dual-write window abandons the
-/// split (the children are incomplete) without failing the client's
-/// commit or the engine: the parent applied the batch, the children are
+/// A child-side failure during the dual-write window — the child's inline
+/// flush, the one storage write a mirrored part can make — abandons the
+/// split (the children are incomplete) without failing the client's commit
+/// or the engine: the parent applied the batch, the children are
 /// discarded, and a later rebalance can start over.
 #[test]
 fn child_write_failure_cancels_split_without_losing_the_commit() {
@@ -1069,8 +1136,9 @@ fn child_write_failure_cancels_split_without_losing_the_commit() {
         .with_max_shards(4)
         .with_split_trigger(0.1, 1 << 10);
     opts.auto_split = false; // drive the window by hand
-    let (storage, ctl) = CrashStorage::new();
-    let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, opts.clone()).unwrap();
+    let mem = Arc::new(MemStorage::new());
+    let (storage, faults) = FaultStorage::wrap(Arc::clone(&mem) as Arc<dyn Storage>);
+    let db = ShardedDb::open(storage, opts.clone()).unwrap();
     let mut batch = WriteBatch::new();
     for k in (0..1900u64).step_by(3) {
         batch.put(k, b"seed");
@@ -1078,11 +1146,16 @@ fn child_write_failure_cancels_split_without_losing_the_commit() {
     db.write(batch, &WriteOptions::default()).unwrap();
     db.flush().unwrap();
     assert!(db.begin_rebalance().unwrap());
-    // Fail storage for exactly the child mirror: the parent write is op 1
-    // (WAL append), the mirror needs more.
-    ctl.crash_after(1);
-    db.put(10, b"survives").unwrap();
-    ctl.disarm();
+    // The left child (the first id the split allocated, 2) cannot write;
+    // a part that fills its buffer makes it flush, and the flush fails.
+    faults.poison("shard-2/");
+    let mut batch = WriteBatch::new();
+    for i in 0..300u64 {
+        batch.put(1, &i.to_le_bytes());
+    }
+    batch.put(10, b"survives");
+    db.write(batch, &WriteOptions::default()).unwrap();
+    faults.heal();
     assert_eq!(db.get(10).unwrap(), Some(b"survives".to_vec()));
     assert!(
         !db.complete_rebalance().unwrap(),
@@ -1099,7 +1172,7 @@ fn child_write_failure_cancels_split_without_losing_the_commit() {
     // allocator; the sealed topology must name the directories the
     // successful split *actually* created (not the burned ids), or this
     // reopen would open empty shards and sweep the real children.
-    let db = ShardedDb::open(Arc::new(storage.image()), opts).unwrap();
+    let db = ShardedDb::open(mem, opts).unwrap();
     assert_eq!(db.shard_count(), 3, "reopen adopts the split topology");
     assert_eq!(
         db.scan(0, usize::MAX).unwrap(),
@@ -1109,45 +1182,98 @@ fn child_write_failure_cancels_split_without_losing_the_commit() {
     assert_eq!(db.get(10).unwrap(), Some(b"survives".to_vec()));
 }
 
-/// Runtime commit-marker checkpointing: heavy cross-shard traffic with a
-/// small checkpoint threshold keeps the marker log bounded (checkpoints
-/// fire, live markers stay few) and loses nothing across a reopen.
+/// A shard that stops taking writes cannot pin the log: one key lands in
+/// shard 0, then only shard 1 is written. The live root log stays under
+/// `LOG_BOUND_BUFFERS` write buffers — shard 0 is flushed once it holds
+/// the oldest unflushed op past the bound — and a reopen loses nothing.
+/// Under background maintenance the flush runs on the pool, so the log is
+/// checked once the pool is idle rather than after every write.
 #[test]
-fn commit_marker_log_is_checkpointed_at_runtime() {
-    let mut opts = learned_opts(3, dense_sample());
-    opts.commit_log_checkpoint_bytes = 512;
+fn a_cold_shard_is_flushed_so_the_log_stays_bounded() {
+    for maintenance in [Maintenance::Synchronous, Maintenance::background()] {
+        let mut opts = learned_opts(2, dense_sample());
+        opts.base.maintenance = maintenance;
+        let synchronous = !maintenance.is_background();
+        let bound = LOG_BOUND_BUFFERS * opts.base.write_buffer_bytes as u64;
+        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
+        assert_eq!(db.routing().router().boundaries(), [2000]);
+        db.put(5, b"cold").unwrap();
+        let log_bytes = || -> u64 {
+            let names = storage.list().unwrap().into_iter();
+            let logs = names.filter(|n| !n.contains('/') && n.ends_with(".wal"));
+            logs.map(|n| storage.size_of(&n).unwrap()).sum()
+        };
+        let mut peak = 0;
+        for i in 0..6_000u64 {
+            db.put(2000 + i % 1500, &i.to_le_bytes()).unwrap();
+            peak = peak.max(log_bytes());
+            if synchronous {
+                assert!(peak <= bound, "live log of {peak} bytes, bound {bound}");
+            }
+        }
+        assert!(peak > bound / 2, "the load never neared the bound: {peak}");
+        db.wait_for_maintenance();
+        db.put(2000, b"last").unwrap();
+        assert!(log_bytes() <= bound, "{maintenance:?}: {} B", log_bytes());
+        let shard0 = db.shard(0);
+        assert!(shard0.stats().snapshot().flushes >= 1, "shard 0 flushed");
+        assert_eq!(shard0.memtable_len() + shard0.immutable_memtables(), 0);
+        drop((shard0, db));
+        let db = ShardedDb::open(storage, opts).unwrap();
+        assert_eq!(db.get(5).unwrap(), Some(b"cold".to_vec()));
+        assert_eq!(db.get(2000).unwrap(), Some(b"last".to_vec()));
+        for i in 4_501..6_000u64 {
+            let value = Some(i.to_le_bytes().to_vec());
+            assert_eq!(db.get(2000 + i % 1500).unwrap(), value, "{maintenance:?}");
+        }
+    }
+}
+
+/// A split while another shard pins the log: the log still holds the
+/// parent's whole history — versions the drain copied under renumbered
+/// sequences, deletes, overwrites — and a reopen without a flush routes
+/// it through the split topology to the children. What it replays is a
+/// suffix of each child's history, complete from its start, so every key
+/// ends at its newest version: the contents come back unchanged.
+#[test]
+fn a_reopen_after_a_split_routes_the_parents_logged_history_to_the_children() {
+    let mut opts = learned_opts(2, dense_sample())
+        .with_max_shards(4)
+        .with_split_trigger(0.1, 1 << 10);
+    opts.auto_split = false;
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
-    for i in 0..300u64 {
-        let mut batch = WriteBatch::new();
-        batch.put(i % 1300, &i.to_le_bytes());
-        batch.put(1400 + i % 1200, &i.to_le_bytes());
-        batch.put(2800 + i % 1200, &i.to_le_bytes());
-        db.write(batch, &WriteOptions::durable()).unwrap();
+    db.put(3000, b"pins the log").unwrap();
+    for round in 0..3u64 {
+        for k in (0..1900u64).step_by(3) {
+            db.put(k, &round.to_le_bytes()).unwrap();
+        }
+        db.delete(round * 300).unwrap();
     }
-    let stats = db.sharded_stats();
-    assert!(
-        stats.merged.commit_checkpoints >= 1,
-        "no checkpoint fired: {stats:?}"
-    );
-    assert!(
-        stats.live_commit_markers < 300,
-        "marker log unbounded: {} live markers",
-        stats.live_commit_markers
-    );
-    assert_eq!(db.background_error(), None);
-    // An explicit checkpoint drains to zero once everything is flushed.
-    assert!(db.checkpoint_commit_markers().unwrap());
-    assert_eq!(db.sharded_stats().live_commit_markers, 0);
+    db.shard(0).flush().unwrap();
+    db.put(5, b"after the flush").unwrap();
+    let expect = db.scan(0, usize::MAX).unwrap();
+    assert!(db.rebalance().unwrap(), "shard 0 is due a split");
+    assert_eq!(db.shard_count(), 3);
+    db.put(7, b"after the cutover").unwrap();
+    let expect: Vec<_> = (expect.into_iter())
+        .filter(|(k, _)| *k != 7)
+        .chain([(7, b"after the cutover".to_vec())])
+        .collect::<std::collections::BTreeMap<_, _>>()
+        .into_iter()
+        .collect();
+    let names = storage.list().unwrap();
+    let logged: u64 = (names
+        .iter()
+        .filter(|n| !n.contains('/') && n.ends_with(".wal")))
+    .map(|n| storage.size_of(n).unwrap())
+    .sum();
+    assert!(logged > 60_000, "the log kept the history: {logged} B");
     drop(db);
-    // Reopen: every acknowledged durable batch survived the truncations.
     let db = ShardedDb::open(storage, opts).unwrap();
-    for i in 270..300u64 {
-        assert_eq!(
-            db.get(1400 + i % 1200).unwrap(),
-            Some(i.to_le_bytes().to_vec())
-        );
-    }
+    assert_eq!(db.shard_count(), 3);
+    assert_eq!(db.scan(0, usize::MAX).unwrap(), expect);
 }
 
 /// 12 000 keys `i²` — dense near zero, ever sparser above — each holding its
@@ -1235,10 +1361,6 @@ fn metrics_carry_the_residency_report_after_a_split() {
         pair.unwrap_or_else(|| panic!("{name} missing")).1
     };
     assert_eq!(value("topology_epoch"), report.topology_epoch);
-    assert_eq!(
-        value("live_commit_markers"),
-        report.live_commit_markers as u64
-    );
     let mut bytes = Vec::new();
     for (pos, id) in report.shard_ids.iter().enumerate() {
         bytes.push(value(&format!("shard{id}_resident_bytes")));

@@ -25,9 +25,11 @@ pub fn now_ns() -> u64 {
 #[repr(u8)]
 pub enum EventKind {
     /// A commit group was appended to the WAL. `a` = batches fused into
-    /// the group, `b` = WAL bytes appended.
+    /// the group, `b` = WAL bytes appended (0 on a shard, which logs
+    /// nothing: its sharded owner's log holds the batch).
     WriteGroupCommit = 1,
-    /// The group's WAL record was synced. `a` = sync wall time (ns).
+    /// The group's WAL record was synced — or, tagged [`GLOBAL_SHARD`], a
+    /// sharded database's log record. `a` = sync wall time (ns).
     WalSync = 2,
     /// The active memtable was frozen onto the immutable queue.
     /// `a` = resulting queue depth.
@@ -54,8 +56,8 @@ pub enum EventKind {
     /// The split's topology epoch was sealed — the commit point.
     /// `a` = parent shard id, `b` = new topology epoch.
     SplitCutover = 12,
-    /// The commit-marker log was checkpointed. `a` = live markers kept.
-    CommitCheckpoint = 13,
+    // Code 13 named the retired commit-marker log's checkpoint; it is not
+    // reused either.
     /// The server shed a request with `RETRY_AFTER` at admission.
     /// `a` = 1 if the shed request was a write.
     ServerShed = 14,
@@ -79,7 +81,6 @@ impl EventKind {
             EventKind::SplitBegin => "split_begin",
             EventKind::SplitDualWrite => "split_dual_write",
             EventKind::SplitCutover => "split_cutover",
-            EventKind::CommitCheckpoint => "commit_checkpoint",
             EventKind::ServerShed => "server_shed",
         }
     }
@@ -99,7 +100,6 @@ impl EventKind {
             10 => EventKind::SplitBegin,
             11 => EventKind::SplitDualWrite,
             12 => EventKind::SplitCutover,
-            13 => EventKind::CommitCheckpoint,
             14 => EventKind::ServerShed,
             _ => return None,
         })
@@ -168,8 +168,8 @@ mod tests {
                 assert!(!k.name().is_empty());
             }
         }
-        // 15 and 16 are retired codes, never reused.
-        for unassigned in [0, 15, 16, 17] {
+        // 13, 15 and 16 are retired codes, never reused.
+        for unassigned in [0, 13, 15, 16, 17] {
             assert_eq!(EventKind::from_u8(unassigned), None);
         }
     }

@@ -42,7 +42,7 @@
 //! | `OK_ENTRIES` (0x02)       | `count u32, count × (key u64, vlen u32, value)` |
 //! | `OK_METRICS` (0x04)       | `enabled u8, dropped u64, count u32, count × (nlen u32, name, value u64), total, shards u32, shards × latencies, events u32, events × event` |
 //! | `ERR_RETRY_AFTER` (0x10)  | `retry_ms u32` — shed by admission control: back off and resend |
-//! | `ERR_POISONED` (0x11)     | `mlen u32, msg` — a cross-shard commit failed mid-way; the engine refuses writes until reopened |
+//! | `ERR_POISONED` (0x11)     | `mlen u32, msg` — a commit's log append or sync failed; the engine refuses writes until reopened |
 //! | `ERR_BAD_REQUEST` (0x12)  | `mlen u32, msg` — unknown opcode or malformed payload |
 //! | `ERR_SERVER` (0x13)       | `mlen u32, msg` — engine I/O or corruption error |
 //! | `ERR_SHUTTING_DOWN` (0x14)| `mlen u32, msg` — the server is draining; the connection will close |
@@ -52,7 +52,7 @@
 //! sync wait, get, scan — of seven `u64` each (count, mean, max, p50, p90,
 //! p99, p99.9); an `event` is `ts u64, span u64, a u64, b u64, kind u8,
 //! shard u16`. The counters are every engine counter, then, from a sharded
-//! engine, `topology_epoch`, `live_commit_markers` and per shard in routing
+//! engine, `topology_epoch` and per shard in routing
 //! order `shard{id}_resident_bytes` / `shard{id}_resident_entries`.
 //!
 //! Frames are written and read through the workspace's one byte codec,

@@ -370,7 +370,7 @@ fn admit(shared: &Shared, state: &ConnState, req: &Request) -> Admission {
         WritePressure::Clear
     } else if shared.db.poisoned() {
         return Admission::Shed(ServerError::Poisoned(
-            "cross-shard commit failed mid-way; reopen to recover".into(),
+            "a commit's log append or sync failed; reopen to recover".into(),
         ));
     } else {
         shared.db.write_pressure()

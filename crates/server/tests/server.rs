@@ -219,10 +219,10 @@ fn metrics_carries_the_sharded_report() {
     // Every name of the STATS JSON this scrape replaced, less the two
     // ratios, the three per-shard lists (`shard_ids`, `resident_bytes`,
     // `resident_entries`), which are now one pair per shard, checked below,
-    // and `subcompactions`, a counter since removed.
-    const PARENT_KEYS: [&str; 15] = [
+    // and two counters since removed with what they counted: the
+    // subcompactions and the live commit markers.
+    const PARENT_KEYS: [&str; 14] = [
         "topology_epoch",
-        "live_commit_markers",
         "lookups",
         "write_batches",
         "write_entries",
@@ -245,20 +245,14 @@ fn metrics_carries_the_sharded_report() {
     assert!(counter("flush_bytes_written") > 0 && counter("compact_bytes_written") > 0);
 
     // Both shards' residency pairs, in routing order, right after the
-    // report's two scalars, and equal to the engine's own report.
+    // report's scalar, and equal to the engine's own report.
     let report = server.db().sharded_stats();
     assert_eq!(report.shard_ids.len(), 2);
     let at = names
         .iter()
         .position(|n| *n == "topology_epoch")
         .expect("epoch");
-    let mut expected = vec![
-        ("topology_epoch".to_string(), report.topology_epoch),
-        (
-            "live_commit_markers".to_string(),
-            report.live_commit_markers as u64,
-        ),
-    ];
+    let mut expected = vec![("topology_epoch".to_string(), report.topology_epoch)];
     for (pos, id) in report.shard_ids.iter().enumerate() {
         assert!(report.resident_bytes[pos] > 0, "shard {id} holds data");
         expected.push((

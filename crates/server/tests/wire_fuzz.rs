@@ -119,7 +119,6 @@ fn metrics_snapshot() -> MetricsSnapshot {
         ("lookups", 12_000),
         ("level1_reads", 4_321),
         ("topology_epoch", 2),
-        ("live_commit_markers", 0),
         ("shard3_resident_bytes", 1 << 20),
         ("shard3_resident_entries", 9_000),
         ("shard7_resident_bytes", 3 << 19),

@@ -9,7 +9,10 @@
 //! with the uniform tree's own index bytes as its budget → rebuild with
 //! per-level boundaries → compare. The budget is equal so that the
 //! comparison shows where memory goes, not how much of it there is (more
-//! index, fewer blocks: Observation 1).
+//! index, fewer blocks: Observation 1). When the coarsest boundary on every
+//! level already needs more than the budget (the allocator's estimate can
+//! read above what the engine measures), there is no plan: the example
+//! prints both byte counts and stops.
 //!
 //! ```sh
 //! cargo run --release --example allocate_memory
@@ -75,7 +78,17 @@ fn main() {
         ..BoundaryAllocator::default()
     };
     let budget = probe.index_memory_bytes as usize;
-    let plan = allocator.allocate(&levels, budget);
+    let plan = match allocator.allocate(&levels, budget) {
+        Ok(plan) => plan,
+        Err(over) => {
+            println!(
+                "\nno allocation plan: the coarsest boundary on every level needs {} B, \
+                 over the {} B budget",
+                over.coarsest_bytes, over.budget_bytes
+            );
+            return;
+        }
+    };
     println!("\nallocation plan (budget {budget} B):");
     for (lvl, (b, m)) in plan
         .per_level_boundary

@@ -35,9 +35,11 @@
 #                 crash control (exactly k appends pass), and every hook
 #                 sees each storage op once, in order
 #   sharding x10  the sharding binary: splits under load, the dual-write
-#                 window, the crash matrices, and the fence test under both
-#                 maintenance modes (lock-free pins against rotations and
-#                 inline flushes: no torn batch, no marker lost or older)
+#                 window, the crash matrices, the log's bound (a cold
+#                 shard is flushed so the live log stays under it), and the
+#                 fence test under both maintenance modes (lock-free pins
+#                 against rotations and inline flushes: no torn batch, no
+#                 marker key lost or older)
 #
 # Stops at the first failing run, with a non-zero exit status.
 cd "$(dirname "$0")/.." || exit 1
