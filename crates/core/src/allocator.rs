@@ -5,7 +5,8 @@
 //!
 //! Observation 5 shows that a uniform position boundary misallocates memory
 //! when the read distribution is skewed across levels. This allocator takes
-//! (a) each level's keys, (b) its measured/estimated share of lookups, and
+//! (a) each level's keys, table by table, (b) its measured/estimated share
+//! of lookups, and
 //! (c) a total index-memory budget, and greedily assigns *per-level position
 //! boundaries*: repeatedly spend bytes where they buy the most expected I/O
 //! time per byte. The result plugs directly into
@@ -16,12 +17,11 @@ use learned_index::{IndexConfig, IndexKind};
 /// What the allocator needs to know about one level.
 #[derive(Debug, Clone)]
 pub struct LevelWorkload {
-    /// The level's keys (or a uniform sample — memory estimates scale).
-    pub keys: Vec<u64>,
+    /// Each index's sorted keys, as the engine trains them: one per table,
+    /// or one for the whole level under a level model.
+    pub tables: Vec<Vec<u64>>,
     /// Fraction of point lookups this level serves (Figure 10's read share).
     pub read_share: f64,
-    /// How many per-SSTable indexes the level splits into (1 = level model).
-    pub tables: usize,
 }
 
 /// Device/layout parameters for the expected-cost model (Section 4.1).
@@ -105,19 +105,13 @@ impl BoundaryAllocator {
     }
 
     /// Measure the index memory a level costs at a given boundary by
-    /// actually training the chosen index family over its keys, split at the
-    /// level's table granularity.
+    /// training the chosen index family over each of its tables' keys, as
+    /// the engine does.
     fn memory_at(&self, level: &LevelWorkload, boundary: usize) -> usize {
-        if level.keys.is_empty() {
-            return 0;
-        }
         let config = IndexConfig::with_position_boundary(boundary);
-        let chunks = level.tables.max(1);
-        let per = level.keys.len().div_ceil(chunks);
-        level
-            .keys
-            .chunks(per)
-            .map(|chunk| self.kind.build(chunk, &config).size_bytes())
+        let tables = level.tables.iter().filter(|keys| !keys.is_empty());
+        tables
+            .map(|keys| self.kind.build(keys, &config).size_bytes())
             .sum()
     }
 
@@ -239,10 +233,10 @@ mod tests {
             .collect();
         keys.sort_unstable();
         keys.dedup();
+        let per = keys.len().div_ceil(tables);
         LevelWorkload {
-            keys,
+            tables: keys.chunks(per).map(<[u64]>::to_vec).collect(),
             read_share,
-            tables,
         }
     }
 
@@ -284,9 +278,8 @@ mod tests {
     fn zero_budget_keeps_coarsest() {
         let alloc = BoundaryAllocator::default();
         let empty = LevelWorkload {
-            keys: vec![],
+            tables: vec![vec![]],
             read_share: 1.0,
-            tables: 1,
         };
         let plan = alloc.allocate(&[empty], 0).unwrap();
         assert_eq!(plan.per_level_boundary, vec![256]);
@@ -337,9 +330,8 @@ mod tests {
     fn empty_level_is_harmless() {
         let levels = vec![
             LevelWorkload {
-                keys: vec![],
+                tables: vec![vec![]],
                 read_share: 0.5,
-                tables: 1,
             },
             level(1_000, 3, 0.5, 1),
         ];
@@ -348,5 +340,40 @@ mod tests {
             .unwrap();
         assert_eq!(plan.per_level_boundary.len(), 2);
         assert_eq!(plan.per_level_memory[0], 0);
+    }
+
+    /// At the engine's own boundary the estimate is what the engine
+    /// measures, byte for byte: both train one index per table on that
+    /// table's keys. (Cutting a level's keys into equal chunks instead read
+    /// 4 056 B where the engine measured 3 944 B on
+    /// `examples/allocate_memory.rs`'s tree.)
+    #[test]
+    fn the_estimate_at_the_engines_boundary_is_what_it_measures() {
+        use crate::{Granularity, Testbed, TestbedConfig};
+        use lsm_workloads::Dataset;
+        let mut config = TestbedConfig::quick(IndexKind::Pgm, 256, Dataset::Random);
+        config.num_keys = 30_000;
+        config.value_width = 64;
+        config.granularity = Granularity::SstBytes(64 << 10);
+        config.write_buffer_bytes = 64 << 10;
+        let mut tb = Testbed::new(config).unwrap();
+        tb.load_via_writes().unwrap();
+        let version = tb.db().version();
+        let levels: Vec<LevelWorkload> = version
+            .levels
+            .iter()
+            .map(|tables| LevelWorkload {
+                tables: tables
+                    .iter()
+                    .map(|t| t.reader.read_all_keys().unwrap())
+                    .collect(),
+                read_share: 1.0,
+            })
+            .collect();
+        let populated = levels.iter().filter(|l| !l.tables.is_empty()).count();
+        assert!(populated >= 2, "a layered tree: {populated} levels");
+        let alloc = BoundaryAllocator::default();
+        let estimate: usize = levels.iter().map(|l| alloc.memory_at(l, 256)).sum();
+        assert_eq!(estimate, tb.db().index_memory_bytes());
     }
 }

@@ -21,7 +21,6 @@ use crate::options::Options;
 use crate::scheduler::{Step, Work};
 use crate::sstable::format::entry_width;
 use crate::version::{TableHandle, Version};
-use crate::wal::WalWriter;
 use crate::{Error, Result};
 use lsm_obs::EventKind;
 
@@ -297,30 +296,10 @@ impl DbCore {
         self.drain_inline()
     }
 
-    /// Swap in a fresh WAL, returning the retiring log's name (`None` on a
-    /// shard, which has no log). The fresh log is **created before the old
-    /// writer is released**: a failed create leaves the engine still
-    /// logging to the old WAL.
-    fn rotate_wal(&self, inner: &mut Inner) -> Result<Option<String>> {
-        if inner.wal.is_none() {
-            return Ok(None);
-        }
-        let fresh = format!(
-            "{:06}.wal",
-            self.next_file_no.fetch_add(1, Ordering::Relaxed)
-        );
-        let w = WalWriter::create(self.storage.as_ref(), &fresh)?;
-        // Until a manifest rewrite records the fresh log, a crash would
-        // not replay it — hold back acknowledgements (see
-        // `manifest_dirty`) in case the caller's own rewrite fails.
-        self.manifest_dirty.store(true, Ordering::Release);
-        Ok(inner.wal.replace(w).map(|old| old.name().to_string()))
-    }
-
     /// Seal the active memtable onto the immutable queue — its handle
-    /// moves, nothing is copied — and open a fresh WAL. The manifest is
-    /// rewritten before returning so a crash finds every live log; a
-    /// shard's names no log, so its rotation writes nothing.
+    /// moves, nothing is copied — and rotate the log with it, so each
+    /// buffer's records sit in their own file. No manifest is written: no
+    /// manifest names a log, and a shard has none.
     fn rotate_memtable(&self, inner: &mut Inner) -> Result<()> {
         // Before the emptiness probe too: a claimed group may not have
         // inserted anything yet.
@@ -328,19 +307,18 @@ impl DbCore {
         if inner.mem.is_empty() {
             return Ok(());
         }
-        let wal = self.rotate_wal(inner)?;
+        if let Some(log) = inner.log.as_mut() {
+            log.rotate(&self.stats)?;
+        }
         self.install(inner, |tree| {
             let mem = std::mem::take(&mut tree.mem);
             let first = tree.mem_first.take().unwrap_or(tree.seq);
-            let imm = ImmutableMemTable { mem, wal, first };
-            tree.imms.push_back(Arc::new(imm));
+            tree.imms
+                .push_back(Arc::new(ImmutableMemTable { mem, first }));
         });
         self.stats.record_rotation(inner.imms.len());
         if let Some(obs) = self.obs.as_deref() {
             obs.emit(EventKind::MemtableRotation, 0, inner.imms.len() as u64, 0);
-        }
-        if inner.wal.is_some() {
-            self.write_manifest(inner)?;
         }
         self.signal.bump();
         Ok(())
@@ -349,9 +327,10 @@ impl DbCore {
     // ------------------------------------- the one maintenance procedure
 
     /// Flush the oldest queued buffer, if no one else is: build its L0
-    /// table off-lock, install it and seal the manifest, whose seal retires
-    /// the buffer's WAL — until then the sealed manifest on disk still
-    /// names that log, and a crash must find it. One claim at a time, so
+    /// table off-lock, install it and seal the manifest, after which the
+    /// log retires the buffer's file — until then the sealed manifest's
+    /// `flushed` lies below its records, and a crash must replay them. One
+    /// claim at a time, so
     /// tables reach L0 oldest-first; L0's newest-first read order depends
     /// on it. `Ok(false)`: nothing to claim.
     fn flush_one(&self) -> Result<bool> {

@@ -60,26 +60,29 @@
 //!
 //! Replay applies a WAL record all-or-nothing: a torn tail drops the whole
 //! record — for a fused record, the whole group, each batch of which was
-//! unacknowledged — never a prefix.
+//! unacknowledged — never a prefix. A group whose append or sync fails
+//! fails every member and uses its range up, publishing it as an empty
+//! group: recovery reads each range once, so none may be reissued.
 //!
-//! A minimal manifest records the level structure **and every live WAL** —
-//! the active log plus one per queued immutable memtable — so a database
-//! directory can be reopened with no acknowledged write lost, even
-//! mid-maintenance. Every version edit seals a **fresh** CRC-footed
-//! `MANIFEST-<epoch>` file and only then retires its predecessor, so a
-//! crash at any storage-operation boundary leaves at least one intact
-//! manifest; recovery picks the newest epoch that validates (a pre-epoch
-//! unsealed `MANIFEST` with no sealed successor is a typed error, never a
-//! fresh database). The seal is also the one place live files are retired:
-//! it removes the logs and tables earlier manifests named and it does not
-//! (`DbCore::write_manifest`), and a failed seal leaves those removals to
-//! the next one that succeeds.
+//! The log (`crate::log`) rotates with the write buffer: each buffer's
+//! records sit in their own `NNNNNN.wal` file, which no manifest names —
+//! recovery lists them. A minimal manifest records the level structure and
+//! `flushed <seq>`: every write at or below `seq` is in its tables, and the
+//! log replays what lies above. Every version edit seals a **fresh**
+//! CRC-footed `MANIFEST-<epoch>` file and only then retires its
+//! predecessor, so a crash at any storage-operation boundary leaves at
+//! least one intact manifest; recovery picks the newest epoch that
+//! validates (a pre-epoch unsealed `MANIFEST` with no sealed successor is a
+//! typed error, never a fresh database). The seal is the one place a table
+//! is retired: it removes the tables earlier manifests named and it does
+//! not (`DbCore::write_manifest`), and a failed seal leaves those removals
+//! to the next one that succeeds. After each seal the log retires the files
+//! whose records all sit at or below the sealed `flushed`.
 //!
 //! A shard of a [`crate::sharding::ShardedDb`] keeps no log of its own: the
 //! owner logs every batch once, for all shards, and hands each shard its
-//! part to apply. Its manifest records `flushed <seq>` in place of `wal`
-//! lines — every op routed to it at or below `seq` is in its tables — and a
-//! direct [`Db::write`] to it is refused.
+//! part to apply. Its manifest's `flushed <seq>` covers every op routed to
+//! it, and a direct [`Db::write`] to it is refused.
 //!
 //! [`Maintenance::Synchronous`]: crate::options::Maintenance::Synchronous
 //! [`Maintenance::Background`]: crate::options::Maintenance::Background
@@ -101,6 +104,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cache::BlockCache;
 use crate::compaction::TableContext;
 use crate::iter::DbIterator;
+use crate::log::Log;
 use crate::memtable::{ImmutableMemTable, MemTable};
 use crate::options::{Options, ReadOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler};
@@ -108,7 +112,6 @@ use crate::snapshot::{ReadView, Snapshot};
 use crate::stats::DbStats;
 use crate::types::SeqNo;
 use crate::version::Version;
-use crate::wal::WalWriter;
 use crate::{Error, Result};
 use lsm_io::Storage;
 use lsm_obs::{EngineObs, MetricsSnapshot};
@@ -169,19 +172,21 @@ struct Inner {
     seq: SeqNo,
     /// The sequence number of the first write claimed into `mem`.
     mem_first: Option<SeqNo>,
-    /// A shard's `flushed` as the last sealed manifest records it.
+    /// Every write at or below this is in a table a sealed manifest names:
+    /// the last sealed manifest's `flushed`, or, on a shard whose every
+    /// write is sealed, just below the next write routed to it.
     flushed: SeqNo,
     /// Per-level round-robin compaction cursors (last compacted max key).
     cursors: Vec<u64>,
-    /// Active write-ahead log; `None` on a shard (the owner logs for it).
-    wal: Option<WalWriter>,
+    /// The write-ahead log; `None` on a shard (the owner logs for it).
+    log: Option<Log>,
     /// A flush holds the front immutable memtable.
     flush_active: bool,
     /// A compaction holds the tree: one runs at a time.
     compacting: bool,
-    /// The logs and tables any manifest written since the last successful
-    /// seal may name, in manifest order (logs, then tables level by level).
-    /// `DbCore::write_manifest` removes those its next seal stops naming.
+    /// The tables any manifest written since the last successful seal may
+    /// name, in manifest order (level by level). `DbCore::write_manifest`
+    /// removes those its next seal stops naming.
     named: Vec<String>,
 }
 
@@ -194,6 +199,16 @@ impl Inner {
     /// The first sequence number the buffers hold, oldest first.
     fn oldest_buffered(&self) -> Option<SeqNo> {
         self.imms.front().map(|imm| imm.first).or(self.mem_first)
+    }
+
+    /// The oldest write no sealed manifest covers: the log must keep every
+    /// record from there on. `None` when the sealed tables hold every
+    /// write. `flushed` moves with a sealed manifest, or while every write
+    /// is sealed, so a flush whose seal failed still pins its buffer's
+    /// records.
+    fn unflushed_from(&self) -> Option<SeqNo> {
+        let sealed = self.oldest_buffered().is_none() && self.flushed >= self.seq;
+        (!sealed).then_some(self.flushed + 1)
     }
 
     /// The admission rule's verdict on the next write, and whether the
@@ -241,19 +256,12 @@ pub(crate) struct DbCore {
     cache: Option<Arc<BlockCache>>,
     /// Live [`Snapshot`] handles.
     snapshots: Arc<AtomicUsize>,
-    /// Monotonic file-number allocator — atomic so background merges can
-    /// name outputs without holding the tree lock.
-    next_file_no: AtomicU64,
+    /// Monotonic file-number allocator, shared with the log — atomic so
+    /// background merges can name outputs without holding the tree lock.
+    next_file_no: Arc<AtomicU64>,
     /// Epoch of the most recently sealed manifest (each rewrite bumps it
     /// and writes `MANIFEST-<epoch+1>` before retiring the predecessor).
     manifest_epoch: AtomicU64,
-    /// Set while the on-disk manifest does not name the live WAL set —
-    /// between a WAL rotation and the manifest write that records it, or
-    /// after a failed manifest write. While dirty, no write is
-    /// acknowledged until a manifest rewrite succeeds: an acknowledged
-    /// write into a WAL no manifest names would be silently lost by a
-    /// crash.
-    manifest_dirty: AtomicBool,
     /// Wakeup channel for workers and stalled writers.
     signal: Arc<MaintSignal>,
     /// Set once by `Db::close`/`Drop`; workers drain and exit.
@@ -593,18 +601,20 @@ impl Db {
     /// log must keep every record from there on. `None` when the log holds
     /// nothing this shard still needs.
     pub(crate) fn unflushed_from(&self) -> Option<SeqNo> {
-        let inner = self.core.inner.read();
-        if self.core.manifest_dirty.load(Ordering::Acquire) {
-            return Some(inner.flushed + 1);
-        }
-        inner.oldest_buffered()
+        self.core.inner.read().unflushed_from()
+    }
+}
+
+impl DbCore {
+    fn view(&self) -> Arc<ReadView> {
+        Arc::clone(&self.view.read())
     }
 
-    /// Recovery, before any write: apply `op`, read back from the owner's
-    /// log at `seq`, unless this shard's tables hold it already (`seq` at
-    /// or below its manifest's `flushed`). Returns whether it applied.
+    /// Recovery, before any write: apply `op`, read back from the log at
+    /// `seq`, unless the tables hold it already (`seq` at or below the
+    /// manifest's `flushed`). Returns whether it applied.
     pub(crate) fn replay(&self, op: &crate::batch::BatchOp, seq: SeqNo) -> bool {
-        let mut inner = self.core.inner.write();
+        let mut inner = self.inner.write();
         if seq <= inner.flushed {
             return false;
         }
@@ -613,14 +623,8 @@ impl Db {
         // read after a newer original), so the buffer's oldest op is a min.
         inner.mem_first = Some(inner.mem_first.map_or(seq, |first| first.min(seq)));
         inner.seq = inner.seq.max(seq);
-        self.core.visible.fetch_max(seq, Ordering::Release);
+        self.visible.fetch_max(seq, Ordering::Release);
         true
-    }
-}
-
-impl DbCore {
-    fn view(&self) -> Arc<ReadView> {
-        Arc::clone(&self.view.read())
     }
 
     /// The view of `inner`: a shared handle to the live buffer (no copy —
@@ -1365,5 +1369,39 @@ mod tests {
         it.seek_to_first();
         assert_eq!(it.collect_up_to(usize::MAX).unwrap(), pairs);
         assert_eq!(db.get(3).unwrap(), Some(b"after the move".to_vec()));
+    }
+
+    /// A shard's floor in the owner's log: `None` while every write it took
+    /// is in a sealed table; once it takes a write again, that write, not
+    /// the sequences other shards took meanwhile; after a flush whose seal
+    /// failed, every write it has not sealed.
+    #[test]
+    fn a_shards_floor_is_its_oldest_unsealed_write() {
+        let (storage, faults) = lsm_io::FaultStorage::wrap(Arc::new(MemStorage::new()));
+        let embedding = Embedding {
+            coordination: Some(Arc::default()),
+            ..Embedding::default()
+        };
+        let db = Db::open_internal(storage, Options::small_for_tests(), embedding).unwrap();
+        let put = |seq: SeqNo| {
+            let mut batch = WriteBatch::new();
+            batch.put(seq, b"routed here");
+            db.write_assigned(batch, &WriteOptions::default(), seq)
+                .unwrap();
+        };
+        assert_eq!(db.unflushed_from(), None);
+        put(5);
+        assert_eq!(db.unflushed_from(), Some(5));
+        db.flush().unwrap();
+        assert_eq!(db.unflushed_from(), None);
+        put(9); // 6..=8 went to other shards
+        assert_eq!(db.unflushed_from(), Some(9));
+        faults.poison("MANIFEST");
+        assert!(db.flush().is_err(), "the flushed table's seal fails");
+        put(12);
+        assert_eq!(db.unflushed_from(), Some(9), "the failed seal pins 9");
+        faults.heal();
+        db.flush().unwrap();
+        assert_eq!(db.unflushed_from(), None);
     }
 }

@@ -1,6 +1,6 @@
-//! Opening a database: recovery from the newest sealed manifest and the
-//! live WALs, the manifest seal, the orphan sweep, and the bulk load
-//! (ARCHITECTURE.md §2).
+//! Opening a database: its tables from the newest sealed manifest, then
+//! its log replayed above the manifest's `flushed` ([`crate::log`]), the
+//! manifest seal, the orphan sweep, and the bulk load (ARCHITECTURE.md §2).
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -13,6 +13,7 @@ use super::write::{PublishQueue, WriteQueue};
 use super::{Db, DbCore, Embedding, Inner, L0_STOP_TRIGGER};
 use crate::cache::BlockCache;
 use crate::compaction::{discard, names, LevelWriter};
+use crate::log::Log;
 use crate::memtable::MemTable;
 use crate::options::{Maintenance, Options};
 use crate::scheduler::{BgError, Scheduler};
@@ -20,7 +21,6 @@ use crate::sstable::TableReader;
 use crate::stats::DbStats;
 use crate::types::{Entry, SeqNo};
 use crate::version::{TableHandle, Version, MAX_LEVELS};
-use crate::wal::{self, WalWriter};
 use crate::{sealed, Error, Result};
 use lsm_io::{CostModel, MemStorage, SimStorage, Storage};
 use lsm_obs::EngineObs;
@@ -74,43 +74,16 @@ impl Db {
         // byte budget is global); a standalone open builds its own from
         // `Options::block_cache_bytes`.
         let cache = shared_cache.or_else(|| BlockCache::from_options(&opts));
-        let mem = MemTable::new();
         let mut version = Version::new(MAX_LEVELS);
-        let mut seq = 0;
+        let mut flushed = 0;
         let mut next_file_no = 1u64;
         let mut manifest_epoch = 0u64;
-        let mut mem_first = None;
-        let mut replayed: Vec<wal::ReplayedRecord> = Vec::new();
-        let mut named: Vec<String> = Vec::new();
         if let Some((epoch, manifest_text)) =
             sealed::newest_valid(storage.as_ref(), MANIFEST_PREFIX)?
         {
             manifest_epoch = epoch;
-            let (recovered, recovered_next, recovered_seq, wal_names) =
+            (version, next_file_no, flushed) =
                 DbCore::recover(&manifest_text, storage.as_ref(), &opts, cache.as_ref())?;
-            next_file_no = recovered_next;
-            seq = recovered_seq;
-            // Replay unflushed batches from the previous generation's logs
-            // — the active one plus one per immutable memtable that was
-            // still queued at the crash, oldest first.
-            for name in &wal_names {
-                for record in wal::replay_records(storage.as_ref(), name)? {
-                    seq = seq.max(record.last_seq());
-                    mem.apply_batch(&record.ops, record.first_seq);
-                    mem_first.get_or_insert(record.first_seq);
-                    replayed.push(record);
-                }
-            }
-            // The first seal below retires the replayed logs.
-            named = wal_names;
-            named.extend(
-                recovered
-                    .levels
-                    .iter()
-                    .flatten()
-                    .map(|t| t.meta.name.clone()),
-            );
-            version = recovered;
         } else {
             // No manifest validates. A fresh open seals one before its
             // first write, so a crash can strand at most an empty log; a
@@ -125,44 +98,29 @@ impl Db {
                 }
             }
         }
-        // Re-log the surviving records into a fresh log, one batch record
-        // each, so a second crash before the next flush still loses nothing.
-        let mut wal = None;
-        if logged {
-            let log = wal.insert(WalWriter::create(
-                storage.as_ref(),
-                &format!("{next_file_no:06}.wal"),
-            )?);
-            next_file_no += 1;
-            for record in &replayed {
-                log.append_batch(record.first_seq, &record.ops)?;
-            }
-            if !replayed.is_empty() {
-                log.sync()?;
-            }
-        }
+        let named = version.levels.iter().flatten();
+        let named = named.map(|t| t.meta.name.clone()).collect();
         let inner = Inner {
-            mem,
+            mem: MemTable::new(),
             imms: VecDeque::new(),
             version: Arc::new(version),
-            seq,
-            mem_first,
-            flushed: seq,
+            seq: flushed,
+            mem_first: None,
+            flushed,
             cursors: vec![0; MAX_LEVELS],
-            wal,
+            log: None,
             flush_active: false,
             compacting: false,
             named,
         };
         let external = pool.is_some();
         let (signal, shutdown) = pool.unwrap_or_default();
-        let start_seq = inner.seq;
         let core = Arc::new(DbCore {
             opts,
             storage,
             view: RwLock::new(Arc::new(DbCore::view_of(&inner))),
             inner: RwLock::new(inner),
-            visible: AtomicU64::new(start_seq),
+            visible: AtomicU64::new(flushed),
             write_queue: StdMutex::new(WriteQueue::default()),
             write_queue_cv: Condvar::new(),
             writers_in_flight: AtomicUsize::new(0),
@@ -171,9 +129,8 @@ impl Db {
             stats: Arc::new(DbStats::new()),
             cache,
             snapshots: Arc::default(),
-            next_file_no: AtomicU64::new(next_file_no),
+            next_file_no: Arc::new(AtomicU64::new(next_file_no)),
             manifest_epoch: AtomicU64::new(manifest_epoch),
-            manifest_dirty: AtomicBool::new(false),
             signal,
             shutdown,
             flush_paused: AtomicBool::new(false),
@@ -182,27 +139,30 @@ impl Db {
             coordination,
             obs,
         });
-        // Persist the fresh log's name so a reopen knows where to look. The
-        // seal retires the previous generation's logs: their surviving
-        // contents were re-logged above.
+        // Replay the log above what the tables hold, re-logging it into a
+        // fresh file (a shard's owner replays its own log into it).
+        if logged {
+            let file_no = Arc::clone(&core.next_file_no);
+            let (log, _) = Log::recover(Arc::clone(&core.storage), file_no, |record| {
+                let ops = (record.first_seq..).zip(&record.ops);
+                ops.fold(false, |applied, (seq, op)| core.replay(op, seq) | applied)
+            })?;
+            core.inner.write().log = Some(log);
+        }
         core.write_manifest(&mut core.inner.write())?;
         // Sweep manifests stranded by earlier crashes (an unsealed newer
-        // epoch, predecessors whose retirement never ran) *and* orphans:
-        // tables a flush or (sub)compaction wrote before a crash beat its
-        // seal — a parallel compaction can strand several at once — and
-        // logs a rotation created before a crash beat the seal naming
-        // them. No write into such a log was acknowledged (`manifest_dirty`
-        // held them back), so the manifest just sealed is the single source
-        // of truth for which files are live. Best-effort — a crash
-        // mid-sweep just leaves the next open to finish it.
+        // epoch, predecessors whose retirement never ran) *and* orphan
+        // tables a flush or compaction wrote before a crash beat its seal:
+        // the manifest just sealed is the single source of truth for which
+        // tables are live. Best-effort — a crash mid-sweep just leaves the
+        // next open to finish it.
         let current = sealed::name(MANIFEST_PREFIX, core.manifest_epoch.load(Ordering::Relaxed));
         {
             let inner = core.inner.read();
             let live: HashSet<&String> = inner.named.iter().collect();
             for name in core.storage.list()? {
                 let stale = name != current && name.starts_with(MANIFEST_PREFIX);
-                let orphan =
-                    (name.ends_with(".sst") || name.ends_with(".wal")) && !live.contains(&name);
+                let orphan = name.ends_with(".sst") && !live.contains(&name);
                 if stale || orphan {
                     let _ = core.storage.remove(&name);
                 }
@@ -312,11 +272,9 @@ impl DbCore {
         storage: &dyn Storage,
         opts: &Options,
         cache: Option<&Arc<BlockCache>>,
-    ) -> Result<(Version, u64, SeqNo, Vec<String>)> {
+    ) -> Result<(Version, u64, SeqNo)> {
         let mut version = Version::new(MAX_LEVELS);
         let mut next_file_no = 1u64;
-        let mut seq = 0u64;
-        let mut wal_names = Vec::new();
         let mut flushed = None;
         for (lineno, line) in text.lines().enumerate() {
             let mut parts = line.split_whitespace();
@@ -329,17 +287,18 @@ impl DbCore {
                     .ok_or_else(corrupt)
             };
             match tag {
-                Some("next") => {
-                    next_file_no = number()?;
-                    seq = number()?;
-                }
+                Some("next") => next_file_no = number()?,
+                // Opening would lose what the named logs hold: this build
+                // finds its logs by listing and replays above `flushed`.
                 Some("wal") => {
-                    // Oldest first: queued immutable-memtable logs, then
-                    // the active log.
-                    wal_names.extend(parts.next().map(|s| s.to_string()));
+                    return Err(Error::Corruption(format!(
+                        "manifest names log {}: a manifest that names its logs \
+                         is an earlier layout, which this build does not read",
+                        parts.next().unwrap_or_default()
+                    )))
                 }
-                // A shard's: its tables hold every op routed to it up to
-                // here, and the owner's log replays what lies above.
+                // The tables hold every write up to here, and the log
+                // replays what lies above.
                 Some("flushed") => flushed = Some(number()?),
                 Some("table") => {
                     let level = usize::try_from(number()?).map_err(|_| corrupt())?;
@@ -388,38 +347,37 @@ impl DbCore {
                 )));
             }
         }
+        // Without `flushed` the log's records cannot be told from the
+        // tables' (a lone `Db` of the layout that named its logs wrote none).
+        let flushed = flushed.ok_or_else(|| {
+            Error::Corruption(
+                "manifest has no flushed line: an earlier layout, which this build does not read"
+                    .to_string(),
+            )
+        })?;
         version.train_level_indexes(opts)?;
-        Ok((version, next_file_no, flushed.unwrap_or(seq), wal_names))
+        Ok((version, next_file_no, flushed))
     }
 
-    /// Seal a manifest naming `inner`'s live files, then remove every log
-    /// and table an earlier manifest named and this one does not — the one
-    /// place a live file is retired (LevelDB's `RemoveObsoleteFiles` after
-    /// `LogAndApply`). A failed seal removes nothing: either manifest may
-    /// be the one a crash finds, so the next successful seal removes what
-    /// this one owed.
+    /// Seal a manifest naming `inner`'s tables and how far they reach, then
+    /// remove every table an earlier manifest named and this one does not —
+    /// the one place a live table is retired (LevelDB's
+    /// `RemoveObsoleteFiles` after `LogAndApply`) — and retire the log
+    /// files whose records the sealed tables hold. A failed seal removes
+    /// nothing: either manifest may be the one a crash finds, so the next
+    /// successful seal removes what this one owed.
     pub(super) fn write_manifest(&self, inner: &mut Inner) -> Result<()> {
+        // Every write at or below `flushed` is in the tables named below;
+        // the log replays what lies above. The `next` line's second number,
+        // the last sequence assigned, is for a reader of the manifest:
+        // recovery takes its sequence from `flushed` and the log.
+        let flushed = inner.oldest_buffered().map_or(inner.seq, |first| first - 1);
         let mut text = format!(
-            "next {} {}\n",
+            "next {} {}\nflushed {flushed}\n",
             self.next_file_no.load(Ordering::Relaxed),
             inner.seq
         );
         let mut sealing = Vec::new();
-        // Every live log, oldest first: one per queued immutable memtable,
-        // then the active log. A crash must find all of them, or rotated
-        // but unflushed acknowledged writes would be lost. A shard has none:
-        // it records how far its tables reach into the owner's log.
-        let flushed = inner.oldest_buffered().map_or(inner.seq, |first| first - 1);
-        match &inner.wal {
-            Some(wal) => {
-                let logs = inner.imms.iter().filter_map(|imm| imm.wal.as_deref());
-                for name in logs.chain([wal.name()]) {
-                    text.push_str(&format!("wal {name}\n"));
-                    sealing.push(name.to_string());
-                }
-            }
-            None => text.push_str(&format!("flushed {flushed}\n")),
-        }
         for (level, tables) in inner.version.levels.iter().enumerate() {
             for t in tables {
                 text.push_str(&format!("table {level} {}\n", t.meta.name));
@@ -439,10 +397,7 @@ impl DbCore {
         // from a crash mid-write fails CRC validation and recovery falls
         // back to `<e-1>`.)
         let epoch = self.manifest_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        self.manifest_dirty.store(true, Ordering::Release);
         sealed::write_sealed(self.storage.as_ref(), MANIFEST_PREFIX, epoch, text)?;
-        // Sealed: the on-disk manifest now names the live WAL set.
-        self.manifest_dirty.store(false, Ordering::Release);
         inner.flushed = flushed;
         // Open readers pinned by a live Snapshot's Version keep removed
         // tables readable until released.
@@ -451,6 +406,12 @@ impl DbCore {
             let _ = self.storage.remove(name);
         }
         inner.named = sealing;
+        // The seal is done: a file the log fails to retire waits for the
+        // next seal, as a table that fails to be removed does.
+        let floor = inner.unflushed_from();
+        if let Some(log) = inner.log.as_mut() {
+            let _ = log.retire(floor);
+        }
         Ok(())
     }
 }
@@ -494,7 +455,10 @@ mod tests {
                 });
                 names.push(tables.unwrap().remove(0).meta.name.clone());
             }
-            let text = format!("next 3 2\ntable 1 {}\ntable 1 {}\n", names[1], names[0]);
+            let text = format!(
+                "next 3 2\nflushed 2\ntable 1 {}\ntable 1 {}\n",
+                names[1], names[0]
+            );
             sealed::write_sealed(storage.as_ref(), MANIFEST_PREFIX, 1, text).unwrap();
             (storage, names)
         };
@@ -542,7 +506,7 @@ mod tests {
             Ok(())
         });
         let name = tables.unwrap().remove(0).meta.name.clone();
-        let text = format!("next 3 1\ntable {MAX_LEVELS} {name}\n");
+        let text = format!("next 3 1\nflushed 1\ntable {MAX_LEVELS} {name}\n");
         sealed::write_sealed(storage.as_ref(), MANIFEST_PREFIX, 1, text).unwrap();
         let mut files_before = storage.list().unwrap();
         files_before.sort_unstable();
@@ -596,10 +560,44 @@ mod tests {
         }
 
         // An empty log is what a crash before a fresh open's first seal
-        // leaves: that store opens as fresh, and the sweep takes the log.
+        // leaves: that store opens as fresh, and the log's recovery removes
+        // the file once its fresh one, numbered past it, exists.
         let storage = Arc::new(MemStorage::new());
         drop(storage.create("000009.wal").unwrap());
         Db::open(storage.clone(), Options::small_for_tests()).unwrap();
         assert!(!storage.exists("000009.wal"));
+        assert!(storage.exists("000010.wal"));
+    }
+
+    /// A manifest that names its logs — the layout before logs were found
+    /// by listing — is `Corruption` naming the layout and the log, as is one
+    /// with no `flushed` line, and the refused open removes nothing: opening
+    /// would lose what the log holds.
+    #[test]
+    fn a_manifest_naming_its_log_is_refused_not_swept() {
+        for (text, names) in [
+            ("next 3 1\nwal 000002.wal\n", "000002.wal"),
+            ("next 3 1\n", "no flushed line"),
+        ] {
+            let storage = Arc::new(MemStorage::new());
+            let mut log = crate::wal::WalWriter::create(storage.as_ref(), "000002.wal").unwrap();
+            let mut batch = crate::batch::WriteBatch::new();
+            batch.put(7, b"logged");
+            log.append_batch(1, batch.ops()).unwrap();
+            sealed::write_sealed(storage.as_ref(), MANIFEST_PREFIX, 1, text.to_string()).unwrap();
+            let mut files_before = storage.list().unwrap();
+            files_before.sort_unstable();
+
+            let refused = Db::open(storage.clone(), Options::small_for_tests());
+            assert!(
+                matches!(&refused, Err(Error::Corruption(msg))
+                    if msg.contains(names) && msg.contains("earlier layout")),
+                "{:?}",
+                refused.err()
+            );
+            let mut left = storage.list().unwrap();
+            left.sort_unstable();
+            assert_eq!(left, files_before, "a refused open removes nothing");
+        }
     }
 }

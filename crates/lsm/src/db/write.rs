@@ -59,8 +59,8 @@ enum SlotState {
     /// Logged and sequenced; the submitter must now apply its ops to `mem`
     /// and report into the group ticket.
     Claimed(ClaimedWrite),
-    /// The group's WAL/manifest step failed before any sequence was
-    /// consumed; the write never happened.
+    /// The group's log append or sync failed; the write was not
+    /// acknowledged.
     Failed(Error),
 }
 
@@ -417,9 +417,9 @@ impl DbCore {
                 }
             }
             Err(e) => {
-                // The group failed before consuming any sequence number:
-                // deliver the error to every member (approximated — `Error`
-                // is not `Clone`); none of the writes happened.
+                // The group failed: deliver the error to every member
+                // (approximated — `Error` is not `Clone`); none of the
+                // writes was acknowledged.
                 for req in &members {
                     *req.slot.lock().unwrap() = SlotState::Failed(clone_error(&e));
                 }
@@ -433,8 +433,9 @@ impl DbCore {
     /// group's ops are *claimed but not yet applied*: each returned
     /// [`ClaimedWrite`] is registered as an applier on the current buffer
     /// (so a rotation will quiesce on it) and the group's ticket is queued
-    /// for publication. Every failure point comes *before* the sequence
-    /// counter advances, so a failed group simply never happened.
+    /// for publication. A failed log append or sync uses up the group's
+    /// range and fails every member: none was acknowledged, and a reopen
+    /// may replay the record if it landed.
     fn commit_group(
         &self,
         inner: &mut Inner,
@@ -444,38 +445,43 @@ impl DbCore {
         let first_seq = head.assigned.unwrap_or(inner.seq + 1);
         let total: usize = members.iter().map(|m| m.ops.len()).sum();
         let last_seq = first_seq + total as SeqNo - 1;
-        // If an earlier maintenance failure left the on-disk manifest not
-        // naming the live WAL set (a flush that rotated the log but died
-        // before its manifest rewrite), repair it before acknowledging: this
-        // group's record would otherwise sit in a log a crash never
-        // replays. Failing the repair fails the group — unacknowledged.
-        if inner.wal.is_some() && self.manifest_dirty.load(Ordering::Acquire) {
-            self.write_manifest(inner)?;
-        }
         let mut framed = 0;
-        if let Some(wal) = inner.wal.as_mut() {
+        if let Some(log) = inner.log.as_mut() {
             // One fused, CRC-framed record for the whole group; replay is
             // all-or-nothing and indistinguishable from one large batch,
             // which is safe because no member was acknowledged unless the
             // whole record landed. Members pre-encoded their regions
             // off-path.
             let parts: Vec<&[u8]> = members.iter().map(|m| m.encoded.as_slice()).collect();
-            framed = wal.append_encoded(first_seq, total, &parts)?;
-            self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-            self.stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
-            if members.iter().any(|m| m.sync) {
-                let sync_started = self.obs.as_ref().map(|_| Instant::now());
-                wal.sync()?;
-                self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
-                if let (Some(obs), Some(started)) = (self.obs.as_deref(), sync_started) {
-                    let ns = started.elapsed().as_nanos() as u64;
-                    obs.ops.sync_wait.record(ns);
-                    obs.emit(EventKind::WalSync, 0, ns, 0);
+            let sync = members.iter().any(|m| m.sync);
+            let synced = match log.append(first_seq, total, &parts, sync, &self.stats) {
+                Ok((bytes, synced)) => {
+                    framed = bytes;
+                    synced
                 }
+                Err(e) => {
+                    // The record may have landed (a failed sync follows a
+                    // whole append), so its range is used up: recovery
+                    // reads each range once, and a later batch reissued at
+                    // it would be skipped. It publishes as an empty group.
+                    inner.seq = inner.seq.max(last_seq);
+                    self.queue_group(last_seq, 0);
+                    self.publish_groups();
+                    return Err(e);
+                }
+            };
+            if let (Some(obs), Some(ns)) = (self.obs.as_deref(), synced) {
+                obs.ops.sync_wait.record(ns);
+                obs.emit(EventKind::WalSync, 0, ns, 0);
             }
         }
         if let Some(obs) = self.obs.as_deref() {
             obs.emit(EventKind::WriteGroupCommit, 0, members.len() as u64, framed);
+        }
+        // Every write sealed: the sequences below this group went to other
+        // shards, so this one's tables reach up to it.
+        if inner.unflushed_from().is_none() {
+            inner.flushed = first_seq - 1;
         }
         inner.mem_first.get_or_insert(first_seq);
         inner.seq = inner.seq.max(last_seq);
@@ -486,18 +492,7 @@ impl DbCore {
         self.stats
             .write_entries
             .fetch_add(total as u64, Ordering::Relaxed);
-        let group = Arc::new(GroupTicket {
-            last_seq,
-            remaining: AtomicUsize::new(members.len()),
-            done: AtomicBool::new(false),
-        });
-        // Queue the ticket while still under the tree lock: claim order ==
-        // publication order == sequence order.
-        self.publish
-            .lock()
-            .unwrap()
-            .pending
-            .push_back(Arc::clone(&group));
+        let group = self.queue_group(last_seq, members.len());
         let mut claims = Vec::with_capacity(members.len());
         let mut next_seq = first_seq;
         for m in members {
@@ -513,6 +508,20 @@ impl DbCore {
             next_seq += m.ops.len() as SeqNo;
         }
         Ok(claims)
+    }
+
+    /// Queue the ticket of a group of `members` ending at `last_seq` for
+    /// publication, done at once when it has none. The caller holds the
+    /// tree lock: claim order == publication order == sequence order.
+    fn queue_group(&self, last_seq: SeqNo, members: usize) -> Arc<GroupTicket> {
+        let group = Arc::new(GroupTicket {
+            last_seq,
+            remaining: AtomicUsize::new(members),
+            done: AtomicBool::new(members == 0),
+        });
+        let mut publish = self.publish.lock().unwrap();
+        publish.pending.push_back(Arc::clone(&group));
+        group
     }
 
     /// Advance the `visible` ceiling over every fully-applied group at the

@@ -66,6 +66,7 @@ pub mod cache;
 pub mod compaction;
 pub mod db;
 pub mod iter;
+mod log;
 pub mod memtable;
 pub mod options;
 pub mod scheduler;

@@ -1,51 +1,52 @@
-//! The one log of a sharded database (ARCHITECTURE.md §5): `NNNNNN.wal`
-//! files at the database root, written by [`WalWriter`], holding every
-//! batch of every shard. A batch is one format-1 record whose ops are
-//! grouped by shard in routing order, so a cross-shard batch is crash-atomic
-//! the way any batch is: its frame is whole or it is not replayed.
+//! The write-ahead log of a database (ARCHITECTURE.md §2, §5): `NNNNNN.wal`
+//! files at its root, written by [`WalWriter`]. A lone [`crate::Db`] keeps
+//! one for its tree and a [`crate::sharding::ShardedDb`] one for all its
+//! shards; there is no other. No manifest names a log file: recovery lists
+//! them, and a manifest's `flushed <seq>` says which records its tables
+//! hold already.
 //!
-//! A file is retired once no shard holds an unflushed op at or below the
-//! last sequence it holds. A shard that stops taking writes would pin the
-//! log forever, so once the live files pass [`LOG_BOUND_BUFFERS`] write
-//! buffers, the shard holding the oldest unflushed op is flushed.
+//! The owner decides when a file is rotated — a lone `Db` with its write
+//! buffer, a sharded database once the active file holds a buffer's bytes
+//! — and retires every file whose last sequence is below its floor, the
+//! oldest op no sealed manifest covers.
+//!
+//! A rotation syncs the retiring file first when it holds records appended
+//! since its last sync, so a durable write in a newer file never survives
+//! a power loss that an earlier acknowledged write in an older file does
+//! not.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::stats::DbStats;
 use crate::types::SeqNo;
 use crate::wal::{self, ReplayedRecord, WalWriter};
-use crate::{Error, Result};
+use crate::Result;
 use lsm_io::Storage;
 
-/// Write buffers' worth of live log past which the shard pinning the oldest
-/// file is flushed. Shards that flush as they fill keep the live log near
-/// one buffer per shard, each buffer's log bytes below its buffer bytes.
-pub const LOG_BOUND_BUFFERS: u64 = 8;
-
-/// Append side of the log, serialized by the commit lock.
-pub(crate) struct ShardedLog {
+/// A database's log: the active file and the older ones still needed. Its
+/// owner serializes every call (a lone `Db` under its tree lock, a sharded
+/// database under its commit lock).
+pub(crate) struct Log {
     storage: Arc<dyn Storage>,
     active: WalWriter,
     /// The last sequence the active file holds (0 while it is empty).
     active_last: SeqNo,
-    next_no: u64,
+    /// The active file holds records appended since its last sync.
+    unsynced: bool,
+    /// Where file numbers come from: a lone `Db` shares its tables'
+    /// allocator, so a log file takes the number a table would.
+    file_no: Arc<AtomicU64>,
     /// Older files still needed, oldest first: name, last sequence, bytes.
     sealed: VecDeque<(String, SeqNo, u64)>,
-    /// One write buffer's bytes: the active file is rotated past it.
-    buffer_bytes: u64,
 }
 
-impl ShardedLog {
-    /// Append one batch, its regions (one per touched shard, in routing
-    /// order) in one record at `first..first + count`, and sync it when
-    /// asked. Returns the sync's wall time in ns, and whether the log is due
-    /// its maintenance: it rotated (a sealed file may be retirable now) or
-    /// passed the bound. A full active file is rotated first. The caller
-    /// poisons on any error — a failed rotation's too, though it appended
-    /// nothing: one rule for every failure at the commit point.
+impl Log {
+    /// Append one record of `count` ops at `first..first + count` over
+    /// pre-encoded `regions` ([`wal::encode_ops`]), and sync it when asked.
+    /// Returns the framed bytes and the sync's wall time in ns.
     pub(crate) fn append(
         &mut self,
         first: SeqNo,
@@ -53,32 +54,38 @@ impl ShardedLog {
         regions: &[&[u8]],
         sync: bool,
         stats: &DbStats,
-    ) -> Result<(Option<u64>, bool)> {
-        let rotated = self.active.written() >= self.buffer_bytes;
-        if rotated {
-            self.rotate()?;
-        }
+    ) -> Result<(u64, Option<u64>)> {
         let framed = self.active.append_encoded(first, count, regions)?;
         self.active_last = first + count as SeqNo - 1;
+        self.unsynced = true;
         stats.wal_appends.fetch_add(1, Ordering::Relaxed);
         stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
-        let due = rotated || self.over_bound();
         if !sync {
-            return Ok((None, due));
+            return Ok((framed, None));
         }
         let started = Instant::now();
-        self.active.sync()?;
-        stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
-        Ok((Some(started.elapsed().as_nanos() as u64), due))
+        self.sync(stats)?;
+        Ok((framed, Some(started.elapsed().as_nanos() as u64)))
     }
 
-    /// Retire every file whose records no shard still needs: all of them
-    /// below `floor`, the oldest sequence some shard holds unflushed. With
-    /// no floor nothing is needed, and the active file is replaced by an
-    /// empty one and retired too.
+    /// Start a fresh active file. The retiring one is synced first if it
+    /// holds records appended since its last sync; the fresh one is created
+    /// before the old writer is released, so a failure leaves the log
+    /// appending where it was.
+    pub(crate) fn rotate(&mut self, stats: &DbStats) -> Result<()> {
+        if self.unsynced {
+            self.sync(stats)?;
+        }
+        self.swap()
+    }
+
+    /// Retire every file whose records the owner's sealed tables hold: all
+    /// of them below `floor`, the oldest write no sealed manifest covers.
+    /// With no floor nothing is needed, and the active file is replaced by
+    /// an empty one and retired too, unsynced: it is gone in the same step.
     pub(crate) fn retire(&mut self, floor: Option<SeqNo>) -> Result<()> {
         if floor.is_none() && self.active.written() > 0 {
-            self.rotate()?;
+            self.swap()?;
         }
         let unneeded = |(_, last, _): &(String, SeqNo, u64)| floor.is_none_or(|f| *last < f);
         while self.sealed.front().is_some_and(unneeded) {
@@ -88,99 +95,101 @@ impl ShardedLog {
         Ok(())
     }
 
-    /// Whether the live files pass the bound.
-    pub(crate) fn over_bound(&self) -> bool {
-        let sealed: u64 = self.sealed.iter().map(|(_, _, bytes)| bytes).sum();
-        sealed + self.active.written() > LOG_BOUND_BUFFERS * self.buffer_bytes
+    /// Bytes in the active file.
+    pub(crate) fn written(&self) -> u64 {
+        self.active.written()
     }
 
-    fn rotate(&mut self) -> Result<()> {
-        let fresh = WalWriter::create(self.storage.as_ref(), &log_name(self.next_no))?;
-        self.next_no += 1;
+    /// Bytes in every live file.
+    pub(crate) fn live_bytes(&self) -> u64 {
+        let sealed: u64 = self.sealed.iter().map(|(_, _, bytes)| bytes).sum();
+        sealed + self.active.written()
+    }
+
+    fn sync(&mut self, stats: &DbStats) -> Result<()> {
+        self.active.sync()?;
+        self.unsynced = false;
+        stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn swap(&mut self) -> Result<()> {
+        let fresh = create(self.storage.as_ref(), &self.file_no)?;
+        self.unsynced = false;
         let old = std::mem::replace(&mut self.active, fresh);
         let last = std::mem::take(&mut self.active_last);
         self.sealed
             .push_back((old.name().to_string(), last, old.written()));
         Ok(())
     }
-}
 
-fn log_name(no: u64) -> String {
-    format!("{no:06}.wal")
-}
-
-/// Refuse a store laid out with a log per shard and a `COMMIT-<n>` marker
-/// log: this build reads one log at the root, and opening the store would
-/// lose what those logs hold.
-pub(crate) fn refuse_per_shard_logs(storage: &dyn Storage) -> Result<()> {
-    for name in storage.list()? {
-        if name.starts_with("COMMIT") || (name.starts_with("shard-") && name.ends_with(".wal")) {
-            return Err(Error::Corruption(format!(
-                "{name} belongs to a log-per-shard layout, which this build \
-                 does not read: it keeps one log per database"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Recover the log: replay every root file's records through `apply`,
-/// which applies what the shards' tables lack and says whether it applied
-/// anything; re-log those records, in sequence order, into a fresh file and
-/// sync it; then remove the old files, newest first. Returns the log and
-/// the highest sequence any record holds.
-///
-/// A re-logged copy keeps its original's sequence range, and distinct
-/// batches never share one, so a range read once is skipped wherever it
-/// turns up again: a recovery that crashed, or failed, while removing the
-/// old files leaves any subset of them beside the fresh one, and the next
-/// recovery still reads every record exactly once.
-pub(crate) fn recover(
-    storage: Arc<dyn Storage>,
-    buffer_bytes: usize,
-    mut apply: impl FnMut(&ReplayedRecord) -> bool,
-) -> Result<(ShardedLog, SeqNo)> {
-    let mut files: Vec<(u64, String)> = storage
-        .list()?
-        .into_iter()
-        .filter_map(|name| Some((name.strip_suffix(".wal")?.parse().ok()?, name)))
-        .collect();
-    files.sort_unstable();
-    let mut last = 0;
-    let mut read = HashSet::new();
-    let mut kept = Vec::new();
-    for (_, name) in &files {
-        for record in wal::replay_records(storage.as_ref(), name)? {
-            if !read.insert((record.first_seq, record.last_seq())) {
-                continue;
-            }
-            last = last.max(record.last_seq());
-            if apply(&record) {
-                kept.push(record);
+    /// Recover the log: replay every file's records through `apply`, which
+    /// applies what the owner's tables lack and says whether it applied
+    /// anything; re-log those records, in sequence order, into a fresh file
+    /// and sync it; then remove the old files, newest first. File numbers
+    /// come from `file_no`, first raised past every file listed. Returns the
+    /// log and the highest sequence any record holds.
+    ///
+    /// A re-logged copy keeps its original's sequence range, and distinct
+    /// batches never share one, so a range read once is skipped wherever it
+    /// turns up again: a recovery that crashed, or failed, while removing
+    /// the old files leaves any subset of them beside the fresh one, and the
+    /// next recovery still reads every record exactly once.
+    pub(crate) fn recover(
+        storage: Arc<dyn Storage>,
+        file_no: Arc<AtomicU64>,
+        mut apply: impl FnMut(&ReplayedRecord) -> bool,
+    ) -> Result<(Log, SeqNo)> {
+        let mut files: Vec<(u64, String)> = storage
+            .list()?
+            .into_iter()
+            .filter_map(|name| Some((name.strip_suffix(".wal")?.parse().ok()?, name)))
+            .collect();
+        files.sort_unstable();
+        let mut last = 0;
+        let mut read = HashSet::new();
+        let mut kept = Vec::new();
+        for (_, name) in &files {
+            for record in wal::replay_records(storage.as_ref(), name)? {
+                if !read.insert((record.first_seq, record.last_seq())) {
+                    continue;
+                }
+                last = last.max(record.last_seq());
+                if apply(&record) {
+                    kept.push(record);
+                }
             }
         }
+        kept.sort_unstable_by_key(|record| record.first_seq);
+        if let Some((no, _)) = files.last() {
+            file_no.fetch_max(no + 1, Ordering::Relaxed);
+        }
+        let mut active = create(storage.as_ref(), &file_no)?;
+        for record in &kept {
+            active.append_batch(record.first_seq, &record.ops)?;
+        }
+        if !kept.is_empty() {
+            active.sync()?;
+        }
+        for (_, name) in files.iter().rev() {
+            storage.remove(name)?;
+        }
+        let log = Log {
+            storage,
+            active,
+            active_last: kept.last().map_or(0, ReplayedRecord::last_seq),
+            unsynced: false,
+            file_no,
+            sealed: VecDeque::new(),
+        };
+        Ok((log, last))
     }
-    kept.sort_unstable_by_key(|record| record.first_seq);
-    let next_no = files.last().map_or(1, |(no, _)| no + 1);
-    let mut active = WalWriter::create(storage.as_ref(), &log_name(next_no))?;
-    for record in &kept {
-        active.append_batch(record.first_seq, &record.ops)?;
-    }
-    if !kept.is_empty() {
-        active.sync()?;
-    }
-    for (_, name) in files.iter().rev() {
-        storage.remove(name)?;
-    }
-    let log = ShardedLog {
-        storage,
-        active,
-        active_last: kept.last().map_or(0, ReplayedRecord::last_seq),
-        next_no: next_no + 1,
-        sealed: VecDeque::new(),
-        buffer_bytes: buffer_bytes as u64,
-    };
-    Ok((log, last))
+}
+
+/// A fresh log file, named by the next number `file_no` hands out.
+fn create(storage: &dyn Storage, file_no: &AtomicU64) -> Result<WalWriter> {
+    let no = file_no.fetch_add(1, Ordering::Relaxed);
+    WalWriter::create(storage, &format!("{no:06}.wal"))
 }
 
 #[cfg(test)]
@@ -199,11 +208,16 @@ mod tests {
         keys.map(op).collect()
     }
 
+    /// A file-number allocator of the log's own, as a sharded database has.
+    fn numbers() -> Arc<AtomicU64> {
+        Arc::new(AtomicU64::new(1))
+    }
+
     /// Recover `storage`, returning the log, the highest sequence and the
     /// `(first_seq, len)` of every record handed to `apply`.
-    fn recovered(storage: &Arc<MemStorage>) -> (ShardedLog, SeqNo, Vec<(SeqNo, usize)>) {
+    fn recovered(storage: &Arc<MemStorage>) -> (Log, SeqNo, Vec<(SeqNo, usize)>) {
         let mut seen = Vec::new();
-        let (log, last) = recover(Arc::clone(storage) as Arc<dyn Storage>, 1 << 20, |r| {
+        let (log, last) = Log::recover(Arc::clone(storage) as Arc<dyn Storage>, numbers(), |r| {
             seen.push((r.first_seq, r.ops.len()));
             true
         })
@@ -211,7 +225,7 @@ mod tests {
         (log, last, seen)
     }
 
-    fn append(log: &mut ShardedLog, first: SeqNo, batch: &[BatchOp]) {
+    fn append(log: &mut Log, first: SeqNo, batch: &[BatchOp]) {
         let region = wal::encode_ops(batch);
         log.append(first, batch.len(), &[&region], false, &DbStats::new())
             .unwrap();
@@ -230,7 +244,7 @@ mod tests {
         let (log, last, seen) = recovered(&storage);
         assert_eq!((last, seen.len()), (0, 0));
         assert_eq!(logs(&storage), ["000001.wal"]);
-        assert!(!log.over_bound());
+        assert_eq!(log.live_bytes(), 0);
     }
 
     #[test]
@@ -258,7 +272,7 @@ mod tests {
         append(&mut log, 4, &ops(3..5));
         drop(log);
         let dyn_storage = Arc::clone(&storage) as Arc<dyn Storage>;
-        let (_, last) = recover(dyn_storage, 1 << 20, |r| r.first_seq > 1).unwrap();
+        let (_, last) = Log::recover(dyn_storage, numbers(), |r| r.first_seq > 1).unwrap();
         assert_eq!(last, 5);
         assert_eq!(recovered(&storage).2, [(4, 2)]);
     }
@@ -333,8 +347,8 @@ mod tests {
     fn a_crash_between_the_old_files_removals_loses_no_record() {
         let storage = Arc::new(MemStorage::new());
         let (mut log, ..) = recovered(&storage);
-        log.buffer_bytes = 1; // the second append rotates into 000002
         append(&mut log, 10, &ops(0..3));
+        log.rotate(&DbStats::new()).unwrap();
         append(&mut log, 20, &ops(3..14));
         drop(log);
         assert_eq!(logs(&storage), ["000001.wal", "000002.wal"]);
@@ -343,7 +357,8 @@ mod tests {
             if let Some(n) = crash_after {
                 control.crash_after(n);
             }
-            let outcome = recover(Arc::clone(&crashing) as Arc<dyn Storage>, 1 << 20, |_| true);
+            let crashing_dyn = Arc::clone(&crashing) as Arc<dyn Storage>;
+            let outcome = Log::recover(crashing_dyn, numbers(), |_| true);
             (
                 outcome.map(|(_, last)| last).ok(),
                 control.ops(),
@@ -380,15 +395,17 @@ mod tests {
         assert_eq!(recovered(&planted).2, whole);
     }
 
-    /// Files are retired below the floor, the active one never while a
-    /// shard needs anything; with no floor every file goes and the active
+    /// Files are retired below the floor, the active one never while the
+    /// owner needs anything; with no floor every file goes and the active
     /// one is replaced by an empty file.
     #[test]
     fn retire_removes_files_below_the_floor() {
         let storage = Arc::new(MemStorage::new());
         let (mut log, ..) = recovered(&storage);
-        log.buffer_bytes = 1; // every append after the first rotates
         for seq in 1..=5 {
+            if seq > 1 {
+                log.rotate(&DbStats::new()).unwrap();
+            }
             append(&mut log, seq, &ops(seq..seq + 1));
         }
         assert_eq!(logs(&storage).len(), 5);
@@ -401,19 +418,30 @@ mod tests {
         assert_eq!(log.active.written(), 0);
     }
 
+    /// A rotation syncs the retiring file only when it holds records
+    /// appended since its last sync; a file retired in the same step as its
+    /// rotation is not synced.
     #[test]
-    fn per_shard_logs_and_commit_marker_files_are_refused() {
-        for name in ["COMMIT", "COMMIT-000001", "shard-3/000002.wal"] {
-            let storage = MemStorage::new();
-            drop(storage.create("000004.wal").unwrap());
-            drop(storage.create("shard-3/MANIFEST-000001").unwrap());
-            assert!(refuse_per_shard_logs(&storage).is_ok());
-            drop(storage.create(name).unwrap());
-            let refused = refuse_per_shard_logs(&storage);
-            assert!(
-                matches!(&refused, Err(Error::Corruption(m)) if m.contains(name)),
-                "{name}: {refused:?}"
-            );
-        }
+    fn a_rotation_syncs_only_what_is_unsynced() {
+        let storage = Arc::new(MemStorage::new());
+        let (mut log, ..) = recovered(&storage);
+        let stats = DbStats::new();
+        let syncs = || stats.wal_syncs.load(Ordering::Relaxed);
+        let region = wal::encode_ops(&ops(0..1));
+        log.append(1, 1, &[&region], false, &stats).unwrap();
+        log.rotate(&stats).unwrap();
+        assert_eq!(
+            syncs(),
+            1,
+            "unsynced records are synced before the rotation"
+        );
+        log.append(2, 1, &[&region], true, &stats).unwrap();
+        log.rotate(&stats).unwrap();
+        log.rotate(&stats).unwrap();
+        assert_eq!(syncs(), 2, "a synced or empty file is not synced again");
+        log.append(3, 1, &[&region], false, &stats).unwrap();
+        log.retire(None).unwrap();
+        assert_eq!(syncs(), 2, "a file retired as it rotates is not synced");
+        assert_eq!(logs(&storage), ["000005.wal"]);
     }
 }

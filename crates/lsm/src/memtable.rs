@@ -209,16 +209,14 @@ impl Cursor for MemCursor {
 
 /// A sealed write buffer queued for flush (background maintenance): the
 /// skiplist it was while it took writes, which the flush worker, readers,
-/// iterators and snapshots share by handle.
+/// iterators and snapshots share by handle. Its records are in the log
+/// until the flush's manifest seal covers them; no name ties it to a log
+/// file.
 #[derive(Debug)]
 pub struct ImmutableMemTable {
     /// The buffer. The rotation that sealed it quiesced it first
     /// (`MemTable::wait_quiescent`), and nothing inserts into it since.
     pub mem: MemTable,
-    /// The WAL file that made these writes durable; retired after the
-    /// flushed SSTable is referenced by the manifest. `None` on a shard of
-    /// a sharded database, whose writes are in the owner's one log.
-    pub wal: Option<String>,
     /// The sequence number of the first write claimed into the buffer.
     pub first: SeqNo,
 }
@@ -360,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_contents_and_wal_name() {
+    fn freeze_preserves_contents() {
         let m = MemTable::new();
         put(&m, 1, 5, b"v5");
         put(&m, 1, 2, b"v2");
@@ -368,12 +366,10 @@ mod tests {
         let bytes = m.approximate_bytes();
         let imm = ImmutableMemTable {
             mem: m.clone(),
-            wal: Some("000003.wal".into()),
             first: 2,
         };
         drop(m);
         assert_eq!(imm.mem.approximate_bytes(), bytes);
-        assert_eq!(imm.wal.as_deref(), Some("000003.wal"));
         assert_eq!(imm.mem.len(), 3);
         // Read the way a `ReadView` reads a queued buffer.
         assert_eq!(imm.mem.get(1, MAX_VISIBLE), Some(Some(&b"v5"[..])));

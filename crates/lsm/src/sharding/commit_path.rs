@@ -1,19 +1,25 @@
 //! The cross-shard commit path: one fence range and one log record per
 //! batch, each shard's part applied at its sub-range, dual-write mirroring
-//! during a split, and the log's retirement and bound (ARCHITECTURE.md §5;
-//! the protocol is described in [`super`]'s docs).
+//! during a split, and the log's rotation, retirement and bound
+//! (ARCHITECTURE.md §5; the protocol is described in [`super`]'s docs).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::{split_batch, split_by_cut, PendingSplit, RoutingState, ShardedCore, ShardedDb};
 use crate::batch::WriteBatch;
+use crate::log::Log;
 use crate::options::WriteOptions;
 use crate::scheduler::Work;
 use crate::types::SeqNo;
 use crate::wal;
 use crate::Result;
 use lsm_obs::{EventKind, GLOBAL_SHARD};
+
+/// Write buffers' worth of live log past which the shard pinning the oldest
+/// file is flushed. Shards that flush as they fill keep the live log near
+/// one buffer per shard, each buffer's log bytes below its buffer bytes.
+pub const LOG_BOUND_BUFFERS: u64 = 8;
 
 impl ShardedDb {
     // ------------------------------------------------------------- writes
@@ -88,8 +94,7 @@ impl ShardedCore {
             .map(|p| wal::encode_ops(p.ops()))
             .collect();
         let regions: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-        let logged = (self.log.lock()).append(first, len, &regions, wopts.sync, &self.own_stats);
-        let (synced, log_due) = match logged {
+        let (synced, log_due) = match self.append(first, len, &regions, wopts.sync) {
             Ok(appended) => appended,
             Err(e) => {
                 // Even a failed append may have left a frame behind, and a
@@ -163,6 +168,34 @@ impl ShardedCore {
         Ok(last)
     }
 
+    /// Append one batch's record, its regions one per touched shard in
+    /// routing order, rotating the active file first once it holds a write
+    /// buffer's bytes. Returns the sync's wall time in ns, and whether the
+    /// log is due its upkeep: it rotated (a sealed file may be retirable
+    /// now) or passed the bound. The caller poisons on any error — a failed
+    /// rotation's too, though it appended nothing: one rule for every
+    /// failure at the commit point.
+    fn append(
+        &self,
+        first: SeqNo,
+        count: usize,
+        regions: &[&[u8]],
+        sync: bool,
+    ) -> Result<(Option<u64>, bool)> {
+        let mut log = self.log.lock();
+        let rotated = log.written() >= self.opts.base.write_buffer_bytes as u64;
+        if rotated {
+            log.rotate(&self.own_stats)?;
+        }
+        let (_, synced) = log.append(first, count, regions, sync, &self.own_stats)?;
+        Ok((synced, rotated || self.over_bound(&log)))
+    }
+
+    /// Whether the live log files pass the bound.
+    fn over_bound(&self, log: &Log) -> bool {
+        log.live_bytes() > LOG_BOUND_BUFFERS * self.opts.base.write_buffer_bytes as u64
+    }
+
     /// Under the commit lock, after a commit that rotated the log or passed
     /// its bound, or after a flush: retire the log files no shard needs any
     /// more, and once the live files pass the bound, flush the shard
@@ -179,7 +212,7 @@ impl ShardedCore {
         let over = {
             let mut log = self.log.lock();
             log.retire(held.map(|(seq, _)| seq))?;
-            log.over_bound()
+            self.over_bound(&log)
         };
         if let Some((_, pos)) = held.filter(|_| over) {
             let shard = state.shard(pos);

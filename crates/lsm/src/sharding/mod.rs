@@ -95,8 +95,9 @@
 //!
 //! ## Crash atomicity: one log
 //!
-//! The database keeps one log of `NNNNNN.wal` files at its root ([`log`]).
-//! A commit appends one record holding the batch's ops grouped by shard in
+//! The database keeps one log of `NNNNNN.wal` files at its root — the same
+//! log a lone [`Db`] keeps (`crate::log`), rotated once its active file
+//! holds a write buffer's bytes. A commit appends one record holding the batch's ops grouped by shard in
 //! routing order — op `i` at `first + i`, so each shard's part sits at its
 //! sub-range — and syncs it when `WriteOptions::sync` asks; only then do
 //! the shards apply their parts, logging nothing themselves. The record is
@@ -105,8 +106,8 @@
 //! cross-column-family batches atomic the same way, with one WAL every
 //! family shares).
 //!
-//! A shard's manifest records `flushed <seq>`: every op routed to it at or
-//! below `seq` is in its tables. [`ShardedDb::open`] opens every shard from
+//! A shard's manifest records `flushed <seq>`, as a lone `Db`'s does: every
+//! op routed to it at or below `seq` is in its tables. [`ShardedDb::open`] opens every shard from
 //! its tables, replays the log once — each op routed by key through the
 //! last sealed topology and applied only above its shard's `flushed` —,
 //! re-logs the records that still carry an op into a fresh file (a range
@@ -162,7 +163,6 @@
 //! [`Maintenance::Background`]: crate::options::Maintenance::Background
 
 mod commit_path;
-mod log;
 pub mod merge;
 mod open;
 pub mod router;
@@ -170,7 +170,7 @@ pub mod split;
 mod stats;
 pub mod topology;
 
-pub use log::LOG_BOUND_BUFFERS;
+pub use commit_path::LOG_BOUND_BUFFERS;
 pub use merge::ShardedDbIterator;
 pub use open::RecoveryReport;
 pub use router::{imbalance, ShardRouter};
@@ -186,6 +186,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::cache::BlockCache;
 use crate::db::{CommitCoordination, Db};
+use crate::log::Log;
 use crate::options::{ReadOptions, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler};
 use crate::snapshot::Snapshot;
@@ -353,7 +354,7 @@ struct ShardedCore {
     coordination: Arc<CommitCoordination>,
     /// The database's one log. Appends happen under the commit lock; the
     /// mutex only satisfies `&self` mutability.
-    log: Mutex<log::ShardedLog>,
+    log: Mutex<Log>,
     /// What the open found.
     recovery: RecoveryReport,
     /// Shared wakeup channel: every shard's rotations/installs bump it,

@@ -8,13 +8,14 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use super::{log, RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology};
+use super::{RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology};
 use crate::cache::BlockCache;
 use crate::db::{CommitCoordination, Db, DbCore, Embedding};
+use crate::log::Log;
 use crate::options::{Maintenance, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler, Step, Work};
 use crate::stats::DbStats;
-use crate::Result;
+use crate::{Error, Result};
 use lsm_io::{CostModel, MemStorage, PrefixedStorage, SimStorage, Storage};
 use lsm_obs::{EngineObs, Observer, DEFAULT_EVENT_CAPACITY};
 
@@ -41,7 +42,7 @@ impl ShardedDb {
     /// (or a `COMMIT-<n>` marker log) is refused with `Corruption` naming
     /// the file.
     pub fn open(storage: Arc<dyn Storage>, opts: ShardedOptions) -> Result<ShardedDb> {
-        log::refuse_per_shard_logs(storage.as_ref())?;
+        refuse_per_shard_logs(storage.as_ref())?;
         let requested = opts.shards.max(1);
         let topo = match Topology::load(storage.as_ref())? {
             Some(topo) => topo,
@@ -96,12 +97,13 @@ impl ShardedDb {
         // to the shard its tables do not hold it in yet; the fence resumes
         // at the highest sequence seen.
         let router = topo.router();
-        let buffer = opts.base.write_buffer_bytes;
-        let (log, logged) = log::recover(Arc::clone(&storage), buffer, |record| {
+        // The log numbers its files itself: the root holds no tables.
+        let file_no = Arc::new(AtomicU64::new(1));
+        let (log, logged) = Log::recover(Arc::clone(&storage), file_no, |record| {
             let ops = (record.first_seq..).zip(&record.ops);
             // Every op is offered to its shard: none may be skipped.
             ops.fold(false, |applied, (seq, op)| {
-                shards[router.shard_of(op.key)].replay(op, seq) | applied
+                shards[router.shard_of(op.key)].core().replay(op, seq) | applied
             })
         })?;
         let recovery = RecoveryReport {
@@ -264,4 +266,40 @@ fn round_robin(cores: &[Arc<DbCore>], rr: &mut usize, step: impl Fn(&DbCore) -> 
         }
     }
     Step::Idle
+}
+
+/// Refuse a store laid out with a log per shard and a `COMMIT-<n>` marker
+/// log: this build reads one log at the root, and opening the store would
+/// lose what those logs hold.
+fn refuse_per_shard_logs(storage: &dyn Storage) -> Result<()> {
+    for name in storage.list()? {
+        if name.starts_with("COMMIT") || (name.starts_with("shard-") && name.ends_with(".wal")) {
+            return Err(Error::Corruption(format!(
+                "{name} belongs to a log-per-shard layout, which this build \
+                 does not read: it keeps one log per database"
+            )));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn per_shard_logs_and_commit_marker_files_are_refused() {
+        for name in ["COMMIT", "COMMIT-000001", "shard-3/000002.wal"] {
+            let storage = MemStorage::new();
+            drop(storage.create("000004.wal").unwrap());
+            drop(storage.create("shard-3/MANIFEST-000001").unwrap());
+            assert!(refuse_per_shard_logs(&storage).is_ok());
+            drop(storage.create(name).unwrap());
+            let refused = refuse_per_shard_logs(&storage);
+            assert!(
+                matches!(&refused, Err(Error::Corruption(m)) if m.contains(name)),
+                "{name}: {refused:?}"
+            );
+        }
+    }
 }

@@ -6,8 +6,9 @@
 //! matter how many operations it carries, which is what makes batched
 //! writes cheap (one frame, one CRC pass, one storage append) and atomic
 //! (a torn or corrupt tail drops the *whole* batch on replay — never a
-//! prefix of it). One log file exists per memtable generation — a flush
-//! seals the table and retires the log.
+//! prefix of it). A lone `Db` keeps one log file per memtable generation
+//! — once a flush's manifest seal covers its records, the file is retired
+//! (`crate::log` keeps the files; this module writes and reads records).
 //!
 //! Record layout (little-endian):
 //!

@@ -3,10 +3,12 @@
 //! storage — and batch atomicity: a torn tail drops a whole `WriteBatch`,
 //! never a prefix of it.
 
-use std::sync::Arc;
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use learned_index::IndexKind;
-use lsm_io::{FileStorage, MemStorage, Storage};
+use lsm_io::{FileStorage, Hook, Interposed, MemStorage, Op, Storage};
 use lsm_tree::wal::{encode_ops, replay_records, WalWriter};
 use lsm_tree::{BatchOp, Db, EntryKind, Options, WriteBatch, WriteOptions};
 use proptest::prelude::*;
@@ -84,6 +86,117 @@ fn old_wals_are_retired_after_flush() {
         .filter(|n| n.ends_with(".wal"))
         .collect();
     assert_eq!(wals.len(), 1, "exactly one live log: {wals:?}");
+}
+
+/// A storage hook that records every log file's create, append and sync,
+/// in order.
+#[derive(Default)]
+struct LogOps(Mutex<Vec<String>>);
+
+impl Hook for LogOps {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        let (verb, name) = match op {
+            Op::Create(name) => ("create", name),
+            Op::Append(name, _) => ("append", name),
+            Op::Sync(name) => ("sync", name),
+            _ => return Ok(()),
+        };
+        if name.ends_with(".wal") {
+            self.0.lock().unwrap().push(format!("{verb} {name}"));
+        }
+        Ok(())
+    }
+}
+
+/// A durable write in a newer log file never outlives an acknowledged
+/// write in an older one: a rotation syncs the file it retires, before the
+/// fresh file exists, when that file holds records appended since its last
+/// sync — and adds no sync when its last record was synced already. A
+/// durable batch is one append and one sync.
+#[test]
+fn a_rotation_syncs_the_log_it_retires_first() {
+    let ops = Arc::new(LogOps::default());
+    let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let storage = Arc::new(Interposed::hooked(memory, Arc::clone(&ops)));
+    let db = Db::open(storage, opts()).unwrap();
+    let mark = || ops.0.lock().unwrap().len();
+    let since = |from: usize| ops.0.lock().unwrap()[from..].to_vec();
+    assert_eq!(since(0), ["create 000001.wal"]);
+
+    for k in 0..50u64 {
+        db.put(k, b"unsynced").unwrap();
+    }
+    let rotation = mark();
+    db.flush().unwrap();
+    assert_eq!(since(rotation), ["sync 000001.wal", "create 000002.wal"]);
+
+    let mut batch = WriteBatch::new();
+    batch.put(1_000, b"durable");
+    batch.put(1_001, b"durable");
+    let durable = mark();
+    db.write(batch, &WriteOptions::durable()).unwrap();
+    assert_eq!(since(durable), ["append 000002.wal", "sync 000002.wal"]);
+    let rotation = mark();
+    db.flush().unwrap();
+    // 000003 is the first flush's table.
+    assert_eq!(
+        since(rotation),
+        ["create 000004.wal"],
+        "a synced file is not synced again"
+    );
+}
+
+/// A storage hook that fails the next log sync once armed.
+#[derive(Default)]
+struct FailNextLogSync(AtomicBool);
+
+impl Hook for FailNextLogSync {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        match op {
+            Op::Sync(name) if name.ends_with(".wal") && self.0.swap(false, Ordering::SeqCst) => {
+                Err(io::Error::other("injected log sync failure"))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A durable write whose log sync fails is not acknowledged, and its
+/// sequence range is never reissued: recovery reads each range once, so a
+/// later batch at the failed one's range would be skipped as its copy. The
+/// write acknowledged after the failure survives a reopen, and a flush
+/// after a failure settles (the failed range publishes as an empty group).
+#[test]
+fn a_write_after_a_failed_log_sync_survives_reopen() {
+    let fail = Arc::new(FailNextLogSync::default());
+    let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let open = || {
+        let storage = Interposed::hooked(Arc::clone(&memory), Arc::clone(&fail));
+        Db::open(Arc::new(storage), opts()).unwrap()
+    };
+    let put = |db: &Db, key: u64, value: &[u8]| {
+        let mut batch = WriteBatch::new();
+        batch.put(key, value);
+        db.write(batch, &WriteOptions::durable())
+    };
+    let db = open();
+    put(&db, 1, b"before").unwrap();
+    fail.0.store(true, Ordering::SeqCst);
+    assert!(put(&db, 2, b"unacknowledged").is_err());
+    put(&db, 3, b"acknowledged").unwrap();
+    drop(db);
+
+    let db = open();
+    assert_eq!(db.get(1).unwrap(), Some(b"before".to_vec()));
+    assert_eq!(db.get(3).unwrap(), Some(b"acknowledged".to_vec()));
+    fail.0.store(true, Ordering::SeqCst);
+    assert!(put(&db, 4, b"unacknowledged").is_err());
+    db.flush().unwrap();
+    put(&db, 5, b"acknowledged").unwrap();
+    drop(db);
+    let db = open();
+    assert_eq!(db.get(3).unwrap(), Some(b"acknowledged".to_vec()));
+    assert_eq!(db.get(5).unwrap(), Some(b"acknowledged".to_vec()));
 }
 
 /// Clip the live WAL to its first `keep` bytes, simulating a crash that

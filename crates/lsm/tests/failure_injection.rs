@@ -154,46 +154,65 @@ fn a_failed_job_leaves_no_output_behind() {
     );
 }
 
-/// A crash after a rotation creates its log and before the seal that names
-/// it leaves a log no sealed manifest names. No write into it was
-/// acknowledged — a write waits for the seal — so the reopen's sweep
-/// removes it: the image reopens with exactly one log and every
-/// acknowledged write. (A rotation whose log could not be created spends
-/// a file number first, so the reopen's own log does not reuse the
-/// stray's name.)
+/// A lone `Db`'s log lifecycle, crashed at every storage op: a rotation
+/// syncs the buffer's log file and starts a fresh one, acknowledged writes
+/// land in the fresh file while the rotated buffer waits, then its flush
+/// seals the manifest and the log retires the flushed buffer's file. Every
+/// image reopens with every acknowledged write, and after one more write
+/// and flush exactly one `.wal` remains. (No manifest names a log: a crash
+/// between a rotation and a seal strands nothing the reopen does not
+/// replay.)
 #[test]
-fn a_log_no_sealed_manifest_names_is_swept_at_open() {
-    let (crash, cut) = CrashStorage::new();
-    let (storage, faults) = FaultStorage::wrap(Arc::clone(&crash) as Arc<dyn Storage>);
-    let db = Db::open(storage as Arc<dyn Storage>, opts()).unwrap();
-    for k in 0..200u64 {
-        db.put(k, b"acked").unwrap();
-    }
-    faults.poison(".wal");
-    assert!(db.flush().is_err(), "the rotation's log cannot be created");
-    faults.heal();
-    // The retried rotation creates its log; the manifest naming it is
-    // refused.
-    cut.crash_after(1);
-    assert!(db.flush().is_err());
-    drop(db);
-    let image = Arc::new(crash.image());
-    let logs = |s: &MemStorage| {
-        s.list()
-            .unwrap()
-            .iter()
-            .filter(|f| f.ends_with(".wal"))
-            .count()
+fn a_crash_anywhere_in_the_log_lifecycle_keeps_every_acknowledged_write() {
+    let o = Options {
+        maintenance: Maintenance::background(),
+        ..opts()
     };
-    assert_eq!(
-        logs(&image),
-        2,
-        "the cut falls between a log's create and its seal"
-    );
-    let db = Db::open(Arc::clone(&image) as Arc<dyn Storage>, opts()).unwrap();
-    assert_eq!(logs(&image), 1, "the unnamed log is swept");
-    for k in 0..200u64 {
-        assert_eq!(db.get(k).unwrap(), Some(b"acked".to_vec()), "key {k}");
+    let logs = |s: &dyn Storage| {
+        let names = s.list().unwrap().into_iter();
+        names.filter(|f| f.ends_with(".wal")).count()
+    };
+    // Writes 0..150 sit in a buffer; a crash `after` ops into the rest of
+    // the lifecycle leaves the returned image and the keys acknowledged.
+    let run = |after: Option<u64>| -> (MemStorage, Vec<u64>, u64) {
+        let (storage, cut) = CrashStorage::new();
+        let db = Db::open(Arc::clone(&storage) as Arc<dyn Storage>, o.clone()).unwrap();
+        let mut acked: Vec<u64> = (0..150).collect();
+        for &k in &acked {
+            db.put(k, b"acked").unwrap();
+        }
+        db.pause_flushes();
+        let start = cut.ops();
+        if let Some(n) = after {
+            cut.crash_after(n);
+        }
+        // Paused: the flush only rotates the buffer and its log.
+        let rotated = db.flush();
+        assert_eq!(rotated.is_ok(), db.immutable_memtables() == 1);
+        acked.extend((150..200).filter(|&k| db.put(k, b"acked").is_ok()));
+        db.resume_flushes();
+        db.wait_for_maintenance();
+        drop(db);
+        (storage.image(), acked, cut.ops() - start)
+    };
+    let (whole, acked, total) = run(None);
+    assert_eq!((acked.len(), logs(&whole)), (200, 1));
+    assert!(total > 10, "the lifecycle spans many ops: {total}");
+    for n in 0..=total {
+        let (image, acked, _) = run(Some(n));
+        let image = Arc::new(image);
+        let db = Db::open(Arc::clone(&image) as Arc<dyn Storage>, opts())
+            .unwrap_or_else(|e| panic!("crash after {n} ops: {e}"));
+        for &k in &acked {
+            assert_eq!(
+                db.get(k).unwrap(),
+                Some(b"acked".to_vec()),
+                "crash after {n} ops: key {k}"
+            );
+        }
+        db.put(9_000, b"after").unwrap();
+        db.flush().unwrap();
+        assert_eq!(logs(image.as_ref()), 1, "crash after {n} ops");
     }
 }
 

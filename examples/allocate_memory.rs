@@ -60,16 +60,13 @@ fn main() {
     let version = tb.db().version();
     let mut levels = Vec::new();
     for (lvl, tables) in version.levels.iter().enumerate() {
-        let mut keys = Vec::new();
-        for t in tables {
-            keys.extend(t.reader.read_all_keys().expect("read keys"));
-        }
-        keys.sort_unstable();
+        let keys = tables
+            .iter()
+            .map(|t| t.reader.read_all_keys().expect("read keys"));
         levels.push(LevelWorkload {
-            keys,
+            tables: keys.collect(),
             read_share: probe.level_reads.get(lvl).copied().unwrap_or(0) as f64
                 / total_reads.max(1) as f64,
-            tables: tables.len().max(1),
         });
     }
     let allocator = BoundaryAllocator {
