@@ -153,6 +153,10 @@ impl Storage for FileStorage {
         fs::remove_file(self.path(name))
     }
 
+    fn sync_file(&self, name: &str) -> io::Result<()> {
+        File::open(self.path(name))?.sync_data()
+    }
+
     fn exists(&self, name: &str) -> bool {
         self.path(name).exists()
     }

@@ -26,7 +26,7 @@ pub enum Op<'a> {
     Create(&'a str),
     /// `WritableFile::append`, with the bytes appended.
     Append(&'a str, &'a [u8]),
-    /// `WritableFile::sync`.
+    /// `WritableFile::sync` or `Storage::sync_file`.
     Sync(&'a str),
     /// `Storage::remove`.
     Remove(&'a str),
@@ -86,6 +86,11 @@ where
     fn remove(&self, name: &str) -> io::Result<()> {
         self.hook.before(Op::Remove(name))?;
         self.inner.remove(name)
+    }
+
+    fn sync_file(&self, name: &str) -> io::Result<()> {
+        self.hook.before(Op::Sync(name))?;
+        self.inner.sync_file(name)
     }
 
     fn exists(&self, name: &str) -> bool {

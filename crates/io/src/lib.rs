@@ -141,6 +141,11 @@ pub trait Storage: Send + Sync {
     /// Delete a file. Deleting a missing file is an error.
     fn remove(&self, name: &str) -> io::Result<()>;
 
+    /// Flush an existing file, written by an earlier writer, to the
+    /// storage medium (`WritableFile::sync` without the writer). Syncing a
+    /// missing file is an error.
+    fn sync_file(&self, name: &str) -> io::Result<()>;
+
     /// Whether a file with this name exists.
     fn exists(&self, name: &str) -> bool;
 
@@ -196,9 +201,12 @@ mod tests {
         let listed = s.list().unwrap();
         assert!(listed.contains(&"a".to_string()));
 
+        s.sync_file("a").unwrap();
+        assert_eq!(s.size_of("a").unwrap(), 11, "a sync changes no byte");
         s.remove("a").unwrap();
         assert!(!s.exists("a"));
         assert!(s.remove("a").is_err());
+        assert!(s.sync_file("a").is_err());
         assert!(s.open_read("a").is_err());
     }
 

@@ -97,6 +97,18 @@ impl Meter {
         });
         self.stats.record_write(len as u64, blocks, ns);
     }
+
+    fn sync(&self) {
+        let sync_ns = self.model.map_or(0, |m| m.sync_ns);
+        if sync_ns > 0 {
+            // Realized latency, not just a counted one: block the caller
+            // like a real FLUSH would, so commit-queue dynamics (group
+            // fusion behind a syncing leader) are physically reproduced.
+            // See `CostModel::sync_ns`.
+            self.stats.record_sync(sync_ns);
+            std::thread::sleep(std::time::Duration::from_nanos(sync_ns));
+        }
+    }
 }
 
 /// Read side of an in-memory file.
@@ -158,15 +170,7 @@ impl WritableFile for MemWriter {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let sync_ns = self.meter.model.map_or(0, |m| m.sync_ns);
-        if sync_ns > 0 {
-            // Realized latency, not just a counted one: block the caller
-            // like a real FLUSH would, so commit-queue dynamics (group
-            // fusion behind a syncing leader) are physically reproduced.
-            // See `CostModel::sync_ns`.
-            self.meter.stats.record_sync(sync_ns);
-            std::thread::sleep(std::time::Duration::from_nanos(sync_ns));
-        }
+        self.meter.sync();
         Ok(())
     }
 
@@ -198,6 +202,12 @@ impl Storage for MemStorage {
     fn remove(&self, name: &str) -> io::Result<()> {
         let removed = self.files.write().remove(name);
         removed.map(drop).ok_or_else(|| not_found(name))
+    }
+
+    fn sync_file(&self, name: &str) -> io::Result<()> {
+        self.get(name)?;
+        self.meter().sync();
+        Ok(())
     }
 
     fn exists(&self, name: &str) -> bool {

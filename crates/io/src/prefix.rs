@@ -52,6 +52,10 @@ impl Storage for PrefixedStorage {
         self.inner.remove(&self.full(name))
     }
 
+    fn sync_file(&self, name: &str) -> io::Result<()> {
+        self.inner.sync_file(&self.full(name))
+    }
+
     fn exists(&self, name: &str) -> bool {
         self.inner.exists(&self.full(name))
     }

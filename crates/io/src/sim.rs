@@ -41,6 +41,10 @@ impl Storage for SimStorage {
         self.0.remove(name)
     }
 
+    fn sync_file(&self, name: &str) -> io::Result<()> {
+        self.0.sync_file(name)
+    }
+
     fn exists(&self, name: &str) -> bool {
         self.0.exists(name)
     }

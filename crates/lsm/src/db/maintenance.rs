@@ -583,8 +583,9 @@ impl DbCore {
 /// next level overlaps it; its entries have the width and its index the
 /// choice the next level's tables get; it is small enough that the rewrite
 /// would not cut it in two; and, when the next level is the bottom, where a
-/// rewrite drops tombstones, it is known to hold none. A table recovered at
-/// open has an unknown tombstone count, so it is rewritten there.
+/// rewrite drops tombstones, it is known to hold none. A table named by a
+/// manifest written before the count was recorded has an unknown count, so
+/// it is rewritten there.
 fn movable<'t>(task: &'t CompactionTask, opts: &Options) -> Option<&'t Arc<TableHandle>> {
     let [table] = task.inputs.as_slice() else {
         return None;

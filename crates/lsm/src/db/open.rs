@@ -76,13 +76,14 @@ impl Db {
         let cache = shared_cache.or_else(|| BlockCache::from_options(&opts));
         let mut version = Version::new(MAX_LEVELS);
         let mut flushed = 0;
+        let mut cursors = vec![0; MAX_LEVELS];
         let mut next_file_no = 1u64;
         let mut manifest_epoch = 0u64;
         if let Some((epoch, manifest_text)) =
             sealed::newest_valid(storage.as_ref(), MANIFEST_PREFIX)?
         {
             manifest_epoch = epoch;
-            (version, next_file_no, flushed) =
+            (version, next_file_no, flushed, cursors) =
                 DbCore::recover(&manifest_text, storage.as_ref(), &opts, cache.as_ref())?;
         } else {
             // No manifest validates. A fresh open seals one before its
@@ -107,7 +108,7 @@ impl Db {
             seq: flushed,
             mem_first: None,
             flushed,
-            cursors: vec![0; MAX_LEVELS],
+            cursors,
             log: None,
             flush_active: false,
             compacting: false,
@@ -139,8 +140,9 @@ impl Db {
             coordination,
             obs,
         });
-        // Replay the log above what the tables hold, re-logging it into a
-        // fresh file (a shard's owner replays its own log into it).
+        // Replay the log above what the tables hold, keeping the files it
+        // read as the log's sealed files (a shard's owner replays its own
+        // log into it).
         if logged {
             let file_no = Arc::clone(&core.next_file_no);
             let (log, _) = Log::recover(Arc::clone(&core.storage), file_no, |record| {
@@ -267,15 +269,21 @@ impl Db {
 }
 
 impl DbCore {
+    /// The version, next file number, `flushed` and compaction cursors a
+    /// sealed manifest records. A `table` line's last field, the table's
+    /// tombstone count, and the `cursor <level> <key>` lines are absent
+    /// from a manifest written before they were recorded: the count is then
+    /// unknown and a cursor 0, as they were at every open.
     fn recover(
         text: &str,
         storage: &dyn Storage,
         opts: &Options,
         cache: Option<&Arc<BlockCache>>,
-    ) -> Result<(Version, u64, SeqNo)> {
+    ) -> Result<(Version, u64, SeqNo, Vec<u64>)> {
         let mut version = Version::new(MAX_LEVELS);
         let mut next_file_no = 1u64;
         let mut flushed = None;
+        let mut cursors = vec![0; MAX_LEVELS];
         for (lineno, line) in text.lines().enumerate() {
             let mut parts = line.split_whitespace();
             let tag = parts.next();
@@ -300,9 +308,14 @@ impl DbCore {
                 // The tables hold every write up to here, and the log
                 // replays what lies above.
                 Some("flushed") => flushed = Some(number()?),
+                Some("cursor") => {
+                    let level = usize::try_from(number()?).map_err(|_| corrupt())?;
+                    *cursors.get_mut(level).ok_or_else(corrupt)? = number()?;
+                }
                 Some("table") => {
                     let level = usize::try_from(number()?).map_err(|_| corrupt())?;
                     let name = parts.next().ok_or_else(corrupt)?;
+                    let count = parts.next().map(|n| n.parse().map_err(|_| corrupt()));
                     // Skipping the line would leave the table unnamed, and
                     // the open's sweep would delete it.
                     if level >= MAX_LEVELS {
@@ -325,7 +338,7 @@ impl DbCore {
                         train_ns: 0,
                         train_wait_ns: 0,
                         model_write_ns: 0,
-                        tombstones: None,
+                        tombstones: count.transpose()?,
                     };
                     version.levels[level].push(Arc::new(TableHandle { meta, reader }));
                 }
@@ -356,7 +369,7 @@ impl DbCore {
             )
         })?;
         version.train_level_indexes(opts)?;
-        Ok((version, next_file_no, flushed))
+        Ok((version, next_file_no, flushed, cursors))
     }
 
     /// Seal a manifest naming `inner`'s tables and how far they reach, then
@@ -370,7 +383,9 @@ impl DbCore {
         // Every write at or below `flushed` is in the tables named below;
         // the log replays what lies above. The `next` line's second number,
         // the last sequence assigned, is for a reader of the manifest:
-        // recovery takes its sequence from `flushed` and the log.
+        // recovery takes its sequence from `flushed` and the log. Each
+        // table's tombstone count and the compaction cursors go too, so a
+        // reopened tree moves and picks as the running one would.
         let flushed = inner.oldest_buffered().map_or(inner.seq, |first| first - 1);
         let mut text = format!(
             "next {} {}\nflushed {flushed}\n",
@@ -380,9 +395,14 @@ impl DbCore {
         let mut sealing = Vec::new();
         for (level, tables) in inner.version.levels.iter().enumerate() {
             for t in tables {
-                text.push_str(&format!("table {level} {}\n", t.meta.name));
+                let count = t.meta.tombstones.map_or(String::new(), |n| format!(" {n}"));
+                text.push_str(&format!("table {level} {}{count}\n", t.meta.name));
                 sealing.push(t.meta.name.clone());
             }
+        }
+        // A level whose cursor is 0 needs no line: absent reads as 0.
+        for (level, key) in inner.cursors.iter().enumerate().filter(|(_, &key)| key > 0) {
+            text.push_str(&format!("cursor {level} {key}\n"));
         }
         let known: HashSet<&String> = inner.named.iter().collect();
         let fresh: Vec<String> = sealing

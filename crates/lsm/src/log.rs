@@ -10,6 +10,11 @@
 //! — and retires every file whose last sequence is below its floor, the
 //! oldest op no sealed manifest covers.
 //!
+//! An open replays each file where it lies and keeps those that hold a
+//! record the tables lack as sealed files, which the same floor retires;
+//! it writes no log byte. A file has one lifecycle: created, appended,
+//! sealed by a rotation or by an open, retired.
+//!
 //! A rotation syncs the retiring file first when it holds records appended
 //! since its last sync, so a durable write in a newer file never survives
 //! a power loss that an earlier acknowledged write in an older file does
@@ -123,18 +128,22 @@ impl Log {
         Ok(())
     }
 
-    /// Recover the log: replay every file's records through `apply`, which
-    /// applies what the owner's tables lack and says whether it applied
-    /// anything; re-log those records, in sequence order, into a fresh file
-    /// and sync it; then remove the old files, newest first. File numbers
-    /// come from `file_no`, first raised past every file listed. Returns the
-    /// log and the highest sequence any record holds.
+    /// Recover the log: replay every file's records, oldest file first,
+    /// through `apply`, which applies what the owner's tables lack and says
+    /// whether it applied anything. A file that held such a record is
+    /// adopted as it lies, torn tail and all, as a sealed file with its last
+    /// sequence and its bytes, and synced once: no durable write made after
+    /// the open may outlive a record the open applied. Any other file is
+    /// removed. The fresh active file takes a number from `file_no`, first
+    /// raised past every file listed. Returns the log and the highest
+    /// sequence any record holds.
     ///
-    /// A re-logged copy keeps its original's sequence range, and distinct
-    /// batches never share one, so a range read once is skipped wherever it
-    /// turns up again: a recovery that crashed, or failed, while removing
-    /// the old files leaves any subset of them beside the fresh one, and the
-    /// next recovery still reads every record exactly once.
+    /// A record whose exact sequence range was read already is skipped:
+    /// distinct batches never share a range, so it is a copy. An earlier
+    /// build's recovery copied the records into a fresh file and then
+    /// removed the originals, and a crash between the two left both. The
+    /// skip may go once no directory that build wrote is opened any more:
+    /// its copies live until a flush seals past them.
     pub(crate) fn recover(
         storage: Arc<dyn Storage>,
         file_no: Arc<AtomicU64>,
@@ -146,41 +155,33 @@ impl Log {
             .filter_map(|name| Some((name.strip_suffix(".wal")?.parse().ok()?, name)))
             .collect();
         files.sort_unstable();
-        let mut last = 0;
-        let mut read = HashSet::new();
-        let mut kept = Vec::new();
+        let (mut last, mut read, mut sealed) = (0, HashSet::new(), VecDeque::new());
         for (_, name) in &files {
+            let (mut needed, mut file_last) = (false, 0);
             for record in wal::replay_records(storage.as_ref(), name)? {
-                if !read.insert((record.first_seq, record.last_seq())) {
-                    continue;
-                }
-                last = last.max(record.last_seq());
-                if apply(&record) {
-                    kept.push(record);
+                file_last = file_last.max(record.last_seq());
+                if read.insert((record.first_seq, record.last_seq())) {
+                    needed |= apply(&record);
                 }
             }
+            last = last.max(file_last);
+            if needed {
+                storage.sync_file(name)?;
+                sealed.push_back((name.clone(), file_last, storage.size_of(name)?));
+            } else {
+                storage.remove(name)?;
+            }
         }
-        kept.sort_unstable_by_key(|record| record.first_seq);
         if let Some((no, _)) = files.last() {
             file_no.fetch_max(no + 1, Ordering::Relaxed);
         }
-        let mut active = create(storage.as_ref(), &file_no)?;
-        for record in &kept {
-            active.append_batch(record.first_seq, &record.ops)?;
-        }
-        if !kept.is_empty() {
-            active.sync()?;
-        }
-        for (_, name) in files.iter().rev() {
-            storage.remove(name)?;
-        }
         let log = Log {
+            active: create(storage.as_ref(), &file_no)?,
             storage,
-            active,
-            active_last: kept.last().map_or(0, ReplayedRecord::last_seq),
+            active_last: 0,
             unsynced: false,
             file_no,
-            sealed: VecDeque::new(),
+            sealed,
         };
         Ok((log, last))
     }
@@ -197,7 +198,7 @@ mod tests {
     use super::*;
     use crate::batch::BatchOp;
     use crate::types::EntryKind;
-    use lsm_io::{CrashStorage, MemStorage};
+    use lsm_io::MemStorage;
 
     fn ops(keys: std::ops::Range<u64>) -> Vec<BatchOp> {
         let op = |key: u64| BatchOp {
@@ -247,6 +248,10 @@ mod tests {
         assert_eq!(log.live_bytes(), 0);
     }
 
+    /// A recovery adopts the file it read as it lies and starts an empty
+    /// file at the next number; the next recovery reads the same records
+    /// from the same bytes and removes the empty file. The adopted file is
+    /// retired as any sealed file is, below the floor.
     #[test]
     fn append_and_recover_roundtrip() {
         let storage = Arc::new(MemStorage::new());
@@ -254,27 +259,41 @@ mod tests {
         append(&mut log, 1, &ops(0..10));
         append(&mut log, 11, &ops(20..21));
         drop(log);
-        let (_, last, seen) = recovered(&storage);
+        let bytes = lsm_io::read_all(storage.as_ref(), "000001.wal").unwrap();
+        let (log, last, seen) = recovered(&storage);
         assert_eq!(last, 11);
         assert_eq!(seen, [(1, 10), (11, 1)]);
-        // The kept records were re-logged into a fresh file, the old one
-        // removed, and a second recovery reads them again.
-        assert_eq!(logs(&storage), ["000002.wal"]);
-        assert_eq!(recovered(&storage).2, seen);
+        assert_eq!(logs(&storage), ["000001.wal", "000002.wal"]);
+        assert_eq!(log.live_bytes(), bytes.len() as u64);
+        drop(log);
+        let (mut log, _, again) = recovered(&storage);
+        assert_eq!(again, seen);
+        assert_eq!(logs(&storage), ["000001.wal", "000003.wal"]);
+        let adopted = lsm_io::read_all(storage.as_ref(), "000001.wal").unwrap();
+        assert_eq!(adopted, bytes, "recovery writes no log byte");
+        log.retire(Some(11)).unwrap();
+        assert_eq!(logs(&storage), ["000001.wal", "000003.wal"], "11 is needed");
+        log.retire(Some(12)).unwrap();
+        assert_eq!(logs(&storage), ["000003.wal"]);
     }
 
-    /// A record `apply` found nothing to apply in is not re-logged.
+    /// A file whose every record `apply` found nothing to apply in is
+    /// removed at once; a file with one such record among needed ones is
+    /// kept whole.
     #[test]
-    fn records_the_shards_hold_are_not_relogged() {
+    fn a_file_the_tables_hold_is_removed_at_open() {
         let storage = Arc::new(MemStorage::new());
         let (mut log, ..) = recovered(&storage);
         append(&mut log, 1, &ops(0..3));
+        log.rotate(&DbStats::new()).unwrap();
         append(&mut log, 4, &ops(3..5));
+        append(&mut log, 6, &ops(5..6));
         drop(log);
         let dyn_storage = Arc::clone(&storage) as Arc<dyn Storage>;
-        let (_, last) = Log::recover(dyn_storage, numbers(), |r| r.first_seq > 1).unwrap();
-        assert_eq!(last, 5);
-        assert_eq!(recovered(&storage).2, [(4, 2)]);
+        let (_, last) = Log::recover(dyn_storage, numbers(), |r| r.first_seq > 4).unwrap();
+        assert_eq!(last, 6);
+        assert_eq!(logs(&storage), ["000002.wal", "000003.wal"]);
+        assert_eq!(recovered(&storage).2, [(4, 2), (6, 1)]);
     }
 
     /// Every strict prefix of a record's frame is no record at all; the
@@ -319,80 +338,36 @@ mod tests {
         }
     }
 
-    /// A recovery that crashed after writing its fresh file but before
-    /// removing the old ones leaves every kept record twice: the next one
-    /// reads each once, then the records written after the first recovery.
+    /// Recovery once copied the records it applied into a fresh file and
+    /// then removed the old files, newest first, so a crash could leave a
+    /// copy beside its original in either order. Each record is read once
+    /// from such a directory, whichever file holds it first; planted here.
     #[test]
     fn a_recovery_crash_leaves_copies_read_once() {
-        let storage = Arc::new(MemStorage::new());
-        let (mut log, ..) = recovered(&storage);
-        append(&mut log, 1, &ops(0..2));
-        append(&mut log, 3, &ops(2..3));
-        drop(log);
-        let old = lsm_io::read_all(storage.as_ref(), "000001.wal").unwrap();
-        let (mut log, ..) = recovered(&storage);
-        append(&mut log, 4, &ops(3..4));
-        drop(log);
-        storage.create("000001.wal").unwrap().append(&old).unwrap();
-        let (_, last, seen) = recovered(&storage);
-        assert_eq!(last, 4);
-        assert_eq!(seen, [(1, 2), (3, 1), (4, 1)]);
-    }
-
-    /// Two old files, 000001 (seqs 10..=12) and 000002 (20..=30), recovered
-    /// with a crash at every storage op: whatever subset of the old files a
-    /// crash leaves beside the fresh copies, the next recovery reads each
-    /// record exactly once and loses none.
-    #[test]
-    fn a_crash_between_the_old_files_removals_loses_no_record() {
-        let storage = Arc::new(MemStorage::new());
-        let (mut log, ..) = recovered(&storage);
-        append(&mut log, 10, &ops(0..3));
-        log.rotate(&DbStats::new()).unwrap();
-        append(&mut log, 20, &ops(3..14));
-        drop(log);
-        assert_eq!(logs(&storage), ["000001.wal", "000002.wal"]);
-        let recover_on = |image: MemStorage, crash_after: Option<u64>| {
-            let (crashing, control) = CrashStorage::over(image);
-            if let Some(n) = crash_after {
-                control.crash_after(n);
+        type Records<'a> = &'a [(SeqNo, std::ops::Range<u64>)];
+        let plant = |files: &[(&str, Records)]| {
+            let storage = Arc::new(MemStorage::new());
+            for (name, records) in files {
+                let mut file = WalWriter::create(storage.as_ref(), name).unwrap();
+                for (first, keys) in records.iter().cloned() {
+                    file.append_batch(first, &ops(keys)).unwrap();
+                }
             }
-            let crashing_dyn = Arc::clone(&crashing) as Arc<dyn Storage>;
-            let outcome = Log::recover(crashing_dyn, numbers(), |_| true);
-            (
-                outcome.map(|(_, last)| last).ok(),
-                control.ops(),
-                crashing.image(),
-            )
+            storage
         };
-        let (last, total, done) = recover_on(storage.deep_clone(), None);
-        assert_eq!((last, logs(&done)), (Some(30), vec!["000003.wal".into()]));
-        let whole = vec![(10, 3), (20, 11)];
-        let mut between = 0;
-        for n in 0..=total {
-            let (_, _, image) = recover_on(storage.deep_clone(), Some(n));
-            let left = logs(&image);
-            between += usize::from(left.len() == 2 && left[1] == "000003.wal");
-            let (_, last, mut seen) = recovered(&Arc::new(image));
-            seen.sort_unstable();
-            assert_eq!(
-                (last, seen),
-                (30, whole.clone()),
-                "crash after {n} ops: {left:?}"
-            );
-        }
-        assert_eq!(between, 1, "one crash point falls between the two removals");
-        // The other order of removals, planted by hand: the newer old file
-        // beside the copies. Reading it first must not hide 10..=12.
-        let planted = Arc::new(MemStorage::new());
-        for (name, from) in [("000002.wal", &storage), ("000003.wal", &Arc::new(done))] {
-            let bytes = lsm_io::read_all(from.as_ref(), name).unwrap();
-            planted.create(name).unwrap().append(&bytes).unwrap();
-        }
-        let (_, last, seen) = recovered(&planted);
+        // The original, and the copy with the records written after it.
+        let (original, copy) = ([(1, 0..2), (3, 2..3)], [(1, 0..2), (3, 2..3), (4, 3..4)]);
+        let storage = plant(&[("000001.wal", &original), ("000002.wal", &copy)]);
+        let (_, last, seen) = recovered(&storage);
+        assert_eq!((last, seen), (4, vec![(1, 2), (3, 1), (4, 1)]));
+        // The newer original beside the copy, its older original gone:
+        // reading it first must not hide 10..=12.
+        let copy = [(10, 0..3), (20, 3..14)];
+        let storage = plant(&[("000002.wal", &[(20, 3..14)]), ("000003.wal", &copy)]);
+        let (_, last, seen) = recovered(&storage);
         assert_eq!((last, seen), (30, vec![(20, 11), (10, 3)]));
-        // Its fresh file holds the records in sequence order.
-        assert_eq!(recovered(&planted).2, whole);
+        assert_eq!(logs(&storage), ["000002.wal", "000003.wal", "000004.wal"]);
+        assert_eq!(recovered(&storage).2, [(20, 11), (10, 3)]);
     }
 
     /// Files are retired below the floor, the active one never while the

@@ -110,9 +110,8 @@
 //! op routed to it at or below `seq` is in its tables. [`ShardedDb::open`] opens every shard from
 //! its tables, replays the log once — each op routed by key through the
 //! last sealed topology and applied only above its shard's `flushed` —,
-//! re-logs the records that still carry an op into a fresh file (a range
-//! already read is a copy, skipped whichever file holds it), and resumes
-//! the fence at the highest sequence seen. A log file is retired
+//! keeps each file that held such an op as it lies (a file that held none
+//! goes), and resumes the fence at the highest sequence seen. A log file is retired
 //! once no shard holds an unflushed op at or below its last sequence; once
 //! the live files pass a constant multiple of the write buffer, the shard
 //! holding the oldest unflushed op is flushed, so a shard that stops

@@ -94,8 +94,9 @@ impl ShardedDb {
         }
 
         // Replay the log once, routing each op through the sealed topology
-        // to the shard its tables do not hold it in yet; the fence resumes
-        // at the highest sequence seen.
+        // to the shard its tables do not hold it in yet; the files read stay
+        // as the log's sealed files, and the fence resumes at the highest
+        // sequence seen.
         let router = topo.router();
         // The log numbers its files itself: the root holds no tables.
         let file_no = Arc::new(AtomicU64::new(1));

@@ -10,7 +10,9 @@ use std::sync::{Arc, Mutex};
 use learned_index::IndexKind;
 use lsm_io::{FileStorage, Hook, Interposed, MemStorage, Op, Storage};
 use lsm_tree::wal::{encode_ops, replay_records, WalWriter};
-use lsm_tree::{BatchOp, Db, EntryKind, Options, WriteBatch, WriteOptions};
+use lsm_tree::{
+    BatchOp, Db, EntryKind, Options, ShardedDb, ShardedOptions, WriteBatch, WriteOptions,
+};
 use proptest::prelude::*;
 
 fn opts() -> Options {
@@ -144,6 +146,89 @@ fn a_rotation_syncs_the_log_it_retires_first() {
         ["create 000004.wal"],
         "a synced file is not synced again"
     );
+}
+
+/// A storage hook that records every mutating op, with an append's length.
+#[derive(Default)]
+struct AllOps(Mutex<Vec<String>>);
+
+impl Hook for AllOps {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        let line = match op {
+            Op::Create(name) => format!("create {name}"),
+            Op::Append(name, data) => format!("append {name} {}", data.len()),
+            Op::Sync(name) => format!("sync {name}"),
+            Op::Remove(name) => format!("remove {name}"),
+            Op::Open(_) | Op::Read(_) => return Ok(()),
+        };
+        self.0.lock().unwrap().push(line);
+        Ok(())
+    }
+}
+
+/// A reopen writes no log byte. 600 unsynced batches of 32 100-byte puts
+/// (2 182 200 B of log, one file under a 4 MiB buffer) are closed without
+/// a flush and reopened three times, by a lone `Db` and by a 2-shard
+/// `ShardedDb`. Each open syncs the file it adopts, removes the empty file
+/// the open before it started, and creates one at the next number; every
+/// other op is a manifest seal's. (When recovery copied the log, each of
+/// these opens appended all 2 182 200 B again, in 600 appends.)
+#[test]
+fn a_reopen_writes_no_log_byte() {
+    let opts = Options {
+        write_buffer_bytes: 4 << 20,
+        ..Options::small_for_tests()
+    };
+    let sharded_opts = ShardedOptions::learned(2, (0..19_200).collect(), opts.clone());
+    let open = |storage: &Arc<dyn Storage>, sharded: bool| -> Box<dyn Fn(WriteBatch)> {
+        let storage = Arc::clone(storage);
+        if sharded {
+            let db = ShardedDb::open(storage, sharded_opts.clone()).unwrap();
+            Box::new(move |b| {
+                db.write(b, &WriteOptions::default()).unwrap();
+            })
+        } else {
+            let db = Db::open(storage, opts.clone()).unwrap();
+            Box::new(move |b| {
+                db.write(b, &WriteOptions::default()).unwrap();
+            })
+        }
+    };
+    for sharded in [false, true] {
+        let ops = Arc::new(AllOps::default());
+        let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let storage: Arc<dyn Storage> = Arc::new(Interposed::hooked(memory, Arc::clone(&ops)));
+        let write = open(&storage, sharded);
+        for b in 0..600u64 {
+            let mut batch = WriteBatch::new();
+            for k in b * 32..(b + 1) * 32 {
+                batch.put(k, &[7; 100]);
+            }
+            write(batch);
+        }
+        drop(write);
+        let log = lsm_io::read_all(storage.as_ref(), "000001.wal").unwrap();
+        assert_eq!(log.len(), 2_182_200);
+        for round in 2..5 {
+            let from = ops.0.lock().unwrap().len();
+            drop(open(&storage, sharded));
+            let opened = ops.0.lock().unwrap()[from..].to_vec();
+            let (wal, other): (Vec<_>, Vec<_>) =
+                opened.into_iter().partition(|op| op.contains(".wal"));
+            let mut expected = vec!["sync 000001.wal".to_string()];
+            if round > 2 {
+                expected.push(format!("remove {:06}.wal", round - 1));
+            }
+            expected.push(format!("create {round:06}.wal"));
+            assert_eq!(wal, expected, "sharded {sharded}, open {round}");
+            let manifest = |op: &String| op.contains("MANIFEST-");
+            assert!(other.iter().all(manifest), "sharded {sharded}: {other:?}");
+            assert_eq!(
+                lsm_io::read_all(storage.as_ref(), "000001.wal").unwrap(),
+                log
+            );
+        }
+    }
 }
 
 /// A storage hook that fails the next log sync once armed.
@@ -282,11 +367,18 @@ fn torn_tail_mid_batch_replays_none_of_that_batch() {
     torn_batch_scenario(|_total, first_end| first_end + 1);
 }
 
+/// Unflushed writes survive two crashes: a reopen keeps the log files it
+/// replays as they lie, so the second crash finds them again, beside the
+/// file the second life wrote.
 #[test]
 fn unflushed_writes_survive_two_crashes() {
-    // Reopen re-logs replayed entries into the fresh WAL, so a second
-    // crash before any flush still loses nothing.
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let wals = |storage: &Arc<dyn Storage>| -> Vec<String> {
+        let mut names = storage.list().unwrap();
+        names.retain(|n| n.ends_with(".wal"));
+        names.sort_unstable();
+        names
+    };
     {
         let db = Db::open(Arc::clone(&storage), opts()).unwrap();
         let mut batch = WriteBatch::new();
@@ -304,13 +396,10 @@ fn unflushed_writes_survive_two_crashes() {
     assert_eq!(db.get(1).unwrap(), Some(b"first-life".to_vec()));
     assert_eq!(db.get(2).unwrap(), None, "tombstone survives two crashes");
     assert_eq!(db.get(3).unwrap(), Some(b"second-life".to_vec()));
-    let wals: Vec<String> = storage
-        .list()
-        .unwrap()
-        .into_iter()
-        .filter(|n| n.ends_with(".wal"))
-        .collect();
-    assert_eq!(wals.len(), 1, "old logs retired on reopen: {wals:?}");
+    // Each life's file, and the third life's empty one.
+    assert_eq!(wals(&storage), ["000001.wal", "000002.wal", "000003.wal"]);
+    db.flush().unwrap();
+    assert_eq!(wals(&storage).len(), 1, "a flush retires the adopted files");
     drop(db);
 
     // The same through both record kinds: a crash leaves a single batch
@@ -331,15 +420,11 @@ fn unflushed_writes_survive_two_crashes() {
     ];
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     drop(Db::open(Arc::clone(&storage), opts()).unwrap());
-    let live_wal = || {
-        let names = storage.list().unwrap().into_iter();
-        let mut wals = names.filter(|n| n.ends_with(".wal"));
-        let name = wals.next().expect("live wal");
-        assert_eq!(wals.next(), None, "exactly one live log");
-        name
+    let [written] = &wals(&storage)[..] else {
+        panic!("one empty log: {:?}", wals(&storage))
     };
     {
-        let mut log = WalWriter::create(storage.as_ref(), &live_wal()).unwrap();
+        let mut log = WalWriter::create(storage.as_ref(), written).unwrap();
         log.append_batch(1, &single).unwrap();
         let encoded: Vec<Vec<u8>> = members.iter().map(|m| encode_ops(m)).collect();
         let parts: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
@@ -352,17 +437,17 @@ fn unflushed_writes_survive_two_crashes() {
         assert_eq!(db.get(10).unwrap(), Some(b"a2".to_vec()));
         assert_eq!(db.get(12).unwrap(), Some(vec![0xab; 24]));
     };
-    check(&Db::open(Arc::clone(&storage), opts()).unwrap());
-    // The fresh log holds the same ops at the same sequence numbers.
-    let relogged = replay_records(storage.as_ref(), &live_wal()).unwrap();
-    let got: Vec<_> = relogged.iter().map(|r| (r.first_seq, &r.ops[..])).collect();
+    let bytes = lsm_io::read_all(storage.as_ref(), written).unwrap();
+    let records = replay_records(storage.as_ref(), written).unwrap();
+    let got: Vec<_> = records.iter().map(|r| (r.first_seq, &r.ops[..])).collect();
     let group = members.concat();
     assert_eq!(got, [(1, &single[..]), (4, &group[..])]);
-    // A second crash re-logs the same bytes.
-    let first = lsm_io::read_all(storage.as_ref(), &live_wal()).unwrap();
-    check(&Db::open(Arc::clone(&storage), opts()).unwrap());
-    let second = lsm_io::read_all(storage.as_ref(), &live_wal()).unwrap();
-    assert_eq!(first, second);
+    // Each reopen adopts the file and leaves its bytes as they were.
+    for _ in 0..2 {
+        check(&Db::open(Arc::clone(&storage), opts()).unwrap());
+        assert_eq!(lsm_io::read_all(storage.as_ref(), written).unwrap(), bytes);
+        assert_eq!(wals(&storage).len(), 2, "the adopted file and an empty one");
+    }
 }
 
 proptest! {

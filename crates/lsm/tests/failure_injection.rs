@@ -12,7 +12,11 @@ use std::time::{Duration, Instant};
 
 use learned_index::IndexKind;
 use lsm_io::{CrashStorage, FaultStorage, MemStorage, Storage};
-use lsm_tree::{Db, EventKind, IndexGranularity, Maintenance, Options, WriteBatch, WriteOptions};
+use lsm_tree::wal::replay_records;
+use lsm_tree::{
+    Db, EventKind, IndexGranularity, Maintenance, Options, ShardedDb, ShardedOptions, WriteBatch,
+    WriteOptions,
+};
 
 fn opts() -> Options {
     let mut o = Options::small_for_tests();
@@ -213,6 +217,113 @@ fn a_crash_anywhere_in_the_log_lifecycle_keeps_every_acknowledged_write() {
         db.put(9_000, b"after").unwrap();
         db.flush().unwrap();
         assert_eq!(logs(image.as_ref()), 1, "crash after {n} ops");
+    }
+}
+
+/// A lone `Db` or a 2-shard `ShardedDb`, as the open crash walk drives it.
+trait Engine {
+    /// Put `key` and `key + 1 000` in one batch.
+    fn put_pair(&self, key: u64);
+    fn value(&self, key: u64) -> Option<Vec<u8>>;
+}
+
+fn pair(key: u64) -> WriteBatch {
+    let mut batch = WriteBatch::new();
+    batch.put(key, b"acked");
+    batch.put(key + 1_000, b"acked");
+    batch
+}
+
+impl Engine for Db {
+    fn put_pair(&self, key: u64) {
+        self.write(pair(key), &WriteOptions::default()).unwrap();
+    }
+    fn value(&self, key: u64) -> Option<Vec<u8>> {
+        self.get(key).unwrap()
+    }
+}
+
+impl Engine for ShardedDb {
+    fn put_pair(&self, key: u64) {
+        self.write(pair(key), &WriteOptions::default()).unwrap();
+    }
+    fn value(&self, key: u64) -> Option<Vec<u8>> {
+        self.get(key).unwrap()
+    }
+}
+
+fn open_engine<S: Storage + 'static>(
+    storage: &Arc<S>,
+    two_shards: bool,
+) -> lsm_tree::Result<Box<dyn Engine>> {
+    let storage = Arc::clone(storage) as Arc<dyn Storage>;
+    Ok(if two_shards {
+        let sharded = ShardedOptions::learned(2, (0..300).collect(), opts());
+        Box::new(ShardedDb::open(storage, sharded)?)
+    } else {
+        Box::new(Db::open(storage, opts())?)
+    })
+}
+
+/// An open crashed at every storage op, then reopened, for a lone `Db` and
+/// a 2-shard `ShardedDb`. Two lives without a flush leave records in two log
+/// files — the first life's, which the second open adopted, and the second
+/// life's, whose last batch is torn. An open syncs the files it adopts,
+/// removes those it does not need, creates a fresh one and seals manifests;
+/// wherever a crash stops it, the next open serves every acknowledged write
+/// and none of the torn batch, and the log files hold each record once.
+#[test]
+fn a_crash_anywhere_in_an_open_keeps_every_acknowledged_write() {
+    let logs = |storage: &dyn Storage| {
+        let mut names = storage.list().unwrap();
+        names.retain(|n| n.ends_with(".wal"));
+        names.sort_unstable();
+        names
+    };
+    for two_shards in [false, true] {
+        let storage = Arc::new(MemStorage::new());
+        for keys in [0..40, 40..81] {
+            let engine = open_engine(&storage, two_shards).unwrap();
+            keys.for_each(|k| engine.put_pair(k));
+        }
+        let files = logs(storage.as_ref());
+        assert_eq!(files.len(), 2, "{files:?}");
+        // Tear the last batch, keys 80 and 1 080.
+        let newest = lsm_io::read_all(storage.as_ref(), &files[1]).unwrap();
+        let torn = &newest[..newest.len() - 7];
+        storage.create(&files[1]).unwrap().append(torn).unwrap();
+        let (crashing, control) = CrashStorage::over(storage.deep_clone());
+        drop(open_engine(&crashing, two_shards).unwrap());
+        let total = control.ops();
+        assert!(total >= 7, "an open spans many ops: {total}");
+        for n in 0..=total {
+            let (crashing, control) = CrashStorage::over(storage.deep_clone());
+            control.crash_after(n);
+            let _ = open_engine(&crashing, two_shards);
+            let after = Arc::new(crashing.image());
+            let at = format!("two shards {two_shards}, crash after {n}/{total} ops");
+            let engine = open_engine(&after, two_shards).unwrap_or_else(|e| panic!("{at}: {e}"));
+            for k in 0..80 {
+                for key in [k, k + 1_000] {
+                    assert_eq!(
+                        engine.value(key),
+                        Some(b"acked".to_vec()),
+                        "{at}: key {key}"
+                    );
+                }
+            }
+            let torn = (engine.value(80), engine.value(1_080));
+            assert_eq!(torn, (None, None), "{at}: torn");
+            let mut ranges = Vec::new();
+            for name in logs(after.as_ref()) {
+                let records = replay_records(after.as_ref(), &name).unwrap();
+                ranges.extend(records.iter().map(|r| (r.first_seq, r.ops.len())));
+            }
+            let read = ranges.len();
+            ranges.sort_unstable();
+            ranges.dedup();
+            assert_eq!((ranges.len(), read), (80, 80), "{at}: each record once");
+        }
     }
 }
 

@@ -171,30 +171,35 @@ struct Shape {
 /// records and their order did not move: with manifest names and bytes
 /// left out, the 1 MiB / 512 KiB op log differs from its old one by
 /// exactly its three rotations' seals and syncs (709 → 700 ops).
+///
+/// Re-recorded again when the manifest began to record each table's
+/// tombstone count and the compaction cursors: only manifest bytes moved.
+/// With every manifest append's length and content left out of the op log,
+/// each shape's digest is the one it had before (ops unchanged).
 fn shapes() -> [Shape; 4] {
     [
         Shape {
             name: "1 MiB / 512 KiB",
             run: || load(1 << 20, 512 << 10, 20_000),
-            digest: 17_703_579_625_558_780_755,
+            digest: 8_264_238_954_464_663_060,
             ops: 700,
         },
         Shape {
             name: "4 MiB / 2 MiB",
             run: || load(4 << 20, 2 << 20, 70_000),
-            digest: 14_949_518_291_881_149_901,
+            digest: 11_953_357_265_989_162_606,
             ops: 2_280,
         },
         Shape {
             name: "64 KiB / 8 KiB",
             run: || load(64 << 10, 8 << 10, 4_000),
-            digest: 3_727_329_718_410_144_054,
+            digest: 16_364_327_696_113_841_430,
             ops: 1_367,
         },
         Shape {
             name: "bulk load",
             run: || bulk_load(20_000),
-            digest: 8_648_879_849_036_379_194,
+            digest: 6_127_690_086_753_077_927,
             ops: 44,
         },
     ]
