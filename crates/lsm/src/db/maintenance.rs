@@ -216,7 +216,7 @@ impl DbCore {
     /// out of the very group whose flush could cover it. Skipping a
     /// contended look admits at most one extra group's worth of data; the
     /// next uncontended one sees the pressure.
-    pub(super) fn make_room(&self) -> Result<()> {
+    pub(crate) fn make_room(&self) -> Result<()> {
         let pressed = self.inner.try_read().is_some_and(|inner| {
             let (pressure, full) = inner.pressure(&self.opts);
             full || pressure > WritePressure::Clear

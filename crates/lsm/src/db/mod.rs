@@ -34,8 +34,10 @@
 //! ## Pipelined group commit
 //!
 //! Concurrent writers do not contend on the tree lock: each enqueues its
-//! batch onto a **writer queue** and one of them — the *leader*, always the
-//! queue's front — claims a contiguous sequence range covering the whole
+//! batch onto a **writer queue** — one per log, which a sharded database
+//! runs for all its shards through the same code (`write.rs`) — and one of
+//! them — the *leader*, always the queue's front — claims a contiguous
+//! sequence range covering the whole
 //! queued run, appends **one fused** CRC-protected WAL record for the group
 //! (`DbStats::wal_appends` counts one per *group*; see
 //! `DbStats::write_groups`), and hands every member its sub-range. The
@@ -62,7 +64,8 @@
 //! record — for a fused record, the whole group, each batch of which was
 //! unacknowledged — never a prefix. A group whose append or sync fails
 //! fails every member and uses its range up, publishing it as an empty
-//! group: recovery reads each range once, so none may be reissued.
+//! group: recovery reads each range once, so none may be reissued. The log
+//! seals the failed file as it lies and starts a fresh one.
 //!
 //! The log (`crate::log`) rotates with the write buffer: each buffer's
 //! records sit in their own `NNNNNN.wal` file, which no manifest names —
@@ -80,10 +83,12 @@
 //! whose records all sit at or below the sealed `flushed`; an open keeps
 //! the files it replays until then, and writes no log byte.
 //!
-//! A shard of a [`crate::sharding::ShardedDb`] keeps no log of its own: the
-//! owner logs every batch once, for all shards, and hands each shard its
-//! part to apply. Its manifest's `flushed <seq>` covers every op routed to
-//! it, and a direct [`Db::write`] to it is refused.
+//! A shard of a [`crate::sharding::ShardedDb`] keeps no log and no writer
+//! queue of its own: the owner logs every batch once, for all shards,
+//! registers each group once at each shard it lands in (`Db::claim_at`),
+//! and the writers apply their parts; the shard reads the owner's ceiling. Its manifest's
+//! `flushed <seq>` covers every op routed to it, and a direct [`Db::write`]
+//! to it is refused.
 //!
 //! [`Maintenance::Synchronous`]: crate::options::Maintenance::Synchronous
 //! [`Maintenance::Background`]: crate::options::Maintenance::Background
@@ -92,12 +97,11 @@ mod maintenance;
 mod open;
 mod write;
 
-use write::{PublishQueue, WriteQueue};
+pub(crate) use write::{Claim, WriteRequest, WriterQueue};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
@@ -185,6 +189,11 @@ struct Inner {
     flush_active: bool,
     /// A compaction holds the tree: one runs at a time.
     compacting: bool,
+    /// A shard a split's cutover replaced, or a swept split's child, set
+    /// under the owner's commit lock: the pool no longer services it, so
+    /// admission lets every write through (the owner routes it to live
+    /// shards), and a synchronous inline flush skips it.
+    retired: bool,
     /// The tables any manifest written since the last successful seal may
     /// name, in manifest order (level by level). `DbCore::write_manifest`
     /// removes those its next seal stops naming.
@@ -215,6 +224,9 @@ impl Inner {
     /// The admission rule's verdict on the next write, and whether the
     /// buffer is full (that write then rotates it).
     fn pressure(&self, opts: &Options) -> (WritePressure, bool) {
+        if self.retired {
+            return (WritePressure::Clear, false);
+        }
         let full = self.mem.approximate_bytes() >= opts.write_buffer_bytes;
         let l0 = self.version.levels[0].len();
         (WritePressure::of(l0, self.imms.len(), full), full)
@@ -233,26 +245,10 @@ pub(crate) struct DbCore {
     /// The published view of `inner`, swapped by [`DbCore::install`]; a read
     /// holds this lock for one `Arc` clone (the shims have no `arc-swap`).
     view: RwLock<Arc<ReadView>>,
-    /// Published sequence ceiling: reads observe exactly the writes with
-    /// `seq <= visible`. Lags `Inner::seq` by the commit groups whose
-    /// members are still inserting; advanced only by
-    /// [`DbCore::publish_groups`], in group order.
-    visible: AtomicU64,
-    /// The writer queue (pipelined group commit — see the module docs).
-    /// `std` primitives on purpose: the vendored `parking_lot` shim has no
-    /// `Condvar`.
-    write_queue: StdMutex<WriteQueue>,
-    write_queue_cv: Condvar,
-    /// Writers currently inside [`Db::write`] (enqueued, leading, applying,
-    /// or awaiting publication). The leader's commit window uses this as
-    /// its fusion target: when a *synced* group is about to commit and
-    /// other writers are demonstrably in flight, the leader briefly yields
-    /// for them to join the queue so one flush covers all of them. A lone
-    /// writer never waits (queue length already equals the count).
-    writers_in_flight: AtomicUsize,
-    /// Committed groups awaiting full application, sequence order.
-    publish: StdMutex<PublishQueue>,
-    publish_cv: Condvar,
+    /// The writer queue (pipelined group commit — see the module docs)
+    /// and its published ceiling: reads observe exactly the writes at or
+    /// below it. A shard holds its owner's, the one queue of its log.
+    writers: Arc<WriterQueue>,
     stats: Arc<DbStats>,
     cache: Option<Arc<BlockCache>>,
     /// Live [`Snapshot`] handles.
@@ -303,6 +299,8 @@ pub(crate) struct Embedding {
     pub pool: Option<(Arc<MaintSignal>, Arc<AtomicBool>)>,
     /// The owner's commit lock and poison flag.
     pub coordination: Option<Arc<CommitCoordination>>,
+    /// The owner's writer queue, whose ceiling the shard reads.
+    pub writers: Option<Arc<WriterQueue>>,
     /// This shard's handle on the owner's bounded event buffer.
     pub obs: Option<Arc<EngineObs>>,
     /// The owner's cache: one byte budget for every shard.
@@ -310,19 +308,20 @@ pub(crate) struct Embedding {
 }
 
 /// Cross-shard commit coordination shared between a [`crate::sharding::ShardedDb`]
-/// and every shard it owns. The sharding layer holds commits under `lock`;
-/// a shard-level [`Db::flush`] takes the same lock (and honours
-/// `poisoned`), so no flush — not even one reached through
-/// [`crate::sharding::ShardedDb::shard`] — seals a buffer while a commit is
-/// applying to it, or persists what a failed commit left behind.
+/// and every shard it owns. The sharding layer claims commit groups and
+/// runs a split's phases under `lock`; a shard-level [`Db::flush`] takes the
+/// same lock (and honours `poisoned`), so no flush — not even one reached
+/// through [`crate::sharding::ShardedDb::shard`] — runs beside a claim or a
+/// cutover.
 #[derive(Debug, Default)]
 pub(crate) struct CommitCoordination {
-    /// Serializes cross-shard commits and every rotate/flush of shard
-    /// memtables.
+    /// Serializes cross-shard claims, a split's phases and every explicit
+    /// flush of shard memtables.
     pub lock: Mutex<()>,
-    /// Set when a commit failed after its log append began: writes and
-    /// flushes are refused so a part it applied can neither become visible
-    /// nor durable in this process (reopen to recover from the log).
+    /// Set when a split's cutover failed to seal its topology and could
+    /// not unseal it either: a durable topology may name children this
+    /// process stopped writing, so writes and flushes are refused (reopen
+    /// to recover).
     pub poisoned: AtomicBool,
 }
 
@@ -355,8 +354,8 @@ impl CommitCoordination {
     pub(crate) fn check_poisoned(&self) -> Result<()> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(Error::Corruption(
-                "a cross-shard commit failed mid-way; writes and flushes are \
-                 disabled (reopen to recover)"
+                "a split's cutover left a topology it could not unseal; writes \
+                 and flushes are disabled (reopen to recover)"
                     .into(),
             ));
         }
@@ -437,7 +436,7 @@ impl Db {
             Some(snap) => Arc::clone(snap.view()),
             None => self.core.view(),
         };
-        let ceiling = self.core.visible.load(Ordering::Acquire);
+        let ceiling = self.core.writers.visible();
         (view, ropts.effective_seq(ceiling))
     }
 
@@ -587,11 +586,19 @@ impl Db {
         self.core.cache.as_ref()
     }
 
+    /// Writes waiting in the writer queue for a leader to claim them — on a
+    /// shard of a sharded database, in its owner's queue. A probe for the
+    /// grouping tests, not part of the documented API.
+    #[doc(hidden)]
+    pub fn queued_writes(&self) -> usize {
+        self.core.writers.queued()
+    }
+
     /// Current *published* write sequence number: the ceiling reads
     /// observe. May momentarily trail the internal allocator while commit
     /// groups are still applying.
     pub fn latest_seq(&self) -> SeqNo {
-        self.core.visible.load(Ordering::Acquire)
+        self.core.writers.visible()
     }
 }
 
@@ -625,7 +632,7 @@ impl DbCore {
         // the buffer's oldest op is a min.
         inner.mem_first = Some(inner.mem_first.map_or(seq, |first| first.min(seq)));
         inner.seq = inner.seq.max(seq);
-        self.visible.fetch_max(seq, Ordering::Release);
+        self.writers.raise(seq);
         true
     }
 
@@ -672,7 +679,7 @@ impl DbCore {
     /// which such a read could not see.
     fn quiesce(&self, inner: &Inner) {
         inner.mem.wait_quiescent();
-        self.wait_visible(inner.seq);
+        self.writers.wait_visible(inner.seq);
     }
 }
 
@@ -1377,16 +1384,21 @@ mod tests {
     #[test]
     fn a_shards_floor_is_its_oldest_unsealed_write() {
         let (storage, faults) = lsm_io::FaultStorage::wrap(Arc::new(MemStorage::new()));
+        let owner = Arc::new(WriterQueue::default());
         let embedding = Embedding {
             coordination: Some(Arc::default()),
+            writers: Some(Arc::clone(&owner)),
             ..Embedding::default()
         };
         let db = Db::open_internal(storage, Options::small_for_tests(), embedding).unwrap();
+        // Applied at the sub-range the owner claimed, then published.
         let put = |seq: SeqNo| {
             let mut batch = WriteBatch::new();
             batch.put(seq, b"routed here");
-            db.write_assigned(batch, &WriteOptions::default(), seq)
-                .unwrap();
+            let mem = db.claim_at(seq..seq + 1, 1, 1);
+            mem.apply_batch(batch.ops(), seq);
+            mem.finish_applier();
+            owner.raise(seq);
         };
         assert_eq!(db.unflushed_from(), None);
         put(5);

@@ -3,13 +3,11 @@
 //! manifest seal, the orphan sweep, and the bulk load (ARCHITECTURE.md §2).
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex as StdMutex};
 
 use parking_lot::RwLock;
 
-use super::write::{PublishQueue, WriteQueue};
 use super::{Db, DbCore, Embedding, Inner, L0_STOP_TRIGGER};
 use crate::cache::BlockCache;
 use crate::compaction::{discard, names, LevelWriter};
@@ -61,6 +59,7 @@ impl Db {
         let Embedding {
             pool,
             coordination,
+            writers,
             obs,
             cache: shared_cache,
         } = embedding;
@@ -112,21 +111,19 @@ impl Db {
             log: None,
             flush_active: false,
             compacting: false,
+            retired: false,
             named,
         };
         let external = pool.is_some();
         let (signal, shutdown) = pool.unwrap_or_default();
+        let writers = writers.unwrap_or_default();
+        writers.raise(flushed);
         let core = Arc::new(DbCore {
             opts,
             storage,
             view: RwLock::new(Arc::new(DbCore::view_of(&inner))),
             inner: RwLock::new(inner),
-            visible: AtomicU64::new(flushed),
-            write_queue: StdMutex::new(WriteQueue::default()),
-            write_queue_cv: Condvar::new(),
-            writers_in_flight: AtomicUsize::new(0),
-            publish: StdMutex::new(PublishQueue::default()),
-            publish_cv: Condvar::new(),
+            writers,
             stats: Arc::new(DbStats::new()),
             cache,
             snapshots: Arc::default(),
@@ -262,8 +259,8 @@ impl Db {
             .inspect_err(|_| discard(core.storage.as_ref(), names(&version.levels[level])))?;
         core.install(&mut inner, |tree| tree.version = Arc::new(version));
         // Bulk-loaded entries bypass the writer queue; publish their range
-        // directly so reads (and the sharding fence) see them.
-        core.visible.store(inner.seq, Ordering::Release);
+        // directly so reads see them.
+        core.writers.raise(inner.seq);
         core.write_manifest(&mut inner)
     }
 }

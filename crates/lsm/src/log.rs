@@ -12,13 +12,19 @@
 //!
 //! An open replays each file where it lies and keeps those that hold a
 //! record the tables lack as sealed files, which the same floor retires;
-//! it writes no log byte. A file has one lifecycle: created, appended,
-//! sealed by a rotation or by an open, retired.
+//! it writes no log byte. A file has one lifecycle: numbered, created,
+//! appended, sealed by a rotation, an open or a failure, retired. The
+//! active file is created by the first append to it, or at once by a
+//! rotation and by an open that adopted no file.
 //!
 //! A rotation syncs the retiring file first when it holds records appended
 //! since its last sync, so a durable write in a newer file never survives
 //! a power loss that an earlier acknowledged write in an older file does
-//! not.
+//! not. A failed append or sync seals the file as it lies: no acknowledged
+//! record follows bytes the failure may have torn or dropped. A failed
+//! append first syncs what the file holds unsynced, as a rotation would;
+//! after a failed sync nothing is retried, so the unsynced records before
+//! it may not outlive a power loss that a later durable write does.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +42,9 @@ use lsm_io::Storage;
 /// database under its commit lock).
 pub(crate) struct Log {
     storage: Arc<dyn Storage>,
-    active: WalWriter,
+    /// The active file's name, and its writer once it is created.
+    name: String,
+    active: Option<WalWriter>,
     /// The last sequence the active file holds (0 while it is empty).
     active_last: SeqNo,
     /// The active file holds records appended since its last sync.
@@ -60,8 +68,22 @@ impl Log {
         sync: bool,
         stats: &DbStats,
     ) -> Result<(u64, Option<u64>)> {
-        let framed = self.active.append_encoded(first, count, regions)?;
-        self.active_last = first + count as SeqNo - 1;
+        let last = first + count as SeqNo - 1;
+        if self.active.is_none() {
+            let created = WalWriter::create(self.storage.as_ref(), &self.name);
+            self.active = Some(self.or_seal(created, last)?);
+        }
+        let file = self.active.as_mut().expect("created above");
+        let framed = file.append_encoded(first, count, regions);
+        if framed.is_err() && self.unsynced {
+            // Sealed, the file takes no later sync: make the records it
+            // holds unsynced as durable as a rotation would, before a
+            // fresh file takes durable writes. Best effort: the append
+            // failed, not a sync, so its pages are still there to sync.
+            let _ = self.sync(stats);
+        }
+        let framed = self.or_seal(framed, last)?;
+        self.active_last = last;
         self.unsynced = true;
         stats.wal_appends.fetch_add(1, Ordering::Relaxed);
         stats.wal_bytes.fetch_add(framed, Ordering::Relaxed);
@@ -69,17 +91,19 @@ impl Log {
             return Ok((framed, None));
         }
         let started = Instant::now();
-        self.sync(stats)?;
+        let synced = self.sync(stats);
+        self.or_seal(synced, last)?;
         Ok((framed, Some(started.elapsed().as_nanos() as u64)))
     }
 
     /// Start a fresh active file. The retiring one is synced first if it
     /// holds records appended since its last sync; the fresh one is created
-    /// before the old writer is released, so a failure leaves the log
+    /// before the old writer is released, so a failed create leaves the log
     /// appending where it was.
     pub(crate) fn rotate(&mut self, stats: &DbStats) -> Result<()> {
         if self.unsynced {
-            self.sync(stats)?;
+            let synced = self.sync(stats);
+            self.or_seal(synced, self.active_last)?;
         }
         self.swap()
     }
@@ -89,7 +113,7 @@ impl Log {
     /// With no floor nothing is needed, and the active file is replaced by
     /// an empty one and retired too, unsynced: it is gone in the same step.
     pub(crate) fn retire(&mut self, floor: Option<SeqNo>) -> Result<()> {
-        if floor.is_none() && self.active.written() > 0 {
+        if floor.is_none() && self.written() > 0 {
             self.swap()?;
         }
         let unneeded = |(_, last, _): &(String, SeqNo, u64)| floor.is_none_or(|f| *last < f);
@@ -102,30 +126,54 @@ impl Log {
 
     /// Bytes in the active file.
     pub(crate) fn written(&self) -> u64 {
-        self.active.written()
+        self.active.as_ref().map_or(0, WalWriter::written)
     }
 
     /// Bytes in every live file.
     pub(crate) fn live_bytes(&self) -> u64 {
         let sealed: u64 = self.sealed.iter().map(|(_, _, bytes)| bytes).sum();
-        sealed + self.active.written()
+        sealed + self.written()
     }
 
     fn sync(&mut self, stats: &DbStats) -> Result<()> {
-        self.active.sync()?;
+        self.active.as_mut().expect("a file with records").sync()?;
         self.unsynced = false;
         stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
+    /// `result`; a failure seals the active file as it lies, holding up to
+    /// `last` — no record may follow bytes it may have torn or dropped —
+    /// and numbers the next one, which the next append creates.
+    fn or_seal<T>(&mut self, result: Result<T>, last: SeqNo) -> Result<T> {
+        if result.is_err() {
+            self.active_last = self.active_last.max(last);
+            self.seal(next_name(&self.file_no), None);
+        }
+        result
+    }
+
+    /// Seal a created active file under a fresh one; one not yet created
+    /// stays as it is, for the next append.
     fn swap(&mut self) -> Result<()> {
-        let fresh = create(self.storage.as_ref(), &self.file_no)?;
-        self.unsynced = false;
-        let old = std::mem::replace(&mut self.active, fresh);
-        let last = std::mem::take(&mut self.active_last);
-        self.sealed
-            .push_back((old.name().to_string(), last, old.written()));
+        if self.active.is_some() {
+            let name = next_name(&self.file_no);
+            let fresh = WalWriter::create(self.storage.as_ref(), &name)?;
+            self.seal(name, Some(fresh));
+        }
         Ok(())
+    }
+
+    /// Queue the active file, if created, as sealed, holding up to
+    /// `active_last`, and make `name` — `file` once created — the active one.
+    fn seal(&mut self, name: String, file: Option<WalWriter>) {
+        let name = std::mem::replace(&mut self.name, name);
+        if let Some(old) = std::mem::replace(&mut self.active, file) {
+            self.sealed
+                .push_back((name, self.active_last, old.written()));
+        }
+        self.active_last = 0;
+        self.unsynced = false;
     }
 
     /// Recover the log: replay every file's records, oldest file first,
@@ -134,9 +182,10 @@ impl Log {
     /// adopted as it lies, torn tail and all, as a sealed file with its last
     /// sequence and its bytes, and synced once: no durable write made after
     /// the open may outlive a record the open applied. Any other file is
-    /// removed. The fresh active file takes a number from `file_no`, first
-    /// raised past every file listed. Returns the log and the highest
-    /// sequence any record holds.
+    /// removed. The active file takes a number from `file_no`, first raised
+    /// past every file listed; it is created by the first append, or at once
+    /// when no file was adopted, as in a new database. Returns the log and
+    /// the highest sequence any record holds.
     ///
     /// A record whose exact sequence range was read already is skipped:
     /// distinct batches never share a range, so it is a copy. An earlier
@@ -175,9 +224,15 @@ impl Log {
         if let Some((no, _)) = files.last() {
             file_no.fetch_max(no + 1, Ordering::Relaxed);
         }
+        let name = next_name(&file_no);
+        let fresh = sealed
+            .is_empty()
+            .then(|| WalWriter::create(storage.as_ref(), &name));
+        let active = fresh.transpose()?;
         let log = Log {
-            active: create(storage.as_ref(), &file_no)?,
             storage,
+            name,
+            active,
             active_last: 0,
             unsynced: false,
             file_no,
@@ -187,10 +242,9 @@ impl Log {
     }
 }
 
-/// A fresh log file, named by the next number `file_no` hands out.
-fn create(storage: &dyn Storage, file_no: &AtomicU64) -> Result<WalWriter> {
-    let no = file_no.fetch_add(1, Ordering::Relaxed);
-    WalWriter::create(storage, &format!("{no:06}.wal"))
+/// The name of a log file numbered by the next number `file_no` hands out.
+fn next_name(file_no: &AtomicU64) -> String {
+    format!("{:06}.wal", file_no.fetch_add(1, Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -248,10 +302,11 @@ mod tests {
         assert_eq!(log.live_bytes(), 0);
     }
 
-    /// A recovery adopts the file it read as it lies and starts an empty
-    /// file at the next number; the next recovery reads the same records
-    /// from the same bytes and removes the empty file. The adopted file is
-    /// retired as any sealed file is, below the floor.
+    /// A recovery adopts the file it read as it lies and numbers the next
+    /// file, which the first append creates; the next recovery reads the
+    /// same records from the same bytes, and neither creates nor removes a
+    /// file. The adopted file is retired as any sealed file is, below the
+    /// floor.
     #[test]
     fn append_and_recover_roundtrip() {
         let storage = Arc::new(MemStorage::new());
@@ -263,18 +318,24 @@ mod tests {
         let (log, last, seen) = recovered(&storage);
         assert_eq!(last, 11);
         assert_eq!(seen, [(1, 10), (11, 1)]);
-        assert_eq!(logs(&storage), ["000001.wal", "000002.wal"]);
+        assert_eq!(logs(&storage), ["000001.wal"]);
         assert_eq!(log.live_bytes(), bytes.len() as u64);
         drop(log);
         let (mut log, _, again) = recovered(&storage);
         assert_eq!(again, seen);
-        assert_eq!(logs(&storage), ["000001.wal", "000003.wal"]);
+        assert_eq!(logs(&storage), ["000001.wal"]);
         let adopted = lsm_io::read_all(storage.as_ref(), "000001.wal").unwrap();
         assert_eq!(adopted, bytes, "recovery writes no log byte");
         log.retire(Some(11)).unwrap();
-        assert_eq!(logs(&storage), ["000001.wal", "000003.wal"], "11 is needed");
+        assert_eq!(logs(&storage), ["000001.wal"], "11 is needed");
         log.retire(Some(12)).unwrap();
-        assert_eq!(logs(&storage), ["000003.wal"]);
+        assert_eq!(logs(&storage), [""; 0]);
+        append(&mut log, 12, &ops(30..31));
+        assert_eq!(
+            logs(&storage),
+            ["000002.wal"],
+            "created by its first append"
+        );
     }
 
     /// A file whose every record `apply` found nothing to apply in is
@@ -292,7 +353,7 @@ mod tests {
         let dyn_storage = Arc::clone(&storage) as Arc<dyn Storage>;
         let (_, last) = Log::recover(dyn_storage, numbers(), |r| r.first_seq > 4).unwrap();
         assert_eq!(last, 6);
-        assert_eq!(logs(&storage), ["000002.wal", "000003.wal"]);
+        assert_eq!(logs(&storage), ["000002.wal"]);
         assert_eq!(recovered(&storage).2, [(4, 2), (6, 1)]);
     }
 
@@ -323,7 +384,7 @@ mod tests {
         let storage = Arc::new(MemStorage::new());
         let (mut log, ..) = recovered(&storage);
         append(&mut log, 1, &ops(0..2));
-        let first_len = log.active.written() as usize;
+        let first_len = log.written() as usize;
         append(&mut log, 3, &ops(2..7));
         drop(log);
         let full = lsm_io::read_all(storage.as_ref(), "000001.wal").unwrap();
@@ -366,7 +427,7 @@ mod tests {
         let storage = plant(&[("000002.wal", &[(20, 3..14)]), ("000003.wal", &copy)]);
         let (_, last, seen) = recovered(&storage);
         assert_eq!((last, seen), (30, vec![(20, 11), (10, 3)]));
-        assert_eq!(logs(&storage), ["000002.wal", "000003.wal", "000004.wal"]);
+        assert_eq!(logs(&storage), ["000002.wal", "000003.wal"]);
         assert_eq!(recovered(&storage).2, [(20, 11), (10, 3)]);
     }
 
@@ -390,7 +451,7 @@ mod tests {
         assert_eq!(logs(&storage), ["000005.wal"], "the active file stays");
         log.retire(None).unwrap();
         assert_eq!(logs(&storage), ["000006.wal"]);
-        assert_eq!(log.active.written(), 0);
+        assert_eq!(log.written(), 0);
     }
 
     /// A rotation syncs the retiring file only when it holds records

@@ -26,13 +26,14 @@
 //!   peel-or-halve quantile** of its own data, **without blocking
 //!   readers**: the boundaries keep being re-learned from the data as it
 //!   grows. See *The split protocol* below.
-//! * **Cross-shard atomic batches** ([`split`]) — a [`WriteBatch`] is
-//!   split per shard and committed under one *shared sequence fence*: the
-//!   whole batch gets one contiguous global sequence range (each shard a
-//!   sub-range) and one record in the database's one log, and the fence's
-//!   published ceiling advances only after every shard has applied.
-//!   Snapshots and scans read at the published fence, pinned without the
-//!   commit lock (see *Visibility*), so a multi-shard batch is
+//! * **Cross-shard atomic batches** ([`split`]) — a [`WriteBatch`] is put
+//!   in routing order and joins the database's one writer queue, the one a
+//!   lone [`Db`] runs: the whole batch gets one contiguous global sequence
+//!   range (each shard a sub-range) inside one record in the database's one
+//!   log — its group's, which concurrent batches share —, and the queue's
+//!   one published ceiling (the *fence*) advances only after every shard
+//!   has applied. Snapshots and scans read at the published fence, pinned
+//!   without the commit lock (see *Visibility*), so a multi-shard batch is
 //!   **all-or-nothing visible** to every multi-key view.
 //! * **Coherent snapshots** ([`ShardedSnapshot`]) — one RAII handle
 //!   capturing every shard at the same published fence **and at the
@@ -63,8 +64,9 @@
 //!
 //! 1. **Begin** (under the commit lock, brief): two child shards with
 //!    fresh stable ids are created and recorded as the pending split
-//!    (which is what puts them in the worker pool's rotation), and a drain
-//!    snapshot of the parent is pinned at the current fence `F₀`.
+//!    (which is what puts them in the worker pool's rotation), and, once
+//!    every claimed group has applied, a drain snapshot of the parent is
+//!    pinned at the fence `F₀`.
 //!    From this moment the **dual-write window** is open: every committed
 //!    write routed to the parent is *also* applied to the matching child's
 //!    memtable (same global sequence sub-range; the log holds it once, as
@@ -74,7 +76,8 @@
 //!    sequence numbers `1..=n ≤ F₀`, i.e. strictly below every
 //!    dual-written version, so "newest version wins" merges the drain and
 //!    the window correctly no matter how they interleave.
-//! 3. **Cutover** (under the commit lock): the children are flushed (the
+//! 3. **Cutover** (under the commit lock, once every claimed group has
+//!    applied): the children are flushed (the
 //!    log holds none of their drained entries; children that still buffer
 //!    defer the cutover), the topology is sealed at `epoch+1` (the **single**
 //!    storage-visible commit point of the split), the in-memory routing
@@ -97,12 +100,13 @@
 //!
 //! The database keeps one log of `NNNNNN.wal` files at its root — the same
 //! log a lone [`Db`] keeps (`crate::log`), rotated once its active file
-//! holds a write buffer's bytes. A commit appends one record holding the batch's ops grouped by shard in
+//! holds a write buffer's bytes — and one writer queue for it. A group
+//! commit appends one record holding its batches, each batch's ops in
 //! routing order — op `i` at `first + i`, so each shard's part sits at its
-//! sub-range — and syncs it when `WriteOptions::sync` asks; only then do
-//! the shards apply their parts, logging nothing themselves. The record is
-//! the batch's commit point: a torn or CRC-corrupt frame is no record, so a
-//! reopen replays the whole batch or none of it (RocksDB makes
+//! sub-range — and syncs it once when any batch asks; only then do the
+//! shards apply their parts, logging nothing themselves. The record is
+//! each batch's commit point: a torn or CRC-corrupt frame is no record, so
+//! a reopen replays the whole batch or none of it (RocksDB makes
 //! cross-column-family batches atomic the same way, with one WAL every
 //! family shares).
 //!
@@ -111,7 +115,7 @@
 //! its tables, replays the log once — each op routed by key through the
 //! last sealed topology and applied only above its shard's `flushed` —,
 //! keeps each file that held such an op as it lies (a file that held none
-//! goes), and resumes the fence at the highest sequence seen. A log file is retired
+//! goes), and resumes the sequence at the highest seen. A log file is retired
 //! once no shard holds an unflushed op at or below its last sequence; once
 //! the live files pass a constant multiple of the write buffer, the shard
 //! holding the oldest unflushed op is flushed, so a shard that stops
@@ -135,17 +139,19 @@
 //!
 //! The first half holds because the views were still the published ones
 //! when `F` was loaded, and the fence publishes a batch only after every
-//! shard applied it to a buffer a published view already holds (a cutover
-//! swaps the state under the commit lock, so a fence loaded after it
-//! would fail the epoch re-check). The second holds because a shard
-//! flushes only entries the fence has published: a flush keeps a key's
-//! newest version only, so a buffer holding `k@old ≤ F` and an unpublished
-//! `k@new > F` must not reach a table. A shard's buffer is sealed only
-//! under the commit lock, and never while it holds part of the batch in
-//! flight: admission control seals it before that part lands, and every
-//! synchronous-mode inline flush runs after the fence publish
-//! (`Db::flush_deferred`). A split's children flush at once — no reader can
-//! pin them before the cutover.
+//! shard applied it to a buffer a published view already holds: its parts
+//! are registered under each shard's tree lock, which an install also
+//! holds (a cutover swaps the state under the commit lock once every
+//! claimed group has applied, so a fence loaded after it would fail the
+//! epoch re-check). The second holds because a shard flushes only entries
+//! the fence has published: a flush keeps a key's newest version only, so
+//! a buffer holding `k@old ≤ F` and an unpublished `k@new > F` must not
+//! reach a table. Every seal of a shard's buffer first waits for the fence
+//! to cover the shard's last claimed sequence (`quiesce` reads the one
+//! fence), and every synchronous-mode inline flush runs after its write
+//! published (`Db::flush_deferred`, under the commit lock, so no cutover
+//! retires the shard beside it). A split's children flush at once — no
+//! reader can pin them before the cutover.
 //!
 //! Bare point [`ShardedDb::get`]s read the owning shard's latest applied
 //! state and make no cross-key promise (two separate `get`s are not a
@@ -153,10 +159,11 @@
 //! `get` that races a topology cutover re-checks the epoch and retries,
 //! so it never returns a value staler than the shard that owned the key
 //! when the read began. A
-//! failed log append or sync poisons the write path (reads stay
-//! available), so no *later* commit can ever publish a fence past the
-//! failed batch — and a reopen replays it whole if its record landed,
-//! and not at all if it did not.
+//! failed log append or sync fails its group and uses its range up, as a
+//! lone `Db`'s does, so no *later* commit reissues it — and a reopen
+//! replays it whole if its record landed, and not at all if it did not.
+//! The write path is poisoned (reads stay available) only when a split's
+//! cutover cannot unseal a topology it failed to seal.
 //!
 //! [`WriteBatch`]: crate::batch::WriteBatch
 //! [`Maintenance::Background`]: crate::options::Maintenance::Background
@@ -173,7 +180,7 @@ pub use commit_path::LOG_BOUND_BUFFERS;
 pub use merge::ShardedDbIterator;
 pub use open::RecoveryReport;
 pub use router::{imbalance, ShardRouter};
-pub use split::{split_batch, split_by_cut};
+pub use split::split_batch;
 pub use stats::ShardedStats;
 pub use topology::Topology;
 
@@ -184,7 +191,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::BlockCache;
-use crate::db::{CommitCoordination, Db};
+use crate::db::{CommitCoordination, Db, WriterQueue};
 use crate::log::Log;
 use crate::options::{ReadOptions, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler};
@@ -202,20 +209,6 @@ use lsm_obs::Observer;
 /// more than a handful in one read means the topology is churning faster
 /// than reads can land, and spinning further just adds load.
 pub const MAX_GET_RETRIES: usize = 8;
-
-/// The shared sequence fence: one global allocator + one published
-/// visibility ceiling for all shards.
-///
-/// `next` is the last sequence number handed out; `visible` is the last
-/// sequence number whose batch has been fully applied on every shard it
-/// touches. `visible` trails `next` only while a commit is in flight, and
-/// every read path uses `visible` as its ceiling — which is exactly what
-/// makes a cross-shard batch all-or-nothing visible.
-#[derive(Debug)]
-struct SeqFence {
-    next: AtomicU64,
-    visible: AtomicU64,
-}
 
 /// One topology epoch materialized in memory: the router over its
 /// boundary set and the open shard handles in routing order. Immutable —
@@ -343,13 +336,17 @@ struct ShardedCore {
     /// The persisted form of the current topology (authoritative id
     /// allocator + boundary set).
     topology: Mutex<Topology>,
-    fence: SeqFence,
-    /// The commit lock (serializes commits — the log's records and the
-    /// fence's publishes are in allocation order because of it) and the
-    /// poison flag (set when a log append or sync failed: writes and
-    /// flushes are refused so a partial batch can neither become visible
-    /// nor durable in this process). Shared with every shard so even a
-    /// flush through [`ShardedDb::shard`] honours both.
+    /// The database's one writer queue and its ceiling — the fence —, which
+    /// every shard reads: a batch is published once every shard it lands
+    /// in applied it.
+    writers: Arc<WriterQueue>,
+    /// The last sequence claimed, stored under the commit lock.
+    claimed: AtomicU64,
+    /// The commit lock (serializes claims and a split's phases — the log's
+    /// records are in claim order because of it) and the poison flag (set
+    /// when a split's cutover could not unseal a failed topology: writes
+    /// and flushes are refused). Shared with every shard so even a flush
+    /// through [`ShardedDb::shard`] honours both.
     coordination: Arc<CommitCoordination>,
     /// The database's one log. Appends happen under the commit lock; the
     /// mutex only satisfies `&self` mutability.
@@ -437,7 +434,7 @@ impl ShardedDb {
         loop {
             let state = core.current_state();
             let views: Vec<_> = state.shards.iter().map(|d| d.view()).collect();
-            let seq = core.fence.visible.load(Ordering::Acquire);
+            let seq = core.writers.visible();
             let settled = core.state_epoch() == state.epoch
                 && (state.shards.iter().zip(&views)).all(|(d, v)| Arc::ptr_eq(&d.view(), v));
             if settled {
@@ -617,9 +614,9 @@ impl ShardedDb {
             .collect()
     }
 
-    /// Last sequence number published by the fence.
+    /// Last sequence number published by the ceiling.
     pub fn latest_visible_seq(&self) -> SeqNo {
-        self.core.fence.visible.load(Ordering::Acquire)
+        self.core.writers.visible()
     }
 
     /// What the open found: the topology epoch it resumed at and the
@@ -654,10 +651,11 @@ impl ShardedDb {
             .unwrap_or(crate::WritePressure::Clear)
     }
 
-    /// Whether a commit's log append or sync failed in this process:
-    /// writes and flushes are refused (with a typed error) until the
-    /// database is reopened, which replays the batch whole if its record
-    /// landed. Reads keep working.
+    /// Whether a split's cutover failed to seal its topology and could not
+    /// unseal it either, so a durable topology may name children this
+    /// process stopped writing: writes and flushes are refused (with a
+    /// typed error) until the database is reopened. Reads keep working. A
+    /// failed commit does not poison: it fails its group alone.
     pub fn poisoned(&self) -> bool {
         self.core.coordination.poisoned.load(Ordering::Acquire)
     }
@@ -703,6 +701,21 @@ impl ShardedCore {
 
     fn auto_split_enabled(&self) -> bool {
         self.opts.auto_split && self.opts.max_shards > 0
+    }
+
+    /// The split in flight, unless it was abandoned.
+    fn pending_split(&self) -> Option<Arc<PendingSplit>> {
+        let pending = self.pending.lock().clone();
+        pending.filter(|p| !p.cancelled.load(Ordering::Acquire))
+    }
+
+    /// Under the commit lock, which stops new claims: wait until every
+    /// claimed group has applied and published, and return the ceiling —
+    /// members apply after the commit lock is released.
+    fn settled(&self) -> SeqNo {
+        let claimed = self.claimed.load(Ordering::Relaxed);
+        self.writers.wait_visible(claimed);
+        claimed
     }
 }
 

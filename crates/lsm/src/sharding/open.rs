@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use super::{RoutingState, SeqFence, ShardRouter, ShardedCore, ShardedDb, Topology};
+use super::{RoutingState, ShardRouter, ShardedCore, ShardedDb, Topology};
 use crate::cache::BlockCache;
-use crate::db::{CommitCoordination, Db, DbCore, Embedding};
+use crate::db::{CommitCoordination, Db, DbCore, Embedding, WriterQueue};
 use crate::log::Log;
 use crate::options::{Maintenance, ShardedOptions};
 use crate::scheduler::{BgError, MaintSignal, Scheduler, Step, Work};
@@ -62,6 +62,8 @@ impl ShardedDb {
         let signal = Arc::new(MaintSignal::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let coordination = Arc::new(CommitCoordination::default());
+        // One writer queue, whose ceiling every shard reads.
+        let writers = Arc::new(WriterQueue::default());
         // One shared observer for the whole engine: every shard emits into
         // the same buffer, so the drained timeline interleaves shards in
         // true order and span ids are unique engine-wide.
@@ -86,6 +88,7 @@ impl ShardedDb {
             let embedding = Embedding {
                 pool,
                 coordination: Some(Arc::clone(&coordination)),
+                writers: Some(Arc::clone(&writers)),
                 obs,
                 cache: shared_cache.clone(),
             };
@@ -111,12 +114,8 @@ impl ShardedDb {
             topology_epoch: topo.epoch,
             orphan_shards_swept: orphans.len() as u64,
         };
-        let shard_max = shards.iter().map(|d| d.latest_seq()).max().unwrap_or(0);
-        let max_seq = shard_max.max(logged);
-        let fence = SeqFence {
-            next: AtomicU64::new(max_seq),
-            visible: AtomicU64::new(max_seq),
-        };
+        writers.raise(logged);
+        let max_seq = writers.visible();
 
         let state = Arc::new(RoutingState {
             epoch: topo.epoch,
@@ -130,7 +129,8 @@ impl ShardedDb {
             opts,
             state: RwLock::new(state),
             topology: Mutex::new(topo),
-            fence,
+            writers,
+            claimed: AtomicU64::new(max_seq),
             coordination,
             log: Mutex::new(log),
             recovery,
@@ -237,6 +237,7 @@ impl ShardedCore {
         let embedding = Embedding {
             pool,
             coordination: Some(Arc::clone(&self.coordination)),
+            writers: Some(Arc::clone(&self.writers)),
             obs,
             // Children join the shared budget.
             cache: self.cache.clone(),

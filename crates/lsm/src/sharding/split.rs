@@ -18,7 +18,7 @@ use crate::batch::WriteBatch;
 use super::router::ShardRouter;
 use super::{topology, PendingSplit, RoutingState, ShardedCore, ShardedDb, Topology};
 use crate::db::Db;
-use crate::options::{ReadOptions, WriteOptions};
+use crate::options::ReadOptions;
 use crate::snapshot::Snapshot;
 use crate::types::SeqNo;
 use crate::{Error, Result};
@@ -32,23 +32,6 @@ pub fn split_batch(batch: WriteBatch, router: &ShardRouter) -> Vec<WriteBatch> {
         out[router.shard_of(op.key)].extend(std::iter::once(op));
     }
     out
-}
-
-/// Split one shard's sub-batch at a single cut key — the dual-write half
-/// of a live shard split: ops with `key < cut` go left, the rest right,
-/// preserving application order on both sides (per-key order is all that
-/// "later op wins" needs, and a key lands on exactly one side).
-pub fn split_by_cut(batch: &WriteBatch, cut: u64) -> (WriteBatch, WriteBatch) {
-    let mut left = WriteBatch::new();
-    let mut right = WriteBatch::new();
-    for op in batch.ops() {
-        if op.key < cut {
-            left.extend(std::iter::once(op.clone()));
-        } else {
-            right.extend(std::iter::once(op.clone()));
-        }
-    }
-    (left, right)
 }
 
 impl ShardedDb {
@@ -212,7 +195,7 @@ impl ShardedCore {
             };
             let bytes: Vec<u64> = state.shards.iter().map(|d| d.resident_bytes()).collect();
             let fraction = self.split_target(&bytes) as f64 / bytes[pos].max(1) as f64;
-            let seq = self.fence.visible.load(Ordering::Acquire);
+            let seq = self.writers.visible();
             let parent = state.shard(pos);
             (pos, fraction, parent.snapshot_at(seq, parent.view()))
         };
@@ -276,10 +259,10 @@ impl ShardedCore {
                     cut,
                 );
             }
-            // Pin the drain image at the published fence — everything at
-            // or below it comes from the drain, everything above arrives
-            // through the dual-write window.
-            let snap_seq = self.fence.visible.load(Ordering::Acquire);
+            // Pin the drain image at the ceiling, once every claimed group
+            // has applied — everything at or below it comes from the drain,
+            // everything above arrives through the dual-write window.
+            let snap_seq = self.settled();
             let parent = state.shard(pos);
             let snap = parent.snapshot_at(snap_seq, parent.view());
             (state, p, snap, snap_seq)
@@ -342,7 +325,6 @@ impl ShardedCore {
         let mut drain_seq: SeqNo = 0;
         let mut left = WriteBatch::with_capacity(DRAIN_CHUNK);
         let mut right = WriteBatch::with_capacity(DRAIN_CHUNK);
-        let child_opts = WriteOptions::default();
         let mut flush_chunk = |child: &Arc<Db>, chunk: &mut WriteBatch| -> Result<()> {
             if chunk.is_empty() {
                 return Ok(());
@@ -353,7 +335,12 @@ impl ShardedCore {
                 drain_seq <= snap_seq,
                 "drain seqs must stay below the pin fence"
             );
-            child.write_assigned(std::mem::take(chunk), &child_opts, first)?;
+            if child.options().maintenance.is_background() {
+                child.core().make_room()?;
+            }
+            let mem = child.claim_at(first..drain_seq + 1, 1, chunk.len());
+            mem.apply_batch(std::mem::take(chunk).ops(), first);
+            mem.finish_applier();
             // No reader can pin a child before the cutover: it flushes at once.
             child.flush_deferred()
         };
@@ -406,6 +393,9 @@ impl ShardedCore {
             // publish children missing everything not yet drained.
             return Ok(false);
         }
+        // The groups claimed before the lock may still be applying, to the
+        // parent and to the children.
+        self.settled();
         // The children must be durable before any topology names them: a
         // crash right after the seal recovers *only* through them, and
         // nothing logs their drained entries — they must be in tables a
@@ -469,9 +459,10 @@ impl ShardedCore {
                 self.current_state().epoch,
             );
         }
+        // Retire the parent and its directory (best-effort — the sealed
+        // topology no longer names it, and the next open sweeps leftovers).
+        state.shard(p.parent_pos).retire();
         self.signal.bump();
-        // Retire the parent directory (best-effort — the sealed topology
-        // no longer names it, and the next open sweeps leftovers).
         self.remove_shard_dir(p.parent_id);
         Ok(true)
     }
@@ -513,7 +504,7 @@ impl ShardedCore {
     /// cancelled — committers stop mirroring immediately, the filter is
     /// lock-free — and clean up opportunistically; a later split phase
     /// finishes the sweep under its own lock if this one could not.
-    fn abandon_split(&self, p: &Arc<PendingSplit>) {
+    pub(super) fn abandon_split(&self, p: &Arc<PendingSplit>) {
         p.cancelled.store(true, Ordering::Release);
         if let Some(_commit) = self.coordination.lock.try_lock() {
             self.cleanup_cancelled(p);
@@ -531,6 +522,8 @@ impl ShardedCore {
             *pending = None;
         }
         drop(pending);
+        p.left.retire();
+        p.right.retire();
         self.remove_shard_dir(p.left_id);
         self.remove_shard_dir(p.right_id);
     }
@@ -569,22 +562,6 @@ mod tests {
         assert_eq!(parts[1].len(), 0, "untouched shard gets an empty batch");
         assert_eq!(parts[2].ops()[0].key, 2500);
         assert_eq!(parts[3].ops()[0].key, 3999);
-    }
-
-    #[test]
-    fn cut_split_partitions_and_keeps_order() {
-        let mut batch = WriteBatch::new();
-        batch.put(10, b"a");
-        batch.put(2500, b"b");
-        batch.delete(10);
-        batch.put(999, b"c");
-        let (l, r) = split_by_cut(&batch, 1000);
-        assert_eq!(l.len(), 3);
-        assert_eq!(r.len(), 1);
-        assert_eq!(l.ops()[0].key, 10);
-        assert_eq!(l.ops()[1].kind, EntryKind::Delete, "order kept");
-        assert_eq!(l.ops()[2].key, 999);
-        assert_eq!(r.ops()[0].key, 2500);
     }
 
     #[test]

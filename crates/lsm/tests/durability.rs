@@ -169,10 +169,13 @@ impl Hook for AllOps {
 /// A reopen writes no log byte. 600 unsynced batches of 32 100-byte puts
 /// (2 182 200 B of log, one file under a 4 MiB buffer) are closed without
 /// a flush and reopened three times, by a lone `Db` and by a 2-shard
-/// `ShardedDb`. Each open syncs the file it adopts, removes the empty file
-/// the open before it started, and creates one at the next number; every
-/// other op is a manifest seal's. (When recovery copied the log, each of
-/// these opens appended all 2 182 200 B again, in 600 appends.)
+/// `ShardedDb`. Each open syncs the file it adopts and nothing else of the
+/// log: the active file it numbers is created by the first append, which
+/// none of them makes. Every other op is a manifest seal's. (When recovery
+/// copied the log, each of these opens appended all 2 182 200 B again, in
+/// 600 appends; until the active file was created at its first append,
+/// each also removed the empty file the open before it had created and
+/// created one at the next number.)
 #[test]
 fn a_reopen_writes_no_log_byte() {
     let opts = Options {
@@ -215,12 +218,7 @@ fn a_reopen_writes_no_log_byte() {
             let opened = ops.0.lock().unwrap()[from..].to_vec();
             let (wal, other): (Vec<_>, Vec<_>) =
                 opened.into_iter().partition(|op| op.contains(".wal"));
-            let mut expected = vec!["sync 000001.wal".to_string()];
-            if round > 2 {
-                expected.push(format!("remove {:06}.wal", round - 1));
-            }
-            expected.push(format!("create {round:06}.wal"));
-            assert_eq!(wal, expected, "sharded {sharded}, open {round}");
+            assert_eq!(wal, ["sync 000001.wal"], "sharded {sharded}, open {round}");
             let manifest = |op: &String| op.contains("MANIFEST-");
             assert!(other.iter().all(manifest), "sharded {sharded}: {other:?}");
             assert_eq!(
@@ -231,29 +229,50 @@ fn a_reopen_writes_no_log_byte() {
     }
 }
 
-/// A storage hook that fails the next log sync once armed.
+/// A storage hook that fails the next log sync, or the next log append,
+/// once armed, and records every log op it lets through.
 #[derive(Default)]
-struct FailNextLogSync(AtomicBool);
+struct FailNextLogOp {
+    sync: AtomicBool,
+    append: AtomicBool,
+    ops: LogOps,
+}
 
-impl Hook for FailNextLogSync {
+impl Hook for FailNextLogOp {
     fn before(&self, op: Op<'_>) -> io::Result<()> {
-        match op {
-            Op::Sync(name) if name.ends_with(".wal") && self.0.swap(false, Ordering::SeqCst) => {
-                Err(io::Error::other("injected log sync failure"))
-            }
-            _ => Ok(()),
+        let armed = match op {
+            Op::Sync(name) if name.ends_with(".wal") => &self.sync,
+            Op::Append(name, _) if name.ends_with(".wal") => &self.append,
+            _ => return self.ops.before(op),
+        };
+        match armed.swap(false, Ordering::SeqCst) {
+            true => Err(io::Error::other("injected log failure")),
+            false => self.ops.before(op),
         }
+    }
+}
+
+impl FailNextLogOp {
+    /// The log ops let through since the first `from`.
+    fn since(&self, from: usize) -> Vec<String> {
+        self.ops.0.lock().unwrap()[from..].to_vec()
+    }
+
+    fn count(&self) -> usize {
+        self.ops.0.lock().unwrap().len()
     }
 }
 
 /// A durable write whose log sync fails is not acknowledged, and its
 /// sequence range is never reissued: recovery reads each range once, so a
 /// later batch at the failed one's range would be skipped as its copy. The
-/// write acknowledged after the failure survives a reopen, and a flush
-/// after a failure settles (the failed range publishes as an empty group).
+/// file the failure may have torn is sealed as it lies: the write
+/// acknowledged after it goes to a fresh file, created for it, and survives
+/// a reopen. A flush after a failure settles (the failed range publishes as
+/// an empty group).
 #[test]
 fn a_write_after_a_failed_log_sync_survives_reopen() {
-    let fail = Arc::new(FailNextLogSync::default());
+    let fail = Arc::new(FailNextLogOp::default());
     let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
     let open = || {
         let storage = Interposed::hooked(Arc::clone(&memory), Arc::clone(&fail));
@@ -266,15 +285,29 @@ fn a_write_after_a_failed_log_sync_survives_reopen() {
     };
     let db = open();
     put(&db, 1, b"before").unwrap();
-    fail.0.store(true, Ordering::SeqCst);
+    fail.sync.store(true, Ordering::SeqCst);
     assert!(put(&db, 2, b"unacknowledged").is_err());
+    let failed = fail.count();
     put(&db, 3, b"acknowledged").unwrap();
+    let after = fail.since(failed);
+    let fresh = after[0]
+        .strip_prefix("create ")
+        .expect("a fresh file first");
+    assert_ne!(fresh, "000001.wal", "{after:?}");
+    assert_eq!(
+        after,
+        [
+            format!("create {fresh}"),
+            format!("append {fresh}"),
+            format!("sync {fresh}")
+        ]
+    );
     drop(db);
 
     let db = open();
     assert_eq!(db.get(1).unwrap(), Some(b"before".to_vec()));
     assert_eq!(db.get(3).unwrap(), Some(b"acknowledged".to_vec()));
-    fail.0.store(true, Ordering::SeqCst);
+    fail.sync.store(true, Ordering::SeqCst);
     assert!(put(&db, 4, b"unacknowledged").is_err());
     db.flush().unwrap();
     put(&db, 5, b"acknowledged").unwrap();
@@ -282,6 +315,61 @@ fn a_write_after_a_failed_log_sync_survives_reopen() {
     let db = open();
     assert_eq!(db.get(3).unwrap(), Some(b"acknowledged".to_vec()));
     assert_eq!(db.get(5).unwrap(), Some(b"acknowledged".to_vec()));
+}
+
+/// A failed log append seals its file, which takes no later sync: the
+/// records earlier writes left in it unsynced are synced first, before the
+/// next durable write creates, appends and syncs a fresh file — so that
+/// write never outlives them across a power loss. A failed append after a
+/// synced record adds no sync.
+#[test]
+fn a_failed_log_append_syncs_what_its_file_holds_unsynced() {
+    let fail = Arc::new(FailNextLogOp::default());
+    let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let storage = Interposed::hooked(Arc::clone(&memory), Arc::clone(&fail));
+    let db = Db::open(Arc::new(storage), opts()).unwrap();
+    let put = |key: u64, wopts: &WriteOptions| {
+        let mut batch = WriteBatch::new();
+        batch.put(key, b"v");
+        db.write(batch, wopts)
+    };
+    let (plain, durable) = (WriteOptions::default(), WriteOptions::durable());
+    put(1, &durable).unwrap();
+    put(2, &plain).unwrap();
+    let from = fail.count();
+    fail.append.store(true, Ordering::SeqCst);
+    assert!(put(3, &plain).is_err());
+    put(4, &durable).unwrap();
+    let after = fail.since(from);
+    let fresh = after[1].strip_prefix("create ").expect("a fresh file");
+    assert_eq!(
+        after,
+        [
+            "sync 000001.wal".to_string(),
+            format!("create {fresh}"),
+            format!("append {fresh}"),
+            format!("sync {fresh}")
+        ]
+    );
+    let from = fail.count();
+    fail.append.store(true, Ordering::SeqCst);
+    assert!(put(5, &plain).is_err());
+    put(6, &durable).unwrap();
+    let after = fail.since(from);
+    assert_eq!(after.len(), 3, "no sync of a synced file: {after:?}");
+    assert!(after[0].starts_with("create "), "{after:?}");
+    drop(db);
+    let db = Db::open(memory, opts()).unwrap();
+    for (key, held) in [
+        (1, true),
+        (2, true),
+        (3, false),
+        (4, true),
+        (5, false),
+        (6, true),
+    ] {
+        assert_eq!(db.get(key).unwrap().is_some(), held, "key {key}");
+    }
 }
 
 /// Clip the live WAL to its first `keep` bytes, simulating a crash that
@@ -369,7 +457,8 @@ fn torn_tail_mid_batch_replays_none_of_that_batch() {
 
 /// Unflushed writes survive two crashes: a reopen keeps the log files it
 /// replays as they lie, so the second crash finds them again, beside the
-/// file the second life wrote.
+/// file the second life wrote. A life that adopted files creates its own
+/// at its first append.
 #[test]
 fn unflushed_writes_survive_two_crashes() {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
@@ -396,10 +485,11 @@ fn unflushed_writes_survive_two_crashes() {
     assert_eq!(db.get(1).unwrap(), Some(b"first-life".to_vec()));
     assert_eq!(db.get(2).unwrap(), None, "tombstone survives two crashes");
     assert_eq!(db.get(3).unwrap(), Some(b"second-life".to_vec()));
-    // Each life's file, and the third life's empty one.
-    assert_eq!(wals(&storage), ["000001.wal", "000002.wal", "000003.wal"]);
+    // Each writing life's file; the third has appended nothing.
+    assert_eq!(wals(&storage), ["000001.wal", "000002.wal"]);
     db.flush().unwrap();
-    assert_eq!(wals(&storage).len(), 1, "a flush retires the adopted files");
+    // The third life's active file was never appended to, so never created.
+    assert_eq!(wals(&storage).len(), 0, "a flush retires the adopted files");
     drop(db);
 
     // The same through both record kinds: a crash leaves a single batch
@@ -446,7 +536,7 @@ fn unflushed_writes_survive_two_crashes() {
     for _ in 0..2 {
         check(&Db::open(Arc::clone(&storage), opts()).unwrap());
         assert_eq!(lsm_io::read_all(storage.as_ref(), written).unwrap(), bytes);
-        assert_eq!(wals(&storage).len(), 2, "the adopted file and an empty one");
+        assert_eq!(wals(&storage).len(), 1, "the adopted file, and no other");
     }
 }
 

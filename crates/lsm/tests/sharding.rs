@@ -580,52 +580,94 @@ fn crash_matrix_every_op_boundary_is_all_or_nothing() {
     }
 }
 
-/// A commit whose log append or sync fails applies nothing to any memtable
-/// and poisons the write path: every flush path — the sharded one and a
-/// shard-level `flush` reached through [`ShardedDb::shard`] — refuses, and
-/// so do sharded and shard-level writes. The reopen is all-or-nothing. It
-/// is whole when the record landed: a failed sync leaves the appended
-/// record on the device, and a record on the device is the batch's commit
-/// point. (While each shard logged its own part and a marker sealed the
-/// batch, this reopen found every part unsealed and replayed none.)
+/// Records the create, append and sync of every log file, in order.
+#[derive(Default)]
+struct LogOps(std::sync::Mutex<Vec<String>>);
+
+impl Hook for LogOps {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        let (verb, name) = match op {
+            Op::Create(name) => ("create", name),
+            Op::Append(name, _) => ("append", name),
+            Op::Sync(name) => ("sync", name),
+            _ => return Ok(()),
+        };
+        if name.ends_with(".wal") {
+            self.0.lock().unwrap().push(format!("{verb} {name}"));
+        }
+        Ok(())
+    }
+}
+
+/// A commit whose log append or sync fails fails its group alone, as a
+/// lone `Db`'s does: it applies nothing to any memtable, poisons nothing,
+/// and uses its range up. The file the failure may have torn is sealed as
+/// it lies, so the next durable write goes to a fresh file, created for
+/// it. A reopen then holds that write, and the failed batch whole if its
+/// record landed (a failed sync follows a whole append) and not at all if
+/// it did not; a later flush succeeds too. (Until a failed commit failed
+/// its group alone it poisoned the write path: every flush and write was
+/// refused until a reopen.)
 #[test]
-fn flush_after_poisoned_commit_cannot_persist_orphan_fragments() {
+fn a_failed_commit_fails_its_group_and_the_next_write_takes_a_fresh_file() {
     // Crash before the append, then between the append and its sync.
     for (crash_after, landed) in [(0, false), (1, true)] {
         let label = format!("crash after {crash_after} op(s)");
-        let (storage, ctl) = CrashStorage::new();
-        let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, crash_opts()).unwrap();
+        let (crash, ctl) = CrashStorage::new();
+        let ops = Arc::new(LogOps::default());
+        let storage = Interposed::hooked(Arc::clone(&crash) as Arc<dyn Storage>, Arc::clone(&ops));
+        let db = ShardedDb::open(Arc::new(storage), crash_opts()).unwrap();
         write_baseline(&db);
         let buffered: Vec<usize> = (0..3).map(|s| db.shard(s).memtable_len()).collect();
-        // Fail the commit, then heal the storage: the process lives on,
-        // poisoned.
+        // Fail the commit, then heal the storage: the process lives on.
+        let failed_at = ops.0.lock().unwrap().len();
         ctl.crash_after(crash_after);
         assert!(db.write(target_batch(), &WriteOptions::durable()).is_err());
         ctl.disarm();
+        let failed_file = ops.0.lock().unwrap()[failed_at].clone();
         for &k in &TARGET_KEYS {
             assert_eq!(db.get(k).unwrap(), None, "{label}: key {k} applied");
         }
         let now: Vec<usize> = (0..3).map(|s| db.shard(s).memtable_len()).collect();
         assert_eq!(now, buffered, "{label}: a memtable took part of the batch");
+        assert!(!db.poisoned(), "{label}");
+
+        let mark = ops.0.lock().unwrap().len();
+        let mut later = WriteBatch::new();
+        for k in [710u64, 3660] {
+            later.put(k, b"later");
+        }
+        db.write(later, &WriteOptions::durable()).unwrap();
+        let after = ops.0.lock().unwrap()[mark..].to_vec();
+        let fresh = after[0]
+            .strip_prefix("create ")
+            .expect("a fresh file first");
         assert!(
-            db.flush().is_err(),
-            "{label}: sharded flush must refuse while poisoned"
+            !failed_file.ends_with(fresh),
+            "{label}: {failed_file} {after:?}"
         );
-        assert!(
-            db.shard(0).flush().is_err(),
-            "{label}: shard-level flush must refuse while poisoned"
-        );
-        assert!(
-            db.shard(0).put(5, b"x").is_err(),
-            "{label}: shard-level writes are refused"
-        );
-        assert!(db.put(1, b"x").is_err(), "{label}: writes stay refused");
-        drop(db);
-        let db = ShardedDb::open(Arc::new(storage.image()), crash_opts()).unwrap();
+        let expected = ["create", "append", "sync"].map(|verb| format!("{verb} {fresh}"));
+        assert_eq!(after, expected, "{label}");
+
+        let reopened = ShardedDb::open(Arc::new(crash.image()), crash_opts()).unwrap();
+        for k in [710u64, 3660] {
+            let got = reopened.get(k).unwrap();
+            assert_eq!(got.as_deref(), Some(&b"later"[..]), "{label}: key {k}");
+        }
         for &k in &TARGET_KEYS {
             let want = landed.then(|| b"target".to_vec());
-            assert_eq!(db.get(k).unwrap(), want, "{label}: key {k} after reopen");
+            assert_eq!(
+                reopened.get(k).unwrap(),
+                want,
+                "{label}: key {k} after reopen"
+            );
         }
+        check_recovered(&reopened, false, &label);
+        drop(reopened);
+        db.flush().unwrap();
+        drop(db);
+        let db = ShardedDb::open(Arc::new(crash.image()), crash_opts()).unwrap();
+        assert_eq!(db.get(710).unwrap().as_deref(), Some(&b"later"[..]));
         check_recovered(&db, false, &label);
     }
 }
@@ -766,6 +808,237 @@ fn a_batch_is_one_append_and_one_sync_however_many_shards_it_touches() {
                     "{shards} shard(s), sync {}",
                     wopts.sync
                 );
+            }
+        }
+    }
+}
+
+/// Counts the appends and syncs that reach the device, and parks the first
+/// log sync until released.
+#[derive(Default)]
+struct ParkFirstLogSync {
+    count: OpCount,
+    /// `(parked, released)`.
+    state: std::sync::Mutex<(bool, bool)>,
+    cv: std::sync::Condvar,
+}
+
+impl ParkFirstLogSync {
+    fn wait_parked(&self) -> bool {
+        let st = self.state.lock().unwrap();
+        let timeout = std::time::Duration::from_secs(10);
+        let (st, _) = self.cv.wait_timeout_while(st, timeout, |s| !s.0).unwrap();
+        st.0
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+impl Hook for ParkFirstLogSync {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        if matches!(op, Op::Sync(name) if name.ends_with(".wal")) {
+            let mut st = self.state.lock().unwrap();
+            if !st.0 {
+                st.0 = true;
+                self.cv.notify_all();
+                while !st.1 {
+                    st = self.cv.wait(st).unwrap();
+                }
+            }
+        }
+        self.count.before(op)
+    }
+}
+
+/// A lone `Db` or a `ShardedDb`, as the grouping check drives it.
+trait Committer: Sync {
+    fn commit(&self, batch: WriteBatch) -> lsm_tree::Result<u64>;
+    fn queued(&self) -> usize;
+    /// Each tree's `(write_groups, write_batches)`: the groups registered
+    /// at its buffer, and the batches' parts applied there.
+    fn registered(&self) -> Vec<(u64, u64)>;
+}
+
+impl Committer for Db {
+    fn commit(&self, batch: WriteBatch) -> lsm_tree::Result<u64> {
+        self.write(batch, &WriteOptions::durable())
+    }
+    fn queued(&self) -> usize {
+        self.queued_writes()
+    }
+    fn registered(&self) -> Vec<(u64, u64)> {
+        let s = self.stats().snapshot();
+        vec![(s.write_groups, s.write_batches)]
+    }
+}
+
+impl Committer for ShardedDb {
+    fn commit(&self, batch: WriteBatch) -> lsm_tree::Result<u64> {
+        self.write(batch, &WriteOptions::durable())
+    }
+    /// A shard reports its owner's queue.
+    fn queued(&self) -> usize {
+        self.shard(0).queued_writes()
+    }
+    fn registered(&self) -> Vec<(u64, u64)> {
+        (0..self.shard_count())
+            .map(|pos| self.shard(pos).registered()[0])
+            .collect()
+    }
+}
+
+/// Durable writers queued behind a sync share the next one, on a sharded
+/// database as on a lone `Db`: the first durable batch's log sync is
+/// parked until three more durable writers are queued behind it, and the
+/// four batches then commit in 2 appends and 2 syncs. Each batch touches
+/// both shards of the sharded database. (While a sharded database pushed
+/// each batch through on its own, it made 4 of each.) A group registers
+/// once at each tree it lands in, however many of its batches touch it:
+/// each tree counts 2 groups of the 4 batches. (Registering a tree twice
+/// in one group could deadlock: a rotation that takes the tree's lock
+/// between the two waits for the group's first registration to apply,
+/// while holding the lock the second needs.)
+#[test]
+fn queued_durable_writers_share_one_append_and_one_sync() {
+    for sharded in [false, true] {
+        let hook = Arc::new(ParkFirstLogSync::default());
+        let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let storage: Arc<dyn Storage> = Arc::new(Interposed::hooked(memory, Arc::clone(&hook)));
+        let mut base = base_opts();
+        base.write_buffer_bytes = 64 << 20; // nothing flushes
+        let engine: Box<dyn Committer> = match sharded {
+            true => Box::new(
+                ShardedDb::open(storage, ShardedOptions::learned(2, vec![], base)).unwrap(),
+            ),
+            false => Box::new(Db::open(storage, base).unwrap()),
+        };
+        let batch = |k: u64| {
+            let mut batch = WriteBatch::new();
+            batch.put(k, b"low");
+            batch.put(u64::MAX - k, b"high");
+            batch
+        };
+        let before = hook.count.get();
+        std::thread::scope(|s| {
+            let engine = &engine;
+            let first = s.spawn(move || engine.commit(batch(0)));
+            let parked = hook.wait_parked();
+            let rest: Vec<_> = (1..4u64)
+                .map(|k| s.spawn(move || engine.commit(batch(k))))
+                .collect();
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            while parked && engine.queued() < 3 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let queued = engine.queued();
+            // Released before any assertion, so a failure still joins.
+            hook.release();
+            assert!(parked, "sharded {sharded}: no log sync parked");
+            assert_eq!(queued, 3, "sharded {sharded}: writers queued");
+            for writer in std::iter::once(first).chain(rest) {
+                writer.join().unwrap().unwrap();
+            }
+        });
+        let (appends, syncs) = hook.count.get();
+        let made = (appends - before.0, syncs - before.1);
+        assert_eq!(made, (2, 2), "sharded {sharded}: appends and syncs");
+        let trees = if sharded { 2 } else { 1 };
+        assert_eq!(
+            engine.registered(),
+            vec![(2, 4); trees],
+            "sharded {sharded}"
+        );
+    }
+}
+
+/// Two and four writers of cross-shard batches at once, durable and not,
+/// under both maintenance modes. Every batch stamps one marker per shard
+/// that all writers share, and one per shard of the writer's own, with its
+/// writer and round: a snapshot must see the shared markers equal (else a
+/// batch was torn), and each writer's own equal and never at an older
+/// round than an earlier snapshot saw. Filler keys fill the buffers, so
+/// shards rotate and flush throughout. After a reopen each writer's
+/// markers hold its last round: every acknowledged write survived.
+#[test]
+fn concurrent_cross_shard_writers_are_all_or_nothing_visible() {
+    const ROUNDS: u64 = 120;
+    let shared = [500u64, 1500, 2500, 3500];
+    let own = |t: u64| shared.map(|m| m + 100 + 2 * t);
+    let stamp = |v: Vec<u8>| u64::from_le_bytes(v.try_into().unwrap());
+    for maintenance in [Maintenance::Synchronous, Maintenance::background()] {
+        for (writers, durable) in [(2u64, false), (2, true), (4, false), (4, true)] {
+            let label = format!("{maintenance:?}, {writers} writers, durable {durable}");
+            let mut base = base_opts();
+            base.maintenance = maintenance;
+            let opts = ShardedOptions::learned(4, dense_sample(), base);
+            let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+            let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
+            let wopts = match durable {
+                true => WriteOptions::durable(),
+                false => WriteOptions::default(),
+            };
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..writers)
+                    .map(|t| {
+                        let db = &db;
+                        s.spawn(move || {
+                            for round in 1..=ROUNDS {
+                                let value = ((t << 32) | round).to_le_bytes();
+                                let mut batch = WriteBatch::new();
+                                for m in shared.into_iter().chain(own(t)) {
+                                    batch.put(m, &value);
+                                }
+                                for j in 0..4 {
+                                    let filler = ((round * 4 + j) * 7 + t) % 2000 * 2 + 1;
+                                    batch.put(filler, &[t as u8; 24]);
+                                }
+                                db.write(batch, &wopts).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                let mut seen = vec![0u64; writers as usize];
+                let mut checks = 0;
+                while !handles.iter().all(|h| h.is_finished()) || checks == 0 {
+                    let snap = db.snapshot();
+                    let read = |k: u64| db.get_at(k, &snap).unwrap().map_or(0, stamp);
+                    let marks = shared.map(read);
+                    assert!(
+                        marks.iter().all(|&m| m == marks[0]),
+                        "{label}: torn {marks:?}"
+                    );
+                    for (t, was) in (0..writers).zip(&mut seen) {
+                        let marks = own(t).map(read);
+                        assert!(
+                            marks.iter().all(|&m| m == marks[0]),
+                            "{label}: torn {marks:?}"
+                        );
+                        let round = marks[0] & 0xffff_ffff;
+                        assert!(
+                            round >= *was,
+                            "{label}: writer {t} went from {was} to {round}"
+                        );
+                        *was = round;
+                    }
+                    checks += 1;
+                }
+                for h in handles {
+                    h.join().unwrap();
+                }
+            });
+            db.wait_for_maintenance();
+            assert_eq!(db.background_error(), None, "{label}");
+            assert!(db.stats().flushes > 0, "{label}: no shard flushed");
+            drop(db);
+            let db = ShardedDb::open(storage, opts).unwrap();
+            for t in 0..writers {
+                for m in own(t) {
+                    let got = db.get(m).unwrap().map(stamp);
+                    assert_eq!(got, Some((t << 32) | ROUNDS), "{label}: key {m}");
+                }
             }
         }
     }
@@ -1180,6 +1453,181 @@ fn child_write_failure_cancels_split_without_losing_the_commit() {
         "reopened children must hold the drained data"
     );
     assert_eq!(db.get(10).unwrap(), Some(b"survives".to_vec()));
+}
+
+/// During a split's dual-write window a batch whose part at the splitting
+/// shard alternates around the cut reaches each child in two runs, and
+/// registers at each child once: after the cutover a child has counted
+/// one group per drain chunk and one for the batch.
+#[test]
+fn a_dual_written_part_registers_once_at_each_child() {
+    let mut opts = learned_opts(2, dense_sample())
+        .with_max_shards(4)
+        .with_split_trigger(0.1, 1 << 10);
+    opts.auto_split = false;
+    let db = ShardedDb::open_memory(opts).unwrap();
+    let mut batch = WriteBatch::new();
+    for k in (0..1900u64).step_by(3) {
+        batch.put(k, b"seed");
+    }
+    db.write(batch, &WriteOptions::default()).unwrap();
+    db.flush().unwrap();
+    assert!(db.begin_rebalance().unwrap());
+    // The cut lies above the parent's least key and at or below its
+    // greatest, so 0 and 1 go left and 1950 and 1951 right, alternately.
+    let mut batch = WriteBatch::new();
+    for k in [0, 1950, 1, 1951, 3000] {
+        batch.put(k, b"dual");
+    }
+    db.write(batch, &WriteOptions::default()).unwrap();
+    assert!(db.complete_rebalance().unwrap());
+    assert_eq!(db.shard_count(), 3);
+    for pos in 0..2 {
+        let s = db.shard(pos).stats().snapshot();
+        let chunks = (s.write_entries - 2).div_ceil(512);
+        assert_eq!(
+            (s.write_groups, s.write_batches),
+            (chunks + 1, chunks + 2),
+            "child {pos}"
+        );
+    }
+}
+
+/// Parks the first create of a table under `prefix` once armed.
+#[derive(Default)]
+struct ParkTableCreate {
+    prefix: &'static str,
+    armed: AtomicBool,
+    /// `(parked, released)`.
+    state: std::sync::Mutex<(bool, bool)>,
+    cv: std::sync::Condvar,
+}
+
+impl Hook for ParkTableCreate {
+    fn before(&self, op: Op<'_>) -> io::Result<()> {
+        let table = |name: &str| name.starts_with(self.prefix) && name.ends_with(".sst");
+        if matches!(op, Op::Create(name) if table(name)) && self.armed.swap(false, Ordering::SeqCst)
+        {
+            let mut st = self.state.lock().unwrap();
+            st.0 = true;
+            self.cv.notify_all();
+            while !st.1 {
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A synchronous write's inline flush of a splitting shard and the
+/// split's cutover, which retires that shard and removes its files, never
+/// overlap. The write's flush is parked at its table's create while a
+/// cutover is started beside it: the flush finishes first, and no file is
+/// left in the retired shard's directory.
+#[test]
+fn a_cutover_never_meets_an_inline_flush_of_the_shard_it_retires() {
+    let mut opts = learned_opts(2, dense_sample())
+        .with_max_shards(4)
+        .with_split_trigger(0.1, 1 << 10);
+    opts.auto_split = false;
+    let hook = Arc::new(ParkTableCreate {
+        prefix: "shard-0/",
+        ..Default::default()
+    });
+    let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let storage: Arc<dyn Storage> =
+        Arc::new(Interposed::hooked(Arc::clone(&memory), Arc::clone(&hook)));
+    let db = ShardedDb::open(storage, opts).unwrap();
+    let mut batch = WriteBatch::new();
+    for k in (0..1900u64).step_by(3) {
+        batch.put(k, b"seed");
+    }
+    db.write(batch, &WriteOptions::default()).unwrap();
+    db.flush().unwrap();
+    assert!(db.begin_rebalance().unwrap());
+    hook.armed.store(true, Ordering::SeqCst);
+    std::thread::scope(|s| {
+        let db = &db;
+        // Past the write buffer: the parent's inline flush runs.
+        let writer = s.spawn(move || {
+            let mut batch = WriteBatch::new();
+            for k in 0..600u64 {
+                batch.put(k, &[9; 32]);
+            }
+            db.write(batch, &WriteOptions::default())
+        });
+        let timeout = std::time::Duration::from_secs(10);
+        let st = hook.state.lock().unwrap();
+        let (st, _) = hook.cv.wait_timeout_while(st, timeout, |s| !s.0).unwrap();
+        let parked = st.0;
+        drop(st);
+        let cutover = s.spawn(move || db.complete_rebalance());
+        // Time for a cutover that does not wait for the flush to finish.
+        let deadline = Instant::now() + std::time::Duration::from_millis(300);
+        while !cutover.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        hook.state.lock().unwrap().1 = true;
+        hook.cv.notify_all();
+        assert!(parked, "the parent's inline flush never created a table");
+        writer.join().unwrap().unwrap();
+        assert!(cutover.join().unwrap().unwrap(), "the cutover published");
+    });
+    assert_eq!(db.shard_count(), 3);
+    let left = memory.list().unwrap().into_iter();
+    let left: Vec<String> = left.filter(|n| n.starts_with("shard-0/")).collect();
+    assert!(
+        left.is_empty(),
+        "files in the retired shard's directory: {left:?}"
+    );
+    assert_eq!(db.get(599).unwrap(), Some(vec![9; 32]));
+}
+
+/// A writer stopped in a splitting shard's admission when the cutover
+/// retires that shard goes on: the pool no longer services the retired
+/// shard, so its stop would never clear. The parent's flushes are paused
+/// until a writer stops on it; the cutover then releases the writer, and
+/// its batches land in the children.
+#[test]
+fn a_writer_stopped_on_a_shard_a_cutover_retires_goes_on() {
+    let mut opts = learned_opts(2, dense_sample())
+        .with_max_shards(4)
+        .with_split_trigger(0.1, 1 << 10);
+    opts.auto_split = false;
+    opts.base.maintenance = Maintenance::background();
+    let db = Arc::new(ShardedDb::open_memory(opts).unwrap());
+    let mut batch = WriteBatch::new();
+    for k in (0..1900u64).step_by(3) {
+        batch.put(k, b"seed");
+    }
+    db.write(batch, &WriteOptions::default()).unwrap();
+    db.flush().unwrap();
+    assert!(db.begin_rebalance().unwrap());
+    let parent = db.shard(0);
+    parent.pause_flushes();
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || (0..3000u64).try_for_each(|i| db.put(i % 1900, &[1; 32])))
+    };
+    let until = |done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        done()
+    };
+    assert!(
+        until(&|| parent.stats().stalled_writers() == 1),
+        "no writer stopped"
+    );
+    assert!(db.complete_rebalance().unwrap(), "the cutover published");
+    assert!(
+        until(&|| writer.is_finished()),
+        "the stopped writer never went on"
+    );
+    writer.join().unwrap().unwrap();
+    assert_eq!(db.shard_count(), 3);
+    assert_eq!(db.get(2999 % 1900).unwrap(), Some(vec![1; 32]));
 }
 
 /// A shard that stops taking writes cannot pin the log: one key lands in

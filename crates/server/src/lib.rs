@@ -21,8 +21,8 @@
 //!   shared worker pool. Admission control maps the engine's write
 //!   stalls onto the network edge: a stopped engine sheds writes with a
 //!   typed `RETRY_AFTER` instead of parking threads, a slowed engine
-//!   shrinks the per-connection pipeline window, and a poisoned commit
-//!   path turns writes into a typed "reopen to recover" error.
+//!   shrinks the per-connection pipeline window, and a poisoned engine
+//!   turns writes into a typed "reopen to recover" error.
 //!   [`Server::close`] drains in-flight requests before releasing the
 //!   engine, so every acknowledged write survives a reopen.
 //! * [`Client`] — the matching sync pipelined client.

@@ -133,8 +133,8 @@ impl Request {
 pub enum ServerError {
     /// Shed by admission control; retry after the given backoff.
     RetryAfter { ms: u32 },
-    /// The engine is poisoned by a failed cross-shard commit; writes are
-    /// refused until the database is reopened.
+    /// The engine is poisoned (a split's cutover left a topology it could
+    /// not unseal); writes are refused until the database is reopened.
     Poisoned(String),
     /// Unknown opcode or malformed payload.
     BadRequest(String),

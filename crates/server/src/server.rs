@@ -29,9 +29,11 @@
 //!   shrunken window and naturally slows to the engine's drain rate.
 //! * **Clear** — `QUEUE_CAP`, bounding queue memory.
 //!
-//! A poisoned commit path (a cross-shard batch failed mid-way) turns
-//! every subsequent write into [`ServerError::Poisoned`] — the client
-//! learns the engine needs a reopen, rather than seeing generic errors.
+//! A failed commit fails only its own group's writes, with the engine's
+//! error. A poisoned engine (a split's cutover left a topology it could
+//! not unseal) turns every subsequent write into [`ServerError::Poisoned`]
+//! — the client learns the engine needs a reopen, rather than seeing
+//! generic errors.
 //!
 //! # Shutdown ordering
 //!

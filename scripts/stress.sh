@@ -39,7 +39,10 @@
 #                 shard is flushed so the live log stays under it), and the
 #                 fence test under both maintenance modes (lock-free pins
 #                 against rotations and inline flushes: no torn batch, no
-#                 marker key lost or older)
+#                 marker key lost or older), and its concurrent sibling
+#                 concurrent_cross_shard_writers_are_all_or_nothing_visible
+#                 (2 and 4 writers through the one writer queue, durable
+#                 and not, both modes; every acknowledged write reopens)
 #
 # Stops at the first failing run, with a non-zero exit status.
 cd "$(dirname "$0")/.." || exit 1
