@@ -993,7 +993,7 @@ mod tests {
         }
     }
 
-    /// Nothing rebalances the stripes but the hash: with tables retired
+    /// Nothing evens out the stripes but the hash: with tables retired
     /// under the readers and pinned charges taking up to half the budget
     /// and giving it back, no stripe grows past twice the mean.
     #[test]

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::{CommitCoordination, Db, DbCore, Inner, WritePressure};
+use super::{CommitLock, Db, DbCore, Inner, WritePressure};
 use crate::compaction::{
     advance_cursor, discard, names, pick_compaction, run_compaction, CompactionTask, KeyRetention,
     LevelWriter,
@@ -35,7 +35,7 @@ impl Db {
     /// buffer is rotated onto the immutable queue and the call returns once
     /// the queue has drained.
     pub fn flush(&self) -> Result<()> {
-        Self::flush_all(self.core.coordination.as_deref(), || vec![self]).map(drop)
+        Self::flush_all(self.core.commit_lock.as_deref(), || vec![self]).map(drop)
     }
 
     /// Flush a set of shards as one step: begin every shard's flush under
@@ -45,17 +45,15 @@ impl Db {
     ///
     /// Under the lock, because a rotation racing a commit could seal a
     /// buffer that commit is still applying to, and flush a version the
-    /// fence has not published; and `enter` refuses while poisoned, because
-    /// after a failed commit the memtables may hold part of a batch that
-    /// must never become durable. Only the (fast) rotate half holds the
+    /// fence has not published. Only the (fast) rotate half holds the
     /// lock; the drain wait runs outside it. A standalone `Db` has no lock
     /// to take.
     pub(crate) fn flush_all<D: std::ops::Deref<Target = Db>>(
-        coordination: Option<&CommitCoordination>,
+        commit_lock: Option<&CommitLock>,
         pick: impl FnOnce() -> Vec<D>,
     ) -> Result<Vec<D>> {
         let shards = {
-            let _commit = coordination.map(|c| c.enter()).transpose()?;
+            let _commit = commit_lock.map(|c| c.lock());
             let shards = pick();
             for db in &shards {
                 db.begin_flush()?;

@@ -117,7 +117,7 @@ use crate::snapshot::{ReadView, Snapshot};
 use crate::stats::DbStats;
 use crate::types::SeqNo;
 use crate::version::Version;
-use crate::{Error, Result};
+use crate::Result;
 use lsm_io::Storage;
 use lsm_obs::{EngineObs, MetricsSnapshot};
 
@@ -189,11 +189,6 @@ struct Inner {
     flush_active: bool,
     /// A compaction holds the tree: one runs at a time.
     compacting: bool,
-    /// A shard a split's cutover replaced, or a swept split's child, set
-    /// under the owner's commit lock: the pool no longer services it, so
-    /// admission lets every write through (the owner routes it to live
-    /// shards), and a synchronous inline flush skips it.
-    retired: bool,
     /// The tables any manifest written since the last successful seal may
     /// name, in manifest order (level by level). `DbCore::write_manifest`
     /// removes those its next seal stops naming.
@@ -224,9 +219,6 @@ impl Inner {
     /// The admission rule's verdict on the next write, and whether the
     /// buffer is full (that write then rotates it).
     fn pressure(&self, opts: &Options) -> (WritePressure, bool) {
-        if self.retired {
-            return (WritePressure::Clear, false);
-        }
         let full = self.mem.approximate_bytes() >= opts.write_buffer_bytes;
         let l0 = self.version.levels[0].len();
         (WritePressure::of(l0, self.imms.len(), full), full)
@@ -269,9 +261,8 @@ pub(crate) struct DbCore {
     /// `DbStats::bg_errors`).
     bg_error: BgError,
     /// Set when this instance is a shard of a [`crate::sharding::ShardedDb`]:
-    /// public flushes serialize against (and respect the poison state of)
-    /// the owner's cross-shard commits.
-    coordination: Option<Arc<CommitCoordination>>,
+    /// the owner's commit lock, which public flushes serialize against.
+    commit_lock: Option<Arc<CommitLock>>,
     /// Observability handle (`Options::observability`): the shared bounded
     /// event buffer plus this instance's per-op latency histograms. `None` when
     /// observability is off — every emit site is a single branch on this
@@ -288,7 +279,7 @@ pub struct Db {
 
 /// What a [`crate::sharding::ShardedDb`] hands [`Db::open_internal`] for each
 /// shard it embeds; `Embedding::default()` is the standalone engine. An
-/// embedded database (one with `coordination`) keeps no log: the owner's
+/// embedded database (one with `commit_lock`) keeps no log: the owner's
 /// one log holds its writes.
 #[derive(Default)]
 pub(crate) struct Embedding {
@@ -297,8 +288,8 @@ pub(crate) struct Embedding {
     /// so rotations/installs in any shard wake the global workers and
     /// stalled writers alike.
     pub pool: Option<(Arc<MaintSignal>, Arc<AtomicBool>)>,
-    /// The owner's commit lock and poison flag.
-    pub coordination: Option<Arc<CommitCoordination>>,
+    /// The owner's commit lock.
+    pub commit_lock: Option<Arc<CommitLock>>,
     /// The owner's writer queue, whose ceiling the shard reads.
     pub writers: Option<Arc<WriterQueue>>,
     /// This shard's handle on the owner's bounded event buffer.
@@ -307,61 +298,11 @@ pub(crate) struct Embedding {
     pub cache: Option<Arc<BlockCache>>,
 }
 
-/// Cross-shard commit coordination shared between a [`crate::sharding::ShardedDb`]
-/// and every shard it owns. The sharding layer claims commit groups and
-/// runs a split's phases under `lock`; a shard-level [`Db::flush`] takes the
-/// same lock (and honours `poisoned`), so no flush — not even one reached
-/// through [`crate::sharding::ShardedDb::shard`] — runs beside a claim or a
-/// cutover.
-#[derive(Debug, Default)]
-pub(crate) struct CommitCoordination {
-    /// Serializes cross-shard claims, a split's phases and every explicit
-    /// flush of shard memtables.
-    pub lock: Mutex<()>,
-    /// Set when a split's cutover failed to seal its topology and could
-    /// not unseal it either: a durable topology may name children this
-    /// process stopped writing, so writes and flushes are refused (reopen
-    /// to recover).
-    pub poisoned: AtomicBool,
-}
-
-impl CommitCoordination {
-    /// The single gate every commit/flush/shard-write path goes through:
-    /// take the commit lock, then verify the engine is not poisoned
-    /// (checked *under* the lock — a caller that was blocked here while a
-    /// commit failed must not proceed).
-    pub(crate) fn enter(&self) -> Result<parking_lot::MutexGuard<'_, ()>> {
-        let guard = self.lock.lock();
-        self.check_poisoned()?;
-        Ok(guard)
-    }
-
-    /// Non-blocking [`CommitCoordination::enter`]: `Ok(None)` when the
-    /// commit lock is contended. Background workers MUST use this — a
-    /// worker blocking on the commit lock can deadlock against a writer
-    /// that holds it while stalled on backpressure the worker itself
-    /// would have relieved.
-    pub(crate) fn try_enter(&self) -> Result<Option<parking_lot::MutexGuard<'_, ()>>> {
-        match self.lock.try_lock() {
-            None => Ok(None),
-            Some(guard) => {
-                self.check_poisoned()?;
-                Ok(Some(guard))
-            }
-        }
-    }
-
-    pub(crate) fn check_poisoned(&self) -> Result<()> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(Error::Corruption(
-                "a split's cutover left a topology it could not unseal; writes \
-                 and flushes are disabled (reopen to recover)"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-}
+/// The commit lock a [`crate::sharding::ShardedDb`] shares with every shard
+/// it owns. The sharding layer claims commit groups under it; a shard-level
+/// [`Db::flush`] takes it too, so no flush — not even one reached through
+/// [`crate::sharding::ShardedDb::shard`] — rotates a buffer beside a claim.
+pub(crate) type CommitLock = Mutex<()>;
 
 impl Db {
     // -------------------------------------------------------------- reads
@@ -515,7 +456,7 @@ impl Db {
 
     /// Approximate resident bytes: every level's table bytes plus the
     /// active and queued memtables — the load metric the sharding layer's
-    /// split trigger compares across shards.
+    /// residency report compares across shards.
     pub fn resident_bytes(&self) -> u64 {
         let view = self.core.view();
         let tables: u64 = (0..view.version.levels.len())
@@ -688,6 +629,7 @@ mod tests {
     use super::*;
     use crate::batch::WriteBatch;
     use crate::options::{IndexGranularity, Maintenance, WriteOptions};
+    use crate::Error;
     use learned_index::IndexKind;
     use lsm_io::MemStorage;
 
@@ -1386,7 +1328,7 @@ mod tests {
         let (storage, faults) = lsm_io::FaultStorage::wrap(Arc::new(MemStorage::new()));
         let owner = Arc::new(WriterQueue::default());
         let embedding = Embedding {
-            coordination: Some(Arc::default()),
+            commit_lock: Some(Arc::default()),
             writers: Some(Arc::clone(&owner)),
             ..Embedding::default()
         };

@@ -58,13 +58,13 @@ impl Db {
         }
         let Embedding {
             pool,
-            coordination,
+            commit_lock,
             writers,
             obs,
             cache: shared_cache,
         } = embedding;
         // A shard logs nothing: the owner's one log holds its writes.
-        let logged = coordination.is_none();
+        let logged = commit_lock.is_none();
         // A standalone open with observability on builds its own handle;
         // the sharding layer passes per-shard handles sharing one bounded
         // event buffer.
@@ -111,7 +111,6 @@ impl Db {
             log: None,
             flush_active: false,
             compacting: false,
-            retired: false,
             named,
         };
         let external = pool.is_some();
@@ -134,7 +133,7 @@ impl Db {
             flush_paused: AtomicBool::new(false),
             compaction_paused: AtomicBool::new(false),
             bg_error: BgError::default(),
-            coordination,
+            commit_lock,
             obs,
         });
         // Replay the log above what the tables hold, keeping the files it

@@ -384,7 +384,7 @@ impl Db {
         let core = &self.core;
         // A shard logs nothing itself: a write that did not come through
         // the owner's log would be lost by a crash.
-        if core.coordination.is_some() {
+        if core.commit_lock.is_some() {
             return Err(Error::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "a shard of a sharded database takes writes only through its owner's log",
@@ -436,27 +436,19 @@ impl Db {
     /// version, and a reader pinned below the ceiling would lose the one it
     /// is entitled to. Under background maintenance this is a no-op — the
     /// next write's admission control rotates the buffer at the same
-    /// threshold —, and on a retired shard, whose files are gone.
+    /// threshold.
     pub(crate) fn flush_deferred(&self) -> Result<()> {
         let core = &self.core;
-        if core.opts.maintenance.is_background() || core.inner.read().retired {
+        if core.opts.maintenance.is_background() {
             return Ok(());
         }
         core.maintain_inline()
     }
 
-    /// Under the owner's commit lock, on a shard it stops routing to or
-    /// dual-writing: its files are about to go. A writer stalled in its
-    /// admission is woken to go on.
-    pub(crate) fn retire(&self) {
-        self.core.inner.write().retired = true;
-        self.core.signal.bump();
-    }
-
     /// The one way into a shard's buffer: claim `seqs` for `entries` ops
     /// in `runs` runs, one applier registered for each, under the shard's
     /// tree lock, so a rotation waits for them; the caller then applies
-    /// them (the sharded claim step's parts, and a split's drain).
+    /// them (the sharded claim step's parts).
     pub(crate) fn claim_at(&self, seqs: Range<SeqNo>, runs: usize, entries: usize) -> MemTable {
         let mut inner = self.core.inner.write();
         self.core.claim(&mut inner, seqs, runs, entries)

@@ -111,11 +111,6 @@ pub enum Error {
     Io(std::io::Error),
     /// A persisted structure failed validation.
     Corruption(String),
-    /// The operation could not be served right now and should be retried
-    /// by the caller — e.g. an unpinned read whose routing topology kept
-    /// changing underneath it. Nothing is corrupt and no data was lost;
-    /// a front end maps this to its retry-after backoff.
-    Unavailable(String),
 }
 
 impl fmt::Display for Error {
@@ -123,7 +118,6 @@ impl fmt::Display for Error {
         match self {
             Error::Io(e) => write!(f, "io error: {e}"),
             Error::Corruption(msg) => write!(f, "corruption: {msg}"),
-            Error::Unavailable(msg) => write!(f, "unavailable: {msg}"),
         }
     }
 }
@@ -149,7 +143,6 @@ pub(crate) fn clone_error(e: &Error) -> Error {
     match e {
         Error::Io(io) => Error::Io(std::io::Error::new(io.kind(), io.to_string())),
         Error::Corruption(msg) => Error::Corruption(msg.clone()),
-        Error::Unavailable(msg) => Error::Unavailable(msg.clone()),
     }
 }
 

@@ -174,9 +174,9 @@ impl Maintenance {
 /// shards.
 ///
 /// Every shard owns a key range, which keeps shards scan-friendly (a
-/// cross-shard scan is a concatenation) and lets a hot shard split, but needs
-/// *balanced* boundaries: they are cut at the quantiles of a sampled key
-/// distribution.
+/// cross-shard scan is a concatenation), but needs *balanced* boundaries:
+/// they are cut at the quantiles of a sampled key distribution, once, when
+/// the database is created.
 ///
 /// One variant, and `epsilon` in it, only because `benchmark/src/probes.rs`
 /// builds `LearnedRange { sample, epsilon }` by name and an engine PR does
@@ -186,11 +186,10 @@ impl Maintenance {
 pub enum ShardingPolicy {
     /// Learned range partitioning: cut the key space at the quantiles of
     /// `sample`, so each shard holds an ≈equal fraction of the
-    /// distribution even when the key space is heavily skewed; live splits
-    /// keep re-learning the cuts from the data. Routing is a binary search
-    /// over the cuts — no model. A sample too small to cut (< 2 distinct
-    /// keys per shard) yields equal-width cuts of the `u64` key space —
-    /// still ranges, so live splitting can re-learn them from the data.
+    /// distribution even when the key space is heavily skewed. Routing is a
+    /// binary search over the cuts — no model. A sample too small to cut
+    /// (< 2 distinct keys per shard) yields equal-width cuts of the `u64`
+    /// key space, and they stay so.
     LearnedRange {
         /// Sampled keys (any order, duplicates fine) — e.g. every n-th key
         /// of a load file, or keys drawn from live traffic.
@@ -209,30 +208,12 @@ pub enum ShardingPolicy {
 #[derive(Debug, Clone)]
 pub struct ShardedOptions {
     /// Number of shards (≥ 1) for a **fresh** database. An existing
-    /// directory reopens with whatever its last sealed topology says —
-    /// the shard count is a dynamic property of the data, not of the
-    /// open call.
+    /// directory reopens with whatever its sealed topology says — the
+    /// shard count is a property of the data, not of the open call.
     pub shards: usize,
-    /// Key-space partitioning policy.
+    /// Key-space partitioning policy of a fresh database (an existing one
+    /// routes by its sealed boundaries).
     pub policy: ShardingPolicy,
-    /// Ceiling on the shard count for live splitting. `0` (the default)
-    /// freezes the topology: no shard ever splits, which keeps the paper
-    /// experiments byte-identical. Set above the initial count to let the
-    /// engine split hot shards online.
-    pub max_shards: usize,
-    /// Evaluate the split trigger automatically (in the write path under
-    /// synchronous maintenance, on the shared worker pool under
-    /// background maintenance). Off, splits only run through the
-    /// explicit `rebalance` hooks. [`ShardedOptions::with_max_shards`]
-    /// turns this on.
-    pub auto_split: bool,
-    /// Resident-bytes imbalance (`max/mean - 1` across shards) past which
-    /// the hottest shard is proposed for a split. `0.2` means "split once
-    /// one shard holds 20% more than its fair share".
-    pub split_imbalance: f64,
-    /// A shard is never split while its resident bytes are below this
-    /// floor — splitting a near-empty shard only multiplies fixed costs.
-    pub min_split_bytes: u64,
     /// Engine options applied to every shard.
     pub base: Options,
 }
@@ -246,26 +227,8 @@ impl ShardedOptions {
                 sample,
                 epsilon: 32,
             },
-            max_shards: 0,
-            auto_split: false,
-            split_imbalance: 0.2,
-            min_split_bytes: 4 * base.write_buffer_bytes as u64,
             base,
         }
-    }
-
-    /// Enable automatic live splitting up to `max_shards` shards.
-    pub fn with_max_shards(mut self, max_shards: usize) -> Self {
-        self.max_shards = max_shards;
-        self.auto_split = true;
-        self
-    }
-
-    /// Override the split trigger (imbalance threshold + size floor).
-    pub fn with_split_trigger(mut self, imbalance: f64, min_bytes: u64) -> Self {
-        self.split_imbalance = imbalance;
-        self.min_split_bytes = min_bytes;
-        self
     }
 
     /// Set the engine-wide cache budget (bytes; 0 disables caching).

@@ -26,15 +26,10 @@
 //! The pool is deliberately decoupled from any one tree: a step function is
 //! just a closure returning a `Step`. A single `Db` passes its own
 //! flush/compact steps; a [`crate::sharding::ShardedDb`] passes closures
-//! that round-robin one step over *every* shard's core — re-reading the
-//! core list each pass, so a live split's children join the rotation and a
-//! retired parent leaves it without restarting the pool — and its
-//! compaction closure doubles as the **split step**: when no merge is due
-//! anywhere, it evaluates the rebalance trigger (live splitting is tree
-//! maintenance like any other). Steps running on this pool must never
-//! *block* on the sharding layer's commit lock (only try-lock): a worker
-//! parked on it can deadlock against a writer that holds the lock while
-//! stalled on backpressure this very pool is supposed to relieve. `N`
+//! that round-robin one step over *every* shard's core. Steps running on
+//! this pool never take the sharding layer's commit lock: a worker parked
+//! on it could deadlock against a writer that holds the lock while stalled
+//! on backpressure this very pool is supposed to relieve. `N`
 //! shards share the two workers and one wakeup channel instead of spawning
 //! `N` pools (see `Embedding::pool` in [`crate::db`]).
 //!
@@ -156,7 +151,7 @@ impl MaintSignal {
 pub(crate) enum Work {
     Flush,
     Compaction,
-    /// The sharding layer's own split and log maintenance.
+    /// The sharding layer's own log maintenance.
     Sharding,
 }
 

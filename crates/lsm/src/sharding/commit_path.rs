@@ -1,15 +1,24 @@
-//! The sharded commit path: the claim step of the database's one writer
-//! queue — one sequence range and one log record per group, each batch's
-//! ops routed to the shards, and a pending split's children, they land in
-//! — and the log's rotation, retirement and bound (ARCHITECTURE.md §5; the
-//! protocol is described in [`super`]'s docs).
+//! The sharded commit path: a batch put in routing order, the claim step
+//! of the database's one writer queue — one sequence range and one log
+//! record per group, each batch's ops registered at the shards they land
+//! in — and the log's rotation, retirement and bound (ARCHITECTURE.md §5;
+//! the protocol is described in [`super`]'s docs).
+//!
+//! A client-facing [`WriteBatch`] may touch any mix of shards. The splitter
+//! routes every operation to its owning shard, preserving application
+//! order *within* each shard — and because one key always routes to one
+//! shard, per-shard order is all that LevelDB's "later op wins" semantics
+//! needs. Ops never move between shards, so the concatenation of the
+//! sub-batches is a permutation of the original that reorders only
+//! independent keys.
 
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::{split_batch, PendingSplit, RoutingState, ShardedCore, ShardedDb};
+use super::router::ShardRouter;
+use super::{ShardedCore, ShardedDb};
 use crate::batch::{BatchOp, WriteBatch};
 use crate::db::{Claim, Db, WriteRequest};
 use crate::log::Log;
@@ -27,23 +36,33 @@ use lsm_obs::GLOBAL_SHARD;
 /// one buffer per shard, each buffer's log bytes below its buffer bytes.
 pub const LOG_BOUND_BUFFERS: u64 = 8;
 
+/// Split `batch` into one sub-batch per shard (empty sub-batches for
+/// shards the batch does not touch). Ops are moved, not cloned.
+pub fn split_batch(batch: WriteBatch, router: &ShardRouter) -> Vec<WriteBatch> {
+    let mut out: Vec<WriteBatch> = (0..router.shards()).map(|_| WriteBatch::new()).collect();
+    for op in batch.into_ops() {
+        out[router.shard_of(op.key)].extend(std::iter::once(op));
+    }
+    out
+}
+
 impl ShardedDb {
     // ------------------------------------------------------------- writes
 
     /// Apply `batch` atomically across every shard it touches.
     ///
     /// The batch's ops are put in routing order ([`split_batch`]) and the
-    /// batch joins the database's writer queue — the one a lone [`Db`]
-    /// runs. A leader claims one contiguous global sequence range for a run
-    /// of queued batches and appends **one** record to the database's log
-    /// for the group, op `i` at `first + i`, synced once when any member
-    /// asks (`wopts.sync`). That record is the commit point of every batch
-    /// in it: a reopen replays all of it or none of it. The leader
-    /// registers the group once at each shard it lands in — during a
-    /// split's dual-write window, at the children too —, the members apply
-    /// their parts outside every lock, and the published ceiling advances
-    /// only after the last one applied: readers never observe a partially
-    /// applied batch. Returns the last sequence number of the batch.
+    /// batch joins the database's writer queue — the one a lone
+    /// [`crate::Db`] runs. A leader claims one contiguous global sequence
+    /// range for a run of queued batches and appends **one** record to the
+    /// database's log for the group, op `i` at `first + i`, synced once
+    /// when any member asks (`wopts.sync`). That record is the commit point
+    /// of every batch in it: a reopen replays all of it or none of it. The
+    /// leader registers the group once at each shard it lands in, the
+    /// members apply their parts outside every lock, and the published
+    /// ceiling advances only after the last one applied: readers never
+    /// observe a partially applied batch. Returns the last sequence number
+    /// of the batch.
     ///
     /// A failed append or sync fails every batch of the group and uses its
     /// range up, as a lone `Db`'s does: a reopen replays the record whole
@@ -57,37 +76,29 @@ impl ShardedDb {
             return Ok(core.writers.visible());
         }
         let started = core.observer.as_ref().map(|_| Instant::now());
-        let state = core.current_state();
-        let parts = split_batch(batch, &state.router).into_iter();
-        let ops: Vec<BatchOp> = parts.flat_map(WriteBatch::into_ops).collect();
-        let landing = core.landing(&state, &ops);
+        let state = &core.state;
+        let parts = split_batch(batch, &state.router);
+        let landing: Vec<&Arc<Db>> = (state.shards.iter().zip(&parts))
+            .filter_map(|(d, part)| (!part.is_empty()).then_some(d))
+            .collect();
+        let ops: Vec<BatchOp> = parts.into_iter().flat_map(WriteBatch::into_ops).collect();
         let background = core.opts.base.maintenance.is_background();
         let encoded = wal::encode_ops(&ops);
         // Admission, as a lone `Db`'s, in every shard the batch lands in.
         let admit = || match background {
-            true => core.each_landing(&landing, |d| d.core().make_room()),
+            true => landing.iter().try_for_each(|d| d.core().make_room()),
             false => Ok(()),
         };
-        // The commit lock serializes claims with each other and with a
-        // split's phases. A split's cutover poisons the write path if it
-        // cannot unseal a failed topology (`split.rs`): that fails the group
-        // before it claims anything.
-        let lock = || core.coordination.lock.lock();
-        let claim = |_: &mut _, members: &_| {
-            (core.coordination.check_poisoned()).and_then(|()| core.claim_group(members))
-        };
+        let lock = || core.commit_lock.lock();
+        let claim = |_: &mut _, members: &_| core.claim_group(members);
         let last = (core.writers).commit(ops, encoded, wopts.sync, admit, lock, claim)?;
         let obs = landing.first().and_then(|d| d.observability());
         if let (Some(obs), Some(started)) = (obs, started) {
             obs.ops.write.record(started.elapsed().as_nanos() as u64);
         }
         if !background {
-            // Under the commit lock, so no cutover or swept split retires a
-            // shard and removes its files while it flushes.
-            let _commit = core.coordination.lock.lock();
-            core.each_landing(&landing, Db::flush_deferred)?;
+            landing.iter().try_for_each(|d| d.flush_deferred())?;
         }
-        core.after_commit();
         Ok(last)
     }
 
@@ -111,45 +122,13 @@ impl ShardedDb {
 impl ShardedCore {
     // ------------------------------------------------------------- commit
 
-    /// The shards `ops`, in routing order, land in under `state`, in
-    /// routing order — and a pending split's children after them when the
-    /// splitting shard is one: what admission and inline maintenance run
-    /// on.
-    fn landing(&self, state: &RoutingState, ops: &[BatchOp]) -> Vec<Arc<Db>> {
-        let mut at: Vec<usize> = ops.iter().map(|op| state.router.shard_of(op.key)).collect();
-        at.dedup();
-        let split = self.pending_split().filter(|p| at.contains(&p.parent_pos));
-        let children = split.iter().flat_map(|p| [&p.left, &p.right]);
-        let shards = at.iter().map(|&pos| state.shard(pos)).chain(children);
-        shards.cloned().collect()
-    }
-
-    /// Run `step` on each of `shards`. A split child's failure abandons the
-    /// split — the parent, still the routed truth, holds every write — and
-    /// any other fails the write.
-    fn each_landing(&self, shards: &[Arc<Db>], step: impl Fn(&Db) -> Result<()>) -> Result<()> {
-        for shard in shards {
-            if let Err(e) = step(shard) {
-                let child = |p: &Arc<PendingSplit>| {
-                    [&p.left, &p.right].iter().any(|c| Arc::ptr_eq(c, shard))
-                };
-                match self.pending_split().filter(child) {
-                    Some(p) => self.abandon_split(&p),
-                    None => return Err(e),
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The claim step, under the commit lock: sequence and log one group,
-    /// then register it once at each buffer it lands in — a shard's by
-    /// routing position, and a pending split's child's beside the splitting
-    /// shard's —, under that one's tree lock, an applier for each run of a
-    /// member's ops bound there. Once: a rotation that takes a tree lock
-    /// the group registered at waits for the group to apply, so the leader
-    /// must not need that lock again. A failed append or sync uses the
-    /// group's range up and fails it.
+    /// then register it once at each shard it lands in, under that shard's
+    /// tree lock, an applier for each run of a member's ops bound there.
+    /// Once: a rotation that takes a tree lock the group registered at
+    /// waits for the group to apply, so the leader must not need that lock
+    /// again. A failed append or sync uses the group's range up and fails
+    /// it.
     fn claim_group(&self, members: &[Arc<WriteRequest>]) -> Result<Vec<Claim>> {
         let first = self.claimed.load(Ordering::Relaxed) + 1;
         let total = members.iter().map(|m| m.ops.len()).sum();
@@ -159,13 +138,13 @@ impl ShardedCore {
         let appended = self.append(first, total, &regions, sync);
         self.claimed.store(last, Ordering::Relaxed);
         let (framed, synced, due) = appended.inspect_err(|_| self.writers.skip(last))?;
-        let state = self.current_state();
+        let state = &self.state;
         // The log's own housekeeping, before this group registers: a flush
         // it starts waits for every registered group to publish. It is no
         // part of the group, which is committed: a failure here is a
         // background error, so a client never sees `Err` for a batch that
         // landed (and retries it twice).
-        if let Err(e) = due.then(|| self.maintain_log(&state)).transpose() {
+        if let Err(e) = due.then(|| self.maintain_log()).transpose() {
             self.bg_error.record(Work::Sharding, &e, &self.own_stats);
         }
         if let Some(o) = self.observer.as_deref() {
@@ -180,42 +159,32 @@ impl ShardedCore {
             let batches = members.len() as u64;
             o.emit(WriteGroupCommit, GLOBAL_SHARD, 0, batches, framed);
         }
-        let pending = self.pending_split();
-        let children = pending.iter().flat_map(|p| [&p.left, &p.right]);
-        let targets: Vec<&Arc<Db>> = state.shards.iter().chain(children).collect();
-        // Each member's runs of ops bound for one target, and per target
-        // the sequences its runs span, their count and their ops. A
-        // member's ops are in routing order, so its part at a shard is one
-        // run; a splitting shard's part is cut into runs for the children.
-        let mut at: Vec<Option<(Range<SeqNo>, usize, usize)>> = vec![None; targets.len()];
+        // Each member's runs of ops bound for one shard, and per shard the
+        // sequences its runs span, their count and their ops. A member's
+        // ops are in routing order, so its part at a shard is one run.
+        let mut at: Vec<Option<(Range<SeqNo>, usize, usize)>> = vec![None; state.shards()];
         let mut next = first;
         let member_runs: Vec<(SeqNo, Runs)> = (members.iter())
             .map(|m| {
                 let first = next;
                 next += m.ops.len() as SeqNo;
-                let mut runs = runs_of(&m.ops, 0..m.ops.len(), |k| state.router.shard_of(k));
-                if let Some(p) = &pending {
-                    if let Some((_, part)) = runs.iter().find(|r| r.0 == p.parent_pos).cloned() {
-                        let child = |k| state.shards() + usize::from(k >= p.cut);
-                        runs.extend(runs_of(&m.ops, part, child));
-                    }
-                }
-                for (target, run) in &runs {
+                let runs = runs_of(&m.ops, |k| state.router.shard_of(k));
+                for (pos, run) in &runs {
                     let seqs = first + run.start as SeqNo..first + run.end as SeqNo;
-                    let (span, count, ops) = at[*target].get_or_insert((seqs.clone(), 0, 0));
+                    let (span, count, ops) = at[*pos].get_or_insert((seqs.clone(), 0, 0));
                     (span.end, *count, *ops) = (seqs.end, *count + 1, *ops + run.len());
                 }
                 (first, runs)
             })
             .collect();
         let group = self.writers.open_group(last, members.len());
-        let mems: Vec<Option<MemTable>> = (at.into_iter().zip(&targets))
+        let mems: Vec<Option<MemTable>> = (at.into_iter().zip(&state.shards))
             .map(|(at, d)| at.map(|(seqs, count, entries)| d.claim_at(seqs, count, entries)))
             .collect();
         let claims = member_runs.into_iter().map(|(first, runs)| {
             let runs = runs
                 .into_iter()
-                .map(|(target, run)| (mems[target].clone().expect("registered above"), run));
+                .map(|(pos, run)| (mems[pos].clone().expect("registered above"), run));
             let (runs, group) = (runs.collect(), Arc::clone(&group));
             Claim { first, runs, group }
         });
@@ -254,7 +223,8 @@ impl ShardedCore {
     /// more, and once the live files pass the bound, flush the shard
     /// holding the oldest unflushed op (unless its flush is already
     /// queued).
-    pub(super) fn maintain_log(&self, state: &RoutingState) -> Result<()> {
+    pub(super) fn maintain_log(&self) -> Result<()> {
+        let state = &self.state;
         let oldest = || {
             let floors = state.shards.iter().enumerate();
             floors
@@ -277,41 +247,74 @@ impl ShardedCore {
         }
         Ok(())
     }
-
-    /// Post-commit housekeeping outside the commit lock (synchronous mode
-    /// only — background mode checks in the worker pool): the split
-    /// trigger. Failures here never fail the already-committed write; they
-    /// surface as background errors.
-    fn after_commit(&self) {
-        if self.auto_split_enabled() && !self.opts.base.maintenance.is_background() {
-            // Amortize the trigger evaluation (it walks every shard's
-            // resident bytes) over a stride of batches.
-            let tick = self.write_ticks.fetch_add(1, Ordering::Relaxed);
-            // (`u64::is_multiple_of` would read better, but it landed in
-            // 1.87 and the workspace MSRV is 1.82.)
-            #[allow(clippy::manual_is_multiple_of)]
-            if tick % 16 == 0 {
-                if let Err(e) = self.try_split() {
-                    self.bg_error.record(Work::Sharding, &e, &self.own_stats);
-                }
-            }
-        }
-    }
 }
 
-/// Runs of consecutive ops bound for one place: its index, the ops' range.
+/// Runs of consecutive ops bound for one shard: its position, the ops'
+/// range.
 type Runs = Vec<(usize, Range<usize>)>;
 
-/// The ops of `ops[span]` as runs of consecutive ops whose keys `target`
-/// sends to one place.
-fn runs_of(ops: &[BatchOp], span: Range<usize>, target: impl Fn(u64) -> usize) -> Runs {
+/// `ops` as runs of consecutive ops whose keys `target` sends to one shard.
+fn runs_of(ops: &[BatchOp], target: impl Fn(u64) -> usize) -> Runs {
     let mut runs = Runs::new();
-    for i in span {
-        let to = target(ops[i].key);
+    for (i, op) in ops.iter().enumerate() {
+        let to = target(op.key);
         match runs.last_mut() {
             Some((at, run)) if *at == to => run.end = i + 1,
             _ => runs.push((to, i..i + 1)),
         }
     }
     runs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::ShardingPolicy;
+    use crate::types::EntryKind;
+
+    fn range_router() -> ShardRouter {
+        // Boundaries at 1000, 2000, 3000 (sample 0..4000).
+        ShardRouter::train(
+            4,
+            &ShardingPolicy::LearnedRange {
+                sample: (0..4000u64).collect(),
+                epsilon: 8,
+            },
+        )
+    }
+
+    #[test]
+    fn ops_land_on_their_shard_in_order() {
+        let router = range_router();
+        let mut batch = WriteBatch::new();
+        batch.put(10, b"a"); // shard 0
+        batch.put(2500, b"b"); // shard 2
+        batch.delete(10); // shard 0, after the put
+        batch.put(3999, b"c"); // shard 3
+        let parts = split_batch(batch, &router);
+        assert_eq!(parts.len(), 4);
+        assert_eq!(parts[0].len(), 2);
+        assert_eq!(parts[0].ops()[0].kind, EntryKind::Put);
+        assert_eq!(parts[0].ops()[1].kind, EntryKind::Delete, "order kept");
+        assert_eq!(parts[1].len(), 0, "untouched shard gets an empty batch");
+        assert_eq!(parts[2].ops()[0].key, 2500);
+        assert_eq!(parts[3].ops()[0].key, 3999);
+    }
+
+    #[test]
+    fn split_is_a_partition_of_the_batch() {
+        let router = range_router();
+        let mut batch = WriteBatch::new();
+        for k in (0..4000u64).step_by(17) {
+            batch.put(k, &k.to_le_bytes());
+        }
+        let total = batch.len();
+        let parts = split_batch(batch, &router);
+        assert_eq!(parts.iter().map(WriteBatch::len).sum::<usize>(), total);
+        for (shard, part) in parts.iter().enumerate() {
+            for op in part.ops() {
+                assert_eq!(router.shard_of(op.key), shard);
+            }
+        }
+    }
 }

@@ -11,11 +11,8 @@
 //! nothing above it compares keys or re-applies visibility: a value is
 //! copied once, by the shard's own `next`.
 //!
-//! The iterator owns a [`ShardedSnapshot`]: the routing state of one
-//! topology epoch, one pinned view per shard and the fence every shard is
-//! read at. A live split publishing a new topology mid-scan can neither
-//! drop a shard nor double one — the scan keeps reading the parent it
-//! pinned, never a half-populated child — and the pins count in
+//! The iterator owns a [`ShardedSnapshot`]: the routing state, one pinned
+//! view per shard and the fence every shard is read at. The pins count in
 //! [`super::ShardedDb::live_snapshots`] until the iterator drops.
 
 use super::ShardedSnapshot;

@@ -1,19 +1,18 @@
-//! Opening a sharded database: adopting the last sealed topology, every
-//! shard from its tables, one replay of the database's log before the
-//! fence resumes, the shared worker pool, and split children
-//! (ARCHITECTURE.md §4–5).
+//! Opening a sharded database: adopting the sealed topology, every shard
+//! from its tables, one replay of the database's log before the fence
+//! resumes, and the shared worker pool (ARCHITECTURE.md §4–5).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use super::{RoutingState, ShardRouter, ShardedCore, ShardedDb, Topology};
 use crate::cache::BlockCache;
-use crate::db::{CommitCoordination, Db, DbCore, Embedding, WriterQueue};
+use crate::db::{CommitLock, Db, DbCore, Embedding, WriterQueue};
 use crate::log::Log;
 use crate::options::{Maintenance, ShardedOptions};
-use crate::scheduler::{BgError, MaintSignal, Scheduler, Step, Work};
+use crate::scheduler::{BgError, MaintSignal, Scheduler, Step};
 use crate::stats::DbStats;
 use crate::{Error, Result};
 use lsm_io::{CostModel, MemStorage, PrefixedStorage, SimStorage, Storage};
@@ -24,8 +23,9 @@ use lsm_obs::{EngineObs, Observer, DEFAULT_EVENT_CAPACITY};
 pub struct RecoveryReport {
     /// The topology epoch the database resumed at.
     pub topology_epoch: u64,
-    /// Orphaned shard directories swept: children of a split whose
-    /// cutover never sealed, or the parent of one that did.
+    /// Orphaned shard directories swept: what a split by an earlier build
+    /// left — the children of one whose cutover never sealed, or the
+    /// parent of one that did.
     pub orphan_shards_swept: u64,
 }
 
@@ -33,12 +33,12 @@ impl ShardedDb {
     /// Open (or create) a sharded database on `storage`.
     ///
     /// A fresh directory trains the router from `opts.policy`, seals the
-    /// epoch-1 topology and persists it. An existing one adopts the
-    /// **last sealed topology** — whatever shard count and boundaries
-    /// live splitting left behind; `opts.shards` is only the creation
-    /// default — sweeps any orphaned split directories, opens every shard
-    /// from the tables its `shard-<id>/` manifest names, and replays the
-    /// database's one log into them. A store that keeps a log per shard
+    /// epoch-1 topology and persists it; nothing changes it afterwards. An
+    /// existing one adopts its **sealed topology** — `opts.shards` and
+    /// `opts.policy` only shape a creation —, sweeps stale epochs and the
+    /// shard directories it does not name (what a split by an earlier
+    /// build left), opens every shard from the tables its `shard-<id>/`
+    /// manifest names, and replays the database's one log into them. A store that keeps a log per shard
     /// (or a `COMMIT-<n>` marker log) is refused with `Corruption` naming
     /// the file.
     pub fn open(storage: Arc<dyn Storage>, opts: ShardedOptions) -> Result<ShardedDb> {
@@ -53,15 +53,15 @@ impl ShardedDb {
                 topo
             }
         };
-        // Sweep the debris of crashed topology changes — stale epochs,
-        // orphaned split children (cutover never sealed) or a retired
-        // split parent (it did) — before any shard opens.
+        // Sweep what an earlier build's splits left — stale epochs, the
+        // children of a split whose cutover never sealed or the parent of
+        // one that did — before any shard opens.
         let orphans = topo.sweep_stale(storage.as_ref())?;
 
         let background = opts.base.maintenance.is_background();
         let signal = Arc::new(MaintSignal::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let coordination = Arc::new(CommitCoordination::default());
+        let commit_lock = Arc::new(CommitLock::default());
         // One writer queue, whose ceiling every shard reads.
         let writers = Arc::new(WriterQueue::default());
         // One shared observer for the whole engine: every shard emits into
@@ -87,7 +87,7 @@ impl ShardedDb {
                 .map(|o| Arc::new(EngineObs::new(Arc::clone(o), id)));
             let embedding = Embedding {
                 pool,
-                coordination: Some(Arc::clone(&coordination)),
+                commit_lock: Some(Arc::clone(&commit_lock)),
                 writers: Some(Arc::clone(&writers)),
                 obs,
                 cache: shared_cache.clone(),
@@ -119,68 +119,41 @@ impl ShardedDb {
 
         let state = Arc::new(RoutingState {
             epoch: topo.epoch,
-            ids: topo.ids.clone(),
+            ids: topo.ids,
             router,
             shards,
         });
-        let next_shard_id = AtomicU32::new(topo.next_id as u32);
+        // The shard cores the shared worker pool steps over.
+        let cores: Vec<Arc<DbCore>> = state.shards.iter().map(|d| Arc::clone(d.core())).collect();
         let core = Arc::new(ShardedCore {
-            storage,
             opts,
-            state: RwLock::new(state),
-            topology: Mutex::new(topo),
+            state,
             writers,
             claimed: AtomicU64::new(max_seq),
-            coordination,
+            commit_lock,
             log: Mutex::new(log),
             recovery,
             signal: Arc::clone(&signal),
             shutdown: Arc::clone(&shutdown),
-            pending: Mutex::new(None),
             own_stats: DbStats::new(),
             observer,
-            next_shard_id,
             cache: shared_cache,
-            write_ticks: AtomicU64::new(0),
             bg_error: BgError::default(),
         });
 
         let scheduler = match core.opts.base.maintenance {
             Maintenance::Synchronous => None,
             Maintenance::Background => {
-                let flush_core = Arc::clone(&core);
-                let compact_core = Arc::clone(&core);
+                let flush_cores = cores.clone();
                 let (mut flush_rr, mut compact_rr) = (0, 0);
                 Some(Scheduler::start(
                     signal,
                     shutdown,
                     move |draining| {
-                        let cores = flush_core.worker_cores();
-                        round_robin(&cores, &mut flush_rr, |c| c.flush_step(draining))
+                        round_robin(&flush_cores, &mut flush_rr, |c| c.flush_step(draining))
                     },
                     move |draining| {
-                        // The compaction worker doubles as the split step:
-                        // when no merge is due anywhere, evaluate the
-                        // rebalance trigger (live splitting is tree
-                        // maintenance like any other).
-                        let cores = compact_core.worker_cores();
-                        if matches!(
-                            round_robin(&cores, &mut compact_rr, |c| c.compact_step(draining)),
-                            Step::Worked
-                        ) {
-                            return Step::Worked;
-                        }
-                        if !draining && compact_core.auto_split_enabled() {
-                            match compact_core.split_step() {
-                                Ok(true) => return Step::Worked,
-                                Ok(false) => {}
-                                Err(e) => {
-                                    let stats = &compact_core.own_stats;
-                                    compact_core.bg_error.record(Work::Sharding, &e, stats);
-                                }
-                            }
-                        }
-                        Step::Idle
+                        round_robin(&cores, &mut compact_rr, |c| c.compact_step(draining))
                     },
                 ))
             }
@@ -200,61 +173,11 @@ impl ShardedDb {
     }
 }
 
-impl ShardedCore {
-    /// Shard cores the shared worker pool steps over, derived every pass:
-    /// the current topology's shards plus a pending split's children. So
-    /// children join the rotation when the dual-write window opens and
-    /// leave it only when `pending` is cleared — at cutover (the topology
-    /// lists them now, and no longer the parent) or when a cancelled split
-    /// is swept, not when it is cancelled: a committer may still be stalled
-    /// on a child's backpressure. `pending` is read before the state, so a
-    /// cutover racing the pass lists the children twice, never not at all.
-    fn worker_cores(&self) -> Vec<Arc<DbCore>> {
-        let pending = self.pending.lock().clone();
-        let state = self.current_state();
-        let children = pending.iter().flat_map(|p| [&p.left, &p.right]);
-        (state.shards.iter().chain(children))
-            .map(|d| Arc::clone(d.core()))
-            .collect()
-    }
-
-    pub(super) fn open_child(&self, id: u16) -> Result<Arc<Db>> {
-        // A crashed-then-reopened process may have swept this directory
-        // already; an *aborted* split in this process cannot have (ids
-        // are never reused in-process) — but wipe defensively so a child
-        // always starts from genuinely empty state.
-        self.remove_shard_dir(id);
-        let dir: Arc<dyn Storage> = Arc::new(PrefixedStorage::new(
-            Arc::clone(&self.storage),
-            Topology::shard_dir(id),
-        ));
-        let background = self.opts.base.maintenance.is_background();
-        let pool = background.then(|| (Arc::clone(&self.signal), Arc::clone(&self.shutdown)));
-        let obs = self
-            .observer
-            .as_ref()
-            .map(|o| Arc::new(EngineObs::new(Arc::clone(o), id)));
-        let embedding = Embedding {
-            pool,
-            coordination: Some(Arc::clone(&self.coordination)),
-            writers: Some(Arc::clone(&self.writers)),
-            obs,
-            // Children join the shared budget.
-            cache: self.cache.clone(),
-        };
-        let base = self.opts.base.clone();
-        Db::open_internal(dir, base, embedding).map(Arc::new)
-    }
-}
-
 /// One worker step over a fleet of shard cores: try each shard once,
 /// starting at a rotating offset so no shard starves, and report
 /// [`Step::Worked`] as soon as any shard makes progress. The pool goes
 /// idle only when a full pass found nothing to do on any shard — which is
-/// also the shutdown-drain exit condition. The core list is derived every
-/// pass (see [`ShardedCore::worker_cores`]), so a live split's children
-/// join the rotation the moment the dual-write window opens and a retired
-/// parent leaves it at cutover.
+/// also the shutdown-drain exit condition.
 fn round_robin(cores: &[Arc<DbCore>], rr: &mut usize, step: impl Fn(&DbCore) -> Step) -> Step {
     let n = cores.len();
     if n == 0 {

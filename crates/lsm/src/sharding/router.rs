@@ -5,16 +5,14 @@
 //! key space — on a skewed distribution (zipfian, lognormal) equal key-space
 //! slices put almost everything in one shard. What the learned router
 //! learns is **the cuts**: boundary `i` is the `i/N` quantile of a sorted
-//! key sample (equal mass per shard by construction), and a live split
-//! ([`crate::sharding::ShardedDb`]) adds a cut at an exact peel-or-halve
-//! quantile of the hot shard's own pinned data, so the layout adapts under
-//! inserts instead of being refitted offline. With no usable sample the
-//! first cuts are equal-width slices of the key space, and splitting
-//! re-learns them from there.
+//! key sample (equal mass per shard by construction), learned once, when
+//! the database is created, and sealed in its topology. With no usable
+//! sample the cuts are equal-width slices of the key space, and they stay
+//! so.
 //!
 //! Routing itself is one binary search over those cuts. A topology holds
-//! at most `max_shards − 1` of them (a handful), so there is nothing for a
-//! model to predict into: the paper's predict-then-bounded-search workflow
+//! one fewer than its shards (a handful), so there is nothing for a model
+//! to predict into: the paper's predict-then-bounded-search workflow
 //! pays on arrays long enough that locating dominates, and four
 //! comparisons are cheaper than any prediction.
 //!
@@ -23,10 +21,10 @@
 
 use crate::options::ShardingPolicy;
 
-/// Routes user keys to shard *positions*. Built per topology epoch by
+/// Routes user keys to shard *positions*. Built from the sealed topology by
 /// [`crate::sharding::ShardedDb`]; the boundary set is persisted in the
-/// epoch'd `SHARDING-<epoch>` topology file so a reopen routes identically
-/// (a boundary drift would strand keys in the wrong shard).
+/// `SHARDING-<epoch>` topology file so a reopen routes identically (a
+/// boundary drift would strand keys in the wrong shard).
 #[derive(Debug)]
 pub struct ShardRouter {
     /// Strictly ascending shard cut points, `shards - 1` of them: shard
@@ -41,9 +39,8 @@ impl ShardRouter {
     ///
     /// A sample too small to cut (< 2 distinct keys per shard) would give
     /// boundaries that are noise, so the cuts are then equal-width slices
-    /// of the `u64` key space: still ranges, which live splitting re-cuts
-    /// from the data as it arrives. One shard (or none asked for) has no
-    /// cut either way.
+    /// of the `u64` key space. One shard (or none asked for) has no cut
+    /// either way.
     pub fn train(shards: usize, policy: &ShardingPolicy) -> ShardRouter {
         let ShardingPolicy::LearnedRange { sample, .. } = policy;
         let mut sample = sample.clone();
@@ -61,8 +58,7 @@ impl ShardRouter {
     }
 
     /// A router over an explicit (already validated, strictly ascending)
-    /// boundary set — how a topology epoch materializes its router after
-    /// a reopen or a live split.
+    /// boundary set — how a sealed topology materializes its router.
     pub fn with_boundaries(boundaries: Vec<u64>) -> ShardRouter {
         debug_assert!(boundaries.windows(2).all(|w| w[0] < w[1]));
         ShardRouter { boundaries }
@@ -121,7 +117,6 @@ pub fn imbalance(counts: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharding::Topology;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -169,8 +164,7 @@ mod tests {
     /// `shard_of` and `shard_range` are inverse views of one boundary set:
     /// for 1..=16 shards over random strictly ascending cuts, every probe
     /// (both ends of the key space, every cut and its neighbours) lands in
-    /// the range its shard owns — and still does on the boundary set a
-    /// split at any position produces.
+    /// the range its shard owns.
     #[test]
     fn every_key_lands_in_the_range_its_shard_owns() {
         fn check(boundaries: &[u64]) {
@@ -200,25 +194,12 @@ mod tests {
                 cuts.sort_unstable();
                 cuts.dedup();
                 check(&cuts);
-                let topo = Topology::fresh(cuts);
-                let router = topo.router();
-                for pos in 0..topo.shards() {
-                    let (lo, hi) = router.shard_range(pos);
-                    let (lo, hi) = (lo.unwrap_or(0), hi.unwrap_or(u64::MAX));
-                    if hi - lo < 2 {
-                        continue; // no key strictly inside: the shard cannot split
-                    }
-                    let cut = rng.gen_range(lo + 1..hi);
-                    let split = topo.with_split(pos, cut, topo.next_id, topo.next_id + 1);
-                    check(&split.boundaries);
-                }
             }
         }
     }
 
     /// A sample too small to cut (< 2 distinct keys per shard) yields
-    /// equal-width slices of the key space — ranges, never anything a
-    /// split cannot re-cut.
+    /// equal-width slices of the key space.
     #[test]
     fn tiny_sample_gets_equal_width_cuts() {
         let tiny = |shards| {

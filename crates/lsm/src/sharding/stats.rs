@@ -1,25 +1,24 @@
 //! What a sharded engine reports: merged counters, the residency and
-//! balance report behind the split trigger, and the metrics scrape that
-//! carries both (ARCHITECTURE.md §7).
+//! balance report, and the metrics scrape that carries both
+//! (ARCHITECTURE.md §7).
 
-use super::{imbalance, RoutingState, ShardedDb};
+use super::{imbalance, ShardedDb};
 use crate::stats::{DbStats, StatsSnapshot};
 use lsm_obs::MetricsSnapshot;
 
-/// Residency + balance report of one [`ShardedDb`] — the observability
-/// the split trigger acts on, exposed so an operator can watch a split
-/// coming before it fires. Obtained from [`ShardedDb::sharded_stats`].
+/// Residency + balance report of one [`ShardedDb`]: how evenly the
+/// sealed boundaries spread the data. Obtained from
+/// [`ShardedDb::sharded_stats`].
 #[derive(Debug, Clone)]
 pub struct ShardedStats {
     /// Engine counters summed across every shard (plus the sharding
-    /// layer's own: splits, and the log's appends, bytes and syncs).
+    /// layer's own: the log's appends, bytes and syncs).
     pub merged: StatsSnapshot,
-    /// The current topology epoch.
+    /// The epoch of the sealed topology.
     pub topology_epoch: u64,
     /// Stable shard ids in routing order.
     pub shard_ids: Vec<u16>,
-    /// Resident bytes per shard (tables + memtables) in routing order —
-    /// what the split trigger compares.
+    /// Resident bytes per shard (tables + memtables) in routing order.
     pub resident_bytes: Vec<u64>,
     /// Resident entries per shard (tables + active memtable).
     pub resident_entries: Vec<u64>,
@@ -52,11 +51,8 @@ impl ShardedDb {
     /// layer's own (peaks take the max) — [`DbStats::merged`] over the
     /// per-shard blocks.
     pub fn stats(&self) -> StatsSnapshot {
-        let state = self.core.current_state();
         let mut snap = DbStats::merged(
-            state
-                .shards
-                .iter()
+            (self.core.state.shards.iter())
                 .map(|d| d.stats())
                 .chain(std::iter::once(&self.core.own_stats)),
         );
@@ -69,14 +65,11 @@ impl ShardedDb {
     }
 
     /// Residency and balance report: per-shard resident bytes/entries and
-    /// their imbalance — the observability behind the split trigger.
+    /// their imbalance.
     pub fn sharded_stats(&self) -> ShardedStats {
-        self.report(&self.core.current_state())
-    }
-
-    fn report(&self, state: &RoutingState) -> ShardedStats {
+        let state = &self.core.state;
         let resident_bytes: Vec<u64> = state.shards.iter().map(|d| d.resident_bytes()).collect();
-        let resident_entries = Self::entry_counts(state);
+        let resident_entries = self.shard_entry_counts();
         ShardedStats {
             merged: self.stats(),
             topology_epoch: state.epoch,
@@ -89,14 +82,12 @@ impl ShardedDb {
 
     /// Assemble the scrapeable [`MetricsSnapshot`] (see `Db::metrics`, its
     /// one-shard case): the merged counters and the residency report of
-    /// [`ShardedStats::counter_pairs`], both from one routing state;
-    /// with observability on, per-shard latency summaries, their fold and
-    /// the drained event timeline.
+    /// [`ShardedStats::counter_pairs`]; with observability on, per-shard
+    /// latency summaries, their fold and the drained event timeline.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let state = self.core.current_state();
-        let shards = state.shards.iter().filter_map(|db| db.observability());
+        let shards = (self.core.state.shards.iter()).filter_map(|db| db.observability());
         let observer = self.core.observer.as_deref();
-        let counters = self.report(&state).counter_pairs();
+        let counters = self.sharded_stats().counter_pairs();
         MetricsSnapshot::collect(counters, observer, shards.map(|obs| &**obs))
     }
 }

@@ -1,39 +1,22 @@
-//! The epoch'd routing topology: which shards exist, in what key order,
-//! and how that set changes crash-atomically at runtime.
-//!
-//! PR 3 froze the shard set at creation (`SHARDING` was written once and a
-//! reopen with a different count was refused). Live splitting makes the
-//! topology a *versioned* artifact instead:
+//! The sealed routing topology: which shards exist and in what key order.
 //!
 //! * Every shard has a **stable id** — the number in its `shard-<id>/`
-//!   directory — that never changes across topology epochs, however many
-//!   splits shift routing positions around.
-//! * The topology itself (epoch, routing order of stable ids, boundary
-//!   set, id allocator) is persisted as a CRC-sealed `SHARDING-<epoch>`
-//!   file, exactly like the per-shard epoch'd manifests: a change writes
-//!   a **fresh** sealed file and only then retires its predecessor, so a
-//!   crash at any storage-operation boundary leaves at least one intact
-//!   topology and recovery adopts the newest one that validates. Sealing
-//!   the new epoch **is** a split's cutover point: before it, the last
-//!   sealed topology still names the parent (split children are orphans
-//!   and are discarded); after it, the children own the range (and the
-//!   parent directory is the orphan).
-//! * The unsealed `SHARDING` file of PR 3 layouts has no reader: found
-//!   with no sealed successor, it is a typed error.
-//!
-//! ## Epoch lifecycle, compactly
-//!
-//! 1. **Born** — a fresh store seals `SHARDING-000001`.
-//! 2. **Advanced** — every published change (a split's cutover) seals
-//!    `SHARDING-<epoch+1>` and only then retires the predecessor; the
-//!    seal *is* the change's single storage-visible commit point.
-//! 3. **Recovered** — reopen adopts the newest sealed file that passes
-//!    its CRC; shard directories it does not name are orphans (an
-//!    unsealed split's children, or a cut-over split's parent) and are
-//!    swept.
-//! 4. **Pinned** — snapshots resolve reads through the epoch they were
-//!    created under, so a later cutover cannot reroute what they see;
-//!    a reopen routes the log's records through the last sealed one.
+//!   directory. A fresh store numbers its shards `0..n` in routing order;
+//!   a store an earlier build split online names non-contiguous ids.
+//! * The topology (epoch, routing order of stable ids, boundary set, id
+//!   watermark) is persisted as a CRC-sealed `SHARDING-<epoch>` file,
+//!   like the per-shard epoch'd manifests. A fresh store seals
+//!   `SHARDING-000001`; nothing changes it afterwards. Earlier builds
+//!   split shards online, each split sealing the next epoch and only then
+//!   retiring its predecessor, so a store they wrote may hold any epoch —
+//!   and, after a crash mid-split, a stale epoch beside it or shard
+//!   directories the newest one does not name (a split's children that
+//!   never cut over, or the parent of one that did).
+//! * A reopen adopts the newest sealed file that passes its CRC and sweeps
+//!   the rest (`Topology::sweep_stale`); snapshots and the log's replay
+//!   route through it.
+//! * The unsealed `SHARDING` file of the oldest layouts has no reader:
+//!   found with no sealed successor, it is a typed error.
 //!
 //! The boundary set in the sealed file is everything routing needs — the
 //! router ([`ShardRouter`]) is a binary search over it — so nothing else
@@ -57,7 +40,8 @@ pub(crate) fn topology_name(epoch: u64) -> String {
 /// One persisted routing topology: the shard set at one epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    /// Epoch number; bumped by exactly one per published change.
+    /// Epoch number: 1 for a store this build created; higher for one an
+    /// earlier build split online.
     pub epoch: u64,
     /// Stable shard ids in routing order (`ids[pos]` owns range slot
     /// `pos`). Directories are `shard-<id>/`.
@@ -65,7 +49,8 @@ pub struct Topology {
     /// Strictly ascending cut points, `ids.len() - 1` of them: the shard
     /// at position `pos` owns `[boundaries[pos-1], boundaries[pos])`.
     pub boundaries: Vec<u64>,
-    /// Next stable id to allocate for a split child.
+    /// Above every stable id the store has used: the id watermark of the
+    /// earlier builds that split, kept so the sealed text stays the same.
     pub next_id: u16,
 }
 
@@ -97,33 +82,10 @@ impl Topology {
         format!("shard-{id}/")
     }
 
-    /// The topology after splitting the shard at routing position `pos`
-    /// at `cut`: the caller's two child ids replace the parent, the cut
-    /// becomes a boundary, and the epoch advances by one. The ids are
-    /// the **caller's** (the sharding layer's in-process allocator may
-    /// have burned ids on aborted splits, so `next_id` here can lag the
-    /// directories actually created — recording allocator-issued ids is
-    /// what keeps the sealed topology pointing at the real child
-    /// directories).
-    pub(crate) fn with_split(&self, pos: usize, cut: u64, left: u16, right: u16) -> Topology {
-        debug_assert!(left >= self.next_id && right > left);
-        let mut ids = self.ids.clone();
-        ids.splice(pos..=pos, [left, right]);
-        let mut boundaries = self.boundaries.clone();
-        boundaries.insert(pos, cut);
-        Topology {
-            epoch: self.epoch + 1,
-            ids,
-            boundaries,
-            next_id: right + 1,
-        }
-    }
-
     // ------------------------------------------------------- persistence
 
     /// Seal this topology as `SHARDING-<epoch>` (fresh file, CRC footer,
-    /// synced), then retire the predecessor epoch — the single
-    /// storage-visible cutover of a topology change.
+    /// synced).
     pub(crate) fn save(&self, storage: &dyn Storage) -> Result<()> {
         // `policy range` is the only policy there is; the line stays so the
         // bytes of a sealed topology do not move.
@@ -231,10 +193,10 @@ impl Topology {
 
     /// Remove stale topology epochs (anything but this one), a legacy
     /// router-model file, and orphaned shard directories (stable ids this
-    /// topology does not name) — the debris of crashes mid-publish: an
-    /// aborted split's children, or a completed split's parent.
-    /// Best-effort; a crash mid-sweep leaves the next open to finish it.
-    /// Returns the orphaned ids swept.
+    /// topology does not name) — what a crash in the middle of an earlier
+    /// build's split left: an aborted split's children, or a completed
+    /// split's parent. Best-effort; a crash mid-sweep leaves the next open
+    /// to finish it. Returns the orphaned ids swept.
     pub(crate) fn sweep_stale(&self, storage: &dyn Storage) -> Result<Vec<u16>> {
         let current = topology_name(self.epoch);
         let live: std::collections::HashSet<u16> = self.ids.iter().copied().collect();
@@ -274,6 +236,17 @@ mod tests {
         Topology::fresh(vec![100, 200, 300])
     }
 
+    /// `range_topology()` after an earlier build split its shard 0 at 50:
+    /// children 4 and 5 replace it at epoch 2.
+    fn split_topology() -> Topology {
+        Topology {
+            epoch: 2,
+            ids: vec![4, 5, 1, 2, 3],
+            boundaries: vec![50, 100, 200, 300],
+            next_id: 6,
+        }
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let storage = MemStorage::new();
@@ -285,9 +258,8 @@ mod tests {
     #[test]
     fn newest_sealed_epoch_wins_and_torn_seal_falls_back() {
         let storage = MemStorage::new();
-        let t1 = range_topology();
-        t1.save(&storage).unwrap();
-        let t2 = t1.with_split(0, 50, t1.next_id, t1.next_id + 1);
+        range_topology().save(&storage).unwrap();
+        let t2 = split_topology();
         t2.save(&storage).unwrap();
         assert_eq!(Topology::load(&storage).unwrap(), Some(t2.clone()));
         // A torn epoch-3 file (no valid CRC) must fall back to epoch 2.
@@ -295,17 +267,6 @@ mod tests {
         f.append(b"epoch 3\npolicy range\ngarbage").unwrap();
         drop(f);
         assert_eq!(Topology::load(&storage).unwrap(), Some(t2));
-    }
-
-    #[test]
-    fn split_splices_ids_and_boundaries() {
-        let t = range_topology();
-        let s = t.with_split(1, 150, 4, 5);
-        assert_eq!(s.epoch, t.epoch + 1);
-        assert_eq!(s.ids, vec![0, 4, 5, 2, 3]);
-        assert_eq!(s.boundaries, vec![100, 150, 200, 300]);
-        assert_eq!(s.next_id, 6);
-        s.validate().unwrap();
     }
 
     #[test]
@@ -377,9 +338,8 @@ mod tests {
     #[test]
     fn sweep_removes_orphan_dirs_and_stale_epochs() {
         let storage = MemStorage::new();
-        let t1 = range_topology();
-        t1.save(&storage).unwrap();
-        let t2 = t1.with_split(0, 50, t1.next_id, t1.next_id + 1);
+        range_topology().save(&storage).unwrap();
+        let t2 = split_topology();
         t2.save(&storage).unwrap();
         // Orphans: the split parent (id 0) plus a stray aborted child.
         for name in ["shard-0/MANIFEST-000001", "shard-9/000001.wal"] {
@@ -437,5 +397,94 @@ mod tests {
         assert_eq!(routing.router().shard_of(u64::MAX), 3);
         assert!(!storage.exists(LEGACY_ROUTER_MODEL_FILE));
         assert!(storage.exists(&topology_name(1)));
+    }
+
+    /// The bytes the build before fixed topologies sealed for a fresh
+    /// 4-shard store cut at 100 / 200 / 300.
+    const FRESH_TEXT: &str = "epoch 1\npolicy range\nnext_id 4\n\
+                              shard 0\nshard 1\nshard 2\nshard 3\n\
+                              boundary 100\nboundary 200\nboundary 300\ncrc ec6ba908\n";
+
+    /// A store an earlier build split online: its topology sits at epoch 3
+    /// and names the non-contiguous ids 0, 5, 6 and 3, where shard 4 (which
+    /// owned 100..300 at epoch 2) was split at 200, and a crash before the
+    /// cutover's cleanup left the stale epoch 2 and shard 4's directory,
+    /// holding a table. The open routes every key, boundaries ±1
+    /// included, to the shard that held it, reads every key back — from
+    /// the tables and from the log —, and sweeps the orphan and the stale
+    /// epoch. A fresh open seals the bytes the build before this one did.
+    #[test]
+    fn a_store_an_earlier_build_split_opens_and_sheds_its_debris() {
+        use crate::sharding::RecoveryReport;
+        use crate::{Options, ShardedOptions};
+        let opts = ShardedOptions::learned(4, (0..400).collect(), Options::small_for_tests());
+        let value = |k: u64| match k % 7 {
+            0 => b"logged".to_vec(),
+            _ => k.to_le_bytes().to_vec(),
+        };
+        // The data: four shards' tables, and a log holding every 7th key.
+        let written: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let db = ShardedDb::open(Arc::clone(&written), opts.clone()).unwrap();
+        let fresh = lsm_io::read_all(written.as_ref(), &topology_name(1)).unwrap();
+        assert_eq!(String::from_utf8(fresh).unwrap(), FRESH_TEXT);
+        for k in 0..400 {
+            db.put(k, &k.to_le_bytes()).unwrap();
+        }
+        db.flush().unwrap();
+        for k in (0..400).step_by(7) {
+            db.put(k, &value(k)).unwrap();
+        }
+        drop(db);
+
+        // The same files in the directories the split store names.
+        let ids = [0u16, 5, 6, 3];
+        let split: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let copy = |from: &str, to: &str| {
+            let bytes = lsm_io::read_all(written.as_ref(), from).unwrap();
+            split.create(to).unwrap().append(&bytes).unwrap();
+        };
+        for name in written.list().unwrap() {
+            match name.strip_prefix("shard-").and_then(|r| r.split_once('/')) {
+                Some((id, file)) => {
+                    let id = ids[id.parse::<usize>().unwrap()];
+                    copy(&name, &format!("{}{file}", Topology::shard_dir(id)));
+                }
+                None if name.starts_with(TOPOLOGY_PREFIX) => {}
+                None => copy(&name, &name),
+            }
+        }
+        let names = written.list().unwrap();
+        let table = names
+            .iter()
+            .find(|n| n.starts_with("shard-1/") && n.ends_with(".sst"));
+        let table = table.expect("shard 1 flushed a table");
+        copy(table, &table.replace("shard-1/", "shard-4/"));
+        let epoch3 = "epoch 3\npolicy range\nnext_id 7\nshard 0\nshard 5\nshard 6\nshard 3\n\
+                      boundary 100\nboundary 200\nboundary 300\n";
+        let epoch2 = "epoch 2\npolicy range\nnext_id 5\nshard 0\nshard 4\nshard 3\n\
+                      boundary 100\nboundary 300\n";
+        sealed::write_sealed(split.as_ref(), TOPOLOGY_PREFIX, 3, epoch3.into()).unwrap();
+        sealed::write_sealed(split.as_ref(), TOPOLOGY_PREFIX, 2, epoch2.into()).unwrap();
+
+        let db = ShardedDb::open(Arc::clone(&split), opts).unwrap();
+        let swept = RecoveryReport {
+            topology_epoch: 3,
+            orphan_shards_swept: 1,
+        };
+        assert_eq!(db.recovery_report(), swept);
+        assert_eq!(db.routing().shard_ids(), ids);
+        for (pos, cut) in [100u64, 200, 300].into_iter().enumerate() {
+            for (key, owner) in [(cut - 1, pos), (cut, pos + 1), (cut + 1, pos + 1)] {
+                assert_eq!(db.routing().router().shard_of(key), owner, "key {key}");
+                assert_eq!(db.shard(owner).get(key).unwrap(), Some(value(key)));
+            }
+        }
+        for k in 0..400 {
+            assert_eq!(db.get(k).unwrap(), Some(value(k)), "key {k}");
+        }
+        let left = split.list().unwrap();
+        assert!(!left.iter().any(|n| n.starts_with("shard-4/")), "{left:?}");
+        assert!(!split.exists(&topology_name(2)));
+        assert!(split.exists(&topology_name(3)));
     }
 }

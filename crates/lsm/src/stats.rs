@@ -250,10 +250,6 @@ engine_counters! {
         /// Writes that completed while at least one background worker was
         /// busy — the counter that proves foreground/maintenance overlap.
         SUM writes_during_maintenance,
-        /// Live shard splits completed by the sharding layer (counted on the
-        /// [`crate::sharding::ShardedDb`]'s own stats block, merged into
-        /// `ShardedDb::stats()`).
-        SUM shard_splits,
     }
     cache {
         SUM cache_block_hits = block_hits,
@@ -478,7 +474,7 @@ mod tests {
             compactions compaction_moves compact_total_ns compact_kv_io_ns compact_train_ns \
             compact_model_write_ns compact_bytes_read compact_bytes_written \
             seals_off_thread scans scan_entries stall_slowdowns stall_stops stall_ns imm_rotations imm_queue_peak \
-            bg_flush_ns bg_compact_ns bg_errors writes_during_maintenance shard_splits \
+            bg_flush_ns bg_compact_ns bg_errors writes_during_maintenance \
             cache_block_hits cache_block_misses cache_block_evictions \
             cache_used_bytes cache_capacity_bytes";
         let mut want: Vec<String> = SCALARS.split_whitespace().map(String::from).collect();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use learned_index::IndexKind;
-use lsm_io::{CrashStorage, FaultStorage, Hook, Interposed, MemStorage, Op, Storage};
+use lsm_io::{CrashStorage, Hook, Interposed, MemStorage, Op, Storage};
 use lsm_tree::sharding::{imbalance, LOG_BOUND_BUFFERS};
 use lsm_tree::{
     Db, Maintenance, Options, ShardRouter, ShardedDb, ShardedOptions, ShardingPolicy, WriteBatch,
@@ -630,7 +630,6 @@ fn a_failed_commit_fails_its_group_and_the_next_write_takes_a_fresh_file() {
         }
         let now: Vec<usize> = (0..3).map(|s| db.shard(s).memtable_len()).collect();
         assert_eq!(now, buffered, "{label}: a memtable took part of the batch");
-        assert!(!db.poisoned(), "{label}");
 
         let mark = ops.0.lock().unwrap().len();
         let mut later = WriteBatch::new();
@@ -1044,592 +1043,6 @@ fn concurrent_cross_shard_writers_are_all_or_nothing_visible() {
     }
 }
 
-// ------------------------------------------------------- live rebalancing
-
-/// Acceptance: a zipfian insert stream against a 2-shard `ShardedDb`
-/// whose initial boundaries were cut for a *uniform* distribution must
-/// trigger live splits (the resident-bytes trigger fires, shards drain
-/// into children online) and end with the re-learned boundary set routing
-/// the observed traffic within 20% of fair share.
-#[test]
-fn zipfian_stream_triggers_live_splits_and_rebalances_within_20pct() {
-    // Boundaries trained on a uniform sample over the full key space;
-    // the insert stream is zipfian-dense near zero, so nearly everything
-    // initially routes to shard 0.
-    let uniform_sample: Vec<u64> = (0..4096u64).map(|i| i << 32).collect();
-    let opts = ShardedOptions::learned(2, uniform_sample, base_opts())
-        .with_max_shards(20)
-        .with_split_trigger(0.10, 128 << 10);
-    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
-    assert_eq!(db.shard_count(), 2);
-
-    // Zipfian *insert* stream: every key is fresh, the key-space density
-    // follows the zipfian rank distribution (rank buckets of 2^24 keys,
-    // dense at the bottom, ever sparser in the tail).
-    let chooser = RequestDistribution::Zipfian { theta: 0.99 }.chooser(1 << 20);
-    let mut rng = StdRng::seed_from_u64(0x511);
-    let mut reference = std::collections::BTreeMap::new();
-    let mut batch = WriteBatch::new();
-    for i in 0..25_000u64 {
-        let k = ((chooser.next(&mut rng) as u64) << 24) | rng.gen_range(0..1u64 << 24);
-        let v = i.to_le_bytes().to_vec();
-        batch.put(k, &v);
-        reference.insert(k, v);
-        if batch.len() >= 8 {
-            db.write(std::mem::take(&mut batch), &WriteOptions::default())
-                .unwrap();
-        }
-    }
-    db.write(batch, &WriteOptions::default()).unwrap();
-
-    // Splits must have fired *live*, mid-stream, from the write path.
-    let live = db.sharded_stats();
-    assert!(
-        live.merged.shard_splits >= 1,
-        "no live split fired during the stream: {live:?}"
-    );
-    assert!(db.shard_count() > 2);
-
-    // The stream has stopped; let the trigger quiesce (under background
-    // maintenance the worker pool would do this on its own — this is the
-    // synchronous-mode equivalent).
-    while db.rebalance().unwrap() {}
-
-    let stats = db.sharded_stats();
-    assert_eq!(db.topology_epoch(), 1 + stats.merged.shard_splits);
-    assert_eq!(db.background_error(), None);
-    assert!(
-        stats.resident_imbalance <= 0.20,
-        "resident imbalance {:.3} > 20%: {:?}",
-        stats.resident_imbalance,
-        stats.resident_bytes
-    );
-
-    // The acceptance bar: the re-learned boundaries route the observed
-    // key population within 20% of fair share.
-    let keys: Vec<u64> = reference.keys().copied().collect();
-    let routing = db.routing();
-    let imb = imbalance(&routing.router().partition_counts(&keys));
-    assert!(
-        imb <= 0.20,
-        "router imbalance {imb:.3} > 20% after {} splits over {} shards",
-        stats.merged.shard_splits,
-        db.shard_count()
-    );
-
-    // Nothing was lost or duplicated across any number of drains.
-    let got = db.scan(0, usize::MAX).unwrap();
-    let want: Vec<(u64, Vec<u8>)> = reference.iter().map(|(k, v)| (*k, v.clone())).collect();
-    assert_eq!(got, want, "split drains must preserve the exact contents");
-
-    // The grown topology survives a reopen verbatim — contents, shard
-    // count and epoch all come back from the sealed topology.
-    let shard_count = db.shard_count();
-    let epoch = db.topology_epoch();
-    drop(db);
-    let db = ShardedDb::open(storage, opts).unwrap();
-    assert_eq!(db.shard_count(), shard_count);
-    assert_eq!(db.topology_epoch(), epoch);
-    assert_eq!(db.recovery_report().topology_epoch, epoch);
-    let got = db.scan(0, usize::MAX).unwrap();
-    assert_eq!(got, want, "reopen after splits lost data");
-}
-
-/// Split crash matrix: crash at **every** storage-operation boundary of a
-/// full live split (begin → drain → cutover), reopen from the frozen
-/// image, and require all-or-nothing topology cutover — the store is
-/// either entirely pre-split (children swept) or entirely post-split
-/// (parent swept), with every committed key readable either way. Then
-/// re-crash the *recovery* at every one of its own boundaries and require
-/// the same from a third open.
-#[test]
-fn split_crash_matrix_topology_cutover_is_all_or_nothing() {
-    fn split_opts() -> ShardedOptions {
-        let mut o = learned_opts(2, dense_sample())
-            .with_max_shards(4)
-            .with_split_trigger(0.1, 1 << 10);
-        // Manual splits only: the matrix drives the split explicitly so
-        // the crash point count is deterministic.
-        o.auto_split = false;
-        o
-    }
-    // Committed state: flushed skew into shard 0 (the split candidate), a
-    // durable but unflushed cross-shard batch (so recovery also routes a
-    // logged record across the split), and an unflushed single-shard write.
-    fn write_split_baseline(db: &ShardedDb) -> std::collections::BTreeMap<u64, Vec<u8>> {
-        let mut expect = std::collections::BTreeMap::new();
-        let mut batch = WriteBatch::new();
-        for k in (0..1900u64).step_by(5) {
-            batch.put(k, b"hot");
-            expect.insert(k, b"hot".to_vec());
-        }
-        db.write(batch, &WriteOptions::default()).unwrap();
-        db.put(3100, b"cold").unwrap();
-        expect.insert(3100, b"cold".to_vec());
-        db.flush().unwrap();
-        let mut pending = WriteBatch::new();
-        for k in [901u64, 2901] {
-            pending.put(k, b"pending");
-            expect.insert(k, b"pending".to_vec());
-        }
-        db.write(pending, &WriteOptions::durable()).unwrap();
-        db.put(903, b"unflushed").unwrap();
-        expect.insert(903, b"unflushed".to_vec());
-        db.flush().unwrap();
-        expect
-    }
-    fn check_split_recovered(
-        db: &ShardedDb,
-        expect: &std::collections::BTreeMap<u64, Vec<u8>>,
-        split_published: Option<bool>,
-        label: &str,
-    ) {
-        let shards = db.shard_count();
-        assert!(
-            shards == 2 || shards == 3,
-            "{label}: torn topology ({shards} shards)"
-        );
-        // An acknowledged cutover must survive. The reverse is not
-        // required: a crash between the topology append and its sync can
-        // leave the sealed file in the image (unsynced data *may* survive
-        // a crash), so an unacknowledged cutover legitimately resolves to
-        // either side — as long as it is exactly one side, with all
-        // committed contents intact (asserted below).
-        if split_published == Some(true) {
-            assert_eq!(shards, 3, "{label}: acknowledged cutover lost");
-        }
-        let got = db.scan(0, usize::MAX).unwrap();
-        let want: Vec<(u64, Vec<u8>)> = expect.iter().map(|(k, v)| (*k, v.clone())).collect();
-        assert_eq!(got, want, "{label}: contents diverged after recovery");
-        // The engine stays fully usable: a fresh cross-shard durable
-        // batch lands atomically whichever topology won.
-        let mut probe = WriteBatch::new();
-        for k in [955u64, 2955] {
-            probe.put(k, b"probe");
-        }
-        db.write(probe, &WriteOptions::durable())
-            .unwrap_or_else(|e| panic!("{label}: recovered engine refused writes: {e}"));
-        for k in [955u64, 2955] {
-            assert_eq!(db.get(k).unwrap(), Some(b"probe".to_vec()), "{label}");
-        }
-    }
-
-    // Dry run: how many storage operations one full split spans.
-    let (storage, ctl) = CrashStorage::new();
-    let db = ShardedDb::open(storage, split_opts()).unwrap();
-    write_split_baseline(&db);
-    let start = ctl.ops();
-    assert!(db.rebalance().unwrap(), "dry run must split");
-    let total = ctl.ops() - start;
-    assert_eq!(db.shard_count(), 3);
-    drop(db);
-    assert!(total >= 10, "a split should span many storage ops: {total}");
-
-    for n in 0..=total {
-        let (storage, ctl) = CrashStorage::new();
-        let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, split_opts()).unwrap();
-        let expect = write_split_baseline(&db);
-        ctl.crash_after(n);
-        let published = db.rebalance().is_ok_and(|split| split);
-        if n >= total {
-            assert!(
-                published,
-                "crash point {n}/{total}: unimpeded split must ack"
-            );
-        }
-        drop(db);
-
-        // Plain recovery from the frozen image.
-        let recovered = ShardedDb::open(Arc::new(storage.image()), split_opts()).unwrap();
-        check_split_recovered(
-            &recovered,
-            &expect,
-            Some(published),
-            &format!("split crash at op {n}/{total}"),
-        );
-        drop(recovered);
-
-        // Second crash: halt the recovery itself at every boundary M; the
-        // follow-up unimpeded open of the twice-crashed image must reach
-        // a consistent verdict (the topology side may legitimately differ
-        // from the first recovery's only in that recovery's own probe
-        // writes are absent — so only contents + usability are asserted).
-        let mut m = 0u64;
-        loop {
-            assert!(m < 10_000, "recovery never completed (crash {n})");
-            let (s2, ctl2) = CrashStorage::over(storage.image());
-            ctl2.crash_after(m);
-            match ShardedDb::open(Arc::clone(&s2) as Arc<dyn Storage>, split_opts()) {
-                Ok(db2) => {
-                    ctl2.disarm();
-                    check_split_recovered(
-                        &db2,
-                        &expect,
-                        Some(published),
-                        &format!("split crash {n}, recovery used {m}+ ops"),
-                    );
-                    break;
-                }
-                Err(_) => {
-                    let db3 = ShardedDb::open(Arc::new(s2.image()), split_opts()).unwrap();
-                    check_split_recovered(
-                        &db3,
-                        &expect,
-                        Some(published),
-                        &format!("split crash {n}, then recovery crash at op {m}"),
-                    );
-                }
-            }
-            m += 1;
-        }
-    }
-}
-
-/// The dual-write window, staged: between `begin_rebalance` (children
-/// drained, window open) and `complete_rebalance` (cutover), writes land
-/// on both sides, reads and snapshots resolve through the parent, and a
-/// crash at any boundary of the cutover leaves one self-sufficient side.
-#[test]
-fn dual_write_window_crash_matrix_and_epoch_pinned_snapshots() {
-    fn window_opts() -> ShardedOptions {
-        let mut o = learned_opts(2, dense_sample())
-            .with_max_shards(4)
-            .with_split_trigger(0.1, 1 << 10);
-        o.auto_split = false; // the window is staged explicitly
-        o
-    }
-    fn build_window(db: &ShardedDb) -> std::collections::BTreeMap<u64, Vec<u8>> {
-        let mut oracle = std::collections::BTreeMap::new();
-        let mut batch = WriteBatch::new();
-        for k in (0..1900u64).step_by(3) {
-            batch.put(k, b"seed");
-            oracle.insert(k, b"seed".to_vec());
-        }
-        db.write(batch, &WriteOptions::default()).unwrap();
-        db.flush().unwrap();
-        assert!(db.begin_rebalance().unwrap(), "window must open");
-        assert_eq!(db.shard_count(), 2, "no cutover yet");
-        // Dual-write traffic: overwrites, fresh keys and deletes in the
-        // splitting range, plus a cross-shard durable batch.
-        let mut win = WriteBatch::new();
-        win.put(6, b"window");
-        win.put(1204, b"window");
-        win.delete(9);
-        win.put(2904, b"window");
-        db.write(win, &WriteOptions::durable()).unwrap();
-        oracle.insert(6, b"window".to_vec());
-        oracle.insert(1204, b"window".to_vec());
-        oracle.remove(&9);
-        oracle.insert(2904, b"window".to_vec());
-        oracle
-    }
-
-    // Mid-window reads + snapshots match a single-Db oracle fed the same
-    // operations, and a snapshot pinned mid-window survives the cutover
-    // byte-for-byte (it resolves through its pinned epoch — the parent).
-    let db = ShardedDb::open_memory(window_opts()).unwrap();
-    let oracle_map = build_window(&db);
-    let single = Db::open_memory(base_opts()).unwrap();
-    for (k, v) in &oracle_map {
-        single.put(*k, v).unwrap();
-    }
-    for k in [0u64, 6, 9, 1204, 1899, 2904, 4000] {
-        assert_eq!(
-            db.get(k).unwrap(),
-            single.get(k).unwrap(),
-            "mid-split get({k})"
-        );
-    }
-    let pinned = db.snapshot();
-    let epoch_before = pinned.epoch();
-    let mid_view: Vec<(u64, Vec<u8>)> = {
-        let mut it = db.iter_at(&pinned).unwrap();
-        it.seek_to_first();
-        it.collect_up_to(usize::MAX).unwrap()
-    };
-    let want: Vec<(u64, Vec<u8>)> = oracle_map.iter().map(|(k, v)| (*k, v.clone())).collect();
-    assert_eq!(mid_view, want, "mid-split merged scan matches the oracle");
-    assert!(db.complete_rebalance().unwrap());
-    assert_eq!(db.shard_count(), 3);
-    assert!(db.topology_epoch() > epoch_before);
-    // The pinned snapshot still reads through its epoch (the parent).
-    let mut it = db.iter_at(&pinned).unwrap();
-    it.seek_to_first();
-    assert_eq!(it.collect_up_to(usize::MAX).unwrap(), mid_view);
-    assert_eq!(db.get_at(6, &pinned).unwrap(), Some(b"window".to_vec()));
-    drop(pinned);
-    // Post-cutover, the live view agrees with the oracle too.
-    assert_eq!(db.scan(0, usize::MAX).unwrap(), want);
-    drop(db);
-
-    // Crash matrix over the cutover alone, with the window populated.
-    let (storage, ctl) = CrashStorage::new();
-    let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, window_opts()).unwrap();
-    build_window(&db);
-    let start = ctl.ops();
-    assert!(db.complete_rebalance().unwrap());
-    let total = ctl.ops() - start;
-    drop(db);
-
-    for n in 0..=total {
-        let (storage, ctl) = CrashStorage::new();
-        let db = ShardedDb::open(Arc::clone(&storage) as Arc<dyn Storage>, window_opts()).unwrap();
-        let oracle_map = build_window(&db);
-        ctl.crash_after(n);
-        let published = db.complete_rebalance().is_ok_and(|s| s);
-        drop(db);
-        let recovered = ShardedDb::open(Arc::new(storage.image()), window_opts()).unwrap();
-        let shards = recovered.shard_count();
-        assert!(
-            shards == 2 || shards == 3,
-            "cutover crash {n}/{total}: torn topology"
-        );
-        if published {
-            assert_eq!(shards, 3, "acked cutover lost (crash {n}/{total})");
-        }
-        let got = recovered.scan(0, usize::MAX).unwrap();
-        let want: Vec<(u64, Vec<u8>)> = oracle_map.iter().map(|(k, v)| (*k, v.clone())).collect();
-        assert_eq!(
-            got, want,
-            "cutover crash {n}/{total}: dual-write-window invariant broken \
-             (the surviving side is not self-sufficient)"
-        );
-    }
-}
-
-/// A child-side failure during the dual-write window — the child's inline
-/// flush, the one storage write a mirrored part can make — abandons the
-/// split (the children are incomplete) without failing the client's commit
-/// or the engine: the parent applied the batch, the children are
-/// discarded, and a later rebalance can start over.
-#[test]
-fn child_write_failure_cancels_split_without_losing_the_commit() {
-    let mut opts = learned_opts(2, dense_sample())
-        .with_max_shards(4)
-        .with_split_trigger(0.1, 1 << 10);
-    opts.auto_split = false; // drive the window by hand
-    let mem = Arc::new(MemStorage::new());
-    let (storage, faults) = FaultStorage::wrap(Arc::clone(&mem) as Arc<dyn Storage>);
-    let db = ShardedDb::open(storage, opts.clone()).unwrap();
-    let mut batch = WriteBatch::new();
-    for k in (0..1900u64).step_by(3) {
-        batch.put(k, b"seed");
-    }
-    db.write(batch, &WriteOptions::default()).unwrap();
-    db.flush().unwrap();
-    assert!(db.begin_rebalance().unwrap());
-    // The left child (the first id the split allocated, 2) cannot write;
-    // a part that fills its buffer makes it flush, and the flush fails.
-    faults.poison("shard-2/");
-    let mut batch = WriteBatch::new();
-    for i in 0..300u64 {
-        batch.put(1, &i.to_le_bytes());
-    }
-    batch.put(10, b"survives");
-    db.write(batch, &WriteOptions::default()).unwrap();
-    faults.heal();
-    assert_eq!(db.get(10).unwrap(), Some(b"survives".to_vec()));
-    assert!(
-        !db.complete_rebalance().unwrap(),
-        "cancelled split must refuse to cut over"
-    );
-    assert_eq!(db.shard_count(), 2);
-    // The engine is healthy: a fresh split succeeds end-to-end.
-    assert!(db.rebalance().unwrap());
-    assert_eq!(db.shard_count(), 3);
-    assert_eq!(db.get(10).unwrap(), Some(b"survives".to_vec()));
-    let expect = db.scan(0, usize::MAX).unwrap();
-    drop(db);
-    // Regression: the aborted split burned shard ids in the in-process
-    // allocator; the sealed topology must name the directories the
-    // successful split *actually* created (not the burned ids), or this
-    // reopen would open empty shards and sweep the real children.
-    let db = ShardedDb::open(mem, opts).unwrap();
-    assert_eq!(db.shard_count(), 3, "reopen adopts the split topology");
-    assert_eq!(
-        db.scan(0, usize::MAX).unwrap(),
-        expect,
-        "reopened children must hold the drained data"
-    );
-    assert_eq!(db.get(10).unwrap(), Some(b"survives".to_vec()));
-}
-
-/// During a split's dual-write window a batch whose part at the splitting
-/// shard alternates around the cut reaches each child in two runs, and
-/// registers at each child once: after the cutover a child has counted
-/// one group per drain chunk and one for the batch.
-#[test]
-fn a_dual_written_part_registers_once_at_each_child() {
-    let mut opts = learned_opts(2, dense_sample())
-        .with_max_shards(4)
-        .with_split_trigger(0.1, 1 << 10);
-    opts.auto_split = false;
-    let db = ShardedDb::open_memory(opts).unwrap();
-    let mut batch = WriteBatch::new();
-    for k in (0..1900u64).step_by(3) {
-        batch.put(k, b"seed");
-    }
-    db.write(batch, &WriteOptions::default()).unwrap();
-    db.flush().unwrap();
-    assert!(db.begin_rebalance().unwrap());
-    // The cut lies above the parent's least key and at or below its
-    // greatest, so 0 and 1 go left and 1950 and 1951 right, alternately.
-    let mut batch = WriteBatch::new();
-    for k in [0, 1950, 1, 1951, 3000] {
-        batch.put(k, b"dual");
-    }
-    db.write(batch, &WriteOptions::default()).unwrap();
-    assert!(db.complete_rebalance().unwrap());
-    assert_eq!(db.shard_count(), 3);
-    for pos in 0..2 {
-        let s = db.shard(pos).stats().snapshot();
-        let chunks = (s.write_entries - 2).div_ceil(512);
-        assert_eq!(
-            (s.write_groups, s.write_batches),
-            (chunks + 1, chunks + 2),
-            "child {pos}"
-        );
-    }
-}
-
-/// Parks the first create of a table under `prefix` once armed.
-#[derive(Default)]
-struct ParkTableCreate {
-    prefix: &'static str,
-    armed: AtomicBool,
-    /// `(parked, released)`.
-    state: std::sync::Mutex<(bool, bool)>,
-    cv: std::sync::Condvar,
-}
-
-impl Hook for ParkTableCreate {
-    fn before(&self, op: Op<'_>) -> io::Result<()> {
-        let table = |name: &str| name.starts_with(self.prefix) && name.ends_with(".sst");
-        if matches!(op, Op::Create(name) if table(name)) && self.armed.swap(false, Ordering::SeqCst)
-        {
-            let mut st = self.state.lock().unwrap();
-            st.0 = true;
-            self.cv.notify_all();
-            while !st.1 {
-                st = self.cv.wait(st).unwrap();
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A synchronous write's inline flush of a splitting shard and the
-/// split's cutover, which retires that shard and removes its files, never
-/// overlap. The write's flush is parked at its table's create while a
-/// cutover is started beside it: the flush finishes first, and no file is
-/// left in the retired shard's directory.
-#[test]
-fn a_cutover_never_meets_an_inline_flush_of_the_shard_it_retires() {
-    let mut opts = learned_opts(2, dense_sample())
-        .with_max_shards(4)
-        .with_split_trigger(0.1, 1 << 10);
-    opts.auto_split = false;
-    let hook = Arc::new(ParkTableCreate {
-        prefix: "shard-0/",
-        ..Default::default()
-    });
-    let memory: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let storage: Arc<dyn Storage> =
-        Arc::new(Interposed::hooked(Arc::clone(&memory), Arc::clone(&hook)));
-    let db = ShardedDb::open(storage, opts).unwrap();
-    let mut batch = WriteBatch::new();
-    for k in (0..1900u64).step_by(3) {
-        batch.put(k, b"seed");
-    }
-    db.write(batch, &WriteOptions::default()).unwrap();
-    db.flush().unwrap();
-    assert!(db.begin_rebalance().unwrap());
-    hook.armed.store(true, Ordering::SeqCst);
-    std::thread::scope(|s| {
-        let db = &db;
-        // Past the write buffer: the parent's inline flush runs.
-        let writer = s.spawn(move || {
-            let mut batch = WriteBatch::new();
-            for k in 0..600u64 {
-                batch.put(k, &[9; 32]);
-            }
-            db.write(batch, &WriteOptions::default())
-        });
-        let timeout = std::time::Duration::from_secs(10);
-        let st = hook.state.lock().unwrap();
-        let (st, _) = hook.cv.wait_timeout_while(st, timeout, |s| !s.0).unwrap();
-        let parked = st.0;
-        drop(st);
-        let cutover = s.spawn(move || db.complete_rebalance());
-        // Time for a cutover that does not wait for the flush to finish.
-        let deadline = Instant::now() + std::time::Duration::from_millis(300);
-        while !cutover.is_finished() && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        hook.state.lock().unwrap().1 = true;
-        hook.cv.notify_all();
-        assert!(parked, "the parent's inline flush never created a table");
-        writer.join().unwrap().unwrap();
-        assert!(cutover.join().unwrap().unwrap(), "the cutover published");
-    });
-    assert_eq!(db.shard_count(), 3);
-    let left = memory.list().unwrap().into_iter();
-    let left: Vec<String> = left.filter(|n| n.starts_with("shard-0/")).collect();
-    assert!(
-        left.is_empty(),
-        "files in the retired shard's directory: {left:?}"
-    );
-    assert_eq!(db.get(599).unwrap(), Some(vec![9; 32]));
-}
-
-/// A writer stopped in a splitting shard's admission when the cutover
-/// retires that shard goes on: the pool no longer services the retired
-/// shard, so its stop would never clear. The parent's flushes are paused
-/// until a writer stops on it; the cutover then releases the writer, and
-/// its batches land in the children.
-#[test]
-fn a_writer_stopped_on_a_shard_a_cutover_retires_goes_on() {
-    let mut opts = learned_opts(2, dense_sample())
-        .with_max_shards(4)
-        .with_split_trigger(0.1, 1 << 10);
-    opts.auto_split = false;
-    opts.base.maintenance = Maintenance::background();
-    let db = Arc::new(ShardedDb::open_memory(opts).unwrap());
-    let mut batch = WriteBatch::new();
-    for k in (0..1900u64).step_by(3) {
-        batch.put(k, b"seed");
-    }
-    db.write(batch, &WriteOptions::default()).unwrap();
-    db.flush().unwrap();
-    assert!(db.begin_rebalance().unwrap());
-    let parent = db.shard(0);
-    parent.pause_flushes();
-    let writer = {
-        let db = Arc::clone(&db);
-        std::thread::spawn(move || (0..3000u64).try_for_each(|i| db.put(i % 1900, &[1; 32])))
-    };
-    let until = |done: &dyn Fn() -> bool| {
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while !done() && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        done()
-    };
-    assert!(
-        until(&|| parent.stats().stalled_writers() == 1),
-        "no writer stopped"
-    );
-    assert!(db.complete_rebalance().unwrap(), "the cutover published");
-    assert!(
-        until(&|| writer.is_finished()),
-        "the stopped writer never went on"
-    );
-    writer.join().unwrap().unwrap();
-    assert_eq!(db.shard_count(), 3);
-    assert_eq!(db.get(2999 % 1900).unwrap(), Some(vec![1; 32]));
-}
-
 /// A shard that stops taking writes cannot pin the log: one key lands in
 /// shard 0, then only shard 1 is written. The live root log stays under
 /// `LOG_BOUND_BUFFERS` write buffers — shard 0 is flushed once it holds
@@ -1678,54 +1091,8 @@ fn a_cold_shard_is_flushed_so_the_log_stays_bounded() {
     }
 }
 
-/// A split while another shard pins the log: the log still holds the
-/// parent's whole history — versions the drain copied under renumbered
-/// sequences, deletes, overwrites — and a reopen without a flush routes
-/// it through the split topology to the children. What it replays is a
-/// suffix of each child's history, complete from its start, so every key
-/// ends at its newest version: the contents come back unchanged.
-#[test]
-fn a_reopen_after_a_split_routes_the_parents_logged_history_to_the_children() {
-    let mut opts = learned_opts(2, dense_sample())
-        .with_max_shards(4)
-        .with_split_trigger(0.1, 1 << 10);
-    opts.auto_split = false;
-    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
-    db.put(3000, b"pins the log").unwrap();
-    for round in 0..3u64 {
-        for k in (0..1900u64).step_by(3) {
-            db.put(k, &round.to_le_bytes()).unwrap();
-        }
-        db.delete(round * 300).unwrap();
-    }
-    db.shard(0).flush().unwrap();
-    db.put(5, b"after the flush").unwrap();
-    let expect = db.scan(0, usize::MAX).unwrap();
-    assert!(db.rebalance().unwrap(), "shard 0 is due a split");
-    assert_eq!(db.shard_count(), 3);
-    db.put(7, b"after the cutover").unwrap();
-    let expect: Vec<_> = (expect.into_iter())
-        .filter(|(k, _)| *k != 7)
-        .chain([(7, b"after the cutover".to_vec())])
-        .collect::<std::collections::BTreeMap<_, _>>()
-        .into_iter()
-        .collect();
-    let names = storage.list().unwrap();
-    let logged: u64 = (names
-        .iter()
-        .filter(|n| !n.contains('/') && n.ends_with(".wal")))
-    .map(|n| storage.size_of(n).unwrap())
-    .sum();
-    assert!(logged > 60_000, "the log kept the history: {logged} B");
-    drop(db);
-    let db = ShardedDb::open(storage, opts).unwrap();
-    assert_eq!(db.shard_count(), 3);
-    assert_eq!(db.scan(0, usize::MAX).unwrap(), expect);
-}
-
 /// 12 000 keys `i²` — dense near zero, ever sparser above — each holding its
-/// own bytes, written in batches of 8; then splits run until none is due.
+/// own bytes, written in batches of 8.
 fn load_skewed_stream(db: &ShardedDb) -> Vec<u64> {
     let keys: Vec<u64> = (0..12_000u64).map(|i| i * i).collect();
     for chunk in keys.chunks(8) {
@@ -1735,7 +1102,6 @@ fn load_skewed_stream(db: &ShardedDb) -> Vec<u64> {
         }
         db.write(batch, &WriteOptions::default()).unwrap();
     }
-    while db.rebalance().unwrap() {}
     keys
 }
 
@@ -1749,60 +1115,18 @@ fn assert_reads_back(db: &ShardedDb, keys: &[u64]) {
     }
 }
 
-/// One shard is a topology with no boundaries, which a split can cut:
-/// `ShardedOptions::learned(1, ..).with_max_shards(n)` splits.
-#[test]
-fn a_single_learned_shard_splits_under_a_skewed_stream() {
-    let opts = ShardedOptions::learned(1, Vec::new(), base_opts())
-        .with_max_shards(4)
-        .with_split_trigger(0.10, 64 << 10);
-    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-    let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
-    assert_eq!(db.shard_count(), 1);
-
-    let keys = load_skewed_stream(&db);
-
-    let splits = db.sharded_stats().merged.shard_splits;
-    assert!(splits >= 1, "a lone learned shard never split");
-    assert_eq!(db.shard_count() as u64, 1 + splits);
-    assert_eq!(db.background_error(), None);
-    assert_reads_back(&db, &keys);
-
-    // The reopen adopts the split topology, not the one shard it asked for.
-    let (shard_count, epoch) = (db.shard_count(), db.topology_epoch());
-    let boundaries = db.routing().router().boundaries().to_vec();
-    drop(db);
-    let db = ShardedDb::open(storage, opts).unwrap();
-    assert_eq!(db.shard_count(), shard_count);
-    assert_eq!(db.topology_epoch(), epoch);
-    assert_eq!(db.routing().router().boundaries(), boundaries);
-    assert_reads_back(&db, &keys);
-}
-
 /// The metrics scrape carries the residency report, and nothing is lost
-/// by dropping its two ratios: on a quiesced 2-shard database after one
-/// live split, the scrape's pairs equal `sharded_stats()`, and both ratios
-/// recomputed from the pairs equal the report's.
+/// by dropping its two ratios: on a quiesced 2-shard database holding a
+/// skewed stream, the scrape's pairs equal `sharded_stats()`, and both
+/// ratios recomputed from the pairs equal the report's.
 #[test]
-fn metrics_carry_the_residency_report_after_a_split() {
-    let mut opts = ShardedOptions::learned(1, Vec::new(), base_opts())
-        .with_max_shards(4)
-        .with_split_trigger(0.10, 64 << 10);
-    opts.auto_split = false; // the one split is driven by hand
-    let db = ShardedDb::open_memory(opts).unwrap();
-    for chunk in (0..12_000u64).map(|i| i * i).collect::<Vec<_>>().chunks(8) {
-        let mut batch = WriteBatch::with_capacity(chunk.len());
-        for &k in chunk {
-            batch.put(k, &k.to_le_bytes());
-        }
-        db.write(batch, &WriteOptions::default()).unwrap();
-    }
-    assert!(db.rebalance().unwrap(), "the lone shard is due a split");
-    assert_eq!(db.shard_count(), 2, "one live split");
+fn metrics_carry_the_residency_report() {
+    let sample: Vec<u64> = (0..12_000u64).map(|i| i * i).collect();
+    let db = ShardedDb::open_memory(learned_opts(2, sample)).unwrap();
+    load_skewed_stream(&db);
 
     let report = db.sharded_stats();
     let snap = db.metrics();
-    assert_eq!(report.merged.shard_splits, 1);
     assert_eq!(snap.counters, report.counter_pairs());
     let value = |name: &str| {
         let pair = snap.counters.iter().find(|(n, _)| n == name);
@@ -1826,30 +1150,26 @@ fn metrics_carry_the_residency_report_after_a_split() {
 }
 
 /// A sample too small to cut four ways (three keys) still opens as a range
-/// topology — three ascending equal-width cuts of the key space — so the
-/// ceiling is usable: under a load that all lands in the first slice the
-/// hot shard splits and the cuts are re-learned from the data. (The parent
-/// of this test's commit came back hash-routed here and never split.)
+/// topology — three ascending equal-width cuts of the key space —, the
+/// cuts survive a reopen, and a load that all lands in the first slice
+/// reads back whole.
 #[test]
-fn a_small_sample_opens_equal_width_ranges_and_still_splits() {
-    let opts = ShardedOptions::learned(4, vec![1, 2, 3], base_opts())
-        .with_max_shards(8)
-        .with_split_trigger(0.10, 64 << 10);
-    let db = ShardedDb::open_memory(opts).unwrap();
-    assert_eq!(
-        db.routing().router().boundaries(),
-        [1 << 62, 1 << 63, 3 << 62]
-    );
+fn a_small_sample_opens_equal_width_ranges() {
+    let opts = ShardedOptions::learned(4, vec![1, 2, 3], base_opts());
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let db = ShardedDb::open(Arc::clone(&storage), opts.clone()).unwrap();
+    let cuts = [1 << 62, 1 << 63, 3 << 62];
+    assert_eq!(db.routing().router().boundaries(), cuts);
 
     // Every key is far below the first cut: shard 0 takes the whole load.
     let keys = load_skewed_stream(&db);
+    let counts = db.shard_entry_counts();
+    assert!(counts[0] > 0 && counts[1..] == [0, 0, 0], "{counts:?}");
+    assert_reads_back(&db, &keys);
+    drop(db);
 
-    let splits = db.sharded_stats().merged.shard_splits;
-    assert!(splits >= 1, "the hot equal-width shard never split");
-    assert_eq!(db.shard_count() as u64, 4 + splits);
-    let boundaries = db.routing().router().boundaries().to_vec();
-    assert!(boundaries.windows(2).all(|w| w[0] < w[1]));
-    assert!(boundaries[0] < 1 << 62, "a cut learned from the data");
+    let db = ShardedDb::open(storage, opts).unwrap();
+    assert_eq!(db.routing().router().boundaries(), cuts);
     assert_eq!(db.background_error(), None);
     assert_reads_back(&db, &keys);
 }

@@ -3,8 +3,8 @@
 //! An [`Event`] is a fixed-size, `Copy` record: no strings, no heap —
 //! the emit path must never allocate. What an event *means* is carried
 //! by its [`EventKind`] plus two kind-specific payload words (`a`, `b`),
-//! documented per variant. Begin/end pairs (flush, compaction, stall,
-//! split lifecycle) share a nonzero span id so a consumer can stitch
+//! documented per variant. Begin/end pairs (flush, compaction, stall)
+//! share a nonzero span id so a consumer can stitch
 //! durations back together even when other shards' events interleave.
 
 use std::sync::OnceLock;
@@ -47,17 +47,9 @@ pub enum EventKind {
     StallBegin = 8,
     /// The writer resumed. `a` as in begin, `b` = stalled wall time (ns).
     StallEnd = 9,
-    /// A live split opened its dual-write window (spanned across the
-    /// whole lifecycle). `a` = parent shard id, `b` = cut key.
-    SplitBegin = 10,
-    /// The split's drain finished; from here until cutover every parent
-    /// write is mirrored to a child. `a` = parent shard id.
-    SplitDualWrite = 11,
-    /// The split's topology epoch was sealed — the commit point.
-    /// `a` = parent shard id, `b` = new topology epoch.
-    SplitCutover = 12,
-    // Code 13 named the retired commit-marker log's checkpoint; it is not
-    // reused either.
+    // Codes 10 to 12 named the retired live split's begin, dual-write and
+    // cutover, and code 13 the retired commit-marker log's checkpoint;
+    // none is reused.
     /// The server shed a request with `RETRY_AFTER` at admission.
     /// `a` = 1 if the shed request was a write.
     ServerShed = 14,
@@ -78,9 +70,6 @@ impl EventKind {
             EventKind::CompactionEnd => "compaction_end",
             EventKind::StallBegin => "stall_begin",
             EventKind::StallEnd => "stall_end",
-            EventKind::SplitBegin => "split_begin",
-            EventKind::SplitDualWrite => "split_dual_write",
-            EventKind::SplitCutover => "split_cutover",
             EventKind::ServerShed => "server_shed",
         }
     }
@@ -97,9 +86,6 @@ impl EventKind {
             7 => EventKind::CompactionEnd,
             8 => EventKind::StallBegin,
             9 => EventKind::StallEnd,
-            10 => EventKind::SplitBegin,
-            11 => EventKind::SplitDualWrite,
-            12 => EventKind::SplitCutover,
             14 => EventKind::ServerShed,
             _ => return None,
         })
@@ -111,9 +97,8 @@ impl EventKind {
 pub struct Event {
     /// Monotonic timestamp from [`now_ns`].
     pub ts_ns: u64,
-    /// Nonzero for spanned events; begin/end (and the three split
-    /// stages) of one logical operation share the same id. 0 for
-    /// instantaneous events.
+    /// Nonzero for spanned events; begin and end of one logical operation
+    /// share the same id. 0 for instantaneous events.
     pub span: u64,
     /// Kind-specific payload words (see [`EventKind`]).
     pub a: u64,
@@ -168,8 +153,8 @@ mod tests {
                 assert!(!k.name().is_empty());
             }
         }
-        // 13, 15 and 16 are retired codes, never reused.
-        for unassigned in [0, 13, 15, 16, 17] {
+        // 10 to 13, 15 and 16 are retired codes, never reused.
+        for unassigned in [0, 10, 11, 12, 13, 15, 16, 17] {
             assert_eq!(EventKind::from_u8(unassigned), None);
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Production systems are debugged through traces, histograms, and
 //! scrapeable metrics; flat counters alone cannot say *which* flush
-//! stalled a writer or *when* a split's dual-write window opened. This
+//! stalled a writer or *when* a compaction began and ended. This
 //! crate is the engine's shared observability substrate — deliberately
 //! free of engine dependencies so every layer (engine, sharding,
 //! server, benches) can record into it:

@@ -20,9 +20,8 @@
 //! * [`Server`] — an acceptor, one reader thread per connection, and a
 //!   shared worker pool. Admission control maps the engine's write
 //!   stalls onto the network edge: a stopped engine sheds writes with a
-//!   typed `RETRY_AFTER` instead of parking threads, a slowed engine
-//!   shrinks the per-connection pipeline window, and a poisoned engine
-//!   turns writes into a typed "reopen to recover" error.
+//!   typed `RETRY_AFTER` instead of parking threads, and a slowed engine
+//!   shrinks the per-connection pipeline window.
 //!   [`Server::close`] drains in-flight requests before releasing the
 //!   engine, so every acknowledged write survives a reopen.
 //! * [`Client`] — the matching sync pipelined client.

@@ -30,10 +30,10 @@
 //! * **Clear** — `QUEUE_CAP`, bounding queue memory.
 //!
 //! A failed commit fails only its own group's writes, with the engine's
-//! error. A poisoned engine (a split's cutover left a topology it could
-//! not unseal) turns every subsequent write into [`ServerError::Poisoned`]
-//! — the client learns the engine needs a reopen, rather than seeing
-//! generic errors.
+//! error; the next write is served as usual. [`ServerError::Poisoned`]
+//! stays in the wire vocabulary for clients of earlier builds, whose
+//! engines refused every write after a failed topology change; no engine
+//! of this build sends it.
 //!
 //! # Shutdown ordering
 //!
@@ -370,10 +370,6 @@ fn admit(shared: &Shared, state: &ConnState, req: &Request) -> Admission {
     }
     let pressure = if !req.is_write() {
         WritePressure::Clear
-    } else if shared.db.poisoned() {
-        return Admission::Shed(ServerError::Poisoned(
-            "a commit's log append or sync failed; reopen to recover".into(),
-        ));
     } else {
         shared.db.write_pressure()
     };
@@ -419,7 +415,7 @@ fn execute(db: &ShardedDb, req: Request) -> Response {
     match req {
         Request::Get { key } => match db.get(key) {
             Ok(v) => Response::Value(v),
-            Err(e) => map_engine_error(db, e),
+            Err(e) => map_engine_error(e),
         },
         Request::WriteBatch { batch, durable } => {
             let wopts = if durable {
@@ -429,29 +425,21 @@ fn execute(db: &ShardedDb, req: Request) -> Response {
             };
             match db.write(batch, &wopts) {
                 Ok(seq) => Response::Committed { seq },
-                Err(e) => map_engine_error(db, e),
+                Err(e) => map_engine_error(e),
             }
         }
         Request::Scan { start, limit } => {
             match db.scan(start, (limit as usize).min(MAX_SCAN_LIMIT)) {
                 Ok(pairs) => Response::Entries(pairs),
-                Err(e) => map_engine_error(db, e),
+                Err(e) => map_engine_error(e),
             }
         }
         Request::Metrics => Response::Metrics(Box::new(db.metrics())),
     }
 }
 
-/// Translate an engine error into the wire vocabulary. `Unavailable`
-/// (epoch churn under a capped retry budget) becomes `RetryAfter` — the
-/// same back-off contract as admission shedding. A `Corruption` while
-/// the commit path is poisoned is the poison report itself.
-fn map_engine_error(db: &ShardedDb, e: LsmError) -> Response {
-    match e {
-        LsmError::Unavailable(_) => Response::Error(ServerError::RetryAfter { ms: RETRY_AFTER_MS }),
-        LsmError::Corruption(m) if db.poisoned() => Response::Error(ServerError::Poisoned(m)),
-        e @ (LsmError::Io(_) | LsmError::Corruption(_)) => {
-            Response::Error(ServerError::Server(e.to_string()))
-        }
-    }
+/// Translate an engine error into the wire vocabulary: an I/O or
+/// corruption error, reported as the engine worded it.
+fn map_engine_error(e: LsmError) -> Response {
+    Response::Error(ServerError::Server(e.to_string()))
 }

@@ -219,9 +219,9 @@ fn metrics_carries_the_sharded_report() {
     // Every name of the STATS JSON this scrape replaced, less the two
     // ratios, the three per-shard lists (`shard_ids`, `resident_bytes`,
     // `resident_entries`), which are now one pair per shard, checked below,
-    // and two counters since removed with what they counted: the
-    // subcompactions and the live commit markers.
-    const PARENT_KEYS: [&str; 14] = [
+    // and three counters since removed with what they counted: the
+    // subcompactions, the live commit markers and the live shard splits.
+    const PARENT_KEYS: [&str; 13] = [
         "topology_epoch",
         "lookups",
         "write_batches",
@@ -235,13 +235,11 @@ fn metrics_carries_the_sharded_report() {
         "scans",
         "stall_slowdowns",
         "stall_stops",
-        "shard_splits",
     ];
     for key in PARENT_KEYS {
         counter(key);
     }
     assert_eq!(counter("write_batches"), 2_000);
-    assert_eq!(counter("shard_splits"), 0);
     assert!(counter("flush_bytes_written") > 0 && counter("compact_bytes_written") > 0);
 
     // Both shards' residency pairs, in routing order, right after the

@@ -1,7 +1,7 @@
 //! Dump the engine's observability surface under a skewed write-heavy
-//! workload: run a sharded engine with background maintenance and live
-//! splits enabled, drain the event buffer as the stream runs, and finish
-//! with the folded Prometheus-style metrics text.
+//! workload: run a sharded engine with background maintenance, drain the
+//! event buffer as the stream runs, and finish with the folded
+//! Prometheus-style metrics text.
 //!
 //! ```sh
 //! cargo run --release --example obs_dump [ops] [--shards N] [--out FILE]
@@ -45,13 +45,11 @@ fn main() {
     let mut base = Options::small_for_tests();
     base.observability = true;
     base.maintenance = Maintenance::Background;
-    // Uniform-trained boundaries + a zipfian-dense stream: the hot shard
-    // fattens until the live-split trigger fires, so the timeline carries
-    // the full split lifecycle alongside flushes and stalls.
+    // Uniform-trained boundaries + a stream dense near zero: the first
+    // shard takes nearly every write, so the timeline carries its
+    // flushes, compactions and stalls.
     let sample: Vec<u64> = (0..4096u64).map(|i| i << 32).collect();
-    let opts = ShardedOptions::learned(shards, sample, base)
-        .with_max_shards(shards * 4)
-        .with_split_trigger(0.10, 64 << 10);
+    let opts = ShardedOptions::learned(shards, sample, base);
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
     let db = ShardedDb::open(storage, opts).expect("open");
     let observer = Arc::clone(db.observer().expect("observability is on"));
@@ -99,10 +97,9 @@ fn main() {
         println!("{text}");
     }
     eprintln!(
-        "{} ops, {} shards (of {} initially), {} events, {} dropped",
+        "{} ops, {} shards, {} events, {} dropped",
         ops,
         db.shard_count(),
-        shards,
         events,
         snap.dropped_events
     );

@@ -34,9 +34,9 @@
 #                 and lsm-io's unit tests — eight writers race one armed
 #                 crash control (exactly k appends pass), and every hook
 #                 sees each storage op once, in order
-#   sharding x10  the sharding binary: splits under load, the dual-write
-#                 window, the crash matrices, the log's bound (a cold
-#                 shard is flushed so the live log stays under it), and the
+#   sharding x10  the sharding binary: the crash matrices, the log's
+#                 bound (a cold shard is flushed so the live log stays
+#                 under it), the equal-width cuts of a small sample, and the
 #                 fence test under both maintenance modes (lock-free pins
 #                 against rotations and inline flushes: no torn batch, no
 #                 marker key lost or older), and its concurrent sibling
