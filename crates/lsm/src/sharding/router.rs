@@ -74,16 +74,6 @@ impl ShardRouter {
         &self.boundaries
     }
 
-    /// The key range owned by shard position `pos`:
-    /// `(inclusive lower, exclusive upper)` with `None` at the unbounded
-    /// ends.
-    pub fn shard_range(&self, pos: usize) -> (Option<u64>, Option<u64>) {
-        (
-            pos.checked_sub(1).map(|i| self.boundaries[i]),
-            self.boundaries.get(pos).copied(),
-        )
-    }
-
     /// The shard that owns `key`: the number of cuts at or below it.
     pub fn shard_of(&self, key: u64) -> usize {
         self.boundaries.partition_point(|&b| b <= key)
@@ -161,10 +151,10 @@ mod tests {
         assert_eq!(r.shard_of(u64::MAX), 3);
     }
 
-    /// `shard_of` and `shard_range` are inverse views of one boundary set:
-    /// for 1..=16 shards over random strictly ascending cuts, every probe
+    /// For 1..=16 shards over random strictly ascending cuts, every probe
     /// (both ends of the key space, every cut and its neighbours) lands in
-    /// the range its shard owns.
+    /// the range its shard owns: at or above the cut before it, below the
+    /// cut after it.
     #[test]
     fn every_key_lands_in_the_range_its_shard_owns() {
         fn check(boundaries: &[u64]) {
@@ -175,10 +165,14 @@ mod tests {
                 .into_iter()
                 .chain(boundaries.iter().flat_map(near))
             {
-                let (lo, hi) = r.shard_range(r.shard_of(k));
+                let pos = r.shard_of(k);
+                let (lo, hi) = (
+                    pos.checked_sub(1).map(|i| boundaries[i]),
+                    boundaries.get(pos),
+                );
                 assert!(
-                    lo.is_none_or(|l| l <= k) && hi.is_none_or(|h| k < h),
-                    "key {k} routed to [{lo:?}, {hi:?}) of {boundaries:?}"
+                    lo.is_none_or(|l| l <= k) && hi.is_none_or(|&h| k < h),
+                    "key {k} routed to shard {pos} of {boundaries:?}"
                 );
             }
         }
@@ -220,14 +214,6 @@ mod tests {
         // One shard needs no cut, so no sample is too small for it.
         assert_eq!(tiny(1).boundaries(), &[] as &[u64]);
         assert_eq!(tiny(1).shard_of(u64::MAX), 0);
-    }
-
-    #[test]
-    fn shard_range_bounds() {
-        let r = ShardRouter::with_boundaries(vec![100, 200]);
-        assert_eq!(r.shard_range(0), (None, Some(100)));
-        assert_eq!(r.shard_range(1), (Some(100), Some(200)));
-        assert_eq!(r.shard_range(2), (Some(200), None));
     }
 
     #[test]
